@@ -6,7 +6,8 @@
 //! [`KeyInterner`] assigns each key a dense [`NodeIdx`] once, and hot
 //! state lives in [`NodeArena`]s — flat `Vec`s indexed by that id. The
 //! interner's hash map is the *only* hash on the path (the API
-//! boundary); everything behind it is an array index.
+//! boundary, and a one-multiply [`KeyHasher`](bristle_overlay::key::KeyHasher)
+//! at that); everything behind it is an array index.
 //!
 //! Indices are append-only: a node that leaves or dies keeps its
 //! [`NodeIdx`] forever (its arena slots are vacated, the id is never
@@ -16,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use bristle_overlay::key::Key;
+use bristle_overlay::key::{Key, KeyHashBuilder};
 
 /// A dense, stable per-node index (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -40,7 +41,7 @@ impl std::fmt::Display for NodeIdx {
 /// never reused or reordered.
 #[derive(Debug, Clone, Default)]
 pub struct KeyInterner {
-    idx_of: HashMap<Key, NodeIdx>,
+    idx_of: HashMap<Key, NodeIdx, KeyHashBuilder>,
     keys: Vec<Key>,
 }
 

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use bristle_overlay::key::Key;
+use bristle_overlay::key::{Key, KeyHashBuilder};
 
 use crate::time::SimTime;
 
@@ -57,7 +57,7 @@ impl Lease {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LeaseTable {
-    leases: HashMap<(Key, Key), Lease>,
+    leases: HashMap<(Key, Key), Lease, KeyHashBuilder>,
 }
 
 impl LeaseTable {

@@ -156,9 +156,7 @@ impl BristleSystem {
     /// resolving mobile next-hops through the stationary layer whenever
     /// the cached state is null, unleased, or stale (paper Fig. 2).
     pub fn route_mobile(&mut self, src: Key, target: Key) -> Result<MobileRouteReport> {
-        if !self.mobile.contains(src) {
-            return Err(BristleError::UnknownNode(src));
-        }
+        let mut cur = self.mobile.slot_of(src).map_err(|_| BristleError::UnknownNode(src))?;
         let mut report = MobileRouteReport {
             terminus: src,
             forward_hops: 0,
@@ -169,12 +167,16 @@ impl BristleSystem {
             path_cost: 0,
             forward_cost: 0,
         };
-        let mut cur = src;
-        while let Some(next) = self.mobile.next_hop(cur, target)? {
-            let cur_router = self.router_of(cur)?;
-            if self.node_info(next)?.mobility == Mobility::Mobile {
-                let cached = self.mobile.node(cur)?.entry(next).and_then(|p| p.addr);
-                let believed = cached.filter(|_| self.leases.is_fresh(cur, next, self.clock.now()));
+        // The walk carries slab positions: each node on the route is
+        // resolved once, by the forwarding decision that picked it.
+        while let Some(next) = self.mobile.next_hop_from(cur, target) {
+            let (here, there) = (self.mobile.at(cur), self.mobile.at(next));
+            let (cur_key, next_key, next_host) = (here.key, there.key, there.host);
+            let cur_router = self.attachments.router(here.host);
+            if self.node_info(next_key)?.mobility == Mobility::Mobile {
+                let cached = here.entry(next_key).and_then(|p| p.addr);
+                let believed =
+                    cached.filter(|_| self.leases.is_fresh(cur_key, next_key, self.clock.now()));
                 match believed {
                     Some(addr) if addr.is_valid(&self.attachments) => {
                         // Cached, leased, and actually current: forward directly.
@@ -188,7 +190,7 @@ impl BristleSystem {
                             report.stale_attempts += 1;
                             report.path_cost += cost;
                         }
-                        let disc = self.discover(cur, next)?;
+                        let disc = self.discover(cur_key, next_key)?;
                         report.discoveries += 1;
                         report.discovery_hops += disc.hops;
                         report.path_cost += disc.path_cost;
@@ -202,7 +204,7 @@ impl BristleSystem {
             // successful discovery the cached address equals it; if the
             // discovery failed we still charge the true cost, modelling an
             // eventual retry converging out of band).
-            let next_router = self.router_of(next)?;
+            let next_router = self.attachments.router(next_host);
             let cost = self.distances().distance(cur_router, next_router);
             self.meter.record(MessageKind::RouteHop, cost);
             report.forward_hops += 1;
@@ -210,7 +212,7 @@ impl BristleSystem {
             report.forward_cost += cost;
             cur = next;
         }
-        report.terminus = cur;
+        report.terminus = self.mobile.at(cur).key;
         Ok(report)
     }
 

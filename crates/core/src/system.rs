@@ -527,13 +527,10 @@ impl BristleSystem {
         let node = self.mobile.node(from)?;
         let mut best: Option<(u64, Key)> = None;
         for e in &node.entries {
-            if self.is_mobile(e.key) || !self.stationary.contains(e.key) {
-                continue;
-            }
-            // Stationary nodes never move, so their cached address router
-            // is their actual router.
-            let r = self.attachments.router(self.info_unchecked(e.key).host);
-            let d = self.dcache.distance(from_router, r);
+            // Only stationary nodes are in the stationary ring, and they
+            // never move, so the host recorded there is where they are.
+            let Ok(peer) = self.stationary.node(e.key) else { continue };
+            let d = self.dcache.distance(from_router, self.attachments.router(peer.host));
             if best.map(|(b, _)| d < b).unwrap_or(true) {
                 best = Some((d, e.key));
             }

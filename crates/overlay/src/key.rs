@@ -10,6 +10,8 @@
 //! 4) for digit-correcting finger tables, giving O(log_b N) route lengths
 //! that match the magnitudes reported in the paper's Fig. 7.
 
+use std::hash::{BuildHasherDefault, Hasher};
+
 use bristle_netsim::rng::Pcg64;
 
 /// A position on the 2^64 identifier ring.
@@ -122,6 +124,45 @@ impl Key {
     }
 }
 
+/// Hasher for in-process tables keyed by [`Key`]s (or tuples of them).
+///
+/// Keys are already uniform hashes, so SipHash's mixing buys nothing on
+/// them: one folded multiply per word spreads them across buckets as
+/// evenly as they are spread around the ring. Only for tables this
+/// program fills itself — a multiplicative hash gives no protection
+/// against keys chosen to collide. Nothing may depend on the iteration
+/// order of a table either way; every consumer sorts or folds
+/// commutatively.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KeyHasher(u64);
+
+/// `BuildHasher` for [`KeyHasher`]: `HashMap<Key, T, KeyHashBuilder>`.
+pub type KeyHashBuilder = BuildHasherDefault<KeyHasher>;
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        // Fibonacci hashing (odd multiplier 2^64 / φ), keeping both halves
+        // of the product: the high half carries a key's high bits down to
+        // the bucket index, so one narrow band of the ring still spreads.
+        let product = u128::from(self.0 ^ word) * 0x9e37_79b9_7f4a_7c15_u128;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 impl std::fmt::Display for Key {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:016x}", self.0)
@@ -219,6 +260,38 @@ mod tests {
         assert_ne!(a, c);
         // Short sequential inputs should land far apart after avalanche.
         assert!(a.ring_distance(c) > 1 << 32);
+    }
+
+    #[test]
+    fn key_hasher_spreads_clustered_and_sequential_keys() {
+        use std::hash::BuildHasher;
+        let hash = KeyHashBuilder::default();
+        // Worst realistic inputs: consecutive keys, and keys differing
+        // only in their high bits (one narrow band of the ring).
+        for keys in [
+            (0..4096u64).map(Key).collect::<Vec<_>>(),
+            (0..4096u64).map(|i| Key(i << 52)).collect::<Vec<_>>(),
+        ] {
+            for bits in [7u32, 12] {
+                let buckets = 1usize << bits;
+                let mut low = vec![0u32; buckets];
+                let mut high = vec![0u32; buckets];
+                for k in &keys {
+                    let h = hash.hash_one(k);
+                    low[(h as usize) & (buckets - 1)] += 1;
+                    high[(h >> (64 - bits)) as usize] += 1;
+                }
+                let mean = (keys.len() / buckets).max(1) as u32;
+                for fill in [&low, &high] {
+                    assert!(*fill.iter().max().unwrap() <= 8 * mean, "a bucket overflowed");
+                }
+            }
+        }
+        // Tuples hash both words, in order.
+        let pair = |a: u64, b: u64| hash.hash_one((Key(a), Key(b)));
+        assert_ne!(pair(1, 2), pair(2, 1));
+        assert_ne!(pair(1, 2), pair(1, 3));
+        assert_eq!(pair(1, 2), pair(1, 2));
     }
 
     #[test]

@@ -22,6 +22,7 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
+use std::ops::Bound;
 
 use bristle_netsim::attach::{AttachmentMap, HostId};
 use bristle_netsim::dijkstra::DistanceCache;
@@ -77,14 +78,32 @@ impl std::error::Error for RingError {}
 #[derive(Debug, Clone)]
 pub struct RingDht<V> {
     cfg: RingConfig,
-    nodes: BTreeMap<u64, NodeState<V>>,
+    /// Key order → slab position. Twelve bytes a node, so the whole tree
+    /// stays cache-resident at populations where the node states do not.
+    index: BTreeMap<u64, Slot>,
+    /// Node states, densely packed; a vacant position is on `free`.
+    slab: Vec<Option<Occupant<V>>>,
+    free: Vec<Slot>,
+}
+
+/// A live node's position in the slab. It stays valid until that node is
+/// removed; route walks carry it so each hop resolves a node once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Slot(u32);
+
+#[derive(Debug, Clone)]
+struct Occupant<V> {
+    /// Key of the live node counter-clockwise of this one (its own key on
+    /// a one-node ring): the node owns `(pred, key]`.
+    pred: Key,
+    node: NodeState<V>,
 }
 
 impl<V> RingDht<V> {
     /// Creates an empty overlay with the given configuration.
     pub fn new(cfg: RingConfig) -> Self {
         cfg.validate();
-        RingDht { cfg, nodes: BTreeMap::new() }
+        RingDht { cfg, index: BTreeMap::new(), slab: Vec::new(), free: Vec::new() }
     }
 
     /// The overlay's configuration.
@@ -94,63 +113,106 @@ impl<V> RingDht<V> {
 
     /// Number of participating nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.index.len()
     }
 
     /// Whether the overlay has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.index.is_empty()
     }
 
     /// Whether a node with key `k` participates.
     pub fn contains(&self, k: Key) -> bool {
-        self.nodes.contains_key(&k.0)
+        self.index.contains_key(&k.0)
+    }
+
+    fn occupant(&self, slot: Slot) -> &Occupant<V> {
+        self.slab[slot.0 as usize].as_ref().expect("indexed slot is occupied")
+    }
+
+    fn occupant_mut(&mut self, slot: Slot) -> &mut Occupant<V> {
+        self.slab[slot.0 as usize].as_mut().expect("indexed slot is occupied")
+    }
+
+    /// Index entry of the first node at or clockwise-after `k`.
+    fn successor_entry(&self, k: Key) -> Option<(Key, Slot)> {
+        let (&key, &slot) = self.index.range(k.0..).next().or_else(|| self.index.iter().next())?;
+        Some((Key(key), slot))
     }
 
     /// Adds a node. Routing state is built separately (see
     /// [`RingDht::rebuild_node`] / [`RingDht::build_all_tables`]).
     pub fn insert(&mut self, key: Key, host: HostId, capacity: u32) -> Result<(), RingError> {
-        if self.nodes.contains_key(&key.0) {
+        if self.contains(key) {
             return Err(RingError::DuplicateKey(key));
         }
-        self.nodes.insert(key.0, NodeState::new(key, host, capacity));
+        let pred = self.predecessor_of(key).unwrap_or(key);
+        let occupant = Some(Occupant { pred, node: NodeState::new(key, host, capacity) });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot.0 as usize] = occupant;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("more than u32::MAX nodes");
+                self.slab.push(occupant);
+                Slot(slot)
+            }
+        };
+        self.index.insert(key.0, slot);
+        let (_, succ) = self.successor_entry(key.offset(1)).expect("just inserted");
+        self.occupant_mut(succ).pred = key;
         Ok(())
     }
 
     /// Removes a node, returning its state (stores and all).
     pub fn remove(&mut self, key: Key) -> Option<NodeState<V>> {
-        self.nodes.remove(&key.0)
+        let slot = self.index.remove(&key.0)?;
+        let gone = self.slab[slot.0 as usize].take().expect("indexed slot is occupied");
+        self.free.push(slot);
+        if let Some((_, succ)) = self.successor_entry(key) {
+            self.occupant_mut(succ).pred = gone.pred;
+        }
+        Some(gone.node)
+    }
+
+    /// The slab position of the node with key `key`.
+    pub fn slot_of(&self, key: Key) -> Result<Slot, RingError> {
+        self.index.get(&key.0).copied().ok_or(RingError::UnknownNode(key))
+    }
+
+    /// The node at `slot`.
+    ///
+    /// # Panics
+    /// Panics if that node has since been removed.
+    pub fn at(&self, slot: Slot) -> &NodeState<V> {
+        &self.occupant(slot).node
     }
 
     /// Immutable access to a node's state.
     pub fn node(&self, key: Key) -> Result<&NodeState<V>, RingError> {
-        self.nodes.get(&key.0).ok_or(RingError::UnknownNode(key))
+        self.slot_of(key).map(|slot| self.at(slot))
     }
 
     /// Mutable access to a node's state.
     pub fn node_mut(&mut self, key: Key) -> Result<&mut NodeState<V>, RingError> {
-        self.nodes.get_mut(&key.0).ok_or(RingError::UnknownNode(key))
+        let slot = self.slot_of(key)?;
+        Ok(&mut self.occupant_mut(slot).node)
     }
 
     /// Iterator over node keys in ring order starting at key 0.
     pub fn keys(&self) -> impl Iterator<Item = Key> + '_ {
-        self.nodes.keys().map(|&k| Key(k))
+        self.index.keys().map(|&k| Key(k))
     }
 
-    /// Iterator over node states.
+    /// Iterator over node states, in the same ring order.
     pub fn iter(&self) -> impl Iterator<Item = &NodeState<V>> + '_ {
-        self.nodes.values()
+        self.index.values().map(|&slot| self.at(slot))
     }
 
     /// The first node at or clockwise-after `k` — the *owner* of key `k`.
     pub fn successor_of(&self, k: Key) -> Result<Key, RingError> {
-        if self.nodes.is_empty() {
-            return Err(RingError::Empty);
-        }
-        match self.nodes.range(k.0..).next() {
-            Some((&key, _)) => Ok(Key(key)),
-            None => Ok(Key(*self.nodes.keys().next().expect("non-empty"))),
-        }
+        self.successor_entry(k).map(|(key, _)| key).ok_or(RingError::Empty)
     }
 
     /// Alias for [`RingDht::successor_of`], in the paper's vocabulary: the
@@ -161,49 +223,103 @@ impl<V> RingDht<V> {
 
     /// The first node strictly clockwise-before `k`.
     pub fn predecessor_of(&self, k: Key) -> Result<Key, RingError> {
-        if self.nodes.is_empty() {
-            return Err(RingError::Empty);
-        }
-        match self.nodes.range(..k.0).next_back() {
-            Some((&key, _)) => Ok(Key(key)),
-            None => Ok(Key(*self.nodes.keys().next_back().expect("non-empty"))),
-        }
+        let before = self.index.range(..k.0).next_back().or_else(|| self.index.iter().next_back());
+        before.map(|(&key, _)| Key(key)).ok_or(RingError::Empty)
+    }
+
+    /// Index entries clockwise from `start` (inclusive), once around.
+    fn clockwise_from(&self, start: Key) -> impl Iterator<Item = (Key, Slot)> + '_ {
+        self.index.range(start.0..).chain(self.index.range(..start.0)).map(|(&k, &s)| (Key(k), s))
     }
 
     /// The owner of `k` followed by the next `count − 1` distinct nodes
     /// clockwise — the natural replica set for key `k`.
     pub fn replica_set(&self, k: Key, count: usize) -> Result<Vec<Key>, RingError> {
-        if self.nodes.is_empty() {
+        if self.is_empty() {
             return Err(RingError::Empty);
         }
-        let take = count.min(self.nodes.len());
-        let mut out = Vec::with_capacity(take);
-        for (&key, _) in self.nodes.range(k.0..).chain(self.nodes.range(..k.0)) {
-            out.push(Key(key));
-            if out.len() == take {
-                break;
-            }
-        }
-        Ok(out)
+        Ok(self.clockwise_from(k).take(count).map(|(key, _)| key).collect())
     }
 
     /// Up to `count` nodes clockwise from `start` (inclusive) whose keys lie
     /// within `span` of `start`. Candidate enumeration for finger slots.
-    fn slot_candidates(&self, start: Key, span: u64, exclude: Key, count: usize) -> Vec<Key> {
-        let mut out = Vec::new();
-        for (&key, _) in self.nodes.range(start.0..).chain(self.nodes.range(..start.0)) {
-            let k = Key(key);
-            if start.clockwise_to(k) >= span {
+    fn finger_candidates(
+        &self,
+        start: Key,
+        span: u64,
+        exclude: Key,
+        count: usize,
+    ) -> Vec<(Key, Slot)> {
+        self.clockwise_from(start)
+            .take_while(|&(k, _)| start.clockwise_to(k) < span)
+            .filter(|&(k, _)| k != exclude)
+            .take(count)
+            .collect()
+    }
+
+    /// The lowest finger level that can hold a neighbor of `key`. The
+    /// slots of one level tile `[key + span, key + base·span)`, so the
+    /// level is empty whenever the nearest other node lies at or beyond
+    /// `base·span`; empty slots draw nothing from the RNG, so starting the
+    /// build here changes neither the tables nor the caller's stream.
+    fn first_finger_level(&self, key: Key) -> u32 {
+        let gap = self.successor_entry(key.offset(1)).map_or(0, |(succ, _)| key.clockwise_to(succ));
+        let bits = self.cfg.bits_per_digit;
+        (0..self.cfg.levels())
+            .find(|level| {
+                let reach_bits = (level + 1) * bits;
+                reach_bits >= 64 || gap >> reach_bits == 0
+            })
+            .unwrap_or(self.cfg.levels())
+    }
+
+    /// Digit fingers from `first_level` up: for each level and non-zero
+    /// digit value, one neighbor in `[key + j·span, key + (j+1)·span)`.
+    fn finger_picks(
+        &self,
+        key: Key,
+        first_level: u32,
+        attachments: &AttachmentMap,
+        dcache: &DistanceCache,
+        rng: &mut Pcg64,
+    ) -> Result<Vec<(Key, Slot)>, RingError> {
+        let my_router = attachments.router(self.node(key)?.host);
+        let mut picks = Vec::new();
+        let bits = self.cfg.bits_per_digit;
+        let base = self.cfg.base();
+        for level in first_level..self.cfg.levels() {
+            let shift = level * bits;
+            if shift >= 64 {
                 break;
             }
-            if k != exclude {
-                out.push(k);
-                if out.len() == count {
-                    break;
+            let span = 1u64 << shift;
+            for j in 1..base {
+                let start = key.offset(j.wrapping_mul(span));
+                let cands = self.finger_candidates(start, span, key, self.cfg.candidate_window);
+                if cands.is_empty() {
+                    continue;
                 }
+                let pick = match self.cfg.selection {
+                    NeighborSelection::First => cands[0],
+                    NeighborSelection::Random => *rng.choose(&cands),
+                    NeighborSelection::Proximity => {
+                        let mut best = cands[0];
+                        let mut best_d = u64::MAX;
+                        for &c in &cands {
+                            let host = self.at(c.1).host;
+                            let d = dcache.distance(my_router, attachments.router(host));
+                            if d < best_d {
+                                best_d = d;
+                                best = c;
+                            }
+                        }
+                        best
+                    }
+                };
+                picks.push(pick);
             }
         }
-        out
+        Ok(picks)
     }
 
     /// Computes (does not install) the routing state for a node at `key`:
@@ -219,82 +335,40 @@ impl<V> RingDht<V> {
         dcache: &DistanceCache,
         rng: &mut Pcg64,
     ) -> Result<(Vec<StatePair>, Vec<Key>), RingError> {
-        let me = self.node(key)?;
-        let my_router = attachments.router(me.host);
-        let mut chosen: Vec<Key> = Vec::new();
-
-        // Digit fingers: for each level and non-zero digit value, one
-        // neighbor in [key + j·span, key + (j+1)·span).
-        let bits = self.cfg.bits_per_digit;
-        let base = self.cfg.base();
-        for level in 0..self.cfg.levels() {
-            let shift = level * bits;
-            if shift >= 64 {
-                break;
-            }
-            let span = 1u64 << shift;
-            for j in 1..base {
-                let start = key.offset(j.wrapping_mul(span));
-                let cands = self.slot_candidates(start, span, key, self.cfg.candidate_window);
-                if cands.is_empty() {
-                    continue;
-                }
-                let pick = match self.cfg.selection {
-                    NeighborSelection::First => cands[0],
-                    NeighborSelection::Random => *rng.choose(&cands),
-                    NeighborSelection::Proximity => {
-                        let mut best = cands[0];
-                        let mut best_d = u64::MAX;
-                        for &c in &cands {
-                            let host = self.node(c)?.host;
-                            let d = dcache.distance(my_router, attachments.router(host));
-                            if d < best_d {
-                                best_d = d;
-                                best = c;
-                            }
-                        }
-                        best
-                    }
-                };
-                chosen.push(pick);
-            }
-        }
+        let first_level = self.first_finger_level(key);
+        let mut chosen = self.finger_picks(key, first_level, attachments, dcache, rng)?;
 
         // Leaf set: nearest successors and predecessors (key order, no
         // selection policy — leaves pin down ownership and must be exact).
-        use std::ops::Bound;
         let after = (Bound::Excluded(key.0), Bound::Unbounded);
-        let mut leaf_keys = Vec::with_capacity(self.cfg.leaf_radius * 2);
-        let max_leaves = self.cfg.leaf_radius.min(self.nodes.len().saturating_sub(1));
-        for (&k, _) in self.nodes.range(after).chain(self.nodes.range(..key.0)) {
-            if leaf_keys.len() == max_leaves {
-                break;
-            }
-            leaf_keys.push(Key(k));
-        }
-        let mut preds = Vec::with_capacity(max_leaves);
-        for (&k, _) in self.nodes.range(..key.0).rev().chain(self.nodes.range(after).rev()) {
-            if preds.len() == max_leaves {
-                break;
-            }
-            if !leaf_keys.contains(&Key(k)) {
-                preds.push(Key(k));
-            }
-        }
-        leaf_keys.extend(preds);
+        let max_leaves = self.cfg.leaf_radius.min(self.len().saturating_sub(1));
+        let entry = |(&k, &slot): (&u64, &Slot)| (Key(k), slot);
+        let mut leaves: Vec<(Key, Slot)> = Vec::with_capacity(max_leaves * 2);
+        leaves.extend(
+            self.index.range(after).chain(self.index.range(..key.0)).map(entry).take(max_leaves),
+        );
+        let preds: Vec<(Key, Slot)> = self
+            .index
+            .range(..key.0)
+            .rev()
+            .chain(self.index.range(after).rev())
+            .map(entry)
+            .filter(|p| !leaves.contains(p))
+            .take(max_leaves)
+            .collect();
+        leaves.extend(preds);
 
-        chosen.extend(leaf_keys.iter().copied());
+        chosen.extend(leaves.iter().copied());
         chosen.sort_unstable();
         chosen.dedup();
 
         let entries = chosen
             .into_iter()
-            .map(|k| {
-                let host = self.node(k)?.host;
-                Ok(StatePair::resolved(k, NetAddr::current(host, attachments)))
+            .map(|(k, slot)| {
+                StatePair::resolved(k, NetAddr::current(self.at(slot).host, attachments))
             })
-            .collect::<Result<Vec<_>, RingError>>()?;
-        Ok((entries, leaf_keys))
+            .collect();
+        Ok((entries, leaves.into_iter().map(|(k, _)| k).collect()))
     }
 
     /// Rebuilds one node's routing state in place.
@@ -349,7 +423,7 @@ impl<V> RingDht<V> {
     ) where
         V: Send + Sync,
     {
-        let workers = workers.max(1).min(self.nodes.len().max(1));
+        let workers = workers.max(1).min(self.len().max(1));
         if workers == 1 || matches!(self.cfg.selection, NeighborSelection::Random) {
             self.build_all_tables(attachments, dcache, rng);
             return;
@@ -381,7 +455,7 @@ impl<V> RingDht<V> {
         });
         for shard in computed {
             for (k, entries, leaf_keys) in shard {
-                let node = self.nodes.get_mut(&k.0).expect("known key");
+                let node = self.node_mut(k).expect("known key");
                 node.entries = entries;
                 node.leaf_keys = leaf_keys;
             }
@@ -396,33 +470,44 @@ impl<V> RingDht<V> {
     /// case the successor is the owner). Entries pointing at departed nodes
     /// are skipped, modelling failure detection by timeout.
     pub fn next_hop(&self, cur: Key, target: Key) -> Result<Option<Key>, RingError> {
-        let owner = self.owner(target)?;
-        if cur == owner {
-            return Ok(None);
+        // An empty overlay is reported as such, not as an unknown `cur`.
+        if self.is_empty() {
+            return Err(RingError::Empty);
         }
-        let node = self.node(cur)?;
-        let d = cur.clockwise_to(target);
-        let mut best: Option<(u64, Key)> = None;
-        for e in &node.entries {
-            if !self.contains(e.key) {
-                continue; // departed neighbor
-            }
-            let adv = cur.clockwise_to(e.key);
-            if adv == 0 || adv > d {
-                continue; // self or overshoot
-            }
-            if best.map(|(b, _)| adv > b).unwrap_or(true) {
-                best = Some((adv, e.key));
-            }
+        let cur = self.slot_of(cur)?;
+        Ok(self.next_hop_from(cur, target).map(|next| self.at(next).key))
+    }
+
+    /// [`RingDht::next_hop`] by slab position, for walks that go on to
+    /// read the node they land on.
+    ///
+    /// Of all live entries that do not overshoot, the one advancing
+    /// furthest wins. Liveness costs an index lookup, so it is asked of
+    /// the furthest advance only, then of the next furthest if that
+    /// neighbor has departed — the same answer as filtering the dead out
+    /// first, for one lookup instead of one per entry.
+    pub fn next_hop_from(&self, cur: Slot, target: Key) -> Option<Slot> {
+        let here = self.occupant(cur);
+        let me = here.node.key;
+        if here.pred.in_cw_range(target, me) {
+            return None;
         }
-        match best {
-            Some((_, k)) => Ok(Some(k)),
-            None => {
-                // target ∈ (cur, successor(cur)]: the successor owns it.
-                let succ = self.successor_of(cur.offset(1))?;
-                Ok(Some(succ))
+        // The furthest advance an entry offers within `bound` (0 is `cur`
+        // itself, anything past the target overshoots).
+        let furthest = |bound: u64| {
+            let advances = here.node.entries.iter().map(|e| me.clockwise_to(e.key));
+            advances.filter(|adv| (1..=bound).contains(adv)).max()
+        };
+        let mut bound = me.clockwise_to(target);
+        while let Some(adv) = furthest(bound) {
+            if let Ok(next) = self.slot_of(me.offset(adv)) {
+                return Some(next);
             }
+            bound = adv - 1; // departed neighbor
         }
+        // target ∈ (cur, successor(cur)]: the successor owns it.
+        let (_, succ) = self.successor_entry(me.offset(1)).expect("ring holds cur");
+        Some(succ)
     }
 
     /// Builds the reverse-pointer index: for each node, the set of nodes
@@ -430,8 +515,8 @@ impl<V> RingDht<V> {
     /// *register* to a node in Bristle (§2.3.1: "X registers itself to
     /// nodes whose state-pairs are replicated in X").
     pub fn reverse_index(&self) -> HashMap<Key, Vec<Key>> {
-        let mut index: HashMap<Key, Vec<Key>> = HashMap::with_capacity(self.nodes.len());
-        for node in self.nodes.values() {
+        let mut index: HashMap<Key, Vec<Key>> = HashMap::with_capacity(self.len());
+        for node in self.iter() {
             for e in &node.entries {
                 index.entry(e.key).or_default().push(node.key);
             }
@@ -441,7 +526,7 @@ impl<V> RingDht<V> {
 
     /// Total routing-state rows across all nodes (scalability metric).
     pub fn total_state(&self) -> usize {
-        self.nodes.values().map(|n| n.entries.len()).sum()
+        self.iter().map(|n| n.entries.len()).sum()
     }
 }
 
@@ -725,5 +810,209 @@ mod tests {
         dht2.insert(Key(42), HostId(0), 1).unwrap();
         dht2.rebuild_node(Key(42), &attachments, &dc, &mut rng).unwrap();
         assert_eq!(dht2.node(Key(42)).unwrap().state_size(), 0);
+    }
+
+    // --------------------------------------------------------------
+    // Differential tests: the lazy probe, the slab and the level skip
+    // against the straightforward code they replaced.
+    // --------------------------------------------------------------
+
+    /// The eager scan `next_hop` used to be: drop every departed entry,
+    /// then take the furthest advance that does not overshoot. One index
+    /// lookup per entry, which is why it is now only the oracle.
+    fn next_hop_eager<V>(
+        dht: &RingDht<V>,
+        cur: Key,
+        target: Key,
+    ) -> Result<Option<Key>, RingError> {
+        let owner = dht.owner(target)?;
+        if cur == owner {
+            return Ok(None);
+        }
+        let node = dht.node(cur)?;
+        let d = cur.clockwise_to(target);
+        let mut best: Option<(u64, Key)> = None;
+        for e in &node.entries {
+            if !dht.contains(e.key) {
+                continue; // departed neighbor
+            }
+            let adv = cur.clockwise_to(e.key);
+            if adv == 0 || adv > d {
+                continue; // self or overshoot
+            }
+            if best.map(|(b, _)| adv > b).unwrap_or(true) {
+                best = Some((adv, e.key));
+            }
+        }
+        match best {
+            Some((_, k)) => Ok(Some(k)),
+            None => Ok(Some(dht.successor_of(cur.offset(1))?)),
+        }
+    }
+
+    /// Every node × (every node key, its two neighbours on the key line,
+    /// and some random keys): both scans must name the same hop.
+    fn assert_hops_agree<V>(dht: &RingDht<V>, rng: &mut Pcg64, label: &str) {
+        let keys: Vec<Key> = dht.keys().collect();
+        let mut targets: Vec<Key> =
+            keys.iter().flat_map(|k| [*k, k.offset(1), k.offset(u64::MAX)]).collect();
+        targets.extend((0..64).map(|_| Key::random(rng)));
+        targets.extend([Key::ZERO, Key::MAX]);
+        for &cur in &keys {
+            for &target in &targets {
+                assert_eq!(
+                    dht.next_hop(cur, target),
+                    next_hop_eager(dht, cur, target),
+                    "{label}: {cur} -> {target}"
+                );
+            }
+        }
+    }
+
+    /// What the slab must keep true after any insert or remove.
+    fn assert_storage_invariants<V>(dht: &RingDht<V>) {
+        let keys: Vec<Key> = dht.keys().collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys() out of order");
+        assert_eq!(dht.iter().map(|n| n.key).collect::<Vec<_>>(), keys, "iter() != keys()");
+        assert_eq!(dht.len(), keys.len());
+        assert_eq!(dht.slab.iter().flatten().count(), dht.len(), "live slots != len()");
+        assert_eq!(
+            dht.free.len() + dht.len(),
+            dht.slab.len(),
+            "a vacant slot is not on the free list"
+        );
+        for &k in &keys {
+            let slot = dht.slot_of(k).unwrap();
+            assert_eq!(dht.occupant(slot).node.key, k, "index points at the wrong slot");
+            assert_eq!(
+                dht.occupant(slot).pred,
+                dht.predecessor_of(k).unwrap(),
+                "stale pred at {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn lazy_next_hop_matches_eager_scan() {
+        for (cfg, label) in [
+            (RingConfig::tornado(), "tornado"),
+            (RingConfig::chord(), "chord"),
+            (RingConfig::tornado_no_locality(), "tornado_no_locality"),
+        ] {
+            for seed in [1u64, 2] {
+                let (mut dht, attachments, dcache) = setup(48, seed, cfg.clone());
+                let mut rng = Pcg64::seed_from_u64(seed ^ 0x5eed);
+                assert_hops_agree(&dht, &mut rng, &format!("{label}/fresh"));
+
+                // A third of the nodes gone, tables not rebuilt: entries dangle.
+                let keys: Vec<Key> = dht.keys().collect();
+                let gone: Vec<NodeState<u32>> =
+                    keys.iter().step_by(3).map(|&k| dht.remove(k).unwrap()).collect();
+                assert_storage_invariants(&dht);
+                assert_hops_agree(&dht, &mut rng, &format!("{label}/a third removed"));
+
+                // Half of them back (reusing freed slots), with tables of
+                // their own; everyone else still routes on stale state.
+                for n in gone.iter().step_by(2) {
+                    dht.insert(n.key, n.host, n.capacity).unwrap();
+                    dht.rebuild_node(n.key, &attachments, &dcache, &mut rng).unwrap();
+                }
+                assert!(dht.slab.len() <= keys.len(), "freed slots were not reused");
+                assert_storage_invariants(&dht);
+                assert_hops_agree(&dht, &mut rng, &format!("{label}/reinserted"));
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_next_hop_matches_eager_scan_on_tiny_and_wrapping_rings() {
+        let rings: [&[u64]; 4] = [
+            &[42],
+            &[7, u64::MAX - 7],
+            &[0, 1, u64::MAX - 1, u64::MAX],
+            &[0, 1, 2, 1 << 62, 1 << 63, u64::MAX - 2, u64::MAX - 1, u64::MAX],
+        ];
+        for keys in rings {
+            for cfg in
+                [RingConfig::tornado(), RingConfig::chord(), RingConfig::tornado_no_locality()]
+            {
+                let mut rng = Pcg64::seed_from_u64(keys.len() as u64);
+                let topo = TransitStubTopology::generate(&TransitStubConfig::tiny(), &mut rng);
+                let stubs = topo.stub_routers().to_vec();
+                let dcache = DistanceCache::new(Arc::new(topo.into_graph()), 256);
+                let mut attachments = AttachmentMap::new();
+                let mut dht: RingDht<()> = RingDht::new(cfg);
+                for &k in keys {
+                    dht.insert(Key(k), attachments.attach_new(*rng.choose(&stubs)), 1).unwrap();
+                    assert_storage_invariants(&dht);
+                }
+                dht.build_all_tables(&attachments, &dcache, &mut rng);
+                assert_hops_agree(&dht, &mut rng, &format!("{keys:?}"));
+                // Drop the node next to the wrap point and route on stale tables.
+                if keys.len() > 2 {
+                    dht.remove(Key(*keys.last().unwrap()));
+                    assert_storage_invariants(&dht);
+                    assert_hops_agree(&dht, &mut rng, &format!("{keys:?} minus last"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slab_invariants_hold_under_random_churn() {
+        let mut rng = Pcg64::seed_from_u64(77);
+        let mut dht: RingDht<()> = RingDht::new(RingConfig::tornado());
+        let mut live: Vec<Key> = Vec::new();
+        for step in 0..600 {
+            // Small key space so inserts collide and removes hit the ends.
+            let insert = live.is_empty() || rng.chance(0.55);
+            if insert {
+                let k = match rng.below(8) {
+                    0 => Key(rng.below(4)),
+                    1 => Key(u64::MAX - rng.below(4)),
+                    _ => Key::random(&mut rng),
+                };
+                match dht.insert(k, HostId(step), 1) {
+                    Ok(()) => live.push(k),
+                    Err(e) => assert_eq!(e, RingError::DuplicateKey(k)),
+                }
+            } else {
+                let k = live.swap_remove(rng.index(live.len()));
+                assert_eq!(dht.remove(k).map(|n| n.key), Some(k));
+                assert!(dht.remove(k).is_none());
+            }
+            assert_storage_invariants(&dht);
+            assert_eq!(dht.len(), live.len());
+        }
+    }
+
+    #[test]
+    fn skipping_empty_finger_levels_changes_neither_tables_nor_rng() {
+        for (cfg, label) in [
+            (RingConfig::tornado(), "proximity"),
+            (RingConfig::chord(), "first"),
+            (RingConfig::tornado_no_locality(), "random"),
+        ] {
+            // 4 nodes: huge gaps, nearly every level skipped; 300: few are.
+            for n in [1usize, 2, 4, 300] {
+                let (dht, attachments, dcache) = setup(n, 21, cfg.clone());
+                let mut skipped_any = false;
+                let mut rng_skip = Pcg64::seed_from_u64(5);
+                let mut rng_full = rng_skip.clone();
+                for key in dht.keys() {
+                    let first = dht.first_finger_level(key);
+                    skipped_any |= first > 0;
+                    let skip = dht.finger_picks(key, first, &attachments, &dcache, &mut rng_skip);
+                    let full = dht.finger_picks(key, 0, &attachments, &dcache, &mut rng_full);
+                    assert_eq!(skip, full, "{label}/{n}: picks diverged at {key}");
+                    assert_eq!(
+                        format!("{rng_skip:?}"),
+                        format!("{rng_full:?}"),
+                        "{label}/{n}: RNG streams diverged at {key}"
+                    );
+                }
+                assert!(skipped_any || n == 1, "{label}/{n}: the skip never fired");
+            }
+        }
     }
 }

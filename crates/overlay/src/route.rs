@@ -38,8 +38,9 @@ impl Route {
     }
 }
 
-/// Hard bound on route length; hitting it indicates a broken overlay and
-/// is reported as [`RingError::UnknownNode`]-free panic in debug builds.
+/// Hard bound on route length. Monotone routing ends within `len()` hops,
+/// so a walk this long means the overlay is corrupt: [`RingDht::route_as`]
+/// panics (in every build profile) instead of returning an error.
 const MAX_HOPS: usize = 4096;
 
 impl<V> RingDht<V> {
@@ -56,14 +57,15 @@ impl<V> RingDht<V> {
     ) -> Result<Route, RingError> {
         let mut hops = Vec::new();
         let mut path_cost = 0u64;
-        let mut cur = src;
-        let mut cur_router = attachments.router(self.node(src)?.host);
-        while let Some(next) = self.next_hop(cur, target)? {
-            let next_router = attachments.router(self.node(next)?.host);
+        let mut cur = self.slot_of(src)?;
+        let mut cur_router = attachments.router(self.at(cur).host);
+        while let Some(next) = self.next_hop_from(cur, target) {
+            let node = self.at(next);
+            let next_router = attachments.router(node.host);
             let cost = dcache.distance(cur_router, next_router);
             meter.record(kind, cost);
             path_cost += cost;
-            hops.push(next);
+            hops.push(node.key);
             cur = next;
             cur_router = next_router;
             assert!(hops.len() <= MAX_HOPS, "route exceeded {MAX_HOPS} hops: overlay corrupt");

@@ -43,6 +43,16 @@ pub struct DurableState {
     pub leases: BTreeMap<u64, u64>,
 }
 
+/// The stored form of a [`WalRecord::RecordPut`]'s payload.
+fn stored_record(rec: &WalRecord) -> Option<StoredRecord> {
+    match *rec {
+        WalRecord::RecordPut {
+            host, router, epoch, incarnation, seq, published_at, ttl, ..
+        } => Some(StoredRecord { host, router, epoch, incarnation, seq, published_at, ttl }),
+        _ => None,
+    }
+}
+
 impl DurableState {
     /// An empty state.
     pub fn new() -> DurableState {
@@ -57,56 +67,56 @@ impl DurableState {
             && self.leases.is_empty()
     }
 
+    /// Whether [`DurableState::apply`] would change the state. Read-only,
+    /// so a backend can decide to log a record before it folds it.
+    pub fn would_change(&self, rec: &WalRecord) -> bool {
+        match *rec {
+            WalRecord::Identity { key, incarnation } => self.identity != Some((key, incarnation)),
+            WalRecord::RecordPut { subject, .. } => {
+                self.records.get(&subject) != stored_record(rec).as_ref()
+            }
+            WalRecord::RecordRemove { subject } => self.records.contains_key(&subject),
+            WalRecord::Register { target, capacity } => {
+                self.registrations.get(&target) != Some(&capacity)
+            }
+            WalRecord::Deregister { target } => self.registrations.contains_key(&target),
+            WalRecord::LeaseGrant { subject, expires } => {
+                self.leases.get(&subject) != Some(&expires)
+            }
+            WalRecord::LeaseRevoke { subject } => self.leases.contains_key(&subject),
+        }
+    }
+
     /// Applies one mutation record. Returns `true` when the state
     /// changed — backends use this to skip appending no-op records, so
     /// idempotent re-application (replay, registration re-sync) does not
     /// grow the log.
     pub fn apply(&mut self, rec: &WalRecord) -> bool {
-        match *rec {
-            WalRecord::Identity { key, incarnation } => {
-                let next = Some((key, incarnation));
-                if self.identity == next {
-                    return false;
-                }
-                self.identity = next;
-                true
-            }
-            WalRecord::RecordPut {
-                subject,
-                host,
-                router,
-                epoch,
-                incarnation,
-                seq,
-                published_at,
-                ttl,
-            } => {
-                let next =
-                    StoredRecord { host, router, epoch, incarnation, seq, published_at, ttl };
-                if self.records.get(&subject) == Some(&next) {
-                    return false;
-                }
-                self.records.insert(subject, next);
-                true
-            }
-            WalRecord::RecordRemove { subject } => self.records.remove(&subject).is_some(),
-            WalRecord::Register { target, capacity } => {
-                if self.registrations.get(&target) == Some(&capacity) {
-                    return false;
-                }
-                self.registrations.insert(target, capacity);
-                true
-            }
-            WalRecord::Deregister { target } => self.registrations.remove(&target).is_some(),
-            WalRecord::LeaseGrant { subject, expires } => {
-                if self.leases.get(&subject) == Some(&expires) {
-                    return false;
-                }
-                self.leases.insert(subject, expires);
-                true
-            }
-            WalRecord::LeaseRevoke { subject } => self.leases.remove(&subject).is_some(),
+        if !self.would_change(rec) {
+            return false;
         }
+        match *rec {
+            WalRecord::Identity { key, incarnation } => self.identity = Some((key, incarnation)),
+            WalRecord::RecordPut { subject, .. } => {
+                self.records.insert(subject, stored_record(rec).expect("a RecordPut"));
+            }
+            WalRecord::RecordRemove { subject } => {
+                self.records.remove(&subject);
+            }
+            WalRecord::Register { target, capacity } => {
+                self.registrations.insert(target, capacity);
+            }
+            WalRecord::Deregister { target } => {
+                self.registrations.remove(&target);
+            }
+            WalRecord::LeaseGrant { subject, expires } => {
+                self.leases.insert(subject, expires);
+            }
+            WalRecord::LeaseRevoke { subject } => {
+                self.leases.remove(&subject);
+            }
+        }
+        true
     }
 
     /// The state as a canonical record sequence: identity first, then
@@ -160,6 +170,22 @@ mod tests {
         assert!(s.apply(&WalRecord::Deregister { target: 9 }));
         assert!(!s.apply(&WalRecord::Deregister { target: 9 }), "double remove is a no-op");
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn would_change_predicts_apply_and_leaves_the_state_alone() {
+        let mut s = DurableState::new();
+        // Twice through: the second pass meets every record as a no-op
+        // or as an update of what the first pass left behind.
+        let recs = crate::record::tests::every_record();
+        for rec in recs.iter().chain(recs.iter()) {
+            let before = s.clone();
+            let predicted = s.would_change(rec);
+            assert_eq!(s, before, "would_change mutated the state on {rec:?}");
+            assert_eq!(s.apply(rec), predicted, "prediction wrong on {rec:?}");
+            assert_eq!(s != before, predicted, "apply's report wrong on {rec:?}");
+            assert!(!s.would_change(rec), "re-applying {rec:?} must be a no-op");
+        }
     }
 
     #[test]

@@ -458,13 +458,12 @@ impl StateStore for WalBackend {
         // Log first, fold second: a record is durable before it is
         // visible. No-ops are not logged, so replay and registration
         // re-syncs cannot grow the log.
-        let mut probe = self.state.clone();
-        if !probe.apply(rec) {
+        if !self.state.would_change(rec) {
             return;
         }
         let res = self.log.write_all(&frame(&rec.encode()));
         self.latch(res);
-        self.state = probe;
+        self.state.apply(rec);
         self.log_frames += 1;
         if self.snapshot_every > 0 && self.log_frames >= self.snapshot_every {
             let res = self.snapshot();
@@ -586,16 +585,25 @@ mod tests {
     }
 
     #[test]
-    fn noop_records_are_not_logged() {
+    fn noop_records_append_nothing_and_changes_are_on_disk_once_visible() {
         let dir = scratch("noop");
         let mut b = WalBackend::open(&dir, 0).unwrap();
+        let on_disk = || std::fs::read(dir.join("wal.log")).unwrap();
         let reg = WalRecord::Register { target: 7, capacity: 4 };
         b.apply(&reg);
-        let after_first = b.log_frames();
+        // Visible in the fold means already in the file, not in a buffer.
+        assert_eq!(b.state().registrations.get(&7), Some(&4));
+        assert!(on_disk().ends_with(&frame(&reg.encode())), "visible before durable");
+        let (frames, bytes) = (b.log_frames(), on_disk().len());
         for _ in 0..10 {
             b.apply(&reg);
         }
-        assert_eq!(b.log_frames(), after_first, "idempotent re-applies do not grow the log");
+        b.apply(&WalRecord::Deregister { target: 8 });
+        assert_eq!(b.log_frames(), frames, "idempotent re-applies do not grow the log");
+        assert_eq!(on_disk().len(), bytes, "a no-op record appended bytes");
+        let update = WalRecord::Register { target: 7, capacity: 5 };
+        b.apply(&update);
+        assert_eq!(on_disk().len(), bytes + frame(&update.encode()).len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
