@@ -7,21 +7,52 @@
 //! driver hands its machines, which is what makes the two backends
 //! meter-identical: the machines cannot tell which one is driving them.
 //!
+//! **Which sockets a pump reads.** A nonblocking `recv_from` on an empty
+//! socket is a syscall all the same, so reading every socket on every
+//! pump makes an operation cost O(nodes) however few datagrams it
+//! moves. The driver instead keeps a *mail ledger*: it knows every
+//! endpoint it hosts, so each datagram [`SocketDriver::dispatch`] sends
+//! to one of them is counted as *owed* to that node, and the node is
+//! queued (once). [`SocketDriver::pump`] then follows one rule:
+//!
+//! * **Mail is owed** — a busy pump. It drains the nodes queued when it
+//!   was called (read until `WouldBlock`, one owed datagram ticked off
+//!   per read; a node whose mail has not all arrived stays queued), and
+//!   one more socket chosen by a rotating cursor. Work is proportional
+//!   to the datagrams read, not to the population. The cursor is for
+//!   mail the driver did not send itself — a hostile datagram, a second
+//!   process: every socket is visited within `nodes` busy pumps, so
+//!   none is starved however long the driver stays busy.
+//! * **Nothing is owed** — the pump sweeps every socket, in bind order.
+//!   This is the only way foreign mail is found promptly, and it costs
+//!   nothing that matters: a driver with nothing owed is waiting.
+//!
+//! Nodes a pump queues (a hop's reaction is a send to the next hop) are
+//! read by the *next* pump, not the running one, so a pump is bounded
+//! by the mail owed when it began.
+//!
 //! Time is the [`WallClock`] adapter's virtual ticks. The loop pumps
 //! sockets first and fires due timers second (an ack sitting in a
 //! kernel buffer always clears its session before the retry timer can
 //! fire), sleeps at most until the next timer deadline, and — after a
 //! real-time grace window confirms the network is quiet — fast-forwards
-//! the clock to that deadline instead of waiting it out. Stale timers
-//! fired after a fast-forward are ignored by the machines (their
-//! sessions are gone), exactly as in the simulator.
+//! the clock to that deadline instead of waiting it out. *Quiet* means a
+//! whole grace window of pumps read nothing. With nothing owed those
+//! pumps are sweeps, so quiet is what it always was: no socket had
+//! anything. With mail still owed they are busy pumps, and the window
+//! expiring means the owed datagrams are not coming (the kernel dropped
+//! them, say, on a full receive buffer): they are *written off* —
+//! counted in [`NetStats::written_off`], the ledger cleared — before the
+//! clock skips, so a lost datagram costs one grace window, never a hang.
+//! Stale timers fired after a fast-forward are ignored by the machines
+//! (their sessions are gone), exactly as in the simulator.
 //!
 //! The datagram boundary is hardened: a frame longer than [`MAX_FRAME`]
 //! or one that fails [`Envelope::decode`] is dropped and metered
 //! ([`MessageKind::MalformedFrame`]), never parsed further, never
 //! panicking the loop.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io::{Error, ErrorKind, Result};
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
@@ -59,13 +90,28 @@ pub struct NetStats {
     /// Times the clock fast-forwarded a quiet network to the next
     /// timer deadline.
     pub fast_forwards: u64,
+    /// Every `recv_from` issued, the ones that returned `WouldBlock`
+    /// included: what reading cost, against
+    /// [`Self::datagrams_received`], what it found.
+    pub recv_calls: u64,
+    /// Pumps that read every socket because nothing was owed.
+    pub sweeps: u64,
+    /// Owed datagrams given up on: sent to a hosted socket, still
+    /// unread when a grace window expired.
+    pub written_off: u64,
 }
 
-/// One node: its identity, its socket, its machine.
+/// One node: its identity, its socket, its machine, its line in the
+/// mail ledger.
 struct NetNode {
     key: Key,
     socket: UdpSocket,
     machine: ProtoMachine,
+    /// Datagrams the driver sent to this socket and has not read back.
+    owed: u32,
+    /// Whether the node is in [`SocketDriver::queue`] (or being drained
+    /// by the running pump, which decides afterwards whether it stays).
+    queued: bool,
 }
 
 /// Runs a set of [`ProtoMachine`]s over nonblocking UDP sockets.
@@ -74,6 +120,15 @@ pub struct SocketDriver {
     book: AddressBook,
     nodes: Vec<NetNode>,
     by_key: HashMap<Key, usize>,
+    /// Endpoint → index into `nodes`, for every socket bound here: how
+    /// `dispatch` knows a send is mail a later pump must read.
+    hosted: HashMap<SocketAddr, usize>,
+    /// Nodes the next pump reads, each at most once
+    /// ([`NetNode::queued`]). Between pumps: exactly the nodes with
+    /// mail owed. Empty means the next pump sweeps.
+    queue: VecDeque<usize>,
+    /// The node the last busy pump probed for mail nobody owed it.
+    cursor: usize,
     /// Armed timers, ordered by deadline; the `u64` sequence breaks
     /// ties FIFO, mirroring the simulator's event queue.
     timers: BTreeMap<(SimTime, u64), (Key, TimerKind)>,
@@ -98,6 +153,9 @@ impl SocketDriver {
             book: AddressBook::new(),
             nodes: Vec::new(),
             by_key: HashMap::new(),
+            hosted: HashMap::new(),
+            queue: VecDeque::new(),
+            cursor: 0,
             timers: BTreeMap::new(),
             timer_seq: 0,
             delivered: HashSet::new(),
@@ -129,7 +187,8 @@ impl SocketDriver {
         let endpoint = socket.local_addr()?;
         self.book.register(addr, endpoint);
         self.by_key.insert(key, self.nodes.len());
-        self.nodes.push(NetNode { key, socket, machine });
+        self.hosted.insert(endpoint, self.nodes.len());
+        self.nodes.push(NetNode { key, socket, machine, owed: 0, queued: false });
         Ok(endpoint)
     }
 
@@ -164,7 +223,8 @@ impl SocketDriver {
     /// mirroring the simulator driver's dispatch step: spurious-retry
     /// accounting, the stale-address black-hole (applied here at send
     /// time; the simulator applies it at arrival), then one encoded
-    /// envelope per surviving send.
+    /// envelope per surviving send. A send to an endpoint bound here is
+    /// entered in the mail ledger, so a later pump reads that socket.
     pub fn dispatch(&mut self, from: Key, out: Output, env: &mut dyn NodeEnv) -> Result<()> {
         let Some(&from_idx) = self.by_key.get(&from) else {
             return Err(Error::new(ErrorKind::NotFound, format!("{from} is not bound")));
@@ -192,6 +252,10 @@ impl SocketDriver {
             }
             self.nodes[from_idx].socket.send_to(&bytes, endpoint)?;
             self.stats.datagrams_sent += 1;
+            if let Some(&to_idx) = self.hosted.get(&endpoint) {
+                self.nodes[to_idx].owed += 1;
+                self.enqueue(to_idx);
+            }
         }
         for t in out.timers {
             self.timers.insert((t.at, self.timer_seq), (from, t.kind));
@@ -201,50 +265,99 @@ impl SocketDriver {
         Ok(())
     }
 
-    /// Drains every readable socket once: decodes, delivers to the
-    /// hosting machine, dispatches the reactions. Oversized or
-    /// undecodable datagrams are dropped and metered; they never reach
-    /// a machine. Returns how many datagrams were read.
+    /// Puts `idx` on the next pump's reading list, unless it is there.
+    fn enqueue(&mut self, idx: usize) {
+        if !self.nodes[idx].queued {
+            self.nodes[idx].queued = true;
+            self.queue.push_back(idx);
+        }
+    }
+
+    /// Reads the sockets that can have mail: decodes, delivers to the
+    /// hosting machine, dispatches the reactions. With mail owed that is
+    /// the queued nodes plus one socket picked by the rotating cursor;
+    /// with nothing owed it is every socket (see the module docs).
+    /// Oversized or undecodable datagrams are dropped and metered; they
+    /// never reach a machine. Returns how many datagrams were read.
     pub fn pump(&mut self, env: &mut dyn NodeEnv) -> Result<usize> {
+        if self.queue.is_empty() {
+            self.stats.sweeps += 1;
+            for idx in 0..self.nodes.len() {
+                self.enqueue(idx);
+            }
+        } else {
+            self.cursor = (self.cursor + 1) % self.nodes.len();
+            self.enqueue(self.cursor);
+        }
+        let mut handled = 0usize;
+        // Only the nodes queued by now: those the reactions queue wait
+        // for the next pump, which bounds this one.
+        for _ in 0..self.queue.len() {
+            let idx = self.queue.pop_front().expect("length checked above");
+            let drained = self.drain(idx, env);
+            if self.nodes[idx].owed > 0 {
+                self.queue.push_back(idx);
+            } else {
+                self.nodes[idx].queued = false;
+            }
+            handled += drained?;
+        }
+        Ok(handled)
+    }
+
+    /// Reads node `idx`'s socket until it would block, ticking one owed
+    /// datagram off the ledger per read. Returns how many were read.
+    fn drain(&mut self, idx: usize, env: &mut dyn NodeEnv) -> Result<usize> {
         let mut buf = [0u8; MAX_FRAME + 1];
         let mut handled = 0usize;
-        for idx in 0..self.nodes.len() {
-            loop {
-                let n = match self.nodes[idx].socket.recv_from(&mut buf) {
-                    Ok((n, _)) => n,
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) => return Err(e),
-                };
-                handled += 1;
-                self.stats.datagrams_received += 1;
-                if n > MAX_FRAME {
-                    self.stats.dropped_oversized += 1;
-                    env.bump(MessageKind::MalformedFrame);
-                    continue;
-                }
-                let envelope = match Envelope::decode(&buf[..n]) {
-                    Ok(envelope) => envelope,
-                    Err(_) => {
-                        self.stats.dropped_garbage += 1;
-                        env.bump(MessageKind::MalformedFrame);
-                        continue;
-                    }
-                };
-                if envelope.dst != self.nodes[idx].key {
-                    // Decodes, but claims a destination this socket
-                    // does not host: misdirected or spoofed.
+        loop {
+            self.stats.recv_calls += 1;
+            let n = match self.nodes[idx].socket.recv_from(&mut buf) {
+                Ok((n, _)) => n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(handled),
+                Err(e) => return Err(e),
+            };
+            handled += 1;
+            self.stats.datagrams_received += 1;
+            let node = &mut self.nodes[idx];
+            node.owed = node.owed.saturating_sub(1);
+            if n > MAX_FRAME {
+                self.stats.dropped_oversized += 1;
+                env.bump(MessageKind::MalformedFrame);
+                continue;
+            }
+            let envelope = match Envelope::decode(&buf[..n]) {
+                Ok(envelope) => envelope,
+                Err(_) => {
                     self.stats.dropped_garbage += 1;
                     env.bump(MessageKind::MalformedFrame);
                     continue;
                 }
-                self.delivered.insert((envelope.src, envelope.msg_id));
-                let now = self.clock.now();
-                let out = self.nodes[idx].machine.poll(now, Event::Deliver(envelope), env);
-                let key = self.nodes[idx].key;
-                self.dispatch(key, out, env)?;
+            };
+            if envelope.dst != self.nodes[idx].key {
+                // Decodes, but claims a destination this socket
+                // does not host: misdirected or spoofed.
+                self.stats.dropped_garbage += 1;
+                env.bump(MessageKind::MalformedFrame);
+                continue;
             }
+            self.delivered.insert((envelope.src, envelope.msg_id));
+            let now = self.clock.now();
+            let out = self.nodes[idx].machine.poll(now, Event::Deliver(envelope), env);
+            let key = self.nodes[idx].key;
+            self.dispatch(key, out, env)?;
         }
-        Ok(handled)
+    }
+
+    /// Gives up on every datagram still owed: the grace window they had
+    /// to arrive in has expired.
+    fn write_off(&mut self) {
+        for idx in self.queue.drain(..) {
+            let node = &mut self.nodes[idx];
+            self.stats.written_off += u64::from(node.owed);
+            node.owed = 0;
+            node.queued = false;
+        }
     }
 
     /// Fires every timer whose deadline has passed. Returns how many
@@ -270,11 +383,12 @@ impl SocketDriver {
     /// Pumps and fires until the network is quiet *and* no timers
     /// remain, fast-forwarding the clock over dead air: when a full
     /// grace window of real time passes with no datagram arriving and
-    /// nothing due, the clock jumps to the next timer deadline (the
-    /// machines cannot observe the skip — they only ever see `now` as
-    /// an argument). Returns the number of datagrams plus timer firings
-    /// processed, or `TimedOut` once `max_events` is exceeded — the
-    /// same runaway-retry backstop the simulator's event budget gives.
+    /// nothing due, mail still owed is written off and the clock jumps
+    /// to the next timer deadline (the machines cannot observe the skip
+    /// — they only ever see `now` as an argument). Returns the number
+    /// of datagrams plus timer firings processed, or `TimedOut` once
+    /// `max_events` is exceeded — the same runaway-retry backstop the
+    /// simulator's event budget gives.
     pub fn run_until_quiet(&mut self, env: &mut dyn NodeEnv, max_events: u64) -> Result<u64> {
         self.run_until(env, max_events, |_| false)
     }
@@ -282,7 +396,9 @@ impl SocketDriver {
     /// Like [`Self::run_until_quiet`], but also stops — leaving the
     /// remaining state intact — as soon as a surfaced completion
     /// matches `found` (the completion stays in
-    /// [`Self::completions`] for the caller to consume).
+    /// [`Self::completions`] for the caller to consume). `found` sees
+    /// each completion once: those already surfaced on entry, then each
+    /// new one as the loop surfaces it.
     pub fn run_until(
         &mut self,
         env: &mut dyn NodeEnv,
@@ -290,11 +406,20 @@ impl SocketDriver {
         mut found: impl FnMut(&Completion) -> bool,
     ) -> Result<u64> {
         let mut events = 0u64;
+        // How much of `completions` has been put to `found` already.
+        let mut checked = 0usize;
         loop {
-            if self.completions.iter().any(&mut found) {
+            let fresh = checked;
+            checked = self.completions.len();
+            if self.completions[fresh..].iter().any(&mut found) {
                 return Ok(events);
             }
-            let n = self.pump(env)? + self.fire_due(env)?;
+            let mut n = self.pump(env)? + self.fire_due(env)?;
+            if n == 0 {
+                // Quiet right now; in-flight bytes get a real-time grace
+                // window before the clock is allowed to skip ahead.
+                n = self.pump_for(env, self.grace)?;
+            }
             if n > 0 {
                 events += n as u64;
                 if events > max_events {
@@ -305,12 +430,7 @@ impl SocketDriver {
                 }
                 continue;
             }
-            // Quiet right now; in-flight bytes get a real-time grace
-            // window before the clock is allowed to skip ahead.
-            if self.pump_for(env, self.grace)? > 0 {
-                events += 1;
-                continue;
-            }
+            self.write_off();
             match self.next_timer() {
                 Some(at) => {
                     self.clock.advance_to(at);
@@ -532,5 +652,198 @@ mod tests {
         // Initial send plus two retransmissions, all metered.
         assert_eq!(env.meter.count(MessageKind::RouteHop), 3);
         assert!(d.stats().fast_forwards >= 3, "quiet waits must fast-forward");
+    }
+
+    /// Keys `1..=n`, node `i` hosted on router `i`, all bound to one
+    /// driver (node `i` at index `i - 1`). Returns the endpoints too.
+    fn population(n: u32) -> (MiniEnv, SocketDriver, Vec<SocketAddr>) {
+        let mut env = MiniEnv::default();
+        let mut d = fast_driver();
+        let mut endpoints = Vec::new();
+        for i in 1..=n {
+            let key = Key(u64::from(i));
+            env = env.with_node(key, i, i);
+            let ep = d.bind_node(key, env.addrs[&key], ProtoMachine::new(key, policy())).unwrap();
+            endpoints.push(ep);
+        }
+        (env, d, endpoints)
+    }
+
+    /// Teaches `env` the mobile-layer path `path[0] → … → path.last()`.
+    fn lay_path(env: &mut MiniEnv, path: &[Key]) {
+        let target = *path.last().unwrap();
+        for hop in path.windows(2) {
+            env.mobile_hops.insert((hop[0], target), hop[1]);
+        }
+    }
+
+    /// Routes `src → target` and runs until the terminus reports it,
+    /// draining the completions as a caller would.
+    fn route(d: &mut SocketDriver, env: &mut MiniEnv, src: Key, target: Key) {
+        let now = d.now();
+        let (route_id, out) = d.machine_mut(src).unwrap().start_route(now, env, target);
+        d.dispatch(src, out, env).unwrap();
+        d.run_until(env, 10_000, |c| {
+            matches!(c, Completion::Delivered { origin, route_id: r } if *origin == src && *r == route_id)
+        })
+        .unwrap();
+        assert!(d.completions.iter().any(|c| matches!(c, Completion::Delivered { .. })));
+        d.completions.clear();
+    }
+
+    /// Enters a datagram in the ledger that nobody sent.
+    fn forge_owed(d: &mut SocketDriver, idx: usize) {
+        d.nodes[idx].owed += 1;
+        d.enqueue(idx);
+    }
+
+    fn ledger_is_clear(d: &SocketDriver) -> bool {
+        d.queue.is_empty() && d.nodes.iter().all(|n| n.owed == 0 && !n.queued)
+    }
+
+    /// The same forty three-hop routes over `n` sockets: stats after the
+    /// routes, and after the quiet point that follows them.
+    fn routed_stats(n: u32) -> (NetStats, NetStats) {
+        let (mut env, mut d, _) = population(n);
+        let there = [Key(1), Key(10), Key(20), Key(30)];
+        let back = [Key(30), Key(20), Key(10), Key(1)];
+        lay_path(&mut env, &there);
+        lay_path(&mut env, &back);
+        for _ in 0..20 {
+            route(&mut d, &mut env, Key(1), Key(30));
+            route(&mut d, &mut env, Key(30), Key(1));
+        }
+        let busy = d.stats();
+        d.run_until_quiet(&mut env, 10_000).unwrap();
+        assert!(ledger_is_clear(&d));
+        assert_eq!(env.meter.count(MessageKind::RouteHop), 40 * 3);
+        (busy, d.stats())
+    }
+
+    #[test]
+    fn pump_recv_calls_are_flat_in_population() {
+        let runs = [(32, routed_stats(32)), (256, routed_stats(256))];
+        for (nodes, (busy, quiet)) in runs {
+            // While routes are in flight something is always owed (the
+            // last hop's ack, at least), so no pump sweeps, and a
+            // datagram costs its own read, the `WouldBlock` that ends
+            // its socket's drain and at most one cursor probe.
+            assert_eq!(busy.sweeps, 0, "{nodes} nodes: {busy:?}");
+            assert_eq!(busy.written_off, 0, "{nodes} nodes: {busy:?}");
+            assert!(busy.recv_calls <= 3 * busy.datagrams_received, "{nodes} nodes: {busy:?}");
+            // Only the sweeps of the quiet point pay per node.
+            assert!(quiet.sweeps > 0);
+            assert!(
+                quiet.recv_calls <= 3 * quiet.datagrams_received + quiet.sweeps * nodes,
+                "{nodes} nodes: {quiet:?}"
+            );
+            assert_eq!(quiet.datagrams_received, quiet.datagrams_sent);
+        }
+        let [(_, (_, small)), (_, (_, large))] = runs;
+        assert_eq!(small.datagrams_received, large.datagrams_received);
+    }
+
+    #[test]
+    fn rotating_probe_finds_foreign_mail_while_busy() {
+        let (mut env, mut d, endpoints) = population(8);
+        // Mail that never comes keeps every pump busy: no sweep will
+        // ever look at node 5, only the cursor can.
+        forge_owed(&mut d, 0);
+        let attacker = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        attacker.send_to(&[0xFF; 40], endpoints[5]).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while d.nodes[5].socket.peek_from(&mut [0u8; 1]).is_err() {
+            assert!(Instant::now() < deadline, "loopback never delivered");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut pumps = 0;
+        while d.stats().dropped_garbage == 0 && pumps < d.nodes.len() + 1 {
+            d.pump(&mut env).unwrap();
+            pumps += 1;
+        }
+        let s = d.stats();
+        assert_eq!(s.dropped_garbage, 1, "not found in {pumps} busy pumps");
+        assert_eq!(env.meter.count(MessageKind::MalformedFrame), 1);
+        assert_eq!(s.sweeps, 0);
+        // Each of those pumps read two sockets, not eight.
+        assert!(s.recv_calls <= 2 * pumps as u64 + 1, "{s:?}");
+    }
+
+    #[test]
+    fn quiet_point_leaves_nothing_owed() {
+        let (mut env, mut d, _) = population(4);
+        lay_path(&mut env, &[Key(1), Key(2), Key(3), Key(4)]);
+        let now = d.now();
+        let (_, out) = d.machine_mut(Key(1)).unwrap().start_route(now, &mut env, Key(4));
+        d.dispatch(Key(1), out, &mut env).unwrap();
+        assert!(!ledger_is_clear(&d), "the first hop is owed to node 2");
+        d.run_until_quiet(&mut env, 10_000).unwrap();
+        assert!(ledger_is_clear(&d));
+        assert_eq!(env.meter.count(MessageKind::RouteHop), 3);
+        let s = d.stats();
+        assert_eq!(s.datagrams_received, s.datagrams_sent);
+        assert_eq!(s.written_off, 0);
+        assert_eq!(env.meter.count(MessageKind::Timeout), 0, "every ack beat its timer");
+    }
+
+    #[test]
+    fn owed_mail_that_never_arrives_is_written_off() {
+        let (mut env, mut d, _) = population(2);
+        forge_owed(&mut d, 1);
+        let started = Instant::now();
+        assert_eq!(d.run_until_quiet(&mut env, 10_000).unwrap(), 0);
+        assert!(started.elapsed() < Duration::from_secs(5), "one grace window, not a hang");
+        assert!(ledger_is_clear(&d));
+        let s = d.stats();
+        assert_eq!(s.written_off, 1);
+        assert_eq!(s.sweeps, 0, "mail was owed throughout");
+        // With the ledger clear the next pump is a sweep again.
+        d.pump(&mut env).unwrap();
+        assert_eq!(d.stats().sweeps, 1);
+    }
+
+    #[test]
+    fn run_until_checks_each_completion_once() {
+        let (mut env, mut d, _) = population(2);
+        lay_path(&mut env, &[Key(1), Key(2)]);
+        // A caller that never drains: 2 000 stale completions.
+        d.completions.resize(2_000, Completion::Resolved { subject: Key(2) });
+        let now = d.now();
+        let (_, out) = d.machine_mut(Key(1)).unwrap().start_route(now, &mut env, Key(2));
+        d.dispatch(Key(1), out, &mut env).unwrap();
+        // Every completion is put to `found` once, however many times
+        // the loop goes round.
+        let mut asked = 0usize;
+        d.run_until(&mut env, 10_000, |_| {
+            asked += 1;
+            false
+        })
+        .unwrap();
+        assert!(d.completions.len() > 2_000, "the route completed");
+        assert_eq!(asked, d.completions.len());
+        assert!(d.stats().fast_forwards > 0, "the loop did go round");
+    }
+
+    #[test]
+    fn datagrams_read_in_the_grace_window_all_count() {
+        let mut env = MiniEnv::default().with_node(A, 1, 1);
+        let mut d = fast_driver();
+        d.set_grace(Duration::from_millis(300));
+        let ep = d.bind_node(A, env.addrs[&A], ProtoMachine::new(A, policy())).unwrap();
+        // Nothing owed, no timers: the loop goes straight into its grace
+        // window, and a burst lands while it sleeps between two pumps.
+        // (The count below holds wherever the burst lands; the delay
+        // only aims it at the path that used to count a burst as one.)
+        let burst = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            let attacker = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+            for _ in 0..3 {
+                attacker.send_to(&[0xFF; 40], ep).unwrap();
+            }
+        });
+        let events = d.run_until_quiet(&mut env, 10_000).unwrap();
+        burst.join().unwrap();
+        assert_eq!(d.stats().dropped_garbage, 3);
+        assert_eq!(events, 3, "the event budget must see every datagram");
     }
 }
