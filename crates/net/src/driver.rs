@@ -52,7 +52,7 @@
 //! ([`MessageKind::MalformedFrame`]), never parsed further, never
 //! panicking the loop.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{Error, ErrorKind, Result};
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
@@ -60,6 +60,7 @@ use std::time::{Duration, Instant};
 use bristle_core::time::SimTime;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
+use bristle_proto::ledger::DeliveryLedger;
 use bristle_proto::machine::{Completion, Event, NodeEnv, Output, ProtoMachine, TimerKind};
 use bristle_proto::wire::Envelope;
 
@@ -135,8 +136,9 @@ pub struct SocketDriver {
     timer_seq: u64,
     /// `(src, msg_id)` of every frame a machine here has processed; a
     /// later transmission of the same frame is a spurious retry, bumped
-    /// exactly as the simulator's driver bumps it.
-    delivered: HashSet<(Key, u64)>,
+    /// exactly as the simulator's driver bumps it. Sources are indexed
+    /// as `nodes` is; a source bound nowhere here has no index.
+    delivered: DeliveryLedger,
     /// Completions surfaced by the machines, for the caller to drain.
     pub completions: Vec<Completion>,
     /// Real-time window the loop waits for in-flight datagrams before
@@ -158,7 +160,7 @@ impl SocketDriver {
             cursor: 0,
             timers: BTreeMap::new(),
             timer_seq: 0,
-            delivered: HashSet::new(),
+            delivered: DeliveryLedger::new(),
             completions: Vec::new(),
             grace: Duration::from_millis(5),
             stats: NetStats::default(),
@@ -230,7 +232,9 @@ impl SocketDriver {
             return Err(Error::new(ErrorKind::NotFound, format!("{from} is not bound")));
         };
         for o in out.outgoing {
-            if self.delivered.contains(&(o.env.src, o.env.msg_id)) {
+            let src = o.env.src;
+            let index = if src == from { Some(from_idx) } else { self.by_key.get(&src).copied() };
+            if self.delivered.contains(index, src, o.env.msg_id) {
                 env.bump(MessageKind::SpuriousRetry);
             }
             // The simulator delivers to the addressed router and drops
@@ -341,7 +345,8 @@ impl SocketDriver {
                 env.bump(MessageKind::MalformedFrame);
                 continue;
             }
-            self.delivered.insert((envelope.src, envelope.msg_id));
+            let src = envelope.src;
+            self.delivered.insert(self.by_key.get(&src).copied(), src, envelope.msg_id);
             let now = self.clock.now();
             let out = self.nodes[idx].machine.poll(now, Event::Deliver(envelope), env);
             let key = self.nodes[idx].key;
@@ -458,6 +463,8 @@ impl SocketDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+
     use bristle_netsim::graph::RouterId;
     use bristle_overlay::meter::Meter;
     use bristle_proto::machine::RetryPolicy;

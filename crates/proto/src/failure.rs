@@ -26,8 +26,15 @@
 //! drops any standing suspicion or death verdict, because only the peer
 //! itself can bump its incarnation (it does so exactly when it learns it
 //! was declared dead, then broadcasts an `Alive` refutation).
-
-use std::collections::HashMap;
+//!
+//! A node monitors a handful of peers (its LDT neighbours, a ring
+//! successor, a ring predecessor's ward) and touches them all every
+//! heartbeat round, so the peer table is two parallel vectors ordered by
+//! key — the keys, and each key's health — searched by bisection. There
+//! is no hashing, [`FailureDetector::monitored`] *is* the key vector
+//! (sorted by construction, nothing collected or sorted per call), and
+//! a driver can compare it against the set it wants with one slice
+//! comparison.
 
 use bristle_overlay::key::Key;
 
@@ -147,19 +154,27 @@ impl PeerHealth {
             grace_credit: 0,
         }
     }
+
+    /// Believed alive, but scoring below [`DEGRADED_HEALTH`].
+    fn is_degraded(&self) -> bool {
+        self.liveness != Liveness::Dead && self.score < DEGRADED_HEALTH
+    }
 }
 
 /// Per-node suspicion state over a set of monitored peers.
 #[derive(Debug)]
 pub struct FailureDetector {
     policy: FailurePolicy,
-    peers: HashMap<Key, PeerHealth>,
+    /// Monitored peers, ascending.
+    keys: Vec<Key>,
+    /// `health[i]` belongs to `keys[i]`.
+    health: Vec<PeerHealth>,
 }
 
 impl FailureDetector {
     /// A detector with the given thresholds, monitoring nobody.
     pub fn new(policy: FailurePolicy) -> Self {
-        FailureDetector { policy, peers: HashMap::new() }
+        FailureDetector { policy, keys: Vec::new(), health: Vec::new() }
     }
 
     /// The configured thresholds.
@@ -167,32 +182,68 @@ impl FailureDetector {
         self.policy
     }
 
+    fn peer(&self, peer: Key) -> Option<&PeerHealth> {
+        self.keys.binary_search(&peer).ok().map(|i| &self.health[i])
+    }
+
+    fn peer_mut(&mut self, peer: Key) -> Option<&mut PeerHealth> {
+        self.keys.binary_search(&peer).ok().map(|i| &mut self.health[i])
+    }
+
+    /// `peer`'s health, monitoring it from now if it was not.
+    fn peer_or_fresh(&mut self, peer: Key) -> &mut PeerHealth {
+        let i = match self.keys.binary_search(&peer) {
+            Ok(i) => i,
+            Err(i) => {
+                self.keys.insert(i, peer);
+                self.health.insert(i, PeerHealth::fresh());
+                i
+            }
+        };
+        &mut self.health[i]
+    }
+
     /// Starts monitoring `peer` (no-op if already monitored; existing
     /// suspicion state is kept).
     pub fn monitor(&mut self, peer: Key) {
-        self.peers.entry(peer).or_insert_with(PeerHealth::fresh);
+        self.peer_or_fresh(peer);
     }
 
     /// Stops monitoring `peer`. Returns whether it was monitored.
     pub fn unmonitor(&mut self, peer: Key) -> bool {
-        self.peers.remove(&peer).is_some()
+        let Ok(i) = self.keys.binary_search(&peer) else { return false };
+        self.keys.remove(i);
+        self.health.remove(i);
+        true
     }
 
     /// Drops every monitored peer for which `keep` returns false.
     pub fn retain_monitored(&mut self, mut keep: impl FnMut(Key) -> bool) {
-        self.peers.retain(|&k, _| keep(k));
+        let mut kept = 0;
+        for i in 0..self.keys.len() {
+            if keep(self.keys[i]) {
+                self.keys[kept] = self.keys[i];
+                self.health[kept] = self.health[i];
+                kept += 1;
+            }
+        }
+        self.keys.truncate(kept);
+        self.health.truncate(kept);
     }
 
-    /// All monitored peers, sorted (deterministic iteration order).
-    pub fn monitored(&self) -> Vec<Key> {
-        let mut keys: Vec<Key> = self.peers.keys().copied().collect();
-        keys.sort_unstable();
-        keys
+    /// All monitored peers, ascending.
+    pub fn monitored(&self) -> &[Key] {
+        &self.keys
+    }
+
+    /// Monitored peers that are [degraded](Self::is_degraded), ascending.
+    pub fn degraded(&self) -> impl Iterator<Item = Key> + '_ {
+        self.keys.iter().zip(&self.health).filter(|(_, p)| p.is_degraded()).map(|(&k, _)| k)
     }
 
     /// Current belief about `peer`, or `None` if unmonitored.
     pub fn liveness(&self, peer: Key) -> Option<Liveness> {
-        self.peers.get(&peer).map(|p| p.liveness)
+        self.peer(peer).map(|p| p.liveness)
     }
 
     /// Whether `peer` is monitored and confirmed dead.
@@ -203,22 +254,20 @@ impl FailureDetector {
     /// Highest incarnation `peer` has been observed at, or `None` if
     /// unmonitored.
     pub fn incarnation_of(&self, peer: Key) -> Option<u64> {
-        self.peers.get(&peer).map(|p| p.incarnation)
+        self.peer(peer).map(|p| p.incarnation)
     }
 
     /// `peer`'s health score in `[0, FULL_HEALTH]`, or `None` if
     /// unmonitored. Acks raise it, retransmissions and misses bleed it.
     pub fn health(&self, peer: Key) -> Option<u32> {
-        self.peers.get(&peer).map(|p| p.score)
+        self.peer(peer).map(|p| p.score)
     }
 
     /// Whether `peer` is monitored, believed alive, and scoring below
     /// [`DEGRADED_HEALTH`] — answering, but late or only after
     /// retransmissions.
     pub fn is_degraded(&self, peer: Key) -> bool {
-        self.peers
-            .get(&peer)
-            .is_some_and(|p| p.liveness != Liveness::Dead && p.score < DEGRADED_HEALTH)
+        self.peer(peer).is_some_and(PeerHealth::is_degraded)
     }
 
     /// Digests evidence that `peer` is alive at `incarnation` (from a
@@ -228,7 +277,7 @@ impl FailureDetector {
     /// incarnations change nothing. Returns the liveness the refutation
     /// overturned (`Suspect` or `Dead`), or `None` if nothing changed.
     pub fn observe_alive(&mut self, peer: Key, incarnation: u64) -> Option<Liveness> {
-        let p = self.peers.get_mut(&peer)?;
+        let p = self.peer_mut(peer)?;
         if incarnation <= p.incarnation {
             return None;
         }
@@ -247,7 +296,7 @@ impl FailureDetector {
     /// send, or `None` when no probe should go out (unmonitored, dead,
     /// or a probe is already in flight).
     pub fn begin_probe(&mut self, peer: Key) -> Option<u64> {
-        let p = self.peers.get_mut(&peer)?;
+        let p = self.peer_mut(peer)?;
         if p.liveness == Liveness::Dead || p.awaiting.is_some() {
             return None;
         }
@@ -264,7 +313,8 @@ impl FailureDetector {
     /// see [`FailureDetector::observe_alive`]).
     pub fn ack(&mut self, peer: Key, seq: u64, incarnation: u64) -> bool {
         self.observe_alive(peer, incarnation);
-        let Some(p) = self.peers.get_mut(&peer) else { return false };
+        let grace_misses = self.policy.grace_misses;
+        let Some(p) = self.peer_mut(peer) else { return false };
         if p.liveness == Liveness::Dead {
             return false;
         }
@@ -278,7 +328,7 @@ impl FailureDetector {
                     // Answered, but only after a retransmission: the
                     // signature of a slow-not-dead peer. Earn one round
                     // of condemnation grace (bounded by policy).
-                    p.grace_credit = (p.grace_credit + 1).min(self.policy.grace_misses);
+                    p.grace_credit = (p.grace_credit + 1).min(grace_misses);
                 }
                 true
             }
@@ -288,13 +338,14 @@ impl FailureDetector {
 
     /// Digests the expiry of the ack window for probe `seq` to `peer`.
     pub fn on_timeout(&mut self, peer: Key, seq: u64) -> TimeoutVerdict {
-        let Some(p) = self.peers.get_mut(&peer) else { return TimeoutVerdict::Ignore };
+        let policy = self.policy;
+        let Some(p) = self.peer_mut(peer) else { return TimeoutVerdict::Ignore };
         if p.liveness == Liveness::Dead {
             return TimeoutVerdict::Ignore;
         }
         match p.awaiting {
             Some((s, attempt)) if s == seq => {
-                if attempt + 1 < self.policy.probe_attempts {
+                if attempt + 1 < policy.probe_attempts {
                     p.awaiting = Some((seq, attempt + 1));
                     p.score = p.score.saturating_sub(10);
                     return TimeoutVerdict::Resend { attempt: attempt + 1 };
@@ -306,11 +357,11 @@ impl FailureDetector {
                 // gray-failure signature) buys one extra missed round
                 // before the funeral. A peer that acked promptly until it
                 // crashed earned nothing — its schedule is unchanged.
-                let dead_after = self.policy.dead_after + p.grace_credit;
+                let dead_after = policy.dead_after + p.grace_credit;
                 let transition = if p.missed >= dead_after {
                     p.liveness = Liveness::Dead;
                     Some(LivenessTransition::ConfirmedDead)
-                } else if p.missed >= self.policy.suspect_after && p.liveness == Liveness::Fresh {
+                } else if p.missed >= policy.suspect_after && p.liveness == Liveness::Fresh {
                     p.liveness = Liveness::Suspect;
                     Some(LivenessTransition::Suspected)
                 } else {
@@ -328,7 +379,7 @@ impl FailureDetector {
     /// observed is stale evidence and is ignored. Returns whether this
     /// is news.
     pub fn mark_dead(&mut self, peer: Key, incarnation: u64) -> bool {
-        let p = self.peers.entry(peer).or_insert_with(PeerHealth::fresh);
+        let p = self.peer_or_fresh(peer);
         if incarnation < p.incarnation {
             return false;
         }
@@ -575,10 +626,42 @@ mod tests {
         d.monitor(Key(9));
         d.monitor(Key(1));
         d.monitor(Key(4));
-        assert_eq!(d.monitored(), vec![Key(1), Key(4), Key(9)]);
+        assert_eq!(d.monitored(), [Key(1), Key(4), Key(9)]);
         assert!(d.unmonitor(Key(4)));
         assert!(!d.unmonitor(Key(4)));
         d.retain_monitored(|k| k != Key(9));
-        assert_eq!(d.monitored(), vec![Key(1)]);
+        assert_eq!(d.monitored(), [Key(1)]);
+    }
+
+    /// The peer table is ordered by construction: whatever order peers
+    /// arrive and leave in, `monitored()` is ascending without a sort,
+    /// and every peer's state stays attached to its own key.
+    #[test]
+    fn peer_table_stays_ordered_and_keeps_state_with_its_key() {
+        let mut d = det();
+        // Distinct (the mix is a bijection), in no order.
+        let keys: Vec<Key> = (0..40u64).map(|i| Key(crate::mix::splitmix64(i))).collect();
+        for (i, &k) in keys.iter().enumerate() {
+            d.monitor(k);
+            // Stamp each peer with its own incarnation.
+            d.observe_alive(k, i as u64 + 1);
+            if i % 5 == 4 {
+                d.mark_dead(Key(i as u64), 0);
+            }
+            if i % 7 == 6 {
+                assert!(d.unmonitor(keys[i - 3]));
+            }
+            assert!(d.monitored().windows(2).all(|w| w[0] < w[1]), "ascending, no duplicates");
+        }
+        d.retain_monitored(|k| k.0 % 3 != 0);
+        assert!(d.monitored().windows(2).all(|w| w[0] < w[1]));
+        assert!(d.monitored().iter().all(|k| k.0 % 3 != 0));
+        let stamped = keys.iter().enumerate().filter(|(_, &k)| d.liveness(k).is_some());
+        assert!(stamped.clone().count() > 10);
+        for (i, &k) in stamped {
+            assert_eq!(d.incarnation_of(k), Some(i as u64 + 1), "state moved off {k}");
+        }
+        let degraded: Vec<Key> = d.degraded().collect();
+        assert!(degraded.is_empty(), "nobody missed a round");
     }
 }

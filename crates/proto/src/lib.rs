@@ -5,12 +5,14 @@
 //! ([`wire`]), per-node protocol state machines driven by
 //! `poll(now, event)` ([`machine`]), and a transport abstraction with a
 //! deterministic, fault-injecting in-memory implementation
-//! ([`transport`]), and a lease-based crash-failure detector
-//! ([`failure`]). Nothing in this crate performs I/O or reads a clock;
+//! ([`transport`]), a lease-based crash-failure detector
+//! ([`failure`]), and the delivery ledger both drivers meter spurious
+//! retries from ([`ledger`]). Nothing in this crate performs I/O or reads a clock;
 //! all effects are returned as values so the same state machines can be
 //! driven by a simulator today and real sockets later.
 
 pub mod failure;
+pub mod ledger;
 pub mod machine;
 pub mod mix;
 pub mod rto;
@@ -18,12 +20,14 @@ pub mod transport;
 pub mod wire;
 
 pub use failure::{FailureDetector, FailurePolicy, Liveness, LivenessTransition, TimeoutVerdict};
+pub use ledger::DeliveryLedger;
 pub use machine::{
     Completion, Event, NodeEnv, Outgoing, Output, ProtoMachine, RetryPolicy, Timer, TimerKind,
 };
 pub use mix::splitmix64;
 pub use rto::{RtoConfig, RtoEstimator};
 pub use transport::{
-    Degradation, Delivery, Fate, FaultConfig, LinkFilter, SimTransport, TraceRecord, Transport,
+    Arrivals, Degradation, Delivery, Fate, FaultConfig, LinkFilter, SimTransport, TraceRecord,
+    Transport,
 };
 pub use wire::{Envelope, WireAddr, WireError, WireMessage};

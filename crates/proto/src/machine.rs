@@ -397,6 +397,7 @@ pub struct ProtoMachine {
     disc_est: Option<RtoEstimator>,
     /// Send time of the in-flight attempt-0 heartbeat probe per peer;
     /// cleared on retransmit so late acks are never sampled (Karn).
+    /// Adaptive mode only: its one reader is the RTT sample.
     hb_sent: HashMap<Key, SimTime>,
 }
 
@@ -460,9 +461,9 @@ impl ProtoMachine {
     }
 
     /// Every monitored peer currently held degraded (see
-    /// [`Self::is_peer_degraded`]).
-    pub fn degraded_peers(&self) -> Vec<Key> {
-        self.detector.monitored().into_iter().filter(|&p| self.detector.is_degraded(p)).collect()
+    /// [`Self::is_peer_degraded`]), ascending.
+    pub fn degraded_peers(&self) -> impl Iterator<Item = Key> + '_ {
+        self.detector.degraded()
     }
 
     /// The ack-retry wait for `peer`: the fixed policy timeout, or the
@@ -565,9 +566,8 @@ impl ProtoMachine {
     /// Replaces the failure-detection thresholds (existing suspicion
     /// state, incarnations included, is kept).
     pub fn set_failure_policy(&mut self, policy: FailurePolicy) {
-        let monitored = self.detector.monitored();
         let mut fresh = FailureDetector::new(policy);
-        for peer in monitored {
+        for &peer in self.detector.monitored() {
             fresh.monitor(peer);
             let incarnation = self.detector.incarnation_of(peer).unwrap_or(0);
             fresh.observe_alive(peer, incarnation);
@@ -595,8 +595,8 @@ impl ProtoMachine {
         self.detector.liveness(peer)
     }
 
-    /// Peers this node monitors, sorted.
-    pub fn monitored(&self) -> Vec<Key> {
+    /// Peers this node monitors, ascending.
+    pub fn monitored(&self) -> &[Key] {
         self.detector.monitored()
     }
 
@@ -854,10 +854,17 @@ impl ProtoMachine {
     /// themselves, so an idle machine stays idle.
     pub fn start_heartbeats(&mut self, now: SimTime, env: &mut dyn NodeEnv) -> Output {
         let mut out = Output::none();
-        for peer in self.detector.monitored() {
+        // Every probe of the round leaves from the same place: resolved
+        // at the first probe, not once per peer.
+        let mut my_router = None;
+        for i in 0..self.detector.monitored().len() {
+            let peer = self.detector.monitored()[i];
             let Some(seq) = self.detector.begin_probe(peer) else { continue };
-            self.push_heartbeat(env, peer, seq, &mut out);
-            self.hb_sent.insert(peer, now);
+            let from = *my_router.get_or_insert_with(|| self.my_router(env));
+            self.push_heartbeat(env, from, peer, seq, &mut out);
+            if self.rto.is_some() {
+                self.hb_sent.insert(peer, now);
+            }
             let wait = self.hb_timeout_for(peer);
             out.timers.push(Timer {
                 at: now.plus(wait),
@@ -868,9 +875,17 @@ impl ProtoMachine {
         out
     }
 
-    fn push_heartbeat(&mut self, env: &mut dyn NodeEnv, peer: Key, seq: u64, out: &mut Output) {
+    /// Queues one probe of `peer`, metered as sent from router `from`.
+    fn push_heartbeat(
+        &mut self,
+        env: &mut dyn NodeEnv,
+        from: RouterId,
+        peer: Key,
+        seq: u64,
+        out: &mut Output,
+    ) {
         let to_addr = env.current_addr(peer);
-        let cost = env.distance(self.my_router(env), to_addr.router_id());
+        let cost = env.distance(from, to_addr.router_id());
         env.meter(MessageKind::HeartbeatSent, cost);
         let msg_id = self.fresh_msg_id();
         out.outgoing.push(Outgoing {
@@ -1516,11 +1531,14 @@ impl ProtoMachine {
             WireMessage::HeartbeatAck { seq, incarnation } => {
                 self.digest_alive(env, src, incarnation, &mut out);
                 let closed = self.detector.ack(src, seq, incarnation);
-                if let Some(sent) = self.hb_sent.remove(&src) {
-                    // The entry survives only while the attempt-0 probe
-                    // is the one in flight (Karn: retransmits clear it).
-                    if closed {
-                        self.rtt_sample(src, 0, now.since(sent));
+                if self.rto.is_some() {
+                    if let Some(sent) = self.hb_sent.remove(&src) {
+                        // The entry survives only while the attempt-0
+                        // probe is the one in flight (Karn: retransmits
+                        // clear it).
+                        if closed {
+                            self.rtt_sample(src, 0, now.since(sent));
+                        }
                     }
                 }
             }
@@ -1679,13 +1697,14 @@ impl ProtoMachine {
                     node: self.key,
                     kind: ObsEventKind::Timeout { what: "heartbeat", attempt },
                 });
-                self.push_heartbeat(env, peer, seq, out);
-                // Karn: the probe in flight is no longer attempt 0, so a
-                // late ack must not be sampled.
-                self.hb_sent.remove(&peer);
+                let from = self.my_router(env);
+                self.push_heartbeat(env, from, peer, seq, out);
                 let wait = match self.rto {
                     None => backoff(self.detector.policy().ack_wait, attempt),
                     Some(_) => {
+                        // Karn: the probe in flight is no longer attempt
+                        // 0, so a late ack must not be sampled.
+                        self.hb_sent.remove(&peer);
                         self.note_rto_timeout(peer);
                         self.hb_timeout_for(peer)
                     }

@@ -8,6 +8,12 @@
 //! (drops, duplication, reordering via jitter, link and partition
 //! outages) from a seeded [`Pcg64`], so every run with the same seed and
 //! fault schedule produces a byte-identical delivery trace.
+//!
+//! The trace is append-only and kept for the whole run — one
+//! [`TraceRecord`] per send — so a record is a flat 64 bytes: the (at
+//! most two) arrival times sit inline in [`Arrivals`] rather than behind
+//! a per-send heap allocation. [`SimTransport::trace_bytes`] is the
+//! canonical serialization and does not depend on that layout.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -293,6 +299,37 @@ impl Fate {
     }
 }
 
+/// When the copies of one send arrive: none (dropped or blocked), one,
+/// or two (duplicated). Stored inline — the trace keeps a row per send
+/// for the whole run, and a heap `Vec` per row would be most of its
+/// memory — and read as a `[SimTime]` through `Deref`.
+// Slots past `len` are never written, so the derived comparison of the
+// whole array agrees with comparing the slices.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Arrivals {
+    at: [SimTime; 2],
+    len: u8,
+}
+
+impl Arrivals {
+    /// Appends one arrival.
+    ///
+    /// # Panics
+    /// Panics on a third: a send has at most a primary and a duplicate.
+    fn push(&mut self, at: SimTime) {
+        self.at[usize::from(self.len)] = at;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Arrivals {
+    type Target = [SimTime];
+
+    fn deref(&self) -> &[SimTime] {
+        &self.at[..usize::from(self.len)]
+    }
+}
+
 /// One row of the transport's append-only trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
@@ -313,8 +350,11 @@ pub struct TraceRecord {
     /// Every arrival this send caused, in the order the copies were
     /// scheduled: empty when dropped or blocked, one entry when
     /// delivered, two (primary then duplicate) when duplicated.
-    pub arrivals: Vec<SimTime>,
+    pub arrivals: Arrivals,
 }
+
+// A row per send for the whole run: one cache line, no heap pointer.
+const _: () = assert!(std::mem::size_of::<TraceRecord>() <= 64);
 
 /// The deterministic in-memory transport.
 pub struct SimTransport {
@@ -438,7 +478,7 @@ impl SimTransport {
             out.extend_from_slice(&r.msg_id.to_le_bytes());
             out.push(r.fate.code());
             out.push(r.arrivals.len() as u8);
-            for a in &r.arrivals {
+            for a in r.arrivals.iter() {
                 out.extend_from_slice(&a.0.to_le_bytes());
             }
         }
@@ -459,7 +499,7 @@ impl Transport for SimTransport {
             tag,
             msg_id,
             fate: Fate::Delivered,
-            arrivals: Vec::new(),
+            arrivals: Arrivals::default(),
         };
 
         if self.filter.blocks(from, to) {
@@ -648,7 +688,7 @@ mod tests {
             let d = t.send(SimTime(i * 100), RouterId(0), RouterId(1), envelope(i));
             let rec = &t.trace()[i as usize];
             assert_eq!(rec.arrivals.len(), 2, "both copies' arrivals are recorded");
-            assert_eq!(rec.arrivals, vec![d[0].at, d[1].at]);
+            assert_eq!(*rec.arrivals, [d[0].at, d[1].at]);
         }
         // The trace bytes must distinguish the two copies' timings: a
         // run whose duplicates arrive at recorded times differs from one

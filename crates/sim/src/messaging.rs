@@ -16,6 +16,14 @@
 //! flight, exactly as the function-call path completes a route "within"
 //! one clock instant; the driver's own [`EventQueue`] runs a fine-grained
 //! micro-clock for link latencies and retry timers.
+//!
+//! The per-frame bookkeeping is kept off the heap and out of hash
+//! tables: spurious retries are metered from a
+//! [`DeliveryLedger`] (a bit per `(src, msg_id)`, indexed by the
+//! driver's own [`KeyInterner`]; shared with the socket driver), and
+//! [`MessagingBristleSystem::seed_monitors`] re-seeds each heartbeat
+//! round by diffing one sorted edge list against the machines' sorted
+//! monitor sets instead of rebuilding them.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -37,6 +45,7 @@ use bristle_overlay::obs::{
     EventSink, FlightRecorder, Histogram as LatencyHistogram, ObsEvent, ObsEventKind, Snapshot,
 };
 use bristle_proto::failure::FailurePolicy;
+use bristle_proto::ledger::DeliveryLedger;
 use bristle_proto::machine::{
     Completion, Event, NodeEnv, Output, ProtoMachine, RetryPolicy, TimerKind,
 };
@@ -516,8 +525,9 @@ pub struct MessagingBristleSystem {
     inflight: HashMap<Key, usize>,
     /// `(src, msg_id)` of every frame some machine has already
     /// processed; a later transmission of the same frame is a spurious
-    /// retry (wasted work from a too-short timeout).
-    delivered: HashSet<(Key, u64)>,
+    /// retry (wasted work from a too-short timeout). Sources are indexed
+    /// by `ids`, looked up and never interned: `src` is off the wire.
+    delivered: DeliveryLedger,
     /// Peers some watcher's health score currently holds degraded; fed
     /// to [`SystemEnv::replicas`] for healthy-first ordering.
     degraded: BTreeSet<Key>,
@@ -559,7 +569,7 @@ impl MessagingBristleSystem {
             rto,
             ingress_cap: None,
             inflight: HashMap::new(),
-            delivered: HashSet::new(),
+            delivered: DeliveryLedger::new(),
             degraded: BTreeSet::new(),
         }
     }
@@ -658,16 +668,25 @@ impl MessagingBristleSystem {
         self.ids.get(key).and_then(|i| self.machines.get(i))
     }
 
+    /// `key`'s index in the delivery ledger, if the driver has one.
+    fn source_index(&self, key: Key) -> Option<usize> {
+        self.ids.get(key).map(|i| i.index())
+    }
+
     /// Whether a machine is running for `key`.
     fn has_machine(&self, key: Key) -> bool {
         self.machine_of(key).is_some()
     }
 
-    /// Retires `key`'s machine (its interned index survives).
+    /// Retires `key`'s machine (its interned index survives). The
+    /// ledger forgets the ids it sent: a machine started for `key` later
+    /// numbers its frames from 0 again, and they are not retries of the
+    /// previous life's.
     fn remove_machine(&mut self, key: Key) {
         if let Some(i) = self.ids.get(key) {
             self.machines.remove(i);
         }
+        self.delivered.forget_source(self.source_index(key), key);
     }
 
     /// Keys of all running machines, sorted.
@@ -914,21 +933,25 @@ impl MessagingBristleSystem {
     ///   crash can go unobserved.
     ///
     /// Silently-failed nodes stay *watched* but never watch.
+    ///
+    /// Membership rarely changes between two rounds, so the wanted edges
+    /// are gathered into one list sorted by `(watcher, peer)` and each
+    /// watcher's run of it is compared with the set its machine already
+    /// monitors — itself kept sorted. An unchanged watcher costs that
+    /// comparison; only a changed one is edited.
     pub fn seed_monitors(&mut self) {
-        let mut wanted: BTreeMap<Key, BTreeSet<Key>> = BTreeMap::new();
+        let mut wanted: Vec<(Key, Key)> = Vec::new();
         {
             let sys = &self.sys;
             let failed = &self.failed;
             let live = |k: Key| sys.node_info(k).is_ok() && !failed.contains(&k);
             let mut add = |watcher: Key, peer: Key| {
                 if watcher != peer && live(watcher) && sys.node_info(peer).is_ok() {
-                    wanted.entry(watcher).or_default().insert(peer);
+                    wanted.push((watcher, peer));
                 }
             };
-            let mut targets: Vec<Key> = sys.registry.iter().map(|(t, _)| t).collect();
-            targets.sort_unstable();
-            for t in targets {
-                for r in sys.registry.registrants_of(t) {
+            for (t, registrants) in sys.registry.iter() {
+                for r in registrants {
                     add(r.key, t);
                     add(t, r.key);
                 }
@@ -947,17 +970,22 @@ impl MessagingBristleSystem {
                 add(all[(i + n - 1) % n], node);
             }
         }
-        for (watcher, peers) in wanted {
+        wanted.sort_unstable();
+        wanted.dedup();
+        for peers in wanted.chunk_by(|a, b| a.0 == b.0) {
             let machine = machine_entry(
                 &mut self.ids,
                 &mut self.machines,
-                watcher,
+                peers[0].0,
                 self.policy,
                 self.failure_policy,
                 self.rto,
             );
-            machine.retain_monitored(|k| peers.contains(&k));
-            for &p in &peers {
+            if machine.monitored().iter().eq(peers.iter().map(|(_, p)| p)) {
+                continue;
+            }
+            machine.retain_monitored(|k| peers.binary_search_by_key(&k, |&(_, p)| p).is_ok());
+            for &(_, p) in peers {
                 machine.monitor(p);
             }
         }
@@ -1300,36 +1328,76 @@ impl MessagingBristleSystem {
             self.dispatch(src, out);
             sessions.push(Some((src, route_id, now)));
         }
+        // Each completion is matched against the sessions once, when it
+        // is new, instead of every open session rescanning the whole
+        // buffer on every event. A completion is consumed iff its
+        // session was open when the scan that meets it began (the first
+        // one decides the outcome) — what one `take_route_completion`
+        // per open session per event consumed.
+        let mut by_route: Vec<((Key, u64), usize)> = sessions
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.map(|(src, route_id, _)| ((src, route_id), i)))
+            .collect();
+        by_route.sort_unstable();
+        let mut remaining = by_route.len();
+        // Sessions the running scan closed.
+        let mut closing: Vec<usize> = Vec::new();
+        // Everything buffered is new to this burst; later scans start
+        // where the previous one stopped.
+        let mut scanned = 0usize;
         let mut events = 0u64;
-        loop {
-            let mut open = 0usize;
-            for (i, session) in sessions.iter().enumerate() {
-                let Some((src, route_id, started)) = *session else { continue };
+        while remaining > 0 {
+            let now = self.queue.now();
+            closing.clear();
+            let mut kept = scanned;
+            for j in scanned..self.completions.len() {
+                let c = self.completions[j];
+                let route = match c {
+                    Completion::Delivered { origin, route_id }
+                    | Completion::RouteFailed { origin, route_id, .. } => Some((origin, route_id)),
+                    _ => None,
+                };
+                let session = route
+                    .and_then(|route| by_route.binary_search_by_key(&route, |&(k, _)| k).ok())
+                    .map(|at| by_route[at].1)
+                    .filter(|&i| results[i].is_none() || closing.contains(&i));
+                let Some(i) = session else {
+                    self.completions[kept] = c;
+                    kept += 1;
+                    continue;
+                };
                 if results[i].is_some() {
                     continue;
                 }
-                match self.take_route_completion(src, route_id) {
-                    Ok(Some(done)) => {
-                        self.obs.route_latency.record(done.since(started));
-                        results[i] =
-                            Some(Ok(MessagingRouteReport { route_id, delivered_at: done, events }));
+                let (_, route_id, started) = sessions[i].expect("only sessions are indexed");
+                results[i] = Some(match c {
+                    Completion::RouteFailed { origin, route_id, at } => {
+                        Err(MessagingError::RouteFailed { origin, route_id, at })
                     }
-                    Ok(None) => open += 1,
-                    Err(e) => results[i] = Some(Err(e)),
-                }
+                    _ => {
+                        self.obs.route_latency.record(now.since(started));
+                        Ok(MessagingRouteReport { route_id, delivered_at: now, events })
+                    }
+                });
+                remaining -= 1;
+                closing.push(i);
             }
-            if open == 0 {
+            self.completions.truncate(kept);
+            scanned = kept;
+            if remaining == 0 {
                 break;
             }
-            if events >= MAX_EVENTS_PER_OP {
+            let stop = if events >= MAX_EVENTS_PER_OP {
+                Some(MessagingError::Runaway)
+            } else if !self.step() {
+                Some(MessagingError::Stalled)
+            } else {
+                None
+            };
+            if let Some(e) = stop {
                 for r in results.iter_mut().filter(|r| r.is_none()) {
-                    *r = Some(Err(MessagingError::Runaway));
-                }
-                break;
-            }
-            if !self.step() {
-                for r in results.iter_mut().filter(|r| r.is_none()) {
-                    *r = Some(Err(MessagingError::Stalled));
+                    *r = Some(Err(e.clone()));
                 }
                 break;
             }
@@ -1524,7 +1592,8 @@ impl MessagingBristleSystem {
                 if reachable {
                     // The frame is about to be processed: any *later*
                     // copy of it on the wire is a spurious retry.
-                    self.delivered.insert((d.env.src, d.env.msg_id));
+                    let src = d.env.src;
+                    self.delivered.insert(self.source_index(src), src, d.env.msg_id);
                     let out = {
                         let machine = machine_entry(
                             &mut self.ids,
@@ -1590,12 +1659,15 @@ impl MessagingBristleSystem {
             },
             Err(_) => return,
         };
+        let from_index = self.source_index(from);
         for o in out.outgoing {
             // A transmission of a frame whose first copy was already
             // processed is retry-timer waste — the receiver will dedup
             // it. Counted (cost zero) so the degradation sweep can
             // compare RTO policies by wasted sends.
-            if self.delivered.contains(&(o.env.src, o.env.msg_id)) {
+            let src = o.env.src;
+            let index = if src == from { from_index } else { self.source_index(src) };
+            if self.delivered.contains(index, src, o.env.msg_id) {
                 self.sys.meter.bump(MessageKind::SpuriousRetry, 1);
             }
             let to_router = o.to_addr.router_id();
@@ -1659,5 +1731,291 @@ impl MessagingBristleSystem {
             _ => true,
         });
         found.unwrap_or(Ok(None))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bristle_core::config::BristleConfig;
+    use bristle_core::system::BristleBuilder;
+    use bristle_netsim::transit_stub::TransitStubConfig;
+
+    fn build(seed: u64) -> BristleSystem {
+        BristleBuilder::new(seed)
+            .stationary_nodes(40)
+            .mobile_nodes(16)
+            .topology(TransitStubConfig::tiny())
+            .config(BristleConfig::recommended())
+            .build()
+            .expect("system builds")
+    }
+
+    /// The monitor sets [`MessagingBristleSystem::seed_monitors`] used to
+    /// build every round — a set of peers per watcher, from its own walk
+    /// of the registration state — kept as the reference the diffed
+    /// seeding is checked against.
+    fn wanted_oracle(msys: &MessagingBristleSystem) -> BTreeMap<Key, BTreeSet<Key>> {
+        let mut wanted: BTreeMap<Key, BTreeSet<Key>> = BTreeMap::new();
+        let sys = &msys.sys;
+        let failed = &msys.failed;
+        let live = |k: Key| sys.node_info(k).is_ok() && !failed.contains(&k);
+        let mut add = |watcher: Key, peer: Key| {
+            if watcher != peer && live(watcher) && sys.node_info(peer).is_ok() {
+                wanted.entry(watcher).or_default().insert(peer);
+            }
+        };
+        let mut targets: Vec<Key> = sys.registry.iter().map(|(t, _)| t).collect();
+        targets.sort_unstable();
+        for t in targets {
+            for r in sys.registry.registrants_of(t) {
+                add(r.key, t);
+                add(t, r.key);
+            }
+        }
+        for &s in sys.stationary_keys() {
+            if let Ok(set) = sys.stationary.replica_set(s, 2) {
+                if let Some(&succ) = set.get(1) {
+                    add(s, succ);
+                }
+            }
+        }
+        let mut all: Vec<Key> = sys.mobile.keys().collect();
+        all.sort_unstable();
+        let n = all.len();
+        for (i, &node) in all.iter().enumerate() {
+            add(all[(i + n - 1) % n], node);
+        }
+        wanted
+    }
+
+    fn monitored_sets(msys: &MessagingBristleSystem) -> BTreeMap<Key, Vec<Key>> {
+        msys.machines.iter().map(|(i, m)| (msys.ids.key_of(i), m.monitored().to_vec())).collect()
+    }
+
+    /// Re-seeds and checks every machine against the oracle: a watcher
+    /// the rules name monitors exactly its wanted peers, one they do not
+    /// name keeps what it had, and every set is ascending.
+    fn reseed_and_check(msys: &mut MessagingBristleSystem, after: &str) {
+        let before = monitored_sets(msys);
+        msys.seed_monitors();
+        let oracle = wanted_oracle(msys);
+        let now = monitored_sets(msys);
+        assert!(!oracle.is_empty());
+        for (watcher, peers) in &oracle {
+            let peers: Vec<Key> = peers.iter().copied().collect();
+            assert_eq!(now.get(watcher), Some(&peers), "after {after}: watcher {watcher}");
+        }
+        for (key, set) in &now {
+            assert!(set.windows(2).all(|w| w[0] < w[1]), "after {after}: {key} unsorted");
+            if !oracle.contains_key(key) {
+                assert_eq!(before.get(key), Some(set), "after {after}: bystander {key} edited");
+            }
+        }
+        // A second seeding finds nothing to do.
+        msys.seed_monitors();
+        assert_eq!(monitored_sets(msys), now, "after {after}: seeding is not idempotent");
+    }
+
+    fn seeding_matches_oracle_through_churn(seed: u64) {
+        let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::lossy(0.02), seed);
+        let mobiles: Vec<Key> = msys.sys.mobile_keys().to_vec();
+        let stationary: Vec<Key> = msys.sys.stationary_keys().to_vec();
+        reseed_and_check(&mut msys, "build");
+
+        msys.sys.move_node(mobiles[1], None).expect("mover is live");
+        reseed_and_check(&mut msys, "move");
+
+        let victim = mobiles[3];
+        msys.fail_silently(victim);
+        reseed_and_check(&mut msys, "fail_silently");
+        assert!(!msys.has_machine(victim), "a failed node never watches");
+        assert!(
+            monitored_sets(&msys).values().any(|set| set.contains(&victim)),
+            "a failed node stays watched"
+        );
+
+        msys.leave(stationary[5]).expect("leaver is known");
+        reseed_and_check(&mut msys, "leave");
+        assert!(monitored_sets(&msys).values().all(|set| !set.contains(&stationary[5])));
+
+        msys.register(stationary[0], mobiles[1]).expect("registration completes");
+        msys.register(mobiles[2], mobiles[1]).expect("registration completes");
+        reseed_and_check(&mut msys, "register");
+        let set = monitored_sets(&msys);
+        assert!(
+            set[&mobiles[1]].contains(&stationary[0]) && set[&stationary[0]].contains(&mobiles[1])
+        );
+
+        let mut confirmed = false;
+        for _ in 0..8 {
+            if msys.heartbeat_round().contains(&victim) {
+                confirmed = true;
+                break;
+            }
+            msys.sys.tick(1);
+        }
+        assert!(confirmed, "seed {seed}: the crash was never detected");
+        msys.confirm_and_heal(victim).expect("victim is known");
+        reseed_and_check(&mut msys, "confirm_and_heal");
+        assert!(monitored_sets(&msys).values().all(|set| !set.contains(&victim)));
+
+        let report = msys.crash_restart(victim).expect("victim restarts");
+        assert!(report.restored);
+        reseed_and_check(&mut msys, "crash_restart");
+        assert!(!monitored_sets(&msys)[&victim].is_empty(), "the restarted node watches again");
+    }
+
+    #[test]
+    fn seeding_matches_oracle_through_churn_seed_a() {
+        seeding_matches_oracle_through_churn(8);
+    }
+
+    #[test]
+    fn seeding_matches_oracle_through_churn_seed_b() {
+        seeding_matches_oracle_through_churn(27);
+    }
+
+    /// A restarted process numbers its frames from 0 again; they are new
+    /// frames, not retransmissions of its previous life's.
+    #[test]
+    fn restarted_node_first_route_meters_no_spurious_retry() {
+        for seed in [8u64, 27] {
+            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+            let mobiles: Vec<Key> = msys.sys.mobile_keys().to_vec();
+            let (victim, target) = (mobiles[0], mobiles[1]);
+            // First life: the victim's frames 0.. are delivered and recorded.
+            msys.route(victim, target).expect("clean route");
+            msys.settle();
+            msys.seed_monitors();
+            msys.fail_silently(victim);
+            let mut confirmed = false;
+            for _ in 0..8 {
+                if msys.heartbeat_round().contains(&victim) {
+                    confirmed = true;
+                    break;
+                }
+                msys.sys.tick(1);
+            }
+            assert!(confirmed, "seed {seed}: the crash was never detected");
+            msys.confirm_and_heal(victim).expect("victim is known");
+            assert!(msys.crash_restart(victim).expect("victim restarts").restored);
+            msys.settle();
+            let before = msys.sys.meter.count(MessageKind::SpuriousRetry);
+            msys.route(victim, target).expect("clean route after restart");
+            msys.settle();
+            assert_eq!(
+                msys.sys.meter.count(MessageKind::SpuriousRetry) - before,
+                0,
+                "seed {seed}: a perfect transport retransmits nothing"
+            );
+        }
+    }
+
+    /// `route_burst` as it was: one `take_route_completion` per open
+    /// session per event.
+    fn route_burst_reference(
+        msys: &mut MessagingBristleSystem,
+        pairs: &[(Key, Key)],
+    ) -> Vec<Result<MessagingRouteReport, MessagingError>> {
+        let mut results: Vec<Option<Result<MessagingRouteReport, MessagingError>>> =
+            vec![None; pairs.len()];
+        let mut sessions: Vec<Option<(Key, u64, SimTime)>> = Vec::new();
+        for (i, &(src, target)) in pairs.iter().enumerate() {
+            if msys.sys.node_info(src).is_err() || msys.failed.contains(&src) {
+                results[i] = Some(Err(MessagingError::UnknownNode(src)));
+                sessions.push(None);
+                continue;
+            }
+            let now = msys.queue.now();
+            let (route_id, out) = {
+                let machine = machine_entry(
+                    &mut msys.ids,
+                    &mut msys.machines,
+                    src,
+                    msys.policy,
+                    msys.failure_policy,
+                    msys.rto,
+                );
+                let mut env = SystemEnv {
+                    sys: &mut msys.sys,
+                    tombstones: &msys.tombstones,
+                    obs: &mut msys.obs,
+                    auth: msys.auth,
+                    degraded: &msys.degraded,
+                };
+                machine.start_route(now, &mut env, target)
+            };
+            msys.dispatch(src, out);
+            sessions.push(Some((src, route_id, now)));
+        }
+        let mut events = 0u64;
+        loop {
+            let mut open = 0usize;
+            for (i, session) in sessions.iter().enumerate() {
+                let Some((src, route_id, started)) = *session else { continue };
+                if results[i].is_some() {
+                    continue;
+                }
+                match msys.take_route_completion(src, route_id) {
+                    Ok(Some(done)) => {
+                        msys.obs.route_latency.record(done.since(started));
+                        results[i] =
+                            Some(Ok(MessagingRouteReport { route_id, delivered_at: done, events }));
+                    }
+                    Ok(None) => open += 1,
+                    Err(e) => results[i] = Some(Err(e)),
+                }
+            }
+            if open == 0 || events >= MAX_EVENTS_PER_OP || !msys.step() {
+                break;
+            }
+            events += 1;
+        }
+        results.into_iter().map(|r| r.unwrap_or(Err(MessagingError::Stalled))).collect()
+    }
+
+    /// Bursts on twin systems — duplicates and loss on the wire, an
+    /// unknown source, a repeated pair, stale completions left in the
+    /// buffer between bursts — must agree position by position, and
+    /// leave the same completions, tallies and latency histogram behind.
+    #[test]
+    fn route_burst_matches_per_session_scan() {
+        for seed in [8u64, 27] {
+            let faults = FaultConfig {
+                drop_probability: 0.15,
+                duplicate_probability: 0.3,
+                min_latency: 1,
+                jitter: 7,
+            };
+            let mut a = MessagingBristleSystem::new(build(seed), faults.clone(), seed);
+            let mut b = MessagingBristleSystem::new(build(seed), faults, seed);
+            let mut keys: Vec<Key> = a.sys.mobile.keys().collect();
+            keys.sort_unstable();
+            let mut rng = bristle_netsim::rng::Pcg64::seed_from_u64(seed);
+            for burst in 0..6 {
+                let mut pairs: Vec<(Key, Key)> = (0..24)
+                    .map(|_| (*rng.choose(&keys), *rng.choose(&keys)))
+                    .filter(|(s, t)| s != t)
+                    .collect();
+                pairs.push((Key(0xDEAD_0000_0000_0001), keys[0]));
+                pairs.push(pairs[0]);
+                let got = a.route_burst(&pairs);
+                let want = route_burst_reference(&mut b, &pairs);
+                assert_eq!(got, want, "seed {seed} burst {burst}");
+                assert_eq!(a.completions, b.completions, "seed {seed} burst {burst}: leftovers");
+                assert!(got.iter().any(|r| r.is_ok()));
+                // Callers that do not settle leave completions behind.
+                if burst % 2 == 1 {
+                    a.settle();
+                    b.settle();
+                }
+            }
+            assert_eq!(a.transport.trace_bytes(), b.transport.trace_bytes());
+            assert_eq!(a.obs.route_latency.snapshot(), b.obs.route_latency.snapshot());
+            for &kind in bristle_overlay::meter::ALL_KINDS.iter() {
+                assert_eq!(a.sys.meter.count(kind), b.sys.meter.count(kind), "{kind:?}");
+            }
+        }
     }
 }

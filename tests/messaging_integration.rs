@@ -166,6 +166,13 @@ fn same_seed_produces_identical_transport_trace() {
     let b = run(7);
     assert!(!a.is_empty(), "the run must actually send messages");
     assert_eq!(a, b, "same seed must replay byte-identically");
+    // The canonical bytes are a contract, not a view of `TraceRecord`'s
+    // memory layout: pinned (FNV-1a) to what this scenario serialized to
+    // when `arrivals` was still a heap `Vec`.
+    let fnv = a.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &x| {
+        (h ^ u64::from(x)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!((a.len(), fnv), (973, 0xffc4_a351_ae8a_7da7), "trace_bytes changed");
     let c = run(8);
     assert_ne!(a, c, "a different fault seed must perturb the trace");
 }
