@@ -463,81 +463,10 @@ impl SocketDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
-    use bristle_netsim::graph::RouterId;
-    use bristle_overlay::meter::Meter;
     use bristle_proto::machine::RetryPolicy;
-    use bristle_proto::wire::{WireAddr, WireMessage};
-
-    /// A fixed little world, modeled on the machine tests' MockEnv.
-    #[derive(Default)]
-    struct MiniEnv {
-        mobile_hops: HashMap<(Key, Key), Key>,
-        stat_hops: HashMap<(Key, Key), Key>,
-        mobile: HashSet<Key>,
-        addrs: HashMap<Key, WireAddr>,
-        valid: HashSet<(u32, u64)>,
-        believed: HashMap<(Key, Key), WireAddr>,
-        records: HashMap<(Key, Key), WireAddr>,
-        replica_sets: HashMap<Key, Vec<Key>>,
-        entries: HashMap<Key, Key>,
-        meter: Meter,
-    }
-
-    impl MiniEnv {
-        fn with_node(mut self, key: Key, host: u32, router: u32) -> Self {
-            self.addrs.insert(key, WireAddr { host, router, epoch: 0 });
-            self.valid.insert((host, 0));
-            self.entries.insert(key, key);
-            self
-        }
-    }
-
-    impl NodeEnv for MiniEnv {
-        fn next_hop_mobile(&self, cur: Key, target: Key) -> Option<Key> {
-            self.mobile_hops.get(&(cur, target)).copied()
-        }
-        fn next_hop_stationary(&self, cur: Key, target: Key) -> Option<Key> {
-            self.stat_hops.get(&(cur, target)).copied()
-        }
-        fn is_mobile(&self, key: Key) -> bool {
-            self.mobile.contains(&key)
-        }
-        fn entry_stationary(&self, from: Key) -> Key {
-            self.entries[&from]
-        }
-        fn replicas(&self, subject: Key) -> Vec<Key> {
-            self.replica_sets.get(&subject).cloned().unwrap_or_default()
-        }
-        fn current_addr(&self, key: Key) -> WireAddr {
-            self.addrs[&key]
-        }
-        fn addr_current(&self, addr: WireAddr) -> bool {
-            self.valid.contains(&(addr.host, addr.epoch))
-        }
-        fn believed_addr(&self, holder: Key, subject: Key) -> Option<WireAddr> {
-            self.believed.get(&(holder, subject)).copied()
-        }
-        fn location_record(&self, holder: Key, subject: Key) -> Option<WireAddr> {
-            self.records.get(&(holder, subject)).copied()
-        }
-        fn distance(&self, a: RouterId, b: RouterId) -> u64 {
-            (a.0 as i64 - b.0 as i64).unsigned_abs()
-        }
-        fn meter(&mut self, kind: MessageKind, cost: u64) {
-            self.meter.record(kind, cost);
-        }
-        fn bump(&mut self, kind: MessageKind) {
-            self.meter.bump(kind, 1);
-        }
-        fn commit_resolution(&mut self, asker: Key, subject: Key, addr: WireAddr) {
-            self.believed.insert((asker, subject), addr);
-        }
-        fn apply_update(&mut self, _receiver: Key, _subject: Key, _addr: WireAddr, _seq: u64) {}
-        fn apply_register(&mut self, _target: Key, _who: Key, _capacity: u32) {}
-        fn commit_register(&mut self, _who: Key, _target: Key) {}
-    }
+    use bristle_proto::testenv::MockEnv;
+    use bristle_proto::wire::WireMessage;
 
     const A: Key = Key(10);
     const B: Key = Key(20);
@@ -556,7 +485,7 @@ mod tests {
 
     #[test]
     fn route_over_loopback_sockets_delivers() {
-        let mut env = MiniEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
         env.mobile_hops.insert((A, B), B);
         let mut d = fast_driver();
         d.bind_node(A, env.addrs[&A], ProtoMachine::new(A, policy())).unwrap();
@@ -582,7 +511,7 @@ mod tests {
 
     #[test]
     fn hostile_datagrams_are_dropped_and_metered() {
-        let mut env = MiniEnv::default().with_node(A, 1, 1);
+        let mut env = MockEnv::default().with_node(A, 1, 1);
         let mut d = fast_driver();
         let ep = d.bind_node(A, env.addrs[&A], ProtoMachine::new(A, policy())).unwrap();
         let attacker = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
@@ -616,7 +545,7 @@ mod tests {
 
     #[test]
     fn stale_addresses_are_blackholed_at_send() {
-        let mut env = MiniEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
         env.mobile_hops.insert((A, B), B);
         let mut d = fast_driver();
         d.bind_node(A, env.addrs[&A], ProtoMachine::new(A, policy())).unwrap();
@@ -634,7 +563,7 @@ mod tests {
 
     #[test]
     fn retry_ladder_runs_on_fast_forward_not_wall_time() {
-        let mut env = MiniEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
         // A non-mobile next hop: exhaustion fails the route outright
         // (no stationary-layer rediscovery to fall back to).
         env.mobile_hops.insert((A, B), B);
@@ -663,8 +592,8 @@ mod tests {
 
     /// Keys `1..=n`, node `i` hosted on router `i`, all bound to one
     /// driver (node `i` at index `i - 1`). Returns the endpoints too.
-    fn population(n: u32) -> (MiniEnv, SocketDriver, Vec<SocketAddr>) {
-        let mut env = MiniEnv::default();
+    fn population(n: u32) -> (MockEnv, SocketDriver, Vec<SocketAddr>) {
+        let mut env = MockEnv::default();
         let mut d = fast_driver();
         let mut endpoints = Vec::new();
         for i in 1..=n {
@@ -677,7 +606,7 @@ mod tests {
     }
 
     /// Teaches `env` the mobile-layer path `path[0] → … → path.last()`.
-    fn lay_path(env: &mut MiniEnv, path: &[Key]) {
+    fn lay_path(env: &mut MockEnv, path: &[Key]) {
         let target = *path.last().unwrap();
         for hop in path.windows(2) {
             env.mobile_hops.insert((hop[0], target), hop[1]);
@@ -686,7 +615,7 @@ mod tests {
 
     /// Routes `src → target` and runs until the terminus reports it,
     /// draining the completions as a caller would.
-    fn route(d: &mut SocketDriver, env: &mut MiniEnv, src: Key, target: Key) {
+    fn route(d: &mut SocketDriver, env: &mut MockEnv, src: Key, target: Key) {
         let now = d.now();
         let (route_id, out) = d.machine_mut(src).unwrap().start_route(now, env, target);
         d.dispatch(src, out, env).unwrap();
@@ -833,7 +762,7 @@ mod tests {
 
     #[test]
     fn datagrams_read_in_the_grace_window_all_count() {
-        let mut env = MiniEnv::default().with_node(A, 1, 1);
+        let mut env = MockEnv::default().with_node(A, 1, 1);
         let mut d = fast_driver();
         d.set_grace(Duration::from_millis(300));
         let ep = d.bind_node(A, env.addrs[&A], ProtoMachine::new(A, policy())).unwrap();

@@ -1,9 +1,7 @@
 //! Property-style tests of the topology generator and shortest paths.
 //!
-//! The always-on tests drive each invariant with seeded [`Pcg64`]
-//! sampling (offline-safe). The original `proptest` versions live in the
-//! gated module at the bottom; enabling the `proptest` feature requires
-//! restoring the proptest dev-dependency.
+//! Each invariant is driven with seeded [`Pcg64`] sampling: offline-safe,
+//! and a failure reproduces from its seed.
 
 use std::sync::Arc;
 
@@ -95,86 +93,5 @@ fn movement_epochs_strictly_increase_seeded() {
             last_epoch = a.epoch;
         }
         assert_eq!(map.total_moves(), moves as u64);
-    }
-}
-
-#[cfg(feature = "proptest")]
-mod proptest_based {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn config_strategy() -> impl Strategy<Value = TransitStubConfig> {
-        (1usize..=3, 1usize..=3, 1usize..=3, 1usize..=6).prop_map(|(td, rpt, spt, rps)| {
-            TransitStubConfig {
-                transit_domains: td,
-                routers_per_transit: rpt,
-                stubs_per_transit_router: spt,
-                routers_per_stub: rps,
-                ..TransitStubConfig::tiny()
-            }
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(40))]
-
-        #[test]
-        fn generated_topologies_always_connected(cfg in config_strategy(), seed: u64) {
-            let mut rng = Pcg64::seed_from_u64(seed);
-            let topo = TransitStubTopology::generate(&cfg, &mut rng);
-            prop_assert_eq!(topo.router_count(), cfg.total_routers());
-            prop_assert!(topo.graph().is_connected());
-            // Every stub router is reachable from router 0 with finite cost.
-            let d = single_source(topo.graph(), bristle_netsim::graph::RouterId(0));
-            prop_assert!(d.iter().all(|&x| x != UNREACHABLE));
-        }
-
-        #[test]
-        fn stub_transit_partition_is_exact(cfg in config_strategy(), seed: u64) {
-            let mut rng = Pcg64::seed_from_u64(seed);
-            let topo = TransitStubTopology::generate(&cfg, &mut rng);
-            let transit_expected = cfg.transit_domains * cfg.routers_per_transit;
-            let stub_expected = transit_expected * cfg.stubs_per_transit_router * cfg.routers_per_stub;
-            let (mut transit, mut stub) = (0, 0);
-            for r in topo.graph().vertices() {
-                match topo.kind(r) {
-                    RouterKind::Transit { .. } => transit += 1,
-                    RouterKind::Stub { .. } => stub += 1,
-                }
-            }
-            prop_assert_eq!(transit, transit_expected);
-            prop_assert_eq!(stub, stub_expected);
-            prop_assert_eq!(topo.stub_routers().len(), stub_expected);
-        }
-
-        #[test]
-        fn distance_cache_always_agrees_with_dijkstra(cfg in config_strategy(), seed: u64, probes in prop::collection::vec((any::<u32>(), any::<u32>()), 1..12)) {
-            let mut rng = Pcg64::seed_from_u64(seed);
-            let topo = TransitStubTopology::generate(&cfg, &mut rng);
-            let n = topo.router_count() as u32;
-            let graph = Arc::new(topo.into_graph());
-            let cache = DistanceCache::new(Arc::clone(&graph), 3); // tiny: force eviction
-            for (a, b) in probes {
-                let (a, b) = (bristle_netsim::graph::RouterId(a % n), bristle_netsim::graph::RouterId(b % n));
-                let expect = single_source(&graph, a)[b.index()];
-                prop_assert_eq!(cache.distance(a, b), expect);
-            }
-        }
-
-        #[test]
-        fn movement_epochs_strictly_increase(seed: u64, moves in 1usize..20) {
-            let mut rng = Pcg64::seed_from_u64(seed);
-            let topo = TransitStubTopology::generate(&TransitStubConfig::tiny(), &mut rng);
-            let stubs = topo.stub_routers().to_vec();
-            let mut map = AttachmentMap::new();
-            let h = map.attach_new(stubs[0]);
-            let mut last_epoch = map.current(h).epoch;
-            for _ in 0..moves {
-                let a = map.move_host_random(h, &stubs, &mut rng);
-                prop_assert!(a.epoch > last_epoch);
-                last_epoch = a.epoch;
-            }
-            prop_assert_eq!(map.total_moves(), moves as u64);
-        }
     }
 }

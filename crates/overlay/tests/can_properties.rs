@@ -2,10 +2,8 @@
 //! uniqueness, routing convergence, and takeover correctness under
 //! arbitrary join/leave interleavings.
 //!
-//! The always-on tests drive each invariant with seeded [`Pcg64`]
-//! sampling (offline-safe). The original `proptest` versions live in the
-//! gated module at the bottom; enabling the `proptest` feature requires
-//! restoring the proptest dev-dependency.
+//! Each invariant is driven with seeded [`Pcg64`] sampling: offline-safe,
+//! and a failure reproduces from its seed.
 
 use bristle_netsim::attach::HostId;
 use bristle_netsim::rng::Pcg64;
@@ -123,72 +121,6 @@ fn point_derivation_is_deterministic_and_spread_seeded() {
             // Coordinates decorrelate: equal coordinates are astronomically
             // unlikely for the avalanche expansion.
             assert_ne!(a[0], a[1]);
-        }
-    }
-}
-
-#[cfg(feature = "proptest")]
-mod proptest_based {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// An interleaving of joins (true) and leaves (false).
-    fn op_sequence() -> impl Strategy<Value = Vec<bool>> {
-        prop::collection::vec(prop::bool::weighted(0.7), 1..60)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn torus_always_fully_tiled(dims in 1usize..=3, seed: u64, ops in op_sequence()) {
-            let can = apply_ops(dims, seed, &ops);
-            prop_assert!(can.covers_torus(), "coverage broken after {} ops", ops.len());
-        }
-
-        #[test]
-        fn ownership_is_unique(dims in 1usize..=3, seed: u64, ops in op_sequence(), probes in prop::collection::vec(any::<u64>(), 1..8)) {
-            let can = apply_ops(dims, seed, &ops);
-            for probe in probes {
-                let p = point_of_key(Key(probe), dims);
-                let owners = can.iter().filter(|n| n.zones.iter().any(|z| z.contains(&p))).count();
-                prop_assert_eq!(owners, 1, "point must have exactly one owner");
-            }
-        }
-
-        #[test]
-        fn routes_always_reach_the_owner(dims in 2usize..=3, seed: u64, ops in op_sequence(), probe: u64) {
-            let can = apply_ops(dims, seed, &ops);
-            let members: Vec<Key> = can.iter().map(|n| n.key).collect();
-            prop_assume!(!members.is_empty());
-            let src = members[probe as usize % members.len()];
-            let hops = can.route(src, Key(probe)).expect("route");
-            let terminus = hops.last().copied().unwrap_or(src);
-            prop_assert_eq!(Some(terminus), can.owner(Key(probe)));
-            prop_assert!(hops.len() <= members.len(), "greedy routes never revisit");
-        }
-
-        #[test]
-        fn neighbor_symmetry_holds(dims in 1usize..=3, seed: u64, ops in op_sequence()) {
-            let can = apply_ops(dims, seed, &ops);
-            for n in can.iter() {
-                for other in &n.neighbors {
-                    let back = can.node(*other).expect("neighbor exists");
-                    prop_assert!(back.neighbors.contains(&n.key));
-                }
-            }
-        }
-
-        #[test]
-        fn point_derivation_is_deterministic_and_spread(key: u64, dims in 1usize..=MAX_DIMS) {
-            let a = point_of_key(Key(key), dims);
-            let b = point_of_key(Key(key), dims);
-            prop_assert_eq!(a, b);
-            if dims >= 2 {
-                // Coordinates decorrelate: equal coordinates are astronomically
-                // unlikely for the avalanche expansion.
-                prop_assert_ne!(a[0], a[1]);
-            }
         }
     }
 }

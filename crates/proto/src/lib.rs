@@ -16,6 +16,8 @@ pub mod ledger;
 pub mod machine;
 pub mod mix;
 pub mod rto;
+#[doc(hidden)]
+pub mod testenv;
 pub mod transport;
 pub mod wire;
 

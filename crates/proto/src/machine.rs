@@ -16,7 +16,21 @@
 //! function-call path in `bristle-core` exactly; acks and the probe-miss
 //! notice are unmetered control traffic that only exists because a
 //! message, unlike a function call, can fail to return.
+//!
+//! Everything that leaves a machine goes through one send path. One
+//! frame builder allocates the `msg_id`, meters the cost and seals the
+//! frame; one table, keyed by that `msg_id`, holds every frame awaiting
+//! an ack — a route hop (paper Fig. 2), an LDT `Update` to a child
+//! (§2.3.1, Fig. 4), a `Register` at a mobile target — because the
+//! three are one exchange: send, await the ack, retransmit with
+//! backoff, give up after `max_attempts`. A session records what it
+//! carries only for the three things that differ (what a
+//! retransmission meters, which timer re-arms it, what exhaustion
+//! means) and is closed only by its own kind of ack from the peer the
+//! frame went to. Discoveries keep their own table: their ids come from
+//! a different counter, one that travels on the wire.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 use bristle_core::auth::{AuthDomain, AuthError, VerifyPolicy};
@@ -334,18 +348,77 @@ struct ParkedForward {
     trace: u64,
 }
 
+/// What a reliable exchange carries — the only thing the paper's three
+/// send-await-retransmit exchanges differ in.
+#[derive(Debug, Clone, Copy)]
+enum SessionKind {
+    /// A route hop to the next mobile-layer peer (paper Fig. 2).
+    Hop {
+        origin: Key,
+        route_id: u64,
+        target: Key,
+        /// Whether this forward already failed once and was re-resolved;
+        /// a second failure is final.
+        after_failure: bool,
+    },
+    /// An LDT `Update` to a child (§2.3.1, Fig. 4).
+    Update,
+    /// A `Register` at a mobile target.
+    Register,
+}
+
+impl SessionKind {
+    /// What every transmission of the frame, first or repeated, meters.
+    fn metered(self) -> MessageKind {
+        match self {
+            SessionKind::Hop { .. } => MessageKind::RouteHop,
+            SessionKind::Update => MessageKind::Update,
+            SessionKind::Register => MessageKind::Register,
+        }
+    }
+
+    /// The timer that guards the ack window of session `msg_id`.
+    fn timer(self, msg_id: u64) -> TimerKind {
+        match self {
+            SessionKind::Hop { .. } => TimerKind::HopRetry { msg_id },
+            SessionKind::Update => TimerKind::UpdateRetry { msg_id },
+            SessionKind::Register => TimerKind::RegisterRetry { msg_id },
+        }
+    }
+
+    /// The name timeouts of this exchange are observed under.
+    fn what(self) -> &'static str {
+        match self {
+            SessionKind::Hop { .. } => "hop",
+            SessionKind::Update => "update",
+            SessionKind::Register => "register",
+        }
+    }
+
+    /// Whether `ack` is the acknowledgement this exchange awaits.
+    fn acked_by(self, ack: &WireMessage) -> bool {
+        matches!(
+            (self, ack),
+            (SessionKind::Hop { .. }, WireMessage::HopAck { .. })
+                | (SessionKind::Update, WireMessage::UpdateAck { .. })
+                | (SessionKind::Register, WireMessage::RegisterAck { .. })
+        )
+    }
+}
+
+/// One frame awaiting its ack: sent, retransmitted with backoff, given
+/// up on after `max_attempts`.
 #[derive(Debug)]
-struct HopSession {
+struct Session {
+    /// The sealed frame, retransmitted verbatim.
     out: Outgoing,
     attempt: u32,
-    next: Key,
-    origin: Key,
-    route_id: u64,
-    target: Key,
-    after_failure: bool,
+    /// The only node whose ack closes the session.
+    peer: Key,
     /// When the first copy was sent, for RTT sampling (Karn: only
     /// acks of attempt-0 frames are sampled).
     sent_at: SimTime,
+    kind: SessionKind,
 }
 
 #[derive(Debug)]
@@ -360,15 +433,6 @@ struct DiscSession {
     started: SimTime,
 }
 
-#[derive(Debug)]
-struct AckSession {
-    out: Outgoing,
-    attempt: u32,
-    peer: Key,
-    /// When the first copy was sent, for RTT sampling (Karn rule).
-    sent_at: SimTime,
-}
-
 /// One node's protocol state machine.
 #[derive(Debug)]
 pub struct ProtoMachine {
@@ -379,10 +443,11 @@ pub struct ProtoMachine {
     next_trace: u64,
     /// Receiver-side dedup: (src, msg_id) pairs already processed.
     seen: HashSet<(Key, u64)>,
-    hops: HashMap<u64, HopSession>,
+    /// Frames awaiting an ack, by the `msg_id` they were sent under.
+    sessions: HashMap<u64, Session>,
+    /// Discoveries awaiting a reply, by session id — a different
+    /// counter (`next_session`), carried on the wire, so not a `msg_id`.
     discs: HashMap<u64, DiscSession>,
-    updates: HashMap<u64, AckSession>,
-    registers: HashMap<u64, AckSession>,
     detector: FailureDetector,
     /// This node's own SWIM-style incarnation number; bumped exactly
     /// when the node learns it was suspected or declared dead.
@@ -411,10 +476,8 @@ impl ProtoMachine {
             next_session: 0,
             next_trace: 0,
             seen: HashSet::new(),
-            hops: HashMap::new(),
+            sessions: HashMap::new(),
             discs: HashMap::new(),
-            updates: HashMap::new(),
-            registers: HashMap::new(),
             detector: FailureDetector::new(FailurePolicy::default()),
             incarnation: 0,
             rto: None,
@@ -602,7 +665,7 @@ impl ProtoMachine {
 
     /// Number of in-flight sessions awaiting acks or replies.
     pub fn inflight(&self) -> usize {
-        self.hops.len() + self.discs.len() + self.updates.len() + self.registers.len()
+        self.sessions.len() + self.discs.len()
     }
 
     fn fresh_msg_id(&mut self) -> u64 {
@@ -626,21 +689,87 @@ impl ProtoMachine {
     /// sends, retransmits, acks, replies — is observed.
     fn observe_sends(&self, now: SimTime, env: &mut dyn NodeEnv, out: &Output) {
         for o in &out.outgoing {
-            env.emit(ObsEvent {
-                at: now.0,
-                trace: o.env.trace_id,
-                node: self.key,
-                kind: ObsEventKind::Send {
-                    to: o.env.dst,
-                    tag: o.env.msg.tag_name(),
-                    msg_id: o.env.msg_id,
-                },
-            });
+            let kind = ObsEventKind::Send {
+                to: o.env.dst,
+                tag: o.env.msg.tag_name(),
+                msg_id: o.env.msg_id,
+            };
+            self.note(env, now, o.env.trace_id, kind);
         }
+    }
+
+    /// Emits one structured event from this node — the only place an
+    /// [`ObsEvent`] is written.
+    fn note(&self, env: &mut dyn NodeEnv, now: SimTime, trace: u64, kind: ObsEventKind) {
+        env.emit(ObsEvent { at: now.0, trace, node: self.key, kind });
     }
 
     fn my_router(&self, env: &dyn NodeEnv) -> RouterId {
         env.current_addr(self.key).router_id()
+    }
+
+    // -----------------------------------------------------------------
+    // The send path
+    // -----------------------------------------------------------------
+
+    /// Builds one frame from this node to `dst` at `to_addr` — the only
+    /// place an [`Envelope`] is written. The `msg_id` is allocated, the
+    /// physical cost metered as `metered` (`None` for acks and the other
+    /// unmetered control traffic) and the signer's trailer applied here,
+    /// once, *before* [`Self::send_reliable`] clones the frame into a
+    /// session: a retransmission is the stored frame, id and tag
+    /// included.
+    fn frame(
+        &mut self,
+        env: &mut dyn NodeEnv,
+        dst: Key,
+        to_addr: WireAddr,
+        trace: u64,
+        msg: WireMessage,
+        metered: Option<MessageKind>,
+    ) -> Outgoing {
+        if let Some(kind) = metered {
+            let cost = env.distance(self.my_router(env), to_addr.router_id());
+            env.meter(kind, cost);
+        }
+        let msg_id = self.fresh_msg_id();
+        let mut envelope =
+            Envelope { src: self.key, dst, msg_id, trace_id: trace, msg, auth: None };
+        Self::seal(env, &mut envelope);
+        Outgoing { to_addr, env: envelope }
+    }
+
+    /// Queues one fire-and-forget frame to `dst` at its current address.
+    fn post(
+        &mut self,
+        env: &mut dyn NodeEnv,
+        out: &mut Output,
+        dst: Key,
+        trace: u64,
+        msg: WireMessage,
+        metered: Option<MessageKind>,
+    ) {
+        let to_addr = env.current_addr(dst);
+        out.outgoing.push(self.frame(env, dst, to_addr, trace, msg, metered));
+    }
+
+    /// Opens a reliable exchange with the peer `frame` is addressed to:
+    /// the frame is sent, a copy kept under its `msg_id` for
+    /// retransmission, and the first ack window armed.
+    /// [`Self::on_ack`] closes the session, [`Self::retry`] retransmits
+    /// it or gives up.
+    fn send_reliable(
+        &mut self,
+        now: SimTime,
+        out: &mut Output,
+        frame: Outgoing,
+        kind: SessionKind,
+    ) {
+        let (msg_id, peer) = (frame.env.msg_id, frame.env.dst);
+        out.outgoing.push(frame.clone());
+        self.sessions.insert(msg_id, Session { out: frame, attempt: 0, peer, sent_at: now, kind });
+        let wait = self.ack_timeout_for(peer);
+        out.timers.push(Timer { at: now.plus(wait), kind: kind.timer(msg_id) });
     }
 
     // -----------------------------------------------------------------
@@ -672,8 +801,8 @@ impl ProtoMachine {
     /// Must run *before* the envelope is cloned into a retry session so
     /// retransmits carry the tag too.
     fn seal(env: &dyn NodeEnv, envelope: &mut Envelope) {
-        let Some(domain) = env.auth_domain() else { return };
-        if let Some(signer) = Self::signer_of(envelope.src, &envelope.msg) {
+        let Some(signer) = Self::signer_of(envelope.src, &envelope.msg) else { return };
+        if let Some(domain) = env.auth_domain() {
             envelope.auth = Some(domain.sign(signer, envelope.msg.auth_digest()));
         }
     }
@@ -710,17 +839,13 @@ impl ProtoMachine {
         let Err(reason) = Self::check_frame(env, envelope) else { return true };
         env.bump(MessageKind::ForgedFrame);
         let dropped = policy == VerifyPolicy::Enforce;
-        env.emit(ObsEvent {
-            at: now.0,
-            trace: envelope.trace_id,
-            node: self.key,
-            kind: ObsEventKind::AuthReject {
-                from: envelope.src,
-                tag: envelope.msg.tag_name(),
-                reason: reason.name(),
-                dropped,
-            },
-        });
+        let kind = ObsEventKind::AuthReject {
+            from: envelope.src,
+            tag: envelope.msg.tag_name(),
+            reason: reason.name(),
+            dropped,
+        };
+        self.note(env, now, envelope.trace_id, kind);
         if dropped {
             env.bump(MessageKind::AuthReject);
             return false;
@@ -765,27 +890,10 @@ impl ProtoMachine {
         let mut out = Output::none();
         let trace = self.fresh_trace();
         for &child in children {
-            let msg_id = self.fresh_msg_id();
-            let wait = self.ack_timeout_for(child);
             let to_addr = env.current_addr(child);
-            let cost = env.distance(self.my_router(env), to_addr.router_id());
-            env.meter(MessageKind::Update, cost);
-            let mut envelope = Envelope {
-                src: self.key,
-                dst: child,
-                msg_id,
-                trace_id: trace,
-                msg: WireMessage::Update { subject, addr, seq },
-                auth: None,
-            };
-            Self::seal(env, &mut envelope);
-            let outgoing = Outgoing { to_addr, env: envelope };
-            out.outgoing.push(outgoing.clone());
-            self.updates.insert(
-                msg_id,
-                AckSession { out: outgoing, attempt: 0, peer: child, sent_at: now },
-            );
-            out.timers.push(Timer { at: now.plus(wait), kind: TimerKind::UpdateRetry { msg_id } });
+            let msg = WireMessage::Update { subject, addr, seq };
+            let frame = self.frame(env, child, to_addr, trace, msg, Some(MessageKind::Update));
+            self.send_reliable(now, &mut out, frame, SessionKind::Update);
         }
         self.observe_sends(now, env, &out);
         out
@@ -800,26 +908,11 @@ impl ProtoMachine {
         capacity: u32,
     ) -> Output {
         let mut out = Output::none();
-        let msg_id = self.fresh_msg_id();
         let trace = self.fresh_trace();
         let to_addr = env.current_addr(target);
-        let cost = env.distance(self.my_router(env), to_addr.router_id());
-        env.meter(MessageKind::Register, cost);
-        let mut envelope = Envelope {
-            src: self.key,
-            dst: target,
-            msg_id,
-            trace_id: trace,
-            msg: WireMessage::Register { target, capacity },
-            auth: None,
-        };
-        Self::seal(env, &mut envelope);
-        let outgoing = Outgoing { to_addr, env: envelope };
-        out.outgoing.push(outgoing.clone());
-        self.registers
-            .insert(msg_id, AckSession { out: outgoing, attempt: 0, peer: target, sent_at: now });
-        let wait = self.ack_timeout_for(target);
-        out.timers.push(Timer { at: now.plus(wait), kind: TimerKind::RegisterRetry { msg_id } });
+        let msg = WireMessage::Register { target, capacity };
+        let frame = self.frame(env, target, to_addr, trace, msg, Some(MessageKind::Register));
+        self.send_reliable(now, &mut out, frame, SessionKind::Register);
         self.observe_sends(now, env, &out);
         out
     }
@@ -835,15 +928,8 @@ impl ProtoMachine {
         kind: MessageKind,
     ) -> Output {
         let mut out = Output::none();
-        let msg_id = self.fresh_msg_id();
         let trace = self.fresh_trace();
-        let to_addr = env.current_addr(to);
-        let cost = env.distance(self.my_router(env), to_addr.router_id());
-        env.meter(kind, cost);
-        let mut envelope =
-            Envelope { src: self.key, dst: to, msg_id, trace_id: trace, msg, auth: None };
-        Self::seal(env, &mut envelope);
-        out.outgoing.push(Outgoing { to_addr, env: envelope });
+        self.post(env, &mut out, to, trace, msg, Some(kind));
         self.observe_sends(now, env, &out);
         out
     }
@@ -884,21 +970,13 @@ impl ProtoMachine {
         seq: u64,
         out: &mut Output,
     ) {
+        // Metered here rather than by the frame builder, which would
+        // look this node's own router up again for every probe.
         let to_addr = env.current_addr(peer);
         let cost = env.distance(from, to_addr.router_id());
         env.meter(MessageKind::HeartbeatSent, cost);
-        let msg_id = self.fresh_msg_id();
-        out.outgoing.push(Outgoing {
-            to_addr,
-            env: Envelope {
-                src: self.key,
-                dst: peer,
-                msg_id,
-                trace_id: 0,
-                msg: WireMessage::Heartbeat { seq, incarnation: self.incarnation },
-                auth: None,
-            },
-        });
+        let msg = WireMessage::Heartbeat { seq, incarnation: self.incarnation };
+        out.outgoing.push(self.frame(env, peer, to_addr, 0, msg, None));
     }
 
     /// Tells `to` that `suspect` has been confirmed dead at the highest
@@ -915,19 +993,8 @@ impl ProtoMachine {
         suspect: Key,
     ) -> Output {
         let mut out = Output::none();
-        let to_addr = env.current_addr(to);
-        let msg_id = self.fresh_msg_id();
         let incarnation = self.detector.incarnation_of(suspect).unwrap_or(0);
-        let mut envelope = Envelope {
-            src: self.key,
-            dst: to,
-            msg_id,
-            trace_id: 0,
-            msg: WireMessage::SuspectNotify { suspect, incarnation },
-            auth: None,
-        };
-        Self::seal(env, &mut envelope);
-        out.outgoing.push(Outgoing { to_addr, env: envelope });
+        self.post(env, &mut out, to, 0, WireMessage::SuspectNotify { suspect, incarnation }, None);
         self.observe_sends(now, env, &out);
         out
     }
@@ -996,12 +1063,7 @@ impl ProtoMachine {
     ) {
         let ParkedForward { origin, route_id, target, .. } = parked;
         let Some(next) = env.next_hop_mobile(self.key, target) else {
-            env.emit(ObsEvent {
-                at: now.0,
-                trace: parked.trace,
-                node: self.key,
-                kind: ObsEventKind::RouteDelivered { route_id },
-            });
+            self.note(env, now, parked.trace, ObsEventKind::RouteDelivered { route_id });
             out.completions.push(Completion::Delivered { origin, route_id });
             return;
         };
@@ -1040,40 +1102,11 @@ impl ProtoMachine {
         parked: ParkedForward,
         out: &mut Output,
     ) {
-        let msg_id = self.fresh_msg_id();
-        let cost = env.distance(self.my_router(env), to_addr.router_id());
-        env.meter(MessageKind::RouteHop, cost);
-        let outgoing = Outgoing {
-            to_addr,
-            env: Envelope {
-                src: self.key,
-                dst: next,
-                msg_id,
-                trace_id: parked.trace,
-                msg: WireMessage::RouteHop {
-                    origin: parked.origin,
-                    route_id: parked.route_id,
-                    target: parked.target,
-                },
-                auth: None,
-            },
-        };
-        out.outgoing.push(outgoing.clone());
-        self.hops.insert(
-            msg_id,
-            HopSession {
-                out: outgoing,
-                attempt: 0,
-                next,
-                origin: parked.origin,
-                route_id: parked.route_id,
-                target: parked.target,
-                after_failure: parked.after_failure,
-                sent_at: now,
-            },
-        );
-        let wait = self.ack_timeout_for(next);
-        out.timers.push(Timer { at: now.plus(wait), kind: TimerKind::HopRetry { msg_id } });
+        let ParkedForward { origin, route_id, target, after_failure, trace } = parked;
+        let msg = WireMessage::RouteHop { origin, route_id, target };
+        let kind = SessionKind::Hop { origin, route_id, target, after_failure };
+        let frame = self.frame(env, next, to_addr, trace, msg, Some(kind.metered()));
+        self.send_reliable(now, out, frame, kind);
     }
 
     // -----------------------------------------------------------------
@@ -1100,13 +1133,8 @@ impl ProtoMachine {
             sid,
             DiscSession { subject, attempt: 0, pending: vec![parked], trace, started: now },
         );
-        env.emit(ObsEvent {
-            at: now.0,
-            trace,
-            node: self.key,
-            kind: ObsEventKind::DiscoveryStart { subject },
-        });
-        self.emit_discovery(now, env, sid, subject, trace, out);
+        self.note(env, now, trace, ObsEventKind::DiscoveryStart { subject });
+        self.emit_discovery(env, sid, subject, trace, out);
         let wait = self.discovery_timeout_for();
         out.timers
             .push(Timer { at: now.plus(wait), kind: TimerKind::DiscoveryRetry { session: sid } });
@@ -1114,7 +1142,6 @@ impl ProtoMachine {
 
     fn emit_discovery(
         &mut self,
-        now: SimTime,
         env: &mut dyn NodeEnv,
         sid: u64,
         subject: Key,
@@ -1126,28 +1153,11 @@ impl ProtoMachine {
             // We are our own entry point: run the first stationary step
             // locally, exactly as the function path skips the injection
             // hop when `entry == from`.
-            self.handle_discovery(now, env, subject, self.key, sid, None, trace, out);
+            self.handle_discovery(env, subject, self.key, sid, None, trace, out);
         } else {
-            let to_addr = env.current_addr(entry);
-            let cost = env.distance(self.my_router(env), to_addr.router_id());
-            env.meter(MessageKind::DiscoveryHop, cost);
-            let msg_id = self.fresh_msg_id();
-            out.outgoing.push(Outgoing {
-                to_addr,
-                env: Envelope {
-                    src: self.key,
-                    dst: entry,
-                    msg_id,
-                    trace_id: trace,
-                    msg: WireMessage::Discovery {
-                        subject,
-                        asker: self.key,
-                        session: sid,
-                        probe: None,
-                    },
-                    auth: None,
-                },
-            });
+            let msg =
+                WireMessage::Discovery { subject, asker: self.key, session: sid, probe: None };
+            self.post(env, out, entry, trace, msg, Some(MessageKind::DiscoveryHop));
         }
     }
 
@@ -1156,7 +1166,6 @@ impl ProtoMachine {
     #[allow(clippy::too_many_arguments)]
     fn handle_discovery(
         &mut self,
-        now: SimTime,
         env: &mut dyn NodeEnv,
         subject: Key,
         asker: Key,
@@ -1165,30 +1174,12 @@ impl ProtoMachine {
         trace: u64,
         out: &mut Output,
     ) {
-        let _ = now;
+        let hop = |probe| WireMessage::Discovery { subject, asker, session: sid, probe };
+        let metered = Some(MessageKind::DiscoveryHop);
         match probe {
             None => {
                 if let Some(nh) = env.next_hop_stationary(self.key, subject) {
-                    let to_addr = env.current_addr(nh);
-                    let cost = env.distance(self.my_router(env), to_addr.router_id());
-                    env.meter(MessageKind::DiscoveryHop, cost);
-                    let msg_id = self.fresh_msg_id();
-                    out.outgoing.push(Outgoing {
-                        to_addr,
-                        env: Envelope {
-                            src: self.key,
-                            dst: nh,
-                            msg_id,
-                            trace_id: trace,
-                            msg: WireMessage::Discovery {
-                                subject,
-                                asker,
-                                session: sid,
-                                probe: None,
-                            },
-                            auth: None,
-                        },
-                    });
+                    self.post(env, out, nh, trace, hop(None), metered);
                     return;
                 }
                 // We own the subject's record space: the route terminus.
@@ -1200,26 +1191,7 @@ impl ProtoMachine {
                 let replicas = env.replicas(subject);
                 match replicas.iter().copied().find(|&r| r != self.key) {
                     Some(next_rep) => {
-                        let to_addr = env.current_addr(next_rep);
-                        let cost = env.distance(self.my_router(env), to_addr.router_id());
-                        env.meter(MessageKind::DiscoveryHop, cost);
-                        let msg_id = self.fresh_msg_id();
-                        out.outgoing.push(Outgoing {
-                            to_addr,
-                            env: Envelope {
-                                src: self.key,
-                                dst: next_rep,
-                                msg_id,
-                                trace_id: trace,
-                                msg: WireMessage::Discovery {
-                                    subject,
-                                    asker,
-                                    session: sid,
-                                    probe: Some(self.key),
-                                },
-                                auth: None,
-                            },
-                        });
+                        self.post(env, out, next_rep, trace, hop(Some(self.key)), metered)
                     }
                     None => self.send_reply(env, subject, sid, asker, None, trace, out),
                 }
@@ -1239,46 +1211,14 @@ impl ProtoMachine {
                     .and_then(|i| replicas.get(i + 1))
                     .copied();
                 match next {
-                    Some(r) => {
-                        let to_addr = env.current_addr(r);
-                        let cost = env.distance(self.my_router(env), to_addr.router_id());
-                        env.meter(MessageKind::DiscoveryHop, cost);
-                        let msg_id = self.fresh_msg_id();
-                        out.outgoing.push(Outgoing {
-                            to_addr,
-                            env: Envelope {
-                                src: self.key,
-                                dst: r,
-                                msg_id,
-                                trace_id: trace,
-                                msg: WireMessage::Discovery {
-                                    subject,
-                                    asker,
-                                    session: sid,
-                                    probe: Some(terminus),
-                                },
-                                auth: None,
-                            },
-                        });
-                    }
+                    Some(r) => self.post(env, out, r, trace, hop(Some(terminus)), metered),
                     None => {
                         // Chain exhausted: tell the terminus, which answers
                         // the asker itself (unmetered control notice — the
                         // function path replies from the terminus on a
                         // total miss).
-                        let to_addr = env.current_addr(terminus);
-                        let msg_id = self.fresh_msg_id();
-                        out.outgoing.push(Outgoing {
-                            to_addr,
-                            env: Envelope {
-                                src: self.key,
-                                dst: terminus,
-                                msg_id,
-                                trace_id: trace,
-                                msg: WireMessage::ProbeMiss { subject, asker, session: sid },
-                                auth: None,
-                            },
-                        });
+                        let miss = WireMessage::ProbeMiss { subject, asker, session: sid };
+                        self.post(env, out, terminus, trace, miss, None);
                     }
                 }
             }
@@ -1296,21 +1236,8 @@ impl ProtoMachine {
         trace: u64,
         out: &mut Output,
     ) {
-        let to_addr = env.current_addr(asker);
-        let cost = env.distance(self.my_router(env), to_addr.router_id());
-        env.meter(MessageKind::DiscoveryHop, cost);
-        let msg_id = self.fresh_msg_id();
-        out.outgoing.push(Outgoing {
-            to_addr,
-            env: Envelope {
-                src: self.key,
-                dst: asker,
-                msg_id,
-                trace_id: trace,
-                msg: WireMessage::DiscoveryReply { subject, session: sid, addr },
-                auth: None,
-            },
-        });
+        let reply = WireMessage::DiscoveryReply { subject, session: sid, addr };
+        self.post(env, out, asker, trace, reply, Some(MessageKind::DiscoveryHop));
     }
 
     fn finish_discovery(
@@ -1325,22 +1252,14 @@ impl ProtoMachine {
         let elapsed = now.since(session.started);
         match addr {
             Some(a) => {
-                env.emit(ObsEvent {
-                    at: now.0,
-                    trace: session.trace,
-                    node: self.key,
-                    kind: ObsEventKind::DiscoveryResolved { subject, elapsed },
-                });
+                let resolved = ObsEventKind::DiscoveryResolved { subject, elapsed };
+                self.note(env, now, session.trace, resolved);
                 env.commit_resolution(self.key, subject, a);
                 out.completions.push(Completion::Resolved { subject });
             }
             None => {
-                env.emit(ObsEvent {
-                    at: now.0,
-                    trace: session.trace,
-                    node: self.key,
-                    kind: ObsEventKind::DiscoveryFailed { subject, elapsed },
-                });
+                let failed = ObsEventKind::DiscoveryFailed { subject, elapsed };
+                self.note(env, now, session.trace, failed);
                 out.completions.push(Completion::ResolutionFailed { subject });
             }
         }
@@ -1370,41 +1289,21 @@ impl ProtoMachine {
                 let dup = !self.seen.insert((src, msg_id));
                 // Always (re-)ack, even duplicates: the original ack may
                 // have been lost. Acks are unmetered control traffic.
-                let ack_to = env.current_addr(src);
-                let ack_id = self.fresh_msg_id();
-                out.outgoing.push(Outgoing {
-                    to_addr: ack_to,
-                    env: Envelope {
-                        src: self.key,
-                        dst: src,
-                        msg_id: ack_id,
-                        trace_id: trace,
-                        msg: WireMessage::HopAck { acked: msg_id },
-                        auth: None,
-                    },
-                });
+                self.post(env, &mut out, src, trace, WireMessage::HopAck { acked: msg_id }, None);
                 if !dup {
                     let parked =
                         ParkedForward { origin, route_id, target, after_failure: false, trace };
                     self.forward_route(now, env, parked, &mut out);
                 }
             }
-            WireMessage::HopAck { acked } => {
-                if let Some(s) = self.hops.remove(&acked) {
-                    self.rtt_sample(s.next, s.attempt, now.since(s.sent_at));
-                    env.emit(ObsEvent {
-                        at: now.0,
-                        trace,
-                        node: self.key,
-                        kind: ObsEventKind::Ack { from: src, msg_id: acked },
-                    });
-                }
+            WireMessage::HopAck { acked }
+            | WireMessage::UpdateAck { acked }
+            | WireMessage::RegisterAck { acked } => {
+                self.on_ack(now, env, &envelope, acked, &mut out);
             }
             WireMessage::Discovery { subject, asker, session, probe } => {
                 if self.seen.insert((src, msg_id)) {
-                    self.handle_discovery(
-                        now, env, subject, asker, session, probe, trace, &mut out,
-                    );
+                    self.handle_discovery(env, subject, asker, session, probe, trace, &mut out);
                 }
             }
             WireMessage::DiscoveryReply { subject: _, session, addr } => {
@@ -1428,61 +1327,21 @@ impl ProtoMachine {
                 if self.seen.insert((src, msg_id)) {
                     env.apply_register(target, src, capacity);
                 }
-                let ack_to = env.current_addr(src);
-                let ack_id = self.fresh_msg_id();
-                let mut ack = Envelope {
-                    src: self.key,
-                    dst: src,
-                    msg_id: ack_id,
-                    trace_id: trace,
-                    msg: WireMessage::RegisterAck { acked: msg_id },
-                    auth: None,
-                };
-                Self::seal(env, &mut ack);
-                out.outgoing.push(Outgoing { to_addr: ack_to, env: ack });
-            }
-            WireMessage::RegisterAck { acked } => {
-                if let Some(s) = self.registers.remove(&acked) {
-                    self.rtt_sample(s.peer, s.attempt, now.since(s.sent_at));
-                    env.emit(ObsEvent {
-                        at: now.0,
-                        trace,
-                        node: self.key,
-                        kind: ObsEventKind::Ack { from: src, msg_id: acked },
-                    });
-                    env.commit_register(self.key, s.peer);
-                    out.completions.push(Completion::Registered { target: s.peer });
-                }
+                let ack = WireMessage::RegisterAck { acked: msg_id };
+                self.post(env, &mut out, src, trace, ack, None);
             }
             WireMessage::Update { subject, addr, seq } => {
                 if self.seen.insert((src, msg_id)) {
                     env.apply_update(self.key, subject, addr, seq);
                 }
-                let ack_to = env.current_addr(src);
-                let ack_id = self.fresh_msg_id();
-                out.outgoing.push(Outgoing {
-                    to_addr: ack_to,
-                    env: Envelope {
-                        src: self.key,
-                        dst: src,
-                        msg_id: ack_id,
-                        trace_id: trace,
-                        msg: WireMessage::UpdateAck { acked: msg_id },
-                        auth: None,
-                    },
-                });
-            }
-            WireMessage::UpdateAck { acked } => {
-                if let Some(s) = self.updates.remove(&acked) {
-                    self.rtt_sample(s.peer, s.attempt, now.since(s.sent_at));
-                    env.emit(ObsEvent {
-                        at: now.0,
-                        trace,
-                        node: self.key,
-                        kind: ObsEventKind::Ack { from: src, msg_id: acked },
-                    });
-                    out.completions.push(Completion::UpdateAcked { child: s.peer });
-                }
+                self.post(
+                    env,
+                    &mut out,
+                    src,
+                    trace,
+                    WireMessage::UpdateAck { acked: msg_id },
+                    None,
+                );
             }
             WireMessage::Publish { subject, addr, seq } => {
                 if self.seen.insert((src, msg_id)) {
@@ -1499,13 +1358,12 @@ impl ProtoMachine {
             WireMessage::Heartbeat { seq, incarnation } => {
                 // The probe itself is evidence of life at `incarnation`.
                 self.digest_alive(env, src, incarnation, &mut out);
-                let ack_to = env.current_addr(src);
-                let ack_id = self.fresh_msg_id();
                 let reply = if self.detector.is_dead(src) {
                     // A peer we hold dead is probing us: a zombie on the
                     // far side of a healed partition. Instead of acking,
                     // tell it about its own funeral so it can bump its
-                    // incarnation and refute.
+                    // incarnation and refute. (The obituary is a verdict
+                    // and travels sealed.)
                     WireMessage::SuspectNotify {
                         suspect: src,
                         incarnation: self.detector.incarnation_of(src).unwrap_or(0),
@@ -1516,17 +1374,7 @@ impl ProtoMachine {
                     // traffic.
                     WireMessage::HeartbeatAck { seq, incarnation: self.incarnation }
                 };
-                let mut reply = Envelope {
-                    src: self.key,
-                    dst: src,
-                    msg_id: ack_id,
-                    trace_id: trace,
-                    msg: reply,
-                    auth: None,
-                };
-                // The zombie-path obituary is a verdict and must verify.
-                Self::seal(env, &mut reply);
-                out.outgoing.push(Outgoing { to_addr: ack_to, env: reply });
+                self.post(env, &mut out, src, trace, reply, None);
             }
             WireMessage::HeartbeatAck { seq, incarnation } => {
                 self.digest_alive(env, src, incarnation, &mut out);
@@ -1550,25 +1398,15 @@ impl ProtoMachine {
                     if incarnation >= self.incarnation {
                         self.incarnation = incarnation + 1;
                     }
-                    let cost = env.distance(self.my_router(env), env.current_addr(src).router_id());
-                    env.meter(MessageKind::Refutation, cost);
-                    env.emit(ObsEvent {
-                        at: now.0,
+                    self.note(
+                        env,
+                        now,
                         trace,
-                        node: self.key,
-                        kind: ObsEventKind::Refute { incarnation: self.incarnation },
-                    });
-                    let reply_id = self.fresh_msg_id();
-                    let mut refutation = Envelope {
-                        src: self.key,
-                        dst: src,
-                        msg_id: reply_id,
-                        trace_id: trace,
-                        msg: WireMessage::Alive { node: self.key, incarnation: self.incarnation },
-                        auth: None,
-                    };
-                    Self::seal(env, &mut refutation);
-                    out.outgoing.push(Outgoing { to_addr: env.current_addr(src), env: refutation });
+                        ObsEventKind::Refute { incarnation: self.incarnation },
+                    );
+                    let alive =
+                        WireMessage::Alive { node: self.key, incarnation: self.incarnation };
+                    self.post(env, &mut out, src, trace, alive, Some(MessageKind::Refutation));
                     out.completions.push(Completion::SelfRefuted {
                         accuser: src,
                         incarnation: self.incarnation,
@@ -1596,19 +1434,7 @@ impl ProtoMachine {
                 // Always ack, even duplicates: the previous ack may have
                 // been lost and the rejoiner keeps asking until it hears
                 // one. Acks are unmetered control traffic.
-                let ack_to = env.current_addr(src);
-                let ack_id = self.fresh_msg_id();
-                out.outgoing.push(Outgoing {
-                    to_addr: ack_to,
-                    env: Envelope {
-                        src: self.key,
-                        dst: src,
-                        msg_id: ack_id,
-                        trace_id: trace,
-                        msg: WireMessage::RejoinAck { incarnation },
-                        auth: None,
-                    },
-                });
+                self.post(env, &mut out, src, trace, WireMessage::RejoinAck { incarnation }, None);
             }
             WireMessage::RejoinAck { incarnation } => {
                 if incarnation == self.incarnation {
@@ -1619,6 +1445,40 @@ impl ProtoMachine {
         out
     }
 
+    /// Closes the session `ack` names — if there is one, it awaits this
+    /// kind of ack, and the ack comes from the peer the frame was sent
+    /// to. Message ids are a per-source counter anyone can guess and
+    /// acks are unauthenticated (a `RegisterAck` is signed by whoever
+    /// sends it), so without the peer check any third party could
+    /// complete a registration the target never applied or silence a
+    /// hop's retry ladder; a mismatched ack leaves session and timer
+    /// untouched.
+    fn on_ack(
+        &mut self,
+        now: SimTime,
+        env: &mut dyn NodeEnv,
+        ack: &Envelope,
+        acked: u64,
+        out: &mut Output,
+    ) {
+        let Entry::Occupied(open) = self.sessions.entry(acked) else { return };
+        let awaited = open.get();
+        if awaited.peer != ack.src || !awaited.kind.acked_by(&ack.msg) {
+            return;
+        }
+        let Session { attempt, peer, sent_at, kind, .. } = open.remove();
+        self.rtt_sample(peer, attempt, now.since(sent_at));
+        self.note(env, now, ack.trace_id, ObsEventKind::Ack { from: peer, msg_id: acked });
+        match kind {
+            SessionKind::Hop { .. } => {}
+            SessionKind::Update => out.completions.push(Completion::UpdateAcked { child: peer }),
+            SessionKind::Register => {
+                env.commit_register(self.key, peer);
+                out.completions.push(Completion::Registered { target: peer });
+            }
+        }
+    }
+
     // -----------------------------------------------------------------
     // Timers
     // -----------------------------------------------------------------
@@ -1626,51 +1486,11 @@ impl ProtoMachine {
     fn on_timer(&mut self, now: SimTime, env: &mut dyn NodeEnv, kind: TimerKind) -> Output {
         let mut out = Output::none();
         match kind {
-            TimerKind::HopRetry { msg_id } => self.hop_retry(now, env, msg_id, &mut out),
+            TimerKind::HopRetry { msg_id }
+            | TimerKind::UpdateRetry { msg_id }
+            | TimerKind::RegisterRetry { msg_id } => self.retry(now, env, msg_id, kind, &mut out),
             TimerKind::DiscoveryRetry { session } => {
                 self.discovery_retry(now, env, session, &mut out)
-            }
-            TimerKind::UpdateRetry { msg_id } => {
-                if let Some((peer, next_attempt)) =
-                    self.updates.get(&msg_id).map(|s| (s.peer, s.attempt + 1))
-                {
-                    let wait = self.retry_wait(peer, next_attempt);
-                    Self::ack_retry(
-                        &mut self.updates,
-                        msg_id,
-                        now,
-                        env,
-                        self.policy.max_attempts,
-                        wait,
-                        MessageKind::Update,
-                        TimerKind::UpdateRetry { msg_id },
-                        self.key,
-                        "update",
-                        &mut out,
-                        |peer| Completion::UpdateFailed { child: peer },
-                    );
-                }
-            }
-            TimerKind::RegisterRetry { msg_id } => {
-                if let Some((peer, next_attempt)) =
-                    self.registers.get(&msg_id).map(|s| (s.peer, s.attempt + 1))
-                {
-                    let wait = self.retry_wait(peer, next_attempt);
-                    Self::ack_retry(
-                        &mut self.registers,
-                        msg_id,
-                        now,
-                        env,
-                        self.policy.max_attempts,
-                        wait,
-                        MessageKind::Register,
-                        TimerKind::RegisterRetry { msg_id },
-                        self.key,
-                        "register",
-                        &mut out,
-                        |peer| Completion::RegisterFailed { target: peer },
-                    );
-                }
             }
             TimerKind::HeartbeatTimeout { peer, seq } => {
                 self.heartbeat_timeout(now, env, peer, seq, &mut out)
@@ -1691,12 +1511,7 @@ impl ProtoMachine {
             TimeoutVerdict::Ignore => {}
             TimeoutVerdict::Resend { attempt } => {
                 env.bump(MessageKind::Timeout);
-                env.emit(ObsEvent {
-                    at: now.0,
-                    trace: 0,
-                    node: self.key,
-                    kind: ObsEventKind::Timeout { what: "heartbeat", attempt },
-                });
+                self.note(env, now, 0, ObsEventKind::Timeout { what: "heartbeat", attempt });
                 let from = self.my_router(env);
                 self.push_heartbeat(env, from, peer, seq, out);
                 let wait = match self.rto {
@@ -1716,27 +1531,13 @@ impl ProtoMachine {
             }
             TimeoutVerdict::Missed { transition } => {
                 env.bump(MessageKind::Timeout);
-                env.emit(ObsEvent {
-                    at: now.0,
-                    trace: 0,
-                    node: self.key,
-                    kind: ObsEventKind::Timeout {
-                        what: "heartbeat",
-                        attempt: self.detector.policy().probe_attempts,
-                    },
-                });
+                let attempt = self.detector.policy().probe_attempts;
+                self.note(env, now, 0, ObsEventKind::Timeout { what: "heartbeat", attempt });
                 match transition {
                     Some(LivenessTransition::Suspected) => {
                         env.bump(MessageKind::SuspectRaised);
-                        env.emit(ObsEvent {
-                            at: now.0,
-                            trace: 0,
-                            node: self.key,
-                            kind: ObsEventKind::Suspect {
-                                peer,
-                                incarnation: self.detector.incarnation_of(peer).unwrap_or(0),
-                            },
-                        });
+                        let incarnation = self.detector.incarnation_of(peer).unwrap_or(0);
+                        self.note(env, now, 0, ObsEventKind::Suspect { peer, incarnation });
                         out.completions.push(Completion::PeerSuspected { peer });
                     }
                     Some(LivenessTransition::ConfirmedDead) => {
@@ -1748,90 +1549,73 @@ impl ProtoMachine {
         }
     }
 
-    fn hop_retry(&mut self, now: SimTime, env: &mut dyn NodeEnv, msg_id: u64, out: &mut Output) {
-        let Some(session) = self.hops.get_mut(&msg_id) else { return };
+    /// A reliable exchange's ack window elapsed: retransmit the stored
+    /// frame and re-arm with backoff, or give up after `max_attempts`
+    /// sends. A stale timer (its session already acked) and a timer
+    /// whose variant is not the one the session armed are both ignored.
+    fn retry(
+        &mut self,
+        now: SimTime,
+        env: &mut dyn NodeEnv,
+        msg_id: u64,
+        fired: TimerKind,
+        out: &mut Output,
+    ) {
+        let Some(session) = self.sessions.get_mut(&msg_id) else { return };
+        if session.kind.timer(msg_id) != fired {
+            return;
+        }
         session.attempt += 1;
-        if session.attempt < self.policy.max_attempts {
-            let attempt = session.attempt;
-            let trace = session.out.env.trace_id;
-            env.bump(MessageKind::Timeout);
-            env.emit(ObsEvent {
-                at: now.0,
-                trace,
-                node: self.key,
-                kind: ObsEventKind::Timeout { what: "hop", attempt },
-            });
-            let session = self.hops.get(&msg_id).expect("session present");
-            let cost = env.distance(
-                env.current_addr(session.out.env.src).router_id(),
-                session.out.to_addr.router_id(),
-            );
-            env.meter(MessageKind::RouteHop, cost);
-            out.outgoing.push(session.out.clone());
-            let next = session.next;
-            let wait = match self.rto {
-                None => backoff(self.policy.ack_timeout, attempt),
-                Some(_) => {
-                    self.note_rto_timeout(next);
-                    self.ack_timeout_for(next)
-                }
-            };
-            out.timers.push(Timer { at: now.plus(wait), kind: TimerKind::HopRetry { msg_id } });
+        let (attempt, peer, kind) = (session.attempt, session.peer, session.kind);
+        let trace = session.out.env.trace_id;
+        let resend = (attempt < self.policy.max_attempts).then(|| session.out.clone());
+        env.bump(MessageKind::Timeout);
+        self.note(env, now, trace, ObsEventKind::Timeout { what: kind.what(), attempt });
+        if let Some(frame) = resend {
+            let cost = env.distance(self.my_router(env), frame.to_addr.router_id());
+            env.meter(kind.metered(), cost);
+            out.outgoing.push(frame);
+            let wait = self.retry_wait(peer, attempt);
+            out.timers.push(Timer { at: now.plus(wait), kind: fired });
             return;
         }
         // Retries exhausted.
-        let session = self.hops.remove(&msg_id).expect("session present");
-        let trace = session.out.env.trace_id;
-        env.bump(MessageKind::Timeout);
-        env.emit(ObsEvent {
-            at: now.0,
-            trace,
-            node: self.key,
-            kind: ObsEventKind::Timeout { what: "hop", attempt: session.attempt },
-        });
-        if env.is_mobile(session.next) && !session.after_failure {
-            // The peer may have moved out from under us: retry through the
-            // stationary layer (the paper's recovery path), once.
-            env.bump(MessageKind::DiscoveryRetry);
-            let parked = ParkedForward {
-                origin: session.origin,
-                route_id: session.route_id,
-                target: session.target,
-                after_failure: true,
-                trace,
-            };
-            self.start_discovery(now, env, session.next, parked, out);
-        } else {
-            env.emit(ObsEvent {
-                at: now.0,
-                trace,
-                node: self.key,
-                kind: ObsEventKind::RouteFailed { route_id: session.route_id },
-            });
-            out.completions.push(Completion::RouteFailed {
-                origin: session.origin,
-                route_id: session.route_id,
-                at: self.key,
-            });
+        self.sessions.remove(&msg_id);
+        match kind {
+            SessionKind::Hop { origin, route_id, target, after_failure } => {
+                if env.is_mobile(peer) && !after_failure {
+                    // The peer may have moved out from under us: retry
+                    // through the stationary layer (the paper's recovery
+                    // path), once.
+                    env.bump(MessageKind::DiscoveryRetry);
+                    let parked =
+                        ParkedForward { origin, route_id, target, after_failure: true, trace };
+                    self.start_discovery(now, env, peer, parked, out);
+                } else {
+                    self.note(env, now, trace, ObsEventKind::RouteFailed { route_id });
+                    out.completions.push(Completion::RouteFailed {
+                        origin,
+                        route_id,
+                        at: self.key,
+                    });
+                }
+            }
+            SessionKind::Update => out.completions.push(Completion::UpdateFailed { child: peer }),
+            SessionKind::Register => {
+                out.completions.push(Completion::RegisterFailed { target: peer })
+            }
         }
     }
 
     fn discovery_retry(&mut self, now: SimTime, env: &mut dyn NodeEnv, sid: u64, out: &mut Output) {
         let Some(session) = self.discs.get_mut(&sid) else { return };
         session.attempt += 1;
-        let subject = session.subject;
-        let trace = session.trace;
-        if session.attempt < self.policy.max_attempts {
-            let attempt = session.attempt;
-            env.bump(MessageKind::Timeout);
+        let (attempt, subject, trace) = (session.attempt, session.subject, session.trace);
+        env.bump(MessageKind::Timeout);
+        if attempt < self.policy.max_attempts {
             env.bump(MessageKind::DiscoveryRetry);
-            env.emit(ObsEvent {
-                at: now.0,
-                trace,
-                node: self.key,
-                kind: ObsEventKind::Timeout { what: "discovery", attempt },
-            });
-            self.emit_discovery(now, env, sid, subject, trace, out);
+            self.note(env, now, trace, ObsEventKind::Timeout { what: "discovery", attempt });
+            self.emit_discovery(env, sid, subject, trace, out);
             let fixed = self.policy.discovery_timeout;
             let key0 = self.key.0;
             let wait = match self.disc_est.as_mut() {
@@ -1847,162 +1631,16 @@ impl ProtoMachine {
             });
             return;
         }
-        env.bump(MessageKind::Timeout);
         let session = self.discs.remove(&sid).expect("session present");
-        env.emit(ObsEvent {
-            at: now.0,
-            trace,
-            node: self.key,
-            kind: ObsEventKind::Timeout { what: "discovery", attempt: session.attempt },
-        });
+        self.note(env, now, trace, ObsEventKind::Timeout { what: "discovery", attempt });
         self.finish_discovery(now, env, session, None, out);
-    }
-
-    /// Shared Update/Register retry step. `wait` is the pre-computed
-    /// rearm delay (fixed backoff or the peer's adaptive RTO), handed
-    /// in by the caller because computing it needs `&mut self` while
-    /// this helper holds the session table.
-    #[allow(clippy::too_many_arguments)]
-    fn ack_retry(
-        sessions: &mut HashMap<u64, AckSession>,
-        msg_id: u64,
-        now: SimTime,
-        env: &mut dyn NodeEnv,
-        max_attempts: u32,
-        wait: u64,
-        kind: MessageKind,
-        timer_kind: TimerKind,
-        node: Key,
-        what: &'static str,
-        out: &mut Output,
-        fail: impl Fn(Key) -> Completion,
-    ) {
-        let Some(session) = sessions.get_mut(&msg_id) else { return };
-        session.attempt += 1;
-        env.bump(MessageKind::Timeout);
-        env.emit(ObsEvent {
-            at: now.0,
-            trace: session.out.env.trace_id,
-            node,
-            kind: ObsEventKind::Timeout { what, attempt: session.attempt },
-        });
-        if session.attempt < max_attempts {
-            let cost = env.distance(
-                env.current_addr(session.out.env.src).router_id(),
-                session.out.to_addr.router_id(),
-            );
-            env.meter(kind, cost);
-            out.outgoing.push(session.out.clone());
-            out.timers.push(Timer { at: now.plus(wait), kind: timer_kind });
-        } else {
-            let session = sessions.remove(&msg_id).expect("session present");
-            out.completions.push(fail(session.peer));
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bristle_overlay::meter::Meter;
-
-    /// A fixed little world for machine tests.
-    #[derive(Default)]
-    struct MockEnv {
-        mobile_hops: HashMap<(Key, Key), Key>,
-        stat_hops: HashMap<(Key, Key), Key>,
-        mobile: HashSet<Key>,
-        addrs: HashMap<Key, WireAddr>,
-        valid: HashSet<(u32, u64)>,
-        believed: HashMap<(Key, Key), WireAddr>,
-        records: HashMap<(Key, Key), WireAddr>,
-        replica_sets: HashMap<Key, Vec<Key>>,
-        entries: HashMap<Key, Key>,
-        meter: Meter,
-        resolutions: Vec<(Key, Key, WireAddr)>,
-        updates: Vec<(Key, Key, u64)>,
-        registered: Vec<(Key, Key, u32)>,
-        committed: Vec<(Key, Key)>,
-        // Auth knobs; the defaults (None / Off / no staleness) are the
-        // seed deployment.
-        domain: Option<AuthDomain>,
-        vpolicy: VerifyPolicy,
-        stale_subjects: HashSet<Key>,
-    }
-
-    impl MockEnv {
-        fn with_node(mut self, key: Key, host: u32, router: u32) -> Self {
-            self.addrs.insert(key, WireAddr { host, router, epoch: 0 });
-            self.valid.insert((host, 0));
-            self.entries.insert(key, key);
-            self
-        }
-        fn mobile(mut self, key: Key) -> Self {
-            self.mobile.insert(key);
-            self
-        }
-    }
-
-    impl NodeEnv for MockEnv {
-        fn next_hop_mobile(&self, cur: Key, target: Key) -> Option<Key> {
-            self.mobile_hops.get(&(cur, target)).copied()
-        }
-        fn next_hop_stationary(&self, cur: Key, target: Key) -> Option<Key> {
-            self.stat_hops.get(&(cur, target)).copied()
-        }
-        fn is_mobile(&self, key: Key) -> bool {
-            self.mobile.contains(&key)
-        }
-        fn entry_stationary(&self, from: Key) -> Key {
-            self.entries[&from]
-        }
-        fn replicas(&self, subject: Key) -> Vec<Key> {
-            self.replica_sets.get(&subject).cloned().unwrap_or_default()
-        }
-        fn current_addr(&self, key: Key) -> WireAddr {
-            self.addrs[&key]
-        }
-        fn addr_current(&self, addr: WireAddr) -> bool {
-            self.valid.contains(&(addr.host, addr.epoch))
-        }
-        fn believed_addr(&self, holder: Key, subject: Key) -> Option<WireAddr> {
-            self.believed.get(&(holder, subject)).copied()
-        }
-        fn location_record(&self, holder: Key, subject: Key) -> Option<WireAddr> {
-            self.records.get(&(holder, subject)).copied()
-        }
-        fn distance(&self, a: RouterId, b: RouterId) -> u64 {
-            (a.0 as i64 - b.0 as i64).unsigned_abs()
-        }
-        fn meter(&mut self, kind: MessageKind, cost: u64) {
-            self.meter.record(kind, cost);
-        }
-        fn bump(&mut self, kind: MessageKind) {
-            self.meter.bump(kind, 1);
-        }
-        fn commit_resolution(&mut self, asker: Key, subject: Key, addr: WireAddr) {
-            self.resolutions.push((asker, subject, addr));
-            self.believed.insert((asker, subject), addr);
-        }
-        fn apply_update(&mut self, receiver: Key, subject: Key, _addr: WireAddr, seq: u64) {
-            self.updates.push((receiver, subject, seq));
-        }
-        fn apply_register(&mut self, target: Key, who: Key, capacity: u32) {
-            self.registered.push((target, who, capacity));
-        }
-        fn commit_register(&mut self, who: Key, target: Key) {
-            self.committed.push((who, target));
-        }
-        fn auth_domain(&self) -> Option<AuthDomain> {
-            self.domain
-        }
-        fn verify_policy(&self) -> VerifyPolicy {
-            self.vpolicy
-        }
-        fn publish_fresh(&self, subject: Key) -> bool {
-            !self.stale_subjects.contains(&subject)
-        }
-    }
+    use crate::testenv::MockEnv;
 
     const A: Key = Key(10);
     const B: Key = Key(20);
@@ -2802,6 +2440,233 @@ mod tests {
         let out = m.poll(t(100), Event::Timer(timer), &mut env);
         assert_eq!(out.outgoing.len(), 1, "retransmission");
         assert_eq!(out.timers[0].at, t(100 + 200), "Karn backoff doubled the wait");
+    }
+
+    /// The reliable exchanges, each opened at `A`: a hop to a stationary
+    /// and to a mobile peer, an update to a child, a registration.
+    #[derive(Debug, Clone, Copy)]
+    enum Exchange {
+        HopTo(Key),
+        Update,
+        Register,
+    }
+
+    const EXCHANGES: [Exchange; 4] =
+        [Exchange::HopTo(B), Exchange::HopTo(M), Exchange::Update, Exchange::Register];
+
+    /// What the one send path owes each exchange.
+    struct Expect {
+        peer: Key,
+        metered: MessageKind,
+        timer: fn(u64) -> TimerKind,
+        ack: fn(u64) -> WireMessage,
+        acked: Option<Completion>,
+        failed: Option<Completion>,
+    }
+
+    fn world() -> MockEnv {
+        let mut env =
+            MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5).with_node(M, 3, 9).mobile(M);
+        env.mobile_hops.insert((A, B), B);
+        env.mobile_hops.insert((A, M), M);
+        env.entries.insert(A, B);
+        env.believed.insert((A, M), env.current_addr(M)); // valid belief
+        env
+    }
+
+    fn open(
+        x: Exchange,
+        m: &mut ProtoMachine,
+        env: &mut MockEnv,
+        now: SimTime,
+    ) -> (Output, Expect) {
+        let hop = |peer, failed| Expect {
+            peer,
+            metered: MessageKind::RouteHop,
+            timer: |msg_id| TimerKind::HopRetry { msg_id },
+            ack: |acked| WireMessage::HopAck { acked },
+            acked: None,
+            failed,
+        };
+        match x {
+            Exchange::HopTo(peer) => {
+                let (route_id, out) = m.start_route(now, env, peer);
+                // A mobile peer is re-resolved once before the route fails.
+                let failed = Completion::RouteFailed { origin: A, route_id, at: A };
+                (out, hop(peer, (peer != M).then_some(failed)))
+            }
+            Exchange::Update => {
+                let addr = env.current_addr(A);
+                let expect = Expect {
+                    peer: B,
+                    metered: MessageKind::Update,
+                    timer: |msg_id| TimerKind::UpdateRetry { msg_id },
+                    ack: |acked| WireMessage::UpdateAck { acked },
+                    acked: Some(Completion::UpdateAcked { child: B }),
+                    failed: Some(Completion::UpdateFailed { child: B }),
+                };
+                (m.start_update(now, env, A, addr, 1, &[B]), expect)
+            }
+            Exchange::Register => {
+                let expect = Expect {
+                    peer: M,
+                    metered: MessageKind::Register,
+                    timer: |msg_id| TimerKind::RegisterRetry { msg_id },
+                    ack: |acked| WireMessage::RegisterAck { acked },
+                    acked: Some(Completion::Registered { target: M }),
+                    failed: Some(Completion::RegisterFailed { target: M }),
+                };
+                (m.start_register(now, env, M, 4), expect)
+            }
+        }
+    }
+
+    const METERED: [MessageKind; 3] =
+        [MessageKind::RouteHop, MessageKind::Update, MessageKind::Register];
+
+    /// The same lost-ack ladder over every exchange, on fixed and on
+    /// adaptive timers: one frame, retransmitted verbatim, metered as
+    /// its own kind, re-armed under its own timer, given up on after
+    /// `max_attempts` sends.
+    #[test]
+    fn lost_ack_ladder_is_one_mechanism_over_every_exchange() {
+        // Fixed: 100 << attempt. Adaptive: initial RTO 60, Karn-doubled.
+        let rto = RtoConfig { initial_rto: 60, ..small_rto() };
+        for (adaptive, waits) in [(None, [100, 200, 400]), (Some(rto), [60, 120, 240])] {
+            for x in EXCHANGES {
+                let ctx = format!("{x:?}, adaptive {}", adaptive.is_some());
+                let mut env = world();
+                let mut m = ProtoMachine::new(A, policy());
+                m.set_adaptive_rto(adaptive);
+                let (out, want) = open(x, &mut m, &mut env, t(0));
+                assert_eq!(out.outgoing.len(), 1, "{ctx}");
+                let frame = out.outgoing[0].clone();
+                assert_eq!(frame.env.dst, want.peer, "{ctx}");
+                let timer = (want.timer)(frame.env.msg_id);
+                let mut now = 0;
+                let mut armed = out.timers;
+                for (fired, wait) in waits.into_iter().enumerate() {
+                    now += wait;
+                    assert_eq!(armed, vec![Timer { at: t(now), kind: timer }], "{ctx}");
+                    assert_eq!(m.inflight(), 1, "{ctx}");
+                    let out = m.poll(t(now), Event::Timer(timer), &mut env);
+                    assert_eq!(env.meter.count(MessageKind::Timeout), fired as u64 + 1, "{ctx}");
+                    if fired < 2 {
+                        assert_eq!(out.outgoing, vec![frame.clone()], "{ctx}: verbatim");
+                        assert!(out.completions.is_empty(), "{ctx}");
+                    }
+                    armed = out.timers;
+                    if fired == 2 {
+                        // Exhausted after three sends, all metered alike.
+                        for kind in METERED {
+                            let sends = if kind == want.metered { 3 } else { 0 };
+                            assert_eq!(env.meter.count(kind), sends, "{ctx}: {kind:?}");
+                        }
+                        match want.failed {
+                            Some(failure) => {
+                                assert_eq!(out.completions, vec![failure], "{ctx}");
+                                assert!(out.outgoing.is_empty() && armed.is_empty(), "{ctx}");
+                                assert_eq!(m.inflight(), 0, "{ctx}");
+                            }
+                            None => {
+                                // The single `_discovery` fallback.
+                                assert!(out.completions.is_empty(), "{ctx}");
+                                assert!(
+                                    matches!(out.outgoing[0].env.msg, WireMessage::Discovery { subject, .. } if subject == M),
+                                    "{ctx}"
+                                );
+                                assert_eq!(
+                                    env.meter.count(MessageKind::DiscoveryRetry),
+                                    1,
+                                    "{ctx}"
+                                );
+                                assert!(
+                                    matches!(armed[0].kind, TimerKind::DiscoveryRetry { .. }),
+                                    "{ctx}"
+                                );
+                                assert_eq!(m.inflight(), 1, "{ctx}: the discovery session");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// An ack closes a session only when it is the session's kind of
+    /// ack *and* comes from the peer the frame went to; a retry timer
+    /// acts only when it is the variant the session armed. Anything else
+    /// leaves the session open and silent, the real timer still fires,
+    /// and the honest ack still closes it.
+    #[test]
+    fn hostile_acks_and_mismatched_timers_leave_sessions_open() {
+        let third = Key(99);
+        for x in EXCHANGES {
+            let mut env = world().with_node(third, 9, 3);
+            // Enforcement does not help: a `RegisterAck` is signed by
+            // whoever sends it, so the third party's verifies.
+            let domain = AuthDomain::new(8);
+            env.domain = Some(domain);
+            env.vpolicy = VerifyPolicy::Enforce;
+            let mut m = ProtoMachine::new(A, policy());
+            let (out, want) = open(x, &mut m, &mut env, t(0));
+            let msg_id = out.outgoing[0].env.msg_id;
+            let timer = (want.timer)(msg_id);
+            let ack_from = |src: Key, msg: WireMessage| {
+                let auth = matches!(msg, WireMessage::RegisterAck { .. })
+                    .then(|| domain.sign(src, msg.auth_digest()));
+                Envelope { src, dst: A, msg_id: 0, trace_id: 0, msg, auth }
+            };
+            let wrong_acks: [fn(u64) -> WireMessage; 2] = match x {
+                Exchange::HopTo(_) => [
+                    |acked| WireMessage::UpdateAck { acked },
+                    |acked| WireMessage::RegisterAck { acked },
+                ],
+                Exchange::Update => [
+                    |acked| WireMessage::HopAck { acked },
+                    |acked| WireMessage::RegisterAck { acked },
+                ],
+                Exchange::Register => [
+                    |acked| WireMessage::HopAck { acked },
+                    |acked| WireMessage::UpdateAck { acked },
+                ],
+            };
+            let mut hostile = vec![Event::Deliver(ack_from(third, (want.ack)(msg_id)))];
+            hostile.extend(wrong_acks.map(|ack| Event::Deliver(ack_from(want.peer, ack(msg_id)))));
+            for wrong_timer in [
+                TimerKind::HopRetry { msg_id },
+                TimerKind::UpdateRetry { msg_id },
+                TimerKind::RegisterRetry { msg_id },
+            ] {
+                if wrong_timer != timer {
+                    hostile.push(Event::Timer(wrong_timer));
+                }
+            }
+            let events_before = env.events.len();
+            for (i, event) in hostile.into_iter().enumerate() {
+                let out = m.poll(t(10), event, &mut env);
+                let ctx = format!("{x:?}, hostile event {i}");
+                assert!(out.outgoing.is_empty() && out.timers.is_empty(), "{ctx}");
+                assert!(out.completions.is_empty(), "{ctx}");
+                assert_eq!(m.inflight(), 1, "{ctx}: session still open");
+            }
+            assert_eq!(env.events.len(), events_before, "{x:?}: nothing emitted");
+            assert_eq!(env.meter.count(MessageKind::ForgedFrame), 0, "{x:?}: all verified");
+            assert_eq!(env.meter.count(MessageKind::Timeout), 0, "{x:?}");
+            assert!(env.committed.is_empty(), "{x:?}: no lease from a stranger's ack");
+            assert_eq!(m.rto_estimate(want.peer), None, "{x:?}");
+
+            // The ladder is intact: first expiry, first retransmission.
+            let out = m.poll(t(100), Event::Timer(timer), &mut env);
+            assert_eq!(out.outgoing.len(), 1, "{x:?}: the real timer still fires");
+            assert_eq!(out.timers, vec![Timer { at: t(300), kind: timer }], "{x:?}");
+            // And the honest ack closes the session.
+            let out =
+                m.poll(t(110), Event::Deliver(ack_from(want.peer, (want.ack)(msg_id))), &mut env);
+            assert_eq!(out.completions, Vec::from_iter(want.acked), "{x:?}");
+            assert_eq!(m.inflight(), 0, "{x:?}");
+            assert_eq!(env.committed.len(), usize::from(matches!(x, Exchange::Register)), "{x:?}");
+        }
     }
 
     #[test]

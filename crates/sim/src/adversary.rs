@@ -32,17 +32,17 @@
 
 use bristle_core::auth::{AuthDomain, VerifyPolicy};
 use bristle_core::config::BristleConfig;
-use bristle_core::system::{BristleBuilder, BristleSystem};
+use bristle_core::system::BristleBuilder;
 use bristle_netsim::rng::Pcg64;
 use bristle_netsim::transit_stub::TransitStubConfig;
-use bristle_overlay::addr::NetAddr;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::{MessageKind, ALL_KINDS};
 use bristle_overlay::obs::Snapshot;
 use bristle_proto::transport::FaultConfig;
-use bristle_proto::wire::{Envelope, WireAddr, WireMessage};
+use bristle_proto::wire::{Envelope, WireMessage};
 
-use crate::messaging::MessagingBristleSystem;
+use crate::messaging::{wire_addr_of, MessagingBristleSystem};
+use crate::workload::{busiest_primary, measure_pairs};
 
 /// The four scripted attack families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,46 +192,6 @@ const ADV_MSG_ID: u64 = 0xAD00_0000_0000_0000;
 /// isolate the volley's causal story.
 const ADV_TRACE: u64 = 0xADAD;
 
-/// The stationary node holding the most location records (ties break
-/// toward the smaller key for determinism).
-fn busiest_primary(sys: &BristleSystem) -> Key {
-    let mut best = (0usize, Key(u64::MAX));
-    for &s in sys.stationary_keys() {
-        let n = sys.stationary.node(s).map(|node| node.store.len()).unwrap_or(0);
-        if n > best.0 || (n == best.0 && s < best.1) {
-            best = (n, s);
-        }
-    }
-    best.1
-}
-
-/// The current wire address of a live node.
-fn addr_of(sys: &BristleSystem, key: Key) -> Option<WireAddr> {
-    let info = sys.node_info(key).ok()?;
-    Some(WireAddr::from_net(NetAddr::current(info.host, &sys.attachments)))
-}
-
-/// Measures message-passing delivery over `pairs`, skipping pairs with a
-/// missing endpoint. Returns `(delivered, attempted)`.
-fn measure_pairs(msys: &mut MessagingBristleSystem, pairs: &[(Key, Key)]) -> (usize, usize) {
-    let mut delivered = 0usize;
-    let mut attempted = 0usize;
-    for &(src, target) in pairs {
-        if msys.is_failed(src)
-            || msys.is_failed(target)
-            || msys.sys.node_info(src).is_err()
-            || msys.sys.node_info(target).is_err()
-        {
-            continue;
-        }
-        attempted += 1;
-        if msys.route(src, target).is_ok() {
-            delivered += 1;
-        }
-    }
-    (delivered, attempted)
-}
-
 /// One injected frame: the adversary transmits from `from_router` like
 /// any honest host would, through the same links and scheduling.
 fn inject(
@@ -240,7 +200,7 @@ fn inject(
     to: Key,
     env: Envelope,
 ) -> bool {
-    match addr_of(&msys.sys, to) {
+    match wire_addr_of(&msys.sys, to) {
         Some(addr) => {
             msys.inject_frame(from_router, addr, env);
             true
@@ -327,7 +287,7 @@ pub fn run_attack(cfg: &AttackConfig) -> AttackOutcome {
     // Stale replay captures the victim's signed publication *before*
     // the crash — exactly what an eavesdropper on any replica path saw.
     let captured: Option<Envelope> = if cfg.family == AttackFamily::StaleReplay {
-        let addr = addr_of(&msys.sys, victim).expect("victim is live pre-crash");
+        let addr = wire_addr_of(&msys.sys, victim).expect("victim is live pre-crash");
         let seq = msys
             .sys
             .stationary
@@ -432,7 +392,7 @@ pub fn run_attack(cfg: &AttackConfig) -> AttackOutcome {
             // the stationary band's replica holders.
             for i in 0..cfg.sybils {
                 let sybil = Key(0x5B11_0000_0000_0000 + i as u64);
-                let addr = addr_of(&msys.sys, victim).expect("primary is live");
+                let addr = wire_addr_of(&msys.sys, victim).expect("primary is live");
                 let holders = msys
                     .sys
                     .stationary

@@ -49,7 +49,9 @@ use bristle_proto::machine::{Completion, ProtoMachine, RetryPolicy};
 use bristle_proto::transport::FaultConfig;
 use bristle_proto::wire::WireAddr;
 
-use crate::messaging::{AuthConfig, MessagingBristleSystem, ObsCollector, SystemEnv};
+use crate::messaging::{
+    children_by_parent, wire_addr_of, AuthConfig, MessagingBristleSystem, ObsCollector, SystemEnv,
+};
 
 /// Event budget per scripted operation, mirroring the messaging
 /// driver's runaway backstop.
@@ -257,12 +259,6 @@ impl NetWorld {
     }
 }
 
-/// The node's wire address as the system currently attaches it.
-fn addr_of(sys: &BristleSystem, key: Key) -> WireAddr {
-    let info = sys.node_info(key).expect("known node");
-    WireAddr::from_net(NetAddr::current(info.host, &sys.attachments))
-}
-
 fn net_register(d: &mut SocketDriver, w: &mut NetWorld, who: Key, target: Key) {
     let capacity = w.sys.node_info(who).expect("known").capacity;
     let now = d.now();
@@ -307,16 +303,9 @@ fn net_route(d: &mut SocketDriver, w: &mut NetWorld, src: Key, target: Key) {
 fn net_disseminate(d: &mut SocketDriver, w: &mut NetWorld, key: Key) {
     let info = *w.sys.node_info(key).expect("known");
     let ldt = w.sys.build_ldt(key).expect("ldt builds");
-    let addr = addr_of(&w.sys, key);
-    let mut by_parent: Vec<(Key, Vec<Key>)> = Vec::new();
-    for (parent, child) in ldt.edges() {
-        match by_parent.iter_mut().find(|(p, _)| *p == parent) {
-            Some((_, cs)) => cs.push(child),
-            None => by_parent.push((parent, vec![child])),
-        }
-    }
+    let addr = wire_addr_of(&w.sys, key).expect("known");
     let mut expected = 0usize;
-    for (parent, children) in by_parent {
+    for (parent, children) in children_by_parent(&ldt) {
         expected += children.len();
         let now = d.now();
         let mut env = w.env();
@@ -378,12 +367,13 @@ pub fn run_sockets(seed: u64) -> ConformanceReport {
     let all: Vec<Key> =
         world.sys.stationary_keys().iter().chain(world.sys.mobile_keys()).copied().collect();
     for key in all {
-        // Same construction as the sim driver's machine_entry, with the
+        // Same construction as the sim driver's `started`, with the
         // session defaults the sim arm runs under.
         let mut machine = ProtoMachine::new(key, RetryPolicy::default());
         machine.set_failure_policy(FailurePolicy::default());
         machine.set_adaptive_rto(None);
-        d.bind_node(key, addr_of(&world.sys, key), machine).expect("loopback socket binds");
+        d.bind_node(key, wire_addr_of(&world.sys, key).expect("known"), machine)
+            .expect("loopback socket binds");
     }
 
     net_register(&mut d, &mut world, cast.w1, cast.m);

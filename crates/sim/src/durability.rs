@@ -27,7 +27,7 @@
 use std::path::PathBuf;
 
 use bristle_core::config::BristleConfig;
-use bristle_core::system::{BristleBuilder, BristleSystem};
+use bristle_core::system::BristleBuilder;
 use bristle_netsim::rng::Pcg64;
 use bristle_netsim::transit_stub::TransitStubConfig;
 use bristle_overlay::key::Key;
@@ -37,6 +37,7 @@ use bristle_proto::transport::FaultConfig;
 use bristle_store::WalBackend;
 
 use crate::messaging::MessagingBristleSystem;
+use crate::workload::{busiest_primary, measure_pairs};
 
 /// How the crashed victim comes back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,40 +191,6 @@ impl DurabilityOutcome {
             self.post_delivered as f64 / self.post_attempted as f64
         }
     }
-}
-
-/// The stationary node holding the most location records (ties break
-/// toward the smaller key for determinism).
-fn busiest_primary(sys: &BristleSystem) -> Key {
-    let mut best = (0usize, Key(u64::MAX));
-    for &s in sys.stationary_keys() {
-        let n = sys.stationary.node(s).map(|node| node.store.len()).unwrap_or(0);
-        if n > best.0 || (n == best.0 && s < best.1) {
-            best = (n, s);
-        }
-    }
-    best.1
-}
-
-/// Measures message-passing delivery over `pairs`, skipping pairs with a
-/// missing endpoint. Returns `(delivered, attempted)`.
-fn measure_pairs(msys: &mut MessagingBristleSystem, pairs: &[(Key, Key)]) -> (usize, usize) {
-    let mut delivered = 0usize;
-    let mut attempted = 0usize;
-    for &(src, target) in pairs {
-        if msys.is_failed(src)
-            || msys.is_failed(target)
-            || msys.sys.node_info(src).is_err()
-            || msys.sys.node_info(target).is_err()
-        {
-            continue;
-        }
-        attempted += 1;
-        if msys.route(src, target).is_ok() {
-            delivered += 1;
-        }
-    }
-    (delivered, attempted)
 }
 
 /// Moves `n` randomly drawn mobile nodes (new location records at the

@@ -17,6 +17,15 @@
 //! one clock instant; the driver's own [`EventQueue`] runs a fine-grained
 //! micro-clock for link latencies and retry timers.
 //!
+//! The driver itself is two pieces. One machine step
+//! (`MessagingBristleSystem::drive`) resolves a node's machine, lends
+//! it the system through a `SystemEnv` and dispatches what comes back —
+//! every operation start, delivery and timer goes through it. One event
+//! loop (`run_until`) runs events until a caller's predicate is
+//! satisfied, the queue drains or the budget is spent; each operation
+//! keeps only its predicate and its own reading of a quiet or runaway
+//! stop.
+//!
 //! The per-frame bookkeeping is kept off the heap and out of hash
 //! tables: spurious retries are metered from a
 //! [`DeliveryLedger`] (a bit per `(src, msg_id)`, indexed by the
@@ -27,10 +36,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use bristle_core::arena::{KeyInterner, NodeArena};
+use bristle_core::arena::{KeyInterner, NodeArena, NodeIdx};
 use bristle_core::auth::{AuthDomain, VerifyPolicy};
 use bristle_core::durable::WalRecord;
 use bristle_core::heal::DeathReport;
+use bristle_core::ldt::Ldt;
 use bristle_core::location::LocationRecord;
 use bristle_core::naming::Mobility;
 use bristle_core::registry::Registrant;
@@ -39,6 +49,7 @@ use bristle_core::restart::RestartReport;
 use bristle_core::system::BristleSystem;
 use bristle_core::time::SimTime;
 use bristle_netsim::graph::RouterId;
+use bristle_overlay::addr::NetAddr;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
 use bristle_overlay::obs::{
@@ -151,6 +162,28 @@ impl std::fmt::Display for MessagingError {
 }
 
 impl std::error::Error for MessagingError {}
+
+/// How [`MessagingBristleSystem::run_until`] stopped.
+enum Ran {
+    /// The caller's predicate reported the awaited outcome.
+    Done,
+    /// The event queue drained first.
+    Quiet,
+    /// The per-operation event budget ran out first.
+    Runaway,
+}
+
+impl Ran {
+    /// For operations that must reach their outcome: a drained queue is
+    /// a stall, a spent budget a runaway retry loop.
+    fn settled(self) -> Result<(), MessagingError> {
+        match self {
+            Ran::Done => Ok(()),
+            Ran::Quiet => Err(MessagingError::Stalled),
+            Ran::Runaway => Err(MessagingError::Runaway),
+        }
+    }
+}
 
 /// One reversed funeral: when the node was wrongfully buried and when
 /// the rejoin restored it (micro-clock times).
@@ -306,27 +339,24 @@ pub(crate) struct AuthConfig {
 /// exists in a generated topology.
 const DEAD_LETTER_ADDR: WireAddr = WireAddr { host: u32::MAX, router: 0, epoch: u64::MAX };
 
-/// Fetches (or creates, under the session's policies) the machine for
-/// `node`. A free function so call sites can keep borrowing the driver's
-/// other fields disjointly. `ids` is the driver's own interner: machines
-/// live in a flat arena indexed by it, so the steady-state lookup on the
-/// delivery hot path is one hash plus an array index.
-fn machine_entry<'m>(
-    ids: &mut KeyInterner,
-    machines: &'m mut NodeArena<ProtoMachine>,
-    node: Key,
-    policy: RetryPolicy,
-    fpolicy: FailurePolicy,
-    rto: Option<RtoConfig>,
-) -> &'m mut ProtoMachine {
-    let idx = ids.intern(node);
-    if !machines.contains(idx) {
-        let mut m = ProtoMachine::new(node, policy);
-        m.set_failure_policy(fpolicy);
-        m.set_adaptive_rto(rto);
-        machines.insert(idx, m);
+/// `key`'s wire address as the system currently attaches it (`None`
+/// for a node the system does not know).
+pub(crate) fn wire_addr_of(sys: &BristleSystem, key: Key) -> Option<WireAddr> {
+    let info = sys.node_info(key).ok()?;
+    Some(WireAddr::from_net(NetAddr::current(info.host, &sys.attachments)))
+}
+
+/// An LDT's edges grouped by parent, parents in first-edge order: one
+/// `start_update` per relaying member.
+pub(crate) fn children_by_parent(ldt: &Ldt) -> Vec<(Key, Vec<Key>)> {
+    let mut by_parent: Vec<(Key, Vec<Key>)> = Vec::new();
+    for (parent, child) in ldt.edges() {
+        match by_parent.iter_mut().find(|(p, _)| *p == parent) {
+            Some((_, cs)) => cs.push(child),
+            None => by_parent.push((parent, vec![child])),
+        }
     }
-    machines.get_mut(idx).expect("just ensured")
+    by_parent
 }
 
 impl NodeEnv for SystemEnv<'_> {
@@ -364,13 +394,8 @@ impl NodeEnv for SystemEnv<'_> {
     }
 
     fn current_addr(&self, key: Key) -> WireAddr {
-        match self.sys.node_info(key) {
-            Ok(info) => WireAddr::from_net(bristle_overlay::addr::NetAddr::current(
-                info.host,
-                &self.sys.attachments,
-            )),
-            Err(_) => self.tombstones.get(&key).copied().unwrap_or(DEAD_LETTER_ADDR),
-        }
+        wire_addr_of(self.sys, key)
+            .unwrap_or_else(|| self.tombstones.get(&key).copied().unwrap_or(DEAD_LETTER_ADDR))
     }
 
     fn addr_current(&self, addr: WireAddr) -> bool {
@@ -644,14 +669,7 @@ impl MessagingBristleSystem {
     /// provoke) schedule, then reports how many events ran. The
     /// adversary driver calls this after a volley of [`Self::inject_frame`]s.
     pub fn settle_injected(&mut self) -> u64 {
-        let mut events = 0u64;
-        while self.step() {
-            events += 1;
-            if events > MAX_EVENTS_PER_OP {
-                break;
-            }
-        }
-        events
+        self.drain()
     }
 
     /// Overrides the failure-detection policy used by every machine
@@ -666,6 +684,74 @@ impl MessagingBristleSystem {
     /// The machine for `key`, if one is running.
     fn machine_of(&self, key: Key) -> Option<&ProtoMachine> {
         self.ids.get(key).and_then(|i| self.machines.get(i))
+    }
+
+    /// The index of `node`'s machine, starting one under the session's
+    /// policies if none is running. Machines live in a flat arena indexed
+    /// by the driver's own interner, so the steady-state lookup on the
+    /// delivery hot path is one hash plus an array index.
+    fn started(&mut self, node: Key) -> NodeIdx {
+        let idx = self.ids.intern(node);
+        if !self.machines.contains(idx) {
+            let mut m = ProtoMachine::new(node, self.policy);
+            m.set_failure_policy(self.failure_policy);
+            m.set_adaptive_rto(self.rto);
+            self.machines.insert(idx, m);
+        }
+        idx
+    }
+
+    /// The machine for `node`, started if need be.
+    fn machine_started(&mut self, node: Key) -> &mut ProtoMachine {
+        let idx = self.started(node);
+        self.machines.get_mut(idx).expect("just started")
+    }
+
+    /// One machine step: resolves `node`'s machine (starting it when
+    /// `start` says a missing one should be, as a first frame or a
+    /// driver-initiated operation does), lends it the system through a
+    /// [`SystemEnv`] for the length of `f`, and dispatches what `f`
+    /// returns. Without a machine nothing happens.
+    #[inline]
+    fn drive(
+        &mut self,
+        node: Key,
+        start: bool,
+        f: impl FnOnce(&mut ProtoMachine, SimTime, &mut SystemEnv<'_>) -> Output,
+    ) {
+        let idx = if start { Some(self.started(node)) } else { self.ids.get(node) };
+        let now = self.queue.now();
+        // The one place the driver's disjoint fields are lent out.
+        let Self { sys, tombstones, obs, auth, degraded, machines, .. } = self;
+        let Some(machine) = idx.and_then(|i| machines.get_mut(i)) else { return };
+        let out = f(machine, now, &mut SystemEnv { sys, tombstones, obs, auth: *auth, degraded });
+        self.dispatch(node, out);
+    }
+
+    /// The one event loop: handles events until `done` reports the
+    /// awaited outcome (asked before every event, so an outcome already
+    /// buffered costs none), the queue drains, or the per-operation
+    /// budget is spent. Returns how it stopped and the events it ran.
+    #[inline]
+    fn run_until(&mut self, mut done: impl FnMut(&mut Self) -> bool) -> (Ran, u64) {
+        let mut events = 0u64;
+        loop {
+            if done(self) {
+                return (Ran::Done, events);
+            }
+            if events >= MAX_EVENTS_PER_OP {
+                return (Ran::Runaway, events);
+            }
+            if !self.step() {
+                return (Ran::Quiet, events);
+            }
+            events += 1;
+        }
+    }
+
+    /// Runs the network quiet (or the budget out); returns the events run.
+    fn drain(&mut self) -> u64 {
+        self.run_until(|_| false).1
     }
 
     /// `key`'s index in the delivery ledger, if the driver has one.
@@ -860,15 +946,7 @@ impl MessagingBristleSystem {
             self.tombstones.remove(&key);
             self.wrongly_buried.remove(&key);
             self.remove_machine(key);
-            let machine = machine_entry(
-                &mut self.ids,
-                &mut self.machines,
-                key,
-                self.policy,
-                self.failure_policy,
-                self.rto,
-            );
-            machine.restore_incarnation(report.incarnation);
+            self.machine_started(key).restore_incarnation(report.incarnation);
         }
         Ok(report)
     }
@@ -887,15 +965,7 @@ impl MessagingBristleSystem {
             self.tombstones.remove(&key);
             self.wrongly_buried.remove(&key);
             self.remove_machine(key);
-            let machine = machine_entry(
-                &mut self.ids,
-                &mut self.machines,
-                key,
-                self.policy,
-                self.failure_policy,
-                self.rto,
-            );
-            machine.restore_incarnation(report.incarnation);
+            self.machine_started(key).restore_incarnation(report.incarnation);
         }
         Ok(report)
     }
@@ -912,11 +982,7 @@ impl MessagingBristleSystem {
     /// Snapshots `key`'s current wire address into the tombstone book so
     /// later sends (from nodes that still believe in it) stay routable.
     fn remember_addr(&mut self, key: Key) {
-        if let Ok(info) = self.sys.node_info(key) {
-            let addr = WireAddr::from_net(bristle_overlay::addr::NetAddr::current(
-                info.host,
-                &self.sys.attachments,
-            ));
+        if let Some(addr) = wire_addr_of(&self.sys, key) {
             self.tombstones.insert(key, addr);
         }
     }
@@ -973,14 +1039,7 @@ impl MessagingBristleSystem {
         wanted.sort_unstable();
         wanted.dedup();
         for peers in wanted.chunk_by(|a, b| a.0 == b.0) {
-            let machine = machine_entry(
-                &mut self.ids,
-                &mut self.machines,
-                peers[0].0,
-                self.policy,
-                self.failure_policy,
-                self.rto,
-            );
+            let machine = self.machine_started(peers[0].0);
             if machine.monitored().iter().eq(peers.iter().map(|(_, p)| p)) {
                 continue;
             }
@@ -1002,26 +1061,9 @@ impl MessagingBristleSystem {
         self.seed_monitors();
         let watchers = self.machine_keys_sorted();
         for w in watchers {
-            let now = self.queue.now();
-            let out = {
-                let Some(machine) = self.ids.get(w).and_then(|i| self.machines.get_mut(i)) else {
-                    continue;
-                };
-                let mut env = SystemEnv {
-                    sys: &mut self.sys,
-                    tombstones: &self.tombstones,
-                    obs: &mut self.obs,
-                    auth: self.auth,
-                    degraded: &self.degraded,
-                };
-                machine.start_heartbeats(now, &mut env)
-            };
-            self.dispatch(w, out);
+            self.drive(w, false, |m, now, env| m.start_heartbeats(now, env));
         }
-        let mut budget = MAX_EVENTS_PER_OP;
-        while budget > 0 && self.step() {
-            budget -= 1;
-        }
+        self.drain();
         // Refresh the gray-failure view from the round's evidence: any
         // watcher holding a peer degraded is enough to demote it in
         // replica ordering (the union errs toward caution, never toward
@@ -1071,27 +1113,9 @@ impl MessagingBristleSystem {
         for &f in &buried {
             let Some(announcer) = self.pick_announcer(f) else { continue };
             sponsors.insert(f, announcer);
-            let now = self.queue.now();
-            let out = {
-                let Some(machine) = self.ids.get(announcer).and_then(|i| self.machines.get_mut(i))
-                else {
-                    continue;
-                };
-                let mut env = SystemEnv {
-                    sys: &mut self.sys,
-                    tombstones: &self.tombstones,
-                    obs: &mut self.obs,
-                    auth: self.auth,
-                    degraded: &self.degraded,
-                };
-                machine.notify_suspect(now, &mut env, f, f)
-            };
-            self.dispatch(announcer, out);
+            self.drive(announcer, false, |m, now, env| m.notify_suspect(now, env, f, f));
         }
-        let mut budget = MAX_EVENTS_PER_OP;
-        while budget > 0 && self.step() {
-            budget -= 1;
-        }
+        self.drain();
         // (2) Nodes whose incarnation moved past their burial have
         // refuted the verdict: they ask their announcer to sponsor the
         // rejoin.
@@ -1104,26 +1128,9 @@ impl MessagingBristleSystem {
             if !refuted {
                 continue;
             }
-            let now = self.queue.now();
-            let out = {
-                let Some(machine) = self.ids.get(f).and_then(|i| self.machines.get_mut(i)) else {
-                    continue;
-                };
-                let mut env = SystemEnv {
-                    sys: &mut self.sys,
-                    tombstones: &self.tombstones,
-                    obs: &mut self.obs,
-                    auth: self.auth,
-                    degraded: &self.degraded,
-                };
-                machine.start_rejoin(now, &mut env, sponsor)
-            };
-            self.dispatch(f, out);
+            self.drive(f, false, |m, now, env| m.start_rejoin(now, env, sponsor));
         }
-        let mut budget = MAX_EVENTS_PER_OP;
-        while budget > 0 && self.step() {
-            budget -= 1;
-        }
+        self.drain();
         // (3) Reverse the funeral of every accepted rejoin.
         let mut requests: Vec<(Key, u64)> = Vec::new();
         self.completions.retain(|c| match *c {
@@ -1207,27 +1214,9 @@ impl MessagingBristleSystem {
         unconvinced.sort_unstable();
         if let Some(&herald) = believers.first() {
             for &peer in &unconvinced {
-                let now = self.queue.now();
-                let out = {
-                    let Some(machine) = self.ids.get(herald).and_then(|i| self.machines.get_mut(i))
-                    else {
-                        break;
-                    };
-                    let mut env = SystemEnv {
-                        sys: &mut self.sys,
-                        tombstones: &self.tombstones,
-                        obs: &mut self.obs,
-                        auth: self.auth,
-                        degraded: &self.degraded,
-                    };
-                    machine.notify_suspect(now, &mut env, peer, key)
-                };
-                self.dispatch(herald, out);
+                self.drive(herald, false, |m, now, env| m.notify_suspect(now, env, peer, key));
             }
-            let mut budget = MAX_EVENTS_PER_OP;
-            while budget > 0 && self.step() {
-                budget -= 1;
-            }
+            self.drain();
         }
         // The notifications above re-announce the same death; those
         // echoes are not news.
@@ -1253,39 +1242,28 @@ impl MessagingBristleSystem {
             return Err(MessagingError::UnknownNode(src));
         }
         let now = self.queue.now();
-        let (route_id, out) = {
-            let machine = machine_entry(
-                &mut self.ids,
-                &mut self.machines,
-                src,
-                self.policy,
-                self.failure_policy,
-                self.rto,
-            );
-            let mut env = SystemEnv {
-                sys: &mut self.sys,
-                tombstones: &self.tombstones,
-                obs: &mut self.obs,
-                auth: self.auth,
-                degraded: &self.degraded,
-            };
-            machine.start_route(now, &mut env, target)
-        };
-        self.dispatch(src, out);
-        let mut events = 0u64;
-        loop {
-            if let Some(done) = self.take_route_completion(src, route_id)? {
-                self.obs.route_latency.record(done.since(now));
-                return Ok(MessagingRouteReport { route_id, delivered_at: done, events });
-            }
-            if events >= MAX_EVENTS_PER_OP {
-                return Err(MessagingError::Runaway);
-            }
-            if !self.step() {
-                return Err(MessagingError::Stalled);
-            }
-            events += 1;
-        }
+        let route_id = self.start_route(src, target);
+        let mut outcome = None;
+        let (ran, events) = self.run_until(|d| {
+            outcome = d.take_route_completion(src, route_id).transpose();
+            outcome.is_some()
+        });
+        ran.settled()?;
+        let done = outcome.expect("the loop stopped on an outcome")?;
+        self.obs.route_latency.record(done.since(now));
+        Ok(MessagingRouteReport { route_id, delivered_at: done, events })
+    }
+
+    /// Has `src`'s machine (started if need be) originate a route toward
+    /// `target`; returns the route id its completion will carry.
+    fn start_route(&mut self, src: Key, target: Key) -> u64 {
+        let mut route_id = 0;
+        self.drive(src, true, |m, now, env| {
+            let (id, out) = m.start_route(now, env, target);
+            route_id = id;
+            out
+        });
+        route_id
     }
 
     /// Routes every `(src, target)` pair *concurrently*: all routes are
@@ -1307,25 +1285,7 @@ impl MessagingBristleSystem {
                 continue;
             }
             let now = self.queue.now();
-            let (route_id, out) = {
-                let machine = machine_entry(
-                    &mut self.ids,
-                    &mut self.machines,
-                    src,
-                    self.policy,
-                    self.failure_policy,
-                    self.rto,
-                );
-                let mut env = SystemEnv {
-                    sys: &mut self.sys,
-                    tombstones: &self.tombstones,
-                    obs: &mut self.obs,
-                    auth: self.auth,
-                    degraded: &self.degraded,
-                };
-                machine.start_route(now, &mut env, target)
-            };
-            self.dispatch(src, out);
+            let route_id = self.start_route(src, target);
             sessions.push(Some((src, route_id, now)));
         }
         // Each completion is matched against the sessions once, when it
@@ -1413,79 +1373,45 @@ impl MessagingBristleSystem {
     pub fn disseminate_update(&mut self, key: Key) -> Result<usize, MessagingError> {
         let info = *self.sys.node_info(key).map_err(|_| MessagingError::UnknownNode(key))?;
         let ldt = self.sys.build_ldt(key).map_err(|_| MessagingError::UnknownNode(key))?;
-        let addr = WireAddr::from_net(bristle_overlay::addr::NetAddr::current(
-            info.host,
-            &self.sys.attachments,
-        ));
+        let addr = wire_addr_of(&self.sys, key).expect("known above");
         let started = self.queue.now();
-        let mut by_parent: Vec<(Key, Vec<Key>)> = Vec::new();
-        for (parent, child) in ldt.edges() {
-            match by_parent.iter_mut().find(|(p, _)| *p == parent) {
-                Some((_, cs)) => cs.push(child),
-                None => by_parent.push((parent, vec![child])),
-            }
-        }
         let mut expected = 0usize;
-        for (parent, children) in by_parent {
+        for (parent, children) in children_by_parent(&ldt) {
             // A parent that crashed (or vanished) mid-tree cannot relay:
             // its edges are skipped now and repaired by confirmation.
             if self.failed.contains(&parent) || self.sys.node_info(parent).is_err() {
                 continue;
             }
             expected += children.len();
-            let now = self.queue.now();
-            let out = {
-                let machine = machine_entry(
-                    &mut self.ids,
-                    &mut self.machines,
-                    parent,
-                    self.policy,
-                    self.failure_policy,
-                    self.rto,
-                );
-                let mut env = SystemEnv {
-                    sys: &mut self.sys,
-                    tombstones: &self.tombstones,
-                    obs: &mut self.obs,
-                    auth: self.auth,
-                    degraded: &self.degraded,
-                };
-                machine.start_update(now, &mut env, key, addr, info.seq, &children)
-            };
-            self.dispatch(parent, out);
+            self.drive(parent, true, |m, now, env| {
+                m.start_update(now, env, key, addr, info.seq, &children)
+            });
         }
         let mut acked = 0usize;
-        let mut settled = 0usize;
-        let mut events = 0u64;
-        while settled < expected {
-            self.completions.retain(|c| match c {
-                Completion::UpdateAcked { .. } => {
-                    acked += 1;
-                    settled += 1;
-                    false
-                }
-                Completion::UpdateFailed { .. } => {
-                    settled += 1;
-                    false
-                }
-                _ => true,
+        if expected > 0 {
+            let mut settled = 0usize;
+            let (ran, _) = self.run_until(|d| {
+                d.completions.retain(|c| match c {
+                    Completion::UpdateAcked { .. } => {
+                        acked += 1;
+                        settled += 1;
+                        false
+                    }
+                    Completion::UpdateFailed { .. } => {
+                        settled += 1;
+                        false
+                    }
+                    _ => true,
+                });
+                settled >= expected
             });
-            if settled >= expected {
-                break;
-            }
-            if events >= MAX_EVENTS_PER_OP {
+            // A queue that drained with edges unsettled is not an error:
+            // a parent died *during* the round, so its pending acks can
+            // never arrive. Report how far the dissemination got — the
+            // shortfall is exactly what failure detection must catch.
+            if let Ran::Runaway = ran {
                 return Err(MessagingError::Runaway);
             }
-            if !self.step() {
-                // The queue drained with edges unsettled: a parent died
-                // *during* the round, so its pending acks can never
-                // arrive. Report how far the dissemination got — the
-                // shortfall is exactly what failure detection must catch.
-                break;
-            }
-            events += 1;
-        }
-        if expected > 0 {
             self.obs.dissemination_latency.record(self.queue.now().since(started));
         }
         Ok(acked)
@@ -1501,66 +1427,36 @@ impl MessagingBristleSystem {
         if self.sys.node_info(target).map(|i| i.mobility) != Ok(Mobility::Mobile) {
             return Err(MessagingError::UnknownNode(target));
         }
-        let now = self.queue.now();
-        let out = {
-            let machine = machine_entry(
-                &mut self.ids,
-                &mut self.machines,
-                who,
-                self.policy,
-                self.failure_policy,
-                self.rto,
-            );
-            let mut env = SystemEnv {
-                sys: &mut self.sys,
-                tombstones: &self.tombstones,
-                obs: &mut self.obs,
-                auth: self.auth,
-                degraded: &self.degraded,
-            };
-            machine.start_register(now, &mut env, target, info.capacity)
-        };
-        self.dispatch(who, out);
-        let mut events = 0u64;
-        loop {
-            let mut done = None;
-            self.completions.retain(|c| match *c {
+        self.drive(who, true, |m, now, env| m.start_register(now, env, target, info.capacity));
+        let mut outcome = None;
+        let (ran, _) = self.run_until(|d| {
+            d.completions.retain(|c| match *c {
                 Completion::Registered { target: t } if t == target => {
-                    done = Some(Ok(()));
+                    outcome = Some(Ok(()));
                     false
                 }
                 Completion::RegisterFailed { target: t } if t == target => {
-                    done = Some(Err(MessagingError::Stalled));
+                    outcome = Some(Err(MessagingError::Stalled));
                     false
                 }
                 _ => true,
             });
-            if let Some(r) = done {
-                return r;
-            }
-            if events >= MAX_EVENTS_PER_OP {
-                return Err(MessagingError::Runaway);
-            }
-            if !self.step() {
-                return Err(MessagingError::Stalled);
-            }
-            events += 1;
-        }
+            outcome.is_some()
+        });
+        ran.settled()?;
+        outcome.expect("the loop stopped on an outcome")
     }
 
     /// Drains every pending event (stray acks, stale timers) so the next
     /// operation starts from a quiet network.
     pub fn settle(&mut self) {
-        let mut budget = MAX_EVENTS_PER_OP;
-        while budget > 0 && self.step() {
-            budget -= 1;
-        }
+        self.drain();
         self.completions.clear();
     }
 
     /// Pops and handles one event. Returns false when the queue is empty.
     fn step(&mut self) -> bool {
-        let Some((now, event)) = self.queue.pop() else {
+        let Some((_, event)) = self.queue.pop() else {
             return false;
         };
         match event {
@@ -1594,41 +1490,11 @@ impl MessagingBristleSystem {
                     // copy of it on the wire is a spurious retry.
                     let src = d.env.src;
                     self.delivered.insert(self.source_index(src), src, d.env.msg_id);
-                    let out = {
-                        let machine = machine_entry(
-                            &mut self.ids,
-                            &mut self.machines,
-                            dst,
-                            self.policy,
-                            self.failure_policy,
-                            self.rto,
-                        );
-                        let mut env = SystemEnv {
-                            sys: &mut self.sys,
-                            tombstones: &self.tombstones,
-                            obs: &mut self.obs,
-                            auth: self.auth,
-                            degraded: &self.degraded,
-                        };
-                        machine.poll(now, Event::Deliver(d.env), &mut env)
-                    };
-                    self.dispatch(dst, out);
+                    self.drive(dst, true, |m, now, env| m.poll(now, Event::Deliver(d.env), env));
                 }
             }
             MsgEvent::Timer { node, kind } => {
-                if let Some(machine) = self.ids.get(node).and_then(|i| self.machines.get_mut(i)) {
-                    let out = {
-                        let mut env = SystemEnv {
-                            sys: &mut self.sys,
-                            tombstones: &self.tombstones,
-                            obs: &mut self.obs,
-                            auth: self.auth,
-                            degraded: &self.degraded,
-                        };
-                        machine.poll(now, Event::Timer(kind), &mut env)
-                    };
-                    self.dispatch(node, out);
-                }
+                self.drive(node, false, |m, now, env| m.poll(now, Event::Timer(kind), env));
             }
             MsgEvent::Move { key, to } => {
                 let _ = self.sys.move_node(key, to);
@@ -1928,25 +1794,7 @@ mod tests {
                 continue;
             }
             let now = msys.queue.now();
-            let (route_id, out) = {
-                let machine = machine_entry(
-                    &mut msys.ids,
-                    &mut msys.machines,
-                    src,
-                    msys.policy,
-                    msys.failure_policy,
-                    msys.rto,
-                );
-                let mut env = SystemEnv {
-                    sys: &mut msys.sys,
-                    tombstones: &msys.tombstones,
-                    obs: &mut msys.obs,
-                    auth: msys.auth,
-                    degraded: &msys.degraded,
-                };
-                machine.start_route(now, &mut env, target)
-            };
-            msys.dispatch(src, out);
+            let route_id = msys.start_route(src, target);
             sessions.push(Some((src, route_id, now)));
         }
         let mut events = 0u64;

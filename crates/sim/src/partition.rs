@@ -32,6 +32,7 @@ use bristle_overlay::obs::Snapshot;
 use bristle_proto::transport::{FaultConfig, LinkFilter};
 
 use crate::messaging::MessagingBristleSystem;
+use crate::workload::measure_pairs;
 
 /// Parameters of one partition-tolerance run.
 #[derive(Debug, Clone, Copy)]
@@ -164,27 +165,6 @@ fn split_routers(msys: &MessagingBristleSystem) -> (Vec<Vec<RouterId>>, BTreeSet
     let far_keys: BTreeSet<Key> =
         far.0.iter().flat_map(|r| per_router[r].iter().copied()).collect();
     (vec![near.0, far.0], far_keys)
-}
-
-/// Measures message-passing delivery over `pairs`, skipping pairs with a
-/// missing endpoint. Returns `(delivered, attempted)`.
-fn measure_pairs(msys: &mut MessagingBristleSystem, pairs: &[(Key, Key)]) -> (usize, usize) {
-    let mut delivered = 0usize;
-    let mut attempted = 0usize;
-    for &(src, target) in pairs {
-        if msys.is_failed(src)
-            || msys.is_failed(target)
-            || msys.sys.node_info(src).is_err()
-            || msys.sys.node_info(target).is_err()
-        {
-            continue;
-        }
-        attempted += 1;
-        if msys.route(src, target).is_ok() {
-            delivered += 1;
-        }
-    }
-    (delivered, attempted)
 }
 
 /// Runs one partition-tolerance scenario: build, measure, cut, bury,

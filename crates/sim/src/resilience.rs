@@ -163,7 +163,7 @@ fn ldt_memberships(sys: &BristleSystem, dead: Key) -> usize {
 /// The live stationary node that is record-primary for the most live
 /// mobile subjects (ties broken toward the smaller key), if any node
 /// currently owns a subject at all.
-fn busiest_primary(msys: &MessagingBristleSystem) -> Option<Key> {
+fn busiest_owner(msys: &MessagingBristleSystem) -> Option<Key> {
     let sys = &msys.sys;
     let mut counts: std::collections::BTreeMap<Key, usize> = std::collections::BTreeMap::new();
     for &m in sys.mobile_keys() {
@@ -279,7 +279,7 @@ pub fn run_churn_messaging(cfg: &ResilienceConfig) -> ResilienceOutcome {
         if cfg.assassinate_primary && e == cfg.events / 2 {
             let live_st = live_sorted(&msys, msys.sys.stationary_keys());
             if live_st.len() > cfg.min_stationary {
-                if let Some(primary) = busiest_primary(&msys) {
+                if let Some(primary) = busiest_owner(&msys) {
                     msys.fail_silently(primary);
                     pending.insert(primary);
                     out.fails += 1;

@@ -9,6 +9,7 @@
 use bristle_core::system::BristleSystem;
 use bristle_overlay::key::Key;
 
+use crate::messaging::MessagingBristleSystem;
 use crate::metrics::Samples;
 
 /// Aggregated route metrics over a batch of sampled routes.
@@ -95,6 +96,43 @@ pub fn measure_routes(sys: &mut BristleSystem, pairs: &[(Key, Key)]) -> RouteAgg
         agg.routes += 1;
     }
     agg
+}
+
+/// The stationary node holding the most location records (ties break
+/// toward the smaller key for determinism).
+pub(crate) fn busiest_primary(sys: &BristleSystem) -> Key {
+    let mut best = (0usize, Key(u64::MAX));
+    for &s in sys.stationary_keys() {
+        let n = sys.stationary.node(s).map(|node| node.store.len()).unwrap_or(0);
+        if n > best.0 || (n == best.0 && s < best.1) {
+            best = (n, s);
+        }
+    }
+    best.1
+}
+
+/// Measures message-passing delivery over `pairs`, skipping pairs with a
+/// missing endpoint. Returns `(delivered, attempted)`.
+pub(crate) fn measure_pairs(
+    msys: &mut MessagingBristleSystem,
+    pairs: &[(Key, Key)],
+) -> (usize, usize) {
+    let mut delivered = 0usize;
+    let mut attempted = 0usize;
+    for &(src, target) in pairs {
+        if msys.is_failed(src)
+            || msys.is_failed(target)
+            || msys.sys.node_info(src).is_err()
+            || msys.sys.node_info(target).is_err()
+        {
+            continue;
+        }
+        attempted += 1;
+        if msys.route(src, target).is_ok() {
+            delivered += 1;
+        }
+    }
+    (delivered, attempted)
 }
 
 #[cfg(test)]
