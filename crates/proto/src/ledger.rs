@@ -145,7 +145,7 @@ impl DeliveryLedger {
     }
 
     /// Forgets every id of source `key`: its machine is gone, and a
-    /// successor's ids start again at 0.
+    /// successor's frames are not retries of its.
     pub fn forget_source(&mut self, source: Option<usize>, key: Key) {
         if let Some(row) = source.and_then(|s| self.dense.get_mut(s)) {
             *row = Row::default();
@@ -158,8 +158,8 @@ impl DeliveryLedger {
     /// Heap bytes held, by capacity. The spill is charged as the
     /// swiss table it is: a power-of-two bucket count at 7/8 load, each
     /// bucket the entry plus one control byte.
-    #[cfg(test)]
-    fn heap_bytes(&self) -> usize {
+    #[doc(hidden)]
+    pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let buckets = match self.spill.capacity() {
             0 => 0,

@@ -16,6 +16,7 @@ pub mod ledger;
 pub mod machine;
 pub mod mix;
 pub mod rto;
+mod seen;
 #[doc(hidden)]
 pub mod testenv;
 pub mod transport;
@@ -29,7 +30,7 @@ pub use machine::{
 pub use mix::splitmix64;
 pub use rto::{RtoConfig, RtoEstimator};
 pub use transport::{
-    Arrivals, Degradation, Delivery, Fate, FaultConfig, LinkFilter, SimTransport, TraceRecord,
-    Transport,
+    Arrivals, Degradation, Delivery, Fate, FaultConfig, LinkFilter, SendTrace, SimTransport,
+    TraceRecord, Transport, TRACE_CAPACITY,
 };
 pub use wire::{Envelope, WireAddr, WireError, WireMessage};

@@ -31,7 +31,7 @@
 //! a different counter, one that travels on the wire.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use bristle_core::auth::{AuthDomain, AuthError, VerifyPolicy};
 use bristle_core::time::SimTime;
@@ -44,12 +44,17 @@ use crate::failure::{
     FailureDetector, FailurePolicy, Liveness, LivenessTransition, TimeoutVerdict,
 };
 use crate::rto::{RtoConfig, RtoEstimator};
+use crate::seen::{self, SeenSet};
 use crate::wire::{Envelope, WireAddr, WireMessage};
 
 /// Largest wait any backed-off timer may reach. Far above every sane
 /// schedule (2³² ticks), yet small enough that `base << attempt` can
 /// never overflow into a zero or absurd wait.
 const MAX_BACKOFF: u64 = 1 << 32;
+
+/// A restarted machine's frame ids begin at `incarnation << LIFE_SHIFT`
+/// (see [`ProtoMachine::restore_incarnation`]).
+const LIFE_SHIFT: u32 = 32;
 
 /// Exponential backoff `base << attempt`, saturating and clamped to
 /// [`MAX_BACKOFF`] so deep retry chains and adversarial attempt counts
@@ -441,8 +446,15 @@ pub struct ProtoMachine {
     next_msg_id: u64,
     next_session: u64,
     next_trace: u64,
-    /// Receiver-side dedup: (src, msg_id) pairs already processed.
-    seen: HashSet<(Key, u64)>,
+    /// Receiver-side dedup: the `(src, msg_id)` pairs processed within
+    /// the last `seen_lifetime` ticks (at most twice that).
+    seen: SeenSet,
+    /// How long a frame's copies can keep arriving under the retry
+    /// timers in force; see [`Self::dedup_lifetime`].
+    seen_lifetime: u64,
+    /// Test oracle: when set, dedup asks this never-pruned set instead.
+    #[cfg(test)]
+    seen_oracle: Option<std::collections::HashSet<(Key, u64)>>,
     /// Frames awaiting an ack, by the `msg_id` they were sent under.
     sessions: HashMap<u64, Session>,
     /// Discoveries awaiting a reply, by session id — a different
@@ -475,7 +487,10 @@ impl ProtoMachine {
             next_msg_id: 0,
             next_session: 0,
             next_trace: 0,
-            seen: HashSet::new(),
+            seen: SeenSet::default(),
+            seen_lifetime: Self::dedup_lifetime(&policy, None),
+            #[cfg(test)]
+            seen_oracle: None,
             sessions: HashMap::new(),
             discs: HashMap::new(),
             detector: FailureDetector::new(FailurePolicy::default()),
@@ -493,10 +508,45 @@ impl ProtoMachine {
     /// discovery timeout, since its round-trips span several hops.
     pub fn set_adaptive_rto(&mut self, cfg: Option<RtoConfig>) {
         self.rto = cfg;
+        self.seen_lifetime = Self::dedup_lifetime(&self.policy, cfg.as_ref());
         self.estimators.clear();
         self.hb_sent.clear();
         self.disc_est =
             cfg.map(|_| RtoEstimator::new(RtoConfig::for_discovery(self.policy.discovery_timeout)));
+    }
+
+    /// The dedup horizon under the retry timers in force, from an upper
+    /// bound on how long a reliable frame's sender spends on it, first
+    /// send to giving up: the ack waits `ack_timeout << k` for `k <
+    /// max_attempts` (clamped or not) sum to less than `ack_timeout <<
+    /// max_attempts`; under adaptive RTO no jittered or backed-off wait
+    /// exceeds `max_rto`. A receiver sizing its horizon from its own
+    /// timers assumes what the drivers arrange: every machine of a
+    /// deployment runs one policy.
+    fn dedup_lifetime(policy: &RetryPolicy, rto: Option<&RtoConfig>) -> u64 {
+        let ladder = match rto {
+            Some(cfg) => cfg.max_rto.saturating_mul(u64::from(policy.max_attempts)),
+            None => 1u64
+                .checked_shl(policy.max_attempts)
+                .map_or(u64::MAX, |factor| policy.ack_timeout.saturating_mul(factor)),
+        };
+        seen::lifetime(ladder)
+    }
+
+    /// Records a sighting of `src`'s frame `msg_id`; `true` if it is the
+    /// first one inside the dedup horizon.
+    fn first_sighting(&mut self, src: Key, msg_id: u64) -> bool {
+        #[cfg(test)]
+        if let Some(oracle) = self.seen_oracle.as_mut() {
+            return oracle.insert((src, msg_id));
+        }
+        self.seen.insert(src, msg_id)
+    }
+
+    /// Dedup entries held (occupancy gauge for the flatness tests).
+    #[doc(hidden)]
+    pub fn seen_len(&self) -> usize {
+        self.seen.len()
     }
 
     /// The adaptive-RTO configuration, if enabled.
@@ -621,9 +671,16 @@ impl ProtoMachine {
     /// Raises this node's own incarnation to `incarnation` (never
     /// lowers it). A process restarted from its durable store resumes
     /// at the persisted-and-bumped incarnation rather than 0, so its
-    /// post-restart messages out-rank its pre-crash life.
+    /// post-restart messages out-rank its pre-crash life — and are not
+    /// mistaken for it: the new life numbers its frames from
+    /// `incarnation << 32`, above every id a previous life (which began
+    /// at a lower incarnation's base and sent fewer than 2³² frames)
+    /// can have used, so a peer whose dedup set still holds the old
+    /// `(src, msg_id)` pairs sees new frames, and a late ack addressed
+    /// to the old life names no session of the new one.
     pub fn restore_incarnation(&mut self, incarnation: u64) {
         self.incarnation = self.incarnation.max(incarnation);
+        self.next_msg_id = self.next_msg_id.max(incarnation << LIFE_SHIFT);
     }
 
     /// Replaces the failure-detection thresholds (existing suspicion
@@ -1035,6 +1092,7 @@ impl ProtoMachine {
 
     /// Feeds one event (delivery or timer) through the machine.
     pub fn poll(&mut self, now: SimTime, event: Event, env: &mut dyn NodeEnv) -> Output {
+        self.seen.advance(now, self.seen_lifetime);
         let out = match event {
             Event::Deliver(envelope) => {
                 if self.admit_frame(now, env, &envelope) {
@@ -1286,7 +1344,7 @@ impl ProtoMachine {
         let trace = envelope.trace_id;
         match envelope.msg {
             WireMessage::RouteHop { origin, route_id, target } => {
-                let dup = !self.seen.insert((src, msg_id));
+                let dup = !self.first_sighting(src, msg_id);
                 // Always (re-)ack, even duplicates: the original ack may
                 // have been lost. Acks are unmetered control traffic.
                 self.post(env, &mut out, src, trace, WireMessage::HopAck { acked: msg_id }, None);
@@ -1302,7 +1360,7 @@ impl ProtoMachine {
                 self.on_ack(now, env, &envelope, acked, &mut out);
             }
             WireMessage::Discovery { subject, asker, session, probe } => {
-                if self.seen.insert((src, msg_id)) {
+                if self.first_sighting(src, msg_id) {
                     self.handle_discovery(env, subject, asker, session, probe, trace, &mut out);
                 }
             }
@@ -1319,19 +1377,19 @@ impl ProtoMachine {
                 }
             }
             WireMessage::ProbeMiss { subject, asker, session } => {
-                if self.seen.insert((src, msg_id)) {
+                if self.first_sighting(src, msg_id) {
                     self.send_reply(env, subject, session, asker, None, trace, &mut out);
                 }
             }
             WireMessage::Register { target, capacity } => {
-                if self.seen.insert((src, msg_id)) {
+                if self.first_sighting(src, msg_id) {
                     env.apply_register(target, src, capacity);
                 }
                 let ack = WireMessage::RegisterAck { acked: msg_id };
                 self.post(env, &mut out, src, trace, ack, None);
             }
             WireMessage::Update { subject, addr, seq } => {
-                if self.seen.insert((src, msg_id)) {
+                if self.first_sighting(src, msg_id) {
                     env.apply_update(self.key, subject, addr, seq);
                 }
                 self.post(
@@ -1344,7 +1402,7 @@ impl ProtoMachine {
                 );
             }
             WireMessage::Publish { subject, addr, seq } => {
-                if self.seen.insert((src, msg_id)) {
+                if self.first_sighting(src, msg_id) {
                     env.apply_publish(self.key, subject, addr, seq);
                 }
             }
@@ -1353,7 +1411,7 @@ impl ProtoMachine {
             | WireMessage::Refresh { .. } => {
                 // Vocabulary completeness: observed, deduplicated, no
                 // protocol reaction yet.
-                self.seen.insert((src, msg_id));
+                self.first_sighting(src, msg_id);
             }
             WireMessage::Heartbeat { seq, incarnation } => {
                 // The probe itself is evidence of life at `incarnation`.
@@ -1411,7 +1469,7 @@ impl ProtoMachine {
                         accuser: src,
                         incarnation: self.incarnation,
                     });
-                } else if self.seen.insert((src, msg_id))
+                } else if self.first_sighting(src, msg_id)
                     && self.detector.mark_dead(suspect, incarnation)
                 {
                     out.completions.push(Completion::PeerDead { peer: suspect });
@@ -1428,7 +1486,7 @@ impl ProtoMachine {
             WireMessage::Rejoin { incarnation } => {
                 // The rejoiner is alive by definition of having sent this.
                 self.digest_alive(env, src, incarnation, &mut out);
-                if self.seen.insert((src, msg_id)) {
+                if self.first_sighting(src, msg_id) {
                     out.completions.push(Completion::RejoinRequested { peer: src, incarnation });
                 }
                 // Always ack, even duplicates: the previous ack may have
@@ -1641,6 +1699,7 @@ impl ProtoMachine {
 mod tests {
     use super::*;
     use crate::testenv::MockEnv;
+    use bristle_netsim::rng::Pcg64;
 
     const A: Key = Key(10);
     const B: Key = Key(20);
@@ -2687,5 +2746,121 @@ mod tests {
         prober.poll(t(40), Event::Deliver(ack), &mut env);
         // rtt = 40: srtt8 = 320, rttvar4 = 80, rto = 40 + 80 = 120.
         assert_eq!(prober.rto_estimate(B), Some(120));
+    }
+
+    /// One frame of every `seen`-guarded kind, from `src` under `msg_id`.
+    fn guarded_frame(rng: &mut Pcg64, src: Key, msg_id: u64) -> Envelope {
+        let addr = WireAddr { host: 7, router: 3, epoch: 0 };
+        let n = rng.range_inclusive(0, 99);
+        let msg = match rng.range_inclusive(0, 10) {
+            0 => WireMessage::RouteHop { origin: src, route_id: n, target: A },
+            1 => WireMessage::RouteHop { origin: src, route_id: n, target: B },
+            2 => WireMessage::Discovery { subject: M, asker: src, session: n, probe: None },
+            3 => WireMessage::ProbeMiss { subject: M, asker: src, session: n },
+            4 => WireMessage::Register { target: A, capacity: 4 },
+            5 => WireMessage::Update { subject: src, addr, seq: n },
+            6 => WireMessage::Publish { subject: src, addr, seq: n },
+            7 => WireMessage::JoinProbe { key: src },
+            8 => WireMessage::Leave { key: src },
+            9 => WireMessage::SuspectNotify { suspect: Key(99), incarnation: 0 },
+            _ => WireMessage::Rejoin { incarnation: n },
+        };
+        Envelope { src, dst: A, msg_id, trace_id: 0, msg, auth: None }
+    }
+
+    /// The two-generation `seen` against the never-pruned set it
+    /// replaced, through the machine: first copies, retransmissions and
+    /// transport duplicates of every guarded kind, each frame's copies
+    /// drawn inside one retry ladder of its first, over dozens of
+    /// lifetimes. Same duplicate verdict — so the same `Output`, frame
+    /// for frame, and the same commits — at fixed and adaptive RTO.
+    /// Then the contract past the horizon, stated: two lifetimes after
+    /// the traffic stops nothing is held, and a replayed frame is new.
+    #[test]
+    fn bounded_seen_matches_a_never_pruned_set_inside_the_retry_ladder() {
+        const FRAMES: usize = 600;
+        // Fixed: 100 << 3 bounds 100 + 200 + 400. Adaptive: max_rto × 3.
+        for (adaptive, ladder) in [(None, 800), (Some(small_rto()), 30_000)] {
+            for seed in [8u64, 27] {
+                let ctx = format!("seed {seed}, adaptive {}", adaptive.is_some());
+                let mut rng = Pcg64::seed_from_u64(seed);
+                let mut arrivals: Vec<(u64, Envelope)> = Vec::new();
+                let mut next_id = [0u64; 3];
+                let mut first = 0;
+                for _ in 0..FRAMES {
+                    first += rng.range_inclusive(0, ladder / 4);
+                    let s = rng.range_inclusive(0, 2) as usize;
+                    let frame = guarded_frame(&mut rng, [B, M, Key(77)][s], next_id[s]);
+                    next_id[s] += 1;
+                    for _ in 0..rng.range_inclusive(0, 3) {
+                        arrivals.push((first + rng.range_inclusive(0, ladder), frame.clone()));
+                    }
+                    arrivals.push((first, frame));
+                }
+                arrivals.sort_by_key(|&(at, _)| at);
+                let horizon = arrivals[arrivals.len() - 1].0;
+                let replayed = arrivals[0].1.clone();
+
+                let strangers =
+                    |env: MockEnv| env.with_node(Key(77), 8, 2).with_node(Key(99), 9, 3);
+                let (mut env, mut oracle_env) = (strangers(world()), strangers(world()));
+                let mut bounded = ProtoMachine::new(A, policy());
+                let mut oracle = ProtoMachine::new(A, policy());
+                for m in [&mut bounded, &mut oracle] {
+                    m.set_adaptive_rto(adaptive);
+                    m.monitor(Key(99));
+                }
+                assert_eq!(bounded.seen_lifetime, 2 * ladder, "{ctx}");
+                oracle.seen_oracle = Some(Default::default());
+                let copies = arrivals.len();
+                for (at, frame) in arrivals {
+                    let got = bounded.poll(t(at), Event::Deliver(frame.clone()), &mut env);
+                    let want = oracle.poll(t(at), Event::Deliver(frame), &mut oracle_env);
+                    assert_eq!(got.outgoing, want.outgoing, "{ctx} t={at}");
+                    assert_eq!(got.timers, want.timers, "{ctx} t={at}");
+                    assert_eq!(got.completions, want.completions, "{ctx} t={at}");
+                }
+                assert_eq!(env.events, oracle_env.events, "{ctx}");
+                assert_eq!(env.updates, oracle_env.updates, "{ctx}");
+                assert_eq!(env.registered, oracle_env.registered, "{ctx}");
+                assert_eq!(oracle.seen_oracle.as_ref().map(|o| o.len()), Some(FRAMES), "{ctx}");
+                assert!(copies > FRAMES * 2, "{ctx}: duplicates were drawn");
+                assert!(bounded.seen_len() < FRAMES / 4, "{ctx}: held {}", bounded.seen_len());
+
+                // Anything the machine hears ages the set, guarded or not.
+                let silence = horizon + 2 * bounded.seen_lifetime;
+                let probe = WireMessage::Heartbeat { seq: 0, incarnation: 0 };
+                let probe =
+                    Envelope { src: B, dst: A, msg_id: 0, trace_id: 0, msg: probe, auth: None };
+                bounded.poll(t(silence), Event::Deliver(probe), &mut env);
+                assert_eq!(
+                    bounded.seen_len(),
+                    0,
+                    "{ctx}: empty two lifetimes after the last frame"
+                );
+                // The contract: a frame older than two lifetimes is new.
+                bounded.poll(t(silence), Event::Deliver(replayed.clone()), &mut env);
+                assert_eq!(bounded.seen_len(), 1, "{ctx}: replay accepted as new");
+                bounded.poll(t(silence + 1), Event::Deliver(replayed), &mut env);
+                assert_eq!(bounded.seen_len(), 1, "{ctx}: and its duplicate is caught again");
+            }
+        }
+    }
+
+    /// A restarted machine's ids start above every id of its previous
+    /// lives, whatever those lives' incarnations were.
+    #[test]
+    fn restored_machine_numbers_frames_above_its_previous_lives() {
+        let mut env = world();
+        let mut old = ProtoMachine::new(A, policy());
+        let (first_id, _) = old.start_route(t(0), &mut env, B);
+        assert_eq!(first_id, 0);
+        let mut new = ProtoMachine::new(A, policy());
+        new.restore_incarnation(3);
+        let (first_id, out) = new.start_route(t(0), &mut env, B);
+        assert_eq!((first_id, out.outgoing[0].env.msg_id), (3 << 32, (3 << 32) + 1));
+        new.restore_incarnation(2);
+        let (next_id, _) = new.start_route(t(0), &mut env, B);
+        assert_eq!(next_id, (3 << 32) + 2, "never lowered");
     }
 }

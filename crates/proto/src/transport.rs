@@ -9,13 +9,16 @@
 //! outages) from a seeded [`Pcg64`], so every run with the same seed and
 //! fault schedule produces a byte-identical delivery trace.
 //!
-//! The trace is append-only and kept for the whole run — one
-//! [`TraceRecord`] per send — so a record is a flat 64 bytes: the (at
-//! most two) arrival times sit inline in [`Arrivals`] rather than behind
-//! a per-send heap allocation. [`SimTransport::trace_bytes`] is the
-//! canonical serialization and does not depend on that layout.
+//! Every send is counted and the newest [`TRACE_CAPACITY`] of them are
+//! kept as [`TraceRecord`] rows in a ring ([`SendTrace`]), so what the
+//! trace holds is set by the ring, not by how long the run has been. A
+//! row is a flat 64 bytes: the (at most two) arrival times sit inline in
+//! [`Arrivals`] rather than behind a per-send heap allocation.
+//! [`SimTransport::trace_bytes`] is the canonical serialization; it does
+//! not depend on that layout and refuses to digest a trace that has
+//! evicted a row.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use bristle_core::time::SimTime;
@@ -300,9 +303,9 @@ impl Fate {
 }
 
 /// When the copies of one send arrive: none (dropped or blocked), one,
-/// or two (duplicated). Stored inline — the trace keeps a row per send
-/// for the whole run, and a heap `Vec` per row would be most of its
-/// memory — and read as a `[SimTime]` through `Deref`.
+/// or two (duplicated). Stored inline — a heap `Vec` per row would be
+/// most of the ring's memory and an allocation per send — and read as a
+/// `[SimTime]` through `Deref`.
 // Slots past `len` are never written, so the derived comparison of the
 // whole array agrees with comparing the slices.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -330,7 +333,7 @@ impl std::ops::Deref for Arrivals {
     }
 }
 
-/// One row of the transport's append-only trace.
+/// One row of the transport's send trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Send order (0-based).
@@ -353,8 +356,109 @@ pub struct TraceRecord {
     pub arrivals: Arrivals,
 }
 
-// A row per send for the whole run: one cache line, no heap pointer.
+// One cache line, no heap pointer: the ring is `TRACE_CAPACITY` of these.
 const _: () = assert!(std::mem::size_of::<TraceRecord>() <= 64);
+
+/// Rows a [`SendTrace`] retains (256 KiB of 64-byte rows): enough to
+/// read back the end of any operation, and several times what the
+/// longest in-tree run that digests its whole trace sends.
+pub const TRACE_CAPACITY: usize = 4096;
+
+/// The transport's send trace: a count of every send so far and the
+/// newest [`TRACE_CAPACITY`] rows.
+///
+/// The one unusual thing about it: [`len`](Self::len) is the number of
+/// sends *ever recorded* — the next row's `seq` — not the number of rows
+/// held, so differences of `len()` count sends however long the run.
+/// The rows themselves are behind [`rows`](Self::rows) /
+/// [`iter`](Self::iter), oldest first, and indexing is by send number.
+///
+/// ```
+/// use std::sync::Arc;
+/// use bristle_core::time::SimTime;
+/// use bristle_netsim::dijkstra::DistanceCache;
+/// use bristle_netsim::graph::{Graph, RouterId};
+/// use bristle_overlay::key::Key;
+/// use bristle_proto::transport::{FaultConfig, SimTransport, Transport, TRACE_CAPACITY};
+/// use bristle_proto::wire::{Envelope, WireMessage};
+///
+/// let mut g = Graph::with_vertices(2);
+/// g.add_edge(RouterId(0), RouterId(1), 3);
+/// let dcache = Arc::new(DistanceCache::new(Arc::new(g), 2));
+/// let mut t = SimTransport::new(dcache, FaultConfig::perfect(), 7);
+/// for id in 0..TRACE_CAPACITY as u64 + 3 {
+///     let msg = WireMessage::Refresh { key: Key(1) };
+///     let env = Envelope { src: Key(1), dst: Key(2), msg_id: id, trace_id: 0, msg, auth: None };
+///     t.send(SimTime(id), RouterId(0), RouterId(1), env);
+/// }
+/// let trace = t.trace();
+/// assert_eq!(trace.len(), TRACE_CAPACITY + 3, "every send is counted");
+/// assert_eq!(trace.rows().len(), TRACE_CAPACITY, "the newest rows are kept");
+/// assert_eq!(trace.evicted(), 3);
+/// assert_eq!(trace.rows()[0].seq, 3, "oldest retained row");
+/// assert_eq!(trace[trace.len() - 1].msg_id, TRACE_CAPACITY as u64 + 2, "indexed by send number");
+/// ```
+#[derive(Debug, Default)]
+pub struct SendTrace {
+    /// The newest rows, oldest first; `rows[i].seq == evicted() + i`.
+    rows: VecDeque<TraceRecord>,
+    /// Sends recorded so far.
+    sent: usize,
+}
+
+impl SendTrace {
+    /// Sends recorded so far, evicted rows included.
+    pub fn len(&self) -> usize {
+        self.sent
+    }
+
+    /// Whether nothing has been sent yet.
+    pub fn is_empty(&self) -> bool {
+        self.sent == 0
+    }
+
+    /// Rows dropped from the front of the ring to make room.
+    pub fn evicted(&self) -> usize {
+        self.sent - self.rows.len()
+    }
+
+    /// The retained rows, oldest first.
+    pub fn rows(&self) -> &VecDeque<TraceRecord> {
+        &self.rows
+    }
+
+    /// Iterates the retained rows, oldest first.
+    pub fn iter(&self) -> std::collections::vec_deque::Iter<'_, TraceRecord> {
+        self.rows.iter()
+    }
+
+    fn push(&mut self, row: TraceRecord) {
+        if self.rows.len() == TRACE_CAPACITY {
+            self.rows.pop_front();
+        }
+        self.rows.push_back(row);
+        self.sent += 1;
+    }
+}
+
+impl std::ops::Index<usize> for SendTrace {
+    type Output = TraceRecord;
+
+    /// The row of send number `seq`.
+    ///
+    /// # Panics
+    /// Panics if that send has not happened yet or its row has been
+    /// evicted.
+    fn index(&self, seq: usize) -> &TraceRecord {
+        let evicted = self.evicted();
+        match seq.checked_sub(evicted).and_then(|i| self.rows.get(i)) {
+            Some(row) => row,
+            None => {
+                panic!("send {seq} is not in the trace ({} sent, {evicted} evicted)", self.sent)
+            }
+        }
+    }
+}
 
 /// The deterministic in-memory transport.
 pub struct SimTransport {
@@ -362,7 +466,7 @@ pub struct SimTransport {
     faults: FaultConfig,
     filter: LinkFilter,
     rng: Pcg64,
-    trace: Vec<TraceRecord>,
+    trace: SendTrace,
     /// Per-node fail-slow scripts with their application time (for
     /// ramps); a degraded node affects every send it originates or
     /// receives.
@@ -385,7 +489,7 @@ impl SimTransport {
             faults: faults.normalized(),
             filter: LinkFilter::default(),
             rng: Pcg64::seed_from_u64(seed),
-            trace: Vec::new(),
+            trace: SendTrace::default(),
             node_degrade: BTreeMap::new(),
             link_degrade: BTreeMap::new(),
             degrade_salt: stir(seed ^ 0xD09E),
@@ -460,16 +564,28 @@ impl SimTransport {
         &self.faults
     }
 
-    /// The append-only send trace.
-    pub fn trace(&self) -> &[TraceRecord] {
+    /// The send trace: every send counted, the newest rows retained.
+    pub fn trace(&self) -> &SendTrace {
         &self.trace
     }
 
     /// Serializes the trace into a canonical byte string; two runs are
     /// behaviourally identical iff their trace bytes are equal.
+    ///
+    /// # Panics
+    /// Panics once the run has sent more than [`TRACE_CAPACITY`] frames:
+    /// the bytes would cover only the retained suffix, and a digest of
+    /// part of a run must never pass for a digest of all of it.
     pub fn trace_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.trace.len() * 48);
-        for r in &self.trace {
+        let evicted = self.trace.evicted();
+        assert!(
+            evicted == 0,
+            "trace_bytes: {evicted} of {} rows evicted from the {TRACE_CAPACITY}-row trace; \
+             the bytes would not cover the whole run",
+            self.trace.len(),
+        );
+        let mut out = Vec::with_capacity(self.trace.rows.len() * 48);
+        for r in &self.trace.rows {
             out.extend_from_slice(&r.seq.to_le_bytes());
             out.extend_from_slice(&r.sent_at.0.to_le_bytes());
             out.extend_from_slice(&r.from.0.to_le_bytes());
@@ -535,26 +651,26 @@ impl Transport for SimTransport {
         // degradations consumes exactly the same main-RNG draws as
         // before the feature existed, keeping default traces
         // byte-identical.
-        let mut extra_latency = 0;
-        if let Some((degrade, since)) = self.active_degradation(from, to) {
-            if degrade.extra_loss > 0.0 {
+        let degrade = self.active_degradation(from, to);
+        if let Some((script, _)) = degrade {
+            if script.extra_loss > 0.0 {
                 self.degrade_draws += 1;
                 let roll = stir(self.degrade_salt ^ self.degrade_draws);
                 let unit = (roll >> 11) as f64 / (1u64 << 53) as f64;
-                if unit < degrade.extra_loss {
+                if unit < script.extra_loss {
                     record.fate = Fate::Dropped;
                     self.trace.push(record);
                     return Vec::new();
                 }
             }
-            let base = self.dcache.distance(from, to) + self.faults.min_latency;
-            // A script scheduled for the future ramps from its start,
-            // not from the first send that sees it.
-            let elapsed = now.0.saturating_sub(since.0);
-            extra_latency = degrade.added_latency(base, elapsed);
         }
 
-        let base = self.dcache.distance(from, to) + self.faults.min_latency + extra_latency;
+        let link = self.dcache.distance(from, to) + self.faults.min_latency;
+        // A script scheduled for the future ramps from its start, not
+        // from the first send that sees it.
+        let extra_latency = degrade
+            .map_or(0, |(script, since)| script.added_latency(link, now.0.saturating_sub(since.0)));
+        let base = link + extra_latency;
         let arrival = now.plus(base + jitter);
         record.arrivals.push(arrival);
         // N arrivals cost N−1 clones: the last delivery takes `env` by
@@ -656,6 +772,45 @@ mod tests {
             b.send(SimTime(i), RouterId(0), RouterId(2), envelope(i));
         }
         assert_ne!(a.trace_bytes(), b.trace_bytes());
+    }
+
+    /// Past the ring the count and `seq` run on and the rows held are
+    /// the newest, in send order; at exactly capacity the digest is
+    /// still the whole run's.
+    #[test]
+    fn trace_counts_every_send_and_keeps_the_newest_rows() {
+        let mut t = SimTransport::new(line_cache(3), FaultConfig::lossy(0.3), 8);
+        let send = |t: &mut SimTransport, i: usize| {
+            t.send(SimTime(i as u64), RouterId(0), RouterId(2), envelope(i as u64));
+        };
+        (0..TRACE_CAPACITY).for_each(|i| send(&mut t, i));
+        assert_eq!((t.trace().len(), t.trace().evicted()), (TRACE_CAPACITY, 0));
+        let whole = t.trace_bytes();
+        assert!(whole.len() >= TRACE_CAPACITY * 35, "every row serialised");
+
+        (TRACE_CAPACITY..2 * TRACE_CAPACITY + 5).for_each(|i| send(&mut t, i));
+        let trace = t.trace();
+        assert_eq!(trace.len(), 2 * TRACE_CAPACITY + 5);
+        assert_eq!(trace.rows().len(), TRACE_CAPACITY);
+        assert_eq!(trace.evicted(), TRACE_CAPACITY + 5);
+        for (i, row) in trace.iter().enumerate() {
+            let seq = trace.evicted() + i;
+            assert_eq!(
+                (row.seq, row.msg_id, row.sent_at),
+                (seq as u64, seq as u64, SimTime(seq as u64))
+            );
+            assert_eq!(trace[seq], *row);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "1 of 4097 rows evicted")]
+    fn trace_bytes_refuses_after_the_first_eviction() {
+        let mut t = SimTransport::new(line_cache(3), FaultConfig::perfect(), 8);
+        for i in 0..=TRACE_CAPACITY as u64 {
+            t.send(SimTime(i), RouterId(0), RouterId(2), envelope(i));
+        }
+        t.trace_bytes();
     }
 
     #[test]
@@ -761,7 +916,7 @@ mod tests {
             1,
             "others flow"
         );
-        assert!(t.trace()[..4].iter().all(|r| r.fate == Fate::Blocked));
+        assert!(t.trace().iter().take(4).all(|r| r.fate == Fate::Blocked));
     }
 
     #[test]

@@ -766,8 +766,8 @@ impl MessagingBristleSystem {
 
     /// Retires `key`'s machine (its interned index survives). The
     /// ledger forgets the ids it sent: a machine started for `key` later
-    /// numbers its frames from 0 again, and they are not retries of the
-    /// previous life's.
+    /// may number its frames from 0 again, and they are not retries of
+    /// the previous life's.
     fn remove_machine(&mut self, key: Key) {
         if let Some(i) = self.ids.get(key) {
             self.machines.remove(i);
@@ -1606,6 +1606,11 @@ mod tests {
     use bristle_core::config::BristleConfig;
     use bristle_core::system::BristleBuilder;
     use bristle_netsim::transit_stub::TransitStubConfig;
+    use bristle_proto::transport::TRACE_CAPACITY;
+
+    /// The machines' dedup horizon under the default policy: twice
+    /// `ack_timeout << max_attempts` = 20 000 << 4.
+    const DEDUP_LIFETIME: u64 = 640_000;
 
     fn build(seed: u64) -> BristleSystem {
         BristleBuilder::new(seed)
@@ -1775,6 +1780,115 @@ mod tests {
                 0,
                 "seed {seed}: a perfect transport retransmits nothing"
             );
+        }
+    }
+
+    /// A neighbour's dedup set still holds the previous life's
+    /// `(src, msg_id)` pairs when a node restarts inside one dedup
+    /// lifetime. The new life's hops must not be mistaken for them:
+    /// acked as duplicates and never forwarded, the route would stall
+    /// with the sender holding its ack.
+    #[test]
+    fn restarted_node_routes_through_a_neighbour_that_saw_its_previous_life() {
+        for seed in [8u64, 27] {
+            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+            let mobiles: Vec<Key> = msys.sys.mobile_keys().to_vec();
+            let victim = mobiles[0];
+            let born = msys.micro_now();
+            // First life: every target's first hop leaves under a low id.
+            for &target in &mobiles[1..] {
+                msys.route(victim, target).expect("clean route");
+            }
+            msys.settle();
+            msys.fail_silently(victim);
+            msys.confirm_and_heal(victim).expect("victim is known");
+            assert!(msys.crash_restart(victim).expect("victim restarts").restored);
+            for &target in &mobiles[1..] {
+                let done = msys.route(victim, target);
+                assert!(done.is_ok(), "seed {seed}: route to {target} after restart: {done:?}");
+            }
+            assert!(msys.micro_now().since(born) < DEDUP_LIFETIME, "all inside one dedup lifetime");
+        }
+    }
+
+    /// What the message path holds after `rounds` rounds of heartbeats
+    /// at 2 % loss and a route burst, each settled.
+    struct Held {
+        sends: usize,
+        trace_rows: usize,
+        seen: usize,
+        /// Frames of the deduplicated kinds this workload sends.
+        guarded: u64,
+        ledger_bytes: usize,
+        machines: usize,
+        elapsed: u64,
+    }
+
+    fn soak(seed: u64, rounds: usize) -> Held {
+        let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::lossy(0.02), seed);
+        let mut keys: Vec<Key> = msys.sys.mobile.keys().collect();
+        keys.sort_unstable();
+        let mut rng = bristle_netsim::rng::Pcg64::seed_from_u64(seed);
+        msys.seed_monitors();
+        for _ in 0..rounds {
+            msys.heartbeat_round();
+            msys.settle();
+            let pairs: Vec<(Key, Key)> = (0..8)
+                .map(|_| (*rng.choose(&keys), *rng.choose(&keys)))
+                .filter(|(s, t)| s != t)
+                .collect();
+            msys.route_burst(&pairs);
+            msys.settle();
+        }
+        Held {
+            sends: msys.transport.trace().len(),
+            trace_rows: msys.transport.trace().rows().len(),
+            seen: msys.machines.iter().map(|(_, m)| m.seen_len()).sum(),
+            guarded: [MessageKind::RouteHop, MessageKind::DiscoveryHop]
+                .iter()
+                .map(|&kind| msys.sys.meter.count(kind))
+                .sum(),
+            ledger_bytes: msys.delivered.heap_bytes(),
+            machines: msys.machines.iter().count(),
+            elapsed: msys.micro_now().0,
+        }
+    }
+
+    /// The flatness gate, by count rather than by RSS: ten times the
+    /// rounds must not mean ten times the tables. The send trace holds
+    /// its ring, `seen` holds two lifetimes of traffic however long the
+    /// run, and the delivery ledger — whose low-water mark is still
+    /// ROADMAP 2(b)'s, so it does grow — stays at a bit per id plus a
+    /// constant per source.
+    #[test]
+    fn message_path_tables_are_flat_in_rounds() {
+        const R: usize = 40;
+        for seed in [8u64, 27] {
+            let (short, long) = (soak(seed, R), soak(seed, 10 * R));
+            assert!(long.sends > 9 * short.sends, "seed {seed}: ten times the traffic");
+            for held in [&short, &long] {
+                assert!(held.sends > TRACE_CAPACITY, "seed {seed}: the ring wrapped");
+                assert!(held.trace_rows <= TRACE_CAPACITY, "seed {seed}");
+                let budget = held.sends / 8 + 128 * held.machines;
+                assert!(
+                    held.ledger_bytes <= budget,
+                    "seed {seed}: ledger holds {} B for {} ids from {} sources, budget {budget} B",
+                    held.ledger_bytes,
+                    held.sends,
+                    held.machines
+                );
+            }
+            assert!(short.elapsed > DEDUP_LIFETIME, "seed {seed}: R rounds outlast one lifetime");
+            // One lifetime's deduplicated traffic, at the long run's rate.
+            let per_lifetime = long.guarded * DEDUP_LIFETIME / long.elapsed;
+            assert!(
+                (long.seen as u64) <= short.seen as u64 + per_lifetime,
+                "seed {seed}: seen holds {} after {R} rounds and {} after {}; {per_lifetime} frames a lifetime",
+                short.seen,
+                long.seen,
+                10 * R
+            );
+            assert!((long.seen as u64) < long.guarded / 10, "seed {seed}: and it forgets");
         }
     }
 
