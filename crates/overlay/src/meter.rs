@@ -158,6 +158,12 @@ impl Meter {
         self.costs[kind_index(kind)]
     }
 
+    /// `(kind, count, cost)` for every kind, in [`ALL_KINDS`] order —
+    /// the row shape run reports and tally comparisons consume.
+    pub fn tallies(&self) -> Vec<(MessageKind, u64, u64)> {
+        ALL_KINDS.iter().map(|&k| (k, self.count(k), self.cost(k))).collect()
+    }
+
     /// Total messages across all kinds.
     pub fn total_messages(&self) -> u64 {
         self.counts.iter().sum()
@@ -198,6 +204,16 @@ mod tests {
         assert_eq!(m.count(MessageKind::Update), 0);
         assert_eq!(m.total_messages(), 3);
         assert_eq!(m.total_cost(), 16);
+    }
+
+    #[test]
+    fn tallies_list_every_kind_in_order() {
+        let mut m = Meter::new();
+        m.record(MessageKind::Join, 3);
+        let t = m.tallies();
+        assert_eq!(t.len(), KIND_COUNT);
+        assert!(t.iter().map(|&(k, _, _)| k).eq(ALL_KINDS));
+        assert!(t.contains(&(MessageKind::Join, 1, 3)));
     }
 
     #[test]

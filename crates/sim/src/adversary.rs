@@ -32,17 +32,21 @@
 
 use bristle_core::auth::{AuthDomain, VerifyPolicy};
 use bristle_core::config::BristleConfig;
-use bristle_core::system::BristleBuilder;
 use bristle_netsim::rng::Pcg64;
-use bristle_netsim::transit_stub::TransitStubConfig;
 use bristle_overlay::key::Key;
-use bristle_overlay::meter::{MessageKind, ALL_KINDS};
+use bristle_overlay::meter::MessageKind;
 use bristle_overlay::obs::Snapshot;
 use bristle_proto::transport::FaultConfig;
 use bristle_proto::wire::{Envelope, WireMessage};
 
+use crate::cli::SweepArgs;
 use crate::messaging::{wire_addr_of, MessagingBristleSystem};
-use crate::workload::{busiest_primary, measure_pairs};
+use crate::report::{pct, Table};
+use crate::runreport::Json;
+use crate::sweeps::{Claim, SweepRun};
+use crate::workload::{
+    busiest_primary, crash_and_bury, fixed_pairs, measure_pairs, rate, tiny_system,
+};
 
 /// The four scripted attack families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,7 +126,7 @@ impl AttackConfig {
 }
 
 /// What one attack run observed.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AttackOutcome {
     /// The attacked node (mobile for every family; for sybil-flood the
     /// victim is the stationary band itself and this is its busiest
@@ -157,29 +161,17 @@ pub struct AttackOutcome {
 impl AttackOutcome {
     /// Fraction of attack frames that achieved their effect.
     pub fn success_rate(&self) -> f64 {
-        if self.attempts == 0 {
-            0.0
-        } else {
-            self.successes as f64 / self.attempts as f64
-        }
+        rate(self.successes, self.attempts, 0.0)
     }
 
     /// Fraction of pre-attack routes delivered.
     pub fn pre_rate(&self) -> f64 {
-        if self.honest_pre_attempted == 0 {
-            1.0
-        } else {
-            self.honest_pre_delivered as f64 / self.honest_pre_attempted as f64
-        }
+        rate(self.honest_pre_delivered as u64, self.honest_pre_attempted as u64, 1.0)
     }
 
     /// Fraction of post-attack routes delivered.
     pub fn post_rate(&self) -> f64 {
-        if self.honest_post_attempted == 0 {
-            1.0
-        } else {
-            self.honest_post_delivered as f64 / self.honest_post_attempted as f64
-        }
+        rate(self.honest_post_delivered as u64, self.honest_post_attempted as u64, 1.0)
     }
 }
 
@@ -213,15 +205,9 @@ fn inject(
 /// family's preconditions, fire the volley, settle, measure.
 /// Deterministic in `cfg`.
 pub fn run_attack(cfg: &AttackConfig) -> AttackOutcome {
-    let sys = BristleBuilder::new(cfg.seed)
-        .stationary_nodes(cfg.stationary)
-        .mobile_nodes(cfg.mobile)
-        .topology(TransitStubConfig::tiny())
-        .config(BristleConfig::recommended())
-        .build()
-        .expect("system builds");
     // A lossless transport keeps the success counts exact: what varies
     // between arms is the verify policy, not the network's dice.
+    let sys = tiny_system(cfg.seed, cfg.stationary, cfg.mobile, BristleConfig::recommended());
     let mut msys = MessagingBristleSystem::new(sys, FaultConfig::perfect(), cfg.seed ^ 0xA7);
     let mut rng = Pcg64::new(cfg.seed, 0xA77C);
 
@@ -255,30 +241,9 @@ pub fn run_attack(cfg: &AttackConfig) -> AttackOutcome {
 
     // Fixed endpoint pairs, measured identically before and after the
     // volley: enforcement must not tax honest traffic.
-    let mut endpoints: Vec<Key> = msys.sys.mobile.keys().collect();
-    endpoints.sort_unstable();
-    let mut pairs: Vec<(Key, Key)> = Vec::with_capacity(cfg.route_pairs);
-    while pairs.len() < cfg.route_pairs && endpoints.len() >= 2 {
-        let src = endpoints[rng.index(endpoints.len())];
-        let target = endpoints[rng.index(endpoints.len())];
-        if src != target && src != victim && target != victim {
-            pairs.push((src, target));
-        }
-    }
+    let pairs = fixed_pairs(&msys, &mut rng, cfg.route_pairs, Some(victim));
 
-    let mut out = AttackOutcome {
-        victim,
-        attempts: 0,
-        successes: 0,
-        forged_frames: 0,
-        auth_rejects: 0,
-        honest_pre_delivered: 0,
-        honest_pre_attempted: 0,
-        honest_post_delivered: 0,
-        honest_post_attempted: 0,
-        tallies: Vec::new(),
-        latencies: Vec::new(),
-    };
+    let mut out = AttackOutcome { victim, ..Default::default() };
     (out.honest_pre_delivered, out.honest_pre_attempted) = measure_pairs(&mut msys, &pairs);
 
     // Families that attack a corpse stage a real funeral first.
@@ -316,20 +281,7 @@ pub fn run_attack(cfg: &AttackConfig) -> AttackOutcome {
     };
 
     if needs_funeral {
-        msys.fail_silently(victim);
-        let mut confirmed = false;
-        for _ in 0..cfg.detection_rounds {
-            let newly = msys.heartbeat_round();
-            msys.sys.tick(1);
-            if newly.contains(&victim) {
-                msys.confirm_and_heal(victim).expect("victim is known");
-                confirmed = true;
-                break;
-            }
-        }
-        if !confirmed {
-            msys.confirm_and_heal(victim).expect("victim is known");
-        }
+        crash_and_bury(&mut msys, victim, cfg.detection_rounds);
     }
 
     let meter_count = |msys: &MessagingBristleSystem, kind: MessageKind| msys.sys.meter.count(kind);
@@ -480,10 +432,89 @@ pub fn run_attack(cfg: &AttackConfig) -> AttackOutcome {
 
     (out.honest_post_delivered, out.honest_post_attempted) = measure_pairs(&mut msys, &pairs);
 
-    out.tallies =
-        ALL_KINDS.iter().map(|&k| (k, msys.sys.meter.count(k), msys.sys.meter.cost(k))).collect();
+    out.tallies = msys.sys.meter.tallies();
     out.latencies = msys.obs().latency_snapshots();
     out
+}
+
+/// The `attacks` sweep: the four scripted attack families against every
+/// verification policy (off / log-only / enforce). Each cell's pre-volley
+/// delivery measurement doubles as that policy's no-attack baseline.
+pub fn sweep(args: &SweepArgs) -> SweepRun {
+    const POLICIES: [VerifyPolicy; 3] =
+        [VerifyPolicy::Off, VerifyPolicy::LogOnly, VerifyPolicy::Enforce];
+    let (stationary, mobile) = args.scale.pick((40usize, 16usize), (90, 40));
+    let mut run = SweepRun::new("attacks", args.seed);
+    let mut table = Table::new(
+        "Adversarial overlay — attack success and honest delivery, by family × verify policy",
+        &[
+            "family",
+            "policy",
+            "attempts",
+            "successes",
+            "success rate",
+            "forged metered",
+            "dropped",
+            "deliv pre→post",
+        ],
+    );
+    let mut enforce_stops = Claim::every_cell("enforcement stops every attack family cold");
+    let mut off_lands = Claim::every_cell("with verification off every family lands");
+    let mut enforce_is_free =
+        Claim::every_cell("enforcement costs honest pre-attack delivery nothing");
+    for family in ALL_FAMILIES {
+        let mut off_pre_delivered = None;
+        for policy in POLICIES {
+            let mut cfg = AttackConfig::standard(args.seed, family, policy);
+            cfg.stationary = stationary;
+            cfg.mobile = mobile;
+            let out = run_attack(&cfg);
+            match policy {
+                VerifyPolicy::Off => {
+                    off_lands.ok &= out.successes > 0;
+                    off_pre_delivered = Some(out.honest_pre_delivered);
+                }
+                VerifyPolicy::LogOnly => {}
+                VerifyPolicy::Enforce => {
+                    enforce_stops.ok &= out.successes == 0;
+                    enforce_is_free.ok &=
+                        off_pre_delivered.is_some_and(|base| out.honest_pre_delivered == base);
+                }
+            }
+            run.report.push_cell(
+                Json::obj([
+                    ("family", Json::Str(family.name().into())),
+                    ("policy", Json::Str(policy.name().into())),
+                    ("stationary", Json::U64(stationary as u64)),
+                    ("mobile", Json::U64(mobile as u64)),
+                ]),
+                &out.tallies,
+                &out.latencies,
+                Json::obj([
+                    ("attempts", Json::U64(out.attempts)),
+                    ("successes", Json::U64(out.successes)),
+                    ("success_rate", Json::F64(out.success_rate())),
+                    ("forged_frames", Json::U64(out.forged_frames)),
+                    ("auth_rejects", Json::U64(out.auth_rejects)),
+                    ("pre_rate", Json::F64(out.pre_rate())),
+                    ("post_rate", Json::F64(out.post_rate())),
+                ]),
+            );
+            table.row(vec![
+                family.name().to_string(),
+                policy.name().to_string(),
+                out.attempts.to_string(),
+                out.successes.to_string(),
+                pct(out.success_rate()),
+                out.forged_frames.to_string(),
+                out.auth_rejects.to_string(),
+                format!("{}→{}", pct(out.pre_rate()), pct(out.post_rate())),
+            ]);
+        }
+    }
+    run.tables.push(table);
+    run.claims.extend([enforce_stops, off_lands, enforce_is_free]);
+    run
 }
 
 #[cfg(test)]

@@ -1,8 +1,4 @@
-//! Shared command-line parsing for the sweep binaries.
-//!
-//! Every sweep binary accepts the same small flag vocabulary; before
-//! this module each binary hand-rolled its own scan of `std::env::args`
-//! (six slightly-different copies). [`SweepArgs`] is the single parser:
+//! The one flag parser behind every `bristle-sim <sweep>` invocation.
 //!
 //! | flag | meaning |
 //! |------|---------|
@@ -13,8 +9,9 @@
 //! | `--stretch`      | add the largest cell (scale sweep) |
 //! | `--workers <k>`  | wiring/sampling threads (scale sweep) |
 //!
-//! Unknown flags are ignored, matching the historical behaviour of the
-//! binaries, so wrapper scripts passing extra arguments keep working.
+//! An unknown flag, a flag missing its value, or a value that does not
+//! parse is an error: a typo must not silently regenerate the seed-8
+//! report under another name.
 
 use std::path::PathBuf;
 
@@ -23,7 +20,7 @@ use crate::experiments::Scale;
 /// The seed the committed `BENCH_*.json` artifacts are generated at.
 pub const DEFAULT_SEED: u64 = 8;
 
-/// Parsed sweep-binary arguments. See the module docs for the flags.
+/// Parsed sweep arguments. See the module docs for the flags.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepArgs {
     /// Population scale (`--paper` ⇒ [`Scale::Paper`]).
@@ -37,43 +34,49 @@ pub struct SweepArgs {
     /// Scale sweep only: add the largest (stretch) population cell.
     pub stretch: bool,
     /// Scale sweep only: worker-thread count override (`None` lets the
-    /// binary pick, e.g. from `available_parallelism`).
+    /// sweep pick from `available_parallelism`).
     pub workers: Option<usize>,
 }
 
-impl SweepArgs {
-    /// Parses the process's own arguments (everything after `argv[0]`).
-    pub fn parse() -> SweepArgs {
-        Self::parse_from(std::env::args().skip(1))
-    }
-
-    /// Parses an explicit argument list (tests, wrappers).
-    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> SweepArgs {
-        let mut out = SweepArgs {
+impl Default for SweepArgs {
+    /// The arguments the committed reports are generated with.
+    fn default() -> Self {
+        SweepArgs {
             scale: Scale::Quick,
             json: None,
             seed: DEFAULT_SEED,
             smoke: false,
             stretch: false,
             workers: None,
-        };
+        }
+    }
+}
+
+impl SweepArgs {
+    /// Parses the flags that follow the subcommand name. The error is a
+    /// one-line reason for the usage message.
+    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<SweepArgs, String> {
+        fn value<T: std::str::FromStr>(
+            flag: &str,
+            args: &mut impl Iterator<Item = String>,
+        ) -> Result<T, String> {
+            let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            v.parse().map_err(|_| format!("{flag}: cannot parse {v:?}"))
+        }
+        let mut out = SweepArgs::default();
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--paper" => out.scale = Scale::Paper,
                 "--smoke" => out.smoke = true,
                 "--stretch" => out.stretch = true,
-                "--json" => out.json = args.next().map(PathBuf::from),
-                "--seed" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                        out.seed = v;
-                    }
-                }
-                "--workers" => out.workers = args.next().and_then(|v| v.parse().ok()),
-                _ => {}
+                "--json" => out.json = Some(value("--json", &mut args)?),
+                "--seed" => out.seed = value("--seed", &mut args)?,
+                "--workers" => out.workers = Some(value("--workers", &mut args)?),
+                other => return Err(format!("unknown flag {other:?}")),
             }
         }
-        out
+        Ok(out)
     }
 }
 
@@ -81,13 +84,14 @@ impl SweepArgs {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> SweepArgs {
+    fn parse(args: &[&str]) -> Result<SweepArgs, String> {
         SweepArgs::parse_from(args.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn defaults_match_the_committed_artifacts() {
-        let a = parse(&[]);
+        let a = parse(&[]).unwrap();
+        assert_eq!(a, SweepArgs::default());
         assert_eq!(a.scale, Scale::Quick);
         assert_eq!(a.seed, DEFAULT_SEED);
         assert_eq!(a.json, None);
@@ -107,7 +111,8 @@ mod tests {
             "--stretch",
             "--workers",
             "4",
-        ]);
+        ])
+        .unwrap();
         assert_eq!(a.scale, Scale::Paper);
         assert_eq!(a.json, Some(PathBuf::from("out.json")));
         assert_eq!(a.seed, 27);
@@ -116,9 +121,12 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flags_and_bad_values_are_ignored() {
-        let a = parse(&["--verbose", "--seed", "not-a-number", "--workers"]);
-        assert_eq!(a.seed, DEFAULT_SEED);
-        assert_eq!(a.workers, None);
+    fn unknown_flags_and_bad_values_are_errors() {
+        assert!(parse(&["--verbose"]).unwrap_err().contains("--verbose"));
+        assert!(parse(&["--seed", "2x7"]).unwrap_err().contains("2x7"));
+        assert!(parse(&["--seed", "not-a-number"]).is_err());
+        assert!(parse(&["--workers"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--paper", "--json"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["stray"]).is_err());
     }
 }

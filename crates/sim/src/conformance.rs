@@ -35,14 +35,13 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Duration;
 
 use bristle_core::config::BristleConfig;
-use bristle_core::system::{BristleBuilder, BristleSystem};
+use bristle_core::system::BristleSystem;
 use bristle_core::time::SimTime;
 use bristle_net::{SocketDriver, WallClock};
 use bristle_netsim::graph::RouterId;
-use bristle_netsim::transit_stub::TransitStubConfig;
 use bristle_overlay::addr::{NetAddr, StatePair};
 use bristle_overlay::key::Key;
-use bristle_overlay::meter::{MessageKind, Meter, ALL_KINDS};
+use bristle_overlay::meter::MessageKind;
 use bristle_overlay::obs::{ObsEvent, ObsEventKind};
 use bristle_proto::failure::FailurePolicy;
 use bristle_proto::machine::{Completion, ProtoMachine, RetryPolicy};
@@ -52,6 +51,7 @@ use bristle_proto::wire::WireAddr;
 use crate::messaging::{
     children_by_parent, wire_addr_of, AuthConfig, MessagingBristleSystem, ObsCollector, SystemEnv,
 };
+use crate::workload::tiny_system;
 
 /// Event budget per scripted operation, mirroring the messaging
 /// driver's runaway backstop.
@@ -70,13 +70,7 @@ pub struct ConformanceReport {
 
 /// The shared population: identical to the golden-trace scenario's.
 fn build(seed: u64) -> BristleSystem {
-    BristleBuilder::new(seed)
-        .stationary_nodes(40)
-        .mobile_nodes(12)
-        .topology(TransitStubConfig::tiny())
-        .config(BristleConfig::recommended())
-        .build()
-        .expect("system builds")
+    tiny_system(seed, 40, 12, BristleConfig::recommended())
 }
 
 /// A pair whose mobile-layer route is a single direct hop to a mobile
@@ -194,11 +188,6 @@ pub fn profile(events: &[ObsEvent]) -> String {
     doc
 }
 
-/// `(kind, count, cost)` over every kind, in declaration order.
-fn tallies(meter: &Meter) -> Vec<(MessageKind, u64, u64)> {
-    ALL_KINDS.iter().map(|&k| (k, meter.count(k), meter.cost(k))).collect()
-}
-
 /// Runs the scripted scenario over the simulator's event queue and
 /// in-memory transport (fault-free: the recovery ladder's losses come
 /// from the scripted stale address, not from random drops).
@@ -230,7 +219,7 @@ pub fn run_sim(seed: u64) -> ConformanceReport {
     mbs.settle();
 
     ConformanceReport {
-        tallies: tallies(&mbs.sys.meter),
+        tallies: mbs.sys.meter.tallies(),
         profile: profile(&mbs.obs().flight.events()),
     }
 }
@@ -401,7 +390,7 @@ pub fn run_sockets(seed: u64) -> ConformanceReport {
     assert_eq!(stats.dropped_garbage, 0, "no undecodable frames in a clean run");
 
     ConformanceReport {
-        tallies: tallies(&world.sys.meter),
+        tallies: world.sys.meter.tallies(),
         profile: profile(&world.obs.flight.events()),
     }
 }

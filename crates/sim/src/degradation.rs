@@ -20,18 +20,21 @@
 //! [`RetryPolicy`]: bristle_proto::machine::RetryPolicy
 
 use bristle_core::config::BristleConfig;
-use bristle_core::system::BristleBuilder;
 use bristle_netsim::rng::Pcg64;
-use bristle_netsim::transit_stub::TransitStubConfig;
 use bristle_overlay::key::Key;
-use bristle_overlay::meter::{MessageKind, ALL_KINDS};
+use bristle_overlay::meter::MessageKind;
 use bristle_overlay::obs::Snapshot;
 use bristle_proto::failure::FailurePolicy;
 use bristle_proto::rto::RtoConfig;
 use bristle_proto::transport::{Degradation, FaultConfig};
 
+use crate::cli::SweepArgs;
 use crate::messaging::MessagingBristleSystem;
 use crate::metrics::Samples;
+use crate::report::{pct, Table};
+use crate::runreport::Json;
+use crate::sweeps::{Claim, SweepRun};
+use crate::workload::{rate, tiny_system};
 
 /// Parameters of one degradation run.
 #[derive(Debug, Clone, Copy)]
@@ -98,7 +101,7 @@ impl DegradationConfig {
 }
 
 /// What one degradation run observed.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DegradationOutcome {
     /// Routes attempted across all flash-crowd waves (warmup excluded).
     pub routes_attempted: usize,
@@ -139,11 +142,7 @@ pub struct DegradationOutcome {
 impl DegradationOutcome {
     /// Fraction of attempted wave routes that were delivered.
     pub fn delivery_rate(&self) -> f64 {
-        if self.routes_attempted == 0 {
-            1.0
-        } else {
-            self.routes_delivered as f64 / self.routes_attempted as f64
-        }
+        rate(self.routes_delivered as u64, self.routes_attempted as u64, 1.0)
     }
 }
 
@@ -163,13 +162,12 @@ fn spread(keys: &[Key], n: usize) -> Vec<Key> {
 /// crash one node for real, drive flash-crowd waves with heartbeat
 /// rounds interleaved, heal, and settle. Deterministic in `cfg`.
 pub fn run_degradation(cfg: &DegradationConfig) -> DegradationOutcome {
-    let sys = BristleBuilder::new(cfg.seed)
-        .stationary_nodes(cfg.stationary)
-        .mobile_nodes(cfg.mobile)
-        .topology(TransitStubConfig::tiny())
-        .config(BristleConfig { adaptive_rto: cfg.adaptive, ..BristleConfig::recommended() })
-        .build()
-        .expect("system builds");
+    let sys = tiny_system(
+        cfg.seed,
+        cfg.stationary,
+        cfg.mobile,
+        BristleConfig { adaptive_rto: cfg.adaptive, ..BristleConfig::recommended() },
+    );
     let faults = FaultConfig {
         drop_probability: cfg.loss,
         min_latency: cfg.min_latency,
@@ -187,22 +185,7 @@ pub fn run_degradation(cfg: &DegradationConfig) -> DegradationOutcome {
     msys.seed_monitors();
     let mut rng = Pcg64::new(cfg.seed, 0xDE64);
 
-    let mut out = DegradationOutcome {
-        routes_attempted: 0,
-        routes_delivered: 0,
-        spurious_retries: 0,
-        load_sheds: 0,
-        wrongful_burials: 0,
-        crash_confirmed: false,
-        detection_rounds: 0,
-        degraded_flagged_max: 0,
-        wave_p50: 0,
-        wave_p99: 0,
-        wave_max: 0,
-        wave_samples: Vec::new(),
-        tallies: Vec::new(),
-        latencies: Vec::new(),
-    };
+    let mut out = DegradationOutcome::default();
 
     let mut endpoints: Vec<Key> = msys.sys.mobile.keys().collect();
     endpoints.sort_unstable();
@@ -319,10 +302,151 @@ pub fn run_degradation(cfg: &DegradationConfig) -> DegradationOutcome {
         out.wave_max = wave_latencies.max() as u64;
     }
     out.wave_samples = wave_latencies.sorted_values().iter().map(|&v| v as u64).collect();
-    out.tallies =
-        ALL_KINDS.iter().map(|&k| (k, msys.sys.meter.count(k), msys.sys.meter.cost(k))).collect();
+    out.tallies = msys.sys.meter.tallies();
     out.latencies = msys.obs().latency_snapshots();
     out
+}
+
+/// The `degradation` sweep: fail-slow slowdown × flash-crowd overload ×
+/// {fixed, adaptive} retransmission timers. Each cell runs the identical
+/// seeded script under both timer policies, so the headline claims —
+/// fewer spurious retransmissions, a shorter pooled latency tail, zero
+/// wrongful burials, and the real crash still found — are attributable
+/// to the adaptive RTO alone.
+pub fn sweep(args: &SweepArgs) -> SweepRun {
+    let (stationary, mobile, degraded_nodes, waves) =
+        args.scale.pick((36usize, 14usize, 8usize, 10usize), (90, 40, 20, 16));
+    let mut run = SweepRun::new("degradation", args.seed);
+    let mut table = Table::new(
+        "Gray-failure degradation — spurious retries and latency tail, by slowdown × burst × RTO",
+        &[
+            "slowdown",
+            "burst",
+            "rto",
+            "spurious",
+            "sheds",
+            "p50",
+            "p99",
+            "deliv",
+            "burials",
+            "crash found",
+            "flagged",
+        ],
+    );
+
+    // Pooled per-arm wave latencies over the *degraded* cells; the
+    // slowdown-free cells are the baseline showing both arms at parity.
+    let mut pooled = [Samples::new(), Samples::new()];
+    let mut arm_spurious = [0u64; 2];
+    let mut arm_sheds = [0u64; 2];
+    let mut fewer_spurious = Claim::every_cell(
+        "adaptive RTO fires strictly fewer spurious retries in every degraded cell",
+    );
+    let mut zero_burials =
+        Claim::every_cell("zero wrongful burials under gray failure in both arms");
+    let mut crash_found = Claim::every_cell("the real crash is confirmed and healed in every cell");
+    for slowdown in [100u32, 200, 300] {
+        for burst in [16usize, 24] {
+            let mut fixed_spurious = None;
+            for adaptive in [false, true] {
+                let mut cfg = DegradationConfig::standard(args.seed);
+                cfg.stationary = stationary;
+                cfg.mobile = mobile;
+                cfg.degraded_nodes = degraded_nodes;
+                cfg.waves = waves;
+                cfg.slowdown_pct = slowdown;
+                cfg.burst = burst;
+                cfg.adaptive = adaptive;
+                let out = run_degradation(&cfg);
+                zero_burials.ok &= out.wrongful_burials == 0;
+                crash_found.ok &= out.crash_confirmed;
+                if slowdown > 100 {
+                    let arm = adaptive as usize;
+                    for &s in &out.wave_samples {
+                        pooled[arm].push(s as f64);
+                    }
+                    arm_spurious[arm] += out.spurious_retries;
+                    arm_sheds[arm] += out.load_sheds;
+                    match adaptive {
+                        false => fixed_spurious = Some(out.spurious_retries),
+                        true => {
+                            fewer_spurious.ok &=
+                                fixed_spurious.is_some_and(|fixed| out.spurious_retries < fixed);
+                        }
+                    }
+                }
+                run.report.push_cell(
+                    Json::obj([
+                        ("slowdown_pct", Json::U64(slowdown as u64)),
+                        ("burst", Json::U64(burst as u64)),
+                        ("adaptive_rto", Json::Bool(adaptive)),
+                        ("stationary", Json::U64(stationary as u64)),
+                        ("mobile", Json::U64(mobile as u64)),
+                        ("waves", Json::U64(waves as u64)),
+                        ("ingress_cap", Json::U64(cfg.ingress_cap as u64)),
+                    ]),
+                    &out.tallies,
+                    &out.latencies,
+                    Json::obj([
+                        ("spurious_retries", Json::U64(out.spurious_retries)),
+                        ("load_sheds", Json::U64(out.load_sheds)),
+                        ("wave_p50", Json::U64(out.wave_p50)),
+                        ("wave_p99", Json::U64(out.wave_p99)),
+                        ("wave_max", Json::U64(out.wave_max)),
+                        ("routes_attempted", Json::U64(out.routes_attempted as u64)),
+                        ("routes_delivered", Json::U64(out.routes_delivered as u64)),
+                        ("delivery_rate", Json::F64(out.delivery_rate())),
+                        ("wrongful_burials", Json::U64(out.wrongful_burials as u64)),
+                        ("crash_confirmed", Json::Bool(out.crash_confirmed)),
+                        ("detection_rounds", Json::U64(out.detection_rounds as u64)),
+                        ("degraded_flagged_max", Json::U64(out.degraded_flagged_max as u64)),
+                    ]),
+                );
+                table.row(vec![
+                    format!("{slowdown}%"),
+                    burst.to_string(),
+                    if adaptive { "adaptive".into() } else { "fixed".into() },
+                    out.spurious_retries.to_string(),
+                    out.load_sheds.to_string(),
+                    out.wave_p50.to_string(),
+                    out.wave_p99.to_string(),
+                    pct(out.delivery_rate()),
+                    out.wrongful_burials.to_string(),
+                    out.crash_confirmed.to_string(),
+                    out.degraded_flagged_max.to_string(),
+                ]);
+            }
+        }
+    }
+    run.tables.push(table);
+
+    let [fixed_p99, adaptive_p99] = pooled.each_mut().map(|s| s.percentile(99.0) as u64);
+    let [fixed_max, adaptive_max] = pooled.each_mut().map(|s| s.max() as u64);
+    run.report.push_cell(
+        Json::obj([("cell", Json::Str("arm_summary".into()))]),
+        &[],
+        &[],
+        Json::obj([
+            ("degraded_samples_per_arm", Json::U64(pooled[0].len() as u64)),
+            ("fixed_spurious", Json::U64(arm_spurious[0])),
+            ("adaptive_spurious", Json::U64(arm_spurious[1])),
+            ("fixed_sheds", Json::U64(arm_sheds[0])),
+            ("adaptive_sheds", Json::U64(arm_sheds[1])),
+            ("fixed_p99", Json::U64(fixed_p99)),
+            ("adaptive_p99", Json::U64(adaptive_p99)),
+            ("fixed_max", Json::U64(fixed_max)),
+            ("adaptive_max", Json::U64(adaptive_max)),
+        ]),
+    );
+    let p99_beats = Claim::pooled(
+        format!(
+            "adaptive arm p99 route latency beats the fixed arm over the degraded cells \
+             ({adaptive_p99} < {fixed_p99})"
+        ),
+        adaptive_p99 < fixed_p99,
+    );
+    run.claims.extend([fewer_spurious, p99_beats, zero_burials, crash_found]);
+    run
 }
 
 #[cfg(test)]

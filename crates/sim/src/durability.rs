@@ -27,17 +27,21 @@
 use std::path::PathBuf;
 
 use bristle_core::config::BristleConfig;
-use bristle_core::system::BristleBuilder;
 use bristle_netsim::rng::Pcg64;
-use bristle_netsim::transit_stub::TransitStubConfig;
 use bristle_overlay::key::Key;
-use bristle_overlay::meter::{MessageKind, ALL_KINDS};
+use bristle_overlay::meter::MessageKind;
 use bristle_overlay::obs::Snapshot;
 use bristle_proto::transport::FaultConfig;
 use bristle_store::WalBackend;
 
+use crate::cli::SweepArgs;
 use crate::messaging::MessagingBristleSystem;
-use crate::workload::{busiest_primary, measure_pairs};
+use crate::report::{pct, Table};
+use crate::runreport::Json;
+use crate::sweeps::{Claim, SweepRun};
+use crate::workload::{
+    busiest_primary, crash_and_bury, fixed_pairs, measure_pairs, rate, tiny_system,
+};
 
 /// How the crashed victim comes back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,7 +130,7 @@ impl DurabilityConfig {
 }
 
 /// What one durability run observed.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DurabilityOutcome {
     /// The crashed record primary.
     pub victim: Key,
@@ -176,20 +180,12 @@ pub struct DurabilityOutcome {
 impl DurabilityOutcome {
     /// Fraction of pre-crash routes delivered.
     pub fn pre_rate(&self) -> f64 {
-        if self.pre_attempted == 0 {
-            1.0
-        } else {
-            self.pre_delivered as f64 / self.pre_attempted as f64
-        }
+        rate(self.pre_delivered as u64, self.pre_attempted as u64, 1.0)
     }
 
     /// Fraction of post-recovery routes delivered.
     pub fn post_rate(&self) -> f64 {
-        if self.post_attempted == 0 {
-            1.0
-        } else {
-            self.post_delivered as f64 / self.post_attempted as f64
-        }
+        rate(self.post_delivered as u64, self.post_attempted as u64, 1.0)
     }
 }
 
@@ -212,13 +208,7 @@ fn churn_moves(msys: &mut MessagingBristleSystem, rng: &mut Pcg64, n: usize) {
 /// Runs one durability scenario: build, warm up, crash, detect, churn,
 /// recover, reconcile, re-measure. Deterministic in `cfg`.
 pub fn run_durability(cfg: &DurabilityConfig) -> DurabilityOutcome {
-    let sys = BristleBuilder::new(cfg.seed)
-        .stationary_nodes(cfg.stationary)
-        .mobile_nodes(cfg.mobile)
-        .topology(TransitStubConfig::tiny())
-        .config(BristleConfig::recommended())
-        .build()
-        .expect("system builds");
+    let sys = tiny_system(cfg.seed, cfg.stationary, cfg.mobile, BristleConfig::recommended());
     let mut msys = MessagingBristleSystem::new(sys, FaultConfig::lossy(cfg.loss), cfg.seed ^ 0xD0);
     let mut rng = Pcg64::new(cfg.seed, 0xD07A);
 
@@ -230,65 +220,18 @@ pub fn run_durability(cfg: &DurabilityConfig) -> DurabilityOutcome {
         msys.sys.stores.attach_wal(victim, backend);
     }
 
-    let mut out = DurabilityOutcome {
-        victim,
-        victim_shard: 0,
-        detection_rounds_used: 0,
-        forced_confirm: false,
-        wal_snapshot_records: 0,
-        wal_log_records: 0,
-        records_recovered: 0,
-        records_skipped: 0,
-        registrations_restored: 0,
-        leases_restored: 0,
-        recovery_replicates: 0,
-        recovery_messages: 0,
-        anti_entropy_fixes: 0,
-        converged: false,
-        pre_delivered: 0,
-        pre_attempted: 0,
-        post_delivered: 0,
-        post_attempted: 0,
-        tallies: Vec::new(),
-        latencies: Vec::new(),
-    };
+    let mut out = DurabilityOutcome { victim, ..Default::default() };
 
     // Warm-up traffic grows the victim's WAL past the bare build state.
     churn_moves(&mut msys, &mut rng, cfg.crash_point);
 
-    // Fixed endpoint pairs, measured identically before and after.
-    let mut endpoints: Vec<Key> = msys.sys.mobile.keys().collect();
-    endpoints.sort_unstable();
-    let mut pairs: Vec<(Key, Key)> = Vec::with_capacity(cfg.route_pairs);
-    while pairs.len() < cfg.route_pairs && endpoints.len() >= 2 {
-        let src = endpoints[rng.index(endpoints.len())];
-        let target = endpoints[rng.index(endpoints.len())];
-        if src != target {
-            pairs.push((src, target));
-        }
-    }
+    let pairs = fixed_pairs(&msys, &mut rng, cfg.route_pairs, None);
     (out.pre_delivered, out.pre_attempted) = measure_pairs(&mut msys, &pairs);
 
     out.victim_shard = msys.sys.stationary.node(victim).map(|n| n.store.len()).unwrap_or(0);
 
-    // Crash; heartbeats harden suspicion into a verdict, then the
-    // funeral heals the overlay around the corpse.
-    msys.fail_silently(victim);
-    let mut confirmed = false;
-    for r in 0..cfg.detection_rounds {
-        let newly = msys.heartbeat_round();
-        out.detection_rounds_used = r + 1;
-        msys.sys.tick(1);
-        if newly.contains(&victim) {
-            msys.confirm_and_heal(victim).expect("victim is known");
-            confirmed = true;
-            break;
-        }
-    }
-    if !confirmed {
-        out.forced_confirm = true;
-        msys.confirm_and_heal(victim).expect("victim is known");
-    }
+    (out.detection_rounds_used, out.forced_confirm) =
+        crash_and_bury(&mut msys, victim, cfg.detection_rounds);
 
     // Downtime: the world keeps moving while the victim's disk does not.
     churn_moves(&mut msys, &mut rng, cfg.downtime_moves);
@@ -296,7 +239,8 @@ pub fn run_durability(cfg: &DurabilityConfig) -> DurabilityOutcome {
 
     // Recovery, metered: the restart itself plus the anti-entropy pass
     // that reconciles whatever the disk missed.
-    let counts_before: Vec<u64> = ALL_KINDS.iter().map(|&k| msys.sys.meter.count(k)).collect();
+    let messages_before = msys.sys.meter.total_messages();
+    let replicates_before = msys.sys.meter.count(MessageKind::Replicate);
     match cfg.mode {
         RestartMode::WalReplay => {
             let report = msys.crash_restart(victim).expect("victim restarts");
@@ -317,25 +261,120 @@ pub fn run_durability(cfg: &DurabilityConfig) -> DurabilityOutcome {
         }
     }
     out.anti_entropy_fixes = msys.sys.anti_entropy_locations().expect("reconciliation succeeds");
-    let counts_after: Vec<u64> = ALL_KINDS.iter().map(|&k| msys.sys.meter.count(k)).collect();
-    out.recovery_messages =
-        counts_after.iter().zip(&counts_before).map(|(after, before)| after - before).sum();
-    let replicate_idx =
-        ALL_KINDS.iter().position(|&k| k == MessageKind::Replicate).expect("Replicate is metered");
-    out.recovery_replicates = counts_after[replicate_idx] - counts_before[replicate_idx];
+    out.recovery_messages = msys.sys.meter.total_messages() - messages_before;
+    out.recovery_replicates = msys.sys.meter.count(MessageKind::Replicate) - replicates_before;
 
     // Convergence: a second pass must find nothing left to ship.
     out.converged = msys.sys.anti_entropy_locations().expect("second pass succeeds") == 0;
 
     (out.post_delivered, out.post_attempted) = measure_pairs(&mut msys, &pairs);
 
-    out.tallies =
-        ALL_KINDS.iter().map(|&k| (k, msys.sys.meter.count(k), msys.sys.meter.cost(k))).collect();
+    out.tallies = msys.sys.meter.tallies();
     out.latencies = msys.obs().latency_snapshots();
     if cfg.mode == RestartMode::WalReplay && cfg.wal_dir.is_none() {
         let _ = std::fs::remove_dir_all(&wal_dir);
     }
     out
+}
+
+/// The `durability` sweep: crash-restart of the busiest record primary,
+/// recovered by WAL replay vs full republication, as the crash point
+/// (WAL history) and snapshot interval vary.
+pub fn sweep(args: &SweepArgs) -> SweepRun {
+    let (stationary, mobile, crash_points) =
+        args.scale.pick((40usize, 16usize, [6usize, 12, 24]), (90, 40, [10, 20, 40]));
+    let mut run = SweepRun::new("durability", args.seed);
+    let mut table = Table::new(
+        "Crash-restart durability — WAL replay vs republication, by crash point × snapshot interval",
+        &[
+            "mode",
+            "crash pt",
+            "snap every",
+            "shard",
+            "recovered",
+            "skipped",
+            "AE fixes",
+            "Replicates",
+            "recov msgs",
+            "converged",
+            "deliv pre→post",
+        ],
+    );
+    let mut converged = Claim::every_cell("anti-entropy converges after every recovery");
+    let mut replay_wins =
+        Claim::every_cell("WAL replay strictly beats republication on Replicate traffic");
+    for crash_point in crash_points {
+        // One republication baseline per crash point, then the WAL
+        // restart at a never/tight snapshot interval — same seed, same
+        // victim, same downtime, only the recovery path differs.
+        let cells =
+            [(RestartMode::Republish, 0), (RestartMode::WalReplay, 0), (RestartMode::WalReplay, 8)];
+        let mut baseline_replicates = None;
+        for (mode, snapshot_every) in cells {
+            let mut cfg = DurabilityConfig::standard(args.seed, mode);
+            cfg.stationary = stationary;
+            cfg.mobile = mobile;
+            cfg.crash_point = crash_point;
+            cfg.snapshot_every = snapshot_every;
+            let out = run_durability(&cfg);
+            converged.ok &= out.converged;
+            match mode {
+                RestartMode::Republish => baseline_replicates = Some(out.recovery_replicates),
+                RestartMode::WalReplay => {
+                    replay_wins.ok &=
+                        baseline_replicates.is_some_and(|base| out.recovery_replicates < base);
+                }
+            }
+            run.report.push_cell(
+                Json::obj([
+                    ("mode", Json::Str(mode.name().into())),
+                    ("crash_point", Json::U64(crash_point as u64)),
+                    ("snapshot_every", Json::U64(snapshot_every)),
+                    ("stationary", Json::U64(stationary as u64)),
+                    ("mobile", Json::U64(mobile as u64)),
+                    ("loss", Json::F64(cfg.loss)),
+                ]),
+                &out.tallies,
+                &out.latencies,
+                Json::obj([
+                    ("victim_shard", Json::U64(out.victim_shard as u64)),
+                    ("records_recovered", Json::U64(out.records_recovered as u64)),
+                    ("records_skipped", Json::U64(out.records_skipped as u64)),
+                    ("registrations_restored", Json::U64(out.registrations_restored as u64)),
+                    ("leases_restored", Json::U64(out.leases_restored as u64)),
+                    ("wal_snapshot_records", Json::U64(out.wal_snapshot_records)),
+                    ("wal_log_records", Json::U64(out.wal_log_records)),
+                    ("anti_entropy_fixes", Json::U64(out.anti_entropy_fixes as u64)),
+                    ("recovery_replicates", Json::U64(out.recovery_replicates)),
+                    ("recovery_messages", Json::U64(out.recovery_messages)),
+                    ("detection_rounds_used", Json::U64(out.detection_rounds_used as u64)),
+                    ("converged", Json::Bool(out.converged)),
+                    ("pre_rate", Json::F64(out.pre_rate())),
+                    ("post_rate", Json::F64(out.post_rate())),
+                ]),
+            );
+            table.row(vec![
+                mode.name().to_string(),
+                crash_point.to_string(),
+                if mode == RestartMode::Republish {
+                    "—".into()
+                } else {
+                    snapshot_every.to_string()
+                },
+                out.victim_shard.to_string(),
+                out.records_recovered.to_string(),
+                out.records_skipped.to_string(),
+                out.anti_entropy_fixes.to_string(),
+                out.recovery_replicates.to_string(),
+                out.recovery_messages.to_string(),
+                out.converged.to_string(),
+                format!("{}→{}", pct(out.pre_rate()), pct(out.post_rate())),
+            ]);
+        }
+    }
+    run.tables.push(table);
+    run.claims.extend([converged, replay_wins]);
+    run
 }
 
 #[cfg(test)]

@@ -30,7 +30,10 @@ use bristle_overlay::config::{NeighborSelection, RingConfig};
 use bristle_overlay::key::Key;
 use bristle_overlay::ring::RingDht;
 
+use crate::cli::SweepArgs;
 use crate::report::{f2, Table};
+use crate::runreport::Json;
+use crate::sweeps::SweepRun;
 
 use std::sync::Arc;
 
@@ -215,7 +218,10 @@ fn measure_can(cfg: &AblationConfig, dims: usize, name: &'static str, seed: u64)
             }
         }
     }
-    let keys: Vec<Key> = can.iter().map(|n| n.key).collect();
+    // The overlay iterates a `HashMap`; sort so the sampled sources (and
+    // the printed means) repeat run to run.
+    let mut keys: Vec<Key> = can.iter().map(|n| n.key).collect();
+    keys.sort_unstable();
     let mut hops_total = 0usize;
     for _ in 0..cfg.routes {
         let src = *rng.choose(&keys);
@@ -434,6 +440,66 @@ pub fn to_table_query_modes(result: &AblationResult) -> Table {
     t
 }
 
+/// The `ablation` sweep: substrate comparison, LDT fan-out, binding
+/// modes and query modes. No message-passing driver, so report cells
+/// carry study rows only — no meter tallies, no latency histograms.
+pub fn sweep(args: &SweepArgs) -> SweepRun {
+    let cfg = args.scale.pick(AblationConfig::quick(), AblationConfig::paper());
+    let result = run(&cfg);
+    let mut out = SweepRun::new("ablation", cfg.seed);
+    out.tables.extend([
+        to_table_substrates(&result),
+        to_table_fanout(&result),
+        to_table_binding(&result),
+        to_table_query_modes(&result),
+    ]);
+    let mut study = |name: &str, outcome: Json| {
+        out.report.push_cell(Json::obj([("study", Json::Str(name.into()))]), &[], &[], outcome);
+    };
+    for row in &result.substrates {
+        study(
+            "substrate",
+            Json::obj([
+                ("name", Json::Str(row.name.into())),
+                ("state_per_node", Json::F64(row.state_per_node)),
+                ("route_hops", Json::F64(row.route_hops)),
+            ]),
+        );
+    }
+    for row in &result.fanout {
+        study(
+            "fanout",
+            Json::obj([
+                ("unit_cost", Json::U64(row.unit_cost as u64)),
+                ("depth", Json::U64(row.depth as u64)),
+                ("max_fanout", Json::U64(row.max_fanout as u64)),
+            ]),
+        );
+    }
+    for row in &result.binding {
+        study(
+            "binding",
+            Json::obj([
+                ("name", Json::Str(row.name.into())),
+                ("proactive_msgs", Json::U64(row.proactive_msgs)),
+                ("discoveries", Json::F64(row.discoveries)),
+                ("route_hops", Json::F64(row.route_hops)),
+            ]),
+        );
+    }
+    for row in &result.query_modes {
+        study(
+            "query_mode",
+            Json::obj([
+                ("name", Json::Str(row.name.into())),
+                ("cost_per_query", Json::F64(row.cost_per_query)),
+                ("msgs_per_query", Json::F64(row.msgs_per_query)),
+            ]),
+        );
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,6 +523,14 @@ mod tests {
         let can2 = &result.substrates[3];
         assert!(can2.state_per_node < ring4.state_per_node, "CAN keeps O(d) state");
         assert!(can2.route_hops > ring4.route_hops, "CAN pays O(d·N^(1/d)) hops");
+    }
+
+    #[test]
+    fn substrate_rows_repeat_exactly() {
+        let rows = |r: AblationResult| -> Vec<(f64, f64)> {
+            r.substrates.iter().map(|s| (s.state_per_node, s.route_hops)).collect()
+        };
+        assert_eq!(rows(run(&tiny())), rows(run(&tiny())));
     }
 
     #[test]

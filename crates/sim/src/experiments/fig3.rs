@@ -22,7 +22,9 @@ use bristle_overlay::config::{NeighborSelection, RingConfig};
 use bristle_overlay::key::Key;
 use bristle_overlay::ring::RingDht;
 
+use crate::cli::SweepArgs;
 use crate::report::{f2, f3, Table};
+use crate::sweeps::SweepRun;
 
 /// Parameters for the Figure 3 regeneration.
 #[derive(Debug, Clone)]
@@ -217,6 +219,15 @@ pub fn to_table(result: &Fig3Result) -> Table {
         ]);
     }
     t
+}
+
+/// The `fig3` sweep: regenerates the paper's **Figure 3** (LDT
+/// responsibility).
+pub fn sweep(args: &SweepArgs) -> SweepRun {
+    let cfg = args.scale.pick(Fig3Config::quick(), Fig3Config::paper());
+    let mut out = SweepRun::new("fig3", cfg.seed);
+    out.tables.push(to_table(&run(&cfg)));
+    out
 }
 
 #[cfg(test)]

@@ -18,7 +18,9 @@ use bristle_core::config::BristleConfig;
 use bristle_core::system::{BristleBuilder, BristleSystem};
 use bristle_netsim::transit_stub::TransitStubConfig;
 
+use crate::cli::SweepArgs;
 use crate::report::{f2, Table};
+use crate::sweeps::SweepRun;
 use crate::workload::{measure_routes, sample_stationary_pairs};
 
 /// Parameters for the Figure 7 regeneration.
@@ -203,6 +205,16 @@ pub fn to_table_rdp(result: &Fig7Result) -> Table {
         t.row(vec![f2(r.fraction), f2(r.rdp_hops()), f2(r.rdp_cost())]);
     }
     t
+}
+
+/// The `fig7` sweep: regenerates the paper's **Figure 7** (state
+/// discovery: hops and RDP, scrambled vs clustered naming).
+pub fn sweep(args: &SweepArgs) -> SweepRun {
+    let cfg = args.scale.pick(Fig7Config::quick(), Fig7Config::paper());
+    let result = run(&cfg);
+    let mut out = SweepRun::new("fig7", cfg.seed);
+    out.tables.extend([to_table_hops(&result), to_table_rdp(&result)]);
+    out
 }
 
 #[cfg(test)]

@@ -26,8 +26,11 @@ use bristle_overlay::config::{NeighborSelection, RingConfig};
 use bristle_overlay::key::Key;
 use bristle_overlay::ring::RingDht;
 
+use crate::cli::SweepArgs;
 use crate::metrics::Histogram;
 use crate::report::{f2, Table};
+use crate::runreport::Json;
+use crate::sweeps::SweepRun;
 
 /// Parameters for the Figure 8 regeneration.
 #[derive(Debug, Clone)]
@@ -246,6 +249,54 @@ pub fn to_table_detail(result: &Fig8Result) -> Table {
         t.row(vec![format!("{}", i + 1), cells.join(" ")]);
     }
     t
+}
+
+/// The `fig8` sweep: regenerates the paper's **Figure 8** (LDT
+/// adaptation and node heterogeneity). A function-call experiment with
+/// no message-passing driver, so report cells carry distribution rows
+/// only.
+pub fn sweep(args: &SweepArgs) -> SweepRun {
+    let cfg = args.scale.pick(Fig8Config::quick(), Fig8Config::paper());
+    let result = run(&cfg);
+    let mut out = SweepRun::new("fig8", cfg.seed);
+    out.tables.extend([to_table_levels(&result), to_table_detail(&result)]);
+    for dist in &result.distributions {
+        out.report.push_cell(
+            Json::obj([
+                ("study", Json::Str("levels".into())),
+                ("n_nodes", Json::U64(cfg.n_nodes as u64)),
+                ("max_capacity", Json::U64(dist.max_capacity as u64)),
+            ]),
+            &[],
+            &[],
+            Json::obj([
+                ("fractions", Json::Arr(dist.fractions.iter().map(|&f| Json::F64(f)).collect())),
+                ("mean_depth", Json::F64(dist.mean_depth)),
+                ("max_depth", Json::U64(dist.max_depth as u64)),
+            ]),
+        );
+    }
+    for (i, tree) in result.detail.iter().enumerate() {
+        out.report.push_cell(
+            Json::obj([("study", Json::Str("detail".into())), ("tree", Json::U64(i as u64))]),
+            &[],
+            &[],
+            Json::Obj(vec![(
+                "members".to_string(),
+                Json::Arr(
+                    tree.iter()
+                        .map(|m| {
+                            Json::obj([
+                                ("capacity", Json::U64(m.capacity as u64)),
+                                ("assigned", Json::U64(m.assigned as u64)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            )]),
+        );
+    }
+    out
 }
 
 #[cfg(test)]

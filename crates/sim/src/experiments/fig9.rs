@@ -25,7 +25,9 @@ use bristle_overlay::config::RingConfig;
 use bristle_overlay::key::Key;
 use bristle_overlay::ring::RingDht;
 
+use crate::cli::SweepArgs;
 use crate::report::{f2, Table};
+use crate::sweeps::SweepRun;
 
 /// Parameters for the Figure 9 regeneration.
 #[derive(Debug, Clone)]
@@ -207,6 +209,15 @@ pub fn to_table(result: &Fig9Result) -> Table {
         ]);
     }
     t
+}
+
+/// The `fig9` sweep: regenerates the paper's **Figure 9** (LDT cost
+/// with/without network locality).
+pub fn sweep(args: &SweepArgs) -> SweepRun {
+    let cfg = args.scale.pick(Fig9Config::quick(), Fig9Config::paper());
+    let mut out = SweepRun::new("fig9", cfg.seed);
+    out.tables.push(to_table(&run(&cfg)));
+    out
 }
 
 #[cfg(test)]

@@ -2,8 +2,9 @@
 //!
 //! Every driver follows the same shape: a `*Config` with `quick()` (CI- and
 //! laptop-friendly) and `paper()` (the paper's scale) constructors, a
-//! `run()` producing a typed result, and a `to_table()` rendering the rows
-//! the paper's figure plots. The binaries in `src/bin/` are thin wrappers.
+//! `run()` producing a typed result, a `to_table()` rendering the rows
+//! the paper's figure plots, and a `sweep()` that is the module's row in
+//! the [`crate::sweeps::SWEEPS`] table behind `bristle-sim <name>`.
 
 pub mod ablation;
 pub mod fig3;
@@ -12,7 +13,7 @@ pub mod fig8;
 pub mod fig9;
 pub mod table1;
 
-/// Experiment scale selector shared by the binaries.
+/// Experiment scale selector shared by the sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Reduced populations; finishes in seconds, preserves every shape.
@@ -22,14 +23,12 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--paper` style CLI arguments (anything else → quick).
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Scale {
-        for a in args {
-            if a == "--paper" {
-                return Scale::Paper;
-            }
+    /// The value for this scale: `quick` or `paper`.
+    pub fn pick<T>(self, quick: T, paper: T) -> T {
+        match self {
+            Scale::Quick => quick,
+            Scale::Paper => paper,
         }
-        Scale::Quick
     }
 }
 
@@ -38,9 +37,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_parses_flag() {
-        assert_eq!(Scale::from_args(vec!["--paper".to_string()]), Scale::Paper);
-        assert_eq!(Scale::from_args(vec!["--quick".to_string()]), Scale::Quick);
-        assert_eq!(Scale::from_args(Vec::<String>::new()), Scale::Quick);
+    fn pick_selects_by_scale() {
+        assert_eq!(Scale::Quick.pick(1, 2), 1);
+        assert_eq!(Scale::Paper.pick(1, 2), 2);
     }
 }

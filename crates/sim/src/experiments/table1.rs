@@ -26,10 +26,12 @@ use bristle_overlay::key::Key;
 
 use crate::baseline_type_a::TypeASystem;
 use crate::baseline_type_b::TypeBSystem;
+use crate::cli::SweepArgs;
 use crate::engine::{run as run_events, EventQueue};
 use crate::metrics::Samples;
 use crate::mobility::MobilityModel;
 use crate::report::{f2, pct, Table};
+use crate::sweeps::SweepRun;
 
 /// Parameters for the Table 1 regeneration.
 #[derive(Debug, Clone)]
@@ -384,6 +386,15 @@ pub fn to_table(result: &Table1Result) -> Table {
         ]);
     }
     t
+}
+
+/// The `table1` sweep: regenerates the paper's **Table 1** (Type A /
+/// Type B / Bristle, measured).
+pub fn sweep(args: &SweepArgs) -> SweepRun {
+    let cfg = args.scale.pick(Table1Config::quick(), Table1Config::paper());
+    let mut out = SweepRun::new("table1", cfg.seed);
+    out.tables.push(to_table(&run(&cfg)));
+    out
 }
 
 #[cfg(test)]

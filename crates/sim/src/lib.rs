@@ -3,19 +3,22 @@
 //! The experiment harness for the Bristle reproduction: a discrete-event
 //! engine, movement/churn workload models, the Type A and Type B baseline
 //! architectures of the paper's Table 1, statistics and table rendering,
-//! and one experiment driver per table/figure of the paper's evaluation:
+//! and one experiment driver per table/figure of the paper's evaluation
+//! plus the sweeps the reproduction added around them.
 //!
-//! | binary  | regenerates |
-//! |---------|-------------|
-//! | `fig3`  | Figure 3 — LDT responsibility, member-only vs non-member-only |
-//! | `fig7`  | Figure 7 — hops and RDP, scrambled vs clustered naming |
-//! | `fig8`  | Figure 8 — LDT adaptation and heterogeneity |
-//! | `fig9`  | Figure 9 — LDT cost with/without locality |
-//! | `table1`| Table 1 — Type A / Type B / Bristle comparison |
-//! | `all`   | everything above in sequence |
+//! All of them run through one executable, `bristle-sim <sweep>`, which
+//! dispatches over the [`sweeps::SWEEPS`] table (listed, with each
+//! sweep's committed report, in the [`sweeps`] module docs):
 //!
-//! Run any of them with `--paper` for the paper's populations; the
-//! default "quick" scale preserves every qualitative shape in seconds.
+//! ```text
+//! cargo run --release -p bristle-sim -- fig7            # one figure
+//! cargo run --release -p bristle-sim -- all --paper     # the paper's evaluation, full scale
+//! cargo run --release -p bristle-sim -- verify-reports  # every BENCH_*.json, byte for byte
+//! ```
+//!
+//! The default "quick" scale preserves every qualitative shape in
+//! seconds; `--paper` selects the paper's populations. The flags are
+//! documented in [`cli`].
 
 #![warn(missing_docs)]
 
@@ -38,6 +41,7 @@ pub mod resilience;
 pub mod runreport;
 pub mod scale;
 pub mod scenario;
+pub mod sweeps;
 pub mod workload;
 
 pub use adversary::{run_attack, AttackConfig, AttackFamily, AttackOutcome, ALL_FAMILIES};

@@ -96,31 +96,6 @@ enum MsgEvent {
         /// The node that dies.
         key: Key,
     },
-    /// A scheduled network partition: the transport's link filter is
-    /// replaced wholesale.
-    Partition(LinkFilter),
-    /// A scheduled partition heal: every link works again.
-    Heal,
-    /// A scheduled fail-slow script lands on a node (resolved to its
-    /// router at apply time, so it follows the node's current seat).
-    DegradeNode {
-        /// The node that starts failing slow.
-        key: Key,
-        /// The script.
-        degradation: Degradation,
-    },
-    /// A scheduled fail-slow script lands on the directed link between
-    /// two nodes' routers.
-    DegradeLink {
-        /// Sending side.
-        from: Key,
-        /// Receiving side.
-        to: Key,
-        /// The script.
-        degradation: Degradation,
-    },
-    /// A scheduled lift of every fail-slow script.
-    HealDegradations,
 }
 
 /// Why a messaging operation did not complete.
@@ -823,29 +798,6 @@ impl MessagingBristleSystem {
         self.transport.set_filter(LinkFilter::default());
     }
 
-    /// Schedules a partition at micro-time `at`.
-    pub fn schedule_partition(&mut self, at: SimTime, filter: LinkFilter) {
-        self.queue.schedule_at(at, MsgEvent::Partition(filter));
-    }
-
-    /// Schedules a heal at micro-time `at`.
-    pub fn schedule_heal(&mut self, at: SimTime) {
-        self.queue.schedule_at(at, MsgEvent::Heal);
-    }
-
-    /// Schedules a router-group partition for the window `[from, to)`:
-    /// traffic between different groups is cut at `from` and restored at
-    /// `to` (while some operation's event loop runs past those times).
-    pub fn schedule_partition_window(
-        &mut self,
-        groups: &[Vec<RouterId>],
-        from: SimTime,
-        to: SimTime,
-    ) {
-        self.schedule_partition(from, LinkFilter::default().partition_groups(groups));
-        self.schedule_heal(to);
-    }
-
     /// Applies a fail-slow script to `key`'s current router immediately:
     /// everything it sends or receives suffers the script's slowdown,
     /// ramp and extra loss until healed. The node stays up — this is
@@ -868,28 +820,6 @@ impl MessagingBristleSystem {
     /// Lifts every fail-slow script immediately.
     pub fn heal_degradations_now(&mut self) {
         self.transport.clear_degradations();
-    }
-
-    /// Schedules a node fail-slow script for micro-time `at` (applied
-    /// while a later operation's event loop runs past that time).
-    pub fn schedule_degrade_node(&mut self, at: SimTime, key: Key, degradation: Degradation) {
-        self.queue.schedule_at(at, MsgEvent::DegradeNode { key, degradation });
-    }
-
-    /// Schedules a directed-link fail-slow script for micro-time `at`.
-    pub fn schedule_degrade_link(
-        &mut self,
-        at: SimTime,
-        from: Key,
-        to: Key,
-        degradation: Degradation,
-    ) {
-        self.queue.schedule_at(at, MsgEvent::DegradeLink { from, to, degradation });
-    }
-
-    /// Schedules a lift of every fail-slow script for micro-time `at`.
-    pub fn schedule_degrade_heal(&mut self, at: SimTime) {
-        self.queue.schedule_at(at, MsgEvent::HealDegradations);
     }
 
     /// Peers some watcher's health score currently holds degraded
@@ -1500,13 +1430,6 @@ impl MessagingBristleSystem {
                 let _ = self.sys.move_node(key, to);
             }
             MsgEvent::Fail { key } => self.fail_now(key),
-            MsgEvent::Partition(filter) => self.transport.set_filter(filter),
-            MsgEvent::Heal => self.transport.set_filter(LinkFilter::default()),
-            MsgEvent::DegradeNode { key, degradation } => self.degrade_node_now(key, degradation),
-            MsgEvent::DegradeLink { from, to, degradation } => {
-                self.degrade_link_now(from, to, degradation)
-            }
-            MsgEvent::HealDegradations => self.transport.clear_degradations(),
         }
         true
     }

@@ -22,17 +22,19 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bristle_core::config::BristleConfig;
-use bristle_core::system::BristleBuilder;
 use bristle_netsim::graph::RouterId;
 use bristle_netsim::rng::Pcg64;
-use bristle_netsim::transit_stub::TransitStubConfig;
 use bristle_overlay::key::Key;
-use bristle_overlay::meter::{MessageKind, ALL_KINDS};
+use bristle_overlay::meter::MessageKind;
 use bristle_overlay::obs::Snapshot;
 use bristle_proto::transport::{FaultConfig, LinkFilter};
 
+use crate::cli::SweepArgs;
 use crate::messaging::MessagingBristleSystem;
-use crate::workload::measure_pairs;
+use crate::report::{pct, Table};
+use crate::runreport::Json;
+use crate::sweeps::{Claim, SweepRun};
+use crate::workload::{fixed_pairs, measure_pairs, rate, tiny_system};
 
 /// Parameters of one partition-tolerance run.
 #[derive(Debug, Clone, Copy)]
@@ -72,7 +74,7 @@ impl PartitionConfig {
 }
 
 /// What one partition-tolerance run observed.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PartitionOutcome {
     /// Nodes attached behind the cut (candidates for wrongful death).
     pub far_side: usize,
@@ -116,20 +118,12 @@ pub struct PartitionOutcome {
 impl PartitionOutcome {
     /// Fraction of pre-cut routes delivered.
     pub fn pre_rate(&self) -> f64 {
-        if self.pre_attempted == 0 {
-            1.0
-        } else {
-            self.pre_delivered as f64 / self.pre_attempted as f64
-        }
+        rate(self.pre_delivered as u64, self.pre_attempted as u64, 1.0)
     }
 
     /// Fraction of post-recovery routes delivered.
     pub fn post_rate(&self) -> f64 {
-        if self.post_attempted == 0 {
-            1.0
-        } else {
-            self.post_delivered as f64 / self.post_attempted as f64
-        }
+        rate(self.post_delivered as u64, self.post_attempted as u64, 1.0)
     }
 
     /// Whether post-recovery delivery is within `slack` of the pre-cut
@@ -170,46 +164,13 @@ fn split_routers(msys: &MessagingBristleSystem) -> (Vec<Vec<RouterId>>, BTreeSet
 /// Runs one partition-tolerance scenario: build, measure, cut, bury,
 /// heal, rejoin, reconcile, re-measure. Deterministic in `cfg`.
 pub fn run_partition(cfg: &PartitionConfig) -> PartitionOutcome {
-    let sys = BristleBuilder::new(cfg.seed)
-        .stationary_nodes(cfg.stationary)
-        .mobile_nodes(cfg.mobile)
-        .topology(TransitStubConfig::tiny())
-        .config(BristleConfig::recommended())
-        .build()
-        .expect("system builds");
+    let sys = tiny_system(cfg.seed, cfg.stationary, cfg.mobile, BristleConfig::recommended());
     let mut msys = MessagingBristleSystem::new(sys, FaultConfig::lossy(cfg.loss), cfg.seed ^ 0xA7);
     let mut rng = Pcg64::new(cfg.seed, 0xCA7);
 
-    let mut out = PartitionOutcome {
-        far_side: 0,
-        wrongful_deaths: 0,
-        rejoined: 0,
-        recovery_rounds_used: 0,
-        max_rejoin_latency: 0,
-        refutations: 0,
-        rejoin_messages: 0,
-        pre_delivered: 0,
-        pre_attempted: 0,
-        post_delivered: 0,
-        post_attempted: 0,
-        divergent_planted: 0,
-        reconciled: true,
-        anti_entropy_fixes: 0,
-        tallies: Vec::new(),
-        latencies: Vec::new(),
-    };
+    let mut out = PartitionOutcome { reconciled: true, ..Default::default() };
 
-    // Fixed endpoint pairs, measured identically before and after.
-    let mut endpoints: Vec<Key> = msys.sys.mobile.keys().collect();
-    endpoints.sort_unstable();
-    let mut pairs: Vec<(Key, Key)> = Vec::with_capacity(cfg.route_pairs);
-    while pairs.len() < cfg.route_pairs && endpoints.len() >= 2 {
-        let src = endpoints[rng.index(endpoints.len())];
-        let target = endpoints[rng.index(endpoints.len())];
-        if src != target {
-            pairs.push((src, target));
-        }
-    }
+    let pairs = fixed_pairs(&msys, &mut rng, cfg.route_pairs, None);
     (out.pre_delivered, out.pre_attempted) = measure_pairs(&mut msys, &pairs);
 
     // Cut the network and let near-side suspicion harden into verdicts.
@@ -301,10 +262,93 @@ pub fn run_partition(cfg: &PartitionConfig) -> PartitionOutcome {
 
     out.refutations = msys.sys.meter.count(MessageKind::Refutation);
     out.rejoin_messages = msys.sys.meter.count(MessageKind::Rejoin);
-    out.tallies =
-        ALL_KINDS.iter().map(|&k| (k, msys.sys.meter.count(k), msys.sys.meter.cost(k))).collect();
+    out.tallies = msys.sys.meter.tallies();
     out.latencies = msys.obs().latency_snapshots();
     out
+}
+
+/// The `partition` sweep: wrongful deaths, refutation/rejoin traffic,
+/// recovery latency and post-heal delivery as the partition duration and
+/// transport loss rate vary.
+pub fn sweep(args: &SweepArgs) -> SweepRun {
+    let (stationary, mobile) = args.scale.pick((36, 14), (90, 40));
+    let mut run = SweepRun::new("partition", args.seed);
+    let mut table = Table::new(
+        "Partition tolerance — wrongful death and recovery vs cut duration × loss",
+        &[
+            "cut rds",
+            "loss",
+            "far side",
+            "wrongful",
+            "rejoined",
+            "refutes",
+            "rejoin msgs",
+            "recov rds",
+            "reconciled",
+            "deliv pre→post",
+        ],
+    );
+    let mut recovered =
+        Claim::every_cell("every funeral reversed and delivery within 1% of pre-cut");
+    let mut reconciled =
+        Claim::every_cell("split-brain records reconciled to the incarnation maximum");
+    for partition_rounds in [2usize, 4, 6] {
+        for loss in [0.0f64, 0.05, 0.10] {
+            let mut cfg = PartitionConfig::standard(args.seed);
+            cfg.stationary = stationary;
+            cfg.mobile = mobile;
+            cfg.loss = loss;
+            cfg.partition_rounds = partition_rounds;
+            let out = run_partition(&cfg);
+            recovered.ok &= out.rejoined == out.wrongful_deaths && out.delivery_recovered(0.01);
+            reconciled.ok &= out.reconciled;
+            run.report.push_cell(
+                Json::obj([
+                    ("partition_rounds", Json::U64(partition_rounds as u64)),
+                    ("loss", Json::F64(loss)),
+                    ("stationary", Json::U64(stationary as u64)),
+                    ("mobile", Json::U64(mobile as u64)),
+                ]),
+                &out.tallies,
+                &out.latencies,
+                Json::obj([
+                    ("far_side", Json::U64(out.far_side as u64)),
+                    ("wrongful_deaths", Json::U64(out.wrongful_deaths as u64)),
+                    ("rejoined", Json::U64(out.rejoined as u64)),
+                    ("recovery_rounds_used", Json::U64(out.recovery_rounds_used as u64)),
+                    ("max_rejoin_latency", Json::U64(out.max_rejoin_latency)),
+                    ("refutations", Json::U64(out.refutations)),
+                    ("rejoin_messages", Json::U64(out.rejoin_messages)),
+                    ("pre_rate", Json::F64(out.pre_rate())),
+                    ("post_rate", Json::F64(out.post_rate())),
+                    ("reconciled", Json::Bool(out.reconciled)),
+                ]),
+            );
+            table.row(vec![
+                partition_rounds.to_string(),
+                pct(loss),
+                out.far_side.to_string(),
+                out.wrongful_deaths.to_string(),
+                out.rejoined.to_string(),
+                out.refutations.to_string(),
+                out.rejoin_messages.to_string(),
+                if out.wrongful_deaths == 0 {
+                    "—".into()
+                } else {
+                    out.recovery_rounds_used.to_string()
+                },
+                if out.divergent_planted == 0 {
+                    "—".into()
+                } else {
+                    format!("{}", out.reconciled)
+                },
+                format!("{}→{}", pct(out.pre_rate()), pct(out.post_rate())),
+            ]);
+        }
+    }
+    run.tables.push(table);
+    run.claims.extend([recovered, reconciled]);
+    run
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Plain-text table rendering for experiment output.
 //!
-//! Every experiment binary prints its results through a [`Table`], so the
-//! regenerated figures/tables look uniform and are easy to diff against
+//! Every sweep returns its results as [`Table`]s, so the regenerated
+//! figures/tables look uniform and are easy to diff against
 //! EXPERIMENTS.md.
 
 /// A fixed-width text table with a title, header row, and data rows.
@@ -70,11 +70,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-
-    /// Renders and prints to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 }
 

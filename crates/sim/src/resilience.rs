@@ -20,17 +20,21 @@ use std::collections::BTreeSet;
 
 use bristle_core::config::BristleConfig;
 use bristle_core::naming::Mobility;
-use bristle_core::system::{BristleBuilder, BristleSystem};
+use bristle_core::system::BristleSystem;
 use bristle_netsim::rng::Pcg64;
-use bristle_netsim::transit_stub::TransitStubConfig;
 use bristle_overlay::addr::NetAddr;
 use bristle_overlay::key::Key;
-use bristle_overlay::meter::{MessageKind, ALL_KINDS};
+use bristle_overlay::meter::MessageKind;
 use bristle_overlay::obs::Snapshot;
 use bristle_proto::transport::FaultConfig;
 
 use crate::churn::{ChurnAction, ChurnModel};
+use crate::cli::SweepArgs;
 use crate::messaging::MessagingBristleSystem;
+use crate::report::{f2, pct, Table};
+use crate::runreport::Json;
+use crate::sweeps::{Claim, SweepRun};
+use crate::workload::{rate, tiny_system};
 
 /// Parameters of one churn-resilience run.
 #[derive(Debug, Clone, Copy)]
@@ -84,7 +88,7 @@ impl ResilienceConfig {
 }
 
 /// What one churn-resilience run observed.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResilienceOutcome {
     /// Nodes that joined during the run.
     pub joins: usize,
@@ -133,11 +137,7 @@ pub struct ResilienceOutcome {
 impl ResilienceOutcome {
     /// Fraction of attempted routes that were delivered.
     pub fn delivery_rate(&self) -> f64 {
-        if self.routes_attempted == 0 {
-            1.0
-        } else {
-            self.routes_delivered as f64 / self.routes_attempted as f64
-        }
+        rate(self.routes_delivered as u64, self.routes_attempted as u64, 1.0)
     }
 }
 
@@ -238,37 +238,11 @@ fn detect_and_heal(
 /// Runs one churn-resilience scenario: build, churn, detect, heal,
 /// measure. Deterministic in `cfg` (same config ⇒ identical outcome).
 pub fn run_churn_messaging(cfg: &ResilienceConfig) -> ResilienceOutcome {
-    let sys = BristleBuilder::new(cfg.seed)
-        .stationary_nodes(cfg.stationary)
-        .mobile_nodes(cfg.mobile)
-        .topology(TransitStubConfig::tiny())
-        .config(BristleConfig::recommended())
-        .build()
-        .expect("system builds");
+    let sys = tiny_system(cfg.seed, cfg.stationary, cfg.mobile, BristleConfig::recommended());
     let mut msys = MessagingBristleSystem::new(sys, FaultConfig::lossy(cfg.loss), cfg.seed ^ 0x51);
     let mut rng = Pcg64::new(cfg.seed, 0xC1A0);
 
-    let mut out = ResilienceOutcome {
-        joins: 0,
-        leaves: 0,
-        fails: 0,
-        deaths_confirmed: 0,
-        detection_rounds: 0,
-        repairs_expected: 0,
-        ldts_repaired: 0,
-        invariant_ok: true,
-        routes_attempted: 0,
-        routes_delivered: 0,
-        discoveries: 0,
-        stale_answers: 0,
-        stale_repairs: 0,
-        dead_primary_lookups: 0,
-        dead_primary_hits: 0,
-        replica_failovers: 0,
-        anti_entropy_fixes: 0,
-        tallies: Vec::new(),
-        latencies: Vec::new(),
-    };
+    let mut out = ResilienceOutcome { invariant_ok: true, ..Default::default() };
     let failovers_before = msys.sys.meter.count(MessageKind::ReplicaFailover);
     // Crashes injected but not yet confirmed dead.
     let mut pending: BTreeSet<Key> = BTreeSet::new();
@@ -395,10 +369,96 @@ pub fn run_churn_messaging(cfg: &ResilienceConfig) -> ResilienceOutcome {
     out.anti_entropy_fixes += msys.sys.anti_entropy_locations().expect("reconciliation succeeds");
 
     out.replica_failovers = msys.sys.meter.count(MessageKind::ReplicaFailover) - failovers_before;
-    out.tallies =
-        ALL_KINDS.iter().map(|&k| (k, msys.sys.meter.count(k), msys.sys.meter.cost(k))).collect();
+    out.tallies = msys.sys.meter.tallies();
     out.latencies = msys.obs().latency_snapshots();
     out
+}
+
+/// The `resilience` sweep: delivery success, stale-answer rate and repair
+/// behaviour as the churn mix shifts toward failures, at several
+/// transport loss rates.
+pub fn sweep(args: &SweepArgs) -> SweepRun {
+    let (stationary, mobile, events) = args.scale.pick((36, 14, 18), (90, 40, 60));
+    let mut run = SweepRun::new("resilience", args.seed);
+    let mut table = Table::new(
+        "Churn resilience — delivery, staleness and repair vs fail weight × loss",
+        &[
+            "fail wt",
+            "loss",
+            "deliv %",
+            "stale/disc",
+            "fails",
+            "confirmed",
+            "detect rds",
+            "LDT repairs",
+            "failover ok",
+            "heartbeats",
+        ],
+    );
+    let mut invariant = Claim::every_cell("root-reachability invariant after every repair");
+    for fail_weight in [0u32, 1, 3, 6] {
+        for loss in [0.0f64, 0.10, 0.20] {
+            let mut cfg = ResilienceConfig::standard(args.seed);
+            cfg.stationary = stationary;
+            cfg.mobile = mobile;
+            cfg.events = events;
+            cfg.loss = loss;
+            cfg.churn =
+                ChurnModel { mean_interval: 50, join_weight: 4, leave_weight: 3, fail_weight };
+            let out = run_churn_messaging(&cfg);
+            invariant.ok &= out.invariant_ok;
+            run.report.push_cell(
+                Json::obj([
+                    ("fail_weight", Json::U64(fail_weight as u64)),
+                    ("loss", Json::F64(loss)),
+                    ("stationary", Json::U64(stationary as u64)),
+                    ("mobile", Json::U64(mobile as u64)),
+                    ("events", Json::U64(events as u64)),
+                ]),
+                &out.tallies,
+                &out.latencies,
+                Json::obj([
+                    ("delivery_rate", Json::F64(out.delivery_rate())),
+                    ("routes_attempted", Json::U64(out.routes_attempted as u64)),
+                    ("routes_delivered", Json::U64(out.routes_delivered as u64)),
+                    ("discoveries", Json::U64(out.discoveries as u64)),
+                    ("stale_answers", Json::U64(out.stale_answers as u64)),
+                    ("fails", Json::U64(out.fails as u64)),
+                    ("deaths_confirmed", Json::U64(out.deaths_confirmed as u64)),
+                    ("detection_rounds", Json::U64(out.detection_rounds as u64)),
+                    ("ldts_repaired", Json::U64(out.ldts_repaired as u64)),
+                    ("repairs_expected", Json::U64(out.repairs_expected as u64)),
+                    ("invariant_ok", Json::Bool(out.invariant_ok)),
+                ]),
+            );
+            let heartbeats = out
+                .tallies
+                .iter()
+                .find(|&&(k, _, _)| k == MessageKind::HeartbeatSent)
+                .map(|&(_, c, _)| c)
+                .unwrap_or(0);
+            let detect = if out.deaths_confirmed == 0 {
+                "—".into()
+            } else {
+                f2(out.detection_rounds as f64 / out.deaths_confirmed as f64)
+            };
+            table.row(vec![
+                fail_weight.to_string(),
+                pct(loss),
+                pct(out.delivery_rate()),
+                format!("{}/{}", out.stale_answers, out.discoveries),
+                out.fails.to_string(),
+                out.deaths_confirmed.to_string(),
+                detect,
+                format!("{}/{}", out.ldts_repaired, out.repairs_expected),
+                format!("{}/{}", out.dead_primary_hits, out.dead_primary_lookups),
+                heartbeats.to_string(),
+            ]);
+        }
+    }
+    run.tables.push(table);
+    run.claims.push(invariant);
+    run
 }
 
 #[cfg(test)]

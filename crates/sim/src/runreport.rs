@@ -1,5 +1,5 @@
 //! Machine-readable run reports: a dependency-free JSON writer and the
-//! `bristle-run-report/v1` document the sweep binaries emit under
+//! `bristle-run-report/v1` document `bristle-sim <sweep>` emits under
 //! `--json <path>`.
 //!
 //! A report captures one sweep run at a fixed seed: per-cell parameters,
@@ -165,7 +165,7 @@ pub fn histograms_json(snaps: &[(&'static str, Snapshot)]) -> Json {
 /// One sweep's machine-readable report, accumulated cell by cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
-    /// The emitting binary ("resilience", "partition", "ablation").
+    /// The emitting sweep ("resilience", "partition", "ablation").
     pub bin: String,
     /// The seed every cell was run at.
     pub seed: u64,
@@ -216,19 +216,6 @@ impl RunReport {
         let mut f = std::fs::File::create(path)?;
         f.write_all(self.render().as_bytes())
     }
-}
-
-/// Extracts the `--json <path>` flag from a binary's argument list, if
-/// present. Other arguments (e.g. `--paper`) pass through untouched via
-/// the caller's own parsing.
-pub fn json_arg(args: impl Iterator<Item = String>) -> Option<std::path::PathBuf> {
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -285,15 +272,5 @@ mod tests {
         assert!(!a.contains("\"Timeout\""));
         assert!(a.contains("\"p99\": 8"));
         assert!(a.contains("\"bin\": \"resilience\""));
-    }
-
-    #[test]
-    fn json_arg_extracts_path() {
-        let args = ["--paper", "--json", "out.json"].map(String::from);
-        assert_eq!(json_arg(args.into_iter()), Some(std::path::PathBuf::from("out.json")));
-        let none = ["--paper"].map(String::from);
-        assert_eq!(json_arg(none.into_iter()), None);
-        let dangling = ["--json"].map(String::from);
-        assert_eq!(json_arg(dangling.into_iter()), None);
     }
 }

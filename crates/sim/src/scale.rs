@@ -12,8 +12,10 @@
 //! `BENCH_scale.json` derives from integer sums under per-sample RNGs
 //! (`Pcg64::new(seed ^ SALT, sample_index)`), so the report bytes are
 //! identical at any `--workers` count — sharding the sample loop across
-//! threads changes wall-clock only. Wall-clock and events/sec are
-//! printed to stdout and never enter the report.
+//! threads changes wall-clock only. No wall-clock number is printed or
+//! reported here: build seconds and queue hold times are tracked by the
+//! `wallbench` ledger (`overlay.table_build_s`, `sim.queue_hold_ns`,
+//! `sim.heap_hold_ns`), which calls [`queue_bench`].
 
 use std::time::Instant;
 
@@ -24,8 +26,11 @@ use bristle_netsim::transit_stub::TransitStubConfig;
 use bristle_overlay::key::Key;
 use bristle_overlay::ring::RingDht;
 
+use crate::cli::SweepArgs;
 use crate::engine::{BinaryHeapQueue, EventQueue};
 use crate::report::{f2, f3, Table};
+use crate::runreport::Json;
+use crate::sweeps::SweepRun;
 
 /// RNG stream salts (stable: committed report bytes depend on them).
 const ROUTE_SALT: u64 = 0x0005_ca1e_0001;
@@ -128,20 +133,10 @@ impl ScaleCell {
     }
 }
 
-/// Wall-clock observations for one cell (stdout only, never committed).
-#[derive(Debug, Clone, Copy)]
-pub struct CellTiming {
-    /// Seconds to build + wire the system.
-    pub build_secs: f64,
-    /// Routed lookups per second during sampling.
-    pub routes_per_sec: f64,
-}
-
 /// Builds the cell's system and measures it.
-pub fn run_cell(cfg: &ScaleConfig, n: usize) -> (ScaleCell, CellTiming) {
+pub fn run_cell(cfg: &ScaleConfig, n: usize) -> ScaleCell {
     let mobile = ((n as f64) * cfg.mobile_fraction) as usize;
     let stationary = n - mobile;
-    let t0 = Instant::now();
     let sys = BristleBuilder::new(cfg.seed)
         .stationary_nodes(stationary)
         .mobile_nodes(mobile)
@@ -149,15 +144,10 @@ pub fn run_cell(cfg: &ScaleConfig, n: usize) -> (ScaleCell, CellTiming) {
         .build_workers(cfg.workers)
         .build()
         .expect("system builds");
-    let build_secs = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
     let hops = sample_routes(&sys.mobile, cfg.seed, cfg.route_samples, cfg.workers);
-    let routes_per_sec = cfg.route_samples as f64 / t1.elapsed().as_secs_f64().max(1e-9);
-
     let (depth_sum, size_sum, ldt_samples) = sample_ldts(&sys, cfg.seed, cfg.ldt_samples);
 
-    let cell = ScaleCell {
+    ScaleCell {
         n,
         stationary,
         mobile,
@@ -168,8 +158,7 @@ pub fn run_cell(cfg: &ScaleConfig, n: usize) -> (ScaleCell, CellTiming) {
         depth_sum,
         size_sum,
         table_rows: sys.mobile.total_state() as u64,
-    };
-    (cell, CellTiming { build_secs, routes_per_sec })
+    }
 }
 
 /// Samples `samples` routed lookups on `ring`, sharded across `workers`
@@ -369,6 +358,80 @@ pub fn to_table(cells: &[ScaleCell]) -> Table {
     t
 }
 
+/// The `scale` sweep: route hops, LDT depth and state size as N grows by
+/// decades, with each fitted against its claimed growth law. `--smoke`
+/// runs N = 1e3 only, `--stretch` adds N = 1e6, `--workers <k>` shards
+/// wiring and sampling (never changes results). The report carries only
+/// deterministic quantities — identical bytes at any worker count.
+pub fn sweep(args: &SweepArgs) -> SweepRun {
+    let workers = args
+        .workers
+        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
+    let mut cfg = if args.smoke {
+        ScaleConfig::smoke(args.seed, workers)
+    } else {
+        ScaleConfig::standard(args.seed, workers)
+    };
+    if args.stretch {
+        cfg = cfg.with_stretch();
+    }
+
+    let mut run = SweepRun::new("scale", args.seed);
+    let mut cells: Vec<ScaleCell> = Vec::new();
+    for &n in &cfg.populations {
+        let cell = run_cell(&cfg, n);
+        run.report.push_cell(
+            Json::obj([
+                ("n", Json::U64(cell.n as u64)),
+                ("stationary", Json::U64(cell.stationary as u64)),
+                ("mobile", Json::U64(cell.mobile as u64)),
+                ("route_samples", Json::U64(cell.route_samples as u64)),
+                ("ldt_samples", Json::U64(cell.ldt_samples as u64)),
+            ]),
+            &[],
+            &[],
+            Json::obj([
+                ("hops_mean", Json::F64(cell.hops_mean())),
+                ("hops_max", Json::U64(cell.hops_max as u64)),
+                ("ldt_depth_mean", Json::F64(cell.depth_mean())),
+                ("ldt_size_mean", Json::F64(cell.size_mean())),
+                ("table_rows", Json::U64(cell.table_rows)),
+                ("rows_per_node", Json::F64(cell.rows_per_node())),
+            ]),
+        );
+        cells.push(cell);
+    }
+    run.tables.push(to_table(&cells));
+
+    let (hop_fit, depth_fit) = growth_fits(&cells);
+    run.lines.push(format!(
+        "fit: hops ≈ {}·log2 N + {} (R² {}) — consistent with O(log N) iff slope small & stable",
+        f3(hop_fit.slope),
+        f3(hop_fit.intercept),
+        f3(hop_fit.r2)
+    ));
+    run.lines.push(format!(
+        "fit: LDT depth ≈ {}·log2 log2 N + {} (R² {})",
+        f3(depth_fit.slope),
+        f3(depth_fit.intercept),
+        f3(depth_fit.r2)
+    ));
+    run.report.push_cell(
+        Json::obj([("cell", Json::Str("growth_fits".into()))]),
+        &[],
+        &[],
+        Json::obj([
+            ("hops_vs_log2n_slope", Json::F64(hop_fit.slope)),
+            ("hops_vs_log2n_intercept", Json::F64(hop_fit.intercept)),
+            ("hops_vs_log2n_r2", Json::F64(hop_fit.r2)),
+            ("depth_vs_loglog2n_slope", Json::F64(depth_fit.slope)),
+            ("depth_vs_loglog2n_intercept", Json::F64(depth_fit.intercept)),
+            ("depth_vs_loglog2n_r2", Json::F64(depth_fit.r2)),
+        ]),
+    );
+    run
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,11 +462,11 @@ mod tests {
             seed: 8,
             workers: 2,
         };
-        let (a, _) = run_cell(&cfg, 200);
-        let (b, _) = run_cell(&cfg, 200);
+        let a = run_cell(&cfg, 200);
+        let b = run_cell(&cfg, 200);
         assert_eq!(a, b);
         let seq = ScaleConfig { workers: 1, ..cfg };
-        let (c, _) = run_cell(&seq, 200);
+        let c = run_cell(&seq, 200);
         assert_eq!(a, c, "worker count must not change measurements");
     }
 
@@ -427,7 +490,7 @@ mod tests {
             seed: 8,
             workers: 2,
         };
-        let cells: Vec<ScaleCell> = cfg.populations.iter().map(|&n| run_cell(&cfg, n).0).collect();
+        let cells: Vec<ScaleCell> = cfg.populations.iter().map(|&n| run_cell(&cfg, n)).collect();
         let (hop_fit, _) = growth_fits(&cells);
         // 8× population growth must cost far less than 8× hops: the
         // log-law slope stays small and positive.

@@ -10,13 +10,17 @@
 //! so degradation or recovery over time is visible.
 
 use bristle_core::naming::Mobility;
-use bristle_core::system::BristleSystem;
+use bristle_core::system::{BristleBuilder, BristleSystem};
 use bristle_core::time::SimTime;
+use bristle_netsim::transit_stub::TransitStubConfig;
 
 use crate::churn::{ChurnAction, ChurnModel};
+use crate::cli::SweepArgs;
 use crate::engine::{run as run_events, EventQueue};
 use crate::mobility::MobilityModel;
 use crate::report::{f2, pct, Table};
+use crate::sweeps::SweepRun;
+use crate::workload::rate;
 
 /// Scenario parameters.
 #[derive(Debug, Clone)]
@@ -72,11 +76,7 @@ pub struct IntervalStats {
 impl IntervalStats {
     /// Delivery rate within the interval (1.0 when no lookups ran).
     pub fn delivery_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / self.lookups as f64
-        }
+        rate(self.delivered as u64, self.lookups as u64, 1.0)
     }
 }
 
@@ -98,11 +98,7 @@ impl ScenarioOutcome {
             .intervals
             .iter()
             .fold((0usize, 0usize), |(ok, t), iv| (ok + iv.delivered, t + iv.lookups));
-        if total == 0 {
-            1.0
-        } else {
-            ok as f64 / total as f64
-        }
+        rate(ok as u64, total as u64, 1.0)
     }
 }
 
@@ -253,6 +249,31 @@ pub fn to_table(outcome: &ScenarioOutcome) -> Table {
         ]);
     }
     t
+}
+
+/// The `dynamics` sweep: one full scenario (movement + churn + lookups +
+/// upkeep on one virtual timeline), reported as the per-interval health
+/// table.
+pub fn sweep(args: &SweepArgs) -> SweepRun {
+    const SEED: u64 = 4242;
+    let (n_stat, n_mob, horizon) = args.scale.pick((120, 60, 3_000), (700, 300, 12_000));
+    let mut sys = BristleBuilder::new(SEED)
+        .stationary_nodes(n_stat)
+        .mobile_nodes(n_mob)
+        .topology(TransitStubConfig::small())
+        .build()
+        .expect("system builds");
+    let outcome = run(&mut sys, &ScenarioConfig::standard(horizon));
+    let mut out = SweepRun::new("dynamics", SEED);
+    out.tables.push(to_table(&outcome));
+    out.lines.push(format!(
+        "overall delivery {:.1}%  final population {}+{}  events {}",
+        outcome.overall_delivery() * 100.0,
+        outcome.final_population.0,
+        outcome.final_population.1,
+        outcome.events
+    ));
+    out
 }
 
 #[cfg(test)]

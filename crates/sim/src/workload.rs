@@ -6,7 +6,10 @@
 //! averaged." This module generates those samples and aggregates route
 //! reports into the metrics the figures plot.
 
-use bristle_core::system::BristleSystem;
+use bristle_core::config::BristleConfig;
+use bristle_core::system::{BristleBuilder, BristleSystem};
+use bristle_netsim::rng::Pcg64;
+use bristle_netsim::transit_stub::TransitStubConfig;
 use bristle_overlay::key::Key;
 
 use crate::messaging::MessagingBristleSystem;
@@ -44,6 +47,16 @@ impl RouteAggregate {
     /// Mean discoveries per route.
     pub fn mean_discoveries(&self) -> f64 {
         self.discoveries.mean()
+    }
+}
+
+/// `done / attempted`, or `empty` when nothing was attempted — the one
+/// body behind every outcome's `*_rate()` accessor.
+pub fn rate(done: u64, attempted: u64, empty: f64) -> f64 {
+    if attempted == 0 {
+        empty
+    } else {
+        done as f64 / attempted as f64
     }
 }
 
@@ -111,6 +124,67 @@ pub(crate) fn busiest_primary(sys: &BristleSystem) -> Key {
     best.1
 }
 
+/// The system every message scenario starts from: `stationary + mobile`
+/// nodes on the tiny transit-stub topology under `config`.
+pub(crate) fn tiny_system(
+    seed: u64,
+    stationary: usize,
+    mobile: usize,
+    config: BristleConfig,
+) -> BristleSystem {
+    BristleBuilder::new(seed)
+        .stationary_nodes(stationary)
+        .mobile_nodes(mobile)
+        .topology(TransitStubConfig::tiny())
+        .config(config)
+        .build()
+        .expect("system builds")
+}
+
+/// Draws `count` ordered pairs of distinct endpoints, neither of them
+/// `avoid` — fixed once, then measured identically before and after the
+/// scenario's disruption.
+pub(crate) fn fixed_pairs(
+    msys: &MessagingBristleSystem,
+    rng: &mut Pcg64,
+    count: usize,
+    avoid: Option<Key>,
+) -> Vec<(Key, Key)> {
+    let mut endpoints: Vec<Key> = msys.sys.mobile.keys().collect();
+    endpoints.sort_unstable();
+    let mut pairs = Vec::with_capacity(count);
+    while pairs.len() < count && endpoints.len() >= 2 {
+        let src = endpoints[rng.index(endpoints.len())];
+        let target = endpoints[rng.index(endpoints.len())];
+        if src != target && Some(src) != avoid && Some(target) != avoid {
+            pairs.push((src, target));
+        }
+    }
+    pairs
+}
+
+/// Crashes `victim` silently and runs heartbeat rounds until suspicion
+/// hardens into a verdict and the funeral heals the overlay around the
+/// corpse; after `rounds` without one the funeral is forced. Returns the
+/// rounds used and whether it was forced.
+pub(crate) fn crash_and_bury(
+    msys: &mut MessagingBristleSystem,
+    victim: Key,
+    rounds: usize,
+) -> (usize, bool) {
+    msys.fail_silently(victim);
+    for r in 0..rounds {
+        let newly = msys.heartbeat_round();
+        msys.sys.tick(1);
+        if newly.contains(&victim) {
+            msys.confirm_and_heal(victim).expect("victim is known");
+            return (r + 1, false);
+        }
+    }
+    msys.confirm_and_heal(victim).expect("victim is known");
+    (rounds, true)
+}
+
 /// Measures message-passing delivery over `pairs`, skipping pairs with a
 /// missing endpoint. Returns `(delivered, attempted)`.
 pub(crate) fn measure_pairs(
@@ -150,6 +224,13 @@ mod tests {
             .config(BristleConfig::recommended())
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn rate_divides_and_keeps_the_empty_case() {
+        assert_eq!(rate(1, 4, 1.0), 0.25);
+        assert_eq!(rate(0, 0, 1.0), 1.0);
+        assert_eq!(rate(0, 0, 0.0), 0.0);
     }
 
     #[test]
