@@ -160,10 +160,7 @@ impl BristleSystem {
             }
         }
         if report.was_mobile {
-            let mut holders: Vec<Key> =
-                self.mobile.reverse_index().remove(&key).unwrap_or_default();
-            holders.sort_unstable();
-            for holder in holders {
+            for holder in self.mobile.holders_of(key) {
                 let cap = self.node_info(holder)?.capacity;
                 if self.registry.register(Registrant::new(holder, cap), key) {
                     self.stores.apply(holder, WalRecord::Register { target: key.0, capacity: cap });

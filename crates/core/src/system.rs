@@ -368,47 +368,28 @@ impl BristleSystem {
     /// Rebuilds the registration state from the mobile layer's reverse
     /// routing pointers: every holder of a *mobile* node's state-pair
     /// registers to that node with its capacity (§2.3.1 — "X can register
-    /// itself to those mobile nodes only").
+    /// itself to those mobile nodes only"). Each R(·) lists its holders
+    /// in ring order.
     pub fn sync_registrations(&mut self) {
-        // Capture each holder's edge set before the rebuild so the diff
-        // can be mirrored into the holders' durable stores.
-        let mut old_edges: HashMap<Key, Vec<Key>> = HashMap::new();
-        for (target, regs) in self.registry.iter() {
-            for r in regs {
-                old_edges.entry(r.key).or_default().push(target);
-            }
-        }
-        self.registry = Registry::new();
-        let rev = self.mobile.reverse_index();
-        for (&subject, holders) in rev.iter() {
-            if !self.is_mobile(subject) {
-                continue;
-            }
-            for &holder in holders {
-                let cap = self.info_unchecked(holder).capacity;
-                self.registry.register(Registrant::new(holder, cap), subject);
-                self.meter.bump(MessageKind::Register, 1);
-            }
-        }
-        let mut new_edges: HashMap<Key, Vec<(Key, u32)>> = HashMap::new();
-        for (target, regs) in self.registry.iter() {
-            for r in regs {
-                new_edges.entry(r.key).or_default().push((target, r.capacity));
-            }
-        }
-        for (holder, targets) in old_edges {
-            for target in targets {
-                let kept =
-                    new_edges.get(&holder).is_some_and(|v| v.iter().any(|&(t, _)| t == target));
-                if !kept {
-                    self.stores.apply(holder, WalRecord::Deregister { target: target.0 });
+        let old = std::mem::take(&mut self.registry);
+        for holder in self.mobile.iter() {
+            let capacity = self.info_unchecked(holder.key).capacity;
+            for subject in holder.entries.iter().map(|e| e.key) {
+                if self.is_mobile(subject) {
+                    self.registry.register(Registrant::new(holder.key, capacity), subject);
+                    self.meter.bump(MessageKind::Register, 1);
+                    // Idempotent: backends skip no-op re-registrations.
+                    self.stores
+                        .apply(holder.key, WalRecord::Register { target: subject.0, capacity });
                 }
             }
         }
-        for (holder, targets) in new_edges {
-            for (target, capacity) in targets {
-                // Idempotent: backends skip no-op re-registrations.
-                self.stores.apply(holder, WalRecord::Register { target: target.0, capacity });
+        // Mirror every edge the rebuild dropped into its holder's store
+        // (nothing to drop on the initial build).
+        for (target, regs) in old.iter() {
+            let kept = self.registry.registrants_of(target);
+            for gone in regs.iter().filter(|r| !kept.iter().any(|k| k.key == r.key)) {
+                self.stores.apply(gone.key, WalRecord::Deregister { target: target.0 });
             }
         }
     }
@@ -523,14 +504,16 @@ impl BristleSystem {
         if self.stationary.is_empty() {
             return Err(BristleError::NoStationaryLayer);
         }
+        // One row serves every entry: the asker's distances to all routers.
         let from_router = self.attachments.router(info.host);
+        let row = self.dcache.row(from_router);
         let node = self.mobile.node(from)?;
         let mut best: Option<(u64, Key)> = None;
         for e in &node.entries {
             // Only stationary nodes are in the stationary ring, and they
             // never move, so the host recorded there is where they are.
             let Ok(peer) = self.stationary.node(e.key) else { continue };
-            let d = self.dcache.distance(from_router, self.attachments.router(peer.host));
+            let d = row[self.attachments.router(peer.host).index()];
             if best.map(|(b, _)| d < b).unwrap_or(true) {
                 best = Some((d, e.key));
             }
@@ -846,18 +829,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn registrations_cover_reverse_pointers_of_mobile_nodes() {
-        let sys = small_system(40, 20, 4);
+    /// R(·) against the `reverse_index` oracle, holders in ring order, and
+    /// each live holder's store against its registry edges.
+    fn assert_registrations_mirror_reverse_pointers(sys: &BristleSystem) {
         let rev = sys.mobile.reverse_index();
         for &m in sys.mobile_keys() {
-            let holders = rev.get(&m).map(Vec::len).unwrap_or(0);
-            assert_eq!(sys.registry.registrants_of(m).len(), holders, "target {m}");
+            let registrants: Vec<Key> =
+                sys.registry.registrants_of(m).iter().map(|r| r.key).collect();
+            assert_eq!(registrants, rev.get(&m).cloned().unwrap_or_default(), "target {m}");
         }
         // Stationary nodes collect no registrations.
         for &s in sys.stationary_keys() {
             assert!(sys.registry.registrants_of(s).is_empty());
         }
+        for holder in sys.mobile.iter() {
+            let edges: Vec<(u64, u32)> = holder
+                .entries
+                .iter()
+                .filter(|e| sys.is_mobile(e.key))
+                .map(|e| (e.key.0, holder.capacity))
+                .collect();
+            let stored: Vec<(u64, u32)> = sys
+                .stores
+                .state(holder.key)
+                .map(|st| st.registrations.iter().map(|(&t, &c)| (t, c)).collect())
+                .unwrap_or_default();
+            assert_eq!(stored, edges, "store of holder {}", holder.key);
+        }
+    }
+
+    #[test]
+    fn registrations_cover_reverse_pointers_of_mobile_nodes() {
+        let mut sys = small_system(40, 20, 4);
+        assert_registrations_mirror_reverse_pointers(&sys);
+
+        // A resync over a populated registry: edges the new wiring no
+        // longer has are deregistered in their holders' stores.
+        let before = sys.registry.total_registrations();
+        for key in [sys.mobile_keys()[3], sys.stationary_keys()[5], sys.mobile_keys()[11]] {
+            sys.leave_node(key).unwrap();
+        }
+        sys.rewire();
+        sys.sync_registrations();
+        assert_ne!(sys.registry.total_registrations(), before, "the resync changed nothing");
+        assert_registrations_mirror_reverse_pointers(&sys);
     }
 
     #[test]

@@ -91,9 +91,8 @@ pub fn shortest_path(graph: &Graph, src: RouterId, dst: RouterId) -> Option<(Dis
 pub struct DistanceCache {
     graph: Arc<Graph>,
     capacity: usize,
-    // Simple bounded map: Vec of (source, distances). Linear scan is fine:
-    // experiments use at most a few thousand distinct sources, and hits are
-    // resolved through the index vector below.
+    // Rows live in a bounded `Vec`; a hit is one read of `index`, never a
+    // scan. A miss takes the write lock and, at capacity, evicts round-robin.
     slots: RwLock<CacheSlots>,
 }
 
@@ -140,14 +139,17 @@ impl DistanceCache {
         self.len() == 0
     }
 
+    /// `read` applied to `src`'s row under the read guard, if it is cached.
+    fn cached<R>(&self, src: RouterId, read: impl FnOnce(&Arc<Vec<Dist>>) -> R) -> Option<R> {
+        let slots = self.slots.read().expect("cache lock poisoned");
+        let slot = slots.index[src.index()];
+        (slot != u32::MAX).then(|| read(&slots.entries[slot as usize].1))
+    }
+
     /// Returns the distance row for `src`, computing it on first use.
     pub fn row(&self, src: RouterId) -> Arc<Vec<Dist>> {
-        {
-            let slots = self.slots.read().expect("cache lock poisoned");
-            let slot = slots.index[src.index()];
-            if slot != u32::MAX {
-                return Arc::clone(&slots.entries[slot as usize].1);
-            }
+        if let Some(row) = self.cached(src, Arc::clone) {
+            return row;
         }
         let row = Arc::new(single_source(&self.graph, src));
         let mut slots = self.slots.write().expect("cache lock poisoned");
@@ -172,11 +174,14 @@ impl DistanceCache {
     }
 
     /// Shortest-path distance between two routers.
+    ///
+    /// A hit reads the one value under the read guard; callers that want
+    /// many distances from one source take [`DistanceCache::row`] once.
     pub fn distance(&self, a: RouterId, b: RouterId) -> Dist {
         if a == b {
             return 0;
         }
-        self.row(a)[b.index()]
+        self.cached(a, |row| row[b.index()]).unwrap_or_else(|| self.row(a)[b.index()])
     }
 }
 
@@ -341,6 +346,41 @@ mod tests {
             }
         }
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn distance_equals_row_while_every_call_evicts_under_concurrent_readers() {
+        let mut rng = Pcg64::seed_from_u64(41);
+        let n = 24u32;
+        let g = Arc::new(random_connected(&mut rng, n as usize, 20));
+        let truth: Vec<Vec<Dist>> = g.vertices().map(|v| single_source(&g, v)).collect();
+        // One row: any two different sources evict each other.
+        let cache = DistanceCache::new(Arc::clone(&g), 1);
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for stride in [5u32, 7] {
+                let (cache, truth, start) = (&cache, &truth, &start);
+                s.spawn(move || {
+                    start.wait();
+                    // Coprime strides: each reader visits every source, in
+                    // an order of its own, so hits and misses interleave.
+                    for i in 0..n * 40 {
+                        let (a, b) = ((i * stride) % n, (i * 11) % n);
+                        let d = cache.distance(RouterId(a), RouterId(b));
+                        assert_eq!(d, truth[a as usize][b as usize], "reader {stride}: {a}->{b}");
+                    }
+                });
+            }
+            start.wait();
+            for a in 0..n {
+                for b in 0..n {
+                    let d = cache.distance(RouterId(a), RouterId(b));
+                    assert_eq!(d, cache.row(RouterId(a))[b as usize], "{a}->{b}");
+                    assert_eq!(d, truth[a as usize][b as usize], "{a}->{b}");
+                }
+            }
+        });
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

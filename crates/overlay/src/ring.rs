@@ -25,7 +25,8 @@ use std::collections::HashMap;
 use std::ops::Bound;
 
 use bristle_netsim::attach::{AttachmentMap, HostId};
-use bristle_netsim::dijkstra::DistanceCache;
+use bristle_netsim::dijkstra::{Dist, DistanceCache};
+use bristle_netsim::graph::RouterId;
 use bristle_netsim::rng::Pcg64;
 
 use crate::addr::{NetAddr, StatePair};
@@ -257,20 +258,11 @@ impl<V> RingDht<V> {
             .collect()
     }
 
-    /// The lowest finger level that can hold a neighbor of `key`. The
-    /// slots of one level tile `[key + span, key + base·span)`, so the
-    /// level is empty whenever the nearest other node lies at or beyond
-    /// `base·span`; empty slots draw nothing from the RNG, so starting the
-    /// build here changes neither the tables nor the caller's stream.
+    /// The lowest finger level that can hold a neighbor of `key` (see
+    /// [`first_level_past`]).
     fn first_finger_level(&self, key: Key) -> u32 {
         let gap = self.successor_entry(key.offset(1)).map_or(0, |(succ, _)| key.clockwise_to(succ));
-        let bits = self.cfg.bits_per_digit;
-        (0..self.cfg.levels())
-            .find(|level| {
-                let reach_bits = (level + 1) * bits;
-                reach_bits >= 64 || gap >> reach_bits == 0
-            })
-            .unwrap_or(self.cfg.levels())
+        first_level_past(&self.cfg, gap)
     }
 
     /// Digit fingers from `first_level` up: for each level and non-zero
@@ -284,40 +276,18 @@ impl<V> RingDht<V> {
         rng: &mut Pcg64,
     ) -> Result<Vec<(Key, Slot)>, RingError> {
         let my_router = attachments.router(self.node(key)?.host);
+        let mut row = None;
         let mut picks = Vec::new();
-        let bits = self.cfg.bits_per_digit;
-        let base = self.cfg.base();
-        for level in first_level..self.cfg.levels() {
-            let shift = level * bits;
-            if shift >= 64 {
-                break;
+        for (start, span) in finger_slots(&self.cfg, key, first_level) {
+            let cands = self.finger_candidates(start, span, key, self.cfg.candidate_window);
+            if cands.is_empty() {
+                continue;
             }
-            let span = 1u64 << shift;
-            for j in 1..base {
-                let start = key.offset(j.wrapping_mul(span));
-                let cands = self.finger_candidates(start, span, key, self.cfg.candidate_window);
-                if cands.is_empty() {
-                    continue;
-                }
-                let pick = match self.cfg.selection {
-                    NeighborSelection::First => cands[0],
-                    NeighborSelection::Random => *rng.choose(&cands),
-                    NeighborSelection::Proximity => {
-                        let mut best = cands[0];
-                        let mut best_d = u64::MAX;
-                        for &c in &cands {
-                            let host = self.at(c.1).host;
-                            let d = dcache.distance(my_router, attachments.router(host));
-                            if d < best_d {
-                                best_d = d;
-                                best = c;
-                            }
-                        }
-                        best
-                    }
-                };
-                picks.push(pick);
-            }
+            let pick = select(self.cfg.selection, cands.len(), rng, |i| {
+                let router = attachments.router(self.at(cands[i].1).host);
+                row.get_or_insert_with(|| dcache.row(my_router))[router.index()]
+            });
+            picks.push(cands[pick]);
         }
         Ok(picks)
     }
@@ -328,6 +298,10 @@ impl<V> RingDht<V> {
     /// This is the omniscient steady-state build the simulation uses; the
     /// protocol-faithful incremental join (paper Fig. 5) lives in
     /// `bristle-core::join` and produces the same tables via messages.
+    ///
+    /// It walks the key index, O(log N) a slot, which is what one node's
+    /// join, repair or rejoin should pay; wiring the whole ring goes
+    /// through [`RingDht::build_all_tables`], which must agree with this.
     pub fn compute_tables(
         &self,
         key: Key,
@@ -387,33 +361,29 @@ impl<V> RingDht<V> {
         Ok(count)
     }
 
-    /// Rebuilds every node's routing state (steady-state snapshot).
+    /// Rebuilds every node's routing state (steady-state snapshot): the
+    /// tables [`RingDht::compute_tables`] gives each node, visited in ring
+    /// order on the caller's `rng`.
     pub fn build_all_tables(
         &mut self,
         attachments: &AttachmentMap,
         dcache: &DistanceCache,
         rng: &mut Pcg64,
     ) {
-        let keys: Vec<Key> = self.keys().collect();
-        for k in keys {
-            self.rebuild_node(k, attachments, dcache, rng).expect("known key");
-        }
+        self.build_tables(attachments, dcache, rng, 1);
     }
 
-    /// [`RingDht::build_all_tables`] sharded across `workers` scoped
-    /// threads, with results guaranteed identical to the sequential
-    /// build.
+    /// [`RingDht::build_all_tables`] sharded across `workers` threads,
+    /// with results identical at every worker count.
     ///
-    /// The argument is simple: [`RingDht::compute_tables`] reads only
-    /// ring *structure* (keys, hosts) — never another node's installed
-    /// entries — so per-node builds are independent and installation
-    /// order is irrelevant. Workers take stable contiguous key shards
-    /// (ring order), compute read-only, and the results are installed
-    /// after every worker joins. The one wrinkle is the RNG:
-    /// [`NeighborSelection::Random`] draws once per finger slot, making
-    /// results depend on build *order*, so that policy falls back to the
-    /// sequential path (`First`/`Proximity` never touch the RNG, which
-    /// is also why the per-worker throwaway RNG below is sound).
+    /// A node's tables depend on ring *structure* only — keys, hosts,
+    /// attachments — never on another node's installed entries, so the
+    /// build reads a key-order snapshot of the ring, workers take
+    /// contiguous shards of it, and the results are installed after the
+    /// last worker joins. The one order-dependent input is the RNG:
+    /// [`NeighborSelection::Random`] draws once per non-empty finger
+    /// slot, so that policy is built as a single shard on the caller's
+    /// `rng`, whatever `workers` says; `First` and `Proximity` never draw.
     pub fn build_all_tables_parallel(
         &mut self,
         attachments: &AttachmentMap,
@@ -423,42 +393,56 @@ impl<V> RingDht<V> {
     ) where
         V: Send + Sync,
     {
-        let workers = workers.max(1).min(self.len().max(1));
-        if workers == 1 || matches!(self.cfg.selection, NeighborSelection::Random) {
-            self.build_all_tables(attachments, dcache, rng);
-            return;
-        }
-        let keys: Vec<Key> = self.keys().collect();
-        let chunk = keys.len().div_ceil(workers);
-        type Built = Vec<(Key, Vec<StatePair>, Vec<Key>)>;
-        let computed: Vec<Built> = std::thread::scope(|s| {
-            let this = &*self;
-            let handles: Vec<_> = keys
-                .chunks(chunk)
-                .map(|shard| {
-                    s.spawn(move || {
-                        // Never drawn from: selection is First/Proximity here.
-                        let mut dead_rng = Pcg64::seed_from_u64(0);
-                        shard
-                            .iter()
-                            .map(|&k| {
-                                let (entries, leaves) = this
-                                    .compute_tables(k, attachments, dcache, &mut dead_rng)
-                                    .expect("known key");
-                                (k, entries, leaves)
-                            })
-                            .collect()
-                    })
-                })
+        self.build_tables(attachments, dcache, rng, workers);
+    }
+
+    /// The bulk build behind both public entry points. The snapshot is
+    /// 24 B a node (cache-resident where the slab is not) and lives only
+    /// for this call: a finger slot's candidates are a binary search and
+    /// a short sequential walk in it, a node's leaves its neighbouring
+    /// positions, and each node asks the distance oracle for one row.
+    fn build_tables(
+        &mut self,
+        attachments: &AttachmentMap,
+        dcache: &DistanceCache,
+        rng: &mut Pcg64,
+        workers: usize,
+    ) {
+        let snapshot: Vec<RingPos> = self
+            .index
+            .iter()
+            .map(|(&key, &slot)| {
+                let host = self.at(slot).host;
+                RingPos { key, slot, host, router: attachments.router(host) }
+            })
+            .collect();
+        let (cfg, ring) = (&self.cfg, snapshot.as_slice());
+        let shards = match cfg.selection {
+            NeighborSelection::Random => 1,
+            NeighborSelection::First | NeighborSelection::Proximity => workers.max(1),
+        };
+        let chunk = ring.len().div_ceil(shards).max(1);
+        let build = move |first: usize, rng: &mut Pcg64| -> Vec<Tables> {
+            let last = (first + chunk).min(ring.len());
+            let mut scratch = Vec::new();
+            (first..last)
+                .map(|me| bulk_tables(cfg, ring, me, attachments, dcache, rng, &mut scratch))
+                .collect()
+        };
+        let built: Vec<Vec<Tables>> = std::thread::scope(|s| {
+            let spawned: Vec<_> = (chunk..ring.len())
+                .step_by(chunk)
+                // Never drawn from: only `Random` draws, and it is one shard.
+                .map(|first| s.spawn(move || build(first, &mut Pcg64::seed_from_u64(0))))
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("table worker panicked")).collect()
+            let mut built = vec![build(0, rng)];
+            built.extend(spawned.into_iter().map(|h| h.join().expect("table worker panicked")));
+            built
         });
-        for shard in computed {
-            for (k, entries, leaf_keys) in shard {
-                let node = self.node_mut(k).expect("known key");
-                node.entries = entries;
-                node.leaf_keys = leaf_keys;
-            }
+        for (pos, (entries, leaf_keys)) in ring.iter().zip(built.into_iter().flatten()) {
+            let node = &mut self.occupant_mut(pos.slot).node;
+            node.entries = entries;
+            node.leaf_keys = leaf_keys;
         }
     }
 
@@ -510,6 +494,12 @@ impl<V> RingDht<V> {
         Some(succ)
     }
 
+    /// The nodes whose routing state contains `key`, in ring order: one
+    /// row of [`RingDht::reverse_index`] without building the rest.
+    pub fn holders_of(&self, key: Key) -> Vec<Key> {
+        self.iter().filter(|n| n.knows(key)).map(|n| n.key).collect()
+    }
+
     /// Builds the reverse-pointer index: for each node, the set of nodes
     /// whose routing state contains it. These are exactly the peers that
     /// *register* to a node in Bristle (§2.3.1: "X registers itself to
@@ -528,6 +518,146 @@ impl<V> RingDht<V> {
     pub fn total_state(&self) -> usize {
         self.iter().map(|n| n.entries.len()).sum()
     }
+}
+
+/// One node as a bulk build sees it: a row of the key-order snapshot.
+#[derive(Clone, Copy)]
+struct RingPos {
+    key: u64,
+    slot: Slot,
+    host: HostId,
+    router: RouterId,
+}
+
+/// A node's computed `(entries, leaf_keys)`.
+type Tables = (Vec<StatePair>, Vec<Key>);
+
+/// The lowest finger level that can hold a neighbor of a node whose
+/// clockwise successor is `gap` away. The slots of one level tile
+/// `[key + span, key + base·span)`, so the level is empty whenever the
+/// nearest other node lies at or beyond `base·span`; empty slots draw
+/// nothing from the RNG, so starting the build here changes neither the
+/// tables nor the caller's stream.
+fn first_level_past(cfg: &RingConfig, gap: u64) -> u32 {
+    let bits = cfg.bits_per_digit;
+    (0..cfg.levels())
+        .find(|level| {
+            let reach_bits = (level + 1) * bits;
+            reach_bits >= 64 || gap >> reach_bits == 0
+        })
+        .unwrap_or(cfg.levels())
+}
+
+/// `(start, span)` of every finger slot of `key` from `first_level` up,
+/// in build order: by level, then by digit value.
+fn finger_slots(
+    cfg: &RingConfig,
+    key: Key,
+    first_level: u32,
+) -> impl Iterator<Item = (Key, u64)> + '_ {
+    let (bits, base) = (cfg.bits_per_digit, cfg.base());
+    (first_level..cfg.levels())
+        .map(move |level| level * bits)
+        .take_while(|&shift| shift < 64)
+        .flat_map(move |shift| {
+            let span = 1u64 << shift;
+            (1..base).map(move |j| (key.offset(j.wrapping_mul(span)), span))
+        })
+}
+
+/// Which of a finger slot's `count ≥ 1` candidates (clockwise order) the
+/// policy takes. `distance(i)` is the physical distance to candidate `i`;
+/// of equally near candidates the first wins.
+fn select(
+    policy: NeighborSelection,
+    count: usize,
+    rng: &mut Pcg64,
+    mut distance: impl FnMut(usize) -> Dist,
+) -> usize {
+    match policy {
+        NeighborSelection::First => 0,
+        NeighborSelection::Random => rng.index(count),
+        NeighborSelection::Proximity => {
+            let (mut best, mut best_d) = (0, Dist::MAX);
+            for i in 0..count {
+                let d = distance(i);
+                if d < best_d {
+                    (best, best_d) = (i, d);
+                }
+            }
+            best
+        }
+    }
+}
+
+/// [`RingDht::compute_tables`] for the node at snapshot position `me`,
+/// read off the snapshot alone. `chosen` is scratch space.
+fn bulk_tables(
+    cfg: &RingConfig,
+    ring: &[RingPos],
+    me: usize,
+    attachments: &AttachmentMap,
+    dcache: &DistanceCache,
+    rng: &mut Pcg64,
+    chosen: &mut Vec<usize>,
+) -> Tables {
+    let n = ring.len();
+    let my = ring[me];
+    let key = Key(my.key);
+    // The position clockwise of `pos`, wrapping.
+    let cw = |pos: usize| if pos + 1 == n { 0 } else { pos + 1 };
+
+    chosen.clear();
+    let mut row = None;
+    let first_level = first_level_past(cfg, key.clockwise_to(Key(ring[cw(me)].key)));
+    for (start, span) in finger_slots(cfg, key, first_level) {
+        // Up to `candidate_window` nodes clockwise from `start` within
+        // `span` of it, `me` excluded, at most once around.
+        let slot_first = chosen.len();
+        let mut pos = ring.partition_point(|p| p.key < start.0) % n;
+        for _ in 0..n {
+            if start.clockwise_to(Key(ring[pos].key)) >= span
+                || chosen.len() - slot_first == cfg.candidate_window
+            {
+                break;
+            }
+            if pos != me {
+                chosen.push(pos);
+            }
+            pos = cw(pos);
+        }
+        let cands = &chosen[slot_first..];
+        if cands.is_empty() {
+            continue;
+        }
+        let pick = cands[select(cfg.selection, cands.len(), rng, |i| {
+            let router = ring[cands[i]].router;
+            row.get_or_insert_with(|| dcache.row(my.router))[router.index()]
+        })];
+        chosen.truncate(slot_first);
+        chosen.push(pick);
+    }
+
+    // Leaf set: the neighbouring positions, successors first; on a ring
+    // too small for both radii a node is listed once, as a successor.
+    let successors = cfg.leaf_radius.min(n - 1);
+    let predecessors = successors.min(n - 1 - successors);
+    let leaves =
+        (1..=successors).map(|d| (me + d) % n).chain((1..=predecessors).map(|d| (me + n - d) % n));
+    let leaf_keys = leaves.clone().map(|pos| Key(ring[pos].key)).collect();
+    chosen.extend(leaves);
+
+    // Position order is key order, so this is the `(Key, Slot)` sort.
+    chosen.sort_unstable();
+    chosen.dedup();
+    let entries = chosen
+        .iter()
+        .map(|&pos| {
+            let p = ring[pos];
+            StatePair::resolved(Key(p.key), NetAddr::current(p.host, attachments))
+        })
+        .collect();
+    (entries, leaf_keys)
 }
 
 #[cfg(test)]
@@ -770,8 +900,8 @@ mod tests {
 
     #[test]
     fn parallel_build_matches_sequential_exactly() {
-        // Proximity and First shard across workers; Random exercises the
-        // sequential fallback (its per-slot RNG draws are order-dependent).
+        // Proximity and First shard across workers; Random is built as one
+        // shard whatever the count (its per-slot draws are order-dependent).
         for (cfg, label) in [
             (RingConfig::tornado(), "proximity"),
             (RingConfig::chord(), "first"),
@@ -790,6 +920,98 @@ mod tests {
                 assert_eq!(a.leaf_keys, b.leaf_keys, "{label}: leaves diverged at {key}");
             }
         }
+    }
+
+    /// The bulk build against `compute_tables`, the index-walking build
+    /// that single-node joins and repairs use, on every ring shape that
+    /// has a boundary in it.
+    #[test]
+    fn bulk_build_matches_compute_tables() {
+        let radius = RingConfig::tornado().leaf_radius;
+        for (cfg, label) in [
+            (RingConfig::tornado(), "tornado"),
+            (RingConfig::chord(), "chord"),
+            (RingConfig::tornado_no_locality(), "tornado_no_locality"),
+            // 3 ∤ 64: the top level's slots wrap past the node itself.
+            (RingConfig { bits_per_digit: 3, ..RingConfig::tornado() }, "base 8"),
+        ] {
+            for n in [1, 2, 3, radius + 1, 9, 300] {
+                for shape in ["fresh", "churned", "edge keys"] {
+                    let mut rng = Pcg64::seed_from_u64(n as u64);
+                    let topo = TransitStubTopology::generate(&TransitStubConfig::tiny(), &mut rng);
+                    let stubs = topo.stub_routers().to_vec();
+                    let dcache = DistanceCache::new(Arc::new(topo.into_graph()), 256);
+                    let mut attachments = AttachmentMap::new();
+                    let mut dht: RingDht<()> = RingDht::new(cfg.clone());
+                    let mut add = |dht: &mut RingDht<()>, rng: &mut Pcg64, key: Option<Key>| {
+                        let key = key.unwrap_or_else(|| Key::random(rng));
+                        let host = attachments.attach_new(*rng.choose(&stubs));
+                        dht.insert(key, host, 1).unwrap();
+                    };
+                    match shape {
+                        "fresh" => (0..n).for_each(|_| add(&mut dht, &mut rng, None)),
+                        // Holes in the slab, then some of them refilled
+                        // off the free list: slot order is not key order.
+                        "churned" => {
+                            let (extra, back) = ((n / 2).max(1), (n / 4).max(1));
+                            (0..n + extra).for_each(|_| add(&mut dht, &mut rng, None));
+                            let keys: Vec<Key> = dht.keys().collect();
+                            let doomed = extra + back;
+                            for i in 0..doomed {
+                                dht.remove(keys[i * keys.len() / doomed]).unwrap();
+                            }
+                            (0..back).for_each(|_| add(&mut dht, &mut rng, None));
+                            assert!(!dht.free.is_empty(), "no slab hole left");
+                        }
+                        // 0, MAX, 1, MAX − 1, …: every gap is 1 or wraps.
+                        _ => (0..n as u64).for_each(|i| {
+                            let key = if i % 2 == 0 { Key(i / 2) } else { Key(u64::MAX - i / 2) };
+                            add(&mut dht, &mut rng, Some(key))
+                        }),
+                    }
+                    assert_eq!(dht.len(), n);
+                    assert_storage_invariants(&dht);
+
+                    let mut oracle_rng = Pcg64::seed_from_u64(31);
+                    let oracle: Vec<(Key, Tables)> = dht
+                        .keys()
+                        .map(|k| {
+                            let t = dht.compute_tables(k, &attachments, &dcache, &mut oracle_rng);
+                            (k, t.unwrap())
+                        })
+                        .collect();
+                    for workers in [1, 2, 3, 7] {
+                        let at = format!("{label}/{n}/{shape}/{workers} workers");
+                        let mut bulk = dht.clone();
+                        let mut bulk_rng = Pcg64::seed_from_u64(31);
+                        bulk.build_all_tables_parallel(
+                            &attachments,
+                            &dcache,
+                            &mut bulk_rng,
+                            workers,
+                        );
+                        for (key, (entries, leaf_keys)) in &oracle {
+                            let node = bulk.node(*key).unwrap();
+                            assert_eq!(&node.entries, entries, "{at}: entries of {key}");
+                            assert_eq!(&node.leaf_keys, leaf_keys, "{at}: leaves of {key}");
+                        }
+                        assert_eq!(format!("{bulk_rng:?}"), format!("{oracle_rng:?}"), "{at}: RNG");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn holders_of_is_the_reverse_index_row_in_ring_order() {
+        let (dht, _, _) = setup(96, 12, RingConfig::tornado());
+        let rev = dht.reverse_index();
+        for key in dht.keys() {
+            let holders = dht.holders_of(key);
+            assert_eq!(Some(&holders), rev.get(&key), "holders of {key}");
+            assert!(holders.windows(2).all(|w| w[0] < w[1]), "holders of {key} out of order");
+        }
+        assert!(dht.holders_of(Key(1)).is_empty(), "nobody holds an absent key");
     }
 
     #[test]
