@@ -3,17 +3,19 @@
 //! Every repository mutation a node performs — identity/incarnation
 //! changes, location-record writes at its shard of the stationary
 //! layer, registrations, leases — is mirrored as a
-//! [`WalRecord`] into that node's [`StateStore`]. The default backend
-//! is [`bristle_store::MemBackend`], which folds in memory and costs
-//! nothing; attaching a [`WalBackend`] makes the node's state survive a
-//! crash, which [`crate::restart`] exploits to rejoin with its shard
-//! intact instead of re-learning it from the overlay.
+//! [`WalRecord`] into that node's [`StateStore`], by [`crate::repo`]
+//! and nothing else. The default backend is
+//! [`bristle_store::MemBackend`]: a second in-memory copy of the
+//! node's rows (one `BTreeMap` update per mutation, no I/O) that
+//! survives nothing; attaching a [`WalBackend`] makes the node's state
+//! survive a crash, which [`crate::restart`] exploits to rejoin with its
+//! shard intact instead of re-learning it from the overlay.
 //!
 //! Store mutations never touch the meter, the RNG, or the clock:
 //! attaching, detaching or swapping backends cannot perturb a seeded
 //! run (the flight-recorder golden trace pins this).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
 
 use bristle_netsim::attach::{Attachment, HostId};
@@ -24,6 +26,7 @@ pub use bristle_store::WalRecord;
 use bristle_store::{DurableState, MemBackend, ReplayReport, StateStore, StoredRecord, WalBackend};
 
 use crate::location::LocationRecord;
+use crate::system::BristleSystem;
 use crate::time::SimTime;
 
 /// All per-node stores, keyed by node. Nodes get a lazily created
@@ -161,6 +164,59 @@ pub fn location_from_stored(subject: Key, sr: &StoredRecord) -> LocationRecord {
         seq: sr.seq,
         published_at: SimTime(sr.published_at),
         ttl: sr.ttl,
+    }
+}
+
+impl BristleSystem {
+    /// Panics unless, for every live node whose store is not frozen,
+    /// `stores.state(k)` is exactly what the tables say: identity
+    /// `(key, incarnation)`, records = its shard, registrations = the
+    /// registry edges it is the registrant of, leases = the lease-table
+    /// rows it holds. With `leases_exact` false the table may hold
+    /// leases the store lacks — the function-path `discover` was called.
+    #[doc(hidden)]
+    pub fn assert_stores_mirror_tables(&self, step: &str, leases_exact: bool) {
+        let mut want: BTreeMap<Key, DurableState> = BTreeMap::new();
+        for node in self.mobile.iter().filter(|n| !self.stores.is_frozen(n.key)) {
+            let incarnation = self.info_unchecked(node.key).incarnation;
+            let state = want.entry(node.key).or_default();
+            state.apply(&WalRecord::Identity { key: node.key.0, incarnation });
+            if let Ok(shard) = self.stationary.node(node.key) {
+                for rec in shard.store.values() {
+                    state.apply(&record_put(rec));
+                }
+            }
+        }
+        for (target, regs) in self.registry.iter() {
+            for r in regs {
+                if let Some(state) = want.get_mut(&r.key) {
+                    state.apply(&WalRecord::Register { target: target.0, capacity: r.capacity });
+                }
+            }
+        }
+        for ((holder, subject), lease) in self.leases.iter() {
+            if let Some(state) = want.get_mut(&holder) {
+                state
+                    .apply(&WalRecord::LeaseGrant { subject: subject.0, expires: lease.expires.0 });
+            }
+        }
+        for (key, mut want) in want {
+            let have = self.stores.state(key).cloned().unwrap_or_default();
+            if !leases_exact {
+                want.leases.retain(|subject, _| have.leases.contains_key(subject));
+            }
+            assert_eq!(
+                have,
+                want,
+                "after {step}: store of {key} (left) differs from the tables (right); leases \
+                 compared {}",
+                if leases_exact {
+                    "exactly"
+                } else {
+                    "store ⊆ table: `discover` does not mirror"
+                }
+            );
+        }
     }
 }
 

@@ -12,7 +12,6 @@
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
 
-use crate::durable::{self, WalRecord};
 use crate::error::Result;
 use crate::ldt::Ldt;
 use crate::registry::Registrant;
@@ -91,17 +90,11 @@ impl BristleSystem {
 
         // (1) Targets whose LDT contains the corpse, with trees built
         // while the corpse is still registered (sorted for determinism).
-        let mut affected: Vec<Key> = self
-            .registry
-            .iter()
-            .filter(|(target, regs)| *target != key && regs.iter().any(|r| r.key == key))
-            .map(|(target, _)| target)
-            .filter(|&t| self.node_info(t).is_ok())
-            .collect();
-        affected.sort_unstable();
-        let mut trees: Vec<(Key, Ldt)> = Vec::with_capacity(affected.len());
-        for &target in &affected {
-            trees.push((target, self.build_ldt(target)?));
+        let mut trees: Vec<(Key, Ldt)> = Vec::new();
+        for target in self.registry.targets_of(key) {
+            if self.contains_node(target) {
+                trees.push((target, self.build_ldt(target)?));
+            }
         }
 
         // (2) Remove the corpse and its bookkeeping. Its `NodeInfo` is
@@ -113,18 +106,7 @@ impl BristleSystem {
             self.remember_corpse(key, corpse);
             self.fail_node(key)?;
         }
-        // Survivors durably drop their edges to the corpse (its own
-        // store is frozen, so only live holders are mirrored).
-        let bereaved: Vec<Key> = self.registry.registrants_of(key).iter().map(|r| r.key).collect();
-        for holder in bereaved {
-            self.stores.apply(holder, WalRecord::Deregister { target: key.0 });
-        }
-        for holder in self.leases.holders_of_subject(key) {
-            self.stores.apply(holder, WalRecord::LeaseRevoke { subject: key.0 });
-        }
-        report.registrations_pruned =
-            self.registry.remove_everywhere(key) + self.registry.drop_target(key);
-        report.leases_revoked = self.leases.revoke_subject(key) + self.leases.revoke_holder(key);
+        (report.registrations_pruned, report.leases_revoked) = self.dissolve(key);
 
         // (3) Drop dangling routing entries so repairs route cleanly.
         let dcache = self.distances_arc();
@@ -161,12 +143,7 @@ impl BristleSystem {
 
         // (5) A dead mobile node's published location is a lie.
         if report.was_mobile {
-            let set = self.stationary.replica_set(key, self.config().location_replicas)?;
-            report.records_unpublished =
-                self.stationary.unpublish(key, self.config().location_replicas)?;
-            for &replica in &set {
-                self.stores.apply(replica, WalRecord::RecordRemove { subject: key.0 });
-            }
+            report.records_unpublished = self.withdraw_location(key)?;
         }
         Ok(report)
     }
@@ -215,8 +192,7 @@ impl BristleSystem {
                 }
                 let cost = self.distances().distance(holder_router, self.router_of(replica)?);
                 self.meter.record(MessageKind::Replicate, cost);
-                self.stationary.node_mut(replica)?.store.insert(subject, record);
-                self.stores.apply(replica, durable::record_put(&record));
+                self.install_record(replica, record)?;
                 installed += 1;
             }
         }

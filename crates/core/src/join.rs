@@ -20,11 +20,8 @@
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
 
-use crate::durable::{self, WalRecord};
 use crate::error::Result;
-use crate::location::LocationRecord;
 use crate::naming::Mobility;
-use crate::registry::Registrant;
 use crate::system::BristleSystem;
 
 /// What a join accomplished.
@@ -101,8 +98,7 @@ impl BristleSystem {
         let my_entries: Vec<Key> = self.mobile.node(key)?.entries.iter().map(|e| e.key).collect();
         for subject in my_entries {
             if self.is_mobile(subject) {
-                self.registry.register(Registrant::new(key, my_cap), subject);
-                self.stores.apply(key, WalRecord::Register { target: subject.0, capacity: my_cap });
+                self.add_registrant(key, my_cap, subject);
                 self.meter.bump(MessageKind::Register, 1);
                 messages += 1;
             }
@@ -111,8 +107,7 @@ impl BristleSystem {
             for &holder in &visited {
                 if self.mobile.node(holder)?.knows(key) {
                     let cap = self.node_info(holder)?.capacity;
-                    self.registry.register(Registrant::new(holder, cap), key);
-                    self.stores.apply(holder, WalRecord::Register { target: key.0, capacity: cap });
+                    self.add_registrant(holder, cap, key);
                     self.meter.bump(MessageKind::Register, 1);
                     messages += 1;
                 }
@@ -127,45 +122,14 @@ impl BristleSystem {
     /// and removes it from both layers.
     pub fn leave_node(&mut self, key: Key) -> Result<()> {
         let info = *self.node_info(key)?;
-        let dcache = self.distances_arc();
-        let replicas = self.config().location_replicas;
         if info.mobility == Mobility::Mobile {
-            let set = self.stationary.replica_set(key, replicas)?;
-            self.stationary.unpublish(key, replicas)?;
-            for &replica in &set {
-                self.stores.apply(replica, WalRecord::RecordRemove { subject: key.0 });
-            }
+            self.withdraw_location(key)?;
         }
-        // Survivors durably drop their edges to the leaver; its own
-        // store is forgotten below, so only they are mirrored.
-        let bereaved: Vec<Key> = self.registry.registrants_of(key).iter().map(|r| r.key).collect();
-        for holder in bereaved {
-            self.stores.apply(holder, WalRecord::Deregister { target: key.0 });
-        }
-        for holder in self.leases.holders_of_subject(key) {
-            self.stores.apply(holder, WalRecord::LeaseRevoke { subject: key.0 });
-        }
-        self.registry.remove_everywhere(key);
-        self.registry.drop_target(key);
-        self.leases.revoke_subject(key);
+        self.dissolve(key);
+        let dcache = self.distances_arc();
         self.mobile.leave_gracefully(key, &self.attachments, &dcache, &mut self.meter)?;
         if info.mobility == Mobility::Stationary {
-            // Records the leaver hands off land at new replica homes;
-            // mirror them into the receiving nodes' stores afterwards.
-            let moving: Vec<LocationRecord> =
-                self.stationary.node(key)?.store.values().copied().collect();
-            self.stationary.leave_gracefully(key, &self.attachments, &dcache, &mut self.meter)?;
-            for record in moving {
-                let set = self.stationary.replica_set(record.subject, replicas)?;
-                for &replica in &set {
-                    if self.stationary.node(replica)?.store.get(&record.subject) == Some(&record) {
-                        self.stores.apply(replica, durable::record_put(&record));
-                    }
-                }
-            }
-            self.remove_key_from_lists(key, Mobility::Stationary);
-        } else {
-            self.remove_key_from_lists(key, Mobility::Mobile);
+            self.hand_off_shard(key)?;
         }
         self.forget(key);
         self.stores.forget(key);
@@ -185,16 +149,8 @@ impl BristleSystem {
         if info.mobility == Mobility::Stationary {
             self.stationary.fail_node(key)?;
         }
-        self.remove_key_from_lists(key, info.mobility);
         self.forget(key);
         Ok(())
-    }
-
-    fn remove_key_from_lists(&mut self, key: Key, mobility: Mobility) {
-        match mobility {
-            Mobility::Stationary => self.retain_stationary(key),
-            Mobility::Mobile => self.retain_mobile(key),
-        }
     }
 }
 
@@ -289,6 +245,24 @@ mod tests {
         let asker = sys.stationary_keys()[0];
         let disc = sys.discover(asker, victim).unwrap();
         assert!(disc.resolved.is_none());
+    }
+
+    #[test]
+    fn a_departed_nodes_store_stays_forgotten() {
+        // Regression: `leave_node` left the leaver's *held* leases in the
+        // table, so the next purge mirrored a `LeaseRevoke` to the key
+        // `stores.forget` had just removed and `StoreHub::apply`
+        // re-created a backend for it.
+        let mut sys = system(30, 10, 10);
+        let m = sys.mobile_keys()[0];
+        sys.move_node(m, None).unwrap();
+        let leaver = sys.registry.registrants_of(m)[0].key;
+        assert!(sys.leases.is_fresh(leaver, m, sys.clock.now()), "the leaver holds a lease");
+        sys.leave_node(leaver).unwrap();
+        assert!(sys.stores.state(leaver).is_none(), "forgotten at the leave");
+        let ttl = sys.config().lease_ttl;
+        sys.tick(ttl + 1);
+        assert!(sys.stores.state(leaver).is_none(), "and not re-created by the purge");
     }
 
     #[test]

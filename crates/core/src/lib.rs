@@ -27,10 +27,11 @@
 //! * **clustered naming** — keeping stationary-to-stationary routes
 //!   inside the stationary key band, reducing route cost from O(log² N)
 //!   to O(log N) ([`naming`], §3);
-//! * **durable state** — every repository mutation is mirrored into a
-//!   per-node pluggable store; with a write-ahead-log backend a crashed
-//!   node restarts from disk with its shard intact instead of
-//!   re-learning it from the overlay ([`durable`], [`restart`]).
+//! * **durable state** — every repository mutation goes through one
+//!   write path that mirrors it into a per-node pluggable store; with a
+//!   write-ahead-log backend a crashed node restarts from disk with its
+//!   shard intact instead of re-learning it from the overlay ([`repo`],
+//!   [`durable`], [`restart`]).
 //!
 //! ## Quick start
 //!
@@ -71,6 +72,7 @@ pub mod mobile;
 pub mod naming;
 pub mod registry;
 pub mod rejoin;
+pub mod repo;
 pub mod restart;
 pub mod stats;
 pub mod system;

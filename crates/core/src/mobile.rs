@@ -142,12 +142,10 @@ impl BristleSystem {
 
         let resolved = record.map(|r| r.addr);
         if let Some(addr) = resolved {
-            self.leases.grant(from, subject, self.clock.now(), self.config().lease_ttl);
-            if let Ok(node) = self.mobile.node_mut(from) {
-                if let Some(pair) = node.entry_mut(subject) {
-                    pair.addr = Some(addr);
-                }
-            }
+            // The one repository write with no durable mirror: see
+            // `lease_unmirrored` (DESIGN §8 "The write path").
+            self.lease_unmirrored(from, subject, self.config().lease_ttl);
+            self.cache_addr(from, subject, addr);
         }
         Ok(DiscoveryReport { resolved, hops, path_cost })
     }

@@ -120,6 +120,18 @@ impl Registry {
             .unwrap_or(&[])
     }
 
+    /// The targets `who` is registered to, other than itself, sorted:
+    /// the LDTs `who` is a member of.
+    pub fn targets_of(&self, who: Key) -> Vec<Key> {
+        let mut targets: Vec<Key> = self
+            .iter()
+            .filter(|(target, regs)| *target != who && regs.iter().any(|r| r.key == who))
+            .map(|(target, _)| target)
+            .collect();
+        targets.sort_unstable();
+        targets
+    }
+
     /// Number of targets with at least one registrant.
     pub fn target_count(&self) -> usize {
         self.nonempty
@@ -187,6 +199,17 @@ mod tests {
         assert_eq!(reg.drop_target(Key(9)), 2);
         assert_eq!(reg.drop_target(Key(9)), 0);
         assert!(reg.registrants_of(Key(9)).is_empty());
+    }
+
+    #[test]
+    fn targets_of_lists_memberships_sorted_and_skips_self() {
+        let mut reg = Registry::new();
+        reg.register(Registrant::new(Key(1), 5), Key(10));
+        reg.register(Registrant::new(Key(1), 5), Key(9));
+        reg.register(Registrant::new(Key(1), 5), Key(1));
+        reg.register(Registrant::new(Key(2), 5), Key(8));
+        assert_eq!(reg.targets_of(Key(1)), vec![Key(9), Key(10)]);
+        assert!(reg.targets_of(Key(3)).is_empty());
     }
 
     #[test]

@@ -16,12 +16,9 @@
 //! the post-rejoin state.
 
 use bristle_overlay::key::Key;
-use bristle_overlay::meter::MessageKind;
+use bristle_store::DurableState;
 
-use crate::durable::WalRecord;
 use crate::error::Result;
-use crate::naming::Mobility;
-use crate::registry::Registrant;
 use crate::system::BristleSystem;
 
 /// What [`BristleSystem::rejoin_node`] restored.
@@ -60,87 +57,24 @@ impl BristleSystem {
     /// `max(incarnation, buried_incarnation + 1)` so the rejoin always
     /// out-ranks the funeral even if the claim is stale.
     ///
+    /// The node returns with nothing — a restart
+    /// ([`BristleSystem::restart_node_from_store`]) whose disk kept no
+    /// rows: what its store held before the funeral and the tables no
+    /// longer have is durably dropped.
+    ///
     /// Idempotent: rejoining a node that was never buried — or was
     /// already rejoined — is a no-op with `reversed == false`.
     pub fn rejoin_node(&mut self, key: Key, incarnation: u64) -> Result<RejoinReport> {
-        let mut report = RejoinReport {
+        let back = self.resurrect(key, incarnation, &DurableState::default())?;
+        Ok(RejoinReport {
             key,
-            incarnation,
-            reversed: false,
-            was_mobile: false,
-            registrations_restored: 0,
-            ldts_rejoined: Vec::new(),
-            publish_hops: 0,
-        };
-        let Some(mut info) = self.take_corpse(key) else {
-            return Ok(report);
-        };
-        info.incarnation = incarnation.max(info.incarnation + 1);
-        report.incarnation = info.incarnation;
-        report.reversed = true;
-        report.was_mobile = info.mobility == Mobility::Mobile;
-        self.dead.remove(&key);
-        // The node is alive again: its store resumes recording (the
-        // readmit below mirrors the fresher incarnation into it).
-        self.stores.thaw(key);
-
-        // Structural resurrection: membership back, then rebuild wiring
-        // so every table sees the returned node (the omniscient
-        // equivalent of the Fig. 5 join walk the real node would run).
-        self.readmit(key, info)?;
-        self.rewire();
-
-        // Re-register interest both ways (§2.3.1): the returned node
-        // registers to the mobile subjects it now holds, and holders of
-        // its state-pair register to it. Each restored edge is one
-        // register message.
-        let my_entries: Vec<Key> = self.mobile.node(key)?.entries.iter().map(|e| e.key).collect();
-        for subject in my_entries {
-            if self.is_mobile(subject)
-                && self.registry.register(Registrant::new(key, info.capacity), subject)
-            {
-                self.stores
-                    .apply(key, WalRecord::Register { target: subject.0, capacity: info.capacity });
-                self.meter.bump(MessageKind::Register, 1);
-                report.registrations_restored += 1;
-            }
-        }
-        if report.was_mobile {
-            for holder in self.mobile.holders_of(key) {
-                let cap = self.node_info(holder)?.capacity;
-                if self.registry.register(Registrant::new(holder, cap), key) {
-                    self.stores.apply(holder, WalRecord::Register { target: key.0, capacity: cap });
-                    self.meter.bump(MessageKind::Register, 1);
-                    report.registrations_restored += 1;
-                }
-            }
-        }
-
-        // Every LDT the node re-entered as a registrant regained a
-        // member; re-disseminate those trees (capacity-aware partitioning
-        // happens inside the tree build, exactly as at a funeral).
-        let mut targets: Vec<Key> = self
-            .registry
-            .iter()
-            .filter(|(target, regs)| *target != key && regs.iter().any(|r| r.key == key))
-            .map(|(target, _)| target)
-            .filter(|&t| self.node_info(t).is_ok())
-            .collect();
-        targets.sort_unstable();
-        for target in targets {
-            self.advertise_update(target)?;
-            self.meter.bump(MessageKind::LdtRepair, 1);
-            report.ldts_rejoined.push(target);
-        }
-
-        // The funeral withdrew the node's published records; restore them
-        // at the fresher incarnation and push the new address through its
-        // own LDT.
-        if report.was_mobile {
-            report.publish_hops = self.publish_location(key)?;
-            self.advertise_update(key)?;
-        }
-        Ok(report)
+            incarnation: back.incarnation,
+            reversed: back.restored,
+            was_mobile: back.was_mobile,
+            registrations_restored: back.registrations_restored,
+            ldts_rejoined: back.ldts_rejoined,
+            publish_hops: back.publish_hops,
+        })
     }
 }
 
@@ -150,6 +84,7 @@ mod tests {
     use crate::config::BristleConfig;
     use crate::system::BristleBuilder;
     use bristle_netsim::transit_stub::TransitStubConfig;
+    use bristle_overlay::meter::MessageKind;
 
     fn system(n_stat: usize, n_mob: usize, seed: u64) -> BristleSystem {
         BristleBuilder::new(seed)

@@ -10,20 +10,22 @@
 //! and leases *locally* — zero messages — so the subsequent
 //! anti-entropy pass finds (almost) nothing to ship. The durability
 //! experiment in `bristle-sim` meters exactly this difference.
+//!
+//! Both are one body, `resurrect`, below: a rejoin is a restart whose
+//! disk kept nothing.
 
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
-use bristle_store::ReplayReport;
+use bristle_store::{DurableState, ReplayReport};
 
-use crate::durable::{location_from_stored, WalRecord};
+use crate::durable::location_from_stored;
 use crate::error::Result;
 use crate::naming::Mobility;
-use crate::registry::Registrant;
 use crate::system::BristleSystem;
 use crate::time::SimTime;
 
 /// What [`BristleSystem::restart_node_from_store`] recovered.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RestartReport {
     /// The restarted node.
     pub key: Key,
@@ -64,145 +66,128 @@ impl BristleSystem {
     ///
     /// The node's store is re-opened from disk when it has a WAL
     /// backend (a genuine replay: snapshot, then log, torn tail
-    /// tolerated), then its folded state is reinstalled:
-    ///
-    /// 1. membership and wiring are restored exactly as a rejoin would,
-    ///    at an incarnation out-ranking both the funeral and the
-    ///    persisted one;
-    /// 2. a stationary node's shard of location records is reinstalled
-    ///    locally — no `Replicate` traffic — skipping subjects that
-    ///    died or whose records expired during the downtime;
-    /// 3. registration edges are re-established from the persisted set
-    ///    (one register message each, like a rejoin) and unexpired
-    ///    leases resume;
-    /// 4. affected LDTs are re-disseminated, and a mobile node
-    ///    republishes its location.
+    /// tolerated), then the node is resurrected (`resurrect`, below)
+    /// with the folded state, at an incarnation out-ranking both the
+    /// funeral and the persisted one.
     ///
     /// Idempotent: restarting a node that was never buried — or was
     /// already restored — is a no-op with `restored == false`.
     pub fn restart_node_from_store(&mut self, key: Key) -> Result<RestartReport> {
-        let mut report = RestartReport {
-            key,
-            incarnation: 0,
-            restored: false,
-            was_mobile: false,
-            records_recovered: 0,
-            records_skipped: 0,
-            registrations_restored: 0,
-            registrations_stale: 0,
-            leases_restored: 0,
-            ldts_rejoined: Vec::new(),
-            publish_hops: 0,
-            replay: None,
-        };
+        if !self.can_rejoin(key) {
+            return Ok(RestartReport { key, ..Default::default() });
+        }
+        // The process comes back up: replay disk if there is any.
+        let replay = self.stores.reopen_wal(key);
+        let persisted = self.stores.state(key).cloned().unwrap_or_default();
+        let floor = persisted.identity.map_or(0, |(_, incarnation)| incarnation) + 1;
+        let mut report = self.resurrect(key, floor, &persisted)?;
+        report.replay = replay;
+        Ok(report)
+    }
+
+    /// Brings a buried node back to life — the one body of
+    /// [`BristleSystem::rejoin_node`] (which returns with nothing:
+    /// `persisted` empty) and [`BristleSystem::restart_node_from_store`]
+    /// (which returns with what its disk kept). The node lives at
+    /// `max(incarnation_floor, buried incarnation + 1)`, so it always
+    /// out-ranks its funeral.
+    ///
+    /// 1. membership is restored from the corpse state and both layers
+    ///    are rewired (the omniscient equivalent of the Fig. 5 join walk
+    ///    the real node would run);
+    /// 2. a stationary node's persisted shard is reinstalled locally — no
+    ///    `Replicate` traffic — skipping subjects that died or whose
+    ///    records expired during the downtime;
+    /// 3. registration edges are re-established, from the persisted set
+    ///    and then both ways from the rebuilt routing state (§2.3.1),
+    ///    one register message per *new* edge; unexpired persisted leases
+    ///    resume where they left off;
+    /// 4. every LDT the node re-entered is re-disseminated, and a mobile
+    ///    node republishes the location its funeral withdrew and pushes
+    ///    it through its own LDT;
+    /// 5. the node's store drops whatever it still holds that steps 2–4
+    ///    did not put back into the tables.
+    pub(crate) fn resurrect(
+        &mut self,
+        key: Key,
+        incarnation_floor: u64,
+        persisted: &DurableState,
+    ) -> Result<RestartReport> {
+        let mut report =
+            RestartReport { key, incarnation: incarnation_floor, ..Default::default() };
         let Some(mut info) = self.take_corpse(key) else {
             return Ok(report);
         };
-
-        // The process comes back up: replay disk if there is any.
-        report.replay = self.stores.reopen_wal(key);
-        let state = self.stores.state(key).cloned().unwrap_or_default();
-        let persisted_incarnation = state.identity.map(|(_, inc)| inc).unwrap_or(0);
-
-        info.incarnation = info.incarnation.max(persisted_incarnation) + 1;
+        info.incarnation = incarnation_floor.max(info.incarnation + 1);
         report.incarnation = info.incarnation;
         report.restored = true;
         report.was_mobile = info.mobility == Mobility::Mobile;
         self.dead.remove(&key);
+        // The node is alive again: its store resumes recording.
         self.stores.thaw(key);
         self.readmit(key, info)?;
         self.rewire();
 
-        // (2) Reinstall the recovered shard locally. This is the entire
-        // point of the WAL: the records come off disk, not the network.
         let now = self.clock.now();
-        if info.mobility == Mobility::Stationary {
-            for (&raw_subject, stored) in &state.records {
+        if !report.was_mobile {
+            for (&raw_subject, stored) in &persisted.records {
                 let subject = Key(raw_subject);
                 let record = location_from_stored(subject, stored);
-                let usable = self.node_info(subject).is_ok()
+                let usable = self.is_mobile(subject)
                     && !self.is_confirmed_dead(subject)
-                    && self.is_mobile(subject)
                     && !record.is_expired(now);
-                if usable {
-                    self.stationary.node_mut(key)?.store.insert(subject, record);
+                if usable && self.install_record(key, record)? {
                     report.records_recovered += 1;
                 } else {
-                    self.stores.apply(key, WalRecord::RecordRemove { subject: raw_subject });
                     report.records_skipped += 1;
                 }
             }
         }
 
-        // (3) Re-register from the persisted edge set, then from the
-        // rebuilt routing entries (idempotent where they overlap).
-        for &raw_target in state.registrations.keys() {
-            let target = Key(raw_target);
-            if self.node_info(target).is_ok() && self.is_mobile(target) {
-                if self.registry.register(Registrant::new(key, info.capacity), target) {
-                    self.meter.bump(MessageKind::Register, 1);
-                    report.registrations_restored += 1;
-                }
+        let held: Vec<Key> = self.mobile.node(key)?.entries.iter().map(|e| e.key).collect();
+        let mut edges: Vec<(Key, u32, Key)> = Vec::new();
+        for target in persisted.registrations.keys().map(|&t| Key(t)) {
+            if self.is_mobile(target) {
+                edges.push((key, info.capacity, target));
             } else {
-                self.stores.apply(key, WalRecord::Deregister { target: raw_target });
                 report.registrations_stale += 1;
             }
         }
-        let my_entries: Vec<Key> = self.mobile.node(key)?.entries.iter().map(|e| e.key).collect();
-        for subject in my_entries {
-            if self.is_mobile(subject)
-                && self.registry.register(Registrant::new(key, info.capacity), subject)
-            {
-                self.stores
-                    .apply(key, WalRecord::Register { target: subject.0, capacity: info.capacity });
+        edges.extend(
+            held.into_iter().filter(|&s| self.is_mobile(s)).map(|s| (key, info.capacity, s)),
+        );
+        if report.was_mobile {
+            for holder in self.mobile.holders_of(key) {
+                edges.push((holder, self.node_info(holder)?.capacity, key));
+            }
+        }
+        for (who, capacity, target) in edges {
+            if self.add_registrant(who, capacity, target) {
                 self.meter.bump(MessageKind::Register, 1);
                 report.registrations_restored += 1;
             }
         }
-        if report.was_mobile {
-            for holder in self.mobile.holders_of(key) {
-                let cap = self.node_info(holder)?.capacity;
-                if self.registry.register(Registrant::new(holder, cap), key) {
-                    self.stores.apply(holder, WalRecord::Register { target: key.0, capacity: cap });
-                    self.meter.bump(MessageKind::Register, 1);
-                    report.registrations_restored += 1;
-                }
-            }
-        }
 
-        // Unexpired leases resume where they left off; lapsed ones are
-        // durably revoked.
-        for (&raw_subject, &expires) in &state.leases {
+        for (&raw_subject, &expires) in &persisted.leases {
             let subject = Key(raw_subject);
-            let alive = self.node_info(subject).is_ok() && SimTime(expires) > now;
-            if alive {
-                self.leases.grant(key, subject, now, expires - now.0);
+            if self.contains_node(subject) && SimTime(expires) > now {
+                self.lease_unmirrored(key, subject, expires - now.0);
                 report.leases_restored += 1;
-            } else {
-                self.stores.apply(key, WalRecord::LeaseRevoke { subject: raw_subject });
             }
         }
 
-        // (4) Re-disseminate every LDT the node re-entered, exactly as a
-        // rejoin would.
-        let mut targets: Vec<Key> = self
-            .registry
-            .iter()
-            .filter(|(target, regs)| *target != key && regs.iter().any(|r| r.key == key))
-            .map(|(target, _)| target)
-            .filter(|&t| self.node_info(t).is_ok())
-            .collect();
-        targets.sort_unstable();
-        for target in targets {
-            self.advertise_update(target)?;
-            self.meter.bump(MessageKind::LdtRepair, 1);
-            report.ldts_rejoined.push(target);
+        for target in self.registry.targets_of(key) {
+            if self.contains_node(target) {
+                self.advertise_update(target)?;
+                self.meter.bump(MessageKind::LdtRepair, 1);
+                report.ldts_rejoined.push(target);
+            }
         }
-
         if report.was_mobile {
             report.publish_hops = self.publish_location(key)?;
             self.advertise_update(key)?;
         }
+        self.reconcile_store(key);
         Ok(report)
     }
 }
@@ -326,6 +311,41 @@ mod tests {
         assert!(report.restored);
         assert!(report.replay.is_none(), "mem backends have nothing to replay");
         assert_eq!(report.records_recovered, shard);
+    }
+
+    #[test]
+    fn a_rejoin_is_a_restart_with_an_empty_store() {
+        // What `republish_restart` relies on: with nothing persisted, the
+        // two resurrections leave the same system but for the report type.
+        for pick in [|s: &BristleSystem| busiest_primary(s), |s: &BristleSystem| s.mobile_keys()[3]]
+        {
+            let run = |restart: bool| {
+                let mut sys = system(40, 12, 27);
+                let victim = pick(&sys);
+                sys.move_node(sys.mobile_keys()[0], None).unwrap();
+                sys.confirm_dead(victim).unwrap();
+                sys.stores.forget(victim);
+                let incarnation = if restart {
+                    sys.restart_node_from_store(victim).unwrap().incarnation
+                } else {
+                    sys.rejoin_node(victim, 1).unwrap().incarnation
+                };
+                sys.assert_stores_mirror_tables("the resurrection", true);
+                let registry: Vec<(Key, Vec<crate::registry::Registrant>)> =
+                    sys.registry.iter().map(|(t, regs)| (t, regs.to_vec())).collect();
+                let mut leases: Vec<_> =
+                    sys.leases.iter().map(|(pair, l)| (pair, l.expires)).collect();
+                leases.sort_unstable();
+                let shards: Vec<_> =
+                    sys.stationary.iter().map(|n| (n.key, n.store.clone())).collect();
+                let tallies: Vec<(u64, u64)> = bristle_overlay::meter::ALL_KINDS
+                    .iter()
+                    .map(|&k| (sys.meter.count(k), sys.meter.cost(k)))
+                    .collect();
+                (incarnation, registry, leases, shards, tallies)
+            };
+            assert_eq!(run(true), run(false));
+        }
     }
 
     #[test]

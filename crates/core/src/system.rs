@@ -13,9 +13,11 @@
 //! * the registration state R(·), the lease table, the virtual clock and
 //!   the message meter.
 //!
-//! Protocol operations live in three impl blocks: construction and
-//! location management here, Figure-2 routing and `_discovery` in
-//! [`crate::mobile`], and the join/leave protocol in [`crate::join`].
+//! Protocol operations live in impl blocks beside this one:
+//! construction and location management here, every write to the
+//! registration, lease and record tables in [`crate::repo`], Figure-2
+//! routing and `_discovery` in [`crate::mobile`], and the join/leave
+//! protocol in [`crate::join`].
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -25,13 +27,14 @@ use bristle_netsim::dijkstra::DistanceCache;
 use bristle_netsim::graph::RouterId;
 use bristle_netsim::rng::Pcg64;
 use bristle_netsim::transit_stub::{TransitStubConfig, TransitStubTopology};
+use bristle_overlay::addr::NetAddr;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::{MessageKind, Meter};
 use bristle_overlay::ring::RingDht;
 
 use crate::arena::{KeyInterner, NodeArena, NodeIdx};
 use crate::config::{BristleConfig, NamingPolicy};
-use crate::durable::{self, StoreHub, WalRecord};
+use crate::durable::StoreHub;
 use crate::error::{BristleError, Result};
 use crate::ldt::Ldt;
 use crate::lease::LeaseTable;
@@ -94,7 +97,7 @@ pub struct BristleSystem {
     interner: KeyInterner,
     /// Per-node hot state, flat-indexed by [`NodeIdx`]. Live nodes only;
     /// a vacant slot means the node left or died.
-    info: NodeArena<NodeInfo>,
+    pub(crate) info: NodeArena<NodeInfo>,
     stationary_keys: Vec<Key>,
     mobile_keys: Vec<Key>,
     /// Registration state R(·) (§2.3.1).
@@ -112,8 +115,8 @@ pub struct BristleSystem {
     /// long-running churn does not grow the graveyard without bound.
     pub(crate) buried_at: HashMap<Key, SimTime>,
     /// Per-node durable-state stores: every repository mutation is
-    /// mirrored here (see [`crate::durable`]). In-memory by default;
-    /// attach a WAL backend to make a node crash-restartable.
+    /// mirrored here, by [`crate::repo`] and nothing else. In-memory by
+    /// default; attach a WAL backend to make a node crash-restartable.
     pub stores: StoreHub,
 }
 
@@ -290,17 +293,7 @@ impl BristleSystem {
         let host = self.attachments.attach_new(router);
         let (lo, hi) = self.cfg.capacity_range;
         let capacity = self.rng.range_inclusive(lo as u64, hi as u64) as u32;
-        let idx = self.idx(key);
-        self.info.insert(idx, NodeInfo { host, mobility, capacity, incarnation: 0, seq: 0 });
-        self.stores.apply(key, WalRecord::Identity { key: key.0, incarnation: 0 });
-        self.mobile.insert(key, host, capacity)?;
-        match mobility {
-            Mobility::Stationary => {
-                self.stationary.insert(key, host, capacity)?;
-                self.stationary_keys.push(key);
-            }
-            Mobility::Mobile => self.mobile_keys.push(key),
-        }
+        self.readmit(key, NodeInfo { host, mobility, capacity, incarnation: 0, seq: 0 })?;
         Ok(key)
     }
 
@@ -323,14 +316,13 @@ impl BristleSystem {
         self.graveyard.len()
     }
 
-    /// Re-inserts a previously buried node from its corpse state — the
-    /// structural reverse of [`BristleSystem::fail_node`]. The host is
-    /// still attached (abrupt failure never detaches it), so only the
-    /// membership structures are restored; the caller rebuilds wiring.
+    /// Inserts a node body into the membership structures of its layers:
+    /// a newcomer's, or a previously buried node's from its corpse state
+    /// — the structural reverse of [`BristleSystem::fail_node`], whose
+    /// host is still attached (abrupt failure never detaches it). The
+    /// caller rebuilds wiring.
     pub(crate) fn readmit(&mut self, key: Key, info: NodeInfo) -> Result<()> {
-        let idx = self.idx(key);
-        self.info.insert(idx, info);
-        self.stores.apply(key, WalRecord::Identity { key: key.0, incarnation: info.incarnation });
+        self.set_identity(key, info);
         self.mobile.insert(key, info.host, info.capacity)?;
         match info.mobility {
             Mobility::Stationary => {
@@ -348,12 +340,12 @@ impl BristleSystem {
     }
 
     /// [`BristleSystem::rewire`] with the per-layer table builds sharded
-    /// across `workers` scoped threads. Produces bit-identical tables to
-    /// the sequential path at any worker count: the RNG split happens
-    /// once up front exactly as in `rewire`, and
-    /// [`RingDht::build_all_tables_parallel`] guarantees order-independent
-    /// results (falling back to sequential for RNG-consuming selection
-    /// policies).
+    /// across `workers` scoped threads. Produces bit-identical tables at
+    /// any worker count: the RNG split happens once up front exactly as
+    /// in `rewire`, and [`RingDht::build_all_tables_parallel`] is one
+    /// body whose results do not depend on the sharding (an
+    /// RNG-consuming selection policy runs as a single shard on the
+    /// caller's RNG, in ring order).
     pub fn rewire_with_workers(&mut self, workers: usize) {
         let mut rng = self.rng.split(3);
         self.stationary.build_all_tables_parallel(
@@ -363,35 +355,6 @@ impl BristleSystem {
             workers,
         );
         self.mobile.build_all_tables_parallel(&self.attachments, &self.dcache, &mut rng, workers);
-    }
-
-    /// Rebuilds the registration state from the mobile layer's reverse
-    /// routing pointers: every holder of a *mobile* node's state-pair
-    /// registers to that node with its capacity (§2.3.1 — "X can register
-    /// itself to those mobile nodes only"). Each R(·) lists its holders
-    /// in ring order.
-    pub fn sync_registrations(&mut self) {
-        let old = std::mem::take(&mut self.registry);
-        for holder in self.mobile.iter() {
-            let capacity = self.info_unchecked(holder.key).capacity;
-            for subject in holder.entries.iter().map(|e| e.key) {
-                if self.is_mobile(subject) {
-                    self.registry.register(Registrant::new(holder.key, capacity), subject);
-                    self.meter.bump(MessageKind::Register, 1);
-                    // Idempotent: backends skip no-op re-registrations.
-                    self.stores
-                        .apply(holder.key, WalRecord::Register { target: subject.0, capacity });
-                }
-            }
-        }
-        // Mirror every edge the rebuild dropped into its holder's store
-        // (nothing to drop on the initial build).
-        for (target, regs) in old.iter() {
-            let kept = self.registry.registrants_of(target);
-            for gone in regs.iter().filter(|r| !kept.iter().any(|k| k.key == r.key)) {
-                self.stores.apply(gone.key, WalRecord::Deregister { target: target.0 });
-            }
-        }
     }
 
     /// Publishes every mobile node's current location (initial state).
@@ -545,40 +508,8 @@ impl BristleSystem {
         let from_router = self.attachments.router(info.host);
         let entry_router = self.attachments.router(self.info_unchecked(entry).host);
         self.meter.record(MessageKind::Publish, self.dcache.distance(from_router, entry_router));
-        let mut hops = 1;
-        let set = self.stationary.publish(
-            entry,
-            key,
-            record,
-            self.cfg.location_replicas,
-            &self.attachments,
-            &self.dcache,
-            &mut self.meter,
-        )?;
-        hops += set.len(); // replica pushes
-                           // Each replica durably records the copy it now stores.
-        let put = durable::record_put(&record);
-        for &replica in &set {
-            self.stores.apply(replica, put);
-        }
-        Ok(hops)
-    }
-
-    /// Installs `record` into `holder`'s stationary-layer shard unless a
-    /// strictly newer copy (by incarnation, then sequence) is already
-    /// there, mirroring the write into `holder`'s durable store. The
-    /// messaging driver's publish path lands here. Returns whether the
-    /// record was installed.
-    pub fn install_record(&mut self, holder: Key, record: LocationRecord) -> Result<bool> {
-        let node = self.stationary.node_mut(holder)?;
-        if let Some(existing) = node.store.get(&record.subject) {
-            if (existing.incarnation, existing.seq) > (record.incarnation, record.seq) {
-                return Ok(false);
-            }
-        }
-        node.store.insert(record.subject, record);
-        self.stores.apply(holder, durable::record_put(&record));
-        Ok(true)
+        // Then one hop per replica that stores it.
+        Ok(1 + self.publish_record(entry, record)?)
     }
 
     /// Registers `who`'s interest in mobile node `target` (§2.3.1's
@@ -595,17 +526,8 @@ impl BristleSystem {
             self.attachments.router(target_info.host),
         );
         self.meter.record(MessageKind::Register, cost);
-        self.registry.register(Registrant::new(who, who_info.capacity), target);
-        self.leases.grant(who, target, self.clock.now(), self.cfg.lease_ttl);
-        self.stores
-            .apply(who, WalRecord::Register { target: target.0, capacity: who_info.capacity });
-        self.stores.apply(
-            who,
-            WalRecord::LeaseGrant {
-                subject: target.0,
-                expires: self.clock.now().plus(self.cfg.lease_ttl).0,
-            },
-        );
+        self.add_registrant(who, who_info.capacity, target);
+        self.grant_lease(who, target);
         Ok(())
     }
 
@@ -636,8 +558,7 @@ impl BristleSystem {
     pub fn advertise_update(&mut self, key: Key) -> Result<(Ldt, usize, u64)> {
         let info = *self.node_info(key)?;
         let ldt = self.build_ldt(key)?;
-        let new_addr = bristle_overlay::addr::NetAddr::current(info.host, &self.attachments);
-        let now = self.clock.now();
+        let new_addr = NetAddr::current(info.host, &self.attachments);
         let mut sent = 0usize;
         let mut total_cost = 0u64;
         let edges: Vec<(Key, Key)> = ldt.edges().collect();
@@ -648,16 +569,7 @@ impl BristleSystem {
             self.meter.record(MessageKind::Update, cost);
             sent += 1;
             total_cost += cost;
-            self.leases.grant(child, key, now, self.cfg.lease_ttl);
-            self.stores.apply(
-                child,
-                WalRecord::LeaseGrant { subject: key.0, expires: now.plus(self.cfg.lease_ttl).0 },
-            );
-            if let Ok(node) = self.mobile.node_mut(child) {
-                if let Some(pair) = node.entry_mut(key) {
-                    pair.addr = Some(new_addr);
-                }
-            }
+            self.learn_addr(child, key, new_addr);
         }
         Ok((ldt, sent, total_cost))
     }
@@ -687,21 +599,15 @@ impl BristleSystem {
         Ok(MoveReport { new_router, publish_hops, ldt, updates_sent, update_cost })
     }
 
-    /// Drops `key` from the stationary key list (leave/fail bookkeeping).
-    pub(crate) fn retain_stationary(&mut self, key: Key) {
-        self.stationary_keys.retain(|&k| k != key);
-    }
-
-    /// Drops `key` from the mobile key list (leave/fail bookkeeping).
-    pub(crate) fn retain_mobile(&mut self, key: Key) {
-        self.mobile_keys.retain(|&k| k != key);
-    }
-
-    /// Forgets a node's info record (leave/fail bookkeeping). The key's
-    /// interned index survives — arena slots are vacated, never reused.
+    /// Forgets a live node (leave/fail bookkeeping): its key leaves its
+    /// class's key list and its info slot is vacated. The key's interned
+    /// index survives — arena slots are vacated, never reused.
     pub(crate) fn forget(&mut self, key: Key) {
-        if let Some(idx) = self.interner.get(key) {
-            self.info.remove(idx);
+        let Some(idx) = self.interner.get(key) else { return };
+        match self.info.remove(idx).map(|info| info.mobility) {
+            Some(Mobility::Stationary) => self.stationary_keys.retain(|&k| k != key),
+            Some(Mobility::Mobile) => self.mobile_keys.retain(|&k| k != key),
+            None => {}
         }
     }
 
@@ -714,12 +620,9 @@ impl BristleSystem {
     /// Advances the virtual clock and purges expired leases.
     pub fn tick(&mut self, ticks: u64) -> usize {
         self.clock.advance(ticks);
-        let purged = self.leases.purge_expired_pairs(self.clock.now());
-        for &(holder, subject) in &purged {
-            self.stores.apply(holder, WalRecord::LeaseRevoke { subject: subject.0 });
-        }
+        let purged = self.purge_leases();
         self.prune_graveyard();
-        purged.len()
+        purged
     }
 
     /// Reclaims graveyard entries buried longer ago than
@@ -830,7 +733,7 @@ mod tests {
     }
 
     /// R(·) against the `reverse_index` oracle, holders in ring order, and
-    /// each live holder's store against its registry edges.
+    /// every live node's store against the tables.
     fn assert_registrations_mirror_reverse_pointers(sys: &BristleSystem) {
         let rev = sys.mobile.reverse_index();
         for &m in sys.mobile_keys() {
@@ -842,19 +745,114 @@ mod tests {
         for &s in sys.stationary_keys() {
             assert!(sys.registry.registrants_of(s).is_empty());
         }
-        for holder in sys.mobile.iter() {
-            let edges: Vec<(u64, u32)> = holder
-                .entries
-                .iter()
-                .filter(|e| sys.is_mobile(e.key))
-                .map(|e| (e.key.0, holder.capacity))
-                .collect();
-            let stored: Vec<(u64, u32)> = sys
-                .stores
-                .state(holder.key)
-                .map(|st| st.registrations.iter().map(|(&t, &c)| (t, c)).collect())
-                .unwrap_or_default();
-            assert_eq!(stored, edges, "store of holder {}", holder.key);
+        sys.assert_stores_mirror_tables("a registration sync", true);
+    }
+
+    /// ROADMAP 2(a)'s "store replay == in-memory state", after every step
+    /// of one scripted life of a system: each live node's store holds
+    /// exactly its identity, its shard, the edges it is the registrant
+    /// of and the leases it holds.
+    #[test]
+    fn stores_mirror_tables_through_a_scripted_lifecycle() {
+        for seed in [8, 27] {
+            let mut sys = small_system(40, 16, seed);
+            let check = |sys: &BristleSystem, step: &str| {
+                sys.assert_stores_mirror_tables(&format!("{step} (seed {seed})"), true)
+            };
+            check(&sys, "build");
+
+            let (watcher, m) = (sys.stationary_keys()[1], sys.mobile_keys()[2]);
+            sys.register_interest(watcher, m).unwrap();
+            check(&sys, "register_interest");
+            sys.move_node(m, None).unwrap();
+            check(&sys, "move_node");
+            sys.join_node(Mobility::Mobile).unwrap();
+            sys.join_node(Mobility::Stationary).unwrap();
+            check(&sys, "join_node");
+            // Stationary joins push some replica out of a record's replica
+            // set with its copy still in hand: when that node leaves, its
+            // successor inherits a record it is no replica of.
+            let replicas = sys.config().location_replicas;
+            let displaced = |sys: &BristleSystem| {
+                let outside = |holder: Key, subject: &Key| {
+                    !sys.stationary.replica_set(*subject, replicas).unwrap().contains(&holder)
+                };
+                sys.stationary
+                    .iter()
+                    .find(|n| n.store.keys().any(|s| outside(n.key, s)))
+                    .map(|n| n.key)
+            };
+            while displaced(&sys).is_none() {
+                sys.join_node(Mobility::Stationary).unwrap();
+            }
+            let outsider = displaced(&sys).expect("just found");
+            sys.leave_node(outsider).unwrap();
+            check(&sys, "leave_node (a displaced replica)");
+
+            // Leases lapse under `tick`; records and leases under upkeep.
+            sys.tick(sys.config().lease_ttl + 1);
+            check(&sys, "tick past the lease TTL");
+            sys.move_node(m, None).unwrap();
+            sys.clock.advance(sys.config().lease_ttl.max(sys.config().location_ttl) + 1);
+            sys.run_upkeep().unwrap();
+            check(&sys, "run_upkeep");
+
+            // A leaver of each class, each holding fresh leases.
+            sys.move_node(m, None).unwrap();
+            let member = sys.registry.registrants_of(m)[0].key;
+            sys.leave_node(member).unwrap();
+            check(&sys, "leave_node (an LDT member)");
+            sys.leave_node(sys.mobile_keys()[5]).unwrap();
+            sys.leave_node(sys.stationary_keys()[7]).unwrap();
+            check(&sys, "leave_node");
+
+            let crashed = sys.stationary_keys()[3];
+            sys.fail_node(crashed).unwrap();
+            check(&sys, "fail_node");
+            sys.confirm_dead(crashed).unwrap();
+            check(&sys, "confirm_dead");
+
+            // Wrongful funerals reversed: the stores thaw holding rows
+            // the funerals took out of the tables.
+            for buried in [sys.mobile_keys()[1], sys.stationary_keys()[2]] {
+                sys.move_node(m, None).unwrap();
+                sys.confirm_dead(buried).unwrap();
+                check(&sys, "confirm_dead (wrongful)");
+                assert!(sys.rejoin_node(buried, 1).unwrap().reversed);
+                check(&sys, "rejoin_node");
+            }
+
+            // Crash-restart off a real log, with downtime long enough for
+            // some of what it persisted to go stale.
+            let dir = std::env::temp_dir()
+                .join(format!("bristle-system-test-{}", std::process::id()))
+                .join(format!("lifecycle-{seed}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            for victim in [sys.stationary.owner(m).unwrap(), m] {
+                let wal = bristle_store::WalBackend::open(dir.join(victim.to_string()), 8).unwrap();
+                sys.stores.attach_wal(victim, wal);
+                check(&sys, "attach_wal");
+                sys.move_node(sys.mobile_keys()[0], None).unwrap();
+                sys.confirm_dead(victim).unwrap();
+                sys.leave_node(sys.mobile_keys()[0]).unwrap();
+                sys.tick(sys.config().lease_ttl / 2);
+                let report = sys.restart_node_from_store(victim).unwrap();
+                assert!(report.restored && report.replay.is_some());
+                assert!(
+                    report.was_mobile || report.records_skipped > 0,
+                    "the downtime must leave a stale record on the primary's disk"
+                );
+                check(&sys, "restart_node_from_store");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+
+            sys.anti_entropy_locations().unwrap();
+            check(&sys, "anti_entropy_locations");
+
+            // The one unmirrored write: the function-path `discover`.
+            let asker = sys.stationary_keys()[0];
+            assert!(sys.discover(asker, sys.mobile_keys()[0]).unwrap().resolved.is_some());
+            sys.assert_stores_mirror_tables("discover", false);
         }
     }
 

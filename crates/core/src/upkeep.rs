@@ -38,25 +38,10 @@ pub struct UpkeepReport {
 }
 
 impl BristleSystem {
-    /// Removes expired location records from every stationary replica.
-    /// Returns how many copies were dropped.
-    pub fn expire_locations(&mut self) -> usize {
-        let now = self.clock.now();
-        let keys: Vec<_> = self.stationary.keys().collect();
-        let mut dropped = 0usize;
-        for k in keys {
-            let node = self.stationary.node_mut(k).expect("known");
-            let before = node.store.len();
-            node.store.retain(|_, rec| !rec.is_expired(now));
-            dropped += before - node.store.len();
-        }
-        dropped
-    }
-
     /// One full upkeep round (see module docs for the steps).
     pub fn run_upkeep(&mut self) -> Result<UpkeepReport> {
         let mut report = UpkeepReport {
-            leases_purged: self.leases.purge_expired(self.clock.now()),
+            leases_purged: self.purge_leases(),
             records_expired: self.expire_locations(),
             ..Default::default()
         };

@@ -38,12 +38,10 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use bristle_core::arena::{KeyInterner, NodeArena, NodeIdx};
 use bristle_core::auth::{AuthDomain, VerifyPolicy};
-use bristle_core::durable::WalRecord;
 use bristle_core::heal::DeathReport;
 use bristle_core::ldt::Ldt;
 use bristle_core::location::LocationRecord;
 use bristle_core::naming::Mobility;
-use bristle_core::registry::Registrant;
 use bristle_core::rejoin::RejoinReport;
 use bristle_core::restart::RestartReport;
 use bristle_core::system::BristleSystem;
@@ -404,46 +402,19 @@ impl NodeEnv for SystemEnv<'_> {
     }
 
     fn commit_resolution(&mut self, asker: Key, subject: Key, addr: WireAddr) {
-        let now = self.sys.clock.now();
-        let ttl = self.sys.config().lease_ttl;
-        self.sys.leases.grant(asker, subject, now, ttl);
-        self.sys
-            .stores
-            .apply(asker, WalRecord::LeaseGrant { subject: subject.0, expires: now.plus(ttl).0 });
-        if let Ok(node) = self.sys.mobile.node_mut(asker) {
-            if let Some(pair) = node.entry_mut(subject) {
-                pair.addr = Some(addr.to_net());
-            }
-        }
+        self.sys.learn_addr(asker, subject, addr.to_net());
     }
 
     fn apply_update(&mut self, receiver: Key, subject: Key, addr: WireAddr, _seq: u64) {
-        let now = self.sys.clock.now();
-        let ttl = self.sys.config().lease_ttl;
-        self.sys.leases.grant(receiver, subject, now, ttl);
-        self.sys.stores.apply(
-            receiver,
-            WalRecord::LeaseGrant { subject: subject.0, expires: now.plus(ttl).0 },
-        );
-        if let Ok(node) = self.sys.mobile.node_mut(receiver) {
-            if let Some(pair) = node.entry_mut(subject) {
-                pair.addr = Some(addr.to_net());
-            }
-        }
+        self.sys.learn_addr(receiver, subject, addr.to_net());
     }
 
     fn apply_register(&mut self, target: Key, who: Key, capacity: u32) {
-        self.sys.registry.register(Registrant::new(who, capacity), target);
-        self.sys.stores.apply(who, WalRecord::Register { target: target.0, capacity });
+        self.sys.add_registrant(who, capacity, target);
     }
 
     fn commit_register(&mut self, who: Key, target: Key) {
-        let now = self.sys.clock.now();
-        let ttl = self.sys.config().lease_ttl;
-        self.sys.leases.grant(who, target, now, ttl);
-        self.sys
-            .stores
-            .apply(who, WalRecord::LeaseGrant { subject: target.0, expires: now.plus(ttl).0 });
+        self.sys.grant_lease(who, target);
     }
 
     fn apply_publish(&mut self, holder: Key, subject: Key, addr: WireAddr, seq: u64) {
@@ -872,13 +843,19 @@ impl MessagingBristleSystem {
         let report =
             self.sys.restart_node_from_store(key).map_err(|_| MessagingError::UnknownNode(key))?;
         if report.restored {
-            self.failed.remove(&key);
-            self.tombstones.remove(&key);
-            self.wrongly_buried.remove(&key);
-            self.remove_machine(key);
-            self.machine_started(key).restore_incarnation(report.incarnation);
+            self.revive_machine(key, report.incarnation);
         }
         Ok(report)
+    }
+
+    /// A restarted process: nothing of the old machine survives, and the
+    /// driver stops treating the node as failed, departed or buried.
+    fn revive_machine(&mut self, key: Key, incarnation: u64) {
+        self.failed.remove(&key);
+        self.tombstones.remove(&key);
+        self.wrongly_buried.remove(&key);
+        self.remove_machine(key);
+        self.machine_started(key).restore_incarnation(incarnation);
     }
 
     /// Restarts a crashed, buried node with a *blank* disk — the
@@ -891,11 +868,7 @@ impl MessagingBristleSystem {
         self.sys.stores.forget(key);
         let report = self.sys.rejoin_node(key, 1).map_err(|_| MessagingError::UnknownNode(key))?;
         if report.reversed {
-            self.failed.remove(&key);
-            self.tombstones.remove(&key);
-            self.wrongly_buried.remove(&key);
-            self.remove_machine(key);
-            self.machine_started(key).restore_incarnation(report.incarnation);
+            self.revive_machine(key, report.incarnation);
         }
         Ok(report)
     }
@@ -1703,6 +1676,36 @@ mod tests {
                 0,
                 "seed {seed}: a perfect transport retransmits nothing"
             );
+        }
+    }
+
+    /// The machines write the repository through `SystemEnv`, which
+    /// forwards to the one write path of `bristle_core::repo`: after a
+    /// registration, a dissemination and a route that resolves its hops
+    /// by `_discovery`, every store still holds what the tables hold.
+    #[test]
+    fn message_path_keeps_stores_mirroring_tables() {
+        for seed in [8u64, 27] {
+            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+            let (watcher, m) = (msys.sys.stationary_keys()[0], msys.sys.mobile_keys()[0]);
+            msys.register(watcher, m).expect("registration acked");
+            assert!(msys.sys.registry.registrants_of(m).iter().any(|r| r.key == watcher));
+            msys.sys.assert_stores_mirror_tables("register by message", true);
+
+            msys.sys.move_node(m, None).expect("mobile node moves");
+            msys.sys.tick(msys.sys.config().lease_ttl + 1);
+            assert!(msys.sys.leases.is_empty(), "every lease lapsed");
+            let acked = msys.disseminate_update(m).expect("dissemination runs");
+            assert_eq!(msys.sys.leases.len(), acked, "one lease per acked LDT edge");
+            msys.sys.assert_stores_mirror_tables("disseminate by message", true);
+
+            let src = msys.sys.stationary_keys()[1];
+            let before = msys.sys.meter.count(MessageKind::DiscoveryHop);
+            msys.route(src, msys.sys.mobile_keys()[1]).expect("route delivers");
+            msys.settle();
+            assert!(msys.sys.meter.count(MessageKind::DiscoveryHop) > before, "no hop resolved");
+            assert!(msys.sys.leases.len() > acked, "a resolution leases the address");
+            msys.sys.assert_stores_mirror_tables("route with _discovery", true);
         }
     }
 

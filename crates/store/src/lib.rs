@@ -13,7 +13,9 @@
 //! * [`StateStore`] — the backend trait: feed it records, read back the
 //!   folded state.
 //! * [`MemBackend`] — the default; folds in memory, survives nothing.
-//!   Behavior-identical (and cost-identical) to the pre-store code.
+//!   Same simulated behaviour as the pre-store code (no message, RNG
+//!   draw or clock tick differs), at the cost of a second copy of each
+//!   node's rows.
 //! * [`WalBackend`] — append-only log + periodic snapshot + replay on
 //!   open, torn-write tolerant. A crashed node reopens its store and
 //!   recovers its shard from disk instead of re-learning it from the
