@@ -21,6 +21,7 @@
 use bristle_overlay::addr::NetAddr;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
+use bristle_overlay::ring::Slot;
 
 use crate::durable::{record_put, StoreHub, WalRecord};
 use crate::error::Result;
@@ -73,10 +74,16 @@ impl BristleSystem {
 
     /// Patches `holder`'s cached state-pair for `subject`, if it has one.
     pub(crate) fn cache_addr(&mut self, holder: Key, subject: Key, addr: NetAddr) {
-        if let Ok(node) = self.mobile.node_mut(holder) {
-            if let Some(pair) = node.entry_mut(subject) {
-                pair.addr = Some(addr);
-            }
+        if let Ok(holder) = self.mobile.slot_of(holder) {
+            self.cache_addr_at(holder, subject, addr);
+        }
+    }
+
+    /// [`Self::cache_addr`] for a holder already resolved to its
+    /// mobile-layer slab position.
+    pub(crate) fn cache_addr_at(&mut self, holder: Slot, subject: Key, addr: NetAddr) {
+        if let Some(pair) = self.mobile.at_mut(holder).entry_mut(subject) {
+            pair.addr = Some(addr);
         }
     }
 

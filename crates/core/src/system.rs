@@ -30,6 +30,7 @@ use bristle_netsim::transit_stub::{TransitStubConfig, TransitStubTopology};
 use bristle_overlay::addr::NetAddr;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::{MessageKind, Meter};
+use bristle_overlay::node::NodeState;
 use bristle_overlay::ring::RingDht;
 
 use crate::arena::{KeyInterner, NodeArena, NodeIdx};
@@ -98,6 +99,11 @@ pub struct BristleSystem {
     /// Per-node hot state, flat-indexed by [`NodeIdx`]. Live nodes only;
     /// a vacant slot means the node left or died.
     pub(crate) info: NodeArena<NodeInfo>,
+    /// Indexed by [`HostId`]: whether a live stationary node has this
+    /// host — the stationary ring's membership as one local read.
+    /// Written by [`Self::readmit`] and [`Self::forget`] only, the two
+    /// calls every change of that membership is paired with.
+    stationary_hosts: Vec<bool>,
     stationary_keys: Vec<Key>,
     mobile_keys: Vec<Key>,
     /// Registration state R(·) (§2.3.1).
@@ -221,6 +227,7 @@ impl BristleBuilder {
             mobile: RingDht::new(ring),
             interner: KeyInterner::new(),
             info: NodeArena::new(),
+            stationary_hosts: Vec::new(),
             stationary_keys: Vec::new(),
             mobile_keys: Vec::new(),
             registry: Registry::new(),
@@ -328,6 +335,11 @@ impl BristleSystem {
             Mobility::Stationary => {
                 self.stationary.insert(key, info.host, info.capacity)?;
                 self.stationary_keys.push(key);
+                let host = info.host.index();
+                if self.stationary_hosts.len() <= host {
+                    self.stationary_hosts.resize(host + 1, false);
+                }
+                self.stationary_hosts[host] = true;
             }
             Mobility::Mobile => self.mobile_keys.push(key),
         }
@@ -405,6 +417,14 @@ impl BristleSystem {
         self.interner.get(key).and_then(|i| self.info.get(i)).ok_or(BristleError::UnknownNode(key))
     }
 
+    /// Whether `host` embodies a live stationary node: one indexed read
+    /// where a caller holds the host already (a routing row's address, a
+    /// slab occupant), in place of a lookup by key.
+    #[inline]
+    pub(crate) fn is_stationary_host(&self, host: HostId) -> bool {
+        self.stationary_hosts.get(host.index()).is_some_and(|&live| live)
+    }
+
     /// Whether `key` names a mobile node.
     pub fn is_mobile(&self, key: Key) -> bool {
         self.interner
@@ -460,30 +480,46 @@ impl BristleSystem {
     /// its routing state (falling back to the stationary owner of its own
     /// key when it knows none).
     pub fn entry_stationary_for(&self, from: Key) -> Result<Key> {
-        let info = self.node_info(from)?;
-        if info.mobility == Mobility::Stationary {
-            return Ok(from);
+        let node = self.mobile.node(from).map_err(|_| BristleError::UnknownNode(from))?;
+        self.entry_stationary_at(node)
+    }
+
+    /// [`Self::entry_stationary_for`] for a caller that holds the asker's
+    /// mobile-layer state already. Everything read is the asker's own or
+    /// one indexed load away: a row's host comes from the row's address,
+    /// whether that host is a live stationary node's from
+    /// `stationary_hosts`, where it is from `attachments`. Only a row
+    /// with a null address is looked up by key in the stationary ring.
+    pub(crate) fn entry_stationary_at(&self, node: &NodeState<Vec<u8>>) -> Result<Key> {
+        if self.is_stationary_host(node.host) {
+            return Ok(node.key);
         }
         if self.stationary.is_empty() {
             return Err(BristleError::NoStationaryLayer);
         }
         // One row serves every entry: the asker's distances to all routers.
-        let from_router = self.attachments.router(info.host);
-        let row = self.dcache.row(from_router);
-        let node = self.mobile.node(from)?;
+        let row = self.dcache.row(self.attachments.router(node.host));
         let mut best: Option<(u64, Key)> = None;
         for e in &node.entries {
-            // Only stationary nodes are in the stationary ring, and they
-            // never move, so the host recorded there is where they are.
-            let Ok(peer) = self.stationary.node(e.key) else { continue };
-            let d = row[self.attachments.router(peer.host).index()];
+            // Stationary nodes never move, and a host embodies one node
+            // for good, so a set bit means the row's address is where
+            // the row's key is.
+            let host = match e.addr {
+                Some(addr) if self.is_stationary_host(addr.host) => addr.host,
+                Some(_) => continue,
+                None => match self.stationary.node(e.key) {
+                    Ok(peer) => peer.host,
+                    Err(_) => continue,
+                },
+            };
+            let d = row[self.attachments.router(host).index()];
             if best.map(|(b, _)| d < b).unwrap_or(true) {
                 best = Some((d, e.key));
             }
         }
         match best {
             Some((_, k)) => Ok(k),
-            None => Ok(self.stationary.owner(from)?),
+            None => Ok(self.stationary.owner(node.key)?),
         }
     }
 
@@ -604,10 +640,13 @@ impl BristleSystem {
     /// index survives — arena slots are vacated, never reused.
     pub(crate) fn forget(&mut self, key: Key) {
         let Some(idx) = self.interner.get(key) else { return };
-        match self.info.remove(idx).map(|info| info.mobility) {
-            Some(Mobility::Stationary) => self.stationary_keys.retain(|&k| k != key),
-            Some(Mobility::Mobile) => self.mobile_keys.retain(|&k| k != key),
-            None => {}
+        let Some(info) = self.info.remove(idx) else { return };
+        match info.mobility {
+            Mobility::Stationary => {
+                self.stationary_keys.retain(|&k| k != key);
+                self.stationary_hosts[info.host.index()] = false;
+            }
+            Mobility::Mobile => self.mobile_keys.retain(|&k| k != key),
         }
     }
 
@@ -934,6 +973,138 @@ mod tests {
             if let Some(pair) = sys.mobile.node(member).unwrap().entry(m) {
                 assert!(pair.is_reachable(&sys.attachments), "entry not patched");
             }
+        }
+    }
+
+    /// `entry_stationary_for` as it was before `stationary_hosts`: every
+    /// row's key looked up in the stationary ring, and the host read off
+    /// the occupant found there. Kept verbatim as the oracle.
+    fn entry_stationary_by_key(sys: &BristleSystem, from: Key) -> Result<Key> {
+        let info = sys.node_info(from)?;
+        if info.mobility == Mobility::Stationary {
+            return Ok(from);
+        }
+        if sys.stationary.is_empty() {
+            return Err(BristleError::NoStationaryLayer);
+        }
+        // One row serves every entry: the asker's distances to all routers.
+        let from_router = sys.attachments.router(info.host);
+        let row = sys.dcache.row(from_router);
+        let node = sys.mobile.node(from)?;
+        let mut best: Option<(u64, Key)> = None;
+        for e in &node.entries {
+            // Only stationary nodes are in the stationary ring, and they
+            // never move, so the host recorded there is where they are.
+            let Ok(peer) = sys.stationary.node(e.key) else { continue };
+            let d = row[sys.attachments.router(peer.host).index()];
+            if best.map(|(b, _)| d < b).unwrap_or(true) {
+                best = Some((d, e.key));
+            }
+        }
+        match best {
+            Some((_, k)) => Ok(k),
+            None => Ok(sys.stationary.owner(from)?),
+        }
+    }
+
+    /// `stationary_hosts` is the stationary ring's membership, host by
+    /// host, and every node's entry point is the one the key walk picks.
+    fn assert_read_path_matches_key_walk(sys: &BristleSystem, step: &str) {
+        let ring_hosts: HashSet<HostId> = sys.stationary.iter().map(|n| n.host).collect();
+        assert_eq!(ring_hosts.len(), sys.stationary_keys().len(), "{step}: ring vs key list");
+        for host in (0..sys.attachments.len() as u32).map(HostId) {
+            assert_eq!(
+                sys.is_stationary_host(host),
+                ring_hosts.contains(&host),
+                "{step}: stationary bit of {host}"
+            );
+        }
+        for key in sys.mobile.keys() {
+            assert_eq!(
+                sys.entry_stationary_for(key),
+                entry_stationary_by_key(sys, key),
+                "{step}: entry point of {key}"
+            );
+        }
+        let gone = Key(0x0dd);
+        assert_eq!(sys.entry_stationary_for(gone), entry_stationary_by_key(sys, gone), "{step}");
+    }
+
+    #[test]
+    fn stationary_bits_and_entry_points_match_the_key_walk_through_a_lifecycle() {
+        for seed in [8, 27] {
+            let mut sys = small_system(40, 24, seed);
+            let check = |sys: &BristleSystem, step: &str| {
+                assert_read_path_matches_key_walk(sys, &format!("{step} (seed {seed})"))
+            };
+            check(&sys, "build");
+
+            // Joins rebuild the visited nodes only: everyone else keeps
+            // the rows they had.
+            for _ in 0..3 {
+                sys.join_node(Mobility::Mobile).unwrap();
+                sys.join_node(Mobility::Stationary).unwrap();
+            }
+            check(&sys, "join_node");
+
+            // The most popular entry point leaves, then the next one
+            // crashes: mobile nodes keep dangling rows for both.
+            let most_popular = |sys: &BristleSystem| {
+                let mut uses: HashMap<Key, usize> = HashMap::new();
+                for &m in sys.mobile_keys() {
+                    *uses.entry(sys.entry_stationary_for(m).unwrap()).or_default() += 1;
+                }
+                uses.into_iter().max_by_key(|&(k, n)| (n, k)).expect("mobile nodes").0
+            };
+            let leaver = most_popular(&sys);
+            let leaver_info = *sys.node_info(leaver).unwrap();
+            sys.leave_node(leaver).unwrap();
+            check(&sys, "leave_node (stationary)");
+            let crashed = most_popular(&sys);
+            sys.fail_node(crashed).unwrap();
+            check(&sys, "fail_node (stationary)");
+            sys.confirm_dead(crashed).unwrap();
+            check(&sys, "confirm_dead");
+
+            // Wrongful funerals, reversed.
+            for buried in [most_popular(&sys), sys.mobile_keys()[1]] {
+                sys.confirm_dead(buried).unwrap();
+                check(&sys, "confirm_dead (wrongful)");
+                assert!(sys.rejoin_node(buried, 1).unwrap().reversed);
+                check(&sys, "rejoin_node");
+            }
+
+            // Crash-restart off a real log.
+            let dir = std::env::temp_dir()
+                .join(format!("bristle-system-test-{}", std::process::id()))
+                .join(format!("read-path-{seed}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            for victim in [most_popular(&sys), sys.mobile_keys()[2]] {
+                let wal = bristle_store::WalBackend::open(dir.join(victim.to_string()), 8).unwrap();
+                sys.stores.attach_wal(victim, wal);
+                sys.confirm_dead(victim).unwrap();
+                check(&sys, "confirm_dead (WAL-backed)");
+                assert!(sys.restart_node_from_store(victim).unwrap().restored);
+                check(&sys, "restart_node_from_store");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+
+            // The departed key comes back as a new body: a fresh host,
+            // wired by the caller as `readmit` asks. The old host's bit
+            // stays clear.
+            let host = sys.attachments.attach_new(sys.stub_routers()[0]);
+            sys.readmit(leaver, NodeInfo { host, ..leaver_info }).unwrap();
+            sys.rewire();
+            assert!(sys.is_stationary_host(host) && !sys.is_stationary_host(leaver_info.host));
+            check(&sys, "readmit on a new host");
+
+            // A null address on the very row the scan picks: the row is
+            // resolved by key, as every row used to be.
+            let asker = sys.mobile_keys()[0];
+            let entry = sys.entry_stationary_for(asker).unwrap();
+            let pair = sys.mobile.node_mut(asker).unwrap().entry_mut(entry).expect("a row");
+            pair.addr = None;
+            check(&sys, "a row with a null address");
         }
     }
 

@@ -190,6 +190,15 @@ impl<V> RingDht<V> {
         &self.occupant(slot).node
     }
 
+    /// Mutable access to the node at `slot`, for a walk that goes on to
+    /// write the node it resolved.
+    ///
+    /// # Panics
+    /// Panics if that node has since been removed.
+    pub fn at_mut(&mut self, slot: Slot) -> &mut NodeState<V> {
+        &mut self.occupant_mut(slot).node
+    }
+
     /// Immutable access to a node's state.
     pub fn node(&self, key: Key) -> Result<&NodeState<V>, RingError> {
         self.slot_of(key).map(|slot| self.at(slot))
@@ -197,8 +206,7 @@ impl<V> RingDht<V> {
 
     /// Mutable access to a node's state.
     pub fn node_mut(&mut self, key: Key) -> Result<&mut NodeState<V>, RingError> {
-        let slot = self.slot_of(key)?;
-        Ok(&mut self.occupant_mut(slot).node)
+        self.slot_of(key).map(|slot| self.at_mut(slot))
     }
 
     /// Iterator over node keys in ring order starting at key 0.
@@ -240,6 +248,13 @@ impl<V> RingDht<V> {
             return Err(RingError::Empty);
         }
         Ok(self.clockwise_from(k).take(count).map(|(key, _)| key).collect())
+    }
+
+    /// [`RingDht::replica_set`] by slab position and without the `Vec`,
+    /// for a reader that visits the replicas in order and may stop early.
+    /// Nothing on an empty overlay.
+    pub fn replica_slots(&self, k: Key, count: usize) -> impl Iterator<Item = Slot> + '_ {
+        self.clockwise_from(k).take(count).map(|(_, slot)| slot)
     }
 
     /// Up to `count` nodes clockwise from `start` (inclusive) whose keys lie
@@ -717,6 +732,7 @@ mod tests {
         let dht: RingDht<()> = RingDht::new(RingConfig::tornado());
         assert_eq!(dht.successor_of(Key(0)), Err(RingError::Empty));
         assert_eq!(dht.node(Key(0)).err(), Some(RingError::UnknownNode(Key(0))));
+        assert_eq!(dht.replica_slots(Key(0), 3).count(), 0);
     }
 
     #[test]
@@ -728,6 +744,14 @@ mod tests {
         assert_eq!(dht.replica_set(Key(15), 2).unwrap(), vec![Key(20), Key(30)]);
         // Requesting more replicas than nodes returns all nodes once.
         assert_eq!(dht.replica_set(Key(25), 9).unwrap(), vec![Key(30), Key(10), Key(20)]);
+        // The same nodes by slab position, and writable there.
+        for (k, count) in [(15, 2), (25, 9), (31, 1)] {
+            let slots: Vec<Slot> = dht.replica_slots(Key(k), count).collect();
+            let keys: Vec<Key> = slots.iter().map(|&s| dht.at(s).key).collect();
+            assert_eq!(keys, dht.replica_set(Key(k), count).unwrap());
+            dht.at_mut(slots[0]).used = k as u32;
+            assert_eq!(dht.node(keys[0]).unwrap().used, k as u32);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use bristle_netsim::dijkstra::DistanceCache;
 
 use crate::key::Key;
 use crate::meter::{MessageKind, Meter};
-use crate::ring::{RingDht, RingError};
+use crate::ring::{RingDht, RingError, Slot};
 
 /// The outcome of routing a message through the overlay.
 #[derive(Debug, Clone)]
@@ -39,13 +39,34 @@ impl Route {
 }
 
 /// Hard bound on route length. Monotone routing ends within `len()` hops,
-/// so a walk this long means the overlay is corrupt: [`RingDht::route_as`]
+/// so a walk this long means the overlay is corrupt: [`RingDht::walk`]
 /// panics (in every build profile) instead of returning an error.
 const MAX_HOPS: usize = 4096;
 
 impl<V> RingDht<V> {
-    /// Routes from `src` toward `target`, charging hops and physical costs
-    /// to `meter` under the given message kind.
+    /// The nodes a message from the node at `from` visits on its way to
+    /// the owner of `target`, by slab position: `from` itself is not
+    /// yielded, the last item is the owner, and there are no items when
+    /// `from` already owns `target`. The one route loop of the crate —
+    /// [`RingDht::route_as`] and Bristle's `_discovery` both read the
+    /// nodes they land on straight off the slots it hands out.
+    ///
+    /// # Panics
+    /// Panics past `MAX_HOPS` (4096) hops, which only a corrupt overlay
+    /// reaches.
+    pub fn walk(&self, from: Slot, target: Key) -> impl Iterator<Item = Slot> + '_ {
+        let (mut cur, mut hops) = (from, 0usize);
+        std::iter::from_fn(move || {
+            cur = self.next_hop_from(cur, target)?;
+            hops += 1;
+            assert!(hops <= MAX_HOPS, "route exceeded {MAX_HOPS} hops: overlay corrupt");
+            Some(cur)
+        })
+    }
+
+    /// Routes from `src` toward `target` along [`RingDht::walk`], charging
+    /// every hop and its physical cost to `meter` under the given message
+    /// kind, and returns the keys visited.
     pub fn route_as(
         &self,
         src: Key,
@@ -55,20 +76,18 @@ impl<V> RingDht<V> {
         dcache: &DistanceCache,
         meter: &mut Meter,
     ) -> Result<Route, RingError> {
+        let from = self.slot_of(src)?;
         let mut hops = Vec::new();
         let mut path_cost = 0u64;
-        let mut cur = self.slot_of(src)?;
-        let mut cur_router = attachments.router(self.at(cur).host);
-        while let Some(next) = self.next_hop_from(cur, target) {
+        let mut cur_router = attachments.router(self.at(from).host);
+        for next in self.walk(from, target) {
             let node = self.at(next);
             let next_router = attachments.router(node.host);
             let cost = dcache.distance(cur_router, next_router);
             meter.record(kind, cost);
             path_cost += cost;
             hops.push(node.key);
-            cur = next;
             cur_router = next_router;
-            assert!(hops.len() <= MAX_HOPS, "route exceeded {MAX_HOPS} hops: overlay corrupt");
         }
         Ok(Route { source: src, target, hops, path_cost })
     }
@@ -170,6 +189,86 @@ mod tests {
                 attachments.router(dht.node(route.terminus()).unwrap().host),
             );
             assert!(route.path_cost >= direct, "route cheaper than direct path");
+        }
+    }
+
+    /// `route_as` as it was before [`RingDht::walk`]: its own loop over
+    /// `next_hop_from`. Kept verbatim as the oracle.
+    fn route_as_by_own_loop<V>(
+        dht: &RingDht<V>,
+        src: Key,
+        target: Key,
+        kind: MessageKind,
+        attachments: &AttachmentMap,
+        dcache: &DistanceCache,
+        meter: &mut Meter,
+    ) -> Result<Route, RingError> {
+        let mut hops = Vec::new();
+        let mut path_cost = 0u64;
+        let mut cur = dht.slot_of(src)?;
+        let mut cur_router = attachments.router(dht.at(cur).host);
+        while let Some(next) = dht.next_hop_from(cur, target) {
+            let node = dht.at(next);
+            let next_router = attachments.router(node.host);
+            let cost = dcache.distance(cur_router, next_router);
+            meter.record(kind, cost);
+            path_cost += cost;
+            hops.push(node.key);
+            cur = next;
+            cur_router = next_router;
+            assert!(hops.len() <= MAX_HOPS, "route exceeded {MAX_HOPS} hops: overlay corrupt");
+        }
+        Ok(Route { source: src, target, hops, path_cost })
+    }
+
+    #[test]
+    fn route_as_on_walk_is_the_route_its_own_loop_took() {
+        for n in [1, 2, 300] {
+            let (mut dht, attachments, dcache) = setup(n, n as u64);
+            let mut rng = Pcg64::seed_from_u64(7);
+            let (mut new_meter, mut old_meter) = (Meter::new(), Meter::new());
+            // Fresh tables, then tables with a third of the ring gone.
+            for stale in [false, true] {
+                if stale && n > 2 {
+                    let keys: Vec<Key> = dht.keys().collect();
+                    keys.iter().step_by(3).for_each(|&k| drop(dht.remove(k)));
+                }
+                let keys: Vec<Key> = dht.keys().collect();
+                for _ in 0..200 {
+                    let src = *rng.choose(&keys);
+                    let target =
+                        if rng.chance(0.5) { *rng.choose(&keys) } else { Key::random(&mut rng) };
+                    let kind = MessageKind::DiscoveryHop;
+                    let new =
+                        dht.route_as(src, target, kind, &attachments, &dcache, &mut new_meter);
+                    let old = route_as_by_own_loop(
+                        &dht,
+                        src,
+                        target,
+                        kind,
+                        &attachments,
+                        &dcache,
+                        &mut old_meter,
+                    );
+                    let (new, old) = (new.unwrap(), old.unwrap());
+                    assert_eq!(
+                        (&new.hops, new.path_cost, new.terminus()),
+                        (&old.hops, old.path_cost, old.terminus()),
+                        "n = {n}, {src} -> {target}"
+                    );
+                    // `walk` hands out the same nodes, by position.
+                    let from = dht.slot_of(src).unwrap();
+                    let walked: Vec<Key> = dht.walk(from, target).map(|s| dht.at(s).key).collect();
+                    assert_eq!(walked, new.hops);
+                }
+                assert_eq!(new_meter.tallies(), old_meter.tallies(), "n = {n}");
+            }
+            let gone = Key(1);
+            assert!(!dht.contains(gone));
+            assert_eq!(
+                dht.route(gone, Key(2), &attachments, &dcache, &mut new_meter).unwrap_err(),
+                RingError::UnknownNode(gone)
+            );
         }
     }
 }

@@ -11,7 +11,9 @@
 //! `[base, base + WHEEL_SLOTS)`, with a `BTreeMap` overflow for events
 //! beyond it. Scheduling into the window and popping are O(1) amortized
 //! — no heap sift — and a batch of same-timestamp events drains from
-//! one bucket allocation-free. When the wheel empties, the window
+//! one bucket allocation-free. An occupancy bitmap (one bit a bucket)
+//! lets the scan for the next live bucket jump over empty ticks a word
+//! at a time. When the wheel empties, the window
 //! re-bases onto the earliest overflow time and migrates that span's
 //! deques wholesale. Because a bucket maps to exactly one tick (direct
 //! indexing, no modulo collisions) and migration only happens into an
@@ -28,6 +30,7 @@ use bristle_core::time::SimTime;
 /// Width of the calendar wheel: how many consecutive ticks the O(1)
 /// window covers. Events farther out wait in the overflow tree.
 pub const WHEEL_SLOTS: usize = 1024;
+const _: () = assert!(WHEEL_SLOTS.is_multiple_of(64), "the occupancy map is whole words");
 
 /// A scheduled entry: time, tie-breaking sequence number, payload.
 struct Scheduled<E> {
@@ -85,6 +88,9 @@ pub struct EventQueue<E> {
     /// window only re-bases inside [`Self::pop`], which immediately
     /// advances `now` to the new base.
     base: u64,
+    /// Bit `i` is set iff bucket `i` is non-empty: set by a push or a
+    /// migration into the bucket, cleared by the pop that empties it.
+    occupied: [u64; WHEEL_SLOTS / 64],
     /// First wheel bucket that may be non-empty; buckets before it are
     /// empty. Scheduling into an earlier bucket rewinds it.
     cursor: usize,
@@ -103,6 +109,7 @@ impl<E> Default for EventQueue<E> {
         EventQueue {
             wheel,
             base: 0,
+            occupied: [0; WHEEL_SLOTS / 64],
             cursor: 0,
             overflow: BTreeMap::new(),
             pending: 0,
@@ -134,7 +141,11 @@ impl<E> EventQueue<E> {
         let offset = at.0 - self.base; // at >= now >= base
         if offset < WHEEL_SLOTS as u64 {
             let slot = offset as usize;
-            self.wheel[slot].push_back(event);
+            let bucket = &mut self.wheel[slot];
+            if bucket.is_empty() {
+                self.occupied[slot / 64] |= 1 << (slot % 64);
+            }
+            bucket.push_back(event);
             if slot < self.cursor {
                 self.cursor = slot;
             }
@@ -148,16 +159,33 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now.plus(delay), event);
     }
 
+    /// Advances the cursor to the first non-empty bucket and returns it,
+    /// or `None` (cursor past the wheel) when the wheel is empty. Buckets
+    /// before the cursor are empty, so the cursor's own word needs no
+    /// masking, and `trailing_zeros` skips the empty ticks inside a word.
+    fn first_live_bucket(&mut self) -> Option<usize> {
+        // A deep queue pops many events a tick: the cursor's own bucket
+        // is usually still live, and pop is about to touch it anyway.
+        if self.cursor < WHEEL_SLOTS && !self.wheel[self.cursor].is_empty() {
+            return Some(self.cursor);
+        }
+        for word in self.cursor / 64..WHEEL_SLOTS / 64 {
+            if self.occupied[word] != 0 {
+                self.cursor = word * 64 + self.occupied[word].trailing_zeros() as usize;
+                return Some(self.cursor);
+            }
+        }
+        self.cursor = WHEEL_SLOTS;
+        None
+    }
+
     /// The time of the earliest pending event, without popping it or
     /// advancing the clock. (`&mut` only to memoize the bucket scan.)
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        while self.cursor < WHEEL_SLOTS && self.wheel[self.cursor].is_empty() {
-            self.cursor += 1;
-        }
-        if self.cursor < WHEEL_SLOTS {
+        if let Some(slot) = self.first_live_bucket() {
             // Overflow times are all >= base + WHEEL_SLOTS, so a
             // non-empty wheel always holds the minimum.
-            return Some(SimTime(self.base + self.cursor as u64));
+            return Some(SimTime(self.base + slot as u64));
         }
         self.overflow.keys().next().map(|&t| SimTime(t))
     }
@@ -165,12 +193,13 @@ impl<E> EventQueue<E> {
     /// Pops the earliest event, advancing the queue's clock to it.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
-            while self.cursor < WHEEL_SLOTS && self.wheel[self.cursor].is_empty() {
-                self.cursor += 1;
-            }
-            if self.cursor < WHEEL_SLOTS {
-                let t = SimTime(self.base + self.cursor as u64);
-                let event = self.wheel[self.cursor].pop_front().expect("cursor on live bucket");
+            if let Some(slot) = self.first_live_bucket() {
+                let t = SimTime(self.base + slot as u64);
+                let bucket = &mut self.wheel[slot];
+                let event = bucket.pop_front().expect("occupied bit on an empty bucket");
+                if bucket.is_empty() {
+                    self.occupied[slot / 64] &= !(1 << (slot % 64));
+                }
                 self.pending -= 1;
                 self.now = t;
                 return Some((t, event));
@@ -188,6 +217,7 @@ impl<E> EventQueue<E> {
                 let slot = (t - t0) as usize;
                 debug_assert!(slot < WHEEL_SLOTS && self.wheel[slot].is_empty());
                 self.wheel[slot] = dq;
+                self.occupied[slot / 64] |= 1 << (slot % 64);
             }
         }
     }

@@ -95,3 +95,47 @@ fn identical_pop_order_with_sparse_far_horizons() {
         differential_run(seed, 1500, (WHEEL_SLOTS as u64) * 40);
     }
 }
+
+#[test]
+fn identical_pop_order_with_sparse_ticks_across_occupancy_words() {
+    // A few events per hundred ticks, so nearly every pop has to jump
+    // over empty buckets: one every 61 ticks (coprime to 64, so the live
+    // bit visits every position of a word) plus both edge bits of every
+    // 64-bucket word, over four windows — three of them start in the
+    // overflow and come in by re-basing.
+    let w = WHEEL_SLOTS as u64;
+    let mut times: Vec<u64> = (0..4 * w).step_by(61).collect();
+    for word_start in (0..4 * w).step_by(64) {
+        times.extend([word_start, word_start + 63]);
+    }
+    let mut bucket: EventQueue<u64> = EventQueue::new();
+    let mut heap: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
+    let mut next_id = 0u64;
+    let mut schedule = |bucket: &mut EventQueue<u64>, heap: &mut BinaryHeapQueue<u64>, at: u64| {
+        bucket.schedule_at(SimTime(at), next_id);
+        heap.schedule_at(SimTime(at), next_id);
+        next_id += 1;
+    };
+    for &t in &times {
+        schedule(&mut bucket, &mut heap, t);
+    }
+    let originals = times.len() as u64;
+    let mut pops = 0usize;
+    loop {
+        assert_eq!(bucket.peek_time(), heap.peek_time(), "peek diverged at pop {pops}");
+        let (b, h) = (bucket.pop(), heap.pop());
+        assert_eq!(b, h, "pop diverged at pop {pops}");
+        let Some((now, id)) = b else { break };
+        pops += 1;
+        // Every third original event schedules follow-ups: into the bucket
+        // just popped empty, into the next word, and past the window.
+        if id < originals && id % 3 == 0 {
+            for delay in [0, 64, w + 1] {
+                schedule(&mut bucket, &mut heap, now.0 + delay);
+            }
+        }
+        assert_eq!(bucket.len(), heap.len(), "len diverged at pop {pops}");
+    }
+    assert!(bucket.is_empty() && heap.is_empty());
+    assert!(pops > times.len(), "follow-ups must have popped too");
+}
