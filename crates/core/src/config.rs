@@ -49,11 +49,6 @@ pub struct BristleConfig {
     pub capacity_range: (u32, u32),
     /// Early vs late binding.
     pub binding: BindingMode,
-    /// Adaptive per-peer retransmission timeouts (Jacobson/Karn RTT
-    /// estimation in the protocol layer) instead of the fixed
-    /// `RetryPolicy` waits. Off by default so seeded traces stay
-    /// byte-identical with prior releases.
-    pub adaptive_rto: bool,
 }
 
 impl BristleConfig {
@@ -71,7 +66,6 @@ impl BristleConfig {
             unit_cost: 1,
             capacity_range: (1, 15),
             binding: BindingMode::Early,
-            adaptive_rto: false,
         }
     }
 

@@ -439,11 +439,6 @@ impl BristleSystem {
         &self.interner
     }
 
-    /// The flat per-node info arena, indexed by [`NodeIdx`].
-    pub fn info_arena(&self) -> &NodeArena<NodeInfo> {
-        &self.info
-    }
-
     /// The distance oracle over the physical topology.
     pub fn distances(&self) -> &DistanceCache {
         &self.dcache

@@ -297,7 +297,7 @@ impl SocketDriver {
         // Only the nodes queued by now: those the reactions queue wait
         // for the next pump, which bounds this one.
         for _ in 0..self.queue.len() {
-            let idx = self.queue.pop_front().expect("length checked above");
+            let Some(idx) = self.queue.pop_front() else { break };
             let drained = self.drain(idx, env);
             if self.nodes[idx].owed > 0 {
                 self.queue.push_back(idx);
@@ -369,13 +369,12 @@ impl SocketDriver {
     /// fired (stale ones included — their machines ignore them).
     pub fn fire_due(&mut self, env: &mut dyn NodeEnv) -> Result<usize> {
         let mut fired = 0usize;
-        loop {
+        while let Some(due) = self.timers.first_entry() {
             let now = self.clock.now();
-            let Some((&(at, seq), _)) = self.timers.iter().next() else { break };
-            if at > now {
+            if due.key().0 > now {
                 break;
             }
-            let (key, kind) = self.timers.remove(&(at, seq)).expect("just observed");
+            let (key, kind) = due.remove();
             if let Some(&idx) = self.by_key.get(&key) {
                 let out = self.nodes[idx].machine.poll(now, Event::Timer(kind), env);
                 self.dispatch(key, out, env)?;

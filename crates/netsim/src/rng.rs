@@ -67,12 +67,6 @@ impl Pcg64 {
         xored.rotate_right(rot)
     }
 
-    /// Returns the next 32 random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniform `u64` in `[0, bound)` using Lemire's method.
     ///
     /// # Panics

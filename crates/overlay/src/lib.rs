@@ -45,9 +45,7 @@ pub use key::Key;
 pub use maintenance::HealthReport;
 pub use meter::{MessageKind, Meter};
 pub use node::NodeState;
-pub use obs::{
-    EventSink, FlightRecorder, Histogram as LatencyHistogram, ObsEvent, ObsEventKind, Snapshot,
-};
+pub use obs::{FlightRecorder, Histogram as LatencyHistogram, ObsEvent, ObsEventKind, Snapshot};
 pub use prefix::PrefixDht;
 pub use repair::{RedundantRoute, RepairReport};
 pub use replication::LookupOutcome;

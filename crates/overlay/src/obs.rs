@@ -11,8 +11,6 @@
 //!   ack, timeout, suspect, refute, route and discovery milestones), each
 //!   stamped with a causal `trace` id so one logical operation and all the
 //!   traffic it triggers correlate.
-//! * [`EventSink`] — how protocol code hands events to whoever is
-//!   listening, without knowing who that is.
 //! * [`FlightRecorder`] — a bounded ring buffer of the most recent events,
 //!   for post-mortem inspection of failed operations.
 
@@ -260,15 +258,6 @@ impl ObsEventKind {
     }
 }
 
-/// Anything that accepts structured protocol events.
-///
-/// Protocol code emits through this trait so it never knows (or cares)
-/// whether events land in a flight recorder, a test assertion, or nowhere.
-pub trait EventSink {
-    /// Accepts one event.
-    fn record(&mut self, event: ObsEvent);
-}
-
 /// A bounded ring buffer of the most recent [`ObsEvent`]s.
 ///
 /// When full, the oldest event is overwritten and `dropped` counts how
@@ -321,10 +310,9 @@ impl FlightRecorder {
     pub fn trace(&self, trace: u64) -> Vec<ObsEvent> {
         self.events().into_iter().filter(|e| e.trace == trace).collect()
     }
-}
 
-impl EventSink for FlightRecorder {
-    fn record(&mut self, event: ObsEvent) {
+    /// Accepts one event, overwriting the oldest when full.
+    pub fn record(&mut self, event: ObsEvent) {
         if self.buf.len() < self.capacity {
             self.buf.push(event);
         } else {

@@ -1,0 +1,390 @@
+//! Frame admission: which frames are let in. *Which kinds carry
+//! authority* is written once (`signer_of`), so the send path seals
+//! exactly the kinds the receive path verifies; *whether this copy is
+//! the first* is the dedup horizon, whose lifetime follows the retry
+//! ladder in force. [`ProtoMachine::poll`](super::ProtoMachine::poll)
+//! asks [`Admission::admits`] before any state is touched; delivery
+//! arms ask [`Admission::first_sighting`] where an effect must happen
+//! once. Nothing here sends.
+
+use bristle_core::auth::AuthError;
+
+use super::*;
+use crate::seen::{self, SeenSet};
+
+/// The identity whose authority `msg` carries, if its kind is
+/// authenticated: location records speak for their *subject* (relays
+/// re-seal on the subject's behalf, modelling a forwarded signature),
+/// `Alive` refutations for the refuted node, and registrations, their
+/// acks and death verdicts for their sender. `None` marks an
+/// unauthenticated kind (hops, acks, discovery, heartbeats) that never
+/// carries a trailer.
+fn signer_of(src: Key, msg: &WireMessage) -> Option<Key> {
+    match msg {
+        WireMessage::Publish { subject, .. } | WireMessage::Update { subject, .. } => {
+            Some(*subject)
+        }
+        WireMessage::Alive { node, .. } => Some(*node),
+        WireMessage::Register { .. }
+        | WireMessage::RegisterAck { .. }
+        | WireMessage::SuspectNotify { .. } => Some(src),
+        _ => None,
+    }
+}
+
+/// Verifies a received frame's trailer: self-certification and the MAC
+/// for authenticated kinds, plus the replay check on location
+/// publications (a withdrawn record's signature is still valid — only
+/// freshness rejects it).
+fn check_frame(env: &dyn NodeEnv, envelope: &Envelope) -> Result<(), AuthError> {
+    let Some(signer) = signer_of(envelope.src, &envelope.msg) else {
+        return Ok(());
+    };
+    let Some(domain) = env.auth_domain() else { return Ok(()) };
+    let Some(auth) = envelope.auth else { return Err(AuthError::MissingTag) };
+    domain.verify(signer, envelope.msg.auth_digest(), auth)?;
+    if let WireMessage::Publish { subject, .. } = envelope.msg {
+        if !env.publish_fresh(subject) {
+            return Err(AuthError::StaleRecord);
+        }
+    }
+    Ok(())
+}
+
+/// One node's admission state; see the module docs.
+#[derive(Debug)]
+pub(super) struct Admission {
+    /// The admitting node, named in the events a rejection emits.
+    node: Key,
+    /// Receiver-side dedup: the `(src, msg_id)` pairs processed within
+    /// the last `lifetime` ticks (at most twice that).
+    seen: SeenSet,
+    /// How long a frame's copies can keep arriving under the retry
+    /// timers in force; see [`Self::set_ladder`].
+    lifetime: u64,
+    /// Test oracle: when set, dedup asks this never-pruned set instead.
+    #[cfg(test)]
+    oracle: Option<std::collections::HashSet<(Key, u64)>>,
+}
+
+impl Admission {
+    /// Admission for `node` under a retry ladder of `ladder` ticks.
+    pub(super) fn new(node: Key, ladder: u64) -> Self {
+        Admission {
+            node,
+            seen: SeenSet::default(),
+            lifetime: seen::lifetime(ladder),
+            #[cfg(test)]
+            oracle: None,
+        }
+    }
+
+    /// Re-derives the dedup horizon from `ladder`, an upper bound on how
+    /// long a reliable frame's sender spends on it. A receiver sizing
+    /// its horizon from its own timers assumes what the drivers arrange:
+    /// every machine of a deployment runs one policy.
+    pub(super) fn set_ladder(&mut self, ladder: u64) {
+        self.lifetime = seen::lifetime(ladder);
+    }
+
+    /// Seals `envelope` with its signer's trailer when the deployment
+    /// authenticates (no-op otherwise, and on unauthenticated kinds).
+    /// Must run *before* the envelope is cloned into a retry session so
+    /// retransmits carry the tag too.
+    pub(super) fn seal(env: &dyn NodeEnv, envelope: &mut Envelope) {
+        let Some(signer) = signer_of(envelope.src, &envelope.msg) else { return };
+        if let Some(domain) = env.auth_domain() {
+            envelope.auth = Some(domain.sign(signer, envelope.msg.auth_digest()));
+        }
+    }
+
+    /// Ages the dedup generations to `now`; every event a machine
+    /// handles does, delivery or timer.
+    pub(super) fn advance(&mut self, now: SimTime) {
+        self.seen.advance(now, self.lifetime);
+    }
+
+    /// The receive-side authentication gate. Returns `false` when the
+    /// frame must be dropped before touching any state (enforcing
+    /// policy only); failures are metered as [`MessageKind::ForgedFrame`]
+    /// (plus [`MessageKind::AuthReject`] when dropped) and emitted to
+    /// the flight recorder either way.
+    pub(super) fn admits(&self, now: SimTime, env: &mut dyn NodeEnv, envelope: &Envelope) -> bool {
+        let policy = env.verify_policy();
+        if policy == VerifyPolicy::Off {
+            return true;
+        }
+        let Err(reason) = check_frame(env, envelope) else { return true };
+        env.bump(MessageKind::ForgedFrame);
+        let dropped = policy == VerifyPolicy::Enforce;
+        let kind = ObsEventKind::AuthReject {
+            from: envelope.src,
+            tag: envelope.msg.tag_name(),
+            reason: reason.name(),
+            dropped,
+        };
+        note(self.node, env, now, envelope.trace_id, kind);
+        if dropped {
+            env.bump(MessageKind::AuthReject);
+        }
+        !dropped
+    }
+
+    /// Records a sighting of `src`'s frame `msg_id`; `true` if it is the
+    /// first one inside the dedup horizon.
+    pub(super) fn first_sighting(&mut self, src: Key, msg_id: u64) -> bool {
+        #[cfg(test)]
+        if let Some(oracle) = self.oracle.as_mut() {
+            return oracle.insert((src, msg_id));
+        }
+        self.seen.insert(src, msg_id)
+    }
+
+    /// Dedup entries held.
+    pub(super) fn held(&self) -> usize {
+        self.seen.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::super::*;
+    use crate::failure::Liveness;
+    use bristle_netsim::rng::Pcg64;
+
+    #[test]
+    fn sealed_register_round_trip_verifies_under_enforcement() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(M, 3, 9).mobile(M);
+        env.domain = Some(AuthDomain::new(8));
+        env.vpolicy = VerifyPolicy::Enforce;
+        let mut who = ProtoMachine::new(A, policy());
+        let out = who.start_register(t(0), &mut env, M, 12);
+        let reg = out.outgoing[0].env.clone();
+        assert!(reg.auth.is_some(), "the register travels sealed");
+
+        let mut target = ProtoMachine::new(M, policy());
+        let r = target.poll(t(1), Event::Deliver(reg), &mut env);
+        assert_eq!(env.registered, vec![(M, A, 12)]);
+        assert!(r.outgoing[0].env.auth.is_some(), "the ack travels sealed too");
+        let out = who.poll(t(2), Event::Deliver(r.outgoing[0].env.clone()), &mut env);
+        assert_eq!(out.completions, vec![Completion::Registered { target: M }]);
+        assert_eq!(env.meter.count(MessageKind::ForgedFrame), 0);
+    }
+
+    #[test]
+    fn forged_alive_dropped_under_enforcement_but_digested_log_only() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        env.domain = Some(AuthDomain::new(8));
+        env.vpolicy = VerifyPolicy::Enforce;
+        let mut a = ProtoMachine::new(A, policy());
+        a.monitor(M);
+        // An adversary refutes on M's behalf: the pubkey certifies M but
+        // the tag was minted without M's secret.
+        let forged = Envelope {
+            src: B,
+            dst: A,
+            msg_id: 9,
+            trace_id: 0,
+            msg: WireMessage::Alive { node: M, incarnation: 7 },
+            auth: Some(AuthDomain::forged(M)),
+        };
+        let out = a.poll(t(0), Event::Deliver(forged.clone()), &mut env);
+        assert!(out.completions.is_empty() && out.outgoing.is_empty());
+        assert_eq!(a.peer_incarnation(M), Some(0), "forged evidence never digested");
+        assert_eq!(env.meter.count(MessageKind::ForgedFrame), 1);
+        assert_eq!(env.meter.count(MessageKind::AuthReject), 1);
+
+        env.vpolicy = VerifyPolicy::LogOnly;
+        a.poll(t(1), Event::Deliver(forged), &mut env);
+        assert_eq!(a.peer_incarnation(M), Some(7), "log-only meters but still digests");
+        assert_eq!(env.meter.count(MessageKind::ForgedFrame), 2);
+        assert_eq!(env.meter.count(MessageKind::AuthReject), 1, "nothing more dropped");
+    }
+
+    #[test]
+    fn unsigned_verdict_rejected_when_enforcing() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        env.domain = Some(AuthDomain::new(8));
+        env.vpolicy = VerifyPolicy::Enforce;
+        let mut a = ProtoMachine::new(A, policy());
+        a.monitor(M);
+        let bare = Envelope {
+            src: B,
+            dst: A,
+            msg_id: 4,
+            trace_id: 0,
+            msg: WireMessage::SuspectNotify { suspect: M, incarnation: 0 },
+            auth: None,
+        };
+        let out = a.poll(t(0), Event::Deliver(bare), &mut env);
+        assert!(out.completions.is_empty());
+        assert_eq!(a.liveness(M), Some(Liveness::Fresh), "untagged verdict ignored");
+        assert_eq!(env.meter.count(MessageKind::ForgedFrame), 1);
+        assert_eq!(env.meter.count(MessageKind::AuthReject), 1);
+    }
+
+    #[test]
+    fn replayed_publish_with_valid_signature_rejected_as_stale() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(M, 3, 9).mobile(M);
+        let domain = AuthDomain::new(8);
+        env.domain = Some(domain);
+        env.vpolicy = VerifyPolicy::Enforce;
+        env.stale_subjects.insert(M);
+        let mut holder = ProtoMachine::new(A, policy());
+        // The signature is genuinely M's — replayed from before the
+        // withdrawal — so only the freshness check can reject it.
+        let msg = WireMessage::Publish {
+            subject: M,
+            addr: WireAddr { host: 3, router: 9, epoch: 0 },
+            seq: 1,
+        };
+        let auth = Some(domain.sign(M, msg.auth_digest()));
+        let replay = Envelope { src: M, dst: A, msg_id: 5, trace_id: 0, msg, auth };
+        holder.poll(t(0), Event::Deliver(replay.clone()), &mut env);
+        assert_eq!(env.meter.count(MessageKind::ForgedFrame), 1);
+        assert_eq!(env.meter.count(MessageKind::AuthReject), 1);
+
+        // The same frame for a live subject sails through.
+        env.stale_subjects.clear();
+        holder.poll(t(1), Event::Deliver(replay), &mut env);
+        assert_eq!(env.meter.count(MessageKind::ForgedFrame), 1, "fresh record accepted");
+    }
+
+    /// The PR-5 wrongful-death handshake, replayed end to end with
+    /// enforcement on: every authority-bearing frame travels sealed and
+    /// the honest exchange never trips the gate.
+    #[test]
+    fn refutation_round_trip_survives_enforcement() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5).with_node(M, 3, 9);
+        env.domain = Some(AuthDomain::new(8));
+        env.vpolicy = VerifyPolicy::Enforce;
+        let mut a = ProtoMachine::new(A, policy());
+        let mut b = ProtoMachine::new(B, policy());
+        let mut herald = ProtoMachine::new(M, policy());
+        a.monitor(B);
+        b.monitor(A);
+
+        let notice = herald.notify_suspect(t(0), &mut env, A, B).outgoing[0].env.clone();
+        assert!(notice.auth.is_some(), "verdicts travel sealed");
+        a.poll(t(0), Event::Deliver(notice), &mut env);
+        assert_eq!(a.liveness(B), Some(Liveness::Dead));
+
+        let probe = b.start_heartbeats(t(10), &mut env).outgoing[0].env.clone();
+        assert!(probe.auth.is_none(), "heartbeats are unauthenticated kinds");
+        let obituary = a.poll(t(11), Event::Deliver(probe), &mut env).outgoing[0].env.clone();
+        assert!(obituary.auth.is_some(), "the zombie-path obituary is sealed");
+        let refutation = b.poll(t(12), Event::Deliver(obituary), &mut env).outgoing[0].env.clone();
+        assert!(refutation.auth.is_some(), "the Alive refutation is sealed");
+        let out = a.poll(t(13), Event::Deliver(refutation), &mut env);
+        assert_eq!(
+            out.completions,
+            vec![Completion::PeerRefuted { peer: B, incarnation: 1, was_dead: true }]
+        );
+        assert_eq!(a.liveness(B), Some(Liveness::Fresh));
+        assert_eq!(env.meter.count(MessageKind::ForgedFrame), 0, "honest traffic never rejected");
+    }
+
+    /// One frame of every `seen`-guarded kind, from `src` under `msg_id`.
+    fn guarded_frame(rng: &mut Pcg64, src: Key, msg_id: u64) -> Envelope {
+        let addr = WireAddr { host: 7, router: 3, epoch: 0 };
+        let n = rng.range_inclusive(0, 99);
+        let msg = match rng.range_inclusive(0, 10) {
+            0 => WireMessage::RouteHop { origin: src, route_id: n, target: A },
+            1 => WireMessage::RouteHop { origin: src, route_id: n, target: B },
+            2 => WireMessage::Discovery { subject: M, asker: src, session: n, probe: None },
+            3 => WireMessage::ProbeMiss { subject: M, asker: src, session: n },
+            4 => WireMessage::Register { target: A, capacity: 4 },
+            5 => WireMessage::Update { subject: src, addr, seq: n },
+            6 => WireMessage::Publish { subject: src, addr, seq: n },
+            7 => WireMessage::JoinProbe { key: src },
+            8 => WireMessage::Leave { key: src },
+            9 => WireMessage::SuspectNotify { suspect: Key(99), incarnation: 0 },
+            _ => WireMessage::Rejoin { incarnation: n },
+        };
+        Envelope { src, dst: A, msg_id, trace_id: 0, msg, auth: None }
+    }
+
+    /// The two-generation `seen` against the never-pruned set it
+    /// replaced, through the machine: first copies, retransmissions and
+    /// transport duplicates of every guarded kind, each frame's copies
+    /// drawn inside one retry ladder of its first, over dozens of
+    /// lifetimes. Same duplicate verdict — so the same `Output`, frame
+    /// for frame, and the same commits — at fixed and adaptive RTO.
+    /// Then the contract past the horizon, stated: two lifetimes after
+    /// the traffic stops nothing is held, and a replayed frame is new.
+    #[test]
+    fn bounded_seen_matches_a_never_pruned_set_inside_the_retry_ladder() {
+        const FRAMES: usize = 600;
+        // Fixed: 100 << 3 bounds 100 + 200 + 400. Adaptive: max_rto × 3.
+        for (adaptive, ladder) in [(None, 800), (Some(small_rto()), 30_000)] {
+            for seed in [8u64, 27] {
+                let ctx = format!("seed {seed}, adaptive {}", adaptive.is_some());
+                let mut rng = Pcg64::seed_from_u64(seed);
+                let mut arrivals: Vec<(u64, Envelope)> = Vec::new();
+                let mut next_id = [0u64; 3];
+                let mut first = 0;
+                for _ in 0..FRAMES {
+                    first += rng.range_inclusive(0, ladder / 4);
+                    let s = rng.range_inclusive(0, 2) as usize;
+                    let frame = guarded_frame(&mut rng, [B, M, Key(77)][s], next_id[s]);
+                    next_id[s] += 1;
+                    for _ in 0..rng.range_inclusive(0, 3) {
+                        arrivals.push((first + rng.range_inclusive(0, ladder), frame.clone()));
+                    }
+                    arrivals.push((first, frame));
+                }
+                arrivals.sort_by_key(|&(at, _)| at);
+                let horizon = arrivals[arrivals.len() - 1].0;
+                let replayed = arrivals[0].1.clone();
+
+                let strangers =
+                    |env: MockEnv| env.with_node(Key(77), 8, 2).with_node(Key(99), 9, 3);
+                let (mut env, mut oracle_env) = (strangers(world()), strangers(world()));
+                let mut bounded = ProtoMachine::new(A, policy());
+                let mut oracle = ProtoMachine::new(A, policy());
+                for m in [&mut bounded, &mut oracle] {
+                    m.set_adaptive_rto(adaptive);
+                    m.monitor(Key(99));
+                }
+                assert_eq!(bounded.admission.lifetime, 2 * ladder, "{ctx}");
+                oracle.admission.oracle = Some(Default::default());
+                let copies = arrivals.len();
+                for (at, frame) in arrivals {
+                    let got = bounded.poll(t(at), Event::Deliver(frame.clone()), &mut env);
+                    let want = oracle.poll(t(at), Event::Deliver(frame), &mut oracle_env);
+                    assert_eq!(got.outgoing, want.outgoing, "{ctx} t={at}");
+                    assert_eq!(got.timers, want.timers, "{ctx} t={at}");
+                    assert_eq!(got.completions, want.completions, "{ctx} t={at}");
+                }
+                assert_eq!(env.events, oracle_env.events, "{ctx}");
+                assert_eq!(env.updates, oracle_env.updates, "{ctx}");
+                assert_eq!(env.registered, oracle_env.registered, "{ctx}");
+                assert_eq!(
+                    oracle.admission.oracle.as_ref().map(|o| o.len()),
+                    Some(FRAMES),
+                    "{ctx}"
+                );
+                assert!(copies > FRAMES * 2, "{ctx}: duplicates were drawn");
+                assert!(bounded.seen_len() < FRAMES / 4, "{ctx}: held {}", bounded.seen_len());
+
+                // Anything the machine hears ages the set, guarded or not.
+                let silence = horizon + 2 * bounded.admission.lifetime;
+                let probe = WireMessage::Heartbeat { seq: 0, incarnation: 0 };
+                let probe =
+                    Envelope { src: B, dst: A, msg_id: 0, trace_id: 0, msg: probe, auth: None };
+                bounded.poll(t(silence), Event::Deliver(probe), &mut env);
+                assert_eq!(
+                    bounded.seen_len(),
+                    0,
+                    "{ctx}: empty two lifetimes after the last frame"
+                );
+                // The contract: a frame older than two lifetimes is new.
+                bounded.poll(t(silence), Event::Deliver(replayed.clone()), &mut env);
+                assert_eq!(bounded.seen_len(), 1, "{ctx}: replay accepted as new");
+                bounded.poll(t(silence + 1), Event::Deliver(replayed), &mut env);
+                assert_eq!(bounded.seen_len(), 1, "{ctx}: and its duplicate is caught again");
+            }
+        }
+    }
+}

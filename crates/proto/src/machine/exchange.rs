@@ -1,0 +1,592 @@
+//! The reliable exchange: send a frame, await its ack, retransmit with
+//! backoff, give up after `max_attempts`. One table, keyed by `msg_id`,
+//! holds every frame awaiting an ack — a route hop (paper Fig. 2), an
+//! LDT `Update` to a child (§2.3.1, Fig. 4), a `Register` at a mobile
+//! target — because the three are one exchange. A session records what
+//! it carries only for what differs (what a retransmission meters,
+//! which timer re-arms it, what exhaustion means) and is closed only by
+//! its own kind of ack from the peer the frame went to.
+
+use std::collections::hash_map::Entry;
+
+use super::*;
+use crate::rto::Awaited;
+
+/// What a reliable exchange carries — the only thing the paper's three
+/// send-await-retransmit exchanges differ in.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum SessionKind {
+    /// A route hop to the next mobile-layer peer (paper Fig. 2), and the
+    /// forward to resume should the peer never ack.
+    Hop(ParkedForward),
+    /// An LDT `Update` to a child (§2.3.1, Fig. 4).
+    Update,
+    /// A `Register` at a mobile target.
+    Register,
+}
+
+impl SessionKind {
+    /// What every transmission of the frame, first or repeated, meters.
+    pub(super) fn metered(self) -> MessageKind {
+        match self {
+            SessionKind::Hop(_) => MessageKind::RouteHop,
+            SessionKind::Update => MessageKind::Update,
+            SessionKind::Register => MessageKind::Register,
+        }
+    }
+
+    /// The timer that guards the ack window of session `msg_id`.
+    fn timer(self, msg_id: u64) -> TimerKind {
+        match self {
+            SessionKind::Hop(_) => TimerKind::HopRetry { msg_id },
+            SessionKind::Update => TimerKind::UpdateRetry { msg_id },
+            SessionKind::Register => TimerKind::RegisterRetry { msg_id },
+        }
+    }
+
+    /// The name timeouts of this exchange are observed under.
+    fn what(self) -> &'static str {
+        match self {
+            SessionKind::Hop(_) => "hop",
+            SessionKind::Update => "update",
+            SessionKind::Register => "register",
+        }
+    }
+
+    /// Whether `ack` is the acknowledgement this exchange awaits.
+    fn acked_by(self, ack: &WireMessage) -> bool {
+        matches!(
+            (self, ack),
+            (SessionKind::Hop(_), WireMessage::HopAck { .. })
+                | (SessionKind::Update, WireMessage::UpdateAck { .. })
+                | (SessionKind::Register, WireMessage::RegisterAck { .. })
+        )
+    }
+}
+
+/// One frame awaiting its ack: sent, retransmitted with backoff, given
+/// up on after `max_attempts`.
+#[derive(Debug)]
+pub(super) struct Session {
+    /// The sealed frame, retransmitted verbatim.
+    out: Outgoing,
+    attempt: u32,
+    /// The only node whose ack closes the session.
+    peer: Key,
+    /// When the first copy was sent, for RTT sampling (Karn: only
+    /// acks of attempt-0 frames are sampled).
+    sent_at: SimTime,
+    kind: SessionKind,
+}
+
+impl ProtoMachine {
+    /// Disseminates `subject`'s fresh address to this node's LDT
+    /// children: one reliable Update per edge.
+    pub fn start_update(
+        &mut self,
+        now: SimTime,
+        env: &mut dyn NodeEnv,
+        subject: Key,
+        addr: WireAddr,
+        seq: u64,
+        children: &[Key],
+    ) -> Output {
+        let mut out = Output::none();
+        let trace = self.fresh_trace();
+        for &child in children {
+            let to_addr = env.current_addr(child);
+            let msg = WireMessage::Update { subject, addr, seq };
+            let frame = self.frame(env, child, to_addr, trace, msg, Some(MessageKind::Update));
+            self.send_reliable(now, &mut out, frame, SessionKind::Update);
+        }
+        self.observe_sends(now, env, &out);
+        out
+    }
+
+    /// Registers this node's interest in mobile node `target`.
+    pub fn start_register(
+        &mut self,
+        now: SimTime,
+        env: &mut dyn NodeEnv,
+        target: Key,
+        capacity: u32,
+    ) -> Output {
+        let mut out = Output::none();
+        let trace = self.fresh_trace();
+        let to_addr = env.current_addr(target);
+        let msg = WireMessage::Register { target, capacity };
+        let frame = self.frame(env, target, to_addr, trace, msg, Some(MessageKind::Register));
+        self.send_reliable(now, &mut out, frame, SessionKind::Register);
+        self.observe_sends(now, env, &out);
+        out
+    }
+
+    /// Opens a reliable exchange with the peer `frame` is addressed to:
+    /// the frame is sent, a copy kept under its `msg_id` for
+    /// retransmission, and the first ack window armed.
+    /// [`Self::on_ack`] closes the session, [`Self::retry`] retransmits
+    /// it or gives up.
+    pub(super) fn send_reliable(
+        &mut self,
+        now: SimTime,
+        out: &mut Output,
+        frame: Outgoing,
+        kind: SessionKind,
+    ) {
+        let (msg_id, peer) = (frame.env.msg_id, frame.env.dst);
+        out.outgoing.push(frame.clone());
+        self.sessions.insert(msg_id, Session { out: frame, attempt: 0, peer, sent_at: now, kind });
+        let wait = self.timers.first_wait(now, Awaited::Ack(peer));
+        out.timers.push(Timer { at: now.plus(wait), kind: kind.timer(msg_id) });
+    }
+
+    /// Closes the session `ack` names — if there is one, it awaits this
+    /// kind of ack, and the ack comes from the peer the frame was sent
+    /// to. Message ids are a per-source counter anyone can guess and
+    /// acks are unauthenticated (a `RegisterAck` is signed by whoever
+    /// sends it), so without the peer check any third party could
+    /// complete a registration the target never applied or silence a
+    /// hop's retry ladder; a mismatched ack leaves session and timer
+    /// untouched.
+    pub(super) fn on_ack(
+        &mut self,
+        now: SimTime,
+        env: &mut dyn NodeEnv,
+        ack: &Envelope,
+        acked: u64,
+        out: &mut Output,
+    ) {
+        let Entry::Occupied(open) = self.sessions.entry(acked) else { return };
+        let awaited = open.get();
+        if awaited.peer != ack.src || !awaited.kind.acked_by(&ack.msg) {
+            return;
+        }
+        let Session { attempt, peer, sent_at, kind, .. } = open.remove();
+        self.timers.sample(Awaited::Ack(peer), attempt, now.since(sent_at));
+        note(self.key, env, now, ack.trace_id, ObsEventKind::Ack { from: peer, msg_id: acked });
+        match kind {
+            SessionKind::Hop(_) => {}
+            SessionKind::Update => out.completions.push(Completion::UpdateAcked { child: peer }),
+            SessionKind::Register => {
+                env.commit_register(self.key, peer);
+                out.completions.push(Completion::Registered { target: peer });
+            }
+        }
+    }
+
+    /// A reliable exchange's ack window elapsed: retransmit the stored
+    /// frame and re-arm with backoff, or give up after `max_attempts`
+    /// sends. A stale timer (its session already acked) and a timer
+    /// whose variant is not the one the session armed are both ignored.
+    pub(super) fn retry(
+        &mut self,
+        now: SimTime,
+        env: &mut dyn NodeEnv,
+        msg_id: u64,
+        fired: TimerKind,
+        out: &mut Output,
+    ) {
+        let Some(session) = self.sessions.get_mut(&msg_id) else { return };
+        if session.kind.timer(msg_id) != fired {
+            return;
+        }
+        session.attempt += 1;
+        let (attempt, peer, kind) = (session.attempt, session.peer, session.kind);
+        let trace = session.out.env.trace_id;
+        let resend = (attempt < self.timers.max_attempts()).then(|| session.out.clone());
+        env.bump(MessageKind::Timeout);
+        note(self.key, env, now, trace, ObsEventKind::Timeout { what: kind.what(), attempt });
+        if let Some(frame) = resend {
+            let cost = env.distance(self.my_router(env), frame.to_addr.router_id());
+            env.meter(kind.metered(), cost);
+            out.outgoing.push(frame);
+            let wait = self.timers.retry_wait(Awaited::Ack(peer), attempt);
+            out.timers.push(Timer { at: now.plus(wait), kind: fired });
+            return;
+        }
+        // Retries exhausted.
+        self.sessions.remove(&msg_id);
+        match kind {
+            SessionKind::Hop(hop) => self.hop_exhausted(now, env, peer, hop, out),
+            SessionKind::Update => out.completions.push(Completion::UpdateFailed { child: peer }),
+            SessionKind::Register => {
+                out.completions.push(Completion::RegisterFailed { target: peer })
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::super::*;
+
+    #[test]
+    fn hop_ack_clears_retry() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        env.mobile_hops.insert((A, B), B);
+        let mut m = ProtoMachine::new(A, policy());
+        let (_, out) = m.start_route(t(0), &mut env, B);
+        assert_eq!(out.outgoing.len(), 1);
+        assert_eq!(out.timers.len(), 1);
+        assert_eq!(env.meter.count(MessageKind::RouteHop), 1);
+        assert_eq!(env.meter.cost(MessageKind::RouteHop), 4);
+        let hop_id = out.outgoing[0].env.msg_id;
+        let ack = Envelope {
+            src: B,
+            dst: A,
+            msg_id: 0,
+            trace_id: 0,
+            msg: WireMessage::HopAck { acked: hop_id },
+            auth: None,
+        };
+        m.poll(t(10), Event::Deliver(ack), &mut env);
+        assert_eq!(m.inflight(), 0);
+        // The stale timer fires harmlessly.
+        let out = m.poll(t(100), Event::Timer(TimerKind::HopRetry { msg_id: hop_id }), &mut env);
+        assert!(out.outgoing.is_empty() && out.completions.is_empty());
+        assert_eq!(env.meter.count(MessageKind::RouteHop), 1, "no spurious resend");
+        assert_eq!(env.meter.count(MessageKind::Timeout), 0);
+    }
+
+    #[test]
+    fn unacked_hop_retries_with_backoff_then_fails() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        env.mobile_hops.insert((A, B), B); // B is stationary: no rediscovery fallback
+        let mut m = ProtoMachine::new(A, policy());
+        let (route_id, out) = m.start_route(t(0), &mut env, B);
+        let msg_id = out.outgoing[0].env.msg_id;
+        assert_eq!(out.timers[0].at, t(100));
+
+        let out1 = m.poll(t(100), Event::Timer(TimerKind::HopRetry { msg_id }), &mut env);
+        assert_eq!(out1.outgoing.len(), 1, "first retransmit");
+        assert_eq!(out1.outgoing[0].env.msg_id, msg_id, "retransmit reuses the msg id");
+        assert_eq!(out1.timers[0].at, t(100 + 200), "exponential backoff");
+        let out2 = m.poll(t(300), Event::Timer(TimerKind::HopRetry { msg_id }), &mut env);
+        assert_eq!(out2.outgoing.len(), 1, "second retransmit... no: attempts exhausted");
+        // max_attempts = 3: initial send + 2 retransmits? attempt counter
+        // reaches 2 on this firing, 2 < 3 so it retransmits once more.
+        let out3 = m.poll(t(900), Event::Timer(TimerKind::HopRetry { msg_id }), &mut env);
+        assert_eq!(
+            out3.completions,
+            vec![Completion::RouteFailed { origin: A, route_id, at: A }],
+            "third expiry gives up"
+        );
+        assert_eq!(env.meter.count(MessageKind::RouteHop), 3, "initial + 2 retransmits");
+        assert_eq!(env.meter.count(MessageKind::Timeout), 3);
+        assert_eq!(m.inflight(), 0);
+    }
+
+    #[test]
+    fn update_applies_once_acks_twice_and_retries_bounded() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        let addr = env.current_addr(A);
+        let mut sender = ProtoMachine::new(A, policy());
+        let out = sender.start_update(t(0), &mut env, A, addr, 3, &[B]);
+        assert_eq!(out.outgoing.len(), 1);
+        assert_eq!(env.meter.count(MessageKind::Update), 1);
+        let update = out.outgoing[0].env.clone();
+        let msg_id = update.msg_id;
+
+        let mut receiver = ProtoMachine::new(B, policy());
+        let r1 = receiver.poll(t(5), Event::Deliver(update.clone()), &mut env);
+        assert_eq!(env.updates, vec![(B, A, 3)]);
+        assert!(matches!(r1.outgoing[0].env.msg, WireMessage::UpdateAck { .. }));
+        let r2 = receiver.poll(t(6), Event::Deliver(update), &mut env);
+        assert_eq!(env.updates.len(), 1, "duplicate update not re-applied");
+        assert_eq!(r2.outgoing.len(), 1, "but re-acked");
+
+        // Sender: ack completes the edge.
+        let out = sender.poll(t(7), Event::Deliver(r1.outgoing[0].env.clone()), &mut env);
+        assert_eq!(out.completions, vec![Completion::UpdateAcked { child: B }]);
+        assert_eq!(sender.inflight(), 0);
+
+        // A second, never-acked edge exhausts its retries.
+        let out = sender.start_update(t(100), &mut env, A, addr, 4, &[B]);
+        let id2 = out.outgoing[0].env.msg_id;
+        assert_ne!(id2, msg_id);
+        sender.poll(t(200), Event::Timer(TimerKind::UpdateRetry { msg_id: id2 }), &mut env);
+        sender.poll(t(400), Event::Timer(TimerKind::UpdateRetry { msg_id: id2 }), &mut env);
+        let out =
+            sender.poll(t(900), Event::Timer(TimerKind::UpdateRetry { msg_id: id2 }), &mut env);
+        assert_eq!(out.completions, vec![Completion::UpdateFailed { child: B }]);
+        assert_eq!(env.meter.count(MessageKind::Update), 1 + 3, "initial x2 + 2 retransmits");
+        assert_eq!(env.meter.count(MessageKind::Timeout), 3);
+    }
+
+    #[test]
+    fn register_commits_lease_on_ack() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(M, 3, 9).mobile(M);
+        let mut who = ProtoMachine::new(A, policy());
+        let out = who.start_register(t(0), &mut env, M, 12);
+        assert_eq!(env.meter.count(MessageKind::Register), 1);
+        assert_eq!(env.meter.cost(MessageKind::Register), 8);
+        let reg = out.outgoing[0].env.clone();
+
+        let mut target = ProtoMachine::new(M, policy());
+        let r = target.poll(t(1), Event::Deliver(reg), &mut env);
+        assert_eq!(env.registered, vec![(M, A, 12)]);
+        let out = who.poll(t(2), Event::Deliver(r.outgoing[0].env.clone()), &mut env);
+        assert_eq!(out.completions, vec![Completion::Registered { target: M }]);
+        assert_eq!(env.committed, vec![(A, M)], "lease granted only after the ack");
+    }
+
+    #[test]
+    fn adaptive_rto_learns_from_hop_acks_and_rearms_with_the_estimate() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        env.mobile_hops.insert((A, B), B);
+        let mut m = ProtoMachine::new(A, policy());
+        m.set_adaptive_rto(Some(small_rto()));
+
+        // No samples yet: the first hop arms at the initial RTO, not
+        // the fixed policy timeout.
+        let (_, out) = m.start_route(t(0), &mut env, B);
+        assert_eq!(out.timers[0].at, t(100), "initial RTO before any sample");
+        let hop_id = out.outgoing[0].env.msg_id;
+        let ack = Envelope {
+            src: B,
+            dst: A,
+            msg_id: 0,
+            trace_id: 0,
+            msg: WireMessage::HopAck { acked: hop_id },
+            auth: None,
+        };
+        m.poll(t(30), Event::Deliver(ack), &mut env);
+        // rtt = 30: srtt8 = 240, rttvar4 = 60, rto = 30 + 60 = 90.
+        assert_eq!(m.rto_estimate(B), Some(90));
+        let (_, out) = m.start_route(t(1000), &mut env, B);
+        assert_eq!(out.timers[0].at, t(1090), "next hop arms with the learned RTO");
+    }
+
+    #[test]
+    fn karn_backoff_doubles_the_adaptive_retry_wait() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        env.mobile_hops.insert((A, B), B);
+        let mut m = ProtoMachine::new(A, policy());
+        m.set_adaptive_rto(Some(small_rto()));
+        let (_, out) = m.start_route(t(0), &mut env, B);
+        let timer = out.timers[0].kind;
+        assert_eq!(out.timers[0].at, t(100));
+        // First timeout: retransmit, estimator backoff doubles the RTO.
+        let out = m.poll(t(100), Event::Timer(timer), &mut env);
+        assert_eq!(out.outgoing.len(), 1, "retransmission");
+        assert_eq!(out.timers[0].at, t(100 + 200), "Karn backoff doubled the wait");
+    }
+
+    /// The reliable exchanges, each opened at `A`: a hop to a stationary
+    /// and to a mobile peer, an update to a child, a registration.
+    #[derive(Debug, Clone, Copy)]
+    enum Exchange {
+        HopTo(Key),
+        Update,
+        Register,
+    }
+
+    const EXCHANGES: [Exchange; 4] =
+        [Exchange::HopTo(B), Exchange::HopTo(M), Exchange::Update, Exchange::Register];
+
+    /// What the one send path owes each exchange.
+    struct Expect {
+        peer: Key,
+        metered: MessageKind,
+        timer: fn(u64) -> TimerKind,
+        ack: fn(u64) -> WireMessage,
+        acked: Option<Completion>,
+        failed: Option<Completion>,
+    }
+
+    fn open(
+        x: Exchange,
+        m: &mut ProtoMachine,
+        env: &mut MockEnv,
+        now: SimTime,
+    ) -> (Output, Expect) {
+        let hop = |peer, failed| Expect {
+            peer,
+            metered: MessageKind::RouteHop,
+            timer: |msg_id| TimerKind::HopRetry { msg_id },
+            ack: |acked| WireMessage::HopAck { acked },
+            acked: None,
+            failed,
+        };
+        match x {
+            Exchange::HopTo(peer) => {
+                let (route_id, out) = m.start_route(now, env, peer);
+                // A mobile peer is re-resolved once before the route fails.
+                let failed = Completion::RouteFailed { origin: A, route_id, at: A };
+                (out, hop(peer, (peer != M).then_some(failed)))
+            }
+            Exchange::Update => {
+                let addr = env.current_addr(A);
+                let expect = Expect {
+                    peer: B,
+                    metered: MessageKind::Update,
+                    timer: |msg_id| TimerKind::UpdateRetry { msg_id },
+                    ack: |acked| WireMessage::UpdateAck { acked },
+                    acked: Some(Completion::UpdateAcked { child: B }),
+                    failed: Some(Completion::UpdateFailed { child: B }),
+                };
+                (m.start_update(now, env, A, addr, 1, &[B]), expect)
+            }
+            Exchange::Register => {
+                let expect = Expect {
+                    peer: M,
+                    metered: MessageKind::Register,
+                    timer: |msg_id| TimerKind::RegisterRetry { msg_id },
+                    ack: |acked| WireMessage::RegisterAck { acked },
+                    acked: Some(Completion::Registered { target: M }),
+                    failed: Some(Completion::RegisterFailed { target: M }),
+                };
+                (m.start_register(now, env, M, 4), expect)
+            }
+        }
+    }
+
+    const METERED: [MessageKind; 3] =
+        [MessageKind::RouteHop, MessageKind::Update, MessageKind::Register];
+
+    /// The same lost-ack ladder over every exchange, on fixed and on
+    /// adaptive timers: one frame, retransmitted verbatim, metered as
+    /// its own kind, re-armed under its own timer, given up on after
+    /// `max_attempts` sends.
+    #[test]
+    fn lost_ack_ladder_is_one_mechanism_over_every_exchange() {
+        // Fixed: 100 << attempt. Adaptive: initial RTO 60, Karn-doubled.
+        let rto = RtoConfig { initial_rto: 60, ..small_rto() };
+        for (adaptive, waits) in [(None, [100, 200, 400]), (Some(rto), [60, 120, 240])] {
+            for x in EXCHANGES {
+                let ctx = format!("{x:?}, adaptive {}", adaptive.is_some());
+                let mut env = world();
+                let mut m = ProtoMachine::new(A, policy());
+                m.set_adaptive_rto(adaptive);
+                let (out, want) = open(x, &mut m, &mut env, t(0));
+                assert_eq!(out.outgoing.len(), 1, "{ctx}");
+                let frame = out.outgoing[0].clone();
+                assert_eq!(frame.env.dst, want.peer, "{ctx}");
+                let timer = (want.timer)(frame.env.msg_id);
+                let mut now = 0;
+                let mut armed = out.timers;
+                for (fired, wait) in waits.into_iter().enumerate() {
+                    now += wait;
+                    assert_eq!(armed, vec![Timer { at: t(now), kind: timer }], "{ctx}");
+                    assert_eq!(m.inflight(), 1, "{ctx}");
+                    let out = m.poll(t(now), Event::Timer(timer), &mut env);
+                    assert_eq!(env.meter.count(MessageKind::Timeout), fired as u64 + 1, "{ctx}");
+                    if fired < 2 {
+                        assert_eq!(out.outgoing, vec![frame.clone()], "{ctx}: verbatim");
+                        assert!(out.completions.is_empty(), "{ctx}");
+                    }
+                    armed = out.timers;
+                    if fired == 2 {
+                        // Exhausted after three sends, all metered alike.
+                        for kind in METERED {
+                            let sends = if kind == want.metered { 3 } else { 0 };
+                            assert_eq!(env.meter.count(kind), sends, "{ctx}: {kind:?}");
+                        }
+                        match want.failed {
+                            Some(failure) => {
+                                assert_eq!(out.completions, vec![failure], "{ctx}");
+                                assert!(out.outgoing.is_empty() && armed.is_empty(), "{ctx}");
+                                assert_eq!(m.inflight(), 0, "{ctx}");
+                            }
+                            None => {
+                                // The single `_discovery` fallback.
+                                assert!(out.completions.is_empty(), "{ctx}");
+                                assert!(
+                                    matches!(out.outgoing[0].env.msg, WireMessage::Discovery { subject, .. } if subject == M),
+                                    "{ctx}"
+                                );
+                                assert_eq!(
+                                    env.meter.count(MessageKind::DiscoveryRetry),
+                                    1,
+                                    "{ctx}"
+                                );
+                                assert!(
+                                    matches!(armed[0].kind, TimerKind::DiscoveryRetry { .. }),
+                                    "{ctx}"
+                                );
+                                assert_eq!(m.inflight(), 1, "{ctx}: the discovery session");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// An ack closes a session only when it is the session's kind of
+    /// ack *and* comes from the peer the frame went to; a retry timer
+    /// acts only when it is the variant the session armed. Anything else
+    /// leaves the session open and silent, the real timer still fires,
+    /// and the honest ack still closes it.
+    #[test]
+    fn hostile_acks_and_mismatched_timers_leave_sessions_open() {
+        let third = Key(99);
+        for x in EXCHANGES {
+            let mut env = world().with_node(third, 9, 3);
+            // Enforcement does not help: a `RegisterAck` is signed by
+            // whoever sends it, so the third party's verifies.
+            let domain = AuthDomain::new(8);
+            env.domain = Some(domain);
+            env.vpolicy = VerifyPolicy::Enforce;
+            let mut m = ProtoMachine::new(A, policy());
+            let (out, want) = open(x, &mut m, &mut env, t(0));
+            let msg_id = out.outgoing[0].env.msg_id;
+            let timer = (want.timer)(msg_id);
+            let ack_from = |src: Key, msg: WireMessage| {
+                let auth = matches!(msg, WireMessage::RegisterAck { .. })
+                    .then(|| domain.sign(src, msg.auth_digest()));
+                Envelope { src, dst: A, msg_id: 0, trace_id: 0, msg, auth }
+            };
+            let wrong_acks: [fn(u64) -> WireMessage; 2] = match x {
+                Exchange::HopTo(_) => [
+                    |acked| WireMessage::UpdateAck { acked },
+                    |acked| WireMessage::RegisterAck { acked },
+                ],
+                Exchange::Update => [
+                    |acked| WireMessage::HopAck { acked },
+                    |acked| WireMessage::RegisterAck { acked },
+                ],
+                Exchange::Register => [
+                    |acked| WireMessage::HopAck { acked },
+                    |acked| WireMessage::UpdateAck { acked },
+                ],
+            };
+            let mut hostile = vec![Event::Deliver(ack_from(third, (want.ack)(msg_id)))];
+            hostile.extend(wrong_acks.map(|ack| Event::Deliver(ack_from(want.peer, ack(msg_id)))));
+            for wrong_timer in [
+                TimerKind::HopRetry { msg_id },
+                TimerKind::UpdateRetry { msg_id },
+                TimerKind::RegisterRetry { msg_id },
+            ] {
+                if wrong_timer != timer {
+                    hostile.push(Event::Timer(wrong_timer));
+                }
+            }
+            let events_before = env.events.len();
+            for (i, event) in hostile.into_iter().enumerate() {
+                let out = m.poll(t(10), event, &mut env);
+                let ctx = format!("{x:?}, hostile event {i}");
+                assert!(out.outgoing.is_empty() && out.timers.is_empty(), "{ctx}");
+                assert!(out.completions.is_empty(), "{ctx}");
+                assert_eq!(m.inflight(), 1, "{ctx}: session still open");
+            }
+            assert_eq!(env.events.len(), events_before, "{x:?}: nothing emitted");
+            assert_eq!(env.meter.count(MessageKind::ForgedFrame), 0, "{x:?}: all verified");
+            assert_eq!(env.meter.count(MessageKind::Timeout), 0, "{x:?}");
+            assert!(env.committed.is_empty(), "{x:?}: no lease from a stranger's ack");
+            assert_eq!(m.rto_estimate(want.peer), None, "{x:?}");
+
+            // The ladder is intact: first expiry, first retransmission.
+            let out = m.poll(t(100), Event::Timer(timer), &mut env);
+            assert_eq!(out.outgoing.len(), 1, "{x:?}: the real timer still fires");
+            assert_eq!(out.timers, vec![Timer { at: t(300), kind: timer }], "{x:?}");
+            // And the honest ack closes the session.
+            let out =
+                m.poll(t(110), Event::Deliver(ack_from(want.peer, (want.ack)(msg_id))), &mut env);
+            assert_eq!(out.completions, Vec::from_iter(want.acked), "{x:?}");
+            assert_eq!(m.inflight(), 0, "{x:?}");
+            assert_eq!(env.committed.len(), usize::from(matches!(x, Exchange::Register)), "{x:?}");
+        }
+    }
+}

@@ -1,0 +1,525 @@
+//! Periodic liveness refresh (paper §2.3.3): driver-paced heartbeat
+//! rounds, the [`FailureDetector`]'s verdicts on the windows that
+//! elapse, refutation by incarnation — a node that learns of its own
+//! funeral bumps past the verdict, and fresher evidence overturns a
+//! standing one wherever it arrives — and rejoin.
+
+use super::*;
+use crate::failure::{Liveness, LivenessTransition, TimeoutVerdict};
+use crate::rto::Awaited;
+
+/// A restarted machine's frame ids begin at `incarnation << LIFE_SHIFT`
+/// (see [`ProtoMachine::restore_incarnation`]).
+const LIFE_SHIFT: u32 = 32;
+
+impl ProtoMachine {
+    /// This node's own incarnation number.
+    pub fn incarnation(&self) -> u64 {
+        self.incarnation
+    }
+
+    /// Raises this node's own incarnation to `incarnation` (never
+    /// lowers it). A process restarted from its durable store resumes
+    /// at the persisted-and-bumped incarnation rather than 0, so its
+    /// post-restart messages out-rank its pre-crash life — and are not
+    /// mistaken for it: the new life numbers its frames from
+    /// `incarnation << 32`, above every id a previous life (which began
+    /// at a lower incarnation's base and sent fewer than 2³² frames)
+    /// can have used, so a peer whose dedup set still holds the old
+    /// `(src, msg_id)` pairs sees new frames, and a late ack addressed
+    /// to the old life names no session of the new one.
+    pub fn restore_incarnation(&mut self, incarnation: u64) {
+        self.incarnation = self.incarnation.max(incarnation);
+        self.next_msg_id = self.next_msg_id.max(incarnation << LIFE_SHIFT);
+    }
+
+    /// The highest incarnation this node has observed `peer` at
+    /// (`None` = unmonitored).
+    pub fn peer_incarnation(&self, peer: Key) -> Option<u64> {
+        self.detector.incarnation_of(peer)
+    }
+
+    /// Every peer that is monitored, not dead, and currently bleeding
+    /// health — a gray-failure signal the driver uses for latency-aware
+    /// replica failover. Ascending.
+    pub fn degraded_peers(&self) -> impl Iterator<Item = Key> + '_ {
+        self.detector.degraded()
+    }
+
+    /// Replaces the failure-detection thresholds (existing suspicion
+    /// state, incarnations included, is kept).
+    pub fn set_failure_policy(&mut self, policy: FailurePolicy) {
+        let mut fresh = FailureDetector::new(policy);
+        for &peer in self.detector.monitored() {
+            fresh.monitor(peer);
+            let incarnation = self.detector.incarnation_of(peer).unwrap_or(0);
+            fresh.observe_alive(peer, incarnation);
+            if self.detector.is_dead(peer) {
+                fresh.mark_dead(peer, incarnation);
+            }
+        }
+        self.detector = fresh;
+    }
+
+    /// Starts monitoring `peer`'s liveness via heartbeats.
+    pub fn monitor(&mut self, peer: Key) {
+        if peer != self.key {
+            self.detector.monitor(peer);
+        }
+    }
+
+    /// Stops monitoring every peer for which `keep` returns false.
+    pub fn retain_monitored(&mut self, keep: impl FnMut(Key) -> bool) {
+        self.detector.retain_monitored(keep);
+    }
+
+    /// This node's current belief about `peer` (`None` = unmonitored).
+    pub fn liveness(&self, peer: Key) -> Option<Liveness> {
+        self.detector.liveness(peer)
+    }
+
+    /// Peers this node monitors, ascending.
+    pub fn monitored(&self) -> &[Key] {
+        self.detector.monitored()
+    }
+
+    /// Opens one heartbeat round: probes every monitored, not-yet-dead
+    /// peer (one probe each, metered as HeartbeatSent) and arms the ack
+    /// windows. Rounds are driver-paced — a round's probes never re-arm
+    /// themselves, so an idle machine stays idle.
+    pub fn start_heartbeats(&mut self, now: SimTime, env: &mut dyn NodeEnv) -> Output {
+        let mut out = Output::none();
+        // Every probe of the round leaves from the same place: resolved
+        // at the first probe, not once per peer.
+        let mut my_router = None;
+        for i in 0..self.detector.monitored().len() {
+            let peer = self.detector.monitored()[i];
+            let Some(seq) = self.detector.begin_probe(peer) else { continue };
+            let from = *my_router.get_or_insert_with(|| self.my_router(env));
+            self.push_heartbeat(env, from, peer, seq, &mut out);
+            let wait = self.timers.first_wait(now, self.probe_of(peer));
+            out.timers.push(Timer {
+                at: now.plus(wait),
+                kind: TimerKind::HeartbeatTimeout { peer, seq },
+            });
+        }
+        self.observe_sends(now, env, &out);
+        out
+    }
+
+    /// What a probe of `peer` awaits, fixed window included.
+    fn probe_of(&self, peer: Key) -> Awaited {
+        Awaited::Probe { peer, ack_wait: self.detector.policy().ack_wait }
+    }
+
+    /// Queues one probe of `peer`, metered as sent from router `from`.
+    fn push_heartbeat(
+        &mut self,
+        env: &mut dyn NodeEnv,
+        from: RouterId,
+        peer: Key,
+        seq: u64,
+        out: &mut Output,
+    ) {
+        // Metered here rather than by the frame builder, which would
+        // look this node's own router up again for every probe.
+        let to_addr = env.current_addr(peer);
+        let cost = env.distance(from, to_addr.router_id());
+        env.meter(MessageKind::HeartbeatSent, cost);
+        let msg = WireMessage::Heartbeat { seq, incarnation: self.incarnation };
+        out.outgoing.push(self.frame(env, peer, to_addr, 0, msg, None));
+    }
+
+    /// Tells `to` that `suspect` has been confirmed dead at the highest
+    /// incarnation this node observed it at (unmetered control traffic,
+    /// like acks: it spreads a verdict, not state). Also the obituary a
+    /// wrongfully-buried node itself must eventually receive — learning
+    /// of its own funeral is what triggers the incarnation bump and the
+    /// `Alive` refutation.
+    pub fn notify_suspect(
+        &mut self,
+        now: SimTime,
+        env: &mut dyn NodeEnv,
+        to: Key,
+        suspect: Key,
+    ) -> Output {
+        let mut out = Output::none();
+        let incarnation = self.detector.incarnation_of(suspect).unwrap_or(0);
+        self.post(env, &mut out, to, 0, WireMessage::SuspectNotify { suspect, incarnation }, None);
+        self.observe_sends(now, env, &out);
+        out
+    }
+
+    /// Asks `sponsor` to reverse this node's funeral — re-admit it to
+    /// the overlay at its current incarnation (metered as
+    /// [`MessageKind::Rejoin`]).
+    pub fn start_rejoin(&mut self, now: SimTime, env: &mut dyn NodeEnv, sponsor: Key) -> Output {
+        let msg = WireMessage::Rejoin { incarnation: self.incarnation };
+        self.send_oneshot(now, env, sponsor, msg, MessageKind::Rejoin)
+    }
+
+    /// Digests third-party or first-hand evidence that `peer` is alive
+    /// at `incarnation`, emitting a [`Completion::PeerRefuted`] when it
+    /// overturns a standing verdict.
+    fn digest_alive(
+        &mut self,
+        env: &mut dyn NodeEnv,
+        peer: Key,
+        incarnation: u64,
+        out: &mut Output,
+    ) {
+        if let Some(overturned) = self.detector.observe_alive(peer, incarnation) {
+            let was_dead = overturned == Liveness::Dead;
+            if was_dead {
+                env.bump(MessageKind::WrongfulDeath);
+            }
+            out.completions.push(Completion::PeerRefuted { peer, incarnation, was_dead });
+        }
+    }
+
+    /// The liveness delivery arms.
+    pub(super) fn on_liveness_frame(
+        &mut self,
+        now: SimTime,
+        env: &mut dyn NodeEnv,
+        envelope: Envelope,
+        out: &mut Output,
+    ) {
+        let (src, msg_id, trace) = (envelope.src, envelope.msg_id, envelope.trace_id);
+        match envelope.msg {
+            WireMessage::Heartbeat { seq, incarnation } => {
+                // The probe itself is evidence of life at `incarnation`.
+                self.digest_alive(env, src, incarnation, out);
+                let reply = if self.detector.is_dead(src) {
+                    // A peer we hold dead is probing us: a zombie on the
+                    // far side of a healed partition. Instead of acking,
+                    // tell it about its own funeral so it can bump its
+                    // incarnation and refute. (The obituary is a verdict
+                    // and travels sealed.)
+                    WireMessage::SuspectNotify {
+                        suspect: src,
+                        incarnation: self.detector.incarnation_of(src).unwrap_or(0),
+                    }
+                } else {
+                    // Always answer, even duplicates: the previous ack
+                    // may have been lost. Acks are unmetered control
+                    // traffic.
+                    WireMessage::HeartbeatAck { seq, incarnation: self.incarnation }
+                };
+                self.post(env, out, src, trace, reply, None);
+            }
+            WireMessage::HeartbeatAck { seq, incarnation } => {
+                self.digest_alive(env, src, incarnation, out);
+                let closed = self.detector.ack(src, seq, incarnation);
+                self.timers.probe_acked(src, now, closed);
+            }
+            WireMessage::SuspectNotify { suspect, incarnation } => {
+                if suspect == self.key {
+                    // Our own obituary. Bump past the verdict's
+                    // incarnation and refute — every time, because the
+                    // previous refutation may have been lost.
+                    if incarnation >= self.incarnation {
+                        self.incarnation = incarnation + 1;
+                    }
+                    let refute = ObsEventKind::Refute { incarnation: self.incarnation };
+                    note(self.key, env, now, trace, refute);
+                    let alive =
+                        WireMessage::Alive { node: self.key, incarnation: self.incarnation };
+                    self.post(env, out, src, trace, alive, Some(MessageKind::Refutation));
+                    out.completions.push(Completion::SelfRefuted {
+                        accuser: src,
+                        incarnation: self.incarnation,
+                    });
+                } else if self.admission.first_sighting(src, msg_id)
+                    && self.detector.mark_dead(suspect, incarnation)
+                {
+                    out.completions.push(Completion::PeerDead { peer: suspect });
+                }
+            }
+            WireMessage::Alive { node, incarnation } => {
+                if node == self.key {
+                    // A relayed assertion about ourselves: never regress.
+                    self.incarnation = self.incarnation.max(incarnation);
+                } else {
+                    self.digest_alive(env, node, incarnation, out);
+                }
+            }
+            WireMessage::Rejoin { incarnation } => {
+                // The rejoiner is alive by definition of having sent this.
+                self.digest_alive(env, src, incarnation, out);
+                if self.admission.first_sighting(src, msg_id) {
+                    out.completions.push(Completion::RejoinRequested { peer: src, incarnation });
+                }
+                // Always ack, even duplicates: the previous ack may have
+                // been lost and the rejoiner keeps asking until it hears
+                // one. Acks are unmetered control traffic.
+                self.post(env, out, src, trace, WireMessage::RejoinAck { incarnation }, None);
+            }
+            WireMessage::RejoinAck { incarnation } => {
+                if incarnation == self.incarnation {
+                    out.completions.push(Completion::RejoinCompleted { sponsor: src });
+                }
+            }
+            _ => unreachable!("on_deliver hands this file only its own kinds"),
+        }
+    }
+
+    /// A probe's ack window elapsed: retransmit it, or count the round
+    /// as missed and report what the detector makes of that.
+    pub(super) fn heartbeat_timeout(
+        &mut self,
+        now: SimTime,
+        env: &mut dyn NodeEnv,
+        peer: Key,
+        seq: u64,
+        out: &mut Output,
+    ) {
+        match self.detector.on_timeout(peer, seq) {
+            TimeoutVerdict::Ignore => {}
+            TimeoutVerdict::Resend { attempt } => {
+                env.bump(MessageKind::Timeout);
+                note(self.key, env, now, 0, ObsEventKind::Timeout { what: "heartbeat", attempt });
+                let from = self.my_router(env);
+                self.push_heartbeat(env, from, peer, seq, out);
+                let wait = self.timers.retry_wait(self.probe_of(peer), attempt);
+                out.timers.push(Timer {
+                    at: now.plus(wait),
+                    kind: TimerKind::HeartbeatTimeout { peer, seq },
+                });
+            }
+            TimeoutVerdict::Missed { transition } => {
+                env.bump(MessageKind::Timeout);
+                let attempt = self.detector.policy().probe_attempts;
+                note(self.key, env, now, 0, ObsEventKind::Timeout { what: "heartbeat", attempt });
+                match transition {
+                    Some(LivenessTransition::Suspected) => {
+                        env.bump(MessageKind::SuspectRaised);
+                        let incarnation = self.detector.incarnation_of(peer).unwrap_or(0);
+                        note(self.key, env, now, 0, ObsEventKind::Suspect { peer, incarnation });
+                        out.completions.push(Completion::PeerSuspected { peer });
+                    }
+                    Some(LivenessTransition::ConfirmedDead) => {
+                        out.completions.push(Completion::PeerDead { peer });
+                    }
+                    None => {}
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::super::*;
+    use super::*;
+
+    #[test]
+    fn heartbeat_round_trip_keeps_peer_fresh() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        let mut prober = ProtoMachine::new(A, policy());
+        let mut target = ProtoMachine::new(B, policy());
+        prober.monitor(B);
+        let out = prober.start_heartbeats(t(0), &mut env);
+        assert_eq!(out.outgoing.len(), 1);
+        assert_eq!(env.meter.count(MessageKind::HeartbeatSent), 1);
+        assert_eq!(env.meter.cost(MessageKind::HeartbeatSent), 4, "|1 - 5|");
+        let hb = out.outgoing[0].env.clone();
+        let timer = out.timers[0].kind;
+
+        // The target acks (unmetered), including on a duplicate.
+        let r1 = target.poll(t(1), Event::Deliver(hb.clone()), &mut env);
+        assert!(matches!(r1.outgoing[0].env.msg, WireMessage::HeartbeatAck { seq: 0, .. }));
+        let r2 = target.poll(t(2), Event::Deliver(hb), &mut env);
+        assert_eq!(r2.outgoing.len(), 1, "duplicate heartbeat re-acked");
+        assert_eq!(env.meter.total_messages(), 1, "only the probe itself is metered");
+
+        let out = prober.poll(t(3), Event::Deliver(r1.outgoing[0].env.clone()), &mut env);
+        assert!(out.completions.is_empty());
+        assert_eq!(prober.liveness(B), Some(Liveness::Fresh));
+        // The stale ack window fires harmlessly.
+        let out = prober.poll(t(100), Event::Timer(timer), &mut env);
+        assert!(out.outgoing.is_empty() && out.completions.is_empty());
+        assert_eq!(env.meter.count(MessageKind::Timeout), 0);
+    }
+
+    #[test]
+    fn silent_peer_is_suspected_then_condemned() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        let mut prober = ProtoMachine::new(A, policy());
+        prober.set_failure_policy(FailurePolicy {
+            ack_wait: 100,
+            probe_attempts: 2,
+            suspect_after: 1,
+            dead_after: 2,
+            grace_misses: 0,
+        });
+        prober.monitor(B);
+
+        // Round 1: probe, retransmit, miss -> suspect.
+        let out = prober.start_heartbeats(t(0), &mut env);
+        let timer = out.timers[0].kind;
+        let o1 = prober.poll(t(100), Event::Timer(timer), &mut env);
+        assert_eq!(o1.outgoing.len(), 1, "retransmission");
+        assert_eq!(env.meter.count(MessageKind::HeartbeatSent), 2);
+        let o2 = prober.poll(t(300), Event::Timer(o1.timers[0].kind), &mut env);
+        assert_eq!(o2.completions, vec![Completion::PeerSuspected { peer: B }]);
+        assert_eq!(env.meter.count(MessageKind::SuspectRaised), 1);
+        assert_eq!(prober.liveness(B), Some(Liveness::Suspect));
+
+        // Round 2: another full miss -> dead.
+        let out = prober.start_heartbeats(t(1000), &mut env);
+        let timer = out.timers[0].kind;
+        let o1 = prober.poll(t(1100), Event::Timer(timer), &mut env);
+        let o2 = prober.poll(t(1300), Event::Timer(o1.timers[0].kind), &mut env);
+        assert_eq!(o2.completions, vec![Completion::PeerDead { peer: B }]);
+        assert_eq!(prober.liveness(B), Some(Liveness::Dead));
+
+        // Dead peers are no longer probed.
+        let out = prober.start_heartbeats(t(2000), &mut env);
+        assert!(out.outgoing.is_empty());
+    }
+
+    #[test]
+    fn suspect_notify_marks_dead_once() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        let mut origin = ProtoMachine::new(A, policy());
+        let mut receiver = ProtoMachine::new(B, policy());
+        receiver.monitor(M);
+        let out = origin.notify_suspect(t(0), &mut env, B, M);
+        assert_eq!(env.meter.total_messages(), 0, "verdict spreading is unmetered");
+        let notice = out.outgoing[0].env.clone();
+        let r1 = receiver.poll(t(0), Event::Deliver(notice.clone()), &mut env);
+        assert_eq!(r1.completions, vec![Completion::PeerDead { peer: M }]);
+        assert_eq!(receiver.liveness(M), Some(Liveness::Dead));
+        let r2 = receiver.poll(t(1), Event::Deliver(notice), &mut env);
+        assert!(r2.completions.is_empty(), "duplicate notice is news only once");
+    }
+
+    /// The full wrongful-death recovery handshake at machine level: a
+    /// third-party verdict condemns a live peer; after the partition
+    /// heals, the zombie's probe is answered with its own obituary, it
+    /// bumps its incarnation and refutes, and the refutation overturns
+    /// the verdict at the accuser.
+    #[test]
+    fn healed_zombie_refutes_and_is_resurrected() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5).with_node(M, 3, 9);
+        let mut a = ProtoMachine::new(A, policy());
+        let mut b = ProtoMachine::new(B, policy());
+        let mut herald = ProtoMachine::new(M, policy());
+        a.monitor(B);
+        b.monitor(A);
+
+        // A third party convinces A that B is dead (wrongfully: B is
+        // merely beyond a partition).
+        let notice = herald.notify_suspect(t(0), &mut env, A, B).outgoing[0].env.clone();
+        a.poll(t(0), Event::Deliver(notice), &mut env);
+        assert_eq!(a.liveness(B), Some(Liveness::Dead));
+
+        // The cut heals; B's next probe reaches A, which answers with
+        // B's obituary instead of an ack.
+        let probe = b.start_heartbeats(t(10), &mut env).outgoing[0].env.clone();
+        let out = a.poll(t(11), Event::Deliver(probe), &mut env);
+        let obituary = out.outgoing[0].env.clone();
+        assert!(
+            matches!(obituary.msg, WireMessage::SuspectNotify { suspect, .. } if suspect == B),
+            "a dead peer's probe is answered with its obituary: {obituary:?}"
+        );
+
+        // B learns of its own funeral: bumps its incarnation, refutes.
+        let out = b.poll(t(12), Event::Deliver(obituary), &mut env);
+        assert_eq!(b.incarnation(), 1);
+        assert_eq!(out.completions, vec![Completion::SelfRefuted { accuser: A, incarnation: 1 }]);
+        let refutation = out.outgoing[0].env.clone();
+        assert!(matches!(refutation.msg, WireMessage::Alive { node, incarnation: 1 } if node == B));
+        assert_eq!(env.meter.count(MessageKind::Refutation), 1);
+
+        // The refutation resurrects B at A.
+        let out = a.poll(t(13), Event::Deliver(refutation), &mut env);
+        assert_eq!(
+            out.completions,
+            vec![Completion::PeerRefuted { peer: B, incarnation: 1, was_dead: true }]
+        );
+        assert_eq!(a.liveness(B), Some(Liveness::Fresh));
+        assert_eq!(env.meter.count(MessageKind::WrongfulDeath), 1);
+        assert_eq!(a.start_heartbeats(t(20), &mut env).outgoing.len(), 1, "B is probed again");
+    }
+
+    #[test]
+    fn rejoin_round_trip_completes() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        let mut rejoiner = ProtoMachine::new(A, policy());
+        let mut sponsor = ProtoMachine::new(B, policy());
+        // A's funeral was charged to incarnation 0; learning of it bumps.
+        let notice = sponsor.notify_suspect(t(0), &mut env, A, A).outgoing[0].env.clone();
+        rejoiner.poll(t(0), Event::Deliver(notice), &mut env);
+        assert_eq!(rejoiner.incarnation(), 1);
+
+        let ask = rejoiner.start_rejoin(t(1), &mut env, B).outgoing[0].env.clone();
+        assert_eq!(env.meter.count(MessageKind::Rejoin), 1);
+        let out = sponsor.poll(t(1), Event::Deliver(ask.clone()), &mut env);
+        assert_eq!(out.completions, vec![Completion::RejoinRequested { peer: A, incarnation: 1 }]);
+        let ack = out.outgoing[0].env.clone();
+        // A duplicated ask re-acks without re-announcing the request.
+        let dup = sponsor.poll(t(2), Event::Deliver(ask), &mut env);
+        assert!(dup.completions.is_empty());
+        assert_eq!(dup.outgoing.len(), 1, "duplicate rejoin is re-acked");
+
+        let out = rejoiner.poll(t(3), Event::Deliver(ack), &mut env);
+        assert_eq!(out.completions, vec![Completion::RejoinCompleted { sponsor: B }]);
+    }
+
+    #[test]
+    fn stale_incarnation_does_not_resurrect() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        let mut a = ProtoMachine::new(A, policy());
+        let mut herald = ProtoMachine::new(B, policy());
+        a.monitor(M);
+        // M observed alive at incarnation 2, then condemned at 2.
+        let alive = Envelope {
+            src: B,
+            dst: A,
+            msg_id: 50,
+            trace_id: 0,
+            msg: WireMessage::Alive { node: M, incarnation: 2 },
+            auth: None,
+        };
+        a.poll(t(0), Event::Deliver(alive), &mut env);
+        let notice = herald.notify_suspect(t(1), &mut env, A, M).outgoing[0].env.clone();
+        // The herald never saw M, so its verdict is charged to
+        // incarnation 0 — stale against A's knowledge.
+        a.poll(t(1), Event::Deliver(notice), &mut env);
+        assert_eq!(a.liveness(M), Some(Liveness::Fresh), "stale verdict is ignored");
+        // An Alive at the already-known incarnation changes nothing.
+        let stale_alive = Envelope {
+            src: B,
+            dst: A,
+            msg_id: 51,
+            trace_id: 0,
+            msg: WireMessage::Alive { node: M, incarnation: 2 },
+            auth: None,
+        };
+        let out = a.poll(t(2), Event::Deliver(stale_alive), &mut env);
+        assert!(out.completions.is_empty());
+    }
+
+    #[test]
+    fn heartbeat_acks_feed_the_rto_estimator() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        let mut prober = ProtoMachine::new(A, policy());
+        prober.set_adaptive_rto(Some(small_rto()));
+        prober.monitor(B);
+        prober.start_heartbeats(t(0), &mut env);
+        let ack = Envelope {
+            src: B,
+            dst: A,
+            msg_id: 0,
+            trace_id: 0,
+            msg: WireMessage::HeartbeatAck { seq: 0, incarnation: 0 },
+            auth: None,
+        };
+        prober.poll(t(40), Event::Deliver(ack), &mut env);
+        // rtt = 40: srtt8 = 320, rttvar4 = 80, rto = 40 + 80 = 120.
+        assert_eq!(prober.rto_estimate(B), Some(120));
+    }
+}

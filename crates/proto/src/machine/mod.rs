@@ -1,0 +1,639 @@
+//! Sans-I/O per-node protocol state machines.
+//!
+//! A [`ProtoMachine`] holds one node's protocol state and is driven
+//! entirely from outside: `poll(now, event, env)` consumes a delivered
+//! envelope or an expired timer and returns an [`Output`] — messages to
+//! send, timers to arm, operations that completed. The machine never
+//! reads a clock, never touches a socket, and never sleeps; timeouts,
+//! bounded retries and exponential backoff are expressed as data, so the
+//! same machine runs under the deterministic simulator today and could
+//! run on real sockets unchanged.
+//!
+//! Shared-system knowledge (routing tables, addresses, leases, the
+//! meter) is reached through the [`NodeEnv`] trait, which the driver
+//! implements over `BristleSystem`. Metering happens at *send* time so
+//! that with a perfect transport the message tallies match the
+//! function-call path in `bristle-core` exactly; acks and the probe-miss
+//! notice are unmetered control traffic that only exists because a
+//! message, unlike a function call, can fail to return.
+//!
+//! The machine is one `impl` cut along the paper's three mechanisms,
+//! each file holding the delivery arms and the timer it owns:
+//! `exchange` (the send-await-retransmit exchange a route hop, an LDT
+//! `Update` and a `Register` all are), `route` (Fig. 2 forwarding and
+//! `_discovery`), `liveness` (§2.3.3), plus `admit` (which frames are
+//! let in). This file keeps the wire-facing types, [`NodeEnv`], the one
+//! frame builder — it allocates the `msg_id`, meters the cost and seals
+//! the frame — [`ProtoMachine::poll`] and the dispatch. Every retry
+//! wait comes from one `Timers` value ([`crate::rto`]), so nothing here
+//! knows whether timers are fixed or adaptive. DESIGN.md §5 has the map.
+
+use std::collections::HashMap;
+
+use bristle_core::auth::{AuthDomain, VerifyPolicy};
+use bristle_core::time::SimTime;
+use bristle_netsim::graph::RouterId;
+use bristle_overlay::key::Key;
+use bristle_overlay::meter::MessageKind;
+use bristle_overlay::obs::{ObsEvent, ObsEventKind};
+
+use crate::failure::{FailureDetector, FailurePolicy};
+use crate::rto::{RtoConfig, Timers};
+use crate::wire::{Envelope, WireAddr, WireMessage};
+
+mod admit;
+mod exchange;
+mod liveness;
+mod route;
+
+pub use crate::rto::RetryPolicy;
+
+use admit::Admission;
+use exchange::Session;
+use route::{DiscSession, ParkedForward};
+
+/// Timer payloads. Stale timers (whose session has already completed)
+/// are ignored on expiry, so timers never need cancelling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TimerKind {
+    /// Retransmit an unacked mobile-layer hop.
+    HopRetry {
+        /// `msg_id` of the awaited HopAck.
+        msg_id: u64,
+    },
+    /// Re-issue an unanswered discovery.
+    DiscoveryRetry {
+        /// The discovery session to retry.
+        session: u64,
+    },
+    /// Retransmit an unacked LDT update edge.
+    UpdateRetry {
+        /// `msg_id` of the awaited UpdateAck.
+        msg_id: u64,
+    },
+    /// Retransmit an unacked registration.
+    RegisterRetry {
+        /// `msg_id` of the awaited RegisterAck.
+        msg_id: u64,
+    },
+    /// A heartbeat probe's ack window elapsed.
+    HeartbeatTimeout {
+        /// The monitored peer being probed.
+        peer: Key,
+        /// The probe sequence number awaited.
+        seq: u64,
+    },
+}
+
+/// A timer the driver must arm for this machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Timer {
+    /// Absolute expiry time.
+    pub at: SimTime,
+    /// What to do when it fires.
+    pub kind: TimerKind,
+}
+
+/// An input to [`ProtoMachine::poll`].
+#[derive(Debug, Clone)]
+pub enum Event {
+    /// A message arrived from the transport.
+    Deliver(Envelope),
+    /// A previously armed timer expired.
+    Timer(TimerKind),
+}
+
+/// One message to hand to the transport.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Outgoing {
+    /// Where the sender believes the destination is attached.
+    pub to_addr: WireAddr,
+    /// The addressed message.
+    pub env: Envelope,
+}
+
+/// A protocol operation that finished (well or badly) at this node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Completion {
+    /// A route reached the node owning its target key (emitted by the
+    /// terminus).
+    Delivered {
+        /// The route's originator.
+        origin: Key,
+        /// Originator-scoped route id.
+        route_id: u64,
+    },
+    /// A hop exhausted its retries with no fallback left.
+    RouteFailed {
+        /// The route's originator.
+        origin: Key,
+        /// Originator-scoped route id.
+        route_id: u64,
+        /// The node at which forwarding gave up.
+        at: Key,
+    },
+    /// A discovery resolved its subject's address.
+    Resolved {
+        /// The subject that was resolved.
+        subject: Key,
+    },
+    /// A discovery gave up (no replica had a record, or every attempt
+    /// timed out).
+    ResolutionFailed {
+        /// The subject that could not be resolved.
+        subject: Key,
+    },
+    /// An LDT update edge was acknowledged.
+    UpdateAcked {
+        /// The tree member that acked.
+        child: Key,
+    },
+    /// An LDT update edge exhausted its retries.
+    UpdateFailed {
+        /// The unreachable tree member.
+        child: Key,
+    },
+    /// A registration was acknowledged (lease granted).
+    Registered {
+        /// The mobile node registered with.
+        target: Key,
+    },
+    /// A registration exhausted its retries.
+    RegisterFailed {
+        /// The unreachable target.
+        target: Key,
+    },
+    /// A monitored peer missed enough heartbeat rounds to be suspected.
+    PeerSuspected {
+        /// The suspect.
+        peer: Key,
+    },
+    /// A monitored peer was confirmed crashed, either by this node's
+    /// own detector or via a third-party SuspectNotify.
+    PeerDead {
+        /// The confirmed-dead peer.
+        peer: Key,
+    },
+    /// A standing suspicion or death verdict against `peer` was
+    /// overturned by evidence of a fresher incarnation.
+    PeerRefuted {
+        /// The peer whose verdict was overturned.
+        peer: Key,
+        /// The fresher incarnation that overturned it.
+        incarnation: u64,
+        /// Whether the overturned verdict was a death (a wrongful death)
+        /// rather than mere suspicion.
+        was_dead: bool,
+    },
+    /// This node learned it was suspected or declared dead, bumped its
+    /// own incarnation past the verdict, and answered with an `Alive`
+    /// refutation.
+    SelfRefuted {
+        /// The node that delivered the accusation.
+        accuser: Key,
+        /// This node's incarnation after the bump.
+        incarnation: u64,
+    },
+    /// A wrongfully-buried peer asked this node to reverse its funeral.
+    RejoinRequested {
+        /// The peer asking to rejoin.
+        peer: Key,
+        /// The incarnation it rejoins at.
+        incarnation: u64,
+    },
+    /// A sponsor acknowledged this node's rejoin request.
+    RejoinCompleted {
+        /// The sponsor that honored the rejoin.
+        sponsor: Key,
+    },
+}
+
+/// Everything a `poll` call asked the outside world to do.
+#[derive(Debug, Default)]
+pub struct Output {
+    /// Messages to hand to the transport, in send order.
+    pub outgoing: Vec<Outgoing>,
+    /// Timers to arm.
+    pub timers: Vec<Timer>,
+    /// Operations that completed during this poll.
+    pub completions: Vec<Completion>,
+}
+
+impl Output {
+    /// An output that does nothing.
+    pub fn none() -> Output {
+        Output::default()
+    }
+}
+
+/// The machine's window onto shared system state.
+///
+/// Every method is a *query* or a *commit* the paper's protocols would
+/// perform against local state plus configuration knowledge (routing
+/// tables, the replica rule, the distance oracle used for metering).
+pub trait NodeEnv {
+    /// Mobile-layer next hop from `cur` toward `target` (`None` = owner).
+    fn next_hop_mobile(&self, cur: Key, target: Key) -> Option<Key>;
+    /// Stationary-layer next hop from `cur` toward `target`.
+    fn next_hop_stationary(&self, cur: Key, target: Key) -> Option<Key>;
+    /// Whether `key` names a mobile node.
+    fn is_mobile(&self, key: Key) -> bool;
+    /// The stationary entry point `from` injects discoveries through.
+    fn entry_stationary(&self, from: Key) -> Key;
+    /// Location replica set for `subject`, owner first.
+    fn replicas(&self, subject: Key) -> Vec<Key>;
+    /// `key`'s true current address (stationary nodes never move; for
+    /// mobile nodes this models out-of-band convergence after a failed
+    /// resolution, mirroring the function-call path).
+    fn current_addr(&self, key: Key) -> WireAddr;
+    /// Whether `addr` still reaches its host.
+    fn addr_current(&self, addr: WireAddr) -> bool;
+    /// `holder`'s cached **and lease-fresh** address for `subject`.
+    fn believed_addr(&self, holder: Key, subject: Key) -> Option<WireAddr>;
+    /// The location record `holder` (stationary) stores for `subject`.
+    fn location_record(&self, holder: Key, subject: Key) -> Option<WireAddr>;
+    /// Shortest-path distance between two routers (the metered cost).
+    fn distance(&self, a: RouterId, b: RouterId) -> u64;
+    /// Records one sent message of `kind` with physical cost `cost`.
+    fn meter(&mut self, kind: MessageKind, cost: u64);
+    /// Counts one event of `kind` with no cost (timeouts, retries).
+    fn bump(&mut self, kind: MessageKind);
+    /// Commits a successful resolution at the asker: grant the lease and
+    /// patch the cached state-pair.
+    fn commit_resolution(&mut self, asker: Key, subject: Key, addr: WireAddr);
+    /// Applies a received LDT update at `receiver`: grant the lease on
+    /// `subject` and patch the cached state-pair.
+    fn apply_update(&mut self, receiver: Key, subject: Key, addr: WireAddr, seq: u64);
+    /// Applies a received registration at `target`.
+    fn apply_register(&mut self, target: Key, who: Key, capacity: u32);
+    /// Commits an acknowledged registration at the registrant (the lease
+    /// the function-call path grants synchronously).
+    fn commit_register(&mut self, who: Key, target: Key);
+    /// Applies a received location publication at `holder`.
+    fn apply_publish(&mut self, holder: Key, subject: Key, addr: WireAddr, seq: u64) {
+        let _ = (holder, subject, addr, seq);
+    }
+    /// Accepts a structured observability event (default: discard).
+    ///
+    /// Emission is unmetered and must never influence protocol
+    /// decisions; drivers override this to feed a flight recorder and
+    /// per-operation latency histograms.
+    fn emit(&mut self, event: ObsEvent) {
+        let _ = event;
+    }
+    /// The deployment's shared authentication oracle (default `None`:
+    /// the seed deployment — frames travel unsealed, nothing verifies,
+    /// traces stay byte-identical to pre-auth runs).
+    fn auth_domain(&self) -> Option<AuthDomain> {
+        None
+    }
+    /// How strictly this node authenticates received frames.
+    fn verify_policy(&self) -> VerifyPolicy {
+        VerifyPolicy::Off
+    }
+    /// Whether a location publication for `subject` reflects live state
+    /// rather than a replay of withdrawn records (default: always
+    /// fresh). Drivers override this to consult the graveyard: a
+    /// replayed record carries the subject's *valid* signature, so
+    /// staleness — not the MAC — is what rejects it.
+    fn publish_fresh(&self, subject: Key) -> bool {
+        let _ = subject;
+        true
+    }
+}
+
+/// Emits one structured event from `node` — the only place an
+/// [`ObsEvent`] is written.
+fn note(node: Key, env: &mut dyn NodeEnv, now: SimTime, trace: u64, kind: ObsEventKind) {
+    env.emit(ObsEvent { at: now.0, trace, node, kind });
+}
+
+/// One node's protocol state machine.
+#[derive(Debug)]
+pub struct ProtoMachine {
+    key: Key,
+    next_msg_id: u64,
+    next_session: u64,
+    next_trace: u64,
+    /// Which received frames are let in, and which are duplicates.
+    admission: Admission,
+    /// Every retry wait, fixed or adaptive.
+    timers: Timers,
+    /// Frames awaiting an ack, by the `msg_id` they were sent under.
+    sessions: HashMap<u64, Session>,
+    /// Discoveries awaiting a reply, by session id — a different
+    /// counter (`next_session`), carried on the wire, so not a `msg_id`.
+    discs: HashMap<u64, DiscSession>,
+    detector: FailureDetector,
+    /// This node's own SWIM-style incarnation number; bumped exactly
+    /// when the node learns it was suspected or declared dead.
+    incarnation: u64,
+}
+
+impl ProtoMachine {
+    /// A fresh machine for the node named `key`.
+    pub fn new(key: Key, policy: RetryPolicy) -> Self {
+        let timers = Timers::new(key, policy);
+        ProtoMachine {
+            key,
+            next_msg_id: 0,
+            next_session: 0,
+            next_trace: 0,
+            admission: Admission::new(key, timers.ladder()),
+            timers,
+            sessions: HashMap::new(),
+            discs: HashMap::new(),
+            detector: FailureDetector::new(FailurePolicy::default()),
+            incarnation: 0,
+        }
+    }
+
+    /// Switches retry timers to adaptive per-peer RTO estimation
+    /// (`Some`) or back to the fixed [`RetryPolicy`] waits (`None`).
+    /// Discovery gets its own estimator seeded from the fixed
+    /// discovery timeout, since its round-trips span several hops. The
+    /// dedup horizon follows the new ladder.
+    pub fn set_adaptive_rto(&mut self, cfg: Option<RtoConfig>) {
+        self.timers.set_adaptive(cfg);
+        self.admission.set_ladder(self.timers.ladder());
+    }
+
+    /// Dedup entries held (occupancy gauge for the flatness tests).
+    #[doc(hidden)]
+    pub fn seen_len(&self) -> usize {
+        self.admission.held()
+    }
+
+    /// The current (unjittered, un-backed-off base) RTO estimate for
+    /// `peer`, if adaptive mode has collected at least one sample.
+    pub fn rto_estimate(&self, peer: Key) -> Option<u64> {
+        self.timers.estimate(peer)
+    }
+
+    /// The node this machine speaks for.
+    pub fn key(&self) -> Key {
+        self.key
+    }
+
+    /// Number of in-flight sessions awaiting acks or replies.
+    pub fn inflight(&self) -> usize {
+        self.sessions.len() + self.discs.len()
+    }
+
+    fn fresh_msg_id(&mut self) -> u64 {
+        let id = self.next_msg_id;
+        self.next_msg_id += 1;
+        id
+    }
+
+    /// Allocates a causal trace id for an operation this node originates.
+    ///
+    /// Deterministic (a per-node counter mixed with the node key so two
+    /// nodes never mint the same id in practice) and never 0 — trace 0 is
+    /// reserved for background traffic such as heartbeats.
+    fn fresh_trace(&mut self) -> u64 {
+        self.next_trace += 1;
+        (self.key.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ self.next_trace) | 1
+    }
+
+    /// Emits one [`ObsEventKind::Send`] per outgoing frame in `out`.
+    /// Called exactly once per public entry point so every frame — first
+    /// sends, retransmits, acks, replies — is observed.
+    fn observe_sends(&self, now: SimTime, env: &mut dyn NodeEnv, out: &Output) {
+        for o in &out.outgoing {
+            let kind = ObsEventKind::Send {
+                to: o.env.dst,
+                tag: o.env.msg.tag_name(),
+                msg_id: o.env.msg_id,
+            };
+            note(self.key, env, now, o.env.trace_id, kind);
+        }
+    }
+
+    fn my_router(&self, env: &dyn NodeEnv) -> RouterId {
+        env.current_addr(self.key).router_id()
+    }
+
+    /// Builds one frame from this node to `dst` at `to_addr` — the only
+    /// place an [`Envelope`] is written. The `msg_id` is allocated, the
+    /// physical cost metered as `metered` (`None` for acks and the other
+    /// unmetered control traffic) and the signer's trailer applied here,
+    /// once, *before* a reliable exchange clones the frame into its
+    /// session: a retransmission is the stored frame, id and tag
+    /// included.
+    fn frame(
+        &mut self,
+        env: &mut dyn NodeEnv,
+        dst: Key,
+        to_addr: WireAddr,
+        trace: u64,
+        msg: WireMessage,
+        metered: Option<MessageKind>,
+    ) -> Outgoing {
+        if let Some(kind) = metered {
+            let cost = env.distance(self.my_router(env), to_addr.router_id());
+            env.meter(kind, cost);
+        }
+        let msg_id = self.fresh_msg_id();
+        let mut envelope =
+            Envelope { src: self.key, dst, msg_id, trace_id: trace, msg, auth: None };
+        Admission::seal(env, &mut envelope);
+        Outgoing { to_addr, env: envelope }
+    }
+
+    /// Queues one fire-and-forget frame to `dst` at its current address.
+    fn post(
+        &mut self,
+        env: &mut dyn NodeEnv,
+        out: &mut Output,
+        dst: Key,
+        trace: u64,
+        msg: WireMessage,
+        metered: Option<MessageKind>,
+    ) {
+        let to_addr = env.current_addr(dst);
+        out.outgoing.push(self.frame(env, dst, to_addr, trace, msg, metered));
+    }
+
+    /// Sends a one-shot (unacknowledged) message — Publish, JoinProbe,
+    /// Leave, Refresh — metered as `kind`.
+    pub fn send_oneshot(
+        &mut self,
+        now: SimTime,
+        env: &mut dyn NodeEnv,
+        to: Key,
+        msg: WireMessage,
+        kind: MessageKind,
+    ) -> Output {
+        let mut out = Output::none();
+        let trace = self.fresh_trace();
+        self.post(env, &mut out, to, trace, msg, Some(kind));
+        self.observe_sends(now, env, &out);
+        out
+    }
+
+    /// Feeds one event (delivery or timer) through the machine.
+    pub fn poll(&mut self, now: SimTime, event: Event, env: &mut dyn NodeEnv) -> Output {
+        self.admission.advance(now);
+        let out = match event {
+            Event::Deliver(envelope) if self.admission.admits(now, env, &envelope) => {
+                self.on_deliver(now, env, envelope)
+            }
+            // Rejected frame: no ack, no dedup entry, no state.
+            Event::Deliver(_) => Output::none(),
+            Event::Timer(kind) => self.on_timer(now, env, kind),
+        };
+        self.observe_sends(now, env, &out);
+        out
+    }
+
+    /// Handles a delivered frame, the liveness kinds in their own file.
+    /// Replies and forwards stay on the causal trace of the frame that
+    /// provoked them, so a route and the discovery retries, replica
+    /// failovers and refutations it triggers share one trace id.
+    fn on_deliver(&mut self, now: SimTime, env: &mut dyn NodeEnv, envelope: Envelope) -> Output {
+        let mut out = Output::none();
+        let (src, msg_id, trace) = (envelope.src, envelope.msg_id, envelope.trace_id);
+        match envelope.msg {
+            WireMessage::RouteHop { origin, route_id, target } => {
+                let dup = !self.admission.first_sighting(src, msg_id);
+                // Always (re-)ack, even duplicates: the original ack may
+                // have been lost. Acks are unmetered control traffic.
+                self.post(env, &mut out, src, trace, WireMessage::HopAck { acked: msg_id }, None);
+                if !dup {
+                    let parked =
+                        ParkedForward { origin, route_id, target, after_failure: false, trace };
+                    self.forward_route(now, env, parked, &mut out);
+                }
+            }
+            WireMessage::HopAck { acked }
+            | WireMessage::UpdateAck { acked }
+            | WireMessage::RegisterAck { acked } => {
+                self.on_ack(now, env, &envelope, acked, &mut out);
+            }
+            WireMessage::Discovery { subject, asker, session, probe } => {
+                if self.admission.first_sighting(src, msg_id) {
+                    self.handle_discovery(env, subject, asker, session, probe, trace, &mut out);
+                }
+            }
+            WireMessage::DiscoveryReply { subject: _, session, addr } => {
+                self.on_discovery_reply(now, env, session, addr, &mut out);
+            }
+            WireMessage::ProbeMiss { subject, asker, session } => {
+                if self.admission.first_sighting(src, msg_id) {
+                    let miss = WireMessage::DiscoveryReply { subject, session, addr: None };
+                    self.post(env, &mut out, asker, trace, miss, Some(MessageKind::DiscoveryHop));
+                }
+            }
+            // An exchange's receiving half: apply once, ack every copy.
+            WireMessage::Register { target, capacity } => {
+                if self.admission.first_sighting(src, msg_id) {
+                    env.apply_register(target, src, capacity);
+                }
+                let ack = WireMessage::RegisterAck { acked: msg_id };
+                self.post(env, &mut out, src, trace, ack, None);
+            }
+            WireMessage::Update { subject, addr, seq } => {
+                if self.admission.first_sighting(src, msg_id) {
+                    env.apply_update(self.key, subject, addr, seq);
+                }
+                let ack = WireMessage::UpdateAck { acked: msg_id };
+                self.post(env, &mut out, src, trace, ack, None);
+            }
+            WireMessage::Publish { subject, addr, seq } => {
+                if self.admission.first_sighting(src, msg_id) {
+                    env.apply_publish(self.key, subject, addr, seq);
+                }
+            }
+            WireMessage::JoinProbe { .. }
+            | WireMessage::Leave { .. }
+            | WireMessage::Refresh { .. } => {
+                // Vocabulary completeness: observed, deduplicated, no
+                // protocol reaction yet.
+                self.admission.first_sighting(src, msg_id);
+            }
+            WireMessage::Heartbeat { .. }
+            | WireMessage::HeartbeatAck { .. }
+            | WireMessage::SuspectNotify { .. }
+            | WireMessage::Alive { .. }
+            | WireMessage::Rejoin { .. }
+            | WireMessage::RejoinAck { .. } => self.on_liveness_frame(now, env, envelope, &mut out),
+        }
+        out
+    }
+
+    /// Hands an expired timer to the file that armed it.
+    fn on_timer(&mut self, now: SimTime, env: &mut dyn NodeEnv, kind: TimerKind) -> Output {
+        let mut out = Output::none();
+        match kind {
+            TimerKind::HopRetry { msg_id }
+            | TimerKind::UpdateRetry { msg_id }
+            | TimerKind::RegisterRetry { msg_id } => self.retry(now, env, msg_id, kind, &mut out),
+            TimerKind::DiscoveryRetry { session } => {
+                self.discovery_retry(now, env, session, &mut out)
+            }
+            TimerKind::HeartbeatTimeout { peer, seq } => {
+                self.heartbeat_timeout(now, env, peer, seq, &mut out)
+            }
+        }
+        out
+    }
+}
+
+/// The little world and the fixtures the per-file machine tests share.
+#[cfg(test)]
+mod testkit {
+    use super::*;
+    pub(super) use crate::testenv::MockEnv;
+
+    pub(super) const A: Key = Key(10);
+    pub(super) const B: Key = Key(20);
+    pub(super) const M: Key = Key(30);
+
+    pub(super) fn policy() -> RetryPolicy {
+        RetryPolicy { ack_timeout: 100, discovery_timeout: 1000, max_attempts: 3 }
+    }
+
+    pub(super) fn t(x: u64) -> SimTime {
+        SimTime(x)
+    }
+
+    pub(super) fn small_rto() -> RtoConfig {
+        RtoConfig { min_rto: 10, max_rto: 10_000, initial_rto: 100, jitter_frac: 0 }
+    }
+
+    /// `A` with a stationary peer `B` and a mobile peer `M` it holds a
+    /// valid belief about.
+    pub(super) fn world() -> MockEnv {
+        let mut env =
+            MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5).with_node(M, 3, 9).mobile(M);
+        env.mobile_hops.insert((A, B), B);
+        env.mobile_hops.insert((A, M), M);
+        env.entries.insert(A, B);
+        env.believed.insert((A, M), env.current_addr(M)); // valid belief
+        env
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testkit::*;
+    use super::*;
+
+    /// A restarted machine's ids start above every id of its previous
+    /// lives, whatever those lives' incarnations were.
+    #[test]
+    fn restored_machine_numbers_frames_above_its_previous_lives() {
+        let mut env = world();
+        let mut old = ProtoMachine::new(A, policy());
+        let (first_id, _) = old.start_route(t(0), &mut env, B);
+        assert_eq!(first_id, 0);
+        let mut new = ProtoMachine::new(A, policy());
+        new.restore_incarnation(3);
+        let (first_id, out) = new.start_route(t(0), &mut env, B);
+        assert_eq!((first_id, out.outgoing[0].env.msg_id), (3 << 32, (3 << 32) + 1));
+        new.restore_incarnation(2);
+        let (next_id, _) = new.start_route(t(0), &mut env, B);
+        assert_eq!(next_id, (3 << 32) + 2, "never lowered");
+    }
+}

@@ -1,6 +1,8 @@
-//! Adaptive retransmission timeout: a Jacobson/Karn RTT estimator.
+//! Retry timing: the fixed [`RetryPolicy`] ladder, the adaptive
+//! Jacobson/Karn RTT estimator, and `Timers`, the one owner that
+//! decides which of the two arms a machine's next wait.
 //!
-//! The fixed [`RetryPolicy`](crate::machine::RetryPolicy) timeouts treat
+//! The fixed [`RetryPolicy`] timeouts treat
 //! every peer as equally far away, so a slow-but-alive peer looks exactly
 //! like a dead one. [`RtoEstimator`] tracks one peer's round-trip time on
 //! the virtual clock with the classic TCP fixed-point recurrences
@@ -25,6 +27,50 @@
 //! caller-provided salt and an internal draw counter, so two machines
 //! never synchronise their retransmissions yet the whole schedule is a
 //! pure function of the seed.
+
+use std::collections::HashMap;
+
+use bristle_core::time::SimTime;
+use bristle_overlay::key::Key;
+
+/// Largest wait any backed-off timer may reach. Far above every sane
+/// schedule (2³² ticks), yet small enough that `base << attempt` can
+/// never overflow into a zero or absurd wait.
+const MAX_BACKOFF: u64 = 1 << 32;
+
+/// Exponential backoff `base << attempt`, saturating and clamped to
+/// [`MAX_BACKOFF`] so deep retry chains and adversarial attempt counts
+/// cannot shift the wait past any sane bound (or overflow `u64`).
+fn backoff(base: u64, attempt: u32) -> u64 {
+    match 1u64.checked_shl(attempt) {
+        Some(factor) => base.saturating_mul(factor).min(MAX_BACKOFF),
+        None => MAX_BACKOFF,
+    }
+}
+
+/// How a node retries unacknowledged sends.
+///
+/// Hop forwards, updates and registrations await an ack for
+/// `ack_timeout` ticks; discoveries are retried end-to-end after
+/// `discovery_timeout`. Both back off exponentially: attempt `k` waits
+/// `timeout << k`. After `max_attempts` sends the operation fails.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// Ticks to wait for a HopAck / UpdateAck / RegisterAck.
+    pub ack_timeout: u64,
+    /// Ticks to wait for a DiscoveryReply before re-issuing.
+    pub discovery_timeout: u64,
+    /// Total send attempts (first try included) before giving up.
+    pub max_attempts: u32,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        // Generous relative to simulated link latencies so a loss-free
+        // transport never triggers a spurious (parity-breaking) retry.
+        RetryPolicy { ack_timeout: 20_000, discovery_timeout: 100_000, max_attempts: 4 }
+    }
+}
 
 /// Bounds and initial value for the adaptive retransmission timeout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,6 +218,164 @@ impl RtoEstimator {
 /// [`splitmix64`] finalizer (one copy, pinned outputs).
 use crate::mix::splitmix64 as splitmix;
 
+/// What a wait is armed for — the three things a machine awaits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Awaited {
+    /// `peer`'s ack of a hop, an update or a registration.
+    Ack(Key),
+    /// `peer`'s answer to a heartbeat probe, whose fixed window is the
+    /// failure detector's `ack_wait`.
+    Probe {
+        /// The probed peer.
+        peer: Key,
+        /// The detector's fixed ack window.
+        ack_wait: u64,
+    },
+    /// A `_discovery` reply: several hops, no single peer.
+    Discovery,
+}
+
+/// One machine's retry timing: the only place that knows whether a wait
+/// comes off the fixed [`RetryPolicy`] ladder or from adaptive
+/// Jacobson/Karn estimation.
+#[derive(Debug)]
+pub(crate) struct Timers {
+    /// The owning node, half of every jitter salt.
+    node: Key,
+    policy: RetryPolicy,
+    /// `Some` switches every wait from the fixed ladder to estimation.
+    adaptive: Option<Adaptive>,
+}
+
+/// The adaptive arm's state; none of it exists on fixed timers.
+#[derive(Debug)]
+struct Adaptive {
+    cfg: RtoConfig,
+    /// Per-peer estimators, shared by the ack and the probe path.
+    peers: HashMap<Key, RtoEstimator>,
+    /// One estimator for discovery round-trips, which span several
+    /// hops and have no single peer to attribute the latency to;
+    /// seeded from the fixed discovery timeout.
+    discovery: RtoEstimator,
+    /// Send time of the in-flight attempt-0 heartbeat probe per peer;
+    /// cleared on retransmit so late acks are never sampled (Karn).
+    probes: HashMap<Key, SimTime>,
+}
+
+impl Adaptive {
+    /// The estimator behind `what` and the salt that jitters its waits.
+    fn estimator(&mut self, node: Key, what: Awaited) -> (&mut RtoEstimator, u64) {
+        let (peer, probe_salt) = match what {
+            Awaited::Discovery => return (&mut self.discovery, node.0),
+            Awaited::Ack(peer) => (peer, 0),
+            Awaited::Probe { peer, .. } => (peer, 0xB5),
+        };
+        let est = self.peers.entry(peer).or_insert_with(|| RtoEstimator::new(self.cfg));
+        (est, node.0 ^ peer.0.rotate_left(32) ^ probe_salt)
+    }
+}
+
+impl Timers {
+    /// Fixed timers under `policy` for the machine of `node`.
+    pub(crate) fn new(node: Key, policy: RetryPolicy) -> Self {
+        Timers { node, policy, adaptive: None }
+    }
+
+    /// Switches to adaptive estimation (`Some`) or back to the fixed
+    /// ladder (`None`). Estimator state does not survive the switch.
+    pub(crate) fn set_adaptive(&mut self, cfg: Option<RtoConfig>) {
+        self.adaptive = cfg.map(|cfg| Adaptive {
+            cfg,
+            peers: HashMap::new(),
+            discovery: RtoEstimator::new(RtoConfig::for_discovery(self.policy.discovery_timeout)),
+            probes: HashMap::new(),
+        });
+    }
+
+    /// The (unjittered, un-backed-off) RTO estimate for `peer`, once
+    /// adaptive mode has collected at least one sample.
+    pub(crate) fn estimate(&self, peer: Key) -> Option<u64> {
+        let est = self.adaptive.as_ref()?.peers.get(&peer)?;
+        (est.samples() > 0).then(|| est.rto())
+    }
+
+    /// Total sends (first try included) before an exchange gives up.
+    pub(crate) fn max_attempts(&self) -> u32 {
+        self.policy.max_attempts
+    }
+
+    /// An upper bound on how long a reliable frame's sender spends on
+    /// it, first send to giving up: the ack waits `ack_timeout << k` for
+    /// `k < max_attempts` (clamped or not) sum to less than
+    /// `ack_timeout << max_attempts`; under adaptive RTO no jittered or
+    /// backed-off wait exceeds `max_rto`.
+    pub(crate) fn ladder(&self) -> u64 {
+        match &self.adaptive {
+            Some(a) => a.cfg.max_rto.saturating_mul(u64::from(self.policy.max_attempts)),
+            None => 1u64
+                .checked_shl(self.policy.max_attempts)
+                .map_or(u64::MAX, |factor| self.policy.ack_timeout.saturating_mul(factor)),
+        }
+    }
+
+    /// The fixed arm's base wait for `what`.
+    fn fixed(&self, what: Awaited) -> u64 {
+        match what {
+            Awaited::Ack(_) => self.policy.ack_timeout,
+            Awaited::Probe { ack_wait, .. } => ack_wait,
+            Awaited::Discovery => self.policy.discovery_timeout,
+        }
+    }
+
+    /// The wait armed behind the first transmission for `what`, sent at
+    /// `now`: the fixed base, or the jittered estimate.
+    pub(crate) fn first_wait(&mut self, now: SimTime, what: Awaited) -> u64 {
+        let Some(a) = self.adaptive.as_mut() else { return self.fixed(what) };
+        if let Awaited::Probe { peer, .. } = what {
+            a.probes.insert(peer, now);
+        }
+        let (est, salt) = a.estimator(self.node, what);
+        est.jittered_rto(salt)
+    }
+
+    /// The wait re-armed after the window for `what` elapsed, `attempt`
+    /// counting the transmission just made: the fixed base shifted by
+    /// it, or the estimate after one more Karn doubling (which replaces
+    /// the shift).
+    pub(crate) fn retry_wait(&mut self, what: Awaited, attempt: u32) -> u64 {
+        let Some(a) = self.adaptive.as_mut() else { return backoff(self.fixed(what), attempt) };
+        if let Awaited::Probe { peer, .. } = what {
+            // Karn: the probe in flight is no longer attempt 0, so a
+            // late ack must not be sampled.
+            a.probes.remove(&peer);
+        }
+        let (est, salt) = a.estimator(self.node, what);
+        est.on_timeout();
+        est.jittered_rto(salt)
+    }
+
+    /// Feeds the round-trip of the exchange `what` awaited, answered on
+    /// its `attempt`-th retransmission (adaptive mode only; Karn's rule
+    /// drops samples from retransmitted frames).
+    pub(crate) fn sample(&mut self, what: Awaited, attempt: u32, rtt: u64) {
+        if let Some(a) = self.adaptive.as_mut() {
+            a.estimator(self.node, what).0.karn_sample(attempt, rtt);
+        }
+    }
+
+    /// `peer` answered a heartbeat probe at `now`; `closed` says the
+    /// answer matched the probe in flight. Its round-trip is sampled
+    /// only while that probe is still the attempt-0 one.
+    pub(crate) fn probe_acked(&mut self, peer: Key, now: SimTime, closed: bool) {
+        let Some(a) = self.adaptive.as_mut() else { return };
+        if let Some(sent) = a.probes.remove(&peer) {
+            if closed {
+                a.estimator(self.node, Awaited::Ack(peer)).0.sample(now.since(sent));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,5 +498,102 @@ mod tests {
         let mut e = RtoEstimator::new(cfg(1, 1_000_000, 20_000));
         e.sample(1_000);
         assert_eq!(e.jittered_rto(99), e.rto());
+    }
+
+    #[test]
+    fn backoff_shifts_saturate_and_clamp() {
+        assert_eq!(backoff(100, 0), 100);
+        assert_eq!(backoff(100, 1), 200);
+        assert_eq!(backoff(100, 3), 800);
+        assert_eq!(backoff(100, 60), MAX_BACKOFF, "deep chains hit the ceiling");
+        assert_eq!(backoff(100, 64), MAX_BACKOFF, "shift past the word width saturates");
+        assert_eq!(backoff(100, u32::MAX), MAX_BACKOFF);
+        assert_eq!(backoff(u64::MAX, 1), MAX_BACKOFF, "multiplication never overflows");
+        assert_eq!(backoff(0, 7), 0);
+    }
+
+    const NODE: Key = Key(7);
+    const PEER: Key = Key(0xABCD_0000_0000_0042);
+    const T0: SimTime = SimTime(0);
+
+    fn policy() -> RetryPolicy {
+        RetryPolicy { ack_timeout: 100, discovery_timeout: 1000, max_attempts: 3 }
+    }
+
+    /// Every wait `Timers` hands out, on the fixed arm: the policy's own
+    /// numbers, shifted by the attempt and clamped.
+    #[test]
+    fn fixed_timers_are_the_policy_ladder() {
+        let mut timers = Timers::new(NODE, policy());
+        let probe = Awaited::Probe { peer: PEER, ack_wait: 70 };
+        assert_eq!(timers.max_attempts(), 3);
+        assert_eq!(timers.first_wait(T0, Awaited::Ack(PEER)), 100);
+        assert_eq!(timers.first_wait(T0, probe), 70);
+        assert_eq!(timers.first_wait(T0, Awaited::Discovery), 1000);
+        for (attempt, shifted) in [(1, 2), (2, 4), (5, 32)] {
+            assert_eq!(timers.retry_wait(Awaited::Ack(PEER), attempt), 100 * shifted);
+            assert_eq!(timers.retry_wait(probe, attempt), 70 * shifted);
+            assert_eq!(timers.retry_wait(Awaited::Discovery, attempt), 1000 * shifted);
+        }
+        for deep in [40, 64, u32::MAX] {
+            assert_eq!(timers.retry_wait(Awaited::Ack(PEER), deep), MAX_BACKOFF, "attempt {deep}");
+            assert_eq!(timers.retry_wait(Awaited::Discovery, deep), MAX_BACKOFF, "attempt {deep}");
+        }
+        // Nothing is learned on fixed timers.
+        timers.sample(Awaited::Ack(PEER), 0, 30);
+        timers.probe_acked(PEER, SimTime(40), true);
+        assert_eq!(timers.estimate(PEER), None);
+        assert_eq!(timers.first_wait(T0, Awaited::Ack(PEER)), 100);
+        // The ladder bounds 100 + 200 + 400; a shift past the word
+        // width has no bound to give.
+        assert_eq!(timers.ladder(), 800);
+        let endless = RetryPolicy { max_attempts: 64, ..policy() };
+        assert_eq!(Timers::new(NODE, endless).ladder(), u64::MAX);
+    }
+
+    /// On the adaptive arm every wait is an estimator's, jittered under
+    /// the salt the machines have always used — `node ^ peer.rotate_left(32)`
+    /// for acks, `^ 0xB5` for probes of the same peer's estimator, the
+    /// bare node key for discovery — so a timer schedule (and a report
+    /// derived from one) cannot drift.
+    #[test]
+    fn adaptive_timers_keep_the_per_peer_salts_and_karn() {
+        let rto = RtoConfig::default();
+        assert!(rto.jitter_frac > 0, "the salts only show under jitter");
+        let mut timers = Timers::new(NODE, policy());
+        timers.set_adaptive(Some(rto));
+        assert_eq!(timers.ladder(), rto.max_rto * 3);
+
+        let salt = NODE.0 ^ PEER.0.rotate_left(32);
+        let probe = Awaited::Probe { peer: PEER, ack_wait: 70 };
+        let mut peer = RtoEstimator::new(rto);
+        assert_eq!(timers.first_wait(T0, Awaited::Ack(PEER)), peer.jittered_rto(salt));
+        assert_eq!(timers.first_wait(T0, probe), peer.jittered_rto(salt ^ 0xB5), "one estimator");
+        peer.on_timeout();
+        assert_eq!(timers.retry_wait(Awaited::Ack(PEER), 1), peer.jittered_rto(salt));
+        peer.on_timeout();
+        assert_eq!(timers.retry_wait(probe, 1), peer.jittered_rto(salt ^ 0xB5));
+        let mut discovery = RtoEstimator::new(RtoConfig::for_discovery(1000));
+        assert_eq!(timers.first_wait(T0, Awaited::Discovery), discovery.jittered_rto(NODE.0));
+        discovery.on_timeout();
+        assert_eq!(timers.retry_wait(Awaited::Discovery, 1), discovery.jittered_rto(NODE.0));
+
+        // Karn, on both paths: a retransmitted frame's ack and the ack
+        // of a probe that was re-sent are not samples.
+        timers.sample(Awaited::Ack(PEER), 1, 30);
+        timers.probe_acked(PEER, SimTime(40), true);
+        assert_eq!(timers.estimate(PEER), None);
+        timers.first_wait(T0, probe);
+        timers.probe_acked(PEER, SimTime(40), false);
+        assert_eq!(timers.estimate(PEER), None, "an ack that closed nothing");
+        timers.first_wait(T0, probe);
+        timers.probe_acked(PEER, SimTime(40), true);
+        peer.sample(40);
+        assert_eq!(timers.estimate(PEER), Some(peer.rto()));
+
+        // Back on the ladder nothing of it is left.
+        timers.set_adaptive(None);
+        assert_eq!(timers.first_wait(T0, Awaited::Ack(PEER)), 100);
+        assert_eq!(timers.ladder(), 800);
     }
 }

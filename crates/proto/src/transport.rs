@@ -152,12 +152,6 @@ impl Degradation {
         Degradation { ramp_peak: peak, ramp_len: len, ..Self::default() }
     }
 
-    /// The same script with `extra_loss` added (builder-style).
-    pub fn with_loss(mut self, extra_loss: f64) -> Self {
-        self.extra_loss = clamp_probability(extra_loss);
-        self
-    }
-
     /// Whether the script degrades nothing.
     pub fn is_none(&self) -> bool {
         self.slowdown_pct <= 100 && self.extra_loss == 0.0 && self.ramp_peak == 0
@@ -526,11 +520,6 @@ impl SimTransport {
     /// Lifts `router`'s fail-slow script.
     pub fn heal_node(&mut self, router: RouterId) {
         self.node_degrade.remove(&router);
-    }
-
-    /// Lifts the directed `from → to` link's fail-slow script.
-    pub fn heal_link(&mut self, from: RouterId, to: RouterId) {
-        self.link_degrade.remove(&(from, to));
     }
 
     /// Lifts every fail-slow script at once.

@@ -426,22 +426,20 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let rest = self.buf.get(self.pos..).unwrap_or_default();
+        let bytes = rest.first_chunk::<N>().ok_or(WireError::Truncated)?;
+        self.pos += N;
+        Ok(*bytes)
     }
     fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        Ok(self.take::<1>()?[0])
     }
     fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.take()?))
     }
     fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.take()?))
     }
     fn key(&mut self) -> Result<Key, WireError> {
         Ok(Key(self.u64()?))

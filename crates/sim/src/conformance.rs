@@ -31,7 +31,7 @@
 //! [`SimTransport`]: bristle_proto::transport::SimTransport
 //! [`ProtoMachine`]: bristle_proto::machine::ProtoMachine
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use bristle_core::config::BristleConfig;
@@ -43,13 +43,12 @@ use bristle_overlay::addr::{NetAddr, StatePair};
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
 use bristle_overlay::obs::{ObsEvent, ObsEventKind};
-use bristle_proto::failure::FailurePolicy;
 use bristle_proto::machine::{Completion, ProtoMachine, RetryPolicy};
 use bristle_proto::transport::FaultConfig;
-use bristle_proto::wire::WireAddr;
 
 use crate::messaging::{
-    children_by_parent, wire_addr_of, AuthConfig, MessagingBristleSystem, ObsCollector, SystemEnv,
+    children_by_parent, wire_addr_of, AuthConfig, MessagingBristleSystem, Nodes, ObsCollector,
+    SystemEnv,
 };
 use crate::workload::tiny_system;
 
@@ -68,15 +67,17 @@ pub struct ConformanceReport {
     pub profile: String,
 }
 
-/// The shared population: identical to the golden-trace scenario's.
-fn build(seed: u64) -> BristleSystem {
+/// The shared population of the conformance, golden-trace and
+/// messaging-integration scenarios.
+pub fn build(seed: u64) -> BristleSystem {
     tiny_system(seed, 40, 12, BristleConfig::recommended())
 }
 
 /// A pair whose mobile-layer route is a single direct hop to a mobile
 /// target, so a force-believed stale address is used verbatim by the
-/// origin (the recovery-ladder precondition).
-fn direct_pair(sys: &BristleSystem) -> (Key, Key) {
+/// origin (the recovery-ladder precondition), and a staged move
+/// provably races the in-flight forward.
+pub fn direct_pair(sys: &BristleSystem) -> (Key, Key) {
     for &target in sys.mobile_keys() {
         for src in sys.mobile.keys() {
             if src != target && sys.mobile.next_hop(src, target).ok().flatten() == Some(target) {
@@ -89,7 +90,7 @@ fn direct_pair(sys: &BristleSystem) -> (Key, Key) {
 
 /// Installs a fresh (but about-to-be-stale) resolved state-pair at
 /// `holder` for `subject`, modelling an established session.
-fn force_belief(sys: &mut BristleSystem, holder: Key, subject: Key) {
+pub fn force_belief(sys: &mut BristleSystem, holder: Key, subject: Key) {
     let info = *sys.node_info(subject).expect("known");
     let addr = NetAddr::current(info.host, &sys.attachments);
     let (now, ttl) = (sys.clock.now(), sys.config().lease_ttl);
@@ -226,11 +227,11 @@ pub fn run_sim(seed: u64) -> ConformanceReport {
 
 /// The socket arm's world state: everything [`SystemEnv`] windows onto,
 /// minus what the simulator-specific driver owns (event queue, fault
-/// transport). No failures are scripted, so the tombstone and degraded
-/// sets stay empty.
+/// transport). No failures are scripted, so nothing is ever held against
+/// a node and the degraded set stays empty.
 struct NetWorld {
     sys: BristleSystem,
-    tombstones: HashMap<Key, WireAddr>,
+    nodes: Nodes,
     obs: ObsCollector,
     auth: AuthConfig,
     degraded: BTreeSet<Key>,
@@ -240,7 +241,7 @@ impl NetWorld {
     fn env(&mut self) -> SystemEnv<'_> {
         SystemEnv {
             sys: &mut self.sys,
-            tombstones: &self.tombstones,
+            nodes: &self.nodes,
             obs: &mut self.obs,
             auth: self.auth,
             degraded: &self.degraded,
@@ -346,7 +347,7 @@ pub fn run_sockets(seed: u64) -> ConformanceReport {
     let cast = cast(&sys);
     let mut world = NetWorld {
         sys,
-        tombstones: HashMap::new(),
+        nodes: Nodes::default(),
         obs: ObsCollector::default(),
         auth: AuthConfig::default(),
         degraded: BTreeSet::new(),
@@ -356,11 +357,9 @@ pub fn run_sockets(seed: u64) -> ConformanceReport {
     let all: Vec<Key> =
         world.sys.stationary_keys().iter().chain(world.sys.mobile_keys()).copied().collect();
     for key in all {
-        // Same construction as the sim driver's `started`, with the
-        // session defaults the sim arm runs under.
-        let mut machine = ProtoMachine::new(key, RetryPolicy::default());
-        machine.set_failure_policy(FailurePolicy::default());
-        machine.set_adaptive_rto(None);
+        // Same construction as the sim driver's, under the session
+        // defaults the sim arm runs with.
+        let machine = ProtoMachine::new(key, RetryPolicy::default());
         d.bind_node(key, wire_addr_of(&world.sys, key).expect("known"), machine)
             .expect("loopback socket binds");
     }

@@ -162,12 +162,7 @@ fn spread(keys: &[Key], n: usize) -> Vec<Key> {
 /// crash one node for real, drive flash-crowd waves with heartbeat
 /// rounds interleaved, heal, and settle. Deterministic in `cfg`.
 pub fn run_degradation(cfg: &DegradationConfig) -> DegradationOutcome {
-    let sys = tiny_system(
-        cfg.seed,
-        cfg.stationary,
-        cfg.mobile,
-        BristleConfig { adaptive_rto: cfg.adaptive, ..BristleConfig::recommended() },
-    );
+    let sys = tiny_system(cfg.seed, cfg.stationary, cfg.mobile, BristleConfig::recommended());
     let faults = FaultConfig {
         drop_probability: cfg.loss,
         min_latency: cfg.min_latency,

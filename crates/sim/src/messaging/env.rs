@@ -1,0 +1,313 @@
+//! The machines' window onto the shared system ([`SystemEnv`], the
+//! simulator's [`NodeEnv`]) and the observability state it feeds.
+
+use std::collections::HashMap;
+
+use bristle_core::ldt::Ldt;
+use bristle_core::location::LocationRecord;
+use bristle_overlay::addr::NetAddr;
+use bristle_overlay::obs::{
+    FlightRecorder, Histogram as LatencyHistogram, ObsEvent, ObsEventKind, Snapshot,
+};
+use bristle_proto::machine::NodeEnv;
+use bristle_proto::wire::WireAddr;
+
+use super::*;
+
+/// How many structured events the driver's flight recorder retains.
+/// Large enough to hold a whole operation's causal neighborhood at the
+/// paper's scales; old events are overwritten (and counted) beyond it.
+const FLIGHT_RECORDER_CAPACITY: usize = 4096;
+
+/// Driver-side observability state: the flight recorder plus the
+/// per-operation latency histograms the run reports are built from.
+/// All latencies are micro-clock ticks (the driver's [`EventQueue`]
+/// time scale, not the coarse lease clock).
+#[derive(Debug)]
+pub struct ObsCollector {
+    /// Bounded ring of recent structured protocol events.
+    pub flight: FlightRecorder,
+    /// Route start → delivery-at-owner latency.
+    pub route_latency: LatencyHistogram,
+    /// `_discovery` session start → resolution (or abandonment) latency.
+    pub discovery_latency: LatencyHistogram,
+    /// Update-dissemination start → every edge settled latency.
+    pub dissemination_latency: LatencyHistogram,
+    /// Failure-detection latency: first suspicion → confirmed dead.
+    pub detection_latency: LatencyHistogram,
+    /// Partition-recovery latency: wrongful burial → funeral reversed.
+    pub rejoin_latency: LatencyHistogram,
+    /// Micro-time each peer was first suspected, pending confirmation.
+    suspected_at: HashMap<Key, u64>,
+}
+
+impl Default for ObsCollector {
+    fn default() -> Self {
+        ObsCollector {
+            flight: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
+            route_latency: LatencyHistogram::new(),
+            discovery_latency: LatencyHistogram::new(),
+            dissemination_latency: LatencyHistogram::new(),
+            detection_latency: LatencyHistogram::new(),
+            rejoin_latency: LatencyHistogram::new(),
+            suspected_at: HashMap::new(),
+        }
+    }
+}
+
+impl ObsCollector {
+    /// Digests one machine-emitted event: records it in the flight
+    /// recorder and folds resolution latencies / suspicion timestamps
+    /// into the histograms.
+    fn observe(&mut self, event: ObsEvent) {
+        match event.kind {
+            ObsEventKind::DiscoveryResolved { elapsed, .. }
+            | ObsEventKind::DiscoveryFailed { elapsed, .. } => {
+                self.discovery_latency.record(elapsed);
+            }
+            ObsEventKind::Suspect { peer, .. } => {
+                self.suspected_at.entry(peer).or_insert(event.at);
+            }
+            _ => {}
+        }
+        self.flight.record(event);
+    }
+
+    /// Records suspect→confirmed latency for `key` if a machine reported
+    /// suspicion of it earlier (first suspicion wins), and forgets the
+    /// pending suspicion either way.
+    pub(super) fn confirm_detection(&mut self, key: Key, now: u64) {
+        if let Some(at) = self.suspected_at.remove(&key) {
+            self.detection_latency.record(now.saturating_sub(at));
+        }
+    }
+
+    /// Named snapshots of every latency histogram, in report order.
+    pub fn latency_snapshots(&self) -> Vec<(&'static str, Snapshot)> {
+        vec![
+            ("route", self.route_latency.snapshot()),
+            ("discovery", self.discovery_latency.snapshot()),
+            ("dissemination", self.dissemination_latency.snapshot()),
+            ("detection", self.detection_latency.snapshot()),
+            ("rejoin", self.rejoin_latency.snapshot()),
+        ]
+    }
+}
+
+/// The machines' window onto the shared system: every [`NodeEnv`] query
+/// or commit maps onto the exact state the function-call path reads and
+/// writes, which is what makes the meter tallies comparable.
+pub(crate) struct SystemEnv<'a> {
+    pub(crate) sys: &'a mut BristleSystem,
+    /// The driver's view of every node, read for the last known address
+    /// of one that crashed or left: senders may still address it (that
+    /// is the point of crash *detection*), and the transport needs a
+    /// router to deliver the doomed bytes to.
+    pub(crate) nodes: &'a Nodes,
+    /// Destination for machine-emitted structured events.
+    pub(crate) obs: &'a mut ObsCollector,
+    /// The run's authentication configuration (defaults are the seed
+    /// deployment: unsealed frames, nothing verified).
+    pub(crate) auth: AuthConfig,
+    /// Peers some watcher currently holds degraded (gray-failing):
+    /// replica sets are reordered healthy-first so placement prefers
+    /// responsive replicas without shrinking the set. Empty by default,
+    /// which leaves ordering untouched.
+    pub(crate) degraded: &'a BTreeSet<Key>,
+}
+
+/// Authentication configuration of one messaging run, shared by every
+/// node's environment.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct AuthConfig {
+    /// The deployment's key-derivation oracle (`None` = pre-auth seed).
+    pub(crate) domain: Option<AuthDomain>,
+    /// How strictly received frames are checked.
+    pub(crate) policy: VerifyPolicy,
+}
+
+/// Where mail for a node nobody ever knew goes: a syntactically valid
+/// address whose epoch can never match a live attachment. Router 0 always
+/// exists in a generated topology.
+const DEAD_LETTER_ADDR: WireAddr = WireAddr { host: u32::MAX, router: 0, epoch: u64::MAX };
+
+/// `key`'s wire address as the system currently attaches it (`None`
+/// for a node the system does not know).
+pub(crate) fn wire_addr_of(sys: &BristleSystem, key: Key) -> Option<WireAddr> {
+    let info = sys.node_info(key).ok()?;
+    Some(WireAddr::from_net(NetAddr::current(info.host, &sys.attachments)))
+}
+
+/// An LDT's edges grouped by parent, parents in first-edge order: one
+/// `start_update` per relaying member.
+pub(crate) fn children_by_parent(ldt: &Ldt) -> Vec<(Key, Vec<Key>)> {
+    let mut by_parent: Vec<(Key, Vec<Key>)> = Vec::new();
+    for (parent, child) in ldt.edges() {
+        match by_parent.iter_mut().find(|(p, _)| *p == parent) {
+            Some((_, cs)) => cs.push(child),
+            None => by_parent.push((parent, vec![child])),
+        }
+    }
+    by_parent
+}
+
+impl NodeEnv for SystemEnv<'_> {
+    fn next_hop_mobile(&self, cur: Key, target: Key) -> Option<Key> {
+        self.sys.mobile.next_hop(cur, target).ok().flatten()
+    }
+
+    fn next_hop_stationary(&self, cur: Key, target: Key) -> Option<Key> {
+        self.sys.stationary.next_hop(cur, target).ok().flatten()
+    }
+
+    fn is_mobile(&self, key: Key) -> bool {
+        self.sys.is_mobile(key)
+    }
+
+    fn entry_stationary(&self, from: Key) -> Key {
+        self.sys.entry_stationary_for(from).unwrap_or(from)
+    }
+
+    fn replicas(&self, subject: Key) -> Vec<Key> {
+        let mut set = self
+            .sys
+            .stationary
+            .replica_set(subject, self.sys.config().location_replicas)
+            .unwrap_or_default();
+        // Latency-aware failover: a degraded-but-alive replica keeps its
+        // slot (the set is never shrunk — a funeral needs real evidence)
+        // but moves behind its healthy peers. The stable sort keeps ring
+        // order within each class, and an empty degraded set leaves the
+        // historical order byte-identical.
+        if !self.degraded.is_empty() {
+            set.sort_by_key(|k| self.degraded.contains(k));
+        }
+        set
+    }
+
+    fn current_addr(&self, key: Key) -> WireAddr {
+        wire_addr_of(self.sys, key)
+            .unwrap_or_else(|| self.nodes.last_addr(key).unwrap_or(DEAD_LETTER_ADDR))
+    }
+
+    fn addr_current(&self, addr: WireAddr) -> bool {
+        addr.to_net().is_valid(&self.sys.attachments)
+    }
+
+    fn believed_addr(&self, holder: Key, subject: Key) -> Option<WireAddr> {
+        let cached = self.sys.mobile.node(holder).ok()?.entry(subject).and_then(|p| p.addr)?;
+        if self.sys.leases.is_fresh(holder, subject, self.sys.clock.now()) {
+            Some(WireAddr::from_net(cached))
+        } else {
+            None
+        }
+    }
+
+    fn location_record(&self, holder: Key, subject: Key) -> Option<WireAddr> {
+        let rec = self.sys.stationary.node(holder).ok()?.store.get(&subject)?;
+        Some(WireAddr::from_net(rec.addr))
+    }
+
+    fn distance(&self, a: RouterId, b: RouterId) -> u64 {
+        self.sys.distances().distance(a, b)
+    }
+
+    fn meter(&mut self, kind: MessageKind, cost: u64) {
+        self.sys.meter.record(kind, cost);
+    }
+
+    fn bump(&mut self, kind: MessageKind) {
+        self.sys.meter.bump(kind, 1);
+    }
+
+    fn commit_resolution(&mut self, asker: Key, subject: Key, addr: WireAddr) {
+        self.sys.learn_addr(asker, subject, addr.to_net());
+    }
+
+    fn apply_update(&mut self, receiver: Key, subject: Key, addr: WireAddr, _seq: u64) {
+        self.sys.learn_addr(receiver, subject, addr.to_net());
+    }
+
+    fn apply_register(&mut self, target: Key, who: Key, capacity: u32) {
+        self.sys.add_registrant(who, capacity, target);
+    }
+
+    fn commit_register(&mut self, who: Key, target: Key) {
+        self.sys.grant_lease(who, target);
+    }
+
+    fn apply_publish(&mut self, holder: Key, subject: Key, addr: WireAddr, seq: u64) {
+        // The wire `Publish` carries no incarnation; the holder stamps the
+        // subject's current one — the same value the function-call path
+        // writes — so post-rejoin records dominate pre-partition ones.
+        let incarnation = self.sys.node_info(subject).map(|i| i.incarnation).unwrap_or(0);
+        let record = LocationRecord {
+            subject,
+            addr: addr.to_net(),
+            incarnation,
+            seq,
+            published_at: self.sys.clock.now(),
+            ttl: self.sys.config().location_ttl,
+        };
+        // Centralized with the function-call path: same conflict rule,
+        // same durable-store mirror (no-op if the holder is gone).
+        let _ = self.sys.install_record(holder, record);
+    }
+
+    fn emit(&mut self, event: ObsEvent) {
+        self.obs.observe(event);
+    }
+
+    fn auth_domain(&self) -> Option<AuthDomain> {
+        self.auth.domain
+    }
+
+    fn verify_policy(&self) -> VerifyPolicy {
+        self.auth.policy
+    }
+
+    fn publish_fresh(&self, subject: Key) -> bool {
+        // A replayed publication carries its subject's *valid* signature
+        // — staleness is the only thing that can reject it. Withdrawn
+        // means the subject's funeral is confirmed system-wide.
+        !self.sys.is_confirmed_dead(subject)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::super::MessagingBristleSystem;
+    use super::*;
+    use bristle_proto::transport::FaultConfig;
+
+    /// The machines write the repository through `SystemEnv`, which
+    /// forwards to the one write path of `bristle_core::repo`: after a
+    /// registration, a dissemination and a route that resolves its hops
+    /// by `_discovery`, every store still holds what the tables hold.
+    #[test]
+    fn message_path_keeps_stores_mirroring_tables() {
+        for seed in [8u64, 27] {
+            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+            let (watcher, m) = (msys.sys.stationary_keys()[0], msys.sys.mobile_keys()[0]);
+            msys.register(watcher, m).expect("registration acked");
+            assert!(msys.sys.registry.registrants_of(m).iter().any(|r| r.key == watcher));
+            msys.sys.assert_stores_mirror_tables("register by message", true);
+
+            msys.sys.move_node(m, None).expect("mobile node moves");
+            msys.sys.tick(msys.sys.config().lease_ttl + 1);
+            assert!(msys.sys.leases.is_empty(), "every lease lapsed");
+            let acked = msys.disseminate_update(m).expect("dissemination runs");
+            assert_eq!(msys.sys.leases.len(), acked, "one lease per acked LDT edge");
+            msys.sys.assert_stores_mirror_tables("disseminate by message", true);
+
+            let src = msys.sys.stationary_keys()[1];
+            let before = msys.sys.meter.count(MessageKind::DiscoveryHop);
+            msys.route(src, msys.sys.mobile_keys()[1]).expect("route delivers");
+            msys.settle();
+            assert!(msys.sys.meter.count(MessageKind::DiscoveryHop) > before, "no hop resolved");
+            assert!(msys.sys.leases.len() > acked, "a resolution leases the address");
+            msys.sys.assert_stores_mirror_tables("route with _discovery", true);
+        }
+    }
+}

@@ -1,0 +1,797 @@
+//! The failure and rejoin driver: what the driver knows against each
+//! node ([`Nodes`]), and the crash, burial, restart, heartbeat-round
+//! and rejoin steps that change it.
+
+use std::collections::BTreeMap;
+
+use bristle_core::arena::KeyInterner;
+use bristle_core::heal::DeathReport;
+use bristle_core::rejoin::RejoinReport;
+use bristle_core::restart::RestartReport;
+use bristle_proto::failure::Liveness;
+use bristle_proto::wire::WireAddr;
+
+use super::*;
+
+/// Driver bookkeeping for a funeral run on a node whose machine was
+/// still alive (unreachable, not crashed).
+#[derive(Debug)]
+pub(super) struct WrongfulBurial {
+    /// The corpse's own incarnation at burial; any higher incarnation
+    /// observed later proves it refuted the verdict.
+    incarnation: u64,
+    /// Micro-time of the funeral.
+    at: SimTime,
+    /// Watchers that held the death verdict — the nodes whose obituary
+    /// the corpse must eventually receive.
+    announcers: Vec<Key>,
+}
+
+/// Why a node's mail is no longer ordinary.
+#[derive(Debug)]
+pub(super) enum Fate {
+    /// Crashed silently: the machine is gone and mail to it black-holes,
+    /// but the *system* bookkeeping still believes in it until a
+    /// confirmation heals it. Outlives the funeral, until a restart.
+    Crashed,
+    /// Buried while its machine was still running — a wrongful funeral
+    /// awaiting an incarnation-bumped refutation and rejoin. Gone from
+    /// the system's books but still listening where it last lived.
+    BuriedAlive(WrongfulBurial),
+    /// Left gracefully (or lost its burial without rejoining).
+    Departed,
+}
+
+/// What the driver holds against a node, beyond what the system's own
+/// books say: its fate, and the wire address it last lived at — senders
+/// that still believe in it keep addressing it there.
+#[derive(Debug)]
+pub(super) struct Held {
+    last_addr: WireAddr,
+    fate: Fate,
+}
+
+/// The router a node's machine sends from and hears at, given what is
+/// held against it and where (if anywhere) the system attaches it.
+pub(super) fn attachment(held: Option<&Held>, in_system: Option<RouterId>) -> Option<RouterId> {
+    match held {
+        Some(Held { fate: Fate::Crashed, .. }) => None,
+        Some(Held { fate: Fate::BuriedAlive(_), last_addr }) => {
+            in_system.or(Some(last_addr.router_id()))
+        }
+        _ => in_system,
+    }
+}
+
+/// The driver's view of one node. Nothing held is the common case — its
+/// machine runs, or starts with its first frame — and costs a null.
+#[derive(Debug, Default)]
+pub(super) struct NodeView {
+    held: Option<Box<Held>>,
+    /// Deliveries queued for it (maintained only under an ingress cap).
+    ingress: usize,
+}
+
+/// The driver's view of every node it has met.
+#[derive(Debug, Default)]
+pub(crate) struct Nodes {
+    /// A dense index per key; machines live in an arena under it.
+    ids: KeyInterner,
+    /// One view per index assigned (kept so by [`Self::intern`]), so
+    /// lookups past the interner are array reads.
+    views: Vec<NodeView>,
+}
+
+impl Nodes {
+    /// `key`'s index, if the driver has met it.
+    pub(super) fn idx(&self, key: Key) -> Option<NodeIdx> {
+        self.ids.get(key)
+    }
+
+    /// `key`'s index, assigned (with a default view) on first sight.
+    pub(super) fn intern(&mut self, key: Key) -> NodeIdx {
+        let idx = self.ids.intern(key);
+        if idx.index() == self.views.len() {
+            self.views.push(NodeView::default());
+        }
+        idx
+    }
+
+    /// The key owning `idx`.
+    pub(super) fn key_of(&self, idx: NodeIdx) -> Key {
+        self.ids.key_of(idx)
+    }
+
+    /// The deliveries queued for the node at `idx`.
+    pub(super) fn ingress_mut(&mut self, idx: NodeIdx) -> &mut usize {
+        &mut self.views[idx.index()].ingress
+    }
+
+    /// Forgets every ingress depth.
+    pub(super) fn reset_ingress(&mut self) {
+        self.views.iter_mut().for_each(|view| view.ingress = 0);
+    }
+
+    /// What is held against the node at `idx` (nothing, if never met).
+    pub(super) fn held_at(&self, idx: Option<NodeIdx>) -> Option<&Held> {
+        self.views[idx?.index()].held.as_deref()
+    }
+
+    fn fate(&self, key: Key) -> Option<&Fate> {
+        self.held_at(self.idx(key)).map(|held| &held.fate)
+    }
+
+    /// Records (`Some`) or clears what is held against `key`.
+    fn hold(&mut self, key: Key, held: Option<Held>) {
+        let idx = self.intern(key);
+        self.views[idx.index()].held = held.map(Box::new);
+    }
+
+    /// Lifts `key`'s burial; it stays departed unless a rejoin follows.
+    fn unbury(&mut self, key: Key) -> Option<WrongfulBurial> {
+        let idx = self.idx(key)?;
+        let held = self.views[idx.index()].held.as_mut()?;
+        match std::mem::replace(&mut held.fate, Fate::Departed) {
+            Fate::BuriedAlive(burial) => Some(burial),
+            other => {
+                held.fate = other;
+                None
+            }
+        }
+    }
+
+    /// Nodes awaiting a funeral reversal, ascending.
+    fn buried(&self) -> Vec<Key> {
+        let mut keys: Vec<Key> = (0..self.views.len() as u32)
+            .map(NodeIdx)
+            .filter(|&i| {
+                matches!(self.held_at(Some(i)), Some(Held { fate: Fate::BuriedAlive(_), .. }))
+            })
+            .map(|i| self.ids.key_of(i))
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Last known wire address of a node that crashed, left or was
+    /// buried.
+    pub(crate) fn last_addr(&self, key: Key) -> Option<WireAddr> {
+        self.held_at(self.idx(key)).map(|held| held.last_addr)
+    }
+}
+
+impl MessagingBristleSystem {
+    /// Nodes currently awaiting a funeral reversal (sorted).
+    pub fn wrongly_buried(&self) -> Vec<Key> {
+        self.nodes.buried()
+    }
+
+    /// Every funeral reversed so far, in rejoin order.
+    pub fn rejoin_log(&self) -> &[RejoinRecord] {
+        &self.rejoin_log
+    }
+
+    /// Crashes `key` without notice: its machine vanishes and mail to it
+    /// black-holes, but every piece of *system* bookkeeping — ring
+    /// membership, registrations, published records, leases — still
+    /// believes in it. Only failure detection plus
+    /// [`Self::confirm_and_heal`] repairs the damage. The node's current
+    /// address is kept so later sends (from nodes that still believe in
+    /// it) stay routable; a node the system does not know is left alone.
+    pub fn fail_silently(&mut self, key: Key) {
+        let Some(last_addr) = wire_addr_of(&self.sys, key) else { return };
+        self.nodes.hold(key, Some(Held { last_addr, fate: Fate::Crashed }));
+        self.remove_machine(key);
+    }
+
+    /// Whether `key` crashed silently. Stays true through the funeral
+    /// ([`Self::confirm_and_heal`]), until the node is restarted.
+    pub fn is_failed(&self, key: Key) -> bool {
+        matches!(self.nodes.fate(key), Some(Fate::Crashed))
+    }
+
+    /// Graceful departure through the driver: the machine is retired and
+    /// the system-level leave protocol runs.
+    pub fn leave(&mut self, key: Key) -> Result<(), MessagingError> {
+        if let Some(last_addr) = wire_addr_of(&self.sys, key) {
+            // A crashed node made to leave stays crashed.
+            let fate = if self.is_failed(key) { Fate::Crashed } else { Fate::Departed };
+            self.nodes.hold(key, Some(Held { last_addr, fate }));
+        }
+        self.remove_machine(key);
+        self.sys.leave_node(key).map_err(|_| MessagingError::UnknownNode(key))
+    }
+
+    /// Restarts a crashed, buried node from its durable store — distinct
+    /// from both [`Self::leave`] (gone for good) and the rejoin path
+    /// (which resurrects an *empty* node that re-learns its state from
+    /// the overlay). The node must have been confirmed dead
+    /// ([`Self::confirm_and_heal`]); its store — re-opened from disk
+    /// when WAL-backed — supplies the recovered shard, and a brand-new
+    /// machine is started at the restored incarnation (nothing of the
+    /// old process survives but the disk).
+    pub fn crash_restart(&mut self, key: Key) -> Result<RestartReport, MessagingError> {
+        let report =
+            self.sys.restart_node_from_store(key).map_err(|_| MessagingError::UnknownNode(key))?;
+        if report.restored {
+            self.revive_machine(key, report.incarnation);
+        }
+        Ok(report)
+    }
+
+    /// A restarted process: nothing of the old machine survives, and the
+    /// driver stops treating the node as failed, departed or buried.
+    fn revive_machine(&mut self, key: Key, incarnation: u64) {
+        self.nodes.hold(key, None);
+        self.remove_machine(key);
+        self.machine_started(key).restore_incarnation(incarnation);
+    }
+
+    /// Restarts a crashed, buried node with a *blank* disk — the
+    /// republication baseline for [`Self::crash_restart`]. The node's
+    /// durable store is discarded and it comes back empty via the rejoin
+    /// path, re-learning its state from the overlay (anti-entropy refills
+    /// a stationary shard one `Replicate` per record). A fresh machine is
+    /// started at the rejoined incarnation, exactly as in a WAL restart.
+    pub fn republish_restart(&mut self, key: Key) -> Result<RejoinReport, MessagingError> {
+        self.sys.stores.forget(key);
+        let report = self.sys.rejoin_node(key, 1).map_err(|_| MessagingError::UnknownNode(key))?;
+        if report.reversed {
+            self.revive_machine(key, report.incarnation);
+        }
+        Ok(report)
+    }
+
+    /// Rebuilds every live node's monitored-peer set from the current
+    /// registration state, so heartbeat coverage tracks membership:
+    ///
+    /// * LDT edges watch both ways — a mobile target monitors its
+    ///   registrants and each registrant monitors the target (those are
+    ///   exactly the nodes whose silence breaks dissemination);
+    /// * each stationary node monitors its ring successor (the peer that
+    ///   would inherit its records);
+    /// * every node is monitored by its mobile-ring predecessor, so no
+    ///   crash can go unobserved.
+    ///
+    /// Silently-failed nodes stay *watched* but never watch.
+    ///
+    /// Membership rarely changes between two rounds, so the wanted edges
+    /// are gathered into one list sorted by `(watcher, peer)` and each
+    /// watcher's run of it is compared with the set its machine already
+    /// monitors — itself kept sorted. An unchanged watcher costs that
+    /// comparison; only a changed one is edited.
+    pub fn seed_monitors(&mut self) {
+        let mut wanted: Vec<(Key, Key)> = Vec::new();
+        {
+            let sys = &self.sys;
+            let live = |k: Key| sys.node_info(k).is_ok() && !self.is_failed(k);
+            let mut add = |watcher: Key, peer: Key| {
+                if watcher != peer && live(watcher) && sys.node_info(peer).is_ok() {
+                    wanted.push((watcher, peer));
+                }
+            };
+            for (t, registrants) in sys.registry.iter() {
+                for r in registrants {
+                    add(r.key, t);
+                    add(t, r.key);
+                }
+            }
+            for &s in sys.stationary_keys() {
+                if let Ok(set) = sys.stationary.replica_set(s, 2) {
+                    if let Some(&succ) = set.get(1) {
+                        add(s, succ);
+                    }
+                }
+            }
+            let mut all: Vec<Key> = sys.mobile.keys().collect();
+            all.sort_unstable();
+            let n = all.len();
+            for (i, &node) in all.iter().enumerate() {
+                add(all[(i + n - 1) % n], node);
+            }
+        }
+        wanted.sort_unstable();
+        wanted.dedup();
+        for peers in wanted.chunk_by(|a, b| a.0 == b.0) {
+            let machine = self.machine_started(peers[0].0);
+            if machine.monitored().iter().eq(peers.iter().map(|(_, p)| p)) {
+                continue;
+            }
+            machine.retain_monitored(|k| peers.binary_search_by_key(&k, |&(_, p)| p).is_ok());
+            for &(_, p) in peers {
+                machine.monitor(p);
+            }
+        }
+    }
+
+    /// Runs one system-wide heartbeat round: re-seeds the monitor sets,
+    /// lets every live machine probe its monitored peers, and drains the
+    /// resulting acks, retransmissions and timeouts. Returns the peers
+    /// newly *confirmed dead* this round (sorted, deduplicated, minus
+    /// anything already confirmed) — candidates for
+    /// [`Self::confirm_and_heal`]. Suspicion alone is not reported; it
+    /// either heals on the next ack or hardens into confirmation.
+    pub fn heartbeat_round(&mut self) -> Vec<Key> {
+        self.seed_monitors();
+        let watchers = self.machine_keys_sorted();
+        for w in watchers {
+            self.drive(w, |m, now, env| m.start_heartbeats(now, env));
+        }
+        self.drain();
+        // Refresh the gray-failure view from the round's evidence: any
+        // watcher holding a peer degraded is enough to demote it in
+        // replica ordering (the union errs toward caution, never toward
+        // a funeral).
+        self.degraded.clear();
+        for (_, machine) in self.machines.iter() {
+            self.degraded.extend(machine.degraded_peers());
+        }
+        self.rejoin_sweep();
+        let mut dead = Vec::new();
+        self.completions.retain(|c| match *c {
+            Completion::PeerDead { peer } => {
+                dead.push(peer);
+                false
+            }
+            Completion::PeerSuspected { .. } => false,
+            Completion::PeerRefuted { .. }
+            | Completion::SelfRefuted { .. }
+            | Completion::RejoinRequested { .. }
+            | Completion::RejoinCompleted { .. } => false,
+            _ => true,
+        });
+        dead.sort_unstable();
+        dead.dedup();
+        dead.retain(|&k| !self.sys.is_confirmed_dead(k));
+        dead
+    }
+
+    /// Gives every wrongly buried node a chance to learn of its own
+    /// funeral and reverse it. Each still-buried node is sent an
+    /// obituary (`SuspectNotify` naming itself) by a live watcher that
+    /// held the verdict; a node that receives one bumps its incarnation
+    /// and answers with an `Alive` refutation, after which the driver
+    /// has it ask the same watcher to sponsor a rejoin. An accepted
+    /// rejoin reverses the funeral (`BristleSystem::rejoin_node`).
+    /// Every message travels the faulty transport, so a node still cut
+    /// off by a partition simply misses its obituary and is retried on
+    /// the next round — rejoin happens only once connectivity is back.
+    fn rejoin_sweep(&mut self) {
+        // (1) Obituary announcements, one per buried node, from the
+        // lowest-keyed surviving believer (deterministic).
+        let buried = self.nodes.buried();
+        if buried.is_empty() {
+            return;
+        }
+        let mut sponsors: BTreeMap<Key, Key> = BTreeMap::new();
+        for &f in &buried {
+            let Some(announcer) = self.pick_announcer(f) else { continue };
+            sponsors.insert(f, announcer);
+            self.drive(announcer, |m, now, env| m.notify_suspect(now, env, f, f));
+        }
+        self.drain();
+        // (2) Nodes whose incarnation moved past their burial have
+        // refuted the verdict: they ask their announcer to sponsor the
+        // rejoin.
+        for &f in &buried {
+            let Some(&sponsor) = sponsors.get(&f) else { continue };
+            let refuted = match (self.machine_of(f), self.nodes.fate(f)) {
+                (Some(m), Some(Fate::BuriedAlive(burial))) => m.incarnation() > burial.incarnation,
+                _ => false,
+            };
+            if !refuted {
+                continue;
+            }
+            self.drive(f, |m, now, env| m.start_rejoin(now, env, sponsor));
+        }
+        self.drain();
+        // (3) Reverse the funeral of every accepted rejoin.
+        let mut requests: Vec<(Key, u64)> = Vec::new();
+        self.completions.retain(|c| match *c {
+            Completion::RejoinRequested { peer, incarnation } => {
+                requests.push((peer, incarnation));
+                false
+            }
+            _ => true,
+        });
+        requests.sort_unstable();
+        requests.dedup();
+        for (peer, incarnation) in requests {
+            let Some(burial) = self.nodes.unbury(peer) else { continue };
+            let Ok(report) = self.sys.rejoin_node(peer, incarnation) else { continue };
+            if !report.reversed {
+                continue;
+            }
+            self.nodes.hold(peer, None);
+            self.sys.meter.bump(MessageKind::WrongfulDeath, 1);
+            let rejoined_at = self.queue.now();
+            self.obs.rejoin_latency.record(rejoined_at.since(burial.at));
+            self.rejoin_log.push(RejoinRecord {
+                key: peer,
+                buried_at: burial.at,
+                rejoined_at,
+                incarnation: report.incarnation,
+            });
+        }
+    }
+
+    /// The lowest-keyed live watcher that held `buried`'s death verdict,
+    /// falling back to the lowest-keyed live machine when none of the
+    /// original believers survive.
+    fn pick_announcer(&self, buried: Key) -> Option<Key> {
+        let live = |k: &Key| {
+            *k != buried
+                && self.sys.node_info(*k).is_ok()
+                && matches!(self.nodes.fate(*k), None | Some(Fate::Departed))
+                && self.has_machine(*k)
+        };
+        if let Some(Fate::BuriedAlive(burial)) = self.nodes.fate(buried) {
+            if let Some(&a) = burial.announcers.iter().find(|k| live(k)) {
+                return Some(a);
+            }
+        }
+        self.machine_keys_sorted().into_iter().find(|k| live(k))
+    }
+
+    /// Acts on a confirmed death: spreads the verdict to watchers that
+    /// have not yet condemned `key` themselves (`SuspectNotify`), retires
+    /// the corpse at the driver level, and runs the system-wide funeral
+    /// ([`BristleSystem::confirm_dead`]) — LDT re-grafting, registration
+    /// and lease pruning, record withdrawal.
+    pub fn confirm_and_heal(&mut self, key: Key) -> Result<DeathReport, MessagingError> {
+        if self.sys.node_info(key).is_err() && !self.sys.is_confirmed_dead(key) {
+            return Err(MessagingError::UnknownNode(key));
+        }
+        // A funeral for a node whose machine is still running is
+        // *wrongful* — the node is unreachable (partitioned), not
+        // crashed. Its machine stays alive so it can eventually receive
+        // its obituary and refute the verdict; the driver remembers the
+        // burial so [`Self::rejoin_sweep`] can reverse it.
+        // It keeps listening where the system attached it.
+        let buried_at =
+            wire_addr_of(&self.sys, key).filter(|_| !self.is_failed(key) && self.has_machine(key));
+        if buried_at.is_none() {
+            self.fail_silently(key);
+        }
+        let mut believers = Vec::new();
+        let mut unconvinced = Vec::new();
+        for (i, m) in self.machines.iter() {
+            let w = self.nodes.key_of(i);
+            match m.liveness(key) {
+                Some(Liveness::Dead) => believers.push(w),
+                Some(_) => unconvinced.push(w),
+                None => {}
+            }
+        }
+        believers.sort_unstable();
+        unconvinced.sort_unstable();
+        if let Some(&herald) = believers.first() {
+            for &peer in &unconvinced {
+                self.drive(herald, |m, now, env| m.notify_suspect(now, env, peer, key));
+            }
+            self.drain();
+        }
+        // The notifications above re-announce the same death; those
+        // echoes are not news.
+        self.completions.retain(|c| !matches!(c, Completion::PeerDead { peer } if *peer == key));
+        if let Some(last_addr) = buried_at {
+            let incarnation = self.machine_of(key).map(|m| m.incarnation()).unwrap_or(0);
+            let burial =
+                WrongfulBurial { incarnation, at: self.queue.now(), announcers: believers };
+            self.nodes.hold(key, Some(Held { last_addr, fate: Fate::BuriedAlive(burial) }));
+        }
+        let report = self.sys.confirm_dead(key).map_err(|_| MessagingError::UnknownNode(key))?;
+        self.obs.confirm_detection(key, self.queue.now().0);
+        Ok(report)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use super::super::testkit::*;
+    use super::super::SystemEnv;
+    use super::*;
+    use bristle_proto::machine::NodeEnv;
+    use bristle_proto::transport::{FaultConfig, LinkFilter};
+
+    /// The monitor sets [`MessagingBristleSystem::seed_monitors`] used to
+    /// build every round — a set of peers per watcher, from its own walk
+    /// of the registration state — kept as the reference the diffed
+    /// seeding is checked against.
+    fn wanted_oracle(msys: &MessagingBristleSystem) -> BTreeMap<Key, BTreeSet<Key>> {
+        let mut wanted: BTreeMap<Key, BTreeSet<Key>> = BTreeMap::new();
+        let sys = &msys.sys;
+        let live = |k: Key| sys.node_info(k).is_ok() && !msys.is_failed(k);
+        let mut add = |watcher: Key, peer: Key| {
+            if watcher != peer && live(watcher) && sys.node_info(peer).is_ok() {
+                wanted.entry(watcher).or_default().insert(peer);
+            }
+        };
+        let mut targets: Vec<Key> = sys.registry.iter().map(|(t, _)| t).collect();
+        targets.sort_unstable();
+        for t in targets {
+            for r in sys.registry.registrants_of(t) {
+                add(r.key, t);
+                add(t, r.key);
+            }
+        }
+        for &s in sys.stationary_keys() {
+            if let Ok(set) = sys.stationary.replica_set(s, 2) {
+                if let Some(&succ) = set.get(1) {
+                    add(s, succ);
+                }
+            }
+        }
+        let mut all: Vec<Key> = sys.mobile.keys().collect();
+        all.sort_unstable();
+        let n = all.len();
+        for (i, &node) in all.iter().enumerate() {
+            add(all[(i + n - 1) % n], node);
+        }
+        wanted
+    }
+
+    fn monitored_sets(msys: &MessagingBristleSystem) -> BTreeMap<Key, Vec<Key>> {
+        msys.machines.iter().map(|(i, m)| (msys.nodes.key_of(i), m.monitored().to_vec())).collect()
+    }
+
+    /// Re-seeds and checks every machine against the oracle: a watcher
+    /// the rules name monitors exactly its wanted peers, one they do not
+    /// name keeps what it had, and every set is ascending.
+    fn reseed_and_check(msys: &mut MessagingBristleSystem, after: &str) {
+        let before = monitored_sets(msys);
+        msys.seed_monitors();
+        let oracle = wanted_oracle(msys);
+        let now = monitored_sets(msys);
+        assert!(!oracle.is_empty());
+        for (watcher, peers) in &oracle {
+            let peers: Vec<Key> = peers.iter().copied().collect();
+            assert_eq!(now.get(watcher), Some(&peers), "after {after}: watcher {watcher}");
+        }
+        for (key, set) in &now {
+            assert!(set.windows(2).all(|w| w[0] < w[1]), "after {after}: {key} unsorted");
+            if !oracle.contains_key(key) {
+                assert_eq!(before.get(key), Some(set), "after {after}: bystander {key} edited");
+            }
+        }
+        // A second seeding finds nothing to do.
+        msys.seed_monitors();
+        assert_eq!(monitored_sets(msys), now, "after {after}: seeding is not idempotent");
+    }
+
+    fn seeding_matches_oracle_through_churn(seed: u64) {
+        let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::lossy(0.02), seed);
+        let mobiles: Vec<Key> = msys.sys.mobile_keys().to_vec();
+        let stationary: Vec<Key> = msys.sys.stationary_keys().to_vec();
+        reseed_and_check(&mut msys, "build");
+
+        msys.sys.move_node(mobiles[1], None).expect("mover is live");
+        reseed_and_check(&mut msys, "move");
+
+        let victim = mobiles[3];
+        msys.fail_silently(victim);
+        reseed_and_check(&mut msys, "fail_silently");
+        assert!(!msys.has_machine(victim), "a failed node never watches");
+        assert!(
+            monitored_sets(&msys).values().any(|set| set.contains(&victim)),
+            "a failed node stays watched"
+        );
+
+        msys.leave(stationary[5]).expect("leaver is known");
+        reseed_and_check(&mut msys, "leave");
+        assert!(monitored_sets(&msys).values().all(|set| !set.contains(&stationary[5])));
+
+        msys.register(stationary[0], mobiles[1]).expect("registration completes");
+        msys.register(mobiles[2], mobiles[1]).expect("registration completes");
+        reseed_and_check(&mut msys, "register");
+        let set = monitored_sets(&msys);
+        assert!(
+            set[&mobiles[1]].contains(&stationary[0]) && set[&stationary[0]].contains(&mobiles[1])
+        );
+
+        let mut confirmed = false;
+        for _ in 0..8 {
+            if msys.heartbeat_round().contains(&victim) {
+                confirmed = true;
+                break;
+            }
+            msys.sys.tick(1);
+        }
+        assert!(confirmed, "seed {seed}: the crash was never detected");
+        msys.confirm_and_heal(victim).expect("victim is known");
+        reseed_and_check(&mut msys, "confirm_and_heal");
+        assert!(monitored_sets(&msys).values().all(|set| !set.contains(&victim)));
+
+        let report = msys.crash_restart(victim).expect("victim restarts");
+        assert!(report.restored);
+        reseed_and_check(&mut msys, "crash_restart");
+        assert!(!monitored_sets(&msys)[&victim].is_empty(), "the restarted node watches again");
+    }
+
+    #[test]
+    fn seeding_matches_oracle_through_churn_seed_a() {
+        seeding_matches_oracle_through_churn(8);
+    }
+
+    #[test]
+    fn seeding_matches_oracle_through_churn_seed_b() {
+        seeding_matches_oracle_through_churn(27);
+    }
+
+    /// A restarted process numbers its frames from 0 again; they are new
+    /// frames, not retransmissions of its previous life's.
+    #[test]
+    fn restarted_node_first_route_meters_no_spurious_retry() {
+        for seed in [8u64, 27] {
+            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+            let mobiles: Vec<Key> = msys.sys.mobile_keys().to_vec();
+            let (victim, target) = (mobiles[0], mobiles[1]);
+            // First life: the victim's frames 0.. are delivered and recorded.
+            msys.route(victim, target).expect("clean route");
+            msys.settle();
+            msys.seed_monitors();
+            msys.fail_silently(victim);
+            let mut confirmed = false;
+            for _ in 0..8 {
+                if msys.heartbeat_round().contains(&victim) {
+                    confirmed = true;
+                    break;
+                }
+                msys.sys.tick(1);
+            }
+            assert!(confirmed, "seed {seed}: the crash was never detected");
+            msys.confirm_and_heal(victim).expect("victim is known");
+            assert!(msys.crash_restart(victim).expect("victim restarts").restored);
+            msys.settle();
+            let before = msys.sys.meter.count(MessageKind::SpuriousRetry);
+            msys.route(victim, target).expect("clean route after restart");
+            msys.settle();
+            assert_eq!(
+                msys.sys.meter.count(MessageKind::SpuriousRetry) - before,
+                0,
+                "seed {seed}: a perfect transport retransmits nothing"
+            );
+        }
+    }
+
+    /// A neighbour's dedup set still holds the previous life's
+    /// `(src, msg_id)` pairs when a node restarts inside one dedup
+    /// lifetime. The new life's hops must not be mistaken for them:
+    /// acked as duplicates and never forwarded, the route would stall
+    /// with the sender holding its ack.
+    #[test]
+    fn restarted_node_routes_through_a_neighbour_that_saw_its_previous_life() {
+        for seed in [8u64, 27] {
+            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+            let mobiles: Vec<Key> = msys.sys.mobile_keys().to_vec();
+            let victim = mobiles[0];
+            let born = msys.micro_now();
+            // First life: every target's first hop leaves under a low id.
+            for &target in &mobiles[1..] {
+                msys.route(victim, target).expect("clean route");
+            }
+            msys.settle();
+            msys.fail_silently(victim);
+            msys.confirm_and_heal(victim).expect("victim is known");
+            assert!(msys.crash_restart(victim).expect("victim restarts").restored);
+            for &target in &mobiles[1..] {
+                let done = msys.route(victim, target);
+                assert!(done.is_ok(), "seed {seed}: route to {target} after restart: {done:?}");
+            }
+            assert!(msys.micro_now().since(born) < DEDUP_LIFETIME, "all inside one dedup lifetime");
+        }
+    }
+
+    /// What the driver says of `key`: `is_failed`, whether it awaits a
+    /// funeral reversal, whether a machine runs for it, and where a
+    /// sender that still believes in it addresses its mail.
+    fn view_of(msys: &mut MessagingBristleSystem, key: Key) -> (bool, bool, bool, WireAddr) {
+        let buried = msys.wrongly_buried().contains(&key);
+        let MessagingBristleSystem { sys, nodes, obs, auth, degraded, .. } = msys;
+        let env = SystemEnv { sys, nodes, obs, auth: *auth, degraded };
+        let addr = env.current_addr(key);
+        (msys.is_failed(key), buried, msys.has_machine(key), addr)
+    }
+
+    /// The per-node record through every legal life, one step at a
+    /// time. Once the system forgets a node, `current_addr` falls back
+    /// to the attachment the driver last saw it at (`home`).
+    #[test]
+    fn node_view_follows_every_legal_life() {
+        for seed in [8u64, 27] {
+            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+            let mobiles: Vec<Key> = msys.sys.mobile_keys().to_vec();
+            let stationary: Vec<Key> = msys.sys.stationary_keys().to_vec();
+            msys.seed_monitors();
+            let home = |msys: &MessagingBristleSystem, k| wire_addr_of(&msys.sys, k).expect("live");
+            let (up, down, buried) = (false, true, true);
+
+            // run -> fail_silently -> confirm_and_heal -> crash_restart
+            let v = mobiles[3];
+            let v_home = home(&msys, v);
+            assert_eq!(view_of(&mut msys, v), (up, !buried, true, v_home), "seed {seed}: running");
+            msys.fail_silently(v);
+            assert_eq!(
+                view_of(&mut msys, v),
+                (down, !buried, false, v_home),
+                "seed {seed}: crashed"
+            );
+            msys.confirm_and_heal(v).expect("known");
+            assert!(msys.sys.node_info(v).is_err(), "seed {seed}: the funeral forgets the node");
+            assert_eq!(
+                view_of(&mut msys, v),
+                (down, !buried, false, v_home),
+                "seed {seed}: a buried crash stays failed, addressed where it last lived"
+            );
+            assert!(msys.crash_restart(v).expect("restarts").restored);
+            let v_now = home(&msys, v);
+            assert_eq!(view_of(&mut msys, v), (up, !buried, true, v_now), "seed {seed}: restarted");
+            assert_eq!(msys.nodes.last_addr(v), None, "seed {seed}: nothing held against it");
+
+            // run -> partition -> wrongful confirm_and_heal -> rejoin_sweep
+            let w = mobiles[5];
+            let w_home = home(&msys, w);
+            msys.partition_now(LinkFilter::default().isolate(w_home.router_id()));
+            msys.confirm_and_heal(w).expect("known");
+            assert!(msys.sys.node_info(w).is_err());
+            assert_eq!(
+                view_of(&mut msys, w),
+                (up, buried, true, w_home),
+                "seed {seed}: buried alive"
+            );
+            assert_eq!(msys.wrongly_buried(), vec![w]);
+            msys.heartbeat_round();
+            assert_eq!(
+                view_of(&mut msys, w),
+                (up, buried, true, w_home),
+                "seed {seed}: still cut off"
+            );
+            msys.heal_now();
+            msys.heartbeat_round();
+            let w_now = home(&msys, w);
+            assert_eq!(view_of(&mut msys, w), (up, !buried, true, w_now), "seed {seed}: rejoined");
+            assert_eq!(msys.nodes.last_addr(w), None);
+            assert_eq!(msys.rejoin_log().len(), 1);
+            msys.settle();
+
+            // run -> leave
+            let s = stationary[5];
+            let s_home = home(&msys, s);
+            msys.leave(s).expect("known");
+            assert_eq!(
+                view_of(&mut msys, s),
+                (up, !buried, false, s_home),
+                "seed {seed}: departed"
+            );
+            assert_eq!(msys.leave(s), Err(MessagingError::UnknownNode(s)));
+            assert_eq!(
+                view_of(&mut msys, s),
+                (up, !buried, false, s_home),
+                "seed {seed}: stays so"
+            );
+
+            // run -> fail_silently -> confirm_and_heal -> republish_restart
+            let r = mobiles[7];
+            let r_home = home(&msys, r);
+            msys.fail_silently(r);
+            msys.confirm_and_heal(r).expect("known");
+            assert_eq!(view_of(&mut msys, r), (down, !buried, false, r_home));
+            assert!(msys.republish_restart(r).expect("rejoins").reversed);
+            let r_now = home(&msys, r);
+            assert_eq!(
+                view_of(&mut msys, r),
+                (up, !buried, true, r_now),
+                "seed {seed}: republished"
+            );
+            assert_eq!(msys.nodes.last_addr(r), None);
+
+            // A node the driver never met has nothing held against it.
+            let stranger = Key(0xDEAD_0000_0000_0001);
+            assert_eq!(view_of(&mut msys, stranger).0, up);
+            msys.fail_silently(stranger);
+            assert!(!msys.is_failed(stranger), "seed {seed}: only known nodes crash");
+        }
+    }
+}

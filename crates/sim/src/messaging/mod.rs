@@ -1,0 +1,648 @@
+//! Message-passing driver: runs a [`BristleSystem`] over the
+//! `bristle-proto` state machines and a fault-injecting transport.
+//!
+//! The function-call path in `bristle-core` computes a whole route (or
+//! discovery, or update fan-out) in one synchronous call. This driver
+//! replays the same protocols as *messages*: every hop is an envelope
+//! submitted to a [`SimTransport`], every ack has a timeout, and lost
+//! messages are retried with exponential backoff by the per-node
+//! [`ProtoMachine`]s. With a perfect transport the per-kind meter tallies
+//! match the function-call path exactly; under loss the extra
+//! retransmissions, [`MessageKind::Timeout`]s and
+//! [`MessageKind::DiscoveryRetry`]s become visible in the same meter.
+//!
+//! Time has two scales. The system's coarse [`Clock`](bristle_core::time::Clock)
+//! (lease windows, record TTLs) stays frozen while an operation is in
+//! flight, exactly as the function-call path completes a route "within"
+//! one clock instant; the driver's own [`EventQueue`] runs a fine-grained
+//! micro-clock for link latencies and retry timers.
+//!
+//! The driver is one `impl` over four files. This one holds the struct
+//! and the loop: one machine step (`drive_at`) lends a node's machine
+//! the system through a `SystemEnv` and dispatches what comes back —
+//! every operation start, delivery and timer goes through it — and one
+//! event loop (`run_until`) runs events until a caller's predicate is
+//! satisfied, the queue drains or the budget is spent. `env` is that
+//! window and the observability state it feeds, `ops` the operations a
+//! caller runs to completion (each keeps only its predicate and its own
+//! reading of a quiet or runaway stop), `liveness` the driver's view of
+//! each node and the crash, burial, heartbeat-round and rejoin steps
+//! that change it.
+//!
+//! The per-frame bookkeeping is kept off the heap and out of hash
+//! tables: a node's key is resolved to a dense index once per event,
+//! and its machine, what the driver holds against it and its ingress
+//! depth are array reads under that index; spurious retries are metered
+//! from a [`DeliveryLedger`] (a bit per `(src, msg_id)` under the same
+//! index; shared with the socket driver).
+
+use std::collections::BTreeSet;
+
+use bristle_core::arena::{NodeArena, NodeIdx};
+use bristle_core::auth::{AuthDomain, VerifyPolicy};
+use bristle_core::system::BristleSystem;
+use bristle_core::time::SimTime;
+use bristle_netsim::graph::RouterId;
+use bristle_overlay::key::Key;
+use bristle_overlay::meter::MessageKind;
+use bristle_proto::failure::FailurePolicy;
+use bristle_proto::ledger::DeliveryLedger;
+use bristle_proto::machine::{Completion, Event, Output, ProtoMachine, RetryPolicy, TimerKind};
+use bristle_proto::rto::RtoConfig;
+use bristle_proto::transport::{Delivery, FaultConfig, SimTransport, Transport};
+use bristle_proto::wire::WireMessage;
+
+use crate::engine::EventQueue;
+
+mod env;
+mod liveness;
+mod ops;
+
+pub use env::ObsCollector;
+pub(crate) use env::{children_by_parent, wire_addr_of, AuthConfig, SystemEnv};
+pub(crate) use liveness::Nodes;
+
+/// Hard cap on events processed per driver operation; hitting it means a
+/// protocol bug (unbounded retry), not a slow network.
+const MAX_EVENTS_PER_OP: u64 = 2_000_000;
+
+/// Events on the driver's micro-clock.
+enum MsgEvent {
+    /// Bytes arrive at a router (discarded if the destination host has
+    /// moved away from it in the meantime).
+    Deliver(Delivery),
+    /// A machine's retry timer expires.
+    Timer {
+        /// The machine the timer belongs to.
+        node: Key,
+        /// The timer payload.
+        kind: TimerKind,
+    },
+    /// A scheduled mid-operation disruption: move a mobile node.
+    Move {
+        /// The node to move.
+        key: Key,
+        /// Destination router (random when `None`).
+        to: Option<RouterId>,
+    },
+    /// A scheduled mid-operation disruption: a node crashes silently.
+    Fail {
+        /// The node that dies.
+        key: Key,
+    },
+}
+
+/// Why a messaging operation did not complete.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MessagingError {
+    /// Every retry of some hop was exhausted; the route died at `at`.
+    RouteFailed {
+        /// Route originator.
+        origin: Key,
+        /// Originator-scoped route id.
+        route_id: u64,
+        /// Node at which forwarding gave up.
+        at: Key,
+    },
+    /// The event queue drained without the operation completing.
+    Stalled,
+    /// The per-operation event budget was hit — a retry loop is not
+    /// converging.
+    Runaway,
+    /// The named node is not part of the system.
+    UnknownNode(Key),
+}
+
+impl std::fmt::Display for MessagingError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MessagingError::RouteFailed { origin, route_id, at } => {
+                write!(f, "route {route_id} from {origin} failed at {at}: retries exhausted")
+            }
+            MessagingError::Stalled => {
+                write!(f, "event queue drained before the operation completed")
+            }
+            MessagingError::Runaway => {
+                write!(f, "event budget exhausted: retry loop not converging")
+            }
+            MessagingError::UnknownNode(k) => write!(f, "unknown node {k}"),
+        }
+    }
+}
+
+impl std::error::Error for MessagingError {}
+
+/// How [`MessagingBristleSystem::run_until`] stopped.
+enum Ran {
+    /// The caller's predicate reported the awaited outcome.
+    Done,
+    /// The event queue drained first.
+    Quiet,
+    /// The per-operation event budget ran out first.
+    Runaway,
+}
+
+impl Ran {
+    /// For operations that must reach their outcome: a drained queue is
+    /// a stall, a spent budget a runaway retry loop.
+    fn settled(self) -> Result<(), MessagingError> {
+        match self {
+            Ran::Done => Ok(()),
+            Ran::Quiet => Err(MessagingError::Stalled),
+            Ran::Runaway => Err(MessagingError::Runaway),
+        }
+    }
+}
+
+/// One reversed funeral: when the node was wrongfully buried and when
+/// the rejoin restored it (micro-clock times).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RejoinRecord {
+    /// The resurrected node.
+    pub key: Key,
+    /// Micro-time of the wrongful funeral.
+    pub buried_at: SimTime,
+    /// Micro-time the funeral was reversed.
+    pub rejoined_at: SimTime,
+    /// The incarnation the node lives at after the rejoin.
+    pub incarnation: u64,
+}
+
+/// What a completed messaging route reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MessagingRouteReport {
+    /// Originator-scoped route id.
+    pub route_id: u64,
+    /// Micro-clock time the route reached its target's owner.
+    pub delivered_at: SimTime,
+    /// Events processed while the route was in flight.
+    pub events: u64,
+}
+
+/// A [`BristleSystem`] driven entirely by messages over a
+/// [`SimTransport`].
+pub struct MessagingBristleSystem {
+    /// The shared system state (routing tables, leases, meter, clock).
+    pub sys: BristleSystem,
+    transport: SimTransport,
+    /// The driver's view of every node: its dense index (machine
+    /// lookups go through it once and then index the flat arena below),
+    /// what is held against it, its ingress depth.
+    nodes: Nodes,
+    machines: NodeArena<ProtoMachine>,
+    queue: EventQueue<MsgEvent>,
+    policy: RetryPolicy,
+    failure_policy: FailurePolicy,
+    completions: Vec<Completion>,
+    /// Every funeral reversed so far, in rejoin order.
+    rejoin_log: Vec<RejoinRecord>,
+    /// Flight recorder and latency histograms for this run.
+    obs: ObsCollector,
+    /// Authentication configuration shared by every node's environment.
+    auth: AuthConfig,
+    /// Adaptive-RTO configuration applied to every machine (`None` =
+    /// fixed [`RetryPolicy`] timers, the default).
+    rto: Option<RtoConfig>,
+    /// Bounded-ingress backpressure: max queued deliveries per
+    /// destination node before lookup-class frames are shed (`None` =
+    /// unbounded, the default).
+    ingress_cap: Option<usize>,
+    /// `(src, msg_id)` of every frame some machine has already
+    /// processed; a later transmission of the same frame is a spurious
+    /// retry (wasted work from a too-short timeout). Sources are indexed
+    /// by `ids`, looked up and never interned: `src` is off the wire.
+    delivered: DeliveryLedger,
+    /// Peers some watcher's health score currently holds degraded; fed
+    /// to [`SystemEnv::replicas`] for healthy-first ordering.
+    degraded: BTreeSet<Key>,
+}
+
+impl MessagingBristleSystem {
+    /// Wraps `sys` with per-node machines and a seeded transport with the
+    /// given fault schedule.
+    pub fn new(sys: BristleSystem, faults: FaultConfig, seed: u64) -> Self {
+        Self::with_policy(sys, faults, seed, RetryPolicy::default())
+    }
+
+    /// Like [`Self::new`] with an explicit retry policy. The policy's
+    /// timeouts must comfortably exceed the worst link latency or a
+    /// loss-free run will retransmit spuriously and break meter parity.
+    pub fn with_policy(
+        sys: BristleSystem,
+        faults: FaultConfig,
+        seed: u64,
+        policy: RetryPolicy,
+    ) -> Self {
+        let transport = SimTransport::new(sys.distances_arc(), faults, seed);
+        MessagingBristleSystem {
+            sys,
+            transport,
+            nodes: Nodes::default(),
+            machines: NodeArena::new(),
+            queue: EventQueue::new(),
+            policy,
+            failure_policy: FailurePolicy::default(),
+            completions: Vec::new(),
+            rejoin_log: Vec::new(),
+            obs: ObsCollector::default(),
+            auth: AuthConfig::default(),
+            rto: None,
+            ingress_cap: None,
+            delivered: DeliveryLedger::new(),
+            degraded: BTreeSet::new(),
+        }
+    }
+
+    /// Switches every machine (existing and future) to adaptive
+    /// per-peer RTO estimation, or back to fixed timers with `None`.
+    /// Estimator state does not survive the switch.
+    pub fn set_adaptive_rto(&mut self, cfg: Option<RtoConfig>) {
+        self.rto = cfg;
+        for (_, machine) in self.machines.iter_mut() {
+            machine.set_adaptive_rto(cfg);
+        }
+    }
+
+    /// Bounds every node's ingress queue at `cap` pending deliveries:
+    /// beyond it, lookup-class frames (route and discovery traffic) are
+    /// shed deterministically and metered as [`MessageKind::LoadShed`];
+    /// protocol-fact frames (updates, registrations, heartbeats, acks,
+    /// verdicts) are always admitted, so overload degrades lookup
+    /// latency instead of corrupting protocol state. `None` (the
+    /// default) disables backpressure entirely.
+    pub fn set_ingress_cap(&mut self, cap: Option<usize>) {
+        self.ingress_cap = cap;
+        if cap.is_none() {
+            self.nodes.reset_ingress();
+        }
+    }
+
+    /// Turns on frame authentication: honest machines seal every
+    /// authority-bearing frame under the domain derived from `seed`.
+    /// Verification strictness is set separately with
+    /// [`Self::set_verify_policy`] — sealing without verification is
+    /// exactly the log-only migration posture.
+    pub fn enable_auth(&mut self, seed: u64) {
+        self.auth.domain = Some(AuthDomain::new(seed));
+    }
+
+    /// Sets how strictly received frames are authenticated. Meaningful
+    /// once [`Self::enable_auth`] has established a domain; without one
+    /// every kind is treated as unauthenticated and nothing is checked.
+    pub fn set_verify_policy(&mut self, policy: VerifyPolicy) {
+        self.auth.policy = policy;
+    }
+
+    /// The deployment's authentication domain, if auth is enabled. The
+    /// adversary driver uses this to mint *identity-certifying* (but
+    /// MAC-invalid) trailers and to replay genuinely signed frames.
+    pub fn auth_domain(&self) -> Option<AuthDomain> {
+        self.auth.domain
+    }
+
+    /// Overrides the failure-detection policy used by every machine
+    /// (existing machines are rebuilt around it, monitored sets intact).
+    pub fn set_failure_policy(&mut self, policy: FailurePolicy) {
+        self.failure_policy = policy;
+        for (_, machine) in self.machines.iter_mut() {
+            machine.set_failure_policy(policy);
+        }
+    }
+
+    /// The machine for `key`, if one is running.
+    fn machine_of(&self, key: Key) -> Option<&ProtoMachine> {
+        self.nodes.idx(key).and_then(|i| self.machines.get(i))
+    }
+
+    /// Starts a machine at `idx` under the session's policies, unless
+    /// one is running.
+    fn ensure_machine(&mut self, idx: NodeIdx) {
+        if !self.machines.contains(idx) {
+            let mut m = ProtoMachine::new(self.nodes.key_of(idx), self.policy);
+            m.set_failure_policy(self.failure_policy);
+            m.set_adaptive_rto(self.rto);
+            self.machines.insert(idx, m);
+        }
+    }
+
+    /// The machine for `node`, started if need be.
+    fn machine_started(&mut self, node: Key) -> &mut ProtoMachine {
+        let idx = self.nodes.intern(node);
+        self.ensure_machine(idx);
+        self.machines.get_mut(idx).expect("just started")
+    }
+
+    /// One step of `node`'s machine, if one is running.
+    #[inline]
+    fn drive(
+        &mut self,
+        node: Key,
+        f: impl FnOnce(&mut ProtoMachine, SimTime, &mut SystemEnv<'_>) -> Output,
+    ) {
+        if let Some(idx) = self.nodes.idx(node) {
+            self.drive_at(idx, f);
+        }
+    }
+
+    /// One machine step: lends the machine at `idx` the system through a
+    /// [`SystemEnv`] for the length of `f` and dispatches what `f`
+    /// returns — every operation start, delivery and timer goes through
+    /// here. Without a machine nothing happens.
+    #[inline]
+    fn drive_at(
+        &mut self,
+        idx: NodeIdx,
+        f: impl FnOnce(&mut ProtoMachine, SimTime, &mut SystemEnv<'_>) -> Output,
+    ) {
+        let now = self.queue.now();
+        // The one place the driver's disjoint fields are lent out.
+        let Self { sys, nodes, obs, auth, degraded, machines, .. } = self;
+        let Some(machine) = machines.get_mut(idx) else { return };
+        let out = f(machine, now, &mut SystemEnv { sys, nodes, obs, auth: *auth, degraded });
+        self.dispatch(idx, out);
+    }
+
+    /// The one event loop: handles events until `done` reports the
+    /// awaited outcome (asked before every event, so an outcome already
+    /// buffered costs none), the queue drains, or the per-operation
+    /// budget is spent. Returns how it stopped and the events it ran.
+    #[inline]
+    fn run_until(&mut self, mut done: impl FnMut(&mut Self) -> bool) -> (Ran, u64) {
+        let mut events = 0u64;
+        loop {
+            if done(self) {
+                return (Ran::Done, events);
+            }
+            if events >= MAX_EVENTS_PER_OP {
+                return (Ran::Runaway, events);
+            }
+            if !self.step() {
+                return (Ran::Quiet, events);
+            }
+            events += 1;
+        }
+    }
+
+    /// Runs the network quiet (or the budget out); returns the events run.
+    fn drain(&mut self) -> u64 {
+        self.run_until(|_| false).1
+    }
+
+    /// `key`'s index in the delivery ledger, if the driver has one.
+    fn source_index(&self, key: Key) -> Option<usize> {
+        self.nodes.idx(key).map(|i| i.index())
+    }
+
+    /// Whether a machine is running for `key`.
+    fn has_machine(&self, key: Key) -> bool {
+        self.machine_of(key).is_some()
+    }
+
+    /// Retires `key`'s machine (its interned index survives). The
+    /// ledger forgets the ids it sent: a machine started for `key` later
+    /// may number its frames from 0 again, and they are not retries of
+    /// the previous life's.
+    fn remove_machine(&mut self, key: Key) {
+        if let Some(i) = self.nodes.idx(key) {
+            self.machines.remove(i);
+        }
+        self.delivered.forget_source(self.source_index(key), key);
+    }
+
+    /// Keys of all running machines, sorted.
+    fn machine_keys_sorted(&self) -> Vec<Key> {
+        let mut keys: Vec<Key> = self.machines.iter().map(|(i, _)| self.nodes.key_of(i)).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// The transport (for its trace).
+    pub fn transport(&self) -> &SimTransport {
+        &self.transport
+    }
+
+    /// The run's observability state: flight recorder and latency
+    /// histograms.
+    pub fn obs(&self) -> &ObsCollector {
+        &self.obs
+    }
+
+    /// The driver's micro-clock.
+    pub fn micro_now(&self) -> SimTime {
+        self.queue.now()
+    }
+
+    /// Peers some watcher's health score currently holds degraded
+    /// (sorted). Refreshed by every [`Self::heartbeat_round`].
+    pub fn degraded_peers(&self) -> Vec<Key> {
+        self.degraded.iter().copied().collect()
+    }
+
+    /// Pops and handles one event. Returns false when the queue is empty.
+    fn step(&mut self) -> bool {
+        let Some((_, event)) = self.queue.pop() else {
+            return false;
+        };
+        match event {
+            MsgEvent::Deliver(d) => {
+                let dst = d.env.dst;
+                let idx = self.nodes.idx(dst);
+                if let (Some(_), Some(i)) = (self.ingress_cap, idx) {
+                    let queued = self.nodes.ingress_mut(i);
+                    *queued = queued.saturating_sub(1);
+                }
+                // The sender addressed a router; if the destination host
+                // has moved away since — or crashed — the bytes
+                // black-hole there. A wrongly buried node is gone from
+                // the system's books but still listening at its last
+                // attachment: its obituary must reach it.
+                let attached = self.sys.router_of(dst).ok();
+                if liveness::attachment(self.nodes.held_at(idx), attached) == Some(d.to_router) {
+                    // The frame is about to be processed: any *later*
+                    // copy of it on the wire is a spurious retry.
+                    let src = d.env.src;
+                    self.delivered.insert(self.source_index(src), src, d.env.msg_id);
+                    // A first frame starts the machine.
+                    let idx = idx.unwrap_or_else(|| self.nodes.intern(dst));
+                    self.ensure_machine(idx);
+                    self.drive_at(idx, |m, now, env| m.poll(now, Event::Deliver(d.env), env));
+                }
+            }
+            MsgEvent::Timer { node, kind } => {
+                self.drive(node, |m, now, env| m.poll(now, Event::Timer(kind), env));
+            }
+            MsgEvent::Move { key, to } => {
+                let _ = self.sys.move_node(key, to);
+            }
+            MsgEvent::Fail { key } => self.fail_silently(key),
+        }
+        true
+    }
+
+    /// Turns one machine's [`Output`] into transport sends, scheduled
+    /// deliveries and armed timers.
+    fn dispatch(&mut self, idx: NodeIdx, out: Output) {
+        let (now, from) = (self.queue.now(), self.nodes.key_of(idx));
+        // A wrongly buried node transmits from its last attachment
+        // (refutations and rejoin requests).
+        let attached = self.sys.router_of(from).ok();
+        let Some(from_router) = liveness::attachment(self.nodes.held_at(Some(idx)), attached)
+        else {
+            return;
+        };
+        for o in out.outgoing {
+            // A transmission of a frame whose first copy was already
+            // processed is retry-timer waste — the receiver will dedup
+            // it. Counted (cost zero) so the degradation sweep can
+            // compare RTO policies by wasted sends.
+            let src = o.env.src;
+            let index = if src == from { Some(idx.index()) } else { self.source_index(src) };
+            if self.delivered.contains(index, src, o.env.msg_id) {
+                self.sys.meter.bump(MessageKind::SpuriousRetry, 1);
+            }
+            let to_router = o.to_addr.router_id();
+            for d in self.transport.send(now, from_router, to_router, o.env) {
+                self.admit(d);
+            }
+        }
+        for t in out.timers {
+            self.queue.schedule_at(t.at, MsgEvent::Timer { node: from, kind: t.kind });
+        }
+        self.completions.extend(out.completions);
+    }
+
+    /// Schedules one transport delivery, applying ingress backpressure:
+    /// with a cap set and the destination's queue full, lookup-class
+    /// frames are shed (metered, never delivered) while protocol-fact
+    /// frames are admitted regardless — shedding a fact would corrupt
+    /// protocol state to save queue space, the wrong trade.
+    fn admit(&mut self, d: Delivery) {
+        if let Some(cap) = self.ingress_cap {
+            let idx = self.nodes.intern(d.env.dst);
+            let queued = self.nodes.ingress_mut(idx);
+            let sheddable = matches!(
+                d.env.msg,
+                WireMessage::RouteHop { .. }
+                    | WireMessage::Discovery { .. }
+                    | WireMessage::DiscoveryReply { .. }
+                    | WireMessage::ProbeMiss { .. }
+            );
+            if *queued >= cap && sheddable {
+                self.sys.meter.bump(MessageKind::LoadShed, 1);
+                return;
+            }
+            *queued += 1;
+        }
+        self.queue.schedule_at(d.at, MsgEvent::Deliver(d));
+    }
+}
+
+/// What the per-file driver tests share.
+#[cfg(test)]
+mod testkit {
+    use bristle_core::config::BristleConfig;
+    use bristle_core::system::{BristleBuilder, BristleSystem};
+    use bristle_netsim::transit_stub::TransitStubConfig;
+
+    /// The machines' dedup horizon under the default policy: twice
+    /// `ack_timeout << max_attempts` = 20 000 << 4.
+    pub(super) const DEDUP_LIFETIME: u64 = 640_000;
+
+    pub(super) fn build(seed: u64) -> BristleSystem {
+        BristleBuilder::new(seed)
+            .stationary_nodes(40)
+            .mobile_nodes(16)
+            .topology(TransitStubConfig::tiny())
+            .config(BristleConfig::recommended())
+            .build()
+            .expect("system builds")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testkit::*;
+    use super::*;
+    use bristle_proto::transport::TRACE_CAPACITY;
+
+    /// What the message path holds after `rounds` rounds of heartbeats
+    /// at 2 % loss and a route burst, each settled.
+    struct Held {
+        sends: usize,
+        trace_rows: usize,
+        seen: usize,
+        /// Frames of the deduplicated kinds this workload sends.
+        guarded: u64,
+        ledger_bytes: usize,
+        machines: usize,
+        elapsed: u64,
+    }
+
+    fn soak(seed: u64, rounds: usize) -> Held {
+        let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::lossy(0.02), seed);
+        let mut keys: Vec<Key> = msys.sys.mobile.keys().collect();
+        keys.sort_unstable();
+        let mut rng = bristle_netsim::rng::Pcg64::seed_from_u64(seed);
+        msys.seed_monitors();
+        for _ in 0..rounds {
+            msys.heartbeat_round();
+            msys.settle();
+            let pairs: Vec<(Key, Key)> = (0..8)
+                .map(|_| (*rng.choose(&keys), *rng.choose(&keys)))
+                .filter(|(s, t)| s != t)
+                .collect();
+            msys.route_burst(&pairs);
+            msys.settle();
+        }
+        Held {
+            sends: msys.transport.trace().len(),
+            trace_rows: msys.transport.trace().rows().len(),
+            seen: msys.machines.iter().map(|(_, m)| m.seen_len()).sum(),
+            guarded: [MessageKind::RouteHop, MessageKind::DiscoveryHop]
+                .iter()
+                .map(|&kind| msys.sys.meter.count(kind))
+                .sum(),
+            ledger_bytes: msys.delivered.heap_bytes(),
+            machines: msys.machines.iter().count(),
+            elapsed: msys.micro_now().0,
+        }
+    }
+
+    /// The flatness gate, by count rather than by RSS: ten times the
+    /// rounds must not mean ten times the tables. The send trace holds
+    /// its ring, `seen` holds two lifetimes of traffic however long the
+    /// run, and the delivery ledger — whose low-water mark is still
+    /// ROADMAP 2(b)'s, so it does grow — stays at a bit per id plus a
+    /// constant per source.
+    #[test]
+    fn message_path_tables_are_flat_in_rounds() {
+        const R: usize = 40;
+        for seed in [8u64, 27] {
+            let (short, long) = (soak(seed, R), soak(seed, 10 * R));
+            assert!(long.sends > 9 * short.sends, "seed {seed}: ten times the traffic");
+            for held in [&short, &long] {
+                assert!(held.sends > TRACE_CAPACITY, "seed {seed}: the ring wrapped");
+                assert!(held.trace_rows <= TRACE_CAPACITY, "seed {seed}");
+                let budget = held.sends / 8 + 128 * held.machines;
+                assert!(
+                    held.ledger_bytes <= budget,
+                    "seed {seed}: ledger holds {} B for {} ids from {} sources, budget {budget} B",
+                    held.ledger_bytes,
+                    held.sends,
+                    held.machines
+                );
+            }
+            assert!(short.elapsed > DEDUP_LIFETIME, "seed {seed}: R rounds outlast one lifetime");
+            // One lifetime's deduplicated traffic, at the long run's rate.
+            let per_lifetime = long.guarded * DEDUP_LIFETIME / long.elapsed;
+            assert!(
+                (long.seen as u64) <= short.seen as u64 + per_lifetime,
+                "seed {seed}: seen holds {} after {R} rounds and {} after {}; {per_lifetime} frames a lifetime",
+                short.seen,
+                long.seen,
+                10 * R
+            );
+            assert!((long.seen as u64) < long.guarded / 10, "seed {seed}: and it forgets");
+        }
+    }
+}

@@ -1,0 +1,410 @@
+//! The operations a caller runs to completion — each starts frames at
+//! one or more machines, then runs the event loop until the completions
+//! it awaits have been buffered — and the disruptions a caller scripts
+//! around them.
+
+use bristle_core::naming::Mobility;
+use bristle_proto::transport::{Degradation, LinkFilter};
+use bristle_proto::wire::{Envelope, WireAddr};
+
+use super::*;
+
+impl MessagingBristleSystem {
+    /// Routes a message from `src` toward `target` entirely by message
+    /// passing, driving the event loop until the route completes or
+    /// fails. Lost hops time out and retransmit; hops to a moved mobile
+    /// peer fall back to a `_discovery` through the stationary layer.
+    pub fn route(&mut self, src: Key, target: Key) -> Result<MessagingRouteReport, MessagingError> {
+        self.route_burst(&[(src, target)]).pop().unwrap_or(Err(MessagingError::Stalled))
+    }
+
+    /// Has `src`'s machine (started if need be) originate a route toward
+    /// `target`; returns the route id its completion will carry.
+    fn start_route(&mut self, src: Key, target: Key) -> u64 {
+        let mut route_id = 0;
+        self.machine_started(src);
+        self.drive(src, |m, now, env| {
+            let (id, out) = m.start_route(now, env, target);
+            route_id = id;
+            out
+        });
+        route_id
+    }
+
+    /// Routes every `(src, target)` pair *concurrently*: all routes are
+    /// launched before the event loop runs, so their frames contend for
+    /// the same links and ingress queues — the flash-crowd shape
+    /// sequential [`Self::route`] calls (each settling before the next
+    /// starts) can never produce. Results are positional.
+    pub fn route_burst(
+        &mut self,
+        pairs: &[(Key, Key)],
+    ) -> Vec<Result<MessagingRouteReport, MessagingError>> {
+        let mut results: Vec<Option<Result<MessagingRouteReport, MessagingError>>> =
+            vec![None; pairs.len()];
+        let mut sessions: Vec<Option<(Key, u64, SimTime)>> = Vec::with_capacity(pairs.len());
+        for (i, &(src, target)) in pairs.iter().enumerate() {
+            if self.sys.node_info(src).is_err() || self.is_failed(src) {
+                results[i] = Some(Err(MessagingError::UnknownNode(src)));
+                sessions.push(None);
+                continue;
+            }
+            let now = self.queue.now();
+            let route_id = self.start_route(src, target);
+            sessions.push(Some((src, route_id, now)));
+        }
+        // Each completion is matched against the sessions once, when it
+        // is new, instead of every open session rescanning the whole
+        // buffer on every event. A completion is consumed iff its
+        // session was open when the scan that meets it began (the first
+        // one decides the outcome).
+        let mut by_route: Vec<((Key, u64), usize)> = sessions
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.map(|(src, route_id, _)| ((src, route_id), i)))
+            .collect();
+        by_route.sort_unstable();
+        let mut remaining = by_route.len();
+        // Sessions the running scan closed.
+        let mut closing: Vec<usize> = Vec::new();
+        // Everything buffered is new to this burst; later scans start
+        // where the previous one stopped.
+        let mut scanned = 0usize;
+        // The loop asks before every event, so the events run so far
+        // are the askings before this one.
+        let mut askings = 0u64;
+        let (ran, _) = self.run_until(|d| {
+            let (now, events) = (d.queue.now(), askings);
+            askings += 1;
+            closing.clear();
+            let mut kept = scanned;
+            for j in scanned..d.completions.len() {
+                let c = d.completions[j];
+                let route = match c {
+                    Completion::Delivered { origin, route_id }
+                    | Completion::RouteFailed { origin, route_id, .. } => Some((origin, route_id)),
+                    _ => None,
+                };
+                let session = route
+                    .and_then(|route| by_route.binary_search_by_key(&route, |&(k, _)| k).ok())
+                    .map(|at| by_route[at].1)
+                    .filter(|&i| results[i].is_none() || closing.contains(&i));
+                let Some(i) = session else {
+                    d.completions[kept] = c;
+                    kept += 1;
+                    continue;
+                };
+                if results[i].is_some() {
+                    continue;
+                }
+                let (_, route_id, started) = sessions[i].expect("only sessions are indexed");
+                results[i] = Some(match c {
+                    Completion::RouteFailed { origin, route_id, at } => {
+                        Err(MessagingError::RouteFailed { origin, route_id, at })
+                    }
+                    _ => {
+                        d.obs.route_latency.record(now.since(started));
+                        Ok(MessagingRouteReport { route_id, delivered_at: now, events })
+                    }
+                });
+                remaining -= 1;
+                closing.push(i);
+            }
+            d.completions.truncate(kept);
+            scanned = kept;
+            remaining == 0
+        });
+        if let Err(e) = ran.settled() {
+            for r in results.iter_mut().filter(|r| r.is_none()) {
+                *r = Some(Err(e.clone()));
+            }
+        }
+        results.into_iter().map(|r| r.unwrap_or(Err(MessagingError::Stalled))).collect()
+    }
+
+    /// Runs the event loop until `n` buffered completions that `mine`
+    /// claims have been taken out of the buffer.
+    fn await_completions(&mut self, n: usize, mut mine: impl FnMut(&Completion) -> bool) -> Ran {
+        let mut taken = 0usize;
+        let awaited = |d: &mut Self| {
+            d.completions.retain(|c| {
+                let hit = mine(c);
+                taken += usize::from(hit);
+                !hit
+            });
+            taken >= n
+        };
+        self.run_until(awaited).0
+    }
+
+    /// Disseminates `key`'s current address through its LDT by reliable
+    /// Update messages (the message-passing `advertise_update`), running
+    /// the event loop until every edge is acked or exhausts its retries.
+    /// Returns the number of acknowledged edges.
+    pub fn disseminate_update(&mut self, key: Key) -> Result<usize, MessagingError> {
+        let info = *self.sys.node_info(key).map_err(|_| MessagingError::UnknownNode(key))?;
+        let ldt = self.sys.build_ldt(key).map_err(|_| MessagingError::UnknownNode(key))?;
+        let addr = wire_addr_of(&self.sys, key).expect("known above");
+        let started = self.queue.now();
+        let mut expected = 0usize;
+        for (parent, children) in children_by_parent(&ldt) {
+            // A parent that crashed (or vanished) mid-tree cannot relay:
+            // its edges are skipped now and repaired by confirmation.
+            if self.is_failed(parent) || self.sys.node_info(parent).is_err() {
+                continue;
+            }
+            expected += children.len();
+            self.machine_started(parent);
+            self.drive(parent, |m, now, env| {
+                m.start_update(now, env, key, addr, info.seq, &children)
+            });
+        }
+        let mut acked = 0usize;
+        if expected > 0 {
+            let ran = self.await_completions(expected, |c| match c {
+                Completion::UpdateAcked { .. } => {
+                    acked += 1;
+                    true
+                }
+                Completion::UpdateFailed { .. } => true,
+                _ => false,
+            });
+            // A queue that drained with edges unsettled is not an error:
+            // a parent died *during* the round, so its pending acks can
+            // never arrive. Report how far the dissemination got — the
+            // shortfall is exactly what failure detection must catch.
+            if let Ran::Runaway = ran {
+                return Err(MessagingError::Runaway);
+            }
+            self.obs.dissemination_latency.record(self.queue.now().since(started));
+        }
+        Ok(acked)
+    }
+
+    /// Registers `who`'s interest in mobile `target` by message, driving
+    /// the loop until the registration is acked (lease granted) or fails.
+    pub fn register(&mut self, who: Key, target: Key) -> Result<(), MessagingError> {
+        let info = *self.sys.node_info(who).map_err(|_| MessagingError::UnknownNode(who))?;
+        if self.is_failed(who) {
+            return Err(MessagingError::UnknownNode(who));
+        }
+        if self.sys.node_info(target).map(|i| i.mobility) != Ok(Mobility::Mobile) {
+            return Err(MessagingError::UnknownNode(target));
+        }
+        self.machine_started(who);
+        self.drive(who, |m, now, env| m.start_register(now, env, target, info.capacity));
+        let mut acked = false;
+        let ran = self.await_completions(1, |c| match *c {
+            Completion::Registered { target: t } if t == target => {
+                acked = true;
+                true
+            }
+            Completion::RegisterFailed { target: t } => t == target,
+            _ => false,
+        });
+        ran.settled()?;
+        acked.then_some(()).ok_or(MessagingError::Stalled)
+    }
+
+    /// Injects an adversary-crafted frame into the transport as if some
+    /// node at `from_router` had sent it: same link latencies, faults
+    /// and delivery scheduling as honest traffic. The adversary is a
+    /// protocol-level attacker — it can put any bytes on the wire, but
+    /// the honest receive path (and its [`VerifyPolicy`]) decides what
+    /// those bytes do.
+    pub fn inject_frame(&mut self, from_router: RouterId, to_addr: WireAddr, env: Envelope) {
+        let now = self.queue.now();
+        let to_router = to_addr.router_id();
+        for d in self.transport.send(now, from_router, to_router, env) {
+            self.admit(d);
+        }
+    }
+
+    /// Drains every event the injected frames (and any reactions they
+    /// provoke) schedule, then reports how many events ran. The
+    /// adversary driver calls this after a volley of [`Self::inject_frame`]s.
+    pub fn settle_injected(&mut self) -> u64 {
+        self.drain()
+    }
+
+    /// Schedules a mobile node's move at micro-time `at`, to be executed
+    /// while a later operation's event loop runs past that time.
+    pub fn schedule_move(&mut self, at: SimTime, key: Key, to: Option<RouterId>) {
+        self.queue.schedule_at(at, MsgEvent::Move { key, to });
+    }
+
+    /// Schedules a silent crash at micro-time `at` (see
+    /// [`Self::fail_silently`]), to be executed while a later operation's
+    /// event loop runs past that time.
+    pub fn schedule_fail(&mut self, at: SimTime, key: Key) {
+        self.queue.schedule_at(at, MsgEvent::Fail { key });
+    }
+
+    /// Cuts the network along `filter` immediately: sends whose
+    /// endpoints the filter separates are blocked until
+    /// [`Self::heal_now`] (in-flight deliveries are unaffected).
+    pub fn partition_now(&mut self, filter: LinkFilter) {
+        self.transport.set_filter(filter);
+    }
+
+    /// Heals every cut immediately: the transport's link filter is reset.
+    pub fn heal_now(&mut self) {
+        self.transport.set_filter(LinkFilter::default());
+    }
+
+    /// Applies a fail-slow script to `key`'s current router immediately:
+    /// everything it sends or receives suffers the script's slowdown,
+    /// ramp and extra loss until healed. The node stays up — this is
+    /// gray failure, not a crash.
+    pub fn degrade_node_now(&mut self, key: Key, degradation: Degradation) {
+        if let Ok(router) = self.sys.router_of(key) {
+            self.transport.degrade_node(router, degradation, self.queue.now());
+        }
+    }
+
+    /// Applies a fail-slow script to the directed `from → to` link
+    /// between two nodes' current routers immediately; the reverse
+    /// direction is untouched (asymmetric degradation).
+    pub fn degrade_link_now(&mut self, from: Key, to: Key, degradation: Degradation) {
+        if let (Ok(a), Ok(b)) = (self.sys.router_of(from), self.sys.router_of(to)) {
+            self.transport.degrade_link(a, b, degradation, self.queue.now());
+        }
+    }
+
+    /// Lifts every fail-slow script immediately.
+    pub fn heal_degradations_now(&mut self) {
+        self.transport.clear_degradations();
+    }
+
+    /// Drains every pending event (stray acks, stale timers) so the next
+    /// operation starts from a quiet network.
+    pub fn settle(&mut self) {
+        self.drain();
+        self.completions.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::super::MAX_EVENTS_PER_OP;
+    use super::*;
+    use bristle_proto::transport::FaultConfig;
+
+    /// Scans buffered completions for this route's outcome.
+    fn take_route_completion(
+        msys: &mut MessagingBristleSystem,
+        origin: Key,
+        route_id: u64,
+    ) -> Result<Option<SimTime>, MessagingError> {
+        let mut found = None;
+        let now = msys.queue.now();
+        msys.completions.retain(|c| match *c {
+            Completion::Delivered { origin: o, route_id: r } if o == origin && r == route_id => {
+                if found.is_none() {
+                    found = Some(Ok(Some(now)));
+                }
+                false
+            }
+            Completion::RouteFailed { origin: o, route_id: r, at }
+                if o == origin && r == route_id =>
+            {
+                if found.is_none() {
+                    found = Some(Err(MessagingError::RouteFailed { origin: o, route_id: r, at }));
+                }
+                false
+            }
+            _ => true,
+        });
+        found.unwrap_or(Ok(None))
+    }
+
+    /// `route_burst` as it was: one `take_route_completion` per open
+    /// session per event.
+    fn route_burst_reference(
+        msys: &mut MessagingBristleSystem,
+        pairs: &[(Key, Key)],
+    ) -> Vec<Result<MessagingRouteReport, MessagingError>> {
+        let mut results: Vec<Option<Result<MessagingRouteReport, MessagingError>>> =
+            vec![None; pairs.len()];
+        let mut sessions: Vec<Option<(Key, u64, SimTime)>> = Vec::new();
+        for (i, &(src, target)) in pairs.iter().enumerate() {
+            if msys.sys.node_info(src).is_err() || msys.is_failed(src) {
+                results[i] = Some(Err(MessagingError::UnknownNode(src)));
+                sessions.push(None);
+                continue;
+            }
+            let now = msys.queue.now();
+            let route_id = msys.start_route(src, target);
+            sessions.push(Some((src, route_id, now)));
+        }
+        let mut events = 0u64;
+        loop {
+            let mut open = 0usize;
+            for (i, session) in sessions.iter().enumerate() {
+                let Some((src, route_id, started)) = *session else { continue };
+                if results[i].is_some() {
+                    continue;
+                }
+                match take_route_completion(msys, src, route_id) {
+                    Ok(Some(done)) => {
+                        msys.obs.route_latency.record(done.since(started));
+                        results[i] =
+                            Some(Ok(MessagingRouteReport { route_id, delivered_at: done, events }));
+                    }
+                    Ok(None) => open += 1,
+                    Err(e) => results[i] = Some(Err(e)),
+                }
+            }
+            if open == 0 || events >= MAX_EVENTS_PER_OP || !msys.step() {
+                break;
+            }
+            events += 1;
+        }
+        results.into_iter().map(|r| r.unwrap_or(Err(MessagingError::Stalled))).collect()
+    }
+
+    /// Bursts on twin systems — duplicates and loss on the wire, an
+    /// unknown source, a repeated pair, stale completions left in the
+    /// buffer between bursts — must agree position by position, and
+    /// leave the same completions, tallies and latency histogram behind.
+    #[test]
+    fn route_burst_matches_per_session_scan() {
+        for seed in [8u64, 27] {
+            let faults = FaultConfig {
+                drop_probability: 0.15,
+                duplicate_probability: 0.3,
+                min_latency: 1,
+                jitter: 7,
+            };
+            let mut a = MessagingBristleSystem::new(build(seed), faults.clone(), seed);
+            let mut b = MessagingBristleSystem::new(build(seed), faults, seed);
+            let mut keys: Vec<Key> = a.sys.mobile.keys().collect();
+            keys.sort_unstable();
+            let mut rng = bristle_netsim::rng::Pcg64::seed_from_u64(seed);
+            for burst in 0..6 {
+                let mut pairs: Vec<(Key, Key)> = (0..24)
+                    .map(|_| (*rng.choose(&keys), *rng.choose(&keys)))
+                    .filter(|(s, t)| s != t)
+                    .collect();
+                pairs.push((Key(0xDEAD_0000_0000_0001), keys[0]));
+                pairs.push(pairs[0]);
+                let got = a.route_burst(&pairs);
+                let want = route_burst_reference(&mut b, &pairs);
+                assert_eq!(got, want, "seed {seed} burst {burst}");
+                assert_eq!(a.completions, b.completions, "seed {seed} burst {burst}: leftovers");
+                assert!(got.iter().any(|r| r.is_ok()));
+                // Callers that do not settle leave completions behind.
+                if burst % 2 == 1 {
+                    a.settle();
+                    b.settle();
+                }
+            }
+            assert_eq!(a.transport.trace_bytes(), b.transport.trace_bytes());
+            assert_eq!(a.obs.route_latency.snapshot(), b.obs.route_latency.snapshot());
+            for &kind in bristle_overlay::meter::ALL_KINDS.iter() {
+                assert_eq!(a.sys.meter.count(kind), b.sys.meter.count(kind), "{kind:?}");
+            }
+        }
+    }
+}

@@ -68,12 +68,12 @@ impl Samples {
 
     /// Smallest sample (0 when empty).
     pub fn min(&self) -> f64 {
-        self.values.iter().copied().fold(f64::INFINITY, f64::min).into_finite()
+        finite_or_zero(self.values.iter().copied().fold(f64::INFINITY, f64::min))
     }
 
     /// Largest sample (0 when empty).
     pub fn max(&self) -> f64 {
-        self.values.iter().copied().fold(f64::NEG_INFINITY, f64::max).into_finite()
+        finite_or_zero(self.values.iter().copied().fold(f64::NEG_INFINITY, f64::max))
     }
 
     /// Sum of all samples.
@@ -91,16 +91,12 @@ impl Samples {
     }
 }
 
-trait IntoFinite {
-    fn into_finite(self) -> f64;
-}
-impl IntoFinite for f64 {
-    fn into_finite(self) -> f64 {
-        if self.is_finite() {
-            self
-        } else {
-            0.0
-        }
+/// `x`, or 0 for the infinities an empty fold leaves behind.
+fn finite_or_zero(x: f64) -> f64 {
+    if x.is_finite() {
+        x
+    } else {
+        0.0
     }
 }
 

@@ -280,13 +280,6 @@ pub struct QueueBench {
     pub heap_events_per_sec: f64,
 }
 
-impl QueueBench {
-    /// Bucket-over-heap speedup factor.
-    pub fn speedup(&self) -> f64 {
-        self.bucket_events_per_sec / self.heap_events_per_sec.max(1e-9)
-    }
-}
-
 /// Runs the hold-model benchmark at steady size `n` for `ops` holds.
 pub fn queue_bench(n: usize, ops: usize, seed: u64) -> QueueBench {
     fn hold<Q>(n: usize, ops: usize, seed: u64, queue: &mut Q) -> f64

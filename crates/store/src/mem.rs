@@ -19,12 +19,6 @@ impl MemBackend {
     pub fn new() -> MemBackend {
         MemBackend::default()
     }
-
-    /// A store pre-seeded with `state` (used when rebasing a node onto
-    /// a different backend).
-    pub fn with_state(state: DurableState) -> MemBackend {
-        MemBackend { state }
-    }
 }
 
 impl StateStore for MemBackend {

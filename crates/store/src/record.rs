@@ -142,23 +142,20 @@ impl<'a> Dec<'a> {
     fn new(buf: &'a [u8]) -> Dec<'a> {
         Dec { buf, pos: 0 }
     }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(CodecError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let rest = self.buf.get(self.pos..).unwrap_or_default();
+        let bytes = rest.first_chunk::<N>().ok_or(CodecError::Truncated)?;
+        self.pos += N;
+        Ok(*bytes)
     }
     fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        Ok(self.take::<1>()?[0])
     }
     fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.take()?))
     }
     fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take()?))
     }
     fn finish(self) -> Result<(), CodecError> {
         if self.pos == self.buf.len() {

@@ -98,7 +98,7 @@ impl DurableState {
         match *rec {
             WalRecord::Identity { key, incarnation } => self.identity = Some((key, incarnation)),
             WalRecord::RecordPut { subject, .. } => {
-                self.records.insert(subject, stored_record(rec).expect("a RecordPut"));
+                self.records.extend(stored_record(rec).map(|stored| (subject, stored)));
             }
             WalRecord::RecordRemove { subject } => {
                 self.records.remove(&subject);

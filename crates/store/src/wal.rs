@@ -34,7 +34,7 @@ use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crate::record::WalRecord;
 use crate::state::DurableState;
@@ -54,9 +54,11 @@ const MAX_PAYLOAD: u32 = 1 << 16;
 /// on-disk `wal.lock` file carries only a PID, so same-process
 /// double-opens need their own ledger (both would present the same,
 /// very-much-alive PID).
-fn open_dirs() -> &'static Mutex<HashSet<PathBuf>> {
+fn open_dirs() -> MutexGuard<'static, HashSet<PathBuf>> {
     static OPEN_DIRS: OnceLock<Mutex<HashSet<PathBuf>>> = OnceLock::new();
-    OPEN_DIRS.get_or_init(|| Mutex::new(HashSet::new()))
+    // Invariant: every critical section is one `HashSet` call, which
+    // cannot panic, so the ledger is never poisoned.
+    OPEN_DIRS.get_or_init(|| Mutex::new(HashSet::new())).lock().expect("lock ledger poisoned")
 }
 
 /// Whether `pid` names a live process. Uses `/proc` where it exists;
@@ -126,14 +128,11 @@ fn holder_still_owns(holder: &LockHolder) -> bool {
 fn acquire_dir_lock(dir: &Path) -> std::io::Result<PathBuf> {
     let canonical = dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf());
     let lock_path = dir.join("wal.lock");
-    {
-        let held = open_dirs().lock().expect("lock ledger poisoned");
-        if held.contains(&canonical) {
-            return Err(std::io::Error::new(
-                ErrorKind::AddrInUse,
-                format!("{} is already open in this process", dir.display()),
-            ));
-        }
+    if open_dirs().contains(&canonical) {
+        return Err(std::io::Error::new(
+            ErrorKind::AddrInUse,
+            format!("{} is already open in this process", dir.display()),
+        ));
     }
     for attempt in 0..2 {
         match OpenOptions::new().write(true).create_new(true).open(&lock_path) {
@@ -144,7 +143,7 @@ fn acquire_dir_lock(dir: &Path) -> std::io::Result<PathBuf> {
                     None => pid.to_string(),
                 };
                 f.write_all(contents.as_bytes())?;
-                open_dirs().lock().expect("lock ledger poisoned").insert(canonical);
+                open_dirs().insert(canonical);
                 return Ok(lock_path);
             }
             Err(e) if e.kind() == ErrorKind::AlreadyExists && attempt == 0 => {
@@ -173,7 +172,7 @@ fn acquire_dir_lock(dir: &Path) -> std::io::Result<PathBuf> {
 /// Releases the lock taken by [`acquire_dir_lock`].
 fn release_dir_lock(dir: &Path, lock_path: &Path) {
     let canonical = dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf());
-    open_dirs().lock().expect("lock ledger poisoned").remove(&canonical);
+    open_dirs().remove(&canonical);
     let _ = std::fs::remove_file(lock_path);
 }
 
@@ -247,15 +246,15 @@ fn read_frames(bytes: &[u8], mut sink: impl FnMut(WalRecord)) -> (usize, usize, 
     let mut count = 0usize;
     while pos < bytes.len() {
         let rest = &bytes[pos..];
-        if rest.len() < 8 {
+        // Two little-endian words: the payload's length, then its checksum.
+        let Some(([len, want], _)) = rest.as_chunks::<4>().0.split_first_chunk::<2>() else {
             return (
                 count,
                 pos,
                 Some(format!("torn frame header ({} bytes) at offset {pos}", rest.len())),
             );
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().unwrap());
-        let want = u32::from_le_bytes(rest[4..8].try_into().unwrap());
+        };
+        let (len, want) = (u32::from_le_bytes(*len), u32::from_le_bytes(*want));
         if len > MAX_PAYLOAD {
             return (count, pos, Some(format!("implausible frame length {len} at offset {pos}")));
         }

@@ -19,48 +19,11 @@
 
 use std::path::PathBuf;
 
-use bristle::core::config::BristleConfig;
-use bristle::core::system::{BristleBuilder, BristleSystem};
 use bristle::core::time::SimTime;
-use bristle::netsim::transit_stub::TransitStubConfig;
-use bristle::overlay::addr::{NetAddr, StatePair};
-use bristle::overlay::key::Key;
 use bristle::overlay::obs::{ObsEvent, ObsEventKind};
 use bristle::proto::transport::FaultConfig;
+use bristle::sim::conformance::{build, direct_pair, force_belief};
 use bristle::sim::messaging::MessagingBristleSystem;
-
-fn build(seed: u64) -> BristleSystem {
-    BristleBuilder::new(seed)
-        .stationary_nodes(40)
-        .mobile_nodes(12)
-        .topology(TransitStubConfig::tiny())
-        .config(BristleConfig::recommended())
-        .build()
-        .expect("system builds")
-}
-
-/// A pair whose mobile-layer route is a single direct hop to a mobile
-/// target, so the staged move provably races the in-flight forward.
-fn direct_pair(sys: &BristleSystem) -> (Key, Key) {
-    for &target in sys.mobile_keys() {
-        for src in sys.mobile.keys() {
-            if src != target && sys.mobile.next_hop(src, target).ok().flatten() == Some(target) {
-                return (src, target);
-            }
-        }
-    }
-    panic!("no direct mobile pair in this population");
-}
-
-/// Installs a fresh (but about-to-be-stale) resolved state-pair at
-/// `holder` for `subject`, modelling an established session.
-fn force_belief(sys: &mut BristleSystem, holder: Key, subject: Key) {
-    let info = *sys.node_info(subject).expect("known");
-    let addr = NetAddr::current(info.host, &sys.attachments);
-    let (now, ttl) = (sys.clock.now(), sys.config().lease_ttl);
-    sys.leases.grant(holder, subject, now, ttl);
-    sys.mobile.node_mut(holder).expect("known").upsert_entry(StatePair::resolved(subject, addr));
-}
 
 /// One event as one stable golden line. Trace ids are seeded-deterministic
 /// (key × counter hash), so they are reproducible and safe to pin.

@@ -8,25 +8,11 @@
 //! transport, per-kind message counts match the function-call path
 //! exactly for the same seed.
 
-use bristle::core::config::BristleConfig;
-use bristle::core::system::{BristleBuilder, BristleSystem};
 use bristle::core::time::SimTime;
-use bristle::netsim::transit_stub::TransitStubConfig;
-use bristle::overlay::addr::{NetAddr, StatePair};
-use bristle::overlay::key::Key;
 use bristle::overlay::meter::{MessageKind, Meter, ALL_KINDS};
 use bristle::proto::transport::FaultConfig;
+use bristle::sim::conformance::{build, direct_pair, force_belief};
 use bristle::sim::messaging::{MessagingBristleSystem, MessagingError};
-
-fn build(seed: u64) -> BristleSystem {
-    BristleBuilder::new(seed)
-        .stationary_nodes(40)
-        .mobile_nodes(12)
-        .topology(TransitStubConfig::tiny())
-        .config(BristleConfig::recommended())
-        .build()
-        .expect("system builds")
-}
 
 fn counts(meter: &Meter) -> Vec<(MessageKind, u64, u64)> {
     ALL_KINDS.iter().map(|&k| (k, meter.count(k), meter.cost(k))).collect()
@@ -34,29 +20,6 @@ fn counts(meter: &Meter) -> Vec<(MessageKind, u64, u64)> {
 
 fn delta(before: &[(MessageKind, u64, u64)], after: &Meter) -> Vec<(MessageKind, u64, u64)> {
     before.iter().map(|&(k, c0, w0)| (k, after.count(k) - c0, after.cost(k) - w0)).collect()
-}
-
-/// A pair whose mobile-layer route is a single direct hop to a mobile
-/// target, so a staged move provably races the in-flight forward.
-fn direct_pair(sys: &BristleSystem) -> (Key, Key) {
-    for &target in sys.mobile_keys() {
-        for src in sys.mobile.keys() {
-            if src != target && sys.mobile.next_hop(src, target).ok().flatten() == Some(target) {
-                return (src, target);
-            }
-        }
-    }
-    panic!("no direct mobile pair in this population");
-}
-
-/// Installs a fresh (but about-to-be-stale) resolved state-pair at
-/// `holder` for `subject`, modelling an established session.
-fn force_belief(sys: &mut BristleSystem, holder: Key, subject: Key) {
-    let info = *sys.node_info(subject).expect("known");
-    let addr = NetAddr::current(info.host, &sys.attachments);
-    let (now, ttl) = (sys.clock.now(), sys.config().lease_ttl);
-    sys.leases.grant(holder, subject, now, ttl);
-    sys.mobile.node_mut(holder).expect("known").upsert_entry(StatePair::resolved(subject, addr));
 }
 
 /// With a perfect transport, the message-passing route produces exactly

@@ -10,15 +10,10 @@
 
 use std::path::PathBuf;
 
-use bristle::core::config::BristleConfig;
-use bristle::core::system::{BristleBuilder, BristleSystem};
 use bristle::core::time::SimTime;
-use bristle::netsim::transit_stub::TransitStubConfig;
-use bristle::overlay::addr::{NetAddr, StatePair};
-use bristle::overlay::key::Key;
 use bristle::overlay::obs::{ObsEvent, ObsEventKind};
 use bristle::proto::transport::FaultConfig;
-use bristle::sim::conformance::{run_sim, run_sockets};
+use bristle::sim::conformance::{build, direct_pair, force_belief, run_sim, run_sockets};
 use bristle::sim::messaging::MessagingBristleSystem;
 
 fn conformance_at(seed: u64) {
@@ -74,35 +69,6 @@ fn the_scenario_exercises_the_recovery_paths() {
 
 // ---- golden-trace byte-identity (scenario duplicated from
 // golden_trace.rs so this suite pins it independently) ----
-
-fn build(seed: u64) -> BristleSystem {
-    BristleBuilder::new(seed)
-        .stationary_nodes(40)
-        .mobile_nodes(12)
-        .topology(TransitStubConfig::tiny())
-        .config(BristleConfig::recommended())
-        .build()
-        .expect("system builds")
-}
-
-fn direct_pair(sys: &BristleSystem) -> (Key, Key) {
-    for &target in sys.mobile_keys() {
-        for src in sys.mobile.keys() {
-            if src != target && sys.mobile.next_hop(src, target).ok().flatten() == Some(target) {
-                return (src, target);
-            }
-        }
-    }
-    panic!("no direct mobile pair in this population");
-}
-
-fn force_belief(sys: &mut BristleSystem, holder: Key, subject: Key) {
-    let info = *sys.node_info(subject).expect("known");
-    let addr = NetAddr::current(info.host, &sys.attachments);
-    let (now, ttl) = (sys.clock.now(), sys.config().lease_ttl);
-    sys.leases.grant(holder, subject, now, ttl);
-    sys.mobile.node_mut(holder).expect("known").upsert_entry(StatePair::resolved(subject, addr));
-}
 
 fn fmt_event(e: &ObsEvent) -> String {
     let kind = match e.kind {
