@@ -37,6 +37,8 @@ pub struct Registry {
     targets: KeyInterner,
     lists: Vec<Vec<Registrant>>,
     nonempty: usize,
+    /// Bumped by every call that adds or removes an edge.
+    epoch: u64,
 }
 
 impl Registry {
@@ -63,6 +65,7 @@ impl Registry {
                     self.nonempty += 1;
                 }
                 list.push(who);
+                self.epoch += 1;
                 true
             }
         }
@@ -80,6 +83,7 @@ impl Registry {
         if removed && list.is_empty() {
             self.nonempty -= 1;
         }
+        self.epoch += removed as u64;
         removed
     }
 
@@ -94,6 +98,7 @@ impl Registry {
                 self.nonempty -= 1;
             }
         }
+        self.epoch += (removed > 0) as u64;
         removed
     }
 
@@ -106,9 +111,26 @@ impl Registry {
         let dropped = list.len();
         if dropped > 0 {
             self.nonempty -= 1;
+            self.epoch += 1;
         }
         list.clear();
         dropped
+    }
+
+    /// Empties the registry and returns what it held. The empty one
+    /// counts on from the old one's [`Self::epoch`], so a rebuild reads
+    /// as a change even when it lands on the same number of edges.
+    pub fn take(&mut self) -> Registry {
+        let epoch = self.epoch + 1;
+        std::mem::replace(self, Registry { epoch, ..Registry::default() })
+    }
+
+    /// A count that moves whenever the set of `(registrant, target)`
+    /// edges does (a capacity update is not a change of edges), and
+    /// never moves back: equal readings mean nothing registered or
+    /// deregistered in between.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// The registrants R(target), in registration order.
@@ -210,6 +232,35 @@ mod tests {
         reg.register(Registrant::new(Key(2), 5), Key(8));
         assert_eq!(reg.targets_of(Key(1)), vec![Key(9), Key(10)]);
         assert!(reg.targets_of(Key(3)).is_empty());
+    }
+
+    #[test]
+    fn epoch_moves_with_the_edge_set_and_only_with_it() {
+        let mut reg = Registry::new();
+        let mut last = reg.epoch();
+        let mut moved = |reg: &Registry| std::mem::replace(&mut last, reg.epoch()) < reg.epoch();
+        reg.register(Registrant::new(Key(1), 5), Key(9));
+        assert!(moved(&reg));
+        reg.register(Registrant::new(Key(1), 8), Key(9));
+        assert!(!moved(&reg), "a capacity update adds no edge");
+        reg.register(Registrant::new(Key(2), 5), Key(9));
+        reg.register(Registrant::new(Key(2), 5), Key(10));
+        assert!(moved(&reg));
+        assert!(!reg.deregister(Key(3), Key(9)) && !moved(&reg));
+        assert!(reg.deregister(Key(1), Key(9)) && moved(&reg));
+        assert!(reg.remove_everywhere(Key(3)) == 0 && !moved(&reg));
+        assert!(reg.remove_everywhere(Key(2)) == 2 && moved(&reg));
+        assert!(reg.drop_target(Key(9)) == 0 && !moved(&reg));
+        reg.register(Registrant::new(Key(4), 5), Key(9));
+        assert!(reg.drop_target(Key(9)) == 1 && moved(&reg));
+        // A rebuild to the same edges is still a change.
+        reg.register(Registrant::new(Key(4), 5), Key(9));
+        let before = reg.epoch();
+        let old = reg.take();
+        assert_eq!(old.total_registrations(), 1);
+        assert_eq!(reg.total_registrations(), 0);
+        reg.register(Registrant::new(Key(4), 5), Key(9));
+        assert!(reg.epoch() > before);
     }
 
     #[test]

@@ -49,6 +49,7 @@ impl BristleSystem {
     pub(crate) fn set_identity(&mut self, key: Key, info: NodeInfo) {
         let idx = self.idx(key);
         self.info.insert(idx, info);
+        self.identity_epoch += 1;
         self.stores.apply(key, WalRecord::Identity { key: key.0, incarnation: info.incarnation });
     }
 
@@ -116,7 +117,7 @@ impl BristleSystem {
     /// itself to those mobile nodes only"). Each R(·) lists its holders
     /// in ring order.
     pub fn sync_registrations(&mut self) {
-        let old = std::mem::take(&mut self.registry);
+        let old = self.registry.take();
         for holder in self.mobile.iter() {
             let capacity = self.info_unchecked(holder.key).capacity;
             for subject in holder.entries.iter().map(|e| e.key) {

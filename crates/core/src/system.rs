@@ -104,6 +104,9 @@ pub struct BristleSystem {
     /// Written by [`Self::readmit`] and [`Self::forget`] only, the two
     /// calls every change of that membership is paired with.
     stationary_hosts: Vec<bool>,
+    /// Bumped by the two calls that make or unmake an identity:
+    /// `repo::set_identity` and [`Self::forget`].
+    pub(crate) identity_epoch: u64,
     stationary_keys: Vec<Key>,
     mobile_keys: Vec<Key>,
     /// Registration state R(·) (§2.3.1).
@@ -228,6 +231,7 @@ impl BristleBuilder {
             interner: KeyInterner::new(),
             info: NodeArena::new(),
             stationary_hosts: Vec::new(),
+            identity_epoch: 0,
             stationary_keys: Vec::new(),
             mobile_keys: Vec::new(),
             registry: Registry::new(),
@@ -415,6 +419,16 @@ impl BristleSystem {
     /// Static facts about a node.
     pub fn node_info(&self, key: Key) -> Result<&NodeInfo> {
         self.interner.get(key).and_then(|i| self.info.get(i)).ok_or(BristleError::UnknownNode(key))
+    }
+
+    /// A count that moves whenever membership does — a node gains or
+    /// loses its identity, joins or leaves either ring, or an edge of
+    /// R(·) is added or removed — and never moves back. Each table
+    /// counts its own changes inside its own mutators, so a write that
+    /// reaches one directly (they are `pub`) is counted too. Moves,
+    /// leases and location records are not membership.
+    pub fn membership_epoch(&self) -> u64 {
+        self.identity_epoch + self.registry.epoch() + self.stationary.epoch() + self.mobile.epoch()
     }
 
     /// Whether `host` embodies a live stationary node: one indexed read
@@ -636,6 +650,7 @@ impl BristleSystem {
     pub(crate) fn forget(&mut self, key: Key) {
         let Some(idx) = self.interner.get(key) else { return };
         let Some(info) = self.info.remove(idx) else { return };
+        self.identity_epoch += 1;
         match info.mobility {
             Mobility::Stationary => {
                 self.stationary_keys.retain(|&k| k != key);

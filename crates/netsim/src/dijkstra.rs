@@ -8,7 +8,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use crate::graph::{Graph, RouterId};
 
@@ -84,39 +84,71 @@ pub fn shortest_path(graph: &Graph, src: RouterId, dst: RouterId) -> Option<(Dis
 
 /// A thread-safe memoizing shortest-path-distance oracle.
 ///
-/// Caches full single-source distance vectors keyed by source router. The
-/// cache is bounded: past [`DistanceCache::capacity`] sources it evicts an
-/// arbitrary entry (experiments exhibit heavy source reuse, so eviction is
-/// rare in practice).
+/// Caches full single-source distance vectors keyed by source router, at
+/// most [`DistanceCache::capacity`] of them. Which of two tables holds
+/// them is fixed at construction by that bound alone:
+///
+/// * `capacity >= vertex_count` — nothing can ever be evicted, so each
+///   source has a cell of its own that is written once. A hit takes no
+///   lock and no atomic read-modify-write: it is the cell's state word,
+///   the row pointer and the value.
+/// * below that — a bounded table behind a lock that evicts round-robin
+///   (experiments exhibit heavy source reuse, so eviction is rare in
+///   practice).
 pub struct DistanceCache {
     graph: Arc<Graph>,
     capacity: usize,
-    // Rows live in a bounded `Vec`; a hit is one read of `index`, never a
-    // scan. A miss takes the write lock and, at capacity, evicts round-robin.
-    slots: RwLock<CacheSlots>,
+    rows: Rows,
+}
+
+enum Rows {
+    /// `cells[s]` = distances from source `s`, once asked for.
+    Dense(Box<[OnceLock<Arc<[Dist]>>]>),
+    /// Rows live in a bounded `Vec`; a hit is one read of `index`, never a
+    /// scan. A miss takes the write lock and, at capacity, evicts round-robin.
+    Bounded(RwLock<CacheSlots>),
 }
 
 struct CacheSlots {
     /// `index[s]` = slot holding distances from source `s`, or `u32::MAX`.
     index: Vec<u32>,
-    entries: Vec<(RouterId, Arc<Vec<Dist>>)>,
+    entries: Vec<(RouterId, Arc<[Dist]>)>,
     /// Round-robin eviction cursor.
     cursor: usize,
+}
+
+impl CacheSlots {
+    fn get(&self, src: RouterId) -> Option<&Arc<[Dist]>> {
+        let slot = self.index[src.index()];
+        (slot != u32::MAX).then(|| &self.entries[slot as usize].1)
+    }
+}
+
+/// A guard on the bounded table, poisoned or not. A row is computed
+/// before the write guard is taken, and wherever a write section could
+/// be cut short every `index` entry that is set still names an entry
+/// holding that source's row — the worst left behind is a row nothing
+/// points at, which the cursor reclaims — so the table a panicked
+/// holder leaves is as good as the one it found.
+fn unpoisoned<G>(guard: Result<G, PoisonError<G>>) -> G {
+    guard.unwrap_or_else(PoisonError::into_inner)
 }
 
 impl DistanceCache {
     /// Creates a cache over `graph` holding at most `capacity` source rows.
     pub fn new(graph: Arc<Graph>, capacity: usize) -> Self {
         let n = graph.vertex_count();
-        DistanceCache {
-            graph,
-            capacity: capacity.max(1),
-            slots: RwLock::new(CacheSlots {
+        let capacity = capacity.max(1);
+        let rows = if capacity >= n {
+            Rows::Dense((0..n).map(|_| OnceLock::new()).collect())
+        } else {
+            Rows::Bounded(RwLock::new(CacheSlots {
                 index: vec![u32::MAX; n],
                 entries: Vec::new(),
                 cursor: 0,
-            }),
-        }
+            }))
+        };
+        DistanceCache { graph, capacity, rows }
     }
 
     /// The underlying graph.
@@ -131,7 +163,10 @@ impl DistanceCache {
 
     /// Number of source rows currently cached.
     pub fn len(&self) -> usize {
-        self.slots.read().expect("cache lock poisoned").entries.len()
+        match &self.rows {
+            Rows::Dense(cells) => cells.iter().filter(|cell| cell.get().is_some()).count(),
+            Rows::Bounded(slots) => unpoisoned(slots.read()).entries.len(),
+        }
     }
 
     /// Whether the cache is empty.
@@ -139,33 +174,35 @@ impl DistanceCache {
         self.len() == 0
     }
 
-    /// `read` applied to `src`'s row under the read guard, if it is cached.
-    fn cached<R>(&self, src: RouterId, read: impl FnOnce(&Arc<Vec<Dist>>) -> R) -> Option<R> {
-        let slots = self.slots.read().expect("cache lock poisoned");
-        let slot = slots.index[src.index()];
-        (slot != u32::MAX).then(|| read(&slots.entries[slot as usize].1))
+    /// Returns the distance row for `src`, computing it on first use.
+    /// Callers that race for an uncomputed row get the same one.
+    pub fn row(&self, src: RouterId) -> Arc<[Dist]> {
+        match &self.rows {
+            Rows::Dense(cells) => Arc::clone(
+                cells[src.index()].get_or_init(|| single_source(&self.graph, src).into()),
+            ),
+            Rows::Bounded(slots) => self.bounded_row(slots, src),
+        }
     }
 
-    /// Returns the distance row for `src`, computing it on first use.
-    pub fn row(&self, src: RouterId) -> Arc<Vec<Dist>> {
-        if let Some(row) = self.cached(src, Arc::clone) {
-            return row;
+    fn bounded_row(&self, slots: &RwLock<CacheSlots>, src: RouterId) -> Arc<[Dist]> {
+        if let Some(row) = unpoisoned(slots.read()).get(src) {
+            return Arc::clone(row);
         }
-        let row = Arc::new(single_source(&self.graph, src));
-        let mut slots = self.slots.write().expect("cache lock poisoned");
+        let row: Arc<[Dist]> = single_source(&self.graph, src).into();
+        let mut slots = unpoisoned(slots.write());
         // Another thread may have inserted while we computed.
-        let slot = slots.index[src.index()];
-        if slot != u32::MAX {
-            return Arc::clone(&slots.entries[slot as usize].1);
+        if let Some(row) = slots.get(src) {
+            return Arc::clone(row);
         }
         if slots.entries.len() < self.capacity {
+            let pos = slots.entries.len() as u32;
             slots.entries.push((src, Arc::clone(&row)));
-            let pos = (slots.entries.len() - 1) as u32;
             slots.index[src.index()] = pos;
         } else {
             let cursor = slots.cursor;
             slots.cursor = (cursor + 1) % self.capacity;
-            let (old_src, _) = slots.entries[cursor];
+            let old_src = slots.entries[cursor].0;
             slots.index[old_src.index()] = u32::MAX;
             slots.entries[cursor] = (src, Arc::clone(&row));
             slots.index[src.index()] = cursor as u32;
@@ -175,13 +212,17 @@ impl DistanceCache {
 
     /// Shortest-path distance between two routers.
     ///
-    /// A hit reads the one value under the read guard; callers that want
-    /// many distances from one source take [`DistanceCache::row`] once.
+    /// A hit reads the one value in place; callers that want many
+    /// distances from one source take [`DistanceCache::row`] once.
     pub fn distance(&self, a: RouterId, b: RouterId) -> Dist {
         if a == b {
             return 0;
         }
-        self.cached(a, |row| row[b.index()]).unwrap_or_else(|| self.row(a)[b.index()])
+        let hit = match &self.rows {
+            Rows::Dense(cells) => cells[a.index()].get().map(|row| row[b.index()]),
+            Rows::Bounded(slots) => unpoisoned(slots.read()).get(a).map(|row| row[b.index()]),
+        };
+        hit.unwrap_or_else(|| self.row(a)[b.index()])
     }
 }
 
@@ -381,6 +422,68 @@ mod tests {
             }
         });
         assert_eq!(cache.len(), 1);
+    }
+
+    /// The table is chosen by `capacity` alone, so the same graph asked
+    /// through both must give the same answers — and the reference's.
+    #[test]
+    fn dense_and_bounded_rows_agree_with_floyd_warshall() {
+        let mut rng = Pcg64::seed_from_u64(73);
+        for trial in 0..4 {
+            let n = 12 + trial * 9;
+            let g = Arc::new(random_connected(&mut rng, n, n));
+            let fw = floyd_warshall(&g);
+            let dense = DistanceCache::new(Arc::clone(&g), n);
+            let bounded = DistanceCache::new(Arc::clone(&g), 3);
+            assert!(
+                matches!(dense.rows, Rows::Dense(_)) && matches!(bounded.rows, Rows::Bounded(_))
+            );
+            assert_eq!((dense.capacity(), bounded.capacity()), (n, 3));
+            for cache in [&dense, &bounded] {
+                for v in g.vertices() {
+                    assert_eq!(cache.distance(v, v), 0);
+                }
+                assert!(cache.is_empty(), "trial {trial}: a self-distance computes no row");
+            }
+            for (asked, a) in g.vertices().enumerate() {
+                for b in g.vertices() {
+                    let want = fw[a.index()][b.index()];
+                    assert_eq!(dense.distance(a, b), want, "trial {trial}: dense {a}->{b}");
+                    assert_eq!(bounded.distance(a, b), want, "trial {trial}: bounded {a}->{b}");
+                }
+                assert_eq!(dense.row(a)[..], fw[a.index()][..], "trial {trial}: dense row {a}");
+                assert_eq!(bounded.row(a)[..], fw[a.index()][..], "trial {trial}: bounded row {a}");
+                // `len` counts computed rows: every one kept, or the last three.
+                assert_eq!(dense.len(), asked + 1, "trial {trial}");
+                assert_eq!(bounded.len(), (asked + 1).min(3), "trial {trial}");
+            }
+            // Evicted sources are recomputed, in any order, to the same rows.
+            for a in (0..n as u32).rev().map(RouterId) {
+                assert_eq!(bounded.row(a)[..], dense.row(a)[..], "trial {trial}: revisit {a}");
+            }
+            assert_eq!((dense.len(), bounded.len()), (n, 3));
+        }
+    }
+
+    #[test]
+    fn dense_row_is_computed_once_when_two_threads_race_for_it() {
+        let mut rng = Pcg64::seed_from_u64(29);
+        let g = Arc::new(random_connected(&mut rng, 40, 30));
+        let cache = DistanceCache::new(Arc::clone(&g), 40);
+        let start = std::sync::Barrier::new(2);
+        for src in g.vertices() {
+            let (mine, theirs) = std::thread::scope(|s| {
+                let other = s.spawn(|| {
+                    start.wait();
+                    cache.row(src)
+                });
+                start.wait();
+                (cache.row(src), other.join().expect("reader finished"))
+            });
+            assert!(Arc::ptr_eq(&mine, &theirs), "source {src}: one Dijkstra, one row");
+            assert!(Arc::ptr_eq(&mine, &cache.row(src)));
+            assert_eq!(cache.len(), src.index() + 1);
+        }
     }
 
     #[test]

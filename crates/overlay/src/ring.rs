@@ -85,6 +85,8 @@ pub struct RingDht<V> {
     /// Node states, densely packed; a vacant position is on `free`.
     slab: Vec<Option<Occupant<V>>>,
     free: Vec<Slot>,
+    /// Bumped by every node added or removed.
+    epoch: u64,
 }
 
 /// A live node's position in the slab. It stays valid until that node is
@@ -104,7 +106,7 @@ impl<V> RingDht<V> {
     /// Creates an empty overlay with the given configuration.
     pub fn new(cfg: RingConfig) -> Self {
         cfg.validate();
-        RingDht { cfg, index: BTreeMap::new(), slab: Vec::new(), free: Vec::new() }
+        RingDht { cfg, index: BTreeMap::new(), slab: Vec::new(), free: Vec::new(), epoch: 0 }
     }
 
     /// The overlay's configuration.
@@ -120,6 +122,12 @@ impl<V> RingDht<V> {
     /// Whether the overlay has no nodes.
     pub fn is_empty(&self) -> bool {
         self.index.is_empty()
+    }
+
+    /// A count that moves whenever a node joins or leaves the ring and
+    /// never moves back: equal readings mean the same membership.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Whether a node with key `k` participates.
@@ -161,6 +169,7 @@ impl<V> RingDht<V> {
             }
         };
         self.index.insert(key.0, slot);
+        self.epoch += 1;
         let (_, succ) = self.successor_entry(key.offset(1)).expect("just inserted");
         self.occupant_mut(succ).pred = key;
         Ok(())
@@ -169,6 +178,7 @@ impl<V> RingDht<V> {
     /// Removes a node, returning its state (stores and all).
     pub fn remove(&mut self, key: Key) -> Option<NodeState<V>> {
         let slot = self.index.remove(&key.0)?;
+        self.epoch += 1;
         let gone = self.slab[slot.0 as usize].take().expect("indexed slot is occupied");
         self.free.push(slot);
         if let Some((_, succ)) = self.successor_entry(key) {
@@ -209,7 +219,7 @@ impl<V> RingDht<V> {
         self.slot_of(key).map(|slot| self.at_mut(slot))
     }
 
-    /// Iterator over node keys in ring order starting at key 0.
+    /// Iterator over node keys, ascending: ring order starting at key 0.
     pub fn keys(&self) -> impl Iterator<Item = Key> + '_ {
         self.index.keys().map(|&k| Key(k))
     }
@@ -519,6 +529,10 @@ impl<V> RingDht<V> {
     /// whose routing state contains it. These are exactly the peers that
     /// *register* to a node in Bristle (§2.3.1: "X registers itself to
     /// nodes whose state-pairs are replicated in X").
+    ///
+    /// Whole-ring and hash-ordered: it serves the Fig. 3, 8 and 9
+    /// experiments only. The system asks [`RingDht::holders_of`] for the
+    /// one row it needs.
     pub fn reverse_index(&self) -> HashMap<Key, Vec<Key>> {
         let mut index: HashMap<Key, Vec<Key>> = HashMap::with_capacity(self.len());
         for node in self.iter() {
@@ -712,6 +726,31 @@ mod tests {
         assert!(dht.remove(Key(10)).is_some());
         assert!(dht.remove(Key(10)).is_none());
         assert!(dht.is_empty());
+    }
+
+    /// `keys` is ascending whatever the history (slab positions are
+    /// reused out of order), and `epoch` moves with membership alone.
+    #[test]
+    fn keys_ascend_and_epoch_counts_membership_through_random_churn() {
+        let mut rng = Pcg64::seed_from_u64(61);
+        let mut dht: RingDht<()> = RingDht::new(RingConfig::tornado());
+        let mut live: Vec<Key> = Vec::new();
+        for step in 0..400u32 {
+            let before = dht.epoch();
+            if live.is_empty() || rng.below(3) > 0 {
+                let key = Key::random(&mut rng);
+                dht.insert(key, HostId(step), 1).unwrap();
+                assert!(dht.insert(key, HostId(step), 1).is_err());
+                live.push(key);
+            } else {
+                let key = live.swap_remove(rng.index(live.len()));
+                assert!(dht.remove(key).is_some() && dht.remove(key).is_none());
+            }
+            assert_eq!(dht.epoch(), before + 1, "step {step}: one change, refusals uncounted");
+            let keys: Vec<Key> = dht.keys().collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "step {step}: keys() not ascending");
+            assert_eq!(keys.len(), live.len());
+        }
     }
 
     #[test]

@@ -80,6 +80,10 @@ pub(crate) struct Nodes {
     /// One view per index assigned (kept so by [`Self::intern`]), so
     /// lookups past the interner are array reads.
     views: Vec<NodeView>,
+    /// Bumped whenever what the driver holds against a node, or whether
+    /// it runs a machine for it, changes — and when a machine's
+    /// monitored set moves by anything but a seeding.
+    epoch: u64,
 }
 
 impl Nodes {
@@ -121,16 +125,28 @@ impl Nodes {
         self.held_at(self.idx(key)).map(|held| &held.fate)
     }
 
+    /// A count that never moves back; see the field.
+    pub(super) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Counts a change the driver made outside this type (to `machines`).
+    pub(super) fn touch(&mut self) {
+        self.epoch += 1;
+    }
+
     /// Records (`Some`) or clears what is held against `key`.
     fn hold(&mut self, key: Key, held: Option<Held>) {
         let idx = self.intern(key);
         self.views[idx.index()].held = held.map(Box::new);
+        self.epoch += 1;
     }
 
     /// Lifts `key`'s burial; it stays departed unless a rejoin follows.
     fn unbury(&mut self, key: Key) -> Option<WrongfulBurial> {
         let idx = self.idx(key)?;
         let held = self.views[idx.index()].held.as_mut()?;
+        self.epoch += 1;
         match std::mem::replace(&mut held.fate, Fate::Departed) {
             Fate::BuriedAlive(burial) => Some(burial),
             other => {
@@ -259,8 +275,15 @@ impl MessagingBristleSystem {
     /// are gathered into one list sorted by `(watcher, peer)` and each
     /// watcher's run of it is compared with the set its machine already
     /// monitors — itself kept sorted. An unchanged watcher costs that
-    /// comparison; only a changed one is edited.
+    /// comparison; only a changed one is edited. And when nothing read
+    /// here has changed since the last seeding — the system's
+    /// [`BristleSystem::membership_epoch`] and the driver's own count of
+    /// fates, machines and monitored sets it changed elsewhere both
+    /// stand where they stood — the call returns at once.
     pub fn seed_monitors(&mut self) {
+        if self.seeded_at == Some(self.seed_inputs()) {
+            return;
+        }
         let mut wanted: Vec<(Key, Key)> = Vec::new();
         {
             let sys = &self.sys;
@@ -277,14 +300,12 @@ impl MessagingBristleSystem {
                 }
             }
             for &s in sys.stationary_keys() {
-                if let Ok(set) = sys.stationary.replica_set(s, 2) {
-                    if let Some(&succ) = set.get(1) {
-                        add(s, succ);
-                    }
+                if let Ok(succ) = sys.stationary.successor_of(s.offset(1)) {
+                    add(s, succ);
                 }
             }
-            let mut all: Vec<Key> = sys.mobile.keys().collect();
-            all.sort_unstable();
+            // Ascending already: the ring's own key order.
+            let all: Vec<Key> = sys.mobile.keys().collect();
             let n = all.len();
             for (i, &node) in all.iter().enumerate() {
                 add(all[(i + n - 1) % n], node);
@@ -302,6 +323,20 @@ impl MessagingBristleSystem {
                 machine.monitor(p);
             }
         }
+        // Read after the loop: starting a watcher's machine counts.
+        self.seeded_at = Some(self.seed_inputs());
+        self.reseeds += 1;
+    }
+
+    /// Everything [`Self::seed_monitors`] reads, as one count.
+    fn seed_inputs(&self) -> u64 {
+        self.sys.membership_epoch() + self.nodes.epoch()
+    }
+
+    /// How many [`Self::seed_monitors`] calls rebuilt the wanted edges;
+    /// the rest found every input where the last seeding left it.
+    pub fn monitor_reseeds(&self) -> u64 {
+        self.reseeds
     }
 
     /// Runs one system-wide heartbeat round: re-seeds the monitor sets,
@@ -493,8 +528,11 @@ mod tests {
     use super::super::testkit::*;
     use super::super::SystemEnv;
     use super::*;
+    use bristle_core::naming::Mobility;
+    use bristle_core::registry::Registrant;
     use bristle_proto::machine::NodeEnv;
     use bristle_proto::transport::{FaultConfig, LinkFilter};
+    use bristle_proto::wire::{Envelope, WireMessage};
 
     /// The monitor sets [`MessagingBristleSystem::seed_monitors`] used to
     /// build every round — a set of peers per watcher, from its own walk
@@ -533,22 +571,29 @@ mod tests {
         wanted
     }
 
+    /// The oracle's sets in [`monitored_sets`]' shape.
+    fn wanted_sets(msys: &MessagingBristleSystem) -> BTreeMap<Key, Vec<Key>> {
+        wanted_oracle(msys).into_iter().map(|(w, set)| (w, set.into_iter().collect())).collect()
+    }
+
     fn monitored_sets(msys: &MessagingBristleSystem) -> BTreeMap<Key, Vec<Key>> {
         msys.machines.iter().map(|(i, m)| (msys.nodes.key_of(i), m.monitored().to_vec())).collect()
     }
 
-    /// Re-seeds and checks every machine against the oracle: a watcher
-    /// the rules name monitors exactly its wanted peers, one they do not
-    /// name keeps what it had, and every set is ascending.
+    /// Seeds — gated, as every caller does — and checks every machine
+    /// against the oracle: a watcher the rules name monitors exactly its
+    /// wanted peers, one they do not name keeps what it had, and every
+    /// set is ascending. Then a seeding with the gate forced open must
+    /// find the sets already where it would put them, and a plain second
+    /// one must not run at all.
     fn reseed_and_check(msys: &mut MessagingBristleSystem, after: &str) {
         let before = monitored_sets(msys);
         msys.seed_monitors();
-        let oracle = wanted_oracle(msys);
+        let oracle = wanted_sets(msys);
         let now = monitored_sets(msys);
         assert!(!oracle.is_empty());
         for (watcher, peers) in &oracle {
-            let peers: Vec<Key> = peers.iter().copied().collect();
-            assert_eq!(now.get(watcher), Some(&peers), "after {after}: watcher {watcher}");
+            assert_eq!(now.get(watcher), Some(peers), "after {after}: watcher {watcher}");
         }
         for (key, set) in &now {
             assert!(set.windows(2).all(|w| w[0] < w[1]), "after {after}: {key} unsorted");
@@ -556,9 +601,30 @@ mod tests {
                 assert_eq!(before.get(key), Some(set), "after {after}: bystander {key} edited");
             }
         }
-        // A second seeding finds nothing to do.
+        msys.seeded_at = None;
         msys.seed_monitors();
+        assert_eq!(monitored_sets(msys), now, "after {after}: the gate hid a stale set");
+        let reseeds = msys.monitor_reseeds();
+        msys.seed_monitors();
+        assert_eq!(
+            msys.monitor_reseeds(),
+            reseeds,
+            "after {after}: nothing moved, yet it reseeded"
+        );
         assert_eq!(monitored_sets(msys), now, "after {after}: seeding is not idempotent");
+    }
+
+    /// Rounds until `victim` is reported dead.
+    fn detect(msys: &mut MessagingBristleSystem, victim: Key, seed: u64) {
+        let mut confirmed = false;
+        for _ in 0..8 {
+            if msys.heartbeat_round().contains(&victim) {
+                confirmed = true;
+                break;
+            }
+            msys.sys.tick(1);
+        }
+        assert!(confirmed, "seed {seed}: the crash of {victim} was never detected");
     }
 
     fn seeding_matches_oracle_through_churn(seed: u64) {
@@ -569,6 +635,12 @@ mod tests {
 
         msys.sys.move_node(mobiles[1], None).expect("mover is live");
         reseed_and_check(&mut msys, "move");
+
+        for class in [Mobility::Mobile, Mobility::Stationary] {
+            let joined = msys.sys.join_node(class).expect("join completes").key;
+            reseed_and_check(&mut msys, "join");
+            assert!(!monitored_sets(&msys)[&joined].is_empty(), "the newcomer watches");
+        }
 
         let victim = mobiles[3];
         msys.fail_silently(victim);
@@ -591,15 +663,24 @@ mod tests {
             set[&mobiles[1]].contains(&stationary[0]) && set[&stationary[0]].contains(&mobiles[1])
         );
 
-        let mut confirmed = false;
-        for _ in 0..8 {
-            if msys.heartbeat_round().contains(&victim) {
-                confirmed = true;
-                break;
-            }
-            msys.sys.tick(1);
-        }
-        assert!(confirmed, "seed {seed}: the crash was never detected");
+        // A write that goes round the driver and `repo` both: the table
+        // counts it itself.
+        let target = mobiles[2];
+        let registered = |msys: &MessagingBristleSystem, who| {
+            msys.sys.registry.registrants_of(target).iter().any(|r| r.key == who)
+        };
+        let stranger = *stationary
+            .iter()
+            .find(|&&s| msys.sys.node_info(s).is_ok() && !registered(&msys, s))
+            .expect("someone has not registered");
+        assert!(msys.sys.registry.register(Registrant::new(stranger, 1), target));
+        reseed_and_check(&mut msys, "direct registry write");
+        assert!(monitored_sets(&msys)[&target].contains(&stranger));
+        assert!(msys.sys.registry.deregister(stranger, target));
+        reseed_and_check(&mut msys, "direct registry removal");
+        assert!(!monitored_sets(&msys)[&target].contains(&stranger));
+
+        detect(&mut msys, victim, seed);
         msys.confirm_and_heal(victim).expect("victim is known");
         reseed_and_check(&mut msys, "confirm_and_heal");
         assert!(monitored_sets(&msys).values().all(|set| !set.contains(&victim)));
@@ -608,6 +689,51 @@ mod tests {
         assert!(report.restored);
         reseed_and_check(&mut msys, "crash_restart");
         assert!(!monitored_sets(&msys)[&victim].is_empty(), "the restarted node watches again");
+
+        // A wrongful funeral, and its reversal by the rejoin sweep.
+        let cut_off = mobiles[5];
+        let home = wire_addr_of(&msys.sys, cut_off).expect("live").router_id();
+        msys.partition_now(LinkFilter::default().isolate(home));
+        msys.confirm_and_heal(cut_off).expect("known");
+        assert_eq!(msys.wrongly_buried(), vec![cut_off]);
+        reseed_and_check(&mut msys, "wrongful confirm_and_heal");
+        assert!(monitored_sets(&msys)
+            .iter()
+            .all(|(&w, set)| w == cut_off || !set.contains(&cut_off)));
+        msys.heal_now();
+        msys.heartbeat_round();
+        assert!(msys.wrongly_buried().is_empty() && msys.sys.node_info(cut_off).is_ok());
+        reseed_and_check(&mut msys, "rejoin_sweep");
+        assert!(monitored_sets(&msys).values().any(|set| set.contains(&cut_off)));
+        msys.settle();
+
+        let blank = mobiles[7];
+        msys.fail_silently(blank);
+        msys.confirm_and_heal(blank).expect("known");
+        reseed_and_check(&mut msys, "funeral before republish_restart");
+        assert!(msys.republish_restart(blank).expect("rejoins").reversed);
+        reseed_and_check(&mut msys, "republish_restart");
+        assert!(!monitored_sets(&msys)[&blank].is_empty());
+
+        // A verdict heard from a third party starts monitoring its
+        // subject; the next seeding must see that set has moved.
+        let (hearer, subject) = (stationary[2], mobiles[9]);
+        assert!(!monitored_sets(&msys)[&hearer].contains(&subject));
+        let to_addr = wire_addr_of(&msys.sys, hearer).expect("live");
+        let verdict = Envelope {
+            src: stationary[3],
+            dst: hearer,
+            msg_id: u64::MAX,
+            trace_id: 0,
+            msg: WireMessage::SuspectNotify { suspect: subject, incarnation: 0 },
+            auth: None,
+        };
+        msys.partition_now(LinkFilter::default());
+        msys.inject_frame(to_addr.router_id(), to_addr, verdict);
+        msys.settle_injected();
+        assert!(monitored_sets(&msys)[&hearer].contains(&subject), "seed {seed}: hearsay lands");
+        reseed_and_check(&mut msys, "third-party verdict");
+        assert!(!monitored_sets(&msys)[&hearer].contains(&subject));
     }
 
     #[test]
@@ -618,6 +744,48 @@ mod tests {
     #[test]
     fn seeding_matches_oracle_through_churn_seed_b() {
         seeding_matches_oracle_through_churn(27);
+    }
+
+    /// The gate itself: what is not membership does not open it, a quiet
+    /// run of rounds seeds once, and the second of two seedings starts
+    /// no machine and edits no set.
+    #[test]
+    fn reseed_happens_only_when_an_input_moved() {
+        for seed in [8u64, 27] {
+            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+            let mobiles: Vec<Key> = msys.sys.mobile_keys().to_vec();
+            assert_eq!(msys.monitor_reseeds(), 0);
+            msys.seed_monitors();
+            assert_eq!(msys.monitor_reseeds(), 1, "seed {seed}: the first seeding always runs");
+            let (sets, machines) = (monitored_sets(&msys), msys.machines.iter().count());
+            msys.seed_monitors();
+            assert_eq!(msys.monitor_reseeds(), 1, "seed {seed}: nothing changed");
+            assert_eq!((monitored_sets(&msys), msys.machines.iter().count()), (sets, machines));
+
+            // Moves, routes and rounds on a quiet network are not membership.
+            let epoch = msys.sys.membership_epoch();
+            msys.sys.move_node(mobiles[1], None).expect("mover is live");
+            let pairs: Vec<(Key, Key)> = mobiles.windows(2).map(|w| (w[0], w[1])).collect();
+            assert!(msys.route_burst(&pairs).iter().all(Result::is_ok), "seed {seed}");
+            msys.settle();
+            for _ in 0..5 {
+                assert!(msys.heartbeat_round().is_empty());
+                msys.settle();
+                msys.sys.tick(1);
+            }
+            assert_eq!(msys.sys.membership_epoch(), epoch, "seed {seed}: membership stood still");
+            assert_eq!(msys.monitor_reseeds(), 1, "seed {seed}: five rounds, no reseeding");
+            assert_eq!(monitored_sets(&msys), wanted_sets(&msys), "seed {seed}: and none was owed");
+
+            // Each owner counts its own changes.
+            let joined = msys.sys.join_node(Mobility::Mobile).expect("join completes").key;
+            assert!(msys.sys.membership_epoch() > epoch);
+            msys.heartbeat_round();
+            assert_eq!(msys.monitor_reseeds(), 2, "seed {seed}: a join reseeds");
+            msys.fail_silently(joined);
+            msys.heartbeat_round();
+            assert_eq!(msys.monitor_reseeds(), 3, "seed {seed}: so does a crash the system missed");
+        }
     }
 
     /// A restarted process numbers its frames from 0 again; they are new
@@ -633,15 +801,7 @@ mod tests {
             msys.settle();
             msys.seed_monitors();
             msys.fail_silently(victim);
-            let mut confirmed = false;
-            for _ in 0..8 {
-                if msys.heartbeat_round().contains(&victim) {
-                    confirmed = true;
-                    break;
-                }
-                msys.sys.tick(1);
-            }
-            assert!(confirmed, "seed {seed}: the crash was never detected");
+            detect(&mut msys, victim, seed);
             msys.confirm_and_heal(victim).expect("victim is known");
             assert!(msys.crash_restart(victim).expect("victim restarts").restored);
             msys.settle();

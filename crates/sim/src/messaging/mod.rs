@@ -215,6 +215,11 @@ pub struct MessagingBristleSystem {
     /// Peers some watcher's health score currently holds degraded; fed
     /// to [`SystemEnv::replicas`] for healthy-first ordering.
     degraded: BTreeSet<Key>,
+    /// What `seed_inputs` read when the monitor sets were last seeded
+    /// (`None` before the first seeding).
+    seeded_at: Option<u64>,
+    /// Seedings that did not return early.
+    reseeds: u64,
 }
 
 impl MessagingBristleSystem {
@@ -250,6 +255,8 @@ impl MessagingBristleSystem {
             ingress_cap: None,
             delivered: DeliveryLedger::new(),
             degraded: BTreeSet::new(),
+            seeded_at: None,
+            reseeds: 0,
         }
     }
 
@@ -322,6 +329,7 @@ impl MessagingBristleSystem {
             m.set_failure_policy(self.failure_policy);
             m.set_adaptive_rto(self.rto);
             self.machines.insert(idx, m);
+            self.nodes.touch();
         }
     }
 
@@ -404,7 +412,9 @@ impl MessagingBristleSystem {
     /// the previous life's.
     fn remove_machine(&mut self, key: Key) {
         if let Some(i) = self.nodes.idx(key) {
-            self.machines.remove(i);
+            if self.machines.remove(i).is_some() {
+                self.nodes.touch();
+            }
         }
         self.delivered.forget_source(self.source_index(key), key);
     }
@@ -507,6 +517,12 @@ impl MessagingBristleSystem {
         }
         for t in out.timers {
             self.queue.schedule_at(t.at, MsgEvent::Timer { node: from, kind: t.kind });
+        }
+        // A verdict heard from a third party starts monitoring its
+        // subject (`FailureDetector::mark_dead`): the one way a
+        // monitored set grows without a seeding.
+        if out.completions.iter().any(|c| matches!(c, Completion::PeerDead { .. })) {
+            self.nodes.touch();
         }
         self.completions.extend(out.completions);
     }
