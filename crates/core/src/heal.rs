@@ -15,7 +15,22 @@ use bristle_overlay::meter::MessageKind;
 use crate::error::Result;
 use crate::ldt::Ldt;
 use crate::registry::Registrant;
-use crate::system::BristleSystem;
+use crate::system::{BristleSystem, NodeInfo};
+use crate::time::SimTime;
+
+/// A death verdict, and the body it buried.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Corpse {
+    /// The node as it was when buried, kept so a wrongful funeral can be
+    /// reversed by [`crate::rejoin`] without re-admitting from scratch.
+    /// `None` when the verdict found nobody to bury: the node had
+    /// already left, or the key was never known.
+    pub(crate) info: Option<NodeInfo>,
+    /// When the verdict was passed: [`BristleSystem::tick`] prunes it
+    /// `graveyard_retention` ticks later, so long-running churn does not
+    /// grow the map without bound.
+    pub(crate) buried_at: SimTime,
+}
 
 /// What [`BristleSystem::confirm_dead`] repaired.
 #[derive(Debug, Clone)]
@@ -48,7 +63,7 @@ pub struct DeathReport {
 impl BristleSystem {
     /// Whether `key` has been confirmed crashed.
     pub fn is_confirmed_dead(&self, key: Key) -> bool {
-        self.dead.contains(&key)
+        self.corpses.contains_key(&key)
     }
 
     /// Declares `key` crashed and heals everything it touched:
@@ -78,9 +93,10 @@ impl BristleSystem {
             records_unpublished: 0,
             invariant_ok: true,
         };
-        if !self.dead.insert(key) {
+        if self.corpses.contains_key(&key) {
             return Ok(report);
         }
+        self.corpses.insert(key, Corpse { info: None, buried_at: self.clock.now() });
         // The corpse's durable store must reflect its state *as of the
         // crash*: freeze it before any funeral bookkeeping, so cleanup
         // performed about it by survivors is not written into it.
@@ -102,8 +118,8 @@ impl BristleSystem {
         // (partition, not crash), [`crate::rejoin`] reverses the funeral
         // from that corpse state instead of re-admitting a stranger.
         if report.was_present {
-            let corpse = *self.node_info(key)?;
-            self.remember_corpse(key, corpse);
+            let body = *self.node_info(key)?;
+            self.corpses.get_mut(&key).expect("verdict just recorded").info = Some(body);
             self.fail_node(key)?;
         }
         (report.registrations_pruned, report.leases_revoked) = self.dissolve(key);
@@ -414,6 +430,32 @@ mod tests {
         sys.tick(1);
         assert_eq!(sys.graveyard_len(), 0, "corpse pruned at retention");
         assert!(!sys.is_confirmed_dead(victim), "dead-set entry reclaimed too");
+    }
+
+    #[test]
+    fn a_verdict_on_an_absent_node_is_pruned_at_retention() {
+        let mut cfg = BristleConfig::recommended();
+        cfg.graveyard_retention = 100;
+        let mut sys = BristleBuilder::new(5)
+            .stationary_nodes(30)
+            .mobile_nodes(8)
+            .topology(TransitStubConfig::tiny())
+            .config(cfg)
+            .build()
+            .unwrap();
+        // The node left gracefully before the (late) verdict arrived:
+        // there is nobody to bury, only the verdict to remember.
+        let leaver = sys.mobile_keys()[0];
+        sys.leave_node(leaver).unwrap();
+        let report = sys.confirm_dead(leaver).unwrap();
+        assert!(!report.was_present);
+        assert!(sys.is_confirmed_dead(leaver));
+        assert!(!sys.can_rejoin(leaver), "no body was buried");
+        assert_eq!(sys.graveyard_len(), 0);
+        sys.tick(99);
+        assert!(sys.is_confirmed_dead(leaver), "retention window still open");
+        sys.tick(1);
+        assert!(!sys.is_confirmed_dead(leaver), "the verdict is reclaimed with the window");
     }
 
     #[test]

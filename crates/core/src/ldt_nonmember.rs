@@ -12,7 +12,7 @@
 //! We implement the design faithfully so Figure 3 can be reproduced as a
 //! *measured* experiment, not just an analytic plot.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use bristle_netsim::attach::AttachmentMap;
 use bristle_netsim::dijkstra::DistanceCache;
@@ -89,18 +89,6 @@ impl NonMemberTree {
     }
 }
 
-/// Counts, for every node, in how many of the given trees it serves as a
-/// helper — the raw material of the measured Figure 3 responsibility.
-pub fn helper_load(trees: &[NonMemberTree]) -> HashMap<Key, usize> {
-    let mut load: HashMap<Key, usize> = HashMap::new();
-    for t in trees {
-        for &h in &t.helpers {
-            *load.entry(h).or_default() += 1;
-        }
-    }
-    load
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,23 +154,6 @@ mod tests {
             tree.size(),
             members.len()
         );
-    }
-
-    #[test]
-    fn helper_load_accumulates_across_trees() {
-        let (dht, attachments, dcache, _) = setup(128, 4);
-        let keys: Vec<Key> = dht.keys().collect();
-        let mut trees = Vec::new();
-        for r in 0..8 {
-            let root = keys[r];
-            let members: Vec<Key> = keys.iter().copied().skip(r + 1).step_by(11).take(8).collect();
-            trees.push(NonMemberTree::build(&dht, root, &members, &attachments, &dcache).unwrap());
-        }
-        let load = helper_load(&trees);
-        let total: usize = load.values().sum();
-        let expected: usize = trees.iter().map(|t| t.helper_count()).sum();
-        assert_eq!(total, expected);
-        assert!(load.values().any(|&c| c >= 1));
     }
 
     #[test]

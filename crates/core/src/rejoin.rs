@@ -46,7 +46,7 @@ pub struct RejoinReport {
 impl BristleSystem {
     /// Whether `key` has corpse state available for a rejoin.
     pub fn can_rejoin(&self, key: Key) -> bool {
-        self.graveyard.contains_key(&key)
+        self.corpses.get(&key).is_some_and(|c| c.info.is_some())
     }
 
     /// Reverses the funeral of a wrongfully buried node.

@@ -122,7 +122,6 @@ impl BristleSystem {
         report.incarnation = info.incarnation;
         report.restored = true;
         report.was_mobile = info.mobility == Mobility::Mobile;
-        self.dead.remove(&key);
         // The node is alive again: its store resumes recording.
         self.stores.thaw(key);
         self.readmit(key, info)?;

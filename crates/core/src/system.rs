@@ -19,7 +19,7 @@
 //! routing and `_discovery` in [`crate::mobile`], and the join/leave
 //! protocol in [`crate::join`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use bristle_netsim::attach::{AttachmentMap, HostId};
@@ -37,12 +37,13 @@ use crate::arena::{KeyInterner, NodeArena, NodeIdx};
 use crate::config::{BristleConfig, NamingPolicy};
 use crate::durable::StoreHub;
 use crate::error::{BristleError, Result};
+use crate::heal::Corpse;
 use crate::ldt::Ldt;
 use crate::lease::LeaseTable;
 use crate::location::LocationRecord;
 use crate::naming::{Mobility, NamingScheme};
 use crate::registry::{Registrant, Registry};
-use crate::time::{Clock, SimTime};
+use crate::time::Clock;
 
 /// Static facts about one Bristle node.
 #[derive(Debug, Clone, Copy)]
@@ -113,16 +114,10 @@ pub struct BristleSystem {
     pub registry: Registry,
     /// Lease contracts on cached addresses (§2.3.2).
     pub leases: LeaseTable,
-    /// Nodes confirmed crashed by the failure detector (see
-    /// [`crate::heal`]); kept so repeated suspicion reports are no-ops.
-    pub(crate) dead: HashSet<Key>,
-    /// Corpse state for nodes in `dead`, kept so a wrongful funeral can
-    /// be reversed by [`crate::rejoin`] without re-admitting from scratch.
-    pub(crate) graveyard: HashMap<Key, NodeInfo>,
-    /// Burial times for graveyard entries, so [`Self::tick`] can prune
-    /// corpses older than [`BristleConfig::graveyard_retention`] and
-    /// long-running churn does not grow the graveyard without bound.
-    pub(crate) buried_at: HashMap<Key, SimTime>,
+    /// Nodes confirmed crashed by the failure detector, one [`Corpse`]
+    /// each. Written by [`crate::heal`]'s `confirm_dead`,
+    /// [`Self::take_corpse`] and [`Self::tick`]'s pruning, nothing else.
+    pub(crate) corpses: HashMap<Key, Corpse>,
     /// Per-node durable-state stores: every repository mutation is
     /// mirrored here, by [`crate::repo`] and nothing else. In-memory by
     /// default; attach a WAL backend to make a node crash-restartable.
@@ -236,9 +231,7 @@ impl BristleBuilder {
             mobile_keys: Vec::new(),
             registry: Registry::new(),
             leases: LeaseTable::new(),
-            dead: HashSet::new(),
-            graveyard: HashMap::new(),
-            buried_at: HashMap::new(),
+            corpses: HashMap::new(),
             stores: StoreHub::new(),
         };
 
@@ -308,23 +301,18 @@ impl BristleSystem {
         Ok(key)
     }
 
-    /// Records corpse state so a wrongful funeral can later be reversed
-    /// by [`crate::rejoin`].
-    pub(crate) fn remember_corpse(&mut self, key: Key, info: NodeInfo) {
-        self.buried_at.insert(key, self.clock.now());
-        self.graveyard.insert(key, info);
-    }
-
-    /// Takes corpse state back out of the graveyard (rejoin path).
+    /// Takes a buried body back out of the graveyard, verdict and all
+    /// (rejoin and restart). A verdict that buried nobody stays.
     pub(crate) fn take_corpse(&mut self, key: Key) -> Option<NodeInfo> {
-        self.buried_at.remove(&key);
-        self.graveyard.remove(&key)
+        let info = self.corpses.get(&key)?.info?;
+        self.corpses.remove(&key);
+        Some(info)
     }
 
-    /// How many corpses the graveyard currently retains. Bounded under
+    /// How many bodies the graveyard currently retains. Bounded under
     /// perpetual churn by [`BristleConfig::graveyard_retention`].
     pub fn graveyard_len(&self) -> usize {
-        self.graveyard.len()
+        self.corpses.values().filter(|c| c.info.is_some()).count()
     }
 
     /// Inserts a node body into the membership structures of its layers:
@@ -674,12 +662,13 @@ impl BristleSystem {
         purged
     }
 
-    /// Reclaims graveyard entries buried longer ago than
-    /// [`BristleConfig::graveyard_retention`] (0 retains forever). A
-    /// pruned corpse can no longer rejoin through the wrongful-burial
-    /// path — it would re-admit from scratch — and its key stops
-    /// counting as confirmed-dead, which is safe because any withdrawn
-    /// record it could replay has long outlived its TTL by then.
+    /// Reclaims verdicts passed longer ago than
+    /// [`BristleConfig::graveyard_retention`] (0 retains forever),
+    /// whether or not they buried a body. A pruned corpse can no longer
+    /// rejoin through the wrongful-burial path — it would re-admit from
+    /// scratch — and its key stops counting as confirmed-dead, which is
+    /// safe because any withdrawn record it could replay has long
+    /// outlived its TTL by then.
     fn prune_graveyard(&mut self) {
         let retention = self.cfg.graveyard_retention;
         if retention == 0 {
@@ -687,16 +676,14 @@ impl BristleSystem {
         }
         let now = self.clock.now();
         let mut expired: Vec<Key> = self
-            .buried_at
+            .corpses
             .iter()
-            .filter(|(_, &at)| at.plus(retention) <= now)
+            .filter(|(_, c)| c.buried_at.plus(retention) <= now)
             .map(|(&k, _)| k)
             .collect();
         expired.sort_unstable();
         for key in expired {
-            self.buried_at.remove(&key);
-            self.graveyard.remove(&key);
-            self.dead.remove(&key);
+            self.corpses.remove(&key);
             self.stores.forget(key);
         }
     }
@@ -718,6 +705,7 @@ impl BristleSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn small_system(n_stat: usize, n_mob: usize, seed: u64) -> BristleSystem {
         BristleBuilder::new(seed)

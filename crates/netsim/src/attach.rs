@@ -60,17 +60,6 @@ impl AttachmentMap {
         HostId((self.slots.len() - 1) as u32)
     }
 
-    /// Registers `n` new hosts at random routers drawn from `candidates`.
-    pub fn attach_many(
-        &mut self,
-        n: usize,
-        candidates: &[RouterId],
-        rng: &mut Pcg64,
-    ) -> Vec<HostId> {
-        assert!(!candidates.is_empty(), "no attachment candidates");
-        (0..n).map(|_| self.attach_new(*rng.choose(candidates))).collect()
-    }
-
     /// Number of registered hosts.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -195,17 +184,5 @@ mod tests {
         let a = m.move_host_random(h, &[RouterId(0)], &mut rng);
         assert_eq!(a.router, RouterId(0));
         assert_eq!(a.epoch, 1);
-    }
-
-    #[test]
-    fn attach_many_uses_candidates() {
-        let mut m = AttachmentMap::new();
-        let mut rng = Pcg64::seed_from_u64(3);
-        let candidates = vec![RouterId(7), RouterId(8)];
-        let hosts = m.attach_many(100, &candidates, &mut rng);
-        assert_eq!(hosts.len(), 100);
-        for (_, a) in m.iter() {
-            assert!(candidates.contains(&a.router));
-        }
     }
 }

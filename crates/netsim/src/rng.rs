@@ -19,8 +19,6 @@
 /// let mut b = Pcg64::seed_from_u64(7);
 /// assert_eq!(a.next_u64(), b.next_u64()); // fully deterministic
 /// assert!(a.below(10) < 10);
-/// let sample = a.sample_indices(100, 3);
-/// assert_eq!(sample.len(), 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pcg64 {
@@ -127,26 +125,6 @@ impl Pcg64 {
             let j = self.index(i + 1);
             slice.swap(i, j);
         }
-    }
-
-    /// Samples `k` distinct indices from `[0, n)` (order unspecified).
-    ///
-    /// Uses Floyd's algorithm: O(k) expected work regardless of `n`.
-    ///
-    /// # Panics
-    /// Panics if `k > n`.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "cannot sample {k} of {n}");
-        let mut chosen: Vec<usize> = Vec::with_capacity(k);
-        for j in (n - k)..n {
-            let t = self.index(j + 1);
-            if chosen.contains(&t) {
-                chosen.push(j);
-            } else {
-                chosen.push(t);
-            }
-        }
-        chosen
     }
 
     /// Picks a uniformly random element of a non-empty slice.
@@ -268,20 +246,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, (0..100).collect::<Vec<_>>(), "astronomically unlikely identity");
-    }
-
-    #[test]
-    fn sample_indices_distinct_and_in_range() {
-        let mut rng = Pcg64::seed_from_u64(10);
-        for (n, k) in [(10, 3), (100, 100), (50, 0), (1, 1), (1000, 17)] {
-            let s = rng.sample_indices(n, k);
-            assert_eq!(s.len(), k);
-            let mut sorted = s.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), k, "duplicates in sample");
-            assert!(s.iter().all(|&i| i < n));
-        }
     }
 
     #[test]

@@ -116,12 +116,6 @@ impl Key {
     pub fn levels(bits: u32) -> u32 {
         64u32.div_ceil(bits)
     }
-
-    /// Fraction of the ring covered walking clockwise from `self` to
-    /// `other`, in `[0, 1)`.
-    pub fn clockwise_fraction(self, other: Key) -> f64 {
-        self.clockwise_to(other) as f64 / RING_SIZE_F64
-    }
 }
 
 /// Hasher for in-process tables keyed by [`Key`]s (or tuples of them).
@@ -306,12 +300,5 @@ mod tests {
             }
         }
         assert!(lo > 400 && hi > 400, "lo {lo} hi {hi}");
-    }
-
-    #[test]
-    fn clockwise_fraction_sane() {
-        let half = Key(0).clockwise_fraction(Key(u64::MAX / 2 + 1));
-        assert!((half - 0.5).abs() < 1e-9, "{half}");
-        assert_eq!(Key(7).clockwise_fraction(Key(7)), 0.0);
     }
 }

@@ -239,21 +239,40 @@ pub enum ObsEventKind {
     },
 }
 
-impl ObsEventKind {
-    /// Short static name of the event kind, for traces and reports.
-    pub const fn name(&self) -> &'static str {
-        match self {
-            ObsEventKind::Send { .. } => "send",
-            ObsEventKind::Ack { .. } => "ack",
-            ObsEventKind::Timeout { .. } => "timeout",
-            ObsEventKind::Suspect { .. } => "suspect",
-            ObsEventKind::Refute { .. } => "refute",
-            ObsEventKind::RouteDelivered { .. } => "route_delivered",
-            ObsEventKind::RouteFailed { .. } => "route_failed",
-            ObsEventKind::DiscoveryStart { .. } => "discovery_start",
-            ObsEventKind::DiscoveryResolved { .. } => "discovery_resolved",
-            ObsEventKind::DiscoveryFailed { .. } => "discovery_failed",
-            ObsEventKind::AuthReject { .. } => "auth_reject",
+/// The kind and its fields as one stable line — what the golden trace
+/// pins and the conformance profile compares: `send to=… tag=… msg_id=…`.
+/// The discovery milestones end in ` elapsed=…`, the one field that is
+/// clock-dependent.
+impl std::fmt::Display for ObsEventKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ObsEventKind::Send { to, tag, msg_id } => {
+                write!(f, "send to={to} tag={tag} msg_id={msg_id}")
+            }
+            ObsEventKind::Ack { from, msg_id } => write!(f, "ack from={from} msg_id={msg_id}"),
+            ObsEventKind::Timeout { what, attempt } => {
+                write!(f, "timeout what={what} attempt={attempt}")
+            }
+            ObsEventKind::Suspect { peer, incarnation } => {
+                write!(f, "suspect peer={peer} incarnation={incarnation}")
+            }
+            ObsEventKind::Refute { incarnation } => write!(f, "refute incarnation={incarnation}"),
+            ObsEventKind::RouteDelivered { route_id } => {
+                write!(f, "route_delivered route_id={route_id}")
+            }
+            ObsEventKind::RouteFailed { route_id } => write!(f, "route_failed route_id={route_id}"),
+            ObsEventKind::DiscoveryStart { subject } => {
+                write!(f, "discovery_start subject={subject}")
+            }
+            ObsEventKind::DiscoveryResolved { subject, elapsed } => {
+                write!(f, "discovery_resolved subject={subject} elapsed={elapsed}")
+            }
+            ObsEventKind::DiscoveryFailed { subject, elapsed } => {
+                write!(f, "discovery_failed subject={subject} elapsed={elapsed}")
+            }
+            ObsEventKind::AuthReject { from, tag, reason, dropped } => {
+                write!(f, "auth_reject from={from} tag={tag} reason={reason} dropped={dropped}")
+            }
         }
     }
 }

@@ -1,19 +1,12 @@
-//! Incremental repair and redundant routing.
+//! Incremental repair.
 //!
-//! The paper's reliability story (§2.3.2) rests on two mechanisms beyond
-//! periodic full refresh: *each node periodically monitors its
-//! connectivity to other O(log N) nodes* (failure detection and local
-//! repair), and *a route towards its destination can be adaptive by
-//! maintaining multiple paths to the neighbors* (redundant routing).
-//! This module implements both:
-//!
-//! * [`RingDht::probe_and_repair`] — one node pings its entries, drops
-//!   the dead ones, and patches only the damaged slots (leaf repair via
-//!   live ring neighbors) instead of rebuilding the whole table;
-//! * [`RingDht::route_redundant`] — forwards along the best `width`
-//!   distinct next-hops at every step, succeeding if *any* branch
-//!   reaches the owner; used to quantify how much redundancy buys under
-//!   massive simultaneous failure.
+//! The paper's reliability story (§2.3.2) rests, beyond periodic full
+//! refresh, on failure detection and local repair: *each node
+//! periodically monitors its connectivity to other O(log N) nodes*.
+//! [`RingDht::probe_and_repair`] is that round for one node — it pings
+//! its entries, drops the dead ones, and patches only the damaged slots
+//! (leaf repair via live ring neighbors) instead of rebuilding the whole
+//! table; [`RingDht::repair_sweep`] runs it ring-wide.
 
 use bristle_netsim::attach::AttachmentMap;
 use bristle_netsim::dijkstra::DistanceCache;
@@ -32,17 +25,6 @@ pub struct RepairReport {
     pub dropped: usize,
     /// Replacement entries installed.
     pub patched: usize,
-}
-
-/// Outcome of a redundant route.
-#[derive(Debug, Clone)]
-pub struct RedundantRoute {
-    /// Whether any branch reached the owner of the target.
-    pub delivered: bool,
-    /// Total messages sent across all branches.
-    pub messages: usize,
-    /// Hops of the first (shortest) successful branch, if any.
-    pub winning_hops: Option<usize>,
 }
 
 impl<V> RingDht<V> {
@@ -115,80 +97,6 @@ impl<V> RingDht<V> {
         }
         total
     }
-
-    /// The best `width` distinct next hops from `cur` toward `target`,
-    /// by clockwise progress (never overshooting the target).
-    pub fn next_hops(&self, cur: Key, target: Key, width: usize) -> Result<Vec<Key>, RingError> {
-        let owner = self.owner(target)?;
-        if cur == owner {
-            return Ok(Vec::new());
-        }
-        let node = self.node(cur)?;
-        let d = cur.clockwise_to(target);
-        let mut candidates: Vec<(u64, Key)> = node
-            .entries
-            .iter()
-            .filter(|e| self.contains(e.key))
-            .filter_map(|e| {
-                let adv = cur.clockwise_to(e.key);
-                (adv > 0 && adv <= d).then_some((adv, e.key))
-            })
-            .collect();
-        candidates.sort_unstable_by_key(|c| std::cmp::Reverse(c.0));
-        candidates.dedup_by_key(|c| c.1);
-        let mut out: Vec<Key> = candidates.into_iter().take(width).map(|(_, k)| k).collect();
-        if out.is_empty() {
-            // target ∈ (cur, successor]: the successor owns it.
-            out.push(self.successor_of(cur.offset(1))?);
-        }
-        Ok(out)
-    }
-
-    /// Routes from `src` toward `target` along up to `width` parallel
-    /// branches per hop (iterative deepening over a frontier). Entries
-    /// pointing at nodes in `failed_filter` (e.g. a partition the caller
-    /// simulates) are treated as unusable mid-flight.
-    pub fn route_redundant(
-        &self,
-        src: Key,
-        target: Key,
-        width: usize,
-        is_usable: impl Fn(Key) -> bool,
-        meter: &mut Meter,
-    ) -> Result<RedundantRoute, RingError> {
-        assert!(width >= 1);
-        let owner = self.owner(target)?;
-        let mut frontier = vec![src];
-        let mut visited = std::collections::HashSet::new();
-        visited.insert(src);
-        let mut messages = 0usize;
-        let mut depth = 0usize;
-        let limit = 4 * (64 + width);
-        while !frontier.is_empty() {
-            if frontier.contains(&owner) {
-                return Ok(RedundantRoute { delivered: true, messages, winning_hops: Some(depth) });
-            }
-            let mut next_frontier = Vec::new();
-            for &cur in &frontier {
-                for hop in self.next_hops(cur, target, width)? {
-                    if !is_usable(hop) && hop != owner {
-                        continue;
-                    }
-                    messages += 1;
-                    meter.bump(MessageKind::RouteHop, 1);
-                    if visited.insert(hop) {
-                        next_frontier.push(hop);
-                    }
-                }
-            }
-            frontier = next_frontier;
-            depth += 1;
-            if depth > limit {
-                break;
-            }
-        }
-        Ok(RedundantRoute { delivered: false, messages, winning_hops: None })
-    }
 }
 
 #[cfg(test)]
@@ -248,84 +156,5 @@ mod tests {
         let sweep = dht.repair_sweep(&attachments, &dcache, &mut rng, &mut meter);
         assert_eq!(sweep.probed, expected);
         assert_eq!(sweep.dropped, 0);
-    }
-
-    #[test]
-    fn next_hops_distinct_monotone_and_bounded() {
-        let (dht, _, _, mut rng) = setup(128, 4);
-        let keys: Vec<Key> = dht.keys().collect();
-        for _ in 0..100 {
-            let src = *rng.choose(&keys);
-            let target = Key::random(&mut rng);
-            let hops = dht.next_hops(src, target, 3).unwrap();
-            assert!(hops.len() <= 3);
-            let mut seen = std::collections::HashSet::new();
-            for h in &hops {
-                assert!(seen.insert(*h), "duplicate next hop");
-            }
-            let d = src.clockwise_to(target);
-            let owner = dht.owner(target).unwrap();
-            for h in hops {
-                let adv = src.clockwise_to(h);
-                assert!(adv > 0 && (adv <= d || h == owner), "overshoot");
-            }
-        }
-    }
-
-    #[test]
-    fn redundant_route_survives_failures_single_path_cannot() {
-        let (dht, _, _, mut rng) = setup(160, 5);
-        let keys: Vec<Key> = dht.keys().collect();
-        // Declare 35% of nodes unusable (a simulated partition), without
-        // touching the overlay structure.
-        let down: std::collections::HashSet<Key> =
-            keys.iter().copied().filter(|k| k.0 % 20 < 7).collect();
-        let usable = |k: Key| !down.contains(&k);
-        let mut meter = Meter::new();
-        let (mut single_ok, mut wide_ok, mut total) = (0, 0, 0);
-        for _ in 0..60 {
-            let src = *rng.choose(&keys);
-            let target = Key::random(&mut rng);
-            let owner = dht.owner(target).unwrap();
-            if down.contains(&src) || down.contains(&owner) {
-                continue; // endpoints must be up for a fair comparison
-            }
-            total += 1;
-            let narrow = dht.route_redundant(src, target, 1, usable, &mut meter).unwrap();
-            let wide = dht.route_redundant(src, target, 3, usable, &mut meter).unwrap();
-            single_ok += narrow.delivered as usize;
-            wide_ok += wide.delivered as usize;
-            if narrow.delivered {
-                assert!(wide.delivered, "width cannot hurt reachability");
-            }
-        }
-        assert!(total > 20, "enough comparable samples");
-        assert!(wide_ok > single_ok, "redundancy must help: {wide_ok} vs {single_ok}");
-    }
-
-    #[test]
-    fn redundant_route_trivial_when_source_owns() {
-        let (dht, _, _, _) = setup(16, 6);
-        let k = dht.keys().next().unwrap();
-        let mut meter = Meter::new();
-        let r = dht.route_redundant(k, k, 3, |_| true, &mut meter).unwrap();
-        assert!(r.delivered);
-        assert_eq!(r.winning_hops, Some(0));
-        assert_eq!(r.messages, 0);
-    }
-
-    #[test]
-    fn redundant_route_cost_scales_with_width() {
-        let (dht, _, _, mut rng) = setup(128, 7);
-        let keys: Vec<Key> = dht.keys().collect();
-        let mut meter = Meter::new();
-        let (mut w1, mut w3) = (0usize, 0usize);
-        for _ in 0..40 {
-            let src = *rng.choose(&keys);
-            let t = Key::random(&mut rng);
-            w1 += dht.route_redundant(src, t, 1, |_| true, &mut meter).unwrap().messages;
-            w3 += dht.route_redundant(src, t, 3, |_| true, &mut meter).unwrap().messages;
-        }
-        assert!(w3 > w1, "wider routes send more traffic ({w3} vs {w1})");
     }
 }

@@ -131,22 +131,3 @@ fn reverse_index_total_matches_forward_seeded() {
         assert_eq!(total, dht.total_state());
     }
 }
-
-#[test]
-fn redundant_route_dominates_single_path_seeded() {
-    let mut rng = Pcg64::seed_from_u64(0xB6);
-    for _ in 0..48 {
-        let keys = random_keys(&mut rng);
-        let probe = rng.next_u64();
-        let (dht, _, _) = overlay_of(&keys, 2);
-        let all: Vec<Key> = dht.keys().collect();
-        let src = all[rng.index(all.len())];
-        let mut meter = Meter::new();
-        let narrow = dht.route_redundant(src, Key(probe), 1, |_| true, &mut meter).unwrap();
-        let wide = dht.route_redundant(src, Key(probe), 3, |_| true, &mut meter).unwrap();
-        assert!(narrow.delivered, "healthy overlay always delivers");
-        assert!(wide.delivered);
-        // Wider never takes more hops to first success.
-        assert!(wide.winning_hops.unwrap() <= narrow.winning_hops.unwrap());
-    }
-}

@@ -35,7 +35,6 @@ use bristle_core::config::BristleConfig;
 use bristle_netsim::rng::Pcg64;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
-use bristle_overlay::obs::Snapshot;
 use bristle_proto::transport::FaultConfig;
 use bristle_proto::wire::{Envelope, WireMessage};
 
@@ -45,8 +44,19 @@ use crate::report::{pct, Table};
 use crate::runreport::Json;
 use crate::sweeps::{Claim, SweepRun};
 use crate::workload::{
-    busiest_primary, crash_and_bury, fixed_pairs, measure_pairs, rate, tiny_system,
+    busiest_primary, crash_and_bury, fixed_pairs, live_endpoints, measure_pairs, rate, tiny_system,
+    BeforeAfter, Telemetry,
 };
+
+/// Honest registrants attached to the victim before the attack.
+pub const HONEST_REGISTRANTS: usize = 3;
+/// Sybil identities the adversary mints (eclipse and sybil-flood).
+pub const SYBILS: usize = 6;
+/// Maximum heartbeat rounds for the forced-refutation funeral to be
+/// detected before the scenario confirms it directly.
+pub const DETECTION_ROUNDS: usize = 8;
+/// Endpoint pairs measured before and after the attack volley.
+pub const ROUTE_PAIRS: usize = 16;
 
 /// The four scripted attack families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,31 +107,12 @@ pub struct AttackConfig {
     pub stationary: usize,
     /// Mobile population at build time.
     pub mobile: usize,
-    /// Honest registrants attached to the victim before the attack.
-    pub honest_registrants: usize,
-    /// Sybil identities the adversary mints (eclipse and sybil-flood).
-    pub sybils: usize,
-    /// Maximum heartbeat rounds for the forced-refutation funeral to be
-    /// detected before the scenario confirms it directly.
-    pub detection_rounds: usize,
-    /// Endpoint pairs measured before and after the attack volley.
-    pub route_pairs: usize,
 }
 
 impl AttackConfig {
     /// The standard acceptance-scale run at `seed`.
     pub fn standard(seed: u64, family: AttackFamily, policy: VerifyPolicy) -> Self {
-        AttackConfig {
-            seed,
-            family,
-            policy,
-            stationary: 40,
-            mobile: 16,
-            honest_registrants: 3,
-            sybils: 6,
-            detection_rounds: 8,
-            route_pairs: 16,
-        }
+        AttackConfig { seed, family, policy, stationary: 40, mobile: 16 }
     }
 }
 
@@ -144,34 +135,17 @@ pub struct AttackOutcome {
     /// `AuthReject` meter delta: failed frames actually dropped
     /// (enforce only).
     pub auth_rejects: u64,
-    /// Routes delivered / attempted over fixed pairs before the volley.
-    pub honest_pre_delivered: usize,
-    /// Routes attempted before the volley.
-    pub honest_pre_attempted: usize,
-    /// Routes delivered over the same pairs after the volley.
-    pub honest_post_delivered: usize,
-    /// Routes attempted after the volley.
-    pub honest_post_attempted: usize,
-    /// Per-kind meter `(kind, count, cost)` at the end of the run.
-    pub tallies: Vec<(MessageKind, u64, u64)>,
-    /// Named latency-histogram snapshots from the driver's collector.
-    pub latencies: Vec<(&'static str, Snapshot)>,
+    /// Honest delivery over the same fixed pairs before and after the
+    /// volley.
+    pub honest: BeforeAfter,
+    /// Meter tallies and latency snapshots at the end of the run.
+    pub telemetry: Telemetry,
 }
 
 impl AttackOutcome {
     /// Fraction of attack frames that achieved their effect.
     pub fn success_rate(&self) -> f64 {
         rate(self.successes, self.attempts, 0.0)
-    }
-
-    /// Fraction of pre-attack routes delivered.
-    pub fn pre_rate(&self) -> f64 {
-        rate(self.honest_pre_delivered as u64, self.honest_pre_attempted as u64, 1.0)
-    }
-
-    /// Fraction of post-attack routes delivered.
-    pub fn post_rate(&self) -> f64 {
-        rate(self.honest_post_delivered as u64, self.honest_post_attempted as u64, 1.0)
     }
 }
 
@@ -232,7 +206,7 @@ pub fn run_attack(cfg: &AttackConfig) -> AttackOutcome {
     let mut honest_regs: Vec<Key> = Vec::new();
     if cfg.family != AttackFamily::SybilFlood {
         let mobiles: Vec<Key> = msys.sys.mobile_keys().to_vec();
-        for &m in mobiles.iter().filter(|&&m| m != victim).take(cfg.honest_registrants) {
+        for &m in mobiles.iter().filter(|&&m| m != victim).take(HONEST_REGISTRANTS) {
             msys.register(m, victim).expect("registration completes");
             honest_regs.push(m);
         }
@@ -241,10 +215,10 @@ pub fn run_attack(cfg: &AttackConfig) -> AttackOutcome {
 
     // Fixed endpoint pairs, measured identically before and after the
     // volley: enforcement must not tax honest traffic.
-    let pairs = fixed_pairs(&msys, &mut rng, cfg.route_pairs, Some(victim));
+    let pairs = fixed_pairs(&msys, &mut rng, ROUTE_PAIRS, Some(victim));
 
     let mut out = AttackOutcome { victim, ..Default::default() };
-    (out.honest_pre_delivered, out.honest_pre_attempted) = measure_pairs(&mut msys, &pairs);
+    out.honest.pre = measure_pairs(&mut msys, &pairs);
 
     // Families that attack a corpse stage a real funeral first.
     let needs_funeral =
@@ -281,7 +255,7 @@ pub fn run_attack(cfg: &AttackConfig) -> AttackOutcome {
     };
 
     if needs_funeral {
-        crash_and_bury(&mut msys, victim, cfg.detection_rounds);
+        crash_and_bury(&mut msys, victim, DETECTION_ROUNDS);
     }
 
     let meter_count = |msys: &MessagingBristleSystem, kind: MessageKind| msys.sys.meter.count(kind);
@@ -295,10 +269,8 @@ pub fn run_attack(cfg: &AttackConfig) -> AttackOutcome {
         AttackFamily::ForgedRefutation => {
             // One forged refutation per surviving node: "I am alive at
             // an incarnation far beyond my obituary."
-            let mut targets: Vec<Key> =
-                msys.sys.stationary_keys().iter().chain(msys.sys.mobile_keys()).copied().collect();
-            targets.sort_unstable();
-            targets.retain(|&t| t != victim && !msys.is_failed(t));
+            let mut targets = live_endpoints(&msys);
+            targets.retain(|&t| t != victim);
             for t in targets {
                 let msg = WireMessage::Alive { node: victim, incarnation: 1000 };
                 let mut env = Envelope {
@@ -321,7 +293,7 @@ pub fn run_attack(cfg: &AttackConfig) -> AttackOutcome {
         AttackFamily::Eclipse => {
             // Spoofed registrations from sybil identities, each claiming
             // enormous capacity so LDT scheduling seats them high.
-            for i in 0..cfg.sybils {
+            for i in 0..SYBILS {
                 let sybil = Key(0xEC11_0000_0000_0000 + i as u64);
                 let msg = WireMessage::Register { target: victim, capacity: 1_000_000 };
                 let mut env = Envelope {
@@ -342,7 +314,7 @@ pub fn run_attack(cfg: &AttackConfig) -> AttackOutcome {
         AttackFamily::SybilFlood => {
             // Fabricated identities publish location records straight to
             // the stationary band's replica holders.
-            for i in 0..cfg.sybils {
+            for i in 0..SYBILS {
                 let sybil = Key(0x5B11_0000_0000_0000 + i as u64);
                 let addr = wire_addr_of(&msys.sys, victim).expect("primary is live");
                 let holders = msys
@@ -405,7 +377,7 @@ pub fn run_attack(cfg: &AttackConfig) -> AttackOutcome {
         }
         AttackFamily::SybilFlood => {
             let mut installed = 0u64;
-            for i in 0..cfg.sybils {
+            for i in 0..SYBILS {
                 let sybil = Key(0x5B11_0000_0000_0000 + i as u64);
                 for &s in msys.sys.stationary_keys() {
                     if let Ok(node) = msys.sys.stationary.node(s) {
@@ -430,10 +402,9 @@ pub fn run_attack(cfg: &AttackConfig) -> AttackOutcome {
         }
     };
 
-    (out.honest_post_delivered, out.honest_post_attempted) = measure_pairs(&mut msys, &pairs);
+    out.honest.post = measure_pairs(&mut msys, &pairs);
 
-    out.tallies = msys.sys.meter.tallies();
-    out.latencies = msys.obs().latency_snapshots();
+    out.telemetry = Telemetry::of(&msys);
     out
 }
 
@@ -463,7 +434,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
     let mut enforce_is_free =
         Claim::every_cell("enforcement costs honest pre-attack delivery nothing");
     for family in ALL_FAMILIES {
-        let mut off_pre_delivered = None;
+        let mut off_baseline = None;
         for policy in POLICIES {
             let mut cfg = AttackConfig::standard(args.seed, family, policy);
             cfg.stationary = stationary;
@@ -472,13 +443,13 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
             match policy {
                 VerifyPolicy::Off => {
                     off_lands.ok &= out.successes > 0;
-                    off_pre_delivered = Some(out.honest_pre_delivered);
+                    off_baseline = Some(out.honest.pre.delivered);
                 }
                 VerifyPolicy::LogOnly => {}
                 VerifyPolicy::Enforce => {
                     enforce_stops.ok &= out.successes == 0;
                     enforce_is_free.ok &=
-                        off_pre_delivered.is_some_and(|base| out.honest_pre_delivered == base);
+                        off_baseline.is_some_and(|base| out.honest.pre.delivered == base);
                 }
             }
             run.report.push_cell(
@@ -488,16 +459,15 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
                     ("stationary", Json::U64(stationary as u64)),
                     ("mobile", Json::U64(mobile as u64)),
                 ]),
-                &out.tallies,
-                &out.latencies,
+                &out.telemetry,
                 Json::obj([
                     ("attempts", Json::U64(out.attempts)),
                     ("successes", Json::U64(out.successes)),
                     ("success_rate", Json::F64(out.success_rate())),
                     ("forged_frames", Json::U64(out.forged_frames)),
                     ("auth_rejects", Json::U64(out.auth_rejects)),
-                    ("pre_rate", Json::F64(out.pre_rate())),
-                    ("post_rate", Json::F64(out.post_rate())),
+                    ("pre_rate", Json::F64(out.honest.pre_rate())),
+                    ("post_rate", Json::F64(out.honest.post_rate())),
                 ]),
             );
             table.row(vec![
@@ -508,7 +478,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
                 pct(out.success_rate()),
                 out.forged_frames.to_string(),
                 out.auth_rejects.to_string(),
-                format!("{}→{}", pct(out.pre_rate()), pct(out.post_rate())),
+                format!("{}→{}", pct(out.honest.pre_rate()), pct(out.honest.post_rate())),
             ]);
         }
     }
@@ -568,19 +538,19 @@ mod tests {
             let off = run(family, VerifyPolicy::Off);
             let enforce = run(family, VerifyPolicy::Enforce);
             assert_eq!(
-                enforce.honest_pre_delivered,
-                off.honest_pre_delivered,
+                enforce.honest.pre.delivered,
+                off.honest.pre.delivered,
                 "{}: sealed-but-unchecked and sealed-and-checked honest \
                  traffic must deliver identically",
                 family.name()
             );
             assert!(
-                enforce.post_rate() >= off.post_rate(),
+                enforce.honest.post_rate() >= off.honest.post_rate(),
                 "{}: enforcement must not hurt post-attack delivery \
                  (enforce {:.2} vs off {:.2})",
                 family.name(),
-                enforce.post_rate(),
-                off.post_rate()
+                enforce.honest.post_rate(),
+                off.honest.post_rate()
             );
         }
     }

@@ -24,6 +24,8 @@ use bristle_overlay::key::Key;
 use bristle_overlay::meter::{MessageKind, Meter};
 use bristle_overlay::ring::{RingDht, RingError};
 
+use crate::workload::random_ring;
+
 /// A logical device participating in the Type A overlay. Its overlay key
 /// changes on every move; the `BodyId` is stable (it is "the laptop").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,26 +68,25 @@ impl TypeASystem {
         let topo = TransitStubTopology::generate(topology, &mut topo_rng);
         let stub_routers = topo.stub_routers().to_vec();
         let dcache = Arc::new(DistanceCache::new(Arc::new(topo.into_graph()), 4096));
-        let mut sys = TypeASystem {
-            dht: RingDht::new(RingConfig::tornado()),
-            attachments: AttachmentMap::new(),
+        let (mut dht, attachments, members) =
+            random_ring(n_stationary + n_mobile, RingConfig::tornado(), &stub_routers, &mut rng);
+        let mut wire_rng = rng.split(2);
+        dht.build_all_tables(&attachments, &dcache, &mut wire_rng);
+        let bodies = members
+            .iter()
+            .enumerate()
+            .map(|(i, &(current_key, host))| Body { host, current_key, mobile: i >= n_stationary })
+            .collect();
+        TypeASystem {
+            dht,
+            attachments,
             meter: Meter::new(),
             dcache,
             stub_routers,
             rng,
-            bodies: Vec::new(),
+            bodies,
             replicas: replicas.max(1),
-        };
-        for i in 0..n_stationary + n_mobile {
-            let router = *sys.rng.choose(&sys.stub_routers);
-            let host = sys.attachments.attach_new(router);
-            let key = sys.fresh_key();
-            sys.dht.insert(key, host, 1).expect("fresh key");
-            sys.bodies.push(Body { host, current_key: key, mobile: i >= n_stationary });
         }
-        let mut wire_rng = sys.rng.split(2);
-        sys.dht.build_all_tables(&sys.attachments, &sys.dcache, &mut wire_rng);
-        sys
     }
 
     fn fresh_key(&mut self) -> Key {

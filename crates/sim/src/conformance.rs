@@ -18,15 +18,18 @@
 //!   Within one trace, event *timing* differs between a micro-clock
 //!   and a real kernel, but the *set* of causal events must not.
 //!
-//! The scripted scenario covers the paper's interesting paths:
-//! registration, plain routes, a settled move followed by an LDT
-//! dissemination, and the stale-belief recovery — a confidently wrong
-//! (force-believed) address found epoch-stale at forwarding time, one
-//! wasted metered hop, and a `_discovery` through the stationary
-//! layer. Mid-flight moves — the only wedge that could make the sim's
-//! arrival-time black-hole and the socket driver's send-time staleness
-//! check disagree — are deliberately excluded; the socket-side timeout
-//! ladder is exercised by `bristle-net`'s own driver tests.
+//! The scenario is one list of steps, `script`; the two arms are two
+//! short interpreters of it that settle after every step, so a step
+//! added to the list runs over both carriers. It covers the paper's
+//! interesting paths: registration, plain routes, a settled move
+//! followed by an LDT dissemination, and the stale-belief recovery — a
+//! confidently wrong (force-believed) address found epoch-stale at
+//! forwarding time, one wasted metered hop, and a `_discovery` through
+//! the stationary layer. Mid-flight moves — the only wedge that could
+//! make the sim's arrival-time black-hole and the socket driver's
+//! send-time staleness check disagree — are deliberately excluded; the
+//! socket-side timeout ladder is exercised by `bristle-net`'s own driver
+//! tests.
 //!
 //! [`SimTransport`]: bristle_proto::transport::SimTransport
 //! [`ProtoMachine`]: bristle_proto::machine::ProtoMachine
@@ -42,7 +45,7 @@ use bristle_netsim::graph::RouterId;
 use bristle_overlay::addr::{NetAddr, StatePair};
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
-use bristle_overlay::obs::{ObsEvent, ObsEventKind};
+use bristle_overlay::obs::ObsEvent;
 use bristle_proto::machine::{Completion, ProtoMachine, RetryPolicy};
 use bristle_proto::transport::FaultConfig;
 
@@ -98,72 +101,16 @@ pub fn force_belief(sys: &mut BristleSystem, holder: Key, subject: Key) {
     sys.mobile.node_mut(holder).expect("known").upsert_entry(StatePair::resolved(subject, addr));
 }
 
-/// The deterministic actors of the scripted scenario, chosen from the
-/// freshly built (pre-ops) system so both arms agree.
-struct Cast {
-    /// Stationary registrants of mobile node `m`.
-    w1: Key,
-    w2: Key,
-    /// The mobile node that registers watchers, moves, disseminates.
-    m: Key,
-    m_to: RouterId,
-    /// The stale-belief recovery's origin and (direct-hop) mobile target.
-    ladder_src: Key,
-    ladder_target: Key,
-    ladder_to: RouterId,
-}
-
-fn cast(sys: &BristleSystem) -> Cast {
-    let (ladder_src, ladder_target) = direct_pair(sys);
-    let m = *sys
-        .mobile_keys()
-        .iter()
-        .find(|&&k| k != ladder_target)
-        .expect("more than one mobile node");
-    let w1 = sys.stationary_keys()[0];
-    let w2 = sys.stationary_keys()[1];
-    let other_router = |of: Key| {
-        let here = sys.router_of(of).expect("attached");
-        sys.stub_routers().iter().copied().find(|&r| r != here).expect("another stub router exists")
-    };
-    Cast {
-        w1,
-        w2,
-        m,
-        m_to: other_router(m),
-        ladder_src,
-        ladder_target,
-        ladder_to: other_router(ladder_target),
-    }
-}
-
 /// One flight event as a stable, wall-clock-free line: node plus kind,
-/// with `at` dropped entirely and `elapsed` dropped from the discovery
+/// with `at` dropped entirely and `elapsed` cut from the discovery
 /// milestones (micro-ticks and fast-forwarded wall ticks measure
 /// different spans of the same story).
 fn fmt_causal(e: &ObsEvent) -> String {
-    let kind = match e.kind {
-        ObsEventKind::Send { to, tag, msg_id } => format!("send to={to} tag={tag} msg_id={msg_id}"),
-        ObsEventKind::Ack { from, msg_id } => format!("ack from={from} msg_id={msg_id}"),
-        ObsEventKind::Timeout { what, attempt } => format!("timeout what={what} attempt={attempt}"),
-        ObsEventKind::Suspect { peer, incarnation } => {
-            format!("suspect peer={peer} incarnation={incarnation}")
-        }
-        ObsEventKind::Refute { incarnation } => format!("refute incarnation={incarnation}"),
-        ObsEventKind::RouteDelivered { route_id } => format!("route_delivered route_id={route_id}"),
-        ObsEventKind::RouteFailed { route_id } => format!("route_failed route_id={route_id}"),
-        ObsEventKind::DiscoveryStart { subject } => format!("discovery_start subject={subject}"),
-        ObsEventKind::DiscoveryResolved { subject, .. } => {
-            format!("discovery_resolved subject={subject}")
-        }
-        ObsEventKind::DiscoveryFailed { subject, .. } => {
-            format!("discovery_failed subject={subject}")
-        }
-        ObsEventKind::AuthReject { from, tag, reason, dropped } => {
-            format!("auth_reject from={from} tag={tag} reason={reason} dropped={dropped}")
-        }
-    };
-    format!("node={} {}", e.node, kind)
+    let mut line = format!("node={} {}", e.node, e.kind);
+    if let Some(cut) = line.find(" elapsed=") {
+        line.truncate(cut);
+    }
+    line
 }
 
 /// Renders the causal profile: events grouped by ascending trace id,
@@ -189,36 +136,83 @@ pub fn profile(events: &[ObsEvent]) -> String {
     doc
 }
 
+/// One step of the scripted scenario. Both arms settle after each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// `who` registers on `target`; the registration must be acked.
+    Register { who: Key, target: Key },
+    /// A route that must deliver.
+    Route { src: Key, target: Key },
+    /// A settled move: nothing is in flight while `key` reattaches at `to`.
+    Move { key: Key, to: RouterId },
+    /// `key` pushes its current address down its LDT.
+    Disseminate { key: Key },
+    /// `holder` is given a fresh, resolved state-pair for `subject`
+    /// ([`force_belief`]) — confidently wrong once `subject` moves.
+    Believe { holder: Key, subject: Key },
+}
+
+/// The scenario: registration, a plain route, a settled move followed by
+/// an LDT dissemination, and the stale-belief recovery — over actors
+/// chosen from the freshly built (pre-ops) system, so both arms agree.
+fn script(sys: &BristleSystem) -> Vec<Step> {
+    // The stale-belief recovery's origin and (direct-hop) mobile target.
+    let (ladder_src, ladder_target) = direct_pair(sys);
+    // The mobile node that registers watchers, moves, disseminates.
+    let m = *sys
+        .mobile_keys()
+        .iter()
+        .find(|&&k| k != ladder_target)
+        .expect("more than one mobile node");
+    // Its two stationary registrants.
+    let (w1, w2) = (sys.stationary_keys()[0], sys.stationary_keys()[1]);
+    let elsewhere = |of: Key| {
+        let here = sys.router_of(of).expect("attached");
+        sys.stub_routers().iter().copied().find(|&r| r != here).expect("another stub router exists")
+    };
+    vec![
+        Step::Register { who: w1, target: m },
+        Step::Register { who: w2, target: m },
+        Step::Route { src: w1, target: m },
+        Step::Move { key: m, to: elsewhere(m) },
+        Step::Disseminate { key: m },
+        Step::Route { src: w2, target: m },
+        Step::Believe { holder: ladder_src, subject: ladder_target },
+        Step::Move { key: ladder_target, to: elsewhere(ladder_target) },
+        Step::Route { src: ladder_src, target: ladder_target },
+    ]
+}
+
 /// Runs the scripted scenario over the simulator's event queue and
 /// in-memory transport (fault-free: the recovery ladder's losses come
 /// from the scripted stale address, not from random drops).
 pub fn run_sim(seed: u64) -> ConformanceReport {
     let sys = build(seed);
-    let cast = cast(&sys);
+    let steps = script(&sys);
+    sim_arm(sys, seed, &steps)
+}
+
+fn sim_arm(sys: BristleSystem, seed: u64, steps: &[Step]) -> ConformanceReport {
     let mut mbs = MessagingBristleSystem::new(sys, FaultConfig::perfect(), seed);
-
-    mbs.register(cast.w1, cast.m).expect("w1 registers on m");
-    mbs.settle();
-    mbs.register(cast.w2, cast.m).expect("w2 registers on m");
-    mbs.settle();
-    mbs.route(cast.w1, cast.m).expect("plain route w1 -> m");
-    mbs.settle();
-
-    let t = mbs.micro_now();
-    mbs.schedule_move(SimTime(t.0 + 1), cast.m, Some(cast.m_to));
-    mbs.settle();
-    mbs.disseminate_update(cast.m).expect("m disseminates its move");
-    mbs.settle();
-    mbs.route(cast.w2, cast.m).expect("route w2 -> m after the update");
-    mbs.settle();
-
-    force_belief(&mut mbs.sys, cast.ladder_src, cast.ladder_target);
-    let t = mbs.micro_now();
-    mbs.schedule_move(SimTime(t.0 + 1), cast.ladder_target, Some(cast.ladder_to));
-    mbs.settle();
-    mbs.route(cast.ladder_src, cast.ladder_target).expect("ladder route recovers");
-    mbs.settle();
-
+    for &step in steps {
+        match step {
+            Step::Register { who, target } => {
+                mbs.register(who, target).expect("registration completes");
+            }
+            Step::Route { src, target } => {
+                mbs.route(src, target).expect("route delivers");
+            }
+            Step::Move { key, to } => {
+                let t = mbs.micro_now();
+                mbs.schedule_move(SimTime(t.0 + 1), key, Some(to));
+            }
+            Step::Disseminate { key } => {
+                mbs.disseminate_update(key).expect("update disseminates");
+            }
+            Step::Believe { holder, subject } => force_belief(&mut mbs.sys, holder, subject),
+        }
+        mbs.settle();
+    }
     ConformanceReport {
         tallies: mbs.sys.meter.tallies(),
         profile: profile(&mbs.obs().flight.events()),
@@ -344,7 +338,11 @@ fn net_move(d: &mut SocketDriver, w: &mut NetWorld, key: Key, to: RouterId) {
 /// fast-forwarding poll loop.
 pub fn run_sockets(seed: u64) -> ConformanceReport {
     let sys = build(seed);
-    let cast = cast(&sys);
+    let steps = script(&sys);
+    socket_arm(sys, &steps)
+}
+
+fn socket_arm(sys: BristleSystem, steps: &[Step]) -> ConformanceReport {
     let mut world = NetWorld {
         sys,
         nodes: Nodes::default(),
@@ -364,23 +362,16 @@ pub fn run_sockets(seed: u64) -> ConformanceReport {
             .expect("loopback socket binds");
     }
 
-    net_register(&mut d, &mut world, cast.w1, cast.m);
-    net_settle(&mut d, &mut world);
-    net_register(&mut d, &mut world, cast.w2, cast.m);
-    net_settle(&mut d, &mut world);
-    net_route(&mut d, &mut world, cast.w1, cast.m);
-    net_settle(&mut d, &mut world);
-
-    net_move(&mut d, &mut world, cast.m, cast.m_to);
-    net_disseminate(&mut d, &mut world, cast.m);
-    net_settle(&mut d, &mut world);
-    net_route(&mut d, &mut world, cast.w2, cast.m);
-    net_settle(&mut d, &mut world);
-
-    force_belief(&mut world.sys, cast.ladder_src, cast.ladder_target);
-    net_move(&mut d, &mut world, cast.ladder_target, cast.ladder_to);
-    net_route(&mut d, &mut world, cast.ladder_src, cast.ladder_target);
-    net_settle(&mut d, &mut world);
+    for &step in steps {
+        match step {
+            Step::Register { who, target } => net_register(&mut d, &mut world, who, target),
+            Step::Route { src, target } => net_route(&mut d, &mut world, src, target),
+            Step::Move { key, to } => net_move(&mut d, &mut world, key, to),
+            Step::Disseminate { key } => net_disseminate(&mut d, &mut world, key),
+            Step::Believe { holder, subject } => force_belief(&mut world.sys, holder, subject),
+        }
+        net_settle(&mut d, &mut world);
+    }
 
     // Nothing in the scripted scenario may trip the socket boundary's
     // hardening: every datagram on the wire is one of our envelopes.
@@ -391,5 +382,27 @@ pub fn run_sockets(seed: u64) -> ConformanceReport {
     ConformanceReport {
         tallies: world.sys.meter.tallies(),
         profile: profile(&world.obs.flight.events()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn both_arms_interpret_the_same_steps() {
+        let steps = script(&build(5));
+        assert_eq!(sim_arm(build(5), 5, &steps), socket_arm(build(5), &steps));
+    }
+
+    #[test]
+    fn the_script_uses_every_kind_of_step() {
+        let steps = script(&build(5));
+        let has = |p: fn(&Step) -> bool| steps.iter().any(p);
+        assert!(has(|s| matches!(s, Step::Register { .. })));
+        assert!(has(|s| matches!(s, Step::Route { .. })));
+        assert!(has(|s| matches!(s, Step::Move { .. })));
+        assert!(has(|s| matches!(s, Step::Disseminate { .. })));
+        assert!(has(|s| matches!(s, Step::Believe { .. })));
     }
 }

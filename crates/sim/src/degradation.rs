@@ -20,10 +20,10 @@
 //! [`RetryPolicy`]: bristle_proto::machine::RetryPolicy
 
 use bristle_core::config::BristleConfig;
+use bristle_core::naming::Mobility;
 use bristle_netsim::rng::Pcg64;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
-use bristle_overlay::obs::Snapshot;
 use bristle_proto::failure::FailurePolicy;
 use bristle_proto::rto::RtoConfig;
 use bristle_proto::transport::{Degradation, FaultConfig};
@@ -34,7 +34,21 @@ use crate::metrics::Samples;
 use crate::report::{pct, Table};
 use crate::runreport::Json;
 use crate::sweeps::{Claim, SweepRun};
-use crate::workload::{rate, tiny_system};
+use crate::workload::{live_endpoints, live_of, tiny_system, Delivery, Telemetry};
+
+/// Extra one-way loss on the scripted asymmetric link.
+pub const LINK_LOSS: f64 = 0.35;
+/// Sequential routes before degradation starts, so the adaptive arm's
+/// estimators are trained on the healthy network first.
+pub const WARMUP_ROUTES: usize = 40;
+/// Bounded per-node ingress queue capacity (applied in all cells).
+pub const INGRESS_CAP: usize = 6;
+/// Base link latency; the slowdown multiplies this, so it sets how far
+/// past the fixed 20 000-tick ack timeout a degraded round trip lands.
+pub const MIN_LATENCY: u64 = 6_000;
+/// Extra missed heartbeat rounds granted to recently-acking peers
+/// ([`FailurePolicy::grace_misses`], both arms).
+pub const GRACE_MISSES: u32 = 2;
 
 /// Parameters of one degradation run.
 #[derive(Debug, Clone, Copy)]
@@ -52,25 +66,12 @@ pub struct DegradationConfig {
     pub slowdown_pct: u32,
     /// How many stationary nodes the slowdown script hits.
     pub degraded_nodes: usize,
-    /// Extra one-way loss on the scripted asymmetric link.
-    pub link_loss: f64,
     /// Concurrent routes per flash-crowd wave (the overload axis).
     pub burst: usize,
     /// Flash-crowd waves (one heartbeat round after each).
     pub waves: usize,
-    /// Sequential routes before degradation starts, so the adaptive
-    /// arm's estimators are trained on the healthy network first.
-    pub warmup_routes: usize,
-    /// Bounded per-node ingress queue capacity (applied in all cells).
-    pub ingress_cap: usize,
     /// Background transport drop probability.
     pub loss: f64,
-    /// Base link latency; the slowdown multiplies this, so it sets how
-    /// far past the fixed ack timeout a degraded round trip lands.
-    pub min_latency: u64,
-    /// Extra missed heartbeat rounds granted to recently-acking peers
-    /// ([`FailurePolicy::grace_misses`], both arms).
-    pub grace_misses: u32,
 }
 
 impl DegradationConfig {
@@ -88,14 +89,9 @@ impl DegradationConfig {
             adaptive: false,
             slowdown_pct: 300,
             degraded_nodes: 8,
-            link_loss: 0.35,
             burst: 16,
             waves: 10,
-            warmup_routes: 40,
-            ingress_cap: 6,
             loss: 0.0,
-            min_latency: 6_000,
-            grace_misses: 2,
         }
     }
 }
@@ -103,10 +99,8 @@ impl DegradationConfig {
 /// What one degradation run observed.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DegradationOutcome {
-    /// Routes attempted across all flash-crowd waves (warmup excluded).
-    pub routes_attempted: usize,
-    /// Wave routes that reached their target's owner.
-    pub routes_delivered: usize,
+    /// Routes across all flash-crowd waves (warmup excluded).
+    pub routes: Delivery,
     /// Retransmissions of frames the destination had already processed
     /// (meter [`MessageKind::SpuriousRetry`]).
     pub spurious_retries: u64,
@@ -133,24 +127,13 @@ pub struct DegradationOutcome {
     /// Every wave-route completion latency, sorted ascending — so the
     /// sweep binary can pool cells into per-arm percentiles.
     pub wave_samples: Vec<u64>,
-    /// Per-kind meter `(kind, count, cost)` at the end of the run.
-    pub tallies: Vec<(MessageKind, u64, u64)>,
-    /// Named latency-histogram snapshots from the driver's collector.
-    pub latencies: Vec<(&'static str, Snapshot)>,
-}
-
-impl DegradationOutcome {
-    /// Fraction of attempted wave routes that were delivered.
-    pub fn delivery_rate(&self) -> f64 {
-        rate(self.routes_delivered as u64, self.routes_attempted as u64, 1.0)
-    }
+    /// Meter tallies and latency snapshots at the end of the run.
+    pub telemetry: Telemetry,
 }
 
 /// Every `n`-th key of the sorted stationary population — a
 /// deterministic spread of degradation targets around the ring.
-fn spread(keys: &[Key], n: usize) -> Vec<Key> {
-    let mut sorted: Vec<Key> = keys.to_vec();
-    sorted.sort_unstable();
+fn spread(sorted: &[Key], n: usize) -> Vec<Key> {
     if n == 0 || sorted.is_empty() {
         return Vec::new();
     }
@@ -165,16 +148,16 @@ pub fn run_degradation(cfg: &DegradationConfig) -> DegradationOutcome {
     let sys = tiny_system(cfg.seed, cfg.stationary, cfg.mobile, BristleConfig::recommended());
     let faults = FaultConfig {
         drop_probability: cfg.loss,
-        min_latency: cfg.min_latency,
+        min_latency: MIN_LATENCY,
         ..FaultConfig::default()
     };
     let mut msys = MessagingBristleSystem::new(sys, faults, cfg.seed ^ 0xD06);
     if cfg.adaptive {
         msys.set_adaptive_rto(Some(RtoConfig::default()));
     }
-    msys.set_ingress_cap(Some(cfg.ingress_cap));
+    msys.set_ingress_cap(Some(INGRESS_CAP));
     msys.set_failure_policy(FailurePolicy {
-        grace_misses: cfg.grace_misses,
+        grace_misses: GRACE_MISSES,
         ..FailurePolicy::default()
     });
     msys.seed_monitors();
@@ -182,8 +165,7 @@ pub fn run_degradation(cfg: &DegradationConfig) -> DegradationOutcome {
 
     let mut out = DegradationOutcome::default();
 
-    let mut endpoints: Vec<Key> = msys.sys.mobile.keys().collect();
-    endpoints.sort_unstable();
+    let mut endpoints = live_endpoints(&msys);
     let draw_pair = |rng: &mut Pcg64, endpoints: &[Key]| -> Option<(Key, Key)> {
         if endpoints.len() < 2 {
             return None;
@@ -195,7 +177,7 @@ pub fn run_degradation(cfg: &DegradationConfig) -> DegradationOutcome {
 
     // Warmup on the healthy network: trains the adaptive arm's RTT
     // estimators; the fixed arm runs the same routes for rng parity.
-    for _ in 0..cfg.warmup_routes {
+    for _ in 0..WARMUP_ROUTES {
         if let Some((src, dst)) = draw_pair(&mut rng, &endpoints) {
             let _ = msys.route(src, dst);
         }
@@ -205,13 +187,14 @@ pub fn run_degradation(cfg: &DegradationConfig) -> DegradationOutcome {
     // Fail-slow scripts: a spread of stationary nodes slowed down, plus
     // one asymmetric lossy link between the first two victims (loss in
     // one direction only — acks die, data arrives).
-    let victims = spread(msys.sys.stationary_keys(), cfg.degraded_nodes);
+    let stationary = live_of(&msys, Mobility::Stationary);
+    let victims = spread(&stationary, cfg.degraded_nodes);
     if cfg.slowdown_pct > 100 {
         for &v in &victims {
             msys.degrade_node_now(v, Degradation::slowdown(cfg.slowdown_pct));
         }
         if let [a, b, ..] = victims[..] {
-            msys.degrade_link_now(a, b, Degradation::lossy(cfg.link_loss));
+            msys.degrade_link_now(a, b, Degradation::lossy(LINK_LOSS));
         }
     }
 
@@ -220,11 +203,7 @@ pub fn run_degradation(cfg: &DegradationConfig) -> DegradationOutcome {
     // confirmation races the degraded peers' late acks. Detection and
     // healing complete before the measurement waves — the waves then
     // observe the degradation itself, not the corpse's discovery tail.
-    let crash = {
-        let mut sorted: Vec<Key> = msys.sys.stationary_keys().to_vec();
-        sorted.sort_unstable();
-        sorted.into_iter().rev().find(|k| !victims.contains(k))
-    };
+    let crash = stationary.iter().rev().copied().find(|k| !victims.contains(k));
     if let Some(c) = crash {
         msys.fail_silently(c);
         for _ in 0..8 {
@@ -270,9 +249,9 @@ pub fn run_degradation(cfg: &DegradationConfig) -> DegradationOutcome {
         }
         let started = msys.micro_now();
         let results = msys.route_burst(&pairs);
-        out.routes_attempted += pairs.len();
+        out.routes.attempted += pairs.len();
         for report in results.iter().flatten() {
-            out.routes_delivered += 1;
+            out.routes.delivered += 1;
             wave_latencies.push(report.delivered_at.since(started) as f64);
         }
 
@@ -297,8 +276,7 @@ pub fn run_degradation(cfg: &DegradationConfig) -> DegradationOutcome {
         out.wave_max = wave_latencies.max() as u64;
     }
     out.wave_samples = wave_latencies.sorted_values().iter().map(|&v| v as u64).collect();
-    out.tallies = msys.sys.meter.tallies();
-    out.latencies = msys.obs().latency_snapshots();
+    out.telemetry = Telemetry::of(&msys);
     out
 }
 
@@ -378,19 +356,18 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
                         ("stationary", Json::U64(stationary as u64)),
                         ("mobile", Json::U64(mobile as u64)),
                         ("waves", Json::U64(waves as u64)),
-                        ("ingress_cap", Json::U64(cfg.ingress_cap as u64)),
+                        ("ingress_cap", Json::U64(INGRESS_CAP as u64)),
                     ]),
-                    &out.tallies,
-                    &out.latencies,
+                    &out.telemetry,
                     Json::obj([
                         ("spurious_retries", Json::U64(out.spurious_retries)),
                         ("load_sheds", Json::U64(out.load_sheds)),
                         ("wave_p50", Json::U64(out.wave_p50)),
                         ("wave_p99", Json::U64(out.wave_p99)),
                         ("wave_max", Json::U64(out.wave_max)),
-                        ("routes_attempted", Json::U64(out.routes_attempted as u64)),
-                        ("routes_delivered", Json::U64(out.routes_delivered as u64)),
-                        ("delivery_rate", Json::F64(out.delivery_rate())),
+                        ("routes_attempted", Json::U64(out.routes.attempted as u64)),
+                        ("routes_delivered", Json::U64(out.routes.delivered as u64)),
+                        ("delivery_rate", Json::F64(out.routes.rate())),
                         ("wrongful_burials", Json::U64(out.wrongful_burials as u64)),
                         ("crash_confirmed", Json::Bool(out.crash_confirmed)),
                         ("detection_rounds", Json::U64(out.detection_rounds as u64)),
@@ -405,7 +382,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
                     out.load_sheds.to_string(),
                     out.wave_p50.to_string(),
                     out.wave_p99.to_string(),
-                    pct(out.delivery_rate()),
+                    pct(out.routes.rate()),
                     out.wrongful_burials.to_string(),
                     out.crash_confirmed.to_string(),
                     out.degraded_flagged_max.to_string(),
@@ -419,8 +396,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
     let [fixed_max, adaptive_max] = pooled.each_mut().map(|s| s.max() as u64);
     run.report.push_cell(
         Json::obj([("cell", Json::Str("arm_summary".into()))]),
-        &[],
-        &[],
+        &Telemetry::default(),
         Json::obj([
             ("degraded_samples_per_arm", Json::U64(pooled[0].len() as u64)),
             ("fixed_spurious", Json::U64(arm_spurious[0])),
@@ -465,7 +441,7 @@ mod tests {
         assert_eq!(out.wrongful_burials, 0);
         assert!(out.crash_confirmed, "the real crash must be confirmed: {out:?}");
         assert_eq!(out.spurious_retries, 0, "no timeouts on a clean network");
-        assert_eq!(out.routes_delivered, out.routes_attempted);
+        assert_eq!(out.routes.delivered, out.routes.attempted);
     }
 
     #[test]

@@ -27,10 +27,10 @@
 use std::path::PathBuf;
 
 use bristle_core::config::BristleConfig;
+use bristle_core::naming::Mobility;
 use bristle_netsim::rng::Pcg64;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
-use bristle_overlay::obs::Snapshot;
 use bristle_proto::transport::FaultConfig;
 use bristle_store::WalBackend;
 
@@ -40,8 +40,22 @@ use crate::report::{pct, Table};
 use crate::runreport::Json;
 use crate::sweeps::{Claim, SweepRun};
 use crate::workload::{
-    busiest_primary, crash_and_bury, fixed_pairs, measure_pairs, rate, tiny_system,
+    busiest_primary, crash_and_bury, fixed_pairs, live_of, measure_pairs, tiny_system, BeforeAfter,
+    Telemetry,
 };
+
+/// Transport drop probability in every cell (the sweep's axes are the
+/// restart mode, the crash point and the snapshot interval).
+pub const LOSS: f64 = 0.02;
+/// Mobile moves while the victim is down (how stale its disk is at
+/// restart).
+pub const DOWNTIME_MOVES: usize = 3;
+/// Maximum heartbeat rounds allowed for the crash to be detected and
+/// confirmed; the scenario confirms directly if detection never hardens
+/// (counted in [`DurabilityOutcome::forced_confirm`]).
+pub const DETECTION_ROUNDS: usize = 8;
+/// Endpoint pairs measured before the crash and after recovery.
+pub const ROUTE_PAIRS: usize = 16;
 
 /// How the crashed victim comes back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,8 +85,6 @@ pub struct DurabilityConfig {
     pub stationary: usize,
     /// Mobile population at build time.
     pub mobile: usize,
-    /// Transport drop probability.
-    pub loss: f64,
     /// How the victim recovers.
     pub mode: RestartMode,
     /// WAL snapshot interval in log records (0 = never snapshot; only
@@ -81,15 +93,6 @@ pub struct DurabilityConfig {
     /// Mobile moves before the crash (how much history the WAL holds —
     /// the *crash point*).
     pub crash_point: usize,
-    /// Mobile moves while the victim is down (how stale its disk is at
-    /// restart).
-    pub downtime_moves: usize,
-    /// Maximum heartbeat rounds allowed for the crash to be detected and
-    /// confirmed; the scenario confirms directly if detection never
-    /// hardens (counted in [`DurabilityOutcome::forced_confirm`]).
-    pub detection_rounds: usize,
-    /// Endpoint pairs measured before the crash and after recovery.
-    pub route_pairs: usize,
     /// Scratch directory for the WAL; `None` picks a per-process temp
     /// path keyed by the sweep cell. Always wiped before and after.
     pub wal_dir: Option<PathBuf>,
@@ -102,13 +105,9 @@ impl DurabilityConfig {
             seed,
             stationary: 40,
             mobile: 16,
-            loss: 0.02,
             mode,
             snapshot_every: 8,
             crash_point: 12,
-            downtime_moves: 3,
-            detection_rounds: 8,
-            route_pairs: 16,
             wal_dir: None,
         }
     }
@@ -139,7 +138,7 @@ pub struct DurabilityOutcome {
     /// Heartbeat rounds until the crash was confirmed.
     pub detection_rounds_used: usize,
     /// Whether the scenario had to confirm the death directly because
-    /// `detection_rounds` passed without a verdict.
+    /// [`DETECTION_ROUNDS`] passed without a verdict.
     pub forced_confirm: bool,
     /// Records the WAL replay loaded from the snapshot (0 without one).
     pub wal_snapshot_records: u64,
@@ -163,30 +162,10 @@ pub struct DurabilityOutcome {
     pub anti_entropy_fixes: usize,
     /// Whether a second anti-entropy pass found nothing left to fix.
     pub converged: bool,
-    /// Routes delivered / attempted before the crash.
-    pub pre_delivered: usize,
-    /// Routes attempted before the crash.
-    pub pre_attempted: usize,
-    /// Routes delivered over the same pairs after recovery.
-    pub post_delivered: usize,
-    /// Routes attempted after recovery.
-    pub post_attempted: usize,
-    /// Per-kind meter `(kind, count, cost)` at the end of the run.
-    pub tallies: Vec<(MessageKind, u64, u64)>,
-    /// Named latency-histogram snapshots from the driver's collector.
-    pub latencies: Vec<(&'static str, Snapshot)>,
-}
-
-impl DurabilityOutcome {
-    /// Fraction of pre-crash routes delivered.
-    pub fn pre_rate(&self) -> f64 {
-        rate(self.pre_delivered as u64, self.pre_attempted as u64, 1.0)
-    }
-
-    /// Fraction of post-recovery routes delivered.
-    pub fn post_rate(&self) -> f64 {
-        rate(self.post_delivered as u64, self.post_attempted as u64, 1.0)
-    }
+    /// Delivery over the same pairs before the crash and after recovery.
+    pub delivery: BeforeAfter,
+    /// Meter tallies and latency snapshots at the end of the run.
+    pub telemetry: Telemetry,
 }
 
 /// Moves `n` randomly drawn mobile nodes (new location records at the
@@ -194,9 +173,7 @@ impl DurabilityOutcome {
 /// and staleness after it).
 fn churn_moves(msys: &mut MessagingBristleSystem, rng: &mut Pcg64, n: usize) {
     for _ in 0..n {
-        let mut mobiles: Vec<Key> = msys.sys.mobile_keys().to_vec();
-        mobiles.retain(|&m| !msys.is_failed(m));
-        mobiles.sort_unstable();
+        let mobiles = live_of(msys, Mobility::Mobile);
         if mobiles.is_empty() {
             return;
         }
@@ -209,7 +186,7 @@ fn churn_moves(msys: &mut MessagingBristleSystem, rng: &mut Pcg64, n: usize) {
 /// recover, reconcile, re-measure. Deterministic in `cfg`.
 pub fn run_durability(cfg: &DurabilityConfig) -> DurabilityOutcome {
     let sys = tiny_system(cfg.seed, cfg.stationary, cfg.mobile, BristleConfig::recommended());
-    let mut msys = MessagingBristleSystem::new(sys, FaultConfig::lossy(cfg.loss), cfg.seed ^ 0xD0);
+    let mut msys = MessagingBristleSystem::new(sys, FaultConfig::lossy(LOSS), cfg.seed ^ 0xD0);
     let mut rng = Pcg64::new(cfg.seed, 0xD07A);
 
     let victim = busiest_primary(&msys.sys);
@@ -225,16 +202,16 @@ pub fn run_durability(cfg: &DurabilityConfig) -> DurabilityOutcome {
     // Warm-up traffic grows the victim's WAL past the bare build state.
     churn_moves(&mut msys, &mut rng, cfg.crash_point);
 
-    let pairs = fixed_pairs(&msys, &mut rng, cfg.route_pairs, None);
-    (out.pre_delivered, out.pre_attempted) = measure_pairs(&mut msys, &pairs);
+    let pairs = fixed_pairs(&msys, &mut rng, ROUTE_PAIRS, None);
+    out.delivery.pre = measure_pairs(&mut msys, &pairs);
 
     out.victim_shard = msys.sys.stationary.node(victim).map(|n| n.store.len()).unwrap_or(0);
 
     (out.detection_rounds_used, out.forced_confirm) =
-        crash_and_bury(&mut msys, victim, cfg.detection_rounds);
+        crash_and_bury(&mut msys, victim, DETECTION_ROUNDS);
 
     // Downtime: the world keeps moving while the victim's disk does not.
-    churn_moves(&mut msys, &mut rng, cfg.downtime_moves);
+    churn_moves(&mut msys, &mut rng, DOWNTIME_MOVES);
     msys.sys.tick(1);
 
     // Recovery, metered: the restart itself plus the anti-entropy pass
@@ -267,10 +244,9 @@ pub fn run_durability(cfg: &DurabilityConfig) -> DurabilityOutcome {
     // Convergence: a second pass must find nothing left to ship.
     out.converged = msys.sys.anti_entropy_locations().expect("second pass succeeds") == 0;
 
-    (out.post_delivered, out.post_attempted) = measure_pairs(&mut msys, &pairs);
+    out.delivery.post = measure_pairs(&mut msys, &pairs);
 
-    out.tallies = msys.sys.meter.tallies();
-    out.latencies = msys.obs().latency_snapshots();
+    out.telemetry = Telemetry::of(&msys);
     if cfg.mode == RestartMode::WalReplay && cfg.wal_dir.is_none() {
         let _ = std::fs::remove_dir_all(&wal_dir);
     }
@@ -332,10 +308,9 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
                     ("snapshot_every", Json::U64(snapshot_every)),
                     ("stationary", Json::U64(stationary as u64)),
                     ("mobile", Json::U64(mobile as u64)),
-                    ("loss", Json::F64(cfg.loss)),
+                    ("loss", Json::F64(LOSS)),
                 ]),
-                &out.tallies,
-                &out.latencies,
+                &out.telemetry,
                 Json::obj([
                     ("victim_shard", Json::U64(out.victim_shard as u64)),
                     ("records_recovered", Json::U64(out.records_recovered as u64)),
@@ -349,8 +324,8 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
                     ("recovery_messages", Json::U64(out.recovery_messages)),
                     ("detection_rounds_used", Json::U64(out.detection_rounds_used as u64)),
                     ("converged", Json::Bool(out.converged)),
-                    ("pre_rate", Json::F64(out.pre_rate())),
-                    ("post_rate", Json::F64(out.post_rate())),
+                    ("pre_rate", Json::F64(out.delivery.pre_rate())),
+                    ("post_rate", Json::F64(out.delivery.post_rate())),
                 ]),
             );
             table.row(vec![
@@ -368,7 +343,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
                 out.recovery_replicates.to_string(),
                 out.recovery_messages.to_string(),
                 out.converged.to_string(),
-                format!("{}→{}", pct(out.pre_rate()), pct(out.post_rate())),
+                format!("{}→{}", pct(out.delivery.pre_rate()), pct(out.delivery.post_rate())),
             ]);
         }
     }

@@ -22,18 +22,18 @@ use bristle_core::registry::Registrant;
 use bristle_core::system::BristleBuilder;
 use bristle_netsim::attach::{AttachmentMap, HostId};
 use bristle_netsim::dijkstra::DistanceCache;
-use bristle_netsim::graph::{Graph, RouterId};
+use bristle_netsim::graph::RouterId;
 use bristle_netsim::rng::Pcg64;
 use bristle_netsim::transit_stub::TransitStubConfig;
 use bristle_overlay::can::CanOverlay;
 use bristle_overlay::config::{NeighborSelection, RingConfig};
 use bristle_overlay::key::Key;
-use bristle_overlay::ring::RingDht;
 
 use crate::cli::SweepArgs;
 use crate::report::{f2, Table};
 use crate::runreport::Json;
 use crate::sweeps::SweepRun;
+use crate::workload::{flat_distances, random_ring, Telemetry};
 
 use std::sync::Arc;
 
@@ -135,12 +135,6 @@ pub struct AblationResult {
     pub query_modes: Vec<QueryModeRow>,
 }
 
-fn flat_env() -> (AttachmentMap, DistanceCache) {
-    let mut g = Graph::with_vertices(2);
-    g.add_edge(RouterId(0), RouterId(1), 1);
-    (AttachmentMap::new(), DistanceCache::new(Arc::new(g), 4))
-}
-
 fn measure_ring(
     cfg: &AblationConfig,
     ring: RingConfig,
@@ -148,18 +142,8 @@ fn measure_ring(
     seed: u64,
 ) -> SubstrateRow {
     let mut rng = Pcg64::seed_from_u64(seed);
-    let (mut attachments, dcache) = flat_env();
-    let mut dht: RingDht<()> = RingDht::new(ring);
-    for _ in 0..cfg.n_nodes {
-        let host = attachments.attach_new(RouterId(0));
-        loop {
-            let k = Key::random(&mut rng);
-            if dht.insert(k, host, 1).is_ok() {
-                break;
-            }
-        }
-    }
-    dht.build_all_tables(&attachments, &dcache, &mut rng);
+    let (mut dht, attachments, _) = random_ring(cfg.n_nodes, ring, &[RouterId(0)], &mut rng);
+    dht.build_all_tables(&attachments, &flat_distances(), &mut rng);
     let keys: Vec<Key> = dht.keys().collect();
     let mut hops_total = 0usize;
     for _ in 0..cfg.routes {
@@ -181,7 +165,8 @@ fn measure_ring(
 fn measure_prefix(cfg: &AblationConfig, name: &'static str, seed: u64) -> SubstrateRow {
     use bristle_overlay::prefix::PrefixDht;
     let mut rng = Pcg64::seed_from_u64(seed);
-    let (mut attachments, dcache) = flat_env();
+    let mut attachments = AttachmentMap::new();
+    let dcache = flat_distances();
     let ring = RingConfig { selection: NeighborSelection::First, ..RingConfig::tornado() };
     let mut dht: PrefixDht<()> = PrefixDht::new(ring);
     for _ in 0..cfg.n_nodes {
@@ -322,17 +307,8 @@ fn measure_query_modes(cfg: &AblationConfig) -> Vec<QueryModeRow> {
     let topo = TransitStubTopology::generate(&TransitStubConfig::small(), &mut rng);
     let stubs = topo.stub_routers().to_vec();
     let dcache = DistanceCache::new(Arc::new(topo.into_graph()), 2048);
-    let mut attachments = AttachmentMap::new();
-    let mut dht: RingDht<()> = RingDht::new(RingConfig::tornado());
-    for _ in 0..cfg.n_nodes.min(1024) {
-        let host = attachments.attach_new(*rng.choose(&stubs));
-        loop {
-            let k = Key::random(&mut rng);
-            if dht.insert(k, host, 1).is_ok() {
-                break;
-            }
-        }
-    }
+    let (mut dht, attachments, _) =
+        random_ring(cfg.n_nodes.min(1024), RingConfig::tornado(), &stubs, &mut rng);
     dht.build_all_tables(&attachments, &dcache, &mut rng);
     let keys: Vec<Key> = dht.keys().collect();
     let mut rec = Meter::new();
@@ -454,7 +430,11 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
         to_table_query_modes(&result),
     ]);
     let mut study = |name: &str, outcome: Json| {
-        out.report.push_cell(Json::obj([("study", Json::Str(name.into()))]), &[], &[], outcome);
+        out.report.push_cell(
+            Json::obj([("study", Json::Str(name.into()))]),
+            &Telemetry::default(),
+            outcome,
+        );
     };
     for row in &result.substrates {
         study(

@@ -8,7 +8,6 @@
 //! into — confirming the analytic gap of ≈ log N on real trees.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use bristle_core::analysis::{figure3_series, ResponsibilityPoint};
 use bristle_core::ldt::Ldt;
@@ -16,7 +15,7 @@ use bristle_core::ldt_nonmember::NonMemberTree;
 use bristle_core::registry::Registrant;
 use bristle_netsim::attach::AttachmentMap;
 use bristle_netsim::dijkstra::DistanceCache;
-use bristle_netsim::graph::{Graph, RouterId};
+use bristle_netsim::graph::RouterId;
 use bristle_netsim::rng::Pcg64;
 use bristle_overlay::config::{NeighborSelection, RingConfig};
 use bristle_overlay::key::Key;
@@ -25,6 +24,7 @@ use bristle_overlay::ring::RingDht;
 use crate::cli::SweepArgs;
 use crate::report::{f2, f3, Table};
 use crate::sweeps::SweepRun;
+use crate::workload::{flat_distances, random_ring};
 
 /// Parameters for the Figure 3 regeneration.
 #[derive(Debug, Clone)]
@@ -78,25 +78,10 @@ pub struct Fig3Result {
 }
 
 /// Builds a flat overlay (no physical locality needed here) of `n` nodes.
-fn flat_overlay(n: usize, rng: &mut Pcg64) -> (RingDht<()>, AttachmentMap, DistanceCache) {
-    let graph = {
-        let mut g = Graph::with_vertices(2);
-        g.add_edge(RouterId(0), RouterId(1), 1);
-        g
-    };
-    let dcache = DistanceCache::new(Arc::new(graph), 4);
-    let mut attachments = AttachmentMap::new();
+fn flat_overlay(n: usize, rng: &mut Pcg64) -> (RingDht<Vec<u8>>, AttachmentMap, DistanceCache) {
+    let dcache = flat_distances();
     let cfg = RingConfig { selection: NeighborSelection::First, ..RingConfig::tornado() };
-    let mut dht = RingDht::new(cfg);
-    for _ in 0..n {
-        let host = attachments.attach_new(RouterId(0));
-        loop {
-            let k = Key::random(rng);
-            if dht.insert(k, host, 1).is_ok() {
-                break;
-            }
-        }
-    }
+    let (mut dht, attachments, _) = random_ring(n, cfg, &[RouterId(0)], rng);
     dht.build_all_tables(&attachments, &dcache, rng);
     (dht, attachments, dcache)
 }

@@ -14,23 +14,20 @@
 //!   among them.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use bristle_core::ldt::Ldt;
 use bristle_core::registry::Registrant;
-use bristle_netsim::attach::AttachmentMap;
-use bristle_netsim::dijkstra::DistanceCache;
-use bristle_netsim::graph::{Graph, RouterId};
+use bristle_netsim::graph::RouterId;
 use bristle_netsim::rng::Pcg64;
 use bristle_overlay::config::{NeighborSelection, RingConfig};
 use bristle_overlay::key::Key;
-use bristle_overlay::ring::RingDht;
 
 use crate::cli::SweepArgs;
 use crate::metrics::Histogram;
 use crate::report::{f2, Table};
 use crate::runreport::Json;
 use crate::sweeps::SweepRun;
+use crate::workload::{flat_distances, random_ring, Telemetry};
 
 /// Parameters for the Figure 8 regeneration.
 #[derive(Debug, Clone)]
@@ -105,27 +102,10 @@ pub struct Fig8Result {
 
 /// Builds the registrant structure once: a flat overlay's reverse index.
 fn registrant_structure(n: usize, rng: &mut Pcg64) -> (Vec<Key>, HashMap<Key, Vec<Key>>) {
-    let graph = {
-        let mut g = Graph::with_vertices(2);
-        g.add_edge(RouterId(0), RouterId(1), 1);
-        g
-    };
-    let dcache = DistanceCache::new(Arc::new(graph), 4);
-    let mut attachments = AttachmentMap::new();
     let cfg = RingConfig { selection: NeighborSelection::First, ..RingConfig::tornado() };
-    let mut dht: RingDht<()> = RingDht::new(cfg);
-    for _ in 0..n {
-        let host = attachments.attach_new(RouterId(0));
-        loop {
-            let k = Key::random(rng);
-            if dht.insert(k, host, 1).is_ok() {
-                break;
-            }
-        }
-    }
-    dht.build_all_tables(&attachments, &dcache, rng);
-    let keys = dht.keys().collect();
-    (keys, dht.reverse_index())
+    let (mut dht, attachments, _) = random_ring(n, cfg, &[RouterId(0)], rng);
+    dht.build_all_tables(&attachments, &flat_distances(), rng);
+    (dht.keys().collect(), dht.reverse_index())
 }
 
 /// Runs the experiment.
@@ -267,8 +247,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
                 ("n_nodes", Json::U64(cfg.n_nodes as u64)),
                 ("max_capacity", Json::U64(dist.max_capacity as u64)),
             ]),
-            &[],
-            &[],
+            &Telemetry::default(),
             Json::obj([
                 ("fractions", Json::Arr(dist.fractions.iter().map(|&f| Json::F64(f)).collect())),
                 ("mean_depth", Json::F64(dist.mean_depth)),
@@ -279,8 +258,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
     for (i, tree) in result.detail.iter().enumerate() {
         out.report.push_cell(
             Json::obj([("study", Json::Str("detail".into())), ("tree", Json::U64(i as u64))]),
-            &[],
-            &[],
+            &Telemetry::default(),
             Json::Obj(vec![(
                 "members".to_string(),
                 Json::Arr(

@@ -26,7 +26,6 @@ use bristle_netsim::graph::RouterId;
 use bristle_netsim::rng::Pcg64;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
-use bristle_overlay::obs::Snapshot;
 use bristle_proto::transport::{FaultConfig, LinkFilter};
 
 use crate::cli::SweepArgs;
@@ -34,7 +33,13 @@ use crate::messaging::MessagingBristleSystem;
 use crate::report::{pct, Table};
 use crate::runreport::Json;
 use crate::sweeps::{Claim, SweepRun};
-use crate::workload::{fixed_pairs, measure_pairs, rate, tiny_system};
+use crate::workload::{fixed_pairs, measure_pairs, tiny_system, BeforeAfter, Telemetry};
+
+/// Maximum heartbeat rounds allowed after the heal for every wrongful
+/// funeral to be reversed.
+pub const RECOVERY_ROUNDS: usize = 6;
+/// Endpoint pairs measured before the cut and again after recovery.
+pub const ROUTE_PAIRS: usize = 24;
 
 /// Parameters of one partition-tolerance run.
 #[derive(Debug, Clone, Copy)]
@@ -50,26 +55,13 @@ pub struct PartitionConfig {
     /// Heartbeat rounds run while the network is cut (the partition
     /// duration; death verdicts need several rounds to harden).
     pub partition_rounds: usize,
-    /// Maximum heartbeat rounds allowed after the heal for every
-    /// wrongful funeral to be reversed.
-    pub recovery_rounds: usize,
-    /// Endpoint pairs measured before the cut and again after recovery.
-    pub route_pairs: usize,
 }
 
 impl PartitionConfig {
     /// The standard acceptance-scale run: a small-but-structured system,
     /// 5% loss, a four-round cut.
     pub fn standard(seed: u64) -> Self {
-        PartitionConfig {
-            seed,
-            stationary: 36,
-            mobile: 14,
-            loss: 0.05,
-            partition_rounds: 4,
-            recovery_rounds: 6,
-            route_pairs: 24,
-        }
+        PartitionConfig { seed, stationary: 36, mobile: 14, loss: 0.05, partition_rounds: 4 }
     }
 }
 
@@ -84,7 +76,7 @@ pub struct PartitionOutcome {
     /// Funerals reversed by refutation + rejoin after the heal.
     pub rejoined: usize,
     /// Heartbeat rounds needed after the heal until every funeral was
-    /// reversed (`recovery_rounds` when some never were).
+    /// reversed ([`RECOVERY_ROUNDS`] when some never were).
     pub recovery_rounds_used: usize,
     /// Largest burial-to-rejoin span on the micro-clock.
     pub max_rejoin_latency: u64,
@@ -92,14 +84,8 @@ pub struct PartitionOutcome {
     pub refutations: u64,
     /// Rejoin-protocol messages (meter count).
     pub rejoin_messages: u64,
-    /// Routes delivered / attempted before the cut.
-    pub pre_delivered: usize,
-    /// Routes attempted before the cut.
-    pub pre_attempted: usize,
-    /// Routes delivered over the same pairs after recovery.
-    pub post_delivered: usize,
-    /// Routes attempted after recovery.
-    pub post_attempted: usize,
+    /// Delivery over the same pairs before the cut and after recovery.
+    pub delivery: BeforeAfter,
     /// Far-side-life record copies planted to create split-brain state.
     pub divergent_planted: usize,
     /// Whether anti-entropy reconciled every replica of every rejoined
@@ -107,30 +93,8 @@ pub struct PartitionOutcome {
     pub reconciled: bool,
     /// Record copies installed by the reconciliation pass.
     pub anti_entropy_fixes: usize,
-    /// Per-kind meter `(kind, count, cost)` at the end of the run.
-    pub tallies: Vec<(MessageKind, u64, u64)>,
-    /// Named latency-histogram snapshots from the driver's collector
-    /// (micro-clock ticks; see
-    /// [`ObsCollector`](crate::messaging::ObsCollector)).
-    pub latencies: Vec<(&'static str, Snapshot)>,
-}
-
-impl PartitionOutcome {
-    /// Fraction of pre-cut routes delivered.
-    pub fn pre_rate(&self) -> f64 {
-        rate(self.pre_delivered as u64, self.pre_attempted as u64, 1.0)
-    }
-
-    /// Fraction of post-recovery routes delivered.
-    pub fn post_rate(&self) -> f64 {
-        rate(self.post_delivered as u64, self.post_attempted as u64, 1.0)
-    }
-
-    /// Whether post-recovery delivery is within `slack` of the pre-cut
-    /// level (the acceptance criterion uses `slack = 0.01`).
-    pub fn delivery_recovered(&self, slack: f64) -> bool {
-        self.post_rate() + slack >= self.pre_rate()
-    }
+    /// Meter tallies and latency snapshots at the end of the run.
+    pub telemetry: Telemetry,
 }
 
 /// Splits the occupied stub routers into two balanced groups
@@ -140,9 +104,7 @@ impl PartitionOutcome {
 fn split_routers(msys: &MessagingBristleSystem) -> (Vec<Vec<RouterId>>, BTreeSet<Key>) {
     let sys = &msys.sys;
     let mut per_router: BTreeMap<RouterId, Vec<Key>> = BTreeMap::new();
-    let mut all: Vec<Key> = sys.mobile.keys().collect();
-    all.sort_unstable();
-    for k in all {
+    for k in sys.mobile.keys() {
         if let Ok(r) = sys.router_of(k) {
             per_router.entry(r).or_default().push(k);
         }
@@ -170,8 +132,8 @@ pub fn run_partition(cfg: &PartitionConfig) -> PartitionOutcome {
 
     let mut out = PartitionOutcome { reconciled: true, ..Default::default() };
 
-    let pairs = fixed_pairs(&msys, &mut rng, cfg.route_pairs, None);
-    (out.pre_delivered, out.pre_attempted) = measure_pairs(&mut msys, &pairs);
+    let pairs = fixed_pairs(&msys, &mut rng, ROUTE_PAIRS, None);
+    out.delivery.pre = measure_pairs(&mut msys, &pairs);
 
     // Cut the network and let near-side suspicion harden into verdicts.
     // Only far-side deaths are confirmed: the near side is the majority
@@ -192,7 +154,7 @@ pub fn run_partition(cfg: &PartitionConfig) -> PartitionOutcome {
     // Heal; the heartbeat machinery's rejoin sweep now delivers every
     // obituary, collects the refutations, and reverses the funerals.
     msys.heal_now();
-    for r in 0..cfg.recovery_rounds {
+    for r in 0..RECOVERY_ROUNDS {
         msys.heartbeat_round();
         out.recovery_rounds_used = r + 1;
         if msys.wrongly_buried().is_empty() {
@@ -258,12 +220,11 @@ pub fn run_partition(cfg: &PartitionConfig) -> PartitionOutcome {
             });
     }
 
-    (out.post_delivered, out.post_attempted) = measure_pairs(&mut msys, &pairs);
+    out.delivery.post = measure_pairs(&mut msys, &pairs);
 
     out.refutations = msys.sys.meter.count(MessageKind::Refutation);
     out.rejoin_messages = msys.sys.meter.count(MessageKind::Rejoin);
-    out.tallies = msys.sys.meter.tallies();
-    out.latencies = msys.obs().latency_snapshots();
+    out.telemetry = Telemetry::of(&msys);
     out
 }
 
@@ -300,7 +261,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
             cfg.loss = loss;
             cfg.partition_rounds = partition_rounds;
             let out = run_partition(&cfg);
-            recovered.ok &= out.rejoined == out.wrongful_deaths && out.delivery_recovered(0.01);
+            recovered.ok &= out.rejoined == out.wrongful_deaths && out.delivery.recovered(0.01);
             reconciled.ok &= out.reconciled;
             run.report.push_cell(
                 Json::obj([
@@ -309,8 +270,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
                     ("stationary", Json::U64(stationary as u64)),
                     ("mobile", Json::U64(mobile as u64)),
                 ]),
-                &out.tallies,
-                &out.latencies,
+                &out.telemetry,
                 Json::obj([
                     ("far_side", Json::U64(out.far_side as u64)),
                     ("wrongful_deaths", Json::U64(out.wrongful_deaths as u64)),
@@ -319,8 +279,8 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
                     ("max_rejoin_latency", Json::U64(out.max_rejoin_latency)),
                     ("refutations", Json::U64(out.refutations)),
                     ("rejoin_messages", Json::U64(out.rejoin_messages)),
-                    ("pre_rate", Json::F64(out.pre_rate())),
-                    ("post_rate", Json::F64(out.post_rate())),
+                    ("pre_rate", Json::F64(out.delivery.pre_rate())),
+                    ("post_rate", Json::F64(out.delivery.post_rate())),
                     ("reconciled", Json::Bool(out.reconciled)),
                 ]),
             );
@@ -342,7 +302,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
                 } else {
                     format!("{}", out.reconciled)
                 },
-                format!("{}→{}", pct(out.pre_rate()), pct(out.post_rate())),
+                format!("{}→{}", pct(out.delivery.pre_rate()), pct(out.delivery.post_rate())),
             ]);
         }
     }
@@ -364,7 +324,7 @@ mod tests {
         assert!(out.refutations > 0, "refutations must be broadcast");
         assert!(out.rejoin_messages > 0, "rejoins travel as messages");
         assert!(out.reconciled, "split-brain records reconcile to the incarnation maximum");
-        assert!(out.delivery_recovered(0.01), "post-heal delivery within 1%: {out:?}");
+        assert!(out.delivery.recovered(0.01), "post-heal delivery within 1%: {out:?}");
     }
 
     #[test]

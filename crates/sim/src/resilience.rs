@@ -25,7 +25,6 @@ use bristle_netsim::rng::Pcg64;
 use bristle_overlay::addr::NetAddr;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
-use bristle_overlay::obs::Snapshot;
 use bristle_proto::transport::FaultConfig;
 
 use crate::churn::{ChurnAction, ChurnModel};
@@ -34,7 +33,16 @@ use crate::messaging::MessagingBristleSystem;
 use crate::report::{f2, pct, Table};
 use crate::runreport::Json;
 use crate::sweeps::{Claim, SweepRun};
-use crate::workload::{rate, tiny_system};
+use crate::workload::{live_endpoints, live_of, tiny_system, Delivery, Telemetry};
+
+/// Message-passing routes measured per event.
+pub const ROUTES_PER_EVENT: usize = 4;
+/// `_discovery` operations measured per event.
+pub const DISCOVERIES_PER_EVENT: usize = 2;
+/// Leave/Fail events never shrink the stationary layer below this.
+pub const MIN_STATIONARY: usize = 8;
+/// Leave/Fail events never shrink the mobile population below this.
+pub const MIN_MOBILE: usize = 4;
 
 /// Parameters of one churn-resilience run.
 #[derive(Debug, Clone, Copy)]
@@ -51,14 +59,6 @@ pub struct ResilienceConfig {
     pub loss: f64,
     /// Scenario events (one churn draw + measurement batch each).
     pub events: usize,
-    /// Message-passing routes measured per event.
-    pub routes_per_event: usize,
-    /// `_discovery` operations measured per event.
-    pub discoveries_per_event: usize,
-    /// Leave/Fail events never shrink the stationary layer below this.
-    pub min_stationary: usize,
-    /// Leave/Fail events never shrink the mobile population below this.
-    pub min_mobile: usize,
     /// Adversarial fault placement: halfway through the run, crash the
     /// stationary node that is record-primary for the most mobile
     /// subjects. Random churn almost never hits the primary (clustered
@@ -78,10 +78,6 @@ impl ResilienceConfig {
             churn: ChurnModel::balanced(50),
             loss: 0.10,
             events: 18,
-            routes_per_event: 4,
-            discoveries_per_event: 2,
-            min_stationary: 8,
-            min_mobile: 4,
             assassinate_primary: true,
         }
     }
@@ -108,10 +104,8 @@ pub struct ResilienceOutcome {
     pub ldts_repaired: usize,
     /// Whether every repaired tree passed the root-reachability invariant.
     pub invariant_ok: bool,
-    /// Message-passing routes attempted between live endpoints.
-    pub routes_attempted: usize,
-    /// Routes that reached their target's owner.
-    pub routes_delivered: usize,
+    /// Message-passing routes between live endpoints.
+    pub routes: Delivery,
     /// `_discovery` operations measured.
     pub discoveries: usize,
     /// Discoveries answered with an address that was no longer current.
@@ -126,26 +120,8 @@ pub struct ResilienceOutcome {
     pub replica_failovers: u64,
     /// Record copies re-installed by anti-entropy reconciliation.
     pub anti_entropy_fixes: usize,
-    /// Per-kind meter `(kind, count, cost)` at the end of the run.
-    pub tallies: Vec<(MessageKind, u64, u64)>,
-    /// Named latency-histogram snapshots from the driver's collector
-    /// (micro-clock ticks; see
-    /// [`ObsCollector`](crate::messaging::ObsCollector)).
-    pub latencies: Vec<(&'static str, Snapshot)>,
-}
-
-impl ResilienceOutcome {
-    /// Fraction of attempted routes that were delivered.
-    pub fn delivery_rate(&self) -> f64 {
-        rate(self.routes_delivered as u64, self.routes_attempted as u64, 1.0)
-    }
-}
-
-/// Keys of `keys` that have not silently crashed, sorted.
-fn live_sorted(msys: &MessagingBristleSystem, keys: &[Key]) -> Vec<Key> {
-    let mut v: Vec<Key> = keys.iter().copied().filter(|&k| !msys.is_failed(k)).collect();
-    v.sort_unstable();
-    v
+    /// Meter tallies and latency snapshots at the end of the run.
+    pub telemetry: Telemetry,
 }
 
 /// How many live targets count `dead` among their registrants — the LDTs
@@ -215,7 +191,7 @@ fn detect_and_heal(
 
             // The acceptance question: do records whose primary just died
             // still resolve (through a surviving replica)?
-            let askers = live_sorted(msys, msys.sys.stationary_keys());
+            let askers = live_of(msys, Mobility::Stationary);
             for m in orphaned_subjects {
                 if msys.is_failed(m) || msys.sys.node_info(m).is_err() {
                     continue;
@@ -251,8 +227,8 @@ pub fn run_churn_messaging(cfg: &ResilienceConfig) -> ResilienceOutcome {
         // Adversarial fault placement (see [`ResilienceConfig`]): kill
         // the busiest record primary at the run's midpoint.
         if cfg.assassinate_primary && e == cfg.events / 2 {
-            let live_st = live_sorted(&msys, msys.sys.stationary_keys());
-            if live_st.len() > cfg.min_stationary {
+            let live_st = live_of(&msys, Mobility::Stationary);
+            if live_st.len() > MIN_STATIONARY {
                 if let Some(primary) = busiest_owner(&msys) {
                     msys.fail_silently(primary);
                     pending.insert(primary);
@@ -272,13 +248,13 @@ pub fn run_churn_messaging(cfg: &ResilienceConfig) -> ResilienceOutcome {
                     out.joins += 1;
                 }
                 action @ (ChurnAction::Leave | ChurnAction::Fail) => {
-                    let live_st = live_sorted(&msys, msys.sys.stationary_keys());
-                    let live_mob = live_sorted(&msys, msys.sys.mobile_keys());
+                    let live_st = live_of(&msys, Mobility::Stationary);
+                    let live_mob = live_of(&msys, Mobility::Mobile);
                     let mut cands: Vec<Key> = Vec::new();
-                    if live_st.len() > cfg.min_stationary {
+                    if live_st.len() > MIN_STATIONARY {
                         cands.extend(&live_st);
                     }
-                    if live_mob.len() > cfg.min_mobile {
+                    if live_mob.len() > MIN_MOBILE {
                         cands.extend(&live_mob);
                     }
                     if !cands.is_empty() {
@@ -304,8 +280,8 @@ pub fn run_churn_messaging(cfg: &ResilienceConfig) -> ResilienceOutcome {
         // Every third event a mobile node moves *silently* — attachment
         // changed, nothing republished — planting a stale record.
         if e % 3 == 1 {
-            let movers = live_sorted(&msys, msys.sys.mobile_keys());
-            let anchors = live_sorted(&msys, msys.sys.stationary_keys());
+            let movers = live_of(&msys, Mobility::Mobile);
+            let anchors = live_of(&msys, Mobility::Stationary);
             if let (Some(&m), false) = (movers.first(), anchors.is_empty()) {
                 let host = msys.sys.node_info(m).expect("live mover").host;
                 let anchor = anchors[rng.index(anchors.len())];
@@ -316,9 +292,9 @@ pub fn run_churn_messaging(cfg: &ResilienceConfig) -> ResilienceOutcome {
 
         // Measurement: discoveries first (they surface staleness), then
         // message-passing routes between live endpoints.
-        let subjects = live_sorted(&msys, msys.sys.mobile_keys());
-        let askers = live_sorted(&msys, msys.sys.stationary_keys());
-        for _ in 0..cfg.discoveries_per_event {
+        let subjects = live_of(&msys, Mobility::Mobile);
+        let askers = live_of(&msys, Mobility::Stationary);
+        for _ in 0..DISCOVERIES_PER_EVENT {
             if subjects.is_empty() || askers.is_empty() {
                 break;
             }
@@ -339,10 +315,8 @@ pub fn run_churn_messaging(cfg: &ResilienceConfig) -> ResilienceOutcome {
                 }
             }
         }
-        let mut endpoints: Vec<Key> = msys.sys.mobile.keys().collect();
-        endpoints.sort_unstable();
-        endpoints.retain(|&k| !msys.is_failed(k));
-        for _ in 0..cfg.routes_per_event {
+        let endpoints = live_endpoints(&msys);
+        for _ in 0..ROUTES_PER_EVENT {
             if endpoints.len() < 2 {
                 break;
             }
@@ -351,9 +325,9 @@ pub fn run_churn_messaging(cfg: &ResilienceConfig) -> ResilienceOutcome {
             if src == target {
                 continue;
             }
-            out.routes_attempted += 1;
+            out.routes.attempted += 1;
             if msys.route(src, target).is_ok() {
-                out.routes_delivered += 1;
+                out.routes.delivered += 1;
             }
         }
 
@@ -369,8 +343,7 @@ pub fn run_churn_messaging(cfg: &ResilienceConfig) -> ResilienceOutcome {
     out.anti_entropy_fixes += msys.sys.anti_entropy_locations().expect("reconciliation succeeds");
 
     out.replica_failovers = msys.sys.meter.count(MessageKind::ReplicaFailover) - failovers_before;
-    out.tallies = msys.sys.meter.tallies();
-    out.latencies = msys.obs().latency_snapshots();
+    out.telemetry = Telemetry::of(&msys);
     out
 }
 
@@ -415,12 +388,11 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
                     ("mobile", Json::U64(mobile as u64)),
                     ("events", Json::U64(events as u64)),
                 ]),
-                &out.tallies,
-                &out.latencies,
+                &out.telemetry,
                 Json::obj([
-                    ("delivery_rate", Json::F64(out.delivery_rate())),
-                    ("routes_attempted", Json::U64(out.routes_attempted as u64)),
-                    ("routes_delivered", Json::U64(out.routes_delivered as u64)),
+                    ("delivery_rate", Json::F64(out.routes.rate())),
+                    ("routes_attempted", Json::U64(out.routes.attempted as u64)),
+                    ("routes_delivered", Json::U64(out.routes.delivered as u64)),
                     ("discoveries", Json::U64(out.discoveries as u64)),
                     ("stale_answers", Json::U64(out.stale_answers as u64)),
                     ("fails", Json::U64(out.fails as u64)),
@@ -432,6 +404,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
                 ]),
             );
             let heartbeats = out
+                .telemetry
                 .tallies
                 .iter()
                 .find(|&&(k, _, _)| k == MessageKind::HeartbeatSent)
@@ -445,7 +418,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
             table.row(vec![
                 fail_weight.to_string(),
                 pct(loss),
-                pct(out.delivery_rate()),
+                pct(out.routes.rate()),
                 format!("{}/{}", out.stale_answers, out.discoveries),
                 out.fails.to_string(),
                 out.deaths_confirmed.to_string(),
@@ -476,8 +449,8 @@ mod tests {
         assert_eq!(out.fails, 0);
         assert_eq!(out.deaths_confirmed, 0);
         assert!(out.invariant_ok);
-        assert!(out.routes_attempted > 0);
-        assert_eq!(out.routes_delivered, out.routes_attempted);
+        assert!(out.routes.attempted > 0);
+        assert_eq!(out.routes.delivered, out.routes.attempted);
         // Silent movers still plant stale records; discovery surfaces them.
         assert!(out.discoveries > 0);
     }

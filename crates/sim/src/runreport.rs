@@ -15,6 +15,8 @@ use std::path::Path;
 use bristle_overlay::meter::MessageKind;
 use bristle_overlay::obs::Snapshot;
 
+use crate::workload::Telemetry;
+
 /// The `schema` tag stamped on every report.
 pub const SCHEMA: &str = "bristle-run-report/v1";
 
@@ -181,17 +183,11 @@ impl RunReport {
 
     /// Appends one sweep cell: its parameters, meter tallies, latency
     /// snapshots, and scenario-specific outcome fields.
-    pub fn push_cell(
-        &mut self,
-        params: Json,
-        tallies: &[(MessageKind, u64, u64)],
-        snaps: &[(&'static str, Snapshot)],
-        outcome: Json,
-    ) {
+    pub fn push_cell(&mut self, params: Json, telemetry: &Telemetry, outcome: Json) {
         self.cells.push(Json::obj([
             ("params", params),
-            ("meter", meter_json(tallies)),
-            ("histograms", histograms_json(snaps)),
+            ("meter", meter_json(&telemetry.tallies)),
+            ("histograms", histograms_json(&telemetry.latencies)),
             ("outcome", outcome),
         ]));
     }
@@ -254,16 +250,17 @@ mod tests {
 
     #[test]
     fn report_shape_and_determinism() {
-        let snaps = [("route", Snapshot { count: 2, p50: 4, p99: 8, max: 7 })];
-        let tallies = [
-            (MessageKind::RouteHop, 5, 10),
-            (MessageKind::Timeout, 0, 0), // zero rows are skipped
-        ];
+        let telemetry = Telemetry {
+            latencies: vec![("route", Snapshot { count: 2, p50: 4, p99: 8, max: 7 })],
+            tallies: vec![
+                (MessageKind::RouteHop, 5, 10),
+                (MessageKind::Timeout, 0, 0), // zero rows are skipped
+            ],
+        };
         let mut r = RunReport::new("resilience", 8);
         r.push_cell(
             Json::obj([("loss", Json::F64(0.1))]),
-            &tallies,
-            &snaps,
+            &telemetry,
             Json::obj([("ok", Json::Bool(true))]),
         );
         let a = r.render();

@@ -31,6 +31,7 @@ use crate::engine::{BinaryHeapQueue, EventQueue};
 use crate::report::{f2, f3, Table};
 use crate::runreport::Json;
 use crate::sweeps::SweepRun;
+use crate::workload::Telemetry;
 
 /// RNG stream salts (stable: committed report bytes depend on them).
 const ROUTE_SALT: u64 = 0x0005_ca1e_0001;
@@ -381,8 +382,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
                 ("route_samples", Json::U64(cell.route_samples as u64)),
                 ("ldt_samples", Json::U64(cell.ldt_samples as u64)),
             ]),
-            &[],
-            &[],
+            &Telemetry::default(),
             Json::obj([
                 ("hops_mean", Json::F64(cell.hops_mean())),
                 ("hops_max", Json::U64(cell.hops_max as u64)),
@@ -411,8 +411,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
     ));
     run.report.push_cell(
         Json::obj([("cell", Json::Str("growth_fits".into()))]),
-        &[],
-        &[],
+        &Telemetry::default(),
         Json::obj([
             ("hops_vs_log2n_slope", Json::F64(hop_fit.slope)),
             ("hops_vs_log2n_intercept", Json::F64(hop_fit.intercept)),

@@ -6,11 +6,21 @@
 //! averaged." This module generates those samples and aggregates route
 //! reports into the metrics the figures plot.
 
+use std::sync::Arc;
+
 use bristle_core::config::BristleConfig;
+use bristle_core::naming::Mobility;
 use bristle_core::system::{BristleBuilder, BristleSystem};
+use bristle_netsim::attach::{AttachmentMap, HostId};
+use bristle_netsim::dijkstra::DistanceCache;
+use bristle_netsim::graph::{Graph, RouterId};
 use bristle_netsim::rng::Pcg64;
 use bristle_netsim::transit_stub::TransitStubConfig;
+use bristle_overlay::config::RingConfig;
 use bristle_overlay::key::Key;
+use bristle_overlay::meter::MessageKind;
+use bristle_overlay::obs::Snapshot;
+use bristle_overlay::ring::RingDht;
 
 use crate::messaging::MessagingBristleSystem;
 use crate::metrics::Samples;
@@ -57,6 +67,68 @@ pub fn rate(done: u64, attempted: u64, empty: f64) -> f64 {
         empty
     } else {
         done as f64 / attempted as f64
+    }
+}
+
+/// Routes delivered out of routes attempted over one batch of pairs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Delivery {
+    /// Routes that reached their target's owner.
+    pub delivered: usize,
+    /// Routes attempted (pairs with both endpoints present).
+    pub attempted: usize,
+}
+
+impl Delivery {
+    /// Fraction delivered; an empty batch lost nothing, so it rates 1.0.
+    pub fn rate(&self) -> f64 {
+        rate(self.delivered as u64, self.attempted as u64, 1.0)
+    }
+}
+
+/// Delivery over the same fixed pairs before a scenario's disruption and
+/// again after its recovery.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BeforeAfter {
+    /// Measured on the undisturbed system.
+    pub pre: Delivery,
+    /// Measured over the same pairs once recovery has run.
+    pub post: Delivery,
+}
+
+impl BeforeAfter {
+    /// Fraction of pre-disruption routes delivered.
+    pub fn pre_rate(&self) -> f64 {
+        self.pre.rate()
+    }
+
+    /// Fraction of post-recovery routes delivered.
+    pub fn post_rate(&self) -> f64 {
+        self.post.rate()
+    }
+
+    /// Whether post-recovery delivery is within `slack` of the
+    /// pre-disruption level (the acceptance criteria use `slack = 0.01`).
+    pub fn recovered(&self, slack: f64) -> bool {
+        self.post_rate() + slack >= self.pre_rate()
+    }
+}
+
+/// What a message-path run emitted, read once at its end.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Telemetry {
+    /// Per-kind meter `(kind, count, cost)`.
+    pub tallies: Vec<(MessageKind, u64, u64)>,
+    /// Named latency-histogram snapshots from the driver's collector
+    /// (micro-clock ticks; see
+    /// [`ObsCollector`](crate::messaging::ObsCollector)).
+    pub latencies: Vec<(&'static str, Snapshot)>,
+}
+
+impl Telemetry {
+    /// The meter and the latency histograms of `msys` as they stand.
+    pub fn of(msys: &MessagingBristleSystem) -> Self {
+        Telemetry { tallies: msys.sys.meter.tallies(), latencies: msys.obs().latency_snapshots() }
     }
 }
 
@@ -141,6 +213,57 @@ pub(crate) fn tiny_system(
         .expect("system builds")
 }
 
+/// Every node that has not silently crashed, ascending — the order
+/// [`RingDht::keys`] walks the mobile ring in.
+pub(crate) fn live_endpoints(msys: &MessagingBristleSystem) -> Vec<Key> {
+    msys.sys.mobile.keys().filter(|&k| !msys.is_failed(k)).collect()
+}
+
+/// The live nodes of one mobility class, ascending.
+pub(crate) fn live_of(msys: &MessagingBristleSystem, class: Mobility) -> Vec<Key> {
+    let mut v = live_endpoints(msys);
+    v.retain(|&k| msys.sys.node_info(k).is_ok_and(|info| info.mobility == class));
+    v
+}
+
+/// The distance oracle of a network without locality: two routers, one
+/// unit edge.
+pub(crate) fn flat_distances() -> DistanceCache {
+    let mut g = Graph::with_vertices(2);
+    g.add_edge(RouterId(0), RouterId(1), 1);
+    DistanceCache::new(Arc::new(g), 4)
+}
+
+/// A ring under `cfg` of `n` nodes with fresh random keys, each on a new
+/// host at one of `routers`, and its members in insertion order — not
+/// yet wired: the caller picks the stream that wires it. Placement costs
+/// one draw per node where there is a choice and none on a single router.
+pub(crate) fn random_ring(
+    n: usize,
+    cfg: RingConfig,
+    routers: &[RouterId],
+    rng: &mut Pcg64,
+) -> (RingDht<Vec<u8>>, AttachmentMap, Vec<(Key, HostId)>) {
+    let mut dht = RingDht::new(cfg);
+    let mut attachments = AttachmentMap::new();
+    let mut members = Vec::with_capacity(n);
+    for _ in 0..n {
+        let router = match routers {
+            [only] => *only,
+            several => *rng.choose(several),
+        };
+        let host = attachments.attach_new(router);
+        let key = loop {
+            let k = Key::random(rng);
+            if dht.insert(k, host, 1).is_ok() {
+                break k;
+            }
+        };
+        members.push((key, host));
+    }
+    (dht, attachments, members)
+}
+
 /// Draws `count` ordered pairs of distinct endpoints, neither of them
 /// `avoid` — fixed once, then measured identically before and after the
 /// scenario's disruption.
@@ -150,8 +273,7 @@ pub(crate) fn fixed_pairs(
     count: usize,
     avoid: Option<Key>,
 ) -> Vec<(Key, Key)> {
-    let mut endpoints: Vec<Key> = msys.sys.mobile.keys().collect();
-    endpoints.sort_unstable();
+    let endpoints = live_endpoints(msys);
     let mut pairs = Vec::with_capacity(count);
     while pairs.len() < count && endpoints.len() >= 2 {
         let src = endpoints[rng.index(endpoints.len())];
@@ -186,13 +308,9 @@ pub(crate) fn crash_and_bury(
 }
 
 /// Measures message-passing delivery over `pairs`, skipping pairs with a
-/// missing endpoint. Returns `(delivered, attempted)`.
-pub(crate) fn measure_pairs(
-    msys: &mut MessagingBristleSystem,
-    pairs: &[(Key, Key)],
-) -> (usize, usize) {
-    let mut delivered = 0usize;
-    let mut attempted = 0usize;
+/// missing endpoint.
+pub(crate) fn measure_pairs(msys: &mut MessagingBristleSystem, pairs: &[(Key, Key)]) -> Delivery {
+    let mut out = Delivery::default();
     for &(src, target) in pairs {
         if msys.is_failed(src)
             || msys.is_failed(target)
@@ -201,12 +319,12 @@ pub(crate) fn measure_pairs(
         {
             continue;
         }
-        attempted += 1;
+        out.attempted += 1;
         if msys.route(src, target).is_ok() {
-            delivered += 1;
+            out.delivered += 1;
         }
     }
-    (delivered, attempted)
+    out
 }
 
 #[cfg(test)]
@@ -215,6 +333,7 @@ mod tests {
     use bristle_core::config::BristleConfig;
     use bristle_core::system::BristleBuilder;
     use bristle_netsim::transit_stub::TransitStubConfig;
+    use bristle_proto::transport::FaultConfig;
 
     fn system(seed: u64) -> BristleSystem {
         BristleBuilder::new(seed)
@@ -231,6 +350,30 @@ mod tests {
         assert_eq!(rate(1, 4, 1.0), 0.25);
         assert_eq!(rate(0, 0, 1.0), 1.0);
         assert_eq!(rate(0, 0, 0.0), 0.0);
+    }
+
+    #[test]
+    fn recovered_compares_post_plus_slack_against_pre() {
+        let of = |delivered| Delivery { delivered, attempted: 4 };
+        let run = |post| BeforeAfter { pre: of(3), post: of(post) };
+        assert!(!run(1).recovered(0.25), "0.25 + 0.25 is below 0.75");
+        assert!(run(2).recovered(0.25), "0.5 + 0.25 meets 0.75");
+        assert!(run(3).recovered(0.25), "0.75 + 0.25 is above 0.75");
+        // Nothing attempted is nothing lost: both rates are 1.0.
+        let empty = BeforeAfter::default();
+        assert_eq!((empty.pre_rate(), empty.post_rate()), (1.0, 1.0));
+        assert!(empty.recovered(0.0));
+    }
+
+    #[test]
+    fn telemetry_is_the_meter_and_the_latency_snapshots() {
+        let mut msys = MessagingBristleSystem::new(system(4), FaultConfig::perfect(), 4);
+        let (src, target) = (msys.sys.stationary_keys()[0], msys.sys.mobile_keys()[0]);
+        msys.route(src, target).expect("a perfect transport delivers");
+        let got = Telemetry::of(&msys);
+        assert_eq!(got.tallies, msys.sys.meter.tallies());
+        assert_eq!(got.latencies, msys.obs().latency_snapshots());
+        assert!(got.latencies.iter().any(|(_, s)| s.count > 0), "the route left a sample");
     }
 
     #[test]

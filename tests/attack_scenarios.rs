@@ -80,18 +80,18 @@ fn enforcement_never_hurts_honest_delivery_at_both_ci_seeds() {
             let off = run_attack(&AttackConfig::standard(seed, family, VerifyPolicy::Off));
             let enforce = run_attack(&AttackConfig::standard(seed, family, VerifyPolicy::Enforce));
             assert_eq!(
-                (enforce.honest_pre_delivered, enforce.honest_pre_attempted),
-                (off.honest_pre_delivered, off.honest_pre_attempted),
+                (enforce.honest.pre.delivered, enforce.honest.pre.attempted),
+                (off.honest.pre.delivered, off.honest.pre.attempted),
                 "seed {seed} {}: pre-attack delivery must not depend on the policy",
                 family.name()
             );
             assert!(
-                enforce.post_rate() >= off.post_rate(),
+                enforce.honest.post_rate() >= off.honest.post_rate(),
                 "seed {seed} {}: enforcement degraded post-attack delivery \
                  ({:.3} < {:.3})",
                 family.name(),
-                enforce.post_rate(),
-                off.post_rate()
+                enforce.honest.post_rate(),
+                off.honest.post_rate()
             );
         }
     }

@@ -45,13 +45,13 @@ fn assert_resilient(seed: u64) {
     );
 
     // Liveness under loss: delivery success stays at or above 95%.
-    assert!(out.routes_attempted > 0);
+    assert!(out.routes.attempted > 0);
     assert!(
-        out.delivery_rate() >= 0.95,
+        out.routes.rate() >= 0.95,
         "seed {seed} delivery rate {:.3} below 0.95 ({}/{})",
-        out.delivery_rate(),
-        out.routes_delivered,
-        out.routes_attempted
+        out.routes.rate(),
+        out.routes.delivered,
+        out.routes.attempted
     );
 
     // Staleness is exercised and repaired, not just absent.

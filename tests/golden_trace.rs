@@ -25,33 +25,6 @@ use bristle::proto::transport::FaultConfig;
 use bristle::sim::conformance::{build, direct_pair, force_belief};
 use bristle::sim::messaging::MessagingBristleSystem;
 
-/// One event as one stable golden line. Trace ids are seeded-deterministic
-/// (key × counter hash), so they are reproducible and safe to pin.
-fn fmt_event(e: &ObsEvent) -> String {
-    let kind = match e.kind {
-        ObsEventKind::Send { to, tag, msg_id } => format!("send to={to} tag={tag} msg_id={msg_id}"),
-        ObsEventKind::Ack { from, msg_id } => format!("ack from={from} msg_id={msg_id}"),
-        ObsEventKind::Timeout { what, attempt } => format!("timeout what={what} attempt={attempt}"),
-        ObsEventKind::Suspect { peer, incarnation } => {
-            format!("suspect peer={peer} incarnation={incarnation}")
-        }
-        ObsEventKind::Refute { incarnation } => format!("refute incarnation={incarnation}"),
-        ObsEventKind::RouteDelivered { route_id } => format!("route_delivered route_id={route_id}"),
-        ObsEventKind::RouteFailed { route_id } => format!("route_failed route_id={route_id}"),
-        ObsEventKind::DiscoveryStart { subject } => format!("discovery_start subject={subject}"),
-        ObsEventKind::DiscoveryResolved { subject, elapsed } => {
-            format!("discovery_resolved subject={subject} elapsed={elapsed}")
-        }
-        ObsEventKind::DiscoveryFailed { subject, elapsed } => {
-            format!("discovery_failed subject={subject} elapsed={elapsed}")
-        }
-        ObsEventKind::AuthReject { from, tag, reason, dropped } => {
-            format!("auth_reject from={from} tag={tag} reason={reason} dropped={dropped}")
-        }
-    };
-    format!("at={} trace={:016x} node={} {}", e.at, e.trace, e.node, kind)
-}
-
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/messaging_trace.golden")
 }
@@ -80,9 +53,10 @@ fn run_scenario() -> (String, Vec<ObsEvent>) {
     let mut doc = String::new();
     doc.push_str("# golden messaging trace: seed 42, loss 0.2, transport seed 7\n");
     doc.push_str(&format!("# src={src} target={target} moved_to={new_router:?}\n"));
+    // One event, one stable line. Trace ids are seeded-deterministic
+    // (key × counter hash), so they are reproducible and safe to pin.
     for e in &events {
-        doc.push_str(&fmt_event(e));
-        doc.push('\n');
+        doc.push_str(&format!("at={} trace={:016x} node={} {}\n", e.at, e.trace, e.node, e.kind));
     }
     doc.push_str("# latency snapshots (count/p50/p99/max, micro-ticks)\n");
     for (name, s) in mbs.obs().latency_snapshots() {

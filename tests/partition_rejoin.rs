@@ -16,7 +16,7 @@ use bristle::core::system::BristleBuilder;
 use bristle::netsim::transit_stub::TransitStubConfig;
 use bristle::proto::transport::{FaultConfig, LinkFilter};
 use bristle::sim::messaging::MessagingBristleSystem;
-use bristle::sim::partition::{run_partition, PartitionConfig};
+use bristle::sim::partition::{run_partition, PartitionConfig, RECOVERY_ROUNDS};
 
 /// The two fixed seeds CI runs; both produce multiple wrongful deaths
 /// and full post-heal recovery.
@@ -39,7 +39,7 @@ fn assert_partition_tolerant(seed: u64) {
     assert!(out.refutations > 0, "seed {seed}: no Alive refutation was ever broadcast");
     assert!(out.rejoin_messages > 0, "seed {seed}: no rejoin traffic was metered");
     assert!(
-        out.recovery_rounds_used <= cfg.recovery_rounds,
+        out.recovery_rounds_used <= RECOVERY_ROUNDS,
         "seed {seed}: recovery exceeded its bound"
     );
 
@@ -49,12 +49,12 @@ fn assert_partition_tolerant(seed: u64) {
     assert!(out.reconciled, "seed {seed}: a replica kept the stale-incarnation record: {out:?}");
 
     // Delivery over the same pairs returns to within 1% of pre-cut.
-    assert!(out.pre_attempted > 0);
+    assert!(out.delivery.pre.attempted > 0);
     assert!(
-        out.delivery_recovered(0.01),
+        out.delivery.recovered(0.01),
         "seed {seed}: post-heal delivery {:.3} fell below pre-cut {:.3} - 1%",
-        out.post_rate(),
-        out.pre_rate()
+        out.delivery.post_rate(),
+        out.delivery.pre_rate()
     );
 }
 
