@@ -144,7 +144,7 @@ pub fn record_put(record: &LocationRecord) -> WalRecord {
         subject: record.subject.0,
         host: record.addr.host.0,
         router: record.addr.attachment.router.0,
-        epoch: record.addr.attachment.epoch,
+        epoch: u64::from(record.addr.attachment.epoch),
         incarnation: record.incarnation,
         seq: record.seq,
         published_at: record.published_at.0,
@@ -152,13 +152,15 @@ pub fn record_put(record: &LocationRecord) -> WalRecord {
     }
 }
 
-/// Reconstructs the [`LocationRecord`] a [`StoredRecord`] persisted.
+/// Reconstructs the [`LocationRecord`] a [`StoredRecord`] persisted. The
+/// stored epoch is 64 bits wide; one no host can have replays as
+/// [`Attachment::NEVER_CURRENT`], a record `is_valid` rejects.
 pub fn location_from_stored(subject: Key, sr: &StoredRecord) -> LocationRecord {
     LocationRecord {
         subject,
         addr: NetAddr {
             host: HostId(sr.host),
-            attachment: Attachment { router: RouterId(sr.router), epoch: sr.epoch },
+            attachment: Attachment::from_wide(RouterId(sr.router), sr.epoch),
         },
         incarnation: sr.incarnation,
         seq: sr.seq,
@@ -223,6 +225,7 @@ impl BristleSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bristle_netsim::attach::AttachmentMap;
 
     #[test]
     fn hub_defaults_to_mem_and_freezes() {
@@ -278,5 +281,32 @@ mod tests {
         st.apply(&wal);
         let back = location_from_stored(Key(9), st.records.get(&9).unwrap());
         assert_eq!(back, rec);
+    }
+
+    /// A stored epoch is 64 bits wide and a row's 32: one that does not
+    /// fit replays to a record no map holds current, not to the record
+    /// whose epoch shares its low half.
+    #[test]
+    fn a_stored_epoch_beyond_u32_replays_to_a_stale_record() {
+        let mut map = AttachmentMap::new();
+        let host = map.attach_new(RouterId(2));
+        map.move_host(host, RouterId(2));
+        let current = map.current(host);
+        let stored = |epoch: u64| StoredRecord {
+            host: host.0,
+            router: current.router.0,
+            epoch,
+            incarnation: 1,
+            seq: 6,
+            published_at: 100,
+            ttl: 600,
+        };
+        let honest = location_from_stored(Key(9), &stored(u64::from(current.epoch)));
+        assert!(honest.addr.is_valid(&map));
+        for wide in [(1u64 << 32) + u64::from(current.epoch), u64::from(u32::MAX), u64::MAX] {
+            let replayed = location_from_stored(Key(9), &stored(wide));
+            assert_eq!(replayed.addr.attachment.epoch, Attachment::NEVER_CURRENT);
+            assert!(!replayed.addr.is_valid(&map), "stored epoch {wide}");
+        }
     }
 }

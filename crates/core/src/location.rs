@@ -32,6 +32,9 @@ pub struct LocationRecord {
     pub ttl: u64,
 }
 
+// One per published mobile node per replica.
+const _: () = assert!(std::mem::size_of::<LocationRecord>() <= 56);
+
 impl LocationRecord {
     /// Builds a record from the subject's current attachment.
     pub fn fresh(

@@ -88,10 +88,29 @@ impl BristleSystem {
         }
     }
 
+    /// Whether `addr` points at a router the topology has. An address
+    /// is learned from an unauthenticated frame, and once it is in a row
+    /// or a shard a route prices the way to its router (the
+    /// stale-belief branch of Fig. 2) by indexing the distance oracle
+    /// with it — so one that names no router is refused here, where it
+    /// would be learned, metered once as a malformed frame. Addresses
+    /// the system mints never take the branch.
+    fn admits(&mut self, addr: NetAddr) -> bool {
+        let known = addr.router().index() < self.distances().graph().vertex_count();
+        if !known {
+            self.meter.bump(MessageKind::MalformedFrame, 1);
+        }
+        known
+    }
+
     /// `holder` learns `subject`'s address from an `update`, a
     /// `_discovery` reply or a registration: a fresh lease, and the
-    /// cached state-pair patched.
+    /// cached state-pair patched. An address naming a router the
+    /// topology does not have teaches nothing (`admits`).
     pub fn learn_addr(&mut self, holder: Key, subject: Key, addr: NetAddr) {
+        if !self.admits(addr) {
+            return;
+        }
         self.grant_lease(holder, subject);
         self.cache_addr(holder, subject, addr);
     }
@@ -144,9 +163,13 @@ impl BristleSystem {
 
     /// Installs `record` into `holder`'s stationary-layer shard unless a
     /// strictly newer copy (by incarnation, then sequence) is already
-    /// there. The messaging driver's publish path lands here. Returns
-    /// whether the record was installed.
+    /// there, or its address names a router the topology does not have
+    /// (`admits`). The messaging driver's publish path lands here.
+    /// Returns whether the record was installed.
     pub fn install_record(&mut self, holder: Key, record: LocationRecord) -> Result<bool> {
+        if !self.admits(record.addr) {
+            return Ok(false);
+        }
         let node = self.stationary.node_mut(holder)?;
         if let Some(existing) = node.store.get(&record.subject) {
             if (existing.incarnation, existing.seq) > (record.incarnation, record.seq) {

@@ -10,6 +10,11 @@
 //! move. A remembered address `(router, epoch)` is valid iff the epoch
 //! still matches — the simulator's cheap stand-in for "the IP address no
 //! longer routes to this host".
+//!
+//! The counter is 32 bits wide because an [`Attachment`] sits in every
+//! routing row of the overlay (DESIGN §13); the wire and the WAL carry it
+//! as 64 bits and narrow through [`Attachment::from_wide`], which cannot
+//! alias one epoch onto another.
 
 use crate::graph::RouterId;
 use crate::rng::Pcg64;
@@ -38,7 +43,26 @@ pub struct Attachment {
     /// The router the host currently attaches to.
     pub router: RouterId,
     /// Incremented on every move; stale epochs mean stale addresses.
-    pub epoch: u64,
+    ///
+    /// A per-host move counter, `u32` so that `Attachment` is 8 bytes and
+    /// a routing row holding one is 24, not 40. No host's epoch ever
+    /// equals [`Attachment::NEVER_CURRENT`].
+    pub epoch: u32,
+}
+
+impl Attachment {
+    /// The epoch no registered host ever has: [`AttachmentMap::move_host`]
+    /// refuses to count up to it. Every 64-bit epoch that does not fit
+    /// narrows to it, so an address carrying one is never current.
+    pub const NEVER_CURRENT: u32 = u32::MAX;
+
+    /// An attachment from the 64-bit epoch frames and WAL records carry.
+    /// An epoch a map can hold comes back as itself; anything wider
+    /// becomes [`Self::NEVER_CURRENT`] rather than its low 32 bits, so
+    /// `2³² + e` does not pass for `e`.
+    pub fn from_wide(router: RouterId, epoch: u64) -> Attachment {
+        Attachment { router, epoch: u32::try_from(epoch).unwrap_or(Self::NEVER_CURRENT) }
+    }
 }
 
 /// Tracks where every host is attached and how often it has moved.
@@ -83,10 +107,24 @@ impl AttachmentMap {
     /// Moves `host` to `router`, bumping its epoch. Returns the new
     /// attachment. Moving to the current router still counts as a move
     /// (e.g. DHCP renumbering at the same point of attachment).
+    ///
+    /// # Panics
+    /// On the move that would take the host's epoch to
+    /// [`Attachment::NEVER_CURRENT`].
     pub fn move_host(&mut self, host: HostId, router: RouterId) -> Attachment {
         let slot = &mut self.slots[host.index()];
         slot.router = router;
-        slot.epoch += 1;
+        // Invariant: an epoch is written here and in `attach_new` only,
+        // one step at a time from 0, so it reaches the reserved value
+        // only after 2³² − 1 calls naming this one host. Nothing read
+        // off the wire or the disk is ever stored into a slot, so no
+        // input can bring the count closer; wrapping instead would make
+        // a four-billion-moves-old address current again.
+        slot.epoch = slot
+            .epoch
+            .checked_add(1)
+            .filter(|&e| e != Attachment::NEVER_CURRENT)
+            .expect("a host moved 2^32 - 1 times: its epoch counter is spent");
         self.moves += 1;
         *slot
     }
@@ -111,8 +149,10 @@ impl AttachmentMap {
     }
 
     /// Whether a remembered attachment is still the host's current one.
+    /// Total: `host` may come off the wire, and a host this map never
+    /// registered has no current attachment.
     pub fn is_current(&self, host: HostId, remembered: Attachment) -> bool {
-        self.slots[host.index()] == remembered
+        self.slots.get(host.index()) == Some(&remembered)
     }
 
     /// Total number of moves performed across all hosts.
@@ -184,5 +224,84 @@ mod tests {
         let a = m.move_host_random(h, &[RouterId(0)], &mut rng);
         assert_eq!(a.router, RouterId(0));
         assert_eq!(a.epoch, 1);
+    }
+
+    /// The width of the epoch is not observable from inside one build;
+    /// what it must keep is: an address taken before `k` moves of its
+    /// host is current iff `k == 0`, however many moves follow, moves
+    /// to the router the host is already at included, and whatever the
+    /// other hosts do meanwhile.
+    #[test]
+    fn an_address_is_current_until_its_host_first_moves_seeded() {
+        let routers: Vec<RouterId> = (0..7).map(RouterId).collect();
+        for seed in [8u64, 27, 0xA5] {
+            let mut rng = Pcg64::seed_from_u64(seed);
+            let mut m = AttachmentMap::new();
+            let hosts: Vec<HostId> = (0..2).map(|_| m.attach_new(*rng.choose(&routers))).collect();
+            // Every address ever handed out, with the moves its host had
+            // made by then.
+            let mut taken: Vec<(HostId, Attachment, u32)> = Vec::new();
+            let mut moved = [0u32; 2];
+            for step in 0..6_000 {
+                let i = rng.index(hosts.len());
+                taken.push((hosts[i], m.current(hosts[i]), moved[i]));
+                let j = rng.index(hosts.len());
+                if step % 3 == 0 {
+                    m.move_host(hosts[j], m.router(hosts[j]));
+                } else {
+                    m.move_host_random(hosts[j], &routers, &mut rng);
+                }
+                moved[j] += 1;
+                if step % 500 == 499 || step < 8 {
+                    for &(h, a, at) in &taken {
+                        let k = moved[h.index()] - at;
+                        assert_eq!(m.is_current(h, a), k == 0, "seed {seed} step {step}: k = {k}");
+                    }
+                }
+            }
+            assert!(moved.iter().all(|&k| k > 2_000), "seed {seed}: thousands of moves a host");
+            assert_eq!(m.total_moves(), 6_000);
+        }
+    }
+
+    #[test]
+    fn unknown_hosts_and_wide_epochs_are_never_current() {
+        let empty = AttachmentMap::new();
+        let mut m = AttachmentMap::new();
+        let h = m.attach_new(RouterId(1));
+        for _ in 0..5 {
+            m.move_host(h, RouterId(1));
+        }
+        let now = m.current(h);
+        assert_eq!(now.epoch, 5);
+        // Every epoch a map can hold widens and narrows to itself ...
+        for e in [0, 5, u32::MAX - 1] {
+            assert_eq!(Attachment::from_wide(RouterId(1), u64::from(e)).epoch, e);
+        }
+        // ... and nothing wider lands on one: not by truncation (2^32 + 5
+        // is not 5), not at the boundary, not at the top.
+        for wide in [(1u64 << 32) + 5, u64::from(u32::MAX), 1 << 32, u64::MAX] {
+            let a = Attachment::from_wide(RouterId(1), wide);
+            assert_eq!(a.epoch, Attachment::NEVER_CURRENT, "{wide}");
+            assert!(!m.is_current(h, a), "{wide}");
+        }
+        // A host no map registered has no current attachment.
+        for map in [&empty, &m] {
+            assert!(!map.is_current(HostId(u32::MAX), now));
+            assert!(
+                !map.is_current(HostId(4_000_000), Attachment { router: RouterId(0), epoch: 0 })
+            );
+        }
+    }
+
+    /// The counter stops one short of the reserved epoch instead of
+    /// reaching or wrapping past it.
+    #[test]
+    #[should_panic(expected = "epoch counter is spent")]
+    fn the_move_that_would_reach_the_reserved_epoch_is_refused() {
+        let last = Attachment { router: RouterId(0), epoch: Attachment::NEVER_CURRENT - 2 };
+        let mut m = AttachmentMap { slots: vec![last], moves: 0 };
+        assert_eq!(m.move_host(HostId(0), RouterId(1)).epoch, Attachment::NEVER_CURRENT - 1);
+        m.move_host(HostId(0), RouterId(2));
     }
 }

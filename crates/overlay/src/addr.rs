@@ -16,6 +16,9 @@ use bristle_netsim::graph::RouterId;
 use crate::key::Key;
 
 /// A concrete network address: which host, attached where, as of when.
+///
+/// Three `u32`s, 12 bytes with no padding, and 16 as `Option<NetAddr>`.
+/// One sits in every routing row, so its width is gated below.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetAddr {
     /// The host this address names.
@@ -47,6 +50,12 @@ impl NetAddr {
 /// `addr == None` is the paper's "null" address — the key of a known peer
 /// whose network address has not been resolved (or has been invalidated
 /// and cleared).
+///
+/// 24 bytes: 8 of key, 12 of address, 4 of `Option` tag. A node's rows
+/// are scanned on every hop it forwards and at N = 5e4 the two rings hold
+/// 2.5 M of them, so both the hop's cache lines and most of the live heap
+/// scale with this width (DESIGN §13) — which is why the attachment epoch
+/// is a `u32`: as a `u64` it pads the row to 40.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatePair {
     /// The peer's hash key.
@@ -54,6 +63,11 @@ pub struct StatePair {
     /// The peer's network address, if resolved.
     pub addr: Option<NetAddr>,
 }
+
+// A field added to a row fails the build here, not the benchmark.
+const _: () = assert!(std::mem::size_of::<NetAddr>() == 12);
+const _: () = assert!(std::mem::size_of::<Option<NetAddr>>() == 16);
+const _: () = assert!(std::mem::size_of::<StatePair>() == 24);
 
 impl StatePair {
     /// A state-pair with a resolved address.

@@ -16,8 +16,9 @@ use bristle_overlay::addr::NetAddr;
 use bristle_overlay::key::Key;
 
 /// A network address as it travels on the wire: which host, attached to
-/// which router, as of which epoch. Mirrors [`NetAddr`] exactly; the
-/// split exists so the wire format is a closed set of plain integers.
+/// which router, as of which epoch. Mirrors [`NetAddr`] field for field,
+/// with the epoch at the frame's 64 bits where a routing row keeps 32;
+/// the split exists so the wire format is a closed set of plain integers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireAddr {
     /// Host identity.
@@ -31,14 +32,25 @@ pub struct WireAddr {
 impl WireAddr {
     /// Converts a simulator address into its wire form.
     pub fn from_net(a: NetAddr) -> WireAddr {
-        WireAddr { host: a.host.0, router: a.attachment.router.0, epoch: a.attachment.epoch }
+        WireAddr {
+            host: a.host.0,
+            router: a.attachment.router.0,
+            epoch: u64::from(a.attachment.epoch),
+        }
     }
 
     /// Converts back into the simulator's address type.
+    ///
+    /// The frame's epoch is 64 bits wide and unauthenticated; a row's is
+    /// 32. Every epoch a host can have converts to itself (`to_net` after
+    /// [`Self::from_net`] is the identity); every `epoch ≥ u32::MAX`
+    /// converts to the reserved [`Attachment::NEVER_CURRENT`], which no
+    /// host ever has, so the address is learnable but never current — it
+    /// is not truncated, which would let `2³² + e` pass for `e`.
     pub fn to_net(self) -> NetAddr {
         NetAddr {
             host: HostId(self.host),
-            attachment: Attachment { router: RouterId(self.router), epoch: self.epoch },
+            attachment: Attachment::from_wide(RouterId(self.router), self.epoch),
         }
     }
 
@@ -778,13 +790,24 @@ mod tests {
         }
     }
 
+    /// `to_net` after `from_net` is the identity on every attachment a
+    /// map can hold (epochs `0..u32::MAX`), and the same epoch plus 2³²
+    /// lands on the reserved one, not back on it (`Attachment::from_wide`
+    /// has the boundary cases).
     #[test]
     fn wire_addr_net_round_trip() {
-        let net =
-            NetAddr { host: HostId(42), attachment: Attachment { router: RouterId(17), epoch: 5 } };
-        let wire = WireAddr::from_net(net);
-        assert_eq!(wire.to_net(), net);
-        assert_eq!(wire.router_id(), RouterId(17));
+        for epoch in [0, 5, 1 << 16, u32::MAX - 1] {
+            let net = NetAddr {
+                host: HostId(42),
+                attachment: Attachment { router: RouterId(17), epoch },
+            };
+            let wire = WireAddr::from_net(net);
+            assert_eq!(wire.epoch, u64::from(epoch));
+            assert_eq!(wire.to_net(), net);
+            assert_eq!(wire.router_id(), RouterId(17));
+            let aliased = WireAddr { epoch: (1 << 32) + u64::from(epoch), ..wire };
+            assert_eq!(aliased.to_net().attachment.epoch, Attachment::NEVER_CURRENT);
+        }
     }
 
     #[test]

@@ -280,6 +280,7 @@ mod tests {
     use super::super::MessagingBristleSystem;
     use super::*;
     use bristle_proto::transport::FaultConfig;
+    use bristle_proto::wire::{Envelope, WireMessage};
 
     /// The machines write the repository through `SystemEnv`, which
     /// forwards to the one write path of `bristle_core::repo`: after a
@@ -308,6 +309,64 @@ mod tests {
             assert!(msys.sys.meter.count(MessageKind::DiscoveryHop) > before, "no hop resolved");
             assert!(msys.sys.leases.len() > acked, "a resolution leases the address");
             msys.sys.assert_stores_mirror_tables("route with _discovery", true);
+        }
+    }
+
+    /// Mail for a node nobody knew is addressed to a host no map has at
+    /// an epoch no host reaches: not current, and asking is not a panic.
+    #[test]
+    fn the_dead_letter_address_is_never_current() {
+        let empty = bristle_netsim::attach::AttachmentMap::new();
+        assert!(!DEAD_LETTER_ADDR.to_net().is_valid(&empty));
+        assert!(!DEAD_LETTER_ADDR.to_net().is_valid(&build(8).attachments));
+    }
+
+    /// One unauthenticated `Update` can put any three integers into a
+    /// holder's row. Whatever they are, the next route through that row
+    /// returns: a host the map never registered is simply not current, a
+    /// router the topology does not have is refused where it would be
+    /// learned (metered once), and an epoch of `2³² + current` does not
+    /// narrow onto the current one.
+    #[test]
+    fn forged_addresses_never_panic_a_receiver() {
+        for seed in [8u64, 27] {
+            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+            let subject = msys.sys.mobile_keys()[0];
+            let holder = msys.sys.mobile.holders_of(subject)[0];
+            let honest = wire_addr_of(&msys.sys, subject).expect("live");
+            let to_addr = wire_addr_of(&msys.sys, holder).expect("live");
+            let forgeries = [
+                ("host", WireAddr { host: 4_000_000, ..honest }, 0),
+                ("router", WireAddr { router: 4_000_000, ..honest }, 1),
+                ("epoch", WireAddr { epoch: (1 << 32) + honest.epoch, ..honest }, 0),
+            ];
+            for (i, (what, addr, refused)) in forgeries.into_iter().enumerate() {
+                let before = msys.sys.meter.count(MessageKind::MalformedFrame);
+                let forged = Envelope {
+                    src: msys.sys.stationary_keys()[0],
+                    dst: holder,
+                    msg_id: u64::MAX - i as u64,
+                    trace_id: 0,
+                    msg: WireMessage::Update { subject, addr, seq: u64::MAX },
+                    auth: None,
+                };
+                msys.inject_frame(to_addr.router_id(), to_addr, forged);
+                msys.settle_injected();
+                assert_eq!(
+                    msys.sys.meter.count(MessageKind::MalformedFrame) - before,
+                    refused,
+                    "seed {seed}: forged {what} metered"
+                );
+                let row = msys.sys.mobile.node(holder).expect("live").entry(subject).expect("row");
+                assert_eq!(row.addr == Some(addr.to_net()), refused == 0, "seed {seed}: {what}");
+                let current = addr.to_net().is_valid(&msys.sys.attachments);
+                assert!(!current, "seed {seed}: forged {what} passes for current");
+                // Delivered through `_discovery`, or failed — never unwound.
+                let _ = msys.route(holder, subject);
+                msys.settle();
+                let row = msys.sys.mobile.node(holder).expect("live").entry(subject).expect("row");
+                assert_eq!(row.addr.map(WireAddr::from_net), Some(honest), "seed {seed}: {what}");
+            }
         }
     }
 }
