@@ -6,6 +6,9 @@
 //! call takes a `&mut dyn NodeEnv`, the same window the simulator's
 //! driver hands its machines, which is what makes the two backends
 //! meter-identical: the machines cannot tell which one is driving them.
+//! Neither driver records which frames were processed: the frame a
+//! retry timer re-sent is a spurious retry when the destination's
+//! machine says it already processed it ([`ProtoMachine::has_processed`]).
 //!
 //! **Which sockets a pump reads.** A nonblocking `recv_from` on an empty
 //! socket is a syscall all the same, so reading every socket on every
@@ -60,7 +63,6 @@ use std::time::{Duration, Instant};
 use bristle_core::time::SimTime;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
-use bristle_proto::ledger::DeliveryLedger;
 use bristle_proto::machine::{Completion, Event, NodeEnv, Output, ProtoMachine, TimerKind};
 use bristle_proto::wire::Envelope;
 
@@ -134,11 +136,6 @@ pub struct SocketDriver {
     /// ties FIFO, mirroring the simulator's event queue.
     timers: BTreeMap<(SimTime, u64), (Key, TimerKind)>,
     timer_seq: u64,
-    /// `(src, msg_id)` of every frame a machine here has processed; a
-    /// later transmission of the same frame is a spurious retry, bumped
-    /// exactly as the simulator's driver bumps it. Sources are indexed
-    /// as `nodes` is; a source bound nowhere here has no index.
-    delivered: DeliveryLedger,
     /// Completions surfaced by the machines, for the caller to drain.
     pub completions: Vec<Completion>,
     /// Real-time window the loop waits for in-flight datagrams before
@@ -160,7 +157,6 @@ impl SocketDriver {
             cursor: 0,
             timers: BTreeMap::new(),
             timer_seq: 0,
-            delivered: DeliveryLedger::new(),
             completions: Vec::new(),
             grace: Duration::from_millis(5),
             stats: NetStats::default(),
@@ -222,21 +218,16 @@ impl SocketDriver {
     }
 
     /// Turns one machine's [`Output`] into datagrams and armed timers,
-    /// mirroring the simulator driver's dispatch step: spurious-retry
-    /// accounting, the stale-address black-hole (applied here at send
-    /// time; the simulator applies it at arrival), then one encoded
-    /// envelope per surviving send. A send to an endpoint bound here is
-    /// entered in the mail ledger, so a later pump reads that socket.
+    /// mirroring the simulator driver's dispatch step: the stale-address
+    /// black-hole (applied here at send time; the simulator applies it at
+    /// arrival), then one encoded envelope per surviving send. A send to
+    /// an endpoint bound here is entered in the mail ledger, so a later
+    /// pump reads that socket.
     pub fn dispatch(&mut self, from: Key, out: Output, env: &mut dyn NodeEnv) -> Result<()> {
         let Some(&from_idx) = self.by_key.get(&from) else {
             return Err(Error::new(ErrorKind::NotFound, format!("{from} is not bound")));
         };
         for o in out.outgoing {
-            let src = o.env.src;
-            let index = if src == from { Some(from_idx) } else { self.by_key.get(&src).copied() };
-            if self.delivered.contains(index, src, o.env.msg_id) {
-                env.bump(MessageKind::SpuriousRetry);
-            }
             // The simulator delivers to the addressed router and drops
             // at arrival if the destination moved away; with a real
             // socket the equivalent check runs before the send.
@@ -345,8 +336,6 @@ impl SocketDriver {
                 env.bump(MessageKind::MalformedFrame);
                 continue;
             }
-            let src = envelope.src;
-            self.delivered.insert(self.by_key.get(&src).copied(), src, envelope.msg_id);
             let now = self.clock.now();
             let out = self.nodes[idx].machine.poll(now, Event::Deliver(envelope), env);
             let key = self.nodes[idx].key;
@@ -377,11 +366,28 @@ impl SocketDriver {
             let (key, kind) = due.remove();
             if let Some(&idx) = self.by_key.get(&key) {
                 let out = self.nodes[idx].machine.poll(now, Event::Timer(kind), env);
+                if let Some(id) = kind.resends() {
+                    self.meter_spurious(id, &out, env);
+                }
                 self.dispatch(key, out, env)?;
             }
             fired += 1;
         }
         Ok(fired)
+    }
+
+    /// Bumps [`MessageKind::SpuriousRetry`] if frame `resent`, which a
+    /// retry timer just sent again, was already processed by its
+    /// destination's machine — exactly as the simulator's driver meters
+    /// it. Only a retry timer resends a frame, so no other send is asked
+    /// about.
+    fn meter_spurious(&self, resent: u64, out: &Output, env: &mut dyn NodeEnv) {
+        for o in out.outgoing.iter().filter(|o| o.env.msg_id == resent) {
+            let processed = |&i: &usize| self.nodes[i].machine.has_processed(o.env.src, resent);
+            if self.by_key.get(&o.env.dst).is_some_and(processed) {
+                env.bump(MessageKind::SpuriousRetry);
+            }
+        }
     }
 
     /// Pumps and fires until the network is quiet *and* no timers
@@ -558,6 +564,28 @@ mod tests {
         let s = d.stats();
         assert_eq!(s.stale_blackholed, 1);
         assert_eq!(s.datagrams_sent, 0);
+    }
+
+    /// A `Register` whose acks never reach the registrant: B processes
+    /// the first copy, so each retransmission is spurious, read from B's
+    /// dedup window as the simulator's driver reads it.
+    #[test]
+    fn retransmissions_the_destination_processed_are_spurious() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        let mut d = fast_driver();
+        d.bind_node(A, env.addrs[&A], ProtoMachine::new(A, policy())).unwrap();
+        d.bind_node(B, env.addrs[&B], ProtoMachine::new(B, policy())).unwrap();
+        let now = d.now();
+        let out = d.machine_mut(A).unwrap().start_register(now, &mut env, B, 1);
+        d.dispatch(A, out, &mut env).unwrap();
+        // A's address goes stale: every ack B sends black-holes.
+        env.valid.remove(&(1, 0));
+        d.run_until_quiet(&mut env, 10_000).unwrap();
+        assert_eq!(env.registered, vec![(B, A, 1)], "applied once");
+        assert!(d.completions.contains(&Completion::RegisterFailed { target: B }));
+        // Initial send plus two retransmissions; both of those spurious.
+        assert_eq!(env.meter.count(MessageKind::Register), 3);
+        assert_eq!(env.meter.count(MessageKind::SpuriousRetry), 2);
     }
 
     #[test]

@@ -90,7 +90,10 @@ message_kinds! {
     AuthReject,
     /// A retransmission of a frame the destination had already
     /// processed — wasted work caused by a too-short retry timeout
-    /// (counts retransmits, not messages; cost is always zero).
+    /// (counts retransmits, not messages; cost is always zero). Both
+    /// message drivers read "already processed" from the destination
+    /// machine's dedup window, so a copy sent to a node that has since
+    /// left or crashed is not counted: nobody processes it.
     SpuriousRetry,
     /// A lookup-class frame shed at a full ingress queue under
     /// overload (counts sheds, not messages; cost is always zero).

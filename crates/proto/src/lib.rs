@@ -5,14 +5,15 @@
 //! ([`wire`]), per-node protocol state machines driven by
 //! `poll(now, event)` ([`machine`]), and a transport abstraction with a
 //! deterministic, fault-injecting in-memory implementation
-//! ([`transport`]), a lease-based crash-failure detector
-//! ([`failure`]), and the delivery ledger both drivers meter spurious
-//! retries from ([`ledger`]). Nothing in this crate performs I/O or reads a clock;
+//! ([`transport`]), and a lease-based crash-failure detector
+//! ([`failure`]). Nothing in this crate performs I/O or reads a clock;
 //! all effects are returned as values so the same state machines can be
-//! driven by a simulator today and real sockets later.
+//! driven by a simulator today and real sockets later. What a node has
+//! processed is recorded once, in its machine's dedup window; both
+//! drivers meter spurious retries by asking it
+//! ([`ProtoMachine::has_processed`]).
 
 pub mod failure;
-pub mod ledger;
 pub mod machine;
 pub mod mix;
 pub mod rto;
@@ -23,7 +24,6 @@ pub mod transport;
 pub mod wire;
 
 pub use failure::{FailureDetector, FailurePolicy, Liveness, LivenessTransition, TimeoutVerdict};
-pub use ledger::DeliveryLedger;
 pub use machine::{
     Completion, Event, NodeEnv, Outgoing, Output, ProtoMachine, RetryPolicy, Timer, TimerKind,
 };

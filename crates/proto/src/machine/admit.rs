@@ -140,6 +140,12 @@ impl Admission {
         self.seen.insert(src, msg_id)
     }
 
+    /// Whether `src`'s frame `msg_id` was sighted inside the dedup
+    /// horizon; records nothing.
+    pub(super) fn sighted(&self, src: Key, msg_id: u64) -> bool {
+        self.seen.contains(src, msg_id)
+    }
+
     /// Dedup entries held.
     pub(super) fn held(&self) -> usize {
         self.seen.len()
@@ -289,7 +295,7 @@ mod tests {
     fn guarded_frame(rng: &mut Pcg64, src: Key, msg_id: u64) -> Envelope {
         let addr = WireAddr { host: 7, router: 3, epoch: 0 };
         let n = rng.range_inclusive(0, 99);
-        let msg = match rng.range_inclusive(0, 10) {
+        let msg = match rng.range_inclusive(0, 8) {
             0 => WireMessage::RouteHop { origin: src, route_id: n, target: A },
             1 => WireMessage::RouteHop { origin: src, route_id: n, target: B },
             2 => WireMessage::Discovery { subject: M, asker: src, session: n, probe: None },
@@ -297,9 +303,7 @@ mod tests {
             4 => WireMessage::Register { target: A, capacity: 4 },
             5 => WireMessage::Update { subject: src, addr, seq: n },
             6 => WireMessage::Publish { subject: src, addr, seq: n },
-            7 => WireMessage::JoinProbe { key: src },
-            8 => WireMessage::Leave { key: src },
-            9 => WireMessage::SuspectNotify { suspect: Key(99), incarnation: 0 },
+            7 => WireMessage::SuspectNotify { suspect: Key(99), incarnation: 0 },
             _ => WireMessage::Rejoin { incarnation: n },
         };
         Envelope { src, dst: A, msg_id, trace_id: 0, msg, auth: None }

@@ -154,8 +154,12 @@ impl ProtoMachine {
     /// the overlay at its current incarnation (metered as
     /// [`MessageKind::Rejoin`]).
     pub fn start_rejoin(&mut self, now: SimTime, env: &mut dyn NodeEnv, sponsor: Key) -> Output {
+        let mut out = Output::none();
+        let trace = self.fresh_trace();
         let msg = WireMessage::Rejoin { incarnation: self.incarnation };
-        self.send_oneshot(now, env, sponsor, msg, MessageKind::Rejoin)
+        self.post(env, &mut out, sponsor, trace, msg, Some(MessageKind::Rejoin));
+        self.observe_sends(now, env, &out);
+        out
     }
 
     /// Digests third-party or first-hand evidence that `peer` is alive

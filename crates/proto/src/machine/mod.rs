@@ -85,6 +85,21 @@ pub enum TimerKind {
     },
 }
 
+impl TimerKind {
+    /// The frame this timer's expiry may send again: a retry timer names
+    /// the one frame its exchange retransmits, and nothing else ever
+    /// resends a frame. A driver metering [`MessageKind::SpuriousRetry`]
+    /// need ask about no other.
+    pub fn resends(self) -> Option<u64> {
+        match self {
+            TimerKind::HopRetry { msg_id }
+            | TimerKind::UpdateRetry { msg_id }
+            | TimerKind::RegisterRetry { msg_id } => Some(msg_id),
+            TimerKind::DiscoveryRetry { .. } | TimerKind::HeartbeatTimeout { .. } => None,
+        }
+    }
+}
+
 /// A timer the driver must arm for this machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timer {
@@ -364,6 +379,18 @@ impl ProtoMachine {
         self.admission.held()
     }
 
+    /// Whether this node has already processed `src`'s frame `msg_id`:
+    /// the receiver's dedup window, asked without recording anything.
+    /// Drivers meter [`MessageKind::SpuriousRetry`] from it — a
+    /// retransmission of a frame the destination already processed —
+    /// asking about the frame a retry timer re-sent
+    /// ([`TimerKind::resends`]). Exact for every such frame: each of its
+    /// copies leaves within one retry ladder of the first, and the window
+    /// holds an entry for at least two.
+    pub fn has_processed(&self, src: Key, msg_id: u64) -> bool {
+        self.admission.sighted(src, msg_id)
+    }
+
     /// The current (unjittered, un-backed-off base) RTO estimate for
     /// `peer`, if adaptive mode has collected at least one sample.
     pub fn rto_estimate(&self, peer: Key) -> Option<u64> {
@@ -455,23 +482,6 @@ impl ProtoMachine {
         out.outgoing.push(self.frame(env, dst, to_addr, trace, msg, metered));
     }
 
-    /// Sends a one-shot (unacknowledged) message — Publish, JoinProbe,
-    /// Leave, Refresh — metered as `kind`.
-    pub fn send_oneshot(
-        &mut self,
-        now: SimTime,
-        env: &mut dyn NodeEnv,
-        to: Key,
-        msg: WireMessage,
-        kind: MessageKind,
-    ) -> Output {
-        let mut out = Output::none();
-        let trace = self.fresh_trace();
-        self.post(env, &mut out, to, trace, msg, Some(kind));
-        self.observe_sends(now, env, &out);
-        out
-    }
-
     /// Feeds one event (delivery or timer) through the machine.
     pub fn poll(&mut self, now: SimTime, event: Event, env: &mut dyn NodeEnv) -> Output {
         self.admission.advance(now);
@@ -544,13 +554,6 @@ impl ProtoMachine {
                 if self.admission.first_sighting(src, msg_id) {
                     env.apply_publish(self.key, subject, addr, seq);
                 }
-            }
-            WireMessage::JoinProbe { .. }
-            | WireMessage::Leave { .. }
-            | WireMessage::Refresh { .. } => {
-                // Vocabulary completeness: observed, deduplicated, no
-                // protocol reaction yet.
-                self.admission.first_sighting(src, msg_id);
             }
             WireMessage::Heartbeat { .. }
             | WireMessage::HeartbeatAck { .. }

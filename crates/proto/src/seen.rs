@@ -71,6 +71,12 @@ impl SeenSet {
         !self.previous.contains(&frame) && self.current.insert(frame)
     }
 
+    /// Whether frame `msg_id` from `src` is held in either generation.
+    pub(crate) fn contains(&self, src: Key, msg_id: u64) -> bool {
+        let frame = (src, msg_id);
+        self.current.contains(&frame) || self.previous.contains(&frame)
+    }
+
     /// Sightings held.
     pub(crate) fn len(&self) -> usize {
         self.current.len() + self.previous.len()
@@ -165,6 +171,11 @@ mod tests {
                     live.push((now, frame));
                     frame
                 };
+                assert_eq!(
+                    seen.contains(frame.0, frame.1),
+                    oracle.contains(&frame),
+                    "seed {seed} t={now} {frame:?}"
+                );
                 assert_eq!(
                     seen.insert(frame.0, frame.1),
                     oracle.insert(frame),

@@ -104,10 +104,11 @@ fn clamp_probability(p: f64) -> f64 {
 ///
 /// Attached to a node (all its traffic, both directions) or to a
 /// directed link (that direction only, for asymmetric degradation) via
-/// [`SimTransport::degrade_node`] / [`SimTransport::degrade_link`], and
-/// lifted with the matching `heal_*` calls. Extra-loss decisions draw
-/// from a side hash stream, never from the transport's main RNG, so the
-/// default (undegraded) delivery trace stays byte-identical.
+/// [`SimTransport::degrade_node`] / [`SimTransport::degrade_link`];
+/// applying [`Degradation::none`] lifts one script,
+/// [`SimTransport::clear_degradations`] all of them. Extra-loss decisions
+/// draw from a side hash stream, never from the transport's main RNG, so
+/// the default (undegraded) delivery trace stays byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Degradation {
     /// Latency multiplier in percent: 100 = unchanged, 300 = 3×.
@@ -115,16 +116,11 @@ pub struct Degradation {
     /// Extra drop probability applied on top of the configured
     /// [`FaultConfig::drop_probability`].
     pub extra_loss: f64,
-    /// Peak extra latency the ramp climbs to (0 = no ramp).
-    pub ramp_peak: u64,
-    /// Ticks the ramp takes to climb linearly from 0 to `ramp_peak`
-    /// after the degradation is applied; 0 jumps straight to the peak.
-    pub ramp_len: u64,
 }
 
 impl Default for Degradation {
     fn default() -> Self {
-        Degradation { slowdown_pct: 100, extra_loss: 0.0, ramp_peak: 0, ramp_len: 0 }
+        Degradation { slowdown_pct: 100, extra_loss: 0.0 }
     }
 }
 
@@ -146,15 +142,9 @@ impl Degradation {
         Degradation { extra_loss: clamp_probability(extra_loss), ..Self::default() }
     }
 
-    /// A latency ramp climbing linearly to `peak` extra ticks over
-    /// `len` ticks (a node slowly drowning rather than stepping down).
-    pub fn ramp(peak: u64, len: u64) -> Self {
-        Degradation { ramp_peak: peak, ramp_len: len, ..Self::default() }
-    }
-
     /// Whether the script degrades nothing.
     pub fn is_none(&self) -> bool {
-        self.slowdown_pct <= 100 && self.extra_loss == 0.0 && self.ramp_peak == 0
+        self.slowdown_pct <= 100 && self.extra_loss == 0.0
     }
 
     /// The pointwise-worst combination of two scripts (a send crossing
@@ -165,23 +155,12 @@ impl Degradation {
         Degradation {
             slowdown_pct: a.slowdown_pct.max(b.slowdown_pct),
             extra_loss: if a.extra_loss >= b.extra_loss { a.extra_loss } else { b.extra_loss },
-            ramp_peak: a.ramp_peak.max(b.ramp_peak),
-            ramp_len: a.ramp_len.max(b.ramp_len),
         }
     }
 
-    /// Extra latency the script adds to `base` at `elapsed` ticks after
-    /// it was applied.
-    fn added_latency(&self, base: u64, elapsed: u64) -> u64 {
-        let slow = base * u64::from(self.slowdown_pct.max(100)) / 100 - base;
-        let ramp = if self.ramp_peak == 0 {
-            0
-        } else if self.ramp_len == 0 || elapsed >= self.ramp_len {
-            self.ramp_peak
-        } else {
-            self.ramp_peak * elapsed / self.ramp_len
-        };
-        slow + ramp
+    /// Extra latency the script adds to `base`.
+    fn added_latency(&self, base: u64) -> u64 {
+        base * u64::from(self.slowdown_pct.max(100)) / 100 - base
     }
 }
 
@@ -192,17 +171,11 @@ use crate::mix::splitmix64 as stir;
 /// Deterministic link/partition outages consulted before every send.
 ///
 /// All lookups are `O(log n)` sorted-set membership tests — `blocks`
-/// runs on the hot path of every send. Four independent rules compose:
-/// symmetric link blocks, asymmetric (one-way) blocks, fully isolated
-/// routers, and a group partition that cuts all traffic between routers
-/// assigned to different groups.
+/// runs on the hot path of every send. Two independent rules compose:
+/// fully isolated routers, and a group partition that cuts all traffic
+/// between routers assigned to different groups.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LinkFilter {
-    /// Router pairs whose link is down both ways, stored normalized
-    /// (smaller id first).
-    blocked_links: BTreeSet<(RouterId, RouterId)>,
-    /// Directed `(from, to)` pairs blocked in that direction only.
-    oneway: BTreeSet<(RouterId, RouterId)>,
     /// Routers partitioned off entirely (no traffic in or out).
     partitioned: BTreeSet<RouterId>,
     /// Disjoint router groups; traffic between different groups is cut.
@@ -211,19 +184,6 @@ pub struct LinkFilter {
 }
 
 impl LinkFilter {
-    /// Blocks the `a`–`b` link in both directions.
-    pub fn block_link(mut self, a: RouterId, b: RouterId) -> Self {
-        self.blocked_links.insert(normalize_pair(a, b));
-        self
-    }
-
-    /// Blocks traffic from `from` to `to` only; the reverse direction
-    /// stays up (a unidirectional outage).
-    pub fn block_oneway(mut self, from: RouterId, to: RouterId) -> Self {
-        self.oneway.insert((from, to));
-        self
-    }
-
     /// Cuts `router` off entirely: nothing in, nothing out.
     pub fn isolate(mut self, router: RouterId) -> Self {
         self.partitioned.insert(router);
@@ -240,19 +200,12 @@ impl LinkFilter {
 
     /// Whether the filter blocks nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.blocked_links.is_empty()
-            && self.oneway.is_empty()
-            && self.partitioned.is_empty()
-            && self.groups.is_empty()
+        self.partitioned.is_empty() && self.groups.is_empty()
     }
 
     /// Whether traffic from `a` to `b` is blocked.
     pub fn blocks(&self, a: RouterId, b: RouterId) -> bool {
-        self.partitioned.contains(&a)
-            || self.partitioned.contains(&b)
-            || self.blocked_links.contains(&normalize_pair(a, b))
-            || self.oneway.contains(&(a, b))
-            || self.cut_by_groups(a, b)
+        self.partitioned.contains(&a) || self.partitioned.contains(&b) || self.cut_by_groups(a, b)
     }
 
     fn cut_by_groups(&self, a: RouterId, b: RouterId) -> bool {
@@ -261,14 +214,6 @@ impl LinkFilter {
             (Some(ga), Some(gb)) => ga != gb,
             _ => false,
         }
-    }
-}
-
-fn normalize_pair(a: RouterId, b: RouterId) -> (RouterId, RouterId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
     }
 }
 
@@ -381,7 +326,7 @@ pub const TRACE_CAPACITY: usize = 4096;
 /// let dcache = Arc::new(DistanceCache::new(Arc::new(g), 2));
 /// let mut t = SimTransport::new(dcache, FaultConfig::perfect(), 7);
 /// for id in 0..TRACE_CAPACITY as u64 + 3 {
-///     let msg = WireMessage::Refresh { key: Key(1) };
+///     let msg = WireMessage::HopAck { acked: id };
 ///     let env = Envelope { src: Key(1), dst: Key(2), msg_id: id, trace_id: 0, msg, auth: None };
 ///     t.send(SimTime(id), RouterId(0), RouterId(1), env);
 /// }
@@ -461,13 +406,12 @@ pub struct SimTransport {
     filter: LinkFilter,
     rng: Pcg64,
     trace: SendTrace,
-    /// Per-node fail-slow scripts with their application time (for
-    /// ramps); a degraded node affects every send it originates or
-    /// receives.
-    node_degrade: BTreeMap<RouterId, (Degradation, SimTime)>,
+    /// Per-node fail-slow scripts; a degraded node affects every send it
+    /// originates or receives.
+    node_degrade: BTreeMap<RouterId, Degradation>,
     /// Per-directed-link scripts — `(from, to)` only, so loss and
     /// slowdown can be asymmetric.
-    link_degrade: BTreeMap<(RouterId, RouterId), (Degradation, SimTime)>,
+    link_degrade: BTreeMap<(RouterId, RouterId), Degradation>,
     /// Seed of the side hash stream for extra-loss decisions.
     degrade_salt: u64,
     /// Draws taken from the side stream so far.
@@ -496,30 +440,25 @@ impl SimTransport {
         self.filter = filter;
     }
 
-    /// Applies (or replaces) a fail-slow script on `router` from `at`
-    /// on; both directions of all its traffic are affected.
-    pub fn degrade_node(&mut self, router: RouterId, d: Degradation, at: SimTime) {
+    /// Applies (or replaces) a fail-slow script on `router`; both
+    /// directions of all its traffic are affected.
+    pub fn degrade_node(&mut self, router: RouterId, d: Degradation) {
         if d.is_none() {
             self.node_degrade.remove(&router);
         } else {
-            self.node_degrade.insert(router, (d, at));
+            self.node_degrade.insert(router, d);
         }
     }
 
     /// Applies (or replaces) a fail-slow script on the directed
-    /// `from → to` link from `at` on; the reverse direction is
-    /// untouched (asymmetric degradation).
-    pub fn degrade_link(&mut self, from: RouterId, to: RouterId, d: Degradation, at: SimTime) {
+    /// `from → to` link; the reverse direction is untouched (asymmetric
+    /// degradation).
+    pub fn degrade_link(&mut self, from: RouterId, to: RouterId, d: Degradation) {
         if d.is_none() {
             self.link_degrade.remove(&(from, to));
         } else {
-            self.link_degrade.insert((from, to), (d, at));
+            self.link_degrade.insert((from, to), d);
         }
-    }
-
-    /// Lifts `router`'s fail-slow script.
-    pub fn heal_node(&mut self, router: RouterId) {
-        self.node_degrade.remove(&router);
     }
 
     /// Lifts every fail-slow script at once.
@@ -529,23 +468,14 @@ impl SimTransport {
     }
 
     /// The worst-of combination of the scripts touching a `from → to`
-    /// send, with the earliest application time (for ramps).
-    fn active_degradation(&self, from: RouterId, to: RouterId) -> Option<(Degradation, SimTime)> {
-        let mut acc: Option<(Degradation, SimTime)> = None;
+    /// send.
+    fn active_degradation(&self, from: RouterId, to: RouterId) -> Option<Degradation> {
         let sources = [
             self.node_degrade.get(&from),
             self.node_degrade.get(&to),
             self.link_degrade.get(&(from, to)),
         ];
-        for &(d, at) in sources.into_iter().flatten() {
-            acc = Some(match acc {
-                None => (d, at),
-                Some((worst, since)) => {
-                    (Degradation::combine(worst, d), if at.0 < since.0 { at } else { since })
-                }
-            });
-        }
-        acc
+        sources.into_iter().flatten().copied().reduce(Degradation::combine)
     }
 
     /// Current fault configuration.
@@ -641,7 +571,7 @@ impl Transport for SimTransport {
         // before the feature existed, keeping default traces
         // byte-identical.
         let degrade = self.active_degradation(from, to);
-        if let Some((script, _)) = degrade {
+        if let Some(script) = degrade {
             if script.extra_loss > 0.0 {
                 self.degrade_draws += 1;
                 let roll = stir(self.degrade_salt ^ self.degrade_draws);
@@ -655,11 +585,7 @@ impl Transport for SimTransport {
         }
 
         let link = self.dcache.distance(from, to) + self.faults.min_latency;
-        // A script scheduled for the future ramps from its start, not
-        // from the first send that sees it.
-        let extra_latency = degrade
-            .map_or(0, |(script, since)| script.added_latency(link, now.0.saturating_sub(since.0)));
-        let base = link + extra_latency;
+        let base = link + degrade.map_or(0, |script| script.added_latency(link));
         let arrival = now.plus(base + jitter);
         record.arrivals.push(arrival);
         // N arrivals cost N−1 clones: the last delivery takes `env` by
@@ -700,7 +626,7 @@ mod tests {
             dst: Key(2),
             msg_id: id,
             trace_id: 0,
-            msg: WireMessage::Refresh { key: Key(1) },
+            msg: WireMessage::HopAck { acked: id },
             auth: None,
         }
     }
@@ -882,30 +808,23 @@ mod tests {
     }
 
     #[test]
-    fn blocked_links_and_partitions_stop_traffic() {
+    fn isolated_routers_stop_traffic() {
         let mut t = SimTransport::new(line_cache(4), FaultConfig::perfect(), 5);
-        t.set_filter(
-            LinkFilter::default().block_link(RouterId(3), RouterId(0)).isolate(RouterId(2)),
-        );
-        assert!(t.send(SimTime(0), RouterId(0), RouterId(3), envelope(0)).is_empty());
+        t.set_filter(LinkFilter::default().isolate(RouterId(2)));
         assert!(
-            t.send(SimTime(0), RouterId(3), RouterId(0), envelope(1)).is_empty(),
-            "blocks both ways"
-        );
-        assert!(
-            t.send(SimTime(0), RouterId(1), RouterId(2), envelope(2)).is_empty(),
+            t.send(SimTime(0), RouterId(1), RouterId(2), envelope(0)).is_empty(),
             "partitioned in"
         );
         assert!(
-            t.send(SimTime(0), RouterId(2), RouterId(1), envelope(3)).is_empty(),
+            t.send(SimTime(0), RouterId(2), RouterId(1), envelope(1)).is_empty(),
             "partitioned out"
         );
         assert_eq!(
-            t.send(SimTime(0), RouterId(0), RouterId(1), envelope(4)).len(),
+            t.send(SimTime(0), RouterId(0), RouterId(3), envelope(2)).len(),
             1,
             "others flow"
         );
-        assert!(t.trace().iter().take(4).all(|r| r.fate == Fate::Blocked));
+        assert!(t.trace().iter().take(2).all(|r| r.fate == Fate::Blocked));
     }
 
     #[test]
@@ -918,23 +837,9 @@ mod tests {
     }
 
     #[test]
-    fn oneway_block_is_unidirectional() {
-        let mut t = SimTransport::new(line_cache(3), FaultConfig::perfect(), 5);
-        t.set_filter(LinkFilter::default().block_oneway(RouterId(0), RouterId(2)));
-        assert!(t.send(SimTime(0), RouterId(0), RouterId(2), envelope(0)).is_empty());
-        assert_eq!(
-            t.send(SimTime(0), RouterId(2), RouterId(0), envelope(1)).len(),
-            1,
-            "the reverse direction stays up"
-        );
-        assert_eq!(t.trace()[0].fate, Fate::Blocked);
-        assert_eq!(t.trace()[1].fate, Fate::Delivered);
-    }
-
-    #[test]
     fn degraded_node_slows_its_traffic_only() {
         let mut t = SimTransport::new(line_cache(3), FaultConfig::perfect(), 5);
-        t.degrade_node(RouterId(1), Degradation::slowdown(300), SimTime(0));
+        t.degrade_node(RouterId(1), Degradation::slowdown(300));
         // 0 → 1: base 3 + 1, tripled by the slowdown.
         let d = t.send(SimTime(0), RouterId(0), RouterId(1), envelope(0));
         assert_eq!(d[0].at, SimTime(12), "3× the base 4-tick latency");
@@ -942,7 +847,7 @@ mod tests {
         // *endpoint* failing slow, so pass-through traffic is untouched.
         let d = t.send(SimTime(0), RouterId(0), RouterId(2), envelope(1));
         assert_eq!(d[0].at, SimTime(7), "6 + min latency, undegraded");
-        t.heal_node(RouterId(1));
+        t.degrade_node(RouterId(1), Degradation::none());
         let d = t.send(SimTime(10), RouterId(0), RouterId(1), envelope(2));
         assert_eq!(d[0].at, SimTime(14), "healed back to base latency");
     }
@@ -950,7 +855,7 @@ mod tests {
     #[test]
     fn asymmetric_link_loss_drops_one_direction_only() {
         let mut t = SimTransport::new(line_cache(3), FaultConfig::perfect(), 5);
-        t.degrade_link(RouterId(0), RouterId(1), Degradation::lossy(1.0), SimTime(0));
+        t.degrade_link(RouterId(0), RouterId(1), Degradation::lossy(1.0));
         assert!(t.send(SimTime(0), RouterId(0), RouterId(1), envelope(0)).is_empty());
         assert_eq!(t.trace()[0].fate, Fate::Dropped);
         assert_eq!(
@@ -958,18 +863,6 @@ mod tests {
             1,
             "the reverse direction stays healthy"
         );
-    }
-
-    #[test]
-    fn latency_ramp_climbs_from_the_application_time() {
-        let mut t = SimTransport::new(line_cache(3), FaultConfig::perfect(), 5);
-        t.degrade_node(RouterId(1), Degradation::ramp(100, 100), SimTime(0));
-        let d = t.send(SimTime(0), RouterId(0), RouterId(1), envelope(0));
-        assert_eq!(d[0].at, SimTime(4), "ramp starts at zero extra");
-        let d = t.send(SimTime(50), RouterId(0), RouterId(1), envelope(1));
-        assert_eq!(d[0].at, SimTime(50 + 4 + 50), "halfway up the ramp");
-        let d = t.send(SimTime(500), RouterId(0), RouterId(1), envelope(2));
-        assert_eq!(d[0].at, SimTime(500 + 4 + 100), "saturated at the peak");
     }
 
     #[test]
@@ -986,7 +879,7 @@ mod tests {
         };
         let mut clean = SimTransport::new(line_cache(3), faults.clone(), 99);
         let mut degraded = SimTransport::new(line_cache(3), faults, 99);
-        degraded.degrade_node(RouterId(1), Degradation::lossy(0.5), SimTime(0));
+        degraded.degrade_node(RouterId(1), Degradation::lossy(0.5));
         for i in 0..100 {
             clean.send(SimTime(i), RouterId(0), RouterId(2), envelope(i));
             degraded.send(SimTime(i), RouterId(0), RouterId(2), envelope(i));

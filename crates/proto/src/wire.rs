@@ -1,9 +1,9 @@
 //! Typed wire messages and a hand-rolled binary codec.
 //!
-//! Every protocol interaction the paper describes — mobile-layer
-//! forwarding, `_discovery`, `register`/`update` dissemination, location
-//! publication, join/leave/refresh — is expressed as a [`WireMessage`]
-//! carried in an [`Envelope`]. The encoding is a fixed little-endian
+//! Every protocol interaction the paper describes that a machine sends —
+//! mobile-layer forwarding, `_discovery`, `register`/`update`
+//! dissemination, location publication, failure detection and rejoin —
+//! is expressed as a [`WireMessage`] carried in an [`Envelope`]. The encoding is a fixed little-endian
 //! layout with a one-byte message tag: no serde, no varints, nothing the
 //! container does not already ship. Decoding is total — every byte string
 //! either round-trips or yields a [`WireError`], never a panic.
@@ -63,10 +63,12 @@ impl WireAddr {
 /// The protocol's message vocabulary.
 ///
 /// Metered kinds (RouteHop, Discovery, DiscoveryReply, Register, Update,
-/// Publish, JoinProbe, Leave, Refresh) correspond one-to-one with the
-/// paper's operations; the remaining variants (acks and the probe-miss
-/// notification) are unmetered control traffic that exists only because
-/// message passing, unlike a function call, can fail to return.
+/// Publish) correspond one-to-one with the paper's operations; acks and
+/// the probe-miss notification are unmetered control traffic that exists
+/// only because message passing, unlike a function call, can fail to
+/// return. Join, leave and refresh run on the function-call path only;
+/// their tags (10–12) are retired, not reused, and decode to
+/// [`WireError::BadTag`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireMessage {
     /// One mobile-layer forwarding hop of a route toward `target`.
@@ -150,21 +152,6 @@ pub enum WireMessage {
         /// Movement sequence number.
         seq: u64,
     },
-    /// Join-protocol liveness/ownership probe (Fig. 5).
-    JoinProbe {
-        /// Key the joining node is probing for.
-        key: Key,
-    },
-    /// Departure notice.
-    Leave {
-        /// The leaving node.
-        key: Key,
-    },
-    /// Periodic soft-state refresh.
-    Refresh {
-        /// The refreshing node.
-        key: Key,
-    },
     /// Failure-detector liveness probe; the receiver must answer with a
     /// [`WireMessage::HeartbeatAck`] echoing the sequence number.
     Heartbeat {
@@ -230,9 +217,7 @@ impl WireMessage {
             WireMessage::Update { .. } => 7,
             WireMessage::UpdateAck { .. } => 8,
             WireMessage::Publish { .. } => 9,
-            WireMessage::JoinProbe { .. } => 10,
-            WireMessage::Leave { .. } => 11,
-            WireMessage::Refresh { .. } => 12,
+            // 10–12 are retired (JoinProbe, Leave, Refresh).
             WireMessage::Heartbeat { .. } => 13,
             WireMessage::HeartbeatAck { .. } => 14,
             WireMessage::SuspectNotify { .. } => 15,
@@ -255,9 +240,6 @@ impl WireMessage {
             WireMessage::Update { .. } => "Update",
             WireMessage::UpdateAck { .. } => "UpdateAck",
             WireMessage::Publish { .. } => "Publish",
-            WireMessage::JoinProbe { .. } => "JoinProbe",
-            WireMessage::Leave { .. } => "Leave",
-            WireMessage::Refresh { .. } => "Refresh",
             WireMessage::Heartbeat { .. } => "Heartbeat",
             WireMessage::HeartbeatAck { .. } => "HeartbeatAck",
             WireMessage::SuspectNotify { .. } => "SuspectNotify",
@@ -306,9 +288,6 @@ impl WireMessage {
                 w.addr(*addr);
                 w.u64(*seq);
             }
-            WireMessage::JoinProbe { key }
-            | WireMessage::Leave { key }
-            | WireMessage::Refresh { key } => w.key(*key),
             WireMessage::Heartbeat { seq, incarnation }
             | WireMessage::HeartbeatAck { seq, incarnation } => {
                 w.u64(*seq);
@@ -524,9 +503,6 @@ impl Envelope {
             7 => WireMessage::Update { subject: r.key()?, addr: r.addr()?, seq: r.u64()? },
             8 => WireMessage::UpdateAck { acked: r.u64()? },
             9 => WireMessage::Publish { subject: r.key()?, addr: r.addr()?, seq: r.u64()? },
-            10 => WireMessage::JoinProbe { key: r.key()? },
-            11 => WireMessage::Leave { key: r.key()? },
-            12 => WireMessage::Refresh { key: r.key()? },
             13 => WireMessage::Heartbeat { seq: r.u64()?, incarnation: r.u64()? },
             14 => WireMessage::HeartbeatAck { seq: r.u64()?, incarnation: r.u64()? },
             15 => WireMessage::SuspectNotify { suspect: r.key()?, incarnation: r.u64()? },
@@ -574,9 +550,6 @@ mod tests {
             WireMessage::Update { subject: Key(14), addr: addr(4, 5, 6), seq: 15 },
             WireMessage::UpdateAck { acked: 16 },
             WireMessage::Publish { subject: Key(17), addr: addr(7, 8, 9), seq: 18 },
-            WireMessage::JoinProbe { key: Key(19) },
-            WireMessage::Leave { key: Key(20) },
-            WireMessage::Refresh { key: Key(21) },
             WireMessage::Heartbeat { seq: 22, incarnation: 1 },
             WireMessage::HeartbeatAck { seq: 23, incarnation: 2 },
             WireMessage::SuspectNotify { suspect: Key(24), incarnation: 3 },
@@ -586,12 +559,15 @@ mod tests {
         ]
     }
 
-    /// Every tag 0..=18 must appear in `every_message`, so the exhaustive
-    /// tests below really are exhaustive.
+    /// The tags retired with their variants; never reused.
+    const RETIRED: [u8; 3] = [10, 11, 12];
+
+    /// Every live tag in 0..=18 must appear in `every_message`, so the
+    /// exhaustive tests below really are exhaustive.
     #[test]
     fn every_message_covers_every_tag() {
         let tags: std::collections::HashSet<u8> = every_message().iter().map(|m| m.tag()).collect();
-        for t in 0..=18u8 {
+        for t in (0..=18u8).filter(|t| !RETIRED.contains(t)) {
             assert!(tags.contains(&t), "tag {t} missing from every_message()");
         }
     }
@@ -643,7 +619,7 @@ mod tests {
         for msg in every_message() {
             seen.insert(msg.tag());
         }
-        assert_eq!(seen.len(), 19);
+        assert_eq!(seen.len(), 19 - RETIRED.len());
     }
 
     /// Truncating an authenticated *or* unauthenticated frame at every
@@ -666,7 +642,7 @@ mod tests {
             dst: Key(2),
             msg_id: 3,
             trace_id: 4,
-            msg: WireMessage::Leave { key: Key(4) },
+            msg: WireMessage::HopAck { acked: 4 },
             auth: None,
         };
         let mut bytes = env.encode();
@@ -674,6 +650,7 @@ mod tests {
         assert_eq!(Envelope::decode(&bytes), Err(WireError::TrailingBytes(1)));
     }
 
+    /// An unknown tag and every retired one.
     #[test]
     fn bad_tag_rejected() {
         let env = Envelope {
@@ -681,12 +658,14 @@ mod tests {
             dst: Key(2),
             msg_id: 3,
             trace_id: 4,
-            msg: WireMessage::Leave { key: Key(4) },
+            msg: WireMessage::Rejoin { incarnation: 4 },
             auth: None,
         };
-        let mut bytes = env.encode();
-        bytes[32] = 200; // tag byte follows src+dst+msg_id+trace_id
-        assert_eq!(Envelope::decode(&bytes), Err(WireError::BadTag(200)));
+        for tag in RETIRED.into_iter().chain([200]) {
+            let mut bytes = env.encode();
+            bytes[32] = tag; // tag byte follows src+dst+msg_id+trace_id
+            assert_eq!(Envelope::decode(&bytes), Err(WireError::BadTag(tag)));
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use bristle_overlay::meter::MessageKind;
 use bristle_proto::transport::FaultConfig;
 use bristle_proto::wire::{Envelope, WireMessage};
 
-use crate::cli::SweepArgs;
+use crate::cli::{SweepArgs, DEFAULT_SEED};
 use crate::messaging::{wire_addr_of, MessagingBristleSystem};
 use crate::report::{pct, Table};
 use crate::runreport::Json;
@@ -415,7 +415,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
     const POLICIES: [VerifyPolicy; 3] =
         [VerifyPolicy::Off, VerifyPolicy::LogOnly, VerifyPolicy::Enforce];
     let (stationary, mobile) = args.scale.pick((40usize, 16usize), (90, 40));
-    let mut run = SweepRun::new("attacks", args.seed);
+    let mut run = SweepRun::new("attacks", args.seed_or(DEFAULT_SEED));
     let mut table = Table::new(
         "Adversarial overlay — attack success and honest delivery, by family × verify policy",
         &[
@@ -436,7 +436,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
     for family in ALL_FAMILIES {
         let mut off_baseline = None;
         for policy in POLICIES {
-            let mut cfg = AttackConfig::standard(args.seed, family, policy);
+            let mut cfg = AttackConfig::standard(args.seed_or(DEFAULT_SEED), family, policy);
             cfg.stationary = stationary;
             cfg.mobile = mobile;
             let out = run_attack(&cfg);

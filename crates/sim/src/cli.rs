@@ -4,14 +4,15 @@
 //! |------|---------|
 //! | `--paper`        | the paper's populations instead of the quick scale |
 //! | `--json <path>`  | also write a `bristle-run-report/v1` document |
-//! | `--seed <n>`     | master seed (default 8 — the committed-report seed) |
+//! | `--seed <n>`     | master seed (default: the sweep's own — 8, the committed-report seed, for the report sweeps) |
 //! | `--smoke`        | smallest cell only (scale sweep) |
 //! | `--stretch`      | add the largest cell (scale sweep) |
 //! | `--workers <k>`  | wiring/sampling threads (scale sweep) |
 //!
 //! An unknown flag, a flag missing its value, or a value that does not
 //! parse is an error: a typo must not silently regenerate the seed-8
-//! report under another name.
+//! report under another name. So is a scale-sweep flag given to any
+//! other subcommand (checked by the dispatcher): it would be ignored.
 
 use std::path::PathBuf;
 
@@ -27,8 +28,9 @@ pub struct SweepArgs {
     pub scale: Scale,
     /// Where to write the machine-readable run report, if anywhere.
     pub json: Option<PathBuf>,
-    /// Master seed for the sweep ([`DEFAULT_SEED`] unless `--seed`).
-    pub seed: u64,
+    /// `--seed`, if given; each sweep falls back to its own
+    /// ([`Self::seed_or`]).
+    pub seed: Option<u64>,
     /// Scale sweep only: run the smallest population cell only.
     pub smoke: bool,
     /// Scale sweep only: add the largest (stretch) population cell.
@@ -44,7 +46,7 @@ impl Default for SweepArgs {
         SweepArgs {
             scale: Scale::Quick,
             json: None,
-            seed: DEFAULT_SEED,
+            seed: None,
             smoke: false,
             stretch: false,
             workers: None,
@@ -71,12 +73,18 @@ impl SweepArgs {
                 "--smoke" => out.smoke = true,
                 "--stretch" => out.stretch = true,
                 "--json" => out.json = Some(value("--json", &mut args)?),
-                "--seed" => out.seed = value("--seed", &mut args)?,
+                "--seed" => out.seed = Some(value("--seed", &mut args)?),
                 "--workers" => out.workers = Some(value("--workers", &mut args)?),
                 other => return Err(format!("unknown flag {other:?}")),
             }
         }
         Ok(out)
+    }
+
+    /// The seed to run at: `--seed` if given, else the sweep's `own` (its
+    /// historic seed, so default stdout never moves).
+    pub fn seed_or(&self, own: u64) -> u64 {
+        self.seed.unwrap_or(own)
     }
 }
 
@@ -93,7 +101,8 @@ mod tests {
         let a = parse(&[]).unwrap();
         assert_eq!(a, SweepArgs::default());
         assert_eq!(a.scale, Scale::Quick);
-        assert_eq!(a.seed, DEFAULT_SEED);
+        assert_eq!(a.seed_or(DEFAULT_SEED), DEFAULT_SEED);
+        assert_eq!(a.seed_or(42), 42, "each sweep keeps its own default");
         assert_eq!(a.json, None);
         assert!(!a.smoke && !a.stretch);
         assert_eq!(a.workers, None);
@@ -115,7 +124,7 @@ mod tests {
         .unwrap();
         assert_eq!(a.scale, Scale::Paper);
         assert_eq!(a.json, Some(PathBuf::from("out.json")));
-        assert_eq!(a.seed, 27);
+        assert_eq!(a.seed_or(42), 27);
         assert!(a.smoke && a.stretch);
         assert_eq!(a.workers, Some(4));
     }

@@ -10,9 +10,10 @@
 //!
 //! - **Per-kind meter tallies** — `(kind, count, cost)` over every
 //!   [`MessageKind`]. Every metering decision is made by the machines
-//!   or by mirrored driver bookkeeping (the spurious-retry check, the
-//!   stale-address black-hole), so a divergence means a driver leaked
-//!   semantics into the protocol.
+//!   — a spurious retry too: each driver asks the destination machine
+//!   whether it already processed the frame — or by the one mirrored
+//!   driver rule, the stale-address black-hole, so a divergence means a
+//!   driver leaked semantics into the protocol.
 //! - **The causal profile** — every flight-recorder event, grouped by
 //!   trace id and stripped of wall-dependent fields (`at`, `elapsed`).
 //!   Within one trace, event *timing* differs between a micro-clock

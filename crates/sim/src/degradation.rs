@@ -28,7 +28,7 @@ use bristle_proto::failure::FailurePolicy;
 use bristle_proto::rto::RtoConfig;
 use bristle_proto::transport::{Degradation, FaultConfig};
 
-use crate::cli::SweepArgs;
+use crate::cli::{SweepArgs, DEFAULT_SEED};
 use crate::messaging::MessagingBristleSystem;
 use crate::metrics::Samples;
 use crate::report::{pct, Table};
@@ -289,7 +289,7 @@ pub fn run_degradation(cfg: &DegradationConfig) -> DegradationOutcome {
 pub fn sweep(args: &SweepArgs) -> SweepRun {
     let (stationary, mobile, degraded_nodes, waves) =
         args.scale.pick((36usize, 14usize, 8usize, 10usize), (90, 40, 20, 16));
-    let mut run = SweepRun::new("degradation", args.seed);
+    let mut run = SweepRun::new("degradation", args.seed_or(DEFAULT_SEED));
     let mut table = Table::new(
         "Gray-failure degradation — spurious retries and latency tail, by slowdown × burst × RTO",
         &[
@@ -322,7 +322,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
         for burst in [16usize, 24] {
             let mut fixed_spurious = None;
             for adaptive in [false, true] {
-                let mut cfg = DegradationConfig::standard(args.seed);
+                let mut cfg = DegradationConfig::standard(args.seed_or(DEFAULT_SEED));
                 cfg.stationary = stationary;
                 cfg.mobile = mobile;
                 cfg.degraded_nodes = degraded_nodes;

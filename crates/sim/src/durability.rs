@@ -34,7 +34,7 @@ use bristle_overlay::meter::MessageKind;
 use bristle_proto::transport::FaultConfig;
 use bristle_store::WalBackend;
 
-use crate::cli::SweepArgs;
+use crate::cli::{SweepArgs, DEFAULT_SEED};
 use crate::messaging::MessagingBristleSystem;
 use crate::report::{pct, Table};
 use crate::runreport::Json;
@@ -259,7 +259,7 @@ pub fn run_durability(cfg: &DurabilityConfig) -> DurabilityOutcome {
 pub fn sweep(args: &SweepArgs) -> SweepRun {
     let (stationary, mobile, crash_points) =
         args.scale.pick((40usize, 16usize, [6usize, 12, 24]), (90, 40, [10, 20, 40]));
-    let mut run = SweepRun::new("durability", args.seed);
+    let mut run = SweepRun::new("durability", args.seed_or(DEFAULT_SEED));
     let mut table = Table::new(
         "Crash-restart durability — WAL replay vs republication, by crash point × snapshot interval",
         &[
@@ -287,7 +287,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
             [(RestartMode::Republish, 0), (RestartMode::WalReplay, 0), (RestartMode::WalReplay, 8)];
         let mut baseline_replicates = None;
         for (mode, snapshot_every) in cells {
-            let mut cfg = DurabilityConfig::standard(args.seed, mode);
+            let mut cfg = DurabilityConfig::standard(args.seed_or(DEFAULT_SEED), mode);
             cfg.stationary = stationary;
             cfg.mobile = mobile;
             cfg.crash_point = crash_point;

@@ -420,7 +420,8 @@ pub fn to_table_query_modes(result: &AblationResult) -> Table {
 /// modes and query modes. No message-passing driver, so report cells
 /// carry study rows only — no meter tallies, no latency histograms.
 pub fn sweep(args: &SweepArgs) -> SweepRun {
-    let cfg = args.scale.pick(AblationConfig::quick(), AblationConfig::paper());
+    let mut cfg = args.scale.pick(AblationConfig::quick(), AblationConfig::paper());
+    cfg.seed = args.seed_or(cfg.seed);
     let result = run(&cfg);
     let mut out = SweepRun::new("ablation", cfg.seed);
     out.tables.extend([

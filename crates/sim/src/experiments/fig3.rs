@@ -209,7 +209,8 @@ pub fn to_table(result: &Fig3Result) -> Table {
 /// The `fig3` sweep: regenerates the paper's **Figure 3** (LDT
 /// responsibility).
 pub fn sweep(args: &SweepArgs) -> SweepRun {
-    let cfg = args.scale.pick(Fig3Config::quick(), Fig3Config::paper());
+    let mut cfg = args.scale.pick(Fig3Config::quick(), Fig3Config::paper());
+    cfg.seed = args.seed_or(cfg.seed);
     let mut out = SweepRun::new("fig3", cfg.seed);
     out.tables.push(to_table(&run(&cfg)));
     out

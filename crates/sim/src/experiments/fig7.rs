@@ -210,7 +210,8 @@ pub fn to_table_rdp(result: &Fig7Result) -> Table {
 /// The `fig7` sweep: regenerates the paper's **Figure 7** (state
 /// discovery: hops and RDP, scrambled vs clustered naming).
 pub fn sweep(args: &SweepArgs) -> SweepRun {
-    let cfg = args.scale.pick(Fig7Config::quick(), Fig7Config::paper());
+    let mut cfg = args.scale.pick(Fig7Config::quick(), Fig7Config::paper());
+    cfg.seed = args.seed_or(cfg.seed);
     let result = run(&cfg);
     let mut out = SweepRun::new("fig7", cfg.seed);
     out.tables.extend([to_table_hops(&result), to_table_rdp(&result)]);

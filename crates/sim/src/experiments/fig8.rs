@@ -236,7 +236,8 @@ pub fn to_table_detail(result: &Fig8Result) -> Table {
 /// no message-passing driver, so report cells carry distribution rows
 /// only.
 pub fn sweep(args: &SweepArgs) -> SweepRun {
-    let cfg = args.scale.pick(Fig8Config::quick(), Fig8Config::paper());
+    let mut cfg = args.scale.pick(Fig8Config::quick(), Fig8Config::paper());
+    cfg.seed = args.seed_or(cfg.seed);
     let result = run(&cfg);
     let mut out = SweepRun::new("fig8", cfg.seed);
     out.tables.extend([to_table_levels(&result), to_table_detail(&result)]);

@@ -214,7 +214,8 @@ pub fn to_table(result: &Fig9Result) -> Table {
 /// The `fig9` sweep: regenerates the paper's **Figure 9** (LDT cost
 /// with/without network locality).
 pub fn sweep(args: &SweepArgs) -> SweepRun {
-    let cfg = args.scale.pick(Fig9Config::quick(), Fig9Config::paper());
+    let mut cfg = args.scale.pick(Fig9Config::quick(), Fig9Config::paper());
+    cfg.seed = args.seed_or(cfg.seed);
     let mut out = SweepRun::new("fig9", cfg.seed);
     out.tables.push(to_table(&run(&cfg)));
     out

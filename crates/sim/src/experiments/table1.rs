@@ -391,7 +391,8 @@ pub fn to_table(result: &Table1Result) -> Table {
 /// The `table1` sweep: regenerates the paper's **Table 1** (Type A /
 /// Type B / Bristle, measured).
 pub fn sweep(args: &SweepArgs) -> SweepRun {
-    let cfg = args.scale.pick(Table1Config::quick(), Table1Config::paper());
+    let mut cfg = args.scale.pick(Table1Config::quick(), Table1Config::paper());
+    cfg.seed = args.seed_or(cfg.seed);
     let mut out = SweepRun::new("table1", cfg.seed);
     out.tables.push(to_table(&run(&cfg)));
     out

@@ -788,15 +788,17 @@ mod tests {
         }
     }
 
-    /// A restarted process numbers its frames from 0 again; they are new
-    /// frames, not retransmissions of its previous life's.
+    /// A restarted process numbers its frames from `incarnation << 32`,
+    /// above every id of its previous life; they are new frames, not
+    /// retransmissions of that life's.
     #[test]
     fn restarted_node_first_route_meters_no_spurious_retry() {
         for seed in [8u64, 27] {
             let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
             let mobiles: Vec<Key> = msys.sys.mobile_keys().to_vec();
             let (victim, target) = (mobiles[0], mobiles[1]);
-            // First life: the victim's frames 0.. are delivered and recorded.
+            // First life: the victim's frames 0.. are processed and held in
+            // the receivers' dedup windows.
             msys.route(victim, target).expect("clean route");
             msys.settle();
             msys.seed_monitors();

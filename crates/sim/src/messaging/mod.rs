@@ -32,9 +32,11 @@
 //! The per-frame bookkeeping is kept off the heap and out of hash
 //! tables: a node's key is resolved to a dense index once per event,
 //! and its machine, what the driver holds against it and its ingress
-//! depth are array reads under that index; spurious retries are metered
-//! from a [`DeliveryLedger`] (a bit per `(src, msg_id)` under the same
-//! index; shared with the socket driver).
+//! depth are array reads under that index. The driver keeps no record of
+//! which frames were processed: whether the frame a retry timer re-sent
+//! is a spurious retry is read from the destination machine's dedup
+//! window ([`ProtoMachine::has_processed`]), as the socket driver reads
+//! it.
 
 use std::collections::BTreeSet;
 
@@ -46,7 +48,6 @@ use bristle_netsim::graph::RouterId;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
 use bristle_proto::failure::FailurePolicy;
-use bristle_proto::ledger::DeliveryLedger;
 use bristle_proto::machine::{Completion, Event, Output, ProtoMachine, RetryPolicy, TimerKind};
 use bristle_proto::rto::RtoConfig;
 use bristle_proto::transport::{Delivery, FaultConfig, SimTransport, Transport};
@@ -207,11 +208,6 @@ pub struct MessagingBristleSystem {
     /// destination node before lookup-class frames are shed (`None` =
     /// unbounded, the default).
     ingress_cap: Option<usize>,
-    /// `(src, msg_id)` of every frame some machine has already
-    /// processed; a later transmission of the same frame is a spurious
-    /// retry (wasted work from a too-short timeout). Sources are indexed
-    /// by `ids`, looked up and never interned: `src` is off the wire.
-    delivered: DeliveryLedger,
     /// Peers some watcher's health score currently holds degraded; fed
     /// to [`SystemEnv::replicas`] for healthy-first ordering.
     degraded: BTreeSet<Key>,
@@ -253,7 +249,6 @@ impl MessagingBristleSystem {
             auth: AuthConfig::default(),
             rto: None,
             ingress_cap: None,
-            delivered: DeliveryLedger::new(),
             degraded: BTreeSet::new(),
             seeded_at: None,
             reseeds: 0,
@@ -348,18 +343,20 @@ impl MessagingBristleSystem {
         f: impl FnOnce(&mut ProtoMachine, SimTime, &mut SystemEnv<'_>) -> Output,
     ) {
         if let Some(idx) = self.nodes.idx(node) {
-            self.drive_at(idx, f);
+            self.drive_at(idx, None, f);
         }
     }
 
     /// One machine step: lends the machine at `idx` the system through a
     /// [`SystemEnv`] for the length of `f` and dispatches what `f`
     /// returns — every operation start, delivery and timer goes through
-    /// here. Without a machine nothing happens.
+    /// here. `resent` is the frame `f` may have retransmitted (see
+    /// [`Self::meter_spurious`]). Without a machine nothing happens.
     #[inline]
     fn drive_at(
         &mut self,
         idx: NodeIdx,
+        resent: Option<u64>,
         f: impl FnOnce(&mut ProtoMachine, SimTime, &mut SystemEnv<'_>) -> Output,
     ) {
         let now = self.queue.now();
@@ -367,6 +364,9 @@ impl MessagingBristleSystem {
         let Self { sys, nodes, obs, auth, degraded, machines, .. } = self;
         let Some(machine) = machines.get_mut(idx) else { return };
         let out = f(machine, now, &mut SystemEnv { sys, nodes, obs, auth: *auth, degraded });
+        if let Some(id) = resent {
+            self.meter_spurious(id, &out);
+        }
         self.dispatch(idx, out);
     }
 
@@ -396,27 +396,18 @@ impl MessagingBristleSystem {
         self.run_until(|_| false).1
     }
 
-    /// `key`'s index in the delivery ledger, if the driver has one.
-    fn source_index(&self, key: Key) -> Option<usize> {
-        self.nodes.idx(key).map(|i| i.index())
-    }
-
     /// Whether a machine is running for `key`.
     fn has_machine(&self, key: Key) -> bool {
         self.machine_of(key).is_some()
     }
 
-    /// Retires `key`'s machine (its interned index survives). The
-    /// ledger forgets the ids it sent: a machine started for `key` later
-    /// may number its frames from 0 again, and they are not retries of
-    /// the previous life's.
+    /// Retires `key`'s machine (its interned index survives).
     fn remove_machine(&mut self, key: Key) {
         if let Some(i) = self.nodes.idx(key) {
             if self.machines.remove(i).is_some() {
                 self.nodes.touch();
             }
         }
-        self.delivered.forget_source(self.source_index(key), key);
     }
 
     /// Keys of all running machines, sorted.
@@ -468,18 +459,17 @@ impl MessagingBristleSystem {
                 // attachment: its obituary must reach it.
                 let attached = self.sys.router_of(dst).ok();
                 if liveness::attachment(self.nodes.held_at(idx), attached) == Some(d.to_router) {
-                    // The frame is about to be processed: any *later*
-                    // copy of it on the wire is a spurious retry.
-                    let src = d.env.src;
-                    self.delivered.insert(self.source_index(src), src, d.env.msg_id);
                     // A first frame starts the machine.
                     let idx = idx.unwrap_or_else(|| self.nodes.intern(dst));
                     self.ensure_machine(idx);
-                    self.drive_at(idx, |m, now, env| m.poll(now, Event::Deliver(d.env), env));
+                    self.drive_at(idx, None, |m, now, env| m.poll(now, Event::Deliver(d.env), env));
                 }
             }
             MsgEvent::Timer { node, kind } => {
-                self.drive(node, |m, now, env| m.poll(now, Event::Timer(kind), env));
+                if let Some(idx) = self.nodes.idx(node) {
+                    let resent = kind.resends();
+                    self.drive_at(idx, resent, |m, now, env| m.poll(now, Event::Timer(kind), env));
+                }
             }
             MsgEvent::Move { key, to } => {
                 let _ = self.sys.move_node(key, to);
@@ -487,6 +477,20 @@ impl MessagingBristleSystem {
             MsgEvent::Fail { key } => self.fail_silently(key),
         }
         true
+    }
+
+    /// Meters frame `resent`, which a retry timer just sent again, as a
+    /// [`MessageKind::SpuriousRetry`] if its destination already
+    /// processed it: retry-timer waste its dedup window will drop.
+    /// Counted (cost zero) so the degradation sweep can compare RTO
+    /// policies by wasted sends. Only a retry timer resends a frame, so
+    /// no other send is asked about.
+    fn meter_spurious(&mut self, resent: u64, out: &Output) {
+        for o in out.outgoing.iter().filter(|o| o.env.msg_id == resent) {
+            if self.machine_of(o.env.dst).is_some_and(|m| m.has_processed(o.env.src, resent)) {
+                self.sys.meter.bump(MessageKind::SpuriousRetry, 1);
+            }
+        }
     }
 
     /// Turns one machine's [`Output`] into transport sends, scheduled
@@ -501,15 +505,6 @@ impl MessagingBristleSystem {
             return;
         };
         for o in out.outgoing {
-            // A transmission of a frame whose first copy was already
-            // processed is retry-timer waste — the receiver will dedup
-            // it. Counted (cost zero) so the degradation sweep can
-            // compare RTO policies by wasted sends.
-            let src = o.env.src;
-            let index = if src == from { Some(idx.index()) } else { self.source_index(src) };
-            if self.delivered.contains(index, src, o.env.msg_id) {
-                self.sys.meter.bump(MessageKind::SpuriousRetry, 1);
-            }
             let to_router = o.to_addr.router_id();
             for d in self.transport.send(now, from_router, to_router, o.env) {
                 self.admit(d);
@@ -589,8 +584,6 @@ mod tests {
         seen: usize,
         /// Frames of the deduplicated kinds this workload sends.
         guarded: u64,
-        ledger_bytes: usize,
-        machines: usize,
         elapsed: u64,
     }
 
@@ -618,18 +611,14 @@ mod tests {
                 .iter()
                 .map(|&kind| msys.sys.meter.count(kind))
                 .sum(),
-            ledger_bytes: msys.delivered.heap_bytes(),
-            machines: msys.machines.iter().count(),
             elapsed: msys.micro_now().0,
         }
     }
 
     /// The flatness gate, by count rather than by RSS: ten times the
     /// rounds must not mean ten times the tables. The send trace holds
-    /// its ring, `seen` holds two lifetimes of traffic however long the
-    /// run, and the delivery ledger — whose low-water mark is still
-    /// ROADMAP 2(b)'s, so it does grow — stays at a bit per id plus a
-    /// constant per source.
+    /// its ring and `seen` holds two lifetimes of traffic however long
+    /// the run.
     #[test]
     fn message_path_tables_are_flat_in_rounds() {
         const R: usize = 40;
@@ -639,14 +628,6 @@ mod tests {
             for held in [&short, &long] {
                 assert!(held.sends > TRACE_CAPACITY, "seed {seed}: the ring wrapped");
                 assert!(held.trace_rows <= TRACE_CAPACITY, "seed {seed}");
-                let budget = held.sends / 8 + 128 * held.machines;
-                assert!(
-                    held.ledger_bytes <= budget,
-                    "seed {seed}: ledger holds {} B for {} ids from {} sources, budget {budget} B",
-                    held.ledger_bytes,
-                    held.sends,
-                    held.machines
-                );
             }
             assert!(short.elapsed > DEDUP_LIFETIME, "seed {seed}: R rounds outlast one lifetime");
             // One lifetime's deduplicated traffic, at the long run's rate.
@@ -659,6 +640,55 @@ mod tests {
                 10 * R
             );
             assert!((long.seen as u64) < long.guarded / 10, "seed {seed}: and it forgets");
+        }
+    }
+
+    /// `SpuriousRetry` is "a retransmission of a frame the destination
+    /// had already processed", read from the destination's dedup window.
+    /// A `Register` whose acks are all lost is processed once and
+    /// retransmitted until its ladder runs out: every retransmission is
+    /// spurious. If the target leaves after processing the first copy,
+    /// nobody holds that record any more and the copies black-hole: none
+    /// is.
+    #[test]
+    fn spurious_retries_are_read_from_the_destinations_dedup_window() {
+        use bristle_proto::transport::Degradation;
+        for seed in [8u64, 27] {
+            for leaves in [false, true] {
+                let ctx = format!("seed {seed}, target leaves {leaves}");
+                let mut msys =
+                    MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+                let mut mobiles: Vec<Key> = msys.sys.mobile.keys().collect();
+                mobiles.sort_unstable();
+                let (who, target) = (mobiles[0], mobiles[1]);
+                msys.degrade_link_now(target, who, Degradation::lossy(1.0));
+                let count = |m: &MessagingBristleSystem, kind| m.sys.meter.count(kind);
+                let (sent, spurious) =
+                    (count(&msys, MessageKind::Register), count(&msys, MessageKind::SpuriousRetry));
+
+                let mut msg_id = None;
+                msys.machine_started(who);
+                msys.drive(who, |m, now, env| {
+                    let out = m.start_register(now, env, target, 1);
+                    msg_id = Some(out.outgoing[0].env.msg_id);
+                    out
+                });
+                let msg_id = msg_id.expect("a Register went out");
+                let processed = |d: &mut MessagingBristleSystem| {
+                    d.machine_of(target).is_some_and(|m| m.has_processed(who, msg_id))
+                };
+                assert!(matches!(msys.run_until(processed), (Ran::Done, _)), "{ctx}");
+                if leaves {
+                    msys.leave(target).expect("target leaves");
+                }
+                msys.drain();
+
+                let retransmissions = count(&msys, MessageKind::Register) - sent - 1;
+                assert_eq!(retransmissions, u64::from(msys.policy.max_attempts) - 1, "{ctx}");
+                let want = if leaves { 0 } else { retransmissions };
+                assert_eq!(count(&msys, MessageKind::SpuriousRetry) - spurious, want, "{ctx}");
+                assert!(msys.completions.contains(&Completion::RegisterFailed { target }), "{ctx}");
+            }
         }
     }
 }

@@ -253,12 +253,12 @@ impl MessagingBristleSystem {
     }
 
     /// Applies a fail-slow script to `key`'s current router immediately:
-    /// everything it sends or receives suffers the script's slowdown,
-    /// ramp and extra loss until healed. The node stays up — this is
+    /// everything it sends or receives suffers the script's slowdown
+    /// and extra loss until healed. The node stays up — this is
     /// gray failure, not a crash.
     pub fn degrade_node_now(&mut self, key: Key, degradation: Degradation) {
         if let Ok(router) = self.sys.router_of(key) {
-            self.transport.degrade_node(router, degradation, self.queue.now());
+            self.transport.degrade_node(router, degradation);
         }
     }
 
@@ -267,7 +267,7 @@ impl MessagingBristleSystem {
     /// direction is untouched (asymmetric degradation).
     pub fn degrade_link_now(&mut self, from: Key, to: Key, degradation: Degradation) {
         if let (Ok(a), Ok(b)) = (self.sys.router_of(from), self.sys.router_of(to)) {
-            self.transport.degrade_link(a, b, degradation, self.queue.now());
+            self.transport.degrade_link(a, b, degradation);
         }
     }
 

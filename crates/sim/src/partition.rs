@@ -28,7 +28,7 @@ use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
 use bristle_proto::transport::{FaultConfig, LinkFilter};
 
-use crate::cli::SweepArgs;
+use crate::cli::{SweepArgs, DEFAULT_SEED};
 use crate::messaging::MessagingBristleSystem;
 use crate::report::{pct, Table};
 use crate::runreport::Json;
@@ -233,7 +233,7 @@ pub fn run_partition(cfg: &PartitionConfig) -> PartitionOutcome {
 /// transport loss rate vary.
 pub fn sweep(args: &SweepArgs) -> SweepRun {
     let (stationary, mobile) = args.scale.pick((36, 14), (90, 40));
-    let mut run = SweepRun::new("partition", args.seed);
+    let mut run = SweepRun::new("partition", args.seed_or(DEFAULT_SEED));
     let mut table = Table::new(
         "Partition tolerance — wrongful death and recovery vs cut duration × loss",
         &[
@@ -255,7 +255,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
         Claim::every_cell("split-brain records reconciled to the incarnation maximum");
     for partition_rounds in [2usize, 4, 6] {
         for loss in [0.0f64, 0.05, 0.10] {
-            let mut cfg = PartitionConfig::standard(args.seed);
+            let mut cfg = PartitionConfig::standard(args.seed_or(DEFAULT_SEED));
             cfg.stationary = stationary;
             cfg.mobile = mobile;
             cfg.loss = loss;

@@ -28,7 +28,7 @@ use bristle_overlay::meter::MessageKind;
 use bristle_proto::transport::FaultConfig;
 
 use crate::churn::{ChurnAction, ChurnModel};
-use crate::cli::SweepArgs;
+use crate::cli::{SweepArgs, DEFAULT_SEED};
 use crate::messaging::MessagingBristleSystem;
 use crate::report::{f2, pct, Table};
 use crate::runreport::Json;
@@ -352,7 +352,7 @@ pub fn run_churn_messaging(cfg: &ResilienceConfig) -> ResilienceOutcome {
 /// transport loss rates.
 pub fn sweep(args: &SweepArgs) -> SweepRun {
     let (stationary, mobile, events) = args.scale.pick((36, 14, 18), (90, 40, 60));
-    let mut run = SweepRun::new("resilience", args.seed);
+    let mut run = SweepRun::new("resilience", args.seed_or(DEFAULT_SEED));
     let mut table = Table::new(
         "Churn resilience — delivery, staleness and repair vs fail weight × loss",
         &[
@@ -371,7 +371,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
     let mut invariant = Claim::every_cell("root-reachability invariant after every repair");
     for fail_weight in [0u32, 1, 3, 6] {
         for loss in [0.0f64, 0.10, 0.20] {
-            let mut cfg = ResilienceConfig::standard(args.seed);
+            let mut cfg = ResilienceConfig::standard(args.seed_or(DEFAULT_SEED));
             cfg.stationary = stationary;
             cfg.mobile = mobile;
             cfg.events = events;

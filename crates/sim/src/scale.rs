@@ -26,7 +26,7 @@ use bristle_netsim::transit_stub::TransitStubConfig;
 use bristle_overlay::key::Key;
 use bristle_overlay::ring::RingDht;
 
-use crate::cli::SweepArgs;
+use crate::cli::{SweepArgs, DEFAULT_SEED};
 use crate::engine::{BinaryHeapQueue, EventQueue};
 use crate::report::{f2, f3, Table};
 use crate::runreport::Json;
@@ -361,16 +361,17 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
     let workers = args
         .workers
         .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
+    let seed = args.seed_or(DEFAULT_SEED);
     let mut cfg = if args.smoke {
-        ScaleConfig::smoke(args.seed, workers)
+        ScaleConfig::smoke(seed, workers)
     } else {
-        ScaleConfig::standard(args.seed, workers)
+        ScaleConfig::standard(seed, workers)
     };
     if args.stretch {
         cfg = cfg.with_stretch();
     }
 
-    let mut run = SweepRun::new("scale", args.seed);
+    let mut run = SweepRun::new("scale", seed);
     let mut cells: Vec<ScaleCell> = Vec::new();
     for &n in &cfg.populations {
         let cell = run_cell(&cfg, n);

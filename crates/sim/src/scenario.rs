@@ -255,16 +255,16 @@ pub fn to_table(outcome: &ScenarioOutcome) -> Table {
 /// upkeep on one virtual timeline), reported as the per-interval health
 /// table.
 pub fn sweep(args: &SweepArgs) -> SweepRun {
-    const SEED: u64 = 4242;
+    let seed = args.seed_or(4242);
     let (n_stat, n_mob, horizon) = args.scale.pick((120, 60, 3_000), (700, 300, 12_000));
-    let mut sys = BristleBuilder::new(SEED)
+    let mut sys = BristleBuilder::new(seed)
         .stationary_nodes(n_stat)
         .mobile_nodes(n_mob)
         .topology(TransitStubConfig::small())
         .build()
         .expect("system builds");
     let outcome = run(&mut sys, &ScenarioConfig::standard(horizon));
-    let mut out = SweepRun::new("dynamics", SEED);
+    let mut out = SweepRun::new("dynamics", seed);
     out.tables.push(to_table(&outcome));
     out.lines.push(format!(
         "overall delivery {:.1}%  final population {}+{}  events {}",

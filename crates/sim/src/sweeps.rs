@@ -179,6 +179,9 @@ pub fn cli<I: IntoIterator<Item = String>>(argv: I) -> u8 {
         Ok(args) => args,
         Err(why) => return usage(why),
     };
+    if command != "scale" && (args.smoke || args.stretch || args.workers.is_some()) {
+        return usage("--smoke, --stretch and --workers apply to scale only".into());
+    }
     // The one progress line (stderr), then the sweep, then its epilogue.
     let run = |sweep: &Sweep, json: Option<&Path>| {
         eprintln!("{}: {:?} scale", sweep.name, args.scale);
@@ -319,5 +322,25 @@ mod tests {
         assert_eq!(cli(&["resilience", "--seed", "2x7"]), EXIT_USAGE);
         assert_eq!(cli(&["all", "--json", "x.json"]), EXIT_USAGE);
         assert_eq!(cli(&["verify-reports", "--seed", "27"]), EXIT_USAGE);
+        // The scale sweep's flags would be ignored anywhere else.
+        assert_eq!(cli(&["fig3", "--smoke"]), EXIT_USAGE);
+        assert_eq!(cli(&["fig3", "--stretch"]), EXIT_USAGE);
+        assert_eq!(cli(&["fig3", "--workers", "3"]), EXIT_USAGE);
+        assert_eq!(cli(&["all", "--smoke"]), EXIT_USAGE);
+    }
+
+    /// `--seed` reaches the sweeps that used to hard-code theirs (all
+    /// but `ablation`, too slow to run twice here), and without it each
+    /// keeps its own, so default stdout does not move.
+    #[test]
+    fn the_seed_reaches_every_sweep() {
+        for name in ["table1", "fig3", "fig7", "fig8", "fig9", "dynamics"] {
+            let sweep = SWEEPS.iter().find(|s| s.name == name).expect("a sweep");
+            let at = |seed| (sweep.run)(&SweepArgs { seed, ..SweepArgs::default() });
+            let (own, given) = (at(None), at(Some(27)));
+            assert_eq!(given.report.seed, 27, "{name}");
+            assert_ne!(given.render(), own.render(), "{name} ignored --seed 27");
+            assert_eq!(at(Some(own.report.seed)).render(), own.render(), "{name}");
+        }
     }
 }

@@ -36,7 +36,7 @@ fn committed_reports_regenerate_and_claims_hold_at_both_ci_seeds() {
     for sweep in message_sweeps() {
         verify(sweep, root()).unwrap_or_else(|why| panic!("{why}"));
 
-        let run = (sweep.run)(&SweepArgs { seed: 27, ..SweepArgs::default() });
+        let run = (sweep.run)(&SweepArgs { seed: Some(27), ..SweepArgs::default() });
         assert!(!run.claims.is_empty(), "{} makes no claim", sweep.name);
         let violated: Vec<String> =
             run.violated().filter(|c| c.every_cell).map(Claim::render).collect();
