@@ -82,12 +82,20 @@ impl BristleSystem {
         self.discover_from(from, subject)
     }
 
+    /// Both rings' membership epochs. A slot is good until its ring's next
+    /// insert, which moves the epoch, so a walk that holds slots while it
+    /// mutates the system checks this reading has not moved.
+    fn ring_epochs(&self) -> (u64, u64) {
+        (self.mobile.epoch(), self.stationary.epoch())
+    }
+
     /// [`BristleSystem::discover`] for an asker already resolved to its
     /// mobile-layer slab position `from`. Each node the discovery touches
-    /// is resolved once — the entry point by one index lookup, everyone
+    /// is resolved once — the entry point by one key probe, everyone
     /// after it by the forwarding decision or replica step that reached
     /// it — and its router is read off the slot's host.
     fn discover_from(&mut self, from: Slot, subject: Key) -> Result<DiscoveryReport> {
+        let epochs = self.ring_epochs();
         let asker = self.mobile.at(from);
         let (from_key, from_router) = (asker.key, self.attachments.router(asker.host));
         let entry_key = self.entry_stationary_at(asker)?;
@@ -107,6 +115,7 @@ impl BristleSystem {
         // Route within the stationary layer to the record's owner.
         let (mut terminus, mut prev_router) = (entry, entry_router);
         for next in self.stationary.walk(entry, subject) {
+            debug_assert_eq!(self.ring_epochs(), epochs, "a ring changed under a discovery");
             let router = self.attachments.router(self.stationary.at(next).host);
             let cost = self.distances().distance(prev_router, router);
             self.meter.record(MessageKind::DiscoveryHop, cost);
@@ -122,6 +131,7 @@ impl BristleSystem {
         // Who replies: the terminus, unless a later replica has the copy.
         let mut reply_router = prev_router;
         for replica in self.stationary.replica_slots(subject, self.config().location_replicas) {
+            debug_assert_eq!(self.ring_epochs(), epochs, "a ring changed under a discovery");
             let node = self.stationary.at(replica);
             let router = self.attachments.router(node.host);
             if replica != terminus {
@@ -154,6 +164,7 @@ impl BristleSystem {
             // The one repository write with no durable mirror: see
             // `lease_unmirrored` (DESIGN §8 "The write path").
             self.lease_unmirrored(from_key, subject, self.config().lease_ttl);
+            debug_assert_eq!(self.ring_epochs(), epochs, "a ring changed under a discovery");
             self.cache_addr_at(from, subject, addr);
         }
         Ok(DiscoveryReport { resolved, hops, path_cost })
@@ -175,7 +186,9 @@ impl BristleSystem {
             forward_cost: 0,
         };
         // The walk carries slab positions: each node on the route is
-        // resolved once, by the forwarding decision that picked it.
+        // resolved once, by the forwarding decision that picked it. Nothing
+        // between hops may insert into a ring (it would move the slots).
+        let epochs = self.ring_epochs();
         while let Some(next) = self.mobile.next_hop_from(cur, target) {
             let (here, there) = (self.mobile.at(cur), self.mobile.at(next));
             let (cur_key, next_key, next_host) = (here.key, there.key, there.host);
@@ -217,6 +230,7 @@ impl BristleSystem {
             report.forward_hops += 1;
             report.path_cost += cost;
             report.forward_cost += cost;
+            debug_assert_eq!(self.ring_epochs(), epochs, "a ring changed under a route");
             cur = next;
         }
         report.terminus = self.mobile.at(cur).key;

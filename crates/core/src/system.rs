@@ -221,8 +221,10 @@ impl BristleBuilder {
             attachments: AttachmentMap::new(),
             dcache,
             stub_routers,
-            stationary: RingDht::new(ring.clone()),
-            mobile: RingDht::new(ring),
+            // Sized for everyone admitted below, so admission never lays
+            // a slab out again.
+            stationary: RingDht::with_capacity(ring.clone(), self.n_stationary),
+            mobile: RingDht::with_capacity(ring, total),
             interner: KeyInterner::new(),
             info: NodeArena::new(),
             stationary_hosts: Vec::new(),

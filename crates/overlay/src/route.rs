@@ -49,7 +49,10 @@ impl<V> RingDht<V> {
     /// yielded, the last item is the owner, and there are no items when
     /// `from` already owns `target`. The one route loop of the crate —
     /// [`RingDht::route_as`] and Bristle's `_discovery` both read the
-    /// nodes they land on straight off the slots it hands out.
+    /// nodes they land on straight off the slots it hands out. The walk
+    /// borrows the ring, so no insert can move a slot under it; a caller
+    /// that keeps a slot past the walk keeps it only until the next
+    /// insert.
     ///
     /// # Panics
     /// Panics past `MAX_HOPS` (4096) hops, which only a corrupt overlay
