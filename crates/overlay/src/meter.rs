@@ -176,19 +176,6 @@ impl Meter {
     pub fn total_cost(&self) -> u64 {
         self.costs.iter().sum()
     }
-
-    /// Adds another meter into this one.
-    pub fn merge(&mut self, other: &Meter) {
-        for i in 0..KIND_COUNT {
-            self.counts[i] += other.counts[i];
-            self.costs[i] += other.costs[i];
-        }
-    }
-
-    /// Resets all tallies to zero.
-    pub fn reset(&mut self) {
-        *self = Meter::default();
-    }
 }
 
 #[cfg(test)]
@@ -225,28 +212,6 @@ mod tests {
         m.bump(MessageKind::Publish, 7);
         assert_eq!(m.count(MessageKind::Publish), 7);
         assert_eq!(m.cost(MessageKind::Publish), 0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = Meter::new();
-        let mut b = Meter::new();
-        a.record(MessageKind::Join, 3);
-        b.record(MessageKind::Join, 4);
-        b.record(MessageKind::Leave, 1);
-        a.merge(&b);
-        assert_eq!(a.count(MessageKind::Join), 2);
-        assert_eq!(a.cost(MessageKind::Join), 7);
-        assert_eq!(a.count(MessageKind::Leave), 1);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let mut m = Meter::new();
-        m.record(MessageKind::Refresh, 9);
-        m.reset();
-        assert_eq!(m.total_messages(), 0);
-        assert_eq!(m.total_cost(), 0);
     }
 
     #[test]

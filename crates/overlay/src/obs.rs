@@ -1,10 +1,14 @@
-//! Observability primitives: latency histograms, structured protocol
-//! events, and a bounded flight recorder.
+//! Observability primitives: a registry of a run's telemetry series,
+//! latency histograms, structured protocol events, and a bounded flight
+//! recorder.
 //!
 //! Everything here measures *virtual* time — the `u64` tick counts the
 //! simulation clocks hand out — so identical seeds produce identical
 //! histograms and identical event sequences on any machine. The pieces:
 //!
+//! * [`Registry`] — every series a run keeps, declared once: the
+//!   [`Counter`]s, [`Hist`]ograms and [`Gauge`]s, each a slot of a fixed
+//!   array indexed by its discriminant.
 //! * [`Histogram`] — fixed-size log₂-bucketed latency histogram with
 //!   [`Snapshot`] (count / p50 / p99 / max) summaries.
 //! * [`ObsEvent`] / [`ObsEventKind`] — structured protocol events (send,
@@ -15,6 +19,110 @@
 //!   for post-mortem inspection of failed operations.
 
 use crate::key::Key;
+
+/// Declares the run's telemetry series: one enum per kind of series
+/// (counter, histogram, gauge), each variant one series with the name
+/// reports give it, plus `ALL` in declaration order. As with
+/// `message_kinds!`, the list is the single source of truth — a series
+/// added here is the whole change — and a variant's discriminant is its
+/// slot in the [`Registry`]'s array for its kind.
+macro_rules! series {
+    ($(
+        $(#[$kind_doc:meta])*
+        $kind:ident {
+            $( $(#[$doc:meta])* $name:ident = $label:literal, )+
+        }
+    )+) => {$(
+        $(#[$kind_doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $kind {
+            $( $(#[$doc])* $name, )+
+        }
+
+        impl $kind {
+            /// Every series of this kind, in declaration (report) order.
+            pub const ALL: [$kind; [$($kind::$name),+].len()] = [$($kind::$name),+];
+
+            /// The series' name in reports.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $( $kind::$name => $label, )+
+                }
+            }
+        }
+    )+};
+}
+
+series! {
+    /// Monotone counts of driver decisions.
+    Counter {
+        /// Monitor seedings that rebuilt the wanted heartbeat edges; the
+        /// rest found every input where the last seeding left it.
+        Reseeds = "reseeds",
+    }
+    /// Latency distributions on the driver's micro-clock, in the order
+    /// `bristle-run-report/v1` lists them.
+    Hist {
+        /// Route start → delivery at the target's owner.
+        Route = "route",
+        /// `_discovery` session start → resolution (or abandonment).
+        Discovery = "discovery",
+        /// Update-dissemination start → every edge settled.
+        Dissemination = "dissemination",
+        /// The earliest suspicion still standing at a death verdict →
+        /// the verdict.
+        Detection = "detection",
+        /// Wrongful burial → funeral reversed.
+        Rejoin = "rejoin",
+    }
+    /// Levels read when a snapshot is taken.
+    Gauge {
+        /// `(src, msg_id)` entries held by every machine's dedup window.
+        Seen = "seen",
+    }
+}
+
+/// Every series of a run, each in a fixed array slot indexed by its
+/// discriminant: recording a value hashes, allocates and formats
+/// nothing, and a snapshot is a `Clone`.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Registry {
+    counters: [u64; Counter::ALL.len()],
+    histograms: [Histogram; Hist::ALL.len()],
+    gauges: [u64; Gauge::ALL.len()],
+}
+
+impl Registry {
+    /// Adds `n` to a counter.
+    pub fn add(&mut self, counter: Counter, n: u64) {
+        self.counters[counter as usize] += n;
+    }
+
+    /// A counter's total.
+    pub fn counter(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize]
+    }
+
+    /// Records one observation of `value` ticks in a histogram.
+    pub fn record(&mut self, hist: Hist, value: u64) {
+        self.histograms[hist as usize].record(value);
+    }
+
+    /// A histogram as recorded so far.
+    pub fn histogram(&self, hist: Hist) -> &Histogram {
+        &self.histograms[hist as usize]
+    }
+
+    /// Sets a gauge's level.
+    pub fn set(&mut self, gauge: Gauge, value: u64) {
+        self.gauges[gauge as usize] = value;
+    }
+
+    /// A gauge's level when it was last set.
+    pub fn gauge(&self, gauge: Gauge) -> u64 {
+        self.gauges[gauge as usize]
+    }
+}
 
 /// Number of histogram buckets: one for value 0, one per power of two up
 /// to and including the bucket that holds `u64::MAX`.
@@ -63,11 +171,6 @@ fn bucket_upper(i: usize) -> u64 {
 }
 
 impl Histogram {
-    /// A fresh, empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one observation of `value` ticks.
     pub fn record(&mut self, value: u64) {
         self.buckets[bucket_of(value)] += 1;
@@ -118,15 +221,6 @@ impl Histogram {
             p99: self.quantile(99, 100),
             max: self.max,
         }
-    }
-
-    /// Adds another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for i in 0..BUCKETS {
-            self.buckets[i] += other.buckets[i];
-        }
-        self.count += other.count;
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -302,16 +396,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// How many events were overwritten because the buffer was full.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -323,11 +407,6 @@ impl FlightRecorder {
         out.extend_from_slice(&self.buf[self.head..]);
         out.extend_from_slice(&self.buf[..self.head]);
         out
-    }
-
-    /// The retained events that carry the given trace id, oldest first.
-    pub fn trace(&self, trace: u64) -> Vec<ObsEvent> {
-        self.events().into_iter().filter(|e| e.trace == trace).collect()
     }
 
     /// Accepts one event, overwriting the oldest when full.
@@ -365,13 +444,13 @@ mod tests {
 
     #[test]
     fn empty_histogram_snapshot_is_zero() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         assert_eq!(h.snapshot(), Snapshot { count: 0, p50: 0, p99: 0, max: 0 });
     }
 
     #[test]
     fn single_value_snapshot_is_exact() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         h.record(37);
         let s = h.snapshot();
         // 37 is alone in the top non-empty bucket, so quantiles are exact.
@@ -380,7 +459,7 @@ mod tests {
 
     #[test]
     fn extreme_values_round_trip() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         h.record(0);
         h.record(u64::MAX);
         let s = h.snapshot();
@@ -392,7 +471,7 @@ mod tests {
 
     #[test]
     fn quantiles_use_bucket_upper_bounds() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         for v in [3, 3, 3, 3, 3, 3, 3, 3, 3, 200] {
             h.record(v);
         }
@@ -405,7 +484,7 @@ mod tests {
 
     #[test]
     fn powers_of_two_separate() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         h.record(4); // bucket [4,8)
         h.record(7); // same bucket
         h.record(8); // next bucket
@@ -415,15 +494,49 @@ mod tests {
         assert_eq!(h.max(), 8);
     }
 
+    /// A report finds a series by its name, so no two share one; and the
+    /// histograms are listed in the order v1 reports render them.
     #[test]
-    fn merge_accumulates() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(10);
-        b.record(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), 1000);
+    fn series_names_are_unique_and_histograms_keep_report_order() {
+        let names: Vec<&str> = (Counter::ALL.iter().map(|c| c.name()))
+            .chain(Hist::ALL.iter().map(|h| h.name()))
+            .chain(Gauge::ALL.iter().map(|g| g.name()))
+            .collect();
+        let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "{names:?}");
+        let v1 = ["route", "discovery", "dissemination", "detection", "rejoin"];
+        assert!(Hist::ALL.iter().map(|h| h.name()).eq(v1));
+    }
+
+    /// A snapshot is a value: what is recorded after it was taken does
+    /// not reach it.
+    #[test]
+    fn a_snapshot_does_not_change_when_later_values_are_recorded() {
+        let mut live = Registry::default();
+        live.add(Counter::Reseeds, 2);
+        live.record(Hist::Route, 37);
+        live.set(Gauge::Seen, 5);
+        let snapshot = live.clone();
+        live.add(Counter::Reseeds, 1);
+        for h in Hist::ALL {
+            live.record(h, 1_000);
+        }
+        live.set(Gauge::Seen, 9);
+        assert_eq!(snapshot.counter(Counter::Reseeds), 2);
+        assert_eq!(
+            snapshot.histogram(Hist::Route).snapshot(),
+            Snapshot { count: 1, p50: 37, p99: 37, max: 37 }
+        );
+        assert!(Hist::ALL[1..].iter().all(|&h| snapshot.histogram(h).count() == 0));
+        assert_eq!(snapshot.gauge(Gauge::Seen), 5);
+        assert_eq!(
+            (
+                live.counter(Counter::Reseeds),
+                live.histogram(Hist::Route).count(),
+                live.gauge(Gauge::Seen)
+            ),
+            (3, 2, 9)
+        );
     }
 
     #[test]
@@ -437,25 +550,8 @@ mod tests {
                 kind: ObsEventKind::RouteDelivered { route_id: i },
             });
         }
-        assert_eq!(fr.len(), 3);
         assert_eq!(fr.dropped(), 2);
         let at: Vec<u64> = fr.events().iter().map(|e| e.at).collect();
         assert_eq!(at, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn trace_filter_selects_by_id() {
-        let mut fr = FlightRecorder::new(8);
-        for (i, tr) in [(0u64, 1u64), (1, 2), (2, 1)] {
-            fr.record(ObsEvent {
-                at: i,
-                trace: tr,
-                node: Key(9),
-                kind: ObsEventKind::DiscoveryStart { subject: Key(4) },
-            });
-        }
-        let t1 = fr.trace(1);
-        assert_eq!(t1.len(), 2);
-        assert!(t1.iter().all(|e| e.trace == 1));
     }
 }

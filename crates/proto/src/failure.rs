@@ -251,6 +251,14 @@ impl FailureDetector {
         self.liveness(peer) == Some(Liveness::Dead)
     }
 
+    /// Whether this detector's own missed rounds hold `peer` suspect or
+    /// dead: from the round that raised the suspicion until an ack or a
+    /// fresher incarnation resets the count. A verdict only heard from a
+    /// third party ([`Self::mark_dead`]) misses no round.
+    pub fn suspects(&self, peer: Key) -> bool {
+        self.peer(peer).is_some_and(|p| p.missed >= self.policy.suspect_after)
+    }
+
     /// Highest incarnation `peer` has been observed at, or `None` if
     /// unmonitored.
     pub fn incarnation_of(&self, peer: Key) -> Option<u64> {
@@ -482,6 +490,32 @@ mod tests {
         assert_ne!(s0, s1);
         assert!(!d.ack(P, s0, 0), "old sequence does not close the new probe");
         assert!(d.ack(P, s1, 0));
+    }
+
+    /// `suspects` is this detector's own evidence: its missed rounds
+    /// raise it, an ack clears it, and a verdict from a third party does
+    /// not set it — though one that lands on a standing suspicion keeps
+    /// it.
+    #[test]
+    fn suspects_counts_only_this_detectors_own_misses() {
+        let mut d = det();
+        d.monitor(P);
+        miss_round(&mut d);
+        assert!(!d.suspects(P), "one miss is tolerated");
+        miss_round(&mut d);
+        assert!(d.suspects(P));
+        let seq = d.begin_probe(P).unwrap();
+        assert!(d.ack(P, seq, 0));
+        assert!(!d.suspects(P), "an ack heals the suspicion");
+        assert!(d.mark_dead(P, 0));
+        assert!(d.is_dead(P) && !d.suspects(P), "hearsay is not a suspicion");
+
+        let mut standing = det();
+        standing.monitor(P);
+        miss_round(&mut standing);
+        miss_round(&mut standing);
+        assert!(standing.mark_dead(P, 0));
+        assert!(standing.suspects(P), "the suspicion the verdict landed on still stands");
     }
 
     #[test]

@@ -370,7 +370,7 @@ mod tests {
                     "{ctx}"
                 );
                 assert!(copies > FRAMES * 2, "{ctx}: duplicates were drawn");
-                assert!(bounded.seen_len() < FRAMES / 4, "{ctx}: held {}", bounded.seen_len());
+                assert!(bounded.seen_held() < FRAMES / 4, "{ctx}: held {}", bounded.seen_held());
 
                 // Anything the machine hears ages the set, guarded or not.
                 let silence = horizon + 2 * bounded.admission.lifetime;
@@ -379,15 +379,15 @@ mod tests {
                     Envelope { src: B, dst: A, msg_id: 0, trace_id: 0, msg: probe, auth: None };
                 bounded.poll(t(silence), Event::Deliver(probe), &mut env);
                 assert_eq!(
-                    bounded.seen_len(),
+                    bounded.seen_held(),
                     0,
                     "{ctx}: empty two lifetimes after the last frame"
                 );
                 // The contract: a frame older than two lifetimes is new.
                 bounded.poll(t(silence), Event::Deliver(replayed.clone()), &mut env);
-                assert_eq!(bounded.seen_len(), 1, "{ctx}: replay accepted as new");
+                assert_eq!(bounded.seen_held(), 1, "{ctx}: replay accepted as new");
                 bounded.poll(t(silence + 1), Event::Deliver(replayed), &mut env);
-                assert_eq!(bounded.seen_len(), 1, "{ctx}: and its duplicate is caught again");
+                assert_eq!(bounded.seen_held(), 1, "{ctx}: and its duplicate is caught again");
             }
         }
     }

@@ -78,6 +78,14 @@ impl ProtoMachine {
         self.detector.liveness(peer)
     }
 
+    /// Whether this node's own probes hold `peer` suspect or dead: true
+    /// from the round that raised its `Suspect` until an ack or a
+    /// refutation heals it, false for a verdict it only heard from a
+    /// third party ([`FailureDetector::suspects`]).
+    pub fn suspects(&self, peer: Key) -> bool {
+        self.detector.suspects(peer)
+    }
+
     /// Peers this node monitors, ascending.
     pub fn monitored(&self) -> &[Key] {
         self.detector.monitored()

@@ -373,9 +373,10 @@ impl ProtoMachine {
         self.admission.set_ladder(self.timers.ladder());
     }
 
-    /// Dedup entries held (occupancy gauge for the flatness tests).
-    #[doc(hidden)]
-    pub fn seen_len(&self) -> usize {
+    /// How many `(src, msg_id)` entries this node's dedup window holds:
+    /// the frames it processed in the last one to two lifetimes. A
+    /// driver sums it over its machines into its `seen` gauge.
+    pub fn seen_held(&self) -> usize {
         self.admission.held()
     }
 

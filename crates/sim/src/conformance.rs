@@ -46,13 +46,13 @@ use bristle_netsim::graph::RouterId;
 use bristle_overlay::addr::{NetAddr, StatePair};
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
-use bristle_overlay::obs::ObsEvent;
+use bristle_overlay::obs::{FlightRecorder, ObsEvent, Registry};
 use bristle_proto::machine::{Completion, ProtoMachine, RetryPolicy};
 use bristle_proto::transport::FaultConfig;
 
 use crate::messaging::{
-    children_by_parent, wire_addr_of, AuthConfig, MessagingBristleSystem, Nodes, ObsCollector,
-    SystemEnv,
+    children_by_parent, wire_addr_of, AuthConfig, MessagingBristleSystem, Nodes, SystemEnv,
+    FLIGHT_RECORDER_CAPACITY,
 };
 use crate::workload::tiny_system;
 
@@ -214,10 +214,7 @@ fn sim_arm(sys: BristleSystem, seed: u64, steps: &[Step]) -> ConformanceReport {
         }
         mbs.settle();
     }
-    ConformanceReport {
-        tallies: mbs.sys.meter.tallies(),
-        profile: profile(&mbs.obs().flight.events()),
-    }
+    ConformanceReport { tallies: mbs.sys.meter.tallies(), profile: profile(&mbs.flight().events()) }
 }
 
 /// The socket arm's world state: everything [`SystemEnv`] windows onto,
@@ -227,7 +224,8 @@ fn sim_arm(sys: BristleSystem, seed: u64, steps: &[Step]) -> ConformanceReport {
 struct NetWorld {
     sys: BristleSystem,
     nodes: Nodes,
-    obs: ObsCollector,
+    obs: Registry,
+    flight: FlightRecorder,
     auth: AuthConfig,
     degraded: BTreeSet<Key>,
 }
@@ -236,8 +234,9 @@ impl NetWorld {
     fn env(&mut self) -> SystemEnv<'_> {
         SystemEnv {
             sys: &mut self.sys,
-            nodes: &self.nodes,
+            nodes: &mut self.nodes,
             obs: &mut self.obs,
+            flight: &mut self.flight,
             auth: self.auth,
             degraded: &self.degraded,
         }
@@ -347,7 +346,8 @@ fn socket_arm(sys: BristleSystem, steps: &[Step]) -> ConformanceReport {
     let mut world = NetWorld {
         sys,
         nodes: Nodes::default(),
-        obs: ObsCollector::default(),
+        obs: Registry::default(),
+        flight: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
         auth: AuthConfig::default(),
         degraded: BTreeSet::new(),
     };
@@ -382,7 +382,7 @@ fn socket_arm(sys: BristleSystem, steps: &[Step]) -> ConformanceReport {
 
     ConformanceReport {
         tallies: world.sys.meter.tallies(),
-        profile: profile(&world.obs.flight.events()),
+        profile: profile(&world.flight.events()),
     }
 }
 

@@ -1,98 +1,14 @@
 //! The machines' window onto the shared system ([`SystemEnv`], the
-//! simulator's [`NodeEnv`]) and the observability state it feeds.
-
-use std::collections::HashMap;
+//! simulator's [`NodeEnv`]), which also carries what their events feed.
 
 use bristle_core::ldt::Ldt;
 use bristle_core::location::LocationRecord;
 use bristle_overlay::addr::NetAddr;
-use bristle_overlay::obs::{
-    FlightRecorder, Histogram as LatencyHistogram, ObsEvent, ObsEventKind, Snapshot,
-};
+use bristle_overlay::obs::{FlightRecorder, Hist, ObsEvent, ObsEventKind, Registry};
 use bristle_proto::machine::NodeEnv;
 use bristle_proto::wire::WireAddr;
 
 use super::*;
-
-/// How many structured events the driver's flight recorder retains.
-/// Large enough to hold a whole operation's causal neighborhood at the
-/// paper's scales; old events are overwritten (and counted) beyond it.
-const FLIGHT_RECORDER_CAPACITY: usize = 4096;
-
-/// Driver-side observability state: the flight recorder plus the
-/// per-operation latency histograms the run reports are built from.
-/// All latencies are micro-clock ticks (the driver's [`EventQueue`]
-/// time scale, not the coarse lease clock).
-#[derive(Debug)]
-pub struct ObsCollector {
-    /// Bounded ring of recent structured protocol events.
-    pub flight: FlightRecorder,
-    /// Route start → delivery-at-owner latency.
-    pub route_latency: LatencyHistogram,
-    /// `_discovery` session start → resolution (or abandonment) latency.
-    pub discovery_latency: LatencyHistogram,
-    /// Update-dissemination start → every edge settled latency.
-    pub dissemination_latency: LatencyHistogram,
-    /// Failure-detection latency: first suspicion → confirmed dead.
-    pub detection_latency: LatencyHistogram,
-    /// Partition-recovery latency: wrongful burial → funeral reversed.
-    pub rejoin_latency: LatencyHistogram,
-    /// Micro-time each peer was first suspected, pending confirmation.
-    suspected_at: HashMap<Key, u64>,
-}
-
-impl Default for ObsCollector {
-    fn default() -> Self {
-        ObsCollector {
-            flight: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
-            route_latency: LatencyHistogram::new(),
-            discovery_latency: LatencyHistogram::new(),
-            dissemination_latency: LatencyHistogram::new(),
-            detection_latency: LatencyHistogram::new(),
-            rejoin_latency: LatencyHistogram::new(),
-            suspected_at: HashMap::new(),
-        }
-    }
-}
-
-impl ObsCollector {
-    /// Digests one machine-emitted event: records it in the flight
-    /// recorder and folds resolution latencies / suspicion timestamps
-    /// into the histograms.
-    fn observe(&mut self, event: ObsEvent) {
-        match event.kind {
-            ObsEventKind::DiscoveryResolved { elapsed, .. }
-            | ObsEventKind::DiscoveryFailed { elapsed, .. } => {
-                self.discovery_latency.record(elapsed);
-            }
-            ObsEventKind::Suspect { peer, .. } => {
-                self.suspected_at.entry(peer).or_insert(event.at);
-            }
-            _ => {}
-        }
-        self.flight.record(event);
-    }
-
-    /// Records suspect→confirmed latency for `key` if a machine reported
-    /// suspicion of it earlier (first suspicion wins), and forgets the
-    /// pending suspicion either way.
-    pub(super) fn confirm_detection(&mut self, key: Key, now: u64) {
-        if let Some(at) = self.suspected_at.remove(&key) {
-            self.detection_latency.record(now.saturating_sub(at));
-        }
-    }
-
-    /// Named snapshots of every latency histogram, in report order.
-    pub fn latency_snapshots(&self) -> Vec<(&'static str, Snapshot)> {
-        vec![
-            ("route", self.route_latency.snapshot()),
-            ("discovery", self.discovery_latency.snapshot()),
-            ("dissemination", self.dissemination_latency.snapshot()),
-            ("detection", self.detection_latency.snapshot()),
-            ("rejoin", self.rejoin_latency.snapshot()),
-        ]
-    }
-}
 
 /// The machines' window onto the shared system: every [`NodeEnv`] query
 /// or commit maps onto the exact state the function-call path reads and
@@ -102,10 +18,13 @@ pub(crate) struct SystemEnv<'a> {
     /// The driver's view of every node, read for the last known address
     /// of one that crashed or left: senders may still address it (that
     /// is the point of crash *detection*), and the transport needs a
-    /// router to deliver the doomed bytes to.
-    pub(crate) nodes: &'a Nodes,
-    /// Destination for machine-emitted structured events.
-    pub(crate) obs: &'a mut ObsCollector,
+    /// router to deliver the doomed bytes to. Suspicions wait there
+    /// for their verdict.
+    pub(crate) nodes: &'a mut Nodes,
+    /// The run's series: a discovery's milestone lands in its histogram.
+    pub(crate) obs: &'a mut Registry,
+    /// Where every machine-emitted structured event is recorded.
+    pub(crate) flight: &'a mut FlightRecorder,
     /// The run's authentication configuration (defaults are the seed
     /// deployment: unsealed frames, nothing verified).
     pub(crate) auth: AuthConfig,
@@ -255,7 +174,17 @@ impl NodeEnv for SystemEnv<'_> {
     }
 
     fn emit(&mut self, event: ObsEvent) {
-        self.obs.observe(event);
+        match event.kind {
+            ObsEventKind::DiscoveryResolved { elapsed, .. }
+            | ObsEventKind::DiscoveryFailed { elapsed, .. } => {
+                self.obs.record(Hist::Discovery, elapsed);
+            }
+            ObsEventKind::Suspect { peer, .. } => {
+                self.nodes.suspicions.insert((peer, event.node), event.at);
+            }
+            _ => {}
+        }
+        self.flight.record(event);
     }
 
     fn auth_domain(&self) -> Option<AuthDomain> {

@@ -84,6 +84,11 @@ pub(crate) struct Nodes {
     /// it runs a machine for it, changes — and when a machine's
     /// monitored set moves by anything but a seeding.
     epoch: u64,
+    /// Suspicions awaiting a verdict: the micro-time of each watcher's
+    /// latest `Suspect` of a peer, by `(peer, watcher)`. A detector
+    /// raises `Suspect` only from fresh, so a watcher's earlier one was
+    /// healed by an ack or a refutation, and the new one replaces it.
+    pub(super) suspicions: BTreeMap<(Key, Key), u64>,
 }
 
 impl Nodes {
@@ -214,6 +219,8 @@ impl MessagingBristleSystem {
             let fate = if self.is_failed(key) { Fate::Crashed } else { Fate::Departed };
             self.nodes.hold(key, Some(Held { last_addr, fate }));
         }
+        // A departed node gets no verdict to clear them.
+        self.nodes.suspicions.retain(|&(peer, _), _| peer != key);
         self.remove_machine(key);
         self.sys.leave_node(key).map_err(|_| MessagingError::UnknownNode(key))
     }
@@ -325,18 +332,12 @@ impl MessagingBristleSystem {
         }
         // Read after the loop: starting a watcher's machine counts.
         self.seeded_at = Some(self.seed_inputs());
-        self.reseeds += 1;
+        self.obs.add(Counter::Reseeds, 1);
     }
 
     /// Everything [`Self::seed_monitors`] reads, as one count.
     fn seed_inputs(&self) -> u64 {
         self.sys.membership_epoch() + self.nodes.epoch()
-    }
-
-    /// How many [`Self::seed_monitors`] calls rebuilt the wanted edges;
-    /// the rest found every input where the last seeding left it.
-    pub fn monitor_reseeds(&self) -> u64 {
-        self.reseeds
     }
 
     /// Runs one system-wide heartbeat round: re-seeds the monitor sets,
@@ -439,14 +440,8 @@ impl MessagingBristleSystem {
             }
             self.nodes.hold(peer, None);
             self.sys.meter.bump(MessageKind::WrongfulDeath, 1);
-            let rejoined_at = self.queue.now();
-            self.obs.rejoin_latency.record(rejoined_at.since(burial.at));
-            self.rejoin_log.push(RejoinRecord {
-                key: peer,
-                buried_at: burial.at,
-                rejoined_at,
-                incarnation: report.incarnation,
-            });
+            self.obs.record(Hist::Rejoin, self.queue.now().since(burial.at));
+            self.rejoin_log.push(RejoinRecord { key: peer, incarnation: report.incarnation });
         }
     }
 
@@ -516,7 +511,17 @@ impl MessagingBristleSystem {
             self.nodes.hold(key, Some(Held { last_addr, fate: Fate::BuriedAlive(burial) }));
         }
         let report = self.sys.confirm_dead(key).map_err(|_| MessagingError::UnknownNode(key))?;
-        self.obs.confirm_detection(key, self.queue.now().0);
+        // Detection runs from the earliest suspicion still standing: its
+        // watcher's own missed rounds still hold `key` suspect or dead.
+        // One an ack or a refutation healed started no part of this
+        // verdict, and a verdict heard from a third party raised none.
+        let pending = self.nodes.suspicions.range((key, Key(0))..=(key, Key(u64::MAX)));
+        let standing =
+            pending.filter(|(&(_, w), _)| self.machine_of(w).is_some_and(|m| m.suspects(key)));
+        if let Some(&at) = standing.map(|(_, at)| at).min() {
+            self.obs.record(Hist::Detection, self.queue.now().0.saturating_sub(at));
+        }
+        self.nodes.suspicions.retain(|&(peer, _), _| peer != key);
         Ok(report)
     }
 }
@@ -604,14 +609,16 @@ mod tests {
         msys.seeded_at = None;
         msys.seed_monitors();
         assert_eq!(monitored_sets(msys), now, "after {after}: the gate hid a stale set");
-        let reseeds = msys.monitor_reseeds();
+        let seeded = reseeds(msys);
         msys.seed_monitors();
-        assert_eq!(
-            msys.monitor_reseeds(),
-            reseeds,
-            "after {after}: nothing moved, yet it reseeded"
-        );
+        assert_eq!(reseeds(msys), seeded, "after {after}: nothing moved, yet it reseeded");
         assert_eq!(monitored_sets(msys), now, "after {after}: seeding is not idempotent");
+    }
+
+    /// Seedings so far that rebuilt the wanted edges, read from the
+    /// registry.
+    fn reseeds(msys: &MessagingBristleSystem) -> u64 {
+        msys.registry().counter(Counter::Reseeds)
     }
 
     /// Rounds until `victim` is reported dead.
@@ -754,12 +761,12 @@ mod tests {
         for seed in [8u64, 27] {
             let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
             let mobiles: Vec<Key> = msys.sys.mobile_keys().to_vec();
-            assert_eq!(msys.monitor_reseeds(), 0);
+            assert_eq!(reseeds(&msys), 0);
             msys.seed_monitors();
-            assert_eq!(msys.monitor_reseeds(), 1, "seed {seed}: the first seeding always runs");
+            assert_eq!(reseeds(&msys), 1, "seed {seed}: the first seeding always runs");
             let (sets, machines) = (monitored_sets(&msys), msys.machines.iter().count());
             msys.seed_monitors();
-            assert_eq!(msys.monitor_reseeds(), 1, "seed {seed}: nothing changed");
+            assert_eq!(reseeds(&msys), 1, "seed {seed}: nothing changed");
             assert_eq!((monitored_sets(&msys), msys.machines.iter().count()), (sets, machines));
 
             // Moves, routes and rounds on a quiet network are not membership.
@@ -774,17 +781,108 @@ mod tests {
                 msys.sys.tick(1);
             }
             assert_eq!(msys.sys.membership_epoch(), epoch, "seed {seed}: membership stood still");
-            assert_eq!(msys.monitor_reseeds(), 1, "seed {seed}: five rounds, no reseeding");
+            assert_eq!(reseeds(&msys), 1, "seed {seed}: five rounds, no reseeding");
             assert_eq!(monitored_sets(&msys), wanted_sets(&msys), "seed {seed}: and none was owed");
 
             // Each owner counts its own changes.
             let joined = msys.sys.join_node(Mobility::Mobile).expect("join completes").key;
             assert!(msys.sys.membership_epoch() > epoch);
             msys.heartbeat_round();
-            assert_eq!(msys.monitor_reseeds(), 2, "seed {seed}: a join reseeds");
+            assert_eq!(reseeds(&msys), 2, "seed {seed}: a join reseeds");
             msys.fail_silently(joined);
             msys.heartbeat_round();
-            assert_eq!(msys.monitor_reseeds(), 3, "seed {seed}: so does a crash the system missed");
+            assert_eq!(reseeds(&msys), 3, "seed {seed}: so does a crash the system missed");
+        }
+    }
+
+    /// Detection is timed from the suspicion that became the verdict. A
+    /// peer cut off for two rounds is suspected, and the next round's
+    /// acks heal it. Rounds later it crashes, and one of the watchers
+    /// that suspected it before hears the death from a third party at
+    /// once: that watcher raises no `Suspect` of its own this time. The
+    /// others detect the crash. Neither the healed suspicion nor the
+    /// hearsay starts the clock, so the latency recorded is at most the
+    /// time from the crash to the verdict.
+    #[test]
+    fn detection_latency_counts_from_the_suspicion_that_became_the_verdict() {
+        for seed in [8u64, 27] {
+            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+            msys.seed_monitors();
+            let watchers = |msys: &MessagingBristleSystem, peer: Key| -> Vec<Key> {
+                let watching = msys.machines.iter().filter(|(_, m)| m.liveness(peer).is_some());
+                watching.map(|(i, _)| msys.nodes.key_of(i)).collect()
+            };
+            let victim = *msys
+                .sys
+                .mobile_keys()
+                .iter()
+                .max_by_key(|&&k| (watchers(&msys, k).len(), k))
+                .expect("mobile nodes exist");
+            let suspecting = |msys: &MessagingBristleSystem| -> Vec<Key> {
+                let watching = watchers(msys, victim).into_iter();
+                watching
+                    .filter(|&w| msys.machine_of(w).is_some_and(|m| m.suspects(victim)))
+                    .collect()
+            };
+
+            // Suspected under loss: cut off for two rounds.
+            let home = wire_addr_of(&msys.sys, victim).expect("live").router_id();
+            msys.partition_now(LinkFilter::default().isolate(home));
+            for _ in 0..2 {
+                assert!(
+                    msys.heartbeat_round().is_empty(),
+                    "seed {seed}: two misses condemn nobody"
+                );
+                msys.sys.tick(1);
+            }
+            let suspected = suspecting(&msys);
+            assert!(suspected.len() >= 2, "seed {seed}: {suspected:?}");
+            // Healed by the next round's acks, then quiet for a while.
+            msys.heal_now();
+            for _ in 0..4 {
+                msys.heartbeat_round();
+                msys.sys.tick(1);
+            }
+            assert!(suspecting(&msys).is_empty(), "seed {seed}: every suspicion healed");
+            let live = |msys: &MessagingBristleSystem, w| {
+                msys.machine_of(w).and_then(|m| m.liveness(victim))
+            };
+            assert!(suspected.iter().all(|&w| live(&msys, w) == Some(Liveness::Fresh)));
+
+            // The crash, and hearsay at one earlier suspect.
+            let crashed_at = msys.micro_now();
+            msys.fail_silently(victim);
+            let (hearer, herald) = (suspected[0], suspected[1]);
+            let to_addr = wire_addr_of(&msys.sys, hearer).expect("live");
+            let verdict = Envelope {
+                src: herald,
+                dst: hearer,
+                msg_id: u64::MAX,
+                trace_id: 0,
+                msg: WireMessage::SuspectNotify { suspect: victim, incarnation: 0 },
+                auth: None,
+            };
+            msys.inject_frame(to_addr.router_id(), to_addr, verdict);
+            msys.settle_injected();
+            assert_eq!(live(&msys, hearer), Some(Liveness::Dead), "seed {seed}: hearsay lands");
+            assert!(!msys.machine_of(hearer).expect("running").suspects(victim));
+
+            // The others miss three rounds: suspect after two, dead after three.
+            for _ in 0..3 {
+                msys.heartbeat_round();
+                msys.sys.tick(1);
+            }
+            assert!(suspecting(&msys).contains(&herald), "seed {seed}: detected first-hand");
+            msys.confirm_and_heal(victim).expect("victim is known");
+            let verdict_after = msys.micro_now().since(crashed_at);
+            let registry = msys.registry();
+            let detection = registry.histogram(Hist::Detection);
+            assert_eq!(detection.count(), 1, "seed {seed}");
+            assert!(
+                detection.max() <= verdict_after,
+                "seed {seed}: detection took {} ticks, crash to verdict {verdict_after}",
+                detection.max()
+            );
         }
     }
 
@@ -851,8 +949,8 @@ mod tests {
     /// sender that still believes in it addresses its mail.
     fn view_of(msys: &mut MessagingBristleSystem, key: Key) -> (bool, bool, bool, WireAddr) {
         let buried = msys.wrongly_buried().contains(&key);
-        let MessagingBristleSystem { sys, nodes, obs, auth, degraded, .. } = msys;
-        let env = SystemEnv { sys, nodes, obs, auth: *auth, degraded };
+        let MessagingBristleSystem { sys, nodes, obs, flight, auth, degraded, .. } = msys;
+        let env = SystemEnv { sys, nodes, obs, flight, auth: *auth, degraded };
         let addr = env.current_addr(key);
         (msys.is_failed(key), buried, msys.has_machine(key), addr)
     }

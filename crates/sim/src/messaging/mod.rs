@@ -23,11 +23,11 @@
 //! every operation start, delivery and timer goes through it — and one
 //! event loop (`run_until`) runs events until a caller's predicate is
 //! satisfied, the queue drains or the budget is spent. `env` is that
-//! window and the observability state it feeds, `ops` the operations a
-//! caller runs to completion (each keeps only its predicate and its own
-//! reading of a quiet or runaway stop), `liveness` the driver's view of
-//! each node and the crash, burial, heartbeat-round and rejoin steps
-//! that change it.
+//! window (its `emit` feeds the driver's registry and flight recorder),
+//! `ops` the operations a caller runs to completion (each keeps only its
+//! predicate and its own reading of a quiet or runaway stop), `liveness`
+//! the driver's view of each node and the crash, burial, heartbeat-round
+//! and rejoin steps that change it.
 //!
 //! The per-frame bookkeeping is kept off the heap and out of hash
 //! tables: a node's key is resolved to a dense index once per event,
@@ -47,6 +47,7 @@ use bristle_core::time::SimTime;
 use bristle_netsim::graph::RouterId;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
+use bristle_overlay::obs::{Counter, FlightRecorder, Gauge, Hist, Registry};
 use bristle_proto::failure::FailurePolicy;
 use bristle_proto::machine::{Completion, Event, Output, ProtoMachine, RetryPolicy, TimerKind};
 use bristle_proto::rto::RtoConfig;
@@ -59,13 +60,17 @@ mod env;
 mod liveness;
 mod ops;
 
-pub use env::ObsCollector;
 pub(crate) use env::{children_by_parent, wire_addr_of, AuthConfig, SystemEnv};
 pub(crate) use liveness::Nodes;
 
 /// Hard cap on events processed per driver operation; hitting it means a
 /// protocol bug (unbounded retry), not a slow network.
 const MAX_EVENTS_PER_OP: u64 = 2_000_000;
+
+/// How many structured events the driver's flight recorder retains.
+/// Large enough to hold a whole operation's causal neighborhood at the
+/// paper's scales; old events are overwritten (and counted) beyond it.
+pub(crate) const FLIGHT_RECORDER_CAPACITY: usize = 4096;
 
 /// Events on the driver's micro-clock.
 enum MsgEvent {
@@ -155,16 +160,13 @@ impl Ran {
     }
 }
 
-/// One reversed funeral: when the node was wrongfully buried and when
-/// the rejoin restored it (micro-clock times).
+/// One reversed funeral: the node wrongfully buried and the incarnation
+/// it lives at after the rejoin. How long it lay buried is the
+/// registry's [`Hist::Rejoin`] series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RejoinRecord {
     /// The resurrected node.
     pub key: Key,
-    /// Micro-time of the wrongful funeral.
-    pub buried_at: SimTime,
-    /// Micro-time the funeral was reversed.
-    pub rejoined_at: SimTime,
     /// The incarnation the node lives at after the rejoin.
     pub incarnation: u64,
 }
@@ -176,8 +178,6 @@ pub struct MessagingRouteReport {
     pub route_id: u64,
     /// Micro-clock time the route reached its target's owner.
     pub delivered_at: SimTime,
-    /// Events processed while the route was in flight.
-    pub events: u64,
 }
 
 /// A [`BristleSystem`] driven entirely by messages over a
@@ -197,8 +197,11 @@ pub struct MessagingBristleSystem {
     completions: Vec<Completion>,
     /// Every funeral reversed so far, in rejoin order.
     rejoin_log: Vec<RejoinRecord>,
-    /// Flight recorder and latency histograms for this run.
-    obs: ObsCollector,
+    /// This run's series; latencies are micro-clock ticks (the
+    /// [`EventQueue`]'s time scale, not the coarse lease clock).
+    obs: Registry,
+    /// Bounded ring of recent structured protocol events.
+    flight: FlightRecorder,
     /// Authentication configuration shared by every node's environment.
     auth: AuthConfig,
     /// Adaptive-RTO configuration applied to every machine (`None` =
@@ -214,8 +217,6 @@ pub struct MessagingBristleSystem {
     /// What `seed_inputs` read when the monitor sets were last seeded
     /// (`None` before the first seeding).
     seeded_at: Option<u64>,
-    /// Seedings that did not return early.
-    reseeds: u64,
 }
 
 impl MessagingBristleSystem {
@@ -245,13 +246,13 @@ impl MessagingBristleSystem {
             failure_policy: FailurePolicy::default(),
             completions: Vec::new(),
             rejoin_log: Vec::new(),
-            obs: ObsCollector::default(),
+            obs: Registry::default(),
+            flight: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
             auth: AuthConfig::default(),
             rto: None,
             ingress_cap: None,
             degraded: BTreeSet::new(),
             seeded_at: None,
-            reseeds: 0,
         }
     }
 
@@ -361,9 +362,10 @@ impl MessagingBristleSystem {
     ) {
         let now = self.queue.now();
         // The one place the driver's disjoint fields are lent out.
-        let Self { sys, nodes, obs, auth, degraded, machines, .. } = self;
+        let Self { sys, nodes, obs, flight, auth, degraded, machines, .. } = self;
         let Some(machine) = machines.get_mut(idx) else { return };
-        let out = f(machine, now, &mut SystemEnv { sys, nodes, obs, auth: *auth, degraded });
+        let out =
+            f(machine, now, &mut SystemEnv { sys, nodes, obs, flight, auth: *auth, degraded });
         if let Some(id) = resent {
             self.meter_spurious(id, &out);
         }
@@ -373,27 +375,27 @@ impl MessagingBristleSystem {
     /// The one event loop: handles events until `done` reports the
     /// awaited outcome (asked before every event, so an outcome already
     /// buffered costs none), the queue drains, or the per-operation
-    /// budget is spent. Returns how it stopped and the events it ran.
+    /// budget is spent. Returns how it stopped.
     #[inline]
-    fn run_until(&mut self, mut done: impl FnMut(&mut Self) -> bool) -> (Ran, u64) {
+    fn run_until(&mut self, mut done: impl FnMut(&mut Self) -> bool) -> Ran {
         let mut events = 0u64;
         loop {
             if done(self) {
-                return (Ran::Done, events);
+                return Ran::Done;
             }
             if events >= MAX_EVENTS_PER_OP {
-                return (Ran::Runaway, events);
+                return Ran::Runaway;
             }
             if !self.step() {
-                return (Ran::Quiet, events);
+                return Ran::Quiet;
             }
             events += 1;
         }
     }
 
-    /// Runs the network quiet (or the budget out); returns the events run.
-    fn drain(&mut self) -> u64 {
-        self.run_until(|_| false).1
+    /// Runs the network quiet (or the budget out).
+    fn drain(&mut self) {
+        self.run_until(|_| false);
     }
 
     /// Whether a machine is running for `key`.
@@ -422,10 +424,18 @@ impl MessagingBristleSystem {
         &self.transport
     }
 
-    /// The run's observability state: flight recorder and latency
-    /// histograms.
-    pub fn obs(&self) -> &ObsCollector {
-        &self.obs
+    /// A snapshot of the run's series, its gauges read now: `seen` is
+    /// every running machine's [`ProtoMachine::seen_held`].
+    pub fn registry(&self) -> Registry {
+        let mut snapshot = self.obs.clone();
+        let seen = self.machines.iter().map(|(_, m)| m.seen_held() as u64).sum();
+        snapshot.set(Gauge::Seen, seen);
+        snapshot
+    }
+
+    /// The run's most recent structured protocol events.
+    pub fn flight(&self) -> &FlightRecorder {
+        &self.flight
     }
 
     /// The driver's micro-clock.
@@ -581,7 +591,7 @@ mod tests {
     struct Held {
         sends: usize,
         trace_rows: usize,
-        seen: usize,
+        seen: u64,
         /// Frames of the deduplicated kinds this workload sends.
         guarded: u64,
         elapsed: u64,
@@ -606,7 +616,7 @@ mod tests {
         Held {
             sends: msys.transport.trace().len(),
             trace_rows: msys.transport.trace().rows().len(),
-            seen: msys.machines.iter().map(|(_, m)| m.seen_len()).sum(),
+            seen: msys.registry().gauge(Gauge::Seen),
             guarded: [MessageKind::RouteHop, MessageKind::DiscoveryHop]
                 .iter()
                 .map(|&kind| msys.sys.meter.count(kind))
@@ -633,13 +643,36 @@ mod tests {
             // One lifetime's deduplicated traffic, at the long run's rate.
             let per_lifetime = long.guarded * DEDUP_LIFETIME / long.elapsed;
             assert!(
-                (long.seen as u64) <= short.seen as u64 + per_lifetime,
+                long.seen <= short.seen + per_lifetime,
                 "seed {seed}: seen holds {} after {R} rounds and {} after {}; {per_lifetime} frames a lifetime",
                 short.seen,
                 long.seen,
                 10 * R
             );
-            assert!((long.seen as u64) < long.guarded / 10, "seed {seed}: and it forgets");
+            assert!(long.seen < long.guarded / 10, "seed {seed}: and it forgets");
+        }
+    }
+
+    /// The `seen` gauge is read when a snapshot is taken: it is the sum
+    /// of what every running machine's dedup window holds then, and a
+    /// snapshot taken earlier keeps its own reading.
+    #[test]
+    fn the_seen_gauge_is_the_machines_summed_dedup_occupancy() {
+        for seed in [8u64, 27] {
+            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+            let held = |m: &MessagingBristleSystem| -> u64 {
+                m.machines.iter().map(|(_, machine)| machine.seen_held() as u64).sum()
+            };
+            let before = msys.registry();
+            assert_eq!(before.gauge(Gauge::Seen), 0, "seed {seed}: nothing processed yet");
+            let mobiles = msys.sys.mobile_keys().to_vec();
+            for pair in mobiles.windows(2) {
+                msys.route(pair[0], pair[1]).expect("a perfect transport delivers");
+            }
+            let after = msys.registry();
+            assert!(after.gauge(Gauge::Seen) > 0, "seed {seed}: the routes left entries");
+            assert_eq!(after.gauge(Gauge::Seen), held(&msys), "seed {seed}");
+            assert_eq!(before.gauge(Gauge::Seen), 0, "seed {seed}: the earlier snapshot stands");
         }
     }
 
@@ -677,7 +710,7 @@ mod tests {
                 let processed = |d: &mut MessagingBristleSystem| {
                     d.machine_of(target).is_some_and(|m| m.has_processed(who, msg_id))
                 };
-                assert!(matches!(msys.run_until(processed), (Ran::Done, _)), "{ctx}");
+                assert!(matches!(msys.run_until(processed), Ran::Done), "{ctx}");
                 if leaves {
                     msys.leave(target).expect("target leaves");
                 }

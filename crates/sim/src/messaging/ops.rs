@@ -70,12 +70,8 @@ impl MessagingBristleSystem {
         // Everything buffered is new to this burst; later scans start
         // where the previous one stopped.
         let mut scanned = 0usize;
-        // The loop asks before every event, so the events run so far
-        // are the askings before this one.
-        let mut askings = 0u64;
-        let (ran, _) = self.run_until(|d| {
-            let (now, events) = (d.queue.now(), askings);
-            askings += 1;
+        let ran = self.run_until(|d| {
+            let now = d.queue.now();
             closing.clear();
             let mut kept = scanned;
             for j in scanned..d.completions.len() {
@@ -103,8 +99,8 @@ impl MessagingBristleSystem {
                         Err(MessagingError::RouteFailed { origin, route_id, at })
                     }
                     _ => {
-                        d.obs.route_latency.record(now.since(started));
-                        Ok(MessagingRouteReport { route_id, delivered_at: now, events })
+                        d.obs.record(Hist::Route, now.since(started));
+                        Ok(MessagingRouteReport { route_id, delivered_at: now })
                     }
                 });
                 remaining -= 1;
@@ -134,7 +130,7 @@ impl MessagingBristleSystem {
             });
             taken >= n
         };
-        self.run_until(awaited).0
+        self.run_until(awaited)
     }
 
     /// Disseminates `key`'s current address through its LDT by reliable
@@ -176,7 +172,7 @@ impl MessagingBristleSystem {
             if let Ran::Runaway = ran {
                 return Err(MessagingError::Runaway);
             }
-            self.obs.dissemination_latency.record(self.queue.now().since(started));
+            self.obs.record(Hist::Dissemination, self.queue.now().since(started));
         }
         Ok(acked)
     }
@@ -221,10 +217,10 @@ impl MessagingBristleSystem {
     }
 
     /// Drains every event the injected frames (and any reactions they
-    /// provoke) schedule, then reports how many events ran. The
-    /// adversary driver calls this after a volley of [`Self::inject_frame`]s.
-    pub fn settle_injected(&mut self) -> u64 {
-        self.drain()
+    /// provoke) schedule. The adversary driver calls this after a volley
+    /// of [`Self::inject_frame`]s.
+    pub fn settle_injected(&mut self) {
+        self.drain();
     }
 
     /// Schedules a mobile node's move at micro-time `at`, to be executed
@@ -348,9 +344,9 @@ mod tests {
                 }
                 match take_route_completion(msys, src, route_id) {
                     Ok(Some(done)) => {
-                        msys.obs.route_latency.record(done.since(started));
+                        msys.obs.record(Hist::Route, done.since(started));
                         results[i] =
-                            Some(Ok(MessagingRouteReport { route_id, delivered_at: done, events }));
+                            Some(Ok(MessagingRouteReport { route_id, delivered_at: done }));
                     }
                     Ok(None) => open += 1,
                     Err(e) => results[i] = Some(Err(e)),
@@ -401,7 +397,7 @@ mod tests {
                 }
             }
             assert_eq!(a.transport.trace_bytes(), b.transport.trace_bytes());
-            assert_eq!(a.obs.route_latency.snapshot(), b.obs.route_latency.snapshot());
+            assert_eq!(a.obs, b.obs);
             for &kind in bristle_overlay::meter::ALL_KINDS.iter() {
                 assert_eq!(a.sys.meter.count(kind), b.sys.meter.count(kind), "{kind:?}");
             }

@@ -26,6 +26,7 @@ use bristle_netsim::graph::RouterId;
 use bristle_netsim::rng::Pcg64;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
+use bristle_overlay::obs::Hist;
 use bristle_proto::transport::{FaultConfig, LinkFilter};
 
 use crate::cli::{SweepArgs, DEFAULT_SEED};
@@ -162,8 +163,7 @@ pub fn run_partition(cfg: &PartitionConfig) -> PartitionOutcome {
         }
     }
     out.rejoined = msys.rejoin_log().len();
-    out.max_rejoin_latency =
-        msys.rejoin_log().iter().map(|r| r.rejoined_at.since(r.buried_at)).max().unwrap_or(0);
+    out.max_rejoin_latency = msys.registry().histogram(Hist::Rejoin).max();
 
     // Split-brain reconciliation: for every rejoined mobile subject,
     // plant its far-side life — stale incarnation, inflated sequence

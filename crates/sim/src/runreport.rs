@@ -3,8 +3,8 @@
 //! `--json <path>`.
 //!
 //! A report captures one sweep run at a fixed seed: per-cell parameters,
-//! the per-kind meter tallies, and the driver's latency-histogram
-//! snapshots (count/p50/p99/max, micro-clock ticks). The workspace has
+//! the per-kind meter tallies, and the snapshots (count/p50/p99/max,
+//! micro-clock ticks) of the driver registry's histogram series. The workspace has
 //! no serde, so [`Json`] is a small ordered value tree rendered with
 //! stable two-space indentation — committed artifacts diff cleanly and
 //! identical runs produce byte-identical files.
@@ -13,7 +13,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 use bristle_overlay::meter::MessageKind;
-use bristle_overlay::obs::Snapshot;
+use bristle_overlay::obs::{Hist, Registry};
 
 use crate::workload::Telemetry;
 
@@ -144,12 +144,15 @@ pub fn meter_json(tallies: &[(MessageKind, u64, u64)]) -> Json {
     )
 }
 
-/// Latency snapshots as `{name: {count, p50, p99, max}}`.
-pub fn histograms_json(snaps: &[(&'static str, Snapshot)]) -> Json {
+/// The registry's histogram series, in declaration order, as
+/// `{name: {count, p50, p99, max}}` (empty without a registry). Its
+/// counters and gauges are not part of v1.
+pub fn histograms_json(registry: Option<&Registry>) -> Json {
     Json::Obj(
-        snaps
-            .iter()
-            .map(|&(name, s)| {
+        registry
+            .into_iter()
+            .flat_map(|r| Hist::ALL.map(|h| (h.name(), r.histogram(h).snapshot())))
+            .map(|(name, s)| {
                 (
                     name.to_string(),
                     Json::obj([
@@ -181,13 +184,13 @@ impl RunReport {
         RunReport { bin: bin.into(), seed, cells: Vec::new() }
     }
 
-    /// Appends one sweep cell: its parameters, meter tallies, latency
+    /// Appends one sweep cell: its parameters, meter tallies, histogram
     /// snapshots, and scenario-specific outcome fields.
     pub fn push_cell(&mut self, params: Json, telemetry: &Telemetry, outcome: Json) {
         self.cells.push(Json::obj([
             ("params", params),
             ("meter", meter_json(&telemetry.tallies)),
-            ("histograms", histograms_json(&telemetry.latencies)),
+            ("histograms", histograms_json(telemetry.registry.as_ref())),
             ("outcome", outcome),
         ]));
     }
@@ -250,8 +253,11 @@ mod tests {
 
     #[test]
     fn report_shape_and_determinism() {
+        let mut registry = Registry::default();
+        registry.record(Hist::Route, 3);
+        registry.record(Hist::Route, 7);
         let telemetry = Telemetry {
-            latencies: vec![("route", Snapshot { count: 2, p50: 4, p99: 8, max: 7 })],
+            registry: Some(registry),
             tallies: vec![
                 (MessageKind::RouteHop, 5, 10),
                 (MessageKind::Timeout, 0, 0), // zero rows are skipped
@@ -267,7 +273,10 @@ mod tests {
         assert_eq!(a, r.render(), "rendering is deterministic");
         assert!(a.contains("\"RouteHop\""));
         assert!(!a.contains("\"Timeout\""));
-        assert!(a.contains("\"p99\": 8"));
+        assert!(a.contains("\"p50\": 3"));
+        assert!(a.contains("\"p99\": 7"));
+        assert!(a.contains("\"rejoin\""), "every histogram series is rendered");
+        assert!(!a.contains("reseeds") && !a.contains("seen"), "counters and gauges are not v1");
         assert!(a.contains("\"bin\": \"resilience\""));
     }
 }

@@ -19,7 +19,7 @@ use bristle_netsim::transit_stub::TransitStubConfig;
 use bristle_overlay::config::RingConfig;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
-use bristle_overlay::obs::Snapshot;
+use bristle_overlay::obs::Registry;
 use bristle_overlay::ring::RingDht;
 
 use crate::messaging::MessagingBristleSystem;
@@ -119,16 +119,16 @@ impl BeforeAfter {
 pub struct Telemetry {
     /// Per-kind meter `(kind, count, cost)`.
     pub tallies: Vec<(MessageKind, u64, u64)>,
-    /// Named latency-histogram snapshots from the driver's collector
-    /// (micro-clock ticks; see
-    /// [`ObsCollector`](crate::messaging::ObsCollector)).
-    pub latencies: Vec<(&'static str, Snapshot)>,
+    /// A snapshot of the driver's series
+    /// ([`MessagingBristleSystem::registry`]); `None` for a run with no
+    /// message driver.
+    pub registry: Option<Registry>,
 }
 
 impl Telemetry {
-    /// The meter and the latency histograms of `msys` as they stand.
+    /// The meter and the series of `msys` as they stand.
     pub fn of(msys: &MessagingBristleSystem) -> Self {
-        Telemetry { tallies: msys.sys.meter.tallies(), latencies: msys.obs().latency_snapshots() }
+        Telemetry { tallies: msys.sys.meter.tallies(), registry: Some(msys.registry()) }
     }
 }
 
@@ -366,14 +366,15 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_is_the_meter_and_the_latency_snapshots() {
+    fn telemetry_is_the_meter_and_the_registry() {
         let mut msys = MessagingBristleSystem::new(system(4), FaultConfig::perfect(), 4);
         let (src, target) = (msys.sys.stationary_keys()[0], msys.sys.mobile_keys()[0]);
         msys.route(src, target).expect("a perfect transport delivers");
         let got = Telemetry::of(&msys);
         assert_eq!(got.tallies, msys.sys.meter.tallies());
-        assert_eq!(got.latencies, msys.obs().latency_snapshots());
-        assert!(got.latencies.iter().any(|(_, s)| s.count > 0), "the route left a sample");
+        assert_eq!(got.registry, Some(msys.registry()));
+        let route = got.registry.map(|r| r.histogram(bristle_overlay::obs::Hist::Route).count());
+        assert_eq!(route, Some(1), "the route left a sample");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use std::path::PathBuf;
 
 use bristle::core::time::SimTime;
-use bristle::overlay::obs::{ObsEvent, ObsEventKind};
+use bristle::overlay::obs::{Hist, ObsEvent, ObsEventKind};
 use bristle::proto::transport::FaultConfig;
 use bristle::sim::conformance::{build, direct_pair, force_belief};
 use bristle::sim::messaging::MessagingBristleSystem;
@@ -49,7 +49,7 @@ fn run_scenario() -> (String, Vec<ObsEvent>) {
 
     mbs.route(src, target).expect("route recovers through the stationary layer");
 
-    let events = mbs.obs().flight.events();
+    let events = mbs.flight().events();
     let mut doc = String::new();
     doc.push_str("# golden messaging trace: seed 42, loss 0.2, transport seed 7\n");
     doc.push_str(&format!("# src={src} target={target} moved_to={new_router:?}\n"));
@@ -59,10 +59,16 @@ fn run_scenario() -> (String, Vec<ObsEvent>) {
         doc.push_str(&format!("at={} trace={:016x} node={} {}\n", e.at, e.trace, e.node, e.kind));
     }
     doc.push_str("# latency snapshots (count/p50/p99/max, micro-ticks)\n");
-    for (name, s) in mbs.obs().latency_snapshots() {
+    let registry = mbs.registry();
+    for h in Hist::ALL {
+        let s = registry.histogram(h).snapshot();
         doc.push_str(&format!(
-            "hist {name} count={} p50={} p99={} max={}\n",
-            s.count, s.p50, s.p99, s.max
+            "hist {} count={} p50={} p99={} max={}\n",
+            h.name(),
+            s.count,
+            s.p50,
+            s.p99,
+            s.max
         ));
     }
     (doc, events)
