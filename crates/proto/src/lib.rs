@@ -30,7 +30,7 @@ pub use machine::{
 pub use mix::splitmix64;
 pub use rto::{RtoConfig, RtoEstimator};
 pub use transport::{
-    Arrivals, Degradation, Delivery, Fate, FaultConfig, LinkFilter, SendTrace, SimTransport,
-    TraceRecord, Transport, TRACE_CAPACITY,
+    Arrivals, Degradation, Deliveries, Delivery, Fate, FaultConfig, LinkFilter, SendTrace,
+    SimTransport, TraceRecord, Transport, TRACE_CAPACITY,
 };
 pub use wire::{Envelope, WireAddr, WireError, WireMessage};

@@ -7,8 +7,6 @@
 //! which timer re-arms it, what exhaustion means) and is closed only by
 //! its own kind of ack from the peer the frame went to.
 
-use std::collections::hash_map::Entry;
-
 use super::*;
 use crate::rto::Awaited;
 
@@ -156,12 +154,12 @@ impl ProtoMachine {
         acked: u64,
         out: &mut Output,
     ) {
-        let Entry::Occupied(open) = self.sessions.entry(acked) else { return };
-        let awaited = open.get();
+        let Some(awaited) = self.sessions.get(&acked) else { return };
         if awaited.peer != ack.src || !awaited.kind.acked_by(&ack.msg) {
             return;
         }
-        let Session { attempt, peer, sent_at, kind, .. } = open.remove();
+        let Some(closed) = close(&mut self.sessions, acked) else { return };
+        let Session { attempt, peer, sent_at, kind, .. } = closed;
         self.timers.sample(Awaited::Ack(peer), attempt, now.since(sent_at));
         note(self.key, env, now, ack.trace_id, ObsEventKind::Ack { from: peer, msg_id: acked });
         match kind {
@@ -205,7 +203,7 @@ impl ProtoMachine {
             return;
         }
         // Retries exhausted.
-        self.sessions.remove(&msg_id);
+        close(&mut self.sessions, msg_id);
         match kind {
             SessionKind::Hop(hop) => self.hop_exhausted(now, env, peer, hop, out),
             SessionKind::Update => out.completions.push(Completion::UpdateFailed { child: peer }),

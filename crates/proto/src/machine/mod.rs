@@ -323,6 +323,20 @@ fn note(node: Key, env: &mut dyn NodeEnv, now: SimTime, trace: u64, kind: ObsEve
     env.emit(ObsEvent { at: now.0, trace, node, kind });
 }
 
+/// Removes `id` from an exchange table (`sessions` or `discs`); the last
+/// entry out hands the table's allocation back. A `HashMap` keeps its
+/// high-water buckets after its last removal, so without this every
+/// machine that ever routed would hold them for the rest of the run.
+/// Only an emptied table is released: shrinking on every removal would
+/// rehash on the hot path. Every removal from either table comes here.
+fn close<V>(table: &mut HashMap<u64, V>, id: u64) -> Option<V> {
+    let closed = table.remove(&id);
+    if table.is_empty() {
+        table.shrink_to_fit();
+    }
+    closed
+}
+
 /// One node's protocol state machine.
 #[derive(Debug)]
 pub struct ProtoMachine {
@@ -335,15 +349,24 @@ pub struct ProtoMachine {
     /// Every retry wait, fixed or adaptive.
     timers: Timers,
     /// Frames awaiting an ack, by the `msg_id` they were sent under.
+    /// Emptied, it owns no allocation ([`close`]).
     sessions: HashMap<u64, Session>,
     /// Discoveries awaiting a reply, by session id — a different
     /// counter (`next_session`), carried on the wire, so not a `msg_id`.
+    /// Emptied, it owns no allocation ([`close`]).
     discs: HashMap<u64, DiscSession>,
     detector: FailureDetector,
     /// This node's own SWIM-style incarnation number; bumped exactly
     /// when the node learns it was suspected or declared dead.
     incarnation: u64,
 }
+
+// A driver holds one machine per node (368 B on a 64-bit target), so a
+// field added inline — rather than behind a `Box` while unused, as the
+// adaptive-RTO arm is — fails the build here. Test builds are exempt:
+// their dedup oracle (`Admission::oracle`) adds 48 B.
+#[cfg(not(test))]
+const _: () = assert!(std::mem::size_of::<ProtoMachine>() <= 384);
 
 impl ProtoMachine {
     /// A fresh machine for the node named `key`.
@@ -639,5 +662,93 @@ mod tests {
         new.restore_incarnation(2);
         let (next_id, _) = new.start_route(t(0), &mut env, B);
         assert_eq!(next_id, (3 << 32) + 2, "never lowered");
+    }
+
+    /// `msg` from `src` to `A`.
+    fn to_a(src: Key, msg: WireMessage) -> Event {
+        Event::Deliver(Envelope { src, dst: A, msg_id: 0, trace_id: 0, msg, auth: None })
+    }
+
+    /// The ack that closes the exchange `sent` opened.
+    fn ack_of(sent: &Outgoing) -> Event {
+        let acked = sent.env.msg_id;
+        let msg = match sent.env.msg {
+            WireMessage::RouteHop { .. } => WireMessage::HopAck { acked },
+            WireMessage::Update { .. } => WireMessage::UpdateAck { acked },
+            WireMessage::Register { .. } => WireMessage::RegisterAck { acked },
+            ref other => panic!("{other:?} opens no exchange"),
+        };
+        to_a(sent.env.dst, msg)
+    }
+
+    /// Each way an exchange closes — a hop acked, a register's ladder
+    /// run out, a discovery answered, a discovery timed out — leaves
+    /// neither exchange table owning memory once nothing is in flight.
+    #[test]
+    fn closed_exchanges_release_their_tables() {
+        let released = |m: &ProtoMachine, what: &str| {
+            assert_eq!(m.inflight(), 0, "{what}");
+            assert_eq!((m.sessions.capacity(), m.discs.capacity()), (0, 0), "{what}");
+        };
+        let mut env = world();
+        let mut m = ProtoMachine::new(A, policy());
+        released(&m, "a fresh machine");
+
+        let (_, out) = m.start_route(t(0), &mut env, B);
+        assert!(m.sessions.capacity() > 0);
+        m.poll(t(10), ack_of(&out.outgoing[0]), &mut env);
+        released(&m, "a hop acked");
+
+        let out = m.start_register(t(100), &mut env, M, 4);
+        let retry = out.timers[0].kind;
+        for at in [200, 400, 800] {
+            m.poll(t(at), Event::Timer(retry), &mut env);
+        }
+        assert_eq!(env.meter.count(MessageKind::Timeout), 3, "the ladder ran out");
+        released(&m, "a register whose retries ran out");
+
+        // With no belief about `M`, a route to it opens a discovery; the
+        // hop it parks is sent once the discovery ends, and acked.
+        for answered in [true, false] {
+            env.believed.remove(&(A, M));
+            let (_, out) = m.start_route(t(1000), &mut env, M);
+            let WireMessage::Discovery { session, .. } = out.outgoing[0].env.msg else {
+                panic!("expected a discovery, got {:?}", out.outgoing[0].env.msg)
+            };
+            assert!(m.discs.capacity() > 0);
+            let out = if answered {
+                let addr = Some(env.current_addr(M));
+                m.poll(
+                    t(1050),
+                    to_a(B, WireMessage::DiscoveryReply { subject: M, session, addr }),
+                    &mut env,
+                )
+            } else {
+                let retry = Event::Timer(TimerKind::DiscoveryRetry { session });
+                m.poll(t(2000), retry.clone(), &mut env);
+                m.poll(t(4000), retry.clone(), &mut env);
+                m.poll(t(8000), retry, &mut env)
+            };
+            assert_eq!(m.discs.capacity(), 0, "answered {answered}");
+            m.poll(t(9000), ack_of(&out.outgoing[0]), &mut env);
+            released(&m, &format!("a discovery, answered {answered}"));
+        }
+    }
+
+    /// A table is released only when its last exchange closes: closing
+    /// one of two keeps the allocation as it was, closing both frees it.
+    #[test]
+    fn an_exchange_table_is_released_only_when_it_empties() {
+        let mut env = world();
+        let mut m = ProtoMachine::new(A, policy());
+        let addr = env.current_addr(A);
+        let out = m.start_update(t(0), &mut env, A, addr, 1, &[B, M]);
+        assert_eq!(m.inflight(), 2);
+        let held = m.sessions.capacity();
+        assert!(held >= 2);
+        m.poll(t(10), ack_of(&out.outgoing[0]), &mut env);
+        assert_eq!((m.inflight(), m.sessions.capacity()), (1, held), "one still open");
+        m.poll(t(20), ack_of(&out.outgoing[1]), &mut env);
+        assert_eq!((m.inflight(), m.sessions.capacity()), (0, 0), "both closed");
     }
 }

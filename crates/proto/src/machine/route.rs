@@ -6,8 +6,6 @@
 //! The stationary side of `_discovery` (route to the owner, walk the
 //! replica chain on a miss, reply) is here as well.
 
-use std::collections::hash_map::Entry;
-
 use super::exchange::SessionKind;
 use super::*;
 use crate::rto::Awaited;
@@ -67,7 +65,7 @@ impl ProtoMachine {
         addr: Option<WireAddr>,
         out: &mut Output,
     ) {
-        if let Some(s) = self.discs.remove(&session) {
+        if let Some(s) = close(&mut self.discs, session) {
             self.timers.sample(Awaited::Discovery, s.attempt, now.since(s.started));
             self.finish_discovery(now, env, s, addr, out);
         }
@@ -308,8 +306,7 @@ impl ProtoMachine {
         sid: u64,
         out: &mut Output,
     ) {
-        let Entry::Occupied(mut open) = self.discs.entry(sid) else { return };
-        let session = open.get_mut();
+        let Some(session) = self.discs.get_mut(&sid) else { return };
         session.attempt += 1;
         let (attempt, subject, trace) = (session.attempt, session.subject, session.trace);
         env.bump(MessageKind::Timeout);
@@ -324,9 +321,10 @@ impl ProtoMachine {
             });
             return;
         }
-        let session = open.remove();
         note(self.key, env, now, trace, ObsEventKind::Timeout { what: "discovery", attempt });
-        self.finish_discovery(now, env, session, None, out);
+        if let Some(session) = close(&mut self.discs, sid) {
+            self.finish_discovery(now, env, session, None, out);
+        }
     }
 }
 

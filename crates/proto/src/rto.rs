@@ -244,7 +244,9 @@ pub(crate) struct Timers {
     node: Key,
     policy: RetryPolicy,
     /// `Some` switches every wait from the fixed ladder to estimation.
-    adaptive: Option<Adaptive>,
+    /// Boxed, so a machine on fixed timers — the default — pays one
+    /// pointer for the arm, not its 200 B.
+    adaptive: Option<Box<Adaptive>>,
 }
 
 /// The adaptive arm's state; none of it exists on fixed timers.
@@ -284,11 +286,15 @@ impl Timers {
     /// Switches to adaptive estimation (`Some`) or back to the fixed
     /// ladder (`None`). Estimator state does not survive the switch.
     pub(crate) fn set_adaptive(&mut self, cfg: Option<RtoConfig>) {
-        self.adaptive = cfg.map(|cfg| Adaptive {
-            cfg,
-            peers: HashMap::new(),
-            discovery: RtoEstimator::new(RtoConfig::for_discovery(self.policy.discovery_timeout)),
-            probes: HashMap::new(),
+        self.adaptive = cfg.map(|cfg| {
+            Box::new(Adaptive {
+                cfg,
+                peers: HashMap::new(),
+                discovery: RtoEstimator::new(RtoConfig::for_discovery(
+                    self.policy.discovery_timeout,
+                )),
+                probes: HashMap::new(),
+            })
         });
     }
 

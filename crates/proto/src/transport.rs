@@ -1,13 +1,14 @@
 //! Transport abstraction and the deterministic in-memory simulator.
 //!
 //! [`Transport`] is the machine-facing contract: given a send at some
-//! time between two routers, produce zero or more timestamped
-//! deliveries. [`SimTransport`] implements it over the physical
-//! topology's [`DistanceCache`] — per-link latency is the shortest-path
-//! weight plus a configured base and seeded jitter — and injects faults
-//! (drops, duplication, reordering via jitter, link and partition
-//! outages) from a seeded [`Pcg64`], so every run with the same seed and
-//! fault schedule produces a byte-identical delivery trace.
+//! time between two routers, produce zero, one or two timestamped
+//! deliveries, returned inline ([`Deliveries`]). [`SimTransport`]
+//! implements it over the physical topology's [`DistanceCache`] —
+//! per-link latency is the shortest-path weight plus a configured base
+//! and seeded jitter — and injects faults (drops, duplication,
+//! reordering via jitter, link and partition outages) from a seeded
+//! [`Pcg64`], so every run with the same seed and fault schedule
+//! produces a byte-identical delivery trace.
 //!
 //! Every send is counted and the newest [`TRACE_CAPACITY`] of them are
 //! kept as [`TraceRecord`] rows in a ring ([`SendTrace`]), so what the
@@ -40,11 +41,36 @@ pub struct Delivery {
     pub env: Envelope,
 }
 
+/// The deliveries one send causes: none (dropped or blocked), one, or
+/// two (duplicated), held inline so a send allocates nothing for them.
+/// Read by iterating, in the order the copies were scheduled.
+#[derive(Debug, Default)]
+pub struct Deliveries {
+    /// Filled from the front: a `None` is never followed by a `Some`.
+    slots: [Option<Delivery>; 2],
+}
+
+// Not `flatten()`: its front and back buffers hold a whole `Delivery`
+// each, and the extra copies per send cost `liveness-1e3` 4–7 % of its
+// rounds (DESIGN §13). Since the slots fill from the front, stopping at
+// the first empty one yields the same deliveries.
+impl IntoIterator for Deliveries {
+    type Item = Delivery;
+    type IntoIter = std::iter::MapWhile<
+        std::array::IntoIter<Option<Delivery>, 2>,
+        fn(Option<Delivery>) -> Option<Delivery>,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.slots.into_iter().map_while(std::convert::identity)
+    }
+}
+
 /// The machine-facing transport contract.
 pub trait Transport {
     /// Submits `env` from `from` toward `to` at time `now`; returns the
     /// deliveries this causes (empty = dropped, two = duplicated).
-    fn send(&mut self, now: SimTime, from: RouterId, to: RouterId, env: Envelope) -> Vec<Delivery>;
+    fn send(&mut self, now: SimTime, from: RouterId, to: RouterId, env: Envelope) -> Deliveries;
 }
 
 /// Fault-injection knobs, all off by default.
@@ -522,7 +548,7 @@ impl SimTransport {
 }
 
 impl Transport for SimTransport {
-    fn send(&mut self, now: SimTime, from: RouterId, to: RouterId, env: Envelope) -> Vec<Delivery> {
+    fn send(&mut self, now: SimTime, from: RouterId, to: RouterId, env: Envelope) -> Deliveries {
         let seq = self.trace.len() as u64;
         let tag = env.msg.tag();
         let msg_id = env.msg_id;
@@ -540,7 +566,7 @@ impl Transport for SimTransport {
         if self.filter.blocks(from, to) {
             record.fate = Fate::Blocked;
             self.trace.push(record);
-            return Vec::new();
+            return Deliveries::default();
         }
 
         // Fixed draw order per send — drop, duplicate, jitter, dup-jitter —
@@ -562,7 +588,7 @@ impl Transport for SimTransport {
         if dropped {
             record.fate = Fate::Dropped;
             self.trace.push(record);
-            return Vec::new();
+            return Deliveries::default();
         }
 
         // Fail-slow scripts apply after the fixed draws above, and their
@@ -579,7 +605,7 @@ impl Transport for SimTransport {
                 if unit < script.extra_loss {
                     record.fate = Fate::Dropped;
                     self.trace.push(record);
-                    return Vec::new();
+                    return Deliveries::default();
                 }
             }
         }
@@ -590,18 +616,19 @@ impl Transport for SimTransport {
         record.arrivals.push(arrival);
         // N arrivals cost N−1 clones: the last delivery takes `env` by
         // move, so the common single-arrival case never clones at all.
-        let mut deliveries = Vec::with_capacity(1 + duplicated as usize);
-        if duplicated {
+        let slots = if duplicated {
             record.fate = Fate::Duplicated;
             let dup_arrival = now.plus(base + dup_jitter);
             record.arrivals.push(dup_arrival);
-            deliveries.push(Delivery { at: arrival, to_router: to, env: env.clone() });
-            deliveries.push(Delivery { at: dup_arrival, to_router: to, env });
+            [
+                Some(Delivery { at: arrival, to_router: to, env: env.clone() }),
+                Some(Delivery { at: dup_arrival, to_router: to, env }),
+            ]
         } else {
-            deliveries.push(Delivery { at: arrival, to_router: to, env });
-        }
+            [Some(Delivery { at: arrival, to_router: to, env }), None]
+        };
         self.trace.push(record);
-        deliveries
+        Deliveries { slots }
     }
 }
 
@@ -631,10 +658,16 @@ mod tests {
         }
     }
 
+    /// The deliveries of one send from router `from` to `to` at `now`,
+    /// in the order they were scheduled, as a `Vec` to index.
+    fn sent(t: &mut SimTransport, now: u64, from: u32, to: u32, env: Envelope) -> Vec<Delivery> {
+        t.send(SimTime(now), RouterId(from), RouterId(to), env).into_iter().collect()
+    }
+
     #[test]
     fn perfect_transport_delivers_once_with_link_latency() {
         let mut t = SimTransport::new(line_cache(4), FaultConfig::perfect(), 7);
-        let d = t.send(SimTime(10), RouterId(0), RouterId(3), envelope(0));
+        let d = sent(&mut t, 10, 0, 3, envelope(0));
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].at, SimTime(10 + 9 + 1), "3 hops x weight 3 + min latency");
         assert_eq!(d[0].to_router, RouterId(3));
@@ -646,7 +679,7 @@ mod tests {
     fn full_loss_drops_everything() {
         let mut t = SimTransport::new(line_cache(3), FaultConfig::lossy(1.0), 7);
         for i in 0..50 {
-            assert!(t.send(SimTime(i), RouterId(0), RouterId(2), envelope(i)).is_empty());
+            assert!(sent(&mut t, i, 0, 2, envelope(i)).is_empty());
         }
         assert!(t.trace().iter().all(|r| r.fate == Fate::Dropped));
     }
@@ -732,7 +765,7 @@ mod tests {
     fn duplication_delivers_twice() {
         let faults = FaultConfig { duplicate_probability: 1.0, ..FaultConfig::default() };
         let mut t = SimTransport::new(line_cache(3), faults, 3);
-        let d = t.send(SimTime(0), RouterId(0), RouterId(1), envelope(0));
+        let d = sent(&mut t, 0, 0, 1, envelope(0));
         assert_eq!(d.len(), 2);
         assert_eq!(d[0].env, d[1].env);
         assert_eq!(t.trace()[0].fate, Fate::Duplicated);
@@ -743,10 +776,10 @@ mod tests {
         // The single-arrival path moves the envelope instead of cloning;
         // the delivered bytes must still be exactly what was sent.
         let mut t = SimTransport::new(line_cache(3), FaultConfig::perfect(), 3);
-        let sent = envelope(77);
-        let d = t.send(SimTime(0), RouterId(0), RouterId(1), sent.clone());
+        let frame = envelope(77);
+        let d = sent(&mut t, 0, 0, 1, frame.clone());
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].env, sent);
+        assert_eq!(d[0].env, frame);
     }
 
     #[test]
@@ -755,7 +788,7 @@ mod tests {
             FaultConfig { duplicate_probability: 1.0, jitter: 30, ..FaultConfig::default() };
         let mut t = SimTransport::new(line_cache(3), faults, 3);
         for i in 0..20 {
-            let d = t.send(SimTime(i * 100), RouterId(0), RouterId(1), envelope(i));
+            let d = sent(&mut t, i * 100, 0, 1, envelope(i));
             let rec = &t.trace()[i as usize];
             assert_eq!(rec.arrivals.len(), 2, "both copies' arrivals are recorded");
             assert_eq!(*rec.arrivals, [d[0].at, d[1].at]);
@@ -798,7 +831,7 @@ mod tests {
         // link some later send must overtake an earlier one.
         let mut arrivals = Vec::new();
         for i in 0..40 {
-            let d = t.send(SimTime(i), RouterId(0), RouterId(1), envelope(i));
+            let d = sent(&mut t, i, 0, 1, envelope(i));
             arrivals.push(d[0].at);
         }
         assert!(
@@ -811,19 +844,9 @@ mod tests {
     fn isolated_routers_stop_traffic() {
         let mut t = SimTransport::new(line_cache(4), FaultConfig::perfect(), 5);
         t.set_filter(LinkFilter::default().isolate(RouterId(2)));
-        assert!(
-            t.send(SimTime(0), RouterId(1), RouterId(2), envelope(0)).is_empty(),
-            "partitioned in"
-        );
-        assert!(
-            t.send(SimTime(0), RouterId(2), RouterId(1), envelope(1)).is_empty(),
-            "partitioned out"
-        );
-        assert_eq!(
-            t.send(SimTime(0), RouterId(0), RouterId(3), envelope(2)).len(),
-            1,
-            "others flow"
-        );
+        assert!(sent(&mut t, 0, 1, 2, envelope(0)).is_empty(), "partitioned in");
+        assert!(sent(&mut t, 0, 2, 1, envelope(1)).is_empty(), "partitioned out");
+        assert_eq!(sent(&mut t, 0, 0, 3, envelope(2)).len(), 1, "others flow");
         assert!(t.trace().iter().take(2).all(|r| r.fate == Fate::Blocked));
     }
 
@@ -831,9 +854,9 @@ mod tests {
     fn outage_lift_restores_traffic_deterministically() {
         let mut t = SimTransport::new(line_cache(3), FaultConfig::perfect(), 5);
         t.set_filter(LinkFilter::default().isolate(RouterId(1)));
-        assert!(t.send(SimTime(0), RouterId(0), RouterId(1), envelope(0)).is_empty());
+        assert!(sent(&mut t, 0, 0, 1, envelope(0)).is_empty());
         t.set_filter(LinkFilter::default());
-        assert_eq!(t.send(SimTime(1), RouterId(0), RouterId(1), envelope(1)).len(), 1);
+        assert_eq!(sent(&mut t, 1, 0, 1, envelope(1)).len(), 1);
     }
 
     #[test]
@@ -841,14 +864,14 @@ mod tests {
         let mut t = SimTransport::new(line_cache(3), FaultConfig::perfect(), 5);
         t.degrade_node(RouterId(1), Degradation::slowdown(300));
         // 0 → 1: base 3 + 1, tripled by the slowdown.
-        let d = t.send(SimTime(0), RouterId(0), RouterId(1), envelope(0));
+        let d = sent(&mut t, 0, 0, 1, envelope(0));
         assert_eq!(d[0].at, SimTime(12), "3× the base 4-tick latency");
         // 0 → 2 transits router 1 physically, but degradation models the
         // *endpoint* failing slow, so pass-through traffic is untouched.
-        let d = t.send(SimTime(0), RouterId(0), RouterId(2), envelope(1));
+        let d = sent(&mut t, 0, 0, 2, envelope(1));
         assert_eq!(d[0].at, SimTime(7), "6 + min latency, undegraded");
         t.degrade_node(RouterId(1), Degradation::none());
-        let d = t.send(SimTime(10), RouterId(0), RouterId(1), envelope(2));
+        let d = sent(&mut t, 10, 0, 1, envelope(2));
         assert_eq!(d[0].at, SimTime(14), "healed back to base latency");
     }
 
@@ -856,10 +879,10 @@ mod tests {
     fn asymmetric_link_loss_drops_one_direction_only() {
         let mut t = SimTransport::new(line_cache(3), FaultConfig::perfect(), 5);
         t.degrade_link(RouterId(0), RouterId(1), Degradation::lossy(1.0));
-        assert!(t.send(SimTime(0), RouterId(0), RouterId(1), envelope(0)).is_empty());
+        assert!(sent(&mut t, 0, 0, 1, envelope(0)).is_empty());
         assert_eq!(t.trace()[0].fate, Fate::Dropped);
         assert_eq!(
-            t.send(SimTime(0), RouterId(1), RouterId(0), envelope(1)).len(),
+            sent(&mut t, 0, 1, 0, envelope(1)).len(),
             1,
             "the reverse direction stays healthy"
         );
@@ -908,9 +931,9 @@ mod tests {
             .partition_groups(&[vec![RouterId(0), RouterId(1)], vec![RouterId(2), RouterId(3)]]);
         assert!(!filter.is_empty());
         t.set_filter(filter);
-        assert!(t.send(SimTime(0), RouterId(1), RouterId(2), envelope(0)).is_empty());
-        assert!(t.send(SimTime(0), RouterId(3), RouterId(0), envelope(1)).is_empty());
-        assert_eq!(t.send(SimTime(0), RouterId(0), RouterId(1), envelope(2)).len(), 1);
-        assert_eq!(t.send(SimTime(0), RouterId(2), RouterId(3), envelope(3)).len(), 1);
+        assert!(sent(&mut t, 0, 1, 2, envelope(0)).is_empty());
+        assert!(sent(&mut t, 0, 3, 0, envelope(1)).is_empty());
+        assert_eq!(sent(&mut t, 0, 0, 1, envelope(2)).len(), 1);
+        assert_eq!(sent(&mut t, 0, 2, 3, envelope(3)).len(), 1);
     }
 }
