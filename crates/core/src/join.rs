@@ -29,8 +29,6 @@ use crate::system::BristleSystem;
 pub struct JoinReport {
     /// The key assigned to the new node.
     pub key: Key,
-    /// Nodes visited by the join message.
-    pub visited: Vec<Key>,
     /// Join-protocol messages sent (the paper's 2 × O(log N)).
     pub messages: u64,
 }
@@ -114,7 +112,7 @@ impl BristleSystem {
             }
             self.publish_location(key)?;
         }
-        Ok(JoinReport { key, visited, messages })
+        Ok(JoinReport { key, messages })
     }
 
     /// Graceful leave: unpublishes the node's location, dissolves its

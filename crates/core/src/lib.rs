@@ -74,7 +74,6 @@ pub mod registry;
 pub mod rejoin;
 pub mod repo;
 pub mod restart;
-pub mod stats;
 pub mod system;
 pub mod time;
 pub mod upkeep;
@@ -96,7 +95,6 @@ pub use naming::{Mobility, NamingScheme};
 pub use registry::{Registrant, Registry};
 pub use rejoin::RejoinReport;
 pub use restart::RestartReport;
-pub use stats::SystemStats;
 pub use system::{BristleBuilder, BristleSystem, MoveReport, NodeInfo};
 pub use time::{Clock, SimTime};
 pub use upkeep::UpkeepReport;

@@ -36,7 +36,6 @@ impl Registrant {
 pub struct Registry {
     targets: KeyInterner,
     lists: Vec<Vec<Registrant>>,
-    nonempty: usize,
     /// Bumped by every call that adds or removes an edge.
     epoch: u64,
 }
@@ -61,9 +60,6 @@ impl Registry {
                 false
             }
             None => {
-                if list.is_empty() {
-                    self.nonempty += 1;
-                }
                 list.push(who);
                 self.epoch += 1;
                 true
@@ -80,9 +76,6 @@ impl Registry {
         let before = list.len();
         list.retain(|r| r.key != who);
         let removed = list.len() < before;
-        if removed && list.is_empty() {
-            self.nonempty -= 1;
-        }
         self.epoch += removed as u64;
         removed
     }
@@ -94,9 +87,6 @@ impl Registry {
             let before = list.len();
             list.retain(|r| r.key != who);
             removed += before - list.len();
-            if before > 0 && list.is_empty() {
-                self.nonempty -= 1;
-            }
         }
         self.epoch += (removed > 0) as u64;
         removed
@@ -109,10 +99,7 @@ impl Registry {
             return 0;
         };
         let dropped = list.len();
-        if dropped > 0 {
-            self.nonempty -= 1;
-            self.epoch += 1;
-        }
+        self.epoch += (dropped > 0) as u64;
         list.clear();
         dropped
     }
@@ -152,11 +139,6 @@ impl Registry {
             .collect();
         targets.sort_unstable();
         targets
-    }
-
-    /// Number of targets with at least one registrant.
-    pub fn target_count(&self) -> usize {
-        self.nonempty
     }
 
     /// Total registrations across all targets.
@@ -199,7 +181,7 @@ mod tests {
         assert_eq!(reg.registrants_of(Key(9)).len(), 1);
         assert!(!reg.deregister(Key(1), Key(9)));
         assert!(reg.deregister(Key(2), Key(9)));
-        assert_eq!(reg.target_count(), 0);
+        assert_eq!(reg.iter().count(), 0);
     }
 
     #[test]
@@ -267,6 +249,5 @@ mod tests {
     fn unknown_target_has_no_registrants() {
         let reg = Registry::new();
         assert!(reg.registrants_of(Key(404)).is_empty());
-        assert_eq!(reg.target_count(), 0);
     }
 }

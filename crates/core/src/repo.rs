@@ -96,7 +96,7 @@ impl BristleSystem {
     /// would be learned, metered once as a malformed frame. Addresses
     /// the system mints never take the branch.
     fn admits(&mut self, addr: NetAddr) -> bool {
-        let known = addr.router().index() < self.distances().graph().vertex_count();
+        let known = self.has_router(addr.router());
         if !known {
             self.meter.bump(MessageKind::MalformedFrame, 1);
         }

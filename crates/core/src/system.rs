@@ -124,6 +124,11 @@ pub struct BristleSystem {
     pub stores: StoreHub,
 }
 
+/// Rows of cached Dijkstra output every built system's distance oracle
+/// may hold: past every router count but the `paper()` topology's, so
+/// most systems never evict (DESIGN §2, S2).
+const DISTANCE_CACHE_ROWS: usize = 4096;
+
 /// Builder for [`BristleSystem`].
 #[derive(Debug, Clone)]
 pub struct BristleBuilder {
@@ -132,7 +137,6 @@ pub struct BristleBuilder {
     topology: TransitStubConfig,
     n_stationary: usize,
     n_mobile: usize,
-    distance_cache_rows: usize,
     workers: usize,
 }
 
@@ -146,7 +150,6 @@ impl BristleBuilder {
             topology: TransitStubConfig::small(),
             n_stationary: 64,
             n_mobile: 0,
-            distance_cache_rows: 4096,
             workers: 1,
         }
     }
@@ -175,12 +178,6 @@ impl BristleBuilder {
         self
     }
 
-    /// Bounds the distance-oracle memory (rows of cached Dijkstra output).
-    pub fn distance_cache_rows(mut self, rows: usize) -> Self {
-        self.distance_cache_rows = rows;
-        self
-    }
-
     /// Shards the initial table wiring across this many threads
     /// (see [`BristleSystem::rewire_with_workers`]; results are
     /// bit-identical at any worker count).
@@ -200,8 +197,7 @@ impl BristleBuilder {
         let mut topo_rng = rng.split(1);
         let topo = TransitStubTopology::generate(&self.topology, &mut topo_rng);
         let stub_routers = topo.stub_routers().to_vec();
-        let dcache =
-            Arc::new(DistanceCache::new(Arc::new(topo.into_graph()), self.distance_cache_rows));
+        let dcache = Arc::new(DistanceCache::new(Arc::new(topo.into_graph()), DISTANCE_CACHE_ROWS));
 
         let total = self.n_stationary + self.n_mobile;
         let naming = match self.config.naming {
@@ -446,6 +442,12 @@ impl BristleSystem {
     /// The distance oracle over the physical topology.
     pub fn distances(&self) -> &DistanceCache {
         &self.dcache
+    }
+
+    /// Whether the topology has `router`: what the distance oracle may
+    /// be indexed with. Routers the system hands out always are.
+    pub fn has_router(&self, router: RouterId) -> bool {
+        router.index() < self.dcache.graph().vertex_count()
     }
 
     /// A shareable handle to the distance oracle (useful when a call

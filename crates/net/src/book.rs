@@ -3,24 +3,18 @@
 //! On the wire the machines speak [`WireAddr`]s — `(host, router,
 //! epoch)` triples from the simulated topology. A real deployment needs
 //! one more indirection: which UDP endpoint is that host listening on?
-//! The book records it, mirroring the [`Transport`] trait's shape —
-//! sends are keyed by the destination's router/address exactly as
-//! [`SimTransport`] sends are — so the same driver code path serves
-//! both backends.
+//! The book records it, host → endpoint. A move changes a host's router
+//! and epoch, never its socket, so the book never hears of one.
 //!
 //! Staleness is *not* the book's business: an address whose epoch the
 //! overlay has retired is rejected by `NodeEnv::addr_current` before
 //! the book is ever consulted (the socket driver checks at send time;
 //! the simulator drops at arrival — indistinguishable unless a node
 //! moves within one datagram flight, which scripted scenarios avoid).
-//!
-//! [`Transport`]: bristle_proto::transport::Transport
-//! [`SimTransport`]: bristle_proto::transport::SimTransport
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
 
-use bristle_netsim::graph::RouterId;
 use bristle_proto::wire::WireAddr;
 
 /// Maps overlay addresses to real socket endpoints.
@@ -29,11 +23,6 @@ pub struct AddressBook {
     /// Host id → the UDP endpoint its node listens on. Hosts are
     /// one-per-node in the topology, so this is the identity mapping.
     by_host: HashMap<u32, SocketAddr>,
-    /// Router id → hosts currently seated there (insertion order).
-    /// Serves the [`Transport`]-shaped lookups that address a router.
-    ///
-    /// [`Transport`]: bristle_proto::transport::Transport
-    by_router: HashMap<RouterId, Vec<u32>>,
 }
 
 impl AddressBook {
@@ -45,39 +34,14 @@ impl AddressBook {
     /// Records that the node addressed by `addr` listens on `endpoint`,
     /// replacing any previous endpoint for the same host.
     pub fn register(&mut self, addr: WireAddr, endpoint: SocketAddr) {
-        if self.by_host.insert(addr.host, endpoint).is_some() {
-            for hosts in self.by_router.values_mut() {
-                hosts.retain(|&h| h != addr.host);
-            }
-        }
-        self.by_router.entry(addr.router_id()).or_default().push(addr.host);
+        self.by_host.insert(addr.host, endpoint);
     }
 
-    /// Re-seats a host on a new router (a mobile node moved). The
-    /// endpoint is unchanged — the *overlay* address moved, not the
-    /// socket.
-    pub fn reseat(&mut self, host: u32, router: RouterId) {
-        for hosts in self.by_router.values_mut() {
-            hosts.retain(|&h| h != host);
-        }
-        self.by_router.entry(router).or_default().push(host);
-    }
-
-    /// The endpoint the node addressed by `addr` listens on. Epoch is
-    /// deliberately ignored (see the module docs: staleness is the
-    /// env's check, reachability is the book's).
+    /// The endpoint the node addressed by `addr` listens on. Router and
+    /// epoch are deliberately ignored (see the module docs: staleness is
+    /// the env's check, reachability is the book's).
     pub fn resolve(&self, addr: WireAddr) -> Option<SocketAddr> {
         self.by_host.get(&addr.host).copied()
-    }
-
-    /// The endpoints of every host currently seated on `router`, in
-    /// registration order — the router-keyed lookup mirroring
-    /// `Transport::send`'s addressing.
-    pub fn resolve_router(&self, router: RouterId) -> Vec<SocketAddr> {
-        self.by_router
-            .get(&router)
-            .map(|hosts| hosts.iter().filter_map(|h| self.by_host.get(h).copied()).collect())
-            .unwrap_or_default()
     }
 
     /// Number of registered hosts.
@@ -111,20 +75,10 @@ mod tests {
         assert_eq!(book.resolve(addr(1, 10)), Some(ep(4001)));
         // A stale epoch still resolves — staleness is the env's check.
         assert_eq!(book.resolve(WireAddr { host: 1, router: 10, epoch: 9 }), Some(ep(4001)));
+        // So does a moved host: the endpoint itself never moved.
+        assert_eq!(book.resolve(WireAddr { host: 1, router: 20, epoch: 1 }), Some(ep(4001)));
         assert_eq!(book.resolve(addr(3, 10)), None);
-        assert_eq!(book.resolve_router(RouterId(10)), vec![ep(4001), ep(4002)]);
         assert_eq!(book.len(), 2);
-    }
-
-    #[test]
-    fn reseat_follows_a_move() {
-        let mut book = AddressBook::new();
-        book.register(addr(1, 10), ep(4001));
-        book.reseat(1, RouterId(20));
-        assert_eq!(book.resolve_router(RouterId(10)), vec![]);
-        assert_eq!(book.resolve_router(RouterId(20)), vec![ep(4001)]);
-        // The endpoint itself never moved.
-        assert_eq!(book.resolve(addr(1, 20)), Some(ep(4001)));
     }
 
     #[test]
@@ -132,9 +86,7 @@ mod tests {
         let mut book = AddressBook::new();
         book.register(addr(1, 10), ep(4001));
         book.register(addr(1, 20), ep(5001));
-        assert_eq!(book.resolve(addr(1, 20)), Some(ep(5001)));
-        assert_eq!(book.resolve_router(RouterId(10)), vec![]);
-        assert_eq!(book.resolve_router(RouterId(20)), vec![ep(5001)]);
+        assert_eq!(book.resolve(addr(1, 10)), Some(ep(5001)));
         assert_eq!(book.len(), 1);
     }
 }

@@ -190,11 +190,6 @@ impl SocketDriver {
         Ok(endpoint)
     }
 
-    /// The address book (moves re-seat hosts through it).
-    pub fn book_mut(&mut self) -> &mut AddressBook {
-        &mut self.book
-    }
-
     /// Boundary counters so far.
     pub fn stats(&self) -> NetStats {
         self.stats
@@ -598,7 +593,7 @@ mod tests {
         d.bind_node(A, env.addrs[&A], ProtoMachine::new(A, policy())).unwrap();
         // B's endpoint is a deaf socket: bound, never polled, never acks.
         let deaf = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        d.book_mut().register(env.addrs[&B], deaf.local_addr().unwrap());
+        d.book.register(env.addrs[&B], deaf.local_addr().unwrap());
         let now = d.now();
         let (route_id, out) = d.machine_mut(A).unwrap().start_route(now, &mut env, B);
         d.dispatch(A, out, &mut env).unwrap();
@@ -770,7 +765,7 @@ mod tests {
         let (mut env, mut d, _) = population(2);
         lay_path(&mut env, &[Key(1), Key(2)]);
         // A caller that never drains: 2 000 stale completions.
-        d.completions.resize(2_000, Completion::Resolved { subject: Key(2) });
+        d.completions.resize(2_000, Completion::UpdateAcked { child: Key(2) });
         let now = d.now();
         let (_, out) = d.machine_mut(Key(1)).unwrap().start_route(now, &mut env, Key(2));
         d.dispatch(Key(1), out, &mut env).unwrap();

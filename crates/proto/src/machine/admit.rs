@@ -282,11 +282,8 @@ mod tests {
         assert!(obituary.auth.is_some(), "the zombie-path obituary is sealed");
         let refutation = b.poll(t(12), Event::Deliver(obituary), &mut env).outgoing[0].env.clone();
         assert!(refutation.auth.is_some(), "the Alive refutation is sealed");
-        let out = a.poll(t(13), Event::Deliver(refutation), &mut env);
-        assert_eq!(
-            out.completions,
-            vec![Completion::PeerRefuted { peer: B, incarnation: 1, was_dead: true }]
-        );
+        a.poll(t(13), Event::Deliver(refutation), &mut env);
+        assert_eq!(env.meter.count(MessageKind::WrongfulDeath), 1);
         assert_eq!(a.liveness(B), Some(Liveness::Fresh));
         assert_eq!(env.meter.count(MessageKind::ForgedFrame), 0, "honest traffic never rejected");
     }

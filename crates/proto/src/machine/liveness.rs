@@ -171,21 +171,11 @@ impl ProtoMachine {
     }
 
     /// Digests third-party or first-hand evidence that `peer` is alive
-    /// at `incarnation`, emitting a [`Completion::PeerRefuted`] when it
-    /// overturns a standing verdict.
-    fn digest_alive(
-        &mut self,
-        env: &mut dyn NodeEnv,
-        peer: Key,
-        incarnation: u64,
-        out: &mut Output,
-    ) {
-        if let Some(overturned) = self.detector.observe_alive(peer, incarnation) {
-            let was_dead = overturned == Liveness::Dead;
-            if was_dead {
-                env.bump(MessageKind::WrongfulDeath);
-            }
-            out.completions.push(Completion::PeerRefuted { peer, incarnation, was_dead });
+    /// at `incarnation`, metering a [`MessageKind::WrongfulDeath`] when
+    /// it overturns a death verdict.
+    fn digest_alive(&mut self, env: &mut dyn NodeEnv, peer: Key, incarnation: u64) {
+        if self.detector.observe_alive(peer, incarnation) == Some(Liveness::Dead) {
+            env.bump(MessageKind::WrongfulDeath);
         }
     }
 
@@ -201,7 +191,7 @@ impl ProtoMachine {
         match envelope.msg {
             WireMessage::Heartbeat { seq, incarnation } => {
                 // The probe itself is evidence of life at `incarnation`.
-                self.digest_alive(env, src, incarnation, out);
+                self.digest_alive(env, src, incarnation);
                 let reply = if self.detector.is_dead(src) {
                     // A peer we hold dead is probing us: a zombie on the
                     // far side of a healed partition. Instead of acking,
@@ -221,7 +211,7 @@ impl ProtoMachine {
                 self.post(env, out, src, trace, reply, None);
             }
             WireMessage::HeartbeatAck { seq, incarnation } => {
-                self.digest_alive(env, src, incarnation, out);
+                self.digest_alive(env, src, incarnation);
                 let closed = self.detector.ack(src, seq, incarnation);
                 self.timers.probe_acked(src, now, closed);
             }
@@ -238,10 +228,6 @@ impl ProtoMachine {
                     let alive =
                         WireMessage::Alive { node: self.key, incarnation: self.incarnation };
                     self.post(env, out, src, trace, alive, Some(MessageKind::Refutation));
-                    out.completions.push(Completion::SelfRefuted {
-                        accuser: src,
-                        incarnation: self.incarnation,
-                    });
                 } else if self.admission.first_sighting(src, msg_id)
                     && self.detector.mark_dead(suspect, incarnation)
                 {
@@ -253,12 +239,12 @@ impl ProtoMachine {
                     // A relayed assertion about ourselves: never regress.
                     self.incarnation = self.incarnation.max(incarnation);
                 } else {
-                    self.digest_alive(env, node, incarnation, out);
+                    self.digest_alive(env, node, incarnation);
                 }
             }
             WireMessage::Rejoin { incarnation } => {
                 // The rejoiner is alive by definition of having sent this.
-                self.digest_alive(env, src, incarnation, out);
+                self.digest_alive(env, src, incarnation);
                 if self.admission.first_sighting(src, msg_id) {
                     out.completions.push(Completion::RejoinRequested { peer: src, incarnation });
                 }
@@ -267,11 +253,11 @@ impl ProtoMachine {
                 // one. Acks are unmetered control traffic.
                 self.post(env, out, src, trace, WireMessage::RejoinAck { incarnation }, None);
             }
-            WireMessage::RejoinAck { incarnation } => {
-                if incarnation == self.incarnation {
-                    out.completions.push(Completion::RejoinCompleted { sponsor: src });
-                }
-            }
+            // The driver reverses a funeral on the sponsor's side
+            // (`RejoinRequested`); the rejoiner learns nothing from the
+            // ack. It stays on the wire because the seeded transport's
+            // draws, and so the committed partition report, count it.
+            WireMessage::RejoinAck { .. } => {}
             _ => unreachable!("on_deliver hands this file only its own kinds"),
         }
     }
@@ -308,7 +294,6 @@ impl ProtoMachine {
                         env.bump(MessageKind::SuspectRaised);
                         let incarnation = self.detector.incarnation_of(peer).unwrap_or(0);
                         note(self.key, env, now, 0, ObsEventKind::Suspect { peer, incarnation });
-                        out.completions.push(Completion::PeerSuspected { peer });
                     }
                     Some(LivenessTransition::ConfirmedDead) => {
                         out.completions.push(Completion::PeerDead { peer });
@@ -375,7 +360,7 @@ mod tests {
         assert_eq!(o1.outgoing.len(), 1, "retransmission");
         assert_eq!(env.meter.count(MessageKind::HeartbeatSent), 2);
         let o2 = prober.poll(t(300), Event::Timer(o1.timers[0].kind), &mut env);
-        assert_eq!(o2.completions, vec![Completion::PeerSuspected { peer: B }]);
+        assert!(o2.completions.is_empty(), "suspicion is no verdict");
         assert_eq!(env.meter.count(MessageKind::SuspectRaised), 1);
         assert_eq!(prober.liveness(B), Some(Liveness::Suspect));
 
@@ -441,17 +426,16 @@ mod tests {
         // B learns of its own funeral: bumps its incarnation, refutes.
         let out = b.poll(t(12), Event::Deliver(obituary), &mut env);
         assert_eq!(b.incarnation(), 1);
-        assert_eq!(out.completions, vec![Completion::SelfRefuted { accuser: A, incarnation: 1 }]);
+        assert!(out.completions.is_empty());
+        let refuted = |e: &ObsEvent| matches!(e.kind, ObsEventKind::Refute { incarnation: 1 });
+        assert!(env.events.iter().any(|e| e.node == B && refuted(e)));
         let refutation = out.outgoing[0].env.clone();
         assert!(matches!(refutation.msg, WireMessage::Alive { node, incarnation: 1 } if node == B));
         assert_eq!(env.meter.count(MessageKind::Refutation), 1);
 
         // The refutation resurrects B at A.
         let out = a.poll(t(13), Event::Deliver(refutation), &mut env);
-        assert_eq!(
-            out.completions,
-            vec![Completion::PeerRefuted { peer: B, incarnation: 1, was_dead: true }]
-        );
+        assert!(out.completions.is_empty());
         assert_eq!(a.liveness(B), Some(Liveness::Fresh));
         assert_eq!(env.meter.count(MessageKind::WrongfulDeath), 1);
         assert_eq!(a.start_heartbeats(t(20), &mut env).outgoing.len(), 1, "B is probed again");
@@ -477,8 +461,10 @@ mod tests {
         assert!(dup.completions.is_empty());
         assert_eq!(dup.outgoing.len(), 1, "duplicate rejoin is re-acked");
 
+        // The sponsor's side is the one that acts; the ack changes nothing.
         let out = rejoiner.poll(t(3), Event::Deliver(ack), &mut env);
-        assert_eq!(out.completions, vec![Completion::RejoinCompleted { sponsor: B }]);
+        assert!(out.completions.is_empty() && out.outgoing.is_empty());
+        assert_eq!(rejoiner.incarnation(), 1);
     }
 
     #[test]

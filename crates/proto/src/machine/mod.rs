@@ -128,6 +128,12 @@ pub struct Outgoing {
 }
 
 /// A protocol operation that finished (well or badly) at this node.
+///
+/// A variant exists only for an outcome some driver operation awaits:
+/// each is taken out of the driver's buffer by the operation that
+/// started it (or, for the liveness verdicts, by the heartbeat round).
+/// What a discovery resolved, a suspicion and a refutation reach their
+/// readers as an [`ObsEvent`] or a meter kind instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Completion {
     /// A route reached the node owning its target key (emitted by the
@@ -146,17 +152,6 @@ pub enum Completion {
         route_id: u64,
         /// The node at which forwarding gave up.
         at: Key,
-    },
-    /// A discovery resolved its subject's address.
-    Resolved {
-        /// The subject that was resolved.
-        subject: Key,
-    },
-    /// A discovery gave up (no replica had a record, or every attempt
-    /// timed out).
-    ResolutionFailed {
-        /// The subject that could not be resolved.
-        subject: Key,
     },
     /// An LDT update edge was acknowledged.
     UpdateAcked {
@@ -178,36 +173,11 @@ pub enum Completion {
         /// The unreachable target.
         target: Key,
     },
-    /// A monitored peer missed enough heartbeat rounds to be suspected.
-    PeerSuspected {
-        /// The suspect.
-        peer: Key,
-    },
     /// A monitored peer was confirmed crashed, either by this node's
     /// own detector or via a third-party SuspectNotify.
     PeerDead {
         /// The confirmed-dead peer.
         peer: Key,
-    },
-    /// A standing suspicion or death verdict against `peer` was
-    /// overturned by evidence of a fresher incarnation.
-    PeerRefuted {
-        /// The peer whose verdict was overturned.
-        peer: Key,
-        /// The fresher incarnation that overturned it.
-        incarnation: u64,
-        /// Whether the overturned verdict was a death (a wrongful death)
-        /// rather than mere suspicion.
-        was_dead: bool,
-    },
-    /// This node learned it was suspected or declared dead, bumped its
-    /// own incarnation past the verdict, and answered with an `Alive`
-    /// refutation.
-    SelfRefuted {
-        /// The node that delivered the accusation.
-        accuser: Key,
-        /// This node's incarnation after the bump.
-        incarnation: u64,
     },
     /// A wrongfully-buried peer asked this node to reverse its funeral.
     RejoinRequested {
@@ -215,11 +185,6 @@ pub enum Completion {
         peer: Key,
         /// The incarnation it rejoins at.
         incarnation: u64,
-    },
-    /// A sponsor acknowledged this node's rejoin request.
-    RejoinCompleted {
-        /// The sponsor that honored the rejoin.
-        sponsor: Key,
     },
 }
 
@@ -313,6 +278,14 @@ pub trait NodeEnv {
     /// staleness — not the MAC — is what rejects it.
     fn publish_fresh(&self, subject: Key) -> bool {
         let _ = subject;
+        true
+    }
+    /// Whether `addr` names a router [`Self::distance`] can price
+    /// (default: every one does). An address arrives in unauthenticated
+    /// frames; drivers whose oracle is a finite topology override this
+    /// so a forged one is refused before anything is sent toward it.
+    fn routable(&self, addr: WireAddr) -> bool {
+        let _ = addr;
         true
     }
 }

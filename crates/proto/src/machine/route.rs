@@ -56,7 +56,10 @@ impl ProtoMachine {
     }
 
     /// A discovery's answer: its round-trip is a sample, and the
-    /// forwards parked on the session resume.
+    /// forwards parked on the session resume. A reply naming a router
+    /// the environment cannot route to is forged — no stationary node
+    /// stores one — and is dropped before it touches the session, so
+    /// the honest reply still resolves it.
     pub(super) fn on_discovery_reply(
         &mut self,
         now: SimTime,
@@ -65,6 +68,10 @@ impl ProtoMachine {
         addr: Option<WireAddr>,
         out: &mut Output,
     ) {
+        if addr.is_some_and(|a| !env.routable(a)) {
+            env.bump(MessageKind::MalformedFrame);
+            return;
+        }
         if let Some(s) = close(&mut self.discs, session) {
             self.timers.sample(Awaited::Discovery, s.attempt, now.since(s.started));
             self.finish_discovery(now, env, s, addr, out);
@@ -279,12 +286,10 @@ impl ProtoMachine {
                 let resolved = ObsEventKind::DiscoveryResolved { subject, elapsed };
                 note(self.key, env, now, session.trace, resolved);
                 env.commit_resolution(self.key, subject, a);
-                out.completions.push(Completion::Resolved { subject });
             }
             None => {
                 let failed = ObsEventKind::DiscoveryFailed { subject, elapsed };
                 note(self.key, env, now, session.trace, failed);
-                out.completions.push(Completion::ResolutionFailed { subject });
             }
         }
         for parked in session.pending {
@@ -387,7 +392,7 @@ mod tests {
             auth: None,
         };
         let out = m.poll(t(50), Event::Deliver(reply), &mut env);
-        assert!(out.completions.contains(&Completion::Resolved { subject: M }));
+        assert!(out.completions.is_empty(), "a resolution is committed, not reported");
         assert_eq!(env.resolutions, vec![(A, M, m_addr)]);
         assert_eq!(out.outgoing.len(), 1);
         assert!(
@@ -439,7 +444,8 @@ mod tests {
         assert_eq!(o2.outgoing.len(), 1);
         let o3 =
             m.poll(t(9000), Event::Timer(TimerKind::DiscoveryRetry { session: sid }), &mut env);
-        assert!(o3.completions.contains(&Completion::ResolutionFailed { subject: M }));
+        assert!(o3.completions.is_empty());
+        assert!(env.resolutions.is_empty(), "nothing resolved");
         // Gives up on resolving but still forwards to the true address.
         assert_eq!(o3.outgoing.len(), 1);
         assert!(matches!(o3.outgoing[0].env.msg, WireMessage::RouteHop { .. }));

@@ -324,15 +324,6 @@ fn net_settle(d: &mut SocketDriver, w: &mut NetWorld) {
     d.completions.clear();
 }
 
-/// Executes a settled move: the system reattaches the host (epoch
-/// bump), the address book re-seats it. The endpoint — the node's
-/// socket — does not change; only its overlay address did.
-fn net_move(d: &mut SocketDriver, w: &mut NetWorld, key: Key, to: RouterId) {
-    let host = w.sys.node_info(key).expect("known").host;
-    w.sys.move_node(key, Some(to)).expect("mobile node moves");
-    d.book_mut().reseat(host.0, to);
-}
-
 /// Runs the same scripted scenario with every machine behind a real
 /// nonblocking UDP socket on loopback, driven by `bristle-net`'s
 /// fast-forwarding poll loop.
@@ -367,7 +358,12 @@ fn socket_arm(sys: BristleSystem, steps: &[Step]) -> ConformanceReport {
         match step {
             Step::Register { who, target } => net_register(&mut d, &mut world, who, target),
             Step::Route { src, target } => net_route(&mut d, &mut world, src, target),
-            Step::Move { key, to } => net_move(&mut d, &mut world, key, to),
+            // A settled move: the system reattaches the host (epoch
+            // bump). The address book keys endpoints by host, and the
+            // node's socket does not move — only its overlay address.
+            Step::Move { key, to } => {
+                world.sys.move_node(key, Some(to)).expect("mobile node moves");
+            }
             Step::Disseminate { key } => net_disseminate(&mut d, &mut world, key),
             Step::Believe { holder, subject } => force_belief(&mut world.sys, holder, subject),
         }

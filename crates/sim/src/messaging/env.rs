@@ -201,6 +201,10 @@ impl NodeEnv for SystemEnv<'_> {
         // means the subject's funeral is confirmed system-wide.
         !self.sys.is_confirmed_dead(subject)
     }
+
+    fn routable(&self, addr: WireAddr) -> bool {
+        self.sys.has_router(addr.router_id())
+    }
 }
 
 #[cfg(test)]

@@ -369,11 +369,9 @@ impl MessagingBristleSystem {
                 dead.push(peer);
                 false
             }
-            Completion::PeerSuspected { .. } => false,
-            Completion::PeerRefuted { .. }
-            | Completion::SelfRefuted { .. }
-            | Completion::RejoinRequested { .. }
-            | Completion::RejoinCompleted { .. } => false,
+            // A rejoin request the sweep did not take (nobody was
+            // buried) reverses nothing.
+            Completion::RejoinRequested { .. } => false,
             _ => true,
         });
         dead.sort_unstable();

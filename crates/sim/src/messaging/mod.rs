@@ -724,4 +724,118 @@ mod tests {
             }
         }
     }
+
+    /// A system at `seed` on a perfect transport with every lease lapsed:
+    /// a hop to a mobile node now needs a `_discovery`.
+    fn leases_lapsed(seed: u64) -> MessagingBristleSystem {
+        let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+        msys.sys.tick(msys.sys.config().lease_ttl + 1);
+        assert!(msys.sys.leases.is_empty(), "seed {seed}: every lease lapsed");
+        msys
+    }
+
+    /// Mobile `(src, target, next)` triples, ascending, whose route's
+    /// first hop `src → next` goes to a mobile node: with no lease on
+    /// it, the route must resolve `next` before it can move.
+    fn discovering_routes(msys: &MessagingBristleSystem) -> Vec<(Key, Key, Key)> {
+        let sys = &msys.sys;
+        let mut mobiles = sys.mobile_keys().to_vec();
+        mobiles.sort_unstable();
+        let first_hop = |src, target| sys.mobile.next_hop(src, target).ok().flatten();
+        let mut routes = Vec::new();
+        for &src in &mobiles {
+            for &target in mobiles.iter().filter(|&&t| t != src) {
+                if let Some(next) = first_hop(src, target).filter(|&n| sys.is_mobile(n)) {
+                    routes.push((src, target, next));
+                }
+            }
+        }
+        routes
+    }
+
+    /// A `DiscoveryReply` forged with an open session's id and an address
+    /// whose router the topology lacks is dropped before it touches the
+    /// session, metered once as malformed. The honest reply then resolves
+    /// the session: the asker is leased the honest address and the route
+    /// is delivered. (Accepted, the forgery sent the parked hop toward a
+    /// router the distance oracle cannot price.)
+    #[test]
+    fn a_forged_discovery_reply_is_dropped_before_it_touches_the_session() {
+        use bristle_proto::wire::{Envelope, WireAddr};
+        for seed in [8u64, 27] {
+            let mut msys = leases_lapsed(seed);
+            let (src, target, next) = discovering_routes(&msys)[0];
+            let mut opened = None;
+            msys.machine_started(src);
+            msys.drive(src, |m, now, env| {
+                let (route_id, out) = m.start_route(now, env, target);
+                if let WireMessage::Discovery { session, .. } = out.outgoing[0].env.msg {
+                    opened = Some((route_id, session));
+                }
+                out
+            });
+            let (route_id, session) = opened.expect("the first hop opened a discovery");
+
+            let honest = wire_addr_of(&msys.sys, next).expect("live");
+            let asker = wire_addr_of(&msys.sys, src).expect("live");
+            let forged = Envelope {
+                src: msys.sys.stationary_keys()[0],
+                dst: src,
+                msg_id: u64::MAX,
+                trace_id: 0,
+                msg: WireMessage::DiscoveryReply {
+                    subject: next,
+                    session,
+                    addr: Some(WireAddr { router: 4_000_000, ..honest }),
+                },
+                auth: None,
+            };
+            let malformed =
+                |m: &MessagingBristleSystem| m.sys.meter.count(MessageKind::MalformedFrame);
+            let before = malformed(&msys);
+            msys.inject_frame(asker.router_id(), asker, forged);
+            msys.drain();
+
+            assert_eq!(malformed(&msys) - before, 1, "seed {seed}: the forgery metered once");
+            let delivered = Completion::Delivered { origin: src, route_id };
+            assert!(msys.completions.contains(&delivered), "seed {seed}: {:?}", msys.completions);
+            let row = msys.sys.mobile.node(src).expect("live").entry(next).expect("row");
+            assert_eq!(row.addr, Some(honest.to_net()), "seed {seed}");
+            assert!(msys.sys.leases.is_fresh(src, next, msys.sys.clock.now()), "seed {seed}");
+        }
+    }
+
+    /// Every completion is an outcome an operation awaits, so routes run
+    /// back to back with no `settle` between them leave the buffer empty
+    /// — even when each resolves a hop by `_discovery`, whose result is
+    /// committed at its asker rather than reported.
+    #[test]
+    fn routes_that_discover_leave_no_completion_behind() {
+        const K: usize = 12;
+        for seed in [8u64, 27] {
+            let mut msys = leases_lapsed(seed);
+            let discoveries =
+                |m: &MessagingBristleSystem| m.registry().histogram(Hist::Discovery).count();
+            let mut routed = 0;
+            for (src, target, next) in discovering_routes(&msys) {
+                if routed == K {
+                    break;
+                }
+                // An earlier route may have resolved this hop already.
+                if msys.sys.leases.is_fresh(src, next, msys.sys.clock.now()) {
+                    continue;
+                }
+                let before = discoveries(&msys);
+                msys.route(src, target).expect("a perfect transport delivers");
+                assert!(discoveries(&msys) > before, "seed {seed}: route {routed} discovered");
+                assert!(
+                    msys.completions.is_empty(),
+                    "seed {seed}: route {routed} left {:?}",
+                    msys.completions
+                );
+                routed += 1;
+            }
+            assert_eq!(routed, K, "seed {seed}");
+        }
+    }
 }

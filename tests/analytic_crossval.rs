@@ -44,18 +44,17 @@ fn measured_registrations_match_model_scale() {
         .topology(TransitStubConfig::small())
         .build()
         .expect("builds");
-    let stats = sys.stats();
     let m_over_n = 80.0 / 200.0;
-    let rows_per_node = stats.mobile_state_rows as f64 / stats.nodes as f64;
-    let measured_ratio = stats.avg_registrants_per_mobile
-        * (stats.mobile as f64 / stats.nodes as f64)
-        / rows_per_node;
+    let mobile = sys.mobile_keys().len() as f64;
+    let nodes = mobile + sys.stationary_keys().len() as f64;
+    let rows_per_node = sys.mobile.total_state() as f64 / nodes;
+    let registrants_per_mobile = sys.registry.total_registrations() as f64 / mobile;
+    let measured_ratio = registrants_per_mobile * (mobile / nodes) / rows_per_node;
     // registrations = rows pointing at mobile subjects ≈ (M/N) × rows.
     assert!(
         (measured_ratio - m_over_n).abs() < 0.12,
         "registration share {measured_ratio} vs M/N {m_over_n}"
     );
-    let _ = sys;
 }
 
 #[test]
