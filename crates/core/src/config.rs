@@ -36,13 +36,6 @@ pub struct BristleConfig {
     pub location_ttl: u64,
     /// TTL (ticks) of leases granted on cached addresses.
     pub lease_ttl: u64,
-    /// How long (ticks) a confirmed corpse's state is retained in the
-    /// graveyard before [`crate::system::BristleSystem::tick`] prunes
-    /// it. While retained, a wrongful funeral can be reversed and a
-    /// withdrawn record cannot be replayed; afterwards the memory is
-    /// reclaimed so long-running churn stays bounded. 0 disables
-    /// pruning (corpses are remembered forever).
-    pub graveyard_retention: u64,
     /// Unit cost `v` of one advertisement message (Fig. 4).
     pub unit_cost: u32,
     /// Node capacities are drawn uniformly from this inclusive range.
@@ -62,7 +55,6 @@ impl BristleConfig {
             location_replicas: 3,
             location_ttl: 600,
             lease_ttl: 300,
-            graveyard_retention: 2400,
             unit_cost: 1,
             capacity_range: (1, 15),
             binding: BindingMode::Early,

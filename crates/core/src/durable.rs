@@ -112,19 +112,29 @@ impl StoreHub {
     /// fold — this is the process-restart path: what the node knows
     /// afterwards is exactly what the snapshot + log say. Returns the
     /// replay report, or `None` when the node has no WAL backend or the
-    /// re-open failed (the existing in-memory backend then stays in
-    /// place, so a disk fault degrades durability, not correctness).
+    /// re-open failed. On failure the node keeps the fold it had, in an
+    /// in-memory backend, and stops being WAL-backed, so a disk fault
+    /// degrades durability, not correctness.
     pub fn reopen_wal(&mut self, node: Key) -> Option<ReplayReport> {
         let (dir, snapshot_every) = self.wal_meta.get(&node).cloned()?;
-        // Drop the live backend first so its append handle is closed.
-        self.backends.remove(&node);
+        // Drop the live backend first so its append handle is closed,
+        // keeping its fold for the failure arm.
+        let fold = self.backends.remove(&node).map(|b| b.state().to_records());
         match WalBackend::open(&dir, snapshot_every) {
             Ok(backend) => {
                 let report = backend.replay_report().clone();
                 self.backends.insert(node, Box::new(backend));
                 Some(report)
             }
-            Err(_) => None,
+            Err(_) => {
+                self.wal_meta.remove(&node);
+                let mut mem = MemBackend::new();
+                for rec in fold.into_iter().flatten() {
+                    mem.apply(&rec);
+                }
+                self.backends.insert(node, Box::new(mem));
+                None
+            }
         }
     }
 

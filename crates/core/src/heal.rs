@@ -27,8 +27,8 @@ pub(crate) struct Corpse {
     /// already left, or the key was never known.
     pub(crate) info: Option<NodeInfo>,
     /// When the verdict was passed: [`BristleSystem::tick`] prunes it
-    /// `graveyard_retention` ticks later, so long-running churn does not
-    /// grow the map without bound.
+    /// [`GRAVEYARD_RETENTION`](crate::system::GRAVEYARD_RETENTION) ticks
+    /// later, so long-running churn does not grow the map without bound.
     pub(crate) buried_at: SimTime,
 }
 
@@ -220,7 +220,7 @@ impl BristleSystem {
 mod tests {
     use super::*;
     use crate::config::BristleConfig;
-    use crate::system::{BristleBuilder, BristleSystem};
+    use crate::system::{BristleBuilder, BristleSystem, GRAVEYARD_RETENTION};
     use bristle_netsim::transit_stub::TransitStubConfig;
 
     fn system(n_stat: usize, n_mob: usize, seed: u64) -> BristleSystem {
@@ -409,21 +409,13 @@ mod tests {
 
     #[test]
     fn graveyard_prunes_corpses_past_retention() {
-        let mut cfg = BristleConfig::recommended();
-        cfg.graveyard_retention = 100;
-        let mut sys = BristleBuilder::new(5)
-            .stationary_nodes(30)
-            .mobile_nodes(8)
-            .topology(TransitStubConfig::tiny())
-            .config(cfg)
-            .build()
-            .unwrap();
+        let mut sys = system(30, 8, 5);
         let victim = sys.mobile_keys()[0];
         sys.confirm_dead(victim).unwrap();
         assert!(sys.is_confirmed_dead(victim));
         assert_eq!(sys.graveyard_len(), 1);
         // Inside the window the corpse is still held.
-        sys.tick(99);
+        sys.tick(GRAVEYARD_RETENTION - 1);
         assert_eq!(sys.graveyard_len(), 1, "retention window still open");
         assert!(sys.is_confirmed_dead(victim));
         // One more tick closes the window.
@@ -434,15 +426,7 @@ mod tests {
 
     #[test]
     fn a_verdict_on_an_absent_node_is_pruned_at_retention() {
-        let mut cfg = BristleConfig::recommended();
-        cfg.graveyard_retention = 100;
-        let mut sys = BristleBuilder::new(5)
-            .stationary_nodes(30)
-            .mobile_nodes(8)
-            .topology(TransitStubConfig::tiny())
-            .config(cfg)
-            .build()
-            .unwrap();
+        let mut sys = system(30, 8, 5);
         // The node left gracefully before the (late) verdict arrived:
         // there is nobody to bury, only the verdict to remember.
         let leaver = sys.mobile_keys()[0];
@@ -452,54 +436,28 @@ mod tests {
         assert!(sys.is_confirmed_dead(leaver));
         assert!(!sys.can_rejoin(leaver), "no body was buried");
         assert_eq!(sys.graveyard_len(), 0);
-        sys.tick(99);
+        sys.tick(GRAVEYARD_RETENTION - 1);
         assert!(sys.is_confirmed_dead(leaver), "retention window still open");
         sys.tick(1);
         assert!(!sys.is_confirmed_dead(leaver), "the verdict is reclaimed with the window");
     }
 
     #[test]
-    fn retention_zero_remembers_corpses_forever() {
-        let mut cfg = BristleConfig::recommended();
-        cfg.graveyard_retention = 0;
-        let mut sys = BristleBuilder::new(6)
-            .stationary_nodes(30)
-            .mobile_nodes(8)
-            .topology(TransitStubConfig::tiny())
-            .config(cfg)
-            .build()
-            .unwrap();
-        let victim = sys.mobile_keys()[0];
-        sys.confirm_dead(victim).unwrap();
-        sys.tick(1_000_000);
-        assert_eq!(sys.graveyard_len(), 1, "0 disables pruning");
-        assert!(sys.is_confirmed_dead(victim));
-    }
-
-    #[test]
     fn graveyard_stays_bounded_under_perpetual_churn() {
-        let mut cfg = BristleConfig::recommended();
-        cfg.graveyard_retention = 100;
-        let mut sys = BristleBuilder::new(7)
-            .stationary_nodes(40)
-            .mobile_nodes(12)
-            .topology(TransitStubConfig::tiny())
-            .config(cfg)
-            .build()
-            .unwrap();
-        // One funeral every 60 ticks: at most ceil(100/60) + 1 = 3
-        // corpses can be inside the retention window at once, no matter
-        // how long the churn runs.
+        let mut sys = system(40, 12, 7);
+        // One funeral every half retention window: at most 2 + 1 = 3
+        // corpses can be inside the window at once, no matter how long
+        // the churn runs.
         let victims: Vec<Key> = sys.mobile_keys().to_vec();
         let mut peak = 0usize;
         for victim in victims {
             sys.confirm_dead(victim).unwrap();
             peak = peak.max(sys.graveyard_len());
-            sys.tick(60);
+            sys.tick(GRAVEYARD_RETENTION / 2);
             peak = peak.max(sys.graveyard_len());
         }
         assert!(peak <= 3, "graveyard must stay bounded, saw {peak}");
-        sys.tick(200);
+        sys.tick(2 * GRAVEYARD_RETENTION);
         assert_eq!(sys.graveyard_len(), 0, "quiescence drains the graveyard");
     }
 }

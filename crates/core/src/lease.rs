@@ -76,11 +76,6 @@ impl LeaseTable {
         self.leases.get(&(holder, subject)).is_some_and(|l| l.is_valid(now))
     }
 
-    /// Revokes a single lease (e.g. the holder observed a delivery failure).
-    pub fn revoke(&mut self, holder: Key, subject: Key) -> bool {
-        self.leases.remove(&(holder, subject)).is_some()
-    }
-
     /// Drops every lease on `subject` — used when the subject leaves.
     pub fn revoke_subject(&mut self, subject: Key) -> usize {
         let before = self.leases.len();
@@ -176,14 +171,12 @@ mod tests {
     }
 
     #[test]
-    fn revoke_and_revoke_subject() {
+    fn revoke_subject_drops_every_lease_on_it() {
         let mut t = LeaseTable::new();
         t.grant(Key(1), Key(9), SimTime(0), 10);
         t.grant(Key(2), Key(9), SimTime(0), 10);
         t.grant(Key(1), Key(3), SimTime(0), 10);
-        assert!(t.revoke(Key(1), Key(9)));
-        assert!(!t.revoke(Key(1), Key(9)), "already gone");
-        assert_eq!(t.revoke_subject(Key(9)), 1);
+        assert_eq!(t.revoke_subject(Key(9)), 2);
         assert_eq!(t.len(), 1);
         assert!(t.is_fresh(Key(1), Key(3), SimTime(5)));
     }

@@ -278,6 +278,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A log that no longer opens costs the node its durability, not its
+    /// shard: the restart falls back to the fold the node held in memory.
+    #[test]
+    fn a_wal_that_fails_to_reopen_keeps_the_shard_in_memory() {
+        let dir = scratch("unreadable-log");
+        let mut sys = system(40, 12, 22);
+        let victim = busiest_primary(&sys);
+        sys.stores.attach_wal(victim, WalBackend::open(&dir, 0).unwrap());
+        let shard = sys.stationary.node(victim).unwrap().store.len();
+        assert!(shard > 0, "victim must hold records for the test to bite");
+        sys.confirm_dead(victim).unwrap();
+        std::fs::write(dir.join("wal.log"), b"NOTMAGIC").unwrap();
+
+        let report = sys.restart_node_from_store(victim).unwrap();
+        assert!(report.restored);
+        assert!(report.replay.is_none(), "the log did not reopen");
+        assert_eq!(report.records_recovered, shard);
+        assert_eq!(sys.stores.kind(victim), "mem");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn restart_skips_records_of_nodes_that_died_meanwhile() {
         let dir = scratch("skip-dead-subjects");

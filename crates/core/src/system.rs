@@ -129,6 +129,14 @@ pub struct BristleSystem {
 /// most systems never evict (DESIGN §2, S2).
 const DISTANCE_CACHE_ROWS: usize = 4096;
 
+/// How long (ticks) a confirmed corpse's state is retained in the
+/// graveyard before [`BristleSystem::tick`] prunes it. While retained, a
+/// wrongful funeral can be reversed and a withdrawn record cannot be
+/// replayed; afterwards the memory is reclaimed so long-running churn
+/// stays bounded. Four times the recommended `location_ttl`, so every
+/// record a corpse could replay has expired before its verdict goes.
+pub const GRAVEYARD_RETENTION: u64 = 2400;
+
 /// Builder for [`BristleSystem`].
 #[derive(Debug, Clone)]
 pub struct BristleBuilder {
@@ -308,7 +316,7 @@ impl BristleSystem {
     }
 
     /// How many bodies the graveyard currently retains. Bounded under
-    /// perpetual churn by [`BristleConfig::graveyard_retention`].
+    /// perpetual churn by [`GRAVEYARD_RETENTION`].
     pub fn graveyard_len(&self) -> usize {
         self.corpses.values().filter(|c| c.info.is_some()).count()
     }
@@ -666,23 +674,18 @@ impl BristleSystem {
         purged
     }
 
-    /// Reclaims verdicts passed longer ago than
-    /// [`BristleConfig::graveyard_retention`] (0 retains forever),
+    /// Reclaims verdicts passed longer ago than [`GRAVEYARD_RETENTION`],
     /// whether or not they buried a body. A pruned corpse can no longer
     /// rejoin through the wrongful-burial path — it would re-admit from
     /// scratch — and its key stops counting as confirmed-dead, which is
     /// safe because any withdrawn record it could replay has long
     /// outlived its TTL by then.
     fn prune_graveyard(&mut self) {
-        let retention = self.cfg.graveyard_retention;
-        if retention == 0 {
-            return;
-        }
         let now = self.clock.now();
         let mut expired: Vec<Key> = self
             .corpses
             .iter()
-            .filter(|(_, c)| c.buried_at.plus(retention) <= now)
+            .filter(|(_, c)| c.buried_at.plus(GRAVEYARD_RETENTION) <= now)
             .map(|(&k, _)| k)
             .collect();
         expired.sort_unstable();

@@ -60,12 +60,6 @@ impl Graph {
         self.edge_count
     }
 
-    /// Appends a new isolated vertex and returns its id.
-    pub fn add_vertex(&mut self) -> RouterId {
-        self.adj.push(Vec::new());
-        RouterId((self.adj.len() - 1) as u32)
-    }
-
     /// Adds an undirected edge `a — b` with the given weight.
     ///
     /// # Panics
@@ -88,12 +82,6 @@ impl Graph {
     #[inline]
     pub fn neighbors(&self, v: RouterId) -> &[Edge] {
         &self.adj[v.index()]
-    }
-
-    /// Degree of vertex `v`.
-    #[inline]
-    pub fn degree(&self, v: RouterId) -> usize {
-        self.adj[v.index()].len()
     }
 
     /// Iterator over all vertex ids.
@@ -179,15 +167,6 @@ mod tests {
         assert!(!g.is_connected());
         assert!(Graph::with_vertices(0).is_connected());
         assert!(Graph::with_vertices(1).is_connected());
-    }
-
-    #[test]
-    fn add_vertex_grows() {
-        let mut g = triangle();
-        let v = g.add_vertex();
-        assert_eq!(v, RouterId(3));
-        assert_eq!(g.degree(v), 0);
-        assert!(!g.is_connected());
     }
 
     #[test]

@@ -14,13 +14,15 @@ pub enum NeighborSelection {
     Proximity,
 }
 
+/// Leaf-set radius of every ring and prefix DHT: this many immediate
+/// successors *and* predecessors.
+pub const LEAF_RADIUS: usize = 4;
+
 /// Parameters of the ring DHT ([`crate::ring::RingDht`]).
 #[derive(Debug, Clone)]
 pub struct RingConfig {
     /// Digit width in bits; the routing base is `2^bits_per_digit`.
     pub bits_per_digit: u32,
-    /// Leaf-set radius: this many immediate successors *and* predecessors.
-    pub leaf_radius: usize,
     /// How many clockwise-first candidates per finger interval are examined
     /// by the neighbor-selection policy.
     pub candidate_window: usize,
@@ -35,7 +37,6 @@ impl RingConfig {
     pub fn tornado() -> Self {
         RingConfig {
             bits_per_digit: 2,
-            leaf_radius: 4,
             candidate_window: 6,
             selection: NeighborSelection::Proximity,
         }
@@ -50,12 +51,7 @@ impl RingConfig {
     /// Chord-like baseline: base-2 fingers, successor-only selection,
     /// no proximity awareness.
     pub fn chord() -> Self {
-        RingConfig {
-            bits_per_digit: 1,
-            leaf_radius: 4,
-            candidate_window: 1,
-            selection: NeighborSelection::First,
-        }
+        RingConfig { bits_per_digit: 1, candidate_window: 1, selection: NeighborSelection::First }
     }
 
     /// Number of digit levels implied by the digit width.
@@ -71,7 +67,6 @@ impl RingConfig {
     /// Validates parameter sanity.
     pub fn validate(&self) {
         assert!((1..=16).contains(&self.bits_per_digit), "bits_per_digit out of range");
-        assert!(self.leaf_radius >= 1, "leaf_radius must be >= 1");
         assert!(self.candidate_window >= 1, "candidate_window must be >= 1");
     }
 }

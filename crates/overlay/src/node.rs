@@ -46,11 +46,6 @@ impl<V> NodeState<V> {
         }
     }
 
-    /// Remaining capacity `Avail_i = C_i − Used_i` (saturating).
-    pub fn available_capacity(&self) -> u32 {
-        self.capacity.saturating_sub(self.used)
-    }
-
     /// Whether `other` appears in this node's routing state.
     pub fn knows(&self, other: Key) -> bool {
         self.entries.iter().any(|e| e.key == other)
@@ -83,16 +78,6 @@ impl<V> NodeState<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn available_capacity_saturates() {
-        let mut n: NodeState<()> = NodeState::new(Key(1), HostId(0), 5);
-        assert_eq!(n.available_capacity(), 5);
-        n.used = 3;
-        assert_eq!(n.available_capacity(), 2);
-        n.used = 9;
-        assert_eq!(n.available_capacity(), 0);
-    }
 
     #[test]
     fn upsert_replaces_by_key() {

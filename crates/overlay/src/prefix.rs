@@ -28,7 +28,7 @@ use bristle_netsim::dijkstra::DistanceCache;
 use bristle_netsim::rng::Pcg64;
 
 use crate::addr::{NetAddr, StatePair};
-use crate::config::{NeighborSelection, RingConfig};
+use crate::config::{NeighborSelection, RingConfig, LEAF_RADIUS};
 use crate::key::Key;
 use crate::node::NodeState;
 use crate::ring::RingError;
@@ -193,7 +193,7 @@ impl<V> PrefixDht<V> {
 
         // Leaf set: nearest keys each side (numeric order, wrapping).
         let after = (Bound::Excluded(key.0), Bound::Unbounded);
-        let max_leaves = self.cfg.leaf_radius.min(self.nodes.len().saturating_sub(1));
+        let max_leaves = LEAF_RADIUS.min(self.nodes.len().saturating_sub(1));
         let mut leaf_keys: Vec<Key> = Vec::with_capacity(max_leaves * 2);
         for (&k, _) in self.nodes.range(after).chain(self.nodes.range(..key.0)) {
             if leaf_keys.len() == max_leaves {

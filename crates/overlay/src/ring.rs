@@ -10,7 +10,7 @@
 //!   the target (never overshooting), which is exactly the property the
 //!   paper's §3 clustered-naming analysis (eq. 1, the ∇ ≥ 1/2 bound)
 //!   requires.
-//! * Routing state per node: a *leaf set* (the `leaf_radius` nearest
+//! * Routing state per node: a *leaf set* (the [`LEAF_RADIUS`] nearest
 //!   successors and predecessors) plus *digit fingers* — for every level
 //!   `i` and digit value `j ∈ 1..2^b`, one neighbor in the key interval
 //!   `[x + j·2^(b·i), x + (j+1)·2^(b·i))`. With base 4 this yields
@@ -31,7 +31,7 @@ use bristle_netsim::graph::RouterId;
 use bristle_netsim::rng::Pcg64;
 
 use crate::addr::{NetAddr, StatePair};
-use crate::config::{NeighborSelection, RingConfig};
+use crate::config::{NeighborSelection, RingConfig, LEAF_RADIUS};
 use crate::key::{Key, KeyHasher};
 use crate::node::NodeState;
 
@@ -460,7 +460,7 @@ impl<V> RingDht<V> {
         // Leaf set: nearest successors and predecessors (key order, no
         // selection policy — leaves pin down ownership and must be exact).
         let after = (Bound::Excluded(key.0), Bound::Unbounded);
-        let max_leaves = self.cfg.leaf_radius.min(self.len().saturating_sub(1));
+        let max_leaves = LEAF_RADIUS.min(self.len().saturating_sub(1));
         let entry = |(&k, &slot): (&u64, &Slot)| (Key(k), slot);
         let mut leaves: Vec<(Key, Slot)> = Vec::with_capacity(max_leaves * 2);
         leaves.extend(
@@ -792,7 +792,7 @@ fn bulk_tables(
 
     // Leaf set: the neighbouring positions, successors first; on a ring
     // too small for both radii a node is listed once, as a successor.
-    let successors = cfg.leaf_radius.min(n - 1);
+    let successors = LEAF_RADIUS.min(n - 1);
     let predecessors = successors.min(n - 1 - successors);
     let leaves =
         (1..=successors).map(|d| (me + d) % n).chain((1..=predecessors).map(|d| (me + n - d) % n));
@@ -1113,7 +1113,6 @@ mod tests {
     /// has a boundary in it.
     #[test]
     fn bulk_build_matches_compute_tables() {
-        let radius = RingConfig::tornado().leaf_radius;
         for (cfg, label) in [
             (RingConfig::tornado(), "tornado"),
             (RingConfig::chord(), "chord"),
@@ -1121,7 +1120,7 @@ mod tests {
             // 3 ∤ 64: the top level's slots wrap past the node itself.
             (RingConfig { bits_per_digit: 3, ..RingConfig::tornado() }, "base 8"),
         ] {
-            for n in [1, 2, 3, radius + 1, 9, 300] {
+            for n in [1, 2, 3, LEAF_RADIUS + 1, 9, 300] {
                 for shape in ["fresh", "churned", "edge keys"] {
                     let mut rng = Pcg64::seed_from_u64(n as u64);
                     let topo = TransitStubTopology::generate(&TransitStubConfig::tiny(), &mut rng);

@@ -22,7 +22,6 @@ fn overlay_of(keys: &[u64], bits: u32) -> (RingDht<u32>, AttachmentMap, Distance
     let mut attachments = AttachmentMap::new();
     let cfg = RingConfig {
         bits_per_digit: bits,
-        leaf_radius: 3,
         candidate_window: 2,
         selection: NeighborSelection::First,
     };

@@ -9,13 +9,13 @@
 //!
 //! The suspicion state machine follows the classic lease shape: a peer
 //! is [`Liveness::Fresh`] while its heartbeats come back, becomes
-//! [`Liveness::Suspect`] after `suspect_after` consecutive missed
-//! probe rounds, and [`Liveness::Dead`] after `dead_after`. A round is
-//! only *missed* once `probe_attempts` retransmissions of the same
-//! probe all went unanswered, which keeps false confirmations
-//! vanishingly rare on a lossy-but-alive link (at 10% independent loss
-//! per direction, one round misses with probability `0.19^3 ≈ 0.7%`,
-//! and a false *confirmation* needs `dead_after` such rounds in a row).
+//! [`Liveness::Suspect`] after [`SUSPECT_AFTER`] consecutive missed
+//! probe rounds, and [`Liveness::Dead`] after [`DEAD_AFTER`]. A round is
+//! only *missed* once all [`PROBE_ATTEMPTS`] sends of the same probe
+//! went unanswered, which keeps false confirmations vanishingly rare on
+//! a lossy-but-alive link (at 10% independent loss per direction, one
+//! round misses with probability `0.19^3 ≈ 0.7%`, and a false
+//! *confirmation* needs [`DEAD_AFTER`] such rounds in a row).
 //! Any ack restores a suspect to fresh.
 //!
 //! Suspicion and death are charged against a SWIM-style **incarnation
@@ -38,37 +38,27 @@
 
 use bristle_overlay::key::Key;
 
-/// Heartbeat probing and suspicion thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Ticks to wait for a HeartbeatAck before retransmitting. Equal to
+/// `RetryPolicy::ack_timeout`'s default, so heartbeat probes tolerate
+/// the same link latencies as data traffic.
+pub const ACK_WAIT: u64 = 20_000;
+/// Sends of one probe (first try included) before the round counts as
+/// missed.
+pub const PROBE_ATTEMPTS: u32 = 3;
+/// Consecutive missed rounds before a peer becomes suspect.
+pub const SUSPECT_AFTER: u32 = 2;
+/// Consecutive missed rounds before a peer is confirmed dead.
+pub const DEAD_AFTER: u32 = 3;
+
+/// The one detector setting scenarios vary.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FailurePolicy {
-    /// Ticks to wait for a HeartbeatAck before retransmitting.
-    pub ack_wait: u64,
-    /// Sends of one probe (first try included) before the round counts
-    /// as missed.
-    pub probe_attempts: u32,
-    /// Consecutive missed rounds before a peer becomes suspect.
-    pub suspect_after: u32,
-    /// Consecutive missed rounds before a peer is confirmed dead.
-    pub dead_after: u32,
     /// Extra missed rounds granted before condemnation while the peer's
     /// health score is still high (it has been acking recently, so the
-    /// misses look like gray failure, not death). `0` disables the
-    /// grace entirely and restores the binary alive/dead behaviour.
+    /// misses look like gray failure, not death). `0`, the default,
+    /// disables the grace entirely and restores the binary alive/dead
+    /// behaviour.
     pub grace_misses: u32,
-}
-
-impl Default for FailurePolicy {
-    fn default() -> Self {
-        // ack_wait matches RetryPolicy::ack_timeout so heartbeat probes
-        // tolerate the same link latencies as data traffic.
-        FailurePolicy {
-            ack_wait: 20_000,
-            probe_attempts: 3,
-            suspect_after: 2,
-            dead_after: 3,
-            grace_misses: 0,
-        }
-    }
 }
 
 /// A peer's health score starts (and is capped) here.
@@ -96,7 +86,7 @@ pub enum Liveness {
 pub enum LivenessTransition {
     /// Fresh → Suspect.
     Suspected,
-    /// Suspect (or Fresh, with `dead_after <= suspect_after`) → Dead.
+    /// Suspect → Dead.
     ConfirmedDead,
 }
 
@@ -177,11 +167,6 @@ impl FailureDetector {
         FailureDetector { policy, keys: Vec::new(), health: Vec::new() }
     }
 
-    /// The configured thresholds.
-    pub fn policy(&self) -> FailurePolicy {
-        self.policy
-    }
-
     fn peer(&self, peer: Key) -> Option<&PeerHealth> {
         self.keys.binary_search(&peer).ok().map(|i| &self.health[i])
     }
@@ -207,14 +192,6 @@ impl FailureDetector {
     /// suspicion state is kept).
     pub fn monitor(&mut self, peer: Key) {
         self.peer_or_fresh(peer);
-    }
-
-    /// Stops monitoring `peer`. Returns whether it was monitored.
-    pub fn unmonitor(&mut self, peer: Key) -> bool {
-        let Ok(i) = self.keys.binary_search(&peer) else { return false };
-        self.keys.remove(i);
-        self.health.remove(i);
-        true
     }
 
     /// Drops every monitored peer for which `keep` returns false.
@@ -256,7 +233,7 @@ impl FailureDetector {
     /// fresher incarnation resets the count. A verdict only heard from a
     /// third party ([`Self::mark_dead`]) misses no round.
     pub fn suspects(&self, peer: Key) -> bool {
-        self.peer(peer).is_some_and(|p| p.missed >= self.policy.suspect_after)
+        self.peer(peer).is_some_and(|p| p.missed >= SUSPECT_AFTER)
     }
 
     /// Highest incarnation `peer` has been observed at, or `None` if
@@ -346,14 +323,13 @@ impl FailureDetector {
 
     /// Digests the expiry of the ack window for probe `seq` to `peer`.
     pub fn on_timeout(&mut self, peer: Key, seq: u64) -> TimeoutVerdict {
-        let policy = self.policy;
         let Some(p) = self.peer_mut(peer) else { return TimeoutVerdict::Ignore };
         if p.liveness == Liveness::Dead {
             return TimeoutVerdict::Ignore;
         }
         match p.awaiting {
             Some((s, attempt)) if s == seq => {
-                if attempt + 1 < policy.probe_attempts {
+                if attempt + 1 < PROBE_ATTEMPTS {
                     p.awaiting = Some((seq, attempt + 1));
                     p.score = p.score.saturating_sub(10);
                     return TimeoutVerdict::Resend { attempt: attempt + 1 };
@@ -365,11 +341,11 @@ impl FailureDetector {
                 // gray-failure signature) buys one extra missed round
                 // before the funeral. A peer that acked promptly until it
                 // crashed earned nothing — its schedule is unchanged.
-                let dead_after = policy.dead_after + p.grace_credit;
+                let dead_after = DEAD_AFTER + p.grace_credit;
                 let transition = if p.missed >= dead_after {
                     p.liveness = Liveness::Dead;
                     Some(LivenessTransition::ConfirmedDead)
-                } else if p.missed >= policy.suspect_after && p.liveness == Liveness::Fresh {
+                } else if p.missed >= SUSPECT_AFTER && p.liveness == Liveness::Fresh {
                     p.liveness = Liveness::Suspect;
                     Some(LivenessTransition::Suspected)
                 } else {
@@ -408,13 +384,7 @@ mod tests {
     const P: Key = Key(5);
 
     fn det() -> FailureDetector {
-        FailureDetector::new(FailurePolicy {
-            ack_wait: 100,
-            probe_attempts: 2,
-            suspect_after: 2,
-            dead_after: 3,
-            grace_misses: 0,
-        })
+        FailureDetector::new(FailurePolicy::default())
     }
 
     /// Runs one fully-missed round: every retransmission times out.
@@ -610,19 +580,13 @@ mod tests {
         assert_eq!(d.health(P), Some(FULL_HEALTH), "ack restores the score (capped)");
         // A fully missed round bleeds resend + miss penalties.
         miss_round(&mut d);
-        assert_eq!(d.health(P), Some(FULL_HEALTH - 10 - 25));
+        assert_eq!(d.health(P), Some(FULL_HEALTH - 10 * (PROBE_ATTEMPTS - 1) - 25));
         assert!(d.is_degraded(P));
     }
 
     #[test]
     fn grace_spares_a_recently_acking_peer_but_not_a_corpse() {
-        let policy = FailurePolicy {
-            ack_wait: 100,
-            probe_attempts: 2,
-            suspect_after: 2,
-            dead_after: 3,
-            grace_misses: 2,
-        };
+        let policy = FailurePolicy { grace_misses: 2 };
         // A gray-failing peer: acks every round, but only after a
         // resend. Each late ack earns one round of grace (capped at
         // `grace_misses`), so when it then goes quiet it survives
@@ -655,16 +619,14 @@ mod tests {
     }
 
     #[test]
-    fn monitored_is_sorted_and_unmonitor_forgets() {
+    fn monitored_is_sorted_and_retain_forgets() {
         let mut d = det();
         d.monitor(Key(9));
         d.monitor(Key(1));
         d.monitor(Key(4));
         assert_eq!(d.monitored(), [Key(1), Key(4), Key(9)]);
-        assert!(d.unmonitor(Key(4)));
-        assert!(!d.unmonitor(Key(4)));
         d.retain_monitored(|k| k != Key(9));
-        assert_eq!(d.monitored(), [Key(1)]);
+        assert_eq!(d.monitored(), [Key(1), Key(4)]);
     }
 
     /// The peer table is ordered by construction: whatever order peers
@@ -681,9 +643,6 @@ mod tests {
             d.observe_alive(k, i as u64 + 1);
             if i % 5 == 4 {
                 d.mark_dead(Key(i as u64), 0);
-            }
-            if i % 7 == 6 {
-                assert!(d.unmonitor(keys[i - 3]));
             }
             assert!(d.monitored().windows(2).all(|w| w[0] < w[1]), "ascending, no duplicates");
         }

@@ -5,7 +5,7 @@
 //! standing one wherever it arrives — and rejoin.
 
 use super::*;
-use crate::failure::{Liveness, LivenessTransition, TimeoutVerdict};
+use crate::failure::{Liveness, LivenessTransition, TimeoutVerdict, ACK_WAIT, PROBE_ATTEMPTS};
 use crate::rto::Awaited;
 
 /// A restarted machine's frame ids begin at `incarnation << LIFE_SHIFT`
@@ -117,7 +117,7 @@ impl ProtoMachine {
 
     /// What a probe of `peer` awaits, fixed window included.
     fn probe_of(&self, peer: Key) -> Awaited {
-        Awaited::Probe { peer, ack_wait: self.detector.policy().ack_wait }
+        Awaited::Probe { peer, ack_wait: ACK_WAIT }
     }
 
     /// Queues one probe of `peer`, metered as sent from router `from`.
@@ -287,8 +287,8 @@ impl ProtoMachine {
             }
             TimeoutVerdict::Missed { transition } => {
                 env.bump(MessageKind::Timeout);
-                let attempt = self.detector.policy().probe_attempts;
-                note(self.key, env, now, 0, ObsEventKind::Timeout { what: "heartbeat", attempt });
+                let timeout = ObsEventKind::Timeout { what: "heartbeat", attempt: PROBE_ATTEMPTS };
+                note(self.key, env, now, 0, timeout);
                 match transition {
                     Some(LivenessTransition::Suspected) => {
                         env.bump(MessageKind::SuspectRaised);
@@ -340,40 +340,45 @@ mod tests {
         assert_eq!(env.meter.count(MessageKind::Timeout), 0);
     }
 
+    /// Runs heartbeat round `round` against a silent peer: the probe,
+    /// each retransmission, and the window that counts the miss. Returns
+    /// the output of that last window.
+    fn miss_round(prober: &mut ProtoMachine, round: u32, env: &mut MockEnv) -> Output {
+        let mut timer = prober.start_heartbeats(t(u64::from(round) * 1_000_000), env).timers[0];
+        loop {
+            let out = prober.poll(timer.at, Event::Timer(timer.kind), env);
+            match out.timers.first() {
+                Some(&next) => timer = next,
+                None => return out,
+            }
+        }
+    }
+
     #[test]
     fn silent_peer_is_suspected_then_condemned() {
+        use crate::failure::{DEAD_AFTER, SUSPECT_AFTER};
         let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
         let mut prober = ProtoMachine::new(A, policy());
-        prober.set_failure_policy(FailurePolicy {
-            ack_wait: 100,
-            probe_attempts: 2,
-            suspect_after: 1,
-            dead_after: 2,
-            grace_misses: 0,
-        });
         prober.monitor(B);
 
-        // Round 1: probe, retransmit, miss -> suspect.
-        let out = prober.start_heartbeats(t(0), &mut env);
-        let timer = out.timers[0].kind;
-        let o1 = prober.poll(t(100), Event::Timer(timer), &mut env);
-        assert_eq!(o1.outgoing.len(), 1, "retransmission");
-        assert_eq!(env.meter.count(MessageKind::HeartbeatSent), 2);
-        let o2 = prober.poll(t(300), Event::Timer(o1.timers[0].kind), &mut env);
-        assert!(o2.completions.is_empty(), "suspicion is no verdict");
-        assert_eq!(env.meter.count(MessageKind::SuspectRaised), 1);
-        assert_eq!(prober.liveness(B), Some(Liveness::Suspect));
-
-        // Round 2: another full miss -> dead.
-        let out = prober.start_heartbeats(t(1000), &mut env);
-        let timer = out.timers[0].kind;
-        let o1 = prober.poll(t(1100), Event::Timer(timer), &mut env);
-        let o2 = prober.poll(t(1300), Event::Timer(o1.timers[0].kind), &mut env);
-        assert_eq!(o2.completions, vec![Completion::PeerDead { peer: B }]);
-        assert_eq!(prober.liveness(B), Some(Liveness::Dead));
+        for round in 1..=DEAD_AFTER {
+            let out = miss_round(&mut prober, round, &mut env);
+            let sent = env.meter.count(MessageKind::HeartbeatSent);
+            assert_eq!(sent, u64::from(round * PROBE_ATTEMPTS), "every send of a probe");
+            let suspected = u64::from(round >= SUSPECT_AFTER);
+            assert_eq!(env.meter.count(MessageKind::SuspectRaised), suspected);
+            if round < DEAD_AFTER {
+                assert!(out.completions.is_empty(), "suspicion is no verdict");
+                let want = if round < SUSPECT_AFTER { Liveness::Fresh } else { Liveness::Suspect };
+                assert_eq!(prober.liveness(B), Some(want), "after round {round}");
+            } else {
+                assert_eq!(out.completions, vec![Completion::PeerDead { peer: B }]);
+                assert_eq!(prober.liveness(B), Some(Liveness::Dead));
+            }
+        }
 
         // Dead peers are no longer probed.
-        let out = prober.start_heartbeats(t(2000), &mut env);
+        let out = prober.start_heartbeats(t(u64::from(DEAD_AFTER + 1) * 1_000_000), &mut env);
         assert!(out.outgoing.is_empty());
     }
 

@@ -156,10 +156,7 @@ pub fn run_degradation(cfg: &DegradationConfig) -> DegradationOutcome {
         msys.set_adaptive_rto(Some(RtoConfig::default()));
     }
     msys.set_ingress_cap(Some(INGRESS_CAP));
-    msys.set_failure_policy(FailurePolicy {
-        grace_misses: GRACE_MISSES,
-        ..FailurePolicy::default()
-    });
+    msys.set_failure_policy(FailurePolicy { grace_misses: GRACE_MISSES });
     msys.seed_monitors();
     let mut rng = Pcg64::new(cfg.seed, 0xDE64);
 

@@ -37,6 +37,13 @@ use crate::workload::{flat_distances, random_ring, Telemetry};
 
 use std::sync::Arc;
 
+/// Registrant count for the LDT fan-out study.
+pub const LDT_MEMBERS: usize = 24;
+/// Unit costs `v` swept in the fan-out study.
+pub const UNIT_COSTS: [u32; 4] = [1, 2, 4, 8];
+/// Route samples in the binding-mode study.
+pub const BINDING_ROUTES: usize = 150;
+
 /// Parameters for the ablation studies.
 #[derive(Debug, Clone)]
 pub struct AblationConfig {
@@ -44,14 +51,8 @@ pub struct AblationConfig {
     pub n_nodes: usize,
     /// Routes sampled per substrate.
     pub routes: usize,
-    /// Registrant count for the LDT fan-out study.
-    pub ldt_members: usize,
-    /// Unit costs `v` swept in the fan-out study.
-    pub unit_costs: Vec<u32>,
     /// Population for the binding-mode study.
     pub binding_nodes: (usize, usize),
-    /// Route samples in the binding-mode study.
-    pub binding_routes: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -59,15 +60,7 @@ pub struct AblationConfig {
 impl AblationConfig {
     /// Reduced scale.
     pub fn quick() -> Self {
-        AblationConfig {
-            n_nodes: 512,
-            routes: 400,
-            ldt_members: 24,
-            unit_costs: vec![1, 2, 4, 8],
-            binding_nodes: (120, 60),
-            binding_routes: 150,
-            seed: 42,
-        }
+        AblationConfig { n_nodes: 512, routes: 400, binding_nodes: (120, 60), seed: 42 }
     }
 
     /// Larger populations.
@@ -222,11 +215,11 @@ fn measure_can(cfg: &AblationConfig, dims: usize, name: &'static str, seed: u64)
 
 fn measure_fanout(cfg: &AblationConfig) -> Vec<FanoutRow> {
     let mut rng = Pcg64::seed_from_u64(cfg.seed ^ 0xfa);
-    let registrants: Vec<Registrant> = (0..cfg.ldt_members)
+    let registrants: Vec<Registrant> = (0..LDT_MEMBERS)
         .map(|i| Registrant::new(Key(i as u64 + 1), rng.range_inclusive(1, 15) as u32))
         .collect();
     let root = Registrant::new(Key(0), 15);
-    cfg.unit_costs
+    UNIT_COSTS
         .iter()
         .map(|&v| {
             let tree = Ldt::build(root, &registrants, |_| 0, v);
@@ -281,7 +274,7 @@ fn measure_binding(cfg: &AblationConfig) -> Vec<BindingRow> {
         let mobiles = sys.mobile_keys().to_vec();
         let mut discoveries = 0usize;
         let mut hops = 0usize;
-        for i in 0..cfg.binding_routes {
+        for i in 0..BINDING_ROUTES {
             let src = stationaries[i % stationaries.len()];
             let dst = mobiles[(i * 3) % mobiles.len()];
             let rep = sys.route_mobile(src, dst).expect("route");
@@ -291,8 +284,8 @@ fn measure_binding(cfg: &AblationConfig) -> Vec<BindingRow> {
         rows.push(BindingRow {
             name,
             proactive_msgs,
-            discoveries: discoveries as f64 / cfg.binding_routes as f64,
-            route_hops: hops as f64 / cfg.binding_routes as f64,
+            discoveries: discoveries as f64 / BINDING_ROUTES as f64,
+            route_hops: hops as f64 / BINDING_ROUTES as f64,
         });
     }
     rows
@@ -486,15 +479,7 @@ mod tests {
     use super::*;
 
     fn tiny() -> AblationConfig {
-        AblationConfig {
-            n_nodes: 128,
-            routes: 100,
-            ldt_members: 16,
-            unit_costs: vec![1, 4],
-            binding_nodes: (40, 20),
-            binding_routes: 40,
-            seed: 5,
-        }
+        AblationConfig { n_nodes: 128, routes: 100, binding_nodes: (40, 20), seed: 5 }
     }
 
     #[test]
@@ -548,7 +533,7 @@ mod tests {
         let result = run(&tiny());
         let first = result.fanout.first().unwrap();
         let last = result.fanout.last().unwrap();
-        assert!(last.depth >= first.depth, "v=4 {} vs v=1 {}", last.depth, first.depth);
+        assert!(last.depth >= first.depth, "v=8 {} vs v=1 {}", last.depth, first.depth);
         assert!(last.max_fanout <= first.max_fanout);
     }
 
@@ -585,7 +570,7 @@ mod tests {
     fn tables_render() {
         let result = run(&tiny());
         assert_eq!(to_table_substrates(&result).len(), 5);
-        assert_eq!(to_table_fanout(&result).len(), 2);
+        assert_eq!(to_table_fanout(&result).len(), UNIT_COSTS.len());
         assert_eq!(to_table_binding(&result).len(), 2);
         assert_eq!(to_table_query_modes(&result).len(), 2);
     }

@@ -26,17 +26,19 @@ use crate::report::{f2, f3, Table};
 use crate::sweeps::SweepRun;
 use crate::workload::{flat_distances, random_ring};
 
+/// N of the analytic curve (the paper's 2^20).
+pub const ANALYTIC_N: f64 = 1_048_576.0;
+/// Mobile fractions M/N sweeping the x-axis.
+pub const FRACTIONS: [f64; 8] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8];
+/// Measured registrants' capacities are drawn uniformly from this
+/// inclusive range (the paper's U(1..15)).
+pub const CAPACITY_RANGE: (u32, u32) = (1, 15);
+
 /// Parameters for the Figure 3 regeneration.
 #[derive(Debug, Clone)]
 pub struct Fig3Config {
-    /// N of the analytic curve (the paper uses 2^20).
-    pub analytic_n: f64,
     /// Node count of the measured overlay.
     pub measured_n: usize,
-    /// Mobile fractions sweeping the x-axis.
-    pub fractions: Vec<f64>,
-    /// Capacity range for measured registrants.
-    pub capacity_range: (u32, u32),
     /// RNG seed.
     pub seed: u64,
 }
@@ -44,13 +46,7 @@ pub struct Fig3Config {
 impl Fig3Config {
     /// Reduced scale: 512-node measured overlay.
     pub fn quick() -> Self {
-        Fig3Config {
-            analytic_n: 1_048_576.0,
-            measured_n: 512,
-            fractions: (1..=8).map(|i| i as f64 / 10.0).collect(),
-            capacity_range: (1, 15),
-            seed: 42,
-        }
+        Fig3Config { measured_n: 512, seed: 42 }
     }
 
     /// Paper scale: analytic N = 2^20, measured overlay of 4096 nodes.
@@ -88,24 +84,18 @@ fn flat_overlay(n: usize, rng: &mut Pcg64) -> (RingDht<Vec<u8>>, AttachmentMap, 
 
 /// Runs the experiment.
 pub fn run(cfg: &Fig3Config) -> Fig3Result {
-    let analytic = figure3_series(cfg.analytic_n, &cfg.fractions);
+    let analytic = figure3_series(ANALYTIC_N, &FRACTIONS);
     let mut rng = Pcg64::seed_from_u64(cfg.seed);
     let (dht, attachments, dcache) = flat_overlay(cfg.measured_n, &mut rng);
     let keys: Vec<Key> = dht.keys().collect();
     let rev = dht.reverse_index();
     let capacities: HashMap<Key, u32> = keys
         .iter()
-        .map(|&k| {
-            (
-                k,
-                rng.range_inclusive(cfg.capacity_range.0 as u64, cfg.capacity_range.1 as u64)
-                    as u32,
-            )
-        })
+        .map(|&k| (k, rng.range_inclusive(CAPACITY_RANGE.0 as u64, CAPACITY_RANGE.1 as u64) as u32))
         .collect();
 
-    let mut rows = Vec::with_capacity(cfg.fractions.len());
-    for (i, &fraction) in cfg.fractions.iter().enumerate() {
+    let mut rows = Vec::with_capacity(FRACTIONS.len());
+    for (i, &fraction) in FRACTIONS.iter().enumerate() {
         let m = ((cfg.measured_n as f64) * fraction) as usize;
         let m = m.clamp(1, cfg.measured_n - 1);
         // Deterministic mobile subset per fraction.
@@ -221,13 +211,7 @@ mod tests {
     use super::*;
 
     fn tiny_config() -> Fig3Config {
-        Fig3Config {
-            analytic_n: 1_048_576.0,
-            measured_n: 128,
-            fractions: vec![0.2, 0.5, 0.8],
-            capacity_range: (1, 15),
-            seed: 7,
-        }
+        Fig3Config { measured_n: 128, seed: 7 }
     }
 
     #[test]
@@ -247,16 +231,16 @@ mod tests {
     #[test]
     fn responsibility_grows_with_mobile_fraction() {
         let result = run(&tiny_config());
-        assert!(result.rows[2].measured_non_member > result.rows[0].measured_non_member);
-        assert!(result.rows[2].analytic.non_member > result.rows[0].analytic.non_member);
+        let (first, last) = (&result.rows[0], &result.rows[FRACTIONS.len() - 1]);
+        assert!(last.measured_non_member > first.measured_non_member);
+        assert!(last.analytic.non_member > first.analytic.non_member);
     }
 
     #[test]
     fn table_has_one_row_per_fraction() {
-        let cfg = tiny_config();
-        let result = run(&cfg);
+        let result = run(&tiny_config());
         let t = to_table(&result);
-        assert_eq!(t.len(), cfg.fractions.len());
+        assert_eq!(t.len(), FRACTIONS.len());
     }
 
     #[test]

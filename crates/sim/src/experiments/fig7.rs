@@ -18,26 +18,26 @@ use bristle_core::config::BristleConfig;
 use bristle_core::system::{BristleBuilder, BristleSystem};
 use bristle_netsim::transit_stub::TransitStubConfig;
 
+use super::per_point;
 use crate::cli::SweepArgs;
 use crate::report::{f2, Table};
 use crate::sweeps::SweepRun;
 use crate::workload::{measure_routes, sample_stationary_pairs};
+
+/// Mobile fractions M/N on the x-axis (the paper's 0..80 %).
+pub const FRACTIONS: [f64; 9] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8];
 
 /// Parameters for the Figure 7 regeneration.
 #[derive(Debug, Clone)]
 pub struct Fig7Config {
     /// Stationary node count (N − M; the paper uses 2 000).
     pub n_stationary: usize,
-    /// Mobile fractions M/N on the x-axis.
-    pub fractions: Vec<f64>,
     /// Sample routes per point (the paper uses 10 000).
     pub routes: usize,
     /// Physical topology.
     pub topology: TransitStubConfig,
     /// RNG seed.
     pub seed: u64,
-    /// Whether to run sweep points on parallel threads.
-    pub parallel: bool,
 }
 
 impl Fig7Config {
@@ -45,11 +45,9 @@ impl Fig7Config {
     pub fn quick() -> Self {
         Fig7Config {
             n_stationary: 200,
-            fractions: (0..=8).map(|i| i as f64 / 10.0).collect(),
             routes: 600,
             topology: TransitStubConfig::small(),
             seed: 42,
-            parallel: true,
         }
     }
 
@@ -157,24 +155,9 @@ fn run_point(cfg: &Fig7Config, fraction: f64) -> Fig7Row {
     Fig7Row { fraction, scrambled, clustered }
 }
 
-/// Runs the sweep (parallel across fractions when configured).
+/// Runs the sweep, one scoped thread per fraction.
 pub fn run(cfg: &Fig7Config) -> Fig7Result {
-    let rows: Vec<Fig7Row> = if cfg.parallel && cfg.fractions.len() > 1 {
-        let mut out: Vec<Option<Fig7Row>> = vec![None; cfg.fractions.len()];
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for (i, &f) in cfg.fractions.iter().enumerate() {
-                handles.push((i, s.spawn(move || run_point(cfg, f))));
-            }
-            for (i, h) in handles {
-                out[i] = Some(h.join().expect("sweep point"));
-            }
-        });
-        out.into_iter().map(|r| r.expect("filled")).collect()
-    } else {
-        cfg.fractions.iter().map(|&f| run_point(cfg, f)).collect()
-    };
-    Fig7Result { rows }
+    Fig7Result { rows: per_point(&FRACTIONS, |f| run_point(cfg, f)) }
 }
 
 /// Renders Fig. 7(a): mean application-level hops per naming scheme.
@@ -223,14 +206,7 @@ mod tests {
     use super::*;
 
     fn tiny() -> Fig7Config {
-        Fig7Config {
-            n_stationary: 60,
-            fractions: vec![0.0, 0.4, 0.8],
-            routes: 80,
-            topology: TransitStubConfig::tiny(),
-            seed: 11,
-            parallel: false,
-        }
+        Fig7Config { n_stationary: 60, routes: 80, topology: TransitStubConfig::tiny(), seed: 11 }
     }
 
     #[test]
@@ -286,22 +262,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_agree() {
-        let mut cfg = tiny();
-        cfg.fractions = vec![0.0, 0.5];
-        let serial = run(&cfg);
-        cfg.parallel = true;
-        let parallel = run(&cfg);
-        for (a, b) in serial.rows.iter().zip(&parallel.rows) {
-            assert_eq!(a.scrambled.hops, b.scrambled.hops);
-            assert_eq!(a.clustered.path_cost, b.clustered.path_cost);
-        }
-    }
-
-    #[test]
     fn tables_render() {
         let result = run(&tiny());
-        assert_eq!(to_table_hops(&result).len(), 3);
-        assert_eq!(to_table_rdp(&result).len(), 3);
+        assert_eq!(to_table_hops(&result).len(), FRACTIONS.len());
+        assert_eq!(to_table_rdp(&result).len(), FRACTIONS.len());
     }
 }

@@ -29,21 +29,24 @@ use crate::runreport::Json;
 use crate::sweeps::SweepRun;
 use crate::workload::{flat_distances, random_ring, Telemetry};
 
+/// The MAX capacity values swept on Fig. 8(a)'s x-axis (the paper's
+/// 1..15).
+pub const MAX_CAPACITIES: [u32; 15] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
+/// Trees shown in the Fig. 8(b) detail, drawn from the highest-MAX
+/// population (the paper shows 15).
+pub const DETAIL_TREES: usize = 15;
+
 /// Parameters for the Figure 8 regeneration.
 #[derive(Debug, Clone)]
 pub struct Fig8Config {
     /// Overlay size (the paper uses 25 000).
     pub n_nodes: usize,
-    /// The MAX capacity values swept on Fig. 8(a)'s x-axis.
-    pub max_capacities: Vec<u32>,
     /// How many roots to materialize trees for (None = all nodes).
     pub tree_sample: Option<usize>,
     /// Cap on registrants per tree (None = the overlay's natural reverse
     /// pointers). The paper's setup has exactly ⌈log₂ N⌉ = 15 interested
     /// nodes per tree; capping reproduces that membership exactly.
     pub registrant_cap: Option<usize>,
-    /// Trees shown in the Fig. 8(b) detail.
-    pub detail_trees: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -51,14 +54,7 @@ pub struct Fig8Config {
 impl Fig8Config {
     /// Reduced scale: 2 000 nodes, all trees.
     pub fn quick() -> Self {
-        Fig8Config {
-            n_nodes: 2_000,
-            max_capacities: (1..=15).collect(),
-            tree_sample: Some(800),
-            registrant_cap: None,
-            detail_trees: 15,
-            seed: 42,
-        }
+        Fig8Config { n_nodes: 2_000, tree_sample: Some(800), registrant_cap: None, seed: 42 }
     }
 
     /// Paper scale: 25 000 nodes, all trees measured, membership capped
@@ -122,10 +118,10 @@ pub fn run(cfg: &Fig8Config) -> Fig8Result {
         }
     };
 
-    let mut distributions = Vec::with_capacity(cfg.max_capacities.len());
+    let mut distributions = Vec::with_capacity(MAX_CAPACITIES.len());
     let mut detail: Vec<Vec<DetailMember>> = Vec::new();
 
-    for &max_cap in &cfg.max_capacities {
+    for max_cap in MAX_CAPACITIES {
         // Fresh capacities per MAX: uniform 1..=MAX (paper §4.2).
         let mut cap_rng = Pcg64::new(cfg.seed ^ (max_cap as u64) << 8, 99);
         let capacities: HashMap<Key, u32> =
@@ -149,9 +145,7 @@ pub fn run(cfg: &Fig8Config) -> Fig8Result {
             }
             depth_sum += tree.depth() as u64;
             max_depth = max_depth.max(tree.depth());
-            if max_cap == *cfg.max_capacities.iter().max().unwrap()
-                && trees_at_max.len() < cfg.detail_trees
-            {
+            if Some(&max_cap) == MAX_CAPACITIES.iter().max() && trees_at_max.len() < DETAIL_TREES {
                 trees_at_max.push(tree);
             }
         }
@@ -283,21 +277,14 @@ mod tests {
     use super::*;
 
     fn tiny() -> Fig8Config {
-        Fig8Config {
-            n_nodes: 300,
-            max_capacities: vec![1, 4, 15],
-            tree_sample: Some(120),
-            registrant_cap: None,
-            detail_trees: 5,
-            seed: 3,
-        }
+        Fig8Config { n_nodes: 300, tree_sample: Some(120), registrant_cap: None, seed: 3 }
     }
 
     #[test]
     fn depth_shrinks_as_capacity_grows() {
         let result = run(&tiny());
         let d1 = &result.distributions[0];
-        let d15 = &result.distributions[2];
+        let d15 = &result.distributions[MAX_CAPACITIES.len() - 1];
         assert!(
             d1.mean_depth > d15.mean_depth * 2.0,
             "MAX=1 depth {} vs MAX=15 depth {}",
@@ -326,7 +313,7 @@ mod tests {
     #[test]
     fn detail_trees_present_with_root_first() {
         let result = run(&tiny());
-        assert_eq!(result.detail.len(), 5);
+        assert_eq!(result.detail.len(), DETAIL_TREES);
         for tree in &result.detail {
             assert!(!tree.is_empty());
             // Non-root members sorted by decreasing capacity.
@@ -354,7 +341,7 @@ mod tests {
     #[test]
     fn tables_render() {
         let result = run(&tiny());
-        assert_eq!(to_table_levels(&result).len(), 3);
+        assert_eq!(to_table_levels(&result).len(), MAX_CAPACITIES.len());
         assert!(!to_table_detail(&result).is_empty());
     }
 }

@@ -25,28 +25,29 @@ use bristle_overlay::config::RingConfig;
 use bristle_overlay::key::Key;
 use bristle_overlay::ring::RingDht;
 
+use super::per_point;
 use crate::cli::SweepArgs;
 use crate::report::{f2, Table};
 use crate::sweeps::SweepRun;
+
+/// Population fractions on the x-axis (the paper's M/N sweep as the
+/// node population is "dynamically increased").
+pub const FRACTIONS: [f64; 10] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
+/// Capacities are drawn uniformly from this inclusive range (the
+/// paper's 1..=15).
+pub const CAPACITY_RANGE: (u32, u32) = (1, 15);
 
 /// Parameters for the Figure 9 regeneration.
 #[derive(Debug, Clone)]
 pub struct Fig9Config {
     /// Maximum overlay population (reached at fraction 1.0).
     pub max_nodes: usize,
-    /// Population fractions on the x-axis (the paper's M/N sweep as the
-    /// node population is "dynamically increased").
-    pub fractions: Vec<f64>,
-    /// Capacity range (the paper uses 1..=15).
-    pub capacity_range: (u32, u32),
     /// How many roots to build trees for (None = every node).
     pub tree_sample: Option<usize>,
     /// Physical topology.
     pub topology: TransitStubConfig,
     /// RNG seed.
     pub seed: u64,
-    /// Run sweep points on parallel threads.
-    pub parallel: bool,
 }
 
 impl Fig9Config {
@@ -54,12 +55,9 @@ impl Fig9Config {
     pub fn quick() -> Self {
         Fig9Config {
             max_nodes: 800,
-            fractions: (1..=10).map(|i| i as f64 / 10.0).collect(),
-            capacity_range: (1, 15),
             tree_sample: Some(400),
             topology: TransitStubConfig::small(),
             seed: 42,
-            parallel: true,
         }
     }
 
@@ -107,7 +105,7 @@ fn measure_mode(
     let mut rng = Pcg64::seed_from_u64(cfg.seed ^ seed_tag);
     let mut attachments = AttachmentMap::new();
     let mut dht: RingDht<()> = RingDht::new(ring);
-    let (lo, hi) = cfg.capacity_range;
+    let (lo, hi) = CAPACITY_RANGE;
     for _ in 0..n {
         let host = attachments.attach_new(*rng.choose(stub_routers));
         let cap = rng.range_inclusive(lo as u64, hi as u64) as u32;
@@ -169,23 +167,7 @@ pub fn run(cfg: &Fig9Config) -> Fig9Result {
         Fig9Row { fraction, nodes: n, cost_with_locality: with, cost_without_locality: without }
     };
 
-    let rows: Vec<Fig9Row> = if cfg.parallel && cfg.fractions.len() > 1 {
-        let mut out: Vec<Option<Fig9Row>> = vec![None; cfg.fractions.len()];
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for (i, &f) in cfg.fractions.iter().enumerate() {
-                let point = &point;
-                handles.push((i, s.spawn(move || point(f))));
-            }
-            for (i, h) in handles {
-                out[i] = Some(h.join().expect("sweep point"));
-            }
-        });
-        out.into_iter().map(|r| r.expect("filled")).collect()
-    } else {
-        cfg.fractions.iter().map(|&f| point(f)).collect()
-    };
-    Fig9Result { rows }
+    Fig9Result { rows: per_point(&FRACTIONS, point) }
 }
 
 /// Renders the figure data.
@@ -228,12 +210,9 @@ mod tests {
     fn tiny() -> Fig9Config {
         Fig9Config {
             max_nodes: 300,
-            fractions: vec![0.2, 0.6, 1.0],
-            capacity_range: (1, 15),
             tree_sample: Some(150),
             topology: TransitStubConfig::tiny(),
             seed: 5,
-            parallel: false,
         }
     }
 
@@ -267,26 +246,13 @@ mod tests {
     #[test]
     fn node_counts_track_fractions() {
         let result = run(&tiny());
-        assert_eq!(result.rows[0].nodes, 60);
-        assert_eq!(result.rows[2].nodes, 300);
-    }
-
-    #[test]
-    fn parallel_and_serial_agree() {
-        let mut cfg = tiny();
-        cfg.fractions = vec![0.3, 0.9];
-        let serial = run(&cfg);
-        cfg.parallel = true;
-        let parallel = run(&cfg);
-        for (a, b) in serial.rows.iter().zip(&parallel.rows) {
-            assert_eq!(a.cost_with_locality, b.cost_with_locality);
-            assert_eq!(a.cost_without_locality, b.cost_without_locality);
-        }
+        assert_eq!(result.rows[0].nodes, 30);
+        assert_eq!(result.rows[FRACTIONS.len() - 1].nodes, 300);
     }
 
     #[test]
     fn table_renders() {
         let result = run(&tiny());
-        assert_eq!(to_table(&result).len(), 3);
+        assert_eq!(to_table(&result).len(), FRACTIONS.len());
     }
 }

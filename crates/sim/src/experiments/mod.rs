@@ -13,6 +13,18 @@ pub mod fig8;
 pub mod fig9;
 pub mod table1;
 
+/// Runs `point` at every x-axis value, one scoped thread each, and
+/// returns the rows in axis order. Each point owns its RNGs and builds
+/// its own overlays, so the rows do not depend on how the threads
+/// interleave.
+fn per_point<R: Send>(axis: &[f64], point: impl Fn(f64) -> R + Sync) -> Vec<R> {
+    let point = &point;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = axis.iter().map(|&x| s.spawn(move || point(x))).collect();
+        handles.into_iter().map(|h| h.join().expect("sweep point")).collect()
+    })
+}
+
 /// Experiment scale selector shared by the sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {

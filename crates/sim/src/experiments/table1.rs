@@ -33,6 +33,13 @@ use crate::mobility::MobilityModel;
 use crate::report::{f2, pct, Table};
 use crate::sweeps::SweepRun;
 
+/// Probability that a Type B home agent is down at any lookup.
+pub const AGENT_FAILURE_PROB: f64 = 0.1;
+/// Mean ticks between moves of one node.
+pub const MOVE_INTERVAL: u64 = 50;
+/// Physical topology all three architectures are built on.
+pub const TOPOLOGY: TransitStubConfig = TransitStubConfig::small();
+
 /// Parameters for the Table 1 regeneration.
 #[derive(Debug, Clone)]
 pub struct Table1Config {
@@ -44,12 +51,6 @@ pub struct Table1Config {
     pub moves: usize,
     /// Lookups interleaved with the movement.
     pub lookups: usize,
-    /// Probability that a Type B home agent is down at any lookup.
-    pub agent_failure_prob: f64,
-    /// Mean ticks between moves of one node.
-    pub move_interval: u64,
-    /// Physical topology.
-    pub topology: TransitStubConfig,
     /// RNG seed.
     pub seed: u64,
 }
@@ -57,16 +58,7 @@ pub struct Table1Config {
 impl Table1Config {
     /// Reduced scale.
     pub fn quick() -> Self {
-        Table1Config {
-            n_stationary: 150,
-            n_mobile: 60,
-            moves: 120,
-            lookups: 200,
-            agent_failure_prob: 0.1,
-            move_interval: 50,
-            topology: TransitStubConfig::small(),
-            seed: 42,
-        }
+        Table1Config { n_stationary: 150, n_mobile: 60, moves: 120, lookups: 200, seed: 42 }
     }
 
     /// Larger populations (a 1 024-node system, 30% mobile).
@@ -118,7 +110,7 @@ fn measure_bristle(cfg: &Table1Config) -> SystemMetrics {
     let mut sys: BristleSystem = BristleBuilder::new(cfg.seed)
         .stationary_nodes(cfg.n_stationary)
         .mobile_nodes(cfg.n_mobile)
-        .topology(cfg.topology.clone())
+        .topology(TOPOLOGY)
         .config(BristleConfig::recommended())
         .build()
         .expect("bristle builds");
@@ -142,17 +134,17 @@ fn measure_bristle(cfg: &Table1Config) -> SystemMetrics {
         Move(usize),
         Lookup(usize),
     }
-    let mobility = MobilityModel::new(cfg.move_interval);
+    let mobility = MobilityModel::new(MOVE_INTERVAL);
     let mut queue: EventQueue<Ev> = EventQueue::new();
     {
         let rng = sys.rng();
         for i in 0..cfg.moves {
-            let delay = 1 + mobility.next_delay(rng) % (cfg.move_interval * 4);
+            let delay = 1 + mobility.next_delay(rng) % (MOVE_INTERVAL * 4);
             queue.schedule_at(SimTime(delay + i as u64), Ev::Move(i));
         }
         for i in 0..cfg.lookups {
             queue.schedule_at(
-                SimTime(1 + (i as u64 * cfg.move_interval * 4) / cfg.lookups.max(1) as u64),
+                SimTime(1 + (i as u64 * MOVE_INTERVAL * 4) / cfg.lookups.max(1) as u64),
                 Ev::Lookup(i),
             );
         }
@@ -215,7 +207,7 @@ fn measure_bristle(cfg: &Table1Config) -> SystemMetrics {
 }
 
 fn measure_type_a(cfg: &Table1Config) -> SystemMetrics {
-    let mut sys = TypeASystem::build(cfg.seed, cfg.n_stationary, cfg.n_mobile, &cfg.topology, 1);
+    let mut sys = TypeASystem::build(cfg.seed, cfg.n_stationary, cfg.n_mobile, &TOPOLOGY, 1);
     let mobiles = sys.mobile_bodies();
     let readers = sys.stationary_bodies();
 
@@ -290,7 +282,7 @@ fn measure_type_a(cfg: &Table1Config) -> SystemMetrics {
 }
 
 fn measure_type_b(cfg: &Table1Config) -> SystemMetrics {
-    let mut sys = TypeBSystem::build(cfg.seed, cfg.n_stationary, cfg.n_mobile, &cfg.topology);
+    let mut sys = TypeBSystem::build(cfg.seed, cfg.n_stationary, cfg.n_mobile, &TOPOLOGY);
     let mobiles = sys.mobile_keys();
     let stationaries = sys.stationary_keys();
     let msgs_before = sys.meter.total_messages();
@@ -302,7 +294,7 @@ fn measure_type_b(cfg: &Table1Config) -> SystemMetrics {
         let m = mobiles[i % mobiles.len()];
         sys.move_node(m).expect("move");
         // Inject agent failures with the configured probability.
-        let agent_up = !rng.chance(cfg.agent_failure_prob);
+        let agent_up = !rng.chance(AGENT_FAILURE_PROB);
         sys.set_agent_alive(m, agent_up);
         let src = stationaries[i % stationaries.len()];
         let route = sys.route(src, m).expect("route");
@@ -321,7 +313,7 @@ fn measure_type_b(cfg: &Table1Config) -> SystemMetrics {
     for i in 0..cfg.lookups {
         let m = mobiles[i % mobiles.len()];
         let src = stationaries[(i * 3) % stationaries.len()];
-        let agent_up = !rng.chance(cfg.agent_failure_prob);
+        let agent_up = !rng.chance(AGENT_FAILURE_PROB);
         sys.set_agent_alive(m, agent_up);
         let route = sys.route(src, m).expect("route");
         if route.delivered {
@@ -403,16 +395,7 @@ mod tests {
     use super::*;
 
     fn tiny() -> Table1Config {
-        Table1Config {
-            n_stationary: 50,
-            n_mobile: 20,
-            moves: 30,
-            lookups: 40,
-            agent_failure_prob: 0.25,
-            move_interval: 20,
-            topology: TransitStubConfig::tiny(),
-            seed: 9,
-        }
+        Table1Config { n_stationary: 50, n_mobile: 20, moves: 30, lookups: 40, seed: 9 }
     }
 
     #[test]
@@ -448,7 +431,7 @@ mod tests {
         let type_b = &result.systems[1];
         assert!(
             type_b.data_availability < 0.95,
-            "25% agent failures must show: {}",
+            "10% agent failures must show: {}",
             type_b.data_availability
         );
     }

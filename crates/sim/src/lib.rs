@@ -59,5 +59,5 @@ pub use mobility::MobilityModel;
 pub use partition::{run_partition, PartitionConfig, PartitionOutcome};
 pub use report::Table;
 pub use resilience::{run_churn_messaging, ResilienceConfig, ResilienceOutcome};
-pub use scenario::{ScenarioConfig, ScenarioOutcome};
+pub use scenario::ScenarioOutcome;
 pub use workload::{measure_routes, sample_any_pairs, sample_stationary_pairs, RouteAggregate};

@@ -41,17 +41,6 @@ impl Samples {
         self.values.iter().sum::<f64>() / self.values.len() as f64
     }
 
-    /// Sample standard deviation (0 with fewer than two samples).
-    pub fn std_dev(&self) -> f64 {
-        let n = self.values.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (n - 1) as f64;
-        var.sqrt()
-    }
-
     /// Exact percentile by nearest-rank (`p` in `[0, 100]`).
     pub fn percentile(&mut self, p: f64) -> f64 {
         assert!((0.0..=100.0).contains(&p), "percentile {p}");
@@ -152,13 +141,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std() {
+    fn mean_and_sum() {
         let mut s = Samples::new();
         for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             s.push(v);
         }
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.138089935).abs() < 1e-6);
         assert_eq!(s.len(), 8);
         assert_eq!(s.sum(), 40.0);
     }
@@ -168,7 +156,6 @@ mod tests {
         let mut s = Samples::new();
         assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.std_dev(), 0.0);
         assert_eq!(s.percentile(50.0), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);

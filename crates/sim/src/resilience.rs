@@ -59,12 +59,6 @@ pub struct ResilienceConfig {
     pub loss: f64,
     /// Scenario events (one churn draw + measurement batch each).
     pub events: usize,
-    /// Adversarial fault placement: halfway through the run, crash the
-    /// stationary node that is record-primary for the most mobile
-    /// subjects. Random churn almost never hits the primary (clustered
-    /// naming concentrates ownership on the band boundary), yet the
-    /// failover path is exactly what a resilience run must exercise.
-    pub assassinate_primary: bool,
 }
 
 impl ResilienceConfig {
@@ -78,7 +72,6 @@ impl ResilienceConfig {
             churn: ChurnModel::balanced(50),
             loss: 0.10,
             events: 18,
-            assassinate_primary: true,
         }
     }
 }
@@ -224,9 +217,12 @@ pub fn run_churn_messaging(cfg: &ResilienceConfig) -> ResilienceOutcome {
     let mut pending: BTreeSet<Key> = BTreeSet::new();
 
     for e in 0..cfg.events {
-        // Adversarial fault placement (see [`ResilienceConfig`]): kill
-        // the busiest record primary at the run's midpoint.
-        if cfg.assassinate_primary && e == cfg.events / 2 {
+        // Adversarial fault placement: kill the busiest record primary at
+        // the run's midpoint. Random churn almost never hits the primary
+        // (clustered naming concentrates ownership on the band boundary),
+        // yet the failover path is exactly what a resilience run must
+        // exercise.
+        if e == cfg.events / 2 {
             let live_st = live_of(&msys, Mobility::Stationary);
             if live_st.len() > MIN_STATIONARY {
                 if let Some(primary) = busiest_owner(&msys) {
@@ -439,15 +435,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quiet_run_has_no_deaths_and_full_delivery() {
+    fn quiet_run_loses_only_the_primary_and_delivers_fully() {
         let mut cfg = ResilienceConfig::standard(5);
         cfg.churn = ChurnModel::none();
         cfg.loss = 0.0;
         cfg.events = 4;
-        cfg.assassinate_primary = false;
         let out = run_churn_messaging(&cfg);
-        assert_eq!(out.fails, 0);
-        assert_eq!(out.deaths_confirmed, 0);
+        assert_eq!(out.fails, 1, "the midpoint's assassination is the only crash");
+        assert_eq!(out.deaths_confirmed, 1);
+        assert!(out.dead_primary_lookups > 0);
+        assert_eq!(out.dead_primary_hits, out.dead_primary_lookups, "replicas answer for it");
         assert!(out.invariant_ok);
         assert!(out.routes.attempted > 0);
         assert_eq!(out.routes.delivered, out.routes.attempted);

@@ -38,13 +38,14 @@ const ROUTE_SALT: u64 = 0x0005_ca1e_0001;
 const LDT_SALT: u64 = 0x0005_ca1e_0002;
 const BENCH_SALT: u64 = 0x0005_ca1e_0003;
 
+/// Mobile fraction of every population.
+pub const MOBILE_FRACTION: f64 = 0.2;
+
 /// Parameters of the scale sweep.
 #[derive(Debug, Clone)]
 pub struct ScaleConfig {
     /// Total populations (stationary + mobile) to measure, ascending.
     pub populations: Vec<usize>,
-    /// Mobile fraction of each population.
-    pub mobile_fraction: f64,
     /// Routed lookups sampled per cell.
     pub route_samples: usize,
     /// LDT roots sampled per cell (capped at the mobile count).
@@ -61,7 +62,6 @@ impl ScaleConfig {
     pub fn standard(seed: u64, workers: usize) -> Self {
         ScaleConfig {
             populations: vec![1_000, 10_000, 100_000],
-            mobile_fraction: 0.2,
             route_samples: 2_000,
             ldt_samples: 400,
             seed,
@@ -136,7 +136,7 @@ impl ScaleCell {
 
 /// Builds the cell's system and measures it.
 pub fn run_cell(cfg: &ScaleConfig, n: usize) -> ScaleCell {
-    let mobile = ((n as f64) * cfg.mobile_fraction) as usize;
+    let mobile = ((n as f64) * MOBILE_FRACTION) as usize;
     let stationary = n - mobile;
     let sys = BristleBuilder::new(cfg.seed)
         .stationary_nodes(stationary)
@@ -449,7 +449,6 @@ mod tests {
     fn cells_are_deterministic_across_runs() {
         let cfg = ScaleConfig {
             populations: vec![200],
-            mobile_fraction: 0.2,
             route_samples: 100,
             ldt_samples: 30,
             seed: 8,
@@ -477,7 +476,6 @@ mod tests {
     fn hops_grow_sublinearly_with_n() {
         let cfg = ScaleConfig {
             populations: vec![128, 1024],
-            mobile_fraction: 0.2,
             route_samples: 300,
             ldt_samples: 50,
             seed: 8,

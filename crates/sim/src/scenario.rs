@@ -1,13 +1,13 @@
 //! Full dynamic scenarios: movement + churn + lookups + periodic upkeep
 //! on one virtual timeline.
 //!
-//! This is the harness behind the `dynamics` binary and the longevity
-//! integration tests: it drives a [`BristleSystem`] through the
-//! discrete-event engine for a configurable horizon, with Poisson
-//! movement per mobile node, Poisson churn over the population, a
-//! steady lookup workload, and upkeep rounds on a fixed period — then
-//! reports per-interval health (delivery rate, discovery rate, traffic)
-//! so degradation or recovery over time is visible.
+//! This is the harness behind the `dynamics` sweep: it drives a
+//! [`BristleSystem`] through the discrete-event engine for a given
+//! horizon, with Poisson movement per mobile node, Poisson churn over
+//! the population, a steady lookup workload, and upkeep rounds on a
+//! fixed period — then reports per-interval health (delivery rate,
+//! discovery rate, traffic) so degradation or recovery over time is
+//! visible. Every rate derives from the horizon; the rest is fixed.
 
 use bristle_core::naming::Mobility;
 use bristle_core::system::{BristleBuilder, BristleSystem};
@@ -22,37 +22,10 @@ use crate::report::{f2, pct, Table};
 use crate::sweeps::SweepRun;
 use crate::workload::rate;
 
-/// Scenario parameters.
-#[derive(Debug, Clone)]
-pub struct ScenarioConfig {
-    /// Virtual-time horizon.
-    pub horizon: u64,
-    /// Movement process per mobile node.
-    pub mobility: MobilityModel,
-    /// Churn process over the whole population.
-    pub churn: ChurnModel,
-    /// Mean ticks between lookups.
-    pub lookup_interval: u64,
-    /// Upkeep period (0 disables upkeep).
-    pub upkeep_period: u64,
-    /// Number of reporting intervals.
-    pub intervals: usize,
-}
-
-impl ScenarioConfig {
-    /// A balanced default: moderate movement, light churn, periodic
-    /// upkeep at half the lease TTL.
-    pub fn standard(horizon: u64) -> Self {
-        ScenarioConfig {
-            horizon,
-            mobility: MobilityModel::new(horizon / 10),
-            churn: ChurnModel::balanced(horizon / 20),
-            lookup_interval: (horizon / 200).max(1),
-            upkeep_period: 150,
-            intervals: 10,
-        }
-    }
-}
+/// Ticks between upkeep rounds: half the recommended lease TTL.
+pub const UPKEEP_PERIOD: u64 = 150;
+/// Reporting intervals the horizon is cut into.
+pub const INTERVALS: usize = 10;
 
 /// Metrics for one reporting interval.
 #[derive(Debug, Clone, Default)]
@@ -109,42 +82,39 @@ enum Ev {
     Upkeep,
 }
 
-/// Runs the scenario against an already-built system.
-pub fn run(sys: &mut BristleSystem, cfg: &ScenarioConfig) -> ScenarioOutcome {
-    assert!(cfg.intervals >= 1 && cfg.horizon >= cfg.intervals as u64);
+/// Runs the scenario against an already-built system for `horizon`
+/// ticks. A mobile node moves every `horizon / 10` ticks on average,
+/// churn strikes every `horizon / 20` and a lookup runs every
+/// `horizon / 200`; upkeep runs every [`UPKEEP_PERIOD`].
+pub fn run(sys: &mut BristleSystem, horizon: u64) -> ScenarioOutcome {
+    assert!(horizon >= INTERVALS as u64);
+    let mobility = MobilityModel::new(horizon / 10);
+    let churn = ChurnModel::balanced(horizon / 20);
+    let lookup_interval = (horizon / 200).max(1);
     let mut queue: EventQueue<Ev> = EventQueue::new();
     {
-        let mobility = cfg.mobility;
+        let initial_mobile = sys.mobile_keys().len();
         let rng = sys.rng();
-        // One movement process per initially-mobile slot; each event
-        // re-schedules itself, so the process outlives churn of specific
-        // nodes (the slot picks a live mobile node at fire time).
-        let initial_mobile = 8u64;
-        for slot in 0..initial_mobile {
-            queue.schedule_at(SimTime(mobility.next_delay(rng)), Ev::Move(slot));
+        // One movement process per initially-mobile node, each starting
+        // at its own phase; each event re-schedules itself, so the
+        // process outlives churn of specific nodes (the slot picks a live
+        // mobile node at fire time).
+        for (slot, phase) in mobility.initial_phases(initial_mobile, rng).into_iter().enumerate() {
+            queue.schedule_at(SimTime(phase), Ev::Move(slot as u64));
         }
-        if cfg.churn.is_active() {
-            queue.schedule_at(SimTime(cfg.churn.next_delay(rng)), Ev::Churn);
-        }
+        queue.schedule_at(SimTime(churn.next_delay(rng)), Ev::Churn);
         queue.schedule_at(SimTime(1), Ev::Lookup(0));
-        if cfg.upkeep_period > 0 {
-            queue.schedule_at(SimTime(cfg.upkeep_period), Ev::Upkeep);
-        }
+        queue.schedule_at(SimTime(UPKEEP_PERIOD), Ev::Upkeep);
     }
 
-    let interval_len = cfg.horizon / cfg.intervals as u64;
-    let mut intervals: Vec<IntervalStats> = (1..=cfg.intervals)
+    let interval_len = horizon / INTERVALS as u64;
+    let mut intervals: Vec<IntervalStats> = (1..=INTERVALS)
         .map(|i| IntervalStats { until: SimTime(interval_len * i as u64), ..Default::default() })
         .collect();
     let mut msgs_at_interval_start = sys.meter.total_messages();
     let mut current_interval = 0usize;
-    let mobility = cfg.mobility;
-    let churn = cfg.churn;
-    let lookup_interval = cfg.lookup_interval;
-    let upkeep_period = cfg.upkeep_period;
-    let horizon = SimTime(cfg.horizon);
 
-    let events = run_events(&mut queue, horizon, 2_000_000, |q, t, ev| {
+    let events = run_events(&mut queue, SimTime(horizon), 2_000_000, |q, t, ev| {
         // Advance system time and interval bookkeeping.
         if sys.clock.now() < t {
             let dt = t.since(sys.clock.now());
@@ -217,7 +187,7 @@ pub fn run(sys: &mut BristleSystem, cfg: &ScenarioConfig) -> ScenarioOutcome {
             }
             Ev::Upkeep => {
                 sys.run_upkeep().expect("upkeep");
-                q.schedule_in(upkeep_period, Ev::Upkeep);
+                q.schedule_in(UPKEEP_PERIOD, Ev::Upkeep);
             }
         }
     });
@@ -263,7 +233,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
         .topology(TransitStubConfig::small())
         .build()
         .expect("system builds");
-    let outcome = run(&mut sys, &ScenarioConfig::standard(horizon));
+    let outcome = run(&mut sys, horizon);
     let mut out = SweepRun::new("dynamics", seed);
     out.tables.push(to_table(&outcome));
     out.lines.push(format!(
@@ -279,8 +249,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bristle_core::system::BristleBuilder;
-    use bristle_netsim::transit_stub::TransitStubConfig;
+    use bristle_overlay::key::Key;
 
     fn system(seed: u64) -> BristleSystem {
         BristleBuilder::new(seed)
@@ -291,21 +260,12 @@ mod tests {
             .unwrap()
     }
 
-    fn quick_cfg() -> ScenarioConfig {
-        ScenarioConfig {
-            horizon: 1_000,
-            mobility: MobilityModel::new(120),
-            churn: ChurnModel::balanced(150),
-            lookup_interval: 10,
-            upkeep_period: 200,
-            intervals: 5,
-        }
-    }
+    const HORIZON: u64 = 1_000;
 
     #[test]
     fn scenario_delivers_through_movement_and_churn() {
         let mut sys = system(1);
-        let outcome = run(&mut sys, &quick_cfg());
+        let outcome = run(&mut sys, HORIZON);
         assert!(outcome.events > 50, "scenario must actually run ({} events)", outcome.events);
         assert!(outcome.overall_delivery() > 0.95, "delivery {}", outcome.overall_delivery());
         let total_moves: usize = outcome.intervals.iter().map(|i| i.moves).sum();
@@ -314,29 +274,40 @@ mod tests {
         assert!(total_churn > 0);
     }
 
+    /// A movement process per initially-mobile node: over ten mean
+    /// move intervals nearly every one of them moves, not a fixed few.
     #[test]
-    fn no_upkeep_still_delivers_via_late_discovery() {
-        let mut sys = system(2);
-        let cfg = ScenarioConfig { upkeep_period: 0, ..quick_cfg() };
-        let outcome = run(&mut sys, &cfg);
-        assert!(outcome.overall_delivery() > 0.9, "delivery {}", outcome.overall_delivery());
+    fn most_mobile_nodes_move() {
+        let mut sys = BristleBuilder::new(6)
+            .stationary_nodes(30)
+            .mobile_nodes(40)
+            .topology(TransitStubConfig::tiny())
+            .build()
+            .unwrap();
+        let epoch = |sys: &BristleSystem, k: Key| {
+            sys.node_info(k).ok().map(|n| sys.attachments.current(n.host).epoch)
+        };
+        let before: Vec<(Key, u32)> =
+            sys.mobile_keys().iter().map(|&k| (k, epoch(&sys, k).expect("live"))).collect();
+        run(&mut sys, HORIZON);
+        let moved =
+            before.iter().filter(|&&(k, was)| epoch(&sys, k).is_some_and(|now| now != was)).count();
+        assert!(2 * moved >= before.len(), "{moved} of {} mobile nodes moved", before.len());
     }
 
     #[test]
     fn timeline_has_requested_intervals_and_table_renders() {
         let mut sys = system(3);
-        let cfg = quick_cfg();
-        let outcome = run(&mut sys, &cfg);
-        assert_eq!(outcome.intervals.len(), cfg.intervals);
-        assert_eq!(to_table(&outcome).len(), cfg.intervals);
+        let outcome = run(&mut sys, HORIZON);
+        assert_eq!(outcome.intervals.len(), INTERVALS);
+        assert_eq!(to_table(&outcome).len(), INTERVALS);
     }
 
     #[test]
     fn population_changes_under_churn() {
         let mut sys = system(4);
         let before = (sys.stationary_keys().len(), sys.mobile_keys().len());
-        let cfg = ScenarioConfig { churn: ChurnModel::balanced(40), ..quick_cfg() };
-        let outcome = run(&mut sys, &cfg);
+        let outcome = run(&mut sys, HORIZON);
         assert_ne!(outcome.final_population, before, "churn must change the population");
     }
 
@@ -344,7 +315,7 @@ mod tests {
     fn deterministic_outcome() {
         let run_once = || {
             let mut sys = system(5);
-            let o = run(&mut sys, &quick_cfg());
+            let o = run(&mut sys, HORIZON);
             (o.events, o.overall_delivery().to_bits(), o.final_population)
         };
         assert_eq!(run_once(), run_once());

@@ -92,13 +92,11 @@ fn measured_rdp_between_model_curves() {
     use bristle::sim::experiments::fig7;
     let cfg = fig7::Fig7Config {
         n_stationary: 100,
-        fractions: vec![0.5],
         routes: 300,
         topology: TransitStubConfig::tiny(),
         seed: 5,
-        parallel: false,
     };
-    let row = fig7::run(&cfg).rows[0];
+    let row = fig7::run(&cfg).rows.into_iter().find(|r| r.fraction == 0.5).expect("M/N = 0.5");
     let n = 200.0; // total at M/N = 0.5 with 100 stationary
     let p = analysis::Population::new(n, 100.0);
     let model_ratio =
