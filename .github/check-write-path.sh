@@ -1,9 +1,10 @@
 #!/bin/sh
 # One write path: a node's registrations, leases, location-record shard
-# and identity are changed — and mirrored into its durable store — only
-# by bristle-core::repo (DESIGN §8 "The write path"). This fails if a
-# table or store write appears in non-test code under crates/*/src
-# anywhere else, beyond the sites counted in write-path.allow.
+# and identity are changed — and mirrored into its durable store, if it
+# has one — only by bristle-core::repo (DESIGN §8 "The write path").
+# This fails if a table or store write appears in non-test code under
+# crates/*/src anywhere else, beyond the sites counted in
+# write-path.allow.
 #
 # Non-test code is a file up to its `#[cfg(test)] mod tests`. Comments
 # are dropped and all whitespace removed before matching, so rustfmt's

@@ -1,21 +1,22 @@
 //! Per-node durable-state stores (the `bristle-store` integration).
 //!
-//! Every repository mutation a node performs — identity/incarnation
-//! changes, location-record writes at its shard of the stationary
-//! layer, registrations, leases — is mirrored as a
-//! [`WalRecord`] into that node's [`StateStore`], by [`crate::repo`]
-//! and nothing else. The default backend is
-//! [`bristle_store::MemBackend`]: a second in-memory copy of the
-//! node's rows (one `BTreeMap` update per mutation, no I/O) that
-//! survives nothing; attaching a [`WalBackend`] makes the node's state
-//! survive a crash, which [`crate::restart`] exploits to rejoin with its
-//! shard intact instead of re-learning it from the overlay.
+//! A node's repository — identity/incarnation, the location records of
+//! its shard of the stationary layer, registrations, leases — lives in
+//! the live tables. A node gets a [`StateStore`] only when something
+//! needs one: [`BristleSystem::attach_wal`] gives it a [`WalBackend`]
+//! seeded with its rows, which [`crate::restart`] exploits to rejoin
+//! with its shard intact instead of re-learning it from the overlay;
+//! and a crash folds its rows into a [`bristle_store::MemBackend`], so
+//! the corpse keeps what it held at the instant of death. From then on
+//! every repository mutation of that node is mirrored as a
+//! [`WalRecord`] into its store, by [`crate::repo`] and nothing else. A
+//! node that never crashed and has no WAL holds no second copy.
 //!
 //! Store mutations never touch the meter, the RNG, or the clock:
 //! attaching, detaching or swapping backends cannot perturb a seeded
 //! run (the flight-recorder golden trace pins this).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 
 use bristle_netsim::attach::{Attachment, HostId};
@@ -29,9 +30,8 @@ use crate::location::LocationRecord;
 use crate::system::BristleSystem;
 use crate::time::SimTime;
 
-/// All per-node stores, keyed by node. Nodes get a lazily created
-/// [`MemBackend`] on first mutation; a durable backend is opted into
-/// with [`StoreHub::attach_wal`].
+/// All per-node stores, keyed by node. A node has none until it
+/// crashes or is given a WAL (module docs).
 #[derive(Default)]
 pub struct StoreHub {
     backends: HashMap<Key, Box<dyn StateStore>>,
@@ -60,22 +60,22 @@ impl StoreHub {
         StoreHub::default()
     }
 
-    /// Applies one mutation to `node`'s store (creating its default
-    /// in-memory backend on first use). Frozen nodes are skipped — a
-    /// dead node's store must reflect its state *as of the crash*.
+    /// Applies one mutation to `node`'s store, if it has one. Frozen
+    /// stores are skipped — a dead node's store must reflect its state
+    /// *as of the crash*.
     pub fn apply(&mut self, node: Key, rec: WalRecord) {
-        if self.frozen.contains(&node) {
-            return;
+        let Some(backend) = self.backends.get_mut(&node) else { return };
+        if !self.frozen.contains(&node) {
+            backend.apply(&rec);
         }
-        self.backends.entry(node).or_insert_with(|| Box::new(MemBackend::new())).apply(&rec);
     }
 
-    /// The folded durable state of `node`, if it has ever mutated.
+    /// The folded durable state of `node`, if it has a store.
     pub fn state(&self, node: Key) -> Option<&DurableState> {
         self.backends.get(&node).map(|b| b.state())
     }
 
-    /// The backend family serving `node` (`"mem"` for the default).
+    /// The backend family serving `node` (`"mem"` when it has no store).
     pub fn kind(&self, node: Key) -> &'static str {
         self.backends.get(&node).map(|b| b.kind()).unwrap_or("mem")
     }
@@ -95,9 +95,17 @@ impl StoreHub {
         self.frozen.contains(&node)
     }
 
-    /// Attaches a WAL backend for `node`, rebasing whatever state its
-    /// current (in-memory) store holds into the log, and remembers the
-    /// directory so [`StoreHub::reopen_wal`] can re-open it from disk.
+    /// Attaches a WAL backend for `node`, rebasing whatever its current
+    /// store holds into the log, and remembers the directory so
+    /// [`StoreHub::reopen_wal`] can re-open it from disk.
+    ///
+    /// A node that never crashed has no store here, so its log starts
+    /// empty, and a restart off it brings the node back without the rows
+    /// it held before the attach. Attach through
+    /// [`BristleSystem::attach_wal`], which seeds the log with them; this
+    /// one stays public only for the wall-clock benchmark's `handoff`
+    /// workload, until that workload moves to the system call.
+    #[doc(hidden)]
     pub fn attach_wal(&mut self, node: Key, mut backend: WalBackend) {
         if let Some(existing) = self.backends.get(&node) {
             for rec in existing.state().to_records() {
@@ -128,11 +136,7 @@ impl StoreHub {
             }
             Err(_) => {
                 self.wal_meta.remove(&node);
-                let mut mem = MemBackend::new();
-                for rec in fold.into_iter().flatten() {
-                    mem.apply(&rec);
-                }
-                self.backends.insert(node, Box::new(mem));
+                self.backends.insert(node, mem_holding(fold.into_iter().flatten()));
                 None
             }
         }
@@ -145,6 +149,15 @@ impl StoreHub {
         self.frozen.remove(&node);
         self.wal_meta.remove(&node);
     }
+}
+
+/// An in-memory store folded from `records`.
+fn mem_holding(records: impl IntoIterator<Item = WalRecord>) -> Box<dyn StateStore> {
+    let mut mem = MemBackend::new();
+    for rec in records {
+        mem.apply(&rec);
+    }
+    Box::new(mem)
 }
 
 /// The [`WalRecord`] mirroring a [`LocationRecord`] stored for
@@ -180,54 +193,74 @@ pub fn location_from_stored(subject: Key, sr: &StoredRecord) -> LocationRecord {
 }
 
 impl BristleSystem {
-    /// Panics unless, for every live node whose store is not frozen,
-    /// `stores.state(k)` is exactly what the tables say: identity
-    /// `(key, incarnation)`, records = its shard, registrations = the
-    /// registry edges it is the registrant of, leases = the lease-table
-    /// rows it holds. With `leases_exact` false the table may hold
-    /// leases the store lacks — the function-path `discover` was called.
-    #[doc(hidden)]
-    pub fn assert_stores_mirror_tables(&self, step: &str, leases_exact: bool) {
-        let mut want: BTreeMap<Key, DurableState> = BTreeMap::new();
-        for node in self.mobile.iter().filter(|n| !self.stores.is_frozen(n.key)) {
-            let incarnation = self.info_unchecked(node.key).incarnation;
-            let state = want.entry(node.key).or_default();
-            state.apply(&WalRecord::Identity { key: node.key.0, incarnation });
-            if let Ok(shard) = self.stationary.node(node.key) {
-                for rec in shard.store.values() {
-                    state.apply(&record_put(rec));
-                }
+    /// What the tables hold of `key`'s repository, as its store would
+    /// fold it: identity `(key, incarnation)` while the node is present,
+    /// its shard, the registry edges it is the registrant of, and the
+    /// lease-table rows it holds.
+    pub(crate) fn durable_rows(&self, key: Key) -> DurableState {
+        let mut rows = DurableState::new();
+        if let Ok(info) = self.node_info(key) {
+            rows.apply(&WalRecord::Identity { key: key.0, incarnation: info.incarnation });
+        }
+        if let Ok(shard) = self.stationary.node(key) {
+            for rec in shard.store.values() {
+                rows.apply(&record_put(rec));
             }
         }
         for (target, regs) in self.registry.iter() {
-            for r in regs {
-                if let Some(state) = want.get_mut(&r.key) {
-                    state.apply(&WalRecord::Register { target: target.0, capacity: r.capacity });
-                }
+            if let Some(r) = regs.iter().find(|r| r.key == key) {
+                rows.apply(&WalRecord::Register { target: target.0, capacity: r.capacity });
             }
         }
         for ((holder, subject), lease) in self.leases.iter() {
-            if let Some(state) = want.get_mut(&holder) {
-                state
-                    .apply(&WalRecord::LeaseGrant { subject: subject.0, expires: lease.expires.0 });
+            if holder == key {
+                rows.apply(&WalRecord::LeaseGrant { subject: subject.0, expires: lease.expires.0 });
             }
         }
-        for (key, mut want) in want {
-            let have = self.stores.state(key).cloned().unwrap_or_default();
-            if !leases_exact {
-                want.leases.retain(|subject, _| have.leases.contains_key(subject));
+        rows
+    }
+
+    /// Gives a present `key` a store holding [`Self::durable_rows`],
+    /// unless it has one. A store mirrors the tables from the moment it
+    /// exists, so the fold is exactly what a mirror kept since build
+    /// would hold now.
+    pub(crate) fn fold_store(&mut self, key: Key) {
+        if self.stores.state(key).is_none() && self.contains_node(key) {
+            let rows = self.durable_rows(key).to_records();
+            self.stores.backends.insert(key, mem_holding(rows));
+        }
+    }
+
+    /// Crash semantics for `key`'s store: it keeps the rows the tables
+    /// hold for the node at this instant, and stops changing. A verdict
+    /// naming an absent node creates no store.
+    pub(crate) fn freeze_store(&mut self, key: Key) {
+        self.fold_store(key);
+        self.stores.freeze(key);
+    }
+
+    /// Attaches a WAL backend for `key`, seeded with its store if it has
+    /// one and otherwise with the rows the tables hold for it (its
+    /// identity, shard, registrations and leases), so a later
+    /// crash-restart replays everything the node held, not only what
+    /// changed after the attach.
+    pub fn attach_wal(&mut self, key: Key, backend: WalBackend) {
+        self.fold_store(key);
+        self.stores.attach_wal(key, backend);
+    }
+
+    /// Panics unless every live node that holds an unfrozen store holds
+    /// exactly [`Self::durable_rows`].
+    #[doc(hidden)]
+    pub fn assert_stores_mirror_tables(&self, step: &str) {
+        for key in self.mobile.keys().filter(|&k| !self.stores.is_frozen(k)) {
+            if let Some(have) = self.stores.state(key) {
+                assert_eq!(
+                    *have,
+                    self.durable_rows(key),
+                    "after {step}: store of {key} (left) differs from the tables (right)"
+                );
             }
-            assert_eq!(
-                have,
-                want,
-                "after {step}: store of {key} (left) differs from the tables (right); leases \
-                 compared {}",
-                if leases_exact {
-                    "exactly"
-                } else {
-                    "store ⊆ table: `discover` does not mirror"
-                }
-            );
         }
     }
 }
@@ -237,13 +270,22 @@ mod tests {
     use super::*;
     use bristle_netsim::attach::AttachmentMap;
 
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir()
+            .join(format!("bristle-core-test-{}", std::process::id()))
+            .join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
-    fn hub_defaults_to_mem_and_freezes() {
+    fn a_hub_holds_nothing_for_a_node_it_was_never_given() {
         let mut hub = StoreHub::new();
         let k = Key(7);
         hub.apply(k, WalRecord::Identity { key: 7, incarnation: 1 });
+        assert!(hub.state(k).is_none(), "a mutation alone creates no store");
+        hub.backends.insert(k, mem_holding([WalRecord::Identity { key: 7, incarnation: 1 }]));
         assert_eq!(hub.kind(k), "mem");
-        assert_eq!(hub.state(k).unwrap().identity, Some((7, 1)));
         hub.freeze(k);
         hub.apply(k, WalRecord::Identity { key: 7, incarnation: 9 });
         assert_eq!(hub.state(k).unwrap().identity, Some((7, 1)), "frozen store unchanged");
@@ -253,11 +295,8 @@ mod tests {
     }
 
     #[test]
-    fn attach_wal_rebases_and_reopen_reads_disk() {
-        let dir = std::env::temp_dir()
-            .join(format!("bristle-core-test-{}", std::process::id()))
-            .join("hub-rebase");
-        let _ = std::fs::remove_dir_all(&dir);
+    fn a_hub_attach_starts_an_empty_log_and_reopen_reads_disk() {
+        let dir = scratch("hub-attach");
         let mut hub = StoreHub::new();
         let k = Key(3);
         hub.apply(k, WalRecord::Register { target: 11, capacity: 2 });
@@ -265,9 +304,44 @@ mod tests {
         assert_eq!(hub.kind(k), "wal");
         hub.apply(k, WalRecord::Register { target: 12, capacity: 1 });
         let report = hub.reopen_wal(k).expect("reopen succeeds");
-        assert_eq!(report.log_records, 2, "rebased + live record replayed");
+        assert_eq!(report.log_records, 1, "only what was applied after the attach");
         let regs = &hub.state(k).unwrap().registrations;
-        assert_eq!(regs.len(), 2);
+        assert_eq!(regs.keys().copied().collect::<Vec<_>>(), [12]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The system-level attach seeds the log with the node's rows; the
+    /// hub-level one, on a node that never crashed, starts it empty.
+    #[test]
+    fn attach_wal_seeds_the_log_with_the_nodes_rows() {
+        use crate::config::BristleConfig;
+        use crate::system::BristleBuilder;
+        use bristle_netsim::transit_stub::TransitStubConfig;
+
+        let dir = scratch("seeded-attach");
+        let mut sys = BristleBuilder::new(31)
+            .stationary_nodes(30)
+            .mobile_nodes(10)
+            .topology(TransitStubConfig::tiny())
+            .config(BristleConfig::recommended())
+            .build()
+            .unwrap();
+        let m = sys.mobile_keys()[0];
+        sys.move_node(m, None).unwrap();
+        let seeded = sys.stationary.owner(m).unwrap();
+        let bare = sys.registry.registrants_of(m).iter().map(|r| r.key).find(|&k| k != seeded);
+        let bare = bare.expect("an LDT member besides the primary");
+        let rows = sys.durable_rows(seeded);
+        assert!(!rows.records.is_empty() && !rows.leases.is_empty(), "the seed must bite");
+        assert!(!sys.durable_rows(bare).is_empty());
+
+        sys.attach_wal(seeded, WalBackend::open(dir.join("seeded"), 0).unwrap());
+        sys.stores.attach_wal(bare, WalBackend::open(dir.join("bare"), 0).unwrap());
+        let report = sys.stores.reopen_wal(seeded).expect("reopen succeeds");
+        assert_eq!(report.log_records, rows.to_records().len());
+        assert_eq!(sys.stores.state(seeded), Some(&rows));
+        assert_eq!(sys.stores.reopen_wal(bare).expect("reopen succeeds").log_records, 0);
+        assert!(sys.stores.state(bare).unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

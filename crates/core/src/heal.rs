@@ -98,9 +98,9 @@ impl BristleSystem {
         }
         self.corpses.insert(key, Corpse { info: None, buried_at: self.clock.now() });
         // The corpse's durable store must reflect its state *as of the
-        // crash*: freeze it before any funeral bookkeeping, so cleanup
-        // performed about it by survivors is not written into it.
-        self.stores.freeze(key);
+        // crash*: fold and freeze it before any funeral bookkeeping, so
+        // cleanup performed about it by survivors is not written into it.
+        self.freeze_store(key);
         report.was_present = self.node_info(key).is_ok();
         report.was_mobile = self.is_mobile(key);
 

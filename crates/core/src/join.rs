@@ -140,9 +140,10 @@ impl BristleSystem {
     /// experiments measure.
     pub fn fail_node(&mut self, key: Key) -> Result<()> {
         let info = *self.node_info(key)?;
-        // Crash semantics: the node's durable store stops changing at
-        // the instant of death (idempotent; `confirm_dead` also freezes).
-        self.stores.freeze(key);
+        // Crash semantics: the node's durable store holds its rows as of
+        // the instant of death and stops changing (idempotent;
+        // `confirm_dead` also freezes).
+        self.freeze_store(key);
         self.mobile.fail_node(key)?;
         if info.mobility == Mobility::Stationary {
             self.stationary.fail_node(key)?;

@@ -161,9 +161,7 @@ impl BristleSystem {
         path_cost += cost;
 
         if let Some(addr) = resolved {
-            // The one repository write with no durable mirror: see
-            // `lease_unmirrored` (DESIGN §8 "The write path").
-            self.lease_unmirrored(from_key, subject, self.config().lease_ttl);
+            self.grant_lease(from_key, subject);
             debug_assert_eq!(self.ring_epochs(), epochs, "a ring changed under a discovery");
             self.cache_addr_at(from, subject, addr);
         }
@@ -503,9 +501,7 @@ mod tests {
 
         let resolved = record.map(|r| r.addr);
         if let Some(addr) = resolved {
-            // The one repository write with no durable mirror: see
-            // `lease_unmirrored` (DESIGN §8 "The write path").
-            sys.lease_unmirrored(from, subject, sys.config().lease_ttl);
+            sys.grant_lease(from, subject);
             sys.cache_addr(from, subject, addr);
         }
         Ok(DiscoveryReport { resolved, hops, path_cost })

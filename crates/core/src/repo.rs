@@ -2,21 +2,18 @@
 //!
 //! Every node keeps registrations R(·) (§2.3.1) and leased
 //! `<key, addr>` state-pairs (§2.3.2), and a stationary node a shard of
-//! location records. Each lives twice: in the live tables (`registry`,
-//! `leases`, `stationary.node(k).store`) and as a [`WalRecord`] fold in
-//! the node's [`crate::durable::StoreHub`] backend. This module is the
-//! only code that changes either, and it changes both in one call, so
-//! `assert_stores_mirror_tables` (in [`crate::durable`]) holds after
-//! every operation. DESIGN §8 "The write path" tabulates operation →
-//! tables → record.
+//! location records, in the live tables (`registry`, `leases`,
+//! `stationary.node(k).store`). A node that has a store — a WAL was
+//! attached, or it crashed ([`crate::durable`]) — also holds them as a
+//! [`WalRecord`] fold in its [`crate::durable::StoreHub`] backend. This
+//! module is the only code that changes either, and it changes both in
+//! one call, so `assert_stores_mirror_tables` (in [`crate::durable`])
+//! holds after every operation. DESIGN §8 "The write path" tabulates
+//! operation → tables → record.
 //!
 //! Metering stays with the callers, whose bills differ (a join meters
 //! every edge, a resurrection only the new ones). Mirrors never touch
 //! the meter, the RNG or the clock.
-//!
-//! One write is table-only on purpose: the function-path
-//! [`BristleSystem::discover`] leases through `lease_unmirrored`, whose
-//! comment says why.
 
 use bristle_overlay::addr::NetAddr;
 use bristle_overlay::key::Key;
@@ -62,13 +59,8 @@ impl BristleSystem {
             .apply(holder, WalRecord::LeaseGrant { subject: subject.0, expires: now.plus(ttl).0 });
     }
 
-    /// A lease in the table only, for the two callers whose store must
-    /// not be written: a restart resuming a contract its store already
-    /// holds (at the persisted expiry, hence `ttl`), and the
-    /// function-path `discover` — the figures' analytic oracle, 0.95
-    /// calls per `lookup-5e4` op, where a mirror would put a store write
-    /// and up to 286 k `BTreeMap` entries inside the timed window. No
-    /// experiment restarts a node from leases `discover` granted.
+    /// A lease in the table only, for a restart resuming a contract its
+    /// store already holds (at the persisted expiry, hence `ttl`).
     pub(crate) fn lease_unmirrored(&mut self, holder: Key, subject: Key, ttl: u64) {
         self.leases.grant(holder, subject, self.clock.now(), ttl);
     }

@@ -244,7 +244,7 @@ mod tests {
         let dir = scratch("shard-recovery");
         let mut sys = system(40, 12, 22);
         let victim = busiest_primary(&sys);
-        sys.stores.attach_wal(victim, WalBackend::open(&dir, 8).unwrap());
+        sys.attach_wal(victim, WalBackend::open(&dir, 8).unwrap());
         // Accumulate some churn so the WAL sees live traffic too.
         for i in 0..4 {
             let m = sys.mobile_keys()[i];
@@ -285,7 +285,7 @@ mod tests {
         let dir = scratch("unreadable-log");
         let mut sys = system(40, 12, 22);
         let victim = busiest_primary(&sys);
-        sys.stores.attach_wal(victim, WalBackend::open(&dir, 0).unwrap());
+        sys.attach_wal(victim, WalBackend::open(&dir, 0).unwrap());
         let shard = sys.stationary.node(victim).unwrap().store.len();
         assert!(shard > 0, "victim must hold records for the test to bite");
         sys.confirm_dead(victim).unwrap();
@@ -304,7 +304,7 @@ mod tests {
         let dir = scratch("skip-dead-subjects");
         let mut sys = system(40, 12, 23);
         let victim = busiest_primary(&sys);
-        sys.stores.attach_wal(victim, WalBackend::open(&dir, 0).unwrap());
+        sys.attach_wal(victim, WalBackend::open(&dir, 0).unwrap());
         let subject =
             *sys.stationary.node(victim).unwrap().store.keys().next().expect("has a record");
         sys.confirm_dead(victim).unwrap();
@@ -319,9 +319,9 @@ mod tests {
 
     #[test]
     fn mem_backed_restart_also_recovers() {
-        // Without a WAL the simulator's in-memory store still has the
-        // state (nothing really crashed); the restart path works the
-        // same, minus the replay report.
+        // Without a WAL the crash folds the node's rows into an
+        // in-memory store (nothing really crashed); the restart path
+        // works the same, minus the replay report.
         let mut sys = system(40, 10, 24);
         let victim = busiest_primary(&sys);
         let shard = sys.stationary.node(victim).unwrap().store.len();
@@ -331,6 +331,38 @@ mod tests {
         assert!(report.restored);
         assert!(report.replay.is_none(), "mem backends have nothing to replay");
         assert_eq!(report.records_recovered, shard);
+    }
+
+    /// A crash keeps exactly the rows the tables held for the node at
+    /// that instant, and a restart reinstalls all of them.
+    #[test]
+    fn a_crash_keeps_the_rows_its_tables_held() {
+        let mut sys = system(40, 12, 28);
+        for i in 0..4 {
+            let m = sys.mobile_keys()[i];
+            sys.move_node(m, None).unwrap();
+        }
+        let moved = sys.mobile_keys()[3];
+        let member =
+            sys.registry.registrants_of(moved).iter().map(|r| r.key).find(|&k| sys.is_mobile(k));
+        for victim in [busiest_primary(&sys), member.expect("a mobile LDT member")] {
+            let rows = sys.durable_rows(victim);
+            assert!(!rows.leases.is_empty(), "the victim must hold leases for the test to bite");
+            assert!(sys.is_mobile(victim) || !rows.records.is_empty(), "and a primary records");
+            sys.confirm_dead(victim).unwrap();
+            assert_eq!(sys.stores.state(victim), Some(&rows), "the corpse keeps its rows");
+
+            let report = sys.restart_node_from_store(victim).unwrap();
+            assert!(report.restored);
+            assert_eq!((report.records_recovered, report.records_skipped), (rows.records.len(), 0));
+            assert_eq!(report.registrations_stale, 0);
+            assert!(report.registrations_restored >= rows.registrations.len());
+            for &target in rows.registrations.keys() {
+                let regs = sys.registry.registrants_of(Key(target));
+                assert!(regs.iter().any(|r| r.key == victim), "edge to {target} restored");
+            }
+            assert_eq!(report.leases_restored, rows.leases.len());
+        }
     }
 
     #[test]
@@ -350,7 +382,7 @@ mod tests {
                 } else {
                     sys.rejoin_node(victim, 1).unwrap().incarnation
                 };
-                sys.assert_stores_mirror_tables("the resurrection", true);
+                sys.assert_stores_mirror_tables("the resurrection");
                 let registry: Vec<(Key, Vec<crate::registry::Registrant>)> =
                     sys.registry.iter().map(|(t, regs)| (t, regs.to_vec())).collect();
                 let mut leases: Vec<_> =
@@ -395,7 +427,7 @@ mod tests {
             let mut sys = system(40, 12, 26);
             let victim = busiest_primary(&sys);
             if use_wal {
-                sys.stores.attach_wal(victim, WalBackend::open(&dir, 0).unwrap());
+                sys.attach_wal(victim, WalBackend::open(&dir, 0).unwrap());
             }
             let shard = sys.stationary.node(victim).unwrap().store.len();
             assert!(shard > 0);

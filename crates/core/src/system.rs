@@ -789,30 +789,44 @@ mod tests {
         for &s in sys.stationary_keys() {
             assert!(sys.registry.registrants_of(s).is_empty());
         }
-        sys.assert_stores_mirror_tables("a registration sync", true);
+        sys.assert_stores_mirror_tables("a registration sync");
     }
 
     /// ROADMAP 2(a)'s "store replay == in-memory state", after every step
-    /// of one scripted life of a system: each live node's store holds
-    /// exactly its identity, its shard, the edges it is the registrant
-    /// of and the leases it holds.
+    /// of one scripted life of a system: each live node that holds a
+    /// store holds exactly its identity, its shard, the edges it is the
+    /// registrant of and the leases it holds — and only a node that was
+    /// given one, crashed or was given a WAL holds one.
     #[test]
     fn stores_mirror_tables_through_a_scripted_lifecycle() {
         for seed in [8, 27] {
             let mut sys = small_system(40, 16, seed);
-            let check = |sys: &BristleSystem, step: &str| {
-                sys.assert_stores_mirror_tables(&format!("{step} (seed {seed})"), true)
+            // Every node present at build gets a store now, so each step
+            // below compares real stores with the tables; a node that
+            // joins later holds none until it crashes or is given a WAL.
+            let mut durable: HashSet<Key> = sys.mobile.keys().collect();
+            for &key in &durable {
+                sys.fold_store(key);
+            }
+            let check = |sys: &BristleSystem, durable: &HashSet<Key>, step: &str| {
+                let step = format!("{step} (seed {seed})");
+                sys.assert_stores_mirror_tables(&step);
+                for key in sys.mobile.keys().filter(|k| !durable.contains(k)) {
+                    assert!(sys.stores.state(key).is_none(), "after {step}: {key} holds a store");
+                }
             };
-            check(&sys, "build");
+            check(&sys, &durable, "build");
 
             let (watcher, m) = (sys.stationary_keys()[1], sys.mobile_keys()[2]);
             sys.register_interest(watcher, m).unwrap();
-            check(&sys, "register_interest");
+            check(&sys, &durable, "register_interest");
             sys.move_node(m, None).unwrap();
-            check(&sys, "move_node");
-            sys.join_node(Mobility::Mobile).unwrap();
-            sys.join_node(Mobility::Stationary).unwrap();
-            check(&sys, "join_node");
+            check(&sys, &durable, "move_node");
+            let mut joined = vec![
+                sys.join_node(Mobility::Mobile).unwrap().key,
+                sys.join_node(Mobility::Stationary).unwrap().key,
+            ];
+            check(&sys, &durable, "join_node");
             // Stationary joins push some replica out of a record's replica
             // set with its copy still in hand: when that node leaves, its
             // successor inherits a record it is no replica of.
@@ -827,43 +841,43 @@ mod tests {
                     .map(|n| n.key)
             };
             while displaced(&sys).is_none() {
-                sys.join_node(Mobility::Stationary).unwrap();
+                joined.push(sys.join_node(Mobility::Stationary).unwrap().key);
             }
             let outsider = displaced(&sys).expect("just found");
             sys.leave_node(outsider).unwrap();
-            check(&sys, "leave_node (a displaced replica)");
+            check(&sys, &durable, "leave_node (a displaced replica)");
 
             // Leases lapse under `tick`; records and leases under upkeep.
             sys.tick(sys.config().lease_ttl + 1);
-            check(&sys, "tick past the lease TTL");
+            check(&sys, &durable, "tick past the lease TTL");
             sys.move_node(m, None).unwrap();
             sys.clock.advance(sys.config().lease_ttl.max(sys.config().location_ttl) + 1);
             sys.run_upkeep().unwrap();
-            check(&sys, "run_upkeep");
+            check(&sys, &durable, "run_upkeep");
 
             // A leaver of each class, each holding fresh leases.
             sys.move_node(m, None).unwrap();
             let member = sys.registry.registrants_of(m)[0].key;
             sys.leave_node(member).unwrap();
-            check(&sys, "leave_node (an LDT member)");
+            check(&sys, &durable, "leave_node (an LDT member)");
             sys.leave_node(sys.mobile_keys()[5]).unwrap();
             sys.leave_node(sys.stationary_keys()[7]).unwrap();
-            check(&sys, "leave_node");
+            check(&sys, &durable, "leave_node");
 
             let crashed = sys.stationary_keys()[3];
             sys.fail_node(crashed).unwrap();
-            check(&sys, "fail_node");
+            check(&sys, &durable, "fail_node");
             sys.confirm_dead(crashed).unwrap();
-            check(&sys, "confirm_dead");
+            check(&sys, &durable, "confirm_dead");
 
             // Wrongful funerals reversed: the stores thaw holding rows
             // the funerals took out of the tables.
             for buried in [sys.mobile_keys()[1], sys.stationary_keys()[2]] {
                 sys.move_node(m, None).unwrap();
                 sys.confirm_dead(buried).unwrap();
-                check(&sys, "confirm_dead (wrongful)");
+                check(&sys, &durable, "confirm_dead (wrongful)");
                 assert!(sys.rejoin_node(buried, 1).unwrap().reversed);
-                check(&sys, "rejoin_node");
+                check(&sys, &durable, "rejoin_node");
             }
 
             // Crash-restart off a real log, with downtime long enough for
@@ -874,8 +888,9 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
             for victim in [sys.stationary.owner(m).unwrap(), m] {
                 let wal = bristle_store::WalBackend::open(dir.join(victim.to_string()), 8).unwrap();
-                sys.stores.attach_wal(victim, wal);
-                check(&sys, "attach_wal");
+                durable.insert(victim);
+                sys.attach_wal(victim, wal);
+                check(&sys, &durable, "attach_wal");
                 sys.move_node(sys.mobile_keys()[0], None).unwrap();
                 sys.confirm_dead(victim).unwrap();
                 sys.leave_node(sys.mobile_keys()[0]).unwrap();
@@ -886,17 +901,33 @@ mod tests {
                     report.was_mobile || report.records_skipped > 0,
                     "the downtime must leave a stale record on the primary's disk"
                 );
-                check(&sys, "restart_node_from_store");
+                check(&sys, &durable, "restart_node_from_store");
             }
             let _ = std::fs::remove_dir_all(&dir);
 
             sys.anti_entropy_locations().unwrap();
-            check(&sys, "anti_entropy_locations");
+            check(&sys, &durable, "anti_entropy_locations");
 
-            // The one unmirrored write: the function-path `discover`.
-            let asker = sys.stationary_keys()[0];
-            assert!(sys.discover(asker, sys.mobile_keys()[0]).unwrap().resolved.is_some());
-            sys.assert_stores_mirror_tables("discover", false);
+            // The function-path `discover` leases like every other path.
+            let live_primary = |&&k: &&Key| sys.contains_node(k) && !sys.is_mobile(k);
+            let asker = *durable.iter().filter(live_primary).min().expect("a primary with a store");
+            let subject = sys.mobile_keys()[0];
+            assert!(sys.discover(asker, subject).unwrap().resolved.is_some());
+            assert!(sys.stores.state(asker).unwrap().leases.contains_key(&subject.0));
+            check(&sys, &durable, "discover");
+
+            // A node that never held a store gets one at its crash: the
+            // rows its tables held at that instant.
+            let fresh = joined.into_iter().find(|&k| sys.contains_node(k) && !durable.contains(&k));
+            let fresh = fresh.expect("a live joiner without a store");
+            let rows = sys.durable_rows(fresh);
+            assert!(!rows.registrations.is_empty(), "the joiner must hold rows to bite");
+            durable.insert(fresh);
+            sys.fail_node(fresh).unwrap();
+            assert_eq!(sys.stores.state(fresh), Some(&rows), "seed {seed}: the corpse's fold");
+            check(&sys, &durable, "fail_node (a node without a store)");
+            sys.confirm_dead(fresh).unwrap();
+            check(&sys, &durable, "confirm_dead (a node without a store)");
         }
     }
 
@@ -1086,7 +1117,7 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
             for victim in [most_popular(&sys), sys.mobile_keys()[2]] {
                 let wal = bristle_store::WalBackend::open(dir.join(victim.to_string()), 8).unwrap();
-                sys.stores.attach_wal(victim, wal);
+                sys.attach_wal(victim, wal);
                 sys.confirm_dead(victim).unwrap();
                 check(&sys, "confirm_dead (WAL-backed)");
                 assert!(sys.restart_node_from_store(victim).unwrap().restored);

@@ -194,7 +194,7 @@ pub fn run_durability(cfg: &DurabilityConfig) -> DurabilityOutcome {
     if cfg.mode == RestartMode::WalReplay {
         let _ = std::fs::remove_dir_all(&wal_dir);
         let backend = WalBackend::open(&wal_dir, cfg.snapshot_every).expect("scratch WAL opens");
-        msys.sys.stores.attach_wal(victim, backend);
+        msys.sys.attach_wal(victim, backend);
     }
 
     let mut out = DurabilityOutcome { victim, ..Default::default() };

@@ -215,33 +215,92 @@ mod tests {
     use bristle_proto::transport::FaultConfig;
     use bristle_proto::wire::{Envelope, WireMessage};
 
+    /// Every live node that holds a store: only those in `durable` may.
+    fn stored(msys: &MessagingBristleSystem, durable: &[Key]) -> Vec<Key> {
+        let held: Vec<Key> =
+            msys.sys.mobile.keys().filter(|&k| msys.sys.stores.state(k).is_some()).collect();
+        assert!(
+            held.iter().all(|k| durable.contains(k)),
+            "{held:?} hold stores; only {durable:?} may"
+        );
+        held
+    }
+
     /// The machines write the repository through `SystemEnv`, which
     /// forwards to the one write path of `bristle_core::repo`: after a
     /// registration, a dissemination and a route that resolves its hops
-    /// by `_discovery`, every store still holds what the tables hold.
+    /// by `_discovery`, every store still holds what the tables hold —
+    /// and the only nodes holding one are those given a WAL.
     #[test]
     fn message_path_keeps_stores_mirroring_tables() {
         for seed in [8u64, 27] {
+            let dir = std::env::temp_dir()
+                .join(format!("bristle-sim-env-test-{}", std::process::id()))
+                .join(format!("mirror-{seed}"));
+            let _ = std::fs::remove_dir_all(&dir);
             let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
             let (watcher, m) = (msys.sys.stationary_keys()[0], msys.sys.mobile_keys()[0]);
+            let src = msys.sys.stationary_keys()[1];
+            let primary = msys.sys.stationary.owner(m).expect("a primary");
+            let durable = [watcher, src, primary, m];
+            for key in durable {
+                let wal = bristle_store::WalBackend::open(dir.join(key.to_string()), 8);
+                msys.sys.attach_wal(key, wal.expect("WAL opens"));
+            }
+            let check = |msys: &MessagingBristleSystem, step: &str| {
+                msys.sys.assert_stores_mirror_tables(step);
+                assert_eq!(stored(msys, &durable).len(), 4, "after {step}");
+            };
+
             msys.register(watcher, m).expect("registration acked");
             assert!(msys.sys.registry.registrants_of(m).iter().any(|r| r.key == watcher));
-            msys.sys.assert_stores_mirror_tables("register by message", true);
+            check(&msys, "register by message");
 
             msys.sys.move_node(m, None).expect("mobile node moves");
             msys.sys.tick(msys.sys.config().lease_ttl + 1);
             assert!(msys.sys.leases.is_empty(), "every lease lapsed");
             let acked = msys.disseminate_update(m).expect("dissemination runs");
             assert_eq!(msys.sys.leases.len(), acked, "one lease per acked LDT edge");
-            msys.sys.assert_stores_mirror_tables("disseminate by message", true);
+            check(&msys, "disseminate by message");
 
-            let src = msys.sys.stationary_keys()[1];
             let before = msys.sys.meter.count(MessageKind::DiscoveryHop);
             msys.route(src, msys.sys.mobile_keys()[1]).expect("route delivers");
             msys.settle();
             assert!(msys.sys.meter.count(MessageKind::DiscoveryHop) > before, "no hop resolved");
             assert!(msys.sys.leases.len() > acked, "a resolution leases the address");
-            msys.sys.assert_stores_mirror_tables("route with _discovery", true);
+            assert!(!msys.sys.stores.state(src).unwrap().leases.is_empty(), "src's store leases");
+            check(&msys, "route with _discovery");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A store exists where durability does: after build and a run of
+    /// traffic that writes every kind of row, a node that neither
+    /// crashed nor was given a WAL holds none.
+    #[test]
+    fn a_node_that_never_crashed_holds_no_store() {
+        for seed in [8u64, 27] {
+            let sys = crate::workload::tiny_system(seed, 800, 200, Default::default());
+            let mut msys = MessagingBristleSystem::new(sys, FaultConfig::perfect(), seed);
+            assert!(stored(&msys, &[]).is_empty(), "seed {seed}: after build");
+
+            let (watcher, m) = (msys.sys.stationary_keys()[0], msys.sys.mobile_keys()[0]);
+            msys.register(watcher, m).expect("registration acked");
+            msys.sys.move_node(m, None).expect("mobile node moves");
+            msys.sys.tick(msys.sys.config().lease_ttl + 1);
+            assert!(msys.disseminate_update(m).expect("dissemination runs") > 0);
+
+            let stationary = msys.sys.stationary_keys().to_vec();
+            let mobile = msys.sys.mobile_keys().to_vec();
+            let pairs: Vec<(Key, Key)> = (0..32).map(|i| (stationary[i], mobile[i + 1])).collect();
+            let before = msys.sys.meter.count(MessageKind::DiscoveryHop);
+            assert!(msys.route_burst(&pairs).iter().all(Result::is_ok), "seed {seed}");
+            msys.settle();
+            assert!(msys.sys.meter.count(MessageKind::DiscoveryHop) > before, "seed {seed}");
+            msys.heartbeat_round();
+            msys.settle();
+            assert!(!msys.sys.leases.is_empty(), "seed {seed}: leases were written");
+            assert!(stored(&msys, &[]).is_empty(), "seed {seed}: after traffic");
         }
     }
 

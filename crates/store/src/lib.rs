@@ -12,10 +12,9 @@
 //!   as a fold over the record sequence ([`DurableState::apply`]).
 //! * [`StateStore`] — the backend trait: feed it records, read back the
 //!   folded state.
-//! * [`MemBackend`] — the default; folds in memory, survives nothing.
-//!   Same simulated behaviour as the pre-store code (no message, RNG
-//!   draw or clock tick differs), at the cost of a second copy of each
-//!   node's rows.
+//! * [`MemBackend`] — folds in memory, survives nothing. Same simulated
+//!   behaviour as the pre-store code (no message, RNG draw or clock
+//!   tick differs), at the cost of a second copy of the node's rows.
 //! * [`WalBackend`] — append-only log + periodic snapshot + replay on
 //!   open, torn-write tolerant. A crashed node reopens its store and
 //!   recovers its shard from disk instead of re-learning it from the

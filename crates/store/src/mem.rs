@@ -1,14 +1,14 @@
-//! The in-memory backend: a second in-memory fold per node, nothing
-//! durable.
+//! The in-memory backend: a second in-memory fold of a node's rows,
+//! nothing durable.
 
 use crate::record::WalRecord;
 use crate::state::DurableState;
 use crate::StateStore;
 
-/// A [`StateStore`] that folds records straight into memory. This is
-/// the default backend every node gets: no I/O, and nothing survives,
-/// but not free — every mutation updates a [`DurableState`] map beside
-/// the live table it mirrors, and every row is held twice.
+/// A [`StateStore`] that folds records straight into memory: no I/O,
+/// and nothing survives. Not free — every mutation updates a
+/// [`DurableState`] map beside the live table it mirrors, and every
+/// row it holds is held twice.
 #[derive(Debug, Clone, Default)]
 pub struct MemBackend {
     state: DurableState,

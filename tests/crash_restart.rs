@@ -63,7 +63,7 @@ fn assert_shard_recovers(seed: u64) {
     let mut msys = MessagingBristleSystem::new(sys, FaultConfig::perfect(), seed);
 
     let victim = busiest_primary(&msys.sys);
-    msys.sys.stores.attach_wal(victim, WalBackend::open(&dir, 8).expect("WAL opens"));
+    msys.sys.attach_wal(victim, WalBackend::open(&dir, 8).expect("WAL opens"));
 
     // Warm-up mobility so the WAL holds live history, not just the
     // build-time state.
@@ -196,7 +196,7 @@ fn assert_expired_leases_do_not_resurrect(seed: u64) {
     // each; one target will die during the victim's outage.
     let mobiles: Vec<Key> = msys.sys.mobile_keys().to_vec();
     let (victim, target, doomed) = (mobiles[0], mobiles[1], mobiles[2]);
-    msys.sys.stores.attach_wal(victim, WalBackend::open(&dir, 8).expect("WAL opens"));
+    msys.sys.attach_wal(victim, WalBackend::open(&dir, 8).expect("WAL opens"));
     msys.register(victim, target).expect("registration completes");
     msys.register(victim, doomed).expect("registration completes");
     assert!(msys.sys.leases.is_fresh(victim, target, msys.sys.clock.now()));
