@@ -50,8 +50,6 @@ pub struct DeathReport {
     pub registrations_pruned: usize,
     /// Lease contracts revoked (held by or granted on the dead node).
     pub leases_revoked: usize,
-    /// Stale routing-table entries dropped by the repair sweeps.
-    pub entries_dropped: usize,
     /// Location-record copies removed (a dead *mobile* node's records
     /// must not keep answering `_discovery`).
     pub records_unpublished: usize,
@@ -89,7 +87,6 @@ impl BristleSystem {
             orphans_regrafted: 0,
             registrations_pruned: 0,
             leases_revoked: 0,
-            entries_dropped: 0,
             records_unpublished: 0,
             invariant_ok: true,
         };
@@ -127,18 +124,13 @@ impl BristleSystem {
         // (3) Drop dangling routing entries so repairs route cleanly.
         let dcache = self.distances_arc();
         let mut rng = self.rng().split(6);
-        let swept = self.mobile.repair_sweep(&self.attachments, &dcache, &mut rng, &mut self.meter);
-        report.entries_dropped += swept.dropped;
-        let swept =
-            self.stationary.repair_sweep(&self.attachments, &dcache, &mut rng, &mut self.meter);
-        report.entries_dropped += swept.dropped;
+        self.mobile.repair_sweep(&self.attachments, &dcache, &mut rng, &mut self.meter);
+        self.stationary.repair_sweep(&self.attachments, &dcache, &mut rng, &mut self.meter);
 
         // (4) Re-graft every orphaned subtree and disseminate the repair.
         let unit_cost = self.config().unit_cost;
         for (target, mut tree) in trees {
-            let Some(healed) =
-                tree.heal(key, |k| self.mobile.node(k).map(|n| n.used).unwrap_or(0), unit_cost)
-            else {
+            let Some(healed) = tree.heal(key, unit_cost) else {
                 continue; // corpse was not actually a member
             };
             report.orphans_regrafted += healed.orphans;

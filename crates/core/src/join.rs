@@ -72,20 +72,18 @@ impl BristleSystem {
             // it saw. Rebuilding against the live map realizes exactly the
             // closer-key + closer-distance rule of Fig. 5.
             let mut rng = self.rng().split(5);
-            for &k in &visited {
-                self.mobile.rebuild_node(k, &self.attachments, &dcache, &mut rng)?;
-                messages += 1; // the per-visit state exchange
-                self.meter.bump(MessageKind::Join, 1);
-            }
-            self.mobile.rebuild_node(key, &self.attachments, &dcache, &mut rng)?;
+            let mut rebuilt = visited.clone();
+            rebuilt.push(key);
+            self.mobile.rebuild(&rebuilt, &self.attachments, &dcache, &mut rng)?;
+            // One state exchange per visit.
+            messages += visited.len() as u64;
+            self.meter.bump(MessageKind::Join, visited.len() as u64);
             if mobility == Mobility::Stationary {
-                self.stationary.rebuild_node(key, &self.attachments, &dcache, &mut rng)?;
+                self.stationary.rebuild(&[key], &self.attachments, &dcache, &mut rng)?;
                 // Stationary neighbors of the newcomer adopt it too.
                 let neighbors: Vec<Key> =
                     self.stationary.node(key)?.entries.iter().map(|e| e.key).collect();
-                for n in neighbors {
-                    self.stationary.rebuild_node(n, &self.attachments, &dcache, &mut rng)?;
-                }
+                self.stationary.rebuild(&neighbors, &self.attachments, &dcache, &mut rng)?;
             }
         }
 

@@ -45,14 +45,16 @@ pub struct LdtNode {
 /// let members: Vec<Registrant> =
 ///     (1..=8).map(|i| Registrant::new(Key(i), 8)).collect();
 ///
-/// // Idle, capable members → a wide, shallow tree.
-/// let tree = Ldt::build(root, &members, |_| 0, 1);
+/// // Capable members → a wide, shallow tree.
+/// let tree = Ldt::build(root, &members, 1);
 /// assert_eq!(tree.len(), 9);
 /// assert_eq!(tree.depth(), 2);
 ///
-/// // The same members fully loaded → Fig. 8(a)'s degenerate chain.
-/// let busy = Ldt::build(root, &members, |_| 8, 1);
-/// assert_eq!(busy.depth(), 9);
+/// // Members with one unit each → Fig. 8(a)'s degenerate chain.
+/// let weak: Vec<Registrant> =
+///     (1..=8).map(|i| Registrant::new(Key(i), 1)).collect();
+/// let chain = Ldt::build(Registrant::new(Key(0), 1), &weak, 1);
+/// assert_eq!(chain.depth(), 9);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ldt {
@@ -61,44 +63,48 @@ pub struct Ldt {
 
 impl Ldt {
     /// Builds the LDT for `root` (the mobile node, with its own capacity)
-    /// over its registrants, using per-node workloads `used` and message
-    /// unit cost `unit_cost` (Fig. 4's `v`).
-    pub fn build(
-        root: Registrant,
-        registrants: &[Registrant],
-        mut used: impl FnMut(Key) -> u32,
-        unit_cost: u32,
-    ) -> Ldt {
-        let mut nodes = vec![LdtNode {
-            key: root.key,
-            capacity: root.capacity,
-            level: 1,
-            parent: None,
-            assigned: registrants.len(),
-        }];
+    /// over its registrants, with message unit cost `unit_cost` (Fig. 4's
+    /// `v`). A member's available capacity `Avail_i` is its capacity: no
+    /// run loads a node with other work, so Fig. 4's `Used_i` is zero.
+    pub fn build(root: Registrant, registrants: &[Registrant], unit_cost: u32) -> Ldt {
+        let mut tree = Ldt {
+            nodes: vec![LdtNode {
+                key: root.key,
+                capacity: root.capacity,
+                level: 1,
+                parent: None,
+                assigned: registrants.len(),
+            }],
+        };
+        tree.graft(0, registrants.to_vec(), unit_cost);
+        tree
+    }
+
+    /// Hangs `list` below the member at `at` by the recursive Fig. 4
+    /// partitioning: each parent hands its list to the heads
+    /// [`plan_advertisement`] picks for its capacity, and each head does
+    /// the same with the sublist it was delegated. Parents precede their
+    /// children in `nodes`.
+    fn graft(&mut self, at: u32, list: Vec<Registrant>, unit_cost: u32) {
         // Work stack of (parent index, list that parent must cover).
-        let mut stack: Vec<(u32, Vec<Registrant>)> = vec![(0, registrants.to_vec())];
+        let mut stack: Vec<(u32, Vec<Registrant>)> = vec![(at, list)];
         while let Some((parent_idx, list)) = stack.pop() {
             if list.is_empty() {
                 continue;
             }
-            let parent = nodes[parent_idx as usize];
-            let avail = parent.capacity.saturating_sub(used(parent.key));
-            let steps: Vec<AdvertiseStep> = plan_advertisement(&list, avail, unit_cost);
+            let parent = self.nodes[parent_idx as usize];
+            let steps: Vec<AdvertiseStep> = plan_advertisement(&list, parent.capacity, unit_cost);
             for step in steps {
-                let child = LdtNode {
+                self.nodes.push(LdtNode {
                     key: step.head.key,
                     capacity: step.head.capacity,
                     level: parent.level + 1,
                     parent: Some(parent_idx),
                     assigned: step.partition_size(),
-                };
-                nodes.push(child);
-                let child_idx = (nodes.len() - 1) as u32;
-                stack.push((child_idx, step.delegated));
+                });
+                stack.push(((self.nodes.len() - 1) as u32, step.delegated));
             }
         }
-        Ldt { nodes }
     }
 
     /// All tree nodes; index 0 is the root.
@@ -205,12 +211,7 @@ impl Ldt {
     /// dead root dissolves the whole tree — the caller handles that).
     /// On success every surviving member stays in the tree and
     /// [`Ldt::all_reachable_from_root`] holds again.
-    pub fn heal(
-        &mut self,
-        dead: Key,
-        mut used: impl FnMut(Key) -> u32,
-        unit_cost: u32,
-    ) -> Option<LdtHeal> {
+    pub fn heal(&mut self, dead: Key, unit_cost: u32) -> Option<LdtHeal> {
         let dead_idx = self.nodes.iter().position(|n| n.key == dead)?;
         if dead_idx == 0 {
             return None;
@@ -264,26 +265,7 @@ impl Ldt {
             orphans: orphans.len(),
             graft_parent: self.nodes[remap[graft_idx] as usize].key,
         };
-        let mut stack: Vec<(u32, Vec<Registrant>)> = vec![(remap[graft_idx], orphans)];
-        while let Some((parent_idx, list)) = stack.pop() {
-            if list.is_empty() {
-                continue;
-            }
-            let parent = self.nodes[parent_idx as usize];
-            let avail = parent.capacity.saturating_sub(used(parent.key));
-            for step in plan_advertisement(&list, avail, unit_cost) {
-                let child = LdtNode {
-                    key: step.head.key,
-                    capacity: step.head.capacity,
-                    level: parent.level + 1,
-                    parent: Some(parent_idx),
-                    assigned: step.partition_size(),
-                };
-                self.nodes.push(child);
-                let child_idx = (self.nodes.len() - 1) as u32;
-                stack.push((child_idx, step.delegated));
-            }
-        }
+        self.graft(remap[graft_idx], orphans, unit_cost);
         Some(report)
     }
 }
@@ -315,7 +297,7 @@ mod tests {
     #[test]
     fn tree_covers_every_registrant_exactly_once() {
         let members = regs(&[3, 7, 1, 9, 4, 4, 2, 8, 6, 5]);
-        let tree = Ldt::build(root(5), &members, |_| 0, 1);
+        let tree = Ldt::build(root(5), &members, 1);
         assert_eq!(tree.len(), members.len() + 1);
         let mut keys: Vec<Key> = tree.nodes().iter().map(|n| n.key).collect();
         keys.sort_unstable();
@@ -331,7 +313,7 @@ mod tests {
         // Avail − v ≤ 0 at every node → each node hands everything to one
         // head → a chain of depth |R| + 1 (paper Fig. 8a at MAX = 1).
         let members = regs(&[1; 8]);
-        let tree = Ldt::build(root(1), &members, |_| 0, 1);
+        let tree = Ldt::build(root(1), &members, 1);
         assert_eq!(tree.depth(), 9);
         assert_eq!(tree.level_histogram(), vec![1; 9]);
     }
@@ -339,7 +321,7 @@ mod tests {
     #[test]
     fn high_capacity_gives_shallow_tree() {
         let members = regs(&[15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1]);
-        let tree = Ldt::build(root(15), &members, |_| 0, 1);
+        let tree = Ldt::build(root(15), &members, 1);
         // Root fans out 15 ways directly: depth 2.
         assert_eq!(tree.depth(), 2);
         assert_eq!(tree.level_histogram(), vec![1, 15]);
@@ -348,23 +330,23 @@ mod tests {
     #[test]
     fn mixed_capacity_depth_between_extremes() {
         let members = regs(&[4, 4, 4, 4, 1, 1, 1, 1, 1, 1, 1, 1]);
-        let tree = Ldt::build(root(4), &members, |_| 0, 1);
+        let tree = Ldt::build(root(4), &members, 1);
         let d = tree.depth();
         assert!(d > 2 && d < 13, "depth {d}");
     }
 
     #[test]
     fn workload_lengthens_tree() {
-        let members = regs(&[8, 8, 8, 8, 8, 8, 8, 8]);
-        let free = Ldt::build(root(8), &members, |_| 0, 1);
-        let busy = Ldt::build(root(8), &members, |_| 7, 1);
+        // The same members with 7 of their 8 units taken by other work.
+        let free = Ldt::build(root(8), &regs(&[8; 8]), 1);
+        let busy = Ldt::build(root(1), &regs(&[1; 8]), 1);
         assert!(busy.depth() > free.depth(), "busy {} vs free {}", busy.depth(), free.depth());
     }
 
     #[test]
     fn levels_are_parent_plus_one() {
         let members = regs(&[5, 3, 8, 2, 9, 1, 7]);
-        let tree = Ldt::build(root(3), &members, |_| 0, 1);
+        let tree = Ldt::build(root(3), &members, 1);
         for n in tree.nodes() {
             match n.parent {
                 None => assert_eq!(n.level, 1),
@@ -376,7 +358,7 @@ mod tests {
     #[test]
     fn edges_connect_all_members() {
         let members = regs(&[5, 3, 8, 2, 9, 1, 7]);
-        let tree = Ldt::build(root(3), &members, |_| 0, 1);
+        let tree = Ldt::build(root(3), &members, 1);
         assert_eq!(tree.edge_count(), members.len());
         // Every non-root node appears exactly once as a child.
         let mut children: Vec<Key> = tree.edges().map(|(_, c)| c).collect();
@@ -388,7 +370,7 @@ mod tests {
     #[test]
     fn edge_cost_sum_accumulates() {
         let members = regs(&[2, 2, 2]);
-        let tree = Ldt::build(root(10), &members, |_| 0, 1);
+        let tree = Ldt::build(root(10), &members, 1);
         let (total, count) = tree.edge_cost_sum(|_, _| 7);
         assert_eq!(count, 3);
         assert_eq!(total, 21);
@@ -396,7 +378,7 @@ mod tests {
 
     #[test]
     fn empty_registrants_root_only() {
-        let tree = Ldt::build(root(5), &[], |_| 0, 1);
+        let tree = Ldt::build(root(5), &[], 1);
         assert!(tree.is_empty());
         assert_eq!(tree.depth(), 1);
         assert_eq!(tree.edge_count(), 0);
@@ -409,7 +391,7 @@ mod tests {
         // average capacity must not increase with depth.
         let caps: Vec<u32> = (1..=15).collect();
         let members = regs(&caps);
-        let tree = Ldt::build(root(6), &members, |_| 0, 1);
+        let tree = Ldt::build(root(6), &members, 1);
         let hist = tree.level_histogram();
         if hist.len() >= 3 {
             let avg_at = |lvl: u32| {
@@ -428,7 +410,7 @@ mod tests {
     #[test]
     fn heal_regrafts_orphans_and_keeps_everyone_reachable() {
         let members = regs(&[3, 7, 1, 9, 4, 4, 2, 8, 6, 5]);
-        let mut tree = Ldt::build(root(2), &members, |_| 0, 1);
+        let mut tree = Ldt::build(root(2), &members, 1);
         assert!(tree.all_reachable_from_root());
         // Kill an interior member (one with children, if any exists;
         // otherwise any non-root member still exercises the path).
@@ -438,7 +420,7 @@ mod tests {
             .find(|&p| p != Key(0))
             .unwrap_or_else(|| tree.nodes()[1].key);
         let before_len = tree.len();
-        let report = tree.heal(victim, |_| 0, 1).expect("member heals");
+        let report = tree.heal(victim, 1).expect("member heals");
         assert_eq!(report.dead, victim);
         assert_eq!(tree.len(), before_len - 1);
         assert!(tree.member(victim).is_none(), "dead member removed");
@@ -461,14 +443,14 @@ mod tests {
     #[test]
     fn heal_leaf_has_no_orphans() {
         let members = regs(&[5, 5, 5]);
-        let mut tree = Ldt::build(root(8), &members, |_| 0, 1);
+        let mut tree = Ldt::build(root(8), &members, 1);
         let leaf = tree
             .nodes()
             .iter()
             .map(|n| n.key)
             .find(|&k| k != Key(0) && tree.edges().all(|(p, _)| p != k))
             .expect("a leaf exists");
-        let report = tree.heal(leaf, |_| 0, 1).expect("leaf heals");
+        let report = tree.heal(leaf, 1).expect("leaf heals");
         assert_eq!(report.orphans, 0);
         assert!(tree.all_reachable_from_root());
     }
@@ -476,9 +458,9 @@ mod tests {
     #[test]
     fn heal_root_or_stranger_is_refused() {
         let members = regs(&[5, 5]);
-        let mut tree = Ldt::build(root(8), &members, |_| 0, 1);
-        assert_eq!(tree.heal(Key(0), |_| 0, 1), None, "a dead root dissolves the tree");
-        assert_eq!(tree.heal(Key(999), |_| 0, 1), None, "not a member");
+        let mut tree = Ldt::build(root(8), &members, 1);
+        assert_eq!(tree.heal(Key(0), 1), None, "a dead root dissolves the tree");
+        assert_eq!(tree.heal(Key(999), 1), None, "not a member");
         assert_eq!(tree.len(), 3, "refused heals change nothing");
     }
 
@@ -487,10 +469,10 @@ mod tests {
         // Unit capacities force a chain; killing the second link orphans
         // the entire tail, which must re-graft under the root.
         let members = regs(&[1; 6]);
-        let mut tree = Ldt::build(root(1), &members, |_| 0, 1);
+        let mut tree = Ldt::build(root(1), &members, 1);
         assert_eq!(tree.depth(), 7);
         let second = tree.nodes().iter().find(|n| n.level == 2).expect("chain link").key;
-        let report = tree.heal(second, |_| 0, 1).expect("heals");
+        let report = tree.heal(second, 1).expect("heals");
         assert_eq!(report.orphans, 5, "the whole tail was orphaned");
         assert_eq!(report.graft_parent, Key(0));
         assert!(tree.all_reachable_from_root());

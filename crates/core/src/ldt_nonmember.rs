@@ -108,7 +108,7 @@ mod tests {
             let host = attachments.attach_new(*rng.choose(&stubs));
             dht.insert(Key::random(&mut rng), host, 1).unwrap();
         }
-        dht.build_all_tables(&attachments, &dcache, &mut rng);
+        dht.build_all_tables(&attachments, &dcache, &mut rng, 1);
         (dht, attachments, dcache, rng)
     }
 

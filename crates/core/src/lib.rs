@@ -97,7 +97,6 @@ pub use rejoin::RejoinReport;
 pub use restart::RestartReport;
 pub use system::{BristleBuilder, BristleSystem, MoveReport, NodeInfo};
 pub use time::{Clock, SimTime};
-pub use upkeep::UpkeepReport;
 
 /// Everything most users need, re-exported flat.
 pub mod prelude {

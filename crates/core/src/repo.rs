@@ -207,23 +207,19 @@ impl BristleSystem {
     }
 
     /// Removes expired location records from every stationary replica.
-    /// Returns how many copies were dropped.
-    pub fn expire_locations(&mut self) -> usize {
+    pub fn expire_locations(&mut self) {
         let now = self.clock.now();
         let holders: Vec<Key> = self.stationary.keys().collect();
-        let mut dropped = 0usize;
         for holder in holders {
             let shard = &mut self.stationary.node_mut(holder).expect("known").store;
             shard.retain(|subject, rec| {
                 let keep = !rec.is_expired(now);
                 if !keep {
                     self.stores.apply(holder, WalRecord::RecordRemove { subject: subject.0 });
-                    dropped += 1;
                 }
                 keep
             });
         }
-        dropped
     }
 
     /// A stationary node's graceful exit from the stationary layer: its

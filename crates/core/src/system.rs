@@ -352,19 +352,13 @@ impl BristleSystem {
     /// [`BristleSystem::rewire`] with the per-layer table builds sharded
     /// across `workers` scoped threads. Produces bit-identical tables at
     /// any worker count: the RNG split happens once up front exactly as
-    /// in `rewire`, and [`RingDht::build_all_tables_parallel`] is one
-    /// body whose results do not depend on the sharding (an
-    /// RNG-consuming selection policy runs as a single shard on the
-    /// caller's RNG, in ring order).
+    /// in `rewire`, and [`RingDht::build_all_tables`] is one body whose
+    /// results do not depend on the sharding (an RNG-consuming selection
+    /// policy runs as a single shard on the caller's RNG, in ring order).
     pub fn rewire_with_workers(&mut self, workers: usize) {
         let mut rng = self.rng.split(3);
-        self.stationary.build_all_tables_parallel(
-            &self.attachments,
-            &self.dcache,
-            &mut rng,
-            workers,
-        );
-        self.mobile.build_all_tables_parallel(&self.attachments, &self.dcache, &mut rng, workers);
+        self.stationary.build_all_tables(&self.attachments, &self.dcache, &mut rng, workers);
+        self.mobile.build_all_tables(&self.attachments, &self.dcache, &mut rng, workers);
     }
 
     /// Publishes every mobile node's current location (initial state).
@@ -593,8 +587,7 @@ impl BristleSystem {
             .copied()
             .filter(|r| self.contains_node(r.key))
             .collect();
-        let used = |k: Key| self.mobile.node(k).map(|n| n.used).unwrap_or(0);
-        Ok(Ldt::build(root, &registrants, used, self.cfg.unit_cost))
+        Ok(Ldt::build(root, &registrants, self.cfg.unit_cost))
     }
 
     /// Disseminates `key`'s current address through its LDT (`update`):
@@ -658,12 +651,6 @@ impl BristleSystem {
             }
             Mobility::Mobile => self.mobile_keys.retain(|&k| k != key),
         }
-    }
-
-    /// Sets a node's present workload `Used_i` (consumed capacity units).
-    pub fn set_used(&mut self, key: Key, used: u32) -> Result<()> {
-        self.mobile.node_mut(key)?.used = used;
-        Ok(())
     }
 
     /// Advances the virtual clock and purges expired leases.
@@ -1170,21 +1157,6 @@ mod tests {
         let ttl = sys.config().lease_ttl;
         let purged = sys.tick(ttl + 1);
         assert_eq!(purged, held);
-    }
-
-    #[test]
-    fn set_used_feeds_ldt_shape() {
-        let mut sys = small_system(30, 10, 13);
-        let m = sys.mobile_keys()[0];
-        let free_depth = sys.build_ldt(m).unwrap().depth();
-        // Saturate every node: the tree must degenerate toward a chain.
-        let keys: Vec<Key> = sys.mobile.keys().collect();
-        for k in keys {
-            let cap = sys.node_info(k).unwrap().capacity;
-            sys.set_used(k, cap).unwrap();
-        }
-        let busy_depth = sys.build_ldt(m).unwrap().depth();
-        assert!(busy_depth >= free_depth, "busy {busy_depth} free {free_depth}");
     }
 
     #[test]

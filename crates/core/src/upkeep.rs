@@ -16,49 +16,26 @@
 //! Late-binding systems skip step 4 and rely on `_discovery` at use
 //! time; the ablation experiment quantifies that trade.
 
-use bristle_overlay::repair::RepairReport;
-
 use crate::config::BindingMode;
 use crate::error::Result;
 use crate::system::BristleSystem;
 
-/// What one upkeep round did.
-#[derive(Debug, Clone, Default)]
-pub struct UpkeepReport {
-    /// Lease contracts purged.
-    pub leases_purged: usize,
-    /// Expired location records removed from the repository.
-    pub records_expired: usize,
-    /// Repair sweep over the mobile layer.
-    pub mobile_repair: RepairReport,
-    /// Repair sweep over the stationary layer.
-    pub stationary_repair: RepairReport,
-    /// Whether the early-binding refresh ran.
-    pub refreshed_bindings: bool,
-}
-
 impl BristleSystem {
     /// One full upkeep round (see module docs for the steps).
-    pub fn run_upkeep(&mut self) -> Result<UpkeepReport> {
-        let mut report = UpkeepReport {
-            leases_purged: self.purge_leases(),
-            records_expired: self.expire_locations(),
-            ..Default::default()
-        };
+    pub fn run_upkeep(&mut self) -> Result<()> {
+        self.purge_leases();
+        self.expire_locations();
 
         // Failure detection + local repair, both layers.
         let dcache = self.distances_arc();
         let mut rng = self.rng().split(6);
-        report.mobile_repair =
-            self.mobile.repair_sweep(&self.attachments, &dcache, &mut rng, &mut self.meter);
-        report.stationary_repair =
-            self.stationary.repair_sweep(&self.attachments, &dcache, &mut rng, &mut self.meter);
+        self.mobile.repair_sweep(&self.attachments, &dcache, &mut rng, &mut self.meter);
+        self.stationary.repair_sweep(&self.attachments, &dcache, &mut rng, &mut self.meter);
 
         if self.config().binding == BindingMode::Early {
             self.refresh_bindings()?;
-            report.refreshed_bindings = true;
         }
-        Ok(report)
+        Ok(())
     }
 }
 
@@ -68,6 +45,7 @@ mod tests {
     use crate::config::BristleConfig;
     use crate::system::BristleBuilder;
     use bristle_netsim::transit_stub::TransitStubConfig;
+    use bristle_overlay::meter::MessageKind;
 
     fn system(seed: u64, cfg: BristleConfig) -> BristleSystem {
         BristleBuilder::new(seed)
@@ -79,15 +57,28 @@ mod tests {
             .unwrap()
     }
 
+    /// Location records held across the stationary layer, and how many
+    /// of them have lapsed.
+    fn records(sys: &BristleSystem) -> (usize, usize) {
+        let now = sys.clock.now();
+        let all = sys.stationary.iter().flat_map(|n| n.store.values());
+        all.fold((0, 0), |(held, lapsed), r| (held + 1, lapsed + usize::from(r.is_expired(now))))
+    }
+
     #[test]
     fn upkeep_noop_on_fresh_system() {
         let mut sys = system(1, BristleConfig::recommended());
-        let r = sys.run_upkeep().unwrap();
-        assert_eq!(r.leases_purged, 0);
-        assert_eq!(r.records_expired, 0);
-        assert_eq!(r.mobile_repair.dropped, 0);
-        assert_eq!(r.stationary_repair.dropped, 0);
-        assert!(r.refreshed_bindings, "recommended config is early binding");
+        let held = records(&sys);
+        let probes = sys.mobile.total_state() + sys.stationary.total_state();
+        let updates = sys.meter.count(MessageKind::Update);
+        sys.run_upkeep().unwrap();
+        assert_eq!(records(&sys), held, "nothing lapsed, nothing to drop");
+        assert_eq!(sys.meter.count(MessageKind::Refresh) as usize, probes, "one probe an entry");
+        assert!(sys.mobile.health().is_healthy() && sys.stationary.health().is_healthy());
+        assert!(
+            sys.meter.count(MessageKind::Update) > updates,
+            "recommended config is early binding"
+        );
     }
 
     #[test]
@@ -95,9 +86,11 @@ mod tests {
         let mut sys = system(2, BristleConfig::recommended());
         let ttl = sys.config().location_ttl;
         sys.tick(ttl + 1);
-        let r = sys.run_upkeep().unwrap();
-        assert!(r.records_expired > 0, "lapsed records must be dropped");
-        // Early binding immediately republished them: discovery still works.
+        assert!(records(&sys).1 > 0, "records have lapsed");
+        sys.run_upkeep().unwrap();
+        let (held, lapsed) = records(&sys);
+        assert_eq!(lapsed, 0, "lapsed records must be dropped");
+        assert!(held > 0, "and early binding republished them");
         let watcher = sys.stationary_keys()[0];
         let m = sys.mobile_keys()[0];
         assert!(sys.discover(watcher, m).unwrap().resolved.is_some());
@@ -109,9 +102,10 @@ mod tests {
         let mut sys = system(3, cfg);
         let ttl = sys.config().location_ttl;
         sys.tick(ttl + 1);
-        let r = sys.run_upkeep().unwrap();
-        assert!(!r.refreshed_bindings);
-        assert!(r.records_expired > 0);
+        let updates = sys.meter.count(MessageKind::Update);
+        sys.run_upkeep().unwrap();
+        assert_eq!(records(&sys), (0, 0), "every record lapsed and none was republished");
+        assert_eq!(sys.meter.count(MessageKind::Update), updates, "no binding refresh");
         // The repository is now empty for everyone who has not moved
         // since: discovery fails until the subject republishes.
         let watcher = sys.stationary_keys()[0];
@@ -131,21 +125,23 @@ mod tests {
             sys.fail_node(v).unwrap();
         }
         assert!(!sys.mobile.health().is_healthy());
-        let r = sys.run_upkeep().unwrap();
-        assert!(r.mobile_repair.dropped > 0);
+        sys.run_upkeep().unwrap();
         assert!(sys.mobile.health().is_healthy());
         assert!(sys.stationary.health().is_healthy());
     }
 
     #[test]
     fn upkeep_purges_leases() {
-        let mut sys = system(5, BristleConfig::recommended());
+        // Late binding, so the round grants no fresh lease after its purge.
+        let cfg = BristleConfig { binding: BindingMode::Late, ..BristleConfig::recommended() };
+        let mut sys = system(5, cfg);
         let m = sys.mobile_keys()[0];
         sys.advertise_update(m).unwrap();
+        assert!(!sys.leases.is_empty());
         let ttl = sys.config().lease_ttl;
         // Advance the clock without the tick() purge to isolate upkeep.
         sys.clock.advance(ttl + 1);
-        let r = sys.run_upkeep().unwrap();
-        assert!(r.leases_purged > 0);
+        sys.run_upkeep().unwrap();
+        assert!(sys.leases.is_empty());
     }
 }

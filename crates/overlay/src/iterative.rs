@@ -37,19 +37,17 @@ impl<V> RingDht<V> {
         dcache: &DistanceCache,
         meter: &mut Meter,
     ) -> Result<Route, RingError> {
-        let src_router = attachments.router(self.node(src)?.host);
+        let from = self.slot_of(src)?;
+        let src_router = attachments.router(self.at(from).host);
         let mut hops = Vec::new();
         let mut path_cost = 0u64;
-        let mut cur = src;
-        while let Some(next) = self.next_hop(cur, target)? {
+        for next in self.walk(from, target) {
             // Round trip: query to `next`, reply with its next hop.
-            let next_router = attachments.router(self.node(next)?.host);
-            let rtt = 2 * dcache.distance(src_router, next_router);
+            let node = self.at(next);
+            let rtt = 2 * dcache.distance(src_router, attachments.router(node.host));
             meter.record(kind, rtt);
             path_cost += rtt;
-            hops.push(next);
-            cur = next;
-            assert!(hops.len() <= self.len() + 1, "iterative route did not converge");
+            hops.push(node.key);
         }
         Ok(Route { source: src, target, hops, path_cost })
     }
@@ -74,7 +72,7 @@ mod tests {
             let host = attachments.attach_new(*rng.choose(&stubs));
             dht.insert(Key::random(&mut rng), host, 1).unwrap();
         }
-        dht.build_all_tables(&attachments, &dcache, &mut rng);
+        dht.build_all_tables(&attachments, &dcache, &mut rng, 1);
         (dht, attachments, dcache, rng)
     }
 

@@ -47,7 +47,6 @@ pub use meter::{MessageKind, Meter};
 pub use node::NodeState;
 pub use obs::{FlightRecorder, Histogram as LatencyHistogram, ObsEvent, ObsEventKind, Snapshot};
 pub use prefix::PrefixDht;
-pub use repair::RepairReport;
 pub use replication::LookupOutcome;
 pub use ring::{RingDht, RingError};
 pub use route::Route;

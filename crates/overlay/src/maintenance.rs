@@ -52,11 +52,8 @@ impl<V> RingDht<V> {
         rng: &mut Pcg64,
         meter: &mut Meter,
     ) {
-        let keys: Vec<Key> = self.keys().collect();
-        for k in keys {
-            let refreshed = self.rebuild_node(k, attachments, dcache, rng).expect("known key");
-            meter.bump(MessageKind::Refresh, refreshed as u64);
-        }
+        self.build_all_tables(attachments, dcache, rng, 1);
+        meter.bump(MessageKind::Refresh, self.total_state() as u64);
     }
 
     /// Abrupt failure: the node disappears without notifying anyone. Its
@@ -133,7 +130,7 @@ mod tests {
             let host = attachments.attach_new(*rng.choose(&stubs));
             dht.insert(Key::random(&mut rng), host, 1).unwrap();
         }
-        dht.build_all_tables(&attachments, &dcache, &mut rng);
+        dht.build_all_tables(&attachments, &dcache, &mut rng, 1);
         (dht, attachments, dcache, rng)
     }
 
@@ -158,7 +155,7 @@ mod tests {
         dht.refresh_cycle(&attachments, &dcache, &mut rng, &mut meter);
         let healed = dht.health();
         assert!(healed.is_healthy(), "{healed:?}");
-        assert!(meter.count(MessageKind::Refresh) > 0);
+        assert_eq!(meter.count(MessageKind::Refresh), healed.total_entries as u64);
     }
 
     #[test]

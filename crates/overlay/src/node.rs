@@ -20,9 +20,6 @@ pub struct NodeState<V> {
     /// Advertised capacity C_X (paper §2.3.1): max connections, bandwidth,
     /// ... — a unitless ability score used by LDT scheduling.
     pub capacity: u32,
-    /// Present workload `Used_i` (paper Fig. 4): capacity units already
-    /// consumed by other activity on the node.
-    pub used: u32,
     /// Routing-state rows: finger-table and leaf-set neighbors, deduplicated.
     pub entries: Vec<StatePair>,
     /// Keys of the leaf-set subset of `entries` (cw successors then ccw
@@ -39,7 +36,6 @@ impl<V> NodeState<V> {
             key,
             host,
             capacity,
-            used: 0,
             entries: Vec::new(),
             leaf_keys: Vec::new(),
             store: BTreeMap::new(),

@@ -23,7 +23,6 @@
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::hash::Hasher;
-use std::ops::Bound;
 
 use bristle_netsim::attach::{AttachmentMap, HostId};
 use bristle_netsim::dijkstra::{Dist, DistanceCache};
@@ -263,7 +262,7 @@ impl<V> RingDht<V> {
     }
 
     /// Adds a node. Routing state is built separately (see
-    /// [`RingDht::rebuild_node`] / [`RingDht::build_all_tables`]).
+    /// [`RingDht::rebuild`] / [`RingDht::build_all_tables`]).
     ///
     /// Every [`Slot`] handed out before the call is void after it: an
     /// insert that would take the live and tombstoned cells past 7/8 of
@@ -387,180 +386,71 @@ impl<V> RingDht<V> {
         self.clockwise_from(k).take(count).map(|(_, slot)| slot)
     }
 
-    /// Up to `count` nodes clockwise from `start` (inclusive) whose keys lie
-    /// within `span` of `start`. Candidate enumeration for finger slots.
-    fn finger_candidates(
-        &self,
-        start: Key,
-        span: u64,
-        exclude: Key,
-        count: usize,
-    ) -> Vec<(Key, Slot)> {
-        self.clockwise_from(start)
-            .take_while(|&(k, _)| start.clockwise_to(k) < span)
-            .filter(|&(k, _)| k != exclude)
-            .take(count)
-            .collect()
-    }
-
-    /// The lowest finger level that can hold a neighbor of `key` (see
-    /// [`first_level_past`]).
-    fn first_finger_level(&self, key: Key) -> u32 {
-        let gap = self.successor_entry(key.offset(1)).map_or(0, |(succ, _)| key.clockwise_to(succ));
-        first_level_past(&self.cfg, gap)
-    }
-
-    /// Digit fingers from `first_level` up: for each level and non-zero
-    /// digit value, one neighbor in `[key + j·span, key + (j+1)·span)`.
-    fn finger_picks(
-        &self,
-        key: Key,
-        first_level: u32,
-        attachments: &AttachmentMap,
-        dcache: &DistanceCache,
-        rng: &mut Pcg64,
-    ) -> Result<Vec<(Key, Slot)>, RingError> {
-        let my_router = attachments.router(self.node(key)?.host);
-        let mut row = None;
-        let mut picks = Vec::new();
-        for (start, span) in finger_slots(&self.cfg, key, first_level) {
-            let cands = self.finger_candidates(start, span, key, self.cfg.candidate_window);
-            if cands.is_empty() {
-                continue;
-            }
-            let pick = select(self.cfg.selection, cands.len(), rng, |i| {
-                let router = attachments.router(self.at(cands[i].1).host);
-                row.get_or_insert_with(|| dcache.row(my_router))[router.index()]
-            });
-            picks.push(cands[pick]);
-        }
-        Ok(picks)
-    }
-
-    /// Computes (does not install) the routing state for a node at `key`:
-    /// the deduplicated entry list and the leaf-set keys.
-    ///
-    /// This is the omniscient steady-state build the simulation uses; the
-    /// protocol-faithful incremental join (paper Fig. 5) lives in
-    /// `bristle-core::join` and produces the same tables via messages.
-    ///
-    /// It walks the key index, O(log N) a slot, which is what one node's
-    /// join, repair or rejoin should pay; wiring the whole ring goes
-    /// through [`RingDht::build_all_tables`], which must agree with this.
-    pub fn compute_tables(
-        &self,
-        key: Key,
-        attachments: &AttachmentMap,
-        dcache: &DistanceCache,
-        rng: &mut Pcg64,
-    ) -> Result<(Vec<StatePair>, Vec<Key>), RingError> {
-        let first_level = self.first_finger_level(key);
-        let mut chosen = self.finger_picks(key, first_level, attachments, dcache, rng)?;
-
-        // Leaf set: nearest successors and predecessors (key order, no
-        // selection policy — leaves pin down ownership and must be exact).
-        let after = (Bound::Excluded(key.0), Bound::Unbounded);
-        let max_leaves = LEAF_RADIUS.min(self.len().saturating_sub(1));
-        let entry = |(&k, &slot): (&u64, &Slot)| (Key(k), slot);
-        let mut leaves: Vec<(Key, Slot)> = Vec::with_capacity(max_leaves * 2);
-        leaves.extend(
-            self.index.range(after).chain(self.index.range(..key.0)).map(entry).take(max_leaves),
-        );
-        let preds: Vec<(Key, Slot)> = self
-            .index
-            .range(..key.0)
-            .rev()
-            .chain(self.index.range(after).rev())
-            .map(entry)
-            .filter(|p| !leaves.contains(p))
-            .take(max_leaves)
-            .collect();
-        leaves.extend(preds);
-
-        chosen.extend(leaves.iter().copied());
-        chosen.sort_unstable();
-        chosen.dedup();
-
-        let entries = chosen
-            .into_iter()
-            .map(|(k, slot)| {
-                StatePair::resolved(k, NetAddr::current(self.at(slot).host, attachments))
-            })
-            .collect();
-        Ok((entries, leaves.into_iter().map(|(k, _)| k).collect()))
-    }
-
-    /// Rebuilds one node's routing state in place.
-    pub fn rebuild_node(
-        &mut self,
-        key: Key,
-        attachments: &AttachmentMap,
-        dcache: &DistanceCache,
-        rng: &mut Pcg64,
-    ) -> Result<usize, RingError> {
-        let (entries, leaf_keys) = self.compute_tables(key, attachments, dcache, rng)?;
-        let count = entries.len();
-        let node = self.node_mut(key)?;
-        node.entries = entries;
-        node.leaf_keys = leaf_keys;
-        Ok(count)
-    }
-
-    /// Rebuilds every node's routing state (steady-state snapshot): the
-    /// tables [`RingDht::compute_tables`] gives each node, visited in ring
-    /// order on the caller's `rng`.
-    pub fn build_all_tables(
-        &mut self,
-        attachments: &AttachmentMap,
-        dcache: &DistanceCache,
-        rng: &mut Pcg64,
-    ) {
-        self.build_tables(attachments, dcache, rng, 1);
-    }
-
-    /// [`RingDht::build_all_tables`] sharded across `workers` threads,
-    /// with results identical at every worker count.
-    ///
-    /// A node's tables depend on ring *structure* only — keys, hosts,
-    /// attachments — never on another node's installed entries, so the
-    /// build reads a key-order snapshot of the ring, workers take
-    /// contiguous shards of it, and the results are installed after the
-    /// last worker joins. The one order-dependent input is the RNG:
-    /// [`NeighborSelection::Random`] draws once per non-empty finger
-    /// slot, so that policy is built as a single shard on the caller's
-    /// `rng`, whatever `workers` says; `First` and `Proximity` never draw.
-    pub fn build_all_tables_parallel(
-        &mut self,
-        attachments: &AttachmentMap,
-        dcache: &DistanceCache,
-        rng: &mut Pcg64,
-        workers: usize,
-    ) where
-        V: Send + Sync,
-    {
-        self.build_tables(attachments, dcache, rng, workers);
-    }
-
-    /// The bulk build behind both public entry points. The snapshot is
-    /// 24 B a node (cache-resident where the slab is not) and lives only
-    /// for this call: a finger slot's candidates are a binary search and
-    /// a short sequential walk in it, a node's leaves its neighbouring
-    /// positions, and each node asks the distance oracle for one row.
-    fn build_tables(
-        &mut self,
-        attachments: &AttachmentMap,
-        dcache: &DistanceCache,
-        rng: &mut Pcg64,
-        workers: usize,
-    ) {
-        let snapshot: Vec<RingPos> = self
-            .index
+    /// The key-order snapshot every table build reads, one [`RingPos`] a
+    /// node: 24 B, cache-resident where the slab is not. It lives only for
+    /// the build that takes it.
+    fn snapshot(&self, attachments: &AttachmentMap) -> Vec<RingPos> {
+        self.index
             .iter()
             .map(|(&key, &slot)| {
                 let host = self.at(slot).host;
                 RingPos { key, slot, host, router: attachments.router(host) }
             })
-            .collect();
+            .collect()
+    }
+
+    fn install(&mut self, slot: Slot, (entries, leaf_keys): Tables) {
+        let node = &mut self.occupant_mut(slot).node;
+        node.entries = entries;
+        node.leaf_keys = leaf_keys;
+    }
+
+    /// Rebuilds the routing state of the nodes `keys`, in the order
+    /// given, on the caller's `rng`: what a join, a repair sweep or a
+    /// moved node re-derives (paper §2.3.3, Fig. 5). One snapshot serves
+    /// the whole batch, since no node's tables read another node's rows;
+    /// it costs O(N), which every caller already pays to pick its batch.
+    ///
+    /// Fails with [`RingError::UnknownNode`] at the first key that is not
+    /// in the ring, with the keys before it rebuilt.
+    pub fn rebuild(
+        &mut self,
+        keys: &[Key],
+        attachments: &AttachmentMap,
+        dcache: &DistanceCache,
+        rng: &mut Pcg64,
+    ) -> Result<(), RingError> {
+        let ring = self.snapshot(attachments);
+        let mut scratch = Vec::new();
+        for &key in keys {
+            let me = ring
+                .binary_search_by_key(&key.0, |pos| pos.key)
+                .map_err(|_| RingError::UnknownNode(key))?;
+            let tables = bulk_tables(&self.cfg, &ring, me, attachments, dcache, rng, &mut scratch);
+            self.install(ring[me].slot, tables);
+        }
+        Ok(())
+    }
+
+    /// Rebuilds every node's routing state (steady-state wiring), sharded
+    /// across `workers` threads, with results identical at every count.
+    ///
+    /// A node's tables depend on ring *structure* only — keys, hosts,
+    /// attachments — never on another node's installed entries, so
+    /// workers take contiguous shards of one snapshot and the results are
+    /// installed after the last worker joins. The one order-dependent
+    /// input is the RNG: [`NeighborSelection::Random`] draws once per
+    /// non-empty finger slot, so that policy is built as a single shard
+    /// on the caller's `rng`, in ring order, whatever `workers` says;
+    /// `First` and `Proximity` never draw.
+    pub fn build_all_tables(
+        &mut self,
+        attachments: &AttachmentMap,
+        dcache: &DistanceCache,
+        rng: &mut Pcg64,
+        workers: usize,
+    ) {
+        let snapshot = self.snapshot(attachments);
         let (cfg, ring) = (&self.cfg, snapshot.as_slice());
         let shards = match cfg.selection {
             NeighborSelection::Random => 1,
@@ -584,10 +474,8 @@ impl<V> RingDht<V> {
             built.extend(spawned.into_iter().map(|h| h.join().expect("table worker panicked")));
             built
         });
-        for (pos, (entries, leaf_keys)) in ring.iter().zip(built.into_iter().flatten()) {
-            let node = &mut self.occupant_mut(pos.slot).node;
-            node.entries = entries;
-            node.leaf_keys = leaf_keys;
+        for (pos, tables) in ring.iter().zip(built.into_iter().flatten()) {
+            self.install(pos.slot, tables);
         }
     }
 
@@ -742,8 +630,18 @@ fn select(
     }
 }
 
-/// [`RingDht::compute_tables`] for the node at snapshot position `me`,
-/// read off the snapshot alone. `chosen` is scratch space.
+/// The routing state of the node at snapshot position `me`, read off the
+/// snapshot alone: the deduplicated entry list and the leaf-set keys.
+/// The one table computation of the ring, behind both
+/// [`RingDht::build_all_tables`] and [`RingDht::rebuild`]. It is the
+/// omniscient steady-state build; the protocol-faithful incremental join
+/// (paper Fig. 5) lives in `bristle-core::join` and re-derives the
+/// tables it touched through it.
+///
+/// A finger slot's candidates are a binary search and a short sequential
+/// walk in the snapshot, the leaves are the neighbouring positions, and
+/// the node asks the distance oracle for one row. `chosen` is scratch
+/// space.
 fn bulk_tables(
     cfg: &RingConfig,
     ring: &[RingPos],
@@ -835,8 +733,136 @@ mod tests {
             }
             dht.insert(key, host, 1 + rng.below(15) as u32).unwrap();
         }
-        dht.build_all_tables(&attachments, &dcache, &mut rng);
+        dht.build_all_tables(&attachments, &dcache, &mut rng, 1);
         (dht, attachments, dcache)
+    }
+
+    // --------------------------------------------------------------
+    // The per-node reference build: what joins, repairs and refreshes
+    // ran until they moved onto `rebuild`. It walks the key index,
+    // O(log N) a slot, and shares only the slot enumeration
+    // (`finger_slots`), the empty-level skip and `select` with
+    // `bulk_tables`; candidates, leaves, sort and dedup are its own.
+    // --------------------------------------------------------------
+
+    /// Up to `count` nodes clockwise from `start` (inclusive) whose keys
+    /// lie within `span` of `start`, `exclude` left out.
+    fn finger_candidates<V>(
+        dht: &RingDht<V>,
+        start: Key,
+        span: u64,
+        exclude: Key,
+        count: usize,
+    ) -> Vec<(Key, Slot)> {
+        dht.clockwise_from(start)
+            .take_while(|&(k, _)| start.clockwise_to(k) < span)
+            .filter(|&(k, _)| k != exclude)
+            .take(count)
+            .collect()
+    }
+
+    /// The lowest finger level that can hold a neighbor of `key`.
+    fn first_finger_level<V>(dht: &RingDht<V>, key: Key) -> u32 {
+        let gap = dht.successor_entry(key.offset(1)).map_or(0, |(succ, _)| key.clockwise_to(succ));
+        first_level_past(&dht.cfg, gap)
+    }
+
+    /// Digit fingers from `first_level` up: for each level and non-zero
+    /// digit value, one neighbor in `[key + j·span, key + (j+1)·span)`.
+    fn finger_picks<V>(
+        dht: &RingDht<V>,
+        key: Key,
+        first_level: u32,
+        attachments: &AttachmentMap,
+        dcache: &DistanceCache,
+        rng: &mut Pcg64,
+    ) -> Vec<(Key, Slot)> {
+        let my_router = attachments.router(dht.node(key).unwrap().host);
+        let mut row = None;
+        let mut picks = Vec::new();
+        for (start, span) in finger_slots(&dht.cfg, key, first_level) {
+            let cands = finger_candidates(dht, start, span, key, dht.cfg.candidate_window);
+            if cands.is_empty() {
+                continue;
+            }
+            let pick = select(dht.cfg.selection, cands.len(), rng, |i| {
+                let router = attachments.router(dht.at(cands[i].1).host);
+                row.get_or_insert_with(|| dcache.row(my_router))[router.index()]
+            });
+            picks.push(cands[pick]);
+        }
+        picks
+    }
+
+    /// The routing state the node at `key` gets, by index walk.
+    fn compute_tables<V>(
+        dht: &RingDht<V>,
+        key: Key,
+        attachments: &AttachmentMap,
+        dcache: &DistanceCache,
+        rng: &mut Pcg64,
+    ) -> Tables {
+        use std::ops::Bound;
+        let first_level = first_finger_level(dht, key);
+        let mut chosen = finger_picks(dht, key, first_level, attachments, dcache, rng);
+
+        // Leaf set: nearest successors and predecessors (key order, no
+        // selection policy — leaves pin down ownership and must be exact).
+        let after = (Bound::Excluded(key.0), Bound::Unbounded);
+        let max_leaves = LEAF_RADIUS.min(dht.len().saturating_sub(1));
+        let entry = |(&k, &slot): (&u64, &Slot)| (Key(k), slot);
+        let mut leaves: Vec<(Key, Slot)> = Vec::with_capacity(max_leaves * 2);
+        leaves.extend(
+            dht.index.range(after).chain(dht.index.range(..key.0)).map(entry).take(max_leaves),
+        );
+        let preds: Vec<(Key, Slot)> = dht
+            .index
+            .range(..key.0)
+            .rev()
+            .chain(dht.index.range(after).rev())
+            .map(entry)
+            .filter(|p| !leaves.contains(p))
+            .take(max_leaves)
+            .collect();
+        leaves.extend(preds);
+
+        chosen.extend(leaves.iter().copied());
+        chosen.sort_unstable();
+        chosen.dedup();
+
+        let entries = chosen
+            .into_iter()
+            .map(|(k, slot)| {
+                StatePair::resolved(k, NetAddr::current(dht.at(slot).host, attachments))
+            })
+            .collect();
+        (entries, leaves.into_iter().map(|(k, _)| k).collect())
+    }
+
+    /// `rebuild(batch)` against the reference run over the same batch on
+    /// the same seed: every rebuilt node's `entries` and `leaf_keys`, and
+    /// the RNG state afterwards. `batch` holds no key twice.
+    fn assert_rebuild_matches_reference<V: Clone>(
+        dht: &RingDht<V>,
+        batch: &[Key],
+        attachments: &AttachmentMap,
+        dcache: &DistanceCache,
+        at: &str,
+    ) {
+        let mut reference_rng = Pcg64::seed_from_u64(31);
+        let reference: Vec<Tables> = batch
+            .iter()
+            .map(|&k| compute_tables(dht, k, attachments, dcache, &mut reference_rng))
+            .collect();
+        let mut rebuilt = dht.clone();
+        let mut rng = Pcg64::seed_from_u64(31);
+        rebuilt.rebuild(batch, attachments, dcache, &mut rng).unwrap();
+        for (key, (entries, leaf_keys)) in batch.iter().zip(&reference) {
+            let node = rebuilt.node(*key).unwrap();
+            assert_eq!(&node.entries, entries, "{at}: entries of {key}");
+            assert_eq!(&node.leaf_keys, leaf_keys, "{at}: leaves of {key}");
+        }
+        assert_eq!(format!("{rng:?}"), format!("{reference_rng:?}"), "{at}: RNG");
     }
 
     #[test]
@@ -911,8 +937,8 @@ mod tests {
             let slots: Vec<Slot> = dht.replica_slots(Key(k), count).collect();
             let keys: Vec<Key> = slots.iter().map(|&s| dht.at(s).key).collect();
             assert_eq!(keys, dht.replica_set(Key(k), count).unwrap());
-            dht.at_mut(slots[0]).used = k as u32;
-            assert_eq!(dht.node(keys[0]).unwrap().used, k as u32);
+            dht.at_mut(slots[0]).capacity = k as u32;
+            assert_eq!(dht.node(keys[0]).unwrap().capacity, k as u32);
         }
     }
 
@@ -1084,35 +1110,15 @@ mod tests {
         assert!(prox < first, "proximity {prox} must beat first {first}");
     }
 
+    /// Every way the ring builds tables against the per-node reference,
+    /// on every ring shape that has a boundary in it: the whole-ring
+    /// build at 1, 2, 3 and 7 workers (Proximity and First shard, Random
+    /// runs as one shard whatever the count), and two `rebuild` batches —
+    /// a join's (a bootstrap's route toward the newcomer, then the
+    /// newcomer) and a repair sweep's (every node still holding a removed
+    /// key, on a ring the removals left tombstones in).
     #[test]
-    fn parallel_build_matches_sequential_exactly() {
-        // Proximity and First shard across workers; Random is built as one
-        // shard whatever the count (its per-slot draws are order-dependent).
-        for (cfg, label) in [
-            (RingConfig::tornado(), "proximity"),
-            (RingConfig::chord(), "first"),
-            (RingConfig::tornado_no_locality(), "random"),
-        ] {
-            let (mut seq, attachments, dcache) = setup(96, 7, cfg.clone());
-            let (mut par, attachments2, dcache2) = setup(96, 7, cfg);
-            let mut rng_a = Pcg64::seed_from_u64(31);
-            let mut rng_b = Pcg64::seed_from_u64(31);
-            seq.build_all_tables(&attachments, &dcache, &mut rng_a);
-            par.build_all_tables_parallel(&attachments2, &dcache2, &mut rng_b, 4);
-            for key in seq.keys().collect::<Vec<_>>() {
-                let a = seq.node(key).unwrap();
-                let b = par.node(key).unwrap();
-                assert_eq!(a.entries, b.entries, "{label}: entries diverged at {key}");
-                assert_eq!(a.leaf_keys, b.leaf_keys, "{label}: leaves diverged at {key}");
-            }
-        }
-    }
-
-    /// The bulk build against `compute_tables`, the index-walking build
-    /// that single-node joins and repairs use, on every ring shape that
-    /// has a boundary in it.
-    #[test]
-    fn bulk_build_matches_compute_tables() {
+    fn every_build_matches_the_per_node_reference() {
         for (cfg, label) in [
             (RingConfig::tornado(), "tornado"),
             (RingConfig::chord(), "chord"),
@@ -1166,20 +1172,14 @@ mod tests {
                     let oracle: Vec<(Key, Tables)> = dht
                         .keys()
                         .map(|k| {
-                            let t = dht.compute_tables(k, &attachments, &dcache, &mut oracle_rng);
-                            (k, t.unwrap())
+                            (k, compute_tables(&dht, k, &attachments, &dcache, &mut oracle_rng))
                         })
                         .collect();
                     for workers in [1, 2, 3, 7] {
                         let at = format!("{label}/{n}/{shape}/{workers} workers");
                         let mut bulk = dht.clone();
                         let mut bulk_rng = Pcg64::seed_from_u64(31);
-                        bulk.build_all_tables_parallel(
-                            &attachments,
-                            &dcache,
-                            &mut bulk_rng,
-                            workers,
-                        );
+                        bulk.build_all_tables(&attachments, &dcache, &mut bulk_rng, workers);
                         for (key, (entries, leaf_keys)) in &oracle {
                             let node = bulk.node(*key).unwrap();
                             assert_eq!(&node.entries, entries, "{at}: entries of {key}");
@@ -1187,6 +1187,34 @@ mod tests {
                         }
                         assert_eq!(format!("{bulk_rng:?}"), format!("{oracle_rng:?}"), "{at}: RNG");
                     }
+
+                    // Join-shaped: the bootstrap and the nodes its route
+                    // toward the newcomer visits, then the newcomer.
+                    let mut wired = dht.clone();
+                    wired.build_all_tables(&attachments, &dcache, &mut Pcg64::seed_from_u64(31), 1);
+                    let keys: Vec<Key> = wired.keys().collect();
+                    let (boot, newcomer) = (keys[0], keys[n / 2]);
+                    let from = wired.slot_of(boot).unwrap();
+                    let mut batch: Vec<Key> = std::iter::once(boot)
+                        .chain(wired.walk(from, newcomer).map(|s| wired.at(s).key))
+                        .filter(|&k| k != newcomer)
+                        .collect();
+                    batch.push(newcomer);
+                    let at = format!("{label}/{n}/{shape}/join");
+                    assert_rebuild_matches_reference(&wired, &batch, &attachments, &dcache, &at);
+
+                    // Repair-shaped: a third of the ring gone, tables not
+                    // rebuilt; every node still holding a removed key.
+                    let mut damaged = wired;
+                    keys.iter().skip(1).step_by(3).for_each(|&k| drop(damaged.remove(k)));
+                    let batch: Vec<Key> = damaged
+                        .iter()
+                        .filter(|node| node.entries.iter().any(|e| !damaged.contains(e.key)))
+                        .map(|node| node.key)
+                        .collect();
+                    assert!(n == 1 || !batch.is_empty(), "{label}/{n}/{shape}: nothing damaged");
+                    let at = format!("{label}/{n}/{shape}/repair");
+                    assert_rebuild_matches_reference(&damaged, &batch, &attachments, &dcache, &at);
                 }
             }
         }
@@ -1220,7 +1248,11 @@ mod tests {
         let dc = DistanceCache::new(Arc::new(g), 1);
         let mut dht2: RingDht<()> = RingDht::new(RingConfig::tornado());
         dht2.insert(Key(42), HostId(0), 1).unwrap();
-        dht2.rebuild_node(Key(42), &attachments, &dc, &mut rng).unwrap();
+        dht2.rebuild(&[Key(42)], &attachments, &dc, &mut rng).unwrap();
+        assert_eq!(
+            dht2.rebuild(&[Key(7)], &attachments, &dc, &mut rng),
+            Err(RingError::UnknownNode(Key(7)))
+        );
         assert_eq!(dht2.node(Key(42)).unwrap().state_size(), 0);
     }
 
@@ -1329,7 +1361,7 @@ mod tests {
                 let (cells, used) = (dht.slab.len(), dht.used);
                 for n in gone.iter().step_by(2) {
                     dht.insert(n.key, n.host, n.capacity).unwrap();
-                    dht.rebuild_node(n.key, &attachments, &dcache, &mut rng).unwrap();
+                    dht.rebuild(&[n.key], &attachments, &dcache, &mut rng).unwrap();
                 }
                 assert_eq!((dht.slab.len(), dht.used), (cells, used), "tombstones were not reused");
                 assert_storage_invariants(&dht);
@@ -1360,7 +1392,7 @@ mod tests {
                     dht.insert(Key(k), attachments.attach_new(*rng.choose(&stubs)), 1).unwrap();
                     assert_storage_invariants(&dht);
                 }
-                dht.build_all_tables(&attachments, &dcache, &mut rng);
+                dht.build_all_tables(&attachments, &dcache, &mut rng, 1);
                 assert_hops_agree(&dht, &mut rng, &format!("{keys:?}"));
                 // Drop the node next to the wrap point and route on stale tables.
                 if keys.len() > 2 {
@@ -1471,7 +1503,7 @@ mod tests {
                         16..=18 if !dht.is_empty() => {
                             let keys: Vec<Key> = dht.keys().collect();
                             let key = *rng.choose(&keys);
-                            dht.rebuild_node(key, &attachments, &dcache, &mut rng).unwrap();
+                            dht.rebuild(&[key], &attachments, &dcache, &mut rng).unwrap();
                         }
                         _ => {
                             // A fresh ring sized for the live keys and a
@@ -1561,10 +1593,10 @@ mod tests {
                 let mut rng_skip = Pcg64::seed_from_u64(5);
                 let mut rng_full = rng_skip.clone();
                 for key in dht.keys() {
-                    let first = dht.first_finger_level(key);
+                    let first = first_finger_level(&dht, key);
                     skipped_any |= first > 0;
-                    let skip = dht.finger_picks(key, first, &attachments, &dcache, &mut rng_skip);
-                    let full = dht.finger_picks(key, 0, &attachments, &dcache, &mut rng_full);
+                    let skip = finger_picks(&dht, key, first, &attachments, &dcache, &mut rng_skip);
+                    let full = finger_picks(&dht, key, 0, &attachments, &dcache, &mut rng_full);
                     assert_eq!(skip, full, "{label}/{n}: picks diverged at {key}");
                     assert_eq!(
                         format!("{rng_skip:?}"),

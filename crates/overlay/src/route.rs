@@ -128,7 +128,7 @@ mod tests {
             let key = Key::random(&mut rng);
             dht.insert(key, host, 1).unwrap();
         }
-        dht.build_all_tables(&attachments, &dcache, &mut rng);
+        dht.build_all_tables(&attachments, &dcache, &mut rng, 1);
         (dht, attachments, dcache)
     }
 

@@ -31,7 +31,7 @@ fn overlay_of(keys: &[u64], bits: u32) -> (RingDht<u32>, AttachmentMap, Distance
         let _ = dht.insert(Key(k), host, 1); // duplicates silently dropped
     }
     let mut rng = Pcg64::seed_from_u64(1);
-    dht.build_all_tables(&attachments, &dcache, &mut rng);
+    dht.build_all_tables(&attachments, &dcache, &mut rng, 1);
     (dht, attachments, dcache)
 }
 

@@ -71,7 +71,7 @@ impl TypeASystem {
         let (mut dht, attachments, members) =
             random_ring(n_stationary + n_mobile, RingConfig::tornado(), &stub_routers, &mut rng);
         let mut wire_rng = rng.split(2);
-        dht.build_all_tables(&attachments, &dcache, &mut wire_rng);
+        dht.build_all_tables(&attachments, &dcache, &mut wire_rng, 1);
         let bodies = members
             .iter()
             .enumerate()
@@ -155,10 +155,9 @@ impl TypeASystem {
         let new_key = self.fresh_key();
         self.dht.insert(new_key, b.host, 1)?;
         let mut wire_rng = self.rng.split(4);
-        let entries =
-            self.dht.rebuild_node(new_key, &self.attachments, &self.dcache, &mut wire_rng)?;
+        self.dht.rebuild(&[new_key], &self.attachments, &self.dcache, &mut wire_rng)?;
         // Join cost: the paper's 2·O(log N) — one exchange per table row.
-        let join_msgs = 2 * entries as u64;
+        let join_msgs = 2 * self.dht.node(new_key)?.state_size() as u64;
         self.meter.bump(MessageKind::Join, join_msgs);
         self.bodies[body.0 as usize].current_key = new_key;
         Ok((old_key, new_key, join_msgs))

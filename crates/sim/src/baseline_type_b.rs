@@ -88,7 +88,7 @@ impl TypeBSystem {
         let (mut dht, attachments, members) =
             random_ring(n_stationary + n_mobile, RingConfig::tornado(), &stub_routers, &mut rng);
         let mut wire_rng = rng.split(2);
-        dht.build_all_tables(&attachments, &dcache, &mut wire_rng);
+        dht.build_all_tables(&attachments, &dcache, &mut wire_rng, 1);
         // The home agent sits at the node's *initial* network.
         let mobiles = members[n_stationary..]
             .iter()
@@ -175,7 +175,8 @@ impl TypeBSystem {
         let mut path_cost = 0u64;
         let mut direct_cost = 0u64;
         let mut delivered = true;
-        while let Some(next) = self.dht.next_hop(cur, target)? {
+        for next in self.dht.walk(self.dht.slot_of(src)?, target) {
+            let next = self.dht.at(next).key;
             let cur_router = self.attachments.router(self.hosts[&cur]);
             let next_router = self.attachments.router(self.hosts[&next]);
             let direct = self.dcache.distance(cur_router, next_router);

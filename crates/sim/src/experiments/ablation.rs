@@ -136,17 +136,12 @@ fn measure_ring(
 ) -> SubstrateRow {
     let mut rng = Pcg64::seed_from_u64(seed);
     let (mut dht, attachments, _) = random_ring(cfg.n_nodes, ring, &[RouterId(0)], &mut rng);
-    dht.build_all_tables(&attachments, &flat_distances(), &mut rng);
+    dht.build_all_tables(&attachments, &flat_distances(), &mut rng, 1);
     let keys: Vec<Key> = dht.keys().collect();
     let mut hops_total = 0usize;
     for _ in 0..cfg.routes {
-        let src = *rng.choose(&keys);
-        let target = Key::random(&mut rng);
-        let mut cur = src;
-        while let Some(next) = dht.next_hop(cur, target).expect("route") {
-            cur = next;
-            hops_total += 1;
-        }
+        let src = dht.slot_of(*rng.choose(&keys)).expect("route");
+        hops_total += dht.walk(src, Key::random(&mut rng)).count();
     }
     SubstrateRow {
         name,
@@ -222,7 +217,7 @@ fn measure_fanout(cfg: &AblationConfig) -> Vec<FanoutRow> {
     UNIT_COSTS
         .iter()
         .map(|&v| {
-            let tree = Ldt::build(root, &registrants, |_| 0, v);
+            let tree = Ldt::build(root, &registrants, v);
             // Fan-out of a member = number of children it has.
             let mut children = vec![0usize; tree.len()];
             for n in tree.nodes() {
@@ -302,7 +297,7 @@ fn measure_query_modes(cfg: &AblationConfig) -> Vec<QueryModeRow> {
     let dcache = DistanceCache::new(Arc::new(topo.into_graph()), 2048);
     let (mut dht, attachments, _) =
         random_ring(cfg.n_nodes.min(1024), RingConfig::tornado(), &stubs, &mut rng);
-    dht.build_all_tables(&attachments, &dcache, &mut rng);
+    dht.build_all_tables(&attachments, &dcache, &mut rng, 1);
     let keys: Vec<Key> = dht.keys().collect();
     let mut rec = Meter::new();
     let mut ite = Meter::new();

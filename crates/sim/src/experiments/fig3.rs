@@ -78,7 +78,7 @@ fn flat_overlay(n: usize, rng: &mut Pcg64) -> (RingDht<Vec<u8>>, AttachmentMap, 
     let dcache = flat_distances();
     let cfg = RingConfig { selection: NeighborSelection::First, ..RingConfig::tornado() };
     let (mut dht, attachments, _) = random_ring(n, cfg, &[RouterId(0)], rng);
-    dht.build_all_tables(&attachments, &dcache, rng);
+    dht.build_all_tables(&attachments, &dcache, rng, 1);
     (dht, attachments, dcache)
 }
 
@@ -118,7 +118,7 @@ pub fn run(cfg: &Fig3Config) -> Fig3Result {
                     holders.iter().map(|&h| Registrant::new(h, capacities[&h])).collect()
                 })
                 .unwrap_or_default();
-            let tree = Ldt::build(Registrant::new(root, capacities[&root]), &registrants, |_| 0, 1);
+            let tree = Ldt::build(Registrant::new(root, capacities[&root]), &registrants, 1);
             for node in tree.nodes().iter().skip(1) {
                 if is_stationary[&node.key] {
                     *member_load.entry(node.key).or_default() += 1;
@@ -140,7 +140,7 @@ pub fn run(cfg: &Fig3Config) -> Fig3Result {
                 s.insert(k, host, 1).expect("distinct keys");
             }
             let mut wire_rng = Pcg64::new(cfg.seed ^ 0xf163 ^ (i as u64), 3);
-            s.build_all_tables(&attachments, &dcache, &mut wire_rng);
+            s.build_all_tables(&attachments, &dcache, &mut wire_rng, 1);
             s
         };
         let mut non_member_load: HashMap<Key, usize> = HashMap::new();

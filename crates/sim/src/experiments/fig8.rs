@@ -100,7 +100,7 @@ pub struct Fig8Result {
 fn registrant_structure(n: usize, rng: &mut Pcg64) -> (Vec<Key>, HashMap<Key, Vec<Key>>) {
     let cfg = RingConfig { selection: NeighborSelection::First, ..RingConfig::tornado() };
     let (mut dht, attachments, _) = random_ring(n, cfg, &[RouterId(0)], rng);
-    dht.build_all_tables(&attachments, &flat_distances(), rng);
+    dht.build_all_tables(&attachments, &flat_distances(), rng, 1);
     (dht.keys().collect(), dht.reverse_index())
 }
 
@@ -139,7 +139,7 @@ pub fn run(cfg: &Fig8Config) -> Fig8Result {
             if let Some(cap) = cfg.registrant_cap {
                 registrants.truncate(cap);
             }
-            let tree = Ldt::build(Registrant::new(root, capacities[&root]), &registrants, |_| 0, 1);
+            let tree = Ldt::build(Registrant::new(root, capacities[&root]), &registrants, 1);
             for node in tree.nodes() {
                 level_hist.record((node.level - 1) as usize);
             }

@@ -116,7 +116,7 @@ fn measure_mode(
             }
         }
     }
-    dht.build_all_tables(&attachments, dcache, &mut rng);
+    dht.build_all_tables(&attachments, dcache, &mut rng, 1);
 
     let rev = dht.reverse_index();
     let capacities: HashMap<Key, u32> = dht.iter().map(|node| (node.key, node.capacity)).collect();
@@ -136,7 +136,7 @@ fn measure_mode(
             .get(&root)
             .map(|hs| hs.iter().map(|&h| Registrant::new(h, capacities[&h])).collect())
             .unwrap_or_default();
-        let tree = Ldt::build(Registrant::new(root, capacities[&root]), &registrants, |_| 0, 1);
+        let tree = Ldt::build(Registrant::new(root, capacities[&root]), &registrants, 1);
         let (cost, edges) = tree.edge_cost_sum(|a, b| dcache.distance(routers[&a], routers[&b]));
         total_cost += cost;
         total_edges += edges;

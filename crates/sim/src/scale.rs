@@ -177,16 +177,8 @@ pub fn sample_routes(
     }
     let route_one = |i: usize| -> u32 {
         let mut rng = Pcg64::new(seed ^ ROUTE_SALT, i as u64);
-        let src = *rng.choose(&keys);
-        let target = Key::random(&mut rng);
-        let mut cur = src;
-        let mut hops = 0u32;
-        while let Some(next) = ring.next_hop(cur, target).expect("known node") {
-            cur = next;
-            hops += 1;
-            assert!(hops <= 512, "route failed to terminate");
-        }
-        hops
+        let src = ring.slot_of(*rng.choose(&keys)).expect("known node");
+        ring.walk(src, Key::random(&mut rng)).count() as u32
     };
     let workers = workers.max(1).min(samples);
     if workers == 1 {

@@ -406,10 +406,7 @@ impl WalBackend {
         let tmp = self.dir.join("snapshot.tmp");
         {
             let mut f = File::create(&tmp)?;
-            f.write_all(SNAPSHOT_MAGIC)?;
-            for rec in self.state.to_records() {
-                f.write_all(&frame(&rec.encode()))?;
-            }
+            f.write_all(&Self::snapshot_bytes(&self.state))?;
             f.sync_all()?;
         }
         std::fs::rename(&tmp, self.dir.join("snapshot.bin"))?;
@@ -420,8 +417,8 @@ impl WalBackend {
         Ok(())
     }
 
-    /// Encodes the current state as snapshot bytes without touching
-    /// disk (golden tests compare these directly).
+    /// Encodes `state` as the bytes [`WalBackend::snapshot`] writes to
+    /// `snapshot.bin`.
     pub fn snapshot_bytes(state: &DurableState) -> Vec<u8> {
         let mut out = SNAPSHOT_MAGIC.to_vec();
         for rec in state.to_records() {
@@ -558,6 +555,10 @@ mod tests {
             }
             b.snapshot().unwrap();
             assert_eq!(b.log_frames(), 0, "snapshot truncates the log");
+            // What lands on disk is the encoder's output for the fold, so
+            // `golden_snapshot_encoding` pins the file itself.
+            let on_disk = std::fs::read(dir.join("snapshot.bin")).unwrap();
+            assert_eq!(on_disk, WalBackend::snapshot_bytes(&folded(&workload())));
             // Post-snapshot mutations land in the fresh log.
             b.apply(&WalRecord::Register { target: 55, capacity: 1 });
         }

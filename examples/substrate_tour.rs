@@ -40,7 +40,7 @@ fn main() {
     for (i, &k) in keys.iter().enumerate() {
         ring.insert(k, HostId(i as u32), 1).expect("insert");
     }
-    ring.build_all_tables(&attachments, &dcache, &mut rng);
+    ring.build_all_tables(&attachments, &dcache, &mut rng, 1);
     let mut meter = Meter::new();
     let mut ring_hops = 0usize;
     for i in 0..LOOKUPS {

@@ -224,9 +224,13 @@ fn ldt_spans_membership_exactly_seeded() {
     for _ in 0..200 {
         let regs = random_registrants(&mut rng, 39);
         let root_cap = rng.range_inclusive(1, 15) as u32;
+        // A load of `used` units on every member, as the capacity it
+        // leaves free.
         let used = rng.range_inclusive(0, 15) as u32;
-        let root = Registrant::new(Key(0), root_cap);
-        let tree = Ldt::build(root, &regs, |_| used, 1);
+        let regs: Vec<Registrant> =
+            regs.iter().map(|r| Registrant::new(r.key, r.capacity.saturating_sub(used))).collect();
+        let root = Registrant::new(Key(0), root_cap.saturating_sub(used));
+        let tree = Ldt::build(root, &regs, 1);
         assert_eq!(tree.len(), regs.len() + 1);
         assert_eq!(tree.edge_count(), regs.len());
         assert!(tree.depth() >= 1);

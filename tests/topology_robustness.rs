@@ -36,7 +36,7 @@ fn ldt_cost_on_waxman(ring: RingConfig, seed: u64) -> f64 {
             }
         }
     }
-    dht.build_all_tables(&attachments, &dcache, &mut rng);
+    dht.build_all_tables(&attachments, &dcache, &mut rng, 1);
     let rev = dht.reverse_index();
     let caps: HashMap<Key, u32> = dht.iter().map(|n| (n.key, n.capacity)).collect();
     let node_router: HashMap<Key, bristle::netsim::graph::RouterId> =
@@ -48,7 +48,7 @@ fn ldt_cost_on_waxman(ring: RingConfig, seed: u64) -> f64 {
             .get(&root)
             .map(|hs| hs.iter().map(|&h| Registrant::new(h, caps[&h])).collect())
             .unwrap_or_default();
-        let tree = Ldt::build(Registrant::new(root, caps[&root]), &registrants, |_| 0, 1);
+        let tree = Ldt::build(Registrant::new(root, caps[&root]), &registrants, 1);
         let (c, e) = tree.edge_cost_sum(|a, b| dcache.distance(node_router[&a], node_router[&b]));
         total += c;
         edges += e;
@@ -106,7 +106,7 @@ fn naming_advantage_survives_waxman_topologies() {
                 }
             }
         }
-        dht.build_all_tables(&attachments, &dcache, &mut rng);
+        dht.build_all_tables(&attachments, &dcache, &mut rng, 1);
         let mut meter = Meter::new();
         let mut hops = 0usize;
         let samples = 300;
