@@ -81,8 +81,7 @@ impl BristleSystem {
             if mobility == Mobility::Stationary {
                 self.stationary.rebuild(&[key], &self.attachments, &dcache, &mut rng)?;
                 // Stationary neighbors of the newcomer adopt it too.
-                let neighbors: Vec<Key> =
-                    self.stationary.node(key)?.entries.iter().map(|e| e.key).collect();
+                let neighbors = self.stationary.node(key)?.keys().to_vec();
                 self.stationary.rebuild(&neighbors, &self.attachments, &dcache, &mut rng)?;
             }
         }
@@ -91,7 +90,7 @@ impl BristleSystem {
         // mobile nodes it now holds; nodes that adopted the newcomer
         // register to it (if it is mobile).
         let my_cap = self.node_info(key)?.capacity;
-        let my_entries: Vec<Key> = self.mobile.node(key)?.entries.iter().map(|e| e.key).collect();
+        let my_entries = self.mobile.node(key)?.keys().to_vec();
         for subject in my_entries {
             if self.is_mobile(subject) {
                 self.add_registrant(key, my_cap, subject);

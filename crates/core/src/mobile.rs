@@ -631,7 +631,8 @@ mod tests {
                 "{what}: the asker's pair"
             );
             for (a, b) in new.mobile.iter().zip(old.mobile.iter()) {
-                assert_eq!(a.entries, b.entries, "{what}: rows of {}", a.key);
+                assert_eq!(a.keys(), b.keys(), "{what}: rows of {}", a.key);
+                assert_eq!(a.addrs(), b.addrs(), "{what}: addresses of {}", a.key);
             }
         }
     }

@@ -131,7 +131,7 @@ impl BristleSystem {
         let old = self.registry.take();
         for holder in self.mobile.iter() {
             let capacity = self.info_unchecked(holder.key).capacity;
-            for subject in holder.entries.iter().map(|e| e.key) {
+            for &subject in holder.keys() {
                 if self.is_mobile(subject) {
                     register_edge(
                         &mut self.registry,
@@ -264,7 +264,7 @@ impl BristleSystem {
     /// the store was frozen, and what a restart found stale.
     pub(crate) fn reconcile_store(&mut self, key: Key) {
         let Some(state) = self.stores.state(key) else { return };
-        let shard = self.stationary.node(key).ok().map(|n| &n.store);
+        let shard = self.stationary.node(key).ok().map(|n| n.store);
         let mut stale: Vec<WalRecord> = Vec::new();
         for &subject in state.records.keys() {
             if !shard.is_some_and(|s| s.contains_key(&Key(subject))) {

@@ -143,7 +143,7 @@ impl BristleSystem {
             }
         }
 
-        let held: Vec<Key> = self.mobile.node(key)?.entries.iter().map(|e| e.key).collect();
+        let held: Vec<Key> = self.mobile.node(key)?.keys().to_vec();
         let mut edges: Vec<(Key, u32, Key)> = Vec::new();
         for target in persisted.registrations.keys().map(|&t| Key(t)) {
             if self.is_mobile(target) {

@@ -30,7 +30,7 @@ use bristle_netsim::transit_stub::{TransitStubConfig, TransitStubTopology};
 use bristle_overlay::addr::NetAddr;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::{MessageKind, Meter};
-use bristle_overlay::node::NodeState;
+use bristle_overlay::node::NodeRef;
 use bristle_overlay::ring::RingDht;
 
 use crate::arena::{KeyInterner, NodeArena, NodeIdx};
@@ -493,7 +493,7 @@ impl BristleSystem {
     /// whether that host is a live stationary node's from
     /// `stationary_hosts`, where it is from `attachments`. Only a row
     /// with a null address is looked up by key in the stationary ring.
-    pub(crate) fn entry_stationary_at(&self, node: &NodeState<Vec<u8>>) -> Result<Key> {
+    pub(crate) fn entry_stationary_at(&self, node: NodeRef<'_, Vec<u8>>) -> Result<Key> {
         if self.is_stationary_host(node.host) {
             return Ok(node.key);
         }
@@ -503,21 +503,21 @@ impl BristleSystem {
         // One row serves every entry: the asker's distances to all routers.
         let row = self.dcache.row(self.attachments.router(node.host));
         let mut best: Option<(u64, Key)> = None;
-        for e in &node.entries {
+        for (&k, cached) in node.keys().iter().zip(node.addrs()) {
             // Stationary nodes never move, and a host embodies one node
             // for good, so a set bit means the row's address is where
             // the row's key is.
-            let host = match e.addr {
+            let host = match cached.addr {
                 Some(addr) if self.is_stationary_host(addr.host) => addr.host,
                 Some(_) => continue,
-                None => match self.stationary.node(e.key) {
+                None => match self.stationary.node(k) {
                     Ok(peer) => peer.host,
                     Err(_) => continue,
                 },
             };
             let d = row[self.attachments.router(host).index()];
             if best.map(|(b, _)| d < b).unwrap_or(true) {
-                best = Some((d, e.key));
+                best = Some((d, k));
             }
         }
         match best {
@@ -719,14 +719,14 @@ mod tests {
         for key in seq.stationary.keys().collect::<Vec<_>>() {
             let a = seq.stationary.node(key).unwrap();
             let b = par.stationary.node(key).unwrap();
-            assert_eq!(a.entries, b.entries, "stationary entries diverged at {key}");
-            assert_eq!(a.leaf_keys, b.leaf_keys, "stationary leaves diverged at {key}");
+            assert_eq!(a.keys(), b.keys(), "stationary rows diverged at {key}");
+            assert_eq!(a.addrs(), b.addrs(), "stationary addresses diverged at {key}");
         }
         for key in seq.mobile.keys().collect::<Vec<_>>() {
             let a = seq.mobile.node(key).unwrap();
             let b = par.mobile.node(key).unwrap();
-            assert_eq!(a.entries, b.entries, "mobile entries diverged at {key}");
-            assert_eq!(a.leaf_keys, b.leaf_keys, "mobile leaves diverged at {key}");
+            assert_eq!(a.keys(), b.keys(), "mobile rows diverged at {key}");
+            assert_eq!(a.addrs(), b.addrs(), "mobile addresses diverged at {key}");
         }
     }
 
@@ -1015,13 +1015,13 @@ mod tests {
         let row = sys.dcache.row(from_router);
         let node = sys.mobile.node(from)?;
         let mut best: Option<(u64, Key)> = None;
-        for e in &node.entries {
+        for &k in node.keys() {
             // Only stationary nodes are in the stationary ring, and they
             // never move, so the host recorded there is where they are.
-            let Ok(peer) = sys.stationary.node(e.key) else { continue };
+            let Ok(peer) = sys.stationary.node(k) else { continue };
             let d = row[sys.attachments.router(peer.host).index()];
             if best.map(|(b, _)| d < b).unwrap_or(true) {
-                best = Some((d, e.key));
+                best = Some((d, k));
             }
         }
         match best {

@@ -45,42 +45,33 @@ impl NetAddr {
     }
 }
 
-/// One routing-state row: `<key, addr>` as in the paper (§1).
+/// The address half of a routing row: the paper's state-pair `<key,
+/// addr>` (§1) is a node's `keys()[i]` and `addrs()[i]` (see
+/// [`crate::node::NodeState`]).
 ///
 /// `addr == None` is the paper's "null" address — the key of a known peer
 /// whose network address has not been resolved (or has been invalidated
 /// and cleared).
 ///
-/// 24 bytes: 8 of key, 12 of address, 4 of `Option` tag. A node's rows
-/// are scanned on every hop it forwards and at N = 5e4 the two rings hold
-/// 2.5 M of them, so both the hop's cache lines and most of the live heap
-/// scale with this width (DESIGN §13) — which is why the attachment epoch
-/// is a `u32`: as a `u64` it pads the row to 40.
+/// A forwarding hop compares every row's key and reads one row's
+/// address, so the two halves live in parallel arrays: the scan reads 8
+/// bytes a row, not 24. At N = 5e4 the two rings hold 2.5 M rows, so most
+/// of the live heap scales with these widths (DESIGN §13) — which is why
+/// the attachment epoch is a `u32`: as a `u64` it pads the address to 32.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatePair {
-    /// The peer's hash key.
-    pub key: Key,
+pub struct CachedAddr {
     /// The peer's network address, if resolved.
     pub addr: Option<NetAddr>,
 }
 
-// A field added to a row fails the build here, not the benchmark.
+// A field added to either half of a row fails the build here, not the
+// benchmark.
 const _: () = assert!(std::mem::size_of::<NetAddr>() == 12);
-const _: () = assert!(std::mem::size_of::<Option<NetAddr>>() == 16);
-const _: () = assert!(std::mem::size_of::<StatePair>() == 24);
+const _: () = assert!(std::mem::size_of::<Key>() == 8);
+const _: () = assert!(std::mem::size_of::<CachedAddr>() == 16);
 
-impl StatePair {
-    /// A state-pair with a resolved address.
-    pub fn resolved(key: Key, addr: NetAddr) -> StatePair {
-        StatePair { key, addr: Some(addr) }
-    }
-
-    /// A state-pair whose address is not (yet) known.
-    pub fn unresolved(key: Key) -> StatePair {
-        StatePair { key, addr: None }
-    }
-
-    /// Whether the pair currently lets us *reach* the peer: the address is
+impl CachedAddr {
+    /// Whether the row currently lets us *reach* the peer: the address is
     /// present and still valid.
     pub fn is_reachable(&self, attachments: &AttachmentMap) -> bool {
         self.addr.is_some_and(|a| a.is_valid(attachments))
@@ -107,14 +98,14 @@ mod tests {
     }
 
     #[test]
-    fn state_pair_reachability() {
+    fn cached_addr_reachability() {
         let mut map = AttachmentMap::new();
         let h = map.attach_new(RouterId(0));
-        let pair = StatePair::resolved(Key(1), NetAddr::current(h, &map));
-        assert!(pair.is_reachable(&map));
-        let null = StatePair::unresolved(Key(1));
+        let row = CachedAddr { addr: Some(NetAddr::current(h, &map)) };
+        assert!(row.is_reachable(&map));
+        let null = CachedAddr { addr: None };
         assert!(!null.is_reachable(&map), "null address is unreachable");
         map.move_host(h, RouterId(1));
-        assert!(!pair.is_reachable(&map));
+        assert!(!row.is_reachable(&map));
     }
 }

@@ -38,7 +38,7 @@ pub mod replication;
 pub mod ring;
 pub mod route;
 
-pub use addr::{NetAddr, StatePair};
+pub use addr::{CachedAddr, NetAddr};
 pub use can::{CanNode, CanOverlay, Zone};
 pub use config::{NeighborSelection, RingConfig};
 pub use key::Key;

@@ -84,7 +84,7 @@ impl<V> RingDht<V> {
         if handed > 0 {
             meter.record(MessageKind::Leave, dcache.distance(from, to));
         }
-        let heir_store = &mut self.node_mut(heir)?.store;
+        let heir_store = self.node_mut(heir)?.store;
         for (k, v) in state.store {
             heir_store.entry(k).or_insert(v);
         }
@@ -95,15 +95,15 @@ impl<V> RingDht<V> {
     pub fn health(&self) -> HealthReport {
         let mut report = HealthReport::default();
         for node in self.iter() {
-            report.total_entries += node.entries.len();
-            for e in &node.entries {
-                if !self.contains(e.key) {
+            report.total_entries += node.state_size();
+            for &k in node.keys() {
+                if !self.contains(k) {
                     report.dangling_entries += 1;
                 }
             }
             if self.len() > 1 {
                 let true_succ = self.successor_of(node.key.offset(1)).expect("non-empty");
-                if !node.leaf_keys.contains(&true_succ) {
+                if !node.leaf_keys().any(|k| k == true_succ) {
                     report.broken_successors += 1;
                 }
             }

@@ -27,17 +27,25 @@ use bristle_netsim::attach::{AttachmentMap, HostId};
 use bristle_netsim::dijkstra::DistanceCache;
 use bristle_netsim::rng::Pcg64;
 
-use crate::addr::{NetAddr, StatePair};
+use crate::addr::{CachedAddr, NetAddr};
 use crate::config::{NeighborSelection, RingConfig, LEAF_RADIUS};
 use crate::key::Key;
-use crate::node::NodeState;
+use crate::node::{NodeRef, NodeState};
 use crate::ring::RingError;
 
 /// A prefix-routing DHT over record type `V`.
 #[derive(Debug, Clone)]
 pub struct PrefixDht<V> {
     cfg: RingConfig,
-    nodes: BTreeMap<u64, NodeState<V>>,
+    nodes: BTreeMap<u64, PrefixNode<V>>,
+}
+
+/// A node and its routing rows: their keys, ascending, and addresses.
+#[derive(Debug, Clone)]
+struct PrefixNode<V> {
+    state: NodeState<V>,
+    keys: Box<[Key]>,
+    addrs: Box<[CachedAddr]>,
 }
 
 /// Length (in digits) of the longest common prefix of two keys, reading
@@ -83,18 +91,20 @@ impl<V> PrefixDht<V> {
         if self.nodes.contains_key(&key.0) {
             return Err(RingError::DuplicateKey(key));
         }
-        self.nodes.insert(key.0, NodeState::new(key, host, capacity));
+        let state = NodeState::new(key, host, capacity);
+        self.nodes.insert(key.0, PrefixNode { state, keys: Box::default(), addrs: Box::default() });
         Ok(())
     }
 
     /// Removes a node.
     pub fn remove(&mut self, key: Key) -> Option<NodeState<V>> {
-        self.nodes.remove(&key.0)
+        self.nodes.remove(&key.0).map(|n| n.state)
     }
 
     /// Node state by key.
-    pub fn node(&self, key: Key) -> Result<&NodeState<V>, RingError> {
-        self.nodes.get(&key.0).ok_or(RingError::UnknownNode(key))
+    pub fn node(&self, key: Key) -> Result<NodeRef<'_, V>, RingError> {
+        let node = self.nodes.get(&key.0).ok_or(RingError::UnknownNode(key))?;
+        Ok(NodeRef::new(&node.state, &node.keys, &node.addrs))
     }
 
     /// Iterator over node keys.
@@ -104,7 +114,7 @@ impl<V> PrefixDht<V> {
 
     /// Total routing-state rows.
     pub fn total_state(&self) -> usize {
-        self.nodes.values().map(|n| n.entries.len()).sum()
+        self.nodes.values().map(|n| n.keys.len()).sum()
     }
 
     /// The **numerically closest** node to `k` (ties to the lower key) —
@@ -212,20 +222,19 @@ impl<V> PrefixDht<V> {
         }
         leaf_keys.extend(preds);
 
-        chosen.extend(leaf_keys.iter().copied());
+        chosen.extend(leaf_keys);
         chosen.sort_unstable();
         chosen.dedup();
-        let entries = chosen
-            .into_iter()
-            .map(|k| {
+        let addrs = chosen
+            .iter()
+            .map(|&k| {
                 let host = self.node(k)?.host;
-                Ok(StatePair::resolved(k, NetAddr::current(host, attachments)))
+                Ok(CachedAddr { addr: Some(NetAddr::current(host, attachments)) })
             })
-            .collect::<Result<Vec<_>, RingError>>()?;
-        let count = entries.len();
+            .collect::<Result<Box<[_]>, RingError>>()?;
+        let count = chosen.len();
         let node = self.nodes.get_mut(&key.0).expect("known");
-        node.entries = entries;
-        node.leaf_keys = leaf_keys;
+        (node.keys, node.addrs) = (chosen.into(), addrs);
         Ok(count)
     }
 
@@ -253,21 +262,21 @@ impl<V> PrefixDht<V> {
         let bits = self.cfg.bits_per_digit;
         let my_dist = cur.ring_distance(target);
         let mut best: Option<(u32, u64, Key)> = None; // (prefix, dist, key)
-        for e in &node.entries {
-            if !self.contains(e.key) {
+        for &k in node.keys() {
+            if !self.contains(k) {
                 continue;
             }
-            let dist = e.key.ring_distance(target);
+            let dist = k.ring_distance(target);
             if dist >= my_dist {
                 continue; // must make strict numeric progress
             }
-            let prefix = shared_prefix_digits(e.key, target, bits);
+            let prefix = shared_prefix_digits(k, target, bits);
             let better = match best {
                 None => true,
                 Some((bp, bd, _)) => prefix > bp || (prefix == bp && dist < bd),
             };
             if better {
-                best = Some((prefix, dist, e.key));
+                best = Some((prefix, dist, k));
             }
         }
         match best {
@@ -387,6 +396,35 @@ mod tests {
                 let nd = hop.ring_distance(t);
                 assert!(nd < dist, "numeric distance must strictly shrink");
                 dist = nd;
+            }
+        }
+    }
+
+    /// Every node's rows ascend and carry each row's current address, and
+    /// its leaf set read off its position in them is its nearest keys
+    /// each side — on rings of 2–9 nodes too, where a node is listed
+    /// once, as a successor.
+    #[test]
+    fn rows_ascend_and_the_leaf_set_is_the_nearest_keys() {
+        for n in (1..=2 * LEAF_RADIUS + 1).chain([40]) {
+            let (dht, attachments, _) = setup(n, 20 + n as u64);
+            let ring: Vec<Key> = dht.keys().collect();
+            let radius = LEAF_RADIUS.min(n - 1);
+            for (i, &key) in ring.iter().enumerate() {
+                let node = dht.node(key).unwrap();
+                assert!(node.keys().windows(2).all(|w| w[0] < w[1]), "{n}: rows of {key}");
+                for (&k, cached) in node.keys().iter().zip(node.addrs()) {
+                    let host = dht.node(k).unwrap().host;
+                    assert_eq!(cached.addr, Some(NetAddr::current(host, &attachments)));
+                }
+                let mut leaves: Vec<Key> = (1..=radius).map(|d| ring[(i + d) % n]).collect();
+                let preds: Vec<Key> = (1..n)
+                    .map(|d| ring[(i + n - d) % n])
+                    .filter(|k| !leaves.contains(k))
+                    .take(radius)
+                    .collect();
+                leaves.extend(preds);
+                assert_eq!(node.leaf_keys().collect::<Vec<_>>(), leaves, "{n}: leaves of {key}");
             }
         }
     }

@@ -31,8 +31,8 @@ impl<V> RingDht<V> {
         for node in self.iter() {
             let my_router = attachments.router(node.host);
             let mut dead = false;
-            for e in &node.entries {
-                match self.node(e.key) {
+            for &k in node.keys() {
+                match self.node(k) {
                     // Live: the probe costs one round trip.
                     Ok(n) => meter.record(
                         MessageKind::Refresh,
@@ -98,10 +98,13 @@ mod tests {
         // Probes are one message per entry; a healthy sweep sends exactly
         // total_state() probes and changes nothing.
         let (mut dht, attachments, dcache, mut rng) = setup(48, 3);
-        let before: Vec<_> = dht.iter().map(|n| n.entries.clone()).collect();
+        let rows = |dht: &RingDht<()>| -> Vec<_> {
+            dht.iter().map(|n| (n.keys().to_vec(), n.addrs().to_vec())).collect()
+        };
+        let before = rows(&dht);
         let mut meter = Meter::new();
         dht.repair_sweep(&attachments, &dcache, &mut rng, &mut meter);
         assert_eq!(meter.count(MessageKind::Refresh) as usize, dht.total_state());
-        assert_eq!(dht.iter().map(|n| n.entries.clone()).collect::<Vec<_>>(), before);
+        assert_eq!(rows(&dht), before);
     }
 }

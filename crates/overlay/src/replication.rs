@@ -129,7 +129,7 @@ impl<V: Clone> RingDht<V> {
         // Collect all (record key, value, holder) triples first.
         let mut records: Vec<(Key, V, Key)> = Vec::new();
         for node in self.iter() {
-            for (&k, v) in &node.store {
+            for (&k, v) in node.store {
                 records.push((k, v.clone(), node.key));
             }
         }

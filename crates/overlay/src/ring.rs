@@ -29,10 +29,10 @@ use bristle_netsim::dijkstra::{Dist, DistanceCache};
 use bristle_netsim::graph::RouterId;
 use bristle_netsim::rng::Pcg64;
 
-use crate::addr::{NetAddr, StatePair};
+use crate::addr::{CachedAddr, NetAddr};
 use crate::config::{NeighborSelection, RingConfig, LEAF_RADIUS};
 use crate::key::{Key, KeyHasher};
-use crate::node::NodeState;
+use crate::node::{NodeMut, NodeRef, NodeState};
 
 /// Errors from structural DHT operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,6 +93,8 @@ pub struct RingDht<V> {
     used: usize,
     /// Bumped by every node added or removed.
     epoch: u64,
+    /// Every live node's routing rows, each node's a [`Span`] of it.
+    rows: Arena,
 }
 
 /// A live node's position in the slab. It stays valid until the ring's
@@ -112,9 +114,9 @@ enum Cell<V> {
     Live(Occupant<V>),
 }
 
-// A tombstone costs no bytes: the tag sits in a niche of the occupant,
-// as the `Option` the cell replaced did.
-const _: () = assert!(std::mem::size_of::<Cell<()>>() == std::mem::size_of::<Occupant<()>>());
+// Every cell of both rings' slabs is this size (DESIGN §13): an occupant
+// and a tag word, since no field of the occupant has a spare value.
+const _: () = assert!(std::mem::size_of::<Cell<()>>() <= 64);
 
 impl<V> Cell<V> {
     fn live(&self) -> Option<&Occupant<V>> {
@@ -137,7 +139,120 @@ struct Occupant<V> {
     /// Key of the live node counter-clockwise of this one (its own key on
     /// a one-node ring): the node owns `(pred, key]`.
     pred: Key,
+    /// Where the node's routing rows are in the ring's [`Arena`].
+    span: Span,
     node: NodeState<V>,
+}
+
+/// A node's rows in its ring's [`Arena`]: `keys[start..start + len]`
+/// and the same run of `addrs`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+}
+
+/// Every node's routing rows, ring-wide, in compressed-sparse-row form:
+/// two parallel arrays, `keys` (which a forwarding hop scans, 8 bytes a
+/// row) and `addrs` (of which it reads the one row it chose), and each
+/// live node's [`Span`] of them, its rows in ascending key order. The
+/// whole-ring build lays the arena out afresh in key order; `rebuild`
+/// and `upsert_entry` append a node's new run and leave its old run
+/// dead, and as soon as dead rows outnumber live ones the live runs are
+/// copied into a fresh arena. So no node owns an allocation, and churn
+/// never holds more than twice the live rows.
+#[derive(Debug, Clone, Default)]
+struct Arena {
+    keys: Vec<Key>,
+    addrs: Vec<CachedAddr>,
+    /// Rows no live node's span covers.
+    dead: usize,
+}
+
+impl Arena {
+    fn with_capacity(rows: usize) -> Arena {
+        Arena { keys: Vec::with_capacity(rows), addrs: Vec::with_capacity(rows), dead: 0 }
+    }
+
+    /// Rows some live node's span covers.
+    fn live(&self) -> usize {
+        self.keys.len() - self.dead
+    }
+
+    /// The span of the rows appended since the arena held `from`. The one
+    /// place a row's position is narrowed, so the `u32` bound is checked
+    /// here.
+    fn since(&self, from: usize) -> Span {
+        u32::try_from(self.keys.len()).expect("more than u32::MAX routing rows");
+        Span { start: from as u32, len: (self.keys.len() - from) as u32 }
+    }
+
+    /// Appends the rows of the snapshot positions `picks`, resolved to
+    /// their nodes' current addresses, returning their span.
+    fn push(
+        &mut self,
+        ring: &[RingPos],
+        picks: impl IntoIterator<Item = usize>,
+        attachments: &AttachmentMap,
+    ) -> Span {
+        let from = self.keys.len();
+        for pos in picks {
+            let RingPos { key, host, .. } = ring[pos];
+            self.keys.push(Key(key));
+            self.addrs.push(CachedAddr { addr: Some(NetAddr::current(host, attachments)) });
+        }
+        self.since(from)
+    }
+
+    /// Appends `other`'s rows at `span`, returning where they now are.
+    fn copy_from(&mut self, other: &Arena, span: Span) -> Span {
+        let from = self.keys.len();
+        self.keys.extend_from_slice(&other.keys[span.range()]);
+        self.addrs.extend_from_slice(&other.addrs[span.range()]);
+        self.since(from)
+    }
+}
+
+/// A build shard's rows as snapshot positions, 4 bytes a row, gathered in
+/// blocks of fixed size. A block is never reallocated, so a shard that
+/// grows copies nothing and leaves no freed copies of itself behind.
+#[derive(Default)]
+struct Picks {
+    blocks: Vec<Vec<u32>>,
+}
+
+impl Picks {
+    const BLOCK: usize = 1 << 16;
+
+    fn push(&mut self, pos: usize) {
+        match self.blocks.last_mut() {
+            Some(block) if block.len() < block.capacity() => block.push(pos as u32),
+            _ => {
+                let mut block = Vec::with_capacity(Self::BLOCK);
+                block.push(pos as u32);
+                self.blocks.push(block);
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.blocks.iter().map(Vec::len).sum()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.blocks.iter().flatten().map(|&pos| pos as usize)
+    }
+}
+
+/// The occupant of the live cell `slot`.
+fn occupant_in<V>(slab: &mut [Cell<V>], slot: Slot) -> &mut Occupant<V> {
+    slab[slot.0 as usize].live_mut().expect("slot names a live node")
 }
 
 /// The cell `key`'s probe starts at among `cells`: its [`KeyHasher`]
@@ -191,7 +306,8 @@ impl<V> RingDht<V> {
     /// Creates an empty overlay with the given configuration.
     pub fn new(cfg: RingConfig) -> Self {
         cfg.validate();
-        RingDht { cfg, index: BTreeMap::new(), slab: Vec::new(), used: 0, epoch: 0 }
+        let rows = Arena::default();
+        RingDht { cfg, index: BTreeMap::new(), slab: Vec::new(), used: 0, epoch: 0, rows }
     }
 
     /// Creates an empty overlay whose slab takes `nodes` inserts at load
@@ -252,7 +368,13 @@ impl<V> RingDht<V> {
     }
 
     fn occupant_mut(&mut self, slot: Slot) -> &mut Occupant<V> {
-        self.slab[slot.0 as usize].live_mut().expect("slot names a live node")
+        occupant_in(&mut self.slab, slot)
+    }
+
+    /// A node with its rows.
+    fn view<'a>(&'a self, o: &'a Occupant<V>) -> NodeRef<'a, V> {
+        let rows = o.span.range();
+        NodeRef::new(&o.node, &self.rows.keys[rows.clone()], &self.rows.addrs[rows])
     }
 
     /// Index entry of the first node at or clockwise-after `k`.
@@ -279,7 +401,8 @@ impl<V> RingDht<V> {
         if let Cell::Empty = self.slab[at] {
             self.used += 1;
         }
-        self.slab[at] = Cell::Live(Occupant { pred, node: NodeState::new(key, host, capacity) });
+        let node = NodeState::new(key, host, capacity);
+        self.slab[at] = Cell::Live(Occupant { pred, span: Span::default(), node });
         self.index.insert(key.0, Slot(at as u32));
         self.epoch += 1;
         let (_, succ) = self.successor_entry(key.offset(1)).expect("just inserted");
@@ -287,8 +410,9 @@ impl<V> RingDht<V> {
         Ok(())
     }
 
-    /// Removes a node, returning its state (stores and all). Its cell
-    /// becomes a tombstone; every other node keeps its slot.
+    /// Removes a node, returning its state (stores and all; its routing
+    /// rows die). Its cell becomes a tombstone; every other node keeps its
+    /// slot.
     pub fn remove(&mut self, key: Key) -> Option<NodeState<V>> {
         let at = find(&self.slab, key.0)?;
         self.index.remove(&key.0);
@@ -299,6 +423,7 @@ impl<V> RingDht<V> {
         if let Some((_, succ)) = self.successor_entry(key) {
             self.occupant_mut(succ).pred = gone.pred;
         }
+        self.retire(gone.span);
         Some(gone.node)
     }
 
@@ -313,8 +438,8 @@ impl<V> RingDht<V> {
     /// # Panics
     /// Panics if that node has since been removed. A slot held across an
     /// insert may name another node, or panic here.
-    pub fn at(&self, slot: Slot) -> &NodeState<V> {
-        &self.occupant(slot).node
+    pub fn at(&self, slot: Slot) -> NodeRef<'_, V> {
+        self.view(self.occupant(slot))
     }
 
     /// Mutable access to the node at `slot`, for a walk that goes on to
@@ -323,17 +448,20 @@ impl<V> RingDht<V> {
     /// # Panics
     /// Panics if that node has since been removed. A slot held across an
     /// insert may name another node, or panic here.
-    pub fn at_mut(&mut self, slot: Slot) -> &mut NodeState<V> {
-        &mut self.occupant_mut(slot).node
+    pub fn at_mut(&mut self, slot: Slot) -> NodeMut<'_, V> {
+        let RingDht { slab, rows, .. } = self;
+        let o = occupant_in(slab, slot);
+        let span = o.span.range();
+        NodeMut::new(&mut o.node, &rows.keys[span.clone()], &mut rows.addrs[span])
     }
 
     /// Immutable access to a node's state.
-    pub fn node(&self, key: Key) -> Result<&NodeState<V>, RingError> {
+    pub fn node(&self, key: Key) -> Result<NodeRef<'_, V>, RingError> {
         self.slot_of(key).map(|slot| self.at(slot))
     }
 
     /// Mutable access to a node's state.
-    pub fn node_mut(&mut self, key: Key) -> Result<&mut NodeState<V>, RingError> {
+    pub fn node_mut(&mut self, key: Key) -> Result<NodeMut<'_, V>, RingError> {
         self.slot_of(key).map(|slot| self.at_mut(slot))
     }
 
@@ -343,7 +471,7 @@ impl<V> RingDht<V> {
     }
 
     /// Iterator over node states, in the same ring order.
-    pub fn iter(&self) -> impl Iterator<Item = &NodeState<V>> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = NodeRef<'_, V>> + '_ {
         self.index.values().map(|&slot| self.at(slot))
     }
 
@@ -399,10 +527,56 @@ impl<V> RingDht<V> {
             .collect()
     }
 
-    fn install(&mut self, slot: Slot, (entries, leaf_keys): Tables) {
-        let node = &mut self.occupant_mut(slot).node;
-        node.entries = entries;
-        node.leaf_keys = leaf_keys;
+    /// Points the node at `slot` at its new rows `span`; its old rows die.
+    fn replace_rows(&mut self, slot: Slot, span: Span) {
+        let old = std::mem::replace(&mut self.occupant_mut(slot).span, span);
+        self.retire(old);
+    }
+
+    /// Counts `span`'s rows dead, and copies the live rows into a fresh
+    /// arena as soon as dead ones outnumber them.
+    fn retire(&mut self, span: Span) {
+        self.rows.dead += span.len as usize;
+        if self.rows.dead > self.rows.live() {
+            let mut fresh = Arena::with_capacity(self.rows.live());
+            for cell in &mut self.slab {
+                if let Cell::Live(o) = cell {
+                    o.span = fresh.copy_from(&self.rows, o.span);
+                }
+            }
+            self.rows = fresh;
+        }
+    }
+
+    /// Gives the node `holder` a row for `other` with the resolved address
+    /// `addr`: patched in place if it has one; else its rows are copied to
+    /// the arena's end with the new row where its key sorts, so they stay
+    /// in key order and the leaf set stays the rows nearest the node.
+    pub fn upsert_entry(
+        &mut self,
+        holder: Key,
+        other: Key,
+        addr: NetAddr,
+    ) -> Result<(), RingError> {
+        debug_assert_ne!(holder, other, "a node has no row for itself");
+        let slot = self.slot_of(holder)?;
+        let cached = CachedAddr { addr: Some(addr) };
+        let (old, rows) = (self.occupant(slot).span.range(), &mut self.rows);
+        match rows.keys[old.clone()].binary_search(&other) {
+            Ok(i) => rows.addrs[old.start + i] = cached,
+            Err(i) => {
+                let (from, at) = (rows.keys.len(), old.start + i);
+                rows.keys.extend_from_within(old.start..at);
+                rows.keys.push(other);
+                rows.keys.extend_from_within(at..old.end);
+                rows.addrs.extend_from_within(old.start..at);
+                rows.addrs.push(cached);
+                rows.addrs.extend_from_within(at..old.end);
+                let new = rows.since(from);
+                self.replace_rows(slot, new);
+            }
+        }
+        Ok(())
     }
 
     /// Rebuilds the routing state of the nodes `keys`, in the order
@@ -421,13 +595,14 @@ impl<V> RingDht<V> {
         rng: &mut Pcg64,
     ) -> Result<(), RingError> {
         let ring = self.snapshot(attachments);
-        let mut scratch = Vec::new();
+        let mut scratch = Scratch::default();
         for &key in keys {
             let me = ring
                 .binary_search_by_key(&key.0, |pos| pos.key)
                 .map_err(|_| RingError::UnknownNode(key))?;
-            let tables = bulk_tables(&self.cfg, &ring, me, attachments, dcache, rng, &mut scratch);
-            self.install(ring[me].slot, tables);
+            let chosen = bulk_tables(&self.cfg, &ring, me, dcache, rng, &mut scratch);
+            let span = self.rows.push(&ring, chosen.iter().copied(), attachments);
+            self.replace_rows(ring[me].slot, span);
         }
         Ok(())
     }
@@ -457,14 +632,21 @@ impl<V> RingDht<V> {
             NeighborSelection::First | NeighborSelection::Proximity => workers.max(1),
         };
         let chunk = ring.len().div_ceil(shards).max(1);
-        let build = move |first: usize, rng: &mut Pcg64| -> Vec<Tables> {
+        // A shard's output is its nodes' row counts and their rows as
+        // snapshot positions, 4 bytes a row: the arena is laid out once,
+        // at its final size, after the last worker joins.
+        let build = move |first: usize, rng: &mut Pcg64| -> (Vec<u32>, Picks) {
             let last = (first + chunk).min(ring.len());
-            let mut scratch = Vec::new();
-            (first..last)
-                .map(|me| bulk_tables(cfg, ring, me, attachments, dcache, rng, &mut scratch))
-                .collect()
+            let mut scratch = Scratch::default();
+            let (mut lens, mut picks) = (Vec::with_capacity(last - first), Picks::default());
+            for me in first..last {
+                let chosen = bulk_tables(cfg, ring, me, dcache, rng, &mut scratch);
+                lens.push(chosen.len() as u32);
+                chosen.iter().for_each(|&pos| picks.push(pos));
+            }
+            (lens, picks)
         };
-        let built: Vec<Vec<Tables>> = std::thread::scope(|s| {
+        let built: Vec<(Vec<u32>, Picks)> = std::thread::scope(|s| {
             let spawned: Vec<_> = (chunk..ring.len())
                 .step_by(chunk)
                 // Never drawn from: only `Random` draws, and it is one shard.
@@ -474,9 +656,16 @@ impl<V> RingDht<V> {
             built.extend(spawned.into_iter().map(|h| h.join().expect("table worker panicked")));
             built
         });
-        for (pos, tables) in ring.iter().zip(built.into_iter().flatten()) {
-            self.install(pos.slot, tables);
+        let mut rows = Arena::with_capacity(built.iter().map(|(_, picks)| picks.len()).sum());
+        let mut nodes = ring.iter();
+        for (lens, picks) in built {
+            let mut picks = picks.iter();
+            for (len, node) in lens.into_iter().zip(&mut nodes) {
+                let span = rows.push(ring, picks.by_ref().take(len as usize), attachments);
+                self.occupant_mut(node.slot).span = span;
+            }
         }
+        self.rows = rows;
     }
 
     /// The next hop from `cur` toward `target`, or `None` when `cur` is the
@@ -508,14 +697,14 @@ impl<V> RingDht<V> {
     /// out first, for one probe instead of one per entry.
     pub fn next_hop_from(&self, cur: Slot, target: Key) -> Option<Slot> {
         let here = self.occupant(cur);
-        let me = here.node.key;
+        let (me, keys) = (here.node.key, &self.rows.keys[here.span.range()]);
         if here.pred.in_cw_range(target, me) {
             return None;
         }
         // The furthest advance an entry offers within `bound` (0 is `cur`
         // itself, anything past the target overshoots).
         let furthest = |bound: u64| {
-            let advances = here.node.entries.iter().map(|e| me.clockwise_to(e.key));
+            let advances = keys.iter().map(|&k| me.clockwise_to(k));
             advances.filter(|adv| (1..=bound).contains(adv)).max()
         };
         let mut bound = me.clockwise_to(target);
@@ -547,8 +736,8 @@ impl<V> RingDht<V> {
     pub fn reverse_index(&self) -> HashMap<Key, Vec<Key>> {
         let mut index: HashMap<Key, Vec<Key>> = HashMap::with_capacity(self.len());
         for node in self.iter() {
-            for e in &node.entries {
-                index.entry(e.key).or_default().push(node.key);
+            for &k in node.keys() {
+                index.entry(k).or_default().push(node.key);
             }
         }
         index
@@ -556,7 +745,7 @@ impl<V> RingDht<V> {
 
     /// Total routing-state rows across all nodes (scalability metric).
     pub fn total_state(&self) -> usize {
-        self.iter().map(|n| n.entries.len()).sum()
+        self.rows.live()
     }
 }
 
@@ -569,8 +758,50 @@ struct RingPos {
     router: RouterId,
 }
 
-/// A node's computed `(entries, leaf_keys)`.
-type Tables = (Vec<StatePair>, Vec<Key>);
+/// A build worker's reusable buffers.
+#[derive(Default)]
+struct Scratch {
+    /// Snapshot positions of the rows being chosen.
+    chosen: Vec<usize>,
+    /// Per finger slot (level-major, then digit), the start position the
+    /// previous node's same slot found: consecutive nodes' slot starts
+    /// lie close together in key order, so a search gallops from there.
+    hints: Vec<usize>,
+}
+
+/// `xs.partition_point(pred)`, found by galloping outward from `hint`
+/// (any value; past the end is the end) and then a binary search within
+/// the last stride: O(log d) probes for an answer `d` from the hint.
+/// `pred` must be true on a prefix of `xs` and false on the rest.
+fn gallop<T>(xs: &[T], hint: usize, pred: impl Fn(&T) -> bool) -> usize {
+    let hint = hint.min(xs.len());
+    let (mut lo, mut hi) = (0, xs.len());
+    let mut step = 1;
+    if hint < xs.len() && pred(&xs[hint]) {
+        // The answer is past `hint`.
+        lo = hint + 1;
+        while hint + step < xs.len() {
+            if !pred(&xs[hint + step]) {
+                hi = hint + step;
+                break;
+            }
+            lo = hint + step + 1;
+            step *= 2;
+        }
+    } else {
+        // The answer is at or before `hint`.
+        hi = hint;
+        while step <= hint {
+            if pred(&xs[hint - step]) {
+                lo = hint - step + 1;
+                break;
+            }
+            hi = hint - step;
+            step *= 2;
+        }
+    }
+    lo + xs[lo..hi].partition_point(pred)
+}
 
 /// The lowest finger level that can hold a neighbor of a node whose
 /// clockwise successor is `gap` away. The slots of one level tile
@@ -631,40 +862,45 @@ fn select(
 }
 
 /// The routing state of the node at snapshot position `me`, read off the
-/// snapshot alone: the deduplicated entry list and the leaf-set keys.
+/// snapshot alone: the snapshot positions of its deduplicated rows,
+/// ascending, which is key order.
 /// The one table computation of the ring, behind both
 /// [`RingDht::build_all_tables`] and [`RingDht::rebuild`]. It is the
 /// omniscient steady-state build; the protocol-faithful incremental join
 /// (paper Fig. 5) lives in `bristle-core::join` and re-derives the
 /// tables it touched through it.
 ///
-/// A finger slot's candidates are a binary search and a short sequential
-/// walk in the snapshot, the leaves are the neighbouring positions, and
-/// the node asks the distance oracle for one row. `chosen` is scratch
-/// space.
-fn bulk_tables(
+/// A finger slot's candidates are a gallop from where the previous
+/// node's same slot started and a short sequential walk in the snapshot,
+/// the leaves are the neighbouring positions, and the node asks the
+/// distance oracle for one row.
+fn bulk_tables<'s>(
     cfg: &RingConfig,
     ring: &[RingPos],
     me: usize,
-    attachments: &AttachmentMap,
     dcache: &DistanceCache,
     rng: &mut Pcg64,
-    chosen: &mut Vec<usize>,
-) -> Tables {
+    scratch: &'s mut Scratch,
+) -> &'s [usize] {
     let n = ring.len();
     let my = ring[me];
     let key = Key(my.key);
     // The position clockwise of `pos`, wrapping.
     let cw = |pos: usize| if pos + 1 == n { 0 } else { pos + 1 };
 
+    let Scratch { chosen, hints } = scratch;
     chosen.clear();
     let mut row = None;
     let first_level = first_level_past(cfg, key.clockwise_to(Key(ring[cw(me)].key)));
-    for (start, span) in finger_slots(cfg, key, first_level) {
+    let slots_per_level = cfg.base() as usize - 1;
+    hints.resize(cfg.levels() as usize * slots_per_level, 0);
+    let first_slot = first_level as usize * slots_per_level;
+    for ((start, span), hint) in finger_slots(cfg, key, first_level).zip(&mut hints[first_slot..]) {
         // Up to `candidate_window` nodes clockwise from `start` within
         // `span` of it, `me` excluded, at most once around.
         let slot_first = chosen.len();
-        let mut pos = ring.partition_point(|p| p.key < start.0) % n;
+        *hint = gallop(ring, *hint, |p| p.key < start.0);
+        let mut pos = *hint % n;
         for _ in 0..n {
             if start.clockwise_to(Key(ring[pos].key)) >= span
                 || chosen.len() - slot_first == cfg.candidate_window
@@ -694,20 +930,12 @@ fn bulk_tables(
     let predecessors = successors.min(n - 1 - successors);
     let leaves =
         (1..=successors).map(|d| (me + d) % n).chain((1..=predecessors).map(|d| (me + n - d) % n));
-    let leaf_keys = leaves.clone().map(|pos| Key(ring[pos].key)).collect();
     chosen.extend(leaves);
 
     // Position order is key order, so this is the `(Key, Slot)` sort.
     chosen.sort_unstable();
     chosen.dedup();
-    let entries = chosen
-        .iter()
-        .map(|&pos| {
-            let p = ring[pos];
-            StatePair::resolved(Key(p.key), NetAddr::current(p.host, attachments))
-        })
-        .collect();
-    (entries, leaf_keys)
+    chosen
 }
 
 #[cfg(test)]
@@ -794,6 +1022,19 @@ mod tests {
         picks
     }
 
+    /// A node's reference rows: keys, addresses and the leaf set, each
+    /// as the builder listed it.
+    type Reference = (Vec<Key>, Vec<CachedAddr>, Vec<Key>);
+
+    /// `node` holds exactly `reference`'s rows, and its leaf set read off
+    /// its position in them is the reference's.
+    fn assert_rows_are<V>(node: NodeRef<'_, V>, (keys, addrs, leaves): &Reference, at: &str) {
+        let key = node.key;
+        assert_eq!(node.keys(), keys, "{at}: keys of {key}");
+        assert_eq!(node.addrs(), addrs, "{at}: addresses of {key}");
+        assert_eq!(&node.leaf_keys().collect::<Vec<_>>(), leaves, "{at}: leaves of {key}");
+    }
+
     /// The routing state the node at `key` gets, by index walk.
     fn compute_tables<V>(
         dht: &RingDht<V>,
@@ -801,7 +1042,7 @@ mod tests {
         attachments: &AttachmentMap,
         dcache: &DistanceCache,
         rng: &mut Pcg64,
-    ) -> Tables {
+    ) -> Reference {
         use std::ops::Bound;
         let first_level = first_finger_level(dht, key);
         let mut chosen = finger_picks(dht, key, first_level, attachments, dcache, rng);
@@ -830,17 +1071,21 @@ mod tests {
         chosen.sort_unstable();
         chosen.dedup();
 
-        let entries = chosen
-            .into_iter()
-            .map(|(k, slot)| {
-                StatePair::resolved(k, NetAddr::current(dht.at(slot).host, attachments))
+        let addrs = chosen
+            .iter()
+            .map(|&(_, slot)| CachedAddr {
+                addr: Some(NetAddr::current(dht.at(slot).host, attachments)),
             })
             .collect();
-        (entries, leaves.into_iter().map(|(k, _)| k).collect())
+        (
+            chosen.into_iter().map(|(k, _)| k).collect(),
+            addrs,
+            leaves.into_iter().map(|(k, _)| k).collect(),
+        )
     }
 
     /// `rebuild(batch)` against the reference run over the same batch on
-    /// the same seed: every rebuilt node's `entries` and `leaf_keys`, and
+    /// the same seed: every rebuilt node's keys, addresses and leaf set, and
     /// the RNG state afterwards. `batch` holds no key twice.
     fn assert_rebuild_matches_reference<V: Clone>(
         dht: &RingDht<V>,
@@ -850,17 +1095,15 @@ mod tests {
         at: &str,
     ) {
         let mut reference_rng = Pcg64::seed_from_u64(31);
-        let reference: Vec<Tables> = batch
+        let reference: Vec<Reference> = batch
             .iter()
             .map(|&k| compute_tables(dht, k, attachments, dcache, &mut reference_rng))
             .collect();
         let mut rebuilt = dht.clone();
         let mut rng = Pcg64::seed_from_u64(31);
         rebuilt.rebuild(batch, attachments, dcache, &mut rng).unwrap();
-        for (key, (entries, leaf_keys)) in batch.iter().zip(&reference) {
-            let node = rebuilt.node(*key).unwrap();
-            assert_eq!(&node.entries, entries, "{at}: entries of {key}");
-            assert_eq!(&node.leaf_keys, leaf_keys, "{at}: leaves of {key}");
+        for (key, reference) in batch.iter().zip(&reference) {
+            assert_rows_are(rebuilt.node(*key).unwrap(), reference, at);
         }
         assert_eq!(format!("{rng:?}"), format!("{reference_rng:?}"), "{at}: RNG");
     }
@@ -937,8 +1180,8 @@ mod tests {
             let slots: Vec<Slot> = dht.replica_slots(Key(k), count).collect();
             let keys: Vec<Key> = slots.iter().map(|&s| dht.at(s).key).collect();
             assert_eq!(keys, dht.replica_set(Key(k), count).unwrap());
-            dht.at_mut(slots[0]).capacity = k as u32;
-            assert_eq!(dht.node(keys[0]).unwrap().capacity, k as u32);
+            dht.at_mut(slots[0]).store.insert(Key(k), ());
+            assert!(dht.node(keys[0]).unwrap().store.contains_key(&Key(k)));
         }
     }
 
@@ -956,9 +1199,10 @@ mod tests {
         for node in dht.iter() {
             // Every node's first leaf must be its exact successor.
             let succ = dht.successor_of(node.key.offset(1)).unwrap();
-            assert!(node.leaf_keys.contains(&succ), "node {} missing successor {succ}", node.key);
-            assert_eq!(node.leaf_keys.len(), 8, "radius 4 both ways");
-            for &l in &node.leaf_keys {
+            let leaves: Vec<Key> = node.leaf_keys().collect();
+            assert_eq!(leaves[0], succ, "node {} missing successor {succ}", node.key);
+            assert_eq!(leaves.len(), 8, "radius 4 both ways");
+            for l in leaves {
                 assert!(node.knows(l));
             }
         }
@@ -1070,8 +1314,8 @@ mod tests {
         let (dht, _, _) = setup(96, 12, RingConfig::tornado());
         let rev = dht.reverse_index();
         for node in dht.iter() {
-            for e in &node.entries {
-                assert!(rev[&e.key].contains(&node.key));
+            for k in node.keys() {
+                assert!(rev[k].contains(&node.key));
             }
         }
         let total: usize = rev.values().map(Vec::len).sum();
@@ -1096,8 +1340,8 @@ mod tests {
             let mut n = 0u64;
             for node in dht.iter() {
                 let my_router = attachments.router(node.host);
-                for e in &node.entries {
-                    let other = dht.node(e.key).unwrap().host;
+                for &k in node.keys() {
+                    let other = dht.node(k).unwrap().host;
                     sum += dcache.distance(my_router, attachments.router(other));
                     n += 1;
                 }
@@ -1110,8 +1354,11 @@ mod tests {
         assert!(prox < first, "proximity {prox} must beat first {first}");
     }
 
-    /// Every way the ring builds tables against the per-node reference,
-    /// on every ring shape that has a boundary in it: the whole-ring
+    /// Every way the ring builds tables against the per-node reference —
+    /// each node's keys, addresses and the leaf set read off its position
+    /// in them — on every ring shape that has a boundary in it, rings of
+    /// 2–9 nodes among them (where a node is listed once, as a
+    /// successor): the whole-ring
     /// build at 1, 2, 3 and 7 workers (Proximity and First shard, Random
     /// runs as one shard whatever the count), and two `rebuild` batches —
     /// a join's (a bootstrap's route toward the newcomer, then the
@@ -1126,7 +1373,7 @@ mod tests {
             // 3 ∤ 64: the top level's slots wrap past the node itself.
             (RingConfig { bits_per_digit: 3, ..RingConfig::tornado() }, "base 8"),
         ] {
-            for n in [1, 2, 3, LEAF_RADIUS + 1, 9, 300] {
+            for n in (1..=2 * LEAF_RADIUS + 1).chain([300]) {
                 for shape in ["fresh", "churned", "edge keys"] {
                     let mut rng = Pcg64::seed_from_u64(n as u64);
                     let topo = TransitStubTopology::generate(&TransitStubConfig::tiny(), &mut rng);
@@ -1169,7 +1416,7 @@ mod tests {
                     assert_storage_invariants(&dht);
 
                     let mut oracle_rng = Pcg64::seed_from_u64(31);
-                    let oracle: Vec<(Key, Tables)> = dht
+                    let oracle: Vec<(Key, Reference)> = dht
                         .keys()
                         .map(|k| {
                             (k, compute_tables(&dht, k, &attachments, &dcache, &mut oracle_rng))
@@ -1180,10 +1427,8 @@ mod tests {
                         let mut bulk = dht.clone();
                         let mut bulk_rng = Pcg64::seed_from_u64(31);
                         bulk.build_all_tables(&attachments, &dcache, &mut bulk_rng, workers);
-                        for (key, (entries, leaf_keys)) in &oracle {
-                            let node = bulk.node(*key).unwrap();
-                            assert_eq!(&node.entries, entries, "{at}: entries of {key}");
-                            assert_eq!(&node.leaf_keys, leaf_keys, "{at}: leaves of {key}");
+                        for (key, reference) in &oracle {
+                            assert_rows_are(bulk.node(*key).unwrap(), reference, &at);
                         }
                         assert_eq!(format!("{bulk_rng:?}"), format!("{oracle_rng:?}"), "{at}: RNG");
                     }
@@ -1209,12 +1454,86 @@ mod tests {
                     keys.iter().skip(1).step_by(3).for_each(|&k| drop(damaged.remove(k)));
                     let batch: Vec<Key> = damaged
                         .iter()
-                        .filter(|node| node.entries.iter().any(|e| !damaged.contains(e.key)))
+                        .filter(|node| node.keys().iter().any(|&k| !damaged.contains(k)))
                         .map(|node| node.key)
                         .collect();
                     assert!(n == 1 || !batch.is_empty(), "{label}/{n}/{shape}: nothing damaged");
                     let at = format!("{label}/{n}/{shape}/repair");
                     assert_rebuild_matches_reference(&damaged, &batch, &attachments, &dcache, &at);
+                }
+            }
+        }
+    }
+
+    /// A row given by `upsert_entry` lands where its key sorts. A new
+    /// node between a node and its successor becomes its nearest leaf;
+    /// one across the ring leaves the leaf set as it was. Either way the
+    /// node's rows, leaf set and hops are those of the same rows sorted
+    /// and laid out fresh, and the arena counts the old run dead.
+    #[test]
+    fn upsert_lands_where_the_key_sorts() {
+        let (dht, attachments, _) = setup(64, 21, RingConfig::tornado());
+        let keys: Vec<Key> = dht.keys().collect();
+        let me = keys[10];
+        let before: Vec<Key> = dht.node(me).unwrap().leaf_keys().collect();
+        let inside = me.offset(me.clockwise_to(keys[11]) / 2);
+        let outside = keys[40].offset(keys[40].clockwise_to(keys[41]) / 2);
+        let mut nearest = vec![inside];
+        nearest.extend(&before[..LEAF_RADIUS - 1]);
+        nearest.extend(&before[LEAF_RADIUS..]);
+        let mut rng = Pcg64::seed_from_u64(22);
+        for (new, leaves) in [(inside, nearest), (outside, before.clone())] {
+            let (mut ring, mut attachments) = (dht.clone(), attachments.clone());
+            let host = attachments.attach_new(RouterId(0));
+            let addr = CachedAddr { addr: Some(NetAddr::current(host, &attachments)) };
+            ring.insert(new, host, 1).unwrap();
+            let mut fresh = ring.clone();
+            let (live, old) = (ring.total_state(), ring.node(me).unwrap().state_size());
+            ring.upsert_entry(me, new, addr.addr.unwrap()).unwrap();
+            assert_eq!(ring.total_state(), live + 1, "one row more");
+            assert_eq!(ring.rows.dead, fresh.rows.dead + old, "the old run dead");
+
+            let node = fresh.node(me).unwrap();
+            let mut rows: Vec<(Key, CachedAddr)> =
+                node.keys().iter().copied().zip(node.addrs().iter().copied()).collect();
+            rows.push((new, addr));
+            rows.sort_unstable_by_key(|&(k, _)| k);
+            let mut laid = Arena::default();
+            laid.keys.extend(rows.iter().map(|&(k, _)| k));
+            laid.addrs.extend(rows.iter().map(|&(_, a)| a));
+            let slot = fresh.slot_of(me).unwrap();
+            let span = fresh.rows.copy_from(&laid, laid.since(0));
+            fresh.replace_rows(slot, span);
+
+            let (got, want) = (ring.node(me).unwrap(), fresh.node(me).unwrap());
+            assert_eq!((got.keys(), got.addrs()), (want.keys(), want.addrs()), "rows after {new}");
+            assert_eq!(got.leaf_keys().collect::<Vec<_>>(), leaves, "leaves after {new}");
+            assert_eq!(want.leaf_keys().collect::<Vec<_>>(), leaves, "fresh leaves after {new}");
+            let targets =
+                ring.keys().chain((0..64).map(|_| Key::random(&mut rng))).collect::<Vec<_>>();
+            for t in targets {
+                assert_eq!(ring.next_hop(me, t), fresh.next_hop(me, t), "hop toward {t}");
+            }
+        }
+    }
+
+    /// `gallop` finds `partition_point`'s index from every hint, on both
+    /// ends and past them, for targets before, between, on and after the
+    /// values (the empty tail), duplicates included.
+    #[test]
+    fn gallop_is_partition_point_from_any_hint() {
+        let arrays: [Vec<u64>; 4] = [
+            vec![],
+            vec![5],
+            vec![1, 3, 3, 3, 7, 9, 20, 21, 22, 40, 41, 90],
+            (0..100).map(|i| i * 3).collect(),
+        ];
+        for xs in arrays {
+            for target in 0..=310 {
+                let want = xs.partition_point(|&x| x < target);
+                for hint in 0..=xs.len() + 2 {
+                    let got = gallop(&xs, hint, |&x| x < target);
+                    assert_eq!(got, want, "{} values, target {target}, hint {hint}", xs.len());
                 }
             }
         }
@@ -1276,16 +1595,16 @@ mod tests {
         let node = dht.node(cur)?;
         let d = cur.clockwise_to(target);
         let mut best: Option<(u64, Key)> = None;
-        for e in &node.entries {
-            if !dht.contains(e.key) {
+        for &k in node.keys() {
+            if !dht.contains(k) {
                 continue; // departed neighbor
             }
-            let adv = cur.clockwise_to(e.key);
+            let adv = cur.clockwise_to(k);
             if adv == 0 || adv > d {
                 continue; // self or overshoot
             }
             if best.map(|(b, _)| adv > b).unwrap_or(true) {
-                best = Some((adv, e.key));
+                best = Some((adv, k));
             }
         }
         match best {
@@ -1324,6 +1643,18 @@ mod tests {
         assert_eq!(live, dht.len(), "live cells != len()");
         assert_eq!(live + tombs, dht.used, "a tombstone is not counted as used");
         assert!(dht.slab.is_empty() || dht.used < dht.slab.len(), "no empty cell ends a probe");
+        // The arena: live runs are disjoint, in bounds and `live()` rows
+        // in all, each ascending; dead rows never outnumber live ones.
+        let rows = &dht.rows;
+        let mut spans: Vec<Span> = dht.slab.iter().filter_map(Cell::live).map(|o| o.span).collect();
+        spans.retain(|s| s.len > 0);
+        spans.sort_unstable_by_key(|s| s.start);
+        assert!(spans.windows(2).all(|w| w[0].range().end <= w[1].range().start), "runs overlap");
+        assert!(spans.last().is_none_or(|s| s.range().end <= rows.keys.len()), "run past the end");
+        assert_eq!(spans.iter().map(|s| s.len as usize).sum::<usize>(), rows.live());
+        assert_eq!(rows.keys.len(), rows.addrs.len());
+        assert!(rows.dead <= rows.live(), "{} dead rows beside {} live", rows.dead, rows.live());
+        assert!(dht.iter().all(|n| n.keys().windows(2).all(|w| w[0] < w[1])), "rows out of order");
         for &k in &keys {
             let slot = dht.slot_of(k).unwrap();
             assert_eq!(dht.occupant(slot).node.key, k, "probe lands on the wrong cell");
@@ -1334,6 +1665,62 @@ mod tests {
                 "stale pred at {k}"
             );
         }
+    }
+
+    /// Churn shaped like the system's — repair-sized `rebuild` batches,
+    /// departures, joins (an insert, then the newcomer's rebuild) and
+    /// upserts — appends far more rows than the ring holds, yet dead rows
+    /// never outnumber live ones, and neither an append nor a compaction
+    /// changes any row of a node the step did not touch.
+    #[test]
+    fn arena_dead_rows_never_outnumber_live_through_churn() {
+        let (mut dht, mut attachments, dcache) = setup(120, 27, RingConfig::tornado());
+        let mut rng = Pcg64::seed_from_u64(28);
+        let rows_of = |dht: &RingDht<u32>| -> BTreeMap<Key, (Vec<Key>, Vec<CachedAddr>)> {
+            dht.iter().map(|n| (n.key, (n.keys().to_vec(), n.addrs().to_vec()))).collect()
+        };
+        let mut appended = 0;
+        for step in 0..400 {
+            let before = rows_of(&dht);
+            let keys: Vec<Key> = dht.keys().collect();
+            let (touched, rebuilt) = match rng.below(4) {
+                0 => {
+                    let mut batch: Vec<Key> =
+                        (0..1 + rng.below(10)).map(|_| *rng.choose(&keys)).collect();
+                    batch.sort_unstable();
+                    batch.dedup();
+                    dht.rebuild(&batch, &attachments, &dcache, &mut rng).unwrap();
+                    (batch.clone(), batch)
+                }
+                1 if keys.len() > 60 => (vec![dht.remove(*rng.choose(&keys)).unwrap().key], vec![]),
+                2 => {
+                    let key = Key::random(&mut rng);
+                    let host = attachments.attach_new(RouterId(0));
+                    dht.insert(key, host, 1).unwrap();
+                    dht.rebuild(&[key], &attachments, &dcache, &mut rng).unwrap();
+                    (vec![key], vec![key])
+                }
+                _ => {
+                    let holder = *rng.choose(&keys);
+                    let other = *rng.choose(&keys);
+                    if other == holder {
+                        continue;
+                    }
+                    let grew = !dht.node(holder).unwrap().knows(other);
+                    let addr = NetAddr::current(dht.node(other).unwrap().host, &attachments);
+                    dht.upsert_entry(holder, other, addr).unwrap();
+                    (vec![holder], if grew { vec![holder] } else { vec![] })
+                }
+            };
+            appended += rebuilt.iter().map(|&k| dht.node(k).unwrap().state_size()).sum::<usize>();
+            assert_storage_invariants(&dht);
+            for (key, rows) in rows_of(&dht) {
+                if !touched.contains(&key) {
+                    assert_eq!(Some(&rows), before.get(&key), "step {step}: rows of {key} moved");
+                }
+            }
+        }
+        assert!(appended > 4 * dht.total_state(), "churn too light to force a compaction");
     }
 
     #[test]

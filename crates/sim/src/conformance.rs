@@ -43,7 +43,7 @@ use bristle_core::system::BristleSystem;
 use bristle_core::time::SimTime;
 use bristle_net::{SocketDriver, WallClock};
 use bristle_netsim::graph::RouterId;
-use bristle_overlay::addr::{NetAddr, StatePair};
+use bristle_overlay::addr::NetAddr;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
 use bristle_overlay::obs::{FlightRecorder, ObsEvent, Registry};
@@ -99,7 +99,7 @@ pub fn force_belief(sys: &mut BristleSystem, holder: Key, subject: Key) {
     let addr = NetAddr::current(info.host, &sys.attachments);
     let (now, ttl) = (sys.clock.now(), sys.config().lease_ttl);
     sys.leases.grant(holder, subject, now, ttl);
-    sys.mobile.node_mut(holder).expect("known").upsert_entry(StatePair::resolved(subject, addr));
+    sys.mobile.upsert_entry(holder, subject, addr).expect("known");
 }
 
 /// One flight event as a stable, wall-clock-free line: node plus kind,

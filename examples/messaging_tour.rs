@@ -16,7 +16,7 @@ use bristle::core::config::BristleConfig;
 use bristle::core::system::{BristleBuilder, BristleSystem};
 use bristle::core::time::SimTime;
 use bristle::netsim::transit_stub::TransitStubConfig;
-use bristle::overlay::addr::{NetAddr, StatePair};
+use bristle::overlay::addr::NetAddr;
 use bristle::overlay::key::Key;
 use bristle::overlay::meter::MessageKind;
 use bristle::proto::transport::FaultConfig;
@@ -63,7 +63,7 @@ fn main() {
     let addr = NetAddr::current(info.host, &mbs.sys.attachments);
     let (now, ttl) = (mbs.sys.clock.now(), mbs.sys.config().lease_ttl);
     mbs.sys.leases.grant(src, target, now, ttl);
-    mbs.sys.mobile.node_mut(src).expect("known").upsert_entry(StatePair::resolved(target, addr));
+    mbs.sys.mobile.upsert_entry(src, target, addr).expect("known");
 
     // --- Act 2: the target moves while the next message is in flight. --
     let old_router = mbs.sys.router_of(target).expect("known");
