@@ -67,6 +67,29 @@ impl Registry {
         }
     }
 
+    /// Sizes the registrant lists for the edges about to be registered,
+    /// given as one `target` per edge: each list is allocated once, at
+    /// its final length. Targets are interned as they come, so a caller
+    /// that registers the edges in this same order leaves [`Self::iter`]'s
+    /// order as registering alone would.
+    pub(crate) fn reserve_edges(&mut self, targets: impl IntoIterator<Item = Key>) {
+        let mut counts: Vec<usize> = Vec::new();
+        for target in targets {
+            let idx = self.targets.intern(target).index();
+            if idx >= counts.len() {
+                counts.resize(idx + 1, 0);
+            }
+            counts[idx] += 1;
+        }
+        if counts.len() > self.lists.len() {
+            self.lists.reserve_exact(counts.len() - self.lists.len());
+            self.lists.resize_with(counts.len(), Vec::new);
+        }
+        for (list, edges) in self.lists.iter_mut().zip(counts) {
+            list.reserve_exact(edges);
+        }
+    }
+
     /// Removes `who`'s interest in `target`.
     pub fn deregister(&mut self, who: Key, target: Key) -> bool {
         let Some(list) = self.targets.get(target).and_then(|i| self.lists.get_mut(i.index()))
@@ -203,6 +226,25 @@ mod tests {
         assert_eq!(reg.drop_target(Key(9)), 2);
         assert_eq!(reg.drop_target(Key(9)), 0);
         assert!(reg.registrants_of(Key(9)).is_empty());
+    }
+
+    /// Lists sized by `reserve_edges` and then filled in the same order
+    /// hold exactly their edges, in the order registering alone gives.
+    #[test]
+    fn reserved_lists_are_exact_and_keep_registration_order() {
+        let edges = [(1, 9), (2, 7), (1, 7), (3, 9), (2, 9), (4, 11), (3, 7)];
+        let fill = |reg: &mut Registry| {
+            for (who, target) in edges {
+                reg.register(Registrant::new(Key(who), 5), Key(target));
+            }
+        };
+        let (mut reserved, mut grown) = (Registry::new(), Registry::new());
+        reserved.reserve_edges(edges.iter().map(|&(_, target)| Key(target)));
+        fill(&mut reserved);
+        fill(&mut grown);
+        assert!(reserved.iter().eq(grown.iter()), "same targets, same order, same lists");
+        assert!(reserved.lists.iter().all(|l| l.capacity() == l.len()), "no slack");
+        assert_eq!(reserved.lists.capacity(), 3);
     }
 
     #[test]

@@ -126,9 +126,16 @@ impl BristleSystem {
     /// routing pointers: every holder of a *mobile* node's state-pair
     /// registers to that node with its capacity (§2.3.1 — "X can register
     /// itself to those mobile nodes only"). Each R(·) lists its holders
-    /// in ring order.
+    /// in ring order, and is allocated at its final length: the edges are
+    /// counted first, in the order the fill registers them.
     pub fn sync_registrations(&mut self) {
         let old = self.registry.take();
+        let mut fresh = std::mem::take(&mut self.registry);
+        let holders = self.mobile.iter();
+        fresh.reserve_edges(
+            holders.flat_map(|h| h.keys().iter().copied()).filter(|&s| self.is_mobile(s)),
+        );
+        self.registry = fresh;
         for holder in self.mobile.iter() {
             let capacity = self.info_unchecked(holder.key).capacity;
             for &subject in holder.keys() {

@@ -27,7 +27,7 @@ use bristle_netsim::dijkstra::DistanceCache;
 use bristle_netsim::graph::RouterId;
 use bristle_netsim::rng::Pcg64;
 use bristle_netsim::transit_stub::{TransitStubConfig, TransitStubTopology};
-use bristle_overlay::addr::NetAddr;
+use bristle_overlay::addr::{NetAddr, NoAddr};
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::{MessageKind, Meter};
 use bristle_overlay::node::NodeRef;
@@ -91,7 +91,7 @@ pub struct BristleSystem {
     dcache: Arc<DistanceCache>,
     stub_routers: Vec<RouterId>,
     /// The stationary layer: location-information repository.
-    pub stationary: RingDht<LocationRecord>,
+    pub stationary: RingDht<LocationRecord, NoAddr>,
     /// The mobile layer: the application HS-P2P over all nodes.
     pub mobile: RingDht<Vec<u8>>,
     /// Key → dense-index bijection. Append-only: buried and departed
@@ -720,13 +720,72 @@ mod tests {
             let a = seq.stationary.node(key).unwrap();
             let b = par.stationary.node(key).unwrap();
             assert_eq!(a.keys(), b.keys(), "stationary rows diverged at {key}");
-            assert_eq!(a.addrs(), b.addrs(), "stationary addresses diverged at {key}");
         }
         for key in seq.mobile.keys().collect::<Vec<_>>() {
             let a = seq.mobile.node(key).unwrap();
             let b = par.mobile.node(key).unwrap();
             assert_eq!(a.keys(), b.keys(), "mobile rows diverged at {key}");
             assert_eq!(a.addrs(), b.addrs(), "mobile addresses diverged at {key}");
+        }
+    }
+
+    /// The stationary ring keeps its rows' keys alone: their addresses
+    /// take no bytes, while every mobile row still holds its peer's
+    /// current address. A twin of the stationary ring at the parent
+    /// layout (a `CachedAddr` beside every key) — the same members and
+    /// shards, wired by the same builder — holds the same rows, and
+    /// routes and location lookups (the stationary half of
+    /// `_discovery`) over the two meter alike.
+    #[test]
+    fn stationary_rows_are_keys_only() {
+        for seed in [8, 27] {
+            let sys = small_system(600, 400, seed);
+            let stationary_rows = sys.stationary.total_state();
+            let addr_bytes: usize =
+                sys.stationary.iter().map(|n| std::mem::size_of_val(n.addrs())).sum();
+            assert!(stationary_rows > 0 && addr_bytes == 0, "seed {seed}: {addr_bytes} B");
+            for node in sys.mobile.iter() {
+                for (&k, cached) in node.keys().iter().zip(node.addrs()) {
+                    let host = sys.mobile.node(k).unwrap().host;
+                    let current = NetAddr::current(host, &sys.attachments);
+                    assert_eq!(cached.addr, Some(current), "seed {seed}: {} -> {k}", node.key);
+                }
+            }
+
+            let mut twin: RingDht<LocationRecord> =
+                RingDht::with_capacity(sys.stationary.config().clone(), sys.stationary.len());
+            for node in sys.stationary.iter() {
+                twin.insert(node.key, node.host, node.capacity).unwrap();
+                twin.node_mut(node.key).unwrap().store.clone_from(node.store);
+            }
+            let mut rng = Pcg64::seed_from_u64(seed);
+            twin.build_all_tables(&sys.attachments, sys.distances(), &mut rng, 1);
+            assert_eq!(twin.total_state(), stationary_rows, "seed {seed}");
+            for (a, b) in sys.stationary.iter().zip(twin.iter()) {
+                assert_eq!((a.key, a.keys()), (b.key, b.keys()), "seed {seed}: rows");
+            }
+
+            let (mut keys_only, mut cached) = (Meter::new(), Meter::new());
+            let sources: Vec<Key> = sys.stationary.keys().step_by(7).collect();
+            for (i, &subject) in sys.mobile_keys().iter().enumerate() {
+                let (src, target) = (sources[i % sources.len()], Key::random(&mut rng));
+                let (ra, dcache) = (&sys.attachments, sys.distances());
+                let a = sys.stationary.route(src, target, ra, dcache, &mut keys_only).unwrap();
+                let b = twin.route(src, target, ra, dcache, &mut cached).unwrap();
+                assert_eq!((a.hops, a.path_cost), (b.hops, b.path_cost), "seed {seed}: route");
+                let replicas = sys.config().location_replicas;
+                let a = sys.stationary.lookup(src, subject, replicas, ra, dcache, &mut keys_only);
+                let b = twin.lookup(src, subject, replicas, ra, dcache, &mut cached);
+                let (a, b) = (a.unwrap(), b.unwrap());
+                assert!(a.value.is_some(), "seed {seed}: {subject} unpublished");
+                assert_eq!(
+                    (a.value, a.served_by, a.hops, a.path_cost),
+                    (b.value, b.served_by, b.hops, b.path_cost),
+                    "seed {seed}: lookup of {subject}"
+                );
+            }
+            assert!(keys_only.count(MessageKind::RouteHop) > 0, "seed {seed}: nothing routed");
+            assert_eq!(keys_only.tallies(), cached.tallies(), "seed {seed}: tallies");
         }
     }
 

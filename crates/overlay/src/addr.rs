@@ -55,8 +55,9 @@ impl NetAddr {
 ///
 /// A forwarding hop compares every row's key and reads one row's
 /// address, so the two halves live in parallel arrays: the scan reads 8
-/// bytes a row, not 24. At N = 5e4 the two rings hold 2.5 M rows, so most
-/// of the live heap scales with these widths (DESIGN §13) — which is why
+/// bytes a row, not 24. At N = 5e4 the mobile ring holds 1.4 M rows at
+/// 24 B and the stationary ring 1.1 M at 8 B ([`NoAddr`]), so most of
+/// the live heap scales with these widths (DESIGN §13) — which is why
 /// the attachment epoch is a `u32`: as a `u64` it pads the address to 32.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CachedAddr {
@@ -69,12 +70,52 @@ pub struct CachedAddr {
 const _: () = assert!(std::mem::size_of::<NetAddr>() == 12);
 const _: () = assert!(std::mem::size_of::<Key>() == 8);
 const _: () = assert!(std::mem::size_of::<CachedAddr>() == 16);
+const _: () = assert!(std::mem::size_of::<NoAddr>() == 0);
 
 impl CachedAddr {
     /// Whether the row currently lets us *reach* the peer: the address is
     /// present and still valid.
     pub fn is_reachable(&self, attachments: &AttachmentMap) -> bool {
         self.addr.is_some_and(|a| a.is_valid(attachments))
+    }
+}
+
+/// What a ring keeps beside each row's key: the half of a state-pair
+/// that can go stale. A ring is built over one of the two kinds, so the
+/// compiler checks that no reader of the other is left.
+pub trait RowAddr: Copy + PartialEq + std::fmt::Debug {
+    /// The row for the peer on `host`, as a build learns it now.
+    fn resolve(host: HostId, attachments: &AttachmentMap) -> Self;
+    /// The row for a peer whose address `addr` was just learned.
+    fn learned(addr: NetAddr) -> Self;
+}
+
+impl RowAddr for CachedAddr {
+    fn resolve(host: HostId, attachments: &AttachmentMap) -> Self {
+        CachedAddr { addr: Some(NetAddr::current(host, attachments)) }
+    }
+
+    fn learned(addr: NetAddr) -> Self {
+        CachedAddr { addr: Some(addr) }
+    }
+}
+
+/// The row address of a ring whose peers never move: nothing. The
+/// stationary layer is "an ordinary HS-P2P over the fixed nodes" (§1);
+/// only mobile peers' addresses go stale or `null`, so a stationary
+/// row's address would be a copy of a fact that never changes, and a
+/// hop reads the peer's host off the peer's own node instead. Zero
+/// bytes: a ring of these rows keeps its keys alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NoAddr;
+
+impl RowAddr for NoAddr {
+    fn resolve(_: HostId, _: &AttachmentMap) -> Self {
+        NoAddr
+    }
+
+    fn learned(_: NetAddr) -> Self {
+        NoAddr
     }
 }
 

@@ -18,12 +18,13 @@
 use bristle_netsim::attach::AttachmentMap;
 use bristle_netsim::dijkstra::DistanceCache;
 
+use crate::addr::RowAddr;
 use crate::key::Key;
 use crate::meter::{MessageKind, Meter};
 use crate::ring::{RingDht, RingError};
 use crate::route::Route;
 
-impl<V> RingDht<V> {
+impl<V, A: RowAddr> RingDht<V, A> {
     /// Routes from `src` toward `target` iteratively: `src` asks each
     /// successive hop for its best next hop, paying a round trip per
     /// step. Returns the same [`Route`] shape as recursive routing, with

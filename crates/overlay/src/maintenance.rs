@@ -10,6 +10,7 @@ use bristle_netsim::attach::AttachmentMap;
 use bristle_netsim::dijkstra::DistanceCache;
 use bristle_netsim::rng::Pcg64;
 
+use crate::addr::RowAddr;
 use crate::key::Key;
 use crate::meter::{MessageKind, Meter};
 use crate::ring::{RingDht, RingError};
@@ -41,7 +42,7 @@ impl HealthReport {
     }
 }
 
-impl<V> RingDht<V> {
+impl<V, A: RowAddr> RingDht<V, A> {
     /// One full refresh cycle: every node rebuilds its routing state and
     /// re-advertises itself to its neighbors. Meters one `Refresh` message
     /// per refreshed entry (the paper's "periodical states refreshment").

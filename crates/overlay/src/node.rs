@@ -42,10 +42,13 @@ impl<V> NodeState<V> {
 /// A node as a reader sees it: its own fields, and its routing rows as
 /// two parallel arrays in ascending key order — `keys`, which a
 /// forwarding hop scans, and `addrs`, of which it reads the one row it
-/// chose. The leaf set is not stored: in key order it is the rows either
-/// side of where the node's own key sorts ([`NodeRef::leaf_keys`]).
+/// chose. `A` is the ring's row address ([`crate::addr::RowAddr`]): a
+/// [`CachedAddr`] (16 B) on a ring whose peers move, zero bytes on one
+/// whose peers do not ([`crate::addr::NoAddr`]). The leaf set is not
+/// stored: in key order it is the rows either side of where the node's
+/// own key sorts ([`NodeRef::leaf_keys`]).
 #[derive(Debug)]
-pub struct NodeRef<'a, V> {
+pub struct NodeRef<'a, V, A = CachedAddr> {
     /// The node's hash key.
     pub key: Key,
     /// The physical host embodying the node.
@@ -55,21 +58,21 @@ pub struct NodeRef<'a, V> {
     /// Records stored at this node.
     pub store: &'a BTreeMap<Key, V>,
     keys: &'a [Key],
-    addrs: &'a [CachedAddr],
+    addrs: &'a [A],
 }
 
-impl<V> Clone for NodeRef<'_, V> {
+impl<V, A> Clone for NodeRef<'_, V, A> {
     fn clone(&self) -> Self {
         *self
     }
 }
 
-impl<V> Copy for NodeRef<'_, V> {}
+impl<V, A> Copy for NodeRef<'_, V, A> {}
 
-impl<'a, V> NodeRef<'a, V> {
+impl<'a, V, A> NodeRef<'a, V, A> {
     /// `node` with the rows `keys` (ascending, distinct, never the node's
     /// own key) and their addresses `addrs`.
-    pub(crate) fn new(node: &'a NodeState<V>, keys: &'a [Key], addrs: &'a [CachedAddr]) -> Self {
+    pub(crate) fn new(node: &'a NodeState<V>, keys: &'a [Key], addrs: &'a [A]) -> Self {
         debug_assert_eq!(keys.len(), addrs.len());
         let NodeState { key, host, capacity, ref store } = *node;
         NodeRef { key, host, capacity, store, keys, addrs }
@@ -82,7 +85,7 @@ impl<'a, V> NodeRef<'a, V> {
 
     /// The cached addresses of the routing rows, parallel to
     /// [`NodeRef::keys`].
-    pub fn addrs(&self) -> &'a [CachedAddr] {
+    pub fn addrs(&self) -> &'a [A] {
         self.addrs
     }
 
@@ -108,7 +111,7 @@ impl<'a, V> NodeRef<'a, V> {
     }
 
     /// The cached address of `other`'s row, if it has one.
-    pub fn entry(&self, other: Key) -> Option<&'a CachedAddr> {
+    pub fn entry(&self, other: Key) -> Option<&'a A> {
         self.keys.binary_search(&other).ok().map(|i| &self.addrs[i])
     }
 
@@ -121,27 +124,23 @@ impl<'a, V> NodeRef<'a, V> {
 /// A node as a writer sees it: its store, and its rows' cached addresses
 /// (which rows it has is its overlay's to change).
 #[derive(Debug)]
-pub struct NodeMut<'a, V> {
+pub struct NodeMut<'a, V, A = CachedAddr> {
     /// Records stored at this node.
     pub store: &'a mut BTreeMap<Key, V>,
     keys: &'a [Key],
-    addrs: &'a mut [CachedAddr],
+    addrs: &'a mut [A],
 }
 
-impl<'a, V> NodeMut<'a, V> {
+impl<'a, V, A> NodeMut<'a, V, A> {
     /// `node` with the rows `keys` and their addresses `addrs`, as
     /// [`NodeRef::new`].
-    pub(crate) fn new(
-        node: &'a mut NodeState<V>,
-        keys: &'a [Key],
-        addrs: &'a mut [CachedAddr],
-    ) -> Self {
+    pub(crate) fn new(node: &'a mut NodeState<V>, keys: &'a [Key], addrs: &'a mut [A]) -> Self {
         debug_assert_eq!(keys.len(), addrs.len());
         NodeMut { store: &mut node.store, keys, addrs }
     }
 
     /// The cached address of `other`'s row, to patch, if it has one.
-    pub fn entry_mut(self, other: Key) -> Option<&'a mut CachedAddr> {
+    pub fn entry_mut(self, other: Key) -> Option<&'a mut A> {
         self.keys.binary_search(&other).ok().map(|i| &mut self.addrs[i])
     }
 }
@@ -172,7 +171,7 @@ mod tests {
         assert!(NodeMut::new(&mut node, &keys, &mut addrs).entry_mut(Key(8)).is_none());
         assert_eq!(addrs, [CachedAddr { addr: None }, CachedAddr { addr: Some(addr) }]);
         let empty = NodeState::<()>::new(Key(1), HostId(0), 1);
-        let view = NodeRef::new(&empty, &[], &[]);
+        let view = NodeRef::<_, CachedAddr>::new(&empty, &[], &[]);
         assert!(!view.knows(Key(2)));
         assert_eq!(view.leaf_keys().count(), 0);
     }

@@ -11,10 +11,11 @@ use bristle_netsim::attach::AttachmentMap;
 use bristle_netsim::dijkstra::DistanceCache;
 use bristle_netsim::rng::Pcg64;
 
+use crate::addr::RowAddr;
 use crate::meter::{MessageKind, Meter};
 use crate::ring::RingDht;
 
-impl<V> RingDht<V> {
+impl<V, A: RowAddr> RingDht<V, A> {
     /// One failure-detection round over every node: each probes all of
     /// its entries (metered as `Refresh`), and the nodes that found one
     /// pointing at a departed node are rebuilt against the live ring, in

@@ -11,6 +11,7 @@
 use bristle_netsim::attach::AttachmentMap;
 use bristle_netsim::dijkstra::DistanceCache;
 
+use crate::addr::RowAddr;
 use crate::key::Key;
 use crate::meter::{MessageKind, Meter};
 use crate::ring::{RingDht, RingError};
@@ -28,7 +29,7 @@ pub struct LookupOutcome<V> {
     pub path_cost: u64,
 }
 
-impl<V: Clone> RingDht<V> {
+impl<V: Clone, A: RowAddr> RingDht<V, A> {
     /// Publishes `value` under `key`: routes from `src` to the owner, then
     /// replicates to the `replicas − 1` following nodes.
     ///

@@ -29,7 +29,7 @@ use bristle_netsim::dijkstra::{Dist, DistanceCache};
 use bristle_netsim::graph::RouterId;
 use bristle_netsim::rng::Pcg64;
 
-use crate::addr::{CachedAddr, NetAddr};
+use crate::addr::{CachedAddr, NetAddr, RowAddr};
 use crate::config::{NeighborSelection, RingConfig, LEAF_RADIUS};
 use crate::key::{Key, KeyHasher};
 use crate::node::{NodeMut, NodeRef, NodeState};
@@ -57,7 +57,10 @@ impl std::fmt::Display for RingError {
 
 impl std::error::Error for RingError {}
 
-/// The ring DHT over record type `V`.
+/// The ring DHT over record type `V`, each routing row holding its
+/// peer's key and an `A` ([`RowAddr`]): by default a [`CachedAddr`],
+/// which a mobile peer's move makes stale; a ring of peers that never
+/// move holds [`crate::addr::NoAddr`], zero bytes, and so its keys alone.
 ///
 /// # Examples
 ///
@@ -77,7 +80,7 @@ impl std::error::Error for RingError {}
 /// assert_eq!(dht.replica_set(Key(150), 2).unwrap(), vec![Key(200), Key(100)]);
 /// ```
 #[derive(Debug, Clone)]
-pub struct RingDht<V> {
+pub struct RingDht<V, A = CachedAddr> {
     cfg: RingConfig,
     /// Key order → slab position, for the ordered queries alone: `keys`,
     /// `iter`, successors and predecessors, replicas, leaf sets and the
@@ -94,7 +97,7 @@ pub struct RingDht<V> {
     /// Bumped by every node added or removed.
     epoch: u64,
     /// Every live node's routing rows, each node's a [`Span`] of it.
-    rows: Arena,
+    rows: Arena<A>,
 }
 
 /// A live node's position in the slab. It stays valid until the ring's
@@ -166,17 +169,18 @@ impl Span {
 /// and `upsert_entry` append a node's new run and leave its old run
 /// dead, and as soon as dead rows outnumber live ones the live runs are
 /// copied into a fresh arena. So no node owns an allocation, and churn
-/// never holds more than twice the live rows.
-#[derive(Debug, Clone, Default)]
-struct Arena {
+/// never holds more than twice the live rows. Where `A` is zero-sized
+/// `addrs` allocates nothing.
+#[derive(Debug, Clone)]
+struct Arena<A> {
     keys: Vec<Key>,
-    addrs: Vec<CachedAddr>,
+    addrs: Vec<A>,
     /// Rows no live node's span covers.
     dead: usize,
 }
 
-impl Arena {
-    fn with_capacity(rows: usize) -> Arena {
+impl<A: RowAddr> Arena<A> {
+    fn with_capacity(rows: usize) -> Self {
         Arena { keys: Vec::with_capacity(rows), addrs: Vec::with_capacity(rows), dead: 0 }
     }
 
@@ -194,7 +198,8 @@ impl Arena {
     }
 
     /// Appends the rows of the snapshot positions `picks`, resolved to
-    /// their nodes' current addresses, returning their span.
+    /// their nodes' current addresses (as far as `A` keeps one),
+    /// returning their span.
     fn push(
         &mut self,
         ring: &[RingPos],
@@ -205,13 +210,13 @@ impl Arena {
         for pos in picks {
             let RingPos { key, host, .. } = ring[pos];
             self.keys.push(Key(key));
-            self.addrs.push(CachedAddr { addr: Some(NetAddr::current(host, attachments)) });
+            self.addrs.push(A::resolve(host, attachments));
         }
         self.since(from)
     }
 
     /// Appends `other`'s rows at `span`, returning where they now are.
-    fn copy_from(&mut self, other: &Arena, span: Span) -> Span {
+    fn copy_from(&mut self, other: &Self, span: Span) -> Span {
         let from = self.keys.len();
         self.keys.extend_from_slice(&other.keys[span.range()]);
         self.addrs.extend_from_slice(&other.addrs[span.range()]);
@@ -302,11 +307,11 @@ fn vacancy<V>(slab: &[Cell<V>], key: u64) -> usize {
     at
 }
 
-impl<V> RingDht<V> {
+impl<V, A: RowAddr> RingDht<V, A> {
     /// Creates an empty overlay with the given configuration.
     pub fn new(cfg: RingConfig) -> Self {
         cfg.validate();
-        let rows = Arena::default();
+        let rows = Arena::with_capacity(0);
         RingDht { cfg, index: BTreeMap::new(), slab: Vec::new(), used: 0, epoch: 0, rows }
     }
 
@@ -372,7 +377,7 @@ impl<V> RingDht<V> {
     }
 
     /// A node with its rows.
-    fn view<'a>(&'a self, o: &'a Occupant<V>) -> NodeRef<'a, V> {
+    fn view<'a>(&'a self, o: &'a Occupant<V>) -> NodeRef<'a, V, A> {
         let rows = o.span.range();
         NodeRef::new(&o.node, &self.rows.keys[rows.clone()], &self.rows.addrs[rows])
     }
@@ -438,7 +443,7 @@ impl<V> RingDht<V> {
     /// # Panics
     /// Panics if that node has since been removed. A slot held across an
     /// insert may name another node, or panic here.
-    pub fn at(&self, slot: Slot) -> NodeRef<'_, V> {
+    pub fn at(&self, slot: Slot) -> NodeRef<'_, V, A> {
         self.view(self.occupant(slot))
     }
 
@@ -448,7 +453,7 @@ impl<V> RingDht<V> {
     /// # Panics
     /// Panics if that node has since been removed. A slot held across an
     /// insert may name another node, or panic here.
-    pub fn at_mut(&mut self, slot: Slot) -> NodeMut<'_, V> {
+    pub fn at_mut(&mut self, slot: Slot) -> NodeMut<'_, V, A> {
         let RingDht { slab, rows, .. } = self;
         let o = occupant_in(slab, slot);
         let span = o.span.range();
@@ -456,12 +461,12 @@ impl<V> RingDht<V> {
     }
 
     /// Immutable access to a node's state.
-    pub fn node(&self, key: Key) -> Result<NodeRef<'_, V>, RingError> {
+    pub fn node(&self, key: Key) -> Result<NodeRef<'_, V, A>, RingError> {
         self.slot_of(key).map(|slot| self.at(slot))
     }
 
     /// Mutable access to a node's state.
-    pub fn node_mut(&mut self, key: Key) -> Result<NodeMut<'_, V>, RingError> {
+    pub fn node_mut(&mut self, key: Key) -> Result<NodeMut<'_, V, A>, RingError> {
         self.slot_of(key).map(|slot| self.at_mut(slot))
     }
 
@@ -471,7 +476,7 @@ impl<V> RingDht<V> {
     }
 
     /// Iterator over node states, in the same ring order.
-    pub fn iter(&self) -> impl Iterator<Item = NodeRef<'_, V>> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = NodeRef<'_, V, A>> + '_ {
         self.index.values().map(|&slot| self.at(slot))
     }
 
@@ -549,9 +554,10 @@ impl<V> RingDht<V> {
     }
 
     /// Gives the node `holder` a row for `other` with the resolved address
-    /// `addr`: patched in place if it has one; else its rows are copied to
-    /// the arena's end with the new row where its key sorts, so they stay
-    /// in key order and the leaf set stays the rows nearest the node.
+    /// `addr` (as far as `A` keeps one): patched in place if it has one;
+    /// else its rows are copied to the arena's end with the new row where
+    /// its key sorts, so they stay in key order and the leaf set stays the
+    /// rows nearest the node.
     pub fn upsert_entry(
         &mut self,
         holder: Key,
@@ -560,7 +566,7 @@ impl<V> RingDht<V> {
     ) -> Result<(), RingError> {
         debug_assert_ne!(holder, other, "a node has no row for itself");
         let slot = self.slot_of(holder)?;
-        let cached = CachedAddr { addr: Some(addr) };
+        let cached = A::learned(addr);
         let (old, rows) = (self.occupant(slot).span.range(), &mut self.rows);
         match rows.keys[old.clone()].binary_search(&other) {
             Ok(i) => rows.addrs[old.start + i] = cached,
@@ -941,6 +947,7 @@ fn bulk_tables<'s>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::NoAddr;
     use bristle_netsim::graph::RouterId;
     use bristle_netsim::transit_stub::{TransitStubConfig, TransitStubTopology};
     use std::sync::Arc;
@@ -975,8 +982,8 @@ mod tests {
 
     /// Up to `count` nodes clockwise from `start` (inclusive) whose keys
     /// lie within `span` of `start`, `exclude` left out.
-    fn finger_candidates<V>(
-        dht: &RingDht<V>,
+    fn finger_candidates<V, A: RowAddr>(
+        dht: &RingDht<V, A>,
         start: Key,
         span: u64,
         exclude: Key,
@@ -990,15 +997,15 @@ mod tests {
     }
 
     /// The lowest finger level that can hold a neighbor of `key`.
-    fn first_finger_level<V>(dht: &RingDht<V>, key: Key) -> u32 {
+    fn first_finger_level<V, A: RowAddr>(dht: &RingDht<V, A>, key: Key) -> u32 {
         let gap = dht.successor_entry(key.offset(1)).map_or(0, |(succ, _)| key.clockwise_to(succ));
         first_level_past(&dht.cfg, gap)
     }
 
     /// Digit fingers from `first_level` up: for each level and non-zero
     /// digit value, one neighbor in `[key + j·span, key + (j+1)·span)`.
-    fn finger_picks<V>(
-        dht: &RingDht<V>,
+    fn finger_picks<V, A: RowAddr>(
+        dht: &RingDht<V, A>,
         key: Key,
         first_level: u32,
         attachments: &AttachmentMap,
@@ -1024,11 +1031,15 @@ mod tests {
 
     /// A node's reference rows: keys, addresses and the leaf set, each
     /// as the builder listed it.
-    type Reference = (Vec<Key>, Vec<CachedAddr>, Vec<Key>);
+    type Reference<A> = (Vec<Key>, Vec<A>, Vec<Key>);
 
     /// `node` holds exactly `reference`'s rows, and its leaf set read off
     /// its position in them is the reference's.
-    fn assert_rows_are<V>(node: NodeRef<'_, V>, (keys, addrs, leaves): &Reference, at: &str) {
+    fn assert_rows_are<V, A: RowAddr>(
+        node: NodeRef<'_, V, A>,
+        (keys, addrs, leaves): &Reference<A>,
+        at: &str,
+    ) {
         let key = node.key;
         assert_eq!(node.keys(), keys, "{at}: keys of {key}");
         assert_eq!(node.addrs(), addrs, "{at}: addresses of {key}");
@@ -1036,13 +1047,13 @@ mod tests {
     }
 
     /// The routing state the node at `key` gets, by index walk.
-    fn compute_tables<V>(
-        dht: &RingDht<V>,
+    fn compute_tables<V, A: RowAddr>(
+        dht: &RingDht<V, A>,
         key: Key,
         attachments: &AttachmentMap,
         dcache: &DistanceCache,
         rng: &mut Pcg64,
-    ) -> Reference {
+    ) -> Reference<A> {
         use std::ops::Bound;
         let first_level = first_finger_level(dht, key);
         let mut chosen = finger_picks(dht, key, first_level, attachments, dcache, rng);
@@ -1071,12 +1082,8 @@ mod tests {
         chosen.sort_unstable();
         chosen.dedup();
 
-        let addrs = chosen
-            .iter()
-            .map(|&(_, slot)| CachedAddr {
-                addr: Some(NetAddr::current(dht.at(slot).host, attachments)),
-            })
-            .collect();
+        let addrs =
+            chosen.iter().map(|&(_, slot)| A::resolve(dht.at(slot).host, attachments)).collect();
         (
             chosen.into_iter().map(|(k, _)| k).collect(),
             addrs,
@@ -1087,15 +1094,15 @@ mod tests {
     /// `rebuild(batch)` against the reference run over the same batch on
     /// the same seed: every rebuilt node's keys, addresses and leaf set, and
     /// the RNG state afterwards. `batch` holds no key twice.
-    fn assert_rebuild_matches_reference<V: Clone>(
-        dht: &RingDht<V>,
+    fn assert_rebuild_matches_reference<V: Clone, A: RowAddr>(
+        dht: &RingDht<V, A>,
         batch: &[Key],
         attachments: &AttachmentMap,
         dcache: &DistanceCache,
         at: &str,
     ) {
         let mut reference_rng = Pcg64::seed_from_u64(31);
-        let reference: Vec<Reference> = batch
+        let reference: Vec<Reference<A>> = batch
             .iter()
             .map(|&k| compute_tables(dht, k, attachments, dcache, &mut reference_rng))
             .collect();
@@ -1358,14 +1365,20 @@ mod tests {
     /// each node's keys, addresses and the leaf set read off its position
     /// in them — on every ring shape that has a boundary in it, rings of
     /// 2–9 nodes among them (where a node is listed once, as a
-    /// successor): the whole-ring
-    /// build at 1, 2, 3 and 7 workers (Proximity and First shard, Random
-    /// runs as one shard whatever the count), and two `rebuild` batches —
-    /// a join's (a bootstrap's route toward the newcomer, then the
-    /// newcomer) and a repair sweep's (every node still holding a removed
-    /// key, on a ring the removals left tombstones in).
+    /// successor): the whole-ring build at 1, 2, 3 and 7 workers
+    /// (Proximity and First shard, Random runs as one shard whatever the
+    /// count), and two `rebuild` batches — a join's (a bootstrap's route
+    /// toward the newcomer, then the newcomer) and a repair sweep's
+    /// (every node still holding a removed key, on a ring the removals
+    /// left tombstones in). Both row-address kinds: resolved addresses,
+    /// and the stationary layer's keys-only rows.
     #[test]
     fn every_build_matches_the_per_node_reference() {
+        builds_match_the_per_node_reference::<CachedAddr>();
+        builds_match_the_per_node_reference::<NoAddr>();
+    }
+
+    fn builds_match_the_per_node_reference<A: RowAddr>() {
         for (cfg, label) in [
             (RingConfig::tornado(), "tornado"),
             (RingConfig::chord(), "chord"),
@@ -1380,8 +1393,8 @@ mod tests {
                     let stubs = topo.stub_routers().to_vec();
                     let dcache = DistanceCache::new(Arc::new(topo.into_graph()), 256);
                     let mut attachments = AttachmentMap::new();
-                    let mut dht: RingDht<()> = RingDht::new(cfg.clone());
-                    let mut add = |dht: &mut RingDht<()>, rng: &mut Pcg64, key: Option<Key>| {
+                    let mut dht: RingDht<(), A> = RingDht::new(cfg.clone());
+                    let mut add = |dht: &mut RingDht<(), A>, rng: &mut Pcg64, key: Option<Key>| {
                         let key = key.unwrap_or_else(|| Key::random(rng));
                         let host = attachments.attach_new(*rng.choose(&stubs));
                         dht.insert(key, host, 1).unwrap();
@@ -1416,7 +1429,7 @@ mod tests {
                     assert_storage_invariants(&dht);
 
                     let mut oracle_rng = Pcg64::seed_from_u64(31);
-                    let oracle: Vec<(Key, Reference)> = dht
+                    let oracle: Vec<(Key, Reference<A>)> = dht
                         .keys()
                         .map(|k| {
                             (k, compute_tables(&dht, k, &attachments, &dcache, &mut oracle_rng))
@@ -1498,7 +1511,7 @@ mod tests {
                 node.keys().iter().copied().zip(node.addrs().iter().copied()).collect();
             rows.push((new, addr));
             rows.sort_unstable_by_key(|&(k, _)| k);
-            let mut laid = Arena::default();
+            let mut laid = Arena::with_capacity(0);
             laid.keys.extend(rows.iter().map(|&(k, _)| k));
             laid.addrs.extend(rows.iter().map(|&(_, a)| a));
             let slot = fresh.slot_of(me).unwrap();
@@ -1633,7 +1646,7 @@ mod tests {
     }
 
     /// What the slab must keep true after any insert or remove.
-    fn assert_storage_invariants<V>(dht: &RingDht<V>) {
+    fn assert_storage_invariants<V, A: RowAddr>(dht: &RingDht<V, A>) {
         let keys: Vec<Key> = dht.keys().collect();
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys() out of order");
         assert_eq!(dht.iter().map(|n| n.key).collect::<Vec<_>>(), keys, "iter() != keys()");

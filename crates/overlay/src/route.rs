@@ -8,6 +8,7 @@
 use bristle_netsim::attach::AttachmentMap;
 use bristle_netsim::dijkstra::DistanceCache;
 
+use crate::addr::RowAddr;
 use crate::key::Key;
 use crate::meter::{MessageKind, Meter};
 use crate::ring::{RingDht, RingError, Slot};
@@ -43,7 +44,7 @@ impl Route {
 /// panics (in every build profile) instead of returning an error.
 const MAX_HOPS: usize = 4096;
 
-impl<V> RingDht<V> {
+impl<V, A: RowAddr> RingDht<V, A> {
     /// The nodes a message from the node at `from` visits on its way to
     /// the owner of `target`, by slab position: `from` itself is not
     /// yielded, the last item is the owner, and there are no items when
