@@ -2,55 +2,44 @@
 //!
 //! A node's repository — identity/incarnation, the location records of
 //! its shard of the stationary layer, registrations, leases — lives in
-//! the live tables. A node gets a [`StateStore`] only when something
-//! needs one: [`BristleSystem::attach_wal`] gives it a [`WalBackend`]
-//! seeded with its rows, which [`crate::restart`] exploits to rejoin
-//! with its shard intact instead of re-learning it from the overlay;
-//! and a crash folds its rows into a [`bristle_store::MemBackend`], so
-//! the corpse keeps what it held at the instant of death. From then on
-//! every repository mutation of that node is mirrored as a
-//! [`WalRecord`] into its store, by [`crate::repo`] and nothing else. A
-//! node that never crashed and has no WAL holds no second copy.
+//! the live tables. A node holds a store only while it is alive and has
+//! a WAL: [`BristleSystem::attach_wal`] gives it a [`WalBackend`] seeded
+//! with its rows, and from then on every repository mutation of that
+//! node is mirrored as a [`WalRecord`] into it, by [`crate::repo`] and
+//! nothing else. A node without a WAL holds no second copy.
+//!
+//! What a death leaves is kept in one place, the node's grave
+//! ([`crate::heal`]). A verdict moves the node's disk there: its WAL,
+//! or the rows its tables held at that instant. [`crate::restart`] reads
+//! it back, and a grave pruned at retention drops it. A crash nobody
+//! confirmed leaves nothing a restart could read, so it keeps nothing.
 //!
 //! Store mutations never touch the meter, the RNG, or the clock:
 //! attaching, detaching or swapping backends cannot perturb a seeded
 //! run (the flight-recorder golden trace pins this).
 
-use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
+use std::collections::HashMap;
 
 use bristle_netsim::attach::{Attachment, HostId};
 use bristle_netsim::graph::RouterId;
 use bristle_overlay::addr::NetAddr;
 use bristle_overlay::key::Key;
 pub use bristle_store::WalRecord;
-use bristle_store::{DurableState, MemBackend, ReplayReport, StateStore, StoredRecord, WalBackend};
+use bristle_store::{DurableState, ReplayReport, StateStore, StoredRecord, WalBackend};
 
 use crate::location::LocationRecord;
 use crate::system::BristleSystem;
 use crate::time::SimTime;
 
-/// All per-node stores, keyed by node. A node has none until it
-/// crashes or is given a WAL (module docs).
+/// The WALs of live nodes, keyed by node (module docs).
 #[derive(Default)]
 pub struct StoreHub {
-    backends: HashMap<Key, Box<dyn StateStore>>,
-    /// Nodes whose store is frozen: a crashed (or departed) node's disk
-    /// must stop changing at the moment it dies, so funeral cleanup
-    /// performed *about* it by survivors is not written into it.
-    frozen: HashSet<Key>,
-    /// `(directory, snapshot_every)` of WAL-backed nodes, kept so a
-    /// crash-restart can reopen the store from disk.
-    wal_meta: HashMap<Key, (PathBuf, u64)>,
+    backends: HashMap<Key, WalBackend>,
 }
 
 impl std::fmt::Debug for StoreHub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StoreHub")
-            .field("backends", &self.backends.len())
-            .field("frozen", &self.frozen.len())
-            .field("wal", &self.wal_meta.len())
-            .finish()
+        f.debug_struct("StoreHub").field("wal", &self.backends.len()).finish()
     }
 }
 
@@ -60,12 +49,9 @@ impl StoreHub {
         StoreHub::default()
     }
 
-    /// Applies one mutation to `node`'s store, if it has one. Frozen
-    /// stores are skipped — a dead node's store must reflect its state
-    /// *as of the crash*.
+    /// Applies one mutation to `node`'s store, if it has one.
     pub fn apply(&mut self, node: Key, rec: WalRecord) {
-        let Some(backend) = self.backends.get_mut(&node) else { return };
-        if !self.frozen.contains(&node) {
+        if let Some(backend) = self.backends.get_mut(&node) {
             backend.apply(&rec);
         }
     }
@@ -75,33 +61,13 @@ impl StoreHub {
         self.backends.get(&node).map(|b| b.state())
     }
 
-    /// The backend family serving `node` (`"mem"` when it has no store).
-    pub fn kind(&self, node: Key) -> &'static str {
-        self.backends.get(&node).map(|b| b.kind()).unwrap_or("mem")
-    }
-
-    /// Stops mutating `node`'s store (crash semantics). Idempotent.
-    pub fn freeze(&mut self, node: Key) {
-        self.frozen.insert(node);
-    }
-
-    /// Resumes mutating `node`'s store (restart/rejoin). Idempotent.
-    pub fn thaw(&mut self, node: Key) {
-        self.frozen.remove(&node);
-    }
-
-    /// Whether `node`'s store is frozen.
-    pub fn is_frozen(&self, node: Key) -> bool {
-        self.frozen.contains(&node)
-    }
-
     /// Attaches a WAL backend for `node`, rebasing whatever its current
-    /// store holds into the log, and remembers the directory so
-    /// [`StoreHub::reopen_wal`] can re-open it from disk.
+    /// store holds into the log. A rejoin hands a grave's WAL back
+    /// through it.
     ///
-    /// A node that never crashed has no store here, so its log starts
-    /// empty, and a restart off it brings the node back without the rows
-    /// it held before the attach. Attach through
+    /// A node without a WAL has no store here, so its log starts empty,
+    /// and a restart off it brings the node back without the rows it
+    /// held before the attach. Attach through
     /// [`BristleSystem::attach_wal`], which seeds the log with them; this
     /// one stays public only for the wall-clock benchmark's `handoff`
     /// workload, until that workload moves to the system call.
@@ -112,52 +78,23 @@ impl StoreHub {
                 backend.apply(&rec);
             }
         }
-        self.wal_meta.insert(node, (backend.dir().to_path_buf(), backend.snapshot_every()));
-        self.backends.insert(node, Box::new(backend));
+        self.backends.insert(node, backend);
     }
 
-    /// Re-opens `node`'s WAL backend from disk, discarding the in-memory
-    /// fold — this is the process-restart path: what the node knows
-    /// afterwards is exactly what the snapshot + log say. Returns the
-    /// replay report, or `None` when the node has no WAL backend or the
-    /// re-open failed. On failure the node keeps the fold it had, in an
-    /// in-memory backend, and stops being WAL-backed, so a disk fault
-    /// degrades durability, not correctness.
-    pub fn reopen_wal(&mut self, node: Key) -> Option<ReplayReport> {
-        let (dir, snapshot_every) = self.wal_meta.get(&node).cloned()?;
-        // Drop the live backend first so its append handle is closed,
-        // keeping its fold for the failure arm.
-        let fold = self.backends.remove(&node).map(|b| b.state().to_records());
-        match WalBackend::open(&dir, snapshot_every) {
-            Ok(backend) => {
-                let report = backend.replay_report().clone();
-                self.backends.insert(node, Box::new(backend));
-                Some(report)
-            }
-            Err(_) => {
-                self.wal_meta.remove(&node);
-                self.backends.insert(node, mem_holding(fold.into_iter().flatten()));
-                None
-            }
-        }
-    }
-
-    /// Forgets `node`'s store entirely (graceful leave: the node is gone
-    /// for good and its state must not resurrect).
+    /// Forgets `node`'s store entirely (the node left, or crashed with
+    /// no verdict to keep its disk: its state must not resurrect).
     pub fn forget(&mut self, node: Key) {
         self.backends.remove(&node);
-        self.frozen.remove(&node);
-        self.wal_meta.remove(&node);
     }
 }
 
-/// An in-memory store folded from `records`.
-fn mem_holding(records: impl IntoIterator<Item = WalRecord>) -> Box<dyn StateStore> {
-    let mut mem = MemBackend::new();
-    for rec in records {
-        mem.apply(&rec);
-    }
-    Box::new(mem)
+/// What a death verdict keeps of a node's store, in its grave.
+pub(crate) enum Disk {
+    /// The node's WAL, as it stood at the verdict.
+    Wal(WalBackend),
+    /// The rows the tables held for a node without a WAL at the verdict
+    /// ([`BristleSystem::durable_rows`]).
+    Fold(DurableState),
 }
 
 /// The [`WalRecord`] mirroring a [`LocationRecord`] stored for
@@ -220,23 +157,55 @@ impl BristleSystem {
         rows
     }
 
-    /// Gives a present `key` a store holding [`Self::durable_rows`],
-    /// unless it has one. A store mirrors the tables from the moment it
-    /// exists, so the fold is exactly what a mirror kept since build
-    /// would hold now.
-    pub(crate) fn fold_store(&mut self, key: Key) {
-        if self.stores.state(key).is_none() && self.contains_node(key) {
-            let rows = self.durable_rows(key).to_records();
-            self.stores.backends.insert(key, mem_holding(rows));
+    /// Takes `key`'s store out of the hub at its death verdict, before
+    /// any funeral cleanup: its WAL, or, for a node without one, the
+    /// rows its tables hold at this instant. The hub never holds a dead
+    /// node's store, so cleanup performed about it by survivors is not
+    /// written into its disk.
+    pub(crate) fn bury_store(&mut self, key: Key) -> Disk {
+        match self.stores.backends.remove(&key) {
+            Some(wal) => Disk::Wal(wal),
+            None => Disk::Fold(self.durable_rows(key)),
         }
     }
 
-    /// Crash semantics for `key`'s store: it keeps the rows the tables
-    /// hold for the node at this instant, and stops changing. A verdict
-    /// naming an absent node creates no store.
-    pub(crate) fn freeze_store(&mut self, key: Key) {
-        self.fold_store(key);
-        self.stores.freeze(key);
+    /// Brings `key`'s process back up off the disk its grave kept, and
+    /// returns what that disk says, with the replay report when there
+    /// was a log to replay. A WAL is re-opened from its directory (a
+    /// genuine replay: snapshot, then log, torn tail tolerated) and goes
+    /// back to the hub. A fold, or a WAL that will not re-open, brings
+    /// the node back with the rows it held at its verdict and no store,
+    /// so a disk fault costs durability, not the shard.
+    pub(crate) fn reopen_disk(
+        &mut self,
+        key: Key,
+        disk: Disk,
+    ) -> (DurableState, Option<ReplayReport>) {
+        let wal = match disk {
+            Disk::Wal(wal) => wal,
+            Disk::Fold(rows) => return (rows, None),
+        };
+        let (dir, snapshot_every) = (wal.dir().to_path_buf(), wal.snapshot_every());
+        let fold = wal.state().clone();
+        // Closes the append handle and releases the directory's lock.
+        drop(wal);
+        match WalBackend::open(dir, snapshot_every) {
+            Ok(wal) => {
+                let replayed = (wal.state().clone(), Some(wal.replay_report().clone()));
+                self.stores.backends.insert(key, wal);
+                replayed
+            }
+            Err(_) => (fold, None),
+        }
+    }
+
+    /// Empties the disk `key`'s grave holds, so the node comes back with
+    /// nothing on it (the blank-disk baseline of a restart). A no-op for
+    /// a node that is not buried.
+    pub fn discard_disk(&mut self, key: Key) {
+        if let Some((_, disk)) = self.corpses.get_mut(&key).and_then(|c| c.body.as_mut()) {
+            *disk = Disk::Fold(DurableState::new());
+        }
     }
 
     /// Attaches a WAL backend for `key`, seeded with its store if it has
@@ -244,23 +213,26 @@ impl BristleSystem {
     /// identity, shard, registrations and leases), so a later
     /// crash-restart replays everything the node held, not only what
     /// changed after the attach.
-    pub fn attach_wal(&mut self, key: Key, backend: WalBackend) {
-        self.fold_store(key);
+    pub fn attach_wal(&mut self, key: Key, mut backend: WalBackend) {
+        if self.stores.state(key).is_none() && self.contains_node(key) {
+            for rec in self.durable_rows(key).to_records() {
+                backend.apply(&rec);
+            }
+        }
         self.stores.attach_wal(key, backend);
     }
 
-    /// Panics unless every live node that holds an unfrozen store holds
-    /// exactly [`Self::durable_rows`].
+    /// Panics unless every store the hub holds belongs to a present node
+    /// and holds exactly [`Self::durable_rows`].
     #[doc(hidden)]
     pub fn assert_stores_mirror_tables(&self, step: &str) {
-        for key in self.mobile.keys().filter(|&k| !self.stores.is_frozen(k)) {
-            if let Some(have) = self.stores.state(key) {
-                assert_eq!(
-                    *have,
-                    self.durable_rows(key),
-                    "after {step}: store of {key} (left) differs from the tables (right)"
-                );
-            }
+        for (&key, store) in &self.stores.backends {
+            assert!(self.contains_node(key), "after {step}: the hub holds absent {key}'s store");
+            assert_eq!(
+                *store.state(),
+                self.durable_rows(key),
+                "after {step}: store of {key} (left) differs from the tables (right)"
+            );
         }
     }
 }
@@ -269,6 +241,7 @@ impl BristleSystem {
 mod tests {
     use super::*;
     use bristle_netsim::attach::AttachmentMap;
+    use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -278,54 +251,43 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn a_hub_holds_nothing_for_a_node_it_was_never_given() {
-        let mut hub = StoreHub::new();
-        let k = Key(7);
-        hub.apply(k, WalRecord::Identity { key: 7, incarnation: 1 });
-        assert!(hub.state(k).is_none(), "a mutation alone creates no store");
-        hub.backends.insert(k, mem_holding([WalRecord::Identity { key: 7, incarnation: 1 }]));
-        assert_eq!(hub.kind(k), "mem");
-        hub.freeze(k);
-        hub.apply(k, WalRecord::Identity { key: 7, incarnation: 9 });
-        assert_eq!(hub.state(k).unwrap().identity, Some((7, 1)), "frozen store unchanged");
-        hub.thaw(k);
-        hub.apply(k, WalRecord::Identity { key: 7, incarnation: 9 });
-        assert_eq!(hub.state(k).unwrap().identity, Some((7, 9)));
-    }
-
-    #[test]
-    fn a_hub_attach_starts_an_empty_log_and_reopen_reads_disk() {
-        let dir = scratch("hub-attach");
-        let mut hub = StoreHub::new();
-        let k = Key(3);
-        hub.apply(k, WalRecord::Register { target: 11, capacity: 2 });
-        hub.attach_wal(k, WalBackend::open(&dir, 0).unwrap());
-        assert_eq!(hub.kind(k), "wal");
-        hub.apply(k, WalRecord::Register { target: 12, capacity: 1 });
-        let report = hub.reopen_wal(k).expect("reopen succeeds");
-        assert_eq!(report.log_records, 1, "only what was applied after the attach");
-        let regs = &hub.state(k).unwrap().registrations;
-        assert_eq!(regs.keys().copied().collect::<Vec<_>>(), [12]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The system-level attach seeds the log with the node's rows; the
-    /// hub-level one, on a node that never crashed, starts it empty.
-    #[test]
-    fn attach_wal_seeds_the_log_with_the_nodes_rows() {
+    fn system(n_stat: usize, n_mob: usize, seed: u64) -> BristleSystem {
         use crate::config::BristleConfig;
         use crate::system::BristleBuilder;
         use bristle_netsim::transit_stub::TransitStubConfig;
 
-        let dir = scratch("seeded-attach");
-        let mut sys = BristleBuilder::new(31)
-            .stationary_nodes(30)
-            .mobile_nodes(10)
+        BristleBuilder::new(seed)
+            .stationary_nodes(n_stat)
+            .mobile_nodes(n_mob)
             .topology(TransitStubConfig::tiny())
             .config(BristleConfig::recommended())
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn a_hub_holds_nothing_for_a_node_it_was_never_given() {
+        let dir = scratch("hub-attach");
+        let mut hub = StoreHub::new();
+        let k = Key(3);
+        hub.apply(k, WalRecord::Register { target: 11, capacity: 2 });
+        assert!(hub.state(k).is_none(), "a mutation alone creates no store");
+        hub.attach_wal(k, WalBackend::open(&dir, 0).unwrap());
+        hub.apply(k, WalRecord::Register { target: 12, capacity: 1 });
+        hub.forget(k);
+        assert!(hub.state(k).is_none());
+        let log = WalBackend::open(&dir, 0).expect("forgetting a store closes its log");
+        assert_eq!(log.replay_report().log_records, 1, "only what was applied after the attach");
+        assert_eq!(log.state().registrations.keys().copied().collect::<Vec<_>>(), [12]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The system-level attach seeds the log with the node's rows; the
+    /// hub-level one, on a node without a WAL, starts it empty.
+    #[test]
+    fn attach_wal_seeds_the_log_with_the_nodes_rows() {
+        let dir = scratch("seeded-attach");
+        let mut sys = system(30, 10, 31);
         let m = sys.mobile_keys()[0];
         sys.move_node(m, None).unwrap();
         let seeded = sys.stationary.owner(m).unwrap();
@@ -337,12 +299,114 @@ mod tests {
 
         sys.attach_wal(seeded, WalBackend::open(dir.join("seeded"), 0).unwrap());
         sys.stores.attach_wal(bare, WalBackend::open(dir.join("bare"), 0).unwrap());
-        let report = sys.stores.reopen_wal(seeded).expect("reopen succeeds");
-        assert_eq!(report.log_records, rows.to_records().len());
-        assert_eq!(sys.stores.state(seeded), Some(&rows));
-        assert_eq!(sys.stores.reopen_wal(bare).expect("reopen succeeds").log_records, 0);
-        assert!(sys.stores.state(bare).unwrap().is_empty());
+        sys.stores.forget(seeded);
+        sys.stores.forget(bare);
+        let log = WalBackend::open(dir.join("seeded"), 0).expect("reopen succeeds");
+        assert_eq!(log.replay_report().log_records, rows.to_records().len());
+        assert_eq!(log.state(), &rows);
+        let log = WalBackend::open(dir.join("bare"), 0).expect("reopen succeeds");
+        assert_eq!(log.replay_report().log_records, 0);
+        assert!(log.state().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A dead node's store is kept in one place, its grave, and in none
+    /// once the grave is pruned; a crash no verdict follows keeps
+    /// nothing. After every step, each store the hub holds belongs to a
+    /// present node and mirrors its tables.
+    #[test]
+    fn a_store_outlives_its_node_only_in_the_graveyard() {
+        use crate::naming::Mobility;
+        use crate::system::GRAVEYARD_RETENTION;
+
+        for seed in [8, 27] {
+            let dir = scratch(&format!("graveyard-{seed}"));
+            let mut sys = system(40, 16, seed);
+            let check = |sys: &BristleSystem, step: &str| {
+                sys.assert_stores_mirror_tables(&format!("{step} (seed {seed})"))
+            };
+            let walled: Vec<Key> = sys.stationary_keys().iter().copied().step_by(4).collect();
+            for &key in &walled {
+                sys.attach_wal(key, WalBackend::open(dir.join(key.to_string()), 8).unwrap());
+            }
+            check(&sys, "attach_wal");
+
+            // Churn in `dynamics`' shape: moves, joins, and stationary
+            // crashes no verdict follows, one of them WAL-backed.
+            sys.fail_node(walled[0]).unwrap();
+            let mut failed = vec![walled[0]];
+            for round in 0..6 {
+                sys.move_node(sys.mobile_keys()[round], None).unwrap();
+                let mobility = [Mobility::Mobile, Mobility::Stationary][round % 2];
+                sys.join_node(mobility).unwrap();
+                let stationaries = sys.stationary_keys().to_vec();
+                let crashed = stationaries[sys.rng().index(stationaries.len())];
+                sys.fail_node(crashed).unwrap();
+                failed.push(crashed);
+                sys.run_upkeep().unwrap();
+                check(&sys, "churn");
+            }
+            for key in failed {
+                assert!(sys.stores.state(key).is_none(), "seed {seed}: {key} crashed unconfirmed");
+            }
+
+            // A verdict moves the WAL into the grave, which keeps it open
+            // until retention prunes it.
+            let buried = *walled.iter().find(|&&k| sys.contains_node(k)).expect("a live WAL");
+            sys.confirm_dead(buried).unwrap();
+            check(&sys, "confirm_dead (WAL-backed)");
+            assert!(sys.stores.state(buried).is_none(), "seed {seed}: the hub kept a dead store");
+            assert!(
+                WalBackend::open(dir.join(buried.to_string()), 8).is_err(),
+                "held in the grave"
+            );
+            sys.tick(GRAVEYARD_RETENTION);
+            sys.run_upkeep().unwrap();
+            check(&sys, "the graveyard's retention");
+            assert!(!sys.restart_node_from_store(buried).unwrap().restored);
+            WalBackend::open(dir.join(buried.to_string()), 8).expect("pruning closed the log");
+
+            // A node without a WAL, crashed and restarted twice, comes
+            // back each time with the rows its tables held at that crash.
+            let victim = sys
+                .stationary_keys()
+                .iter()
+                .copied()
+                .filter(|k| !walled.contains(k))
+                .max_by_key(|&k| (sys.stationary.node(k).unwrap().store.len(), Key(!k.0)))
+                .expect("a stationary node without a WAL");
+            let mut before = DurableState::new();
+            for crash in ["first", "second"] {
+                sys.tick(10);
+                let shard = &sys.stationary.node(victim).unwrap().store;
+                let held: Vec<Key> = shard.keys().copied().filter(|&s| sys.is_mobile(s)).collect();
+                for &subject in held.iter().take(3) {
+                    sys.move_node(subject, None).unwrap();
+                }
+                let rows = sys.durable_rows(victim);
+                assert!(!rows.records.is_empty() && !rows.leases.is_empty(), "seed {seed}: bite");
+                assert_ne!(rows, before, "seed {seed}: the {crash} crash must see new rows");
+                sys.confirm_dead(victim).unwrap();
+                check(&sys, "confirm_dead (no WAL)");
+                let report = sys.restart_node_from_store(victim).unwrap();
+                check(&sys, "restart_node_from_store (no WAL)");
+                assert!(report.restored && report.replay.is_none());
+                assert!(sys.stores.state(victim).is_none(), "seed {seed}: back without a store");
+                assert_eq!(
+                    (report.records_recovered, report.records_skipped),
+                    (rows.records.len(), 0)
+                );
+                assert_eq!(report.leases_restored, rows.leases.len());
+                // Re-dissemination may renew a restored lease, never drop it.
+                let now = sys.durable_rows(victim);
+                let kept = rows.records.iter().all(|(s, r)| now.records.get(s) == Some(r))
+                    && rows.leases.iter().all(|(s, e)| now.leases.get(s) >= Some(e))
+                    && rows.registrations.keys().all(|t| now.registrations.contains_key(t));
+                assert!(kept, "seed {seed}: the {crash} restart lost rows");
+                before = rows;
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

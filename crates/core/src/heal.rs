@@ -12,6 +12,7 @@
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
 
+use crate::durable::Disk;
 use crate::error::Result;
 use crate::ldt::Ldt;
 use crate::registry::Registrant;
@@ -19,14 +20,15 @@ use crate::system::{BristleSystem, NodeInfo};
 use crate::time::SimTime;
 
 /// A death verdict, and the body it buried.
-#[derive(Debug, Clone, Copy)]
 pub(crate) struct Corpse {
-    /// The node as it was when buried, kept so a wrongful funeral can be
-    /// reversed by [`crate::rejoin`] without re-admitting from scratch.
-    /// `None` when the verdict found nobody to bury: the node had
-    /// already left, or the key was never known.
-    pub(crate) info: Option<NodeInfo>,
-    /// When the verdict was passed: [`BristleSystem::tick`] prunes it
+    /// The node as it was when buried, and the disk it left behind: kept
+    /// so a wrongful funeral can be reversed by [`crate::rejoin`] without
+    /// re-admitting from scratch, and so a restart ([`crate::restart`])
+    /// has a disk to read. `None` when the verdict found nobody to bury:
+    /// the node had already left or crashed, or the key was never known.
+    pub(crate) body: Option<(NodeInfo, Disk)>,
+    /// When the verdict was passed: [`BristleSystem::tick`] prunes it,
+    /// and the disk with it,
     /// [`GRAVEYARD_RETENTION`](crate::system::GRAVEYARD_RETENTION) ticks
     /// later, so long-running churn does not grow the map without bound.
     pub(crate) buried_at: SimTime,
@@ -44,8 +46,6 @@ pub struct DeathReport {
     pub was_mobile: bool,
     /// Mobile targets whose LDTs lost a member and were re-grafted.
     pub ldts_repaired: Vec<Key>,
-    /// Orphaned LDT descendants re-attached across all repaired trees.
-    pub orphans_regrafted: usize,
     /// Registration-state entries pruned (as registrant and as target).
     pub registrations_pruned: usize,
     /// Lease contracts revoked (held by or granted on the dead node).
@@ -66,8 +66,9 @@ impl BristleSystem {
 
     /// Declares `key` crashed and heals everything it touched:
     ///
-    /// 1. materializes the LDT of every live mobile target `key` was
-    ///    registered to (while the corpse is still a member),
+    /// 1. keeps the body and its disk in the graveyard, and materializes
+    ///    the LDT of every live mobile target `key` was registered to
+    ///    (while the corpse is still a member),
     /// 2. removes the corpse from both layers and prunes its
     ///    registrations and leases,
     /// 3. sweeps stale routing entries out of both layers,
@@ -84,7 +85,6 @@ impl BristleSystem {
             was_present: false,
             was_mobile: false,
             ldts_repaired: Vec::new(),
-            orphans_regrafted: 0,
             registrations_pruned: 0,
             leases_revoked: 0,
             records_unpublished: 0,
@@ -93,13 +93,15 @@ impl BristleSystem {
         if self.corpses.contains_key(&key) {
             return Ok(report);
         }
-        self.corpses.insert(key, Corpse { info: None, buried_at: self.clock.now() });
-        // The corpse's durable store must reflect its state *as of the
-        // crash*: fold and freeze it before any funeral bookkeeping, so
-        // cleanup performed about it by survivors is not written into it.
-        self.freeze_store(key);
-        report.was_present = self.node_info(key).is_ok();
+        // The body, and its disk as of the crash, before any funeral
+        // bookkeeping: cleanup performed about it by survivors is not
+        // written into it. If the verdict turns out to be wrong
+        // (partition, not crash), [`crate::rejoin`] reverses the funeral
+        // from that body instead of re-admitting a stranger.
+        let body = self.node_info(key).ok().copied().map(|info| (info, self.bury_store(key)));
+        report.was_present = body.is_some();
         report.was_mobile = self.is_mobile(key);
+        self.corpses.insert(key, Corpse { body, buried_at: self.clock.now() });
 
         // (1) Targets whose LDT contains the corpse, with trees built
         // while the corpse is still registered (sorted for determinism).
@@ -110,13 +112,8 @@ impl BristleSystem {
             }
         }
 
-        // (2) Remove the corpse and its bookkeeping. Its `NodeInfo` is
-        // kept in the graveyard: if the verdict turns out to be wrong
-        // (partition, not crash), [`crate::rejoin`] reverses the funeral
-        // from that corpse state instead of re-admitting a stranger.
+        // (2) Remove the corpse and its bookkeeping.
         if report.was_present {
-            let body = *self.node_info(key)?;
-            self.corpses.get_mut(&key).expect("verdict just recorded").info = Some(body);
             self.fail_node(key)?;
         }
         (report.registrations_pruned, report.leases_revoked) = self.dissolve(key);
@@ -130,10 +127,9 @@ impl BristleSystem {
         // (4) Re-graft every orphaned subtree and disseminate the repair.
         let unit_cost = self.config().unit_cost;
         for (target, mut tree) in trees {
-            let Some(healed) = tree.heal(key, unit_cost) else {
+            if tree.heal(key, unit_cost).is_none() {
                 continue; // corpse was not actually a member
-            };
-            report.orphans_regrafted += healed.orphans;
+            }
             let survivors: Vec<Registrant> = self
                 .registry
                 .registrants_of(target)

@@ -137,10 +137,9 @@ impl BristleSystem {
     /// experiments measure.
     pub fn fail_node(&mut self, key: Key) -> Result<()> {
         let info = *self.node_info(key)?;
-        // Crash semantics: the node's durable store holds its rows as of
-        // the instant of death and stops changing (idempotent;
-        // `confirm_dead` also freezes).
-        self.freeze_store(key);
+        // No verdict keeps this node's disk in a grave (`confirm_dead`
+        // takes it before it gets here), so no restart could read it.
+        self.stores.forget(key);
         self.mobile.fail_node(key)?;
         if info.mobility == Mobility::Stationary {
             self.stationary.fail_node(key)?;

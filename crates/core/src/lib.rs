@@ -28,9 +28,9 @@
 //!   inside the stationary key band, reducing route cost from O(log² N)
 //!   to O(log N) ([`naming`], §3);
 //! * **durable state** — every repository mutation goes through one
-//!   write path that mirrors it into a per-node pluggable store; with a
-//!   write-ahead-log backend a crashed node restarts from disk with its
-//!   shard intact instead of re-learning it from the overlay ([`repo`],
+//!   write path that mirrors it into the node's write-ahead log, if it
+//!   has one; with it a crashed node restarts from disk with its shard
+//!   intact instead of re-learning it from the overlay ([`repo`],
 //!   [`durable`], [`restart`]).
 //!
 //! ## Quick start
@@ -93,7 +93,6 @@ pub use location::LocationRecord;
 pub use mobile::{DiscoveryReport, MobileRouteReport};
 pub use naming::{Mobility, NamingScheme};
 pub use registry::{Registrant, Registry};
-pub use rejoin::RejoinReport;
 pub use restart::RestartReport;
 pub use system::{BristleBuilder, BristleSystem, MoveReport, NodeInfo};
 pub use time::{Clock, SimTime};

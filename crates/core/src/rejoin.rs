@@ -18,35 +18,15 @@
 use bristle_overlay::key::Key;
 use bristle_store::DurableState;
 
+use crate::durable::Disk;
 use crate::error::Result;
+use crate::restart::RestartReport;
 use crate::system::BristleSystem;
-
-/// What [`BristleSystem::rejoin_node`] restored.
-#[derive(Debug, Clone)]
-pub struct RejoinReport {
-    /// The resurrected node.
-    pub key: Key,
-    /// The incarnation the node lives at after the rejoin (strictly
-    /// greater than the one it was buried at).
-    pub incarnation: u64,
-    /// Whether a funeral was actually reversed. `false` means the node
-    /// was never buried (or was already rejoined) and nothing happened.
-    pub reversed: bool,
-    /// Whether the resurrected node is mobile.
-    pub was_mobile: bool,
-    /// Registration-state entries restored (both directions).
-    pub registrations_restored: usize,
-    /// Mobile targets whose LDTs regained the node and were
-    /// re-disseminated.
-    pub ldts_rejoined: Vec<Key>,
-    /// Hops spent republishing the node's location (mobile only).
-    pub publish_hops: usize,
-}
 
 impl BristleSystem {
     /// Whether `key` has corpse state available for a rejoin.
     pub fn can_rejoin(&self, key: Key) -> bool {
-        self.corpses.get(&key).is_some_and(|c| c.info.is_some())
+        self.corpses.get(&key).is_some_and(|c| c.body.is_some())
     }
 
     /// Reverses the funeral of a wrongfully buried node.
@@ -59,22 +39,21 @@ impl BristleSystem {
     ///
     /// The node returns with nothing — a restart
     /// ([`BristleSystem::restart_node_from_store`]) whose disk kept no
-    /// rows: what its store held before the funeral and the tables no
-    /// longer have is durably dropped.
+    /// rows — and with the same report. A WAL goes back to the node as
+    /// it stood at the verdict, and what it held before the funeral and
+    /// the tables no longer have is durably dropped; a node without one
+    /// comes back without a store.
     ///
     /// Idempotent: rejoining a node that was never buried — or was
-    /// already rejoined — is a no-op with `reversed == false`.
-    pub fn rejoin_node(&mut self, key: Key, incarnation: u64) -> Result<RejoinReport> {
-        let back = self.resurrect(key, incarnation, &DurableState::default())?;
-        Ok(RejoinReport {
-            key,
-            incarnation: back.incarnation,
-            reversed: back.restored,
-            was_mobile: back.was_mobile,
-            registrations_restored: back.registrations_restored,
-            ldts_rejoined: back.ldts_rejoined,
-            publish_hops: back.publish_hops,
-        })
+    /// already rejoined — is a no-op with `restored == false`.
+    pub fn rejoin_node(&mut self, key: Key, incarnation: u64) -> Result<RestartReport> {
+        let Some((info, disk)) = self.take_corpse(key) else {
+            return Ok(RestartReport { key, ..Default::default() });
+        };
+        if let Disk::Wal(wal) = disk {
+            self.stores.attach_wal(key, wal);
+        }
+        self.resurrect(key, info, incarnation, &DurableState::default())
     }
 }
 
@@ -106,7 +85,7 @@ mod tests {
         assert!(sys.can_rejoin(victim));
 
         let report = sys.rejoin_node(victim, buried_inc + 1).unwrap();
-        assert!(report.reversed);
+        assert!(report.restored);
         assert!(report.was_mobile);
         assert!(report.incarnation > buried_inc, "rejoin out-ranks the funeral");
         assert!(!sys.is_confirmed_dead(victim), "no longer dead");
@@ -142,13 +121,13 @@ mod tests {
         let node = sys.mobile_keys()[0];
         let before = sys.meter.count(MessageKind::Register);
         let report = sys.rejoin_node(node, 5).unwrap();
-        assert!(!report.reversed);
+        assert!(!report.restored);
         assert_eq!(report.registrations_restored, 0);
         assert_eq!(sys.meter.count(MessageKind::Register), before);
         // And so is rejoining twice.
         sys.confirm_dead(node).unwrap();
-        assert!(sys.rejoin_node(node, 1).unwrap().reversed);
-        assert!(!sys.rejoin_node(node, 1).unwrap().reversed);
+        assert!(sys.rejoin_node(node, 1).unwrap().restored);
+        assert!(!sys.rejoin_node(node, 1).unwrap().restored);
     }
 
     #[test]
@@ -159,7 +138,7 @@ mod tests {
         sys.confirm_dead(victim).unwrap();
         // A claim no fresher than the burial is bumped past it anyway.
         let report = sys.rejoin_node(victim, buried_inc).unwrap();
-        assert!(report.reversed);
+        assert!(report.restored);
         assert_eq!(report.incarnation, buried_inc + 1);
     }
 
@@ -170,7 +149,7 @@ mod tests {
         let primary = sys.stationary.owner(subject).unwrap();
         sys.confirm_dead(primary).unwrap();
         let report = sys.rejoin_node(primary, 1).unwrap();
-        assert!(report.reversed);
+        assert!(report.restored);
         assert!(!report.was_mobile);
         assert_eq!(report.publish_hops, 0, "stationary nodes publish nothing");
         assert!(sys.stationary_keys().contains(&primary));
@@ -194,7 +173,7 @@ mod tests {
         sys.confirm_dead(victim).unwrap();
         sys.clock.advance(50);
         let report = sys.rejoin_node(victim, 1).unwrap();
-        assert!(report.reversed);
+        assert!(report.restored);
         let now = sys.clock.now();
         let owner = sys.stationary.owner(victim).unwrap();
         let rec = *sys.stationary.node(owner).unwrap().store.get(&victim).unwrap();

@@ -3,9 +3,9 @@
 //! Every node keeps registrations R(·) (§2.3.1) and leased
 //! `<key, addr>` state-pairs (§2.3.2), and a stationary node a shard of
 //! location records, in the live tables (`registry`, `leases`,
-//! `stationary.node(k).store`). A node that has a store — a WAL was
-//! attached, or it crashed ([`crate::durable`]) — also holds them as a
-//! [`WalRecord`] fold in its [`crate::durable::StoreHub`] backend. This
+//! `stationary.node(k).store`). A live node that has a WAL
+//! ([`crate::durable`]) also holds them as a [`WalRecord`] fold in its
+//! [`crate::durable::StoreHub`] backend. This
 //! module is the only code that changes either, and it changes both in
 //! one call, so `assert_stores_mirror_tables` (in [`crate::durable`])
 //! holds after every operation. DESIGN §8 "The write path" tabulates
@@ -249,8 +249,8 @@ impl BristleSystem {
 
     /// Dissolves every registration and lease that names `key`, as
     /// holder or as subject — the node left or was confirmed dead.
-    /// Survivors' stores drop their edges to it; its own store is frozen
-    /// or about to be forgotten, so its side is not mirrored. Returns
+    /// Survivors' stores drop their edges to it; its own store is in its
+    /// grave or about to be forgotten, so its side is not mirrored. Returns
     /// `(registrations pruned, leases revoked)`.
     pub(crate) fn dissolve(&mut self, key: Key) -> (usize, usize) {
         let bereaved: Vec<Key> = self.registry.registrants_of(key).iter().map(|r| r.key).collect();
@@ -268,7 +268,7 @@ impl BristleSystem {
 
     /// Durably removes every row `key`'s store still holds that the
     /// tables no longer have: what a funeral took from the tables while
-    /// the store was frozen, and what a restart found stale.
+    /// the store lay in the grave, and what a restart found stale.
     pub(crate) fn reconcile_store(&mut self, key: Key) {
         let Some(state) = self.stores.state(key) else { return };
         let shard = self.stationary.node(key).ok().map(|n| n.store);

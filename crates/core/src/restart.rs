@@ -21,7 +21,7 @@ use bristle_store::{DurableState, ReplayReport};
 use crate::durable::location_from_stored;
 use crate::error::Result;
 use crate::naming::Mobility;
-use crate::system::BristleSystem;
+use crate::system::{BristleSystem, NodeInfo};
 use crate::time::SimTime;
 
 /// What [`BristleSystem::restart_node_from_store`] recovered.
@@ -54,43 +54,42 @@ pub struct RestartReport {
     pub ldts_rejoined: Vec<Key>,
     /// Hops spent republishing the node's location (mobile only).
     pub publish_hops: usize,
-    /// What the WAL replay processed, when the node had a WAL backend
-    /// (`None` for in-memory stores — they survive a simulated crash
-    /// only because the simulator never really killed the process).
+    /// What the WAL replay processed, when the node had a WAL that
+    /// re-opened (`None` for a node restarted from its grave's fold of
+    /// its rows, and for a rejoin).
     pub replay: Option<ReplayReport>,
 }
 
 impl BristleSystem {
-    /// Restarts a buried node from its durable store — the
+    /// Restarts a buried node from the disk its grave kept — the
     /// crash-restart alternative to [`BristleSystem::rejoin_node`].
     ///
-    /// The node's store is re-opened from disk when it has a WAL
-    /// backend (a genuine replay: snapshot, then log, torn tail
-    /// tolerated), then the node is resurrected (`resurrect`, below)
-    /// with the folded state, at an incarnation out-ranking both the
-    /// funeral and the persisted one.
+    /// A WAL is re-opened from its directory (a genuine replay:
+    /// snapshot, then log, torn tail tolerated) and the node keeps it; a
+    /// node without one restarts from the rows its tables held at the
+    /// verdict and holds no store. Then the node is resurrected
+    /// (`resurrect`, below) with that state, at an incarnation
+    /// out-ranking both the funeral and the persisted one.
     ///
     /// Idempotent: restarting a node that was never buried — or was
     /// already restored — is a no-op with `restored == false`.
     pub fn restart_node_from_store(&mut self, key: Key) -> Result<RestartReport> {
-        if !self.can_rejoin(key) {
+        let Some((info, disk)) = self.take_corpse(key) else {
             return Ok(RestartReport { key, ..Default::default() });
-        }
-        // The process comes back up: replay disk if there is any.
-        let replay = self.stores.reopen_wal(key);
-        let persisted = self.stores.state(key).cloned().unwrap_or_default();
+        };
+        let (persisted, replay) = self.reopen_disk(key, disk);
         let floor = persisted.identity.map_or(0, |(_, incarnation)| incarnation) + 1;
-        let mut report = self.resurrect(key, floor, &persisted)?;
+        let mut report = self.resurrect(key, info, floor, &persisted)?;
         report.replay = replay;
         Ok(report)
     }
 
-    /// Brings a buried node back to life — the one body of
-    /// [`BristleSystem::rejoin_node`] (which returns with nothing:
-    /// `persisted` empty) and [`BristleSystem::restart_node_from_store`]
-    /// (which returns with what its disk kept). The node lives at
-    /// `max(incarnation_floor, buried incarnation + 1)`, so it always
-    /// out-ranks its funeral.
+    /// Brings `key`, buried as `info` and just taken out of its grave,
+    /// back to life — the one body of [`BristleSystem::rejoin_node`]
+    /// (which returns with nothing: `persisted` empty) and
+    /// [`BristleSystem::restart_node_from_store`] (which returns with
+    /// what its disk kept). The node lives at `max(incarnation_floor,
+    /// buried incarnation + 1)`, so it always out-ranks its funeral.
     ///
     /// 1. membership is restored from the corpse state and both layers
     ///    are rewired (the omniscient equivalent of the Fig. 5 join walk
@@ -110,20 +109,18 @@ impl BristleSystem {
     pub(crate) fn resurrect(
         &mut self,
         key: Key,
+        mut info: NodeInfo,
         incarnation_floor: u64,
         persisted: &DurableState,
     ) -> Result<RestartReport> {
-        let mut report =
-            RestartReport { key, incarnation: incarnation_floor, ..Default::default() };
-        let Some(mut info) = self.take_corpse(key) else {
-            return Ok(report);
-        };
         info.incarnation = incarnation_floor.max(info.incarnation + 1);
-        report.incarnation = info.incarnation;
-        report.restored = true;
-        report.was_mobile = info.mobility == Mobility::Mobile;
-        // The node is alive again: its store resumes recording.
-        self.stores.thaw(key);
+        let mut report = RestartReport {
+            key,
+            incarnation: info.incarnation,
+            restored: true,
+            was_mobile: info.mobility == Mobility::Mobile,
+            ..Default::default()
+        };
         self.readmit(key, info)?;
         self.rewire();
 
@@ -195,6 +192,7 @@ impl BristleSystem {
 mod tests {
     use super::*;
     use crate::config::BristleConfig;
+    use crate::durable::Disk;
     use crate::system::BristleBuilder;
     use bristle_netsim::transit_stub::TransitStubConfig;
     use bristle_store::WalBackend;
@@ -279,9 +277,10 @@ mod tests {
     }
 
     /// A log that no longer opens costs the node its durability, not its
-    /// shard: the restart falls back to the fold the node held in memory.
+    /// shard: the restart falls back to the fold its grave kept, and the
+    /// node comes back without a store.
     #[test]
-    fn a_wal_that_fails_to_reopen_keeps_the_shard_in_memory() {
+    fn a_wal_that_fails_to_reopen_restarts_from_the_corpses_fold() {
         let dir = scratch("unreadable-log");
         let mut sys = system(40, 12, 22);
         let victim = busiest_primary(&sys);
@@ -295,7 +294,7 @@ mod tests {
         assert!(report.restored);
         assert!(report.replay.is_none(), "the log did not reopen");
         assert_eq!(report.records_recovered, shard);
-        assert_eq!(sys.stores.kind(victim), "mem");
+        assert!(sys.stores.state(victim).is_none(), "no store without a log");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -318,10 +317,10 @@ mod tests {
     }
 
     #[test]
-    fn mem_backed_restart_also_recovers() {
-        // Without a WAL the crash folds the node's rows into an
-        // in-memory store (nothing really crashed); the restart path
-        // works the same, minus the replay report.
+    fn restart_without_a_wal_also_recovers() {
+        // Without a WAL the verdict folds the node's rows into its grave
+        // (nothing really crashed); the restart path works the same,
+        // minus the replay report, and the node keeps no store.
         let mut sys = system(40, 10, 24);
         let victim = busiest_primary(&sys);
         let shard = sys.stationary.node(victim).unwrap().store.len();
@@ -329,8 +328,9 @@ mod tests {
         sys.confirm_dead(victim).unwrap();
         let report = sys.restart_node_from_store(victim).unwrap();
         assert!(report.restored);
-        assert!(report.replay.is_none(), "mem backends have nothing to replay");
+        assert!(report.replay.is_none(), "a fold has nothing to replay");
         assert_eq!(report.records_recovered, shard);
+        assert!(sys.stores.state(victim).is_none());
     }
 
     /// A crash keeps exactly the rows the tables held for the node at
@@ -350,7 +350,8 @@ mod tests {
             assert!(!rows.leases.is_empty(), "the victim must hold leases for the test to bite");
             assert!(sys.is_mobile(victim) || !rows.records.is_empty(), "and a primary records");
             sys.confirm_dead(victim).unwrap();
-            assert_eq!(sys.stores.state(victim), Some(&rows), "the corpse keeps its rows");
+            let kept = sys.corpses[&victim].body.as_ref().map(|(_, disk)| disk);
+            assert!(matches!(kept, Some(Disk::Fold(f)) if *f == rows), "the grave keeps its rows");
 
             let report = sys.restart_node_from_store(victim).unwrap();
             assert!(report.restored);
@@ -376,7 +377,7 @@ mod tests {
                 let victim = pick(&sys);
                 sys.move_node(sys.mobile_keys()[0], None).unwrap();
                 sys.confirm_dead(victim).unwrap();
-                sys.stores.forget(victim);
+                sys.discard_disk(victim);
                 let incarnation = if restart {
                     sys.restart_node_from_store(victim).unwrap().incarnation
                 } else {

@@ -35,7 +35,7 @@ use bristle_overlay::ring::RingDht;
 
 use crate::arena::{KeyInterner, NodeArena, NodeIdx};
 use crate::config::{BristleConfig, NamingPolicy};
-use crate::durable::StoreHub;
+use crate::durable::{Disk, StoreHub};
 use crate::error::{BristleError, Result};
 use crate::heal::Corpse;
 use crate::ldt::Ldt;
@@ -115,12 +115,13 @@ pub struct BristleSystem {
     /// Lease contracts on cached addresses (§2.3.2).
     pub leases: LeaseTable,
     /// Nodes confirmed crashed by the failure detector, one [`Corpse`]
-    /// each. Written by [`crate::heal`]'s `confirm_dead`,
-    /// [`Self::take_corpse`] and [`Self::tick`]'s pruning, nothing else.
+    /// each, holding the body and the disk it left. Written by
+    /// [`crate::heal`]'s `confirm_dead`, [`Self::take_corpse`],
+    /// `discard_disk` and [`Self::tick`]'s pruning, nothing else.
     pub(crate) corpses: HashMap<Key, Corpse>,
-    /// Per-node durable-state stores: every repository mutation is
-    /// mirrored here, by [`crate::repo`] and nothing else. In-memory by
-    /// default; attach a WAL backend to make a node crash-restartable.
+    /// The WALs of live nodes: every repository mutation of a node that
+    /// has one is mirrored into it, by [`crate::repo`] and nothing else.
+    /// A node has none until [`Self::attach_wal`] gives it one.
     pub stores: StoreHub,
 }
 
@@ -307,18 +308,18 @@ impl BristleSystem {
         Ok(key)
     }
 
-    /// Takes a buried body back out of the graveyard, verdict and all
-    /// (rejoin and restart). A verdict that buried nobody stays.
-    pub(crate) fn take_corpse(&mut self, key: Key) -> Option<NodeInfo> {
-        let info = self.corpses.get(&key)?.info?;
-        self.corpses.remove(&key);
-        Some(info)
+    /// Takes a buried body and its disk back out of the graveyard,
+    /// verdict and all (rejoin and restart). A verdict that buried nobody
+    /// stays.
+    pub(crate) fn take_corpse(&mut self, key: Key) -> Option<(NodeInfo, Disk)> {
+        self.corpses.get(&key)?.body.as_ref()?;
+        self.corpses.remove(&key)?.body
     }
 
     /// How many bodies the graveyard currently retains. Bounded under
     /// perpetual churn by [`GRAVEYARD_RETENTION`].
     pub fn graveyard_len(&self) -> usize {
-        self.corpses.values().filter(|c| c.info.is_some()).count()
+        self.corpses.values().filter(|c| c.body.is_some()).count()
     }
 
     /// Inserts a node body into the membership structures of its layers:
@@ -664,22 +665,13 @@ impl BristleSystem {
     /// Reclaims verdicts passed longer ago than [`GRAVEYARD_RETENTION`],
     /// whether or not they buried a body. A pruned corpse can no longer
     /// rejoin through the wrongful-burial path — it would re-admit from
-    /// scratch — and its key stops counting as confirmed-dead, which is
-    /// safe because any withdrawn record it could replay has long
-    /// outlived its TTL by then.
+    /// scratch — nor restart off its disk, which goes with it; and its
+    /// key stops counting as confirmed-dead, which is safe because any
+    /// withdrawn record it could replay has long outlived its TTL by
+    /// then.
     fn prune_graveyard(&mut self) {
         let now = self.clock.now();
-        let mut expired: Vec<Key> = self
-            .corpses
-            .iter()
-            .filter(|(_, c)| c.buried_at.plus(GRAVEYARD_RETENTION) <= now)
-            .map(|(&k, _)| k)
-            .collect();
-        expired.sort_unstable();
-        for key in expired {
-            self.corpses.remove(&key);
-            self.stores.forget(key);
-        }
+        self.corpses.retain(|_, c| c.buried_at.plus(GRAVEYARD_RETENTION) > now);
     }
 
     /// Early-binding maintenance round: every mobile node republishes its
@@ -839,20 +831,26 @@ mod tests {
     }
 
     /// ROADMAP 2(a)'s "store replay == in-memory state", after every step
-    /// of one scripted life of a system: each live node that holds a
-    /// store holds exactly its identity, its shard, the edges it is the
-    /// registrant of and the leases it holds — and only a node that was
-    /// given one, crashed or was given a WAL holds one.
+    /// of one scripted life of a system: each store the hub holds belongs
+    /// to a live node and holds exactly its identity, its shard, the
+    /// edges it is the registrant of and the leases it holds — and only
+    /// a node that was given a WAL holds one.
     #[test]
     fn stores_mirror_tables_through_a_scripted_lifecycle() {
         for seed in [8, 27] {
             let mut sys = small_system(40, 16, seed);
-            // Every node present at build gets a store now, so each step
-            // below compares real stores with the tables; a node that
-            // joins later holds none until it crashes or is given a WAL.
+            let dir = std::env::temp_dir()
+                .join(format!("bristle-system-test-{}", std::process::id()))
+                .join(format!("lifecycle-{seed}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            // Every node present at build is given a WAL now, so each
+            // step below compares real stores with the tables; a node
+            // that joins later holds none until it is given one.
             let mut durable: HashSet<Key> = sys.mobile.keys().collect();
             for &key in &durable {
-                sys.fold_store(key);
+                let wal =
+                    bristle_store::WalBackend::open(dir.join("build").join(key.to_string()), 0);
+                sys.attach_wal(key, wal.unwrap());
             }
             let check = |sys: &BristleSystem, durable: &HashSet<Key>, step: &str| {
                 let step = format!("{step} (seed {seed})");
@@ -916,22 +914,18 @@ mod tests {
             sys.confirm_dead(crashed).unwrap();
             check(&sys, &durable, "confirm_dead");
 
-            // Wrongful funerals reversed: the stores thaw holding rows
-            // the funerals took out of the tables.
+            // Wrongful funerals reversed: the WALs come back out of the
+            // graves holding rows the funerals took out of the tables.
             for buried in [sys.mobile_keys()[1], sys.stationary_keys()[2]] {
                 sys.move_node(m, None).unwrap();
                 sys.confirm_dead(buried).unwrap();
                 check(&sys, &durable, "confirm_dead (wrongful)");
-                assert!(sys.rejoin_node(buried, 1).unwrap().reversed);
+                assert!(sys.rejoin_node(buried, 1).unwrap().restored);
                 check(&sys, &durable, "rejoin_node");
             }
 
-            // Crash-restart off a real log, with downtime long enough for
-            // some of what it persisted to go stale.
-            let dir = std::env::temp_dir()
-                .join(format!("bristle-system-test-{}", std::process::id()))
-                .join(format!("lifecycle-{seed}"));
-            let _ = std::fs::remove_dir_all(&dir);
+            // Crash-restart off a fresh log, with downtime long enough
+            // for some of what it persisted to go stale.
             for victim in [sys.stationary.owner(m).unwrap(), m] {
                 let wal = bristle_store::WalBackend::open(dir.join(victim.to_string()), 8).unwrap();
                 durable.insert(victim);
@@ -949,7 +943,6 @@ mod tests {
                 );
                 check(&sys, &durable, "restart_node_from_store");
             }
-            let _ = std::fs::remove_dir_all(&dir);
 
             sys.anti_entropy_locations().unwrap();
             check(&sys, &durable, "anti_entropy_locations");
@@ -962,18 +955,15 @@ mod tests {
             assert!(sys.stores.state(asker).unwrap().leases.contains_key(&subject.0));
             check(&sys, &durable, "discover");
 
-            // A node that never held a store gets one at its crash: the
-            // rows its tables held at that instant.
+            // A node that never held a store crashes, is buried and
+            // restarts off its grave's fold: it comes back holding none.
             let fresh = joined.into_iter().find(|&k| sys.contains_node(k) && !durable.contains(&k));
             let fresh = fresh.expect("a live joiner without a store");
-            let rows = sys.durable_rows(fresh);
-            assert!(!rows.registrations.is_empty(), "the joiner must hold rows to bite");
-            durable.insert(fresh);
-            sys.fail_node(fresh).unwrap();
-            assert_eq!(sys.stores.state(fresh), Some(&rows), "seed {seed}: the corpse's fold");
-            check(&sys, &durable, "fail_node (a node without a store)");
             sys.confirm_dead(fresh).unwrap();
             check(&sys, &durable, "confirm_dead (a node without a store)");
+            assert!(sys.restart_node_from_store(fresh).unwrap().restored);
+            check(&sys, &durable, "restart_node_from_store (a node without a store)");
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
@@ -1152,7 +1142,7 @@ mod tests {
             for buried in [most_popular(&sys), sys.mobile_keys()[1]] {
                 sys.confirm_dead(buried).unwrap();
                 check(&sys, "confirm_dead (wrongful)");
-                assert!(sys.rejoin_node(buried, 1).unwrap().reversed);
+                assert!(sys.rejoin_node(buried, 1).unwrap().restored);
                 check(&sys, "rejoin_node");
             }
 

@@ -233,7 +233,7 @@ pub fn run_durability(cfg: &DurabilityConfig) -> DurabilityOutcome {
         }
         RestartMode::Republish => {
             let report = msys.republish_restart(victim).expect("victim rejoins");
-            assert!(report.reversed, "a confirmed corpse must rejoin");
+            assert!(report.restored, "a confirmed corpse must rejoin");
             out.registrations_restored = report.registrations_restored;
         }
     }

@@ -6,7 +6,6 @@ use std::collections::BTreeMap;
 
 use bristle_core::arena::KeyInterner;
 use bristle_core::heal::DeathReport;
-use bristle_core::rejoin::RejoinReport;
 use bristle_core::restart::RestartReport;
 use bristle_proto::failure::Liveness;
 use bristle_proto::wire::WireAddr;
@@ -229,10 +228,11 @@ impl MessagingBristleSystem {
     /// from both [`Self::leave`] (gone for good) and the rejoin path
     /// (which resurrects an *empty* node that re-learns its state from
     /// the overlay). The node must have been confirmed dead
-    /// ([`Self::confirm_and_heal`]); its store — re-opened from disk
-    /// when WAL-backed — supplies the recovered shard, and a brand-new
-    /// machine is started at the restored incarnation (nothing of the
-    /// old process survives but the disk).
+    /// ([`Self::confirm_and_heal`]); the disk its grave kept — a WAL,
+    /// re-opened, or the rows its tables held at the verdict — supplies
+    /// the recovered shard, and a brand-new machine is started at the
+    /// restored incarnation (nothing of the old process survives but
+    /// the disk).
     pub fn crash_restart(&mut self, key: Key) -> Result<RestartReport, MessagingError> {
         let report =
             self.sys.restart_node_from_store(key).map_err(|_| MessagingError::UnknownNode(key))?;
@@ -251,15 +251,15 @@ impl MessagingBristleSystem {
     }
 
     /// Restarts a crashed, buried node with a *blank* disk — the
-    /// republication baseline for [`Self::crash_restart`]. The node's
-    /// durable store is discarded and it comes back empty via the rejoin
+    /// republication baseline for [`Self::crash_restart`]. The disk its
+    /// grave kept is discarded and it comes back empty via the rejoin
     /// path, re-learning its state from the overlay (anti-entropy refills
     /// a stationary shard one `Replicate` per record). A fresh machine is
     /// started at the rejoined incarnation, exactly as in a WAL restart.
-    pub fn republish_restart(&mut self, key: Key) -> Result<RejoinReport, MessagingError> {
-        self.sys.stores.forget(key);
+    pub fn republish_restart(&mut self, key: Key) -> Result<RestartReport, MessagingError> {
+        self.sys.discard_disk(key);
         let report = self.sys.rejoin_node(key, 1).map_err(|_| MessagingError::UnknownNode(key))?;
-        if report.reversed {
+        if report.restored {
             self.revive_machine(key, report.incarnation);
         }
         Ok(report)
@@ -433,7 +433,7 @@ impl MessagingBristleSystem {
         for (peer, incarnation) in requests {
             let Some(burial) = self.nodes.unbury(peer) else { continue };
             let Ok(report) = self.sys.rejoin_node(peer, incarnation) else { continue };
-            if !report.reversed {
+            if !report.restored {
                 continue;
             }
             self.nodes.hold(peer, None);
@@ -716,7 +716,7 @@ mod tests {
         msys.fail_silently(blank);
         msys.confirm_and_heal(blank).expect("known");
         reseed_and_check(&mut msys, "funeral before republish_restart");
-        assert!(msys.republish_restart(blank).expect("rejoins").reversed);
+        assert!(msys.republish_restart(blank).expect("rejoins").restored);
         reseed_and_check(&mut msys, "republish_restart");
         assert!(!monitored_sets(&msys)[&blank].is_empty());
 
@@ -1036,7 +1036,7 @@ mod tests {
             msys.fail_silently(r);
             msys.confirm_and_heal(r).expect("known");
             assert_eq!(view_of(&mut msys, r), (down, !buried, false, r_home));
-            assert!(msys.republish_restart(r).expect("rejoins").reversed);
+            assert!(msys.republish_restart(r).expect("rejoins").restored);
             let r_now = home(&msys, r);
             assert_eq!(
                 view_of(&mut msys, r),
