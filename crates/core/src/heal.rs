@@ -6,8 +6,9 @@
 //! held are worthless, and — if it was stationary — the location records
 //! it stored are gone from one replica. [`BristleSystem::confirm_dead`]
 //! performs the whole funeral in one deterministic pass and reports what
-//! it fixed; [`BristleSystem::anti_entropy_locations`] is the periodic
-//! reconciliation that restores full replication afterwards.
+//! it fixed; [`BristleSystem::anti_entropy_locations`] (in [`crate::repo`])
+//! is the periodic pass that puts every record copy back at its current
+//! replica set afterwards, and keeps a dead subject's record withdrawn.
 
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
@@ -150,57 +151,6 @@ impl BristleSystem {
             report.records_unpublished = self.withdraw_location(key)?;
         }
         Ok(report)
-    }
-
-    /// Anti-entropy pass over the location store: for every live mobile
-    /// node, reconciles its record across the current replica set — the
-    /// newest copy (by incarnation, then sequence, then publication
-    /// time) wins and is pushed to replicas that miss it or hold an
-    /// older one. Restores full replication after stationary-node
-    /// deaths, and resolves split-brain divergence after a partition
-    /// heals: both sides apply the same total order, so they converge on
-    /// the same record. Returns copies installed.
-    pub fn anti_entropy_locations(&mut self) -> Result<usize> {
-        let replicas = self.config().location_replicas;
-        let subjects = self.mobile_keys().to_vec();
-        let mut installed = 0usize;
-        for subject in subjects {
-            let set = self.stationary.replica_set(subject, replicas)?;
-            let mut best: Option<(Key, crate::location::LocationRecord)> = None;
-            for &replica in &set {
-                if let Some(rec) = self.stationary.node(replica)?.store.get(&subject) {
-                    best = Some(match best {
-                        None => (replica, *rec),
-                        Some((holder, have)) => {
-                            let newer = have.newer_of(*rec);
-                            if newer == have {
-                                (holder, have)
-                            } else {
-                                (replica, newer)
-                            }
-                        }
-                    });
-                }
-            }
-            let Some((holder, record)) = best else {
-                continue; // never published (or unpublished): nothing to heal
-            };
-            let holder_router = self.router_of(holder)?;
-            for &replica in &set {
-                let stale = match self.stationary.node(replica)?.store.get(&subject) {
-                    Some(have) => have.newer_of(record) != *have,
-                    None => true,
-                };
-                if !stale {
-                    continue;
-                }
-                let cost = self.distances().distance(holder_router, self.router_of(replica)?);
-                self.meter.record(MessageKind::Replicate, cost);
-                self.install_record(replica, record)?;
-                installed += 1;
-            }
-        }
-        Ok(installed)
     }
 }
 
@@ -378,6 +328,35 @@ mod tests {
                 "fresher incarnation beats inflated far-side seq at replica {r}"
             );
         }
+    }
+
+    #[test]
+    fn anti_entropy_keeps_buried_records_withdrawn_and_strays_out() {
+        let mut sys = system(40, 10, 9);
+        let replicas = sys.config().location_replicas;
+        let (victim, live) = (sys.mobile_keys()[0], sys.mobile_keys()[1]);
+        // Each subject's record also sits on a node outside its set, as
+        // a replica set that moved under it leaves one behind.
+        for subject in [victim, live] {
+            let set = sys.stationary.replica_set(subject, replicas).unwrap();
+            let record = *sys.stationary.node(set[0]).unwrap().store.get(&subject).unwrap();
+            let stray = sys.stationary.keys().find(|k| !set.contains(k)).unwrap();
+            sys.stationary.node_mut(stray).unwrap().store.insert(subject, record);
+        }
+        // The funeral withdraws the victim's record from its set only.
+        sys.confirm_dead(victim).unwrap();
+        sys.anti_entropy_locations().unwrap();
+        let holders = |sys: &BristleSystem, subject: Key| -> Vec<Key> {
+            sys.stationary
+                .iter()
+                .filter(|n| n.store.contains_key(&subject))
+                .map(|n| n.key)
+                .collect()
+        };
+        assert!(holders(&sys, victim).is_empty(), "a buried subject's record is not re-planted");
+        let mut set = sys.stationary.replica_set(live, replicas).unwrap();
+        set.sort_unstable();
+        assert_eq!(holders(&sys, live), set, "a live subject's record is held by its set alone");
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! every edge, a resurrection only the new ones). Mirrors never touch
 //! the meter, the RNG or the clock.
 
+use std::collections::BTreeSet;
+
 use bristle_overlay::addr::NetAddr;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
@@ -211,6 +213,35 @@ impl BristleSystem {
             self.stores.apply(replica, WalRecord::RecordRemove { subject: key.0 });
         }
         Ok(removed)
+    }
+
+    /// Anti-entropy over the location store, through the overlay's one
+    /// placement pass
+    /// ([`RingDht::place_replicas`](bristle_overlay::ring::RingDht::place_replicas)):
+    /// every copy of a record goes back to its subject's current replica
+    /// set, and the newest by [`LocationRecord::newer_of`] wins wherever it
+    /// is held, so a shard a rejoin left blank is refilled and both sides
+    /// of a healed partition converge on the same record. A copy whose
+    /// subject is not a live mobile node is dropped: its funeral or its
+    /// departure withdrew it. Returns copies installed.
+    pub fn anti_entropy_locations(&mut self) -> Result<usize> {
+        let dcache = self.distances_arc();
+        let live: BTreeSet<Key> = self.mobile_keys().iter().copied().collect();
+        let placement = self.stationary.place_replicas(
+            self.config().location_replicas,
+            |subject| live.contains(&subject),
+            LocationRecord::newer_of,
+            &self.attachments,
+            &dcache,
+            &mut self.meter,
+        )?;
+        for (member, _, record) in &placement.installed {
+            self.stores.apply(*member, record_put(record));
+        }
+        for &(holder, subject) in &placement.dropped {
+            self.stores.apply(holder, WalRecord::RecordRemove { subject: subject.0 });
+        }
+        Ok(placement.installed.len())
     }
 
     /// Removes expired location records from every stationary replica.

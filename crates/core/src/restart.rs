@@ -2,9 +2,9 @@
 //!
 //! [`crate::rejoin`] resurrects a wrongfully buried node *empty*: a
 //! stationary node returns with a blank shard and waits for
-//! [`BristleSystem::anti_entropy_locations`] to refill it from the
-//! surviving replicas, one `Replicate` message per record. A node whose
-//! durable store survived the crash can do better:
+//! [`BristleSystem::anti_entropy_locations`] to refill it from whichever
+//! nodes still hold its records, one `Replicate` message per record. A
+//! node whose durable store survived the crash can do better:
 //! [`BristleSystem::restart_node_from_store`] replays the node's
 //! snapshot + write-ahead log and reinstalls its shard, registrations
 //! and leases *locally* — zero messages — so the subsequent

@@ -6,7 +6,10 @@
 //! requested data item can be rapidly accessed in the remaining k − 1
 //! nodes." This module implements exactly that scheme over [`RingDht`];
 //! Bristle uses it to keep mobile-node location records available through
-//! stationary-node churn.
+//! stationary-node churn, and [`RingDht::place_replicas`] moves every
+//! record to its replica set as churn moves the set.
+
+use std::collections::BTreeMap;
 
 use bristle_netsim::attach::AttachmentMap;
 use bristle_netsim::dijkstra::DistanceCache;
@@ -27,6 +30,16 @@ pub struct LookupOutcome<V> {
     pub hops: usize,
     /// Physical path cost spent.
     pub path_cost: u64,
+}
+
+/// What [`RingDht::place_replicas`] changed, as `publish` returns the set
+/// it wrote: for a caller that mirrors the stores.
+#[derive(Debug, Clone)]
+pub struct Placement<V> {
+    /// `(member, key, value)`: a copy installed at a replica-set member.
+    pub installed: Vec<(Key, Key, V)>,
+    /// `(holder, key)`: a copy dropped from a node outside the key's set.
+    pub dropped: Vec<(Key, Key)>,
 }
 
 impl<V: Clone, A: RowAddr> RingDht<V, A> {
@@ -114,44 +127,57 @@ impl<V: Clone, A: RowAddr> RingDht<V, A> {
         Ok(removed)
     }
 
-    /// Re-replicates every record whose replica set changed after
-    /// membership churn. Walks all stored records and re-inserts them at
-    /// the current replica set; returns the number of copies moved.
-    ///
-    /// This is the steady-state equivalent of the periodic "states
-    /// refreshment" the paper assumes keeps replicas converged.
-    pub fn rebalance_replicas(
+    /// Puts every record where its replica set is now: the periodic
+    /// "states refreshment" the paper assumes keeps replicas converged
+    /// through churn. Walks every store once and groups the copies by key.
+    /// They are offered to `pick(a, b)` in ring order from the key, the
+    /// set's owner first; it returns the winner, `a` on a tie. The winner
+    /// is installed at each set member that lacks it or holds a copy it
+    /// beats, one `Replicate` from the winning holder's router each;
+    /// copies outside the set, and every copy of a key `placed` rejects,
+    /// are dropped.
+    pub fn place_replicas(
         &mut self,
         replicas: usize,
+        placed: impl Fn(Key) -> bool,
+        pick: impl Fn(V, V) -> V,
         attachments: &AttachmentMap,
         dcache: &DistanceCache,
         meter: &mut Meter,
-    ) -> Result<usize, RingError> {
-        // Collect all (record key, value, holder) triples first.
-        let mut records: Vec<(Key, V, Key)> = Vec::new();
+    ) -> Result<Placement<V>, RingError>
+    where
+        V: PartialEq,
+    {
+        let beats = |a: &V, b: &V| pick(b.clone(), a.clone()) != *b;
+        let mut copies: BTreeMap<Key, Vec<(Key, V)>> = BTreeMap::new();
         for node in self.iter() {
             for (&k, v) in node.store {
-                records.push((k, v.clone(), node.key));
+                copies.entry(k).or_default().push((node.key, v.clone()));
             }
         }
-        let mut moved = 0;
-        for (k, v, holder) in records {
-            let set = self.replica_set(k, replicas)?;
-            if !set.contains(&holder) {
+        let mut placement = Placement { installed: Vec::new(), dropped: Vec::new() };
+        for (k, mut holders) in copies {
+            let set = if placed(k) { self.replica_set(k, replicas)? } else { Vec::new() };
+            for &(holder, _) in holders.iter().filter(|(h, _)| !set.contains(h)) {
                 self.node_mut(holder)?.store.remove(&k);
+                placement.dropped.push((holder, k));
             }
-            let holder_router = attachments.router(self.node(holder)?.host);
-            for &replica in &set {
-                if self.node(replica)?.store.contains_key(&k) {
+            holders.sort_by_key(|&(h, _)| h.0.wrapping_sub(k.0));
+            let best = holders.into_iter().reduce(|a, b| if beats(&b.1, &a.1) { b } else { a });
+            let Some((holder, value)) = best else { continue };
+            let from = attachments.router(self.node(holder)?.host);
+            for &member in &set {
+                let node = self.node(member)?;
+                if node.store.get(&k).is_some_and(|have| !beats(&value, have)) {
                     continue;
                 }
-                let r = attachments.router(self.node(replica)?.host);
-                meter.record(MessageKind::Replicate, dcache.distance(holder_router, r));
-                self.node_mut(replica)?.store.insert(k, v.clone());
-                moved += 1;
+                let to = attachments.router(node.host);
+                meter.record(MessageKind::Replicate, dcache.distance(from, to));
+                self.node_mut(member)?.store.insert(k, value.clone());
+                placement.installed.push((member, k, value.clone()));
             }
         }
-        Ok(moved)
+        Ok(placement)
     }
 }
 
@@ -257,8 +283,11 @@ mod tests {
             dht.publish(keys[0], record_key, 1, 3, &attachments, &dcache, &mut meter).unwrap();
         dht.remove(set[0]);
         dht.remove(set[1]);
-        let moved = dht.rebalance_replicas(3, &attachments, &dcache, &mut meter).unwrap();
-        assert!(moved >= 2, "two lost copies must be recreated, moved {moved}");
+        let replicates = meter.count(MessageKind::Replicate);
+        let placed =
+            dht.place_replicas(3, |_| true, |a, _| a, &attachments, &dcache, &mut meter).unwrap();
+        assert_eq!(placed.installed.len(), 2, "two lost copies must be recreated");
+        assert_eq!(meter.count(MessageKind::Replicate) - replicates, 2, "one Replicate a copy");
         let live_set = dht.replica_set(record_key, 3).unwrap();
         for r in live_set {
             assert!(dht.node(r).unwrap().store.contains_key(&record_key));
@@ -270,24 +299,32 @@ mod tests {
         let (mut dht, attachments, dcache, mut rng) = setup(64, 7);
         let keys: Vec<Key> = dht.keys().collect();
         let mut meter = Meter::new();
-        let record_key = Key::random(&mut rng);
-        dht.publish(keys[0], record_key, 1, 2, &attachments, &dcache, &mut meter).unwrap();
-        // A new node joins right in front of the record key: the replica
-        // set shifts, and the far copy must eventually be dropped.
-        let host = attachments.current(bristle_netsim::attach::HostId(0)); // reuse any host body
-        let _ = host;
-        let new_key = record_key; // owner-of-key position (successor includes equal key)
-        if !dht.contains(new_key) {
-            dht.insert(new_key, bristle_netsim::attach::HostId(0), 1).unwrap();
-        }
-        dht.rebalance_replicas(2, &attachments, &dcache, &mut meter).unwrap();
-        let set = dht.replica_set(record_key, 2).unwrap();
-        let holders: Vec<Key> =
-            dht.iter().filter(|n| n.store.contains_key(&record_key)).map(|n| n.key).collect();
-        let mut sorted_set = set.clone();
-        sorted_set.sort_unstable();
-        let mut sorted_holders = holders.clone();
-        sorted_holders.sort_unstable();
-        assert_eq!(sorted_holders, sorted_set, "holders must equal the current replica set");
+        let (record_key, withdrawn) = (Key::random(&mut rng), Key::random(&mut rng));
+        let set =
+            dht.publish(keys[0], record_key, 1, 2, &attachments, &dcache, &mut meter).unwrap();
+        dht.publish(keys[0], withdrawn, 1, 2, &attachments, &dcache, &mut meter).unwrap();
+        // A newer copy is stranded outside the set, as a rejoin that
+        // moved the set leaves one, beside a copy of a key whose subject
+        // is gone.
+        let stray = *keys.iter().find(|k| !set.contains(k)).unwrap();
+        dht.node_mut(stray).unwrap().store.insert(record_key, 5);
+        dht.node_mut(stray).unwrap().store.insert(withdrawn, 5);
+        let placed = dht
+            .place_replicas(2, |k| k != withdrawn, u64::max, &attachments, &dcache, &mut meter)
+            .unwrap();
+        assert_eq!(placed.installed.len(), 2, "the newer copy replaces both older ones");
+        assert!(placed.dropped.contains(&(stray, record_key)));
+        let holders = |key: Key| -> Vec<(Key, u64)> {
+            dht.iter().filter_map(|n| n.store.get(&key).map(|&v| (n.key, v))).collect()
+        };
+        let mut want: Vec<(Key, u64)> = set.iter().map(|&r| (r, 5)).collect();
+        want.sort_unstable();
+        assert_eq!(holders(record_key), want, "holders are the set, each with the newest copy");
+        assert!(holders(withdrawn).is_empty(), "a key the caller does not place keeps no copy");
+        // Nothing is left to move.
+        let again = dht
+            .place_replicas(2, |k| k != withdrawn, u64::max, &attachments, &dcache, &mut meter)
+            .unwrap();
+        assert!(again.installed.is_empty() && again.dropped.is_empty());
     }
 }

@@ -197,12 +197,21 @@ impl TypeASystem {
         Ok((out.value.is_some(), out.hops))
     }
 
-    /// One periodic maintenance round: refresh all tables and re-replicate
-    /// records to their current owners.
+    /// One periodic maintenance round: refresh all tables and move records
+    /// to their current replica sets (a record has one version, so its
+    /// first holder wins). Returns copies installed.
     pub fn refresh(&mut self) -> Result<usize, RingError> {
         let mut rng = self.rng.split(5);
         self.dht.refresh_cycle(&self.attachments, &self.dcache, &mut rng, &mut self.meter);
-        self.dht.rebalance_replicas(self.replicas, &self.attachments, &self.dcache, &mut self.meter)
+        let placed = self.dht.place_replicas(
+            self.replicas,
+            |_| true,
+            |first, _| first,
+            &self.attachments,
+            &self.dcache,
+            &mut self.meter,
+        )?;
+        Ok(placed.installed.len())
     }
 
     /// Average routing-state rows per node (Table 1 scalability metric).

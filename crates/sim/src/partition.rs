@@ -22,6 +22,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bristle_core::config::BristleConfig;
+use bristle_core::location::LocationRecord;
 use bristle_netsim::graph::RouterId;
 use bristle_netsim::rng::Pcg64;
 use bristle_overlay::key::Key;
@@ -175,13 +176,8 @@ pub fn run_partition(cfg: &PartitionConfig) -> PartitionOutcome {
         msys.rejoin_log().iter().map(|r| r.key).filter(|&k| msys.sys.is_mobile(k)).collect();
     for &subject in &rejoined_mobiles {
         let Ok(set) = msys.sys.stationary.replica_set(subject, replicas) else { continue };
-        let Some(current) = set
-            .first()
-            .and_then(|&r| msys.sys.stationary.node(r).ok())
-            .and_then(|n| n.store.get(&subject).copied())
-        else {
-            continue;
-        };
+        let first = set.first().and_then(|&r| msys.sys.stationary.node(r).ok());
+        let Some(&current) = first.and_then(|n| n.store.get(&subject)) else { continue };
         let mut far_life = current;
         far_life.incarnation = current.incarnation.saturating_sub(1);
         far_life.seq = current.seq + 25;
@@ -196,28 +192,14 @@ pub fn run_partition(cfg: &PartitionConfig) -> PartitionOutcome {
     out.anti_entropy_fixes = msys.sys.anti_entropy_locations().expect("reconciliation succeeds");
     for &subject in &rejoined_mobiles {
         let Ok(set) = msys.sys.stationary.replica_set(subject, replicas) else { continue };
-        let mut best = None;
-        let mut copies = Vec::new();
-        for &r in &set {
-            if let Ok(node) = msys.sys.stationary.node(r) {
-                if let Some(rec) = node.store.get(&subject).copied() {
-                    best = Some(match best {
-                        None => rec,
-                        Some(b) => rec.newer_of(b),
-                    });
-                    copies.push(rec);
-                }
-            }
-        }
-        let Some(best) = best else {
-            out.reconciled = false;
-            continue;
-        };
+        let copies: Vec<LocationRecord> = set
+            .iter()
+            .filter_map(|&r| msys.sys.stationary.node(r).ok()?.store.get(&subject).copied())
+            .collect();
+        let rank = |c: &LocationRecord| (c.incarnation, c.seq, c.published_at);
+        let best = copies.iter().copied().reduce(LocationRecord::newer_of);
         out.reconciled &= copies.len() == set.len()
-            && copies.iter().all(|c| {
-                (c.incarnation, c.seq, c.published_at)
-                    == (best.incarnation, best.seq, best.published_at)
-            });
+            && best.is_some_and(|b| copies.iter().all(|c| rank(c) == rank(&b)));
     }
 
     out.delivery.post = measure_pairs(&mut msys, &pairs);
@@ -325,6 +307,39 @@ mod tests {
         assert!(out.rejoin_messages > 0, "rejoins travel as messages");
         assert!(out.reconciled, "split-brain records reconcile to the incarnation maximum");
         assert!(out.delivery.recovered(0.01), "post-heal delivery within 1%: {out:?}");
+    }
+
+    #[test]
+    fn records_reconcile_at_every_partition_seed() {
+        // A rejoin can move a subject's replica set off every node that
+        // holds its record; anti-entropy must bring the record back.
+        let seeds: Vec<u64> = (1..=64).collect();
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(4);
+        let mut failed: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let seeds = &seeds;
+                    scope.spawn(move || {
+                        seeds
+                            .iter()
+                            .skip(w)
+                            .step_by(workers)
+                            .copied()
+                            .filter(|&seed| {
+                                let run =
+                                    sweep(&SweepArgs { seed: Some(seed), ..Default::default() });
+                                let claim =
+                                    run.claims.iter().find(|c| c.text.starts_with("split-brain"));
+                                !claim.expect("the sweep states the reconciliation claim").ok
+                            })
+                            .collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().expect("a seed worker panicked")).collect()
+        });
+        failed.sort_unstable();
+        assert!(failed.is_empty(), "records not reconciled at seeds {failed:?}");
     }
 
     #[test]
