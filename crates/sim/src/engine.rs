@@ -231,6 +231,12 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.pending == 0
     }
+
+    /// Every pending event, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn pending_events(&self) -> impl Iterator<Item = &E> {
+        self.wheel.iter().chain(self.overflow.values()).flatten()
+    }
 }
 
 /// The original binary-heap future-event list, kept as the reference

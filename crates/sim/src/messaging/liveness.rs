@@ -346,7 +346,9 @@ impl MessagingBristleSystem {
     /// newly *confirmed dead* this round (sorted, deduplicated, minus
     /// anything already confirmed) — candidates for
     /// [`Self::confirm_and_heal`]. Suspicion alone is not reported; it
-    /// either heals on the next ack or hardens into confirmation.
+    /// either heals on the next ack or hardens into confirmation. A
+    /// verdict on a node the system no longer holds — it left, or its
+    /// grave was pruned — is not a new death and is not reported.
     pub fn heartbeat_round(&mut self) -> Vec<Key> {
         self.seed_monitors();
         let watchers = self.machine_keys_sorted();
@@ -376,7 +378,7 @@ impl MessagingBristleSystem {
         });
         dead.sort_unstable();
         dead.dedup();
-        dead.retain(|&k| !self.sys.is_confirmed_dead(k));
+        dead.retain(|&k| self.sys.node_info(k).is_ok() && !self.sys.is_confirmed_dead(k));
         dead
     }
 

@@ -29,14 +29,18 @@
 //! the driver's view of each node and the crash, burial, heartbeat-round
 //! and rejoin steps that change it.
 //!
-//! The per-frame bookkeeping is kept off the heap and out of hash
-//! tables: a node's key is resolved to a dense index once per event,
-//! and its machine, what the driver holds against it and its ingress
-//! depth are array reads under that index. The driver keeps no record of
-//! which frames were processed: whether the frame a retry timer re-sent
-//! is a spurious retry is read from the destination machine's dedup
-//! window ([`ProtoMachine::has_processed`]), as the socket driver reads
-//! it.
+//! The per-frame bookkeeping is kept out of the queue and out of hash
+//! tables. An admitted frame waits in a driver-owned slab (`Frames`),
+//! and its delivery event carries the slot's `u32`, not the 104-byte
+//! envelope; the slot is freed when that event is popped, and a frame
+//! the ingress cap sheds never takes one. A timer event carries its
+//! node's dense index, so the queue moves 32 bytes an event. A node's
+//! key is resolved to that index once per delivery, and its machine,
+//! what the driver holds against it and its ingress depth are array
+//! reads under it. The driver keeps no record of which frames were
+//! processed: whether the frame a retry timer re-sent is a spurious
+//! retry is read from the destination machine's dedup window
+//! ([`ProtoMachine::has_processed`]), as the socket driver reads it.
 
 use std::collections::BTreeSet;
 
@@ -52,7 +56,7 @@ use bristle_proto::failure::FailurePolicy;
 use bristle_proto::machine::{Completion, Event, Output, ProtoMachine, RetryPolicy, TimerKind};
 use bristle_proto::rto::RtoConfig;
 use bristle_proto::transport::{Delivery, FaultConfig, SimTransport, Transport};
-use bristle_proto::wire::WireMessage;
+use bristle_proto::wire::{Envelope, WireMessage};
 
 use crate::engine::EventQueue;
 
@@ -75,12 +79,13 @@ pub(crate) const FLIGHT_RECORDER_CAPACITY: usize = 4096;
 /// Events on the driver's micro-clock.
 enum MsgEvent {
     /// Bytes arrive at a router (discarded if the destination host has
-    /// moved away from it in the meantime).
-    Deliver(Delivery),
+    /// moved away from it in the meantime): the frame in this slot of
+    /// the driver's [`Frames`].
+    Deliver(u32),
     /// A machine's retry timer expires.
     Timer {
         /// The machine the timer belongs to.
-        node: Key,
+        node: NodeIdx,
         /// The timer payload.
         kind: TimerKind,
     },
@@ -96,6 +101,58 @@ enum MsgEvent {
         /// The node that dies.
         key: Key,
     },
+}
+
+// Every event in flight is one of these in a wheel bucket or an overflow
+// deque, so its size is the queue's resident bytes per event. A
+// `TimerKind` is 24 B (`HeartbeatTimeout { peer, seq }` is 16 B plus its
+// tag) and the node index beside it pads to 32: 32, not 24, is the floor
+// while a timer rides inline.
+const _: () = assert!(std::mem::size_of::<MsgEvent>() <= 32);
+
+/// The frames in flight, each in a slot a [`MsgEvent::Deliver`] names,
+/// so the queue moves a `u32` where it would move a 104-byte
+/// [`Envelope`]. A slot is taken when a frame is admitted and freed by
+/// its own delivery event, before the destination polls; freed slots are
+/// reused first, so the slab holds no more slots than the most frames
+/// ever in flight at once. The arrival time is the event's queue time.
+#[derive(Default)]
+struct Frames {
+    slots: Vec<Option<(RouterId, Envelope)>>,
+    free: Vec<u32>,
+}
+
+impl Frames {
+    /// Parks a frame addressed to `to_router`; returns its slot.
+    fn put(&mut self, to_router: RouterId, env: Envelope) -> u32 {
+        let frame = Some((to_router, env));
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = frame;
+                slot
+            }
+            None => {
+                let slot =
+                    u32::try_from(self.slots.len()).expect("fewer than 2^32 frames in flight");
+                self.slots.push(frame);
+                slot
+            }
+        }
+    }
+
+    /// Takes the frame out of `slot` and frees the slot.
+    fn take(&mut self, slot: u32) -> (RouterId, Envelope) {
+        let frame =
+            self.slots[slot as usize].take().expect("a slot is freed once, by its own event");
+        self.free.push(slot);
+        frame
+    }
+
+    /// Frames in flight now.
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
 }
 
 /// Why a messaging operation did not complete.
@@ -192,6 +249,8 @@ pub struct MessagingBristleSystem {
     nodes: Nodes,
     machines: NodeArena<ProtoMachine>,
     queue: EventQueue<MsgEvent>,
+    /// The frames the queue's `Deliver` events name.
+    frames: Frames,
     policy: RetryPolicy,
     failure_policy: FailurePolicy,
     completions: Vec<Completion>,
@@ -242,6 +301,7 @@ impl MessagingBristleSystem {
             nodes: Nodes::default(),
             machines: NodeArena::new(),
             queue: EventQueue::new(),
+            frames: Frames::default(),
             policy,
             failure_policy: FailurePolicy::default(),
             completions: Vec::new(),
@@ -455,8 +515,9 @@ impl MessagingBristleSystem {
             return false;
         };
         match event {
-            MsgEvent::Deliver(d) => {
-                let dst = d.env.dst;
+            MsgEvent::Deliver(slot) => {
+                let (to_router, frame) = self.frames.take(slot);
+                let dst = frame.dst;
                 let idx = self.nodes.idx(dst);
                 if let (Some(_), Some(i)) = (self.ingress_cap, idx) {
                     let queued = self.nodes.ingress_mut(i);
@@ -468,18 +529,16 @@ impl MessagingBristleSystem {
                 // the system's books but still listening at its last
                 // attachment: its obituary must reach it.
                 let attached = self.sys.router_of(dst).ok();
-                if liveness::attachment(self.nodes.held_at(idx), attached) == Some(d.to_router) {
+                if liveness::attachment(self.nodes.held_at(idx), attached) == Some(to_router) {
                     // A first frame starts the machine.
                     let idx = idx.unwrap_or_else(|| self.nodes.intern(dst));
                     self.ensure_machine(idx);
-                    self.drive_at(idx, None, |m, now, env| m.poll(now, Event::Deliver(d.env), env));
+                    self.drive_at(idx, None, |m, now, env| m.poll(now, Event::Deliver(frame), env));
                 }
             }
             MsgEvent::Timer { node, kind } => {
-                if let Some(idx) = self.nodes.idx(node) {
-                    let resent = kind.resends();
-                    self.drive_at(idx, resent, |m, now, env| m.poll(now, Event::Timer(kind), env));
-                }
+                let resent = kind.resends();
+                self.drive_at(node, resent, |m, now, env| m.poll(now, Event::Timer(kind), env));
             }
             MsgEvent::Move { key, to } => {
                 let _ = self.sys.move_node(key, to);
@@ -521,7 +580,7 @@ impl MessagingBristleSystem {
             }
         }
         for t in out.timers {
-            self.queue.schedule_at(t.at, MsgEvent::Timer { node: from, kind: t.kind });
+            self.queue.schedule_at(t.at, MsgEvent::Timer { node: idx, kind: t.kind });
         }
         // A verdict heard from a third party starts monitoring its
         // subject (`FailureDetector::mark_dead`): the one way a
@@ -554,7 +613,8 @@ impl MessagingBristleSystem {
             }
             *queued += 1;
         }
-        self.queue.schedule_at(d.at, MsgEvent::Deliver(d));
+        let slot = self.frames.put(d.to_router, d.env);
+        self.queue.schedule_at(d.at, MsgEvent::Deliver(slot));
     }
 }
 
@@ -722,6 +782,81 @@ mod tests {
                 assert_eq!(count(&msys, MessageKind::SpuriousRetry) - spurious, want, "{ctx}");
                 assert!(msys.completions.contains(&Completion::RegisterFailed { target }), "{ctx}");
             }
+        }
+    }
+
+    /// The `Deliver` events in the queue.
+    fn queued_deliveries(msys: &MessagingBristleSystem) -> usize {
+        msys.queue.pending_events().filter(|e| matches!(e, MsgEvent::Deliver(_))).count()
+    }
+
+    /// Every frame slot in use is named by exactly one queued `Deliver`,
+    /// checked before every event of heartbeat rounds and route bursts at
+    /// 2 % loss under an ingress cap, with a forged frame among them: a
+    /// shed frame takes no slot, a delivered one gives its slot back, and
+    /// a drained network holds none. Freed slots are reused, so the slab
+    /// never grows past the most frames in flight at once.
+    #[test]
+    fn frame_slots_are_the_queued_deliveries() {
+        use bristle_proto::wire::WireAddr;
+        for seed in [8u64, 27] {
+            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::lossy(0.02), seed);
+            msys.set_ingress_cap(Some(1));
+            let mut peak = 0;
+            let mut check = |m: &MessagingBristleSystem| {
+                let live = m.frames.live();
+                assert_eq!(live, queued_deliveries(m), "seed {seed}: one slot per queued frame");
+                peak = peak.max(live);
+                false
+            };
+            let mut mobiles: Vec<Key> = msys.sys.mobile.keys().collect();
+            mobiles.sort_unstable();
+            let mut rng = bristle_netsim::rng::Pcg64::seed_from_u64(seed);
+            msys.seed_monitors();
+            for round in 0..6 {
+                for w in msys.machine_keys_sorted() {
+                    msys.drive(w, |m, now, env| m.start_heartbeats(now, env));
+                }
+                msys.run_until(|m| check(m));
+                for _ in 0..24 {
+                    let (src, target) = (*rng.choose(&mobiles), *rng.choose(&mobiles));
+                    if src != target {
+                        msys.machine_started(src);
+                        msys.drive(src, |m, now, env| m.start_route(now, env, target).1);
+                    }
+                }
+                if round == 3 {
+                    let dst = mobiles[0];
+                    let to = wire_addr_of(&msys.sys, dst).expect("live");
+                    let forged = Envelope {
+                        src: msys.sys.stationary_keys()[0],
+                        dst,
+                        msg_id: u64::MAX,
+                        trace_id: 0,
+                        msg: WireMessage::DiscoveryReply {
+                            subject: mobiles[1],
+                            session: u64::MAX,
+                            addr: Some(WireAddr { router: 4_000_000, ..to }),
+                        },
+                        auth: None,
+                    };
+                    msys.inject_frame(to.router_id(), to, forged);
+                }
+                msys.run_until(|m| check(m));
+                msys.settle();
+                assert_eq!((msys.frames.live(), queued_deliveries(&msys)), (0, 0), "seed {seed}");
+            }
+            assert!(
+                msys.sys.meter.count(MessageKind::LoadShed) > 0,
+                "seed {seed}: frames were shed"
+            );
+            assert!(msys.sys.meter.count(MessageKind::MalformedFrame) > 0, "seed {seed}: forged");
+            assert!(peak > 1, "seed {seed}: frames overlapped in flight");
+            assert!(
+                msys.frames.slots.len() <= peak,
+                "seed {seed}: {} slots for at most {peak} frames in flight",
+                msys.frames.slots.len()
+            );
         }
     }
 
