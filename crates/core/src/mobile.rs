@@ -192,9 +192,11 @@ impl BristleSystem {
             let (cur_key, next_key, next_host) = (here.key, there.key, there.host);
             let cur_router = self.attachments.router(here.host);
             if !self.is_stationary_host(next_host) {
-                let cached = here.entry(next_key).and_then(|p| p.addr);
+                // The lease first: without one the row's learned address
+                // is not read at all.
+                let leased = self.leases.is_fresh(cur_key, next_key, self.clock.now());
                 let believed =
-                    cached.filter(|_| self.leases.is_fresh(cur_key, next_key, self.clock.now()));
+                    if leased { here.entry(next_key).and_then(|p| p.addr) } else { None };
                 match believed {
                     Some(addr) if addr.is_valid(&self.attachments) => {
                         // Cached, leased, and actually current: forward directly.
@@ -270,6 +272,7 @@ mod tests {
     use crate::system::BristleBuilder;
     use bristle_netsim::rng::Pcg64;
     use bristle_netsim::transit_stub::TransitStubConfig;
+    use bristle_overlay::node::NodeRef;
 
     fn system(n_stat: usize, n_mob: usize, seed: u64, cfg: BristleConfig) -> BristleSystem {
         BristleBuilder::new(seed)
@@ -630,9 +633,16 @@ mod tests {
                 old.mobile.node(asker).unwrap().entry(subject),
                 "{what}: the asker's pair"
             );
+            // Every row's learned entry (none for a fixed peer) and the
+            // address it resolves to, on its own side's attachments: the
+            // entries intermediate hops patched included.
+            let resolved = |sys: &BristleSystem, node: NodeRef<'_, Vec<u8>>| -> Vec<_> {
+                let row = |k| (node.entry(k).copied(), node.resolve(k, &sys.attachments));
+                node.keys().iter().map(|&k| row(k)).collect()
+            };
             for (a, b) in new.mobile.iter().zip(old.mobile.iter()) {
                 assert_eq!(a.keys(), b.keys(), "{what}: rows of {}", a.key);
-                assert_eq!(a.addrs(), b.addrs(), "{what}: addresses of {}", a.key);
+                assert_eq!(resolved(new, a), resolved(old, b), "{what}: addresses of {}", a.key);
             }
         }
     }

@@ -27,7 +27,7 @@ use bristle_netsim::dijkstra::DistanceCache;
 use bristle_netsim::graph::RouterId;
 use bristle_netsim::rng::Pcg64;
 use bristle_netsim::transit_stub::{TransitStubConfig, TransitStubTopology};
-use bristle_overlay::addr::{NetAddr, NoAddr};
+use bristle_overlay::addr::{NetAddr, NoAddr, RowAddr};
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::{MessageKind, Meter};
 use bristle_overlay::node::NodeRef;
@@ -301,7 +301,10 @@ impl BristleSystem {
     pub(crate) fn admit(&mut self, mobility: Mobility) -> Result<Key> {
         let key = self.new_key(mobility)?;
         let router = *self.rng.choose(&self.stub_routers);
-        let host = self.attachments.attach_new(router);
+        let host = match mobility {
+            Mobility::Stationary => self.attachments.attach_fixed(router),
+            Mobility::Mobile => self.attachments.attach_new(router),
+        };
         let (lo, hi) = self.cfg.capacity_range;
         let capacity = self.rng.range_inclusive(lo as u64, hi as u64) as u32;
         self.readmit(key, NodeInfo { host, mobility, capacity, incarnation: 0, seq: 0 })?;
@@ -325,9 +328,12 @@ impl BristleSystem {
     /// Inserts a node body into the membership structures of its layers:
     /// a newcomer's, or a previously buried node's from its corpse state
     /// — the structural reverse of [`BristleSystem::fail_node`], whose
-    /// host is still attached (abrupt failure never detaches it). The
+    /// host is still attached (abrupt failure never detaches it). A
+    /// stationary node's host is attached fixed, a mobile node's not. The
     /// caller rebuilds wiring.
     pub(crate) fn readmit(&mut self, key: Key, info: NodeInfo) -> Result<()> {
+        let fixed = info.mobility == Mobility::Stationary;
+        debug_assert_eq!(self.attachments.is_fixed(info.host), fixed, "{key}'s host class");
         self.set_identity(key, info);
         self.mobile.insert(key, info.host, info.capacity)?;
         match info.mobility {
@@ -490,10 +496,9 @@ impl BristleSystem {
 
     /// [`Self::entry_stationary_for`] for a caller that holds the asker's
     /// mobile-layer state already. Everything read is the asker's own or
-    /// one indexed load away: a row's host comes from the row's address,
-    /// whether that host is a live stationary node's from
-    /// `stationary_hosts`, where it is from `attachments`. Only a row
-    /// with a null address is looked up by key in the stationary ring.
+    /// one indexed load away: a fixed peer's row names its host, whether
+    /// that host is a live stationary node's comes from
+    /// `stationary_hosts`, where it is from `attachments`.
     pub(crate) fn entry_stationary_at(&self, node: NodeRef<'_, Vec<u8>>) -> Result<Key> {
         if self.is_stationary_host(node.host) {
             return Ok(node.key);
@@ -504,17 +509,12 @@ impl BristleSystem {
         // One row serves every entry: the asker's distances to all routers.
         let row = self.dcache.row(self.attachments.router(node.host));
         let mut best: Option<(u64, Key)> = None;
-        for (&k, cached) in node.keys().iter().zip(node.addrs()) {
-            // Stationary nodes never move, and a host embodies one node
-            // for good, so a set bit means the row's address is where
-            // the row's key is.
-            let host = match cached.addr {
-                Some(addr) if self.is_stationary_host(addr.host) => addr.host,
-                Some(_) => continue,
-                None => match self.stationary.node(k) {
-                    Ok(peer) => peer.host,
-                    Err(_) => continue,
-                },
+        for (&k, peer) in node.keys().iter().zip(node.addrs()) {
+            // Stationary nodes are attached fixed, and a host embodies
+            // one node for good, so a set bit means the row's host is
+            // where the row's key is.
+            let Some(host) = peer.fixed_host().filter(|&h| self.is_stationary_host(h)) else {
+                continue;
             };
             let d = row[self.attachments.router(host).index()];
             if best.map(|(b, _)| d < b).unwrap_or(true) {
@@ -713,21 +713,26 @@ mod tests {
             let b = par.stationary.node(key).unwrap();
             assert_eq!(a.keys(), b.keys(), "stationary rows diverged at {key}");
         }
+        // Each row's learned entry (none for a fixed peer) and the address
+        // it resolves to, on its own side's attachments.
+        let resolved = |sys: &BristleSystem, node: NodeRef<'_, Vec<u8>>| -> Vec<_> {
+            let row = |k| (node.entry(k).copied(), node.resolve(k, &sys.attachments));
+            node.keys().iter().map(|&k| row(k)).collect()
+        };
         for key in seq.mobile.keys().collect::<Vec<_>>() {
             let a = seq.mobile.node(key).unwrap();
             let b = par.mobile.node(key).unwrap();
             assert_eq!(a.keys(), b.keys(), "mobile rows diverged at {key}");
-            assert_eq!(a.addrs(), b.addrs(), "mobile addresses diverged at {key}");
+            assert_eq!(resolved(&seq, a), resolved(&par, b), "mobile addresses diverged at {key}");
         }
     }
 
     /// The stationary ring keeps its rows' keys alone: their addresses
-    /// take no bytes, while every mobile row still holds its peer's
-    /// current address. A twin of the stationary ring at the parent
-    /// layout (a `CachedAddr` beside every key) — the same members and
-    /// shards, wired by the same builder — holds the same rows, and
-    /// routes and location lookups (the stationary half of
-    /// `_discovery`) over the two meter alike.
+    /// take no bytes, while every mobile row still resolves to its peer's
+    /// current address. A twin of the stationary ring with a row address
+    /// beside every key — the same members and shards, wired by the same
+    /// builder — holds the same rows, and routes and location lookups
+    /// (the stationary half of `_discovery`) over the two meter alike.
     #[test]
     fn stationary_rows_are_keys_only() {
         for seed in [8, 27] {
@@ -737,10 +742,11 @@ mod tests {
                 sys.stationary.iter().map(|n| std::mem::size_of_val(n.addrs())).sum();
             assert!(stationary_rows > 0 && addr_bytes == 0, "seed {seed}: {addr_bytes} B");
             for node in sys.mobile.iter() {
-                for (&k, cached) in node.keys().iter().zip(node.addrs()) {
+                for &k in node.keys() {
                     let host = sys.mobile.node(k).unwrap().host;
                     let current = NetAddr::current(host, &sys.attachments);
-                    assert_eq!(cached.addr, Some(current), "seed {seed}: {} -> {k}", node.key);
+                    let resolved = node.resolve(k, &sys.attachments);
+                    assert_eq!(resolved, Some(current), "seed {seed}: {} -> {k}", node.key);
                 }
             }
 
@@ -1162,21 +1168,113 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
 
             // The departed key comes back as a new body: a fresh host,
-            // wired by the caller as `readmit` asks. The old host's bit
-            // stays clear.
-            let host = sys.attachments.attach_new(sys.stub_routers()[0]);
+            // attached fixed and wired by the caller as `readmit` asks.
+            // The old host's bit stays clear.
+            let host = sys.attachments.attach_fixed(sys.stub_routers()[0]);
             sys.readmit(leaver, NodeInfo { host, ..leaver_info }).unwrap();
             sys.rewire();
             assert!(sys.is_stationary_host(host) && !sys.is_stationary_host(leaver_info.host));
             check(&sys, "readmit on a new host");
 
-            // A null address on the very row the scan picks: the row is
-            // resolved by key, as every row used to be.
+            // The row the scan picks names a fixed peer: it has no
+            // learned address to go stale or null, only its host.
             let asker = sys.mobile_keys()[0];
             let entry = sys.entry_stationary_for(asker).unwrap();
-            let pair = sys.mobile.node_mut(asker).unwrap().entry_mut(entry).expect("a row");
-            pair.addr = None;
-            check(&sys, "a row with a null address");
+            assert!(sys.mobile.node(asker).unwrap().knows(entry), "seed {seed}: a row");
+            assert!(sys.mobile.node_mut(asker).unwrap().entry_mut(entry).is_none());
+            check(&sys, "a fixed peer's row, unlearned");
+        }
+    }
+
+    /// Paper §2.3.1: a node registers to every mobile node whose
+    /// state-pair it holds, and only those pairs go stale. So in the
+    /// mobile ring a row keeps a learned address exactly when its peer can
+    /// move: a live peer that is mobile, or a departed one whose entry
+    /// names a host that is not fixed. Every other row names its peer's
+    /// fixed host and resolves to that host's current address. The
+    /// learned table holds no more dead entries than live ones, and the
+    /// stores mirror the tables. Where the system has just synced its
+    /// registrations (`synced`), each holder's learned rows are exactly
+    /// its registry edges; between syncs the function path's joins,
+    /// leaves and repairs let the registry drift from the rows (ROADMAP
+    /// item 2), so the edges are checked there only.
+    fn assert_learned_entries_are_registrations(sys: &BristleSystem, step: &str, synced: bool) {
+        sys.assert_stores_mirror_tables(step);
+        let mut edges: HashMap<Key, Vec<Key>> = HashMap::new();
+        for &m in sys.mobile_keys() {
+            for r in sys.registry.registrants_of(m) {
+                edges.entry(r.key).or_default().push(m);
+            }
+        }
+        for node in sys.mobile.iter() {
+            for (&k, row) in node.keys().iter().zip(node.addrs()) {
+                let at = format!("after {step}: {} -> {k}", node.key);
+                let peer = sys.mobile.node(k).ok().map(|peer| peer.host);
+                match (row.fixed_host(), node.entry(k)) {
+                    (Some(host), None) => {
+                        assert!(sys.attachments.is_fixed(host), "{at}: a movable host named");
+                        assert!(peer.is_none_or(|h| h == host), "{at}: another host named");
+                        let current = NetAddr::current(host, &sys.attachments);
+                        assert_eq!(node.resolve(k, &sys.attachments), Some(current), "{at}");
+                    }
+                    (None, Some(entry)) => {
+                        assert!(
+                            peer.is_none() || sys.is_mobile(k),
+                            "{at}: a stationary peer learned"
+                        );
+                        let learned = entry.addr.map(|a| a.host);
+                        assert!(learned.is_none_or(|h| !sys.attachments.is_fixed(h)), "{at}");
+                    }
+                    other => panic!("{at}: a row names {other:?}"),
+                }
+            }
+            let mut registered = edges.remove(&node.key).unwrap_or_default();
+            if synced {
+                let learned: Vec<Key> =
+                    node.keys().iter().copied().filter(|&k| node.entry(k).is_some()).collect();
+                registered.sort_unstable();
+                assert_eq!(learned, registered, "after {step}: learned rows of {}", node.key);
+            }
+        }
+        assert!(!synced || edges.is_empty(), "after {step}: registrants without a row: {edges:?}");
+        let (live, dead) = sys.mobile.learned_entries();
+        assert!(dead <= live, "after {step}: {dead} dead learned entries beside {live} live");
+    }
+
+    #[test]
+    fn learned_entries_are_registrations_through_a_lifecycle() {
+        for seed in [8, 27] {
+            let mut sys = small_system(40, 24, seed);
+            let check = |sys: &BristleSystem, step: &str, synced: bool| {
+                let step = format!("{step} (seed {seed})");
+                assert_learned_entries_are_registrations(sys, &step, synced)
+            };
+            check(&sys, "build", true);
+            for i in 0..3 {
+                sys.move_node(sys.mobile_keys()[i], None).unwrap();
+            }
+            check(&sys, "move_node", true);
+            for class in [Mobility::Mobile, Mobility::Stationary, Mobility::Mobile] {
+                sys.join_node(class).unwrap();
+            }
+            check(&sys, "join_node", false);
+            sys.leave_node(sys.mobile_keys()[4]).unwrap();
+            sys.leave_node(sys.stationary_keys()[4]).unwrap();
+            check(&sys, "leave_node", false);
+            let crashed = sys.mobile_keys()[5];
+            sys.fail_node(crashed).unwrap();
+            check(&sys, "fail_node", false);
+            sys.confirm_dead(crashed).unwrap();
+            check(&sys, "confirm_dead", false);
+            for buried in [sys.mobile_keys()[6], sys.stationary_keys()[6]] {
+                sys.confirm_dead(buried).unwrap();
+                check(&sys, "confirm_dead (wrongful)", false);
+                assert!(sys.rejoin_node(buried, 1).unwrap().restored);
+                check(&sys, "rejoin_node", false);
+            }
+            sys.rewire();
+            sys.sync_registrations();
+            check(&sys, "rewire + sync_registrations", true);
         }
     }
 

@@ -12,9 +12,14 @@
 //! longer routes to this host".
 //!
 //! The counter is 32 bits wide because an [`Attachment`] sits in every
-//! routing row of the overlay (DESIGN §13); the wire and the WAL carry it
-//! as 64 bits and narrow through [`Attachment::from_wide`], which cannot
-//! alias one epoch onto another.
+//! routing row of the overlay that names a host that can move (DESIGN
+//! §13); the wire and the WAL carry it as 64 bits and narrow through
+//! [`Attachment::from_wide`], which cannot alias one epoch onto another.
+//!
+//! Whether a host can move at all is decided once, when it is attached:
+//! [`AttachmentMap::attach_fixed`] registers one that never does (a
+//! stationary node's body), so every address of it stays current for
+//! good and a reader may take it from the host alone.
 
 use crate::graph::RouterId;
 use crate::rng::Pcg64;
@@ -65,10 +70,13 @@ impl Attachment {
     }
 }
 
-/// Tracks where every host is attached and how often it has moved.
+/// Tracks where every host is attached, how often it has moved, and
+/// which hosts never move.
 #[derive(Debug, Clone, Default)]
 pub struct AttachmentMap {
     slots: Vec<Attachment>,
+    /// Per host: attached fixed, so [`AttachmentMap::move_host`] refuses it.
+    fixed: Vec<bool>,
     moves: u64,
 }
 
@@ -78,10 +86,28 @@ impl AttachmentMap {
         Self::default()
     }
 
-    /// Registers a new host at `router`; returns its id.
+    /// Registers a new host at `router` that may move; returns its id.
     pub fn attach_new(&mut self, router: RouterId) -> HostId {
+        self.attach(router, false)
+    }
+
+    /// Registers a new host at `router` that never moves; returns its id.
+    /// Its address is its attachment at epoch 0 for as long as it exists.
+    pub fn attach_fixed(&mut self, router: RouterId) -> HostId {
+        self.attach(router, true)
+    }
+
+    fn attach(&mut self, router: RouterId, fixed: bool) -> HostId {
         self.slots.push(Attachment { router, epoch: 0 });
+        self.fixed.push(fixed);
         HostId((self.slots.len() - 1) as u32)
+    }
+
+    /// Whether `host` was attached fixed. Total, like
+    /// [`AttachmentMap::is_current`]: a host this map never registered is
+    /// not fixed.
+    pub fn is_fixed(&self, host: HostId) -> bool {
+        self.fixed.get(host.index()).is_some_and(|&fixed| fixed)
     }
 
     /// Number of registered hosts.
@@ -109,12 +135,13 @@ impl AttachmentMap {
     /// (e.g. DHCP renumbering at the same point of attachment).
     ///
     /// # Panics
-    /// On the move that would take the host's epoch to
-    /// [`Attachment::NEVER_CURRENT`].
+    /// On a host attached fixed, and on the move that would take the
+    /// host's epoch to [`Attachment::NEVER_CURRENT`].
     pub fn move_host(&mut self, host: HostId, router: RouterId) -> Attachment {
+        assert!(!self.fixed[host.index()], "{host} is attached fixed: it never moves");
         let slot = &mut self.slots[host.index()];
         slot.router = router;
-        // Invariant: an epoch is written here and in `attach_new` only,
+        // Invariant: an epoch is written here and in `attach` only,
         // one step at a time from 0, so it reaches the reserved value
         // only after 2³² − 1 calls naming this one host. Nothing read
         // off the wire or the disk is ever stored into a slot, so no
@@ -300,8 +327,32 @@ mod tests {
     #[should_panic(expected = "epoch counter is spent")]
     fn the_move_that_would_reach_the_reserved_epoch_is_refused() {
         let last = Attachment { router: RouterId(0), epoch: Attachment::NEVER_CURRENT - 2 };
-        let mut m = AttachmentMap { slots: vec![last], moves: 0 };
+        let mut m = AttachmentMap { slots: vec![last], fixed: vec![false], moves: 0 };
         assert_eq!(m.move_host(HostId(0), RouterId(1)).epoch, Attachment::NEVER_CURRENT - 1);
         m.move_host(HostId(0), RouterId(2));
+    }
+
+    /// A host attached fixed keeps its one address: a move is refused
+    /// before anything changes, and the hosts beside it move as before.
+    #[test]
+    fn a_fixed_host_refuses_to_move() {
+        let mut m = AttachmentMap::new();
+        let (fixed, mobile) = (m.attach_fixed(RouterId(1)), m.attach_new(RouterId(1)));
+        assert!(m.is_fixed(fixed) && !m.is_fixed(mobile) && !m.is_fixed(HostId(7)));
+        let home = m.current(fixed);
+        assert_eq!(home, Attachment { router: RouterId(1), epoch: 0 });
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.move_host(fixed, RouterId(2));
+        }));
+        assert!(refused.is_err(), "a fixed host moved");
+        let mut rng = Pcg64::seed_from_u64(3);
+        let routers = [RouterId(2), RouterId(3)];
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.move_host_random(fixed, &routers, &mut rng);
+        }));
+        assert!(refused.is_err(), "a fixed host moved at random");
+        assert!(m.is_current(fixed, home) && m.total_moves() == 0);
+        m.move_host(mobile, RouterId(2));
+        assert!(m.is_current(fixed, home) && m.total_moves() == 1);
     }
 }

@@ -38,7 +38,7 @@ pub mod replication;
 pub mod ring;
 pub mod route;
 
-pub use addr::{CachedAddr, NetAddr, NoAddr, RowAddr};
+pub use addr::{AddrHandle, CachedAddr, NetAddr, NoAddr, RowAddr};
 pub use can::{CanNode, CanOverlay, Zone};
 pub use config::{NeighborSelection, RingConfig};
 pub use key::Key;

@@ -2,10 +2,11 @@
 //! node together with its routing rows.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
-use bristle_netsim::attach::HostId;
+use bristle_netsim::attach::{AttachmentMap, HostId};
 
-use crate::addr::CachedAddr;
+use crate::addr::{AddrHandle, CachedAddr, NetAddr, RowAddr};
 use crate::config::LEAF_RADIUS;
 use crate::key::Key;
 
@@ -42,13 +43,13 @@ impl<V> NodeState<V> {
 /// A node as a reader sees it: its own fields, and its routing rows as
 /// two parallel arrays in ascending key order — `keys`, which a
 /// forwarding hop scans, and `addrs`, of which it reads the one row it
-/// chose. `A` is the ring's row address ([`crate::addr::RowAddr`]): a
-/// [`CachedAddr`] (16 B) on a ring whose peers move, zero bytes on one
-/// whose peers do not ([`crate::addr::NoAddr`]). The leaf set is not
+/// chose. `A` is the ring's row address ([`RowAddr`]): an [`AddrHandle`]
+/// (4 B) on a ring whose peers can move, naming a fixed peer's host or a
+/// movable peer's entry in the ring's learned table, and zero bytes on
+/// one whose peers do not ([`crate::addr::NoAddr`]). The leaf set is not
 /// stored: in key order it is the rows either side of where the node's
 /// own key sorts ([`NodeRef::leaf_keys`]).
-#[derive(Debug)]
-pub struct NodeRef<'a, V, A = CachedAddr> {
+pub struct NodeRef<'a, V, A = AddrHandle> {
     /// The node's hash key.
     pub key: Key,
     /// The physical host embodying the node.
@@ -59,6 +60,8 @@ pub struct NodeRef<'a, V, A = CachedAddr> {
     pub store: &'a BTreeMap<Key, V>,
     keys: &'a [Key],
     addrs: &'a [A],
+    /// The ring's learned table, which `addrs` index into.
+    learned: &'a [CachedAddr],
 }
 
 impl<V, A> Clone for NodeRef<'_, V, A> {
@@ -69,13 +72,32 @@ impl<V, A> Clone for NodeRef<'_, V, A> {
 
 impl<V, A> Copy for NodeRef<'_, V, A> {}
 
+// By hand: the learned table is the whole ring's.
+impl<V: fmt::Debug, A: fmt::Debug> fmt::Debug for NodeRef<'_, V, A> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NodeRef")
+            .field("key", &self.key)
+            .field("host", &self.host)
+            .field("capacity", &self.capacity)
+            .field("store", &self.store)
+            .field("keys", &self.keys)
+            .field("addrs", &self.addrs)
+            .finish_non_exhaustive()
+    }
+}
+
 impl<'a, V, A> NodeRef<'a, V, A> {
     /// `node` with the rows `keys` (ascending, distinct, never the node's
-    /// own key) and their addresses `addrs`.
-    pub(crate) fn new(node: &'a NodeState<V>, keys: &'a [Key], addrs: &'a [A]) -> Self {
+    /// own key), their addresses `addrs` and the ring's learned table.
+    pub(crate) fn new(
+        node: &'a NodeState<V>,
+        keys: &'a [Key],
+        addrs: &'a [A],
+        learned: &'a [CachedAddr],
+    ) -> Self {
         debug_assert_eq!(keys.len(), addrs.len());
         let NodeState { key, host, capacity, ref store } = *node;
-        NodeRef { key, host, capacity, store, keys, addrs }
+        NodeRef { key, host, capacity, store, keys, addrs, learned }
     }
 
     /// The keys of the routing rows, ascending.
@@ -83,7 +105,7 @@ impl<'a, V, A> NodeRef<'a, V, A> {
         self.keys
     }
 
-    /// The cached addresses of the routing rows, parallel to
+    /// The row addresses of the routing rows, parallel to
     /// [`NodeRef::keys`].
     pub fn addrs(&self) -> &'a [A] {
         self.addrs
@@ -110,68 +132,106 @@ impl<'a, V, A> NodeRef<'a, V, A> {
         self.keys.binary_search(&other).is_ok()
     }
 
-    /// The cached address of `other`'s row, if it has one.
-    pub fn entry(&self, other: Key) -> Option<&'a A> {
-        self.keys.binary_search(&other).ok().map(|i| &self.addrs[i])
-    }
-
     /// Number of routing-state rows.
     pub fn state_size(&self) -> usize {
         self.keys.len()
     }
 }
 
-/// A node as a writer sees it: its store, and its rows' cached addresses
-/// (which rows it has is its overlay's to change).
-#[derive(Debug)]
-pub struct NodeMut<'a, V, A = CachedAddr> {
+impl<'a, V, A: RowAddr> NodeRef<'a, V, A> {
+    /// The learned address of `other`'s row: `None` when the node has no
+    /// row for `other`, or a row naming a peer that never moves.
+    pub fn entry(&self, other: Key) -> Option<&'a CachedAddr> {
+        let i = self.keys.binary_search(&other).ok()?;
+        self.addrs[i].entry().map(|at| &self.learned[at])
+    }
+
+    /// The address `other`'s row resolves to: a fixed peer's current one,
+    /// or the one learned for a peer that can move (`None` while null, or
+    /// without a row for `other`).
+    pub fn resolve(&self, other: Key, attachments: &AttachmentMap) -> Option<NetAddr> {
+        let row = self.addrs[self.keys.binary_search(&other).ok()?];
+        match row.fixed_host() {
+            Some(host) => Some(NetAddr::current(host, attachments)),
+            None => self.learned[row.entry()?].addr,
+        }
+    }
+}
+
+/// A node as a writer sees it: its store, and its rows' learned
+/// addresses (which rows it has is its overlay's to change).
+pub struct NodeMut<'a, V, A = AddrHandle> {
     /// Records stored at this node.
     pub store: &'a mut BTreeMap<Key, V>,
     keys: &'a [Key],
-    addrs: &'a mut [A],
+    addrs: &'a [A],
+    learned: &'a mut [CachedAddr],
 }
 
-impl<'a, V, A> NodeMut<'a, V, A> {
-    /// `node` with the rows `keys` and their addresses `addrs`, as
-    /// [`NodeRef::new`].
-    pub(crate) fn new(node: &'a mut NodeState<V>, keys: &'a [Key], addrs: &'a mut [A]) -> Self {
+impl<V: fmt::Debug, A: fmt::Debug> fmt::Debug for NodeMut<'_, V, A> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NodeMut")
+            .field("store", &self.store)
+            .field("keys", &self.keys)
+            .field("addrs", &self.addrs)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a, V, A: RowAddr> NodeMut<'a, V, A> {
+    /// `node` with the rows `keys`, their addresses `addrs` and the
+    /// ring's learned table, as [`NodeRef::new`].
+    pub(crate) fn new(
+        node: &'a mut NodeState<V>,
+        keys: &'a [Key],
+        addrs: &'a [A],
+        learned: &'a mut [CachedAddr],
+    ) -> Self {
         debug_assert_eq!(keys.len(), addrs.len());
-        NodeMut { store: &mut node.store, keys, addrs }
+        NodeMut { store: &mut node.store, keys, addrs, learned }
     }
 
-    /// The cached address of `other`'s row, to patch, if it has one.
-    pub fn entry_mut(self, other: Key) -> Option<&'a mut A> {
-        self.keys.binary_search(&other).ok().map(|i| &mut self.addrs[i])
+    /// The learned address of `other`'s row, to patch: `None` as for
+    /// [`NodeRef::entry`].
+    pub fn entry_mut(self, other: Key) -> Option<&'a mut CachedAddr> {
+        let i = self.keys.binary_search(&other).ok()?;
+        self.addrs[i].entry().map(|at| &mut self.learned[at])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::NetAddr;
     use bristle_netsim::attach::Attachment;
     use bristle_netsim::graph::RouterId;
 
-    fn node_with_rows(own: u64, keys: &[u64]) -> (NodeState<()>, Vec<Key>, Vec<CachedAddr>) {
+    /// A node with rows for `keys`, each naming a fixed peer on host 0.
+    fn node_with_rows(own: u64, keys: &[u64]) -> (NodeState<()>, Vec<Key>, Vec<AddrHandle>) {
         let keys: Vec<Key> = keys.iter().map(|&k| Key(k)).collect();
-        let addrs = vec![CachedAddr { addr: None }; keys.len()];
+        let addrs = vec![AddrHandle::fixed(HostId(0)); keys.len()];
         (NodeState::new(Key(own), HostId(0), 1), keys, addrs)
     }
 
     #[test]
     fn entries_are_found_by_key() {
         let (mut node, keys, mut addrs) = node_with_rows(1, &[7, 9]);
-        let view = NodeRef::new(&node, &keys, &addrs);
+        addrs[1] = AddrHandle::learned(1);
+        let mut learned = vec![CachedAddr { addr: None }; 2];
+        let view = NodeRef::new(&node, &keys, &addrs, &learned);
         assert!(view.knows(Key(9)) && !view.knows(Key(8)));
         assert!(view.entry(Key(2)).is_none());
+        assert!(view.entry(Key(7)).is_none(), "a fixed peer's row has no entry");
+        assert_eq!(view.entry(Key(9)), Some(&CachedAddr { addr: None }));
         assert_eq!(view.state_size(), 2);
         let addr =
             NetAddr { host: HostId(3), attachment: Attachment { router: RouterId(1), epoch: 0 } };
-        NodeMut::new(&mut node, &keys, &mut addrs).entry_mut(Key(9)).unwrap().addr = Some(addr);
-        assert!(NodeMut::new(&mut node, &keys, &mut addrs).entry_mut(Key(8)).is_none());
-        assert_eq!(addrs, [CachedAddr { addr: None }, CachedAddr { addr: Some(addr) }]);
+        let row = NodeMut::new(&mut node, &keys, &addrs, &mut learned).entry_mut(Key(9));
+        row.unwrap().addr = Some(addr);
+        assert!(NodeMut::new(&mut node, &keys, &addrs, &mut learned).entry_mut(Key(8)).is_none());
+        assert!(NodeMut::new(&mut node, &keys, &addrs, &mut learned).entry_mut(Key(7)).is_none());
+        assert_eq!(learned, [CachedAddr { addr: None }, CachedAddr { addr: Some(addr) }]);
         let empty = NodeState::<()>::new(Key(1), HostId(0), 1);
-        let view = NodeRef::<_, CachedAddr>::new(&empty, &[], &[]);
+        let view = NodeRef::<_, AddrHandle>::new(&empty, &[], &[], &[]);
         assert!(!view.knows(Key(2)));
         assert_eq!(view.leaf_keys().count(), 0);
     }
@@ -182,7 +242,7 @@ mod tests {
     fn leaf_keys_are_the_rows_either_side_of_the_node() {
         let leaves = |keys: &[u64]| {
             let (node, keys, addrs) = node_with_rows(50, keys);
-            NodeRef::new(&node, &keys, &addrs).leaf_keys().map(|k| k.0).collect::<Vec<_>>()
+            NodeRef::new(&node, &keys, &addrs, &[]).leaf_keys().map(|k| k.0).collect::<Vec<_>>()
         };
         let ten = [5, 10, 20, 30, 40, 60, 70, 80, 90, 95];
         assert_eq!(leaves(&ten), [60, 70, 80, 90, 40, 30, 20, 10]);

@@ -27,7 +27,7 @@ use bristle_netsim::attach::{AttachmentMap, HostId};
 use bristle_netsim::dijkstra::DistanceCache;
 use bristle_netsim::rng::Pcg64;
 
-use crate::addr::{CachedAddr, NetAddr};
+use crate::addr::{AddrHandle, CachedAddr, NetAddr, RowAddr};
 use crate::config::{NeighborSelection, RingConfig, LEAF_RADIUS};
 use crate::key::Key;
 use crate::node::{NodeRef, NodeState};
@@ -40,12 +40,14 @@ pub struct PrefixDht<V> {
     nodes: BTreeMap<u64, PrefixNode<V>>,
 }
 
-/// A node and its routing rows: their keys, ascending, and addresses.
+/// A node and its routing rows: their keys, ascending, their addresses,
+/// and the learned entries those name.
 #[derive(Debug, Clone)]
 struct PrefixNode<V> {
     state: NodeState<V>,
     keys: Box<[Key]>,
-    addrs: Box<[CachedAddr]>,
+    addrs: Box<[AddrHandle]>,
+    learned: Box<[CachedAddr]>,
 }
 
 /// Length (in digits) of the longest common prefix of two keys, reading
@@ -92,7 +94,8 @@ impl<V> PrefixDht<V> {
             return Err(RingError::DuplicateKey(key));
         }
         let state = NodeState::new(key, host, capacity);
-        self.nodes.insert(key.0, PrefixNode { state, keys: Box::default(), addrs: Box::default() });
+        let (keys, addrs, learned) = Default::default();
+        self.nodes.insert(key.0, PrefixNode { state, keys, addrs, learned });
         Ok(())
     }
 
@@ -104,7 +107,7 @@ impl<V> PrefixDht<V> {
     /// Node state by key.
     pub fn node(&self, key: Key) -> Result<NodeRef<'_, V>, RingError> {
         let node = self.nodes.get(&key.0).ok_or(RingError::UnknownNode(key))?;
-        Ok(NodeRef::new(&node.state, &node.keys, &node.addrs))
+        Ok(NodeRef::new(&node.state, &node.keys, &node.addrs, &node.learned))
     }
 
     /// Iterator over node keys.
@@ -225,16 +228,18 @@ impl<V> PrefixDht<V> {
         chosen.extend(leaf_keys);
         chosen.sort_unstable();
         chosen.dedup();
+        let mut learned = Vec::new();
         let addrs = chosen
             .iter()
             .map(|&k| {
                 let host = self.node(k)?.host;
-                Ok(CachedAddr { addr: Some(NetAddr::current(host, attachments)) })
+                let current = || NetAddr::current(host, attachments);
+                Ok(AddrHandle::name(host, attachments, &mut learned, current))
             })
             .collect::<Result<Box<[_]>, RingError>>()?;
         let count = chosen.len();
         let node = self.nodes.get_mut(&key.0).expect("known");
-        (node.keys, node.addrs) = (chosen.into(), addrs);
+        (node.keys, node.addrs, node.learned) = (chosen.into(), addrs, learned.into());
         Ok(count)
     }
 
@@ -413,9 +418,10 @@ mod tests {
             for (i, &key) in ring.iter().enumerate() {
                 let node = dht.node(key).unwrap();
                 assert!(node.keys().windows(2).all(|w| w[0] < w[1]), "{n}: rows of {key}");
-                for (&k, cached) in node.keys().iter().zip(node.addrs()) {
+                for &k in node.keys() {
                     let host = dht.node(k).unwrap().host;
-                    assert_eq!(cached.addr, Some(NetAddr::current(host, &attachments)));
+                    let current = NetAddr::current(host, &attachments);
+                    assert_eq!(node.resolve(k, &attachments), Some(current));
                 }
                 let mut leaves: Vec<Key> = (1..=radius).map(|d| ring[(i + d) % n]).collect();
                 let preds: Vec<Key> = (1..n)

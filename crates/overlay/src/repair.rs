@@ -61,6 +61,7 @@ mod tests {
     use super::*;
     use crate::config::RingConfig;
     use crate::key::Key;
+    use crate::node::NodeRef;
     use bristle_netsim::transit_stub::{TransitStubConfig, TransitStubTopology};
     use std::sync::Arc;
 
@@ -97,10 +98,12 @@ mod tests {
     #[test]
     fn repair_sweep_cheaper_than_it_looks() {
         // Probes are one message per entry; a healthy sweep sends exactly
-        // total_state() probes and changes nothing.
+        // total_state() probes and changes nothing: every row keeps its
+        // key, its learned entry and the address it resolves to.
         let (mut dht, attachments, dcache, mut rng) = setup(48, 3);
         let rows = |dht: &RingDht<()>| -> Vec<_> {
-            dht.iter().map(|n| (n.keys().to_vec(), n.addrs().to_vec())).collect()
+            let row = |n: NodeRef<'_, ()>, k| (k, n.entry(k).copied(), n.resolve(k, &attachments));
+            dht.iter().map(|n| n.keys().iter().map(|&k| row(n, k)).collect::<Vec<_>>()).collect()
         };
         let before = rows(&dht);
         let mut meter = Meter::new();

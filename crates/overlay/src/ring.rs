@@ -29,7 +29,7 @@ use bristle_netsim::dijkstra::{Dist, DistanceCache};
 use bristle_netsim::graph::RouterId;
 use bristle_netsim::rng::Pcg64;
 
-use crate::addr::{CachedAddr, NetAddr, RowAddr};
+use crate::addr::{AddrHandle, CachedAddr, NetAddr, RowAddr};
 use crate::config::{NeighborSelection, RingConfig, LEAF_RADIUS};
 use crate::key::{Key, KeyHasher};
 use crate::node::{NodeMut, NodeRef, NodeState};
@@ -58,9 +58,11 @@ impl std::fmt::Display for RingError {
 impl std::error::Error for RingError {}
 
 /// The ring DHT over record type `V`, each routing row holding its
-/// peer's key and an `A` ([`RowAddr`]): by default a [`CachedAddr`],
-/// which a mobile peer's move makes stale; a ring of peers that never
-/// move holds [`crate::addr::NoAddr`], zero bytes, and so its keys alone.
+/// peer's key and an `A` ([`RowAddr`]): by default an [`AddrHandle`],
+/// which names a fixed peer's host or a movable peer's learned
+/// [`CachedAddr`], the one thing a move makes stale; a ring of peers
+/// that never move holds [`crate::addr::NoAddr`], zero bytes, and so its
+/// keys alone.
 ///
 /// # Examples
 ///
@@ -80,7 +82,7 @@ impl std::error::Error for RingError {}
 /// assert_eq!(dht.replica_set(Key(150), 2).unwrap(), vec![Key(200), Key(100)]);
 /// ```
 #[derive(Debug, Clone)]
-pub struct RingDht<V, A = CachedAddr> {
+pub struct RingDht<V, A = AddrHandle> {
     cfg: RingConfig,
     /// Key order → slab position, for the ordered queries alone: `keys`,
     /// `iter`, successors and predecessors, replicas, leaf sets and the
@@ -148,7 +150,7 @@ struct Occupant<V> {
 }
 
 /// A node's rows in its ring's [`Arena`]: `keys[start..start + len]`
-/// and the same run of `addrs`.
+/// and the same run of `addrs`, with the learned entries they name.
 #[derive(Debug, Clone, Copy, Default)]
 struct Span {
     start: u32,
@@ -164,29 +166,46 @@ impl Span {
 /// Every node's routing rows, ring-wide, in compressed-sparse-row form:
 /// two parallel arrays, `keys` (which a forwarding hop scans, 8 bytes a
 /// row) and `addrs` (of which it reads the one row it chose), and each
-/// live node's [`Span`] of them, its rows in ascending key order. The
-/// whole-ring build lays the arena out afresh in key order; `rebuild`
-/// and `upsert_entry` append a node's new run and leave its old run
-/// dead, and as soon as dead rows outnumber live ones the live runs are
-/// copied into a fresh arena. So no node owns an allocation, and churn
-/// never holds more than twice the live rows. Where `A` is zero-sized
-/// `addrs` allocates nothing.
+/// live node's [`Span`] of them, its rows in ascending key order; beside
+/// them `learned`, one entry for each row naming a peer that can move,
+/// owned by that row alone. The whole-ring build lays the arena out
+/// afresh in key order, each array at its final size; `rebuild` and
+/// `upsert_entry` append a node's new run with fresh entries and leave
+/// its old run dead, and as soon as dead rows outnumber live ones, or
+/// dead entries live ones, the live runs are copied into a fresh arena.
+/// So no node owns an allocation, and churn never holds more than twice
+/// the live rows or entries. Where `A` is zero-sized `addrs` allocates
+/// nothing, and where it learns nothing neither does `learned`.
 #[derive(Debug, Clone)]
 struct Arena<A> {
     keys: Vec<Key>,
     addrs: Vec<A>,
+    learned: Vec<CachedAddr>,
     /// Rows no live node's span covers.
     dead: usize,
+    /// Entries no live row names.
+    dead_learned: usize,
 }
 
 impl<A: RowAddr> Arena<A> {
-    fn with_capacity(rows: usize) -> Self {
-        Arena { keys: Vec::with_capacity(rows), addrs: Vec::with_capacity(rows), dead: 0 }
+    fn with_capacity(rows: usize, learned: usize) -> Self {
+        Arena {
+            keys: Vec::with_capacity(rows),
+            addrs: Vec::with_capacity(rows),
+            learned: Vec::with_capacity(learned),
+            dead: 0,
+            dead_learned: 0,
+        }
     }
 
     /// Rows some live node's span covers.
     fn live(&self) -> usize {
         self.keys.len() - self.dead
+    }
+
+    /// Entries some live row names.
+    fn live_learned(&self) -> usize {
+        self.learned.len() - self.dead_learned
     }
 
     /// The span of the rows appended since the arena held `from`. The one
@@ -197,9 +216,33 @@ impl<A: RowAddr> Arena<A> {
         Span { start: from as u32, len: (self.keys.len() - from) as u32 }
     }
 
-    /// Appends the rows of the snapshot positions `picks`, resolved to
-    /// their nodes' current addresses (as far as `A` keeps one),
-    /// returning their span.
+    /// Row `i`: its key, its address, and its entry if it names one.
+    fn row(&self, i: usize) -> (Key, A, Option<CachedAddr>) {
+        let row = self.addrs[i];
+        (self.keys[i], row, row.entry().map(|at| self.learned[at]))
+    }
+
+    /// The address a copy of `row` appended here takes: `row` itself, or
+    /// one naming a copy of `entry`, the entry `row` names.
+    fn adopt(&mut self, row: A, entry: Option<CachedAddr>) -> A {
+        match entry {
+            Some(entry) => {
+                self.learned.push(entry);
+                A::learned(self.learned.len() - 1)
+            }
+            None => row,
+        }
+    }
+
+    /// Appends a copy of a row read by [`Arena::row`].
+    fn push_copy(&mut self, (key, row, entry): (Key, A, Option<CachedAddr>)) {
+        let row = self.adopt(row, entry);
+        self.keys.push(key);
+        self.addrs.push(row);
+    }
+
+    /// Appends the rows of the snapshot positions `picks`, each naming
+    /// its node as [`RowAddr::name`] does, returning their span.
     fn push(
         &mut self,
         ring: &[RingPos],
@@ -209,18 +252,39 @@ impl<A: RowAddr> Arena<A> {
         let from = self.keys.len();
         for pos in picks {
             let RingPos { key, host, .. } = ring[pos];
+            let current = || NetAddr::current(host, attachments);
+            let row = A::name(host, attachments, &mut self.learned, current);
             self.keys.push(Key(key));
-            self.addrs.push(A::resolve(host, attachments));
+            self.addrs.push(row);
         }
         self.since(from)
     }
 
     /// Appends `other`'s rows at `span`, returning where they now are.
+    /// Keys, and the addresses of a ring that learns nothing, copy as
+    /// they are; a learned entry is copied with its row and renumbered.
     fn copy_from(&mut self, other: &Self, span: Span) -> Span {
         let from = self.keys.len();
         self.keys.extend_from_slice(&other.keys[span.range()]);
-        self.addrs.extend_from_slice(&other.addrs[span.range()]);
+        if A::LEARNS {
+            for i in span.range() {
+                let (_, row, entry) = other.row(i);
+                let row = self.adopt(row, entry);
+                self.addrs.push(row);
+            }
+        } else {
+            self.addrs.extend_from_slice(&other.addrs[span.range()]);
+        }
         self.since(from)
+    }
+
+    /// Counts the rows at `span`, and the entries they name, dead.
+    fn kill(&mut self, span: Span) {
+        self.dead += span.len as usize;
+        if A::LEARNS {
+            let named = self.addrs[span.range()].iter().filter(|row| row.entry().is_some());
+            self.dead_learned += named.count();
+        }
     }
 }
 
@@ -311,7 +375,7 @@ impl<V, A: RowAddr> RingDht<V, A> {
     /// Creates an empty overlay with the given configuration.
     pub fn new(cfg: RingConfig) -> Self {
         cfg.validate();
-        let rows = Arena::with_capacity(0);
+        let rows = Arena::with_capacity(0, 0);
         RingDht { cfg, index: BTreeMap::new(), slab: Vec::new(), used: 0, epoch: 0, rows }
     }
 
@@ -378,8 +442,8 @@ impl<V, A: RowAddr> RingDht<V, A> {
 
     /// A node with its rows.
     fn view<'a>(&'a self, o: &'a Occupant<V>) -> NodeRef<'a, V, A> {
-        let rows = o.span.range();
-        NodeRef::new(&o.node, &self.rows.keys[rows.clone()], &self.rows.addrs[rows])
+        let (rows, arena) = (o.span.range(), &self.rows);
+        NodeRef::new(&o.node, &arena.keys[rows.clone()], &arena.addrs[rows], &arena.learned)
     }
 
     /// Index entry of the first node at or clockwise-after `k`.
@@ -457,7 +521,7 @@ impl<V, A: RowAddr> RingDht<V, A> {
         let RingDht { slab, rows, .. } = self;
         let o = occupant_in(slab, slot);
         let span = o.span.range();
-        NodeMut::new(&mut o.node, &rows.keys[span.clone()], &mut rows.addrs[span])
+        NodeMut::new(&mut o.node, &rows.keys[span.clone()], &rows.addrs[span], &mut rows.learned)
     }
 
     /// Immutable access to a node's state.
@@ -538,12 +602,14 @@ impl<V, A: RowAddr> RingDht<V, A> {
         self.retire(old);
     }
 
-    /// Counts `span`'s rows dead, and copies the live rows into a fresh
-    /// arena as soon as dead ones outnumber them.
+    /// Counts `span`'s rows and entries dead, and copies the live rows
+    /// into a fresh arena as soon as dead rows or dead entries outnumber
+    /// the live ones.
     fn retire(&mut self, span: Span) {
-        self.rows.dead += span.len as usize;
-        if self.rows.dead > self.rows.live() {
-            let mut fresh = Arena::with_capacity(self.rows.live());
+        self.rows.kill(span);
+        let rows = &self.rows;
+        if rows.dead > rows.live() || rows.dead_learned > rows.live_learned() {
+            let mut fresh = Arena::with_capacity(rows.live(), rows.live_learned());
             for cell in &mut self.slab {
                 if let Cell::Live(o) = cell {
                     o.span = fresh.copy_from(&self.rows, o.span);
@@ -553,31 +619,35 @@ impl<V, A: RowAddr> RingDht<V, A> {
         }
     }
 
-    /// Gives the node `holder` a row for `other` with the resolved address
-    /// `addr` (as far as `A` keeps one): patched in place if it has one;
-    /// else its rows are copied to the arena's end with the new row where
-    /// its key sorts, so they stay in key order and the leaf set stays the
-    /// rows nearest the node.
+    /// Gives the node `holder` a row for `other`, whose address `addr`
+    /// has just been learned: its learned entry patched in place if it
+    /// has the row (a row naming a peer attached fixed has none, and
+    /// `addr` can only confirm its host); else its rows are copied to the
+    /// arena's end with the new row where its key sorts, so they stay in
+    /// key order and the leaf set stays the rows nearest the node.
     pub fn upsert_entry(
         &mut self,
         holder: Key,
         other: Key,
         addr: NetAddr,
+        attachments: &AttachmentMap,
     ) -> Result<(), RingError> {
         debug_assert_ne!(holder, other, "a node has no row for itself");
         let slot = self.slot_of(holder)?;
-        let cached = A::learned(addr);
         let (old, rows) = (self.occupant(slot).span.range(), &mut self.rows);
         match rows.keys[old.clone()].binary_search(&other) {
-            Ok(i) => rows.addrs[old.start + i] = cached,
+            Ok(i) => {
+                if let Some(entry) = rows.addrs[old.start + i].entry() {
+                    rows.learned[entry] = CachedAddr { addr: Some(addr) };
+                }
+            }
             Err(i) => {
                 let (from, at) = (rows.keys.len(), old.start + i);
-                rows.keys.extend_from_within(old.start..at);
+                (old.start..at).for_each(|i| rows.push_copy(rows.row(i)));
+                let row = A::name(addr.host, attachments, &mut rows.learned, || addr);
                 rows.keys.push(other);
-                rows.keys.extend_from_within(at..old.end);
-                rows.addrs.extend_from_within(old.start..at);
-                rows.addrs.push(cached);
-                rows.addrs.extend_from_within(at..old.end);
+                rows.addrs.push(row);
+                (at..old.end).for_each(|i| rows.push_copy(rows.row(i)));
                 let new = rows.since(from);
                 self.replace_rows(slot, new);
             }
@@ -639,20 +709,24 @@ impl<V, A: RowAddr> RingDht<V, A> {
         };
         let chunk = ring.len().div_ceil(shards).max(1);
         // A shard's output is its nodes' row counts and their rows as
-        // snapshot positions, 4 bytes a row: the arena is laid out once,
-        // at its final size, after the last worker joins.
-        let build = move |first: usize, rng: &mut Pcg64| -> (Vec<u32>, Picks) {
+        // snapshot positions, 4 bytes a row, and how many of those rows
+        // name a peer that can move: the arena and its learned table are
+        // laid out once, at their final sizes, after the last worker joins.
+        let build = move |first: usize, rng: &mut Pcg64| -> (Vec<u32>, Picks, usize) {
             let last = (first + chunk).min(ring.len());
             let mut scratch = Scratch::default();
             let (mut lens, mut picks) = (Vec::with_capacity(last - first), Picks::default());
+            let mut movable = 0;
             for me in first..last {
                 let chosen = bulk_tables(cfg, ring, me, dcache, rng, &mut scratch);
                 lens.push(chosen.len() as u32);
                 chosen.iter().for_each(|&pos| picks.push(pos));
+                movable +=
+                    chosen.iter().filter(|&&pos| !attachments.is_fixed(ring[pos].host)).count();
             }
-            (lens, picks)
+            (lens, picks, movable)
         };
-        let built: Vec<(Vec<u32>, Picks)> = std::thread::scope(|s| {
+        let built: Vec<(Vec<u32>, Picks, usize)> = std::thread::scope(|s| {
             let spawned: Vec<_> = (chunk..ring.len())
                 .step_by(chunk)
                 // Never drawn from: only `Random` draws, and it is one shard.
@@ -662,9 +736,11 @@ impl<V, A: RowAddr> RingDht<V, A> {
             built.extend(spawned.into_iter().map(|h| h.join().expect("table worker panicked")));
             built
         });
-        let mut rows = Arena::with_capacity(built.iter().map(|(_, picks)| picks.len()).sum());
+        let total = built.iter().map(|(_, picks, _)| picks.len()).sum();
+        let learned = if A::LEARNS { built.iter().map(|(.., movable)| movable).sum() } else { 0 };
+        let mut rows = Arena::with_capacity(total, learned);
         let mut nodes = ring.iter();
-        for (lens, picks) in built {
+        for (lens, picks, _) in built {
             let mut picks = picks.iter();
             for (len, node) in lens.into_iter().zip(&mut nodes) {
                 let span = rows.push(ring, picks.by_ref().take(len as usize), attachments);
@@ -752,6 +828,13 @@ impl<V, A: RowAddr> RingDht<V, A> {
     /// Total routing-state rows across all nodes (scalability metric).
     pub fn total_state(&self) -> usize {
         self.rows.live()
+    }
+
+    /// The learned table's entries as `(live, dead)`: one live entry per
+    /// row naming a peer that can move, and dead ones awaiting the next
+    /// compaction, which comes before they outnumber the live ones.
+    pub fn learned_entries(&self) -> (usize, usize) {
+        (self.rows.live_learned(), self.rows.dead_learned)
     }
 }
 
@@ -952,6 +1035,16 @@ mod tests {
     use bristle_netsim::transit_stub::{TransitStubConfig, TransitStubTopology};
     use std::sync::Arc;
 
+    /// The host for a new node at `router`: every third one attached
+    /// fixed, so a ring's rows mix both kinds of address.
+    fn attach_mixed(attachments: &mut AttachmentMap, router: RouterId) -> HostId {
+        if attachments.len().is_multiple_of(3) {
+            attachments.attach_fixed(router)
+        } else {
+            attachments.attach_new(router)
+        }
+    }
+
     /// Builds a populated overlay over a tiny physical network.
     fn setup(n: usize, seed: u64, cfg: RingConfig) -> (RingDht<u32>, AttachmentMap, DistanceCache) {
         let mut rng = Pcg64::seed_from_u64(seed);
@@ -961,7 +1054,7 @@ mod tests {
         let mut attachments = AttachmentMap::new();
         let mut dht = RingDht::new(cfg);
         for _ in 0..n {
-            let host = attachments.attach_new(*rng.choose(&stubs));
+            let host = attach_mixed(&mut attachments, *rng.choose(&stubs));
             let mut key = Key::random(&mut rng);
             while dht.contains(key) {
                 key = Key::random(&mut rng);
@@ -1029,20 +1122,35 @@ mod tests {
         picks
     }
 
-    /// A node's reference rows: keys, addresses and the leaf set, each
-    /// as the builder listed it.
-    type Reference<A> = (Vec<Key>, Vec<A>, Vec<Key>);
+    /// A row as a reader can tell it apart: its address if that names no
+    /// learned entry (a fixed peer's host, or nothing), else the entry.
+    type RowView<A> = Result<A, CachedAddr>;
 
-    /// `node` holds exactly `reference`'s rows, and its leaf set read off
-    /// its position in them is the reference's.
+    /// A node's reference rows: keys, row views, resolved addresses and
+    /// the leaf set, each as the builder listed it.
+    type Reference<A> = (Vec<Key>, Vec<RowView<A>>, Vec<Option<NetAddr>>, Vec<Key>);
+
+    /// `node`'s rows as [`RowView`]s.
+    fn row_views<V, A: RowAddr>(node: NodeRef<'_, V, A>) -> Vec<RowView<A>> {
+        let rows = node.keys().iter().zip(node.addrs());
+        rows.map(|(&k, &row)| node.entry(k).map_or(Ok(row), |entry| Err(*entry))).collect()
+    }
+
+    /// `node` holds exactly `reference`'s rows, each resolving to the
+    /// reference's address, and its leaf set read off its position in
+    /// them is the reference's.
     fn assert_rows_are<V, A: RowAddr>(
         node: NodeRef<'_, V, A>,
-        (keys, addrs, leaves): &Reference<A>,
+        (keys, rows, addrs, leaves): &Reference<A>,
+        attachments: &AttachmentMap,
         at: &str,
     ) {
         let key = node.key;
         assert_eq!(node.keys(), keys, "{at}: keys of {key}");
-        assert_eq!(node.addrs(), addrs, "{at}: addresses of {key}");
+        assert_eq!(&row_views(node), rows, "{at}: rows of {key}");
+        let resolved: Vec<Option<NetAddr>> =
+            keys.iter().map(|&k| node.resolve(k, attachments)).collect();
+        assert_eq!(&resolved, addrs, "{at}: addresses of {key}");
         assert_eq!(&node.leaf_keys().collect::<Vec<_>>(), leaves, "{at}: leaves of {key}");
     }
 
@@ -1082,11 +1190,17 @@ mod tests {
         chosen.sort_unstable();
         chosen.dedup();
 
-        let addrs =
-            chosen.iter().map(|&(_, slot)| A::resolve(dht.at(slot).host, attachments)).collect();
+        // A ring that learns keeps each movable peer's current address;
+        // a fixed peer's row names its host, which resolves to the same.
+        let hosts: Vec<HostId> = chosen.iter().map(|&(_, slot)| dht.at(slot).host).collect();
+        let learns = |host: HostId| A::LEARNS && !attachments.is_fixed(host);
+        let current = |host| CachedAddr { addr: Some(NetAddr::current(host, attachments)) };
+        let rows = hosts.iter().map(|&h| if learns(h) { Err(current(h)) } else { Ok(A::fixed(h)) });
+        let addrs = hosts.iter().map(|&h| A::LEARNS.then(|| NetAddr::current(h, attachments)));
         (
             chosen.into_iter().map(|(k, _)| k).collect(),
-            addrs,
+            rows.collect(),
+            addrs.collect(),
             leaves.into_iter().map(|(k, _)| k).collect(),
         )
     }
@@ -1110,7 +1224,7 @@ mod tests {
         let mut rng = Pcg64::seed_from_u64(31);
         rebuilt.rebuild(batch, attachments, dcache, &mut rng).unwrap();
         for (key, reference) in batch.iter().zip(&reference) {
-            assert_rows_are(rebuilt.node(*key).unwrap(), reference, at);
+            assert_rows_are(rebuilt.node(*key).unwrap(), reference, attachments, at);
         }
         assert_eq!(format!("{rng:?}"), format!("{reference_rng:?}"), "{at}: RNG");
     }
@@ -1370,11 +1484,13 @@ mod tests {
     /// count), and two `rebuild` batches — a join's (a bootstrap's route
     /// toward the newcomer, then the newcomer) and a repair sweep's
     /// (every node still holding a removed key, on a ring the removals
-    /// left tombstones in). Both row-address kinds: resolved addresses,
+    /// left tombstones in). Both row-address kinds: handles over a mix of
+    /// fixed and movable hosts, each row naming its peer's host or an
+    /// entry holding its current address and resolving to that address,
     /// and the stationary layer's keys-only rows.
     #[test]
     fn every_build_matches_the_per_node_reference() {
-        builds_match_the_per_node_reference::<CachedAddr>();
+        builds_match_the_per_node_reference::<AddrHandle>();
         builds_match_the_per_node_reference::<NoAddr>();
     }
 
@@ -1396,7 +1512,7 @@ mod tests {
                     let mut dht: RingDht<(), A> = RingDht::new(cfg.clone());
                     let mut add = |dht: &mut RingDht<(), A>, rng: &mut Pcg64, key: Option<Key>| {
                         let key = key.unwrap_or_else(|| Key::random(rng));
-                        let host = attachments.attach_new(*rng.choose(&stubs));
+                        let host = attach_mixed(&mut attachments, *rng.choose(&stubs));
                         dht.insert(key, host, 1).unwrap();
                     };
                     match shape {
@@ -1441,7 +1557,7 @@ mod tests {
                         let mut bulk_rng = Pcg64::seed_from_u64(31);
                         bulk.build_all_tables(&attachments, &dcache, &mut bulk_rng, workers);
                         for (key, reference) in &oracle {
-                            assert_rows_are(bulk.node(*key).unwrap(), reference, &at);
+                            assert_rows_are(bulk.node(*key).unwrap(), reference, &attachments, &at);
                         }
                         assert_eq!(format!("{bulk_rng:?}"), format!("{oracle_rng:?}"), "{at}: RNG");
                     }
@@ -1482,7 +1598,9 @@ mod tests {
     /// node between a node and its successor becomes its nearest leaf;
     /// one across the ring leaves the leaf set as it was. Either way the
     /// node's rows, leaf set and hops are those of the same rows sorted
-    /// and laid out fresh, and the arena counts the old run dead.
+    /// and laid out fresh, and the arena counts the old run dead. A new
+    /// peer that can move gets a learned entry; one attached fixed is
+    /// named by its host. A second upsert patches the row in place.
     #[test]
     fn upsert_lands_where_the_key_sorts() {
         let (dht, attachments, _) = setup(64, 21, RingConfig::tornado());
@@ -1495,31 +1613,53 @@ mod tests {
         nearest.extend(&before[..LEAF_RADIUS - 1]);
         nearest.extend(&before[LEAF_RADIUS..]);
         let mut rng = Pcg64::seed_from_u64(22);
-        for (new, leaves) in [(inside, nearest), (outside, before.clone())] {
+        for (new, leaves, fixed) in [
+            (inside, nearest.clone(), false),
+            (outside, before.clone(), false),
+            (inside, nearest, true),
+        ] {
             let (mut ring, mut attachments) = (dht.clone(), attachments.clone());
-            let host = attachments.attach_new(RouterId(0));
-            let addr = CachedAddr { addr: Some(NetAddr::current(host, &attachments)) };
+            let host = if fixed {
+                attachments.attach_fixed(RouterId(0))
+            } else {
+                attachments.attach_new(RouterId(0))
+            };
+            let addr = NetAddr::current(host, &attachments);
             ring.insert(new, host, 1).unwrap();
             let mut fresh = ring.clone();
-            let (live, old) = (ring.total_state(), ring.node(me).unwrap().state_size());
-            ring.upsert_entry(me, new, addr.addr.unwrap()).unwrap();
-            assert_eq!(ring.total_state(), live + 1, "one row more");
-            assert_eq!(ring.rows.dead, fresh.rows.dead + old, "the old run dead");
+            let old = fresh.occupant(fresh.slot_of(me).unwrap()).span;
+            let live = (ring.total_state(), ring.rows.live_learned());
+            ring.upsert_entry(me, new, addr, &attachments).unwrap();
+            let grown = (live.0 + 1, live.1 + usize::from(!fixed));
+            assert_eq!((ring.total_state(), ring.rows.live_learned()), grown, "one row more");
+            let entries = fresh.rows.addrs[old.range()].iter().filter(|r| r.entry().is_some());
+            let dead =
+                (fresh.rows.dead + old.len as usize, fresh.rows.dead_learned + entries.count());
+            assert_eq!((ring.rows.dead, ring.rows.dead_learned), dead, "the old run dead");
 
             let node = fresh.node(me).unwrap();
-            let mut rows: Vec<(Key, CachedAddr)> =
-                node.keys().iter().copied().zip(node.addrs().iter().copied()).collect();
-            rows.push((new, addr));
-            rows.sort_unstable_by_key(|&(k, _)| k);
-            let mut laid = Arena::with_capacity(0);
-            laid.keys.extend(rows.iter().map(|&(k, _)| k));
-            laid.addrs.extend(rows.iter().map(|&(_, a)| a));
+            let mut rows: Vec<(Key, AddrHandle, Option<CachedAddr>)> = (node.keys().iter())
+                .zip(node.addrs())
+                .map(|(&k, &row)| (k, row, node.entry(k).copied()))
+                .collect();
+            let row = if fixed { AddrHandle::fixed(host) } else { AddrHandle::learned(0) };
+            let entry = (!fixed).then_some(CachedAddr { addr: Some(addr) });
+            rows.push((new, row, entry));
+            rows.sort_unstable_by_key(|&(k, ..)| k);
+            let mut laid = Arena::with_capacity(0, 0);
+            rows.into_iter().for_each(|row| laid.push_copy(row));
             let slot = fresh.slot_of(me).unwrap();
             let span = fresh.rows.copy_from(&laid, laid.since(0));
             fresh.replace_rows(slot, span);
 
             let (got, want) = (ring.node(me).unwrap(), fresh.node(me).unwrap());
-            assert_eq!((got.keys(), got.addrs()), (want.keys(), want.addrs()), "rows after {new}");
+            assert_eq!(
+                (got.keys(), row_views(got)),
+                (want.keys(), row_views(want)),
+                "rows after {new}"
+            );
+            assert_eq!(got.entry(new).is_none(), fixed, "an entry iff {new} can move");
+            assert_eq!(got.resolve(new, &attachments), Some(addr));
             assert_eq!(got.leaf_keys().collect::<Vec<_>>(), leaves, "leaves after {new}");
             assert_eq!(want.leaf_keys().collect::<Vec<_>>(), leaves, "fresh leaves after {new}");
             let targets =
@@ -1527,6 +1667,22 @@ mod tests {
             for t in targets {
                 assert_eq!(ring.next_hop(me, t), fresh.next_hop(me, t), "hop toward {t}");
             }
+
+            // Learned again: patched where it is, nothing appended.
+            let (rows_before, entries_before) = (ring.rows.keys.len(), ring.rows.learned.len());
+            let moved = if fixed {
+                addr
+            } else {
+                attachments.move_host(host, RouterId(1));
+                NetAddr::current(host, &attachments)
+            };
+            ring.upsert_entry(me, new, moved, &attachments).unwrap();
+            assert_eq!(
+                (ring.rows.keys.len(), ring.rows.learned.len()),
+                (rows_before, entries_before)
+            );
+            assert_eq!(ring.node(me).unwrap().resolve(new, &attachments), Some(moved));
+            assert_storage_invariants(&ring);
         }
     }
 
@@ -1667,6 +1823,21 @@ mod tests {
         assert_eq!(spans.iter().map(|s| s.len as usize).sum::<usize>(), rows.live());
         assert_eq!(rows.keys.len(), rows.addrs.len());
         assert!(rows.dead <= rows.live(), "{} dead rows beside {} live", rows.dead, rows.live());
+        // The learned table: each entry named by one live row at most,
+        // `live_learned()` of them named, and no more dead than live.
+        let mut named: Vec<usize> =
+            spans.iter().flat_map(|s| &rows.addrs[s.range()]).filter_map(|r| r.entry()).collect();
+        named.sort_unstable();
+        assert!(named.windows(2).all(|w| w[0] < w[1]), "an entry named twice");
+        assert!(named.last().is_none_or(|&at| at < rows.learned.len()), "entry past the end");
+        assert_eq!(named.len(), rows.live_learned(), "live entries miscounted");
+        assert!(
+            rows.dead_learned <= rows.live_learned(),
+            "{} dead entries beside {} live",
+            rows.dead_learned,
+            rows.live_learned()
+        );
+        assert!(A::LEARNS || rows.learned.capacity() == 0, "a ring that learns nothing allocated");
         assert!(dht.iter().all(|n| n.keys().windows(2).all(|w| w[0] < w[1])), "rows out of order");
         for &k in &keys {
             let slot = dht.slot_of(k).unwrap();
@@ -1682,15 +1853,16 @@ mod tests {
 
     /// Churn shaped like the system's — repair-sized `rebuild` batches,
     /// departures, joins (an insert, then the newcomer's rebuild) and
-    /// upserts — appends far more rows than the ring holds, yet dead rows
-    /// never outnumber live ones, and neither an append nor a compaction
+    /// upserts, over fixed and movable hosts — appends far more rows than
+    /// the ring holds, yet dead rows never outnumber live ones, nor dead
+    /// learned entries live ones, and neither an append nor a compaction
     /// changes any row of a node the step did not touch.
     #[test]
     fn arena_dead_rows_never_outnumber_live_through_churn() {
         let (mut dht, mut attachments, dcache) = setup(120, 27, RingConfig::tornado());
         let mut rng = Pcg64::seed_from_u64(28);
-        let rows_of = |dht: &RingDht<u32>| -> BTreeMap<Key, (Vec<Key>, Vec<CachedAddr>)> {
-            dht.iter().map(|n| (n.key, (n.keys().to_vec(), n.addrs().to_vec()))).collect()
+        let rows_of = |dht: &RingDht<u32>| -> BTreeMap<Key, (Vec<Key>, Vec<RowView<AddrHandle>>)> {
+            dht.iter().map(|n| (n.key, (n.keys().to_vec(), row_views(n)))).collect()
         };
         let mut appended = 0;
         for step in 0..400 {
@@ -1708,7 +1880,7 @@ mod tests {
                 1 if keys.len() > 60 => (vec![dht.remove(*rng.choose(&keys)).unwrap().key], vec![]),
                 2 => {
                     let key = Key::random(&mut rng);
-                    let host = attachments.attach_new(RouterId(0));
+                    let host = attach_mixed(&mut attachments, RouterId(0));
                     dht.insert(key, host, 1).unwrap();
                     dht.rebuild(&[key], &attachments, &dcache, &mut rng).unwrap();
                     (vec![key], vec![key])
@@ -1720,8 +1892,12 @@ mod tests {
                         continue;
                     }
                     let grew = !dht.node(holder).unwrap().knows(other);
-                    let addr = NetAddr::current(dht.node(other).unwrap().host, &attachments);
-                    dht.upsert_entry(holder, other, addr).unwrap();
+                    let host = dht.node(other).unwrap().host;
+                    if !attachments.is_fixed(host) && rng.chance(0.5) {
+                        attachments.move_host(host, RouterId(1));
+                    }
+                    let addr = NetAddr::current(host, &attachments);
+                    dht.upsert_entry(holder, other, addr, &attachments).unwrap();
                     (vec![holder], if grew { vec![holder] } else { vec![] })
                 }
             };
@@ -1854,7 +2030,7 @@ mod tests {
         let dcache = DistanceCache::new(Arc::new(topo.into_graph()), 256);
         let mut attachments = AttachmentMap::new();
         let hosts: Vec<HostId> =
-            (0..32).map(|_| attachments.attach_new(*rng.choose(&stubs))).collect();
+            (0..32).map(|_| attach_mixed(&mut attachments, *rng.choose(&stubs))).collect();
         let never: Vec<Key> = (0..8).map(|i| Key((1 << 62) + i)).collect();
         for shape in ["edge keys", "clustered"] {
             let draw = |rng: &mut Pcg64| match (shape, rng.below(2)) {

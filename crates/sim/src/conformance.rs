@@ -99,7 +99,7 @@ pub fn force_belief(sys: &mut BristleSystem, holder: Key, subject: Key) {
     let addr = NetAddr::current(info.host, &sys.attachments);
     let (now, ttl) = (sys.clock.now(), sys.config().lease_ttl);
     sys.leases.grant(holder, subject, now, ttl);
-    sys.mobile.upsert_entry(holder, subject, addr).expect("known");
+    sys.mobile.upsert_entry(holder, subject, addr, &sys.attachments).expect("known");
 }
 
 /// One flight event as a stable, wall-clock-free line: node plus kind,

@@ -114,12 +114,13 @@ impl NodeEnv for SystemEnv<'_> {
     }
 
     fn believed_addr(&self, holder: Key, subject: Key) -> Option<WireAddr> {
-        let cached = self.sys.mobile.node(holder).ok()?.entry(subject).and_then(|p| p.addr)?;
-        if self.sys.leases.is_fresh(holder, subject, self.sys.clock.now()) {
-            Some(WireAddr::from_net(cached))
-        } else {
-            None
+        // The lease first: without one the row's learned address is not
+        // read at all.
+        if !self.sys.leases.is_fresh(holder, subject, self.sys.clock.now()) {
+            return None;
         }
+        let cached = self.sys.mobile.node(holder).ok()?.entry(subject).and_then(|p| p.addr)?;
+        Some(WireAddr::from_net(cached))
     }
 
     fn location_record(&self, holder: Key, subject: Key) -> Option<WireAddr> {

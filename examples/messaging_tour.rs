@@ -63,7 +63,7 @@ fn main() {
     let addr = NetAddr::current(info.host, &mbs.sys.attachments);
     let (now, ttl) = (mbs.sys.clock.now(), mbs.sys.config().lease_ttl);
     mbs.sys.leases.grant(src, target, now, ttl);
-    mbs.sys.mobile.upsert_entry(src, target, addr).expect("known");
+    mbs.sys.mobile.upsert_entry(src, target, addr, &mbs.sys.attachments).expect("known");
 
     // --- Act 2: the target moves while the next message is in flight. --
     let old_router = mbs.sys.router_of(target).expect("known");
