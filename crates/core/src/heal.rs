@@ -182,6 +182,19 @@ mod tests {
         panic!("no registrations in test system");
     }
 
+    /// Once the whole stationary layer is dead, a mobile node's funeral
+    /// finds no record to withdraw, and still heals.
+    #[test]
+    fn a_funeral_after_the_stationary_layer_died_withdraws_nothing() {
+        let mut sys = system(6, 4, 3);
+        for s in sys.stationary_keys().to_vec() {
+            sys.confirm_dead(s).unwrap();
+        }
+        let m = sys.mobile_keys()[0];
+        assert_eq!(sys.confirm_dead(m).unwrap().records_unpublished, 0);
+        assert!(sys.is_confirmed_dead(m) && sys.node_info(m).is_err());
+    }
+
     #[test]
     fn confirm_dead_prunes_and_repairs_every_affected_ldt() {
         let mut sys = system(40, 12, 1);

@@ -267,12 +267,8 @@ impl BristleSystem {
 mod tests {
     use super::*;
     use crate::config::BristleConfig;
-    use crate::lease::Lease;
-    use crate::naming::Mobility;
     use crate::system::BristleBuilder;
-    use bristle_netsim::rng::Pcg64;
     use bristle_netsim::transit_stub::TransitStubConfig;
-    use bristle_overlay::node::NodeRef;
 
     fn system(n_stat: usize, n_mob: usize, seed: u64, cfg: BristleConfig) -> BristleSystem {
         BristleBuilder::new(seed)
@@ -289,7 +285,10 @@ mod tests {
         let mut sys = system(40, 10, 1, BristleConfig::recommended());
         let asker = sys.stationary_keys()[0];
         let subject = sys.mobile_keys()[0];
+        let before = sys.meter.count(MessageKind::DiscoveryHop);
         let rep = sys.discover(asker, subject).unwrap();
+        // Every hop the report counts is metered.
+        assert_eq!(sys.meter.count(MessageKind::DiscoveryHop) - before, rep.hops as u64);
         let addr = rep.resolved.expect("published at build time");
         assert!(addr.is_valid(&sys.attachments));
         assert!(rep.hops >= 1);
@@ -413,6 +412,7 @@ mod tests {
         let mut sys = system(10, 0, 9, BristleConfig::recommended());
         let err = sys.route_mobile(Key(0xdead), Key(1)).unwrap_err();
         assert_eq!(err, BristleError::UnknownNode(Key(0xdead)));
+        assert_eq!(sys.discover(Key(0xdead), Key(1)).unwrap_err(), err);
     }
 
     #[test]
@@ -425,336 +425,5 @@ mod tests {
         let dst = sys.stationary_keys()[7];
         let rep = sys.route_mobile(src, dst).unwrap();
         assert_eq!(rep.total_hops(), rep.forward_hops + rep.discovery_hops + rep.stale_attempts);
-    }
-
-    // --------------------------------------------------------------
-    // Parity: the slot-walking read path against the key-walking one it
-    // replaced, kept verbatim below as the oracle.
-    // --------------------------------------------------------------
-
-    /// `discover` as it was: the entry point, every replica and the asker
-    /// resolved by key (`router_of`, `replica_set`, `cache_addr`), the
-    /// stationary route collected into a `Route`.
-    fn discover_by_key(
-        sys: &mut BristleSystem,
-        from: Key,
-        subject: Key,
-    ) -> Result<DiscoveryReport> {
-        let entry = sys.entry_stationary_for(from)?;
-        let from_router = sys.router_of(from)?;
-        let mut hops = 0usize;
-        let mut path_cost = 0u64;
-
-        // Injection hop (skipped when `from` is itself the entry point).
-        if entry != from {
-            let cost = sys.distances().distance(from_router, sys.router_of(entry)?);
-            sys.meter.record(MessageKind::DiscoveryHop, cost);
-            hops += 1;
-            path_cost += cost;
-        }
-
-        // Route within the stationary layer to the record's owner.
-        let dcache = sys.distances_arc();
-        let route = sys.stationary.route_as(
-            entry,
-            subject,
-            MessageKind::DiscoveryHop,
-            &sys.attachments,
-            &dcache,
-            &mut sys.meter,
-        )?;
-        hops += route.hop_count();
-        path_cost += route.path_cost;
-
-        // Read the record at the owner, probing successor replicas if the
-        // owner has no copy (it may have just joined, or the publisher's
-        // copy died with a failed node).
-        let mut record = None;
-        let mut reply_from = route.terminus();
-        let replicas = sys.stationary.replica_set(subject, sys.config().location_replicas)?;
-        let mut prev_router = sys.router_of(route.terminus())?;
-        for &replica in &replicas {
-            if replica != route.terminus() {
-                let r = sys.router_of(replica)?;
-                let cost = sys.distances().distance(prev_router, r);
-                sys.meter.record(MessageKind::DiscoveryHop, cost);
-                hops += 1;
-                path_cost += cost;
-                prev_router = r;
-            }
-            if let Some(rec) = sys.stationary.node(replica)?.store.get(&subject) {
-                record = Some(*rec);
-                reply_from = replica;
-                break;
-            }
-        }
-
-        // A record served by anyone but the route terminus means the
-        // primary lost its copy (death, or a just-joined owner): the
-        // replica chain absorbed the failure.
-        if record.is_some() && reply_from != route.terminus() {
-            sys.meter.bump(MessageKind::ReplicaFailover, 1);
-        }
-
-        // Reply hop back to the asker.
-        let cost = sys.distances().distance(sys.router_of(reply_from)?, from_router);
-        sys.meter.record(MessageKind::DiscoveryHop, cost);
-        hops += 1;
-        path_cost += cost;
-
-        let resolved = record.map(|r| r.addr);
-        if let Some(addr) = resolved {
-            sys.grant_lease(from, subject);
-            sys.cache_addr(from, subject, addr);
-        }
-        Ok(DiscoveryReport { resolved, hops, path_cost })
-    }
-
-    /// `route_mobile` as it was: the next hop's mobility from
-    /// `node_info(next_key)`, discoveries through [`discover_by_key`].
-    fn route_mobile_by_key(
-        sys: &mut BristleSystem,
-        src: Key,
-        target: Key,
-    ) -> Result<MobileRouteReport> {
-        let mut cur = sys.mobile.slot_of(src).map_err(|_| BristleError::UnknownNode(src))?;
-        let mut report = MobileRouteReport {
-            terminus: src,
-            forward_hops: 0,
-            discovery_hops: 0,
-            discoveries: 0,
-            failed_discoveries: 0,
-            stale_attempts: 0,
-            path_cost: 0,
-            forward_cost: 0,
-        };
-        // The walk carries slab positions: each node on the route is
-        // resolved once, by the forwarding decision that picked it.
-        while let Some(next) = sys.mobile.next_hop_from(cur, target) {
-            let (here, there) = (sys.mobile.at(cur), sys.mobile.at(next));
-            let (cur_key, next_key, next_host) = (here.key, there.key, there.host);
-            let cur_router = sys.attachments.router(here.host);
-            if sys.node_info(next_key)?.mobility == Mobility::Mobile {
-                let cached = here.entry(next_key).and_then(|p| p.addr);
-                let believed =
-                    cached.filter(|_| sys.leases.is_fresh(cur_key, next_key, sys.clock.now()));
-                match believed {
-                    Some(addr) if addr.is_valid(&sys.attachments) => {
-                        // Cached, leased, and actually current: forward directly.
-                    }
-                    other => {
-                        if let Some(stale) = other {
-                            // Confidently wrong: one wasted delivery attempt
-                            // to the old attachment point.
-                            let cost = sys.distances().distance(cur_router, stale.router());
-                            sys.meter.record(MessageKind::RouteHop, cost);
-                            report.stale_attempts += 1;
-                            report.path_cost += cost;
-                        }
-                        let disc = discover_by_key(sys, cur_key, next_key)?;
-                        report.discoveries += 1;
-                        report.discovery_hops += disc.hops;
-                        report.path_cost += disc.path_cost;
-                        if disc.resolved.is_none() {
-                            report.failed_discoveries += 1;
-                        }
-                    }
-                }
-            }
-            // Forward to the next node's true current attachment (after a
-            // successful discovery the cached address equals it; if the
-            // discovery failed we still charge the true cost, modelling an
-            // eventual retry converging out of band).
-            let next_router = sys.attachments.router(next_host);
-            let cost = sys.distances().distance(cur_router, next_router);
-            sys.meter.record(MessageKind::RouteHop, cost);
-            report.forward_hops += 1;
-            report.path_cost += cost;
-            report.forward_cost += cost;
-            cur = next;
-        }
-        report.terminus = sys.mobile.at(cur).key;
-        Ok(report)
-    }
-
-    fn sorted_leases(sys: &BristleSystem) -> Vec<((Key, Key), Lease)> {
-        let mut leases: Vec<_> = sys.leases.iter().collect();
-        leases.sort_unstable_by_key(|&(pair, _)| pair);
-        leases
-    }
-
-    /// A system driven by the read path under test and its twin, built
-    /// from the same seed, driven by the oracle.
-    struct Twins {
-        new: BristleSystem,
-        old: BristleSystem,
-    }
-
-    impl Twins {
-        fn build(seed: u64) -> Twins {
-            let build = || system(40, 24, seed, BristleConfig::recommended());
-            Twins { new: build(), old: build() }
-        }
-
-        /// The same out-of-band change to both systems.
-        fn both(&mut self, mut change: impl FnMut(&mut BristleSystem)) {
-            change(&mut self.new);
-            change(&mut self.old);
-        }
-
-        /// One discovery on each side; everything it may touch must agree.
-        fn discover(&mut self, from: Key, subject: Key, what: &str) -> DiscoveryReport {
-            let new = self.new.discover(from, subject).unwrap();
-            let old = discover_by_key(&mut self.old, from, subject).unwrap();
-            assert_eq!(
-                (new.resolved, new.hops, new.path_cost),
-                (old.resolved, old.hops, old.path_cost),
-                "{what}: report"
-            );
-            self.assert_agree(from, subject, what);
-            new
-        }
-
-        /// One route on each side.
-        fn route(&mut self, src: Key, target: Key, what: &str) -> MobileRouteReport {
-            let new = self.new.route_mobile(src, target).unwrap();
-            let old = route_mobile_by_key(&mut self.old, src, target).unwrap();
-            assert_eq!(format!("{new:?}"), format!("{old:?}"), "{what}: report");
-            self.assert_agree(src, target, what);
-            new
-        }
-
-        fn assert_agree(&self, asker: Key, subject: Key, what: &str) {
-            let (new, old) = (&self.new, &self.old);
-            assert_eq!(new.meter.tallies(), old.meter.tallies(), "{what}: tallies");
-            assert_eq!(sorted_leases(new), sorted_leases(old), "{what}: lease table");
-            assert_eq!(
-                new.mobile.node(asker).unwrap().entry(subject),
-                old.mobile.node(asker).unwrap().entry(subject),
-                "{what}: the asker's pair"
-            );
-            // Every row's learned entry (none for a fixed peer) and the
-            // address it resolves to, on its own side's attachments: the
-            // entries intermediate hops patched included.
-            let resolved = |sys: &BristleSystem, node: NodeRef<'_, Vec<u8>>| -> Vec<_> {
-                let row = |k| (node.entry(k).copied(), node.resolve(k, &sys.attachments));
-                node.keys().iter().map(|&k| row(k)).collect()
-            };
-            for (a, b) in new.mobile.iter().zip(old.mobile.iter()) {
-                assert_eq!(a.keys(), b.keys(), "{what}: rows of {}", a.key);
-                assert_eq!(resolved(new, a), resolved(old, b), "{what}: addresses of {}", a.key);
-            }
-        }
-    }
-
-    #[test]
-    fn discover_from_is_the_key_walking_discover() {
-        for seed in [8, 27] {
-            let mut twins = Twins::build(seed);
-            let replicas = twins.new.config().location_replicas;
-            let mobile = twins.new.mobile_keys().to_vec();
-            let asker = mobile[0];
-            let failovers = |t: &Twins| t.new.meter.count(MessageKind::ReplicaFailover);
-
-            // Hit at the owner.
-            let rep = twins.discover(asker, mobile[5], "hit at the owner");
-            assert!(rep.resolved.is_some());
-            assert_eq!(failovers(&twins), 0);
-            assert!(twins.new.leases.is_fresh(asker, mobile[5], twins.new.clock.now()));
-
-            // The owner lost its copy: the next replica serves it.
-            let owner = twins.new.stationary.owner(mobile[6]).unwrap();
-            twins.both(|sys| {
-                sys.stationary.node_mut(owner).unwrap().store.remove(&mobile[6]).expect("a copy");
-            });
-            let rep = twins.discover(asker, mobile[6], "replica failover");
-            assert!(rep.resolved.is_some());
-            assert_eq!(failovers(&twins), 1, "one failover, bumped once");
-
-            // No copy anywhere: every replica probed, no lease, no patch.
-            let holders = twins.new.stationary.replica_set(mobile[7], replicas).unwrap();
-            twins.both(|sys| {
-                for &holder in &holders {
-                    sys.stationary.node_mut(holder).unwrap().store.remove(&mobile[7]);
-                }
-            });
-            let rep = twins.discover(asker, mobile[7], "no copy anywhere");
-            assert!(rep.resolved.is_none());
-            assert!(rep.hops >= holders.len(), "every other replica was probed");
-            assert!(twins.new.leases.get(asker, mobile[7]).is_none());
-            assert_eq!(failovers(&twins), 1);
-
-            // A stationary asker is its own entry point: no injection hop.
-            let stationary_asker = twins.new.stationary_keys()[3];
-            assert_eq!(twins.new.entry_stationary_for(stationary_asker).unwrap(), stationary_asker);
-            let hops_before = twins.new.meter.count(MessageKind::DiscoveryHop);
-            let rep = twins.discover(stationary_asker, mobile[8], "stationary asker");
-            assert_eq!(
-                twins.new.meter.count(MessageKind::DiscoveryHop) - hops_before,
-                rep.hops as u64
-            );
-
-            // An asker that is unknown, on both sides.
-            assert_eq!(
-                twins.new.discover(Key(0xdead), mobile[8]).unwrap_err(),
-                discover_by_key(&mut twins.old, Key(0xdead), mobile[8]).unwrap_err()
-            );
-
-            // A subject that moved without telling anyone, under a live
-            // lease: one wasted attempt at the old address, then a
-            // discovery.
-            let (src, target) = (twins.new.stationary_keys()[0], mobile[9]);
-            twins.route(src, target, "priming route");
-            let host = twins.new.node_info(target).unwrap().host;
-            let elsewhere = twins.new.stub_routers()[0];
-            twins.both(|sys| {
-                sys.attachments.move_host(host, elsewhere);
-            });
-            let rep = twins.route(src, target, "route to a silently moved node");
-            assert_eq!(rep.terminus, target);
-            assert!(rep.stale_attempts >= 1 && rep.discoveries >= 1, "{rep:?}");
-        }
-    }
-
-    #[test]
-    fn route_mobile_is_the_key_walking_route_mobile_under_movement_and_churn() {
-        for seed in [8, 27] {
-            let mut twins = Twins::build(seed);
-            let mut rng = Pcg64::seed_from_u64(seed ^ 0x51d);
-            let mut discoveries = 0;
-            for round in 0..6 {
-                // Movement (told and untold), a join of each class, a
-                // departure of each kind: rows go stale and dangle.
-                let mover = *rng.choose(twins.new.mobile_keys());
-                twins.both(|sys| {
-                    sys.move_node(mover, None).unwrap();
-                });
-                let silent =
-                    twins.new.node_info(*rng.choose(twins.new.mobile_keys())).unwrap().host;
-                let elsewhere = *rng.choose(twins.new.stub_routers());
-                twins.both(|sys| {
-                    sys.attachments.move_host(silent, elsewhere);
-                });
-                let class = if round % 2 == 0 { Mobility::Mobile } else { Mobility::Stationary };
-                twins.both(|sys| {
-                    sys.join_node(class).unwrap();
-                });
-                let gone = *rng.choose(twins.new.stationary_keys());
-                twins.both(|sys| match round % 3 {
-                    0 => sys.leave_node(gone).unwrap(),
-                    1 => sys.fail_node(gone).unwrap(),
-                    _ => {
-                        sys.tick(sys.config().lease_ttl / 2);
-                    }
-                });
-                let keys: Vec<Key> = twins.new.mobile.keys().collect();
-                for i in 0..60 {
-                    let (src, target) = (*rng.choose(&keys), *rng.choose(&keys));
-                    let rep = twins.route(src, target, &format!("seed {seed} round {round} #{i}"));
-                    discoveries += rep.discoveries;
-                }
-            }
-            assert!(discoveries > 100, "only {discoveries} discoveries compared");
-        }
     }
 }

@@ -206,6 +206,9 @@ impl BristleSystem {
     /// Removes `key`'s location record from its replica set (the subject
     /// left, or its funeral was held). Returns copies removed.
     pub(crate) fn withdraw_location(&mut self, key: Key) -> Result<usize> {
+        if self.stationary.is_empty() {
+            return Ok(0); // The whole stationary layer died: nothing to withdraw.
+        }
         let replicas = self.config().location_replicas;
         let set = self.stationary.replica_set(key, replicas)?;
         let removed = self.stationary.unpublish(key, replicas)?;

@@ -617,6 +617,14 @@ impl BristleSystem {
     /// given), republishes its location, and pushes the update through its
     /// LDT. This is the full §2.3 `update` operation.
     pub fn move_node(&mut self, key: Key, to: Option<RouterId>) -> Result<MoveReport> {
+        let (new_router, publish_hops) = self.relocate(key, to)?;
+        let (ldt, updates_sent, update_cost) = self.advertise_update(key)?;
+        Ok(MoveReport { new_router, publish_hops, ldt, updates_sent, update_cost })
+    }
+
+    /// [`Self::move_node`] without its update: re-attaches and republishes,
+    /// telling no registrant. Returns the new router and the publish hops.
+    pub fn relocate(&mut self, key: Key, to: Option<RouterId>) -> Result<(RouterId, usize)> {
         let info = *self.node_info(key)?;
         if info.mobility != Mobility::Mobile {
             return Err(BristleError::NotMobile(key));
@@ -633,9 +641,7 @@ impl BristleSystem {
         };
         let idx = self.interner.get(key).expect("known");
         self.info.get_mut(idx).expect("live").seq += 1;
-        let publish_hops = self.publish_location(key)?;
-        let (ldt, updates_sent, update_cost) = self.advertise_update(key)?;
-        Ok(MoveReport { new_router, publish_hops, ldt, updates_sent, update_cost })
+        Ok((new_router, self.publish_location(key)?))
     }
 
     /// Forgets a live node (leave/fail bookkeeping): its key leaves its
@@ -836,143 +842,6 @@ mod tests {
         sys.assert_stores_mirror_tables("a registration sync");
     }
 
-    /// ROADMAP 2(a)'s "store replay == in-memory state", after every step
-    /// of one scripted life of a system: each store the hub holds belongs
-    /// to a live node and holds exactly its identity, its shard, the
-    /// edges it is the registrant of and the leases it holds — and only
-    /// a node that was given a WAL holds one.
-    #[test]
-    fn stores_mirror_tables_through_a_scripted_lifecycle() {
-        for seed in [8, 27] {
-            let mut sys = small_system(40, 16, seed);
-            let dir = std::env::temp_dir()
-                .join(format!("bristle-system-test-{}", std::process::id()))
-                .join(format!("lifecycle-{seed}"));
-            let _ = std::fs::remove_dir_all(&dir);
-            // Every node present at build is given a WAL now, so each
-            // step below compares real stores with the tables; a node
-            // that joins later holds none until it is given one.
-            let mut durable: HashSet<Key> = sys.mobile.keys().collect();
-            for &key in &durable {
-                let wal =
-                    bristle_store::WalBackend::open(dir.join("build").join(key.to_string()), 0);
-                sys.attach_wal(key, wal.unwrap());
-            }
-            let check = |sys: &BristleSystem, durable: &HashSet<Key>, step: &str| {
-                let step = format!("{step} (seed {seed})");
-                sys.assert_stores_mirror_tables(&step);
-                for key in sys.mobile.keys().filter(|k| !durable.contains(k)) {
-                    assert!(sys.stores.state(key).is_none(), "after {step}: {key} holds a store");
-                }
-            };
-            check(&sys, &durable, "build");
-
-            let (watcher, m) = (sys.stationary_keys()[1], sys.mobile_keys()[2]);
-            sys.register_interest(watcher, m).unwrap();
-            check(&sys, &durable, "register_interest");
-            sys.move_node(m, None).unwrap();
-            check(&sys, &durable, "move_node");
-            let mut joined = vec![
-                sys.join_node(Mobility::Mobile).unwrap().key,
-                sys.join_node(Mobility::Stationary).unwrap().key,
-            ];
-            check(&sys, &durable, "join_node");
-            // Stationary joins push some replica out of a record's replica
-            // set with its copy still in hand: when that node leaves, its
-            // successor inherits a record it is no replica of.
-            let replicas = sys.config().location_replicas;
-            let displaced = |sys: &BristleSystem| {
-                let outside = |holder: Key, subject: &Key| {
-                    !sys.stationary.replica_set(*subject, replicas).unwrap().contains(&holder)
-                };
-                sys.stationary
-                    .iter()
-                    .find(|n| n.store.keys().any(|s| outside(n.key, s)))
-                    .map(|n| n.key)
-            };
-            while displaced(&sys).is_none() {
-                joined.push(sys.join_node(Mobility::Stationary).unwrap().key);
-            }
-            let outsider = displaced(&sys).expect("just found");
-            sys.leave_node(outsider).unwrap();
-            check(&sys, &durable, "leave_node (a displaced replica)");
-
-            // Leases lapse under `tick`; records and leases under upkeep.
-            sys.tick(sys.config().lease_ttl + 1);
-            check(&sys, &durable, "tick past the lease TTL");
-            sys.move_node(m, None).unwrap();
-            sys.clock.advance(sys.config().lease_ttl.max(sys.config().location_ttl) + 1);
-            sys.run_upkeep().unwrap();
-            check(&sys, &durable, "run_upkeep");
-
-            // A leaver of each class, each holding fresh leases.
-            sys.move_node(m, None).unwrap();
-            let member = sys.registry.registrants_of(m)[0].key;
-            sys.leave_node(member).unwrap();
-            check(&sys, &durable, "leave_node (an LDT member)");
-            sys.leave_node(sys.mobile_keys()[5]).unwrap();
-            sys.leave_node(sys.stationary_keys()[7]).unwrap();
-            check(&sys, &durable, "leave_node");
-
-            let crashed = sys.stationary_keys()[3];
-            sys.fail_node(crashed).unwrap();
-            check(&sys, &durable, "fail_node");
-            sys.confirm_dead(crashed).unwrap();
-            check(&sys, &durable, "confirm_dead");
-
-            // Wrongful funerals reversed: the WALs come back out of the
-            // graves holding rows the funerals took out of the tables.
-            for buried in [sys.mobile_keys()[1], sys.stationary_keys()[2]] {
-                sys.move_node(m, None).unwrap();
-                sys.confirm_dead(buried).unwrap();
-                check(&sys, &durable, "confirm_dead (wrongful)");
-                assert!(sys.rejoin_node(buried, 1).unwrap().restored);
-                check(&sys, &durable, "rejoin_node");
-            }
-
-            // Crash-restart off a fresh log, with downtime long enough
-            // for some of what it persisted to go stale.
-            for victim in [sys.stationary.owner(m).unwrap(), m] {
-                let wal = bristle_store::WalBackend::open(dir.join(victim.to_string()), 8).unwrap();
-                durable.insert(victim);
-                sys.attach_wal(victim, wal);
-                check(&sys, &durable, "attach_wal");
-                sys.move_node(sys.mobile_keys()[0], None).unwrap();
-                sys.confirm_dead(victim).unwrap();
-                sys.leave_node(sys.mobile_keys()[0]).unwrap();
-                sys.tick(sys.config().lease_ttl / 2);
-                let report = sys.restart_node_from_store(victim).unwrap();
-                assert!(report.restored && report.replay.is_some());
-                assert!(
-                    report.was_mobile || report.records_skipped > 0,
-                    "the downtime must leave a stale record on the primary's disk"
-                );
-                check(&sys, &durable, "restart_node_from_store");
-            }
-
-            sys.anti_entropy_locations().unwrap();
-            check(&sys, &durable, "anti_entropy_locations");
-
-            // The function-path `discover` leases like every other path.
-            let live_primary = |&&k: &&Key| sys.contains_node(k) && !sys.is_mobile(k);
-            let asker = *durable.iter().filter(live_primary).min().expect("a primary with a store");
-            let subject = sys.mobile_keys()[0];
-            assert!(sys.discover(asker, subject).unwrap().resolved.is_some());
-            assert!(sys.stores.state(asker).unwrap().leases.contains_key(&subject.0));
-            check(&sys, &durable, "discover");
-
-            // A node that never held a store crashes, is buried and
-            // restarts off its grave's fold: it comes back holding none.
-            let fresh = joined.into_iter().find(|&k| sys.contains_node(k) && !durable.contains(&k));
-            let fresh = fresh.expect("a live joiner without a store");
-            sys.confirm_dead(fresh).unwrap();
-            check(&sys, &durable, "confirm_dead (a node without a store)");
-            assert!(sys.restart_node_from_store(fresh).unwrap().restored);
-            check(&sys, &durable, "restart_node_from_store (a node without a store)");
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
     #[test]
     fn registrations_cover_reverse_pointers_of_mobile_nodes() {
         let mut sys = small_system(40, 20, 4);
@@ -1054,138 +923,6 @@ mod tests {
         }
     }
 
-    /// `entry_stationary_for` as it was before `stationary_hosts`: every
-    /// row's key looked up in the stationary ring, and the host read off
-    /// the occupant found there. Kept verbatim as the oracle.
-    fn entry_stationary_by_key(sys: &BristleSystem, from: Key) -> Result<Key> {
-        let info = sys.node_info(from)?;
-        if info.mobility == Mobility::Stationary {
-            return Ok(from);
-        }
-        if sys.stationary.is_empty() {
-            return Err(BristleError::NoStationaryLayer);
-        }
-        // One row serves every entry: the asker's distances to all routers.
-        let from_router = sys.attachments.router(info.host);
-        let row = sys.dcache.row(from_router);
-        let node = sys.mobile.node(from)?;
-        let mut best: Option<(u64, Key)> = None;
-        for &k in node.keys() {
-            // Only stationary nodes are in the stationary ring, and they
-            // never move, so the host recorded there is where they are.
-            let Ok(peer) = sys.stationary.node(k) else { continue };
-            let d = row[sys.attachments.router(peer.host).index()];
-            if best.map(|(b, _)| d < b).unwrap_or(true) {
-                best = Some((d, k));
-            }
-        }
-        match best {
-            Some((_, k)) => Ok(k),
-            None => Ok(sys.stationary.owner(from)?),
-        }
-    }
-
-    /// `stationary_hosts` is the stationary ring's membership, host by
-    /// host, and every node's entry point is the one the key walk picks.
-    fn assert_read_path_matches_key_walk(sys: &BristleSystem, step: &str) {
-        let ring_hosts: HashSet<HostId> = sys.stationary.iter().map(|n| n.host).collect();
-        assert_eq!(ring_hosts.len(), sys.stationary_keys().len(), "{step}: ring vs key list");
-        for host in (0..sys.attachments.len() as u32).map(HostId) {
-            assert_eq!(
-                sys.is_stationary_host(host),
-                ring_hosts.contains(&host),
-                "{step}: stationary bit of {host}"
-            );
-        }
-        for key in sys.mobile.keys() {
-            assert_eq!(
-                sys.entry_stationary_for(key),
-                entry_stationary_by_key(sys, key),
-                "{step}: entry point of {key}"
-            );
-        }
-        let gone = Key(0x0dd);
-        assert_eq!(sys.entry_stationary_for(gone), entry_stationary_by_key(sys, gone), "{step}");
-    }
-
-    #[test]
-    fn stationary_bits_and_entry_points_match_the_key_walk_through_a_lifecycle() {
-        for seed in [8, 27] {
-            let mut sys = small_system(40, 24, seed);
-            let check = |sys: &BristleSystem, step: &str| {
-                assert_read_path_matches_key_walk(sys, &format!("{step} (seed {seed})"))
-            };
-            check(&sys, "build");
-
-            // Joins rebuild the visited nodes only: everyone else keeps
-            // the rows they had.
-            for _ in 0..3 {
-                sys.join_node(Mobility::Mobile).unwrap();
-                sys.join_node(Mobility::Stationary).unwrap();
-            }
-            check(&sys, "join_node");
-
-            // The most popular entry point leaves, then the next one
-            // crashes: mobile nodes keep dangling rows for both.
-            let most_popular = |sys: &BristleSystem| {
-                let mut uses: HashMap<Key, usize> = HashMap::new();
-                for &m in sys.mobile_keys() {
-                    *uses.entry(sys.entry_stationary_for(m).unwrap()).or_default() += 1;
-                }
-                uses.into_iter().max_by_key(|&(k, n)| (n, k)).expect("mobile nodes").0
-            };
-            let leaver = most_popular(&sys);
-            let leaver_info = *sys.node_info(leaver).unwrap();
-            sys.leave_node(leaver).unwrap();
-            check(&sys, "leave_node (stationary)");
-            let crashed = most_popular(&sys);
-            sys.fail_node(crashed).unwrap();
-            check(&sys, "fail_node (stationary)");
-            sys.confirm_dead(crashed).unwrap();
-            check(&sys, "confirm_dead");
-
-            // Wrongful funerals, reversed.
-            for buried in [most_popular(&sys), sys.mobile_keys()[1]] {
-                sys.confirm_dead(buried).unwrap();
-                check(&sys, "confirm_dead (wrongful)");
-                assert!(sys.rejoin_node(buried, 1).unwrap().restored);
-                check(&sys, "rejoin_node");
-            }
-
-            // Crash-restart off a real log.
-            let dir = std::env::temp_dir()
-                .join(format!("bristle-system-test-{}", std::process::id()))
-                .join(format!("read-path-{seed}"));
-            let _ = std::fs::remove_dir_all(&dir);
-            for victim in [most_popular(&sys), sys.mobile_keys()[2]] {
-                let wal = bristle_store::WalBackend::open(dir.join(victim.to_string()), 8).unwrap();
-                sys.attach_wal(victim, wal);
-                sys.confirm_dead(victim).unwrap();
-                check(&sys, "confirm_dead (WAL-backed)");
-                assert!(sys.restart_node_from_store(victim).unwrap().restored);
-                check(&sys, "restart_node_from_store");
-            }
-            let _ = std::fs::remove_dir_all(&dir);
-
-            // The departed key comes back as a new body: a fresh host,
-            // attached fixed and wired by the caller as `readmit` asks.
-            // The old host's bit stays clear.
-            let host = sys.attachments.attach_fixed(sys.stub_routers()[0]);
-            sys.readmit(leaver, NodeInfo { host, ..leaver_info }).unwrap();
-            sys.rewire();
-            assert!(sys.is_stationary_host(host) && !sys.is_stationary_host(leaver_info.host));
-            check(&sys, "readmit on a new host");
-
-            // The row the scan picks names a fixed peer: it has no
-            // learned address to go stale or null, only its host.
-            let asker = sys.mobile_keys()[0];
-            let entry = sys.entry_stationary_for(asker).unwrap();
-            assert!(sys.mobile.node(asker).unwrap().knows(entry), "seed {seed}: a row");
-            assert!(sys.mobile.node_mut(asker).unwrap().entry_mut(entry).is_none());
-            check(&sys, "a fixed peer's row, unlearned");
-        }
-    }
-
     /// Paper §2.3.1: a node registers to every mobile node whose
     /// state-pair it holds, and only those pairs go stale. So in the
     /// mobile ring a row keeps a learned address exactly when its peer can
@@ -1200,6 +937,12 @@ mod tests {
     /// item 2), so the edges are checked there only.
     fn assert_learned_entries_are_registrations(sys: &BristleSystem, step: &str, synced: bool) {
         sys.assert_stores_mirror_tables(step);
+        // A host's stationary bit is its membership of the stationary ring.
+        let ring_hosts: HashSet<HostId> = sys.stationary.iter().map(|n| n.host).collect();
+        for host in (0..sys.attachments.len() as u32).map(HostId) {
+            let bit = sys.is_stationary_host(host);
+            assert_eq!(bit, ring_hosts.contains(&host), "after {step}: stationary bit of {host}");
+        }
         let mut edges: HashMap<Key, Vec<Key>> = HashMap::new();
         for &m in sys.mobile_keys() {
             for r in sys.registry.registrants_of(m) {
@@ -1258,9 +1001,17 @@ mod tests {
                 sys.join_node(class).unwrap();
             }
             check(&sys, "join_node", false);
+            let leaver = sys.stationary_keys()[4];
+            let leaver_info = *sys.node_info(leaver).unwrap();
             sys.leave_node(sys.mobile_keys()[4]).unwrap();
-            sys.leave_node(sys.stationary_keys()[4]).unwrap();
+            sys.leave_node(leaver).unwrap();
             check(&sys, "leave_node", false);
+            // The departed key comes back as a new body on a fresh fixed
+            // host, wired by the caller as `readmit` asks.
+            let host = sys.attachments.attach_fixed(sys.stub_routers()[0]);
+            sys.readmit(leaver, NodeInfo { host, ..leaver_info }).unwrap();
+            sys.rewire();
+            check(&sys, "readmit on a new host", false);
             let crashed = sys.mobile_keys()[5];
             sys.fail_node(crashed).unwrap();
             check(&sys, "fail_node", false);

@@ -362,7 +362,7 @@ fn socket_arm(sys: BristleSystem, steps: &[Step]) -> ConformanceReport {
             // bump). The address book keys endpoints by host, and the
             // node's socket does not move — only its overlay address.
             Step::Move { key, to } => {
-                world.sys.move_node(key, Some(to)).expect("mobile node moves");
+                world.sys.relocate(key, Some(to)).expect("mobile node moves");
             }
             Step::Disseminate { key } => net_disseminate(&mut d, &mut world, key),
             Step::Believe { holder, subject } => force_belief(&mut world.sys, holder, subject),

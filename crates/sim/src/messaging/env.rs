@@ -227,54 +227,6 @@ mod tests {
         held
     }
 
-    /// The machines write the repository through `SystemEnv`, which
-    /// forwards to the one write path of `bristle_core::repo`: after a
-    /// registration, a dissemination and a route that resolves its hops
-    /// by `_discovery`, every store still holds what the tables hold —
-    /// and the only nodes holding one are those given a WAL.
-    #[test]
-    fn message_path_keeps_stores_mirroring_tables() {
-        for seed in [8u64, 27] {
-            let dir = std::env::temp_dir()
-                .join(format!("bristle-sim-env-test-{}", std::process::id()))
-                .join(format!("mirror-{seed}"));
-            let _ = std::fs::remove_dir_all(&dir);
-            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
-            let (watcher, m) = (msys.sys.stationary_keys()[0], msys.sys.mobile_keys()[0]);
-            let src = msys.sys.stationary_keys()[1];
-            let primary = msys.sys.stationary.owner(m).expect("a primary");
-            let durable = [watcher, src, primary, m];
-            for key in durable {
-                let wal = bristle_store::WalBackend::open(dir.join(key.to_string()), 8);
-                msys.sys.attach_wal(key, wal.expect("WAL opens"));
-            }
-            let check = |msys: &MessagingBristleSystem, step: &str| {
-                msys.sys.assert_stores_mirror_tables(step);
-                assert_eq!(stored(msys, &durable).len(), 4, "after {step}");
-            };
-
-            msys.register(watcher, m).expect("registration acked");
-            assert!(msys.sys.registry.registrants_of(m).iter().any(|r| r.key == watcher));
-            check(&msys, "register by message");
-
-            msys.sys.move_node(m, None).expect("mobile node moves");
-            msys.sys.tick(msys.sys.config().lease_ttl + 1);
-            assert!(msys.sys.leases.is_empty(), "every lease lapsed");
-            let acked = msys.disseminate_update(m).expect("dissemination runs");
-            assert_eq!(msys.sys.leases.len(), acked, "one lease per acked LDT edge");
-            check(&msys, "disseminate by message");
-
-            let before = msys.sys.meter.count(MessageKind::DiscoveryHop);
-            msys.route(src, msys.sys.mobile_keys()[1]).expect("route delivers");
-            msys.settle();
-            assert!(msys.sys.meter.count(MessageKind::DiscoveryHop) > before, "no hop resolved");
-            assert!(msys.sys.leases.len() > acked, "a resolution leases the address");
-            assert!(!msys.sys.stores.state(src).unwrap().leases.is_empty(), "src's store leases");
-            check(&msys, "route with _discovery");
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
     /// A store exists where durability does: after build and a run of
     /// traffic that writes every kind of row, a node that neither
     /// crashed nor was given a WAL holds none.

@@ -16,9 +16,6 @@ use super::*;
 /// still alive (unreachable, not crashed).
 #[derive(Debug)]
 pub(super) struct WrongfulBurial {
-    /// The corpse's own incarnation at burial; any higher incarnation
-    /// observed later proves it refuted the verdict.
-    incarnation: u64,
     /// Micro-time of the funeral.
     at: SimTime,
     /// Watchers that held the death verdict — the nodes whose obituary
@@ -399,20 +396,24 @@ impl MessagingBristleSystem {
         if buried.is_empty() {
             return;
         }
-        let mut sponsors: BTreeMap<Key, Key> = BTreeMap::new();
+        // Each carries the incarnation its announcer last heard of the
+        // node.
+        let mut sponsors: BTreeMap<Key, (Key, u64)> = BTreeMap::new();
         for &f in &buried {
             let Some(announcer) = self.pick_announcer(f) else { continue };
-            sponsors.insert(f, announcer);
+            let heard = self.machine_of(announcer).and_then(|m| m.peer_incarnation(f));
+            sponsors.insert(f, (announcer, heard.unwrap_or(0)));
             self.drive(announcer, |m, now, env| m.notify_suspect(now, env, f, f));
         }
         self.drain();
-        // (2) Nodes whose incarnation moved past their burial have
+        // (2) Nodes whose incarnation is past their obituary's have
         // refuted the verdict: they ask their announcer to sponsor the
-        // rejoin.
+        // rejoin. (A node a restart put past it already refutes a stale
+        // obituary without bumping.)
         for &f in &buried {
-            let Some(&sponsor) = sponsors.get(&f) else { continue };
+            let Some(&(sponsor, heard)) = sponsors.get(&f) else { continue };
             let refuted = match (self.machine_of(f), self.nodes.fate(f)) {
-                (Some(m), Some(Fate::BuriedAlive(burial))) => m.incarnation() > burial.incarnation,
+                (Some(m), Some(Fate::BuriedAlive(_))) => m.incarnation() > heard,
                 _ => false,
             };
             if !refuted {
@@ -505,9 +506,7 @@ impl MessagingBristleSystem {
         // echoes are not news.
         self.completions.retain(|c| !matches!(c, Completion::PeerDead { peer } if *peer == key));
         if let Some(last_addr) = buried_at {
-            let incarnation = self.machine_of(key).map(|m| m.incarnation()).unwrap_or(0);
-            let burial =
-                WrongfulBurial { incarnation, at: self.queue.now(), announcers: believers };
+            let burial = WrongfulBurial { at: self.queue.now(), announcers: believers };
             self.nodes.hold(key, Some(Held { last_addr, fate: Fate::BuriedAlive(burial) }));
         }
         let report = self.sys.confirm_dead(key).map_err(|_| MessagingError::UnknownNode(key))?;

@@ -89,7 +89,8 @@ enum MsgEvent {
         /// The timer payload.
         kind: TimerKind,
     },
-    /// A scheduled mid-operation disruption: move a mobile node.
+    /// A scheduled mid-operation disruption: move a mobile node (its
+    /// registrants are told only by a later dissemination).
     Move {
         /// The node to move.
         key: Key,
@@ -541,7 +542,7 @@ impl MessagingBristleSystem {
                 self.drive_at(node, resent, |m, now, env| m.poll(now, Event::Timer(kind), env));
             }
             MsgEvent::Move { key, to } => {
-                let _ = self.sys.move_node(key, to);
+                let _ = self.sys.relocate(key, to);
             }
             MsgEvent::Fail { key } => self.fail_silently(key),
         }
@@ -617,6 +618,9 @@ impl MessagingBristleSystem {
         self.queue.schedule_at(d.at, MsgEvent::Deliver(slot));
     }
 }
+
+#[cfg(test)]
+mod schedules;
 
 /// What the per-file driver tests share.
 #[cfg(test)]

@@ -224,7 +224,8 @@ impl MessagingBristleSystem {
     }
 
     /// Schedules a mobile node's move at micro-time `at`, to be executed
-    /// while a later operation's event loop runs past that time.
+    /// while a later operation's event loop runs past that time. Its
+    /// registrants learn the new address only from [`Self::disseminate_update`].
     pub fn schedule_move(&mut self, at: SimTime, key: Key, to: Option<RouterId>) {
         self.queue.schedule_at(at, MsgEvent::Move { key, to });
     }
@@ -286,6 +287,38 @@ mod tests {
     use super::super::MAX_EVENTS_PER_OP;
     use super::*;
     use bristle_proto::transport::FaultConfig;
+
+    /// A scheduled move re-attaches the node and republishes its record
+    /// but tells no registrant: on a perfect transport it meters no
+    /// `Update`, and a registrant's row keeps the old address until
+    /// `disseminate_update` sends one `Update` per LDT edge.
+    #[test]
+    fn a_scheduled_move_tells_no_registrant_until_dissemination() {
+        for seed in [8u64, 27] {
+            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+            let m = msys.sys.mobile_keys()[0];
+            let ldt = msys.sys.build_ldt(m).expect("a live mobile node");
+            let learned = |c: &Key| msys.sys.mobile.node(*c).is_ok_and(|n| n.entry(m).is_some());
+            let holder = ldt.edges().map(|(_, c)| c).find(learned).expect("a registrant's row");
+            let row = |msys: &MessagingBristleSystem| {
+                let entry = msys.sys.mobile.node(holder).expect("live").entry(m).copied();
+                entry.and_then(|e| e.addr).map(WireAddr::from_net)
+            };
+            let updates = |msys: &MessagingBristleSystem| msys.sys.meter.count(MessageKind::Update);
+            let (old, before) = (row(&msys), updates(&msys));
+            assert_eq!(old, wire_addr_of(&msys.sys, m), "seed {seed}: the row starts current");
+            let here = msys.sys.router_of(m).expect("live");
+            let to = *msys.sys.stub_routers().iter().find(|&&r| r != here).expect("a router");
+            msys.schedule_move(SimTime(msys.micro_now().0 + 1), m, Some(to));
+            msys.settle();
+            assert_eq!(msys.sys.router_of(m), Ok(to), "seed {seed}: the move ran");
+            assert_eq!(updates(&msys), before, "seed {seed}: a move alone sends no Update");
+            assert_eq!(row(&msys), old, "seed {seed}: the registrant was not told");
+            assert_eq!(msys.disseminate_update(m), Ok(ldt.edge_count()), "seed {seed}");
+            assert_eq!(updates(&msys) - before, ldt.edge_count() as u64, "seed {seed}");
+            assert_eq!(row(&msys), wire_addr_of(&msys.sys, m), "seed {seed}: and now it is");
+        }
+    }
 
     /// Scans buffered completions for this route's outcome.
     fn take_route_completion(

@@ -1,0 +1,566 @@
+//! Generated schedules: seeded op lists over the driver's primitives,
+//! run one op at a time with the network settled and every invariant
+//! below checked after each op. A crash-free list also runs through the
+//! function path, and the two paths must agree. A failing list is shrunk
+//! by op-list bisection; the shrunk lists in [`CORPUS`] replay first.
+//! DESIGN §6 maps each check to the scripted tests it replaced.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use bristle_core::error::{BristleError, Result as CoreResult};
+use bristle_core::location::LocationRecord;
+use bristle_core::naming::Mobility;
+use bristle_core::system::GRAVEYARD_RETENTION;
+use bristle_netsim::rng::Pcg64;
+use bristle_overlay::addr::NetAddr;
+use bristle_proto::transport::{LinkFilter, TRACE_CAPACITY};
+use bristle_proto::wire::WireAddr;
+
+use super::*;
+use crate::partition::RECOVERY_ROUNDS;
+use crate::workload::tiny_system;
+
+/// Schedules the invariant run generates, and ops in each.
+const SEEDS: u64 = 64;
+const OPS: usize = 200;
+/// Crash-free schedules the differential generates, and ops in each.
+const DIFF_SEEDS: u64 = 32;
+const DIFF_OPS: usize = 150;
+
+/// One step of a schedule. Its numbers pick a key (see [`pick`]), a
+/// router or an amount when it runs.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// A mobile node moves to a stub router (`schedule_move`).
+    Move(u8, u8),
+    Route(u8, u8),
+    /// Any node registers with a mobile one.
+    Register(u8, u8),
+    Disseminate(u8),
+    Join(Mobility),
+    Leave(u8),
+    /// `sys.tick` by one of [`ticks`]; expired records go.
+    Tick(u8),
+    /// `sys.run_upkeep`.
+    Upkeep,
+    AntiEntropy,
+    AttachWal(u8),
+    Fail(u8),
+    /// `heartbeat_round`, and `confirm_and_heal` on every verdict.
+    Heartbeat,
+    /// A crashed, buried node restarts off its disk.
+    CrashRestart(u8),
+    RepublishRestart(u8),
+    /// A node's router is cut off (the cut in force is replaced, so
+    /// a heal always finds someone who can announce a funeral).
+    Partition(u8),
+    /// `heal_now`, then [`RECOVERY_ROUNDS`] heartbeat rounds.
+    Heal,
+    /// The function path's `confirm_dead` on a node that left: a
+    /// verdict that buries nobody.
+    Bury(u8),
+    /// A route (even) or a registration (odd) starts, and before the
+    /// network runs its first frame is answered by a forgery: a
+    /// `DiscoveryReply` naming no router at an open session, else a
+    /// `HopAck` (the wrong kind for a registration).
+    Forge(u8, u8, u8),
+}
+use Op::*;
+
+/// Shrunk schedules that once failed, replayed before anything is
+/// generated: `(seed, differential, ops)`. The first five failed with a
+/// known bug put back (DESIGN §6); the last two at the parent commit.
+#[rustfmt::skip]
+const CORPUS: &[(u64, bool, &[Op])] = &[
+    // A `DiscoveryReply` naming no router, taken at an open session.
+    (0, false, &[Forge(127, 174, 144)]),
+    // A verdict on a node whose grave was pruned.
+    (44, false, &[Partition(11), Heartbeat, Fail(253), Heartbeat, Heartbeat, Tick(71), Heartbeat]),
+    // After burials move a replica set, a record held only outside it.
+    (10, false, &[Partition(139), Heartbeat, Heartbeat, Heartbeat, Heartbeat, AntiEntropy]),
+    // A verdict that buried nobody, kept past the graveyard's retention.
+    (0, false, &[Leave(9), Bury(24), Tick(251)]),
+    // A discovery that finds no copy, answered from the route's terminus.
+    (0, true, &[Tick(115), Route(212, 65)]),
+    // A move on the message path that ran the function path's update.
+    (0, true, &[Move(133, 121)]),
+    // A node a restart put past its obituary's incarnation, buried again.
+    (0, false, &[Fail(137), Heal, Partition(132), RepublishRestart(88),
+                 Heartbeat, Heartbeat, Heartbeat, Heal]),
+];
+
+/// The `Tick` amounts: a tick, then just past the lease TTL, the record
+/// TTL and the graveyard's retention.
+fn ticks(sys: &BristleSystem) -> [u64; 4] {
+    let cfg = sys.config();
+    [1, cfg.lease_ttl + 1, cfg.location_ttl + 1, GRAVEYARD_RETENTION + 1]
+}
+
+/// The system a seed runs: 12 to 36 stationary nodes and 6 to 14 mobile
+/// ones, so small rings, where every node neighbours every other, come
+/// up as often as large ones.
+fn build(seed: u64) -> BristleSystem {
+    tiny_system(seed, 12 + seed as usize % 4 * 8, 6 + seed as usize % 3 * 4, Default::default())
+}
+
+/// Removals stop where the layers would grow too thin to route.
+const MIN_STATIONARY: usize = 6;
+const MIN_MOBILE: usize = 3;
+
+fn generate(seed: u64, len: usize, crash_free: bool) -> Vec<Op> {
+    let mut rng = Pcg64::seed_from_u64(seed ^ 0x5ced);
+    let kinds = if crash_free { 14 } else { 27 };
+    (0..len)
+        .map(|_| {
+            let kind = rng.index(kinds);
+            let mut b = || rng.below(256) as u8;
+            match kind {
+                0..=3 => Route(b(), b()),
+                4 | 5 => Move(b(), b()),
+                6 => Register(b(), b()),
+                7 => Disseminate(b()),
+                8 => Join([Mobility::Mobile, Mobility::Stationary][usize::from(b() % 2)]),
+                9 => Leave(b()),
+                10 => Tick(b()),
+                11 => AntiEntropy,
+                12 => AttachWal(b()),
+                13 => Upkeep,
+                14 | 15 => Fail(b()),
+                16..=19 => Heartbeat,
+                20 => CrashRestart(b()),
+                21 => RepublishRestart(b()),
+                22 => Partition(b()),
+                23 => Heal,
+                24 => Bury(b()),
+                _ => Forge(b(), b(), b()),
+            }
+        })
+        .collect()
+}
+
+/// The key `i` picks: the one that scores highest under `i`'s hash
+/// (rendezvous hashing), so it stays picked while it lives, whatever
+/// joins or leaves around it.
+fn pick(from: &[Key], i: u8) -> Option<Key> {
+    let score = |k: &Key| {
+        let h = (k.0 ^ u64::from(i).wrapping_mul(0x9e37_79b9_7f4a_7c15)).wrapping_mul(0xbf58_476d);
+        h ^ (h >> 29)
+    };
+    from.iter().copied().max_by_key(score)
+}
+
+/// The stub router `i` picks.
+fn router(sys: &BristleSystem, i: u8) -> RouterId {
+    sys.stub_routers()[usize::from(i) % sys.stub_routers().len()]
+}
+
+/// `entry_stationary_for` as the key walk computes it, from public API
+/// only: every row's key looked up in the stationary ring, the host
+/// read off the occupant found there.
+fn entry_by_key(sys: &BristleSystem, from: Key) -> CoreResult<Key> {
+    let info = sys.node_info(from)?;
+    if info.mobility == Mobility::Stationary {
+        return Ok(from);
+    }
+    if sys.stationary.is_empty() {
+        return Err(BristleError::NoStationaryLayer);
+    }
+    let row = sys.distances().row(sys.attachments.router(info.host));
+    let node = sys.mobile.node(from)?;
+    let stationary = |&k: &Key| sys.stationary.node(k).ok().map(|p| (p.host, k));
+    let nearest = node.keys().iter().filter_map(stationary);
+    match nearest.min_by_key(|&(host, _)| row[sys.attachments.router(host).index()]) {
+        Some((_, k)) => Ok(k),
+        None => Ok(sys.stationary.owner(from)?),
+    }
+}
+
+/// A fresh log for `k` under `dir`: a node may be given one again.
+fn fresh_log(dir: &std::path::Path, k: Key) -> bristle_store::WalBackend {
+    let logs = std::fs::read_dir(dir).map_or(0, Iterator::count);
+    bristle_store::WalBackend::open(dir.join(format!("{k}-{logs}")), 8).expect("a WAL opens")
+}
+
+/// The message path under a schedule, and what the checks remember.
+struct World {
+    msys: MessagingBristleSystem,
+    dir: std::path::PathBuf,
+    /// Nodes given a WAL: no other node may hold a store.
+    durable: BTreeSet<Key>,
+    /// Every node a verdict buried.
+    verdicts: BTreeSet<Key>,
+    /// Every node that left.
+    left: Vec<Key>,
+    /// Whether a cut is in force, and whether the transport drops 2 %.
+    cut: bool,
+    lossy: bool,
+}
+
+impl Drop for World {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+impl World {
+    fn new(seed: u64, lossy: bool) -> World {
+        static RUNS: AtomicU64 = AtomicU64::new(0);
+        let run = RUNS.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir()
+            .join(format!("bristle-schedules-{}-{seed}-{run}", std::process::id()));
+        let faults = if lossy { FaultConfig::lossy(0.02) } else { FaultConfig::perfect() };
+        let msys = MessagingBristleSystem::new(build(seed), faults, seed);
+        let (durable, verdicts) = (BTreeSet::new(), BTreeSet::new());
+        World { msys, dir, durable, verdicts, left: Vec::new(), cut: false, lossy }
+    }
+
+    /// The nodes `op` names, picked among those it may take: live ones;
+    /// mobile ones where it needs one; for a leave or a crash, those of a
+    /// layer that keeps its floor without them; a store-less node for a
+    /// WAL; a node that left, for `Bury`; a crashed one still in its
+    /// grave, for a restart.
+    fn targets(&self, op: Op) -> (Option<Key>, Option<Key>) {
+        let m = &self.msys;
+        let live: Vec<Key> = m.sys.mobile.keys().filter(|&k| !m.is_failed(k)).collect();
+        let of = |mobile: bool| -> Vec<Key> {
+            live.iter().copied().filter(|&k| m.sys.is_mobile(k) == mobile).collect()
+        };
+        let (stationary, mobile) = (of(false), of(true));
+        let mut removable = if stationary.len() > MIN_STATIONARY { stationary } else { vec![] };
+        removable.extend(if mobile.len() > MIN_MOBILE { &mobile[..] } else { &[] });
+        let buried = |&k: &Key| m.is_failed(k) && m.sys.is_confirmed_dead(k);
+        match op {
+            Move(i, _) | Disseminate(i) => (pick(&mobile, i), None),
+            Route(a, b) | Forge(a, b, _) => (pick(&live, a), pick(&live, b)),
+            Register(a, b) => (pick(&live, a), pick(&mobile, b)),
+            Leave(i) | Fail(i) => (pick(&removable, i), None),
+            AttachWal(i) => (pick(&live, i).filter(|&k| m.sys.stores.state(k).is_none()), None),
+            Bury(i) => (pick(&self.left, i), None),
+            CrashRestart(i) | RepublishRestart(i) => {
+                (pick(&self.verdicts.iter().copied().filter(buried).collect::<Vec<_>>(), i), None)
+            }
+            Partition(i) => (pick(&live, i), None),
+            _ => (None, None),
+        }
+    }
+
+    /// Runs `op`, settles, and checks every invariant.
+    fn apply(&mut self, op: Op, step: &str) {
+        let (one, two) = self.targets(op);
+        let m = &mut self.msys;
+        match (op, one, two) {
+            (Move(_, r), Some(k), _) => {
+                m.schedule_move(SimTime(m.micro_now().0 + 1), k, Some(router(&m.sys, r)))
+            }
+            (Route(..), Some(src), Some(target)) => drop(m.route(src, target)),
+            (Register(..), Some(who), Some(target)) if who != target => {
+                drop(m.register(who, target))
+            }
+            (Disseminate(_), Some(k), _) => self.disseminate(k, step),
+            (Join(class), ..) => drop(m.sys.join_node(class)),
+            (Leave(_), Some(k), _) => self.left.extend(m.leave(k).ok().map(|()| k)),
+            (Tick(i), ..) => {
+                let by = ticks(&m.sys)[usize::from(i) % 4];
+                m.sys.tick(by);
+                m.sys.expire_locations();
+                let kept: Vec<&Key> =
+                    self.verdicts.iter().filter(|&&k| m.sys.is_confirmed_dead(k)).collect();
+                let pruned = by <= GRAVEYARD_RETENTION || kept.is_empty();
+                assert!(pruned, "{step}: verdicts outlived retention: {kept:?}");
+            }
+            (AntiEntropy, ..) => self.anti_entropy(step),
+            (Upkeep, ..) => m.sys.run_upkeep().expect("a stationary layer"),
+            (AttachWal(_), Some(k), _) => {
+                m.sys.attach_wal(k, fresh_log(&self.dir, k));
+                self.durable.insert(k);
+            }
+            (Fail(_), Some(k), _) => m.fail_silently(k),
+            (Heartbeat, ..) => self.heartbeat(step),
+            (Bury(_), Some(k), _) => {
+                m.sys.confirm_dead(k).expect("a verdict on anyone is accepted");
+                self.verdicts.insert(k);
+            }
+            (CrashRestart(_) | RepublishRestart(_), Some(k), _) => {
+                let crash = matches!(op, CrashRestart(_));
+                let report = if crash { m.crash_restart(k) } else { m.republish_restart(k) };
+                assert!(report.is_ok_and(|r| r.restored), "{step}: {k} stays buried");
+            }
+            (Partition(_), Some(k), _) => {
+                self.cut = true;
+                m.partition_now(LinkFilter::default().isolate(m.sys.router_of(k).expect("live")));
+            }
+            (Heal, ..) => {
+                m.heal_now();
+                self.cut = false;
+                for _ in 0..RECOVERY_ROUNDS {
+                    self.heartbeat(step);
+                }
+                let buried = self.msys.wrongly_buried();
+                assert!(buried.is_empty(), "{step}: still buried after the heal: {buried:?}");
+            }
+            (Forge(.., what), Some(src), Some(target)) => self.forge(src, target, what),
+            _ => {}
+        }
+        self.msys.settle();
+        self.check(step);
+    }
+
+    /// A verdict the round returns is one the funeral accepts.
+    fn heartbeat(&mut self, step: &str) {
+        for dead in self.msys.heartbeat_round() {
+            let report = self.msys.confirm_and_heal(dead);
+            assert!(report.is_ok(), "{step}: the verdict on {dead} is refused: {report:?}");
+            self.verdicts.insert(dead);
+        }
+    }
+
+    /// On an uncut loss-free transport, every LDT member an Update could
+    /// reach through live relays learns `k`'s current address, leased.
+    fn disseminate(&mut self, k: Key, step: &str) {
+        let m = &mut self.msys;
+        let ldt = m.sys.build_ldt(k).expect("a live mobile node");
+        let _ = m.disseminate_update(k);
+        m.settle();
+        let addr = NetAddr::current(m.sys.node_info(k).expect("live").host, &m.sys.attachments);
+        let nodes = ldt.nodes();
+        let up = |&i: &usize| nodes[i].parent.map(|p| p as usize);
+        let reached = |i| std::iter::successors(Some(i), up).all(|i| !m.is_failed(nodes[i].key));
+        for (i, member) in nodes.iter().enumerate().skip(1) {
+            if self.lossy || self.cut || !reached(i) {
+                continue;
+            }
+            let row = m.sys.mobile.node(member.key).ok().and_then(|n| n.entry(k).copied());
+            let at = format!("{step}: {}'s row for {k}", member.key);
+            assert!(row.is_none_or(|e| e.addr == Some(addr)), "{at}: {row:?}, not {addr:?}");
+            assert!(m.sys.leases.is_fresh(member.key, k, m.sys.clock.now()), "{at}: unleased");
+        }
+    }
+
+    /// Each live mobile subject's newest record, wherever it was held,
+    /// ends at every member of its replica set; no other record stays.
+    fn anti_entropy(&mut self, step: &str) {
+        let sys = &mut self.msys.sys;
+        let live: BTreeSet<Key> = sys.mobile_keys().iter().copied().collect();
+        let mut newest: BTreeMap<Key, LocationRecord> = BTreeMap::new();
+        for node in sys.stationary.iter() {
+            for (&s, &rec) in node.store.iter().filter(|(s, _)| live.contains(s)) {
+                newest.entry(s).and_modify(|n| *n = n.newer_of(rec)).or_insert(rec);
+            }
+        }
+        sys.anti_entropy_locations().expect("a stationary layer");
+        let replicas = sys.config().location_replicas;
+        for (s, rec) in newest {
+            for member in sys.stationary.replica_set(s, replicas).expect("a stationary layer") {
+                let held = sys.stationary.node(member).expect("a member").store.get(&s).copied();
+                assert_eq!(held, Some(rec), "{step}: {s}'s record at {member}");
+            }
+        }
+        for node in sys.stationary.iter() {
+            let dead: Vec<&Key> = node.store.keys().filter(|s| !live.contains(s)).collect();
+            assert!(dead.is_empty(), "{step}: {} holds records of {dead:?}", node.key);
+        }
+    }
+
+    /// `src` starts an operation toward `target`, and the forgeries land
+    /// before the network runs (see [`Op::Forge`]).
+    fn forge(&mut self, src: Key, target: Key, what: u8) {
+        let m = &mut self.msys;
+        let mut sent = Vec::new();
+        m.machine_started(src);
+        m.drive(src, |machine, now, env| {
+            let out = if what.is_multiple_of(2) {
+                machine.start_route(now, env, target).1
+            } else {
+                let capacity = env.sys.node_info(src).map_or(1, |i| i.capacity);
+                machine.start_register(now, env, target, capacity)
+            };
+            sent.extend(out.outgoing.iter().map(|o| o.env.clone()));
+            out
+        });
+        let Some(to) = wire_addr_of(&m.sys, src) else { return };
+        for env in sent {
+            let msg = match env.msg {
+                WireMessage::Discovery { subject, session, .. } => {
+                    let addr = Some(WireAddr { router: 4_000_000, ..to });
+                    WireMessage::DiscoveryReply { subject, session, addr }
+                }
+                _ => WireMessage::HopAck { acked: env.msg_id },
+            };
+            let forged = Envelope { src: env.dst, dst: src, msg, ..env };
+            m.inject_frame(to.router_id(), to, forged);
+        }
+    }
+
+    /// The invariants every settled network keeps.
+    fn check(&self, step: &str) {
+        let m = &self.msys;
+        let sys = &m.sys;
+        sys.assert_stores_mirror_tables(step);
+        for k in sys.mobile.keys() {
+            let stray = sys.stores.state(k).is_some() && !self.durable.contains(&k);
+            assert!(!stray, "{step}: {k} holds a store and was given no WAL");
+            assert_eq!(sys.entry_stationary_for(k), entry_by_key(sys, k), "{step}: entry of {k}");
+        }
+        let gone = Key(0x0dd);
+        assert_eq!(sys.entry_stationary_for(gone), entry_by_key(sys, gone), "{step}");
+        let mut listed = sys.stationary_keys().to_vec();
+        listed.sort_unstable();
+        assert!(sys.stationary.keys().eq(listed), "{step}: the ring is not the key list");
+        for &k in sys.mobile_keys() {
+            let ldt = sys.build_ldt(k).expect("a live node");
+            assert!(ldt.all_reachable_from_root(), "{step}: {k}'s LDT");
+        }
+        for (i, machine) in m.machines.iter() {
+            assert_eq!(machine.inflight(), 0, "{step}: {} has sessions open", m.nodes.key_of(i));
+        }
+        assert_eq!((m.frames.live(), m.queue.len()), (0, 0), "{step}: frames or events left");
+        assert!(m.transport.trace().rows().len() <= TRACE_CAPACITY, "{step}: trace rows");
+    }
+}
+
+/// Runs `ops` through the message path, checking after every op. Odd
+/// seeds run on a lossy transport.
+fn invariants(seed: u64, ops: &[Op]) {
+    let mut world = World::new(seed, seed % 2 == 1);
+    world.check("build");
+    for (i, &op) in ops.iter().enumerate() {
+        world.apply(op, &format!("seed {seed} op {i} {op:?}"));
+    }
+}
+
+/// Runs crash-free `ops` through the function path and, on a perfect
+/// transport, the message path; after every op the tallies, lease
+/// tables and rows must agree, and the function path's stores mirror
+/// its tables. A move on the message path is `schedule_move`, a settle
+/// and `disseminate_update`.
+fn differential(seed: u64, ops: &[Op]) {
+    let (mut fsys, mut world) = (build(seed), World::new(seed, false));
+    for (i, &op) in ops.iter().enumerate() {
+        let step = format!("seed {seed} op {i} {op:?}");
+        let (one, two) = world.targets(op);
+        let _ = match (op, one, two) {
+            (Move(_, r), Some(k), _) => fsys.move_node(k, Some(router(&fsys, r))).map(drop),
+            (Route(..), Some(src), Some(target)) => route(&mut fsys, src, target, &step),
+            (Register(..), Some(who), Some(target)) if who != target => {
+                fsys.register_interest(who, target)
+            }
+            (Disseminate(_), Some(k), _) => fsys.advertise_update(k).map(drop),
+            (Join(class), ..) => fsys.join_node(class).map(drop),
+            (Leave(_), Some(k), _) => fsys.leave_node(k),
+            (Tick(i), ..) => {
+                fsys.tick(ticks(&fsys)[usize::from(i) % 4]);
+                fsys.expire_locations();
+                Ok(())
+            }
+            (Upkeep, ..) => fsys.run_upkeep(),
+            (AntiEntropy, ..) => fsys.anti_entropy_locations().map(drop),
+            (AttachWal(_), Some(k), _) => {
+                fsys.attach_wal(k, fresh_log(&world.dir.join("function"), k));
+                Ok(())
+            }
+            _ => Ok(()),
+        };
+        world.apply(op, &step);
+        if let Move(a, _) = op {
+            world.apply(Disseminate(a), &step);
+        }
+        assert_same(&fsys, &world.msys.sys, &step);
+    }
+}
+
+/// The function path's route, its report held to its own meter.
+fn route(sys: &mut BristleSystem, src: Key, target: Key, step: &str) -> CoreResult<()> {
+    let tally = |sys: &BristleSystem| {
+        [MessageKind::RouteHop, MessageKind::DiscoveryHop]
+            .map(|k| (sys.meter.count(k), sys.meter.cost(k)))
+    };
+    let [(hops, cost), (found, found_cost)] = tally(sys);
+    let rep = sys.route_mobile(src, target)?;
+    let [(hops2, cost2), (found2, found_cost2)] = tally(sys);
+    let counted = (rep.forward_hops + rep.stale_attempts, rep.discovery_hops, rep.path_cost);
+    let metered = (hops2 - hops, found2 - found, cost2 - cost + found_cost2 - found_cost);
+    assert_eq!(metered, (counted.0 as u64, counted.1 as u64, counted.2), "{step}: report");
+    assert_eq!(Ok(rep.terminus), sys.mobile.owner(target), "{step}: terminus");
+    assert!(rep.forward_cost <= rep.path_cost && rep.failed_discoveries <= rep.discoveries);
+    Ok(())
+}
+
+fn assert_same(f: &BristleSystem, g: &BristleSystem, step: &str) {
+    f.assert_stores_mirror_tables(step);
+    assert_eq!(f.meter.tallies(), g.meter.tallies(), "{step}: tallies");
+    let keys: Vec<Key> = f.mobile.keys().collect();
+    assert_eq!(keys, g.mobile.keys().collect::<Vec<_>>(), "{step}: membership");
+    let leases = |sys: &BristleSystem, k: Key| {
+        let holders = sys.leases.holders_of_subject(k);
+        let fresh = |h| (h, sys.leases.is_fresh(h, k, sys.clock.now()));
+        holders.into_iter().map(fresh).collect::<Vec<_>>()
+    };
+    let rows = |sys: &BristleSystem, k: Key| {
+        let node = sys.mobile.node(k).expect("a member");
+        let row = |&p: &Key| (p, node.entry(p).copied(), node.resolve(p, &sys.attachments));
+        node.keys().iter().map(row).collect::<Vec<_>>()
+    };
+    for k in keys {
+        assert_eq!(leases(f, k), leases(g, k), "{step}: leases on {k}");
+        assert_eq!(rows(f, k), rows(g, k), "{step}: rows of {k}");
+    }
+}
+
+/// The panic `run(ops)` raises, if any.
+fn failure(run: fn(u64, &[Op]), seed: u64, ops: &[Op]) -> Option<String> {
+    let err = catch_unwind(AssertUnwindSafe(|| run(seed, ops))).err()?;
+    let text = err.downcast_ref::<String>().cloned();
+    Some(text.or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string())).unwrap_or_default())
+}
+
+/// Op-list bisection: drops runs of ops, halving the run length, while
+/// the list still fails; again until no single op can go.
+fn shrink(run: fn(u64, &[Op]), seed: u64, mut ops: Vec<Op>) -> Vec<Op> {
+    let mut chunk = ops.len().div_ceil(2);
+    while chunk > 0 {
+        let (mut at, len) = (0, ops.len());
+        while at < ops.len() {
+            let mut fewer = ops.clone();
+            fewer.drain(at..(at + chunk).min(ops.len()));
+            if failure(run, seed, &fewer).is_some() {
+                ops = fewer;
+            } else {
+                at += chunk;
+            }
+        }
+        chunk = if chunk == 1 && ops.len() < len { 1 } else { chunk / 2 };
+    }
+    ops
+}
+
+/// Runs a schedule; a failure is shrunk and reported as a corpus line.
+fn replay(run: fn(u64, &[Op]), seed: u64, ops: Vec<Op>) {
+    if let Some(why) = failure(run, seed, &ops) {
+        let shrunk = shrink(run, seed, ops);
+        let why = failure(run, seed, &shrunk).unwrap_or(why);
+        panic!("{why}\nshrunk to {} ops: ({seed}, _, &{shrunk:?}),", shrunk.len());
+    }
+}
+
+#[test]
+fn the_corpus_replays_clean() {
+    for &(seed, diff, ops) in CORPUS {
+        replay(if diff { differential } else { invariants }, seed, ops.to_vec());
+    }
+}
+
+#[test]
+fn generated_schedules_keep_every_invariant() {
+    for seed in 0..SEEDS {
+        replay(invariants, seed, generate(seed, OPS, false));
+    }
+}
+
+#[test]
+fn the_function_and_message_paths_agree() {
+    for seed in 0..DIFF_SEEDS {
+        replay(differential, seed, generate(seed, DIFF_OPS, true));
+    }
+}
