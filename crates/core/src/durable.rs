@@ -73,6 +73,7 @@ impl StoreHub {
     /// workload, until that workload moves to the system call.
     #[doc(hidden)]
     pub fn attach_wal(&mut self, node: Key, mut backend: WalBackend) {
+        // owed: ROADMAP 8(a)
         if let Some(existing) = self.backends.get(&node) {
             for rec in existing.state().to_records() {
                 backend.apply(&rec);

@@ -13,10 +13,10 @@
 //! **Which sockets a pump reads.** A nonblocking `recv_from` on an empty
 //! socket is a syscall all the same, so reading every socket on every
 //! pump makes an operation cost O(nodes) however few datagrams it
-//! moves. The driver instead keeps a *mail ledger*: it knows every
-//! endpoint it hosts, so each datagram [`SocketDriver::dispatch`] sends
-//! to one of them is counted as *owed* to that node, and the node is
-//! queued (once). [`SocketDriver::pump`] then follows one rule:
+//! moves. The driver instead keeps a *mail ledger*: every datagram
+//! [`SocketDriver::dispatch`] sends goes to a socket it bound, so each
+//! is counted as *owed* to its node, and the node is queued (once).
+//! [`SocketDriver::pump`] then follows one rule:
 //!
 //! * **Mail is owed** — a busy pump. It drains the nodes queued when it
 //!   was called, and one more socket chosen by a rotating cursor. A
@@ -53,7 +53,7 @@
 //! anything. With mail still owed they are busy pumps, and the window
 //! expiring means the owed datagrams are not coming (the kernel dropped
 //! them, say, on a full receive buffer): they are *written off* —
-//! counted in [`NetStats::written_off`], the ledger cleared — before the
+//! counted in [`Counter::WrittenOff`], the ledger cleared — before the
 //! clock skips, so a lost datagram costs one grace window, never a hang.
 //! Stale timers fired after a fast-forward are ignored by the machines
 //! (their sessions are gone), exactly as in the simulator.
@@ -62,6 +62,11 @@
 //! or one that fails [`Envelope::decode`] is dropped and metered
 //! ([`MessageKind::MalformedFrame`]), never parsed further, never
 //! panicking the loop.
+//!
+//! Everything the boundary counts is a [`Counter`] in the driver's
+//! [`Registry`], the series list the simulator's driver keeps too:
+//! [`SocketDriver::registry`] answers as
+//! `MessagingBristleSystem::registry` does.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{Error, ErrorKind, Result};
@@ -71,10 +76,10 @@ use std::time::{Duration, Instant};
 use bristle_core::time::SimTime;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
+use bristle_overlay::obs::{Counter, Gauge, Registry};
 use bristle_proto::machine::{Completion, Event, NodeEnv, Output, ProtoMachine, TimerKind};
-use bristle_proto::wire::Envelope;
+use bristle_proto::wire::{Envelope, WireAddr};
 
-use crate::book::AddressBook;
 use crate::clock::WallClock;
 
 /// Largest datagram payload the driver accepts or emits. Well-formed
@@ -82,41 +87,25 @@ use crate::clock::WallClock;
 /// datagram from ever reaching the codec.
 pub const MAX_FRAME: usize = 256;
 
-/// Counters for everything the socket boundary did that the protocol
-/// never saw.
+/// The five boundary counters the wall-clock benchmark reads, as
+/// [`SocketDriver::stats`] reads them from the registry.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Datagrams put on the wire.
+    // owed: ROADMAP 8(a)
     pub datagrams_sent: u64,
-    /// Datagrams read off the wire (including dropped ones).
-    pub datagrams_received: u64,
-    /// Received datagrams dropped for exceeding [`MAX_FRAME`].
     pub dropped_oversized: u64,
-    /// Received datagrams dropped for failing to decode, or decoding to
-    /// an envelope for a node this socket does not host.
     pub dropped_garbage: u64,
-    /// Sends suppressed because the destination address was stale (the
-    /// simulator's arrival-time black-hole, applied at send time).
     pub stale_blackholed: u64,
-    /// Times the clock fast-forwarded a quiet network to the next
-    /// timer deadline.
     pub fast_forwards: u64,
-    /// Every `recv_from` issued, the ones that returned `WouldBlock`
-    /// included: what reading cost, against
-    /// [`Self::datagrams_received`], what it found.
-    pub recv_calls: u64,
-    /// Pumps that read every socket because nothing was owed.
-    pub sweeps: u64,
-    /// Owed datagrams given up on: sent to a hosted socket, still
-    /// unread when a grace window expired.
-    pub written_off: u64,
 }
 
-/// One node: its identity, its socket, its machine, its line in the
-/// mail ledger.
+/// One node: its identity, its socket and where it listens, its
+/// machine, its line in the mail ledger.
 struct NetNode {
     key: Key,
     socket: UdpSocket,
+    endpoint: SocketAddr,
     machine: ProtoMachine,
     /// Datagrams the driver sent to this socket and has not read back.
     owed: u32,
@@ -128,12 +117,13 @@ struct NetNode {
 /// Runs a set of [`ProtoMachine`]s over nonblocking UDP sockets.
 pub struct SocketDriver {
     clock: WallClock,
-    book: AddressBook,
     nodes: Vec<NetNode>,
     by_key: HashMap<Key, usize>,
-    /// Endpoint → index into `nodes`, for every socket bound here: how
-    /// `dispatch` knows a send is mail a later pump must read.
-    hosted: HashMap<SocketAddr, usize>,
+    /// Host → index into `nodes`: where a [`WireAddr`] is delivered.
+    /// Router and epoch are not read; whether an address is stale is
+    /// the env's check, made first. A move changes a host's router and
+    /// epoch, never its socket, so the index is not told of one.
+    by_host: HashMap<u32, usize>,
     /// Nodes the next pump reads, each at most once
     /// ([`NetNode::queued`]). Between pumps: exactly the nodes with
     /// mail owed. Empty means the next pump sweeps.
@@ -149,7 +139,8 @@ pub struct SocketDriver {
     /// Real-time window the loop waits for in-flight datagrams before
     /// declaring the network quiet and fast-forwarding.
     grace: Duration,
-    stats: NetStats,
+    /// The boundary's counters; [`Self::registry`] adds the gauges.
+    obs: Registry,
 }
 
 impl SocketDriver {
@@ -157,17 +148,16 @@ impl SocketDriver {
     pub fn new(clock: WallClock) -> Self {
         SocketDriver {
             clock,
-            book: AddressBook::new(),
             nodes: Vec::new(),
             by_key: HashMap::new(),
-            hosted: HashMap::new(),
+            by_host: HashMap::new(),
             queue: VecDeque::new(),
             cursor: 0,
             timers: BTreeMap::new(),
             timer_seq: 0,
             completions: Vec::new(),
             grace: Duration::from_millis(5),
-            stats: NetStats::default(),
+            obs: Registry::default(),
         }
     }
 
@@ -179,10 +169,11 @@ impl SocketDriver {
 
     /// Binds a loopback socket for `key`, whose overlay address is
     /// `addr`, and installs `machine` behind it. Returns the endpoint.
+    /// A host bound again is delivered to its latest node.
     pub fn bind_node(
         &mut self,
         key: Key,
-        addr: bristle_proto::wire::WireAddr,
+        addr: WireAddr,
         machine: ProtoMachine,
     ) -> Result<SocketAddr> {
         if self.by_key.contains_key(&key) {
@@ -191,16 +182,32 @@ impl SocketDriver {
         let socket = UdpSocket::bind(("127.0.0.1", 0))?;
         socket.set_nonblocking(true)?;
         let endpoint = socket.local_addr()?;
-        self.book.register(addr, endpoint);
         self.by_key.insert(key, self.nodes.len());
-        self.hosted.insert(endpoint, self.nodes.len());
-        self.nodes.push(NetNode { key, socket, machine, owed: 0, queued: false });
+        self.by_host.insert(addr.host, self.nodes.len());
+        self.nodes.push(NetNode { key, socket, endpoint, machine, owed: 0, queued: false });
         Ok(endpoint)
     }
 
-    /// Boundary counters so far.
+    /// A snapshot of the driver's series, its gauges read now: `seen` is
+    /// every bound machine's [`ProtoMachine::seen_held`].
+    pub fn registry(&self) -> Registry {
+        let mut snapshot = self.obs.clone();
+        let seen = self.nodes.iter().map(|n| n.machine.seen_held() as u64).sum();
+        snapshot.set(Gauge::Seen, seen);
+        snapshot
+    }
+
+    #[doc(hidden)]
     pub fn stats(&self) -> NetStats {
-        self.stats
+        // owed: ROADMAP 8(a)
+        let c = |counter| self.obs.counter(counter);
+        NetStats {
+            datagrams_sent: c(Counter::FramesSent),
+            dropped_oversized: c(Counter::DroppedOversized),
+            dropped_garbage: c(Counter::DroppedGarbage),
+            stale_blackholed: c(Counter::StaleBlackholed),
+            fast_forwards: c(Counter::FastForwards),
+        }
     }
 
     /// The current virtual time.
@@ -223,9 +230,10 @@ impl SocketDriver {
     /// Turns one machine's [`Output`] into datagrams and armed timers,
     /// mirroring the simulator driver's dispatch step: the stale-address
     /// black-hole (applied here at send time; the simulator applies it at
-    /// arrival), then one encoded envelope per surviving send. A send to
-    /// an endpoint bound here is entered in the mail ledger, so a later
-    /// pump reads that socket.
+    /// arrival), then one encoded envelope per surviving send. Every
+    /// send is entered in the mail ledger, so a later pump reads the
+    /// destination's socket; a send to a host bound nowhere here is
+    /// black-holed with the stale ones.
     pub fn dispatch(&mut self, from: Key, out: Output, env: &mut dyn NodeEnv) -> Result<()> {
         let Some(&from_idx) = self.by_key.get(&from) else {
             return Err(Error::new(ErrorKind::NotFound, format!("{from} is not bound")));
@@ -234,26 +242,21 @@ impl SocketDriver {
             // The simulator delivers to the addressed router and drops
             // at arrival if the destination moved away; with a real
             // socket the equivalent check runs before the send.
-            if !env.addr_current(o.to_addr) {
-                self.stats.stale_blackholed += 1;
-                continue;
-            }
-            let Some(endpoint) = self.book.resolve(o.to_addr) else {
-                self.stats.stale_blackholed += 1;
+            let bound = self.by_host.get(&o.to_addr.host);
+            let Some(&to_idx) = bound.filter(|_| env.addr_current(o.to_addr)) else {
+                self.obs.add(Counter::StaleBlackholed, 1);
                 continue;
             };
             let bytes = o.env.encode();
             if bytes.len() > MAX_FRAME {
-                self.stats.dropped_oversized += 1;
+                self.obs.add(Counter::DroppedOversized, 1);
                 env.bump(MessageKind::MalformedFrame);
                 continue;
             }
-            self.nodes[from_idx].socket.send_to(&bytes, endpoint)?;
-            self.stats.datagrams_sent += 1;
-            if let Some(&to_idx) = self.hosted.get(&endpoint) {
-                self.nodes[to_idx].owed += 1;
-                self.enqueue(to_idx);
-            }
+            self.nodes[from_idx].socket.send_to(&bytes, self.nodes[to_idx].endpoint)?;
+            self.obs.add(Counter::FramesSent, 1);
+            self.nodes[to_idx].owed += 1;
+            self.enqueue(to_idx);
         }
         for t in out.timers {
             self.timers.insert((t.at, self.timer_seq), (from, t.kind));
@@ -279,7 +282,7 @@ impl SocketDriver {
     /// never reach a machine. Returns how many datagrams were read.
     pub fn pump(&mut self, env: &mut dyn NodeEnv) -> Result<usize> {
         if self.queue.is_empty() {
-            self.stats.sweeps += 1;
+            self.obs.add(Counter::Sweeps, 1);
             for idx in 0..self.nodes.len() {
                 self.enqueue(idx);
             }
@@ -315,23 +318,23 @@ impl SocketDriver {
             if owed && self.nodes[idx].owed == 0 {
                 return Ok(handled);
             }
-            self.stats.recv_calls += 1;
+            self.obs.add(Counter::RecvCalls, 1);
             let n = match self.nodes[idx].socket.recv_from(&mut buf) {
                 Ok((n, _)) => n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(handled),
                 Err(e) => return Err(e),
             };
             handled += 1;
-            self.stats.datagrams_received += 1;
+            self.obs.add(Counter::DatagramsReceived, 1);
             if n > MAX_FRAME {
-                self.stats.dropped_oversized += 1;
+                self.obs.add(Counter::DroppedOversized, 1);
                 env.bump(MessageKind::MalformedFrame);
                 continue;
             }
             let envelope = match Envelope::decode(&buf[..n]) {
                 Ok(envelope) => envelope,
                 Err(_) => {
-                    self.stats.dropped_garbage += 1;
+                    self.obs.add(Counter::DroppedGarbage, 1);
                     env.bump(MessageKind::MalformedFrame);
                     continue;
                 }
@@ -339,7 +342,7 @@ impl SocketDriver {
             if envelope.dst != self.nodes[idx].key {
                 // Decodes, but claims a destination this socket
                 // does not host: misdirected or spoofed.
-                self.stats.dropped_garbage += 1;
+                self.obs.add(Counter::DroppedGarbage, 1);
                 env.bump(MessageKind::MalformedFrame);
                 continue;
             }
@@ -360,7 +363,7 @@ impl SocketDriver {
     fn write_off(&mut self) {
         for idx in self.queue.drain(..) {
             let node = &mut self.nodes[idx];
-            self.stats.written_off += u64::from(node.owed);
+            self.obs.add(Counter::WrittenOff, u64::from(node.owed));
             node.owed = 0;
             node.queued = false;
         }
@@ -456,7 +459,7 @@ impl SocketDriver {
             match self.next_timer() {
                 Some(at) => {
                     self.clock.advance_to(at);
-                    self.stats.fast_forwards += 1;
+                    self.obs.add(Counter::FastForwards, 1);
                 }
                 None => return Ok(events),
             }
@@ -485,6 +488,11 @@ mod tests {
     use bristle_proto::testenv::MockEnv;
     use bristle_proto::wire::WireMessage;
 
+    use Counter::{
+        DatagramsReceived, DroppedGarbage, DroppedOversized, FastForwards, FramesSent, RecvCalls,
+        StaleBlackholed, Sweeps, WrittenOff,
+    };
+
     const A: Key = Key(10);
     const B: Key = Key(20);
 
@@ -498,6 +506,11 @@ mod tests {
         let mut d = SocketDriver::new(WallClock::new(SimTime::ZERO, Duration::from_millis(1)));
         d.set_grace(Duration::from_millis(2));
         d
+    }
+
+    /// Every counter by name, for failure messages.
+    fn counts(r: &Registry) -> Vec<(&'static str, u64)> {
+        Counter::ALL.iter().map(|&c| (c.name(), r.counter(c))).collect()
     }
 
     #[test]
@@ -521,9 +534,9 @@ mod tests {
         // One metered hop, acked before its retry timer could fire.
         assert_eq!(env.meter.count(MessageKind::RouteHop), 1);
         assert_eq!(env.meter.count(MessageKind::SpuriousRetry), 0);
-        let s = d.stats();
-        assert!(s.datagrams_sent >= 2, "hop plus ack, got {}", s.datagrams_sent);
-        assert_eq!(s.dropped_oversized + s.dropped_garbage, 0);
+        let r = d.registry();
+        assert!(r.counter(FramesSent) >= 2, "hop plus ack, got {}", r.counter(FramesSent));
+        assert_eq!(r.counter(DroppedOversized) + r.counter(DroppedGarbage), 0);
     }
 
     #[test]
@@ -546,17 +559,17 @@ mod tests {
         };
         attacker.send_to(&misdirected.encode(), ep).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
-        while d.stats().datagrams_received < 3 && Instant::now() < deadline {
+        while d.registry().counter(DatagramsReceived) < 3 && Instant::now() < deadline {
             d.pump(&mut env).unwrap();
             std::thread::sleep(Duration::from_millis(1));
         }
-        let s = d.stats();
-        assert_eq!(s.datagrams_received, 3);
-        assert_eq!(s.dropped_oversized, 1);
-        assert_eq!(s.dropped_garbage, 2);
+        let r = d.registry();
+        assert_eq!(r.counter(DatagramsReceived), 3);
+        assert_eq!(r.counter(DroppedOversized), 1);
+        assert_eq!(r.counter(DroppedGarbage), 2);
         assert_eq!(env.meter.count(MessageKind::MalformedFrame), 3);
         // The machine never saw any of it: nothing sent, nothing done.
-        assert_eq!(s.datagrams_sent, 0);
+        assert_eq!(r.counter(FramesSent), 0);
         assert!(d.completions.is_empty());
     }
 
@@ -573,9 +586,9 @@ mod tests {
         let now = d.now();
         let (_, out) = d.machine_mut(A).unwrap().start_route(now, &mut env, B);
         d.dispatch(A, out, &mut env).unwrap();
-        let s = d.stats();
-        assert_eq!(s.stale_blackholed, 1);
-        assert_eq!(s.datagrams_sent, 0);
+        let r = d.registry();
+        assert_eq!(r.counter(StaleBlackholed), 1);
+        assert_eq!(r.counter(FramesSent), 0);
     }
 
     /// A `Register` whose acks never reach the registrant: B processes
@@ -608,9 +621,8 @@ mod tests {
         env.mobile_hops.insert((A, B), B);
         let mut d = fast_driver();
         d.bind_node(A, env.addrs[&A], ProtoMachine::new(A, policy())).unwrap();
-        // B's endpoint is a deaf socket: bound, never polled, never acks.
-        let deaf = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        d.book.register(env.addrs[&B], deaf.local_addr().unwrap());
+        // B is bound nowhere: every hop to it is refused at send, and no
+        // ack ever comes.
         let now = d.now();
         let (route_id, out) = d.machine_mut(A).unwrap().start_route(now, &mut env, B);
         d.dispatch(A, out, &mut env).unwrap();
@@ -624,9 +636,11 @@ mod tests {
             .iter()
             .any(|c| matches!(c, Completion::RouteFailed { origin, route_id: r, .. } if *origin == A && *r == route_id)));
         assert_eq!(env.meter.count(MessageKind::Timeout), 3);
-        // Initial send plus two retransmissions, all metered.
+        // Initial send plus two retransmissions, all metered, none sent.
         assert_eq!(env.meter.count(MessageKind::RouteHop), 3);
-        assert!(d.stats().fast_forwards >= 3, "quiet waits must fast-forward");
+        let r = d.registry();
+        assert_eq!((r.counter(StaleBlackholed), r.counter(FramesSent)), (3, 0));
+        assert!(r.counter(FastForwards) >= 3, "quiet waits must fast-forward");
     }
 
     /// Keys `1..=n`, node `i` hosted on router `i`, all bound to one
@@ -676,9 +690,9 @@ mod tests {
         d.queue.is_empty() && d.nodes.iter().all(|n| n.owed == 0 && !n.queued)
     }
 
-    /// The same forty three-hop routes over `n` sockets: stats after the
-    /// routes, and after the quiet point that follows them.
-    fn routed_stats(n: u32) -> (NetStats, NetStats) {
+    /// The same forty three-hop routes over `n` sockets: the registry
+    /// after the routes, and after the quiet point that follows them.
+    fn routed_counts(n: u32) -> (Registry, Registry) {
         let (mut env, mut d, _) = population(n);
         let there = [Key(1), Key(10), Key(20), Key(30)];
         let back = [Key(30), Key(20), Key(10), Key(1)];
@@ -688,36 +702,38 @@ mod tests {
             route(&mut d, &mut env, Key(1), Key(30));
             route(&mut d, &mut env, Key(30), Key(1));
         }
-        let busy = d.stats();
+        let busy = d.registry();
         d.run_until_quiet(&mut env, 10_000).unwrap();
         assert!(ledger_is_clear(&d));
         assert_eq!(env.meter.count(MessageKind::RouteHop), 40 * 3);
-        (busy, d.stats())
+        (busy, d.registry())
     }
 
     #[test]
     fn pump_recv_calls_are_flat_in_population() {
-        let runs = [(32, routed_stats(32)), (256, routed_stats(256))];
-        for (nodes, (busy, quiet)) in runs {
+        let runs = [(32, routed_counts(32)), (256, routed_counts(256))];
+        for (nodes, (busy, quiet)) in &runs {
+            let (b, q) = (|c| busy.counter(c), |c| quiet.counter(c));
+            let (busy, quiet) = (counts(busy), counts(quiet));
             // While routes are in flight something is always owed (the
             // last hop's ack, at least), so no pump sweeps. A datagram
             // costs its own read, and a drain ends when its owed mail is
             // read, not on a `WouldBlock`; what is left is one cursor
             // probe a pump and the reads of mail still in flight, which
             // on loopback come to under one a datagram (about 1.45×).
-            assert_eq!(busy.sweeps, 0, "{nodes} nodes: {busy:?}");
-            assert_eq!(busy.written_off, 0, "{nodes} nodes: {busy:?}");
-            assert!(busy.recv_calls < 2 * busy.datagrams_received, "{nodes} nodes: {busy:?}");
+            assert_eq!(b(Sweeps), 0, "{nodes} nodes: {busy:?}");
+            assert_eq!(b(WrittenOff), 0, "{nodes} nodes: {busy:?}");
+            assert!(b(RecvCalls) < 2 * b(DatagramsReceived), "{nodes} nodes: {busy:?}");
             // Only the sweeps of the quiet point pay per node.
-            assert!(quiet.sweeps > 0);
+            assert!(q(Sweeps) > 0);
             assert!(
-                quiet.recv_calls <= 3 * quiet.datagrams_received + quiet.sweeps * nodes,
+                q(RecvCalls) <= 3 * q(DatagramsReceived) + q(Sweeps) * nodes,
                 "{nodes} nodes: {quiet:?}"
             );
-            assert_eq!(quiet.datagrams_received, quiet.datagrams_sent);
+            assert_eq!(q(DatagramsReceived), q(FramesSent));
         }
-        let [(_, (_, small)), (_, (_, large))] = runs;
-        assert_eq!(small.datagrams_received, large.datagrams_received);
+        let [(_, (_, small)), (_, (_, large))] = &runs;
+        assert_eq!(small.counter(DatagramsReceived), large.counter(DatagramsReceived));
     }
 
     #[test]
@@ -734,16 +750,16 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         let mut pumps = 0;
-        while d.stats().dropped_garbage == 0 && pumps < d.nodes.len() + 1 {
+        while d.registry().counter(DroppedGarbage) == 0 && pumps < d.nodes.len() + 1 {
             d.pump(&mut env).unwrap();
             pumps += 1;
         }
-        let s = d.stats();
-        assert_eq!(s.dropped_garbage, 1, "not found in {pumps} busy pumps");
+        let r = d.registry();
+        assert_eq!(r.counter(DroppedGarbage), 1, "not found in {pumps} busy pumps");
         assert_eq!(env.meter.count(MessageKind::MalformedFrame), 1);
-        assert_eq!(s.sweeps, 0);
+        assert_eq!(r.counter(Sweeps), 0);
         // Each of those pumps read two sockets, not eight.
-        assert!(s.recv_calls <= 2 * pumps as u64 + 1, "{s:?}");
+        assert!(r.counter(RecvCalls) <= 2 * pumps as u64 + 1, "{:?}", counts(&r));
     }
 
     /// A drain of owed mail stops once the node is owed nothing, but a
@@ -772,11 +788,12 @@ mod tests {
             })
         };
         d.pump(&mut env).unwrap();
-        let s = d.stats();
-        assert_eq!(s.dropped_garbage, 1, "the foreign datagram is read: {s:?}");
+        let r = d.registry();
+        let s = counts(&r);
+        assert_eq!(r.counter(DroppedGarbage), 1, "the foreign datagram is read: {s:?}");
         assert!(delivered(&d), "the owed hop is read in the same pump: {s:?}");
         assert_eq!(d.nodes[3].owed, 0);
-        assert_eq!(d.stats().sweeps, 0);
+        assert_eq!(r.counter(Sweeps), 0);
     }
 
     #[test]
@@ -790,10 +807,36 @@ mod tests {
         d.run_until_quiet(&mut env, 10_000).unwrap();
         assert!(ledger_is_clear(&d));
         assert_eq!(env.meter.count(MessageKind::RouteHop), 3);
-        let s = d.stats();
-        assert_eq!(s.datagrams_received, s.datagrams_sent);
-        assert_eq!(s.written_off, 0);
+        let r = d.registry();
+        assert_eq!(r.counter(DatagramsReceived), r.counter(FramesSent));
+        assert_eq!(r.counter(WrittenOff), 0);
         assert_eq!(env.meter.count(MessageKind::Timeout), 0, "every ack beat its timer");
+    }
+
+    /// The registry counts what the sockets carried: after routes and
+    /// the quiet point, every frame sent was read (acks included), and
+    /// `seen` is read from the machines when the snapshot is taken.
+    #[test]
+    fn the_registry_counts_every_frame_and_reads_seen_from_the_machines() {
+        let (mut env, mut d, _) = population(8);
+        lay_path(&mut env, &[Key(1), Key(3), Key(5), Key(8)]);
+        lay_path(&mut env, &[Key(8), Key(6), Key(1)]);
+        let before = d.registry();
+        for _ in 0..3 {
+            route(&mut d, &mut env, Key(1), Key(8));
+            route(&mut d, &mut env, Key(8), Key(1));
+        }
+        d.run_until_quiet(&mut env, 10_000).unwrap();
+        let r = d.registry();
+        let hops = env.meter.count(MessageKind::RouteHop);
+        assert_eq!(hops, 3 * (3 + 2));
+        // Every hop is acked, and no meter kind counts an ack.
+        assert_eq!(r.counter(FramesSent), 2 * hops, "{:?}", counts(&r));
+        assert_eq!(r.counter(DatagramsReceived), r.counter(FramesSent), "{:?}", counts(&r));
+        let held: u64 = d.nodes.iter().map(|n| n.machine.seen_held() as u64).sum();
+        assert!(held > 0, "the hops left dedup entries");
+        assert_eq!(r.gauge(Gauge::Seen), held);
+        assert_eq!(before.gauge(Gauge::Seen), 0, "an earlier snapshot keeps its reading");
     }
 
     #[test]
@@ -804,12 +847,12 @@ mod tests {
         assert_eq!(d.run_until_quiet(&mut env, 10_000).unwrap(), 0);
         assert!(started.elapsed() < Duration::from_secs(5), "one grace window, not a hang");
         assert!(ledger_is_clear(&d));
-        let s = d.stats();
-        assert_eq!(s.written_off, 1);
-        assert_eq!(s.sweeps, 0, "mail was owed throughout");
+        let r = d.registry();
+        assert_eq!(r.counter(WrittenOff), 1);
+        assert_eq!(r.counter(Sweeps), 0, "mail was owed throughout");
         // With the ledger clear the next pump is a sweep again.
         d.pump(&mut env).unwrap();
-        assert_eq!(d.stats().sweeps, 1);
+        assert_eq!(d.registry().counter(Sweeps), 1);
     }
 
     #[test]
@@ -831,7 +874,7 @@ mod tests {
         .unwrap();
         assert!(d.completions.len() > 2_000, "the route completed");
         assert_eq!(asked, d.completions.len());
-        assert!(d.stats().fast_forwards > 0, "the loop did go round");
+        assert!(d.registry().counter(FastForwards) > 0, "the loop did go round");
     }
 
     #[test]
@@ -853,7 +896,7 @@ mod tests {
         });
         let events = d.run_until_quiet(&mut env, 10_000).unwrap();
         burst.join().unwrap();
-        assert_eq!(d.stats().dropped_garbage, 3);
+        assert_eq!(d.registry().counter(DroppedGarbage), 3);
         assert_eq!(events, 3, "the event budget must see every datagram");
     }
 }

@@ -7,18 +7,18 @@
 //! wall clock, std-only and tokio-free: a nonblocking poll loop, not an
 //! async runtime.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! - [`clock::WallClock`] — quantizes real elapsed time into
 //!   [`SimTime`] ticks and supports forward-only fast-forward, so a
 //!   quiet network can skip to the next retry deadline instead of
 //!   sleeping 20 seconds through it.
-//! - [`book::AddressBook`] — maps the machines' `WireAddr`s (host,
-//!   router, epoch) to real `SocketAddr` endpoints, mirroring the
-//!   `Transport` trait's addressing.
-//! - [`driver::SocketDriver`] — one socket per node, pump-then-fire
-//!   poll loop, hardened datagram boundary (oversized or undecodable
-//!   frames are dropped and metered, never parsed, never panic).
+//! - [`driver::SocketDriver`] — one socket per node, found from a
+//!   `WireAddr` by its host; a pump-then-fire poll loop; a hardened
+//!   datagram boundary (oversized or undecodable frames are dropped and
+//!   metered, never parsed, never panic); and what the boundary did
+//!   counted in the same `obs::Registry` series the simulator's driver
+//!   keeps.
 //!
 //! The conformance claim — that a scripted scenario produces identical
 //! per-kind meter tallies and causal event sequences over sockets and
@@ -28,10 +28,10 @@
 //! [`ProtoMachine`]: bristle_proto::machine::ProtoMachine
 //! [`SimTime`]: bristle_core::time::SimTime
 
-pub mod book;
 pub mod clock;
 pub mod driver;
 
-pub use book::AddressBook;
 pub use clock::WallClock;
-pub use driver::{NetStats, SocketDriver, MAX_FRAME};
+#[doc(hidden)]
+pub use driver::NetStats; // owed: ROADMAP 8(a)
+pub use driver::{SocketDriver, MAX_FRAME};

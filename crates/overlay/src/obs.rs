@@ -54,11 +54,40 @@ macro_rules! series {
 }
 
 series! {
-    /// Monotone counts of driver decisions.
+    /// Monotone counts of what a driver and its carrier did that the
+    /// protocol never saw. `frames_sent` is the one both drivers write;
+    /// the eight after it are the socket boundary's.
     Counter {
         /// Monitor seedings that rebuilt the wanted heartbeat edges; the
         /// rest found every input where the last seeding left it.
         Reseeds = "reseeds",
+        /// Frames handed to the carrier: the sim transport's sends, the
+        /// socket driver's `send_to`s. Acks included, which no meter
+        /// kind counts.
+        FramesSent = "frames_sent",
+        /// Datagrams read off a socket, dropped ones included.
+        DatagramsReceived = "datagrams_received",
+        /// Datagrams dropped for exceeding the frame cap, at send or at
+        /// receive.
+        DroppedOversized = "dropped_oversized",
+        /// Datagrams dropped for failing to decode, or for naming a
+        /// destination their socket does not host.
+        DroppedGarbage = "dropped_garbage",
+        /// Sends refused because the destination address was stale or
+        /// named no bound host (the simulator's arrival-time black-hole,
+        /// applied at send time).
+        StaleBlackholed = "stale_blackholed",
+        /// Times the clock fast-forwarded a quiet network to the next
+        /// timer deadline.
+        FastForwards = "fast_forwards",
+        /// Every `recv_from` issued, `WouldBlock`s included: what reading
+        /// cost, against `datagrams_received`, what it found.
+        RecvCalls = "recv_calls",
+        /// Pumps that read every socket because nothing was owed.
+        Sweeps = "sweeps",
+        /// Owed datagrams given up on: sent to a bound socket, still
+        /// unread when a grace window expired.
+        WrittenOff = "written_off",
     }
     /// Latency distributions on the driver's micro-clock, in the order
     /// `bristle-run-report/v1` lists them.

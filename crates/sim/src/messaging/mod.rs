@@ -486,11 +486,14 @@ impl MessagingBristleSystem {
     }
 
     /// A snapshot of the run's series, its gauges read now: `seen` is
-    /// every running machine's [`ProtoMachine::seen_held`].
+    /// every running machine's [`ProtoMachine::seen_held`]. The
+    /// transport counts every send, so `frames_sent` is read from its
+    /// trace rather than kept twice.
     pub fn registry(&self) -> Registry {
         let mut snapshot = self.obs.clone();
         let seen = self.machines.iter().map(|(_, m)| m.seen_held() as u64).sum();
         snapshot.set(Gauge::Seen, seen);
+        snapshot.add(Counter::FramesSent, self.transport.trace().len() as u64);
         snapshot
     }
 
@@ -737,6 +740,47 @@ mod tests {
             assert!(after.gauge(Gauge::Seen) > 0, "seed {seed}: the routes left entries");
             assert_eq!(after.gauge(Gauge::Seen), held(&msys), "seed {seed}");
             assert_eq!(before.gauge(Gauge::Seen), 0, "seed {seed}: the earlier snapshot stands");
+        }
+    }
+
+    /// `frames_sent` is the transport's send count, read when the
+    /// snapshot is taken: a driver's sends and an injected volley alike,
+    /// acks included, with no second tally to drift from it.
+    #[test]
+    fn frames_sent_is_the_transports_send_count() {
+        for seed in [8u64, 27] {
+            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+            let frames = |m: &MessagingBristleSystem| m.registry().counter(Counter::FramesSent);
+            assert_eq!(frames(&msys), 0, "seed {seed}");
+            let mobiles = msys.sys.mobile_keys().to_vec();
+            for pair in mobiles.windows(2) {
+                msys.route(pair[0], pair[1]).expect("a perfect transport delivers");
+            }
+            msys.settle();
+            let routed = frames(&msys);
+            let hops = msys.sys.meter.count(MessageKind::RouteHop);
+            assert!(
+                routed > hops,
+                "seed {seed}: {routed} frames for {hops} metered hops and their acks"
+            );
+            assert_eq!(routed, msys.transport().trace().len() as u64, "seed {seed}");
+            // A volley of acks nobody awaits, each a frame the transport
+            // carries and the meter never sees.
+            let to = wire_addr_of(&msys.sys, mobiles[0]).expect("live");
+            for acked in 0..5 {
+                let ack = Envelope {
+                    src: mobiles[1],
+                    dst: mobiles[0],
+                    msg_id: u64::MAX - acked,
+                    trace_id: 0,
+                    msg: WireMessage::HopAck { acked },
+                    auth: None,
+                };
+                msys.inject_frame(to.router_id(), to, ack);
+            }
+            msys.settle_injected();
+            assert_eq!(frames(&msys), routed + 5, "seed {seed}");
+            assert_eq!(frames(&msys), msys.transport().trace().len() as u64, "seed {seed}");
         }
     }
 

@@ -275,6 +275,7 @@ pub struct QueueBench {
 
 /// Runs the hold-model benchmark at steady size `n` for `ops` holds.
 pub fn queue_bench(n: usize, ops: usize, seed: u64) -> QueueBench {
+    // owed: ROADMAP 8(a)
     fn hold<Q>(n: usize, ops: usize, seed: u64, queue: &mut Q) -> f64
     where
         Q: HoldQueue,

@@ -11,6 +11,7 @@ use crate::StateStore;
 /// row it holds is held twice.
 #[derive(Debug, Clone, Default)]
 pub struct MemBackend {
+    // owed: ROADMAP 8(a)
     state: DurableState,
 }
 

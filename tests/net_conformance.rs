@@ -1,14 +1,16 @@
 //! Sim-vs-socket conformance: the seed-scripted messaging scenario run
 //! over the in-memory `SimTransport` and over real UDP loopback sockets
-//! must produce identical per-kind meter tallies and the same causal
-//! (trace-id-grouped) event sequence. See `bristle::sim::conformance`
-//! for the scenario and the normalization rules. (That the net runtime
+//! must produce identical per-kind meter tallies, the same causal
+//! (trace-id-grouped) event sequence and the same number of frames on
+//! the carrier. See `bristle::sim::conformance` for the scenario and the
+//! normalization rules. (That the net runtime
 //! leaves the simulator's golden trace alone is `golden_trace.rs`'s
 //! `flight_recorder_trace_matches_golden`.)
 
+use bristle::overlay::obs::Counter;
 use bristle::sim::conformance::{run_sim, run_sockets};
 
-fn conformance_at(seed: u64) {
+fn conformance_at(seed: u64, frames: u64) {
     let sim = run_sim(seed);
     let net = run_sockets(seed);
     assert_eq!(
@@ -25,16 +27,32 @@ fn conformance_at(seed: u64) {
         net.profile.lines().count(),
         "causal profile length diverges (seed {seed})"
     );
+    // The acks too, which no tally meters: both carriers move the same
+    // frames.
+    let (s, n) = (|c| sim.counts.counter(c), |c| net.counts.counter(c));
+    assert_eq!((s(Counter::FramesSent), n(Counter::FramesSent)), (frames, frames), "seed {seed}");
+    // The premise of the settled-move carve-out: over sockets no send
+    // met a stale address, no owed datagram was given up on, nothing was
+    // dropped at the boundary, and every frame sent was read.
+    for c in [
+        Counter::StaleBlackholed,
+        Counter::WrittenOff,
+        Counter::DroppedOversized,
+        Counter::DroppedGarbage,
+    ] {
+        assert_eq!(n(c), 0, "seed {seed}: socket arm's {}", c.name());
+    }
+    assert_eq!(n(Counter::DatagramsReceived), frames, "seed {seed}: every frame sent was read");
 }
 
 #[test]
 fn sim_and_sockets_agree_at_seed_8() {
-    conformance_at(8);
+    conformance_at(8, 63);
 }
 
 #[test]
 fn sim_and_sockets_agree_at_seed_27() {
-    conformance_at(27);
+    conformance_at(27, 61);
 }
 
 /// The tallies are not vacuous: the scenario exercises registration,
