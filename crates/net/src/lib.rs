@@ -21,9 +21,9 @@
 //!   keeps.
 //!
 //! The conformance claim — that a scripted scenario produces identical
-//! per-kind meter tallies and causal event sequences over sockets and
-//! over `SimTransport` — is exercised by `bristle-sim`'s conformance
-//! module and the `net_conformance` integration test.
+//! meter tallies, causal event sequences and registry counts over
+//! sockets and over `SimTransport` — is exercised by `bristle-sim`'s
+//! conformance module and the `net_conformance` integration test.
 //!
 //! [`ProtoMachine`]: bristle_proto::machine::ProtoMachine
 //! [`SimTime`]: bristle_core::time::SimTime

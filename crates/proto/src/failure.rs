@@ -36,6 +36,7 @@
 //! a driver can compare it against the set it wants with one slice
 //! comparison.
 
+use bristle_core::time::SimTime;
 use bristle_overlay::key::Key;
 
 /// Ticks to wait for a HeartbeatAck before retransmitting. Equal to
@@ -113,10 +114,14 @@ struct PeerHealth {
     liveness: Liveness,
     /// Consecutive missed rounds.
     missed: u32,
+    /// When the round that turned a fresh peer suspect missed; cleared
+    /// with `missed` or spent by its verdict, never set by hearsay.
+    suspected_at: Option<SimTime>,
     /// Next probe sequence number to hand out.
     next_seq: u64,
-    /// The probe in flight: (sequence, zero-based attempt).
-    awaiting: Option<(u64, u32)>,
+    /// The zero-based attempt of the probe in flight (never one to a
+    /// dead peer), whose sequence is the last one handed out.
+    awaiting: Option<u32>,
     /// Highest incarnation the peer has been observed at; suspicion and
     /// death are charged against this number.
     incarnation: u64,
@@ -137,6 +142,7 @@ impl PeerHealth {
         PeerHealth {
             liveness: Liveness::Fresh,
             missed: 0,
+            suspected_at: None,
             next_seq: 0,
             awaiting: None,
             incarnation: 0,
@@ -149,7 +155,23 @@ impl PeerHealth {
     fn is_degraded(&self) -> bool {
         self.liveness != Liveness::Dead && self.score < DEGRADED_HEALTH
     }
+
+    /// The attempt of probe `seq`, if it is the one in flight.
+    fn in_flight(&self, seq: u64) -> Option<u32> {
+        self.awaiting.filter(|_| seq == self.next_seq - 1)
+    }
+
+    /// Fresh again: no miss, no suspicion, no probe awaited.
+    fn refresh(&mut self) {
+        self.liveness = Liveness::Fresh;
+        self.missed = 0;
+        self.suspected_at = None;
+        self.awaiting = None;
+    }
 }
+
+// One per monitored peer on every machine: a cache line at most.
+const _: () = assert!(std::mem::size_of::<PeerHealth>() <= 64);
 
 /// Per-node suspicion state over a set of monitored peers.
 #[derive(Debug)]
@@ -228,12 +250,19 @@ impl FailureDetector {
         self.liveness(peer) == Some(Liveness::Dead)
     }
 
-    /// Whether this detector's own missed rounds hold `peer` suspect or
-    /// dead: from the round that raised the suspicion until an ack or a
-    /// fresher incarnation resets the count. A verdict only heard from a
-    /// third party ([`Self::mark_dead`]) misses no round.
-    pub fn suspects(&self, peer: Key) -> bool {
-        self.peer(peer).is_some_and(|p| p.missed >= SUSPECT_AFTER)
+    /// When this detector's own missed rounds raised its standing
+    /// suspicion of `peer`: kept through its own verdict, until an ack or
+    /// a fresher incarnation resets the miss count or the verdict is
+    /// spent. Hearsay ([`Self::mark_dead`]) misses no round, raises none.
+    pub fn suspected_at(&self, peer: Key) -> Option<SimTime> {
+        self.peer(peer).and_then(|p| p.suspected_at)
+    }
+
+    /// Takes [`Self::suspected_at`] once the verdict on `peer` has been
+    /// acted on, so no later life's verdict is timed from it; what the
+    /// detector believes about `peer` is left as it is.
+    pub fn spend_suspicion(&mut self, peer: Key) -> Option<SimTime> {
+        self.peer_mut(peer).and_then(|p| p.suspected_at.take())
     }
 
     /// Highest incarnation `peer` has been observed at, or `None` if
@@ -271,9 +300,7 @@ impl FailureDetector {
             return None;
         }
         let overturned = p.liveness;
-        p.liveness = Liveness::Fresh;
-        p.missed = 0;
-        p.awaiting = None;
+        p.refresh();
         Some(overturned)
     }
 
@@ -287,7 +314,7 @@ impl FailureDetector {
         }
         let seq = p.next_seq;
         p.next_seq += 1;
-        p.awaiting = Some((seq, 0));
+        p.awaiting = Some(0);
         Some(seq)
     }
 
@@ -300,61 +327,47 @@ impl FailureDetector {
         self.observe_alive(peer, incarnation);
         let grace_misses = self.policy.grace_misses;
         let Some(p) = self.peer_mut(peer) else { return false };
-        if p.liveness == Liveness::Dead {
-            return false;
+        let Some(attempt) = p.in_flight(seq) else { return false };
+        p.refresh();
+        p.score = (p.score + 15).min(FULL_HEALTH);
+        if attempt > 0 {
+            // Answered, but only after a retransmission: the signature
+            // of a slow-not-dead peer. Earn one round of condemnation
+            // grace (bounded by policy).
+            p.grace_credit = (p.grace_credit + 1).min(grace_misses);
         }
-        match p.awaiting {
-            Some((s, attempt)) if s == seq => {
-                p.awaiting = None;
-                p.missed = 0;
-                p.liveness = Liveness::Fresh;
-                p.score = (p.score + 15).min(FULL_HEALTH);
-                if attempt > 0 {
-                    // Answered, but only after a retransmission: the
-                    // signature of a slow-not-dead peer. Earn one round
-                    // of condemnation grace (bounded by policy).
-                    p.grace_credit = (p.grace_credit + 1).min(grace_misses);
-                }
-                true
-            }
-            _ => false,
-        }
+        true
     }
 
-    /// Digests the expiry of the ack window for probe `seq` to `peer`.
-    pub fn on_timeout(&mut self, peer: Key, seq: u64) -> TimeoutVerdict {
+    /// Digests the expiry, at `now`, of the ack window for probe `seq`
+    /// to `peer`.
+    pub fn on_timeout(&mut self, peer: Key, seq: u64, now: SimTime) -> TimeoutVerdict {
         let Some(p) = self.peer_mut(peer) else { return TimeoutVerdict::Ignore };
-        if p.liveness == Liveness::Dead {
-            return TimeoutVerdict::Ignore;
+        let Some(attempt) = p.in_flight(seq) else { return TimeoutVerdict::Ignore };
+        if attempt + 1 < PROBE_ATTEMPTS {
+            p.awaiting = Some(attempt + 1);
+            p.score = p.score.saturating_sub(10);
+            return TimeoutVerdict::Resend { attempt: attempt + 1 };
         }
-        match p.awaiting {
-            Some((s, attempt)) if s == seq => {
-                if attempt + 1 < PROBE_ATTEMPTS {
-                    p.awaiting = Some((seq, attempt + 1));
-                    p.score = p.score.saturating_sub(10);
-                    return TimeoutVerdict::Resend { attempt: attempt + 1 };
-                }
-                p.awaiting = None;
-                p.missed += 1;
-                p.score = p.score.saturating_sub(25);
-                // Earned grace: every round this peer answered late (the
-                // gray-failure signature) buys one extra missed round
-                // before the funeral. A peer that acked promptly until it
-                // crashed earned nothing — its schedule is unchanged.
-                let dead_after = DEAD_AFTER + p.grace_credit;
-                let transition = if p.missed >= dead_after {
-                    p.liveness = Liveness::Dead;
-                    Some(LivenessTransition::ConfirmedDead)
-                } else if p.missed >= SUSPECT_AFTER && p.liveness == Liveness::Fresh {
-                    p.liveness = Liveness::Suspect;
-                    Some(LivenessTransition::Suspected)
-                } else {
-                    None
-                };
-                TimeoutVerdict::Missed { transition }
-            }
-            _ => TimeoutVerdict::Ignore,
-        }
+        p.awaiting = None;
+        p.missed += 1;
+        p.score = p.score.saturating_sub(25);
+        // Earned grace: every round this peer answered late (the
+        // gray-failure signature) buys one extra missed round before the
+        // funeral. A peer that acked promptly until it crashed earned
+        // nothing — its schedule is unchanged.
+        let dead_after = DEAD_AFTER + p.grace_credit;
+        let transition = if p.missed >= dead_after {
+            p.liveness = Liveness::Dead;
+            Some(LivenessTransition::ConfirmedDead)
+        } else if p.missed >= SUSPECT_AFTER && p.liveness == Liveness::Fresh {
+            p.liveness = Liveness::Suspect;
+            p.suspected_at = Some(now);
+            Some(LivenessTransition::Suspected)
+        } else {
+            None
+        };
+        TimeoutVerdict::Missed { transition }
     }
 
     /// Marks `peer` dead outright (e.g. on a third-party SuspectNotify
@@ -388,10 +401,11 @@ mod tests {
     }
 
     /// Runs one fully-missed round: every retransmission times out.
+    /// Every window of probe `seq` expires at tick `seq`.
     fn miss_round(d: &mut FailureDetector) -> Option<LivenessTransition> {
         let seq = d.begin_probe(P).expect("probe opens");
         loop {
-            match d.on_timeout(P, seq) {
+            match d.on_timeout(P, seq, SimTime(seq)) {
                 TimeoutVerdict::Resend { .. } => continue,
                 TimeoutVerdict::Missed { transition } => return transition,
                 TimeoutVerdict::Ignore => panic!("round still open"),
@@ -406,7 +420,7 @@ mod tests {
         let seq = d.begin_probe(P).unwrap();
         assert!(d.ack(P, seq, 0));
         assert_eq!(d.liveness(P), Some(Liveness::Fresh));
-        assert_eq!(d.on_timeout(P, seq), TimeoutVerdict::Ignore, "stale timer");
+        assert_eq!(d.on_timeout(P, seq, SimTime(seq)), TimeoutVerdict::Ignore, "stale timer");
     }
 
     #[test]
@@ -414,7 +428,7 @@ mod tests {
         let mut d = det();
         d.monitor(P);
         let seq = d.begin_probe(P).unwrap();
-        assert_eq!(d.on_timeout(P, seq), TimeoutVerdict::Resend { attempt: 1 });
+        assert_eq!(d.on_timeout(P, seq, SimTime(seq)), TimeoutVerdict::Resend { attempt: 1 });
         // A late ack of the retransmitted probe still counts.
         assert!(d.ack(P, seq, 0));
         assert_eq!(d.liveness(P), Some(Liveness::Fresh));
@@ -455,37 +469,61 @@ mod tests {
         d.monitor(P);
         let s0 = d.begin_probe(P).unwrap();
         // Round misses; a later round opens with a fresh sequence.
-        while !matches!(d.on_timeout(P, s0), TimeoutVerdict::Missed { .. }) {}
+        while !matches!(d.on_timeout(P, s0, SimTime(s0)), TimeoutVerdict::Missed { .. }) {}
         let s1 = d.begin_probe(P).unwrap();
         assert_ne!(s0, s1);
         assert!(!d.ack(P, s0, 0), "old sequence does not close the new probe");
         assert!(d.ack(P, s1, 0));
     }
 
-    /// `suspects` is this detector's own evidence: its missed rounds
-    /// raise it, an ack clears it, and a verdict from a third party does
-    /// not set it — though one that lands on a standing suspicion keeps
-    /// it.
+    /// `suspected_at` is this detector's own evidence: the round whose
+    /// miss turns a fresh peer suspect stamps it with its `now`, a
+    /// first-hand verdict keeps it, an ack or a fresher incarnation
+    /// clears it, and a verdict from a third party does not set it —
+    /// though one that lands on a standing suspicion keeps it, until
+    /// the verdict is acted on and spends it.
     #[test]
     fn suspects_counts_only_this_detectors_own_misses() {
         let mut d = det();
         d.monitor(P);
         miss_round(&mut d);
-        assert!(!d.suspects(P), "one miss is tolerated");
+        assert_eq!(d.suspected_at(P), None, "one miss is tolerated");
         miss_round(&mut d);
-        assert!(d.suspects(P));
+        assert_eq!(d.suspected_at(P), Some(SimTime(1)), "probe 1's round raised it");
         let seq = d.begin_probe(P).unwrap();
         assert!(d.ack(P, seq, 0));
-        assert!(!d.suspects(P), "an ack heals the suspicion");
+        assert_eq!(d.suspected_at(P), None, "an ack heals the suspicion");
         assert!(d.mark_dead(P, 0));
-        assert!(d.is_dead(P) && !d.suspects(P), "hearsay is not a suspicion");
+        assert!(d.is_dead(P));
+        assert_eq!(d.suspected_at(P), None, "hearsay is not a suspicion");
+
+        let mut own = det();
+        own.monitor(P);
+        miss_round(&mut own);
+        miss_round(&mut own);
+        assert_eq!(miss_round(&mut own), Some(LivenessTransition::ConfirmedDead));
+        assert_eq!(own.suspected_at(P), Some(SimTime(1)), "the verdict it grew into keeps it");
+        assert_eq!(own.observe_alive(P, 1), Some(Liveness::Dead));
+        assert_eq!(own.suspected_at(P), None, "a fresher incarnation clears it");
+        miss_round(&mut own);
+        miss_round(&mut own);
+        assert_eq!(own.suspected_at(P), Some(SimTime(4)), "a new suspicion, its own round");
+        assert_eq!(own.observe_alive(P, 2), Some(Liveness::Suspect));
+        assert_eq!(own.suspected_at(P), None, "and a fresher incarnation clears that too");
 
         let mut standing = det();
         standing.monitor(P);
         miss_round(&mut standing);
         miss_round(&mut standing);
         assert!(standing.mark_dead(P, 0));
-        assert!(standing.suspects(P), "the suspicion the verdict landed on still stands");
+        assert_eq!(
+            standing.suspected_at(P),
+            Some(SimTime(1)),
+            "the suspicion the verdict landed on still stands"
+        );
+        standing.spend_suspicion(P);
+        assert_eq!(standing.suspected_at(P), None, "until the verdict is acted on");
+        assert!(standing.is_dead(P), "which leaves the verdict standing");
     }
 
     #[test]
@@ -574,7 +612,7 @@ mod tests {
         assert!(!d.is_degraded(P));
         // One resend then a late ack: the peer looks slow, not dead.
         let seq = d.begin_probe(P).unwrap();
-        assert_eq!(d.on_timeout(P, seq), TimeoutVerdict::Resend { attempt: 1 });
+        assert_eq!(d.on_timeout(P, seq, SimTime(seq)), TimeoutVerdict::Resend { attempt: 1 });
         assert_eq!(d.health(P), Some(FULL_HEALTH - 10));
         assert!(d.ack(P, seq, 0));
         assert_eq!(d.health(P), Some(FULL_HEALTH), "ack restores the score (capped)");
@@ -595,7 +633,7 @@ mod tests {
         slow.monitor(P);
         for _ in 0..4 {
             let seq = slow.begin_probe(P).unwrap();
-            assert!(matches!(slow.on_timeout(P, seq), TimeoutVerdict::Resend { .. }));
+            assert!(matches!(slow.on_timeout(P, seq, SimTime(seq)), TimeoutVerdict::Resend { .. }));
             assert!(slow.ack(P, seq, 0));
         }
         assert_eq!(miss_round(&mut slow), None);

@@ -78,12 +78,16 @@ impl ProtoMachine {
         self.detector.liveness(peer)
     }
 
-    /// Whether this node's own probes hold `peer` suspect or dead: true
-    /// from the round that raised its `Suspect` until an ack or a
-    /// refutation heals it, false for a verdict it only heard from a
-    /// third party ([`FailureDetector::suspects`]).
-    pub fn suspects(&self, peer: Key) -> bool {
-        self.detector.suspects(peer)
+    /// When this node's own probes raised its standing suspicion of
+    /// `peer`, the `now` of its `Suspect` event
+    /// ([`FailureDetector::suspected_at`]).
+    pub fn suspected_at(&self, peer: Key) -> Option<SimTime> {
+        self.detector.suspected_at(peer)
+    }
+
+    /// Takes [`Self::suspected_at`] ([`FailureDetector::spend_suspicion`]).
+    pub fn spend_suspicion(&mut self, peer: Key) -> Option<SimTime> {
+        self.detector.spend_suspicion(peer)
     }
 
     /// Peers this node monitors, ascending.
@@ -272,7 +276,7 @@ impl ProtoMachine {
         seq: u64,
         out: &mut Output,
     ) {
-        match self.detector.on_timeout(peer, seq) {
+        match self.detector.on_timeout(peer, seq, now) {
             TimeoutVerdict::Ignore => {}
             TimeoutVerdict::Resend { attempt } => {
                 env.bump(MessageKind::Timeout);

@@ -14,11 +14,11 @@
 //!   whether it already processed the frame — or by the one mirrored
 //!   driver rule, the stale-address black-hole, so a divergence means a
 //!   driver leaked semantics into the protocol.
-//! - **What the drivers count** — each arm's driver [`Registry`]. Both
-//!   answer the `frames_sent` [`Counter`], the frames handed to the
-//!   carrier, acks included, which no tally meters; it must be equal.
-//!   The mirrored rule holds exactly when the socket arm counts 0
-//!   `stale_blackholed` (the simulator black-holes at arrival, the
+//! - **The run's registry** — one per arm, in its [`Telemetry`]. Every
+//!   [`Hist`] series counts alike on both, and so does `frames_sent`,
+//!   the frames handed to the carrier, acks included, which no tally
+//!   meters. The mirrored rule holds exactly when the socket arm counts
+//!   0 `stale_blackholed` (the simulator black-holes at arrival, the
 //!   socket driver at send: the same only when no frame meets a move),
 //!   0 `written_off` and 0 drops, and its `datagrams_received` equals
 //!   its `frames_sent`.
@@ -41,7 +41,7 @@
 //! tests.
 //!
 //! [`SimTransport`]: bristle_proto::transport::SimTransport
-//! [`Counter`]: bristle_overlay::obs::Counter
+//! [`MessageKind`]: bristle_overlay::meter::MessageKind
 //! [`ProtoMachine`]: bristle_proto::machine::ProtoMachine
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -54,8 +54,7 @@ use bristle_net::{SocketDriver, WallClock};
 use bristle_netsim::graph::RouterId;
 use bristle_overlay::addr::NetAddr;
 use bristle_overlay::key::Key;
-use bristle_overlay::meter::MessageKind;
-use bristle_overlay::obs::{FlightRecorder, ObsEvent, Registry};
+use bristle_overlay::obs::{Counter, FlightRecorder, Gauge, Hist, ObsEvent, Registry};
 use bristle_proto::machine::{Completion, ProtoMachine, RetryPolicy};
 use bristle_proto::transport::FaultConfig;
 
@@ -63,24 +62,21 @@ use crate::messaging::{
     children_by_parent, wire_addr_of, AuthConfig, MessagingBristleSystem, Nodes, SystemEnv,
     FLIGHT_RECORDER_CAPACITY,
 };
-use crate::workload::tiny_system;
+use crate::workload::{tiny_system, Telemetry};
 
 /// Event budget per scripted operation, mirroring the messaging
 /// driver's runaway backstop.
 const MAX_EVENTS: u64 = 2_000_000;
 
 /// What one arm of the conformance run produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConformanceReport {
-    /// `(kind, count, cost)` for every message kind, in `ALL_KINDS`
-    /// order (kinds with zero traffic included, so the vectors align).
-    pub tallies: Vec<(MessageKind, u64, u64)>,
+    /// Every kind's tallies (zero ones too, so the arms align) and the
+    /// run's one registry at its end.
+    pub telemetry: Telemetry,
     /// The causal profile: flight events grouped by trace id, with
     /// wall-dependent fields stripped (see [`profile`]).
     pub profile: String,
-    /// The driver's registry at the end of the run (see the module
-    /// docs for which of its counters the arms share).
-    pub counts: Registry,
 }
 
 /// The shared population of the conformance, golden-trace and
@@ -226,11 +222,7 @@ fn sim_arm(sys: BristleSystem, seed: u64, steps: &[Step]) -> ConformanceReport {
         }
         mbs.settle();
     }
-    ConformanceReport {
-        tallies: mbs.sys.meter.tallies(),
-        profile: profile(&mbs.flight().events()),
-        counts: mbs.registry(),
-    }
+    ConformanceReport { telemetry: Telemetry::of(&mbs), profile: profile(&mbs.flight().events()) }
 }
 
 /// The socket arm's world state: everything [`SystemEnv`] windows onto,
@@ -240,6 +232,8 @@ fn sim_arm(sys: BristleSystem, seed: u64, steps: &[Step]) -> ConformanceReport {
 struct NetWorld {
     sys: BristleSystem,
     nodes: Nodes,
+    /// The run's one registry: the env and the steps write it, and the
+    /// driver's counts join it at the end.
     obs: Registry,
     flight: FlightRecorder,
     auth: AuthConfig,
@@ -250,7 +244,7 @@ impl NetWorld {
     fn env(&mut self) -> SystemEnv<'_> {
         SystemEnv {
             sys: &mut self.sys,
-            nodes: &mut self.nodes,
+            nodes: &self.nodes,
             obs: &mut self.obs,
             flight: &mut self.flight,
             auth: self.auth,
@@ -281,9 +275,9 @@ fn net_register(d: &mut SocketDriver, w: &mut NetWorld, who: Key, target: Key) {
 }
 
 fn net_route(d: &mut SocketDriver, w: &mut NetWorld, src: Key, target: Key) {
-    let now = d.now();
+    let started = d.now();
     let mut env = w.env();
-    let (route_id, out) = d.machine_mut(src).expect("bound").start_route(now, &mut env, target);
+    let (route_id, out) = d.machine_mut(src).expect("bound").start_route(started, &mut env, target);
     d.dispatch(src, out, &mut env).expect("route dispatch");
     let mine = move |c: &Completion| match *c {
         Completion::Delivered { origin, route_id: r } => origin == src && r == route_id,
@@ -298,12 +292,14 @@ fn net_route(d: &mut SocketDriver, w: &mut NetWorld, src: Key, target: Key) {
         "route {src} -> {target} must deliver"
     );
     d.completions.retain(|c| !mine(c));
+    w.obs.record(Hist::Route, d.now().since(started));
 }
 
 fn net_disseminate(d: &mut SocketDriver, w: &mut NetWorld, key: Key) {
     let info = *w.sys.node_info(key).expect("known");
     let ldt = w.sys.build_ldt(key).expect("ldt builds");
     let addr = wire_addr_of(&w.sys, key).expect("known");
+    let started = d.now();
     let mut expected = 0usize;
     for (parent, children) in children_by_parent(&ldt) {
         expected += children.len();
@@ -329,6 +325,9 @@ fn net_disseminate(d: &mut SocketDriver, w: &mut NetWorld, key: Key) {
             }
             _ => true,
         });
+    }
+    if expected > 0 {
+        w.obs.record(Hist::Dissemination, d.now().since(started));
     }
 }
 
@@ -385,24 +384,25 @@ fn socket_arm(sys: BristleSystem, steps: &[Step]) -> ConformanceReport {
         net_settle(&mut d, &mut world);
     }
 
-    ConformanceReport {
-        tallies: world.sys.meter.tallies(),
-        profile: profile(&world.flight.events()),
-        counts: d.registry(),
-    }
+    let counted = d.registry();
+    Counter::ALL.iter().for_each(|&c| world.obs.add(c, counted.counter(c)));
+    Gauge::ALL.iter().for_each(|&g| world.obs.set(g, counted.gauge(g)));
+    let telemetry = Telemetry { tallies: world.sys.meter.tallies(), registry: Some(world.obs) };
+    ConformanceReport { telemetry, profile: profile(&world.flight.events()) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bristle_overlay::obs::Counter;
 
     #[test]
     fn both_arms_interpret_the_same_steps() {
         let steps = script(&build(5));
         let (sim, net) = (sim_arm(build(5), 5, &steps), socket_arm(build(5), &steps));
-        let frames = |r: &ConformanceReport| r.counts.counter(Counter::FramesSent);
-        assert_eq!((&sim.tallies, &sim.profile), (&net.tallies, &net.profile));
+        let frames = |r: &ConformanceReport| {
+            r.telemetry.registry.as_ref().expect("one registry").counter(Counter::FramesSent)
+        };
+        assert_eq!((&sim.telemetry.tallies, &sim.profile), (&net.telemetry.tallies, &net.profile));
         assert_eq!(frames(&sim), frames(&net));
     }
 

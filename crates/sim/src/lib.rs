@@ -53,7 +53,7 @@ pub use degradation::{run_degradation, DegradationConfig, DegradationOutcome};
 pub use durability::{run_durability, DurabilityConfig, DurabilityOutcome, RestartMode};
 pub use engine::EventQueue;
 pub use experiments::Scale;
-pub use messaging::{MessagingBristleSystem, MessagingError, MessagingRouteReport, RejoinRecord};
+pub use messaging::{MessagingBristleSystem, MessagingError, MessagingRouteReport};
 pub use metrics::{Histogram, Samples};
 pub use mobility::MobilityModel;
 pub use partition::{run_partition, PartitionConfig, PartitionOutcome};

@@ -18,9 +18,8 @@ pub(crate) struct SystemEnv<'a> {
     /// The driver's view of every node, read for the last known address
     /// of one that crashed or left: senders may still address it (that
     /// is the point of crash *detection*), and the transport needs a
-    /// router to deliver the doomed bytes to. Suspicions wait there
-    /// for their verdict.
-    pub(crate) nodes: &'a mut Nodes,
+    /// router to deliver the doomed bytes to.
+    pub(crate) nodes: &'a Nodes,
     /// The run's series: a discovery's milestone lands in its histogram.
     pub(crate) obs: &'a mut Registry,
     /// Where every machine-emitted structured event is recorded.
@@ -175,15 +174,10 @@ impl NodeEnv for SystemEnv<'_> {
     }
 
     fn emit(&mut self, event: ObsEvent) {
-        match event.kind {
-            ObsEventKind::DiscoveryResolved { elapsed, .. }
-            | ObsEventKind::DiscoveryFailed { elapsed, .. } => {
-                self.obs.record(Hist::Discovery, elapsed);
-            }
-            ObsEventKind::Suspect { peer, .. } => {
-                self.nodes.suspicions.insert((peer, event.node), event.at);
-            }
-            _ => {}
+        if let ObsEventKind::DiscoveryResolved { elapsed, .. }
+        | ObsEventKind::DiscoveryFailed { elapsed, .. } = event.kind
+        {
+            self.obs.record(Hist::Discovery, elapsed);
         }
         self.flight.record(event);
     }

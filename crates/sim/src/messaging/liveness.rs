@@ -80,11 +80,6 @@ pub(crate) struct Nodes {
     /// it runs a machine for it, changes — and when a machine's
     /// monitored set moves by anything but a seeding.
     epoch: u64,
-    /// Suspicions awaiting a verdict: the micro-time of each watcher's
-    /// latest `Suspect` of a peer, by `(peer, watcher)`. A detector
-    /// raises `Suspect` only from fresh, so a watcher's earlier one was
-    /// healed by an ack or a refutation, and the new one replaces it.
-    pub(super) suspicions: BTreeMap<(Key, Key), u64>,
 }
 
 impl Nodes {
@@ -183,11 +178,6 @@ impl MessagingBristleSystem {
         self.nodes.buried()
     }
 
-    /// Every funeral reversed so far, in rejoin order.
-    pub fn rejoin_log(&self) -> &[RejoinRecord] {
-        &self.rejoin_log
-    }
-
     /// Crashes `key` without notice: its machine vanishes and mail to it
     /// black-holes, but every piece of *system* bookkeeping — ring
     /// membership, registrations, published records, leases — still
@@ -215,8 +205,6 @@ impl MessagingBristleSystem {
             let fate = if self.is_failed(key) { Fate::Crashed } else { Fate::Departed };
             self.nodes.hold(key, Some(Held { last_addr, fate }));
         }
-        // A departed node gets no verdict to clear them.
-        self.nodes.suspicions.retain(|&(peer, _), _| peer != key);
         self.remove_machine(key);
         self.sys.leave_node(key).map_err(|_| MessagingError::UnknownNode(key))
     }
@@ -442,7 +430,6 @@ impl MessagingBristleSystem {
             self.nodes.hold(peer, None);
             self.sys.meter.bump(MessageKind::WrongfulDeath, 1);
             self.obs.record(Hist::Rejoin, self.queue.now().since(burial.at));
-            self.rejoin_log.push(RejoinRecord { key: peer, incarnation: report.incarnation });
         }
     }
 
@@ -510,17 +497,14 @@ impl MessagingBristleSystem {
             self.nodes.hold(key, Some(Held { last_addr, fate: Fate::BuriedAlive(burial) }));
         }
         let report = self.sys.confirm_dead(key).map_err(|_| MessagingError::UnknownNode(key))?;
-        // Detection runs from the earliest suspicion still standing: its
-        // watcher's own missed rounds still hold `key` suspect or dead.
-        // One an ack or a refutation healed started no part of this
-        // verdict, and a verdict heard from a third party raised none.
-        let pending = self.nodes.suspicions.range((key, Key(0))..=(key, Key(u64::MAX)));
-        let standing =
-            pending.filter(|(&(_, w), _)| self.machine_of(w).is_some_and(|m| m.suspects(key)));
-        if let Some(&at) = standing.map(|(_, at)| at).min() {
-            self.obs.record(Hist::Detection, self.queue.now().0.saturating_sub(at));
+        // Detection runs from the earliest suspicion still standing in a
+        // running watcher's detector (one an ack or a refutation healed,
+        // or hearsay, started none), and spends them all: a watcher may
+        // hold `key` dead into a later life it never hears from.
+        let spent = self.machines.iter_mut().filter_map(|(_, m)| m.spend_suspicion(key));
+        if let Some(at) = spent.min() {
+            self.obs.record(Hist::Detection, self.queue.now().0.saturating_sub(at.0));
         }
-        self.nodes.suspicions.retain(|&(peer, _), _| peer != key);
         Ok(report)
     }
 }
@@ -818,10 +802,8 @@ mod tests {
                 .max_by_key(|&&k| (watchers(&msys, k).len(), k))
                 .expect("mobile nodes exist");
             let suspecting = |msys: &MessagingBristleSystem| -> Vec<Key> {
-                let watching = watchers(msys, victim).into_iter();
-                watching
-                    .filter(|&w| msys.machine_of(w).is_some_and(|m| m.suspects(victim)))
-                    .collect()
+                let suspects = |&w: &Key| msys.machine_of(w).and_then(|m| m.suspected_at(victim));
+                watchers(msys, victim).into_iter().filter(|w| suspects(w).is_some()).collect()
             };
 
             // Suspected under loss: cut off for two rounds.
@@ -864,7 +846,7 @@ mod tests {
             msys.inject_frame(to_addr.router_id(), to_addr, verdict);
             msys.settle_injected();
             assert_eq!(live(&msys, hearer), Some(Liveness::Dead), "seed {seed}: hearsay lands");
-            assert!(!msys.machine_of(hearer).expect("running").suspects(victim));
+            assert_eq!(msys.machine_of(hearer).expect("running").suspected_at(victim), None);
 
             // The others miss three rounds: suspect after two, dead after three.
             for _ in 0..3 {
@@ -882,6 +864,31 @@ mod tests {
                 "seed {seed}: detection took {} ticks, crash to verdict {verdict_after}",
                 detection.max()
             );
+        }
+    }
+
+    /// A verdict spends every suspicion it was timed from. Its watchers
+    /// hold the victim dead into the life a restart gives it until they
+    /// hear from that life. When that life's crash is buried before any
+    /// of them suspects it again, no suspicion of that life stands, so
+    /// the verdict is not timed — from the first life's least of all.
+    #[test]
+    fn a_verdict_spends_every_suspicion_it_was_timed_from() {
+        for seed in [8u64, 27] {
+            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+            let victim = msys.sys.mobile_keys()[3];
+            msys.seed_monitors();
+            msys.fail_silently(victim);
+            detect(&mut msys, victim, seed);
+            msys.confirm_and_heal(victim).expect("victim is known");
+            assert!(msys.crash_restart(victim).expect("victim restarts").restored);
+            let dead = |m: &ProtoMachine| m.liveness(victim) == Some(Liveness::Dead);
+            assert!(msys.machines.iter().any(|(_, m)| dead(m)), "seed {seed}: held dead");
+
+            msys.fail_silently(victim);
+            msys.confirm_and_heal(victim).expect("victim is known");
+            let detection = msys.registry().histogram(Hist::Detection).count();
+            assert_eq!(detection, 1, "seed {seed}: only the first life's verdict is timed");
         }
     }
 
@@ -1012,7 +1019,7 @@ mod tests {
             let w_now = home(&msys, w);
             assert_eq!(view_of(&mut msys, w), (up, !buried, true, w_now), "seed {seed}: rejoined");
             assert_eq!(msys.nodes.last_addr(w), None);
-            assert_eq!(msys.rejoin_log().len(), 1);
+            assert_eq!(msys.registry().histogram(Hist::Rejoin).count(), 1, "seed {seed}");
             msys.settle();
 
             // run -> leave

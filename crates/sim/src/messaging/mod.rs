@@ -218,17 +218,6 @@ impl Ran {
     }
 }
 
-/// One reversed funeral: the node wrongfully buried and the incarnation
-/// it lives at after the rejoin. How long it lay buried is the
-/// registry's [`Hist::Rejoin`] series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RejoinRecord {
-    /// The resurrected node.
-    pub key: Key,
-    /// The incarnation the node lives at after the rejoin.
-    pub incarnation: u64,
-}
-
 /// What a completed messaging route reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MessagingRouteReport {
@@ -255,8 +244,6 @@ pub struct MessagingBristleSystem {
     policy: RetryPolicy,
     failure_policy: FailurePolicy,
     completions: Vec<Completion>,
-    /// Every funeral reversed so far, in rejoin order.
-    rejoin_log: Vec<RejoinRecord>,
     /// This run's series; latencies are micro-clock ticks (the
     /// [`EventQueue`]'s time scale, not the coarse lease clock).
     obs: Registry,
@@ -306,7 +293,6 @@ impl MessagingBristleSystem {
             policy,
             failure_policy: FailurePolicy::default(),
             completions: Vec::new(),
-            rejoin_log: Vec::new(),
             obs: Registry::default(),
             flight: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
             auth: AuthConfig::default(),

@@ -155,6 +155,7 @@ pub fn run_partition(cfg: &PartitionConfig) -> PartitionOutcome {
 
     // Heal; the heartbeat machinery's rejoin sweep now delivers every
     // obituary, collects the refutations, and reverses the funerals.
+    let buried = msys.wrongly_buried();
     msys.heal_now();
     for r in 0..RECOVERY_ROUNDS {
         msys.heartbeat_round();
@@ -163,8 +164,9 @@ pub fn run_partition(cfg: &PartitionConfig) -> PartitionOutcome {
             break;
         }
     }
-    out.rejoined = msys.rejoin_log().len();
-    out.max_rejoin_latency = msys.registry().histogram(Hist::Rejoin).max();
+    let rejoins = msys.registry().histogram(Hist::Rejoin).snapshot();
+    out.rejoined = rejoins.count as usize;
+    out.max_rejoin_latency = rejoins.max;
 
     // Split-brain reconciliation: for every rejoined mobile subject,
     // plant its far-side life — stale incarnation, inflated sequence
@@ -172,8 +174,9 @@ pub fn run_partition(cfg: &PartitionConfig) -> PartitionOutcome {
     // then let anti-entropy pick the winner. Only the incarnation rank
     // makes the post-rejoin record win.
     let replicas = msys.sys.config().location_replicas;
+    // Buried mobile nodes the system holds again: the funerals reversed.
     let rejoined_mobiles: Vec<Key> =
-        msys.rejoin_log().iter().map(|r| r.key).filter(|&k| msys.sys.is_mobile(k)).collect();
+        buried.into_iter().filter(|&k| msys.sys.is_mobile(k)).collect();
     for &subject in &rejoined_mobiles {
         let Ok(set) = msys.sys.stationary.replica_set(subject, replicas) else { continue };
         let first = set.first().and_then(|&r| msys.sys.stationary.node(r).ok());

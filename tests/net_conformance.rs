@@ -1,20 +1,26 @@
 //! Sim-vs-socket conformance: the seed-scripted messaging scenario run
 //! over the in-memory `SimTransport` and over real UDP loopback sockets
 //! must produce identical per-kind meter tallies, the same causal
-//! (trace-id-grouped) event sequence and the same number of frames on
-//! the carrier. See `bristle::sim::conformance` for the scenario and the
-//! normalization rules. (That the net runtime
+//! (trace-id-grouped) event sequence, the same number of frames on the
+//! carrier and the same number of observations in every histogram of
+//! the run's one registry. See `bristle::sim::conformance` for the
+//! scenario and the normalization rules. (That the net runtime
 //! leaves the simulator's golden trace alone is `golden_trace.rs`'s
 //! `flight_recorder_trace_matches_golden`.)
 
-use bristle::overlay::obs::Counter;
-use bristle::sim::conformance::{run_sim, run_sockets};
+use bristle::overlay::obs::{Counter, Hist, Registry};
+use bristle::sim::conformance::{run_sim, run_sockets, ConformanceReport};
 
-fn conformance_at(seed: u64, frames: u64) {
+/// The arm's one registry.
+fn registry(arm: &ConformanceReport) -> &Registry {
+    arm.telemetry.registry.as_ref().expect("each arm reports its run's registry")
+}
+
+fn conformance_at(seed: u64, frames: u64, discoveries: u64) {
     let sim = run_sim(seed);
     let net = run_sockets(seed);
     assert_eq!(
-        sim.tallies, net.tallies,
+        sim.telemetry.tallies, net.telemetry.tallies,
         "per-kind meter tallies diverge between SimTransport and loopback sockets (seed {seed})"
     );
     // Compare profiles line-by-line so a drift points at the first
@@ -29,7 +35,7 @@ fn conformance_at(seed: u64, frames: u64) {
     );
     // The acks too, which no tally meters: both carriers move the same
     // frames.
-    let (s, n) = (|c| sim.counts.counter(c), |c| net.counts.counter(c));
+    let (s, n) = (|c| registry(&sim).counter(c), |c| registry(&net).counter(c));
     assert_eq!((s(Counter::FramesSent), n(Counter::FramesSent)), (frames, frames), "seed {seed}");
     // The premise of the settled-move carve-out: over sockets no send
     // met a stale address, no owed datagram was given up on, nothing was
@@ -43,16 +49,25 @@ fn conformance_at(seed: u64, frames: u64) {
         assert_eq!(n(c), 0, "seed {seed}: socket arm's {}", c.name());
     }
     assert_eq!(n(Counter::DatagramsReceived), frames, "seed {seed}: every frame sent was read");
+    // Each arm's one registry holds its whole run: every histogram
+    // counts alike over both carriers, and none the script exercises
+    // is empty.
+    let counts = |arm| Hist::ALL.map(|h| registry(arm).histogram(h).count());
+    assert_eq!(counts(&sim), counts(&net), "seed {seed}: {:?}", Hist::ALL.map(Hist::name));
+    let exercised = [(Hist::Route, 3), (Hist::Discovery, discoveries), (Hist::Dissemination, 1)];
+    for (h, count) in exercised {
+        assert_eq!(registry(&net).histogram(h).count(), count, "seed {seed}: {}", h.name());
+    }
 }
 
 #[test]
 fn sim_and_sockets_agree_at_seed_8() {
-    conformance_at(8, 63);
+    conformance_at(8, 63, 2);
 }
 
 #[test]
 fn sim_and_sockets_agree_at_seed_27() {
-    conformance_at(27, 61);
+    conformance_at(27, 61, 4);
 }
 
 /// The tallies are not vacuous: the scenario exercises registration,
@@ -67,7 +82,8 @@ fn the_scenario_exercises_the_recovery_paths() {
     use bristle::overlay::meter::MessageKind;
     let sim = run_sim(8);
     let count = |k: MessageKind| {
-        sim.tallies.iter().find(|(kind, _, _)| *kind == k).map(|&(_, c, _)| c).unwrap_or(0)
+        let tallies = &sim.telemetry.tallies;
+        tallies.iter().find(|(kind, _, _)| *kind == k).map(|&(_, c, _)| c).unwrap_or(0)
     };
     assert!(count(MessageKind::Register) >= 2, "both watchers register");
     assert!(count(MessageKind::Update) >= 1, "the move is disseminated");
