@@ -16,7 +16,6 @@ use bristle_overlay::meter::MessageKind;
 use crate::durable::Disk;
 use crate::error::Result;
 use crate::ldt::Ldt;
-use crate::registry::Registrant;
 use crate::system::{BristleSystem, NodeInfo};
 use crate::time::SimTime;
 
@@ -72,7 +71,8 @@ impl BristleSystem {
     ///    (while the corpse is still a member),
     /// 2. removes the corpse from both layers and prunes its
     ///    registrations and leases,
-    /// 3. sweeps stale routing entries out of both layers,
+    /// 3. sweeps stale routing entries out of both layers, and the
+    ///    holders the mobile sweep rebuilt re-register with their new rows,
     /// 4. re-grafts each orphaned LDT subtree via [`Ldt::heal`] and
     ///    disseminates the repaired tree (one `update` per edge, counted
     ///    as [`MessageKind::LdtRepair`] per tree),
@@ -105,11 +105,13 @@ impl BristleSystem {
         self.corpses.insert(key, Corpse { body, buried_at: self.clock.now() });
 
         // (1) Targets whose LDT contains the corpse, with trees built
-        // while the corpse is still registered (sorted for determinism).
-        let mut trees: Vec<(Key, Ldt)> = Vec::new();
+        // while the corpse is still registered (sorted for determinism),
+        // and their registrants before the registration pass below.
+        let mut trees: Vec<(Key, Ldt, Vec<Key>)> = Vec::new();
         for target in self.registry.targets_of(key) {
             if self.contains_node(target) {
-                trees.push((target, self.build_ldt(target)?));
+                let registrants = self.registry.registrants_of(target).iter().map(|r| r.key);
+                trees.push((target, self.build_ldt(target)?, registrants.collect()));
             }
         }
 
@@ -122,24 +124,18 @@ impl BristleSystem {
         // (3) Drop dangling routing entries so repairs route cleanly.
         let dcache = self.distances_arc();
         let mut rng = self.rng().split(6);
-        self.mobile.repair_sweep(&self.attachments, &dcache, &mut rng, &mut self.meter);
+        let swept = self.mobile.repair_sweep(&self.attachments, &dcache, &mut rng, &mut self.meter);
         self.stationary.repair_sweep(&self.attachments, &dcache, &mut rng, &mut self.meter);
+        self.reregister(&swept);
 
         // (4) Re-graft every orphaned subtree and disseminate the repair.
         let unit_cost = self.config().unit_cost;
-        for (target, mut tree) in trees {
+        for (target, mut tree, registrants) in trees {
             if tree.heal(key, unit_cost).is_none() {
                 continue; // corpse was not actually a member
             }
-            let survivors: Vec<Registrant> = self
-                .registry
-                .registrants_of(target)
-                .iter()
-                .copied()
-                .filter(|r| self.node_info(r.key).is_ok())
-                .collect();
-            let reachable =
-                tree.all_reachable_from_root() && survivors.iter().all(|r| tree.contains(r.key));
+            let mut live = registrants.iter().filter(|&&k| self.node_info(k).is_ok());
+            let reachable = tree.all_reachable_from_root() && live.all(|&k| tree.contains(k));
             report.invariant_ok &= reachable;
             self.advertise_update(target)?;
             self.meter.bump(MessageKind::LdtRepair, 1);

@@ -11,7 +11,9 @@
 //! holding a mobile node's state-pair registers to that node. (Fig. 5's
 //! inline comments state the direction ambiguously; §2.3.1's definition
 //! "X registers itself to nodes whose state-pairs are replicated in X" is
-//! the consistent one and is what we implement.)
+//! the consistent one and is what we implement.) A join hands the nodes
+//! whose rows it rebuilt, the newcomer's included, to [`crate::repo`]'s
+//! registration pass; a leave's dangling rows wait for the next sweep.
 //!
 //! This join costs the paper's 2 × O(log N) messages and produces the
 //! same steady state the omniscient `rewire()` builds; the deliberately
@@ -50,7 +52,7 @@ impl BristleSystem {
         };
         let key = self.admit(mobility)?;
 
-        let mut visited = Vec::new();
+        let mut rebuilt = Vec::new();
         let mut messages = 0u64;
         if let Some(boot) = bootstrap {
             // The join message travels toward the newcomer's key.
@@ -64,20 +66,18 @@ impl BristleSystem {
                 &mut self.meter,
             )?;
             messages += route.hop_count() as u64;
-            visited.push(boot);
-            visited.extend(route.hops.iter().copied().filter(|&h| h != key));
+            rebuilt.push(boot);
+            rebuilt.extend(route.hops.iter().copied().filter(|&h| h != key));
+            messages += rebuilt.len() as u64; // one state exchange per visit
+            self.meter.bump(MessageKind::Join, rebuilt.len() as u64);
 
             // (a) Visited nodes adopt the newcomer where it improves their
             // tables; (b) the newcomer assembles its own table from what
             // it saw. Rebuilding against the live map realizes exactly the
             // closer-key + closer-distance rule of Fig. 5.
             let mut rng = self.rng().split(5);
-            let mut rebuilt = visited.clone();
             rebuilt.push(key);
             self.mobile.rebuild(&rebuilt, &self.attachments, &dcache, &mut rng)?;
-            // One state exchange per visit.
-            messages += visited.len() as u64;
-            self.meter.bump(MessageKind::Join, visited.len() as u64);
             if mobility == Mobility::Stationary {
                 self.stationary.rebuild(&[key], &self.attachments, &dcache, &mut rng)?;
                 // Stationary neighbors of the newcomer adopt it too.
@@ -86,27 +86,10 @@ impl BristleSystem {
             }
         }
 
-        // Registration sync along §2.3.1: the newcomer registers to the
-        // mobile nodes it now holds; nodes that adopted the newcomer
-        // register to it (if it is mobile).
-        let my_cap = self.node_info(key)?.capacity;
-        let my_entries = self.mobile.node(key)?.keys().to_vec();
-        for subject in my_entries {
-            if self.is_mobile(subject) {
-                self.add_registrant(key, my_cap, subject);
-                self.meter.bump(MessageKind::Register, 1);
-                messages += 1;
-            }
-        }
+        // Every rebuilt node, the newcomer included, registers to the
+        // mobile nodes its rows now name and drops what they no longer do.
+        messages += self.reregister(&rebuilt) as u64;
         if mobility == Mobility::Mobile {
-            for &holder in &visited {
-                if self.mobile.node(holder)?.knows(key) {
-                    let cap = self.node_info(holder)?.capacity;
-                    self.add_registrant(holder, cap, key);
-                    self.meter.bump(MessageKind::Register, 1);
-                    messages += 1;
-                }
-            }
             self.publish_location(key)?;
         }
         Ok(JoinReport { key, messages })

@@ -11,9 +11,9 @@
 //! holds after every operation. DESIGN §8 "The write path" tabulates
 //! operation → tables → record.
 //!
-//! Metering stays with the callers, whose bills differ (a join meters
-//! every edge, a resurrection only the new ones). Mirrors never touch
-//! the meter, the RNG or the clock.
+//! Metering stays with the callers, registrations aside: a sync meters
+//! every edge, the registration pass only the new ones. Mirrors never
+//! touch the meter, the RNG or the clock.
 
 use std::collections::BTreeSet;
 
@@ -118,18 +118,21 @@ impl BristleSystem {
         purged.len()
     }
 
-    /// Adds `who` (reporting `capacity`) to R(`target`); a repeat
-    /// updates the capacity. Returns whether the edge is new.
+    /// Adds `who` (reporting `capacity`) to R(`target`) as an explicit
+    /// interest, which stands whether or not `who`'s rows name `target`;
+    /// a repeat updates the capacity. Returns whether the edge is new.
     pub fn add_registrant(&mut self, who: Key, capacity: u32, target: Key) -> bool {
+        self.interests.insert((who, target));
         register_edge(&mut self.registry, &mut self.stores, who, capacity, target)
     }
 
     /// Rebuilds the registration state from the mobile layer's reverse
     /// routing pointers: every holder of a *mobile* node's state-pair
     /// registers to that node with its capacity (§2.3.1 — "X can register
-    /// itself to those mobile nodes only"). Each R(·) lists its holders
-    /// in ring order, and is allocated at its final length: the edges are
-    /// counted first, in the order the fill registers them.
+    /// itself to those mobile nodes only"), and then to its live explicit
+    /// interests. Each R(·) lists its row holders in ring order, and is
+    /// allocated at their number: the row edges are counted first, in the
+    /// order the fill registers them.
     pub fn sync_registrations(&mut self) {
         let old = self.registry.take();
         let mut fresh = std::mem::take(&mut self.registry);
@@ -153,6 +156,8 @@ impl BristleSystem {
                 }
             }
         }
+        let explicit: Vec<Key> = self.interests.iter().map(|&(holder, _)| holder).collect();
+        self.reregister(&explicit);
         // Edges the rebuild dropped (none on the initial build).
         for (target, regs) in old.iter() {
             let kept = self.registry.registrants_of(target);
@@ -160,6 +165,37 @@ impl BristleSystem {
                 self.stores.apply(gone.key, WalRecord::Deregister { target: target.0 });
             }
         }
+    }
+
+    /// [`Self::sync_registrations`]' rule for `holders` only, the pass
+    /// every rewrite of mobile rows ends with: each listed holder still in
+    /// the mobile ring is registered to exactly the live mobile nodes its
+    /// rows name or its explicit interests do. Each new edge is a metered
+    /// `Register` (their count is returned); a dropped one is unmetered.
+    pub(crate) fn reregister(&mut self, holders: &[Key]) -> usize {
+        let listed: BTreeSet<Key> =
+            holders.iter().copied().filter(|&h| self.mobile.contains(h)).collect();
+        let mut wanted: BTreeSet<(Key, Key)> =
+            self.interests.iter().copied().filter(|(h, _)| listed.contains(h)).collect();
+        for node in listed.iter().filter_map(|&h| self.mobile.node(h).ok()) {
+            wanted.extend(node.keys().iter().map(|&t| (node.key, t)));
+        }
+        wanted.retain(|&(_, t)| self.is_mobile(t));
+        let edges = self.registry.iter().flat_map(|(t, regs)| regs.iter().map(move |r| (r.key, t)));
+        let gone: Vec<_> = edges.filter(|e| listed.contains(&e.0) && !wanted.contains(e)).collect();
+        for (holder, target) in gone {
+            self.registry.deregister(holder, target);
+            self.stores.apply(holder, WalRecord::Deregister { target: target.0 });
+        }
+        let mut sent = 0;
+        for (holder, target) in wanted {
+            let capacity = self.info_unchecked(holder).capacity;
+            if register_edge(&mut self.registry, &mut self.stores, holder, capacity, target) {
+                self.meter.bump(MessageKind::Register, 1);
+                sent += 1;
+            }
+        }
+        sent
     }
 
     /// Installs `record` into `holder`'s stationary-layer shard unless a
@@ -294,6 +330,7 @@ impl BristleSystem {
         for holder in self.leases.holders_of_subject(key) {
             self.stores.apply(holder, WalRecord::LeaseRevoke { subject: key.0 });
         }
+        self.interests.retain(|&(h, t)| h != key && t != key);
         (
             self.registry.remove_everywhere(key) + self.registry.drop_target(key),
             self.leases.revoke_subject(key) + self.leases.revoke_holder(key),
@@ -325,5 +362,74 @@ impl BristleSystem {
         for rec in stale {
             self.stores.apply(key, rec);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use bristle_netsim::transit_stub::TransitStubConfig;
+
+    use super::*;
+    use crate::system::BristleBuilder;
+
+    /// A holder with a row to a mobile node, and a mobile node it holds no
+    /// row for.
+    fn drift_at(sys: &BristleSystem, skip: usize) -> (Key, Key, Key) {
+        let movable = |k: &Key| sys.is_mobile(*k);
+        let node = sys.mobile.iter().filter(|n| n.keys().iter().any(movable)).nth(skip).unwrap();
+        let held = *node.keys().iter().find(|k| movable(k)).unwrap();
+        let other = sys.mobile_keys().iter().find(|&&t| t != node.key && !node.knows(t));
+        (node.key, held, *other.unwrap())
+    }
+
+    fn system() -> BristleSystem {
+        let sys = BristleBuilder::new(8).stationary_nodes(30).mobile_nodes(12);
+        sys.topology(TransitStubConfig::tiny()).build().unwrap()
+    }
+
+    fn registered(sys: &BristleSystem, who: Key, target: Key) -> bool {
+        sys.registry.registrants_of(target).iter().any(|r| r.key == who)
+    }
+
+    /// The pass gives a listed holder exactly its rows' registrations,
+    /// one metered `Register` per new edge and none per dropped one, keeps
+    /// its explicit interests, and leaves an unlisted holder's drift alone.
+    #[test]
+    fn the_registration_pass_reconciles_only_the_listed_holders() {
+        let mut sys = system();
+        let (a, a_row, a_stray) = drift_at(&sys, 0);
+        let (b, b_row, b_stray) = drift_at(&sys, 1);
+        for (who, row, stray) in [(a, a_row, a_stray), (b, b_row, b_stray)] {
+            assert!(sys.registry.deregister(who, row));
+            assert!(sys.registry.register(Registrant::new(who, 1), stray));
+        }
+        let registers = sys.meter.count(MessageKind::Register);
+        assert_eq!(sys.reregister(&[a]), 1);
+        assert_eq!(sys.meter.count(MessageKind::Register), registers + 1);
+        assert!(registered(&sys, a, a_row) && !registered(&sys, a, a_stray));
+        assert!(!registered(&sys, b, b_row) && registered(&sys, b, b_stray), "b was not listed");
+        assert!(!sys.add_registrant(b, 1, b_stray), "b_stray is now an interest");
+        assert_eq!(sys.reregister(&[b, Key(0x0dd)]), 1);
+        assert!(registered(&sys, b, b_row) && registered(&sys, b, b_stray), "an interest stays");
+        assert_eq!(sys.reregister(&[a, b]), 0, "nothing left to reconcile");
+    }
+
+    /// An explicit interest outlives every pass over its holder and every
+    /// sync, and goes with its target's funeral.
+    #[test]
+    fn an_explicit_interest_stands_until_its_target_dies() {
+        let mut sys = system();
+        let (s, _, friend) = drift_at(&sys, 0);
+        sys.register_interest(s, friend).unwrap();
+        let z = *sys.mobile_keys().iter().find(|&&z| z != s && z != friend).unwrap();
+        sys.confirm_dead(z).unwrap();
+        sys.rejoin_node(z, 1).unwrap();
+        assert!(!sys.mobile.node(s).unwrap().knows(friend), "still no row names it");
+        assert!(registered(&sys, s, friend), "the rejoin's pass dropped it");
+        sys.sync_registrations();
+        assert!(registered(&sys, s, friend), "the sync dropped it");
+        sys.confirm_dead(friend).unwrap();
+        sys.rejoin_node(friend, 1).unwrap();
+        assert!(!registered(&sys, s, friend), "the funeral kept it");
     }
 }

@@ -12,7 +12,9 @@
 //! experiment in `bristle-sim` meters exactly this difference.
 //!
 //! Both are one body, `resurrect`, below: a rejoin is a restart whose
-//! disk kept nothing.
+//! disk kept nothing. Neither builds a registration edge: after the rewire
+//! every holder goes through [`crate::repo`]'s registration pass, and the
+//! registrations the node's disk kept become its explicit interests.
 
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
@@ -43,7 +45,8 @@ pub struct RestartReport {
     /// Persisted records dropped at restart (subject gone, dead, or the
     /// record's TTL lapsed during the downtime).
     pub records_skipped: usize,
-    /// Registration edges re-established from the durable store.
+    /// Registration edges the resurrection added, one `Register` each,
+    /// the node's own and every holder's whose rows the rewire changed.
     pub registrations_restored: usize,
     /// Persisted registrations dropped (target gone or dead).
     pub registrations_stale: usize,
@@ -97,10 +100,10 @@ impl BristleSystem {
     /// 2. a stationary node's persisted shard is reinstalled locally — no
     ///    `Replicate` traffic — skipping subjects that died or whose
     ///    records expired during the downtime;
-    /// 3. registration edges are re-established, from the persisted set
-    ///    and then both ways from the rebuilt routing state (§2.3.1),
-    ///    one register message per *new* edge; unexpired persisted leases
-    ///    resume where they left off;
+    /// 3. every holder's registrations are reconciled with its rewired
+    ///    rows (§2.3.1) and explicit interests, the node's persisted
+    ///    registrations among them, one register message per *new* edge;
+    ///    unexpired persisted leases resume where they left off;
     /// 4. every LDT the node re-entered is re-disseminated, and a mobile
     ///    node republishes the location its funeral withdrew and pushes
     ///    it through its own LDT;
@@ -140,29 +143,14 @@ impl BristleSystem {
             }
         }
 
-        let held: Vec<Key> = self.mobile.node(key)?.keys().to_vec();
-        let mut edges: Vec<(Key, u32, Key)> = Vec::new();
-        for target in persisted.registrations.keys().map(|&t| Key(t)) {
-            if self.is_mobile(target) {
-                edges.push((key, info.capacity, target));
-            } else {
-                report.registrations_stale += 1;
-            }
-        }
-        edges.extend(
-            held.into_iter().filter(|&s| self.is_mobile(s)).map(|s| (key, info.capacity, s)),
-        );
-        if report.was_mobile {
-            for holder in self.mobile.holders_of(key) {
-                edges.push((holder, self.node_info(holder)?.capacity, key));
-            }
-        }
-        for (who, capacity, target) in edges {
-            if self.add_registrant(who, capacity, target) {
-                self.meter.bump(MessageKind::Register, 1);
-                report.registrations_restored += 1;
-            }
-        }
+        // The rewire may have changed any holder's rows. The log does not
+        // say which registrations were explicit, so the node keeps them all.
+        let (kept, stale): (Vec<Key>, _) =
+            persisted.registrations.keys().map(|&t| Key(t)).partition(|&t| self.is_mobile(t));
+        report.registrations_stale = stale.len();
+        self.interests.extend(kept.into_iter().map(|t| (key, t)));
+        let holders: Vec<Key> = self.mobile.keys().collect();
+        report.registrations_restored = self.reregister(&holders);
 
         for (&raw_subject, &expires) in &persisted.leases {
             let subject = Key(raw_subject);

@@ -19,7 +19,7 @@
 //! routing and `_discovery` in [`crate::mobile`], and the join/leave
 //! protocol in [`crate::join`].
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use bristle_netsim::attach::{AttachmentMap, HostId};
@@ -112,6 +112,9 @@ pub struct BristleSystem {
     mobile_keys: Vec<Key>,
     /// Registration state R(·) (§2.3.1).
     pub registry: Registry,
+    /// Explicit registrations `(holder, target)`, kept with or without a
+    /// row: `add_registrant`'s and a restart's. A funeral or leave ends them.
+    pub(crate) interests: BTreeSet<(Key, Key)>,
     /// Lease contracts on cached addresses (§2.3.2).
     pub leases: LeaseTable,
     /// Nodes confirmed crashed by the failure detector, one [`Corpse`]
@@ -237,6 +240,7 @@ impl BristleBuilder {
             stationary_keys: Vec::new(),
             mobile_keys: Vec::new(),
             registry: Registry::new(),
+            interests: BTreeSet::new(),
             leases: LeaseTable::new(),
             corpses: HashMap::new(),
             stores: StoreHub::new(),
@@ -576,8 +580,8 @@ impl BristleSystem {
     ///
     /// Registrants that abruptly failed since registering are pruned
     /// here — in protocol terms, the root's sends to them time out and
-    /// it drops them from R(i); the registry itself is lazily cleaned by
-    /// the next [`BristleSystem::sync_registrations`].
+    /// it drops them from R(i); the registry keeps their edges until a
+    /// verdict ([`BristleSystem::confirm_dead`]) or a sync drops them.
     pub fn build_ldt(&self, key: Key) -> Result<Ldt> {
         let info = self.node_info(key)?;
         let root = Registrant::new(key, info.capacity);
@@ -697,6 +701,7 @@ impl BristleSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::BindingMode;
     use std::collections::HashSet;
 
     fn small_system(n_stat: usize, n_mob: usize, seed: u64) -> BristleSystem {
@@ -930,12 +935,12 @@ mod tests {
     /// names a host that is not fixed. Every other row names its peer's
     /// fixed host and resolves to that host's current address. The
     /// learned table holds no more dead entries than live ones, and the
-    /// stores mirror the tables. Where the system has just synced its
-    /// registrations (`synced`), each holder's learned rows are exactly
-    /// its registry edges; between syncs the function path's joins,
-    /// leaves and repairs let the registry drift from the rows (ROADMAP
-    /// item 2), so the edges are checked there only.
-    fn assert_learned_entries_are_registrations(sys: &BristleSystem, step: &str, synced: bool) {
+    /// stores mirror the tables. And at every step the registry is the
+    /// rows: each live holder is registered to every live mobile node it
+    /// holds a row for, and to nothing it holds no row for. Only a holder
+    /// that crashed without a verdict keeps edges outside the ring, as
+    /// `build_ldt` skips it.
+    fn assert_learned_entries_are_registrations(sys: &BristleSystem, step: &str) {
         sys.assert_stores_mirror_tables(step);
         // A host's stationary bit is its membership of the stationary ring.
         let ring_hosts: HashSet<HostId> = sys.stationary.iter().map(|n| n.host).collect();
@@ -944,9 +949,9 @@ mod tests {
             assert_eq!(bit, ring_hosts.contains(&host), "after {step}: stationary bit of {host}");
         }
         let mut edges: HashMap<Key, Vec<Key>> = HashMap::new();
-        for &m in sys.mobile_keys() {
-            for r in sys.registry.registrants_of(m) {
-                edges.entry(r.key).or_default().push(m);
+        for (target, regs) in sys.registry.iter() {
+            for r in regs {
+                edges.entry(r.key).or_default().push(target);
             }
         }
         for node in sys.mobile.iter() {
@@ -971,15 +976,19 @@ mod tests {
                     other => panic!("{at}: a row names {other:?}"),
                 }
             }
-            let mut registered = edges.remove(&node.key).unwrap_or_default();
-            if synced {
-                let learned: Vec<Key> =
-                    node.keys().iter().copied().filter(|&k| node.entry(k).is_some()).collect();
-                registered.sort_unstable();
-                assert_eq!(learned, registered, "after {step}: learned rows of {}", node.key);
+            let registered = edges.remove(&node.key).unwrap_or_default();
+            let at = format!("after {step}: {}", node.key);
+            for &k in node.keys().iter().filter(|&&k| sys.is_mobile(k)) {
+                assert!(registered.contains(&k), "{at} holds {k}'s row unregistered");
+            }
+            for &k in &registered {
+                assert!(node.entry(k).is_some(), "{at} is registered to {k} without a row");
             }
         }
-        assert!(!synced || edges.is_empty(), "after {step}: registrants without a row: {edges:?}");
+        for holder in edges.keys() {
+            let crashed = !sys.contains_node(*holder) && !sys.is_confirmed_dead(*holder);
+            assert!(crashed, "after {step}: {holder} is registered outside the ring");
+        }
         let (live, dead) = sys.mobile.learned_entries();
         assert!(dead <= live, "after {step}: {dead} dead learned entries beside {live} live");
     }
@@ -987,45 +996,66 @@ mod tests {
     #[test]
     fn learned_entries_are_registrations_through_a_lifecycle() {
         for seed in [8, 27] {
-            let mut sys = small_system(40, 24, seed);
-            let check = |sys: &BristleSystem, step: &str, synced: bool| {
-                let step = format!("{step} (seed {seed})");
-                assert_learned_entries_are_registrations(sys, &step, synced)
+            let late = BristleConfig { binding: BindingMode::Late, ..BristleConfig::recommended() };
+            let mut sys = BristleBuilder::new(seed)
+                .stationary_nodes(40)
+                .mobile_nodes(24)
+                .topology(TransitStubConfig::tiny())
+                .config(late)
+                .build()
+                .unwrap();
+            let check = |sys: &BristleSystem, step: &str| {
+                assert_learned_entries_are_registrations(sys, &format!("{step} (seed {seed})"))
             };
-            check(&sys, "build", true);
+            check(&sys, "build");
             for i in 0..3 {
                 sys.move_node(sys.mobile_keys()[i], None).unwrap();
             }
-            check(&sys, "move_node", true);
+            check(&sys, "move_node");
             for class in [Mobility::Mobile, Mobility::Stationary, Mobility::Mobile] {
                 sys.join_node(class).unwrap();
             }
-            check(&sys, "join_node", false);
+            check(&sys, "join_node");
             let leaver = sys.stationary_keys()[4];
             let leaver_info = *sys.node_info(leaver).unwrap();
             sys.leave_node(sys.mobile_keys()[4]).unwrap();
             sys.leave_node(leaver).unwrap();
-            check(&sys, "leave_node", false);
+            check(&sys, "leave_node");
             // The departed key comes back as a new body on a fresh fixed
-            // host, wired by the caller as `readmit` asks.
+            // host, wired and registered by the caller as `readmit` asks.
             let host = sys.attachments.attach_fixed(sys.stub_routers()[0]);
             sys.readmit(leaver, NodeInfo { host, ..leaver_info }).unwrap();
             sys.rewire();
-            check(&sys, "readmit on a new host", false);
+            sys.sync_registrations();
+            check(&sys, "readmit on a new host");
             let crashed = sys.mobile_keys()[5];
             sys.fail_node(crashed).unwrap();
-            check(&sys, "fail_node", false);
+            check(&sys, "fail_node");
             sys.confirm_dead(crashed).unwrap();
-            check(&sys, "confirm_dead", false);
+            check(&sys, "confirm_dead");
             for buried in [sys.mobile_keys()[6], sys.stationary_keys()[6]] {
                 sys.confirm_dead(buried).unwrap();
-                check(&sys, "confirm_dead (wrongful)", false);
+                check(&sys, "confirm_dead (wrongful)");
                 assert!(sys.rejoin_node(buried, 1).unwrap().restored);
-                check(&sys, "rejoin_node", false);
+                check(&sys, "rejoin_node");
+            }
+            for i in [7, 8] {
+                sys.fail_node(sys.stationary_keys()[i]).unwrap();
+            }
+            sys.fail_node(sys.mobile_keys()[7]).unwrap();
+            sys.run_upkeep().unwrap();
+            check(&sys, "run_upkeep (late binding)");
+            // A move between the crash and the restart re-picks rows by
+            // proximity, so the restart's rewire changes other holders' too.
+            for victim in [sys.mobile_keys()[8], sys.stationary_keys()[9]] {
+                sys.confirm_dead(victim).unwrap();
+                sys.move_node(sys.mobile_keys()[0], None).unwrap();
+                assert!(sys.restart_node_from_store(victim).unwrap().restored);
+                check(&sys, "restart_node_from_store");
             }
             sys.rewire();
             sys.sync_registrations();
-            check(&sys, "rewire + sync_registrations", true);
+            check(&sys, "rewire + sync_registrations");
         }
     }
 

@@ -10,11 +10,10 @@
 //!    (§2.3.2);
 //! 3. failure detection and local repair in both layers (probe entries,
 //!    patch the damaged ones — §2.3.2's connectivity monitoring);
-//! 4. under **early binding** only: re-registration and proactive
-//!    republish + LDT re-advertisement for every mobile node.
-//!
-//! Late-binding systems skip step 4 and rely on `_discovery` at use
-//! time; the ablation experiment quantifies that trade.
+//! 4. under **early binding**: re-registration and proactive republish +
+//!    LDT re-advertisement for every mobile node. Late binding only
+//!    re-registers the holders step 3 rebuilt, and relies on `_discovery`
+//!    at use time; the ablation experiment quantifies that trade.
 
 use crate::config::BindingMode;
 use crate::error::Result;
@@ -29,11 +28,13 @@ impl BristleSystem {
         // Failure detection + local repair, both layers.
         let dcache = self.distances_arc();
         let mut rng = self.rng().split(6);
-        self.mobile.repair_sweep(&self.attachments, &dcache, &mut rng, &mut self.meter);
+        let swept = self.mobile.repair_sweep(&self.attachments, &dcache, &mut rng, &mut self.meter);
         self.stationary.repair_sweep(&self.attachments, &dcache, &mut rng, &mut self.meter);
 
         if self.config().binding == BindingMode::Early {
             self.refresh_bindings()?;
+        } else {
+            self.reregister(&swept);
         }
         Ok(())
     }

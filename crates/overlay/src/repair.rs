@@ -12,6 +12,7 @@ use bristle_netsim::dijkstra::DistanceCache;
 use bristle_netsim::rng::Pcg64;
 
 use crate::addr::RowAddr;
+use crate::key::Key;
 use crate::meter::{MessageKind, Meter};
 use crate::ring::RingDht;
 
@@ -20,14 +21,14 @@ impl<V, A: RowAddr> RingDht<V, A> {
     /// its entries (metered as `Refresh`), and the nodes that found one
     /// pointing at a departed node are rebuilt against the live ring, in
     /// ring order on `rng` (the local equivalent of asking ring neighbors
-    /// for replacements).
+    /// for replacements). Returns the rebuilt nodes, in that order.
     pub fn repair_sweep(
         &mut self,
         attachments: &AttachmentMap,
         dcache: &DistanceCache,
         rng: &mut Pcg64,
         meter: &mut Meter,
-    ) {
+    ) -> Vec<Key> {
         let mut damaged = Vec::new();
         for node in self.iter() {
             let my_router = attachments.router(node.host);
@@ -53,6 +54,7 @@ impl<V, A: RowAddr> RingDht<V, A> {
             }
         }
         self.rebuild(&damaged, attachments, dcache, rng).expect("damaged nodes are live");
+        damaged
     }
 }
 
@@ -60,7 +62,6 @@ impl<V, A: RowAddr> RingDht<V, A> {
 mod tests {
     use super::*;
     use crate::config::RingConfig;
-    use crate::key::Key;
     use crate::node::NodeRef;
     use bristle_netsim::transit_stub::{TransitStubConfig, TransitStubTopology};
     use std::sync::Arc;
@@ -89,8 +90,14 @@ mod tests {
         }
         let damaged = dht.health();
         assert!(damaged.dangling_entries > 0, "damage must be there to find");
+        let holders: Vec<Key> = dht
+            .iter()
+            .filter(|n| n.keys().iter().any(|&k| dht.node(k).is_err()))
+            .map(|n| n.key)
+            .collect();
         let mut meter = Meter::new();
-        dht.repair_sweep(&attachments, &dcache, &mut rng, &mut meter);
+        let rebuilt = dht.repair_sweep(&attachments, &dcache, &mut rng, &mut meter);
+        assert_eq!(rebuilt, holders, "the sweep rebuilds the damaged nodes, in ring order");
         assert_eq!(meter.count(MessageKind::Refresh) as usize, damaged.total_entries);
         assert!(dht.health().is_healthy(), "sweep must fully heal");
     }
@@ -107,7 +114,7 @@ mod tests {
         };
         let before = rows(&dht);
         let mut meter = Meter::new();
-        dht.repair_sweep(&attachments, &dcache, &mut rng, &mut meter);
+        assert!(dht.repair_sweep(&attachments, &dcache, &mut rng, &mut meter).is_empty());
         assert_eq!(meter.count(MessageKind::Refresh) as usize, dht.total_state());
         assert_eq!(rows(&dht), before);
     }

@@ -801,20 +801,13 @@ impl<V, A: RowAddr> RingDht<V, A> {
         Some(succ)
     }
 
-    /// The nodes whose routing state contains `key`, in ring order: one
-    /// row of [`RingDht::reverse_index`] without building the rest.
-    pub fn holders_of(&self, key: Key) -> Vec<Key> {
-        self.iter().filter(|n| n.knows(key)).map(|n| n.key).collect()
-    }
-
     /// Builds the reverse-pointer index: for each node, the set of nodes
     /// whose routing state contains it. These are exactly the peers that
     /// *register* to a node in Bristle (§2.3.1: "X registers itself to
     /// nodes whose state-pairs are replicated in X").
     ///
     /// Whole-ring and hash-ordered: it serves the Fig. 3, 8 and 9
-    /// experiments only. The system asks [`RingDht::holders_of`] for the
-    /// one row it needs.
+    /// experiments only.
     pub fn reverse_index(&self) -> HashMap<Key, Vec<Key>> {
         let mut index: HashMap<Key, Vec<Key>> = HashMap::with_capacity(self.len());
         for node in self.iter() {
@@ -1706,18 +1699,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn holders_of_is_the_reverse_index_row_in_ring_order() {
-        let (dht, _, _) = setup(96, 12, RingConfig::tornado());
-        let rev = dht.reverse_index();
-        for key in dht.keys() {
-            let holders = dht.holders_of(key);
-            assert_eq!(Some(&holders), rev.get(&key), "holders of {key}");
-            assert!(holders.windows(2).all(|w| w[0] < w[1]), "holders of {key} out of order");
-        }
-        assert!(dht.holders_of(Key(1)).is_empty(), "nobody holds an absent key");
     }
 
     #[test]

@@ -271,7 +271,7 @@ mod tests {
         for seed in [8u64, 27] {
             let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
             let subject = msys.sys.mobile_keys()[0];
-            let holder = msys.sys.mobile.holders_of(subject)[0];
+            let holder = msys.sys.registry.registrants_of(subject)[0].key;
             let honest = wire_addr_of(&msys.sys, subject).expect("live");
             let to_addr = wire_addr_of(&msys.sys, holder).expect("live");
             let forgeries = [

@@ -71,7 +71,10 @@ use Op::*;
 
 /// Shrunk schedules that once failed, replayed before anything is
 /// generated: `(seed, differential, ops)`. The first five failed with a
-/// known bug put back (DESIGN §6); the last two at the parent commit.
+/// known bug put back (DESIGN §6); the rest at the parent of the commit
+/// that fixed them, but two: the ninth fails if invariant 5 does not
+/// excuse a registration a restart kept off its disk, the tenth if the
+/// registration pass drops explicit registrations.
 #[rustfmt::skip]
 const CORPUS: &[(u64, bool, &[Op])] = &[
     // A `DiscoveryReply` naming no router, taken at an open session.
@@ -89,6 +92,12 @@ const CORPUS: &[(u64, bool, &[Op])] = &[
     // A node a restart put past its obituary's incarnation, buried again.
     (0, false, &[Fail(137), Heal, Partition(132), RepublishRestart(88),
                  Heartbeat, Heartbeat, Heartbeat, Heal]),
+    // A funeral's repair sweep that rebuilt rows and registered none.
+    (0, false, &[Leave(148), Join(Mobility::Mobile), Bury(27)]),
+    // A restart that keeps a disk registration its new rows do not name.
+    (108, false, &[Move(152, 0), Fail(163), Heal, CrashRestart(91), Disseminate(194)]),
+    // An explicit registration a funeral's registration pass dropped.
+    (0, false, &[Register(236, 16), Leave(182), Bury(93)]),
 ];
 
 /// The `Tick` amounts: a tick, then just past the lease TTL, the record
@@ -193,6 +202,14 @@ struct World {
     verdicts: BTreeSet<Key>,
     /// Every node that left.
     left: Vec<Key>,
+    /// Registrations made explicitly (`Register`, a forged registration),
+    /// each with whether its ack came back. Any of them excuses an LDT
+    /// member without a row; an acked one stays registered while both
+    /// ends live.
+    interests: BTreeMap<(Key, Key), bool>,
+    /// What each buried node was registered to at its verdict: its
+    /// disk's registrations, which a restart keeps as interests.
+    graves: BTreeMap<Key, Vec<Key>>,
     /// Whether a cut is in force, and whether the transport drops 2 %.
     cut: bool,
     lossy: bool,
@@ -212,8 +229,9 @@ impl World {
             .join(format!("bristle-schedules-{}-{seed}-{run}", std::process::id()));
         let faults = if lossy { FaultConfig::lossy(0.02) } else { FaultConfig::perfect() };
         let msys = MessagingBristleSystem::new(build(seed), faults, seed);
-        let (durable, verdicts) = (BTreeSet::new(), BTreeSet::new());
-        World { msys, dir, durable, verdicts, left: Vec::new(), cut: false, lossy }
+        let (durable, verdicts, interests) = (BTreeSet::new(), BTreeSet::new(), BTreeMap::new());
+        let (left, graves) = (Vec::new(), BTreeMap::new());
+        World { msys, dir, durable, verdicts, left, interests, graves, cut: false, lossy }
     }
 
     /// The nodes `op` names, picked among those it may take: live ones;
@@ -256,11 +274,15 @@ impl World {
             }
             (Route(..), Some(src), Some(target)) => drop(m.route(src, target)),
             (Register(..), Some(who), Some(target)) if who != target => {
-                drop(m.register(who, target))
+                let acked = m.register(who, target).is_ok();
+                *self.interests.entry((who, target)).or_default() |= acked;
             }
             (Disseminate(_), Some(k), _) => self.disseminate(k, step),
             (Join(class), ..) => drop(m.sys.join_node(class)),
-            (Leave(_), Some(k), _) => self.left.extend(m.leave(k).ok().map(|()| k)),
+            (Leave(_), Some(k), _) if m.leave(k).is_ok() => {
+                self.left.push(k);
+                self.forget_interests(k);
+            }
             (Tick(i), ..) => {
                 let by = ticks(&m.sys)[usize::from(i) % 4];
                 m.sys.tick(by);
@@ -286,6 +308,9 @@ impl World {
                 let crash = matches!(op, CrashRestart(_));
                 let report = if crash { m.crash_restart(k) } else { m.republish_restart(k) };
                 assert!(report.is_ok_and(|r| r.restored), "{step}: {k} stays buried");
+                let kept = self.graves.remove(&k).filter(|_| crash).unwrap_or_default();
+                let kept = kept.into_iter().filter(|&t| m.sys.is_mobile(t));
+                self.interests.extend(kept.map(|t| ((k, t), true)));
             }
             (Partition(_), Some(k), _) => {
                 self.cut = true;
@@ -310,14 +335,24 @@ impl World {
     /// A verdict the round returns is one the funeral accepts.
     fn heartbeat(&mut self, step: &str) {
         for dead in self.msys.heartbeat_round() {
+            self.forget_interests(dead);
+            self.graves.insert(dead, self.msys.sys.registry.targets_of(dead));
             let report = self.msys.confirm_and_heal(dead);
             assert!(report.is_ok(), "{step}: the verdict on {dead} is refused: {report:?}");
             self.verdicts.insert(dead);
         }
     }
 
+    /// `gone` was buried or left: the interests it held and those held in
+    /// it end.
+    fn forget_interests(&mut self, gone: Key) {
+        self.interests.retain(|&(h, t), _| h != gone && t != gone);
+    }
+
     /// On an uncut loss-free transport, every LDT member an Update could
-    /// reach through live relays learns `k`'s current address, leased.
+    /// reach through live relays holds `k`'s row with `k`'s current
+    /// address, leased; a member registered by interest alone needs no
+    /// row.
     fn disseminate(&mut self, k: Key, step: &str) {
         let m = &mut self.msys;
         let ldt = m.sys.build_ldt(k).expect("a live mobile node");
@@ -333,7 +368,8 @@ impl World {
             }
             let row = m.sys.mobile.node(member.key).ok().and_then(|n| n.entry(k).copied());
             let at = format!("{step}: {}'s row for {k}", member.key);
-            assert!(row.is_none_or(|e| e.addr == Some(addr)), "{at}: {row:?}, not {addr:?}");
+            let interest = self.interests.contains_key(&(member.key, k));
+            assert!(row.map_or(interest, |e| e.addr == Some(addr)), "{at}: {row:?}, not {addr:?}");
             assert!(m.sys.leases.is_fresh(member.key, k, m.sys.clock.now()), "{at}: unleased");
         }
     }
@@ -366,6 +402,9 @@ impl World {
     /// `src` starts an operation toward `target`, and the forgeries land
     /// before the network runs (see [`Op::Forge`]).
     fn forge(&mut self, src: Key, target: Key, what: u8) {
+        if !what.is_multiple_of(2) {
+            self.interests.entry((src, target)).or_default();
+        }
         let m = &mut self.msys;
         let mut sent = Vec::new();
         m.machine_started(src);
@@ -411,6 +450,20 @@ impl World {
         for &k in sys.mobile_keys() {
             let ldt = sys.build_ldt(k).expect("a live node");
             assert!(ldt.all_reachable_from_root(), "{step}: {k}'s LDT");
+        }
+        // §2.3.1: every live holder of a live mobile node's row is
+        // registered to it (a crashed holder awaits its verdict).
+        for node in sys.mobile.iter().filter(|n| !m.is_failed(n.key)) {
+            for &k in node.keys().iter().filter(|&&k| sys.is_mobile(k)) {
+                let registered = sys.registry.registrants_of(k).iter().any(|r| r.key == node.key);
+                assert!(registered, "{step}: {} holds {k}'s row unregistered", node.key);
+            }
+        }
+        // An acked explicit registration stands while both ends live.
+        for (&(who, k), _) in self.interests.iter().filter(|(_, &acked)| acked) {
+            let registered = sys.registry.registrants_of(k).iter().any(|r| r.key == who);
+            let live = sys.contains_node(who) && sys.is_mobile(k);
+            assert!(registered || !live, "{step}: {who}'s interest in {k} was dropped");
         }
         for (i, machine) in m.machines.iter() {
             assert_eq!(machine.inflight(), 0, "{step}: {} has sessions open", m.nodes.key_of(i));

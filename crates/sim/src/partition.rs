@@ -317,31 +317,14 @@ mod tests {
         // A rejoin can move a subject's replica set off every node that
         // holds its record; anti-entropy must bring the record back.
         let seeds: Vec<u64> = (1..=64).collect();
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(4);
-        let mut failed: Vec<u64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let seeds = &seeds;
-                    scope.spawn(move || {
-                        seeds
-                            .iter()
-                            .skip(w)
-                            .step_by(workers)
-                            .copied()
-                            .filter(|&seed| {
-                                let run =
-                                    sweep(&SweepArgs { seed: Some(seed), ..Default::default() });
-                                let claim =
-                                    run.claims.iter().find(|c| c.text.starts_with("split-brain"));
-                                !claim.expect("the sweep states the reconciliation claim").ok
-                            })
-                            .collect::<Vec<u64>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("a seed worker panicked")).collect()
-        });
-        failed.sort_unstable();
+        let failed: Vec<u64> = crate::sweeps::seeds::claims("partition", &seeds)
+            .into_iter()
+            .filter(|(seed, claims)| {
+                let claim = claims.iter().find(|c| c.text.starts_with("split-brain"));
+                !claim.unwrap_or_else(|| panic!("seed {seed}: no reconciliation claim")).ok
+            })
+            .map(|(seed, _)| seed)
+            .collect();
         assert!(failed.is_empty(), "records not reconciled at seeds {failed:?}");
     }
 

@@ -476,32 +476,7 @@ mod tests {
     #[test]
     fn the_sweep_completes_and_its_claims_hold_at_every_quick_seed() {
         let seeds: Vec<u64> = (1..=32).collect();
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(4);
-        let mut failed: Vec<(u64, String)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let seeds = &seeds;
-                    scope.spawn(move || {
-                        let mut failed = Vec::new();
-                        for &seed in seeds.iter().skip(w).step_by(workers) {
-                            let args = SweepArgs { seed: Some(seed), ..Default::default() };
-                            match std::panic::catch_unwind(|| sweep(&args)) {
-                                Err(_) => failed.push((seed, "panicked".to_string())),
-                                Ok(run) => failed.extend(
-                                    run.claims
-                                        .iter()
-                                        .filter(|c| !c.ok)
-                                        .map(|c| (seed, c.text.clone())),
-                                ),
-                            }
-                        }
-                        failed
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("a seed worker")).collect()
-        });
-        failed.sort();
+        let failed = crate::sweeps::seeds::violated("resilience", &seeds);
         assert!(failed.is_empty(), "the resilience sweep failed at {failed:?}");
     }
 }

@@ -287,6 +287,78 @@ fn verify_reports(root: &Path) -> u8 {
 }
 
 #[cfg(test)]
+/// Claims over seeds, for tests: one seed pool in place of a thread loop
+/// per test.
+pub(crate) mod seeds {
+    use std::collections::BTreeMap;
+
+    use super::*;
+
+    /// Runs sweep `name` at quick scale at every seed in `seeds`, on up to
+    /// four threads, and returns the claims each run stated. A run that
+    /// panics states one violated claim, [`PANICKED`].
+    pub(crate) fn claims(name: &str, seeds: &[u64]) -> BTreeMap<u64, Vec<Claim>> {
+        let sweep = SWEEPS.iter().find(|s| s.name == name).expect("a sweep of that name");
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(4);
+        let run = |seed: u64| {
+            let args = SweepArgs { seed: Some(seed), ..SweepArgs::default() };
+            std::panic::catch_unwind(|| (sweep.run)(&args)).map_or_else(
+                |_| vec![Claim { text: PANICKED.to_string(), ok: false, every_cell: true }],
+                |run| run.claims,
+            )
+        };
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let mine = seeds.iter().skip(w).step_by(workers);
+                    scope.spawn(move || mine.map(|&seed| (seed, run(seed))).collect::<Vec<_>>())
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().expect("a seed worker")).collect()
+        })
+    }
+
+    /// The seeds at which some claim of `name` is violated, with the
+    /// violated claims' texts.
+    pub(crate) fn violated(name: &str, seeds: &[u64]) -> BTreeMap<u64, Vec<String>> {
+        let texts = |c: Vec<Claim>| c.into_iter().filter(|c| !c.ok).map(|c| c.text).collect();
+        let all = claims(name, seeds).into_iter().map(|(seed, c)| (seed, texts(c)));
+        all.filter(|(_, violated): &(u64, Vec<String>)| !violated.is_empty()).collect()
+    }
+
+    /// The violation a panicking run counts as.
+    pub(crate) const PANICKED: &str = "panicked";
+
+    /// Every claim of the sweeps that return claims, over seeds 1-32
+    /// (`partition` 1-64), as `held/n` and the seeds that violate it.
+    /// A report, not a gate: `cargo test --release -p bristle-sim
+    /// claims_over_seeds -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    fn claims_over_seeds() {
+        for name in ["resilience", "partition", "durability", "attacks", "degradation"] {
+            let n = if name == "partition" { 64 } else { 32 };
+            let seeds: Vec<u64> = (1..=n).collect();
+            let violated = violated(name, &seeds);
+            let sweep = SWEEPS.iter().find(|s| s.name == name).expect("a sweep");
+            let claims = (sweep.run)(&SweepArgs::default()).claims;
+            // A pooled claim quotes its numbers after " (": cut them off.
+            let stem = |text: &str| text.split(" (").next().unwrap_or(text).to_string();
+            let mut stems: Vec<String> = claims.iter().map(|c| stem(&c.text)).collect();
+            stems.push(PANICKED.to_string());
+            for claim in stems {
+                let at: Vec<u64> = violated
+                    .iter()
+                    .filter(|(_, v)| v.iter().any(|t| stem(t) == claim))
+                    .map(|(&seed, _)| seed)
+                    .collect();
+                println!("{name} | {claim} | {}/{n} | {at:?}", n - at.len() as u64);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
