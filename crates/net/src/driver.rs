@@ -2,7 +2,7 @@
 //!
 //! One [`UdpSocket`] per node, bound to loopback; datagram payloads are
 //! exactly [`Envelope::encode`] bytes, nothing more. The driver owns
-//! the machines and the timer wheel but *not* the world model — every
+//! the machines and their timers but *not* the world model — every
 //! call takes a `&mut dyn NodeEnv`, the same window the simulator's
 //! driver hands its machines, which is what makes the two backends
 //! meter-identical: the machines cannot tell which one is driving them.
@@ -42,13 +42,14 @@
 //! read by the *next* pump, not the running one, so a pump is bounded
 //! by the mail owed when it began.
 //!
-//! Time is the [`WallClock`] adapter's virtual ticks. The loop pumps
+//! Time is the [`WallClock`] adapter's virtual ticks. Timers wait in
+//! the calendar [`EventQueue`] in (deadline, arm order). The loop pumps
 //! sockets first and fires due timers second (an ack sitting in a
 //! kernel buffer always clears its session before the retry timer can
 //! fire), sleeps at most until the next timer deadline, and — after a
 //! real-time grace window confirms the network is quiet — fast-forwards
-//! the clock to that deadline instead of waiting it out. *Quiet* means a
-//! whole grace window of pumps read nothing. With nothing owed those
+//! the clock to that deadline instead of waiting it out. *Quiet* means
+//! a whole grace window of pumps read nothing. With nothing owed those
 //! pumps are sweeps, so quiet is what it always was: no socket had
 //! anything. With mail still owed they are busy pumps, and the window
 //! expiring means the owed datagrams are not coming (the kernel dropped
@@ -68,7 +69,7 @@
 //! [`SocketDriver::registry`] answers as
 //! `MessagingBristleSystem::registry` does.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{Error, ErrorKind, Result};
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
@@ -78,6 +79,7 @@ use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
 use bristle_overlay::obs::{Counter, Gauge, Registry};
 use bristle_proto::machine::{Completion, Event, NodeEnv, Output, ProtoMachine, TimerKind};
+use bristle_proto::queue::EventQueue;
 use bristle_proto::wire::{Envelope, WireAddr};
 
 use crate::clock::WallClock;
@@ -130,10 +132,8 @@ pub struct SocketDriver {
     queue: VecDeque<usize>,
     /// The node the last busy pump probed for mail nobody owed it.
     cursor: usize,
-    /// Armed timers, ordered by deadline; the `u64` sequence breaks
-    /// ties FIFO, mirroring the simulator's event queue.
-    timers: BTreeMap<(SimTime, u64), (Key, TimerKind)>,
-    timer_seq: u64,
+    /// Armed timers, popped in (deadline, arm order).
+    timers: EventQueue<(Key, TimerKind)>,
     /// Completions surfaced by the machines, for the caller to drain.
     pub completions: Vec<Completion>,
     /// Real-time window the loop waits for in-flight datagrams before
@@ -153,8 +153,7 @@ impl SocketDriver {
             by_host: HashMap::new(),
             queue: VecDeque::new(),
             cursor: 0,
-            timers: BTreeMap::new(),
-            timer_seq: 0,
+            timers: EventQueue::new(),
             completions: Vec::new(),
             grace: Duration::from_millis(5),
             obs: Registry::default(),
@@ -223,8 +222,8 @@ impl SocketDriver {
     }
 
     /// Earliest armed timer deadline, if any.
-    pub fn next_timer(&self) -> Option<SimTime> {
-        self.timers.keys().next().map(|&(at, _)| at)
+    pub fn next_timer(&mut self) -> Option<SimTime> {
+        self.timers.peek_time()
     }
 
     /// Turns one machine's [`Output`] into datagrams and armed timers,
@@ -233,7 +232,8 @@ impl SocketDriver {
     /// arrival), then one encoded envelope per surviving send. Every
     /// send is entered in the mail ledger, so a later pump reads the
     /// destination's socket; a send to a host bound nowhere here is
-    /// black-holed with the stale ones.
+    /// black-holed with the stale ones. Timers land at `now + wait`, and
+    /// the clock never trails a fired deadline, so none is in the past.
     pub fn dispatch(&mut self, from: Key, out: Output, env: &mut dyn NodeEnv) -> Result<()> {
         let Some(&from_idx) = self.by_key.get(&from) else {
             return Err(Error::new(ErrorKind::NotFound, format!("{from} is not bound")));
@@ -259,8 +259,7 @@ impl SocketDriver {
             self.enqueue(to_idx);
         }
         for t in out.timers {
-            self.timers.insert((t.at, self.timer_seq), (from, t.kind));
-            self.timer_seq += 1;
+            self.timers.schedule_at(t.at, (from, t.kind));
         }
         self.completions.extend(out.completions);
         Ok(())
@@ -373,12 +372,9 @@ impl SocketDriver {
     /// fired (stale ones included — their machines ignore them).
     pub fn fire_due(&mut self, env: &mut dyn NodeEnv) -> Result<usize> {
         let mut fired = 0usize;
-        while let Some(due) = self.timers.first_entry() {
+        loop {
             let now = self.clock.now();
-            if due.key().0 > now {
-                break;
-            }
-            let (key, kind) = due.remove();
+            let Some((_, (key, kind))) = self.timers.pop_due(now) else { break };
             if let Some(&idx) = self.by_key.get(&key) {
                 let out = self.nodes[idx].machine.poll(now, Event::Timer(kind), env);
                 if let Some(id) = kind.resends() {

@@ -5,10 +5,10 @@
 //! ([`wire`]), per-node protocol state machines driven by
 //! `poll(now, event)` ([`machine`]), and a transport abstraction with a
 //! deterministic, fault-injecting in-memory implementation
-//! ([`transport`]), and a lease-based crash-failure detector
-//! ([`failure`]). Nothing in this crate performs I/O or reads a clock;
-//! all effects are returned as values so the same state machines can be
-//! driven by a simulator today and real sockets later. What a node has
+//! ([`transport`]), a lease-based crash-failure detector ([`failure`]),
+//! and the calendar queue both drivers keep timers in ([`queue`]). No
+//! I/O, no clock reads: all effects are returned as values, so the same
+//! machines run under the simulator and over real sockets. What a node has
 //! processed is recorded once, in its machine's dedup window; both
 //! drivers meter spurious retries by asking it
 //! ([`ProtoMachine::has_processed`]).
@@ -16,6 +16,7 @@
 pub mod failure;
 pub mod machine;
 pub mod mix;
+pub mod queue;
 pub mod rto;
 mod seen;
 #[doc(hidden)]

@@ -9,6 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use bristle_core::config::{BindingMode, BristleConfig};
 use bristle_core::error::{BristleError, Result as CoreResult};
 use bristle_core::location::LocationRecord;
 use bristle_core::naming::Mobility;
@@ -72,9 +73,10 @@ use Op::*;
 /// Shrunk schedules that once failed, replayed before anything is
 /// generated: `(seed, differential, ops)`. The first five failed with a
 /// known bug put back (DESIGN §6); the rest at the parent of the commit
-/// that fixed them, but two: the ninth fails if invariant 5 does not
+/// that fixed them, but three: the ninth fails if invariant 5 does not
 /// excuse a registration a restart kept off its disk, the tenth if the
-/// registration pass drops explicit registrations.
+/// registration pass drops explicit registrations, the eleventh (a
+/// late-binding seed) if upkeep's late branch registers nothing.
 #[rustfmt::skip]
 const CORPUS: &[(u64, bool, &[Op])] = &[
     // A `DiscoveryReply` naming no router, taken at an open session.
@@ -98,6 +100,8 @@ const CORPUS: &[(u64, bool, &[Op])] = &[
     (108, false, &[Move(152, 0), Fail(163), Heal, CrashRestart(91), Disseminate(194)]),
     // An explicit registration a funeral's registration pass dropped.
     (0, false, &[Register(236, 16), Leave(182), Bury(93)]),
+    // A late-binding upkeep whose repair sweep rebuilt rows.
+    (3, false, &[Leave(130), Upkeep]),
 ];
 
 /// The `Tick` amounts: a tick, then just past the lease TTL, the record
@@ -109,9 +113,13 @@ fn ticks(sys: &BristleSystem) -> [u64; 4] {
 
 /// The system a seed runs: 12 to 36 stationary nodes and 6 to 14 mobile
 /// ones, so small rings, where every node neighbours every other, come
-/// up as often as large ones.
+/// up as often as large ones. Seeds ≡ 3 (mod 5) bind late: the residue
+/// is independent of ring size, mobile count and loss, so upkeep's
+/// late-binding branch meets every ring and both transports.
 fn build(seed: u64) -> BristleSystem {
-    tiny_system(seed, 12 + seed as usize % 4 * 8, 6 + seed as usize % 3 * 4, Default::default())
+    let binding = if seed % 5 == 3 { BindingMode::Late } else { BindingMode::Early };
+    let config = BristleConfig { binding, ..BristleConfig::recommended() };
+    tiny_system(seed, 12 + seed as usize % 4 * 8, 6 + seed as usize % 3 * 4, config)
 }
 
 /// Removals stop where the layers would grow too thin to route.
