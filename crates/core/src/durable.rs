@@ -145,8 +145,8 @@ impl BristleSystem {
                 rows.apply(&record_put(rec));
             }
         }
-        for (target, regs) in self.registry.iter() {
-            if let Some(r) = regs.iter().find(|r| r.key == key) {
+        for (target, mut regs) in self.registry.iter() {
+            if let Some(r) = regs.find(|r| r.key == key) {
                 rows.apply(&WalRecord::Register { target: target.0, capacity: r.capacity });
             }
         }
@@ -292,7 +292,7 @@ mod tests {
         let m = sys.mobile_keys()[0];
         sys.move_node(m, None).unwrap();
         let seeded = sys.stationary.owner(m).unwrap();
-        let bare = sys.registry.registrants_of(m).iter().map(|r| r.key).find(|&k| k != seeded);
+        let bare = sys.registry.registrants_of(m).map(|r| r.key).find(|&k| k != seeded);
         let bare = bare.expect("an LDT member besides the primary");
         let rows = sys.durable_rows(seeded);
         assert!(!rows.records.is_empty() && !rows.leases.is_empty(), "the seed must bite");

@@ -13,6 +13,7 @@
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
 
+use crate::arena::NodeIdx;
 use crate::durable::Disk;
 use crate::error::Result;
 use crate::ldt::Ldt;
@@ -107,10 +108,10 @@ impl BristleSystem {
         // (1) Targets whose LDT contains the corpse, with trees built
         // while the corpse is still registered (sorted for determinism),
         // and their registrants before the registration pass below.
-        let mut trees: Vec<(Key, Ldt, Vec<Key>)> = Vec::new();
+        let mut trees: Vec<(Key, Ldt, Vec<NodeIdx>)> = Vec::new();
         for target in self.registry.targets_of(key) {
             if self.contains_node(target) {
-                let registrants = self.registry.registrants_of(target).iter().map(|r| r.key);
+                let registrants = self.registry.edges_of(target).iter().map(|e| e.holder);
                 trees.push((target, self.build_ldt(target)?, registrants.collect()));
             }
         }
@@ -134,8 +135,9 @@ impl BristleSystem {
             if tree.heal(key, unit_cost).is_none() {
                 continue; // corpse was not actually a member
             }
-            let mut live = registrants.iter().filter(|&&k| self.node_info(k).is_ok());
-            let reachable = tree.all_reachable_from_root() && live.all(|&k| tree.contains(k));
+            let mut live = registrants.into_iter().filter(|&h| self.info.contains(h));
+            let reachable = tree.all_reachable_from_root()
+                && live.all(|h| tree.contains(self.interner().key_of(h)));
             report.invariant_ok &= reachable;
             self.advertise_update(target)?;
             self.meter.bump(MessageKind::LdtRepair, 1);
@@ -171,7 +173,7 @@ mod tests {
     /// target itself.
     fn pick_member(sys: &BristleSystem) -> (Key, Key) {
         for &target in sys.mobile_keys() {
-            if let Some(r) = sys.registry.registrants_of(target).iter().find(|r| r.key != target) {
+            if let Some(r) = sys.registry.registrants_of(target).find(|r| r.key != target) {
                 return (target, r.key);
             }
         }
@@ -210,7 +212,7 @@ mod tests {
         // The registry no longer mentions the corpse anywhere.
         for (t, regs) in sys.registry.iter() {
             assert_ne!(t, victim);
-            assert!(regs.iter().all(|r| r.key != victim));
+            assert!(regs.clone().all(|r| r.key != victim));
         }
         // Rebuilt trees exclude it and keep every survivor reachable.
         for &t in &report.ldts_repaired {

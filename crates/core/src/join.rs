@@ -217,7 +217,7 @@ mod tests {
         sys.leave_node(victim).unwrap();
         assert!(!sys.mobile.contains(victim));
         assert!(sys.node_info(victim).is_err());
-        assert!(sys.registry.registrants_of(victim).is_empty());
+        assert!(sys.registry.registrants_of(victim).len() == 0);
         assert_eq!(sys.mobile_keys().len(), 9);
         // Its published location is gone: discovery fails.
         let asker = sys.stationary_keys()[0];
@@ -234,7 +234,7 @@ mod tests {
         let mut sys = system(30, 10, 10);
         let m = sys.mobile_keys()[0];
         sys.move_node(m, None).unwrap();
-        let leaver = sys.registry.registrants_of(m)[0].key;
+        let leaver = sys.registry.registrants_of(m).next().unwrap().key;
         assert!(sys.leases.is_fresh(leaver, m, sys.clock.now()), "the leaver holds a lease");
         sys.leave_node(leaver).unwrap();
         assert!(sys.stores.state(leaver).is_none(), "forgotten at the leave");

@@ -106,7 +106,7 @@ mod tests {
         // Registration state mentions the node again, both directions.
         assert!(report.registrations_restored > 0);
         let registered_somewhere =
-            sys.registry.iter().any(|(_, regs)| regs.iter().any(|r| r.key == victim));
+            sys.registry.iter().any(|(_, regs)| regs.clone().any(|r| r.key == victim));
         assert!(registered_somewhere, "the node registers to subjects it holds");
 
         // Every re-disseminated LDT contains the resurrected member.

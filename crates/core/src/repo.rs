@@ -22,10 +22,12 @@ use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
 use bristle_overlay::ring::Slot;
 
+use crate::arena::NodeIdx;
 use crate::durable::{record_put, StoreHub, WalRecord};
 use crate::error::Result;
 use crate::location::LocationRecord;
-use crate::registry::{Registrant, Registry};
+use crate::naming::Mobility;
+use crate::registry::{Edge, Registrant, Registry};
 use crate::system::{BristleSystem, NodeInfo};
 
 /// [`BristleSystem::add_registrant`] over the two fields it writes, for
@@ -130,39 +132,30 @@ impl BristleSystem {
     /// routing pointers: every holder of a *mobile* node's state-pair
     /// registers to that node with its capacity (§2.3.1 — "X can register
     /// itself to those mobile nodes only"), and then to its live explicit
-    /// interests. Each R(·) lists its row holders in ring order, and is
-    /// allocated at their number: the row edges are counted first, in the
-    /// order the fill registers them.
+    /// interests. Each R(·) lists its row holders in ring order; a
+    /// holder's index is resolved once, a target's once an edge.
     pub fn sync_registrations(&mut self) {
         let old = self.registry.take();
-        let mut fresh = std::mem::take(&mut self.registry);
-        let holders = self.mobile.iter();
-        fresh.reserve_edges(
-            holders.flat_map(|h| h.keys().iter().copied()).filter(|&s| self.is_mobile(s)),
-        );
-        self.registry = fresh;
+        let info = &self.info;
+        let mobile = |t: &NodeIdx| info.get(*t).is_some_and(|i| i.mobility == Mobility::Mobile);
         for holder in self.mobile.iter() {
-            let capacity = self.info_unchecked(holder.key).capacity;
+            let (h, capacity) = (self.registry.keys.intern(holder.key), holder.capacity);
             for &subject in holder.keys() {
-                if self.is_mobile(subject) {
-                    register_edge(
-                        &mut self.registry,
-                        &mut self.stores,
-                        holder.key,
-                        capacity,
-                        subject,
-                    );
-                    self.meter.bump(MessageKind::Register, 1);
-                }
+                let Some(t) = self.interner().get(subject).filter(mobile) else { continue };
+                self.stores.apply(holder.key, WalRecord::Register { target: subject.0, capacity });
+                self.registry.register_at(Edge { holder: h, capacity }, t);
+                self.meter.bump(MessageKind::Register, 1);
             }
         }
         let explicit: Vec<Key> = self.interests.iter().map(|&(holder, _)| holder).collect();
         self.reregister(&explicit);
+        self.registry.shrink_to_fit();
         // Edges the rebuild dropped (none on the initial build).
-        for (target, regs) in old.iter() {
-            let kept = self.registry.registrants_of(target);
-            for gone in regs.iter().filter(|r| !kept.iter().any(|k| k.key == r.key)) {
-                self.stores.apply(gone.key, WalRecord::Deregister { target: target.0 });
+        for (t, regs) in old.iter() {
+            let (kept, target) = (self.registry.edges.list(t), self.interner().key_of(t).0);
+            for gone in regs.iter().filter(|r| !kept.iter().any(|k| k.holder == r.holder)) {
+                let holder = self.interner().key_of(gone.holder);
+                self.stores.apply(holder, WalRecord::Deregister { target });
             }
         }
     }
@@ -181,7 +174,7 @@ impl BristleSystem {
             wanted.extend(node.keys().iter().map(|&t| (node.key, t)));
         }
         wanted.retain(|&(_, t)| self.is_mobile(t));
-        let edges = self.registry.iter().flat_map(|(t, regs)| regs.iter().map(move |r| (r.key, t)));
+        let edges = self.registry.iter().flat_map(|(t, regs)| regs.map(move |r| (r.key, t)));
         let gone: Vec<_> = edges.filter(|e| listed.contains(&e.0) && !wanted.contains(e)).collect();
         for (holder, target) in gone {
             self.registry.deregister(holder, target);
@@ -323,7 +316,7 @@ impl BristleSystem {
     /// grave or about to be forgotten, so its side is not mirrored. Returns
     /// `(registrations pruned, leases revoked)`.
     pub(crate) fn dissolve(&mut self, key: Key) -> (usize, usize) {
-        let bereaved: Vec<Key> = self.registry.registrants_of(key).iter().map(|r| r.key).collect();
+        let bereaved: Vec<Key> = self.registry.registrants_of(key).map(|r| r.key).collect();
         for holder in bereaved {
             self.stores.apply(holder, WalRecord::Deregister { target: key.0 });
         }
@@ -349,8 +342,9 @@ impl BristleSystem {
                 stale.push(WalRecord::RecordRemove { subject });
             }
         }
+        let me = self.interner().get(key);
         for &target in state.registrations.keys() {
-            if !self.registry.registrants_of(Key(target)).iter().any(|r| r.key == key) {
+            if !self.registry.edges_of(Key(target)).iter().any(|e| Some(e.holder) == me) {
                 stale.push(WalRecord::Deregister { target });
             }
         }
@@ -388,7 +382,7 @@ mod tests {
     }
 
     fn registered(sys: &BristleSystem, who: Key, target: Key) -> bool {
-        sys.registry.registrants_of(target).iter().any(|r| r.key == who)
+        sys.registry.registrants_of(target).any(|r| r.key == who)
     }
 
     /// The pass gives a listed holder exactly its rows' registrations,

@@ -331,8 +331,7 @@ mod tests {
             sys.move_node(m, None).unwrap();
         }
         let moved = sys.mobile_keys()[3];
-        let member =
-            sys.registry.registrants_of(moved).iter().map(|r| r.key).find(|&k| sys.is_mobile(k));
+        let member = sys.registry.registrants_of(moved).map(|r| r.key).find(|&k| sys.is_mobile(k));
         for victim in [busiest_primary(&sys), member.expect("a mobile LDT member")] {
             let rows = sys.durable_rows(victim);
             assert!(!rows.leases.is_empty(), "the victim must hold leases for the test to bite");
@@ -348,7 +347,7 @@ mod tests {
             assert!(report.registrations_restored >= rows.registrations.len());
             for &target in rows.registrations.keys() {
                 let regs = sys.registry.registrants_of(Key(target));
-                assert!(regs.iter().any(|r| r.key == victim), "edge to {target} restored");
+                assert!(regs.clone().any(|r| r.key == victim), "edge to {target} restored");
             }
             assert_eq!(report.leases_restored, rows.leases.len());
         }
@@ -373,7 +372,7 @@ mod tests {
                 };
                 sys.assert_stores_mirror_tables("the resurrection");
                 let registry: Vec<(Key, Vec<crate::registry::Registrant>)> =
-                    sys.registry.iter().map(|(t, regs)| (t, regs.to_vec())).collect();
+                    sys.registry.iter().map(|(t, regs)| (t, regs.collect())).collect();
                 let mut leases: Vec<_> =
                     sys.leases.iter().map(|(pair, l)| (pair, l.expires)).collect();
                 leases.sort_unstable();

@@ -94,9 +94,6 @@ pub struct BristleSystem {
     pub stationary: RingDht<LocationRecord, NoAddr>,
     /// The mobile layer: the application HS-P2P over all nodes.
     pub mobile: RingDht<Vec<u8>>,
-    /// Key → dense-index bijection. Append-only: buried and departed
-    /// nodes keep their [`NodeIdx`] so indices stay stable across churn.
-    interner: KeyInterner,
     /// Per-node hot state, flat-indexed by [`NodeIdx`]. Live nodes only;
     /// a vacant slot means the node left or died.
     pub(crate) info: NodeArena<NodeInfo>,
@@ -110,7 +107,7 @@ pub struct BristleSystem {
     pub(crate) identity_epoch: u64,
     stationary_keys: Vec<Key>,
     mobile_keys: Vec<Key>,
-    /// Registration state R(·) (§2.3.1).
+    /// Registration state R(·) (§2.3.1), owner of [`Self::interner`].
     pub registry: Registry,
     /// Explicit registrations `(holder, target)`, kept with or without a
     /// row: `add_registrant`'s and a restart's. A funeral or leave ends them.
@@ -233,7 +230,6 @@ impl BristleBuilder {
             // a slab out again.
             stationary: RingDht::with_capacity(ring.clone(), self.n_stationary),
             mobile: RingDht::with_capacity(ring, total),
-            interner: KeyInterner::new(),
             info: NodeArena::new(),
             stationary_hosts: Vec::new(),
             identity_epoch: 0,
@@ -280,7 +276,7 @@ impl BristleSystem {
     /// The dense index for `key`, interning it on first sight.
     #[inline]
     pub(crate) fn idx(&mut self, key: Key) -> NodeIdx {
-        self.interner.intern(key)
+        self.registry.keys.intern(key)
     }
 
     /// The info slot for a key that must name a live node.
@@ -290,14 +286,14 @@ impl BristleSystem {
     /// this where the old code indexed `info[&key]`.
     #[inline]
     pub(crate) fn info_unchecked(&self, key: Key) -> &NodeInfo {
-        let idx = self.interner.get(key).expect("known node");
+        let idx = self.interner().get(key).expect("known node");
         self.info.get(idx).expect("live node")
     }
 
     /// Whether `key` names a live node.
     #[inline]
     pub fn contains_node(&self, key: Key) -> bool {
-        self.interner.get(key).is_some_and(|i| self.info.contains(i))
+        self.interner().get(key).is_some_and(|i| self.info.contains(i))
     }
 
     /// Creates a node body (host + key + capacity) and inserts it into the
@@ -417,7 +413,8 @@ impl BristleSystem {
 
     /// Static facts about a node.
     pub fn node_info(&self, key: Key) -> Result<&NodeInfo> {
-        self.interner.get(key).and_then(|i| self.info.get(i)).ok_or(BristleError::UnknownNode(key))
+        let idx = self.interner().get(key);
+        idx.and_then(|i| self.info.get(i)).ok_or(BristleError::UnknownNode(key))
     }
 
     /// A count that moves whenever membership does — a node gains or
@@ -440,16 +437,16 @@ impl BristleSystem {
 
     /// Whether `key` names a mobile node.
     pub fn is_mobile(&self, key: Key) -> bool {
-        self.interner
+        self.interner()
             .get(key)
             .and_then(|i| self.info.get(i))
             .is_some_and(|i| i.mobility == Mobility::Mobile)
     }
 
-    /// The key ⇄ dense-index bijection. Read-only; useful for sharing
-    /// per-node state with measurement threads.
+    /// The key ⇄ dense-index bijection R(·) keeps its edges in. Read-only;
+    /// useful for sharing per-node state with measurement threads.
     pub fn interner(&self) -> &KeyInterner {
-        &self.interner
+        &self.registry.keys
     }
 
     /// The distance oracle over the physical topology.
@@ -585,13 +582,8 @@ impl BristleSystem {
     pub fn build_ldt(&self, key: Key) -> Result<Ldt> {
         let info = self.node_info(key)?;
         let root = Registrant::new(key, info.capacity);
-        let registrants: Vec<Registrant> = self
-            .registry
-            .registrants_of(key)
-            .iter()
-            .copied()
-            .filter(|r| self.contains_node(r.key))
-            .collect();
+        let edges = self.registry.edges_of(key).iter().filter(|e| self.info.contains(e.holder));
+        let registrants: Vec<Registrant> = edges.map(|&e| self.registry.registrant(e)).collect();
         Ok(Ldt::build(root, &registrants, self.cfg.unit_cost))
     }
 
@@ -643,7 +635,7 @@ impl BristleSystem {
                 self.attachments.move_host_random(info.host, &self.stub_routers, &mut rng).router
             }
         };
-        let idx = self.interner.get(key).expect("known");
+        let idx = self.interner().get(key).expect("known");
         self.info.get_mut(idx).expect("live").seq += 1;
         Ok((new_router, self.publish_location(key)?))
     }
@@ -652,7 +644,7 @@ impl BristleSystem {
     /// class's key list and its info slot is vacated. The key's interned
     /// index survives — arena slots are vacated, never reused.
     pub(crate) fn forget(&mut self, key: Key) {
-        let Some(idx) = self.interner.get(key) else { return };
+        let Some(idx) = self.interner().get(key) else { return };
         let Some(info) = self.info.remove(idx) else { return };
         self.identity_epoch += 1;
         match info.mobility {
@@ -836,13 +828,12 @@ mod tests {
     fn assert_registrations_mirror_reverse_pointers(sys: &BristleSystem) {
         let rev = sys.mobile.reverse_index();
         for &m in sys.mobile_keys() {
-            let registrants: Vec<Key> =
-                sys.registry.registrants_of(m).iter().map(|r| r.key).collect();
+            let registrants: Vec<Key> = sys.registry.registrants_of(m).map(|r| r.key).collect();
             assert_eq!(registrants, rev.get(&m).cloned().unwrap_or_default(), "target {m}");
         }
         // Stationary nodes collect no registrations.
         for &s in sys.stationary_keys() {
-            assert!(sys.registry.registrants_of(s).is_empty());
+            assert!(sys.registry.registrants_of(s).len() == 0);
         }
         sys.assert_stores_mirror_tables("a registration sync");
     }
@@ -917,7 +908,7 @@ mod tests {
         let mut sys = small_system(40, 10, 9);
         let m = sys.mobile_keys()[0];
         sys.move_node(m, None).unwrap();
-        let members: Vec<Key> = sys.registry.registrants_of(m).iter().map(|r| r.key).collect();
+        let members: Vec<Key> = sys.registry.registrants_of(m).map(|r| r.key).collect();
         assert!(!members.is_empty());
         let now = sys.clock.now();
         for member in members {

@@ -372,8 +372,7 @@ pub fn run_attack(cfg: &AttackConfig) -> AttackOutcome {
         }
         AttackFamily::Eclipse => {
             let regs = msys.sys.registry.registrants_of(victim);
-            regs.iter().filter(|r| (r.key.0 >> 32) == (0xEC11_0000_0000_0000u64 >> 32)).count()
-                as u64
+            regs.filter(|r| (r.key.0 >> 32) == (0xEC11_0000_0000_0000u64 >> 32)).count() as u64
         }
         AttackFamily::SybilFlood => {
             let mut installed = 0u64;

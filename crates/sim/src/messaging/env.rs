@@ -271,7 +271,8 @@ mod tests {
         for seed in [8u64, 27] {
             let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
             let subject = msys.sys.mobile_keys()[0];
-            let holder = msys.sys.registry.registrants_of(subject)[0].key;
+            let holder =
+                msys.sys.registry.registrants_of(subject).next().expect("a registrant").key;
             let honest = wire_addr_of(&msys.sys, subject).expect("live");
             let to_addr = wire_addr_of(&msys.sys, holder).expect("live");
             let forgeries = [

@@ -657,7 +657,7 @@ mod tests {
         // counts it itself.
         let target = mobiles[2];
         let registered = |msys: &MessagingBristleSystem, who| {
-            msys.sys.registry.registrants_of(target).iter().any(|r| r.key == who)
+            msys.sys.registry.registrants_of(target).any(|r| r.key == who)
         };
         let stranger = *stationary
             .iter()

@@ -463,13 +463,13 @@ impl World {
         // registered to it (a crashed holder awaits its verdict).
         for node in sys.mobile.iter().filter(|n| !m.is_failed(n.key)) {
             for &k in node.keys().iter().filter(|&&k| sys.is_mobile(k)) {
-                let registered = sys.registry.registrants_of(k).iter().any(|r| r.key == node.key);
+                let registered = sys.registry.registrants_of(k).any(|r| r.key == node.key);
                 assert!(registered, "{step}: {} holds {k}'s row unregistered", node.key);
             }
         }
         // An acked explicit registration stands while both ends live.
         for (&(who, k), _) in self.interests.iter().filter(|(_, &acked)| acked) {
-            let registered = sys.registry.registrants_of(k).iter().any(|r| r.key == who);
+            let registered = sys.registry.registrants_of(k).any(|r| r.key == who);
             let live = sys.contains_node(who) && sys.is_mobile(k);
             assert!(registered || !live, "{step}: {who}'s interest in {k} was dropped");
         }

@@ -121,12 +121,7 @@ pub struct ResilienceOutcome {
 /// the healing pass must re-graft (the same rule
 /// [`BristleSystem::confirm_dead`](bristle_core::heal) applies).
 fn ldt_memberships(sys: &BristleSystem, dead: Key) -> usize {
-    sys.registry
-        .iter()
-        .filter(|&(t, regs)| {
-            t != dead && sys.node_info(t).is_ok() && regs.iter().any(|r| r.key == dead)
-        })
-        .count()
+    sys.registry.targets_of(dead).into_iter().filter(|&t| sys.node_info(t).is_ok()).count()
 }
 
 /// The live stationary node that is record-primary for the most live

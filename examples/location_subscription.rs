@@ -11,6 +11,7 @@
 //! cargo run --release --example location_subscription
 //! ```
 
+use bristle::core::registry::Registrant;
 use bristle::prelude::*;
 
 fn main() -> Result<()> {
@@ -26,12 +27,16 @@ fn main() -> Result<()> {
     println!("{} peers subscribed to {friend}", subscribers.len());
 
     // Inspect the friend's LDT before any movement.
+    // R(friend) hands its registrants out by value, each with the
+    // capacity C_X it reported; the most capable sit nearest the root.
     let tree = sys.build_ldt(friend)?;
+    let registrants: Vec<Registrant> = sys.registry.registrants_of(friend).collect();
+    let capacity: u32 = registrants.iter().map(|r| r.capacity).sum();
     println!(
-        "LDT: {} members, depth {} (O(log log N) — registrants: {})",
+        "LDT: {} members, depth {} (O(log log N) — {} registrants reporting capacity {capacity})",
         tree.len(),
         tree.depth(),
-        sys.registry.registrants_of(friend).len()
+        registrants.len()
     );
     let hist = tree.level_histogram();
     for (level, count) in hist.iter().enumerate() {

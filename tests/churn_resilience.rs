@@ -146,7 +146,7 @@ fn node_failing_mid_ldt_dissemination_is_pruned() {
     }
     assert!(confirmed, "the mid-round crash was never confirmed");
     assert!(
-        !msys.sys.registry.registrants_of(target).iter().any(|r| r.key == victim),
+        !msys.sys.registry.registrants_of(target).any(|r| r.key == victim),
         "the dead registrant must be pruned"
     );
 

@@ -86,7 +86,7 @@ fn assert_shard_recovers(seed: u64) {
         .sys
         .registry
         .iter()
-        .filter(|(_, regs)| regs.iter().any(|r| r.key == victim))
+        .filter(|(_, regs)| regs.clone().any(|r| r.key == victim))
         .map(|(target, _)| target)
         .collect();
     let buried_incarnation = msys.sys.node_info(victim).expect("victim is known").incarnation;
@@ -133,7 +133,7 @@ fn assert_shard_recovers(seed: u64) {
     // (b) Registration edges re-established from the persisted set.
     for target in &edges {
         assert!(
-            msys.sys.registry.registrants_of(*target).iter().any(|r| r.key == victim),
+            msys.sys.registry.registrants_of(*target).any(|r| r.key == victim),
             "seed {seed}: registration to {target} did not survive the restart"
         );
     }
@@ -230,7 +230,7 @@ fn assert_expired_leases_do_not_resurrect(seed: u64) {
     // on it can be re-acquired (there is nobody left to grant one).
     assert!(report.registrations_stale >= 1, "seed {seed}: dead-target edge kept: {report:?}");
     assert!(
-        !msys.sys.registry.registrants_of(doomed).iter().any(|r| r.key == victim),
+        !msys.sys.registry.registrants_of(doomed).any(|r| r.key == victim),
         "seed {seed}: phantom registration to a dead target"
     );
     assert!(
@@ -243,7 +243,7 @@ fn assert_expired_leases_do_not_resurrect(seed: u64) {
     // a *fresh* lease (normal update-path acquisition, not a disk
     // resumption — (a) proved the disk contributed none).
     assert!(
-        msys.sys.registry.registrants_of(target).iter().any(|r| r.key == victim),
+        msys.sys.registry.registrants_of(target).any(|r| r.key == victim),
         "seed {seed}: live-target registration must survive the restart"
     );
     assert!(

@@ -155,7 +155,7 @@ fn rejoined_nodes_recover_records_registrations_and_ldt_membership() {
             // Holders of its state re-registered to it, so its own LDT
             // can push future moves; the tree must contain them.
             let regs = msys.sys.registry.registrants_of(k);
-            if !regs.is_empty() {
+            if regs.len() > 0 {
                 let tree = msys.sys.build_ldt(k).unwrap();
                 for r in regs {
                     assert!(tree.contains(r.key), "registrant missing from rejoined LDT");
@@ -168,7 +168,7 @@ fn rejoined_nodes_recover_records_registrations_and_ldt_membership() {
             .sys
             .registry
             .iter()
-            .filter(|(t, regs)| *t != k && regs.iter().any(|r| r.key == k))
+            .filter(|(t, regs)| *t != k && regs.clone().any(|r| r.key == k))
             .map(|(t, _)| t)
             .collect();
         for t in targets {
