@@ -34,7 +34,8 @@
 //! is no hashing, [`FailureDetector::monitored`] *is* the key vector
 //! (sorted by construction, nothing collected or sorted per call), and
 //! a driver can compare it against the set it wants with one slice
-//! comparison.
+//! comparison. Both vectors sit in one box that exists only while
+//! somebody is monitored, so a detector watching nobody owns no heap.
 
 use bristle_core::time::SimTime;
 use bristle_overlay::key::Key;
@@ -177,37 +178,46 @@ const _: () = assert!(std::mem::size_of::<PeerHealth>() <= 64);
 #[derive(Debug)]
 pub struct FailureDetector {
     policy: FailurePolicy,
-    /// Monitored peers, ascending.
+    /// The monitored peers; `None` while there are none.
+    peers: Option<Box<Peers>>,
+}
+
+/// The peer table: monitored keys ascending, and `health[i]` belonging
+/// to `keys[i]`.
+#[derive(Debug, Default)]
+struct Peers {
     keys: Vec<Key>,
-    /// `health[i]` belongs to `keys[i]`.
     health: Vec<PeerHealth>,
 }
 
 impl FailureDetector {
     /// A detector with the given thresholds, monitoring nobody.
     pub fn new(policy: FailurePolicy) -> Self {
-        FailureDetector { policy, keys: Vec::new(), health: Vec::new() }
+        FailureDetector { policy, peers: None }
     }
 
     fn peer(&self, peer: Key) -> Option<&PeerHealth> {
-        self.keys.binary_search(&peer).ok().map(|i| &self.health[i])
+        let table = self.peers.as_deref()?;
+        table.keys.binary_search(&peer).ok().map(|i| &table.health[i])
     }
 
     fn peer_mut(&mut self, peer: Key) -> Option<&mut PeerHealth> {
-        self.keys.binary_search(&peer).ok().map(|i| &mut self.health[i])
+        let table = self.peers.as_deref_mut()?;
+        table.keys.binary_search(&peer).ok().map(|i| &mut table.health[i])
     }
 
     /// `peer`'s health, monitoring it from now if it was not.
     fn peer_or_fresh(&mut self, peer: Key) -> &mut PeerHealth {
-        let i = match self.keys.binary_search(&peer) {
+        let table = self.peers.get_or_insert_with(Default::default);
+        let i = match table.keys.binary_search(&peer) {
             Ok(i) => i,
             Err(i) => {
-                self.keys.insert(i, peer);
-                self.health.insert(i, PeerHealth::fresh());
+                table.keys.insert(i, peer);
+                table.health.insert(i, PeerHealth::fresh());
                 i
             }
         };
-        &mut self.health[i]
+        &mut table.health[i]
     }
 
     /// Starts monitoring `peer` (no-op if already monitored; existing
@@ -216,28 +226,35 @@ impl FailureDetector {
         self.peer_or_fresh(peer);
     }
 
-    /// Drops every monitored peer for which `keep` returns false.
+    /// Drops every monitored peer for which `keep` returns false; keeping
+    /// nobody frees the peer table.
     pub fn retain_monitored(&mut self, mut keep: impl FnMut(Key) -> bool) {
+        let Some(table) = self.peers.as_deref_mut() else { return };
         let mut kept = 0;
-        for i in 0..self.keys.len() {
-            if keep(self.keys[i]) {
-                self.keys[kept] = self.keys[i];
-                self.health[kept] = self.health[i];
+        for i in 0..table.keys.len() {
+            if keep(table.keys[i]) {
+                table.keys[kept] = table.keys[i];
+                table.health[kept] = table.health[i];
                 kept += 1;
             }
         }
-        self.keys.truncate(kept);
-        self.health.truncate(kept);
+        if kept == 0 {
+            self.peers = None;
+        } else {
+            table.keys.truncate(kept);
+            table.health.truncate(kept);
+        }
     }
 
     /// All monitored peers, ascending.
     pub fn monitored(&self) -> &[Key] {
-        &self.keys
+        self.peers.as_deref().map_or(&[], |table| &table.keys)
     }
 
     /// Monitored peers that are [degraded](Self::is_degraded), ascending.
     pub fn degraded(&self) -> impl Iterator<Item = Key> + '_ {
-        self.keys.iter().zip(&self.health).filter(|(_, p)| p.is_degraded()).map(|(&k, _)| k)
+        let pairs = self.peers.as_deref().map(|table| table.keys.iter().zip(&table.health));
+        pairs.into_iter().flatten().filter(|(_, p)| p.is_degraded()).map(|(&k, _)| k)
     }
 
     /// Current belief about `peer`, or `None` if unmonitored.
@@ -665,6 +682,25 @@ mod tests {
         assert_eq!(d.monitored(), [Key(1), Key(4), Key(9)]);
         d.retain_monitored(|k| k != Key(9));
         assert_eq!(d.monitored(), [Key(1), Key(4)]);
+    }
+
+    /// The peer table exists only while somebody is monitored: keeping
+    /// nobody frees it, and a detector watching nobody answers as a
+    /// fresh one does.
+    #[test]
+    fn retaining_nobody_frees_the_peers() {
+        let mut d = det();
+        assert!(d.peers.is_none(), "a fresh detector owns no table");
+        d.monitor(P);
+        assert!(d.mark_dead(Key(6), 0));
+        d.retain_monitored(|k| k == P);
+        assert_eq!(d.monitored(), [P]);
+        d.retain_monitored(|_| false);
+        assert!(d.peers.is_none(), "nobody kept, nothing owned");
+        assert!(d.monitored().is_empty());
+        assert_eq!((d.liveness(P), d.degraded().count()), (None, 0));
+        d.retain_monitored(|_| true);
+        assert!(d.peers.is_none(), "retaining from nobody opens nothing");
     }
 
     /// The peer table is ordered by construction: whatever order peers

@@ -52,41 +52,18 @@ fn check_frame(env: &dyn NodeEnv, envelope: &Envelope) -> Result<(), AuthError> 
 }
 
 /// One node's admission state; see the module docs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(super) struct Admission {
-    /// The admitting node, named in the events a rejection emits.
-    node: Key,
     /// Receiver-side dedup: the `(src, msg_id)` pairs processed within
-    /// the last `lifetime` ticks (at most twice that).
+    /// the last lifetime (at most two), the lifetime following the retry
+    /// ladder in force ([`Self::advance`]).
     seen: SeenSet,
-    /// How long a frame's copies can keep arriving under the retry
-    /// timers in force; see [`Self::set_ladder`].
-    lifetime: u64,
     /// Test oracle: when set, dedup asks this never-pruned set instead.
     #[cfg(test)]
     oracle: Option<std::collections::HashSet<(Key, u64)>>,
 }
 
 impl Admission {
-    /// Admission for `node` under a retry ladder of `ladder` ticks.
-    pub(super) fn new(node: Key, ladder: u64) -> Self {
-        Admission {
-            node,
-            seen: SeenSet::default(),
-            lifetime: seen::lifetime(ladder),
-            #[cfg(test)]
-            oracle: None,
-        }
-    }
-
-    /// Re-derives the dedup horizon from `ladder`, an upper bound on how
-    /// long a reliable frame's sender spends on it. A receiver sizing
-    /// its horizon from its own timers assumes what the drivers arrange:
-    /// every machine of a deployment runs one policy.
-    pub(super) fn set_ladder(&mut self, ladder: u64) {
-        self.lifetime = seen::lifetime(ladder);
-    }
-
     /// Seals `envelope` with its signer's trailer when the deployment
     /// authenticates (no-op otherwise, and on unauthenticated kinds).
     /// Must run *before* the envelope is cloned into a retry session so
@@ -98,18 +75,28 @@ impl Admission {
         }
     }
 
-    /// Ages the dedup generations to `now`; every event a machine
-    /// handles does, delivery or timer.
-    pub(super) fn advance(&mut self, now: SimTime) {
-        self.seen.advance(now, self.lifetime);
+    /// Ages the dedup generations to `now` under a retry ladder of
+    /// `ladder` ticks, an upper bound on how long a reliable frame's
+    /// sender spends on it; every event a machine handles does, delivery
+    /// or timer. A receiver sizing its horizon from its own timers
+    /// assumes what the drivers arrange: every machine of a deployment
+    /// runs one policy.
+    pub(super) fn advance(&mut self, now: SimTime, ladder: u64) {
+        self.seen.advance(now, seen::lifetime(ladder));
     }
 
-    /// The receive-side authentication gate. Returns `false` when the
-    /// frame must be dropped before touching any state (enforcing
-    /// policy only); failures are metered as [`MessageKind::ForgedFrame`]
-    /// (plus [`MessageKind::AuthReject`] when dropped) and emitted to
-    /// the flight recorder either way.
-    pub(super) fn admits(&self, now: SimTime, env: &mut dyn NodeEnv, envelope: &Envelope) -> bool {
+    /// The receive-side authentication gate of `node`. Returns `false`
+    /// when the frame must be dropped before touching any state
+    /// (enforcing policy only); failures are metered as
+    /// [`MessageKind::ForgedFrame`] (plus [`MessageKind::AuthReject`]
+    /// when dropped) and emitted to the flight recorder, from `node`,
+    /// either way.
+    pub(super) fn admits(
+        node: Key,
+        now: SimTime,
+        env: &mut dyn NodeEnv,
+        envelope: &Envelope,
+    ) -> bool {
         let policy = env.verify_policy();
         if policy == VerifyPolicy::Off {
             return true;
@@ -123,7 +110,7 @@ impl Admission {
             reason: reason.name(),
             dropped,
         };
-        note(self.node, env, now, envelope.trace_id, kind);
+        note(node, env, now, envelope.trace_id, kind);
         if dropped {
             env.bump(MessageKind::AuthReject);
         }
@@ -348,7 +335,8 @@ mod tests {
                     m.set_adaptive_rto(adaptive);
                     m.monitor(Key(99));
                 }
-                assert_eq!(bounded.admission.lifetime, 2 * ladder, "{ctx}");
+                let lifetime = crate::seen::lifetime(bounded.timers.ladder());
+                assert_eq!(lifetime, 2 * ladder, "{ctx}");
                 oracle.admission.oracle = Some(Default::default());
                 let copies = arrivals.len();
                 for (at, frame) in arrivals {
@@ -370,7 +358,7 @@ mod tests {
                 assert!(bounded.seen_held() < FRAMES / 4, "{ctx}: held {}", bounded.seen_held());
 
                 // Anything the machine hears ages the set, guarded or not.
-                let silence = horizon + 2 * bounded.admission.lifetime;
+                let silence = horizon + 2 * lifetime;
                 let probe = WireMessage::Heartbeat { seq: 0, incarnation: 0 };
                 let probe =
                     Envelope { src: B, dst: A, msg_id: 0, trace_id: 0, msg: probe, auth: None };

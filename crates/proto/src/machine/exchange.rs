@@ -133,7 +133,8 @@ impl ProtoMachine {
     ) {
         let (msg_id, peer) = (frame.env.msg_id, frame.env.dst);
         out.outgoing.push(frame.clone());
-        self.sessions.insert(msg_id, Session { out: frame, attempt: 0, peer, sent_at: now, kind });
+        let session = Session { out: frame, attempt: 0, peer, sent_at: now, kind };
+        self.open.get_or_insert_with(Default::default).sessions.insert(msg_id, session);
         let wait = self.timers.first_wait(now, Awaited::Ack(peer));
         out.timers.push(Timer { at: now.plus(wait), kind: kind.timer(msg_id) });
     }
@@ -154,11 +155,13 @@ impl ProtoMachine {
         acked: u64,
         out: &mut Output,
     ) {
-        let Some(awaited) = self.sessions.get(&acked) else { return };
+        let Some(awaited) = self.open.as_deref().and_then(|o| o.sessions.get(&acked)) else {
+            return;
+        };
         if awaited.peer != ack.src || !awaited.kind.acked_by(&ack.msg) {
             return;
         }
-        let Some(closed) = close(&mut self.sessions, acked) else { return };
+        let Some(closed) = close(&mut self.open, |o| o.sessions.remove(&acked)) else { return };
         let Session { attempt, peer, sent_at, kind, .. } = closed;
         self.timers.sample(Awaited::Ack(peer), attempt, now.since(sent_at));
         note(self.key, env, now, ack.trace_id, ObsEventKind::Ack { from: peer, msg_id: acked });
@@ -184,7 +187,10 @@ impl ProtoMachine {
         fired: TimerKind,
         out: &mut Output,
     ) {
-        let Some(session) = self.sessions.get_mut(&msg_id) else { return };
+        let Some(session) = self.open.as_deref_mut().and_then(|o| o.sessions.get_mut(&msg_id))
+        else {
+            return;
+        };
         if session.kind.timer(msg_id) != fired {
             return;
         }
@@ -203,7 +209,7 @@ impl ProtoMachine {
             return;
         }
         // Retries exhausted.
-        close(&mut self.sessions, msg_id);
+        close(&mut self.open, |o| o.sessions.remove(&msg_id));
         match kind {
             SessionKind::Hop(hop) => self.hop_exhausted(now, env, peer, hop, out),
             SessionKind::Update => out.completions.push(Completion::UpdateFailed { child: peer }),

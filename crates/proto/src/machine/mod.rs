@@ -296,16 +296,26 @@ fn note(node: Key, env: &mut dyn NodeEnv, now: SimTime, trace: u64, kind: ObsEve
     env.emit(ObsEvent { at: now.0, trace, node, kind });
 }
 
-/// Removes `id` from an exchange table (`sessions` or `discs`); the last
-/// entry out hands the table's allocation back. A `HashMap` keeps its
-/// high-water buckets after its last removal, so without this every
-/// machine that ever routed would hold them for the rest of the run.
-/// Only an emptied table is released: shrinking on every removal would
-/// rehash on the hot path. Every removal from either table comes here.
-fn close<V>(table: &mut HashMap<u64, V>, id: u64) -> Option<V> {
-    let closed = table.remove(&id);
-    if table.is_empty() {
-        table.shrink_to_fit();
+/// The exchanges a machine has in flight, both kinds in one box: it is
+/// allocated at the first open and dropped when the last exchange of
+/// either kind closes ([`close`]), so a machine at rest owns no table.
+#[derive(Debug, Default)]
+struct Open {
+    /// Frames awaiting an ack, by the `msg_id` they were sent under.
+    sessions: HashMap<u64, Session>,
+    /// Discoveries awaiting a reply, by session id — a different
+    /// counter (`next_session`), carried on the wire, so not a `msg_id`.
+    discs: HashMap<u64, DiscSession>,
+}
+
+/// Closes the exchange `take` removes from the open tables; the last
+/// one out drops the box, tables and all. Every removal from either
+/// table comes here.
+fn close<V>(open: &mut Option<Box<Open>>, take: impl FnOnce(&mut Open) -> Option<V>) -> Option<V> {
+    let tables = open.as_deref_mut()?;
+    let closed = take(tables);
+    if tables.sessions.is_empty() && tables.discs.is_empty() {
+        *open = None;
     }
     closed
 }
@@ -321,39 +331,34 @@ pub struct ProtoMachine {
     admission: Admission,
     /// Every retry wait, fixed or adaptive.
     timers: Timers,
-    /// Frames awaiting an ack, by the `msg_id` they were sent under.
-    /// Emptied, it owns no allocation ([`close`]).
-    sessions: HashMap<u64, Session>,
-    /// Discoveries awaiting a reply, by session id — a different
-    /// counter (`next_session`), carried on the wire, so not a `msg_id`.
-    /// Emptied, it owns no allocation ([`close`]).
-    discs: HashMap<u64, DiscSession>,
+    /// The exchanges in flight; `None` while there are none.
+    open: Option<Box<Open>>,
     detector: FailureDetector,
     /// This node's own SWIM-style incarnation number; bumped exactly
     /// when the node learns it was suspected or declared dead.
     incarnation: u64,
 }
 
-// A driver holds one machine per node (368 B on a 64-bit target), so a
-// field added inline — rather than behind a `Box` while unused, as the
-// adaptive-RTO arm is — fails the build here. Test builds are exempt:
-// their dedup oracle (`Admission::oracle`) adds 48 B.
+// A driver holds one machine per node (112 B on a 64-bit target). Every
+// table a machine holds empty at rest — its open exchanges, its dedup
+// generations, its monitored peers, the adaptive-RTO arm — sits behind a
+// box, so a field added inline rather than boxed while unused fails the
+// build here. Test builds are exempt: their dedup oracle
+// (`Admission::oracle`) adds 48 B.
 #[cfg(not(test))]
-const _: () = assert!(std::mem::size_of::<ProtoMachine>() <= 384);
+const _: () = assert!(std::mem::size_of::<ProtoMachine>() <= 112);
 
 impl ProtoMachine {
     /// A fresh machine for the node named `key`.
     pub fn new(key: Key, policy: RetryPolicy) -> Self {
-        let timers = Timers::new(key, policy);
         ProtoMachine {
             key,
             next_msg_id: 0,
             next_session: 0,
             next_trace: 0,
-            admission: Admission::new(key, timers.ladder()),
-            timers,
-            sessions: HashMap::new(),
-            discs: HashMap::new(),
+            admission: Admission::default(),
+            timers: Timers::new(policy),
+            open: None,
             detector: FailureDetector::new(FailurePolicy::default()),
             incarnation: 0,
         }
@@ -365,8 +370,7 @@ impl ProtoMachine {
     /// discovery timeout, since its round-trips span several hops. The
     /// dedup horizon follows the new ladder.
     pub fn set_adaptive_rto(&mut self, cfg: Option<RtoConfig>) {
-        self.timers.set_adaptive(cfg);
-        self.admission.set_ladder(self.timers.ladder());
+        self.timers.set_adaptive(self.key, cfg);
     }
 
     /// How many `(src, msg_id)` entries this node's dedup window holds:
@@ -401,7 +405,7 @@ impl ProtoMachine {
 
     /// Number of in-flight sessions awaiting acks or replies.
     pub fn inflight(&self) -> usize {
-        self.sessions.len() + self.discs.len()
+        self.open.as_deref().map_or(0, |o| o.sessions.len() + o.discs.len())
     }
 
     fn fresh_msg_id(&mut self) -> u64 {
@@ -481,9 +485,9 @@ impl ProtoMachine {
 
     /// Feeds one event (delivery or timer) through the machine.
     pub fn poll(&mut self, now: SimTime, event: Event, env: &mut dyn NodeEnv) -> Output {
-        self.admission.advance(now);
+        self.admission.advance(now, self.timers.ladder());
         let out = match event {
-            Event::Deliver(envelope) if self.admission.admits(now, env, &envelope) => {
+            Event::Deliver(envelope) if Admission::admits(self.key, now, env, &envelope) => {
                 self.on_deliver(now, env, envelope)
             }
             // Rejected frame: no ack, no dedup entry, no state.
@@ -655,20 +659,20 @@ mod tests {
     }
 
     /// Each way an exchange closes — a hop acked, a register's ladder
-    /// run out, a discovery answered, a discovery timed out — leaves
-    /// neither exchange table owning memory once nothing is in flight.
+    /// run out, a discovery answered, a discovery timed out — leaves the
+    /// machine owning no exchange table once nothing is in flight.
     #[test]
     fn closed_exchanges_release_their_tables() {
         let released = |m: &ProtoMachine, what: &str| {
             assert_eq!(m.inflight(), 0, "{what}");
-            assert_eq!((m.sessions.capacity(), m.discs.capacity()), (0, 0), "{what}");
+            assert!(m.open.is_none(), "{what}");
         };
         let mut env = world();
         let mut m = ProtoMachine::new(A, policy());
         released(&m, "a fresh machine");
 
         let (_, out) = m.start_route(t(0), &mut env, B);
-        assert!(m.sessions.capacity() > 0);
+        assert!(m.open.is_some());
         m.poll(t(10), ack_of(&out.outgoing[0]), &mut env);
         released(&m, "a hop acked");
 
@@ -688,7 +692,7 @@ mod tests {
             let WireMessage::Discovery { session, .. } = out.outgoing[0].env.msg else {
                 panic!("expected a discovery, got {:?}", out.outgoing[0].env.msg)
             };
-            assert!(m.discs.capacity() > 0);
+            assert_eq!(m.open.as_ref().map(|o| (o.discs.len(), o.sessions.len())), Some((1, 0)));
             let out = if answered {
                 let addr = Some(env.current_addr(M));
                 m.poll(
@@ -702,26 +706,51 @@ mod tests {
                 m.poll(t(4000), retry.clone(), &mut env);
                 m.poll(t(8000), retry, &mut env)
             };
-            assert_eq!(m.discs.capacity(), 0, "answered {answered}");
+            let open = m.open.as_ref().map(|o| (o.discs.len(), o.sessions.len()));
+            assert_eq!(open, Some((0, 1)), "answered {answered}: only the parked hop");
             m.poll(t(9000), ack_of(&out.outgoing[0]), &mut env);
             released(&m, &format!("a discovery, answered {answered}"));
         }
     }
 
-    /// A table is released only when its last exchange closes: closing
-    /// one of two keeps the allocation as it was, closing both frees it.
+    /// The box is released only when its last exchange of either kind
+    /// closes: closing one of two hops keeps it as it was, and a hop
+    /// still open keeps it through a discovery's close; closing
+    /// everything frees it.
     #[test]
     fn an_exchange_table_is_released_only_when_it_empties() {
+        // Where the box is and what its hop table holds.
+        let held =
+            |m: &ProtoMachine| m.open.as_deref().map(|o| (o as *const Open, o.sessions.capacity()));
         let mut env = world();
         let mut m = ProtoMachine::new(A, policy());
         let addr = env.current_addr(A);
         let out = m.start_update(t(0), &mut env, A, addr, 1, &[B, M]);
         assert_eq!(m.inflight(), 2);
-        let held = m.sessions.capacity();
-        assert!(held >= 2);
+        let both = held(&m);
+        assert!(both.is_some_and(|(_, capacity)| capacity >= 2));
         m.poll(t(10), ack_of(&out.outgoing[0]), &mut env);
-        assert_eq!((m.inflight(), m.sessions.capacity()), (1, held), "one still open");
+        assert_eq!((m.inflight(), held(&m)), (1, both), "one still open");
         m.poll(t(20), ack_of(&out.outgoing[1]), &mut env);
-        assert_eq!((m.inflight(), m.sessions.capacity()), (0, 0), "both closed");
+        assert_eq!((m.inflight(), held(&m)), (0, None), "both closed");
+
+        // Mixed: a hop to `B` stays open while a discovery of `M` opens
+        // and is answered.
+        let (_, hop) = m.start_route(t(100), &mut env, B);
+        env.believed.remove(&(A, M));
+        let (_, out) = m.start_route(t(100), &mut env, M);
+        let WireMessage::Discovery { session, .. } = out.outgoing[0].env.msg else {
+            panic!("expected a discovery, got {:?}", out.outgoing[0].env.msg)
+        };
+        let before = held(&m);
+        let addr = Some(env.current_addr(M));
+        let reply = to_a(B, WireMessage::DiscoveryReply { subject: M, session, addr });
+        let resumed = m.poll(t(150), reply, &mut env);
+        assert_eq!(held(&m), before, "the open hop kept the box through the discovery's close");
+        assert_eq!(m.open.as_ref().map(|o| o.discs.len()), Some(0));
+        assert_eq!(m.inflight(), 2, "the hop to B, and the one the discovery resumed");
+        m.poll(t(200), ack_of(&hop.outgoing[0]), &mut env);
+        m.poll(t(200), ack_of(&resumed.outgoing[0]), &mut env);
+        assert_eq!((m.inflight(), held(&m)), (0, None), "all closed");
     }
 }

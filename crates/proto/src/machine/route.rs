@@ -72,7 +72,7 @@ impl ProtoMachine {
             env.bump(MessageKind::MalformedFrame);
             return;
         }
-        if let Some(s) = close(&mut self.discs, session) {
+        if let Some(s) = close(&mut self.open, |o| o.discs.remove(&session)) {
             self.timers.sample(Awaited::Discovery, s.attempt, now.since(s.started));
             self.finish_discovery(now, env, s, addr, out);
         }
@@ -167,14 +167,15 @@ impl ProtoMachine {
         out: &mut Output,
     ) {
         // Join an in-flight session for the same subject if one exists.
-        if let Some(session) = self.discs.values_mut().find(|s| s.subject == subject) {
+        let open = self.open.get_or_insert_with(Default::default);
+        if let Some(session) = open.discs.values_mut().find(|s| s.subject == subject) {
             session.pending.push(parked);
             return;
         }
         let sid = self.next_session;
         self.next_session += 1;
         let trace = parked.trace;
-        self.discs.insert(
+        open.discs.insert(
             sid,
             DiscSession { subject, attempt: 0, pending: vec![parked], trace, started: now },
         );
@@ -311,7 +312,9 @@ impl ProtoMachine {
         sid: u64,
         out: &mut Output,
     ) {
-        let Some(session) = self.discs.get_mut(&sid) else { return };
+        let Some(session) = self.open.as_deref_mut().and_then(|o| o.discs.get_mut(&sid)) else {
+            return;
+        };
         session.attempt += 1;
         let (attempt, subject, trace) = (session.attempt, session.subject, session.trace);
         env.bump(MessageKind::Timeout);
@@ -327,7 +330,7 @@ impl ProtoMachine {
             return;
         }
         note(self.key, env, now, trace, ObsEventKind::Timeout { what: "discovery", attempt });
-        if let Some(session) = close(&mut self.discs, sid) {
+        if let Some(session) = close(&mut self.open, |o| o.discs.remove(&sid)) {
             self.finish_discovery(now, env, session, None, out);
         }
     }

@@ -240,18 +240,18 @@ pub(crate) enum Awaited {
 /// Jacobson/Karn estimation.
 #[derive(Debug)]
 pub(crate) struct Timers {
-    /// The owning node, half of every jitter salt.
-    node: Key,
     policy: RetryPolicy,
     /// `Some` switches every wait from the fixed ladder to estimation.
     /// Boxed, so a machine on fixed timers — the default — pays one
-    /// pointer for the arm, not its 200 B.
+    /// pointer for the arm, not its 208 B.
     adaptive: Option<Box<Adaptive>>,
 }
 
 /// The adaptive arm's state; none of it exists on fixed timers.
 #[derive(Debug)]
 struct Adaptive {
+    /// The owning node, half of every jitter salt.
+    node: Key,
     cfg: RtoConfig,
     /// Per-peer estimators, shared by the ack and the probe path.
     peers: HashMap<Key, RtoEstimator>,
@@ -266,28 +266,30 @@ struct Adaptive {
 
 impl Adaptive {
     /// The estimator behind `what` and the salt that jitters its waits.
-    fn estimator(&mut self, node: Key, what: Awaited) -> (&mut RtoEstimator, u64) {
+    fn estimator(&mut self, what: Awaited) -> (&mut RtoEstimator, u64) {
         let (peer, probe_salt) = match what {
-            Awaited::Discovery => return (&mut self.discovery, node.0),
+            Awaited::Discovery => return (&mut self.discovery, self.node.0),
             Awaited::Ack(peer) => (peer, 0),
             Awaited::Probe { peer, .. } => (peer, 0xB5),
         };
         let est = self.peers.entry(peer).or_insert_with(|| RtoEstimator::new(self.cfg));
-        (est, node.0 ^ peer.0.rotate_left(32) ^ probe_salt)
+        (est, self.node.0 ^ peer.0.rotate_left(32) ^ probe_salt)
     }
 }
 
 impl Timers {
-    /// Fixed timers under `policy` for the machine of `node`.
-    pub(crate) fn new(node: Key, policy: RetryPolicy) -> Self {
-        Timers { node, policy, adaptive: None }
+    /// Fixed timers under `policy`.
+    pub(crate) fn new(policy: RetryPolicy) -> Self {
+        Timers { policy, adaptive: None }
     }
 
-    /// Switches to adaptive estimation (`Some`) or back to the fixed
-    /// ladder (`None`). Estimator state does not survive the switch.
-    pub(crate) fn set_adaptive(&mut self, cfg: Option<RtoConfig>) {
+    /// Switches the machine of `node` to adaptive estimation (`Some`) or
+    /// back to the fixed ladder (`None`). Estimator state does not
+    /// survive the switch.
+    pub(crate) fn set_adaptive(&mut self, node: Key, cfg: Option<RtoConfig>) {
         self.adaptive = cfg.map(|cfg| {
             Box::new(Adaptive {
+                node,
                 cfg,
                 peers: HashMap::new(),
                 discovery: RtoEstimator::new(RtoConfig::for_discovery(
@@ -340,7 +342,7 @@ impl Timers {
         if let Awaited::Probe { peer, .. } = what {
             a.probes.insert(peer, now);
         }
-        let (est, salt) = a.estimator(self.node, what);
+        let (est, salt) = a.estimator(what);
         est.jittered_rto(salt)
     }
 
@@ -355,7 +357,7 @@ impl Timers {
             // late ack must not be sampled.
             a.probes.remove(&peer);
         }
-        let (est, salt) = a.estimator(self.node, what);
+        let (est, salt) = a.estimator(what);
         est.on_timeout();
         est.jittered_rto(salt)
     }
@@ -365,7 +367,7 @@ impl Timers {
     /// drops samples from retransmitted frames).
     pub(crate) fn sample(&mut self, what: Awaited, attempt: u32, rtt: u64) {
         if let Some(a) = self.adaptive.as_mut() {
-            a.estimator(self.node, what).0.karn_sample(attempt, rtt);
+            a.estimator(what).0.karn_sample(attempt, rtt);
         }
     }
 
@@ -376,7 +378,7 @@ impl Timers {
         let Some(a) = self.adaptive.as_mut() else { return };
         if let Some(sent) = a.probes.remove(&peer) {
             if closed {
-                a.estimator(self.node, Awaited::Ack(peer)).0.sample(now.since(sent));
+                a.estimator(Awaited::Ack(peer)).0.sample(now.since(sent));
             }
         }
     }
@@ -530,7 +532,7 @@ mod tests {
     /// numbers, shifted by the attempt and clamped.
     #[test]
     fn fixed_timers_are_the_policy_ladder() {
-        let mut timers = Timers::new(NODE, policy());
+        let mut timers = Timers::new(policy());
         let probe = Awaited::Probe { peer: PEER, ack_wait: 70 };
         assert_eq!(timers.max_attempts(), 3);
         assert_eq!(timers.first_wait(T0, Awaited::Ack(PEER)), 100);
@@ -554,7 +556,7 @@ mod tests {
         // width has no bound to give.
         assert_eq!(timers.ladder(), 800);
         let endless = RetryPolicy { max_attempts: 64, ..policy() };
-        assert_eq!(Timers::new(NODE, endless).ladder(), u64::MAX);
+        assert_eq!(Timers::new(endless).ladder(), u64::MAX);
     }
 
     /// On the adaptive arm every wait is an estimator's, jittered under
@@ -566,8 +568,8 @@ mod tests {
     fn adaptive_timers_keep_the_per_peer_salts_and_karn() {
         let rto = RtoConfig::default();
         assert!(rto.jitter_frac > 0, "the salts only show under jitter");
-        let mut timers = Timers::new(NODE, policy());
-        timers.set_adaptive(Some(rto));
+        let mut timers = Timers::new(policy());
+        timers.set_adaptive(NODE, Some(rto));
         assert_eq!(timers.ladder(), rto.max_rto * 3);
 
         let salt = NODE.0 ^ PEER.0.rotate_left(32);
@@ -598,7 +600,7 @@ mod tests {
         assert_eq!(timers.estimate(PEER), Some(peer.rto()));
 
         // Back on the ladder nothing of it is left.
-        timers.set_adaptive(None);
+        timers.set_adaptive(NODE, None);
         assert_eq!(timers.first_wait(T0, Awaited::Ack(PEER)), 100);
         assert_eq!(timers.ladder(), 800);
     }

@@ -39,47 +39,62 @@ pub(crate) fn lifetime(ladder: u64) -> u64 {
 }
 
 /// Two generations of `(src, msg_id)` sightings; see the module docs.
-// Sources and ids come off the wire: the standard keyed hasher stays.
+/// Both sit in one box, allocated at the first sighting and dropped by
+/// the rotation that leaves both empty, so a machine that has heard no
+/// guarded frame for two lifetimes owns no heap for them.
 #[derive(Debug, Default)]
 pub(crate) struct SeenSet {
-    current: HashSet<(Key, u64)>,
-    previous: HashSet<(Key, u64)>,
+    generations: Option<Box<Generations>>,
     /// When `current` was opened.
     opened: SimTime,
 }
 
+// Sources and ids come off the wire: the standard keyed hasher stays.
+#[derive(Debug, Default)]
+struct Generations {
+    current: HashSet<(Key, u64)>,
+    previous: HashSet<(Key, u64)>,
+}
+
 impl SeenSet {
     /// Ages the generations to `now`: `current` retires once it has been
-    /// open for `lifetime`, and both are dropped (allocation included)
-    /// when nothing rotated them for two. Called on every event a
-    /// machine handles, so a machine that still hears anything lets go
-    /// of its old sightings even when none of it is deduplicated.
+    /// open for `lifetime`, and both are dropped (box included) when
+    /// nothing rotated them for two. Called on every event a machine
+    /// handles, so a machine that still hears anything lets go of its
+    /// old sightings even when none of it is deduplicated.
     pub(crate) fn advance(&mut self, now: SimTime, lifetime: u64) {
         let age = now.0.saturating_sub(self.opened.0);
         if age < lifetime {
             return;
         }
-        let current = std::mem::take(&mut self.current);
-        self.previous = if age / 2 < lifetime { current } else { HashSet::new() };
         self.opened = now;
+        let Some(gens) = self.generations.as_mut() else { return };
+        let current = std::mem::take(&mut gens.current);
+        gens.previous = if age / 2 < lifetime { current } else { HashSet::new() };
+        if gens.previous.is_empty() {
+            self.generations = None;
+        }
     }
 
     /// Records a sighting of frame `msg_id` from `src`; `true` if it is
     /// the first in either generation.
     pub(crate) fn insert(&mut self, src: Key, msg_id: u64) -> bool {
         let frame = (src, msg_id);
-        !self.previous.contains(&frame) && self.current.insert(frame)
+        let gens = self.generations.get_or_insert_with(Default::default);
+        !gens.previous.contains(&frame) && gens.current.insert(frame)
     }
 
     /// Whether frame `msg_id` from `src` is held in either generation.
     pub(crate) fn contains(&self, src: Key, msg_id: u64) -> bool {
         let frame = (src, msg_id);
-        self.current.contains(&frame) || self.previous.contains(&frame)
+        self.generations
+            .as_ref()
+            .is_some_and(|g| g.current.contains(&frame) || g.previous.contains(&frame))
     }
 
     /// Sightings held.
     pub(crate) fn len(&self) -> usize {
-        self.current.len() + self.previous.len()
+        self.generations.as_ref().map_or(0, |g| g.current.len() + g.previous.len())
     }
 }
 
@@ -127,7 +142,7 @@ mod tests {
         assert_eq!(seen.len(), 2);
         seen.advance(SimTime(L + 2 * L), L);
         assert_eq!(seen.len(), 0);
-        assert_eq!(seen.current.capacity() + seen.previous.capacity(), 0, "memory returned");
+        assert!(seen.generations.is_none(), "memory returned, box and all");
     }
 
     #[test]

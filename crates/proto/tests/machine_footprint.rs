@@ -1,0 +1,175 @@
+//! What a machine at rest owns on the heap: nothing.
+//!
+//! A driver holds one machine per node for the whole run, most of them
+//! idle at any moment, so every table a machine fills while it works —
+//! its open exchanges, its dedup generations, its monitored peers —
+//! must hand its memory back once it empties. This binary holds one
+//! test because its counting allocator sees every allocation the
+//! process makes.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+use bristle_core::time::SimTime;
+use bristle_overlay::key::Key;
+use bristle_overlay::meter::MessageKind;
+use bristle_proto::machine::{Event, Outgoing, ProtoMachine, RetryPolicy, TimerKind};
+use bristle_proto::testenv::MockEnv;
+use bristle_proto::wire::{Envelope, WireAddr, WireMessage};
+
+/// Bytes the process holds on the heap. `Relaxed`: a statistic, it
+/// publishes no other data.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded to `System` unchanged, with the
+// caller's own pointer and layout; the counter does not touch memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` is passed on as it came.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size(), Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr` came from `System` with this `layout`, and the
+        // caller vouches for `new_size`.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            LIVE.fetch_add(new_size, Relaxed);
+            LIVE.fetch_sub(layout.size(), Relaxed);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static HEAP: Counting = Counting;
+
+const A: Key = Key(10);
+const B: Key = Key(20);
+const M: Key = Key(30);
+const MACHINES: u64 = 1_000;
+
+fn policy() -> RetryPolicy {
+    RetryPolicy { ack_timeout: 100, discovery_timeout: 1000, max_attempts: 3 }
+}
+
+/// `A` with a stationary peer `B`, its discovery entry point, and a
+/// mobile peer `M` it holds a valid belief about.
+fn world() -> MockEnv {
+    let mut env =
+        MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5).with_node(M, 3, 9).mobile(M);
+    env.mobile_hops.insert((A, B), B);
+    env.mobile_hops.insert((A, M), M);
+    env.entries.insert(A, B);
+    env.believed.insert((A, M), env.addrs[&M]);
+    env
+}
+
+/// `msg` from `src` to `A`, sent under `msg_id`.
+fn to_a(src: Key, msg_id: u64, msg: WireMessage) -> Event {
+    Event::Deliver(Envelope { src, dst: A, msg_id, trace_id: 0, msg, auth: None })
+}
+
+/// The ack that closes the exchange `sent` opened.
+fn ack_of(sent: &Outgoing) -> Event {
+    let acked = sent.env.msg_id;
+    let msg = match sent.env.msg {
+        WireMessage::RouteHop { .. } => WireMessage::HopAck { acked },
+        WireMessage::Register { .. } => WireMessage::RegisterAck { acked },
+        ref other => panic!("{other:?} opens no exchange"),
+    };
+    to_a(sent.env.dst, 0, msg)
+}
+
+/// One machine's working life: every way an exchange closes, a frame
+/// taken in once, and peers monitored and let go. Ends at tick 9 500
+/// with nothing in flight.
+fn work(m: &mut ProtoMachine, env: &mut MockEnv) {
+    let t = SimTime;
+    // A hop, acked.
+    let (_, out) = m.start_route(t(0), env, B);
+    m.poll(t(10), ack_of(&out.outgoing[0]), env);
+    // A register whose ladder runs out.
+    let retry = Event::Timer(m.start_register(t(100), env, M, 4).timers[0].kind);
+    for at in [200, 400, 800] {
+        m.poll(t(at), retry.clone(), env);
+    }
+    // A discovery answered, then one timed out; each resumes its hop.
+    for answered in [true, false] {
+        env.believed.remove(&(A, M));
+        let (_, out) = m.start_route(t(1000), env, M);
+        let WireMessage::Discovery { session, .. } = out.outgoing[0].env.msg else {
+            panic!("expected a discovery, got {:?}", out.outgoing[0].env.msg)
+        };
+        let out = if answered {
+            let addr = Some(env.addrs[&M]);
+            m.poll(
+                t(1050),
+                to_a(B, 0, WireMessage::DiscoveryReply { subject: M, session, addr }),
+                env,
+            )
+        } else {
+            let retry = Event::Timer(TimerKind::DiscoveryRetry { session });
+            m.poll(t(2000), retry.clone(), env);
+            m.poll(t(4000), retry.clone(), env);
+            m.poll(t(8000), retry, env)
+        };
+        m.poll(t(9000), ack_of(&out.outgoing[0]), env);
+    }
+    // An update taken in: applied once, its sighting held for dedup.
+    let addr = WireAddr { host: 2, router: 5, epoch: 0 };
+    m.poll(t(9500), to_a(B, 7, WireMessage::Update { subject: B, addr, seq: 1 }), env);
+    assert_eq!(m.seen_held(), 1);
+    m.monitor(B);
+    m.monitor(M);
+    m.retain_monitored(|_| false);
+    assert_eq!(m.inflight(), 0);
+}
+
+/// Heap bytes held now beyond `before`.
+fn held_since(before: usize) -> isize {
+    LIVE.load(Relaxed) as isize - before as isize
+}
+
+#[test]
+fn a_machine_at_rest_owns_no_heap() {
+    let mut env = world();
+    let slots = (MACHINES as usize * std::mem::size_of::<ProtoMachine>()) as isize;
+    let before = LIVE.load(Relaxed);
+    let mut machines: Vec<ProtoMachine> =
+        (0..MACHINES).map(|_| ProtoMachine::new(A, policy())).collect();
+    assert_eq!(held_since(before), slots, "a fresh machine owns nothing beyond its slot");
+
+    for m in &mut machines {
+        work(m, &mut env);
+    }
+    assert!(held_since(before) > slots, "the dedup sightings are still held");
+
+    // Two dedup lifetimes on (the ladder 100 << 3, the lifetime twice
+    // that), any event ages the generations out; a stale timer sends
+    // nothing and opens nothing.
+    let later = SimTime(9500 + 2 * 2 * (100 << 3));
+    for m in &mut machines {
+        let out = m.poll(later, Event::Timer(TimerKind::HopRetry { msg_id: u64::MAX }), &mut env);
+        assert!(out.outgoing.is_empty() && out.timers.is_empty());
+        assert_eq!(m.seen_held(), 0);
+    }
+    // What the env logged is its own, not the machines'.
+    (env.events, env.resolutions, env.updates, env.registered, env.committed) = Default::default();
+    assert_eq!(held_since(before), slots, "bytes held beyond the slots");
+    // Three timeouts ran each register's ladder out, three each
+    // unanswered discovery's.
+    assert_eq!(env.meter.count(MessageKind::Timeout), MACHINES * 6);
+}
