@@ -4,10 +4,10 @@
 //! takes `now` as an argument. The simulator hands them its micro-clock
 //! directly. This adapter gives the socket driver the same currency:
 //! real elapsed time quantized into ticks, plus a forward-only skew so
-//! the driver can *fast-forward* to the next timer deadline instead of
-//! sleeping through it — stale timers are ignored by the machines on
-//! expiry (timers are never cancelled, by contract), so jumping a quiet
-//! network ahead to the next deadline is observationally equivalent to
+//! the driver can *fast-forward* to the next wake instead of sleeping
+//! through it — a wake fires only what is due by the `now` it is handed,
+//! and one whose deadlines were met fires nothing, so jumping a quiet
+//! network ahead to the next wake is observationally equivalent to
 //! waiting it out.
 
 use std::time::{Duration, Instant};

@@ -2,13 +2,13 @@
 //!
 //! One [`UdpSocket`] per node, bound to loopback; datagram payloads are
 //! exactly [`Envelope::encode`] bytes, nothing more. The driver owns
-//! the machines and their timers but *not* the world model — every
+//! the machines and their wakes but *not* the world model — every
 //! call takes a `&mut dyn NodeEnv`, the same window the simulator's
 //! driver hands its machines, which is what makes the two backends
 //! meter-identical: the machines cannot tell which one is driving them.
-//! Neither driver records which frames were processed: the frame a
-//! retry timer re-sent is a spurious retry when the destination's
-//! machine says it already processed it ([`ProtoMachine::has_processed`]).
+//! Neither driver records which frames were processed: a frame a wake
+//! sent is a spurious retry when the destination's machine says it
+//! already processed it ([`ProtoMachine::has_processed`]).
 //!
 //! **Which sockets a pump reads.** A nonblocking `recv_from` on an empty
 //! socket is a syscall all the same, so reading every socket on every
@@ -42,22 +42,26 @@
 //! read by the *next* pump, not the running one, so a pump is bounded
 //! by the mail owed when it began.
 //!
-//! Time is the [`WallClock`] adapter's virtual ticks. Timers wait in
-//! the calendar [`EventQueue`] in (deadline, arm order). The loop pumps
-//! sockets first and fires due timers second (an ack sitting in a
-//! kernel buffer always clears its session before the retry timer can
-//! fire), sleeps at most until the next timer deadline, and — after a
-//! real-time grace window confirms the network is quiet — fast-forwards
-//! the clock to that deadline instead of waiting it out. *Quiet* means
-//! a whole grace window of pumps read nothing. With nothing owed those
-//! pumps are sweeps, so quiet is what it always was: no socket had
-//! anything. With mail still owed they are busy pumps, and the window
-//! expiring means the owed datagrams are not coming (the kernel dropped
-//! them, say, on a full receive buffer): they are *written off* —
-//! counted in [`Counter::WrittenOff`], the ledger cleared — before the
-//! clock skips, so a lost datagram costs one grace window, never a hang.
-//! Stale timers fired after a fast-forward are ignored by the machines
-//! (their sessions are gone), exactly as in the simulator.
+//! Time is the [`WallClock`] adapter's virtual ticks. A machine keeps
+//! its own deadlines and reports the earliest ([`Output::wake`]); the
+//! driver queues a wake for it in the calendar [`EventQueue`] unless
+//! the last one it queued is still ahead and no later
+//! ([`Output::wake_to_queue`]), so the queue holds a wake or two per
+//! node, not one timer per send. The loop pumps sockets first and fires
+//! due wakes second (an ack sitting in a kernel buffer always clears
+//! its session before the deadline can fire it), sleeps at most until
+//! the next wake, and — after a real-time grace window confirms the
+//! network is quiet — fast-forwards the clock to it instead of waiting
+//! it out. *Quiet* means a whole grace window of pumps read nothing.
+//! With nothing owed those pumps are sweeps, so quiet is what it always
+//! was: no socket had anything. With mail still owed they are busy
+//! pumps, and the window expiring means the owed datagrams are not
+//! coming (the kernel dropped them, say, on a full receive buffer):
+//! they are *written off* — counted in [`Counter::WrittenOff`], the
+//! ledger cleared — before the clock skips, so a lost datagram costs
+//! one grace window, never a hang. A wake whose deadlines were met in
+//! the meantime fires nothing in its machine, exactly as in the
+//! simulator.
 //!
 //! The datagram boundary is hardened: a frame longer than [`MAX_FRAME`]
 //! or one that fails [`Envelope::decode`] is dropped and metered
@@ -78,7 +82,7 @@ use bristle_core::time::SimTime;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
 use bristle_overlay::obs::{Counter, Gauge, Registry};
-use bristle_proto::machine::{Completion, Event, NodeEnv, Output, ProtoMachine, TimerKind};
+use bristle_proto::machine::{Completion, Event, NodeEnv, Output, ProtoMachine};
 use bristle_proto::queue::EventQueue;
 use bristle_proto::wire::{Envelope, WireAddr};
 
@@ -114,6 +118,8 @@ struct NetNode {
     /// Whether the node is in [`SocketDriver::queue`] (or being drained
     /// by the running pump, which decides afterwards whether it stays).
     queued: bool,
+    /// The last wake queued for its machine ([`Output::wake_to_queue`]).
+    wake: SimTime,
 }
 
 /// Runs a set of [`ProtoMachine`]s over nonblocking UDP sockets.
@@ -132,8 +138,9 @@ pub struct SocketDriver {
     queue: VecDeque<usize>,
     /// The node the last busy pump probed for mail nobody owed it.
     cursor: usize,
-    /// Armed timers, popped in (deadline, arm order).
-    timers: EventQueue<(Key, TimerKind)>,
+    /// Queued wakes, each a node's index, popped in (deadline, arm
+    /// order).
+    wakes: EventQueue<usize>,
     /// Completions surfaced by the machines, for the caller to drain.
     pub completions: Vec<Completion>,
     /// Real-time window the loop waits for in-flight datagrams before
@@ -153,7 +160,7 @@ impl SocketDriver {
             by_host: HashMap::new(),
             queue: VecDeque::new(),
             cursor: 0,
-            timers: EventQueue::new(),
+            wakes: EventQueue::new(),
             completions: Vec::new(),
             grace: Duration::from_millis(5),
             obs: Registry::default(),
@@ -183,7 +190,8 @@ impl SocketDriver {
         let endpoint = socket.local_addr()?;
         self.by_key.insert(key, self.nodes.len());
         self.by_host.insert(addr.host, self.nodes.len());
-        self.nodes.push(NetNode { key, socket, endpoint, machine, owed: 0, queued: false });
+        let wake = SimTime::ZERO;
+        self.nodes.push(NetNode { key, socket, endpoint, machine, owed: 0, queued: false, wake });
         Ok(endpoint)
     }
 
@@ -221,23 +229,35 @@ impl SocketDriver {
         self.by_key.get(&key).map(|&i| &mut self.nodes[i].machine)
     }
 
-    /// Earliest armed timer deadline, if any.
-    pub fn next_timer(&mut self) -> Option<SimTime> {
-        self.timers.peek_time()
+    /// Earliest queued wake, if any.
+    pub fn next_wake(&mut self) -> Option<SimTime> {
+        self.wakes.peek_time()
     }
 
-    /// Turns one machine's [`Output`] into datagrams and armed timers,
+    /// How many wakes are queued: about one a bound node, since one is
+    /// queued only where the last one queued does not cover it.
+    pub fn pending_wakes(&self) -> usize {
+        self.wakes.len()
+    }
+
+    /// Turns one machine's [`Output`] into datagrams and a queued wake,
     /// mirroring the simulator driver's dispatch step: the stale-address
     /// black-hole (applied here at send time; the simulator applies it at
     /// arrival), then one encoded envelope per surviving send. Every
     /// send is entered in the mail ledger, so a later pump reads the
     /// destination's socket; a send to a host bound nowhere here is
-    /// black-holed with the stale ones. Timers land at `now + wait`, and
-    /// the clock never trails a fired deadline, so none is in the past.
+    /// black-holed with the stale ones. A wake is queued unless the
+    /// node's last one is still ahead and no later: that one reports the
+    /// later deadline again when it fires. Deadlines land at `now +
+    /// wait`, and the clock never trails a fired wake, so none is in the
+    /// past.
     pub fn dispatch(&mut self, from: Key, out: Output, env: &mut dyn NodeEnv) -> Result<()> {
         let Some(&from_idx) = self.by_key.get(&from) else {
             return Err(Error::new(ErrorKind::NotFound, format!("{from} is not bound")));
         };
+        if let Some(at) = out.wake_to_queue(&mut self.nodes[from_idx].wake, self.clock.now()) {
+            self.wakes.schedule_at(at, from_idx);
+        }
         for o in out.outgoing {
             // The simulator delivers to the addressed router and drops
             // at arrival if the destination moved away; with a real
@@ -257,9 +277,6 @@ impl SocketDriver {
             self.obs.add(Counter::FramesSent, 1);
             self.nodes[to_idx].owed += 1;
             self.enqueue(to_idx);
-        }
-        for t in out.timers {
-            self.timers.schedule_at(t.at, (from, t.kind));
         }
         self.completions.extend(out.completions);
         Ok(())
@@ -368,46 +385,43 @@ impl SocketDriver {
         }
     }
 
-    /// Fires every timer whose deadline has passed. Returns how many
-    /// fired (stale ones included — their machines ignore them).
+    /// Fires every wake whose time has come. Returns how many fired
+    /// (those whose machines found nothing due included).
     pub fn fire_due(&mut self, env: &mut dyn NodeEnv) -> Result<usize> {
         let mut fired = 0usize;
         loop {
             let now = self.clock.now();
-            let Some((_, (key, kind))) = self.timers.pop_due(now) else { break };
-            if let Some(&idx) = self.by_key.get(&key) {
-                let out = self.nodes[idx].machine.poll(now, Event::Timer(kind), env);
-                if let Some(id) = kind.resends() {
-                    self.meter_spurious(id, &out, env);
-                }
-                self.dispatch(key, out, env)?;
-            }
+            let Some((_, idx)) = self.wakes.pop_due(now) else { break };
+            let out = self.nodes[idx].machine.poll(now, Event::Wake, env);
+            self.meter_spurious(&out, env);
+            let key = self.nodes[idx].key;
+            self.dispatch(key, out, env)?;
             fired += 1;
         }
         Ok(fired)
     }
 
-    /// Bumps [`MessageKind::SpuriousRetry`] if frame `resent`, which a
-    /// retry timer just sent again, was already processed by its
-    /// destination's machine — exactly as the simulator's driver meters
-    /// it. Only a retry timer resends a frame, so no other send is asked
-    /// about.
-    fn meter_spurious(&self, resent: u64, out: &Output, env: &mut dyn NodeEnv) {
-        for o in out.outgoing.iter().filter(|o| o.env.msg_id == resent) {
-            let processed = |&i: &usize| self.nodes[i].machine.has_processed(o.env.src, resent);
+    /// Bumps [`MessageKind::SpuriousRetry`] for each frame of `out`, which
+    /// a wake just sent, that its destination's machine already processed
+    /// — exactly as the simulator's driver meters it. Only a wake
+    /// retransmits, and a frame it sends fresh was never processed.
+    fn meter_spurious(&self, out: &Output, env: &mut dyn NodeEnv) {
+        for o in &out.outgoing {
+            let processed =
+                |&i: &usize| self.nodes[i].machine.has_processed(o.env.src, o.env.msg_id);
             if self.by_key.get(&o.env.dst).is_some_and(processed) {
                 env.bump(MessageKind::SpuriousRetry);
             }
         }
     }
 
-    /// Pumps and fires until the network is quiet *and* no timers
-    /// remain, fast-forwarding the clock over dead air: when a full
-    /// grace window of real time passes with no datagram arriving and
-    /// nothing due, mail still owed is written off and the clock jumps
-    /// to the next timer deadline (the machines cannot observe the skip
-    /// — they only ever see `now` as an argument). Returns the number
-    /// of datagrams plus timer firings processed, or `TimedOut` once
+    /// Pumps and fires until the network is quiet *and* no wakes remain,
+    /// fast-forwarding the clock over dead air: when a full grace window
+    /// of real time passes with no datagram arriving and nothing due,
+    /// mail still owed is written off and the clock jumps to the next
+    /// wake (the machines cannot observe the skip — they only ever see
+    /// `now` as an argument). Returns the number of datagrams plus wakes
+    /// processed, or `TimedOut` once
     /// `max_events` is exceeded — the same runaway-retry backstop the
     /// simulator's event budget gives.
     pub fn run_until_quiet(&mut self, env: &mut dyn NodeEnv, max_events: u64) -> Result<u64> {
@@ -452,7 +466,7 @@ impl SocketDriver {
                 continue;
             }
             self.write_off();
-            match self.next_timer() {
+            match self.next_wake() {
                 Some(at) => {
                     self.clock.advance_to(at);
                     self.obs.add(Counter::FastForwards, 1);
@@ -527,7 +541,7 @@ mod tests {
             .completions
             .iter()
             .any(|c| matches!(c, Completion::Delivered { origin, .. } if *origin == A)));
-        // One metered hop, acked before its retry timer could fire.
+        // One metered hop, acked before its deadline could fire.
         assert_eq!(env.meter.count(MessageKind::RouteHop), 1);
         assert_eq!(env.meter.count(MessageKind::SpuriousRetry), 0);
         let r = d.registry();
@@ -607,6 +621,35 @@ mod tests {
         // Initial send plus two retransmissions; both of those spurious.
         assert_eq!(env.meter.count(MessageKind::Register), 3);
         assert_eq!(env.meter.count(MessageKind::SpuriousRetry), 2);
+    }
+
+    /// One wake that finds two `Register`s due resends both frames, and
+    /// each resend is spurious: both targets processed the first copy,
+    /// and every ack black-holes. One wake is queued for the two.
+    #[test]
+    fn one_wake_meters_each_resent_frame_its_destination_processed() {
+        const C: Key = Key(30);
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5).with_node(C, 3, 9);
+        let mut d = fast_driver();
+        for key in [A, B, C] {
+            d.bind_node(key, env.addrs[&key], ProtoMachine::new(key, policy())).unwrap();
+        }
+        let now = d.now();
+        let machine = d.machine_mut(A).unwrap();
+        let mut out = machine.start_register(now, &mut env, B, 1);
+        let to_c = machine.start_register(now, &mut env, C, 1);
+        out.outgoing.extend(to_c.outgoing);
+        assert_eq!(out.wake, to_c.wake, "armed at one tick, due at one tick");
+        d.dispatch(A, out, &mut env).unwrap();
+        assert_eq!(d.pending_wakes(), 1);
+        env.valid.remove(&(1, 0));
+        d.run_until_quiet(&mut env, 10_000).unwrap();
+        assert_eq!(env.registered, vec![(B, A, 1), (C, A, 1)], "each applied once");
+        // Two first sends, then two retransmissions of each, every one
+        // of those to a target that had processed the frame.
+        assert_eq!(env.meter.count(MessageKind::Register), 2 + 4);
+        assert_eq!(env.meter.count(MessageKind::SpuriousRetry), 4);
+        assert_eq!(d.pending_wakes(), 0);
     }
 
     #[test]

@@ -95,7 +95,8 @@ pub enum LivenessTransition {
 /// What to do when a probe's ack window expires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimeoutVerdict {
-    /// Stale timer (probe already acked, peer unmonitored or dead).
+    /// No probe in flight under that sequence (acked, superseded, or the
+    /// peer unmonitored or dead).
     Ignore,
     /// Retransmit the same probe; this is send number `attempt + 1`.
     Resend {
@@ -123,6 +124,9 @@ struct PeerHealth {
     /// The zero-based attempt of the probe in flight (never one to a
     /// dead peer), whose sequence is the last one handed out.
     awaiting: Option<u32>,
+    /// When the ack window of the probe in flight closes; read only
+    /// while `awaiting` is set.
+    due: SimTime,
     /// Highest incarnation the peer has been observed at; suspicion and
     /// death are charged against this number.
     incarnation: u64,
@@ -146,6 +150,7 @@ impl PeerHealth {
             suspected_at: None,
             next_seq: 0,
             awaiting: None,
+            due: SimTime::ZERO,
             incarnation: 0,
             score: FULL_HEALTH,
             grace_credit: 0,
@@ -323,7 +328,8 @@ impl FailureDetector {
 
     /// Opens a probe round for `peer`: returns the sequence number to
     /// send, or `None` when no probe should go out (unmonitored, dead,
-    /// or a probe is already in flight).
+    /// or a probe is already in flight). The caller arms its deadline
+    /// ([`Self::arm_probe`]).
     pub fn begin_probe(&mut self, peer: Key) -> Option<u64> {
         let p = self.peer_mut(peer)?;
         if p.liveness == Liveness::Dead || p.awaiting.is_some() {
@@ -333,6 +339,23 @@ impl FailureDetector {
         p.next_seq += 1;
         p.awaiting = Some(0);
         Some(seq)
+    }
+
+    /// Sets when the ack window of the probe in flight to `peer` closes:
+    /// after its first send, and after each retransmission.
+    pub fn arm_probe(&mut self, peer: Key, due: SimTime) {
+        if let Some(p) = self.peer_mut(peer) {
+            p.due = due;
+        }
+    }
+
+    /// Every probe in flight as `(peer, seq, deadline)`, peers ascending.
+    /// An ack, a miss, a verdict or a refutation ends a probe, and it
+    /// leaves this list with it.
+    pub fn in_flight(&self) -> impl Iterator<Item = (Key, u64, SimTime)> + '_ {
+        let pairs = self.peers.as_deref().map(|table| table.keys.iter().zip(&table.health));
+        let awaited = pairs.into_iter().flatten().filter(|(_, p)| p.awaiting.is_some());
+        awaited.map(|(&peer, p)| (peer, p.next_seq - 1, p.due))
     }
 
     /// Digests a HeartbeatAck carrying the responder's `incarnation`.

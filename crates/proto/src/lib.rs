@@ -6,7 +6,7 @@
 //! `poll(now, event)` ([`machine`]), and a transport abstraction with a
 //! deterministic, fault-injecting in-memory implementation
 //! ([`transport`]), a lease-based crash-failure detector ([`failure`]),
-//! and the calendar queue both drivers keep timers in ([`queue`]). No
+//! and the calendar queue both drivers keep wake-ups in ([`queue`]). No
 //! I/O, no clock reads: all effects are returned as values, so the same
 //! machines run under the simulator and over real sockets. What a node has
 //! processed is recorded once, in its machine's dedup window; both
@@ -25,9 +25,7 @@ pub mod transport;
 pub mod wire;
 
 pub use failure::{FailureDetector, FailurePolicy, Liveness, LivenessTransition, TimeoutVerdict};
-pub use machine::{
-    Completion, Event, NodeEnv, Outgoing, Output, ProtoMachine, RetryPolicy, Timer, TimerKind,
-};
+pub use machine::{Completion, Event, NodeEnv, Outgoing, Output, ProtoMachine, RetryPolicy};
 pub use mix::splitmix64;
 pub use rto::{RtoConfig, RtoEstimator};
 pub use transport::{

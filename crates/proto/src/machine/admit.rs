@@ -78,7 +78,7 @@ impl Admission {
     /// Ages the dedup generations to `now` under a retry ladder of
     /// `ladder` ticks, an upper bound on how long a reliable frame's
     /// sender spends on it; every event a machine handles does, delivery
-    /// or timer. A receiver sizing its horizon from its own timers
+    /// or wake. A receiver sizing its horizon from its own timers
     /// assumes what the drivers arrange: every machine of a deployment
     /// runs one policy.
     pub(super) fn advance(&mut self, now: SimTime, ladder: u64) {
@@ -343,7 +343,7 @@ mod tests {
                     let got = bounded.poll(t(at), Event::Deliver(frame.clone()), &mut env);
                     let want = oracle.poll(t(at), Event::Deliver(frame), &mut oracle_env);
                     assert_eq!(got.outgoing, want.outgoing, "{ctx} t={at}");
-                    assert_eq!(got.timers, want.timers, "{ctx} t={at}");
+                    assert_eq!(got.wake, want.wake, "{ctx} t={at}");
                     assert_eq!(got.completions, want.completions, "{ctx} t={at}");
                 }
                 assert_eq!(env.events, oracle_env.events, "{ctx}");

@@ -2,9 +2,9 @@
 //! backoff, give up after `max_attempts`. One table, keyed by `msg_id`,
 //! holds every frame awaiting an ack — a route hop (paper Fig. 2), an
 //! LDT `Update` to a child (§2.3.1, Fig. 4), a `Register` at a mobile
-//! target — because the three are one exchange. A session records what
-//! it carries only for what differs (what a retransmission meters,
-//! which timer re-arms it, what exhaustion means) and is closed only by
+//! target — because the three are one exchange. A session keeps its own
+//! deadline, records what it carries only for what differs (what a
+//! retransmission meters, what exhaustion means) and is closed only by
 //! its own kind of ack from the peer the frame went to.
 
 use super::*;
@@ -30,15 +30,6 @@ impl SessionKind {
             SessionKind::Hop(_) => MessageKind::RouteHop,
             SessionKind::Update => MessageKind::Update,
             SessionKind::Register => MessageKind::Register,
-        }
-    }
-
-    /// The timer that guards the ack window of session `msg_id`.
-    fn timer(self, msg_id: u64) -> TimerKind {
-        match self {
-            SessionKind::Hop(_) => TimerKind::HopRetry { msg_id },
-            SessionKind::Update => TimerKind::UpdateRetry { msg_id },
-            SessionKind::Register => TimerKind::RegisterRetry { msg_id },
         }
     }
 
@@ -74,6 +65,8 @@ pub(super) struct Session {
     /// When the first copy was sent, for RTT sampling (Karn: only
     /// acks of attempt-0 frames are sampled).
     sent_at: SimTime,
+    /// When the ack window of the latest copy closes.
+    pub(super) due: SimTime,
     kind: SessionKind,
 }
 
@@ -121,7 +114,7 @@ impl ProtoMachine {
 
     /// Opens a reliable exchange with the peer `frame` is addressed to:
     /// the frame is sent, a copy kept under its `msg_id` for
-    /// retransmission, and the first ack window armed.
+    /// retransmission, and the first ack window's deadline armed.
     /// [`Self::on_ack`] closes the session, [`Self::retry`] retransmits
     /// it or gives up.
     pub(super) fn send_reliable(
@@ -133,10 +126,10 @@ impl ProtoMachine {
     ) {
         let (msg_id, peer) = (frame.env.msg_id, frame.env.dst);
         out.outgoing.push(frame.clone());
-        let session = Session { out: frame, attempt: 0, peer, sent_at: now, kind };
+        let due = now.plus(self.timers.first_wait(now, Awaited::Ack(peer)));
+        let session = Session { out: frame, attempt: 0, peer, sent_at: now, due, kind };
         self.open.get_or_insert_with(Default::default).sessions.insert(msg_id, session);
-        let wait = self.timers.first_wait(now, Awaited::Ack(peer));
-        out.timers.push(Timer { at: now.plus(wait), kind: kind.timer(msg_id) });
+        out.arm(due);
     }
 
     /// Closes the session `ack` names — if there is one, it awaits this
@@ -145,8 +138,8 @@ impl ProtoMachine {
     /// acks are unauthenticated (a `RegisterAck` is signed by whoever
     /// sends it), so without the peer check any third party could
     /// complete a registration the target never applied or silence a
-    /// hop's retry ladder; a mismatched ack leaves session and timer
-    /// untouched.
+    /// hop's retry ladder; a mismatched ack leaves the session and its
+    /// deadline untouched.
     pub(super) fn on_ack(
         &mut self,
         now: SimTime,
@@ -175,37 +168,34 @@ impl ProtoMachine {
         }
     }
 
-    /// A reliable exchange's ack window elapsed: retransmit the stored
-    /// frame and re-arm with backoff, or give up after `max_attempts`
-    /// sends. A stale timer (its session already acked) and a timer
-    /// whose variant is not the one the session armed are both ignored.
+    /// The ack window of session `msg_id` elapsed (a wake found its
+    /// deadline passed): retransmit the stored frame and re-arm with
+    /// backoff, or give up after `max_attempts` sends.
     pub(super) fn retry(
         &mut self,
         now: SimTime,
         env: &mut dyn NodeEnv,
         msg_id: u64,
-        fired: TimerKind,
         out: &mut Output,
     ) {
         let Some(session) = self.open.as_deref_mut().and_then(|o| o.sessions.get_mut(&msg_id))
         else {
             return;
         };
-        if session.kind.timer(msg_id) != fired {
-            return;
-        }
         session.attempt += 1;
         let (attempt, peer, kind) = (session.attempt, session.peer, session.kind);
         let trace = session.out.env.trace_id;
-        let resend = (attempt < self.timers.max_attempts()).then(|| session.out.clone());
+        let resend = (attempt < self.timers.max_attempts()).then(|| {
+            session.due = now.plus(self.timers.retry_wait(Awaited::Ack(peer), attempt));
+            (session.out.clone(), session.due)
+        });
         env.bump(MessageKind::Timeout);
         note(self.key, env, now, trace, ObsEventKind::Timeout { what: kind.what(), attempt });
-        if let Some(frame) = resend {
+        if let Some((frame, due)) = resend {
             let cost = env.distance(self.my_router(env), frame.to_addr.router_id());
             env.meter(kind.metered(), cost);
             out.outgoing.push(frame);
-            let wait = self.timers.retry_wait(Awaited::Ack(peer), attempt);
-            out.timers.push(Timer { at: now.plus(wait), kind: fired });
+            out.arm(due);
             return;
         }
         // Retries exhausted.
@@ -232,7 +222,7 @@ mod tests {
         let mut m = ProtoMachine::new(A, policy());
         let (_, out) = m.start_route(t(0), &mut env, B);
         assert_eq!(out.outgoing.len(), 1);
-        assert_eq!(out.timers.len(), 1);
+        assert_eq!(out.wake, Some(t(100)));
         assert_eq!(env.meter.count(MessageKind::RouteHop), 1);
         assert_eq!(env.meter.cost(MessageKind::RouteHop), 4);
         let hop_id = out.outgoing[0].env.msg_id;
@@ -246,9 +236,10 @@ mod tests {
         };
         m.poll(t(10), Event::Deliver(ack), &mut env);
         assert_eq!(m.inflight(), 0);
-        // The stale timer fires harmlessly.
-        let out = m.poll(t(100), Event::Timer(TimerKind::HopRetry { msg_id: hop_id }), &mut env);
+        // The wake armed for the acked hop finds nothing due.
+        let out = m.poll(t(100), Event::Wake, &mut env);
         assert!(out.outgoing.is_empty() && out.completions.is_empty());
+        assert_eq!(out.wake, None, "nothing left in flight");
         assert_eq!(env.meter.count(MessageKind::RouteHop), 1, "no spurious resend");
         assert_eq!(env.meter.count(MessageKind::Timeout), 0);
     }
@@ -260,17 +251,18 @@ mod tests {
         let mut m = ProtoMachine::new(A, policy());
         let (route_id, out) = m.start_route(t(0), &mut env, B);
         let msg_id = out.outgoing[0].env.msg_id;
-        assert_eq!(out.timers[0].at, t(100));
+        assert_eq!(out.wake, Some(t(100)));
 
-        let out1 = m.poll(t(100), Event::Timer(TimerKind::HopRetry { msg_id }), &mut env);
+        let out1 = m.poll(t(100), Event::Wake, &mut env);
         assert_eq!(out1.outgoing.len(), 1, "first retransmit");
         assert_eq!(out1.outgoing[0].env.msg_id, msg_id, "retransmit reuses the msg id");
-        assert_eq!(out1.timers[0].at, t(100 + 200), "exponential backoff");
-        let out2 = m.poll(t(300), Event::Timer(TimerKind::HopRetry { msg_id }), &mut env);
-        assert_eq!(out2.outgoing.len(), 1, "second retransmit... no: attempts exhausted");
-        // max_attempts = 3: initial send + 2 retransmits? attempt counter
-        // reaches 2 on this firing, 2 < 3 so it retransmits once more.
-        let out3 = m.poll(t(900), Event::Timer(TimerKind::HopRetry { msg_id }), &mut env);
+        assert_eq!(out1.wake, Some(t(100 + 200)), "exponential backoff");
+        // max_attempts = 3: the attempt counter reaches 2 on this wake,
+        // and 2 < 3, so it retransmits once more.
+        let out2 = m.poll(t(300), Event::Wake, &mut env);
+        assert_eq!(out2.outgoing.len(), 1, "second retransmit");
+        assert_eq!(out2.wake, Some(t(300 + 400)));
+        let out3 = m.poll(t(700), Event::Wake, &mut env);
         assert_eq!(
             out3.completions,
             vec![Completion::RouteFailed { origin: A, route_id, at: A }],
@@ -309,10 +301,9 @@ mod tests {
         let out = sender.start_update(t(100), &mut env, A, addr, 4, &[B]);
         let id2 = out.outgoing[0].env.msg_id;
         assert_ne!(id2, msg_id);
-        sender.poll(t(200), Event::Timer(TimerKind::UpdateRetry { msg_id: id2 }), &mut env);
-        sender.poll(t(400), Event::Timer(TimerKind::UpdateRetry { msg_id: id2 }), &mut env);
-        let out =
-            sender.poll(t(900), Event::Timer(TimerKind::UpdateRetry { msg_id: id2 }), &mut env);
+        sender.poll(t(200), Event::Wake, &mut env);
+        sender.poll(t(400), Event::Wake, &mut env);
+        let out = sender.poll(t(800), Event::Wake, &mut env);
         assert_eq!(out.completions, vec![Completion::UpdateFailed { child: B }]);
         assert_eq!(env.meter.count(MessageKind::Update), 1 + 3, "initial x2 + 2 retransmits");
         assert_eq!(env.meter.count(MessageKind::Timeout), 3);
@@ -345,7 +336,7 @@ mod tests {
         // No samples yet: the first hop arms at the initial RTO, not
         // the fixed policy timeout.
         let (_, out) = m.start_route(t(0), &mut env, B);
-        assert_eq!(out.timers[0].at, t(100), "initial RTO before any sample");
+        assert_eq!(out.wake, Some(t(100)), "initial RTO before any sample");
         let hop_id = out.outgoing[0].env.msg_id;
         let ack = Envelope {
             src: B,
@@ -359,7 +350,7 @@ mod tests {
         // rtt = 30: srtt8 = 240, rttvar4 = 60, rto = 30 + 60 = 90.
         assert_eq!(m.rto_estimate(B), Some(90));
         let (_, out) = m.start_route(t(1000), &mut env, B);
-        assert_eq!(out.timers[0].at, t(1090), "next hop arms with the learned RTO");
+        assert_eq!(out.wake, Some(t(1090)), "next hop arms with the learned RTO");
     }
 
     #[test]
@@ -369,12 +360,11 @@ mod tests {
         let mut m = ProtoMachine::new(A, policy());
         m.set_adaptive_rto(Some(small_rto()));
         let (_, out) = m.start_route(t(0), &mut env, B);
-        let timer = out.timers[0].kind;
-        assert_eq!(out.timers[0].at, t(100));
+        assert_eq!(out.wake, Some(t(100)));
         // First timeout: retransmit, estimator backoff doubles the RTO.
-        let out = m.poll(t(100), Event::Timer(timer), &mut env);
+        let out = m.poll(t(100), Event::Wake, &mut env);
         assert_eq!(out.outgoing.len(), 1, "retransmission");
-        assert_eq!(out.timers[0].at, t(100 + 200), "Karn backoff doubled the wait");
+        assert_eq!(out.wake, Some(t(100 + 200)), "Karn backoff doubled the wait");
     }
 
     /// The reliable exchanges, each opened at `A`: a hop to a stationary
@@ -393,7 +383,6 @@ mod tests {
     struct Expect {
         peer: Key,
         metered: MessageKind,
-        timer: fn(u64) -> TimerKind,
         ack: fn(u64) -> WireMessage,
         acked: Option<Completion>,
         failed: Option<Completion>,
@@ -408,7 +397,6 @@ mod tests {
         let hop = |peer, failed| Expect {
             peer,
             metered: MessageKind::RouteHop,
-            timer: |msg_id| TimerKind::HopRetry { msg_id },
             ack: |acked| WireMessage::HopAck { acked },
             acked: None,
             failed,
@@ -425,7 +413,6 @@ mod tests {
                 let expect = Expect {
                     peer: B,
                     metered: MessageKind::Update,
-                    timer: |msg_id| TimerKind::UpdateRetry { msg_id },
                     ack: |acked| WireMessage::UpdateAck { acked },
                     acked: Some(Completion::UpdateAcked { child: B }),
                     failed: Some(Completion::UpdateFailed { child: B }),
@@ -436,7 +423,6 @@ mod tests {
                 let expect = Expect {
                     peer: M,
                     metered: MessageKind::Register,
-                    timer: |msg_id| TimerKind::RegisterRetry { msg_id },
                     ack: |acked| WireMessage::RegisterAck { acked },
                     acked: Some(Completion::Registered { target: M }),
                     failed: Some(Completion::RegisterFailed { target: M }),
@@ -451,8 +437,8 @@ mod tests {
 
     /// The same lost-ack ladder over every exchange, on fixed and on
     /// adaptive timers: one frame, retransmitted verbatim, metered as
-    /// its own kind, re-armed under its own timer, given up on after
-    /// `max_attempts` sends.
+    /// its own kind, its deadline re-armed with backoff, given up on
+    /// after `max_attempts` sends.
     #[test]
     fn lost_ack_ladder_is_one_mechanism_over_every_exchange() {
         // Fixed: 100 << attempt. Adaptive: initial RTO 60, Karn-doubled.
@@ -467,20 +453,23 @@ mod tests {
                 assert_eq!(out.outgoing.len(), 1, "{ctx}");
                 let frame = out.outgoing[0].clone();
                 assert_eq!(frame.env.dst, want.peer, "{ctx}");
-                let timer = (want.timer)(frame.env.msg_id);
                 let mut now = 0;
-                let mut armed = out.timers;
+                let mut armed = out.wake;
                 for (fired, wait) in waits.into_iter().enumerate() {
                     now += wait;
-                    assert_eq!(armed, vec![Timer { at: t(now), kind: timer }], "{ctx}");
+                    assert_eq!(armed, Some(t(now)), "{ctx}");
                     assert_eq!(m.inflight(), 1, "{ctx}");
-                    let out = m.poll(t(now), Event::Timer(timer), &mut env);
+                    // A wake a tick early finds nothing due.
+                    let early = m.poll(t(now - 1), Event::Wake, &mut env);
+                    assert!(early.outgoing.is_empty(), "{ctx}");
+                    assert_eq!(early.wake, Some(t(now)), "{ctx}");
+                    let out = m.poll(t(now), Event::Wake, &mut env);
                     assert_eq!(env.meter.count(MessageKind::Timeout), fired as u64 + 1, "{ctx}");
                     if fired < 2 {
                         assert_eq!(out.outgoing, vec![frame.clone()], "{ctx}: verbatim");
                         assert!(out.completions.is_empty(), "{ctx}");
                     }
-                    armed = out.timers;
+                    armed = out.wake;
                     if fired == 2 {
                         // Exhausted after three sends, all metered alike.
                         for kind in METERED {
@@ -490,7 +479,7 @@ mod tests {
                         match want.failed {
                             Some(failure) => {
                                 assert_eq!(out.completions, vec![failure], "{ctx}");
-                                assert!(out.outgoing.is_empty() && armed.is_empty(), "{ctx}");
+                                assert!(out.outgoing.is_empty() && armed.is_none(), "{ctx}");
                                 assert_eq!(m.inflight(), 0, "{ctx}");
                             }
                             None => {
@@ -505,10 +494,15 @@ mod tests {
                                     1,
                                     "{ctx}"
                                 );
-                                assert!(
-                                    matches!(armed[0].kind, TimerKind::DiscoveryRetry { .. }),
-                                    "{ctx}"
-                                );
+                                // The reply window: the fixed discovery
+                                // timeout, or its estimator's first RTO,
+                                // which starts there and jitter only adds to.
+                                let window = armed.map(|w| w.since(t(now)));
+                                let fixed = Some(policy().discovery_timeout);
+                                match adaptive {
+                                    None => assert_eq!(window, fixed, "{ctx}"),
+                                    Some(_) => assert!(window >= fixed, "{ctx}: {window:?}"),
+                                }
                                 assert_eq!(m.inflight(), 1, "{ctx}: the discovery session");
                             }
                         }
@@ -519,12 +513,13 @@ mod tests {
     }
 
     /// An ack closes a session only when it is the session's kind of
-    /// ack *and* comes from the peer the frame went to; a retry timer
-    /// acts only when it is the variant the session armed. Anything else
-    /// leaves the session open and silent, the real timer still fires,
-    /// and the honest ack still closes it.
+    /// ack *and* comes from the peer the frame went to, and a wake fires
+    /// a session only once its deadline has passed. Anything else — a
+    /// stranger's ack, the wrong kind of ack, a wake before the deadline,
+    /// the same early wake again — leaves the session open and silent,
+    /// the real deadline still fires, and the honest ack still closes it.
     #[test]
-    fn hostile_acks_and_mismatched_timers_leave_sessions_open() {
+    fn hostile_acks_and_early_wakes_leave_sessions_open() {
         let third = Key(99);
         for x in EXCHANGES {
             let mut env = world().with_node(third, 9, 3);
@@ -535,8 +530,8 @@ mod tests {
             env.vpolicy = VerifyPolicy::Enforce;
             let mut m = ProtoMachine::new(A, policy());
             let (out, want) = open(x, &mut m, &mut env, t(0));
+            assert_eq!(out.wake, Some(t(100)), "{x:?}");
             let msg_id = out.outgoing[0].env.msg_id;
-            let timer = (want.timer)(msg_id);
             let ack_from = |src: Key, msg: WireMessage| {
                 let auth = matches!(msg, WireMessage::RegisterAck { .. })
                     .then(|| domain.sign(src, msg.auth_digest()));
@@ -556,22 +551,21 @@ mod tests {
                     |acked| WireMessage::UpdateAck { acked },
                 ],
             };
-            let mut hostile = vec![Event::Deliver(ack_from(third, (want.ack)(msg_id)))];
-            hostile.extend(wrong_acks.map(|ack| Event::Deliver(ack_from(want.peer, ack(msg_id)))));
-            for wrong_timer in [
-                TimerKind::HopRetry { msg_id },
-                TimerKind::UpdateRetry { msg_id },
-                TimerKind::RegisterRetry { msg_id },
-            ] {
-                if wrong_timer != timer {
-                    hostile.push(Event::Timer(wrong_timer));
-                }
-            }
+            let mut hostile = vec![(t(10), Event::Deliver(ack_from(third, (want.ack)(msg_id))))];
+            hostile.extend(
+                wrong_acks.map(|ack| (t(10), Event::Deliver(ack_from(want.peer, ack(msg_id))))),
+            );
+            // A wake before the deadline, then the same wake repeated at
+            // one tick, and one a tick short of the deadline.
+            hostile.extend([(t(10), Event::Wake), (t(10), Event::Wake), (t(99), Event::Wake)]);
             let events_before = env.events.len();
-            for (i, event) in hostile.into_iter().enumerate() {
-                let out = m.poll(t(10), event, &mut env);
+            for (i, (at, event)) in hostile.into_iter().enumerate() {
+                let woke = matches!(event, Event::Wake);
+                let out = m.poll(at, event, &mut env);
                 let ctx = format!("{x:?}, hostile event {i}");
-                assert!(out.outgoing.is_empty() && out.timers.is_empty(), "{ctx}");
+                assert!(out.outgoing.is_empty(), "{ctx}");
+                // An early wake reports the deadline it found not yet due.
+                assert_eq!(out.wake, woke.then_some(t(100)), "{ctx}");
                 assert!(out.completions.is_empty(), "{ctx}");
                 assert_eq!(m.inflight(), 1, "{ctx}: session still open");
             }
@@ -581,10 +575,15 @@ mod tests {
             assert!(env.committed.is_empty(), "{x:?}: no lease from a stranger's ack");
             assert_eq!(m.rto_estimate(want.peer), None, "{x:?}");
 
-            // The ladder is intact: first expiry, first retransmission.
-            let out = m.poll(t(100), Event::Timer(timer), &mut env);
-            assert_eq!(out.outgoing.len(), 1, "{x:?}: the real timer still fires");
-            assert_eq!(out.timers, vec![Timer { at: t(300), kind: timer }], "{x:?}");
+            // The ladder is intact: first deadline, first retransmission.
+            let out = m.poll(t(100), Event::Wake, &mut env);
+            assert_eq!(out.outgoing.len(), 1, "{x:?}: the real deadline still fires");
+            assert_eq!(out.wake, Some(t(300)), "{x:?}");
+            // A second wake at that tick finds the retransmission's
+            // deadline not yet due.
+            let again = m.poll(t(100), Event::Wake, &mut env);
+            assert!(again.outgoing.is_empty() && again.wake == Some(t(300)), "{x:?}");
+            assert_eq!(env.meter.count(MessageKind::Timeout), 1, "{x:?}");
             // And the honest ack closes the session.
             let out =
                 m.poll(t(110), Event::Deliver(ack_from(want.peer, (want.ack)(msg_id))), &mut env);
@@ -592,5 +591,30 @@ mod tests {
             assert_eq!(m.inflight(), 0, "{x:?}");
             assert_eq!(env.committed.len(), usize::from(matches!(x, Exchange::Register)), "{x:?}");
         }
+    }
+
+    /// One wake that finds two sessions due fires both, in the order
+    /// they were armed — the `msg_id` order here — retransmitting both
+    /// frames verbatim, and reports the earlier of their next deadlines.
+    /// A third session, not yet due, is left alone.
+    #[test]
+    fn one_wake_resends_every_due_session_in_arm_order() {
+        let mut env = world();
+        let mut m = ProtoMachine::new(A, policy());
+        let addr = env.current_addr(A);
+        let first = m.start_update(t(0), &mut env, A, addr, 1, &[M, B]);
+        let (_, later) = m.start_route(t(50), &mut env, B);
+        assert_eq!((first.wake, later.wake), (Some(t(100)), Some(t(150))));
+        let sent: Vec<Outgoing> = first.outgoing.clone();
+        assert!(sent[0].env.msg_id < sent[1].env.msg_id);
+
+        let out = m.poll(t(100), Event::Wake, &mut env);
+        assert_eq!(out.outgoing, sent, "both due frames, verbatim, in arm order");
+        assert_eq!(out.wake, Some(t(150)), "the hop armed at 50 is next");
+        assert_eq!(env.meter.count(MessageKind::Timeout), 2);
+        assert_eq!(m.inflight(), 3);
+        let out = m.poll(t(150), Event::Wake, &mut env);
+        assert_eq!(out.outgoing, later.outgoing, "then the hop alone");
+        assert_eq!(out.wake, Some(t(300)), "the updates' second window");
     }
 }

@@ -97,8 +97,8 @@ impl ProtoMachine {
 
     /// Opens one heartbeat round: probes every monitored, not-yet-dead
     /// peer (one probe each, metered as HeartbeatSent) and arms the ack
-    /// windows. Rounds are driver-paced — a round's probes never re-arm
-    /// themselves, so an idle machine stays idle.
+    /// windows' deadlines. Rounds are driver-paced — a round's probes
+    /// never re-arm themselves, so an idle machine stays idle.
     pub fn start_heartbeats(&mut self, now: SimTime, env: &mut dyn NodeEnv) -> Output {
         let mut out = Output::none();
         // Every probe of the round leaves from the same place: resolved
@@ -109,11 +109,9 @@ impl ProtoMachine {
             let Some(seq) = self.detector.begin_probe(peer) else { continue };
             let from = *my_router.get_or_insert_with(|| self.my_router(env));
             self.push_heartbeat(env, from, peer, seq, &mut out);
-            let wait = self.timers.first_wait(now, self.probe_of(peer));
-            out.timers.push(Timer {
-                at: now.plus(wait),
-                kind: TimerKind::HeartbeatTimeout { peer, seq },
-            });
+            let due = now.plus(self.timers.first_wait(now, self.probe_of(peer)));
+            self.detector.arm_probe(peer, due);
+            out.arm(due);
         }
         self.observe_sends(now, env, &out);
         out
@@ -266,8 +264,9 @@ impl ProtoMachine {
         }
     }
 
-    /// A probe's ack window elapsed: retransmit it, or count the round
-    /// as missed and report what the detector makes of that.
+    /// The ack window of probe `seq` to `peer` elapsed (a wake found its
+    /// deadline passed): retransmit it, or count the round as missed and
+    /// report what the detector makes of that.
     pub(super) fn heartbeat_timeout(
         &mut self,
         now: SimTime,
@@ -283,11 +282,9 @@ impl ProtoMachine {
                 note(self.key, env, now, 0, ObsEventKind::Timeout { what: "heartbeat", attempt });
                 let from = self.my_router(env);
                 self.push_heartbeat(env, from, peer, seq, out);
-                let wait = self.timers.retry_wait(self.probe_of(peer), attempt);
-                out.timers.push(Timer {
-                    at: now.plus(wait),
-                    kind: TimerKind::HeartbeatTimeout { peer, seq },
-                });
+                let due = now.plus(self.timers.retry_wait(self.probe_of(peer), attempt));
+                self.detector.arm_probe(peer, due);
+                out.arm(due);
             }
             TimeoutVerdict::Missed { transition } => {
                 env.bump(MessageKind::Timeout);
@@ -326,7 +323,7 @@ mod tests {
         assert_eq!(env.meter.count(MessageKind::HeartbeatSent), 1);
         assert_eq!(env.meter.cost(MessageKind::HeartbeatSent), 4, "|1 - 5|");
         let hb = out.outgoing[0].env.clone();
-        let timer = out.timers[0].kind;
+        assert_eq!(out.wake, Some(t(crate::failure::ACK_WAIT)));
 
         // The target acks (unmetered), including on a duplicate.
         let r1 = target.poll(t(1), Event::Deliver(hb.clone()), &mut env);
@@ -338,9 +335,10 @@ mod tests {
         let out = prober.poll(t(3), Event::Deliver(r1.outgoing[0].env.clone()), &mut env);
         assert!(out.completions.is_empty());
         assert_eq!(prober.liveness(B), Some(Liveness::Fresh));
-        // The stale ack window fires harmlessly.
-        let out = prober.poll(t(100), Event::Timer(timer), &mut env);
+        // The wake armed for the acked probe finds nothing due.
+        let out = prober.poll(t(crate::failure::ACK_WAIT), Event::Wake, &mut env);
         assert!(out.outgoing.is_empty() && out.completions.is_empty());
+        assert_eq!(out.wake, None);
         assert_eq!(env.meter.count(MessageKind::Timeout), 0);
     }
 
@@ -348,13 +346,13 @@ mod tests {
     /// each retransmission, and the window that counts the miss. Returns
     /// the output of that last window.
     fn miss_round(prober: &mut ProtoMachine, round: u32, env: &mut MockEnv) -> Output {
-        let mut timer = prober.start_heartbeats(t(u64::from(round) * 1_000_000), env).timers[0];
+        let mut wake = prober.start_heartbeats(t(u64::from(round) * 1_000_000), env).wake;
         loop {
-            let out = prober.poll(timer.at, Event::Timer(timer.kind), env);
-            match out.timers.first() {
-                Some(&next) => timer = next,
-                None => return out,
+            let out = prober.poll(wake.expect("a probe in flight"), Event::Wake, env);
+            if out.wake.is_none() {
+                return out;
             }
+            wake = out.wake;
         }
     }
 

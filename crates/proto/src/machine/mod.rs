@@ -2,12 +2,14 @@
 //!
 //! A [`ProtoMachine`] holds one node's protocol state and is driven
 //! entirely from outside: `poll(now, event, env)` consumes a delivered
-//! envelope or an expired timer and returns an [`Output`] — messages to
-//! send, timers to arm, operations that completed. The machine never
-//! reads a clock, never touches a socket, and never sleeps; timeouts,
-//! bounded retries and exponential backoff are expressed as data, so the
-//! same machine runs under the deterministic simulator today and could
-//! run on real sockets unchanged.
+//! envelope or a wake-up and returns an [`Output`] — messages to send,
+//! when to wake the machine next, operations that completed. The machine
+//! never reads a clock, never touches a socket, and never sleeps; each
+//! exchange, discovery and heartbeat probe in flight keeps its own
+//! deadline, and a wake fires the ones that have passed, so timeouts,
+//! bounded retries and exponential backoff are data and a driver holds
+//! one wake-up per machine, not one timer per send. The same machine
+//! runs under the deterministic simulator and over real sockets.
 //!
 //! Shared-system knowledge (routing tables, addresses, leases, the
 //! meter) is reached through the [`NodeEnv`] trait, which the driver
@@ -18,17 +20,19 @@
 //! message, unlike a function call, can fail to return.
 //!
 //! The machine is one `impl` cut along the paper's three mechanisms,
-//! each file holding the delivery arms and the timer it owns:
+//! each file holding the delivery arms and the deadlines it owns:
 //! `exchange` (the send-await-retransmit exchange a route hop, an LDT
 //! `Update` and a `Register` all are), `route` (Fig. 2 forwarding and
 //! `_discovery`), `liveness` (§2.3.3), plus `admit` (which frames are
 //! let in). This file keeps the wire-facing types, [`NodeEnv`], the one
 //! frame builder — it allocates the `msg_id`, meters the cost and seals
-//! the frame — [`ProtoMachine::poll`] and the dispatch. Every retry
-//! wait comes from one `Timers` value ([`crate::rto`]), so nothing here
-//! knows whether timers are fixed or adaptive. DESIGN.md §5 has the map.
+//! the frame — [`ProtoMachine::poll`], the dispatch and the wake. Every
+//! retry wait comes from one `Timers` value ([`crate::rto`]), so nothing
+//! here knows whether timers are fixed or adaptive. DESIGN.md §5 has the
+//! map.
 
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 
 use bristle_core::auth::{AuthDomain, VerifyPolicy};
 use bristle_core::time::SimTime;
@@ -52,60 +56,21 @@ use admit::Admission;
 use exchange::Session;
 use route::{DiscSession, ParkedForward};
 
-/// Timer payloads. Stale timers (whose session has already completed)
-/// are ignored on expiry, so timers never need cancelling.
+/// Kept for the wall-clock benchmark's own driver loop; nothing arms
+/// one.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimerKind {
-    /// Retransmit an unacked mobile-layer hop.
-    HopRetry {
-        /// `msg_id` of the awaited HopAck.
-        msg_id: u64,
-    },
-    /// Re-issue an unanswered discovery.
-    DiscoveryRetry {
-        /// The discovery session to retry.
-        session: u64,
-    },
-    /// Retransmit an unacked LDT update edge.
-    UpdateRetry {
-        /// `msg_id` of the awaited UpdateAck.
-        msg_id: u64,
-    },
-    /// Retransmit an unacked registration.
-    RegisterRetry {
-        /// `msg_id` of the awaited RegisterAck.
-        msg_id: u64,
-    },
-    /// A heartbeat probe's ack window elapsed.
-    HeartbeatTimeout {
-        /// The monitored peer being probed.
-        peer: Key,
-        /// The probe sequence number awaited.
-        seq: u64,
-    },
+    // owed: ROADMAP 8(a)
+    HopRetry { msg_id: u64 },
 }
 
-impl TimerKind {
-    /// The frame this timer's expiry may send again: a retry timer names
-    /// the one frame its exchange retransmits, and nothing else ever
-    /// resends a frame. A driver metering [`MessageKind::SpuriousRetry`]
-    /// need ask about no other.
-    pub fn resends(self) -> Option<u64> {
-        match self {
-            TimerKind::HopRetry { msg_id }
-            | TimerKind::UpdateRetry { msg_id }
-            | TimerKind::RegisterRetry { msg_id } => Some(msg_id),
-            TimerKind::DiscoveryRetry { .. } | TimerKind::HeartbeatTimeout { .. } => None,
-        }
-    }
-}
-
-/// A timer the driver must arm for this machine.
+/// What [`Output::timers`] yields: nothing.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timer {
-    /// Absolute expiry time.
+    // owed: ROADMAP 8(a)
     pub at: SimTime,
-    /// What to do when it fires.
     pub kind: TimerKind,
 }
 
@@ -114,8 +79,14 @@ pub struct Timer {
 pub enum Event {
     /// A message arrived from the transport.
     Deliver(Envelope),
-    /// A previously armed timer expired.
-    Timer(TimerKind),
+    /// A deadline this machine reported ([`Output::wake`]) may have come
+    /// due: every exchange, discovery and probe whose deadline has
+    /// passed fires, in (deadline, arm order). A wake with nothing due
+    /// does nothing.
+    Wake,
+    /// Polled as [`Event::Wake`].
+    #[doc(hidden)]
+    Timer(TimerKind), // owed: ROADMAP 8(a)
 }
 
 /// One message to hand to the transport.
@@ -193,16 +164,37 @@ pub enum Completion {
 pub struct Output {
     /// Messages to hand to the transport, in send order.
     pub outgoing: Vec<Outgoing>,
-    /// Timers to arm.
-    pub timers: Vec<Timer>,
+    /// When to send this machine an [`Event::Wake`]: the earliest
+    /// deadline the call armed, or, after a wake, the earliest deadline
+    /// still open. A driver queues it through [`Self::wake_to_queue`].
+    pub wake: Option<SimTime>,
     /// Operations that completed during this poll.
     pub completions: Vec<Completion>,
+    /// Always empty.
+    #[doc(hidden)]
+    pub timers: std::iter::Empty<Timer>, // owed: ROADMAP 8(a)
 }
 
 impl Output {
     /// An output that does nothing.
     pub fn none() -> Output {
         Output::default()
+    }
+
+    /// Asks for a wake at `due`, unless this output already asks for
+    /// an earlier one.
+    fn arm(&mut self, due: SimTime) {
+        self.wake = Some(self.wake.map_or(due, |w| w.min(due)));
+    }
+
+    /// The wake a driver must queue for this output at `now`, given the
+    /// last one it queued for the machine, `armed` (updated here): none
+    /// if that one is still ahead and no later than this output's, since
+    /// it reports this deadline again when it fires.
+    pub fn wake_to_queue(&self, armed: &mut SimTime, now: SimTime) -> Option<SimTime> {
+        let at = self.wake.filter(|&at| !(now < *armed && *armed <= at))?;
+        *armed = at;
+        Some(at)
     }
 }
 
@@ -326,7 +318,9 @@ pub struct ProtoMachine {
     key: Key,
     next_msg_id: u64,
     next_session: u64,
-    next_trace: u64,
+    /// Traces minted so far, plus one: never zero, so an
+    /// `Option<ProtoMachine>` costs no tag.
+    next_trace: NonZeroU64,
     /// Which received frames are let in, and which are duplicates.
     admission: Admission,
     /// Every retry wait, fixed or adaptive.
@@ -344,9 +338,13 @@ pub struct ProtoMachine {
 // generations, its monitored peers, the adaptive-RTO arm — sits behind a
 // box, so a field added inline rather than boxed while unused fails the
 // build here. Test builds are exempt: their dedup oracle
-// (`Admission::oracle`) adds 48 B.
+// (`Admission::oracle`) adds 48 B. A driver's arena slot is an
+// `Option<ProtoMachine>`, which `next_trace`'s niche holds at the
+// machine's own size.
 #[cfg(not(test))]
 const _: () = assert!(std::mem::size_of::<ProtoMachine>() <= 112);
+const _: () =
+    assert!(std::mem::size_of::<Option<ProtoMachine>>() == std::mem::size_of::<ProtoMachine>());
 
 impl ProtoMachine {
     /// A fresh machine for the node named `key`.
@@ -355,7 +353,7 @@ impl ProtoMachine {
             key,
             next_msg_id: 0,
             next_session: 0,
-            next_trace: 0,
+            next_trace: NonZeroU64::MIN,
             admission: Admission::default(),
             timers: Timers::new(policy),
             open: None,
@@ -384,10 +382,11 @@ impl ProtoMachine {
     /// the receiver's dedup window, asked without recording anything.
     /// Drivers meter [`MessageKind::SpuriousRetry`] from it — a
     /// retransmission of a frame the destination already processed —
-    /// asking about the frame a retry timer re-sent
-    /// ([`TimerKind::resends`]). Exact for every such frame: each of its
-    /// copies leaves within one retry ladder of the first, and the window
-    /// holds an entry for at least two.
+    /// asking about every frame an [`Event::Wake`] sent: only a wake
+    /// retransmits, and a frame it sends fresh has an id never sent
+    /// before, so nobody has processed it. Exact for every retransmitted
+    /// frame: each of its copies leaves within one retry ladder of the
+    /// first, and the window holds an entry for at least two.
     pub fn has_processed(&self, src: Key, msg_id: u64) -> bool {
         self.admission.sighted(src, msg_id)
     }
@@ -420,8 +419,9 @@ impl ProtoMachine {
     /// nodes never mint the same id in practice) and never 0 — trace 0 is
     /// reserved for background traffic such as heartbeats.
     fn fresh_trace(&mut self) -> u64 {
-        self.next_trace += 1;
-        (self.key.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ self.next_trace) | 1
+        self.next_trace = self.next_trace.saturating_add(1);
+        let minted = self.next_trace.get() - 1;
+        (self.key.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ minted) | 1
     }
 
     /// Emits one [`ObsEventKind::Send`] per outgoing frame in `out`.
@@ -483,7 +483,7 @@ impl ProtoMachine {
         out.outgoing.push(self.frame(env, dst, to_addr, trace, msg, metered));
     }
 
-    /// Feeds one event (delivery or timer) through the machine.
+    /// Feeds one event (delivery or wake) through the machine.
     pub fn poll(&mut self, now: SimTime, event: Event, env: &mut dyn NodeEnv) -> Output {
         self.admission.advance(now, self.timers.ladder());
         let out = match event {
@@ -492,7 +492,7 @@ impl ProtoMachine {
             }
             // Rejected frame: no ack, no dedup entry, no state.
             Event::Deliver(_) => Output::none(),
-            Event::Timer(kind) => self.on_timer(now, env, kind),
+            Event::Wake | Event::Timer(_) => self.on_wake(now, env),
         };
         self.observe_sends(now, env, &out);
         out
@@ -566,22 +566,51 @@ impl ProtoMachine {
         out
     }
 
-    /// Hands an expired timer to the file that armed it.
-    fn on_timer(&mut self, now: SimTime, env: &mut dyn NodeEnv, kind: TimerKind) -> Output {
+    /// Fires everything due by `now`, earliest deadline first, and
+    /// reports the earliest deadline left open. An item is picked anew
+    /// after each firing, since a firing can open or close others.
+    fn on_wake(&mut self, now: SimTime, env: &mut dyn NodeEnv) -> Output {
         let mut out = Output::none();
-        match kind {
-            TimerKind::HopRetry { msg_id }
-            | TimerKind::UpdateRetry { msg_id }
-            | TimerKind::RegisterRetry { msg_id } => self.retry(now, env, msg_id, kind, &mut out),
-            TimerKind::DiscoveryRetry { session } => {
-                self.discovery_retry(now, env, session, &mut out)
-            }
-            TimerKind::HeartbeatTimeout { peer, seq } => {
-                self.heartbeat_timeout(now, env, peer, seq, &mut out)
+        while let Some((_, item)) = self.first_deadline().filter(|&(due, _)| due <= now) {
+            match item {
+                Due::Exchange(msg_id) => self.retry(now, env, msg_id, &mut out),
+                Due::Discovery(sid) => self.discovery_retry(now, env, sid, &mut out),
+                Due::Probe(peer, seq) => self.heartbeat_timeout(now, env, peer, seq, &mut out),
             }
         }
+        out.wake = self.first_deadline().map(|(due, _)| due);
         out
     }
+
+    /// The earliest deadline in flight, and whose it is. Ties go to the
+    /// item armed first: within one kind every wait comes off the same
+    /// ladder, so an equal deadline means the lower id (exchanges,
+    /// discoveries) or, for probes, the lower key — the order a round
+    /// arms them in. Across kinds, exchanges go first, then discoveries,
+    /// then probes.
+    fn first_deadline(&self) -> Option<(SimTime, Due)> {
+        let open = self.open.as_deref();
+        let exchanges = open.into_iter().flat_map(|o| &o.sessions);
+        let exchanges = exchanges.map(|(&id, s)| (s.due, 0, id, Due::Exchange(id)));
+        let discs = open.into_iter().flat_map(|o| &o.discs);
+        let discs = discs.map(|(&sid, s)| (s.due, 1, sid, Due::Discovery(sid)));
+        let probes = self.detector.in_flight();
+        let probes = probes.map(|(peer, seq, due)| (due, 2, peer.0, Due::Probe(peer, seq)));
+        let first =
+            exchanges.chain(discs).chain(probes).min_by_key(|&(due, rank, id, _)| (due, rank, id));
+        first.map(|(due, _, _, item)| (due, item))
+    }
+}
+
+/// Something in flight that a wake can fire.
+#[derive(Debug, Clone, Copy)]
+enum Due {
+    /// The reliable exchange sent under this `msg_id`.
+    Exchange(u64),
+    /// The discovery session with this id.
+    Discovery(u64),
+    /// The heartbeat probe to this peer, under this sequence number.
+    Probe(Key, u64),
 }
 
 /// The little world and the fixtures the per-file machine tests share.
@@ -677,9 +706,9 @@ mod tests {
         released(&m, "a hop acked");
 
         let out = m.start_register(t(100), &mut env, M, 4);
-        let retry = out.timers[0].kind;
+        assert_eq!(out.wake, Some(t(200)));
         for at in [200, 400, 800] {
-            m.poll(t(at), Event::Timer(retry), &mut env);
+            m.poll(t(at), Event::Wake, &mut env);
         }
         assert_eq!(env.meter.count(MessageKind::Timeout), 3, "the ladder ran out");
         released(&m, "a register whose retries ran out");
@@ -701,10 +730,9 @@ mod tests {
                     &mut env,
                 )
             } else {
-                let retry = Event::Timer(TimerKind::DiscoveryRetry { session });
-                m.poll(t(2000), retry.clone(), &mut env);
-                m.poll(t(4000), retry.clone(), &mut env);
-                m.poll(t(8000), retry, &mut env)
+                m.poll(t(2000), Event::Wake, &mut env);
+                m.poll(t(4000), Event::Wake, &mut env);
+                m.poll(t(8000), Event::Wake, &mut env)
             };
             let open = m.open.as_ref().map(|o| (o.discs.len(), o.sessions.len()));
             assert_eq!(open, Some((0, 1)), "answered {answered}: only the parked hop");

@@ -33,6 +33,8 @@ pub(super) struct DiscSession {
     trace: u64,
     /// When the session was opened, for resolution-latency events.
     started: SimTime,
+    /// When the reply window of the latest attempt closes.
+    pub(super) due: SimTime,
 }
 
 impl ProtoMachine {
@@ -175,15 +177,13 @@ impl ProtoMachine {
         let sid = self.next_session;
         self.next_session += 1;
         let trace = parked.trace;
-        open.discs.insert(
-            sid,
-            DiscSession { subject, attempt: 0, pending: vec![parked], trace, started: now },
-        );
+        let due = now.plus(self.timers.first_wait(now, Awaited::Discovery));
+        let session =
+            DiscSession { subject, attempt: 0, pending: vec![parked], trace, started: now, due };
+        open.discs.insert(sid, session);
         note(self.key, env, now, trace, ObsEventKind::DiscoveryStart { subject });
         self.emit_discovery(env, sid, subject, trace, out);
-        let wait = self.timers.first_wait(now, Awaited::Discovery);
-        out.timers
-            .push(Timer { at: now.plus(wait), kind: TimerKind::DiscoveryRetry { session: sid } });
+        out.arm(due);
     }
 
     fn emit_discovery(
@@ -302,9 +302,9 @@ impl ProtoMachine {
         }
     }
 
-    /// A discovery's reply window elapsed: re-issue it with backoff, or
-    /// give the resolution up after `max_attempts` tries. A stale timer
-    /// (its session already answered) is ignored.
+    /// The reply window of discovery `sid` elapsed (a wake found its
+    /// deadline passed): re-issue it with backoff, or give the
+    /// resolution up after `max_attempts` tries.
     pub(super) fn discovery_retry(
         &mut self,
         now: SimTime,
@@ -317,16 +317,16 @@ impl ProtoMachine {
         };
         session.attempt += 1;
         let (attempt, subject, trace) = (session.attempt, session.subject, session.trace);
+        let retried = (attempt < self.timers.max_attempts()).then(|| {
+            session.due = now.plus(self.timers.retry_wait(Awaited::Discovery, attempt));
+            session.due
+        });
         env.bump(MessageKind::Timeout);
-        if attempt < self.timers.max_attempts() {
+        if let Some(due) = retried {
             env.bump(MessageKind::DiscoveryRetry);
             note(self.key, env, now, trace, ObsEventKind::Timeout { what: "discovery", attempt });
             self.emit_discovery(env, sid, subject, trace, out);
-            let wait = self.timers.retry_wait(Awaited::Discovery, attempt);
-            out.timers.push(Timer {
-                at: now.plus(wait),
-                kind: TimerKind::DiscoveryRetry { session: sid },
-            });
+            out.arm(due);
             return;
         }
         note(self.key, env, now, trace, ObsEventKind::Timeout { what: "discovery", attempt });
@@ -431,22 +431,17 @@ mod tests {
         env.entries.insert(A, B);
         let mut m = ProtoMachine::new(A, policy());
         let (_, out) = m.start_route(t(0), &mut env, M);
-        let sid = match out.outgoing[0].env.msg {
-            WireMessage::Discovery { session, .. } => session,
-            ref other => panic!("expected discovery, got {other:?}"),
-        };
-        assert_eq!(out.timers[0].at, t(1000));
+        assert!(matches!(out.outgoing[0].env.msg, WireMessage::Discovery { .. }));
+        assert_eq!(out.wake, Some(t(1000)));
 
-        let o1 =
-            m.poll(t(1000), Event::Timer(TimerKind::DiscoveryRetry { session: sid }), &mut env);
+        let o1 = m.poll(t(1000), Event::Wake, &mut env);
         assert_eq!(o1.outgoing.len(), 1, "re-issued");
-        assert_eq!(o1.timers[0].at, t(1000 + 2000), "backoff doubles");
+        assert_eq!(o1.wake, Some(t(1000 + 2000)), "backoff doubles");
         assert_eq!(env.meter.count(MessageKind::DiscoveryRetry), 1);
-        let o2 =
-            m.poll(t(3000), Event::Timer(TimerKind::DiscoveryRetry { session: sid }), &mut env);
+        let o2 = m.poll(t(3000), Event::Wake, &mut env);
         assert_eq!(o2.outgoing.len(), 1);
-        let o3 =
-            m.poll(t(9000), Event::Timer(TimerKind::DiscoveryRetry { session: sid }), &mut env);
+        assert_eq!(o2.wake, Some(t(3000 + 4000)));
+        let o3 = m.poll(t(7000), Event::Wake, &mut env);
         assert!(o3.completions.is_empty());
         assert!(env.resolutions.is_empty(), "nothing resolved");
         // Gives up on resolving but still forwards to the true address.
@@ -564,9 +559,9 @@ mod tests {
         assert!(matches!(out.outgoing[0].env.msg, WireMessage::RouteHop { .. }));
 
         // Exhaust the hop retries without an ack.
-        m.poll(t(100), Event::Timer(TimerKind::HopRetry { msg_id }), &mut env);
-        m.poll(t(300), Event::Timer(TimerKind::HopRetry { msg_id }), &mut env);
-        let out = m.poll(t(900), Event::Timer(TimerKind::HopRetry { msg_id }), &mut env);
+        assert_eq!(m.poll(t(100), Event::Wake, &mut env).outgoing[0].env.msg_id, msg_id);
+        m.poll(t(300), Event::Wake, &mut env);
+        let out = m.poll(t(700), Event::Wake, &mut env);
         assert!(out.completions.is_empty(), "mobile peer: not a failure yet");
         assert_eq!(out.outgoing.len(), 1);
         assert!(
@@ -594,9 +589,9 @@ mod tests {
         };
         let out = m.poll(t(1000), Event::Deliver(reply), &mut env);
         let id2 = out.outgoing[0].env.msg_id;
-        m.poll(t(1100), Event::Timer(TimerKind::HopRetry { msg_id: id2 }), &mut env);
-        m.poll(t(1300), Event::Timer(TimerKind::HopRetry { msg_id: id2 }), &mut env);
-        let out = m.poll(t(1900), Event::Timer(TimerKind::HopRetry { msg_id: id2 }), &mut env);
+        assert_eq!(m.poll(t(1100), Event::Wake, &mut env).outgoing[0].env.msg_id, id2);
+        m.poll(t(1300), Event::Wake, &mut env);
+        let out = m.poll(t(1700), Event::Wake, &mut env);
         assert_eq!(out.completions.len(), 1);
         assert!(
             matches!(out.completions[0], Completion::RouteFailed { .. }),

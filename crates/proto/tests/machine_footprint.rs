@@ -5,21 +5,30 @@
 //! its open exchanges, its dedup generations, its monitored peers —
 //! must hand its memory back once it empties. This binary holds one
 //! test because its counting allocator sees every allocation the
-//! process makes.
+//! process makes; it counts per thread, so what the test harness
+//! allocates beside the test is not charged to the machines.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::cell::Cell;
 
 use bristle_core::time::SimTime;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
-use bristle_proto::machine::{Event, Outgoing, ProtoMachine, RetryPolicy, TimerKind};
+use bristle_proto::machine::{Event, Outgoing, ProtoMachine, RetryPolicy};
 use bristle_proto::testenv::MockEnv;
 use bristle_proto::wire::{Envelope, WireAddr, WireMessage};
 
-/// Bytes the process holds on the heap. `Relaxed`: a statistic, it
-/// publishes no other data.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Bytes this thread has allocated and not freed. Per thread, so the
+    /// test harness's own thread, which allocates while the test runs,
+    /// does not count; the test allocates and frees on its own thread.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Adds `bytes` to this thread's count, if the thread still has one.
+fn count(bytes: isize) {
+    let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
+}
 
 struct Counting;
 
@@ -30,7 +39,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: the caller's `layout` is passed on as it came.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
+            count(layout.size() as isize);
         }
         p
     }
@@ -38,7 +47,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
+        count(-(layout.size() as isize));
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -46,8 +55,7 @@ unsafe impl GlobalAlloc for Counting {
         // caller vouches for `new_size`.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
-            LIVE.fetch_add(new_size, Relaxed);
-            LIVE.fetch_sub(layout.size(), Relaxed);
+            count(new_size as isize - layout.size() as isize);
         }
         p
     }
@@ -101,10 +109,10 @@ fn work(m: &mut ProtoMachine, env: &mut MockEnv) {
     // A hop, acked.
     let (_, out) = m.start_route(t(0), env, B);
     m.poll(t(10), ack_of(&out.outgoing[0]), env);
-    // A register whose ladder runs out.
-    let retry = Event::Timer(m.start_register(t(100), env, M, 4).timers[0].kind);
+    // A register whose ladder runs out, each deadline met by a wake.
+    assert_eq!(m.start_register(t(100), env, M, 4).wake, Some(t(200)));
     for at in [200, 400, 800] {
-        m.poll(t(at), retry.clone(), env);
+        m.poll(t(at), Event::Wake, env);
     }
     // A discovery answered, then one timed out; each resumes its hop.
     for answered in [true, false] {
@@ -121,10 +129,9 @@ fn work(m: &mut ProtoMachine, env: &mut MockEnv) {
                 env,
             )
         } else {
-            let retry = Event::Timer(TimerKind::DiscoveryRetry { session });
-            m.poll(t(2000), retry.clone(), env);
-            m.poll(t(4000), retry.clone(), env);
-            m.poll(t(8000), retry, env)
+            m.poll(t(2000), Event::Wake, env);
+            m.poll(t(4000), Event::Wake, env);
+            m.poll(t(8000), Event::Wake, env)
         };
         m.poll(t(9000), ack_of(&out.outgoing[0]), env);
     }
@@ -139,15 +146,15 @@ fn work(m: &mut ProtoMachine, env: &mut MockEnv) {
 }
 
 /// Heap bytes held now beyond `before`.
-fn held_since(before: usize) -> isize {
-    LIVE.load(Relaxed) as isize - before as isize
+fn held_since(before: isize) -> isize {
+    LIVE.with(Cell::get) - before
 }
 
 #[test]
 fn a_machine_at_rest_owns_no_heap() {
     let mut env = world();
     let slots = (MACHINES as usize * std::mem::size_of::<ProtoMachine>()) as isize;
-    let before = LIVE.load(Relaxed);
+    let before = LIVE.with(Cell::get);
     let mut machines: Vec<ProtoMachine> =
         (0..MACHINES).map(|_| ProtoMachine::new(A, policy())).collect();
     assert_eq!(held_since(before), slots, "a fresh machine owns nothing beyond its slot");
@@ -158,12 +165,12 @@ fn a_machine_at_rest_owns_no_heap() {
     assert!(held_since(before) > slots, "the dedup sightings are still held");
 
     // Two dedup lifetimes on (the ladder 100 << 3, the lifetime twice
-    // that), any event ages the generations out; a stale timer sends
-    // nothing and opens nothing.
+    // that), any event ages the generations out; a wake with nothing in
+    // flight sends nothing, opens nothing and asks for no other.
     let later = SimTime(9500 + 2 * 2 * (100 << 3));
     for m in &mut machines {
-        let out = m.poll(later, Event::Timer(TimerKind::HopRetry { msg_id: u64::MAX }), &mut env);
-        assert!(out.outgoing.is_empty() && out.timers.is_empty());
+        let out = m.poll(later, Event::Wake, &mut env);
+        assert!(out.outgoing.is_empty() && out.wake.is_none());
         assert_eq!(m.seen_held(), 0);
     }
     // What the env logged is its own, not the machines'.

@@ -66,6 +66,8 @@ pub(super) struct NodeView {
     held: Option<Box<Held>>,
     /// Deliveries queued for it (maintained only under an ingress cap).
     ingress: usize,
+    /// The last wake queued for its machine ([`Output::wake_to_queue`]).
+    wake: SimTime,
 }
 
 /// The driver's view of every node it has met.
@@ -105,6 +107,11 @@ impl Nodes {
     /// The deliveries queued for the node at `idx`.
     pub(super) fn ingress_mut(&mut self, idx: NodeIdx) -> &mut usize {
         &mut self.views[idx.index()].ingress
+    }
+
+    /// The last wake queued for the node at `idx`.
+    pub(super) fn wake_mut(&mut self, idx: NodeIdx) -> &mut SimTime {
+        &mut self.views[idx.index()].wake
     }
 
     /// Forgets every ingress depth.

@@ -15,12 +15,12 @@
 //! (lease windows, record TTLs) stays frozen while an operation is in
 //! flight, exactly as the function-call path completes a route "within"
 //! one clock instant; the driver's own [`EventQueue`] runs a fine-grained
-//! micro-clock for link latencies and retry timers.
+//! micro-clock for link latencies and the machines' wake-ups.
 //!
 //! The driver is one `impl` over four files. This one holds the struct
 //! and the loop: one machine step (`drive_at`) lends a node's machine
 //! the system through a `SystemEnv` and dispatches what comes back —
-//! every operation start, delivery and timer goes through it — and one
+//! every operation start, delivery and wake goes through it — and one
 //! event loop (`run_until`) runs events until a caller's predicate is
 //! satisfied, the queue drains or the budget is spent. `env` is that
 //! window (its `emit` feeds the driver's registry and flight recorder),
@@ -33,14 +33,18 @@
 //! tables. An admitted frame waits in a driver-owned slab (`Frames`),
 //! and its delivery event carries the slot's `u32`, not the 104-byte
 //! envelope; the slot is freed when that event is popped, and a frame
-//! the ingress cap sheds never takes one. A timer event carries its
-//! node's dense index, so the queue moves 32 bytes an event. A node's
-//! key is resolved to that index once per delivery, and its machine,
-//! what the driver holds against it and its ingress depth are array
-//! reads under it. The driver keeps no record of which frames were
-//! processed: whether the frame a retry timer re-sent is a spurious
-//! retry is read from the destination machine's dedup window
-//! ([`ProtoMachine::has_processed`]), as the socket driver reads it.
+//! the ingress cap sheds never takes one. A machine keeps its own
+//! deadlines and reports the earliest ([`Output::wake`]); the driver
+//! queues a wake for it unless the last one it queued is still ahead
+//! and no later ([`Output::wake_to_queue`]), so the queue holds a wake
+//! or two per machine, not one timer per send, and a wake event is just
+//! the node's dense index. A node's key is resolved to that index once
+//! per delivery, and its machine, what the driver holds against it, its
+//! ingress depth and its last wake are array reads under it. The driver
+//! keeps no record of which frames were processed: whether a frame a
+//! wake sent is a spurious retry is read from the destination machine's
+//! dedup window ([`ProtoMachine::has_processed`]), as the socket driver
+//! reads it.
 
 use std::collections::BTreeSet;
 
@@ -53,7 +57,7 @@ use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
 use bristle_overlay::obs::{Counter, FlightRecorder, Gauge, Hist, Registry};
 use bristle_proto::failure::FailurePolicy;
-use bristle_proto::machine::{Completion, Event, Output, ProtoMachine, RetryPolicy, TimerKind};
+use bristle_proto::machine::{Completion, Event, Output, ProtoMachine, RetryPolicy};
 use bristle_proto::rto::RtoConfig;
 use bristle_proto::transport::{Delivery, FaultConfig, SimTransport, Transport};
 use bristle_proto::wire::{Envelope, WireMessage};
@@ -82,13 +86,8 @@ enum MsgEvent {
     /// moved away from it in the meantime): the frame in this slot of
     /// the driver's [`Frames`].
     Deliver(u32),
-    /// A machine's retry timer expires.
-    Timer {
-        /// The machine the timer belongs to.
-        node: NodeIdx,
-        /// The timer payload.
-        kind: TimerKind,
-    },
+    /// A wake the machine at this index asked for comes due.
+    Wake(NodeIdx),
     /// A scheduled mid-operation disruption: move a mobile node (its
     /// registrants are told only by a later dissemination).
     Move {
@@ -105,11 +104,10 @@ enum MsgEvent {
 }
 
 // Every event in flight is one of these in a wheel bucket or an overflow
-// deque, so its size is the queue's resident bytes per event. A
-// `TimerKind` is 24 B (`HeartbeatTimeout { peer, seq }` is 16 B plus its
-// tag) and the node index beside it pads to 32: 32, not 24, is the floor
-// while a timer rides inline.
-const _: () = assert!(std::mem::size_of::<MsgEvent>() <= 32);
+// deque, so its size is the queue's resident bytes per event. A delivery
+// and a wake carry 4-B indices; the floor is `Move`, a key and an
+// optional router (16 B) plus the tag.
+const _: () = assert!(std::mem::size_of::<MsgEvent>() <= 24);
 
 /// The frames in flight, each in a slot a [`MsgEvent::Deliver`] names,
 /// so the queue moves a `u32` where it would move a 104-byte
@@ -391,20 +389,21 @@ impl MessagingBristleSystem {
         f: impl FnOnce(&mut ProtoMachine, SimTime, &mut SystemEnv<'_>) -> Output,
     ) {
         if let Some(idx) = self.nodes.idx(node) {
-            self.drive_at(idx, None, f);
+            self.drive_at(idx, false, f);
         }
     }
 
     /// One machine step: lends the machine at `idx` the system through a
     /// [`SystemEnv`] for the length of `f` and dispatches what `f`
-    /// returns — every operation start, delivery and timer goes through
-    /// here. `resent` is the frame `f` may have retransmitted (see
-    /// [`Self::meter_spurious`]). Without a machine nothing happens.
+    /// returns — every operation start, delivery and wake goes through
+    /// here. `woke` says `f` polled a wake, the one step that
+    /// retransmits (see [`Self::meter_spurious`]). Without a machine
+    /// nothing happens.
     #[inline]
     fn drive_at(
         &mut self,
         idx: NodeIdx,
-        resent: Option<u64>,
+        woke: bool,
         f: impl FnOnce(&mut ProtoMachine, SimTime, &mut SystemEnv<'_>) -> Output,
     ) {
         let now = self.queue.now();
@@ -413,8 +412,8 @@ impl MessagingBristleSystem {
         let Some(machine) = machines.get_mut(idx) else { return };
         let out =
             f(machine, now, &mut SystemEnv { sys, nodes, obs, flight, auth: *auth, degraded });
-        if let Some(id) = resent {
-            self.meter_spurious(id, &out);
+        if woke {
+            self.meter_spurious(&out);
         }
         self.dispatch(idx, out);
     }
@@ -523,12 +522,13 @@ impl MessagingBristleSystem {
                     // A first frame starts the machine.
                     let idx = idx.unwrap_or_else(|| self.nodes.intern(dst));
                     self.ensure_machine(idx);
-                    self.drive_at(idx, None, |m, now, env| m.poll(now, Event::Deliver(frame), env));
+                    self.drive_at(idx, false, |m, now, env| {
+                        m.poll(now, Event::Deliver(frame), env)
+                    });
                 }
             }
-            MsgEvent::Timer { node, kind } => {
-                let resent = kind.resends();
-                self.drive_at(node, resent, |m, now, env| m.poll(now, Event::Timer(kind), env));
+            MsgEvent::Wake(node) => {
+                self.drive_at(node, true, |m, now, env| m.poll(now, Event::Wake, env));
             }
             MsgEvent::Move { key, to } => {
                 let _ = self.sys.relocate(key, to);
@@ -538,22 +538,25 @@ impl MessagingBristleSystem {
         true
     }
 
-    /// Meters frame `resent`, which a retry timer just sent again, as a
+    /// Meters each frame of `out`, which a wake just sent, as a
     /// [`MessageKind::SpuriousRetry`] if its destination already
-    /// processed it: retry-timer waste its dedup window will drop.
+    /// processed it: retransmission waste its dedup window will drop.
     /// Counted (cost zero) so the degradation sweep can compare RTO
-    /// policies by wasted sends. Only a retry timer resends a frame, so
-    /// no other send is asked about.
-    fn meter_spurious(&mut self, resent: u64, out: &Output) {
-        for o in out.outgoing.iter().filter(|o| o.env.msg_id == resent) {
-            if self.machine_of(o.env.dst).is_some_and(|m| m.has_processed(o.env.src, resent)) {
+    /// policies by wasted sends. Only a wake retransmits, and a frame it
+    /// sends fresh was never processed, so every frame it sent is asked
+    /// about and no other send is.
+    fn meter_spurious(&mut self, out: &Output) {
+        for o in &out.outgoing {
+            let processed = |m: &ProtoMachine| m.has_processed(o.env.src, o.env.msg_id);
+            if self.machine_of(o.env.dst).is_some_and(processed) {
                 self.sys.meter.bump(MessageKind::SpuriousRetry, 1);
             }
         }
     }
 
     /// Turns one machine's [`Output`] into transport sends, scheduled
-    /// deliveries and armed timers.
+    /// deliveries and, unless the node's last wake still covers it, a
+    /// queued wake.
     fn dispatch(&mut self, idx: NodeIdx, out: Output) {
         let (now, from) = (self.queue.now(), self.nodes.key_of(idx));
         // A wrongly buried node transmits from its last attachment
@@ -563,14 +566,15 @@ impl MessagingBristleSystem {
         else {
             return;
         };
+        let wake = out.wake_to_queue(self.nodes.wake_mut(idx), now);
         for o in out.outgoing {
             let to_router = o.to_addr.router_id();
             for d in self.transport.send(now, from_router, to_router, o.env) {
                 self.admit(d);
             }
         }
-        for t in out.timers {
-            self.queue.schedule_at(t.at, MsgEvent::Timer { node: idx, kind: t.kind });
+        if let Some(at) = wake {
+            self.queue.schedule_at(at, MsgEvent::Wake(idx));
         }
         // A verdict heard from a third party starts monitoring its
         // subject (`FailureDetector::mark_dead`): the one way a
@@ -815,6 +819,79 @@ mod tests {
                 let want = if leaves { 0 } else { retransmissions };
                 assert_eq!(count(&msys, MessageKind::SpuriousRetry) - spurious, want, "{ctx}");
                 assert!(msys.completions.contains(&Completion::RegisterFailed { target }), "{ctx}");
+            }
+        }
+    }
+
+    /// The socket driver's pending-wake gate, on this driver: routes run
+    /// back to back with no `settle`, each stopped at its own delivery,
+    /// leave at most two wakes queued a machine, where a timer a send
+    /// would leave one for every hop still in its ack wait. Settled, the
+    /// queue holds none, and no deadline was missed on the way.
+    #[test]
+    fn pending_wakes_stay_within_two_a_machine() {
+        for seed in [8u64, 27] {
+            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+            let mut mobiles: Vec<Key> = msys.sys.mobile.keys().collect();
+            mobiles.sort_unstable();
+            let wakes = |m: &MessagingBristleSystem| {
+                m.queue.pending_events().filter(|e| matches!(e, MsgEvent::Wake(_))).count()
+            };
+            let mut peak = 0;
+            for &src in &mobiles {
+                for &target in mobiles.iter().filter(|&&t| t != src) {
+                    msys.route(src, target).expect("a perfect transport delivers");
+                    peak = peak.max(wakes(&msys));
+                }
+            }
+            let machines = msys.machines.iter().count();
+            let hops = msys.sys.meter.count(MessageKind::RouteHop) as usize;
+            assert!(hops > 4 * machines, "seed {seed}: {hops} hops over {machines} machines");
+            assert!(peak <= 2 * machines, "seed {seed}: {peak} wakes for {machines} machines");
+            msys.settle();
+            assert_eq!(msys.queue.len(), 0, "seed {seed}");
+            assert_eq!(msys.sys.meter.count(MessageKind::Timeout), 0, "seed {seed}");
+        }
+    }
+
+    /// One wake that finds two `Register`s due resends both frames, and
+    /// meters a spurious retry for each: both targets processed the first
+    /// copy, and every ack is lost. Only one wake is queued for the two.
+    #[test]
+    fn one_wake_meters_each_resent_frame_its_destination_processed() {
+        use bristle_proto::transport::Degradation;
+        for seed in [8u64, 27] {
+            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+            let mut mobiles: Vec<Key> = msys.sys.mobile.keys().collect();
+            mobiles.sort_unstable();
+            let (who, targets) = (mobiles[0], [mobiles[1], mobiles[2]]);
+            for target in targets {
+                msys.degrade_link_now(target, who, Degradation::lossy(1.0));
+            }
+            let count = |m: &MessagingBristleSystem, kind| m.sys.meter.count(kind);
+            let (sent, spurious) =
+                (count(&msys, MessageKind::Register), count(&msys, MessageKind::SpuriousRetry));
+            msys.machine_started(who);
+            for target in targets {
+                msys.drive(who, |m, now, env| m.start_register(now, env, target, 1));
+            }
+            let idx = msys.nodes.idx(who).expect("interned");
+            let queued = |m: &MessagingBristleSystem| {
+                m.queue
+                    .pending_events()
+                    .filter(|e| matches!(e, MsgEvent::Wake(i) if *i == idx))
+                    .count()
+            };
+            assert_eq!(queued(&msys), 1, "seed {seed}: one wake for both deadlines");
+            msys.drain();
+            let retransmissions = 2 * (u64::from(msys.policy.max_attempts) - 1);
+            let registers = count(&msys, MessageKind::Register) - sent;
+            assert_eq!(registers, 2 + retransmissions, "seed {seed}");
+            let resent = count(&msys, MessageKind::SpuriousRetry) - spurious;
+            assert_eq!(resent, retransmissions, "seed {seed}");
+            for target in targets {
+                let failed = Completion::RegisterFailed { target };
+                assert!(msys.completions.contains(&failed), "seed {seed}");
             }
         }
     }
