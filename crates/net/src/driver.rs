@@ -1,14 +1,19 @@
 //! The poll loop: sans-I/O machines over nonblocking UDP sockets.
 //!
-//! One [`UdpSocket`] per node, bound to loopback; datagram payloads are
-//! exactly [`Envelope::encode`] bytes, nothing more. The driver owns
-//! the machines and their wakes but *not* the world model — every
-//! call takes a `&mut dyn NodeEnv`, the same window the simulator's
-//! driver hands its machines, which is what makes the two backends
-//! meter-identical: the machines cannot tell which one is driving them.
-//! Neither driver records which frames were processed: a frame a wake
-//! sent is a spurious retry when the destination's machine says it
-//! already processed it ([`ProtoMachine::has_processed`]).
+//! One [`UdpSocket`] per node, bound to loopback; a datagram is exactly
+//! one [`Frame::encode`]: a 32-byte address header (where the frame was
+//! sent to, where its sender was) followed by the envelope's own bytes.
+//! The driver owns the machines and their wakes but *not* the world
+//! model — every call takes a `&mut dyn NodeEnv`, the same window the
+//! simulator's driver hands its machines, which is what makes the two
+//! backends meter-identical: the machines cannot tell which one is
+//! driving them. Neither driver decides anything about addresses: a
+//! frame goes to the socket of the host it names, and the machine
+//! behind it rejects it if it was sent to an address that host no
+//! longer holds, as it does in the simulator. Neither records which
+//! frames were processed: a frame a wake sent is a spurious retry when
+//! the destination's machine says it already processed it
+//! ([`ProtoMachine::has_processed`]).
 //!
 //! **Which sockets a pump reads.** A nonblocking `recv_from` on an empty
 //! socket is a syscall all the same, so reading every socket on every
@@ -63,10 +68,11 @@
 //! the meantime fires nothing in its machine, exactly as in the
 //! simulator.
 //!
-//! The datagram boundary is hardened: a frame longer than [`MAX_FRAME`]
-//! or one that fails [`Envelope::decode`] is dropped and metered
-//! ([`MessageKind::MalformedFrame`]), never parsed further, never
-//! panicking the loop.
+//! The datagram boundary is hardened: a datagram longer than
+//! [`MAX_FRAME`] or one that fails [`Frame::decode`] is dropped and
+//! metered ([`MessageKind::MalformedFrame`]), never parsed further,
+//! never panicking the loop; the machine refuses a decoded frame whose
+//! sender address names no router.
 //!
 //! Everything the boundary counts is a [`Counter`] in the driver's
 //! [`Registry`], the series list the simulator's driver keeps too:
@@ -84,13 +90,14 @@ use bristle_overlay::meter::MessageKind;
 use bristle_overlay::obs::{Counter, Gauge, Registry};
 use bristle_proto::machine::{Completion, Event, NodeEnv, Output, ProtoMachine};
 use bristle_proto::queue::EventQueue;
-use bristle_proto::wire::{Envelope, WireAddr};
+use bristle_proto::wire::{Frame, WireAddr};
 
 use crate::clock::WallClock;
 
-/// Largest datagram payload the driver accepts or emits. Well-formed
-/// envelopes top out under 100 bytes; the cap keeps a hostile jumbo
-/// datagram from ever reaching the codec.
+/// Largest datagram payload the driver accepts or emits. The largest
+/// honest frame, a sealed `Update` or `Publish`, is 114 bytes (the
+/// 32-byte header, then an 82-byte envelope); the cap keeps a hostile
+/// jumbo datagram from ever reaching the codec.
 pub const MAX_FRAME: usize = 256;
 
 /// The five boundary counters the wall-clock benchmark reads, as
@@ -129,7 +136,7 @@ pub struct SocketDriver {
     by_key: HashMap<Key, usize>,
     /// Host → index into `nodes`: where a [`WireAddr`] is delivered.
     /// Router and epoch are not read; whether an address is stale is
-    /// the env's check, made first. A move changes a host's router and
+    /// the receiving machine's check. A move changes a host's router and
     /// epoch, never its socket, so the index is not told of one.
     by_host: HashMap<u32, usize>,
     /// Nodes the next pump reads, each at most once
@@ -241,16 +248,15 @@ impl SocketDriver {
     }
 
     /// Turns one machine's [`Output`] into datagrams and a queued wake,
-    /// mirroring the simulator driver's dispatch step: the stale-address
-    /// black-hole (applied here at send time; the simulator applies it at
-    /// arrival), then one encoded envelope per surviving send. Every
-    /// send is entered in the mail ledger, so a later pump reads the
-    /// destination's socket; a send to a host bound nowhere here is
-    /// black-holed with the stale ones. A wake is queued unless the
-    /// node's last one is still ahead and no later: that one reports the
-    /// later deadline again when it fires. Deadlines land at `now +
-    /// wait`, and the clock never trails a fired wake, so none is in the
-    /// past.
+    /// mirroring the simulator driver's dispatch step: one encoded frame
+    /// per send, to the socket of the host its `to_addr` names, stale or
+    /// not. Every send is entered in the mail ledger, so a later pump
+    /// reads the destination's socket; a send to a host bound nowhere
+    /// here is black-holed and counted in [`Counter::StaleBlackholed`].
+    /// A wake is queued unless the node's last one is still ahead and no
+    /// later: that one reports the later deadline again when it fires.
+    /// Deadlines land at `now + wait`, and the clock never trails a
+    /// fired wake, so none is in the past.
     pub fn dispatch(&mut self, from: Key, out: Output, env: &mut dyn NodeEnv) -> Result<()> {
         let Some(&from_idx) = self.by_key.get(&from) else {
             return Err(Error::new(ErrorKind::NotFound, format!("{from} is not bound")));
@@ -258,16 +264,12 @@ impl SocketDriver {
         if let Some(at) = out.wake_to_queue(&mut self.nodes[from_idx].wake, self.clock.now()) {
             self.wakes.schedule_at(at, from_idx);
         }
-        for o in out.outgoing {
-            // The simulator delivers to the addressed router and drops
-            // at arrival if the destination moved away; with a real
-            // socket the equivalent check runs before the send.
-            let bound = self.by_host.get(&o.to_addr.host);
-            let Some(&to_idx) = bound.filter(|_| env.addr_current(o.to_addr)) else {
+        for frame in out.outgoing {
+            let Some(&to_idx) = self.by_host.get(&frame.to_addr.host) else {
                 self.obs.add(Counter::StaleBlackholed, 1);
                 continue;
             };
-            let bytes = o.env.encode();
+            let bytes = frame.encode();
             if bytes.len() > MAX_FRAME {
                 self.obs.add(Counter::DroppedOversized, 1);
                 env.bump(MessageKind::MalformedFrame);
@@ -347,15 +349,15 @@ impl SocketDriver {
                 env.bump(MessageKind::MalformedFrame);
                 continue;
             }
-            let envelope = match Envelope::decode(&buf[..n]) {
-                Ok(envelope) => envelope,
+            let frame = match Frame::decode(&buf[..n]) {
+                Ok(frame) => frame,
                 Err(_) => {
                     self.obs.add(Counter::DroppedGarbage, 1);
                     env.bump(MessageKind::MalformedFrame);
                     continue;
                 }
             };
-            if envelope.dst != self.nodes[idx].key {
+            if frame.env.dst != self.nodes[idx].key {
                 // Decodes, but claims a destination this socket
                 // does not host: misdirected or spoofed.
                 self.obs.add(Counter::DroppedGarbage, 1);
@@ -368,7 +370,7 @@ impl SocketDriver {
             let node = &mut self.nodes[idx];
             node.owed = node.owed.saturating_sub(1);
             let now = self.clock.now();
-            let out = self.nodes[idx].machine.poll(now, Event::Deliver(envelope), env);
+            let out = self.nodes[idx].machine.poll(now, Event::Arrive(frame), env);
             let key = self.nodes[idx].key;
             self.dispatch(key, out, env)?;
         }
@@ -494,9 +496,10 @@ impl SocketDriver {
 mod tests {
     use super::*;
 
+    use bristle_overlay::obs::{ObsEvent, ObsEventKind};
     use bristle_proto::machine::RetryPolicy;
     use bristle_proto::testenv::MockEnv;
-    use bristle_proto::wire::WireMessage;
+    use bristle_proto::wire::{Envelope, WireAuth, WireMessage};
 
     use Counter::{
         DatagramsReceived, DroppedGarbage, DroppedOversized, FastForwards, FramesSent, RecvCalls,
@@ -549,61 +552,109 @@ mod tests {
         assert_eq!(r.counter(DroppedOversized) + r.counter(DroppedGarbage), 0);
     }
 
+    /// Re-attaches `key` under the next epoch: its old address goes stale.
+    fn moved(env: &mut MockEnv, key: Key) {
+        let old = env.addrs[&key];
+        env.addrs.insert(key, WireAddr { epoch: old.epoch + 1, ..old });
+    }
+
+    /// The frames the machines rejected as sent to an address their node
+    /// no longer holds: `(node, claimed sender, msg_id)`.
+    fn stale_rejects(env: &MockEnv) -> Vec<(Key, Key, u64)> {
+        let rejected = |e: &ObsEvent| match e.kind {
+            ObsEventKind::StaleReject { from, msg_id, .. } => Some((e.node, from, msg_id)),
+            _ => None,
+        };
+        env.events.iter().filter_map(rejected).collect()
+    }
+
     #[test]
     fn hostile_datagrams_are_dropped_and_metered() {
-        let mut env = MockEnv::default().with_node(A, 1, 1);
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        env.unroutable.insert(4_000_000);
         let mut d = fast_driver();
         let ep = d.bind_node(A, env.addrs[&A], ProtoMachine::new(A, policy())).unwrap();
         let attacker = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        // Undecodable bytes, an oversized frame, and a well-formed
-        // envelope addressed to a node this socket does not host.
+        // Undecodable bytes, an oversized datagram, a bare envelope with
+        // no address header, a well-formed frame for a node this socket
+        // does not host, and a hop whose sender address names a router
+        // nobody can route to, which would draw an ack toward it.
         attacker.send_to(&[0xFF; 40], ep).unwrap();
         attacker.send_to(&[0u8; 300], ep).unwrap();
-        let misdirected = Envelope {
-            src: B,
-            dst: B,
-            msg_id: 7,
-            trace_id: 0,
-            msg: WireMessage::HopAck { acked: 1 },
-            auth: None,
-        };
+        let envelope = |dst, msg| Envelope { src: B, dst, msg_id: 7, trace_id: 0, msg, auth: None };
+        let (to_addr, from_addr) = (env.addrs[&A], env.addrs[&B]);
+        let bare = envelope(A, WireMessage::HopAck { acked: 1 });
+        attacker.send_to(&bare.encode(), ep).unwrap();
+        let misdirected =
+            Frame { to_addr, from_addr, env: envelope(B, WireMessage::HopAck { acked: 1 }) };
         attacker.send_to(&misdirected.encode(), ep).unwrap();
+        let hop = WireMessage::RouteHop { origin: B, route_id: 0, target: A };
+        let from_addr = WireAddr { router: 4_000_000, ..from_addr };
+        let unanswerable = Frame { to_addr, from_addr, env: envelope(A, hop) };
+        attacker.send_to(&unanswerable.encode(), ep).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
-        while d.registry().counter(DatagramsReceived) < 3 && Instant::now() < deadline {
+        while d.registry().counter(DatagramsReceived) < 5 && Instant::now() < deadline {
             d.pump(&mut env).unwrap();
             std::thread::sleep(Duration::from_millis(1));
         }
         let r = d.registry();
-        assert_eq!(r.counter(DatagramsReceived), 3);
+        assert_eq!(r.counter(DatagramsReceived), 5);
         assert_eq!(r.counter(DroppedOversized), 1);
-        assert_eq!(r.counter(DroppedGarbage), 2);
-        assert_eq!(env.meter.count(MessageKind::MalformedFrame), 3);
-        // The machine never saw any of it: nothing sent, nothing done.
+        assert_eq!(r.counter(DroppedGarbage), 3);
+        // The last one decodes and is refused by the machine, before any
+        // state is touched or anything sent.
+        assert_eq!(env.meter.count(MessageKind::MalformedFrame), 5);
+        assert_eq!(d.registry().gauge(Gauge::Seen), 0);
+        // Nothing sent, nothing done.
         assert_eq!(r.counter(FramesSent), 0);
-        assert!(d.completions.is_empty());
+        assert!(d.completions.is_empty() && env.events.is_empty());
     }
 
+    /// The largest frame an honest machine sends, a sealed `Update`, is
+    /// 114 bytes, well inside the cap; no well-formed frame of any kind
+    /// passes 115.
     #[test]
-    fn stale_addresses_are_blackholed_at_send() {
+    fn the_largest_honest_frame_fits_the_cap() {
+        let addr = WireAddr { host: 2, router: 5, epoch: 9 };
+        let msg = WireMessage::Update { subject: A, addr, seq: 3 };
+        let auth = Some(WireAuth { pubkey: 1, tag: 2 });
+        let env = Envelope { src: A, dst: B, msg_id: 4, trace_id: 5, msg, auth };
+        let bytes = Frame { to_addr: addr, from_addr: addr, env }.encode();
+        assert_eq!(bytes.len(), 114);
+        assert!(bytes.len() <= MAX_FRAME);
+    }
+
+    /// A hop sent to B at an address B leaves before it arrives reaches
+    /// B's socket all the same — no driver check stops it — and B's
+    /// machine rejects it, and each retransmission after it: no ack, no
+    /// dedup entry, one rejection a copy.
+    #[test]
+    fn a_frame_to_a_stale_address_is_carried_and_its_destination_rejects_it() {
         let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
         env.mobile_hops.insert((A, B), B);
         let mut d = fast_driver();
         d.bind_node(A, env.addrs[&A], ProtoMachine::new(A, policy())).unwrap();
         d.bind_node(B, env.addrs[&B], ProtoMachine::new(B, policy())).unwrap();
-        // B's epoch-0 address is retired before A's hop goes out: the
-        // send-time check mirrors the simulator's arrival-time drop.
-        env.valid.remove(&(2, 0));
         let now = d.now();
-        let (_, out) = d.machine_mut(A).unwrap().start_route(now, &mut env, B);
+        let (route_id, out) = d.machine_mut(A).unwrap().start_route(now, &mut env, B);
+        let hop = out.outgoing[0].env.msg_id;
         d.dispatch(A, out, &mut env).unwrap();
+        moved(&mut env, B);
+        d.run_until_quiet(&mut env, 10_000).unwrap();
+        assert_eq!(stale_rejects(&env), vec![(B, A, hop); 3], "every copy, at B");
         let r = d.registry();
-        assert_eq!(r.counter(StaleBlackholed), 1);
-        assert_eq!(r.counter(FramesSent), 0);
+        assert_eq!((r.counter(FramesSent), r.counter(StaleBlackholed)), (3, 0), "all carried");
+        assert_eq!(r.gauge(Gauge::Seen), 0, "no dedup entry");
+        let failed = Completion::RouteFailed { origin: A, route_id, at: A };
+        assert_eq!(d.completions, vec![failed]);
     }
 
-    /// A `Register` whose acks never reach the registrant: B processes
-    /// the first copy, so each retransmission is spurious, read from B's
-    /// dedup window as the simulator's driver reads it.
+    /// A `Register` whose ack meets a stale address: B processes it and
+    /// acks it to where A sent it from, but A has moved, and A's machine
+    /// rejects the ack. The retransmission leaves from A's new address;
+    /// B had processed the frame, so it is spurious (read from B's dedup
+    /// window as the simulator's driver reads it), and its ack, sent
+    /// back there, closes the exchange.
     #[test]
     fn retransmissions_the_destination_processed_are_spurious() {
         let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
@@ -613,19 +664,20 @@ mod tests {
         let now = d.now();
         let out = d.machine_mut(A).unwrap().start_register(now, &mut env, B, 1);
         d.dispatch(A, out, &mut env).unwrap();
-        // A's address goes stale: every ack B sends black-holes.
-        env.valid.remove(&(1, 0));
+        moved(&mut env, A);
         d.run_until_quiet(&mut env, 10_000).unwrap();
         assert_eq!(env.registered, vec![(B, A, 1)], "applied once");
-        assert!(d.completions.contains(&Completion::RegisterFailed { target: B }));
-        // Initial send plus two retransmissions; both of those spurious.
-        assert_eq!(env.meter.count(MessageKind::Register), 3);
-        assert_eq!(env.meter.count(MessageKind::SpuriousRetry), 2);
+        assert_eq!(d.completions, vec![Completion::Registered { target: B }]);
+        assert_eq!(stale_rejects(&env).len(), 1, "the first ack, at A");
+        // Initial send plus one retransmission, which was spurious.
+        assert_eq!(env.meter.count(MessageKind::Register), 2);
+        assert_eq!(env.meter.count(MessageKind::SpuriousRetry), 1);
     }
 
     /// One wake that finds two `Register`s due resends both frames, and
     /// each resend is spurious: both targets processed the first copy,
-    /// and every ack black-holes. One wake is queued for the two.
+    /// and both acks met A's stale address. One wake is queued for the
+    /// two.
     #[test]
     fn one_wake_meters_each_resent_frame_its_destination_processed() {
         const C: Key = Key(30);
@@ -642,13 +694,14 @@ mod tests {
         assert_eq!(out.wake, to_c.wake, "armed at one tick, due at one tick");
         d.dispatch(A, out, &mut env).unwrap();
         assert_eq!(d.pending_wakes(), 1);
-        env.valid.remove(&(1, 0));
+        moved(&mut env, A);
         d.run_until_quiet(&mut env, 10_000).unwrap();
         assert_eq!(env.registered, vec![(B, A, 1), (C, A, 1)], "each applied once");
-        // Two first sends, then two retransmissions of each, every one
-        // of those to a target that had processed the frame.
-        assert_eq!(env.meter.count(MessageKind::Register), 2 + 4);
-        assert_eq!(env.meter.count(MessageKind::SpuriousRetry), 4);
+        assert_eq!(stale_rejects(&env).len(), 2, "both first acks, at A");
+        // Two first sends, then one retransmission of each, both to a
+        // target that had processed the frame.
+        assert_eq!(env.meter.count(MessageKind::Register), 2 + 2);
+        assert_eq!(env.meter.count(MessageKind::SpuriousRetry), 2);
         assert_eq!(d.pending_wakes(), 0);
     }
 
@@ -660,8 +713,8 @@ mod tests {
         env.mobile_hops.insert((A, B), B);
         let mut d = fast_driver();
         d.bind_node(A, env.addrs[&A], ProtoMachine::new(A, policy())).unwrap();
-        // B is bound nowhere: every hop to it is refused at send, and no
-        // ack ever comes.
+        // B is bound nowhere: every hop to it is black-holed at send, and
+        // no ack ever comes.
         let now = d.now();
         let (route_id, out) = d.machine_mut(A).unwrap().start_route(now, &mut env, B);
         d.dispatch(A, out, &mut env).unwrap();

@@ -54,9 +54,9 @@ macro_rules! series {
 }
 
 series! {
-    /// Monotone counts of what a driver and its carrier did that the
-    /// protocol never saw. `frames_sent` is the one both drivers write;
-    /// the eight after it are the socket boundary's.
+    /// Monotone counts no meter kind holds. Both drivers write
+    /// `frames_sent`, the machines' events the next two; the seven after
+    /// those are the socket boundary's.
     Counter {
         /// Monitor seedings that rebuilt the wanted heartbeat edges; the
         /// rest found every input where the last seeding left it.
@@ -65,6 +65,11 @@ series! {
         /// socket driver's `send_to`s. Acks included, which no meter
         /// kind counts.
         FramesSent = "frames_sent",
+        /// [`ObsEventKind::StaleReject`]s, plus sends to a host no
+        /// socket is bound for.
+        StaleBlackholed = "stale_blackholed",
+        /// [`ObsEventKind::OracleForward`]s.
+        OracleForwards = "oracle_forwards",
         /// Datagrams read off a socket, dropped ones included.
         DatagramsReceived = "datagrams_received",
         /// Datagrams dropped for exceeding the frame cap, at send or at
@@ -73,10 +78,6 @@ series! {
         /// Datagrams dropped for failing to decode, or for naming a
         /// destination their socket does not host.
         DroppedGarbage = "dropped_garbage",
-        /// Sends refused because the destination address was stale or
-        /// named no bound host (the simulator's arrival-time black-hole,
-        /// applied at send time).
-        StaleBlackholed = "stale_blackholed",
         /// Times the clock fast-forwarded a quiet network to the next
         /// timer deadline.
         FastForwards = "fast_forwards",
@@ -360,6 +361,22 @@ pub enum ObsEventKind {
         /// Whether the frame was dropped (enforce) or merely logged.
         dropped: bool,
     },
+    /// A received frame was sent to an address its destination no
+    /// longer holds: it died at the old attachment.
+    StaleReject {
+        /// The envelope's claimed sender.
+        from: Key,
+        /// Wire-message tag name of the rejected frame.
+        tag: &'static str,
+        /// The frame's message id.
+        msg_id: u64,
+    },
+    /// A hop waiting on a failed `_discovery` was sent to the subject's
+    /// true address anyway, which no node can know.
+    OracleForward {
+        /// The subject the discovery failed to resolve.
+        subject: Key,
+    },
 }
 
 /// The kind and its fields as one stable line — what the golden trace
@@ -395,6 +412,12 @@ impl std::fmt::Display for ObsEventKind {
             }
             ObsEventKind::AuthReject { from, tag, reason, dropped } => {
                 write!(f, "auth_reject from={from} tag={tag} reason={reason} dropped={dropped}")
+            }
+            ObsEventKind::StaleReject { from, tag, msg_id } => {
+                write!(f, "stale_reject from={from} tag={tag} msg_id={msg_id}")
+            }
+            ObsEventKind::OracleForward { subject } => {
+                write!(f, "oracle_forward subject={subject}")
             }
         }
     }

@@ -25,7 +25,7 @@ pub mod transport;
 pub mod wire;
 
 pub use failure::{FailureDetector, FailurePolicy, Liveness, LivenessTransition, TimeoutVerdict};
-pub use machine::{Completion, Event, NodeEnv, Outgoing, Output, ProtoMachine, RetryPolicy};
+pub use machine::{Completion, Event, Frame, NodeEnv, Output, ProtoMachine, RetryPolicy};
 pub use mix::splitmix64;
 pub use rto::{RtoConfig, RtoEstimator};
 pub use transport::{

@@ -1,11 +1,13 @@
-//! Frame admission: which frames are let in. *Which kinds carry
-//! authority* is written once (`signer_of`), so the send path seals
-//! exactly the kinds the receive path verifies; *whether this copy is
-//! the first* is the dedup horizon, whose lifetime follows the retry
-//! ladder in force. [`ProtoMachine::poll`](super::ProtoMachine::poll)
-//! asks [`Admission::admits`] before any state is touched; delivery
-//! arms ask [`Admission::first_sighting`] where an effect must happen
-//! once. Nothing here sends.
+//! Frame admission: which frames are let in. *Whether a frame reached
+//! its addressee* is decided here, by the destination, whichever driver
+//! carried it. *Which kinds carry authority* is written once
+//! (`signer_of`), so the send path seals exactly the kinds the receive
+//! path verifies; *whether this copy is the first* is the dedup
+//! horizon, whose lifetime follows the retry ladder in force.
+//! [`ProtoMachine::poll`](super::ProtoMachine::poll) asks
+//! [`Admission::admits`] before any state is touched; delivery arms ask
+//! [`Admission::first_sighting`] where an effect must happen once.
+//! Nothing here sends.
 
 use bristle_core::auth::AuthError;
 
@@ -85,18 +87,34 @@ impl Admission {
         self.seen.advance(now, seen::lifetime(ladder));
     }
 
-    /// The receive-side authentication gate of `node`. Returns `false`
-    /// when the frame must be dropped before touching any state
-    /// (enforcing policy only); failures are metered as
-    /// [`MessageKind::ForgedFrame`] (plus [`MessageKind::AuthReject`]
-    /// when dropped) and emitted to the flight recorder, from `node`,
-    /// either way.
+    /// The receive-side gate of `node`, attached at `own`. Returns
+    /// `false` when the frame must be dropped before touching any state:
+    /// it was sent to an address other than `own` (the `(host, router,
+    /// epoch)` equality `NodeEnv::addr_current` holds beliefs to), emitted
+    /// as an [`ObsEventKind::StaleReject`]; its sender address names no
+    /// routable router, metered [`MessageKind::MalformedFrame`]; or it
+    /// fails authentication under an enforcing policy. Auth failures are
+    /// metered as [`MessageKind::ForgedFrame`] (plus
+    /// [`MessageKind::AuthReject`] when dropped) and emitted to the
+    /// flight recorder, from `node`, either way.
     pub(super) fn admits(
         node: Key,
+        own: WireAddr,
         now: SimTime,
         env: &mut dyn NodeEnv,
-        envelope: &Envelope,
+        frame: &Frame,
     ) -> bool {
+        let envelope = &frame.env;
+        if frame.to_addr != own {
+            let (from, tag, msg_id) = (envelope.src, envelope.msg.tag_name(), envelope.msg_id);
+            let rejected = ObsEventKind::StaleReject { from, tag, msg_id };
+            note(node, env, now, envelope.trace_id, rejected);
+            return false;
+        }
+        if !env.routable(frame.from_addr) {
+            env.bump(MessageKind::MalformedFrame);
+            return false;
+        }
         let policy = env.verify_policy();
         if policy == VerifyPolicy::Off {
             return true;
@@ -157,10 +175,10 @@ mod tests {
         assert!(reg.auth.is_some(), "the register travels sealed");
 
         let mut target = ProtoMachine::new(M, policy());
-        let r = target.poll(t(1), Event::Deliver(reg), &mut env);
+        let r = target.poll(t(1), arrival(&env, reg), &mut env);
         assert_eq!(env.registered, vec![(M, A, 12)]);
         assert!(r.outgoing[0].env.auth.is_some(), "the ack travels sealed too");
-        let out = who.poll(t(2), Event::Deliver(r.outgoing[0].env.clone()), &mut env);
+        let out = who.poll(t(2), arrival(&env, r.outgoing[0].env.clone()), &mut env);
         assert_eq!(out.completions, vec![Completion::Registered { target: M }]);
         assert_eq!(env.meter.count(MessageKind::ForgedFrame), 0);
     }
@@ -182,14 +200,14 @@ mod tests {
             msg: WireMessage::Alive { node: M, incarnation: 7 },
             auth: Some(AuthDomain::forged(M)),
         };
-        let out = a.poll(t(0), Event::Deliver(forged.clone()), &mut env);
+        let out = a.poll(t(0), arrival(&env, forged.clone()), &mut env);
         assert!(out.completions.is_empty() && out.outgoing.is_empty());
         assert_eq!(a.peer_incarnation(M), Some(0), "forged evidence never digested");
         assert_eq!(env.meter.count(MessageKind::ForgedFrame), 1);
         assert_eq!(env.meter.count(MessageKind::AuthReject), 1);
 
         env.vpolicy = VerifyPolicy::LogOnly;
-        a.poll(t(1), Event::Deliver(forged), &mut env);
+        a.poll(t(1), arrival(&env, forged), &mut env);
         assert_eq!(a.peer_incarnation(M), Some(7), "log-only meters but still digests");
         assert_eq!(env.meter.count(MessageKind::ForgedFrame), 2);
         assert_eq!(env.meter.count(MessageKind::AuthReject), 1, "nothing more dropped");
@@ -210,7 +228,7 @@ mod tests {
             msg: WireMessage::SuspectNotify { suspect: M, incarnation: 0 },
             auth: None,
         };
-        let out = a.poll(t(0), Event::Deliver(bare), &mut env);
+        let out = a.poll(t(0), arrival(&env, bare), &mut env);
         assert!(out.completions.is_empty());
         assert_eq!(a.liveness(M), Some(Liveness::Fresh), "untagged verdict ignored");
         assert_eq!(env.meter.count(MessageKind::ForgedFrame), 1);
@@ -234,13 +252,13 @@ mod tests {
         };
         let auth = Some(domain.sign(M, msg.auth_digest()));
         let replay = Envelope { src: M, dst: A, msg_id: 5, trace_id: 0, msg, auth };
-        holder.poll(t(0), Event::Deliver(replay.clone()), &mut env);
+        holder.poll(t(0), arrival(&env, replay.clone()), &mut env);
         assert_eq!(env.meter.count(MessageKind::ForgedFrame), 1);
         assert_eq!(env.meter.count(MessageKind::AuthReject), 1);
 
         // The same frame for a live subject sails through.
         env.stale_subjects.clear();
-        holder.poll(t(1), Event::Deliver(replay), &mut env);
+        holder.poll(t(1), arrival(&env, replay), &mut env);
         assert_eq!(env.meter.count(MessageKind::ForgedFrame), 1, "fresh record accepted");
     }
 
@@ -260,16 +278,16 @@ mod tests {
 
         let notice = herald.notify_suspect(t(0), &mut env, A, B).outgoing[0].env.clone();
         assert!(notice.auth.is_some(), "verdicts travel sealed");
-        a.poll(t(0), Event::Deliver(notice), &mut env);
+        a.poll(t(0), arrival(&env, notice), &mut env);
         assert_eq!(a.liveness(B), Some(Liveness::Dead));
 
         let probe = b.start_heartbeats(t(10), &mut env).outgoing[0].env.clone();
         assert!(probe.auth.is_none(), "heartbeats are unauthenticated kinds");
-        let obituary = a.poll(t(11), Event::Deliver(probe), &mut env).outgoing[0].env.clone();
+        let obituary = a.poll(t(11), arrival(&env, probe), &mut env).outgoing[0].env.clone();
         assert!(obituary.auth.is_some(), "the zombie-path obituary is sealed");
-        let refutation = b.poll(t(12), Event::Deliver(obituary), &mut env).outgoing[0].env.clone();
+        let refutation = b.poll(t(12), arrival(&env, obituary), &mut env).outgoing[0].env.clone();
         assert!(refutation.auth.is_some(), "the Alive refutation is sealed");
-        a.poll(t(13), Event::Deliver(refutation), &mut env);
+        a.poll(t(13), arrival(&env, refutation), &mut env);
         assert_eq!(env.meter.count(MessageKind::WrongfulDeath), 1);
         assert_eq!(a.liveness(B), Some(Liveness::Fresh));
         assert_eq!(env.meter.count(MessageKind::ForgedFrame), 0, "honest traffic never rejected");
@@ -340,8 +358,8 @@ mod tests {
                 oracle.admission.oracle = Some(Default::default());
                 let copies = arrivals.len();
                 for (at, frame) in arrivals {
-                    let got = bounded.poll(t(at), Event::Deliver(frame.clone()), &mut env);
-                    let want = oracle.poll(t(at), Event::Deliver(frame), &mut oracle_env);
+                    let got = bounded.poll(t(at), arrival(&env, frame.clone()), &mut env);
+                    let want = oracle.poll(t(at), arrival(&oracle_env, frame), &mut oracle_env);
                     assert_eq!(got.outgoing, want.outgoing, "{ctx} t={at}");
                     assert_eq!(got.wake, want.wake, "{ctx} t={at}");
                     assert_eq!(got.completions, want.completions, "{ctx} t={at}");
@@ -362,16 +380,16 @@ mod tests {
                 let probe = WireMessage::Heartbeat { seq: 0, incarnation: 0 };
                 let probe =
                     Envelope { src: B, dst: A, msg_id: 0, trace_id: 0, msg: probe, auth: None };
-                bounded.poll(t(silence), Event::Deliver(probe), &mut env);
+                bounded.poll(t(silence), arrival(&env, probe), &mut env);
                 assert_eq!(
                     bounded.seen_held(),
                     0,
                     "{ctx}: empty two lifetimes after the last frame"
                 );
                 // The contract: a frame older than two lifetimes is new.
-                bounded.poll(t(silence), Event::Deliver(replayed.clone()), &mut env);
+                bounded.poll(t(silence), arrival(&env, replayed.clone()), &mut env);
                 assert_eq!(bounded.seen_held(), 1, "{ctx}: replay accepted as new");
-                bounded.poll(t(silence + 1), Event::Deliver(replayed), &mut env);
+                bounded.poll(t(silence + 1), arrival(&env, replayed), &mut env);
                 assert_eq!(bounded.seen_held(), 1, "{ctx}: and its duplicate is caught again");
             }
         }

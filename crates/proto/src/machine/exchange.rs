@@ -57,8 +57,9 @@ impl SessionKind {
 /// up on after `max_attempts`.
 #[derive(Debug)]
 pub(super) struct Session {
-    /// The sealed frame, retransmitted verbatim.
-    out: Outgoing,
+    /// The sealed frame, retransmitted verbatim but for its sender
+    /// address, which each copy takes from where it leaves.
+    out: Frame,
     attempt: u32,
     /// The only node whose ack closes the session.
     peer: Key,
@@ -121,7 +122,7 @@ impl ProtoMachine {
         &mut self,
         now: SimTime,
         out: &mut Output,
-        frame: Outgoing,
+        frame: Frame,
         kind: SessionKind,
     ) {
         let (msg_id, peer) = (frame.env.msg_id, frame.env.dst);
@@ -191,8 +192,9 @@ impl ProtoMachine {
         });
         env.bump(MessageKind::Timeout);
         note(self.key, env, now, trace, ObsEventKind::Timeout { what: kind.what(), attempt });
-        if let Some((frame, due)) = resend {
-            let cost = env.distance(self.my_router(env), frame.to_addr.router_id());
+        if let Some((mut frame, due)) = resend {
+            frame.from_addr = self.own_addr(env);
+            let cost = env.distance(frame.from_addr.router_id(), frame.to_addr.router_id());
             env.meter(kind.metered(), cost);
             out.outgoing.push(frame);
             out.arm(due);
@@ -234,7 +236,7 @@ mod tests {
             msg: WireMessage::HopAck { acked: hop_id },
             auth: None,
         };
-        m.poll(t(10), Event::Deliver(ack), &mut env);
+        m.poll(t(10), arrival(&env, ack), &mut env);
         assert_eq!(m.inflight(), 0);
         // The wake armed for the acked hop finds nothing due.
         let out = m.poll(t(100), Event::Wake, &mut env);
@@ -285,15 +287,15 @@ mod tests {
         let msg_id = update.msg_id;
 
         let mut receiver = ProtoMachine::new(B, policy());
-        let r1 = receiver.poll(t(5), Event::Deliver(update.clone()), &mut env);
+        let r1 = receiver.poll(t(5), arrival(&env, update.clone()), &mut env);
         assert_eq!(env.updates, vec![(B, A, 3)]);
         assert!(matches!(r1.outgoing[0].env.msg, WireMessage::UpdateAck { .. }));
-        let r2 = receiver.poll(t(6), Event::Deliver(update), &mut env);
+        let r2 = receiver.poll(t(6), arrival(&env, update), &mut env);
         assert_eq!(env.updates.len(), 1, "duplicate update not re-applied");
         assert_eq!(r2.outgoing.len(), 1, "but re-acked");
 
         // Sender: ack completes the edge.
-        let out = sender.poll(t(7), Event::Deliver(r1.outgoing[0].env.clone()), &mut env);
+        let out = sender.poll(t(7), arrival(&env, r1.outgoing[0].env.clone()), &mut env);
         assert_eq!(out.completions, vec![Completion::UpdateAcked { child: B }]);
         assert_eq!(sender.inflight(), 0);
 
@@ -319,9 +321,9 @@ mod tests {
         let reg = out.outgoing[0].env.clone();
 
         let mut target = ProtoMachine::new(M, policy());
-        let r = target.poll(t(1), Event::Deliver(reg), &mut env);
+        let r = target.poll(t(1), arrival(&env, reg), &mut env);
         assert_eq!(env.registered, vec![(M, A, 12)]);
-        let out = who.poll(t(2), Event::Deliver(r.outgoing[0].env.clone()), &mut env);
+        let out = who.poll(t(2), arrival(&env, r.outgoing[0].env.clone()), &mut env);
         assert_eq!(out.completions, vec![Completion::Registered { target: M }]);
         assert_eq!(env.committed, vec![(A, M)], "lease granted only after the ack");
     }
@@ -346,7 +348,7 @@ mod tests {
             msg: WireMessage::HopAck { acked: hop_id },
             auth: None,
         };
-        m.poll(t(30), Event::Deliver(ack), &mut env);
+        m.poll(t(30), arrival(&env, ack), &mut env);
         // rtt = 30: srtt8 = 240, rttvar4 = 60, rto = 30 + 60 = 90.
         assert_eq!(m.rto_estimate(B), Some(90));
         let (_, out) = m.start_route(t(1000), &mut env, B);
@@ -551,9 +553,9 @@ mod tests {
                     |acked| WireMessage::UpdateAck { acked },
                 ],
             };
-            let mut hostile = vec![(t(10), Event::Deliver(ack_from(third, (want.ack)(msg_id))))];
+            let mut hostile = vec![(t(10), arrival(&env, ack_from(third, (want.ack)(msg_id))))];
             hostile.extend(
-                wrong_acks.map(|ack| (t(10), Event::Deliver(ack_from(want.peer, ack(msg_id))))),
+                wrong_acks.map(|ack| (t(10), arrival(&env, ack_from(want.peer, ack(msg_id))))),
             );
             // A wake before the deadline, then the same wake repeated at
             // one tick, and one a tick short of the deadline.
@@ -586,7 +588,7 @@ mod tests {
             assert_eq!(env.meter.count(MessageKind::Timeout), 1, "{x:?}");
             // And the honest ack closes the session.
             let out =
-                m.poll(t(110), Event::Deliver(ack_from(want.peer, (want.ack)(msg_id))), &mut env);
+                m.poll(t(110), arrival(&env, ack_from(want.peer, (want.ack)(msg_id))), &mut env);
             assert_eq!(out.completions, Vec::from_iter(want.acked), "{x:?}");
             assert_eq!(m.inflight(), 0, "{x:?}");
             assert_eq!(env.committed.len(), usize::from(matches!(x, Exchange::Register)), "{x:?}");
@@ -605,7 +607,7 @@ mod tests {
         let first = m.start_update(t(0), &mut env, A, addr, 1, &[M, B]);
         let (_, later) = m.start_route(t(50), &mut env, B);
         assert_eq!((first.wake, later.wake), (Some(t(100)), Some(t(150))));
-        let sent: Vec<Outgoing> = first.outgoing.clone();
+        let sent: Vec<Frame> = first.outgoing.clone();
         assert!(sent[0].env.msg_id < sent[1].env.msg_id);
 
         let out = m.poll(t(100), Event::Wake, &mut env);

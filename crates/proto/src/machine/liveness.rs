@@ -101,14 +101,11 @@ impl ProtoMachine {
     /// never re-arm themselves, so an idle machine stays idle.
     pub fn start_heartbeats(&mut self, now: SimTime, env: &mut dyn NodeEnv) -> Output {
         let mut out = Output::none();
-        // Every probe of the round leaves from the same place: resolved
-        // at the first probe, not once per peer.
-        let mut my_router = None;
         for i in 0..self.detector.monitored().len() {
             let peer = self.detector.monitored()[i];
             let Some(seq) = self.detector.begin_probe(peer) else { continue };
-            let from = *my_router.get_or_insert_with(|| self.my_router(env));
-            self.push_heartbeat(env, from, peer, seq, &mut out);
+            let probe = WireMessage::Heartbeat { seq, incarnation: self.incarnation };
+            self.post(env, &mut out, peer, 0, probe, Some(MessageKind::HeartbeatSent));
             let due = now.plus(self.timers.first_wait(now, self.probe_of(peer)));
             self.detector.arm_probe(peer, due);
             out.arm(due);
@@ -120,24 +117,6 @@ impl ProtoMachine {
     /// What a probe of `peer` awaits, fixed window included.
     fn probe_of(&self, peer: Key) -> Awaited {
         Awaited::Probe { peer, ack_wait: ACK_WAIT }
-    }
-
-    /// Queues one probe of `peer`, metered as sent from router `from`.
-    fn push_heartbeat(
-        &mut self,
-        env: &mut dyn NodeEnv,
-        from: RouterId,
-        peer: Key,
-        seq: u64,
-        out: &mut Output,
-    ) {
-        // Metered here rather than by the frame builder, which would
-        // look this node's own router up again for every probe.
-        let to_addr = env.current_addr(peer);
-        let cost = env.distance(from, to_addr.router_id());
-        env.meter(MessageKind::HeartbeatSent, cost);
-        let msg = WireMessage::Heartbeat { seq, incarnation: self.incarnation };
-        out.outgoing.push(self.frame(env, peer, to_addr, 0, msg, None));
     }
 
     /// Tells `to` that `suspect` has been confirmed dead at the highest
@@ -181,11 +160,12 @@ impl ProtoMachine {
         }
     }
 
-    /// The liveness delivery arms.
+    /// The liveness delivery arms, for a frame sent from `from`.
     pub(super) fn on_liveness_frame(
         &mut self,
         now: SimTime,
         env: &mut dyn NodeEnv,
+        from: WireAddr,
         envelope: Envelope,
         out: &mut Output,
     ) {
@@ -210,7 +190,7 @@ impl ProtoMachine {
                     // traffic.
                     WireMessage::HeartbeatAck { seq, incarnation: self.incarnation }
                 };
-                self.post(env, out, src, trace, reply, None);
+                out.outgoing.push(self.frame(env, src, from, trace, reply, None));
             }
             WireMessage::HeartbeatAck { seq, incarnation } => {
                 self.digest_alive(env, src, incarnation);
@@ -229,7 +209,8 @@ impl ProtoMachine {
                     note(self.key, env, now, trace, refute);
                     let alive =
                         WireMessage::Alive { node: self.key, incarnation: self.incarnation };
-                    self.post(env, out, src, trace, alive, Some(MessageKind::Refutation));
+                    let refutation = Some(MessageKind::Refutation);
+                    out.outgoing.push(self.frame(env, src, from, trace, alive, refutation));
                 } else if self.admission.first_sighting(src, msg_id)
                     && self.detector.mark_dead(suspect, incarnation)
                 {
@@ -253,7 +234,8 @@ impl ProtoMachine {
                 // Always ack, even duplicates: the previous ack may have
                 // been lost and the rejoiner keeps asking until it hears
                 // one. Acks are unmetered control traffic.
-                self.post(env, out, src, trace, WireMessage::RejoinAck { incarnation }, None);
+                let ack = WireMessage::RejoinAck { incarnation };
+                out.outgoing.push(self.frame(env, src, from, trace, ack, None));
             }
             // The driver reverses a funeral on the sponsor's side
             // (`RejoinRequested`); the rejoiner learns nothing from the
@@ -280,8 +262,8 @@ impl ProtoMachine {
             TimeoutVerdict::Resend { attempt } => {
                 env.bump(MessageKind::Timeout);
                 note(self.key, env, now, 0, ObsEventKind::Timeout { what: "heartbeat", attempt });
-                let from = self.my_router(env);
-                self.push_heartbeat(env, from, peer, seq, out);
+                let probe = WireMessage::Heartbeat { seq, incarnation: self.incarnation };
+                self.post(env, out, peer, 0, probe, Some(MessageKind::HeartbeatSent));
                 let due = now.plus(self.timers.retry_wait(self.probe_of(peer), attempt));
                 self.detector.arm_probe(peer, due);
                 out.arm(due);
@@ -326,13 +308,13 @@ mod tests {
         assert_eq!(out.wake, Some(t(crate::failure::ACK_WAIT)));
 
         // The target acks (unmetered), including on a duplicate.
-        let r1 = target.poll(t(1), Event::Deliver(hb.clone()), &mut env);
+        let r1 = target.poll(t(1), arrival(&env, hb.clone()), &mut env);
         assert!(matches!(r1.outgoing[0].env.msg, WireMessage::HeartbeatAck { seq: 0, .. }));
-        let r2 = target.poll(t(2), Event::Deliver(hb), &mut env);
+        let r2 = target.poll(t(2), arrival(&env, hb), &mut env);
         assert_eq!(r2.outgoing.len(), 1, "duplicate heartbeat re-acked");
         assert_eq!(env.meter.total_messages(), 1, "only the probe itself is metered");
 
-        let out = prober.poll(t(3), Event::Deliver(r1.outgoing[0].env.clone()), &mut env);
+        let out = prober.poll(t(3), arrival(&env, r1.outgoing[0].env.clone()), &mut env);
         assert!(out.completions.is_empty());
         assert_eq!(prober.liveness(B), Some(Liveness::Fresh));
         // The wake armed for the acked probe finds nothing due.
@@ -393,10 +375,10 @@ mod tests {
         let out = origin.notify_suspect(t(0), &mut env, B, M);
         assert_eq!(env.meter.total_messages(), 0, "verdict spreading is unmetered");
         let notice = out.outgoing[0].env.clone();
-        let r1 = receiver.poll(t(0), Event::Deliver(notice.clone()), &mut env);
+        let r1 = receiver.poll(t(0), arrival(&env, notice.clone()), &mut env);
         assert_eq!(r1.completions, vec![Completion::PeerDead { peer: M }]);
         assert_eq!(receiver.liveness(M), Some(Liveness::Dead));
-        let r2 = receiver.poll(t(1), Event::Deliver(notice), &mut env);
+        let r2 = receiver.poll(t(1), arrival(&env, notice), &mut env);
         assert!(r2.completions.is_empty(), "duplicate notice is news only once");
     }
 
@@ -417,13 +399,13 @@ mod tests {
         // A third party convinces A that B is dead (wrongfully: B is
         // merely beyond a partition).
         let notice = herald.notify_suspect(t(0), &mut env, A, B).outgoing[0].env.clone();
-        a.poll(t(0), Event::Deliver(notice), &mut env);
+        a.poll(t(0), arrival(&env, notice), &mut env);
         assert_eq!(a.liveness(B), Some(Liveness::Dead));
 
         // The cut heals; B's next probe reaches A, which answers with
         // B's obituary instead of an ack.
         let probe = b.start_heartbeats(t(10), &mut env).outgoing[0].env.clone();
-        let out = a.poll(t(11), Event::Deliver(probe), &mut env);
+        let out = a.poll(t(11), arrival(&env, probe), &mut env);
         let obituary = out.outgoing[0].env.clone();
         assert!(
             matches!(obituary.msg, WireMessage::SuspectNotify { suspect, .. } if suspect == B),
@@ -431,7 +413,7 @@ mod tests {
         );
 
         // B learns of its own funeral: bumps its incarnation, refutes.
-        let out = b.poll(t(12), Event::Deliver(obituary), &mut env);
+        let out = b.poll(t(12), arrival(&env, obituary), &mut env);
         assert_eq!(b.incarnation(), 1);
         assert!(out.completions.is_empty());
         let refuted = |e: &ObsEvent| matches!(e.kind, ObsEventKind::Refute { incarnation: 1 });
@@ -441,7 +423,7 @@ mod tests {
         assert_eq!(env.meter.count(MessageKind::Refutation), 1);
 
         // The refutation resurrects B at A.
-        let out = a.poll(t(13), Event::Deliver(refutation), &mut env);
+        let out = a.poll(t(13), arrival(&env, refutation), &mut env);
         assert!(out.completions.is_empty());
         assert_eq!(a.liveness(B), Some(Liveness::Fresh));
         assert_eq!(env.meter.count(MessageKind::WrongfulDeath), 1);
@@ -455,21 +437,21 @@ mod tests {
         let mut sponsor = ProtoMachine::new(B, policy());
         // A's funeral was charged to incarnation 0; learning of it bumps.
         let notice = sponsor.notify_suspect(t(0), &mut env, A, A).outgoing[0].env.clone();
-        rejoiner.poll(t(0), Event::Deliver(notice), &mut env);
+        rejoiner.poll(t(0), arrival(&env, notice), &mut env);
         assert_eq!(rejoiner.incarnation(), 1);
 
         let ask = rejoiner.start_rejoin(t(1), &mut env, B).outgoing[0].env.clone();
         assert_eq!(env.meter.count(MessageKind::Rejoin), 1);
-        let out = sponsor.poll(t(1), Event::Deliver(ask.clone()), &mut env);
+        let out = sponsor.poll(t(1), arrival(&env, ask.clone()), &mut env);
         assert_eq!(out.completions, vec![Completion::RejoinRequested { peer: A, incarnation: 1 }]);
         let ack = out.outgoing[0].env.clone();
         // A duplicated ask re-acks without re-announcing the request.
-        let dup = sponsor.poll(t(2), Event::Deliver(ask), &mut env);
+        let dup = sponsor.poll(t(2), arrival(&env, ask), &mut env);
         assert!(dup.completions.is_empty());
         assert_eq!(dup.outgoing.len(), 1, "duplicate rejoin is re-acked");
 
         // The sponsor's side is the one that acts; the ack changes nothing.
-        let out = rejoiner.poll(t(3), Event::Deliver(ack), &mut env);
+        let out = rejoiner.poll(t(3), arrival(&env, ack), &mut env);
         assert!(out.completions.is_empty() && out.outgoing.is_empty());
         assert_eq!(rejoiner.incarnation(), 1);
     }
@@ -489,11 +471,11 @@ mod tests {
             msg: WireMessage::Alive { node: M, incarnation: 2 },
             auth: None,
         };
-        a.poll(t(0), Event::Deliver(alive), &mut env);
+        a.poll(t(0), arrival(&env, alive), &mut env);
         let notice = herald.notify_suspect(t(1), &mut env, A, M).outgoing[0].env.clone();
         // The herald never saw M, so its verdict is charged to
         // incarnation 0 — stale against A's knowledge.
-        a.poll(t(1), Event::Deliver(notice), &mut env);
+        a.poll(t(1), arrival(&env, notice), &mut env);
         assert_eq!(a.liveness(M), Some(Liveness::Fresh), "stale verdict is ignored");
         // An Alive at the already-known incarnation changes nothing.
         let stale_alive = Envelope {
@@ -504,7 +486,7 @@ mod tests {
             msg: WireMessage::Alive { node: M, incarnation: 2 },
             auth: None,
         };
-        let out = a.poll(t(2), Event::Deliver(stale_alive), &mut env);
+        let out = a.poll(t(2), arrival(&env, stale_alive), &mut env);
         assert!(out.completions.is_empty());
     }
 
@@ -523,7 +505,7 @@ mod tests {
             msg: WireMessage::HeartbeatAck { seq: 0, incarnation: 0 },
             auth: None,
         };
-        prober.poll(t(40), Event::Deliver(ack), &mut env);
+        prober.poll(t(40), arrival(&env, ack), &mut env);
         // rtt = 40: srtt8 = 320, rttvar4 = 80, rto = 40 + 80 = 120.
         assert_eq!(prober.rto_estimate(B), Some(120));
     }

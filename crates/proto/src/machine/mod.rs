@@ -1,9 +1,14 @@
 //! Sans-I/O per-node protocol state machines.
 //!
 //! A [`ProtoMachine`] holds one node's protocol state and is driven
-//! entirely from outside: `poll(now, event, env)` consumes a delivered
-//! envelope or a wake-up and returns an [`Output`] — messages to send,
-//! when to wake the machine next, operations that completed. The machine
+//! entirely from outside: `poll(now, event, env)` consumes an arrived
+//! [`Frame`] or a wake-up and returns an [`Output`] — frames to send,
+//! when to wake the machine next, operations that completed. A frame
+//! says where it was sent to and from: the machine stamps its own
+//! address on every frame it sends, rejects every frame not sent to
+//! that address (paper Fig. 2: a frame to a stale address dies at the
+//! old attachment), and answers a frame at the address it came from,
+//! so a driver decides nothing about addresses. The machine
 //! never reads a clock, never touches a socket, and never sleeps; each
 //! exchange, discovery and heartbeat probe in flight keeps its own
 //! deadline, and a wake fires the ones that have passed, so timeouts,
@@ -25,8 +30,9 @@
 //! `Update` and a `Register` all are), `route` (Fig. 2 forwarding and
 //! `_discovery`), `liveness` (§2.3.3), plus `admit` (which frames are
 //! let in). This file keeps the wire-facing types, [`NodeEnv`], the one
-//! frame builder — it allocates the `msg_id`, meters the cost and seals
-//! the frame — [`ProtoMachine::poll`], the dispatch and the wake. Every
+//! read of the node's own address, the one frame builder — it allocates
+//! the `msg_id`, meters the cost and seals the frame —
+//! [`ProtoMachine::poll`], the dispatch and the wake. Every
 //! retry wait comes from one `Timers` value ([`crate::rto`]), so nothing
 //! here knows whether timers are fixed or adaptive. DESIGN.md §5 has the
 //! map.
@@ -43,6 +49,7 @@ use bristle_overlay::obs::{ObsEvent, ObsEventKind};
 
 use crate::failure::{FailureDetector, FailurePolicy};
 use crate::rto::{RtoConfig, Timers};
+pub use crate::wire::Frame;
 use crate::wire::{Envelope, WireAddr, WireMessage};
 
 mod admit;
@@ -77,25 +84,20 @@ pub struct Timer {
 /// An input to [`ProtoMachine::poll`].
 #[derive(Debug, Clone)]
 pub enum Event {
-    /// A message arrived from the transport.
-    Deliver(Envelope),
+    /// A frame reached this node; `admit` decides whether it is let in.
+    Arrive(Frame),
     /// A deadline this machine reported ([`Output::wake`]) may have come
     /// due: every exchange, discovery and probe whose deadline has
     /// passed fires, in (deadline, arm order). A wake with nothing due
     /// does nothing.
     Wake,
+    /// Polled as an [`Event::Arrive`] at this node's own address from
+    /// the sender's current one.
+    #[doc(hidden)]
+    Deliver(Envelope), // owed: ROADMAP 8(a)
     /// Polled as [`Event::Wake`].
     #[doc(hidden)]
     Timer(TimerKind), // owed: ROADMAP 8(a)
-}
-
-/// One message to hand to the transport.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Outgoing {
-    /// Where the sender believes the destination is attached.
-    pub to_addr: WireAddr,
-    /// The addressed message.
-    pub env: Envelope,
 }
 
 /// A protocol operation that finished (well or badly) at this node.
@@ -162,8 +164,8 @@ pub enum Completion {
 /// Everything a `poll` call asked the outside world to do.
 #[derive(Debug, Default)]
 pub struct Output {
-    /// Messages to hand to the transport, in send order.
-    pub outgoing: Vec<Outgoing>,
+    /// Frames to hand to the transport, in send order.
+    pub outgoing: Vec<Frame>,
     /// When to send this machine an [`Event::Wake`]: the earliest
     /// deadline the call armed, or, after a wake, the earliest deadline
     /// still open. A driver queues it through [`Self::wake_to_queue`].
@@ -438,17 +440,20 @@ impl ProtoMachine {
         }
     }
 
-    fn my_router(&self, env: &dyn NodeEnv) -> RouterId {
-        env.current_addr(self.key).router_id()
+    /// Where this node is attached now: the one read of its own address,
+    /// stamped on every frame it sends and held against every frame it
+    /// receives.
+    fn own_addr(&self, env: &dyn NodeEnv) -> WireAddr {
+        env.current_addr(self.key)
     }
 
-    /// Builds one frame from this node to `dst` at `to_addr` — the only
-    /// place an [`Envelope`] is written. The `msg_id` is allocated, the
-    /// physical cost metered as `metered` (`None` for acks and the other
-    /// unmetered control traffic) and the signer's trailer applied here,
-    /// once, *before* a reliable exchange clones the frame into its
-    /// session: a retransmission is the stored frame, id and tag
-    /// included.
+    /// Builds one frame from this node, at its own address, to `dst` at
+    /// `to_addr` — the only place an [`Envelope`] is written. The
+    /// `msg_id` is allocated, the physical cost metered as `metered`
+    /// (`None` for acks and the other unmetered control traffic) and the
+    /// signer's trailer applied here, once, *before* a reliable exchange
+    /// clones the frame into its session: a retransmission is the stored
+    /// frame, id and tag included, restamped with where it leaves from.
     fn frame(
         &mut self,
         env: &mut dyn NodeEnv,
@@ -457,16 +462,17 @@ impl ProtoMachine {
         trace: u64,
         msg: WireMessage,
         metered: Option<MessageKind>,
-    ) -> Outgoing {
+    ) -> Frame {
+        let from_addr = self.own_addr(env);
         if let Some(kind) = metered {
-            let cost = env.distance(self.my_router(env), to_addr.router_id());
+            let cost = env.distance(from_addr.router_id(), to_addr.router_id());
             env.meter(kind, cost);
         }
         let msg_id = self.fresh_msg_id();
         let mut envelope =
             Envelope { src: self.key, dst, msg_id, trace_id: trace, msg, auth: None };
         Admission::seal(env, &mut envelope);
-        Outgoing { to_addr, env: envelope }
+        Frame { to_addr, from_addr, env: envelope }
     }
 
     /// Queues one fire-and-forget frame to `dst` at its current address.
@@ -483,34 +489,44 @@ impl ProtoMachine {
         out.outgoing.push(self.frame(env, dst, to_addr, trace, msg, metered));
     }
 
-    /// Feeds one event (delivery or wake) through the machine.
+    /// Feeds one event (arrival or wake) through the machine.
     pub fn poll(&mut self, now: SimTime, event: Event, env: &mut dyn NodeEnv) -> Output {
         self.admission.advance(now, self.timers.ladder());
         let out = match event {
-            Event::Deliver(envelope) if Admission::admits(self.key, now, env, &envelope) => {
-                self.on_deliver(now, env, envelope)
+            Event::Arrive(frame)
+                if Admission::admits(self.key, self.own_addr(env), now, env, &frame) =>
+            {
+                self.on_deliver(now, env, frame)
             }
-            // Rejected frame: no ack, no dedup entry, no state.
-            Event::Deliver(_) => Output::none(),
+            // Rejected frame: no answer, no dedup entry, no state.
+            Event::Arrive(_) => Output::none(),
+            Event::Deliver(envelope) => {
+                let (to_addr, from_addr) = (self.own_addr(env), env.current_addr(envelope.src));
+                let frame = Frame { to_addr, from_addr, env: envelope };
+                return self.poll(now, Event::Arrive(frame), env);
+            }
             Event::Wake | Event::Timer(_) => self.on_wake(now, env),
         };
         self.observe_sends(now, env, &out);
         out
     }
 
-    /// Handles a delivered frame, the liveness kinds in their own file.
-    /// Replies and forwards stay on the causal trace of the frame that
-    /// provoked them, so a route and the discovery retries, replica
+    /// Handles an admitted frame, the liveness kinds in their own file.
+    /// An answer goes to the frame's sender at the address the frame came
+    /// from. Replies and forwards stay on the causal trace of the frame
+    /// that provoked them, so a route and the discovery retries, replica
     /// failovers and refutations it triggers share one trace id.
-    fn on_deliver(&mut self, now: SimTime, env: &mut dyn NodeEnv, envelope: Envelope) -> Output {
+    fn on_deliver(&mut self, now: SimTime, env: &mut dyn NodeEnv, frame: Frame) -> Output {
         let mut out = Output::none();
+        let Frame { from_addr: from, env: envelope, .. } = frame;
         let (src, msg_id, trace) = (envelope.src, envelope.msg_id, envelope.trace_id);
         match envelope.msg {
             WireMessage::RouteHop { origin, route_id, target } => {
                 let dup = !self.admission.first_sighting(src, msg_id);
                 // Always (re-)ack, even duplicates: the original ack may
                 // have been lost. Acks are unmetered control traffic.
-                self.post(env, &mut out, src, trace, WireMessage::HopAck { acked: msg_id }, None);
+                let ack = WireMessage::HopAck { acked: msg_id };
+                out.outgoing.push(self.frame(env, src, from, trace, ack, None));
                 if !dup {
                     let parked =
                         ParkedForward { origin, route_id, target, after_failure: false, trace };
@@ -542,14 +558,14 @@ impl ProtoMachine {
                     env.apply_register(target, src, capacity);
                 }
                 let ack = WireMessage::RegisterAck { acked: msg_id };
-                self.post(env, &mut out, src, trace, ack, None);
+                out.outgoing.push(self.frame(env, src, from, trace, ack, None));
             }
             WireMessage::Update { subject, addr, seq } => {
                 if self.admission.first_sighting(src, msg_id) {
                     env.apply_update(self.key, subject, addr, seq);
                 }
                 let ack = WireMessage::UpdateAck { acked: msg_id };
-                self.post(env, &mut out, src, trace, ack, None);
+                out.outgoing.push(self.frame(env, src, from, trace, ack, None));
             }
             WireMessage::Publish { subject, addr, seq } => {
                 if self.admission.first_sighting(src, msg_id) {
@@ -561,7 +577,9 @@ impl ProtoMachine {
             | WireMessage::SuspectNotify { .. }
             | WireMessage::Alive { .. }
             | WireMessage::Rejoin { .. }
-            | WireMessage::RejoinAck { .. } => self.on_liveness_frame(now, env, envelope, &mut out),
+            | WireMessage::RejoinAck { .. } => {
+                self.on_liveness_frame(now, env, from, envelope, &mut out)
+            }
         }
         out
     }
@@ -631,6 +649,13 @@ mod testkit {
         SimTime(x)
     }
 
+    /// `envelope` arriving from its sender's address at its
+    /// destination's, both where `env` attaches them now.
+    pub(super) fn arrival(env: &MockEnv, envelope: Envelope) -> Event {
+        let (to_addr, from_addr) = (env.addrs[&envelope.dst], env.addrs[&envelope.src]);
+        Event::Arrive(Frame { to_addr, from_addr, env: envelope })
+    }
+
     pub(super) fn small_rto() -> RtoConfig {
         RtoConfig { min_rto: 10, max_rto: 10_000, initial_rto: 100, jitter_frac: 0 }
     }
@@ -671,12 +696,13 @@ mod tests {
     }
 
     /// `msg` from `src` to `A`.
-    fn to_a(src: Key, msg: WireMessage) -> Event {
-        Event::Deliver(Envelope { src, dst: A, msg_id: 0, trace_id: 0, msg, auth: None })
+    fn to_a(env: &MockEnv, src: Key, msg: WireMessage) -> Event {
+        arrival(env, Envelope { src, dst: A, msg_id: 0, trace_id: 0, msg, auth: None })
     }
 
-    /// The ack that closes the exchange `sent` opened.
-    fn ack_of(sent: &Outgoing) -> Event {
+    /// The ack that closes the exchange `sent` opened, sent back from
+    /// where `sent` went to where it came from.
+    fn ack_of(sent: &Frame) -> Event {
         let acked = sent.env.msg_id;
         let msg = match sent.env.msg {
             WireMessage::RouteHop { .. } => WireMessage::HopAck { acked },
@@ -684,7 +710,8 @@ mod tests {
             WireMessage::Register { .. } => WireMessage::RegisterAck { acked },
             ref other => panic!("{other:?} opens no exchange"),
         };
-        to_a(sent.env.dst, msg)
+        let env = Envelope { src: sent.env.dst, dst: A, msg_id: 0, trace_id: 0, msg, auth: None };
+        Event::Arrive(Frame { to_addr: sent.from_addr, from_addr: sent.to_addr, env })
     }
 
     /// Each way an exchange closes — a hop acked, a register's ladder
@@ -726,7 +753,7 @@ mod tests {
                 let addr = Some(env.current_addr(M));
                 m.poll(
                     t(1050),
-                    to_a(B, WireMessage::DiscoveryReply { subject: M, session, addr }),
+                    to_a(&env, B, WireMessage::DiscoveryReply { subject: M, session, addr }),
                     &mut env,
                 )
             } else {
@@ -772,7 +799,7 @@ mod tests {
         };
         let before = held(&m);
         let addr = Some(env.current_addr(M));
-        let reply = to_a(B, WireMessage::DiscoveryReply { subject: M, session, addr });
+        let reply = to_a(&env, B, WireMessage::DiscoveryReply { subject: M, session, addr });
         let resumed = m.poll(t(150), reply, &mut env);
         assert_eq!(held(&m), before, "the open hop kept the box through the discovery's close");
         assert_eq!(m.open.as_ref().map(|o| o.discs.len()), Some(0));

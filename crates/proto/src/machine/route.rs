@@ -107,7 +107,7 @@ impl ProtoMachine {
                         // receive at that address, so the bytes black-hole
                         // either way, and keeping it implicit preserves
                         // exact meter parity with the function-call path.
-                        let cost = env.distance(self.my_router(env), stale.router_id());
+                        let cost = env.distance(self.own_addr(env).router_id(), stale.router_id());
                         env.meter(MessageKind::RouteHop, cost);
                     }
                     self.start_discovery(now, env, next, parked, out);
@@ -296,8 +296,12 @@ impl ProtoMachine {
         for parked in session.pending {
             // On success the resolved address is also the cached one; on
             // failure forward to the subject's true attachment, modelling
-            // the function path's out-of-band convergence.
-            let to_addr = addr.unwrap_or_else(|| env.current_addr(subject));
+            // the function path's out-of-band convergence — counted, as
+            // no node can know it.
+            let to_addr = addr.unwrap_or_else(|| {
+                note(self.key, env, now, parked.trace, ObsEventKind::OracleForward { subject });
+                env.current_addr(subject)
+            });
             self.send_hop(now, env, subject, to_addr, parked, out);
         }
     }
@@ -354,10 +358,10 @@ mod tests {
             msg: WireMessage::RouteHop { origin: A, route_id: 3, target: B },
             auth: None,
         };
-        let out1 = m.poll(t(0), Event::Deliver(hop.clone()), &mut env);
+        let out1 = m.poll(t(0), arrival(&env, hop.clone()), &mut env);
         assert_eq!(out1.completions, vec![Completion::Delivered { origin: A, route_id: 3 }]);
         assert_eq!(out1.outgoing.len(), 1, "ack");
-        let out2 = m.poll(t(1), Event::Deliver(hop), &mut env);
+        let out2 = m.poll(t(1), arrival(&env, hop), &mut env);
         assert!(out2.completions.is_empty(), "duplicate not re-delivered");
         assert_eq!(out2.outgoing.len(), 1, "but re-acked");
         assert!(matches!(out2.outgoing[0].env.msg, WireMessage::HopAck { acked: 7 }));
@@ -394,7 +398,7 @@ mod tests {
             msg: WireMessage::DiscoveryReply { subject: M, session: sid, addr: Some(m_addr) },
             auth: None,
         };
-        let out = m.poll(t(50), Event::Deliver(reply), &mut env);
+        let out = m.poll(t(50), arrival(&env, reply), &mut env);
         assert!(out.completions.is_empty(), "a resolution is committed, not reported");
         assert_eq!(env.resolutions, vec![(A, M, m_addr)]);
         assert_eq!(out.outgoing.len(), 1);
@@ -475,13 +479,13 @@ mod tests {
             msg: WireMessage::Discovery { subject: M, asker: A, session: 9, probe: None },
             auth: None,
         };
-        let out = m1.poll(t(0), Event::Deliver(q), &mut env);
+        let out = m1.poll(t(0), arrival(&env, q), &mut env);
         assert_eq!(out.outgoing.len(), 1);
         assert_eq!(out.outgoing[0].env.dst, s2, "forwarded toward the owner");
         assert_eq!(env.meter.count(MessageKind::DiscoveryHop), 1);
 
         let mut m2 = ProtoMachine::new(s2, policy());
-        let out = m2.poll(t(1), Event::Deliver(out.outgoing[0].env.clone()), &mut env);
+        let out = m2.poll(t(1), arrival(&env, out.outgoing[0].env.clone()), &mut env);
         assert_eq!(out.outgoing.len(), 1);
         assert!(
             matches!(
@@ -512,7 +516,7 @@ mod tests {
             msg: WireMessage::Discovery { subject: M, asker: A, session: 4, probe: None },
             auth: None,
         };
-        let out = m1.poll(t(0), Event::Deliver(q), &mut env);
+        let out = m1.poll(t(0), arrival(&env, q), &mut env);
         assert_eq!(out.outgoing.len(), 1);
         assert!(
             matches!(out.outgoing[0].env.msg, WireMessage::Discovery { probe: Some(p), .. } if p == s1)
@@ -521,14 +525,14 @@ mod tests {
 
         // s2 also misses: chain exhausted, unmetered ProbeMiss to terminus.
         let mut m2 = ProtoMachine::new(s2, policy());
-        let out = m2.poll(t(1), Event::Deliver(out.outgoing[0].env.clone()), &mut env);
+        let out = m2.poll(t(1), arrival(&env, out.outgoing[0].env.clone()), &mut env);
         assert_eq!(out.outgoing.len(), 1);
         assert!(matches!(out.outgoing[0].env.msg, WireMessage::ProbeMiss { .. }));
         assert_eq!(out.outgoing[0].env.dst, s1);
         assert_eq!(env.meter.count(MessageKind::DiscoveryHop), 1, "probe-miss is unmetered");
 
         // The terminus answers the asker with a miss, metered from itself.
-        let out = m1.poll(t(2), Event::Deliver(out.outgoing[0].env.clone()), &mut env);
+        let out = m1.poll(t(2), arrival(&env, out.outgoing[0].env.clone()), &mut env);
         assert_eq!(out.outgoing.len(), 1);
         assert!(matches!(out.outgoing[0].env.msg, WireMessage::DiscoveryReply { addr: None, .. }));
         assert_eq!(out.outgoing[0].env.dst, A);
@@ -587,7 +591,7 @@ mod tests {
             },
             auth: None,
         };
-        let out = m.poll(t(1000), Event::Deliver(reply), &mut env);
+        let out = m.poll(t(1000), arrival(&env, reply), &mut env);
         let id2 = out.outgoing[0].env.msg_id;
         assert_eq!(m.poll(t(1100), Event::Wake, &mut env).outgoing[0].env.msg_id, id2);
         m.poll(t(1300), Event::Wake, &mut env);
@@ -628,7 +632,7 @@ mod tests {
             },
             auth: None,
         };
-        let out = m.poll(t(10), Event::Deliver(reply), &mut env);
+        let out = m.poll(t(10), arrival(&env, reply), &mut env);
         assert_eq!(out.outgoing.len(), 2, "both parked forwards resume");
     }
 }

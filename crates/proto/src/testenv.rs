@@ -39,6 +39,8 @@ pub struct MockEnv {
     pub domain: Option<AuthDomain>,
     pub vpolicy: VerifyPolicy,
     pub stale_subjects: HashSet<Key>,
+    /// Routers [`NodeEnv::routable`] refuses (none by default).
+    pub unroutable: HashSet<u32>,
 }
 
 impl MockEnv {
@@ -119,5 +121,8 @@ impl NodeEnv for MockEnv {
     }
     fn publish_fresh(&self, subject: Key) -> bool {
         !self.stale_subjects.contains(&subject)
+    }
+    fn routable(&self, addr: WireAddr) -> bool {
+        !self.unroutable.contains(&addr.router)
     }
 }

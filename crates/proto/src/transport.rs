@@ -34,8 +34,8 @@ use crate::wire::Envelope;
 pub struct Delivery {
     /// Arrival time.
     pub at: SimTime,
-    /// Router the bytes arrive at (the destination the *sender* chose;
-    /// if the host has moved away since, the driver discards it).
+    /// Router the bytes arrive at: the destination the *sender* chose,
+    /// whether or not the host is still there.
     pub to_router: RouterId,
     /// The message.
     pub env: Envelope,

@@ -3,10 +3,12 @@
 //! Every protocol interaction the paper describes that a machine sends —
 //! mobile-layer forwarding, `_discovery`, `register`/`update`
 //! dissemination, location publication, failure detection and rejoin —
-//! is expressed as a [`WireMessage`] carried in an [`Envelope`]. The encoding is a fixed little-endian
-//! layout with a one-byte message tag: no serde, no varints, nothing the
-//! container does not already ship. Decoding is total — every byte string
-//! either round-trips or yields a [`WireError`], never a panic.
+//! is expressed as a [`WireMessage`] carried in an [`Envelope`], and an
+//! envelope travels in a [`Frame`] that says where it was sent to and
+//! from. The encoding is a fixed little-endian layout with a one-byte
+//! message tag: no serde, no varints, nothing the container does not
+//! already ship. Decoding is total — every byte string either
+//! round-trips or yields a [`WireError`], never a panic.
 
 use bristle_core::auth::fnv1a64;
 pub use bristle_core::auth::WireAuth;
@@ -341,6 +343,20 @@ pub struct Envelope {
     pub auth: Option<WireAuth>,
 }
 
+/// One envelope in transit, with its addresses: the receiver admits it
+/// only at `to_addr` (paper Fig. 2: a frame sent to an address its
+/// destination has left dies there) and answers it at `from_addr`. On
+/// the wire, a 32-byte address header and then the envelope's bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frame {
+    /// Where the sender believed the destination was attached.
+    pub to_addr: WireAddr,
+    /// Where the sender was attached when it sent this copy (unsigned).
+    pub from_addr: WireAddr,
+    /// The addressed message.
+    pub env: Envelope,
+}
+
 /// Codec failure: the byte string is not a well-formed envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
@@ -523,6 +539,27 @@ impl Envelope {
     }
 }
 
+impl Frame {
+    /// Bytes of the address header ahead of the envelope.
+    pub const HEADER: usize = 32;
+
+    /// Serializes the frame: `to_addr`, `from_addr`, then the envelope.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer(Vec::with_capacity(Self::HEADER + 64));
+        w.addr(self.to_addr);
+        w.addr(self.from_addr);
+        w.0.extend(self.env.encode());
+        w.0
+    }
+
+    /// Parses a frame, consuming the whole buffer.
+    pub fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
+        let mut r = Reader { buf: bytes, pos: 0 };
+        let (to_addr, from_addr) = (r.addr()?, r.addr()?);
+        Ok(Frame { to_addr, from_addr, env: Envelope::decode(&bytes[Self::HEADER..])? })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,10 +609,6 @@ mod tests {
         }
     }
 
-    /// The codec is a bijection on well-formed frames: for every variant,
-    /// encode → decode → re-encode reproduces the original bytes exactly.
-    /// Future wire changes cannot silently skew one direction of the codec
-    /// without failing this test.
     /// Every variant with and without an authentication trailer — the
     /// exhaustive inputs the codec tests run over.
     fn every_envelope() -> Vec<Envelope> {
@@ -595,6 +628,23 @@ mod tests {
         out
     }
 
+    /// Every envelope of [`every_envelope`] in a frame, its addresses at
+    /// the codec's extremes as well as ordinary ones.
+    fn every_frame() -> Vec<Frame> {
+        let ends =
+            [(addr(1, 2, 3), addr(4, 5, 6)), (addr(u32::MAX, 0, u64::MAX), addr(0, u32::MAX, 0))];
+        let frames = every_envelope().into_iter().enumerate();
+        let frame = |(i, env): (usize, Envelope)| {
+            let (to_addr, from_addr) = ends[i % 2];
+            Frame { to_addr, from_addr, env }
+        };
+        frames.map(frame).collect()
+    }
+
+    /// The codec is a bijection on well-formed envelopes and frames: for
+    /// every variant, encode → decode → re-encode reproduces the original
+    /// bytes exactly. Future wire changes cannot silently skew one
+    /// direction of the codec without failing this test.
     #[test]
     fn every_variant_reencodes_byte_identically() {
         for (i, env) in every_envelope().into_iter().enumerate() {
@@ -602,14 +652,34 @@ mod tests {
             let back = Envelope::decode(&bytes).expect("decodes");
             assert_eq!(back.encode(), bytes, "variant {i} re-encode differs");
         }
+        for (i, frame) in every_frame().into_iter().enumerate() {
+            let bytes = frame.encode();
+            let back = Frame::decode(&bytes).expect("decodes");
+            assert_eq!(back.encode(), bytes, "frame {i} re-encode differs");
+        }
     }
 
     #[test]
     fn every_variant_round_trips() {
         for (i, env) in every_envelope().into_iter().enumerate() {
-            let bytes = env.encode();
-            let back = Envelope::decode(&bytes).expect("decodes");
+            let back = Envelope::decode(&env.encode()).expect("decodes");
             assert_eq!(back, env, "variant {i}");
+        }
+        for (i, frame) in every_frame().into_iter().enumerate() {
+            let back = Frame::decode(&frame.encode()).expect("decodes");
+            assert_eq!(back, frame, "frame {i}");
+        }
+    }
+
+    /// A frame is its 32-byte address header, then its envelope's bytes
+    /// unchanged.
+    #[test]
+    fn a_frame_is_its_address_header_then_its_envelope() {
+        for frame in every_frame() {
+            let bytes = frame.encode();
+            assert_eq!(&bytes[Frame::HEADER..], &frame.env.encode()[..]);
+            let header = Frame::decode(&bytes).map(|f| (f.to_addr, f.from_addr));
+            assert_eq!(header, Ok((frame.to_addr, frame.from_addr)));
         }
     }
 
@@ -622,15 +692,22 @@ mod tests {
         assert_eq!(seen.len(), 19 - RETIRED.len());
     }
 
-    /// Truncating an authenticated *or* unauthenticated frame at every
-    /// possible length is a clean `Truncated` error — in particular a
-    /// trailer cut mid-tag never passes as unauthenticated.
+    /// Truncating an authenticated *or* unauthenticated envelope or frame
+    /// at every possible length — inside the address header too — is a
+    /// clean `Truncated` error; in particular a trailer cut mid-tag never
+    /// passes as unauthenticated.
     #[test]
     fn truncation_at_every_length_is_an_error_not_a_panic() {
         for env in every_envelope() {
             let bytes = env.encode();
             for cut in 0..bytes.len() {
                 assert_eq!(Envelope::decode(&bytes[..cut]), Err(WireError::Truncated), "cut {cut}");
+            }
+        }
+        for frame in every_frame() {
+            let bytes = frame.encode();
+            for cut in 0..bytes.len() {
+                assert_eq!(Frame::decode(&bytes[..cut]), Err(WireError::Truncated), "cut {cut}");
             }
         }
     }
@@ -725,47 +802,56 @@ mod tests {
         }
     }
 
-    /// Attacker-controlled bytes at the datagram boundary: every
-    /// single-byte mutation of every well-formed encoding (each byte
-    /// position crossed with several corruption patterns) must decode to
+    /// Every single-byte mutation of `bytes` (each position crossed with
+    /// several corruption patterns), every one-byte insertion and
+    /// excision, and same-length garbage, each handed to `decode`.
+    fn mutations(bytes: &[u8], salt: u8, mut decode: impl FnMut(&[u8])) {
+        for pos in 0..bytes.len() {
+            for mask in [0x01u8, 0x80, 0xff] {
+                let mut bad = bytes.to_vec();
+                bad[pos] ^= mask;
+                decode(&bad);
+            }
+            // Setting the byte outright (not xor) hits option and tag
+            // sentinels the masks can miss.
+            for value in [0x00u8, 0x02, 0x13, 0xfe] {
+                let mut bad = bytes.to_vec();
+                bad[pos] = value;
+                decode(&bad);
+            }
+            // Mutations that also change length: duplicate and excise
+            // one byte.
+            let mut longer = bytes.to_vec();
+            longer.insert(pos, bytes[pos]);
+            decode(&longer);
+            let mut shorter = bytes.to_vec();
+            shorter.remove(pos);
+            decode(&shorter);
+        }
+        // Pure garbage of the same length, from a fixed pattern so the
+        // sweep stays deterministic.
+        let garbage: Vec<u8> =
+            (0..bytes.len()).map(|j| (j as u8).wrapping_mul(31).wrapping_add(salt)).collect();
+        decode(&garbage);
+    }
+
+    /// Attacker-controlled bytes at the datagram boundary: every mutation
+    /// of every well-formed envelope and frame encoding must decode to
     /// `Ok` or a clean `Err` — never panic, never over-read. The decoder
-    /// is total; the poll loop's drop-and-meter path depends on it.
+    /// is total; the poll loop's drop-and-meter path depends on it. A
+    /// mutated frame that still decodes names addresses the codec read
+    /// whole, header bytes and all.
     #[test]
     fn mutation_sweep_of_every_encoding_is_total() {
         for (i, env) in every_envelope().into_iter().enumerate() {
-            let bytes = env.encode();
-            for pos in 0..bytes.len() {
-                for mask in [0x01u8, 0x80, 0xff] {
-                    let mut bad = bytes.clone();
-                    bad[pos] ^= mask;
-                    // Any Result is fine; what must not happen is a
-                    // panic or an abort inside decode.
-                    let _ = Envelope::decode(&bad);
+            mutations(&env.encode(), i as u8, |bad| drop(Envelope::decode(bad)));
+        }
+        for (i, frame) in every_frame().into_iter().enumerate() {
+            mutations(&frame.encode(), i as u8, |bad| {
+                if let Ok(decoded) = Frame::decode(bad) {
+                    assert_eq!(decoded.encode(), bad, "frame {i}: a decoded frame re-encodes");
                 }
-                // Setting the byte outright (not xor) hits option and
-                // tag sentinels the masks can miss.
-                for value in [0x00u8, 0x02, 0x13, 0xfe] {
-                    let mut bad = bytes.clone();
-                    bad[pos] = value;
-                    let _ = Envelope::decode(&bad);
-                }
-            }
-            // Mutations that also change length: duplicate and excise
-            // one byte at every position.
-            for pos in 0..bytes.len() {
-                let mut longer = bytes.clone();
-                longer.insert(pos, bytes[pos]);
-                let _ = Envelope::decode(&longer);
-                let mut shorter = bytes.clone();
-                shorter.remove(pos);
-                let _ = Envelope::decode(&shorter);
-            }
-            // Pure garbage of the same length, from a fixed pattern so
-            // the sweep stays deterministic.
-            let garbage: Vec<u8> = (0..bytes.len())
-                .map(|j| (j as u8).wrapping_mul(31).wrapping_add(i as u8))
-                .collect();
-            let _ = Envelope::decode(&garbage);
+            });
         }
     }
 

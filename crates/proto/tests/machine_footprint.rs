@@ -14,7 +14,7 @@ use std::cell::Cell;
 use bristle_core::time::SimTime;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
-use bristle_proto::machine::{Event, Outgoing, ProtoMachine, RetryPolicy};
+use bristle_proto::machine::{Event, Frame, ProtoMachine, RetryPolicy};
 use bristle_proto::testenv::MockEnv;
 use bristle_proto::wire::{Envelope, WireAddr, WireMessage};
 
@@ -86,19 +86,23 @@ fn world() -> MockEnv {
 }
 
 /// `msg` from `src` to `A`, sent under `msg_id`.
-fn to_a(src: Key, msg_id: u64, msg: WireMessage) -> Event {
-    Event::Deliver(Envelope { src, dst: A, msg_id, trace_id: 0, msg, auth: None })
+fn to_a(env: &MockEnv, src: Key, msg_id: u64, msg: WireMessage) -> Event {
+    let (to_addr, from_addr) = (env.addrs[&A], env.addrs[&src]);
+    let env = Envelope { src, dst: A, msg_id, trace_id: 0, msg, auth: None };
+    Event::Arrive(Frame { to_addr, from_addr, env })
 }
 
-/// The ack that closes the exchange `sent` opened.
-fn ack_of(sent: &Outgoing) -> Event {
+/// The ack that closes the exchange `sent` opened, sent back from where
+/// `sent` went to where it came from.
+fn ack_of(sent: &Frame) -> Event {
     let acked = sent.env.msg_id;
     let msg = match sent.env.msg {
         WireMessage::RouteHop { .. } => WireMessage::HopAck { acked },
         WireMessage::Register { .. } => WireMessage::RegisterAck { acked },
         ref other => panic!("{other:?} opens no exchange"),
     };
-    to_a(sent.env.dst, 0, msg)
+    let env = Envelope { src: sent.env.dst, dst: A, msg_id: 0, trace_id: 0, msg, auth: None };
+    Event::Arrive(Frame { to_addr: sent.from_addr, from_addr: sent.to_addr, env })
 }
 
 /// One machine's working life: every way an exchange closes, a frame
@@ -125,7 +129,7 @@ fn work(m: &mut ProtoMachine, env: &mut MockEnv) {
             let addr = Some(env.addrs[&M]);
             m.poll(
                 t(1050),
-                to_a(B, 0, WireMessage::DiscoveryReply { subject: M, session, addr }),
+                to_a(env, B, 0, WireMessage::DiscoveryReply { subject: M, session, addr }),
                 env,
             )
         } else {
@@ -137,7 +141,7 @@ fn work(m: &mut ProtoMachine, env: &mut MockEnv) {
     }
     // An update taken in: applied once, its sighting held for dedup.
     let addr = WireAddr { host: 2, router: 5, epoch: 0 };
-    m.poll(t(9500), to_a(B, 7, WireMessage::Update { subject: B, addr, seq: 1 }), env);
+    m.poll(t(9500), to_a(env, B, 7, WireMessage::Update { subject: B, addr, seq: 1 }), env);
     assert_eq!(m.seen_held(), 1);
     m.monitor(B);
     m.monitor(M);

@@ -11,17 +11,16 @@
 //! - **Per-kind meter tallies** — `(kind, count, cost)` over every
 //!   [`MessageKind`]. Every metering decision is made by the machines
 //!   — a spurious retry too: each driver asks the destination machine
-//!   whether it already processed the frame — or by the one mirrored
-//!   driver rule, the stale-address black-hole, so a divergence means a
+//!   whether it already processed the frame — so a divergence means a
 //!   driver leaked semantics into the protocol.
 //! - **The run's registry** — one per arm, in its [`Telemetry`]. Every
-//!   [`Hist`] series counts alike on both, and so does `frames_sent`,
-//!   the frames handed to the carrier, acks included, which no tally
-//!   meters. The mirrored rule holds exactly when the socket arm counts
-//!   0 `stale_blackholed` (the simulator black-holes at arrival, the
-//!   socket driver at send: the same only when no frame meets a move),
-//!   0 `written_off` and 0 drops, and its `datagrams_received` equals
-//!   its `frames_sent`.
+//!   [`Hist`] series counts alike on both, and so do `frames_sent`, the
+//!   frames handed to the carrier, acks included, which no tally meters,
+//!   and `stale_blackholed`, the frames a machine rejected as sent to an
+//!   address its node had left: both drivers hand every frame to the
+//!   destination's machine, and only the machine decides. The socket
+//!   arm counts 0 `written_off` and 0 drops, and its
+//!   `datagrams_received` equals its `frames_sent`.
 //! - **The causal profile** — every flight-recorder event, grouped by
 //!   trace id and stripped of wall-dependent fields (`at`, `elapsed`).
 //!   Within one trace, event *timing* differs between a micro-clock
@@ -31,14 +30,15 @@
 //! short interpreters of it that settle after every step, so a step
 //! added to the list runs over both carriers. It covers the paper's
 //! interesting paths: registration, plain routes, a settled move
-//! followed by an LDT dissemination, and the stale-belief recovery — a
+//! followed by an LDT dissemination, the stale-belief recovery — a
 //! confidently wrong (force-believed) address found epoch-stale at
 //! forwarding time, one wasted metered hop, and a `_discovery` through
-//! the stationary layer. Mid-flight moves — the only wedge that could
-//! make the sim's arrival-time black-hole and the socket driver's
-//! send-time staleness check disagree — are deliberately excluded; the
-//! socket-side timeout ladder is exercised by `bristle-net`'s own driver
-//! tests.
+//! the stationary layer — and the Fig. 2 stale-address branch itself,
+//! twice: a route's target moves while the hop to it is in flight, so
+//! every copy dies at the old attachment and the hop times out into a
+//! `_discovery`; and a route's origin moves while its hop is in flight,
+//! so the ack meets the stale address the hop was sent from and the
+//! retransmission, sent from the new one, is acked.
 //!
 //! [`SimTransport`]: bristle_proto::transport::SimTransport
 //! [`MessageKind`]: bristle_overlay::meter::MessageKind
@@ -154,6 +154,9 @@ enum Step {
     Route { src: Key, target: Key },
     /// A settled move: nothing is in flight while `key` reattaches at `to`.
     Move { key: Key, to: RouterId },
+    /// A route that must deliver, with `mover` reattaching at `to` one
+    /// tick after its first frame is sent, before any frame arrives.
+    MoveMidFlight { src: Key, target: Key, mover: Key, to: RouterId },
     /// `key` pushes its current address down its LDT.
     Disseminate { key: Key },
     /// `holder` is given a fresh, resolved state-pair for `subject`
@@ -161,9 +164,22 @@ enum Step {
     Believe { holder: Key, subject: Key },
 }
 
+/// A mobile node and a target its route's first hop, to a stationary
+/// node, goes toward: the route's first frame is that hop, sent at once.
+fn stationary_first_hop(sys: &BristleSystem) -> (Key, Key) {
+    let first = |src: Key, target| sys.mobile.next_hop(src, target).ok().flatten();
+    let pairs =
+        sys.mobile_keys().iter().flat_map(|&s| sys.stationary_keys().iter().map(move |&t| (s, t)));
+    pairs
+        .into_iter()
+        .find(|&(s, t)| first(s, t).is_some_and(|n| !sys.is_mobile(n)))
+        .expect("such a pair")
+}
+
 /// The scenario: registration, a plain route, a settled move followed by
-/// an LDT dissemination, and the stale-belief recovery — over actors
-/// chosen from the freshly built (pre-ops) system, so both arms agree.
+/// an LDT dissemination, the stale-belief recovery, and a move in flight
+/// at each end of a route — over actors chosen from the freshly built
+/// (pre-ops) system, so both arms agree.
 fn script(sys: &BristleSystem) -> Vec<Step> {
     // The stale-belief recovery's origin and (direct-hop) mobile target.
     let (ladder_src, ladder_target) = direct_pair(sys);
@@ -175,20 +191,30 @@ fn script(sys: &BristleSystem) -> Vec<Step> {
         .expect("more than one mobile node");
     // Its two stationary registrants.
     let (w1, w2) = (sys.stationary_keys()[0], sys.stationary_keys()[1]);
-    let elsewhere = |of: Key| {
+    // The `skip`-th stub router `of` was not built at.
+    let away = |of: Key, skip: usize| {
         let here = sys.router_of(of).expect("attached");
-        sys.stub_routers().iter().copied().find(|&r| r != here).expect("another stub router exists")
+        sys.stub_routers().iter().copied().filter(|&r| r != here).nth(skip).expect("routers")
     };
+    let (origin, far) = stationary_first_hop(sys);
     vec![
         Step::Register { who: w1, target: m },
         Step::Register { who: w2, target: m },
         Step::Route { src: w1, target: m },
-        Step::Move { key: m, to: elsewhere(m) },
+        Step::Move { key: m, to: away(m, 0) },
         Step::Disseminate { key: m },
         Step::Route { src: w2, target: m },
         Step::Believe { holder: ladder_src, subject: ladder_target },
-        Step::Move { key: ladder_target, to: elsewhere(ladder_target) },
+        Step::Move { key: ladder_target, to: away(ladder_target, 0) },
         Step::Route { src: ladder_src, target: ladder_target },
+        Step::Believe { holder: ladder_src, subject: ladder_target },
+        Step::MoveMidFlight {
+            src: ladder_src,
+            target: ladder_target,
+            mover: ladder_target,
+            to: away(ladder_target, 1),
+        },
+        Step::MoveMidFlight { src: origin, target: far, mover: origin, to: away(origin, 0) },
     ]
 }
 
@@ -214,6 +240,10 @@ fn sim_arm(sys: BristleSystem, seed: u64, steps: &[Step]) -> ConformanceReport {
             Step::Move { key, to } => {
                 let t = mbs.micro_now();
                 mbs.schedule_move(SimTime(t.0 + 1), key, Some(to));
+            }
+            Step::MoveMidFlight { src, target, mover, to } => {
+                mbs.schedule_move(SimTime(mbs.micro_now().0 + 1), mover, Some(to));
+                mbs.route(src, target).expect("route delivers");
             }
             Step::Disseminate { key } => {
                 mbs.disseminate_update(key).expect("update disseminates");
@@ -274,11 +304,22 @@ fn net_register(d: &mut SocketDriver, w: &mut NetWorld, who: Key, target: Key) {
     d.completions.retain(|c| !settled(c));
 }
 
-fn net_route(d: &mut SocketDriver, w: &mut NetWorld, src: Key, target: Key) {
+/// A route, with `moved.0` reattaching at `moved.1` once its first
+/// frames are on the wire and before any is read back.
+fn net_route(
+    d: &mut SocketDriver,
+    w: &mut NetWorld,
+    src: Key,
+    target: Key,
+    moved: Option<(Key, RouterId)>,
+) {
     let started = d.now();
     let mut env = w.env();
     let (route_id, out) = d.machine_mut(src).expect("bound").start_route(started, &mut env, target);
     d.dispatch(src, out, &mut env).expect("route dispatch");
+    if let Some((mover, to)) = moved {
+        env.sys.relocate(mover, Some(to)).expect("mobile node moves");
+    }
     let mine = move |c: &Completion| match *c {
         Completion::Delivered { origin, route_id: r } => origin == src && r == route_id,
         Completion::RouteFailed { origin, route_id: r, .. } => origin == src && r == route_id,
@@ -348,8 +389,10 @@ pub fn run_sockets(seed: u64) -> ConformanceReport {
     socket_arm(sys, &steps)
 }
 
-fn socket_arm(sys: BristleSystem, steps: &[Step]) -> ConformanceReport {
-    let mut world = NetWorld {
+/// Every node of `sys` behind its own loopback socket, and the world
+/// the socket arm's environment windows onto.
+fn bind_all(sys: BristleSystem) -> (SocketDriver, NetWorld) {
+    let world = NetWorld {
         sys,
         nodes: Nodes::default(),
         obs: Registry::default(),
@@ -367,11 +410,18 @@ fn socket_arm(sys: BristleSystem, steps: &[Step]) -> ConformanceReport {
         d.bind_node(key, wire_addr_of(&world.sys, key).expect("known"), machine)
             .expect("loopback socket binds");
     }
+    (d, world)
+}
 
+fn socket_arm(sys: BristleSystem, steps: &[Step]) -> ConformanceReport {
+    let (mut d, mut world) = bind_all(sys);
     for &step in steps {
         match step {
             Step::Register { who, target } => net_register(&mut d, &mut world, who, target),
-            Step::Route { src, target } => net_route(&mut d, &mut world, src, target),
+            Step::Route { src, target } => net_route(&mut d, &mut world, src, target, None),
+            Step::MoveMidFlight { src, target, mover, to } => {
+                net_route(&mut d, &mut world, src, target, Some((mover, to)))
+            }
             // A settled move: the system reattaches the host (epoch
             // bump). The driver finds sockets by host, and the node's
             // socket does not move — only its overlay address.
@@ -406,6 +456,52 @@ mod tests {
         assert_eq!(frames(&sim), frames(&net));
     }
 
+    /// The one rule, pinned where the two drivers used to disagree: a
+    /// `Register` sent to a mobile node at `(r, e)` that re-attaches at
+    /// the same router `r`, under epoch `e + 1`, while it is in flight is
+    /// rejected by the node's machine on both carriers, and so is every
+    /// retransmission, which is the same frame: no ack, no dedup entry,
+    /// one `stale_blackholed` a copy, and the registration fails. (A
+    /// driver comparing routers only let the first copy in.)
+    #[test]
+    fn a_frame_to_a_same_router_move_is_rejected_on_both_carriers() {
+        let copies = u64::from(RetryPolicy::default().max_attempts);
+        for seed in [8u64, 27] {
+            let sys = build(seed);
+            let (who, m) = (sys.stationary_keys()[0], sys.mobile_keys()[0]);
+            let before = wire_addr_of(&sys, m).expect("attached");
+            let here = before.router_id();
+
+            let mut mbs = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+            let t = mbs.micro_now();
+            mbs.schedule_move(SimTime(t.0 + 1), m, Some(here));
+            assert!(mbs.register(who, m).is_err(), "seed {seed}: the sim arm heard an ack");
+            mbs.settle();
+            let after = wire_addr_of(&mbs.sys, m).expect("attached");
+            assert_eq!((after.router, after.epoch), (before.router, before.epoch + 1));
+            let sim = mbs.registry();
+
+            let (mut d, mut world) = bind_all(build(seed));
+            let capacity = world.sys.node_info(who).expect("known").capacity;
+            let mut env = world.env();
+            let now = d.now();
+            let out = d.machine_mut(who).expect("bound").start_register(now, &mut env, m, capacity);
+            d.dispatch(who, out, &mut env).expect("register dispatch");
+            env.sys.relocate(m, Some(here)).expect("mobile node moves");
+            d.run_until_quiet(&mut env, MAX_EVENTS).expect("network quiesces");
+            let failed = Completion::RegisterFailed { target: m };
+            assert_eq!(d.completions, vec![failed], "seed {seed}: the socket arm heard an ack");
+            // The driver counts what it carried; the machines' rejections
+            // reach the world's registry through `emit`.
+            let net = d.registry();
+            let sent = [sim.counter(Counter::FramesSent), net.counter(Counter::FramesSent)];
+            let rejected = [&sim, &world.obs].map(|r| r.counter(Counter::StaleBlackholed));
+            assert_eq!((sent, rejected), ([copies; 2], [copies; 2]), "seed {seed}: sent, rejected");
+            let held = [sim.gauge(Gauge::Seen), net.gauge(Gauge::Seen)];
+            assert_eq!(held, [0, 0], "seed {seed}: a dedup entry");
+        }
+    }
+
     #[test]
     fn the_script_uses_every_kind_of_step() {
         let steps = script(&build(5));
@@ -415,5 +511,11 @@ mod tests {
         assert!(has(|s| matches!(s, Step::Move { .. })));
         assert!(has(|s| matches!(s, Step::Disseminate { .. })));
         assert!(has(|s| matches!(s, Step::Believe { .. })));
+        let moved = |s: &Step| match *s {
+            Step::MoveMidFlight { src, target, mover, .. } => Some((mover == src, mover == target)),
+            _ => None,
+        };
+        let mid: Vec<(bool, bool)> = steps.iter().filter_map(moved).collect();
+        assert_eq!(mid, [(false, true), (true, false)], "the target moves, then an origin");
     }
 }

@@ -4,7 +4,7 @@
 use bristle_core::ldt::Ldt;
 use bristle_core::location::LocationRecord;
 use bristle_overlay::addr::NetAddr;
-use bristle_overlay::obs::{FlightRecorder, Hist, ObsEvent, ObsEventKind, Registry};
+use bristle_overlay::obs::{Counter, FlightRecorder, Hist, ObsEvent, ObsEventKind, Registry};
 use bristle_proto::machine::NodeEnv;
 use bristle_proto::wire::WireAddr;
 
@@ -56,6 +56,12 @@ pub(crate) fn wire_addr_of(sys: &BristleSystem, key: Key) -> Option<WireAddr> {
     Some(WireAddr::from_net(NetAddr::current(info.host, &sys.attachments)))
 }
 
+/// Where mail for `key` goes: its current address, else the last one the
+/// driver saw it at, else the dead-letter address.
+pub(crate) fn addr_of(sys: &BristleSystem, nodes: &Nodes, key: Key) -> WireAddr {
+    wire_addr_of(sys, key).unwrap_or_else(|| nodes.last_addr(key).unwrap_or(DEAD_LETTER_ADDR))
+}
+
 /// An LDT's edges grouped by parent, parents in first-edge order: one
 /// `start_update` per relaying member.
 pub(crate) fn children_by_parent(ldt: &Ldt) -> Vec<(Key, Vec<Key>)> {
@@ -104,8 +110,7 @@ impl NodeEnv for SystemEnv<'_> {
     }
 
     fn current_addr(&self, key: Key) -> WireAddr {
-        wire_addr_of(self.sys, key)
-            .unwrap_or_else(|| self.nodes.last_addr(key).unwrap_or(DEAD_LETTER_ADDR))
+        addr_of(self.sys, self.nodes, key)
     }
 
     fn addr_current(&self, addr: WireAddr) -> bool {
@@ -174,10 +179,14 @@ impl NodeEnv for SystemEnv<'_> {
     }
 
     fn emit(&mut self, event: ObsEvent) {
-        if let ObsEventKind::DiscoveryResolved { elapsed, .. }
-        | ObsEventKind::DiscoveryFailed { elapsed, .. } = event.kind
-        {
-            self.obs.record(Hist::Discovery, elapsed);
+        match event.kind {
+            ObsEventKind::DiscoveryResolved { elapsed, .. }
+            | ObsEventKind::DiscoveryFailed { elapsed, .. } => {
+                self.obs.record(Hist::Discovery, elapsed)
+            }
+            ObsEventKind::StaleReject { .. } => self.obs.add(Counter::StaleBlackholed, 1),
+            ObsEventKind::OracleForward { .. } => self.obs.add(Counter::OracleForwards, 1),
+            _ => {}
         }
         self.flight.record(event);
     }

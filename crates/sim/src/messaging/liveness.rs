@@ -47,15 +47,15 @@ pub(super) struct Held {
     fate: Fate,
 }
 
-/// The router a node's machine sends from and hears at, given what is
-/// held against it and where (if anywhere) the system attaches it.
-pub(super) fn attachment(held: Option<&Held>, in_system: Option<RouterId>) -> Option<RouterId> {
+/// Whether a node's machine hears and sends frames — the one question
+/// about a node the driver answers — given what is held against it and
+/// whether the system holds it: a crashed node does neither, a buried
+/// one still listens where it last lived.
+pub(super) fn listening(held: Option<&Held>, in_system: impl FnOnce() -> bool) -> bool {
     match held {
-        Some(Held { fate: Fate::Crashed, .. }) => None,
-        Some(Held { fate: Fate::BuriedAlive(_), last_addr }) => {
-            in_system.or(Some(last_addr.router_id()))
-        }
-        _ => in_system,
+        Some(Held { fate: Fate::Crashed, .. }) => false,
+        Some(Held { fate: Fate::BuriedAlive(_), .. }) => true,
+        _ => in_system(),
     }
 }
 

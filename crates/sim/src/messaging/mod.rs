@@ -29,11 +29,16 @@
 //! the driver's view of each node and the crash, burial, heartbeat-round
 //! and rejoin steps that change it.
 //!
+//! The driver decides nothing about addresses: a frame travels between
+//! the routers its header names and reaches its destination's machine
+//! if that node is listening, and the machine decides whether it was
+//! sent to the address the node holds now, as over sockets.
+//!
 //! The per-frame bookkeeping is kept out of the queue and out of hash
 //! tables. An admitted frame waits in a driver-owned slab (`Frames`),
-//! and its delivery event carries the slot's `u32`, not the 104-byte
-//! envelope; the slot is freed when that event is popped, and a frame
-//! the ingress cap sheds never takes one. A machine keeps its own
+//! and its delivery event carries the slot's `u32`, not the 128-byte
+//! frame; the slot is freed when that event is popped, and a frame the
+//! ingress cap sheds never takes one. A machine keeps its own
 //! deadlines and reports the earliest ([`Output::wake`]); the driver
 //! queues a wake for it unless the last one it queued is still ahead
 //! and no later ([`Output::wake_to_queue`]), so the queue holds a wake
@@ -53,14 +58,15 @@ use bristle_core::auth::{AuthDomain, VerifyPolicy};
 use bristle_core::system::BristleSystem;
 use bristle_core::time::SimTime;
 use bristle_netsim::graph::RouterId;
+use bristle_overlay::addr::NetAddr;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
 use bristle_overlay::obs::{Counter, FlightRecorder, Gauge, Hist, Registry};
 use bristle_proto::failure::FailurePolicy;
-use bristle_proto::machine::{Completion, Event, Output, ProtoMachine, RetryPolicy};
+use bristle_proto::machine::{Completion, Event, Frame, Output, ProtoMachine, RetryPolicy};
 use bristle_proto::rto::RtoConfig;
 use bristle_proto::transport::{Delivery, FaultConfig, SimTransport, Transport};
-use bristle_proto::wire::{Envelope, WireMessage};
+use bristle_proto::wire::{Envelope, WireAddr, WireMessage};
 
 use crate::engine::EventQueue;
 
@@ -68,7 +74,7 @@ mod env;
 mod liveness;
 mod ops;
 
-pub(crate) use env::{children_by_parent, wire_addr_of, AuthConfig, SystemEnv};
+pub(crate) use env::{addr_of, children_by_parent, wire_addr_of, AuthConfig, SystemEnv};
 pub(crate) use liveness::Nodes;
 
 /// Hard cap on events processed per driver operation; hitting it means a
@@ -82,9 +88,8 @@ pub(crate) const FLIGHT_RECORDER_CAPACITY: usize = 4096;
 
 /// Events on the driver's micro-clock.
 enum MsgEvent {
-    /// Bytes arrive at a router (discarded if the destination host has
-    /// moved away from it in the meantime): the frame in this slot of
-    /// the driver's [`Frames`].
+    /// A frame reaches its destination: the one in this slot of the
+    /// driver's [`Frames`].
     Deliver(u32),
     /// A wake the machine at this index asked for comes due.
     Wake(NodeIdx),
@@ -110,21 +115,28 @@ enum MsgEvent {
 const _: () = assert!(std::mem::size_of::<MsgEvent>() <= 24);
 
 /// The frames in flight, each in a slot a [`MsgEvent::Deliver`] names,
-/// so the queue moves a `u32` where it would move a 104-byte
-/// [`Envelope`]. A slot is taken when a frame is admitted and freed by
-/// its own delivery event, before the destination polls; freed slots are
-/// reused first, so the slab holds no more slots than the most frames
-/// ever in flight at once. The arrival time is the event's queue time.
+/// so the queue moves a `u32` where it would move a frame. A slot is
+/// taken when a frame is admitted and freed by its own delivery event,
+/// before the destination polls; freed slots are reused first, so the
+/// slab holds no more slots than the most frames ever in flight at
+/// once. The arrival time is the event's queue time. A slot holds a
+/// frame's addresses as the attachment map holds one
+/// ([`WireAddr::to_net`]), 128 bytes where a [`Frame`] takes 136: every
+/// epoch a host can hold narrows to itself and every wider one to an
+/// epoch no host holds, so the frame meets the same fate either way.
 #[derive(Default)]
 struct Frames {
-    slots: Vec<Option<(RouterId, Envelope)>>,
+    slots: Vec<Option<(NetAddr, NetAddr, Envelope)>>,
     free: Vec<u32>,
 }
 
+// `liveness-1e3` holds about 7 000 frames in flight.
+const _: () = assert!(std::mem::size_of::<Option<(NetAddr, NetAddr, Envelope)>>() <= 128);
+
 impl Frames {
-    /// Parks a frame addressed to `to_router`; returns its slot.
-    fn put(&mut self, to_router: RouterId, env: Envelope) -> u32 {
-        let frame = Some((to_router, env));
+    /// Parks a frame; returns its slot.
+    fn put(&mut self, frame: Frame) -> u32 {
+        let frame = Some((frame.to_addr.to_net(), frame.from_addr.to_net(), frame.env));
         match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = frame;
@@ -140,11 +152,11 @@ impl Frames {
     }
 
     /// Takes the frame out of `slot` and frees the slot.
-    fn take(&mut self, slot: u32) -> (RouterId, Envelope) {
-        let frame =
+    fn take(&mut self, slot: u32) -> Frame {
+        let (to, from, env) =
             self.slots[slot as usize].take().expect("a slot is freed once, by its own event");
         self.free.push(slot);
-        frame
+        Frame { to_addr: WireAddr::from_net(to), from_addr: WireAddr::from_net(from), env }
     }
 
     /// Frames in flight now.
@@ -505,26 +517,21 @@ impl MessagingBristleSystem {
         };
         match event {
             MsgEvent::Deliver(slot) => {
-                let (to_router, frame) = self.frames.take(slot);
-                let dst = frame.dst;
+                let frame = self.frames.take(slot);
+                let dst = frame.env.dst;
                 let idx = self.nodes.idx(dst);
                 if let (Some(_), Some(i)) = (self.ingress_cap, idx) {
                     let queued = self.nodes.ingress_mut(i);
                     *queued = queued.saturating_sub(1);
                 }
-                // The sender addressed a router; if the destination host
-                // has moved away since — or crashed — the bytes
-                // black-hole there. A wrongly buried node is gone from
-                // the system's books but still listening at its last
-                // attachment: its obituary must reach it.
-                let attached = self.sys.router_of(dst).ok();
-                if liveness::attachment(self.nodes.held_at(idx), attached) == Some(to_router) {
+                // A crashed node hears nothing; a wrongly buried one is
+                // gone from the system's books but still listening where
+                // it last lived: its obituary must reach it.
+                if liveness::listening(self.nodes.held_at(idx), || self.sys.contains_node(dst)) {
                     // A first frame starts the machine.
                     let idx = idx.unwrap_or_else(|| self.nodes.intern(dst));
                     self.ensure_machine(idx);
-                    self.drive_at(idx, false, |m, now, env| {
-                        m.poll(now, Event::Deliver(frame), env)
-                    });
+                    self.drive_at(idx, false, |m, now, env| m.poll(now, Event::Arrive(frame), env));
                 }
             }
             MsgEvent::Wake(node) => {
@@ -556,21 +563,17 @@ impl MessagingBristleSystem {
 
     /// Turns one machine's [`Output`] into transport sends, scheduled
     /// deliveries and, unless the node's last wake still covers it, a
-    /// queued wake.
+    /// queued wake. A node that is not listening sends nothing.
     fn dispatch(&mut self, idx: NodeIdx, out: Output) {
         let (now, from) = (self.queue.now(), self.nodes.key_of(idx));
-        // A wrongly buried node transmits from its last attachment
-        // (refutations and rejoin requests).
-        let attached = self.sys.router_of(from).ok();
-        let Some(from_router) = liveness::attachment(self.nodes.held_at(Some(idx)), attached)
-        else {
+        if !liveness::listening(self.nodes.held_at(Some(idx)), || self.sys.contains_node(from)) {
             return;
-        };
+        }
         let wake = out.wake_to_queue(self.nodes.wake_mut(idx), now);
-        for o in out.outgoing {
-            let to_router = o.to_addr.router_id();
-            for d in self.transport.send(now, from_router, to_router, o.env) {
-                self.admit(d);
+        for Frame { to_addr, from_addr, env } in out.outgoing {
+            let (from, to) = (from_addr.router_id(), to_addr.router_id());
+            for d in self.transport.send(now, from, to, env) {
+                self.admit(d, to_addr, from_addr);
             }
         }
         if let Some(at) = wake {
@@ -585,12 +588,13 @@ impl MessagingBristleSystem {
         self.completions.extend(out.completions);
     }
 
-    /// Schedules one transport delivery, applying ingress backpressure:
-    /// with a cap set and the destination's queue full, lookup-class
-    /// frames are shed (metered, never delivered) while protocol-fact
-    /// frames are admitted regardless — shedding a fact would corrupt
-    /// protocol state to save queue space, the wrong trade.
-    fn admit(&mut self, d: Delivery) {
+    /// Schedules one transport delivery of a frame sent to `to_addr` from
+    /// `from_addr`, applying ingress backpressure: with a cap set and the
+    /// destination's queue full, lookup-class frames are shed (metered,
+    /// never delivered) while protocol-fact frames are admitted
+    /// regardless — shedding a fact would corrupt protocol state to save
+    /// queue space, the wrong trade.
+    fn admit(&mut self, d: Delivery, to_addr: WireAddr, from_addr: WireAddr) {
         if let Some(cap) = self.ingress_cap {
             let idx = self.nodes.intern(d.env.dst);
             let queued = self.nodes.ingress_mut(idx);
@@ -607,7 +611,7 @@ impl MessagingBristleSystem {
             }
             *queued += 1;
         }
-        let slot = self.frames.put(d.to_router, d.env);
+        let slot = self.frames.put(Frame { to_addr, from_addr, env: d.env });
         self.queue.schedule_at(d.at, MsgEvent::Deliver(slot));
     }
 }
@@ -1048,6 +1052,40 @@ mod tests {
             let row = msys.sys.mobile.node(src).expect("live").entry(next).expect("row");
             assert_eq!(row.addr, Some(honest.to_net()), "seed {seed}");
             assert!(msys.sys.leases.is_fresh(src, next, msys.sys.clock.now()), "seed {seed}");
+        }
+    }
+
+    /// Every hop a failed `_discovery` sends to its subject's true
+    /// address is counted, once: none on a perfect transport, where every
+    /// discovery resolves; one when every copy of the discovery is lost —
+    /// and that route is delivered all the same, by the oracle.
+    #[test]
+    fn hops_forwarded_past_a_failed_discovery_are_counted() {
+        use bristle_proto::transport::Degradation;
+        let oracle = |m: &MessagingBristleSystem| m.registry().counter(Counter::OracleForwards);
+        let discoveries =
+            |m: &MessagingBristleSystem| m.registry().histogram(Hist::Discovery).count();
+        for seed in [8u64, 27] {
+            let mut msys = leases_lapsed(seed);
+            for (src, target, _) in discovering_routes(&msys).into_iter().take(8) {
+                msys.route(src, target).expect("a perfect transport delivers");
+            }
+            assert!(discoveries(&msys) > 0, "seed {seed}: discoveries ran");
+            assert_eq!(oracle(&msys), 0, "seed {seed}: and resolved");
+
+            // An asker whose link to its stationary entry point loses
+            // everything, and whose next hop is attached elsewhere.
+            let mut msys = leases_lapsed(seed);
+            let router = |m: &MessagingBristleSystem, k| m.sys.router_of(k).expect("live");
+            let entry = |m: &MessagingBristleSystem, k| m.sys.entry_stationary_for(k).expect("one");
+            let (src, target, _) = discovering_routes(&msys)
+                .into_iter()
+                .find(|&(src, _, next)| router(&msys, entry(&msys, src)) != router(&msys, next))
+                .expect("an asker whose entry point is not where its next hop is");
+            msys.degrade_link_now(src, entry(&msys, src), Degradation::lossy(1.0));
+            msys.route(src, target).expect("delivered by the oracle");
+            assert_eq!(oracle(&msys), 1, "seed {seed}");
+            assert_eq!(discoveries(&msys), 1, "seed {seed}: one discovery, failed");
         }
     }
 

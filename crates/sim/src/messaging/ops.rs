@@ -204,15 +204,16 @@ impl MessagingBristleSystem {
 
     /// Injects an adversary-crafted frame into the transport as if some
     /// node at `from_router` had sent it: same link latencies, faults
-    /// and delivery scheduling as honest traffic. The adversary is a
-    /// protocol-level attacker — it can put any bytes on the wire, but
-    /// the honest receive path (and its [`VerifyPolicy`]) decides what
-    /// those bytes do.
+    /// and delivery scheduling as honest traffic. Its header names
+    /// `to_addr` and, as the sender's, the claimed sender's current
+    /// address. The adversary is a protocol-level attacker — it can put
+    /// any bytes on the wire, but the honest receive path (and its
+    /// [`VerifyPolicy`]) decides what those bytes do.
     pub fn inject_frame(&mut self, from_router: RouterId, to_addr: WireAddr, env: Envelope) {
         let now = self.queue.now();
-        let to_router = to_addr.router_id();
-        for d in self.transport.send(now, from_router, to_router, env) {
-            self.admit(d);
+        let from_addr = addr_of(&self.sys, &self.nodes, env.src);
+        for d in self.transport.send(now, from_router, to_addr.router_id(), env) {
+            self.admit(d, to_addr, from_addr);
         }
     }
 

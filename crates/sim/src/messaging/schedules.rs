@@ -67,6 +67,11 @@ enum Op {
     /// `DiscoveryReply` naming no router at an open session, else a
     /// `HopAck` (the wrong kind for a registration).
     Forge(u8, u8, u8),
+    /// A route to a mobile node, and one tick after its first send a move
+    /// of the target, or, if the router's top bit is set and the origin
+    /// is mobile, of the origin, to the stub router picked — its own,
+    /// now and then.
+    MoveMidFlight(u8, u8, u8),
 }
 use Op::*;
 
@@ -128,7 +133,7 @@ const MIN_MOBILE: usize = 3;
 
 fn generate(seed: u64, len: usize, crash_free: bool) -> Vec<Op> {
     let mut rng = Pcg64::seed_from_u64(seed ^ 0x5ced);
-    let kinds = if crash_free { 14 } else { 27 };
+    let kinds = if crash_free { 14 } else { 28 };
     (0..len)
         .map(|_| {
             let kind = rng.index(kinds);
@@ -151,7 +156,8 @@ fn generate(seed: u64, len: usize, crash_free: bool) -> Vec<Op> {
                 22 => Partition(b()),
                 23 => Heal,
                 24 => Bury(b()),
-                _ => Forge(b(), b(), b()),
+                25 | 26 => Forge(b(), b(), b()),
+                _ => MoveMidFlight(b(), b(), b()),
             }
         })
         .collect()
@@ -260,6 +266,7 @@ impl World {
         match op {
             Move(i, _) | Disseminate(i) => (pick(&mobile, i), None),
             Route(a, b) | Forge(a, b, _) => (pick(&live, a), pick(&live, b)),
+            MoveMidFlight(a, b, _) => (pick(&live, a), pick(&mobile, b)),
             Register(a, b) => (pick(&live, a), pick(&mobile, b)),
             Leave(i) | Fail(i) => (pick(&removable, i), None),
             AttachWal(i) => (pick(&live, i).filter(|&k| m.sys.stores.state(k).is_none()), None),
@@ -334,6 +341,13 @@ impl World {
                 assert!(buried.is_empty(), "{step}: still buried after the heal: {buried:?}");
             }
             (Forge(.., what), Some(src), Some(target)) => self.forge(src, target, what),
+            (MoveMidFlight(.., r), Some(src), Some(target)) => {
+                let ends = if r & 0x80 == 0 { [target, src] } else { [src, target] };
+                if let Some(k) = ends.into_iter().find(|&k| m.sys.is_mobile(k)) {
+                    m.schedule_move(SimTime(m.micro_now().0 + 1), k, Some(router(&m.sys, r)));
+                }
+                drop(m.route(src, target));
+            }
             _ => {}
         }
         self.msys.settle();

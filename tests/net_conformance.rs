@@ -2,8 +2,9 @@
 //! over the in-memory `SimTransport` and over real UDP loopback sockets
 //! must produce identical per-kind meter tallies, the same causal
 //! (trace-id-grouped) event sequence, the same number of frames on the
-//! carrier and the same number of observations in every histogram of
-//! the run's one registry. See `bristle::sim::conformance` for the
+//! carrier, the same frames rejected as sent to a stale address, and
+//! the same number of observations in every histogram of the run's one
+//! registry. See `bristle::sim::conformance` for the
 //! scenario and the normalization rules. (That the net runtime
 //! leaves the simulator's golden trace alone is `golden_trace.rs`'s
 //! `flight_recorder_trace_matches_golden`.)
@@ -16,7 +17,7 @@ fn registry(arm: &ConformanceReport) -> &Registry {
     arm.telemetry.registry.as_ref().expect("each arm reports its run's registry")
 }
 
-fn conformance_at(seed: u64, frames: u64, discoveries: u64) {
+fn conformance_at(seed: u64, frames: u64, stale: u64, discoveries: u64) {
     let sim = run_sim(seed);
     let net = run_sockets(seed);
     assert_eq!(
@@ -37,15 +38,14 @@ fn conformance_at(seed: u64, frames: u64, discoveries: u64) {
     // frames.
     let (s, n) = (|c| registry(&sim).counter(c), |c| registry(&net).counter(c));
     assert_eq!((s(Counter::FramesSent), n(Counter::FramesSent)), (frames, frames), "seed {seed}");
-    // The premise of the settled-move carve-out: over sockets no send
-    // met a stale address, no owed datagram was given up on, nothing was
+    // The moves in flight: every copy sent to the moved target's old
+    // address, and the ack sent to the moved origin's, was carried and
+    // rejected by the machine it reached, alike on both carriers.
+    let rejected = (s(Counter::StaleBlackholed), n(Counter::StaleBlackholed));
+    assert_eq!(rejected, (stale, stale), "seed {seed}");
+    // Over sockets no owed datagram was given up on, nothing was
     // dropped at the boundary, and every frame sent was read.
-    for c in [
-        Counter::StaleBlackholed,
-        Counter::WrittenOff,
-        Counter::DroppedOversized,
-        Counter::DroppedGarbage,
-    ] {
+    for c in [Counter::WrittenOff, Counter::DroppedOversized, Counter::DroppedGarbage] {
         assert_eq!(n(c), 0, "seed {seed}: socket arm's {}", c.name());
     }
     assert_eq!(n(Counter::DatagramsReceived), frames, "seed {seed}: every frame sent was read");
@@ -54,29 +54,29 @@ fn conformance_at(seed: u64, frames: u64, discoveries: u64) {
     // is empty.
     let counts = |arm| Hist::ALL.map(|h| registry(arm).histogram(h).count());
     assert_eq!(counts(&sim), counts(&net), "seed {seed}: {:?}", Hist::ALL.map(Hist::name));
-    let exercised = [(Hist::Route, 3), (Hist::Discovery, discoveries), (Hist::Dissemination, 1)];
+    let exercised = [(Hist::Route, 5), (Hist::Discovery, discoveries), (Hist::Dissemination, 1)];
     for (h, count) in exercised {
         assert_eq!(registry(&net).histogram(h).count(), count, "seed {seed}: {}", h.name());
     }
 }
 
+/// Five copies rejected: the four sends of the hop to the target that
+/// moved, and the ack to the origin that moved.
 #[test]
 fn sim_and_sockets_agree_at_seed_8() {
-    conformance_at(8, 63, 2);
+    conformance_at(8, 81, 5, 3);
 }
 
 #[test]
 fn sim_and_sockets_agree_at_seed_27() {
-    conformance_at(27, 61, 4);
+    conformance_at(27, 76, 5, 5);
 }
 
 /// The tallies are not vacuous: the scenario exercises registration,
-/// updates, routes, and the stale-belief recovery through `_discovery`
-/// in both arms. (The *timeout* ladder needs a mid-flight move, which
-/// conformance scenarios exclude by design — that is the condition
-/// under which the sim's arrival-time black-hole and the socket
-/// driver's send-time check are equivalent. The socket-side retry
-/// ladder is pinned by `bristle-net`'s driver unit tests instead.)
+/// updates, routes, the stale-belief recovery through `_discovery`, and
+/// both moves in flight — the hop to a moved target timing out into a
+/// `_discovery`, and the hop from a moved origin retransmitted once to a
+/// node that had processed it — in both arms.
 #[test]
 fn the_scenario_exercises_the_recovery_paths() {
     use bristle::overlay::meter::MessageKind;
@@ -89,6 +89,8 @@ fn the_scenario_exercises_the_recovery_paths() {
     assert!(count(MessageKind::Update) >= 1, "the move is disseminated");
     assert!(count(MessageKind::RouteHop) >= 3, "routes (plus the wasted stale hop) flow");
     assert!(count(MessageKind::DiscoveryHop) >= 1, "recovery goes through _discovery");
-    assert_eq!(count(MessageKind::SpuriousRetry), 0, "a clean run wastes no retransmissions");
+    assert!(count(MessageKind::Timeout) >= 4, "the hop to the moved target times out");
+    assert!(count(MessageKind::DiscoveryRetry) >= 1, "and falls back to _discovery");
+    assert_eq!(count(MessageKind::SpuriousRetry), 1, "only the moved origin's retransmission");
     assert_eq!(count(MessageKind::MalformedFrame), 0, "clean runs drop nothing at the boundary");
 }
