@@ -6,7 +6,10 @@
 //! a WAL: [`BristleSystem::attach_wal`] gives it a [`WalBackend`] seeded
 //! with its rows, and from then on every repository mutation of that
 //! node is mirrored as a [`WalRecord`] into it, by [`crate::repo`] and
-//! nothing else. A node without a WAL holds no second copy.
+//! nothing else. A node without a WAL holds no second copy. A store
+//! keeps only what a restart cannot re-derive: an edge the node's rows
+//! imply comes back with the rows, so only explicit registrations are
+//! logged.
 //!
 //! What a death leaves is kept in one place, the node's grave
 //! ([`crate::heal`]). A verdict moves the node's disk there: its WAL,
@@ -133,8 +136,8 @@ pub fn location_from_stored(subject: Key, sr: &StoredRecord) -> LocationRecord {
 impl BristleSystem {
     /// What the tables hold of `key`'s repository, as its store would
     /// fold it: identity `(key, incarnation)` while the node is present,
-    /// its shard, the registry edges it is the registrant of, and the
-    /// lease-table rows it holds.
+    /// its shard, its standing explicit registrations (each interest of
+    /// its that R(·) holds), and the lease-table rows it holds.
     pub(crate) fn durable_rows(&self, key: Key) -> DurableState {
         let mut rows = DurableState::new();
         if let Ok(info) = self.node_info(key) {
@@ -145,8 +148,8 @@ impl BristleSystem {
                 rows.apply(&record_put(rec));
             }
         }
-        for (target, mut regs) in self.registry.iter() {
-            if let Some(r) = regs.find(|r| r.key == key) {
+        for &(_, target) in self.interests.range((key, Key(0))..=(key, Key(u64::MAX))) {
+            if let Some(r) = self.registry.registrants_of(target).find(|r| r.key == key) {
                 rows.apply(&WalRecord::Register { target: target.0, capacity: r.capacity });
             }
         }
@@ -408,6 +411,84 @@ mod tests {
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// The records `dir`'s log holds, in append order (a log that never
+    /// snapshots).
+    fn logged(dir: &std::path::Path) -> Vec<WalRecord> {
+        let bytes = std::fs::read(dir.join("wal.log")).expect("a log");
+        let mut frames = &bytes[bristle_store::wal::LOG_MAGIC.len()..];
+        let mut out = Vec::new();
+        while let [a, b, c, d, _, _, _, _, rest @ ..] = frames {
+            let len = u32::from_le_bytes([*a, *b, *c, *d]) as usize;
+            out.push(WalRecord::decode(&rest[..len]).expect("a record"));
+            frames = &rest[len..];
+        }
+        out
+    }
+
+    /// A join and a funeral's repair rewrite WAL-backed holders' rows; the
+    /// registration pass that follows logs no `Register` or `Deregister`
+    /// to any of them, and every store still mirrors its tables.
+    #[test]
+    fn a_registration_pass_logs_nothing() {
+        use crate::naming::Mobility;
+
+        for seed in [8, 27] {
+            let dir = scratch(&format!("pass-{seed}"));
+            let mut sys = system(30, 12, seed);
+            let keys: Vec<Key> = sys.mobile.keys().collect();
+            let friend = *sys.mobile_keys().last().expect("a mobile node");
+            sys.register_interest(keys[0], friend).unwrap();
+            for &k in &keys {
+                sys.attach_wal(k, WalBackend::open(dir.join(k.to_string()), 0).unwrap());
+            }
+            let rows = |sys: &BristleSystem, k: Key| sys.mobile.node(k).map(|n| n.keys().to_vec());
+            let dead = sys.mobile_keys()[0];
+            for step in ["join", "funeral"] {
+                let before: Vec<_> = keys
+                    .iter()
+                    .map(|&k| (rows(&sys, k), logged(&dir.join(k.to_string())).len()))
+                    .collect();
+                if step == "join" {
+                    sys.join_node(Mobility::Mobile).unwrap();
+                } else {
+                    sys.confirm_dead(dead).unwrap();
+                }
+                sys.assert_stores_mirror_tables(&format!("{step} (seed {seed})"));
+                let mut rewritten = 0;
+                for (&k, (held, logs)) in keys.iter().zip(before) {
+                    if k == dead || rows(&sys, k) == held {
+                        continue;
+                    }
+                    rewritten += 1;
+                    let new = logged(&dir.join(k.to_string())).split_off(logs);
+                    let edge = |r: &WalRecord| {
+                        matches!(r, WalRecord::Register { .. } | WalRecord::Deregister { .. })
+                    };
+                    assert!(!new.iter().any(edge), "seed {seed}: the {step} logged {new:?} to {k}");
+                }
+                assert!(rewritten > 0, "seed {seed}: the {step} must rewrite some rows");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// An explicit registration at a capacity its holder does not report
+    /// (a forged `Register` may carry any): the pass re-registers it at
+    /// the holder's own, and the holder's store follows.
+    #[test]
+    fn a_store_follows_the_capacity_the_pass_gives_an_explicit_edge() {
+        let dir = scratch("capacity");
+        let mut sys = system(30, 12, 8);
+        let (who, target) = (sys.mobile_keys()[0], sys.mobile_keys()[1]);
+        sys.attach_wal(who, WalBackend::open(&dir, 0).unwrap());
+        let own = sys.node_info(who).unwrap().capacity;
+        sys.add_registrant(who, own + 1, target);
+        sys.sync_registrations();
+        sys.assert_stores_mirror_tables("the sync");
+        assert_eq!(sys.stores.state(who).unwrap().registrations[&target.0], own);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

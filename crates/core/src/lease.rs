@@ -120,11 +120,6 @@ impl LeaseTable {
         holders
     }
 
-    /// The contract `holder` has on `subject`, valid or not yet purged.
-    pub(crate) fn get(&self, holder: Key, subject: Key) -> Option<Lease> {
-        self.leases.get(&(holder, subject)).copied()
-    }
-
     /// Every `((holder, subject), contract)` row, in no particular order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = ((Key, Key), Lease)> + '_ {
         self.leases.iter().map(|(&pair, &lease)| (pair, lease))

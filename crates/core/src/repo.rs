@@ -5,7 +5,8 @@
 //! location records, in the live tables (`registry`, `leases`,
 //! `stationary.node(k).store`). A live node that has a WAL
 //! ([`crate::durable`]) also holds them as a [`WalRecord`] fold in its
-//! [`crate::durable::StoreHub`] backend. This
+//! [`crate::durable::StoreHub`] backend (registrations only where they
+//! are explicit: [`crate::durable`]). This
 //! module is the only code that changes either, and it changes both in
 //! one call, so `assert_stores_mirror_tables` (in [`crate::durable`])
 //! holds after every operation. DESIGN §8 "The write path" tabulates
@@ -23,26 +24,12 @@ use bristle_overlay::meter::MessageKind;
 use bristle_overlay::ring::Slot;
 
 use crate::arena::NodeIdx;
-use crate::durable::{record_put, StoreHub, WalRecord};
+use crate::durable::{record_put, WalRecord};
 use crate::error::Result;
 use crate::location::LocationRecord;
 use crate::naming::Mobility;
-use crate::registry::{Edge, Registrant, Registry};
+use crate::registry::{Edge, Registrant};
 use crate::system::{BristleSystem, NodeInfo};
-
-/// [`BristleSystem::add_registrant`] over the two fields it writes, for
-/// the caller that is iterating a third.
-fn register_edge(
-    registry: &mut Registry,
-    stores: &mut StoreHub,
-    who: Key,
-    capacity: u32,
-    target: Key,
-) -> bool {
-    // No-op re-registrations are not logged (backends skip them).
-    stores.apply(who, WalRecord::Register { target: target.0, capacity });
-    registry.register(Registrant::new(who, capacity), target)
-}
 
 impl BristleSystem {
     /// Makes `info` the live identity of `key` (admission, or a
@@ -122,10 +109,14 @@ impl BristleSystem {
 
     /// Adds `who` (reporting `capacity`) to R(`target`) as an explicit
     /// interest, which stands whether or not `who`'s rows name `target`;
-    /// a repeat updates the capacity. Returns whether the edge is new.
+    /// a repeat updates the capacity. A store logs explicit registrations
+    /// only; a row-derived edge is re-derived from the rows. Returns
+    /// whether the edge is new.
     pub fn add_registrant(&mut self, who: Key, capacity: u32, target: Key) -> bool {
         self.interests.insert((who, target));
-        register_edge(&mut self.registry, &mut self.stores, who, capacity, target)
+        // No-op re-registrations are not logged (backends skip them).
+        self.stores.apply(who, WalRecord::Register { target: target.0, capacity });
+        self.registry.register(Registrant::new(who, capacity), target)
     }
 
     /// Rebuilds the registration state from the mobile layer's reverse
@@ -133,7 +124,8 @@ impl BristleSystem {
     /// registers to that node with its capacity (§2.3.1 — "X can register
     /// itself to those mobile nodes only"), and then to its live explicit
     /// interests. Each R(·) lists its row holders in ring order; a
-    /// holder's index is resolved once, a target's once an edge.
+    /// holder's index is resolved once, a target's once an edge. A store
+    /// logs no row-derived edge.
     pub fn sync_registrations(&mut self) {
         let old = self.registry.take();
         let info = &self.info;
@@ -142,7 +134,6 @@ impl BristleSystem {
             let (h, capacity) = (self.registry.keys.intern(holder.key), holder.capacity);
             for &subject in holder.keys() {
                 let Some(t) = self.interner().get(subject).filter(mobile) else { continue };
-                self.stores.apply(holder.key, WalRecord::Register { target: subject.0, capacity });
                 self.registry.register_at(Edge { holder: h, capacity }, t);
                 self.meter.bump(MessageKind::Register, 1);
             }
@@ -165,6 +156,7 @@ impl BristleSystem {
     /// the mobile ring is registered to exactly the live mobile nodes its
     /// rows name or its explicit interests do. Each new edge is a metered
     /// `Register` (their count is returned); a dropped one is unmetered.
+    /// A store logs no row-derived edge, and an explicit one it changed.
     pub(crate) fn reregister(&mut self, holders: &[Key]) -> usize {
         let listed: BTreeSet<Key> =
             holders.iter().copied().filter(|&h| self.mobile.contains(h)).collect();
@@ -183,7 +175,10 @@ impl BristleSystem {
         let mut sent = 0;
         for (holder, target) in wanted {
             let capacity = self.info_unchecked(holder).capacity;
-            if register_edge(&mut self.registry, &mut self.stores, holder, capacity, target) {
+            if self.interests.contains(&(holder, target)) {
+                self.stores.apply(holder, WalRecord::Register { target: target.0, capacity });
+            }
+            if self.registry.register(Registrant::new(holder, capacity), target) {
                 self.meter.bump(MessageKind::Register, 1);
                 sent += 1;
             }
@@ -312,8 +307,9 @@ impl BristleSystem {
 
     /// Dissolves every registration and lease that names `key`, as
     /// holder or as subject — the node left or was confirmed dead.
-    /// Survivors' stores drop their edges to it; its own store is in its
-    /// grave or about to be forgotten, so its side is not mirrored. Returns
+    /// Survivors' stores drop their explicit edges to it (a row-derived
+    /// one is in no store); its own store is in its grave or about to be
+    /// forgotten, so its side is not mirrored. Returns
     /// `(registrations pruned, leases revoked)`.
     pub(crate) fn dissolve(&mut self, key: Key) -> (usize, usize) {
         let bereaved: Vec<Key> = self.registry.registrants_of(key).map(|r| r.key).collect();
@@ -330,29 +326,20 @@ impl BristleSystem {
         )
     }
 
-    /// Durably removes every row `key`'s store still holds that the
-    /// tables no longer have: what a funeral took from the tables while
-    /// the store lay in the grave, and what a restart found stale.
+    /// Durably removes every row `key`'s store still holds that
+    /// [`Self::durable_rows`] no longer has: what a funeral took from the
+    /// tables while the store lay in the grave, what a restart found
+    /// stale, and a registration that is not a standing explicit edge.
     pub(crate) fn reconcile_store(&mut self, key: Key) {
         let Some(state) = self.stores.state(key) else { return };
-        let shard = self.stationary.node(key).ok().map(|n| n.store);
-        let mut stale: Vec<WalRecord> = Vec::new();
-        for &subject in state.records.keys() {
-            if !shard.is_some_and(|s| s.contains_key(&Key(subject))) {
-                stale.push(WalRecord::RecordRemove { subject });
-            }
-        }
-        let me = self.interner().get(key);
-        for &target in state.registrations.keys() {
-            if !self.registry.edges_of(Key(target)).iter().any(|e| Some(e.holder) == me) {
-                stale.push(WalRecord::Deregister { target });
-            }
-        }
-        for &subject in state.leases.keys() {
-            if self.leases.get(key, Key(subject)).is_none() {
-                stale.push(WalRecord::LeaseRevoke { subject });
-            }
-        }
+        let rows = self.durable_rows(key);
+        let records = state.records.keys().filter(|s| !rows.records.contains_key(s));
+        let edges = state.registrations.keys().filter(|t| !rows.registrations.contains_key(t));
+        let leases = state.leases.keys().filter(|s| !rows.leases.contains_key(s));
+        let stale: Vec<WalRecord> = (records.map(|&subject| WalRecord::RecordRemove { subject }))
+            .chain(edges.map(|&target| WalRecord::Deregister { target }))
+            .chain(leases.map(|&subject| WalRecord::LeaseRevoke { subject }))
+            .collect();
         for rec in stale {
             self.stores.apply(key, rec);
         }

@@ -6,15 +6,17 @@
 //! nodes still hold its records, one `Replicate` message per record. A
 //! node whose durable store survived the crash can do better:
 //! [`BristleSystem::restart_node_from_store`] replays the node's
-//! snapshot + write-ahead log and reinstalls its shard, registrations
-//! and leases *locally* — zero messages — so the subsequent
+//! snapshot + write-ahead log and reinstalls its shard, explicit
+//! registrations and leases *locally* — zero messages — so the subsequent
 //! anti-entropy pass finds (almost) nothing to ship. The durability
 //! experiment in `bristle-sim` meters exactly this difference.
 //!
 //! Both are one body, `resurrect`, below: a rejoin is a restart whose
 //! disk kept nothing. Neither builds a registration edge: after the rewire
-//! every holder goes through [`crate::repo`]'s registration pass, and the
-//! registrations the node's disk kept become its explicit interests.
+//! every holder goes through [`crate::repo`]'s registration pass, which
+//! re-derives each edge the rewired rows imply. A disk keeps only explicit
+//! registrations, and they become the node's explicit interests again, so
+//! a restart brings back no edge its rows do not name but those.
 
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
@@ -101,8 +103,9 @@ impl BristleSystem {
     ///    `Replicate` traffic — skipping subjects that died or whose
     ///    records expired during the downtime;
     /// 3. every holder's registrations are reconciled with its rewired
-    ///    rows (§2.3.1) and explicit interests, the node's persisted
-    ///    registrations among them, one register message per *new* edge;
+    ///    rows (§2.3.1) and explicit interests, the node's persisted (all
+    ///    explicit) registrations among them, one register message per
+    ///    *new* edge;
     ///    unexpired persisted leases resume where they left off;
     /// 4. every LDT the node re-entered is re-disseminated, and a mobile
     ///    node republishes the location its funeral withdrew and pushes
@@ -143,8 +146,8 @@ impl BristleSystem {
             }
         }
 
-        // The rewire may have changed any holder's rows. The log does not
-        // say which registrations were explicit, so the node keeps them all.
+        // The rewire may have changed any holder's rows. Every registration
+        // on disk is explicit, so the node keeps them all.
         let (kept, stale): (Vec<Key>, _) =
             persisted.registrations.keys().map(|&t| Key(t)).partition(|&t| self.is_mobile(t));
         report.registrations_stale = stale.len();
@@ -333,8 +336,11 @@ mod tests {
         let moved = sys.mobile_keys()[3];
         let member = sys.registry.registrants_of(moved).map(|r| r.key).find(|&k| sys.is_mobile(k));
         for victim in [busiest_primary(&sys), member.expect("a mobile LDT member")] {
+            let friend = *sys.mobile_keys().iter().find(|&&k| k != victim).unwrap();
+            sys.register_interest(victim, friend).unwrap();
             let rows = sys.durable_rows(victim);
             assert!(!rows.leases.is_empty(), "the victim must hold leases for the test to bite");
+            assert!(rows.registrations.contains_key(&friend.0), "and its explicit registration");
             assert!(sys.is_mobile(victim) || !rows.records.is_empty(), "and a primary records");
             sys.confirm_dead(victim).unwrap();
             let kept = sys.corpses[&victim].body.as_ref().map(|(_, disk)| disk);
@@ -350,6 +356,40 @@ mod tests {
                 assert!(regs.clone().any(|r| r.key == victim), "edge to {target} restored");
             }
             assert_eq!(report.leases_restored, rows.leases.len());
+        }
+    }
+
+    /// A WAL restart whose rewire changed the node's rows: afterwards each
+    /// edge the node holds targets a mobile node its rows name, or is the
+    /// explicit registration it made before the crash, which survives.
+    #[test]
+    fn a_restart_brings_back_no_rowless_registration() {
+        for seed in [8, 27] {
+            let dir = scratch(&format!("rowless-{seed}"));
+            let mut sys = system(30, 12, seed);
+            let victim = sys.mobile_keys()[0];
+            let rows = |sys: &BristleSystem| sys.mobile.node(victim).unwrap().keys().to_vec();
+            let held = rows(&sys);
+            let stranger = |k: &&Key| **k != victim && !held.contains(k);
+            let friend = *sys.mobile_keys().iter().find(stranger).expect("a mobile stranger");
+            sys.register_interest(victim, friend).unwrap();
+            sys.attach_wal(victim, WalBackend::open(&dir, 0).unwrap());
+            sys.confirm_dead(victim).unwrap();
+            for _ in 0..6 {
+                sys.join_node(Mobility::Mobile).unwrap();
+            }
+            let report = sys.restart_node_from_store(victim).unwrap();
+            assert!(report.replay.is_some(), "seed {seed}: a WAL-backed node replays its log");
+            let now = rows(&sys);
+            let lost = held.iter().filter(|&&t| sys.is_mobile(t) && !now.contains(&t)).count();
+            assert!(lost > 0, "seed {seed}: the rewire must drop a row to a mobile node");
+            for target in sys.registry.targets_of(victim) {
+                let named = now.contains(&target) && sys.is_mobile(target);
+                assert!(named || target == friend, "seed {seed}: a rowless edge to {target}");
+            }
+            assert!(sys.registry.registrants_of(friend).any(|r| r.key == victim), "seed {seed}");
+            sys.assert_stores_mirror_tables(&format!("the restart (seed {seed})"));
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

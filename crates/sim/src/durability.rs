@@ -279,13 +279,15 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
     let mut converged = Claim::every_cell("anti-entropy converges after every recovery");
     let mut replay_wins =
         Claim::every_cell("WAL replay strictly beats republication on Replicate traffic");
+    let mut cheaper =
+        Claim::every_cell("WAL replay sends strictly fewer recovery messages than republication");
     for crash_point in crash_points {
         // One republication baseline per crash point, then the WAL
         // restart at a never/tight snapshot interval — same seed, same
         // victim, same downtime, only the recovery path differs.
         let cells =
             [(RestartMode::Republish, 0), (RestartMode::WalReplay, 0), (RestartMode::WalReplay, 8)];
-        let mut baseline_replicates = None;
+        let mut baseline = (0, 0); // republication's (Replicates, messages)
         for (mode, snapshot_every) in cells {
             let mut cfg = DurabilityConfig::standard(args.seed_or(DEFAULT_SEED), mode);
             cfg.stationary = stationary;
@@ -295,10 +297,12 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
             let out = run_durability(&cfg);
             converged.ok &= out.converged;
             match mode {
-                RestartMode::Republish => baseline_replicates = Some(out.recovery_replicates),
+                RestartMode::Republish => {
+                    baseline = (out.recovery_replicates, out.recovery_messages)
+                }
                 RestartMode::WalReplay => {
-                    replay_wins.ok &=
-                        baseline_replicates.is_some_and(|base| out.recovery_replicates < base);
+                    replay_wins.ok &= out.recovery_replicates < baseline.0;
+                    cheaper.ok &= out.recovery_messages < baseline.1;
                 }
             }
             run.report.push_cell(
@@ -348,7 +352,7 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
         }
     }
     run.tables.push(table);
-    run.claims.extend([converged, replay_wins]);
+    run.claims.extend([converged, replay_wins, cheaper]);
     run
 }
 

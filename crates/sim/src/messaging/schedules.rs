@@ -78,10 +78,11 @@ use Op::*;
 /// Shrunk schedules that once failed, replayed before anything is
 /// generated: `(seed, differential, ops)`. The first five failed with a
 /// known bug put back (DESIGN §6); the rest at the parent of the commit
-/// that fixed them, but three: the ninth fails if invariant 5 does not
-/// excuse a registration a restart kept off its disk, the tenth if the
-/// registration pass drops explicit registrations, the eleventh (a
-/// late-binding seed) if upkeep's late branch registers nothing.
+/// that fixed them, but three: the ninth fails if a restart whose rewire
+/// moved the node's rows brings back a registration no row or interest
+/// names (it once kept the row-derived ones its disk logged), the tenth
+/// if the registration pass drops explicit registrations, the eleventh
+/// (a late-binding seed) if upkeep's late branch registers nothing.
 #[rustfmt::skip]
 const CORPUS: &[(u64, bool, &[Op])] = &[
     // A `DiscoveryReply` naming no router, taken at an open session.
@@ -101,7 +102,7 @@ const CORPUS: &[(u64, bool, &[Op])] = &[
                  Heartbeat, Heartbeat, Heartbeat, Heal]),
     // A funeral's repair sweep that rebuilt rows and registered none.
     (0, false, &[Leave(148), Join(Mobility::Mobile), Bury(27)]),
-    // A restart that keeps a disk registration its new rows do not name.
+    // A restart whose new rows no longer name a registration it held.
     (108, false, &[Move(152, 0), Fail(163), Heal, CrashRestart(91), Disseminate(194)]),
     // An explicit registration a funeral's registration pass dropped.
     (0, false, &[Register(236, 16), Leave(182), Bury(93)]),
@@ -221,9 +222,10 @@ struct World {
     /// member without a row; an acked one stays registered while both
     /// ends live.
     interests: BTreeMap<(Key, Key), bool>,
-    /// What each buried node was registered to at its verdict: its
-    /// disk's registrations, which a restart keeps as interests.
-    graves: BTreeMap<Key, Vec<Key>>,
+    /// Each buried node's own interests at its verdict, with their acked
+    /// flags: its disk's registrations, which a restart keeps as
+    /// interests.
+    graves: BTreeMap<Key, Vec<(Key, bool)>>,
     /// Whether a cut is in force, and whether the transport drops 2 %.
     cut: bool,
     lossy: bool,
@@ -324,8 +326,8 @@ impl World {
                 let report = if crash { m.crash_restart(k) } else { m.republish_restart(k) };
                 assert!(report.is_ok_and(|r| r.restored), "{step}: {k} stays buried");
                 let kept = self.graves.remove(&k).filter(|_| crash).unwrap_or_default();
-                let kept = kept.into_iter().filter(|&t| m.sys.is_mobile(t));
-                self.interests.extend(kept.map(|t| ((k, t), true)));
+                let kept = kept.into_iter().filter(|&(t, _)| m.sys.is_mobile(t));
+                self.interests.extend(kept.map(|(t, acked)| ((k, t), acked)));
             }
             (Partition(_), Some(k), _) => {
                 self.cut = true;
@@ -357,8 +359,9 @@ impl World {
     /// A verdict the round returns is one the funeral accepts.
     fn heartbeat(&mut self, step: &str) {
         for dead in self.msys.heartbeat_round() {
+            let own = self.interests.iter().filter(|((h, _), _)| *h == dead);
+            self.graves.insert(dead, own.map(|(&(_, t), &acked)| (t, acked)).collect());
             self.forget_interests(dead);
-            self.graves.insert(dead, self.msys.sys.registry.targets_of(dead));
             let report = self.msys.confirm_and_heal(dead);
             assert!(report.is_ok(), "{step}: the verdict on {dead} is refused: {report:?}");
             self.verdicts.insert(dead);

@@ -51,8 +51,8 @@ pub enum WalRecord {
         /// The subject whose record is dropped.
         subject: u64,
     },
-    /// This node registered its interest in `target` (it holds the
-    /// target's state-pair and joins its LDT).
+    /// An explicit registration of this node to `target`, joining its LDT
+    /// (an edge the node's routing rows imply is re-derived, never logged).
     Register {
         /// The mobile node registered to.
         target: u64,

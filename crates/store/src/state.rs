@@ -26,8 +26,8 @@ pub struct StoredRecord {
 }
 
 /// Everything a stationary node must not lose across a crash: its own
-/// identity and incarnation, its shard of the location repository, the
-/// registrations it holds, and the leases granted to it.
+/// identity and incarnation, its shard of the location repository, its
+/// explicit registrations, and the leases granted to it.
 ///
 /// All maps are `BTreeMap` so iteration — and therefore snapshot
 /// encoding — is in sorted key order, byte-stable across runs.
@@ -37,7 +37,7 @@ pub struct DurableState {
     pub identity: Option<(u64, u64)>,
     /// Location records stored at this node, by subject key.
     pub records: BTreeMap<u64, StoredRecord>,
-    /// Targets this node is registered to, with the advertised capacity.
+    /// Targets of this node's explicit registrations, with their capacity.
     pub registrations: BTreeMap<u64, u32>,
     /// Leases held by this node, by subject, with absolute expiry.
     pub leases: BTreeMap<u64, u64>,

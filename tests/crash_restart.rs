@@ -4,9 +4,10 @@
 //! The headline scenario: the busiest record primary is WAL-backed,
 //! killed silently, detected and buried by the heartbeat machinery, and
 //! then restarted from its durable store. The restart must recover the
-//! full shard it held at crash time — records, registrations, a
-//! strictly fresher incarnation — off disk, with zero `Replicate`
-//! traffic; and on the same seed the log-replay rejoin must settle with
+//! full shard it held at crash time — records, its explicit
+//! registration, a strictly fresher incarnation — off disk, with zero
+//! `Replicate` traffic, and keep no registration its rewired rows do not
+//! name; and on the same seed the log-replay rejoin must settle with
 //! strictly fewer republication messages than the blank-disk rejoin
 //! path that re-learns the shard from the surviving replicas.
 
@@ -71,6 +72,13 @@ fn assert_shard_recovers(seed: u64) {
         let m = msys.sys.mobile_keys()[i % msys.sys.mobile_keys().len()];
         msys.sys.move_node(m, None).expect("mover is live");
     }
+    // One explicit registration, to a mobile node no row of the victim's
+    // names: the one edge its disk keeps.
+    let rows =
+        |msys: &MessagingBristleSystem| msys.sys.mobile.node(victim).map(|n| n.keys().to_vec());
+    let held = rows(&msys).expect("victim is live");
+    let friend = *msys.sys.mobile_keys().iter().find(|k| !held.contains(k)).expect("a stranger");
+    msys.register(victim, friend).expect("registration completes");
 
     let shard: BTreeMap<Key, LocationRecord> = msys
         .sys
@@ -130,12 +138,14 @@ fn assert_shard_recovers(seed: u64) {
             "seed {seed}: record for {subject} did not survive the restart"
         );
     }
-    // (b) Registration edges re-established from the persisted set.
+    // (b) A pre-crash edge survives exactly when the restarted rows still
+    // name its target or it is explicit; the explicit one is among them.
+    let rows = rows(&msys).expect("victim lives again");
+    assert!(edges.contains(&friend), "seed {seed}: the explicit edge stood before the crash");
     for target in &edges {
-        assert!(
-            msys.sys.registry.registrants_of(*target).any(|r| r.key == victim),
-            "seed {seed}: registration to {target} did not survive the restart"
-        );
+        let kept = msys.sys.registry.registrants_of(*target).any(|r| r.key == victim);
+        let due = rows.contains(target) || *target == friend;
+        assert_eq!(kept, due, "seed {seed}: registration to {target} kept {kept}, due {due}");
     }
     // (c) The restart out-ranks both the funeral and the persisted life.
     assert!(
