@@ -40,10 +40,6 @@
 use bristle_core::time::SimTime;
 use bristle_overlay::key::Key;
 
-/// Ticks to wait for a HeartbeatAck before retransmitting. Equal to
-/// `RetryPolicy::ack_timeout`'s default, so heartbeat probes tolerate
-/// the same link latencies as data traffic.
-pub const ACK_WAIT: u64 = 20_000;
 /// Sends of one probe (first try included) before the round counts as
 /// missed.
 pub const PROBE_ATTEMPTS: u32 = 3;
@@ -199,6 +195,12 @@ impl FailureDetector {
     /// A detector with the given thresholds, monitoring nobody.
     pub fn new(policy: FailurePolicy) -> Self {
         FailureDetector { policy, peers: None }
+    }
+
+    /// Replaces the thresholds; every peer's state is kept (grace earned
+    /// under a larger cap is cut to the new one when next earned).
+    pub fn set_policy(&mut self, policy: FailurePolicy) {
+        self.policy = policy;
     }
 
     fn peer(&self, peer: Key) -> Option<&PeerHealth> {

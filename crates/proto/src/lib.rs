@@ -27,7 +27,6 @@ pub mod wire;
 pub use failure::{FailureDetector, FailurePolicy, Liveness, LivenessTransition, TimeoutVerdict};
 pub use machine::{Completion, Event, Frame, NodeEnv, Output, ProtoMachine, RetryPolicy};
 pub use mix::splitmix64;
-pub use rto::{RtoConfig, RtoEstimator};
 pub use transport::{
     Arrivals, Degradation, Deliveries, Delivery, Fate, FaultConfig, LinkFilter, SendTrace,
     SimTransport, TraceRecord, Transport, TRACE_CAPACITY,

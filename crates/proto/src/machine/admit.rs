@@ -322,10 +322,11 @@ mod tests {
     #[test]
     fn bounded_seen_matches_a_never_pruned_set_inside_the_retry_ladder() {
         const FRAMES: usize = 600;
-        // Fixed: 100 << 3 bounds 100 + 200 + 400. Adaptive: max_rto × 3.
-        for (adaptive, ladder) in [(None, 800), (Some(small_rto()), 30_000)] {
+        // Fixed: 100 << 3 bounds 100 + 200 + 400. Adaptive: max_rto × 3,
+        // with max_rto 32 · 100.
+        for (adaptive, ladder) in [(false, 800), (true, 9_600)] {
             for seed in [8u64, 27] {
-                let ctx = format!("seed {seed}, adaptive {}", adaptive.is_some());
+                let ctx = format!("seed {seed}, adaptive {adaptive}");
                 let mut rng = Pcg64::seed_from_u64(seed);
                 let mut arrivals: Vec<(u64, Envelope)> = Vec::new();
                 let mut next_id = [0u64; 3];

@@ -333,7 +333,7 @@ mod tests {
         let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
         env.mobile_hops.insert((A, B), B);
         let mut m = ProtoMachine::new(A, policy());
-        m.set_adaptive_rto(Some(small_rto()));
+        m.set_adaptive_rto(true);
 
         // No samples yet: the first hop arms at the initial RTO, not
         // the fixed policy timeout.
@@ -360,7 +360,7 @@ mod tests {
         let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
         env.mobile_hops.insert((A, B), B);
         let mut m = ProtoMachine::new(A, policy());
-        m.set_adaptive_rto(Some(small_rto()));
+        m.set_adaptive_rto(true);
         let (_, out) = m.start_route(t(0), &mut env, B);
         assert_eq!(out.wake, Some(t(100)));
         // First timeout: retransmit, estimator backoff doubles the RTO.
@@ -443,14 +443,17 @@ mod tests {
     /// after `max_attempts` sends.
     #[test]
     fn lost_ack_ladder_is_one_mechanism_over_every_exchange() {
-        // Fixed: 100 << attempt. Adaptive: initial RTO 60, Karn-doubled.
-        let rto = RtoConfig { initial_rto: 60, ..small_rto() };
-        for (adaptive, waits) in [(None, [100, 200, 400]), (Some(rto), [60, 120, 240])] {
+        // Fixed: 100 << attempt. Adaptive at a 60-tick timeout: initial
+        // RTO 60, Karn-doubled, within a 32 · 60 ceiling.
+        let fast = RetryPolicy { ack_timeout: 60, ..policy() };
+        let arms = [(false, policy(), [100, 200, 400], 800), (true, fast, [60, 120, 240], 5_760)];
+        for (adaptive, timeouts, waits, ladder) in arms {
             for x in EXCHANGES {
-                let ctx = format!("{x:?}, adaptive {}", adaptive.is_some());
+                let ctx = format!("{x:?}, adaptive {adaptive}");
                 let mut env = world();
-                let mut m = ProtoMachine::new(A, policy());
+                let mut m = ProtoMachine::new(A, timeouts);
                 m.set_adaptive_rto(adaptive);
+                assert_eq!(m.timers.ladder(), ladder, "{ctx}");
                 let (out, want) = open(x, &mut m, &mut env, t(0));
                 assert_eq!(out.outgoing.len(), 1, "{ctx}");
                 let frame = out.outgoing[0].clone();
@@ -500,10 +503,11 @@ mod tests {
                                 // timeout, or its estimator's first RTO,
                                 // which starts there and jitter only adds to.
                                 let window = armed.map(|w| w.since(t(now)));
-                                let fixed = Some(policy().discovery_timeout);
-                                match adaptive {
-                                    None => assert_eq!(window, fixed, "{ctx}"),
-                                    Some(_) => assert!(window >= fixed, "{ctx}: {window:?}"),
+                                let fixed = Some(timeouts.discovery_timeout);
+                                if adaptive {
+                                    assert!(window >= fixed, "{ctx}: {window:?}");
+                                } else {
+                                    assert_eq!(window, fixed, "{ctx}");
                                 }
                                 assert_eq!(m.inflight(), 1, "{ctx}: the discovery session");
                             }

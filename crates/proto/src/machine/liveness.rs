@@ -5,7 +5,7 @@
 //! standing one wherever it arrives — and rejoin.
 
 use super::*;
-use crate::failure::{Liveness, LivenessTransition, TimeoutVerdict, ACK_WAIT, PROBE_ATTEMPTS};
+use crate::failure::{Liveness, LivenessTransition, TimeoutVerdict, PROBE_ATTEMPTS};
 use crate::rto::Awaited;
 
 /// A restarted machine's frame ids begin at `incarnation << LIFE_SHIFT`
@@ -49,16 +49,7 @@ impl ProtoMachine {
     /// Replaces the failure-detection thresholds (existing suspicion
     /// state, incarnations included, is kept).
     pub fn set_failure_policy(&mut self, policy: FailurePolicy) {
-        let mut fresh = FailureDetector::new(policy);
-        for &peer in self.detector.monitored() {
-            fresh.monitor(peer);
-            let incarnation = self.detector.incarnation_of(peer).unwrap_or(0);
-            fresh.observe_alive(peer, incarnation);
-            if self.detector.is_dead(peer) {
-                fresh.mark_dead(peer, incarnation);
-            }
-        }
-        self.detector = fresh;
+        self.detector.set_policy(policy);
     }
 
     /// Starts monitoring `peer`'s liveness via heartbeats.
@@ -106,17 +97,12 @@ impl ProtoMachine {
             let Some(seq) = self.detector.begin_probe(peer) else { continue };
             let probe = WireMessage::Heartbeat { seq, incarnation: self.incarnation };
             self.post(env, &mut out, peer, 0, probe, Some(MessageKind::HeartbeatSent));
-            let due = now.plus(self.timers.first_wait(now, self.probe_of(peer)));
+            let due = now.plus(self.timers.first_wait(now, Awaited::Probe(peer)));
             self.detector.arm_probe(peer, due);
             out.arm(due);
         }
         self.observe_sends(now, env, &out);
         out
-    }
-
-    /// What a probe of `peer` awaits, fixed window included.
-    fn probe_of(&self, peer: Key) -> Awaited {
-        Awaited::Probe { peer, ack_wait: ACK_WAIT }
     }
 
     /// Tells `to` that `suspect` has been confirmed dead at the highest
@@ -264,7 +250,7 @@ impl ProtoMachine {
                 note(self.key, env, now, 0, ObsEventKind::Timeout { what: "heartbeat", attempt });
                 let probe = WireMessage::Heartbeat { seq, incarnation: self.incarnation };
                 self.post(env, out, peer, 0, probe, Some(MessageKind::HeartbeatSent));
-                let due = now.plus(self.timers.retry_wait(self.probe_of(peer), attempt));
+                let due = now.plus(self.timers.retry_wait(Awaited::Probe(peer), attempt));
                 self.detector.arm_probe(peer, due);
                 out.arm(due);
             }
@@ -305,7 +291,7 @@ mod tests {
         assert_eq!(env.meter.count(MessageKind::HeartbeatSent), 1);
         assert_eq!(env.meter.cost(MessageKind::HeartbeatSent), 4, "|1 - 5|");
         let hb = out.outgoing[0].env.clone();
-        assert_eq!(out.wake, Some(t(crate::failure::ACK_WAIT)));
+        assert_eq!(out.wake, Some(t(policy().ack_timeout)), "a probe waits like an exchange");
 
         // The target acks (unmetered), including on a duplicate.
         let r1 = target.poll(t(1), arrival(&env, hb.clone()), &mut env);
@@ -318,7 +304,7 @@ mod tests {
         assert!(out.completions.is_empty());
         assert_eq!(prober.liveness(B), Some(Liveness::Fresh));
         // The wake armed for the acked probe finds nothing due.
-        let out = prober.poll(t(crate::failure::ACK_WAIT), Event::Wake, &mut env);
+        let out = prober.poll(t(policy().ack_timeout), Event::Wake, &mut env);
         assert!(out.outgoing.is_empty() && out.completions.is_empty());
         assert_eq!(out.wake, None);
         assert_eq!(env.meter.count(MessageKind::Timeout), 0);
@@ -364,6 +350,35 @@ mod tests {
         // Dead peers are no longer probed.
         let out = prober.start_heartbeats(t(u64::from(DEAD_AFTER + 1) * 1_000_000), &mut env);
         assert!(out.outgoing.is_empty());
+    }
+
+    /// Swapping the failure policy keeps every peer's state: a suspect
+    /// stays suspect under its stamp and degraded, and its probe in
+    /// flight is still awaited under the sequence it was sent with.
+    #[test]
+    fn a_policy_swap_keeps_every_peers_state() {
+        use crate::failure::SUSPECT_AFTER;
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        let mut prober = ProtoMachine::new(A, policy());
+        prober.monitor(B);
+        for round in 1..=SUSPECT_AFTER {
+            miss_round(&mut prober, round, &mut env);
+        }
+        let stamp = prober.suspected_at(B);
+        assert!(stamp.is_some(), "suspected after {SUSPECT_AFTER} missed rounds");
+        let seq = |out: &Output| match out.outgoing[0].env.msg {
+            WireMessage::Heartbeat { seq, .. } => seq,
+            ref msg => panic!("not a probe: {msg:?}"),
+        };
+        let out = prober.start_heartbeats(t(9_000_000), &mut env);
+        assert_eq!(seq(&out), u64::from(SUSPECT_AFTER));
+
+        prober.set_failure_policy(FailurePolicy { grace_misses: 2 });
+        assert_eq!(prober.liveness(B), Some(Liveness::Suspect));
+        assert_eq!(prober.suspected_at(B), stamp);
+        assert_eq!(prober.degraded_peers().collect::<Vec<_>>(), [B]);
+        let resent = prober.poll(out.wake.expect("a probe in flight"), Event::Wake, &mut env);
+        assert_eq!(seq(&resent), u64::from(SUSPECT_AFTER), "the same probe, resent");
     }
 
     #[test]
@@ -494,7 +509,7 @@ mod tests {
     fn heartbeat_acks_feed_the_rto_estimator() {
         let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
         let mut prober = ProtoMachine::new(A, policy());
-        prober.set_adaptive_rto(Some(small_rto()));
+        prober.set_adaptive_rto(true);
         prober.monitor(B);
         prober.start_heartbeats(t(0), &mut env);
         let ack = Envelope {

@@ -48,7 +48,7 @@ use bristle_overlay::meter::MessageKind;
 use bristle_overlay::obs::{ObsEvent, ObsEventKind};
 
 use crate::failure::{FailureDetector, FailurePolicy};
-use crate::rto::{RtoConfig, Timers};
+use crate::rto::Timers;
 pub use crate::wire::Frame;
 use crate::wire::{Envelope, WireAddr, WireMessage};
 
@@ -365,12 +365,12 @@ impl ProtoMachine {
     }
 
     /// Switches retry timers to adaptive per-peer RTO estimation
-    /// (`Some`) or back to the fixed [`RetryPolicy`] waits (`None`).
-    /// Discovery gets its own estimator seeded from the fixed
-    /// discovery timeout, since its round-trips span several hops. The
-    /// dedup horizon follows the new ladder.
-    pub fn set_adaptive_rto(&mut self, cfg: Option<RtoConfig>) {
-        self.timers.set_adaptive(self.key, cfg);
+    /// (`true`) or back to the fixed [`RetryPolicy`] waits. Each
+    /// estimator starts at its fixed timeout and adapts within bounds
+    /// scaled from it; discovery gets its own, since its round-trips
+    /// span several hops. The dedup horizon follows the new ladder.
+    pub fn set_adaptive_rto(&mut self, on: bool) {
+        self.timers.set_adaptive(self.key, on);
     }
 
     /// How many `(src, msg_id)` entries this node's dedup window holds:
@@ -654,10 +654,6 @@ mod testkit {
     pub(super) fn arrival(env: &MockEnv, envelope: Envelope) -> Event {
         let (to_addr, from_addr) = (env.addrs[&envelope.dst], env.addrs[&envelope.src]);
         Event::Arrive(Frame { to_addr, from_addr, env: envelope })
-    }
-
-    pub(super) fn small_rto() -> RtoConfig {
-        RtoConfig { min_rto: 10, max_rto: 10_000, initial_rto: 100, jitter_frac: 0 }
     }
 
     /// `A` with a stationary peer `B` and a mobile peer `M` it holds a

@@ -4,7 +4,7 @@
 //!
 //! The fixed [`RetryPolicy`] timeouts treat
 //! every peer as equally far away, so a slow-but-alive peer looks exactly
-//! like a dead one. [`RtoEstimator`] tracks one peer's round-trip time on
+//! like a dead one. `RtoEstimator` tracks one peer's round-trip time on
 //! the virtual clock with the classic TCP fixed-point recurrences
 //!
 //! ```text
@@ -21,9 +21,11 @@
 //! retransmits *every* frame before its first ack lands — starving the
 //! estimator of unambiguous samples forever — timeouts inflate the RTO
 //! with Karn's exponential backoff until one fresh attempt-zero sample
-//! gets through, which collapses the backoff again.
+//! gets through, which collapses the backoff again. An estimator starts
+//! at the policy timeout it replaces and adapts within bounds scaled
+//! from it, so the policy is the one source of every wait.
 //!
-//! The optional jitter is deterministic: a wrapping-multiply hash of a
+//! The jitter is deterministic: a wrapping-multiply hash of a
 //! caller-provided salt and an internal draw counter, so two machines
 //! never synchronise their retransmissions yet the whole schedule is a
 //! pure function of the seed.
@@ -72,39 +74,42 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Bounds and initial value for the adaptive retransmission timeout.
+/// Bounds and initial value for the adaptive retransmission timeout,
+/// all scaled from one fixed timeout of the [`RetryPolicy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RtoConfig {
+pub(crate) struct RtoConfig {
     /// Floor for the computed RTO (virtual-clock ticks).
-    pub min_rto: u64,
-    /// Ceiling for the computed RTO, backoff included.
-    pub max_rto: u64,
+    min_rto: u64,
+    /// Ceiling for the computed RTO, backoff and jitter included.
+    max_rto: u64,
     /// RTO used before the first RTT sample arrives.
-    pub initial_rto: u64,
-    /// Jitter amplitude in 1/256ths of the computed RTO (0 = none). The
-    /// jitter is always additive, so the clamped floor still holds.
-    pub jitter_frac: u32,
+    initial_rto: u64,
 }
 
-impl Default for RtoConfig {
-    /// Matches the fixed policy's 20 000-tick ack timeout before the
-    /// first sample, with a generous adaptation range around it.
-    fn default() -> Self {
-        RtoConfig { min_rto: 2_000, max_rto: 640_000, initial_rto: 20_000, jitter_frac: 8 }
-    }
-}
+/// Jitter amplitude in 1/256ths of the computed RTO. The jitter is always
+/// additive, so the clamped floor still holds.
+const JITTER_FRAC: u64 = 8;
 
 impl RtoConfig {
-    /// The same bounds scaled for whole-operation (multi-hop discovery)
-    /// round trips rather than single-hop acks.
-    pub fn for_discovery(initial: u64) -> Self {
-        RtoConfig { min_rto: 10_000, max_rto: 1_600_000, initial_rto: initial, jitter_frac: 8 }
+    /// Starts at the fixed timeout `t` and adapts within
+    /// `[t / 10, ceiling · t]`: at the default policy 2 000 / 640 000 /
+    /// 20 000 ticks for acks (`ceiling` 32) and 10 000 / 1 600 000 /
+    /// 100 000 for discovery round trips (`ceiling` 16).
+    pub(crate) fn scaled(t: u64, ceiling: u64) -> Self {
+        RtoConfig { min_rto: t / 10, max_rto: t.saturating_mul(ceiling), initial_rto: t }
     }
 }
+
+/// Ceiling of an ack wait, in multiples of the fixed ack timeout.
+const ACK_CEILING: u64 = 32;
+/// Ceiling of a discovery wait, in multiples of the fixed discovery
+/// timeout: its round trips span several hops, so it starts higher and
+/// adapts in a narrower multiple.
+const DISCOVERY_CEILING: u64 = 16;
 
 /// Per-peer Jacobson/Karn RTT estimator (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RtoEstimator {
+pub(crate) struct RtoEstimator {
     cfg: RtoConfig,
     /// Smoothed RTT × 8; meaningless until `samples > 0`.
     srtt8: u64,
@@ -169,16 +174,6 @@ impl RtoEstimator {
         self.backoff = (self.backoff + 1).min(MAX_BACKOFF_SHIFT);
     }
 
-    /// Unambiguous samples folded in so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// The smoothed RTT, once at least one sample has arrived.
-    pub fn srtt(&self) -> Option<u64> {
-        (self.samples > 0).then_some(self.srtt8 / 8)
-    }
-
     /// The current retransmission timeout:
     /// `clamp(srtt + 4·rttvar, min, max) · 2^backoff`, clamped again so
     /// backoff never escapes `max_rto`.
@@ -196,21 +191,14 @@ impl RtoEstimator {
     }
 
     /// [`rto`](RtoEstimator::rto) plus deterministic additive jitter in
-    /// `[0, rto · jitter_frac / 256]`, hashed from `salt` and an
+    /// `[0, rto / 256 · JITTER_FRAC]`, hashed from `salt` and an
     /// internal draw counter (no RNG; reproducible per seed).
     pub fn jittered_rto(&mut self, salt: u64) -> u64 {
         let rto = self.rto();
-        if self.cfg.jitter_frac == 0 {
-            return rto;
-        }
         let h = splitmix(salt ^ self.draws.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         self.draws += 1;
-        let span = rto / 256 * self.cfg.jitter_frac as u64;
-        if span == 0 {
-            rto
-        } else {
-            rto.saturating_add(h % (span + 1)).min(self.cfg.max_rto)
-        }
+        let span = rto / 256 * JITTER_FRAC;
+        rto.saturating_add(h % (span + 1)).min(self.cfg.max_rto)
     }
 }
 
@@ -223,14 +211,8 @@ use crate::mix::splitmix64 as splitmix;
 pub(crate) enum Awaited {
     /// `peer`'s ack of a hop, an update or a registration.
     Ack(Key),
-    /// `peer`'s answer to a heartbeat probe, whose fixed window is the
-    /// failure detector's `ack_wait`.
-    Probe {
-        /// The probed peer.
-        peer: Key,
-        /// The detector's fixed ack window.
-        ack_wait: u64,
-    },
+    /// `peer`'s answer to a heartbeat probe, awaited like an ack.
+    Probe(Key),
     /// A `_discovery` reply: several hops, no single peer.
     Discovery,
 }
@@ -243,7 +225,7 @@ pub(crate) struct Timers {
     policy: RetryPolicy,
     /// `Some` switches every wait from the fixed ladder to estimation.
     /// Boxed, so a machine on fixed timers — the default — pays one
-    /// pointer for the arm, not its 208 B.
+    /// pointer for the arm, not its 192 B.
     adaptive: Option<Box<Adaptive>>,
 }
 
@@ -270,7 +252,7 @@ impl Adaptive {
         let (peer, probe_salt) = match what {
             Awaited::Discovery => return (&mut self.discovery, self.node.0),
             Awaited::Ack(peer) => (peer, 0),
-            Awaited::Probe { peer, .. } => (peer, 0xB5),
+            Awaited::Probe(peer) => (peer, 0xB5),
         };
         let est = self.peers.entry(peer).or_insert_with(|| RtoEstimator::new(self.cfg));
         (est, self.node.0 ^ peer.0.rotate_left(32) ^ probe_salt)
@@ -283,17 +265,21 @@ impl Timers {
         Timers { policy, adaptive: None }
     }
 
-    /// Switches the machine of `node` to adaptive estimation (`Some`) or
-    /// back to the fixed ladder (`None`). Estimator state does not
-    /// survive the switch.
-    pub(crate) fn set_adaptive(&mut self, node: Key, cfg: Option<RtoConfig>) {
-        self.adaptive = cfg.map(|cfg| {
+    /// Switches the machine of `node` to adaptive estimation (`true`) or
+    /// back to the fixed ladder. Every estimator starts at its fixed
+    /// timeout and adapts within bounds scaled from it
+    /// ([`RtoConfig::scaled`]). Estimator state does not survive the
+    /// switch.
+    pub(crate) fn set_adaptive(&mut self, node: Key, on: bool) {
+        let RetryPolicy { ack_timeout, discovery_timeout, .. } = self.policy;
+        self.adaptive = on.then(|| {
             Box::new(Adaptive {
                 node,
-                cfg,
+                cfg: RtoConfig::scaled(ack_timeout, ACK_CEILING),
                 peers: HashMap::new(),
-                discovery: RtoEstimator::new(RtoConfig::for_discovery(
-                    self.policy.discovery_timeout,
+                discovery: RtoEstimator::new(RtoConfig::scaled(
+                    discovery_timeout,
+                    DISCOVERY_CEILING,
                 )),
                 probes: HashMap::new(),
             })
@@ -304,7 +290,7 @@ impl Timers {
     /// adaptive mode has collected at least one sample.
     pub(crate) fn estimate(&self, peer: Key) -> Option<u64> {
         let est = self.adaptive.as_ref()?.peers.get(&peer)?;
-        (est.samples() > 0).then(|| est.rto())
+        (est.samples > 0).then(|| est.rto())
     }
 
     /// Total sends (first try included) before an exchange gives up.
@@ -329,8 +315,7 @@ impl Timers {
     /// The fixed arm's base wait for `what`.
     fn fixed(&self, what: Awaited) -> u64 {
         match what {
-            Awaited::Ack(_) => self.policy.ack_timeout,
-            Awaited::Probe { ack_wait, .. } => ack_wait,
+            Awaited::Ack(_) | Awaited::Probe(_) => self.policy.ack_timeout,
             Awaited::Discovery => self.policy.discovery_timeout,
         }
     }
@@ -339,7 +324,7 @@ impl Timers {
     /// `now`: the fixed base, or the jittered estimate.
     pub(crate) fn first_wait(&mut self, now: SimTime, what: Awaited) -> u64 {
         let Some(a) = self.adaptive.as_mut() else { return self.fixed(what) };
-        if let Awaited::Probe { peer, .. } = what {
+        if let Awaited::Probe(peer) = what {
             a.probes.insert(peer, now);
         }
         let (est, salt) = a.estimator(what);
@@ -352,7 +337,7 @@ impl Timers {
     /// the shift).
     pub(crate) fn retry_wait(&mut self, what: Awaited, attempt: u32) -> u64 {
         let Some(a) = self.adaptive.as_mut() else { return backoff(self.fixed(what), attempt) };
-        if let Awaited::Probe { peer, .. } = what {
+        if let Awaited::Probe(peer) = what {
             // Karn: the probe in flight is no longer attempt 0, so a
             // late ack must not be sampled.
             a.probes.remove(&peer);
@@ -389,7 +374,7 @@ mod tests {
     use super::*;
 
     fn cfg(min: u64, max: u64, initial: u64) -> RtoConfig {
-        RtoConfig { min_rto: min, max_rto: max, initial_rto: initial, jitter_frac: 0 }
+        RtoConfig { min_rto: min, max_rto: max, initial_rto: initial }
     }
 
     #[test]
@@ -397,7 +382,7 @@ mod tests {
         let mut e = RtoEstimator::new(cfg(1, 1_000_000, 20_000));
         assert_eq!(e.rto(), 20_000, "initial RTO before any sample");
         e.sample(1_000);
-        assert_eq!(e.srtt(), Some(1_000));
+        assert_eq!((e.samples, e.srtt8 / 8), (1, 1_000));
         // rto = srtt + 4·rttvar = 1000 + 4·500 = 3000.
         assert_eq!(e.rto(), 3_000);
     }
@@ -408,7 +393,7 @@ mod tests {
         for _ in 0..64 {
             e.sample(5_000);
         }
-        let srtt = e.srtt().unwrap();
+        let srtt = e.srtt8 / 8;
         assert!((4_900..=5_000).contains(&srtt), "srtt {srtt} should sit at the sample value");
         // Constant samples drive the variance toward zero, so the RTO
         // collapses toward srtt.
@@ -433,10 +418,10 @@ mod tests {
     fn karn_rule_skips_retransmitted_samples() {
         let mut e = RtoEstimator::new(cfg(1, 1_000_000, 20_000));
         assert!(e.karn_sample(0, 1_000), "attempt-zero sample is unambiguous");
-        let before = (e.srtt(), e.samples());
+        let before = (e.srtt8, e.samples);
         assert!(!e.karn_sample(1, 900_000), "retransmitted sample is ambiguous");
         assert!(!e.karn_sample(3, 5), "any nonzero attempt is ambiguous");
-        assert_eq!((e.srtt(), e.samples()), before, "ambiguous samples must not move the estimate");
+        assert_eq!((e.srtt8, e.samples), before, "ambiguous samples must not move the estimate");
     }
 
     #[test]
@@ -480,12 +465,7 @@ mod tests {
     #[test]
     fn jitter_is_deterministic_bounded_and_additive() {
         let mk = || {
-            let mut e = RtoEstimator::new(RtoConfig {
-                min_rto: 1,
-                max_rto: 1_000_000,
-                initial_rto: 20_000,
-                jitter_frac: 16,
-            });
+            let mut e = RtoEstimator::new(cfg(1, 1_000_000, 20_000));
             e.sample(1_000);
             e
         };
@@ -494,7 +474,8 @@ mod tests {
         let draws_b: Vec<u64> = (0..8).map(|_| b.jittered_rto(0xABCD)).collect();
         assert_eq!(draws_a, draws_b, "same salt, same draw index ⇒ same jitter");
         let rto = a.rto();
-        let span = rto / 256 * 16;
+        let span = rto / 256 * JITTER_FRAC;
+        assert!(span > 0, "a {rto}-tick wait is jittered");
         for d in &draws_a {
             assert!((rto..=rto + span).contains(d), "jitter additive and bounded: {d} vs {rto}");
         }
@@ -502,9 +483,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_jitter_frac_is_exact() {
+    fn a_wait_under_256_ticks_is_exact() {
         let mut e = RtoEstimator::new(cfg(1, 1_000_000, 20_000));
-        e.sample(1_000);
+        e.sample(10);
+        assert_eq!(e.rto(), 30);
         assert_eq!(e.jittered_rto(99), e.rto());
     }
 
@@ -533,14 +515,14 @@ mod tests {
     #[test]
     fn fixed_timers_are_the_policy_ladder() {
         let mut timers = Timers::new(policy());
-        let probe = Awaited::Probe { peer: PEER, ack_wait: 70 };
+        let probe = Awaited::Probe(PEER);
         assert_eq!(timers.max_attempts(), 3);
         assert_eq!(timers.first_wait(T0, Awaited::Ack(PEER)), 100);
-        assert_eq!(timers.first_wait(T0, probe), 70);
+        assert_eq!(timers.first_wait(T0, probe), 100, "a probe waits like an ack");
         assert_eq!(timers.first_wait(T0, Awaited::Discovery), 1000);
         for (attempt, shifted) in [(1, 2), (2, 4), (5, 32)] {
             assert_eq!(timers.retry_wait(Awaited::Ack(PEER), attempt), 100 * shifted);
-            assert_eq!(timers.retry_wait(probe, attempt), 70 * shifted);
+            assert_eq!(timers.retry_wait(probe, attempt), 100 * shifted);
             assert_eq!(timers.retry_wait(Awaited::Discovery, attempt), 1000 * shifted);
         }
         for deep in [40, 64, u32::MAX] {
@@ -559,32 +541,48 @@ mod tests {
         assert_eq!(Timers::new(endless).ladder(), u64::MAX);
     }
 
-    /// On the adaptive arm every wait is an estimator's, jittered under
-    /// the salt the machines have always used — `node ^ peer.rotate_left(32)`
-    /// for acks, `^ 0xB5` for probes of the same peer's estimator, the
-    /// bare node key for discovery — so a timer schedule (and a report
-    /// derived from one) cannot drift.
+    /// On the adaptive arm every wait is an estimator's, started at the
+    /// policy's own timeout, held within bounds scaled from it, and
+    /// jittered under the salt the machines have always used —
+    /// `node ^ peer.rotate_left(32)` for acks, `^ 0xB5` for probes of the
+    /// same peer's estimator, the bare node key for discovery — so a
+    /// timer schedule (and a report derived from one) cannot drift.
     #[test]
     fn adaptive_timers_keep_the_per_peer_salts_and_karn() {
-        let rto = RtoConfig::default();
-        assert!(rto.jitter_frac > 0, "the salts only show under jitter");
-        let mut timers = Timers::new(policy());
-        timers.set_adaptive(NODE, Some(rto));
-        assert_eq!(timers.ladder(), rto.max_rto * 3);
+        // At the default policy the scaled bounds are the constants the
+        // adaptive arm has always run under.
+        let RetryPolicy { ack_timeout, discovery_timeout, .. } = RetryPolicy::default();
+        assert_eq!(RtoConfig::scaled(ack_timeout, ACK_CEILING), cfg(2_000, 640_000, 20_000));
+        let discovery = RtoConfig::scaled(discovery_timeout, DISCOVERY_CEILING);
+        assert_eq!(discovery, cfg(10_000, 1_600_000, 100_000));
+
+        // Waits past 256 ticks, so every draw is jittered and a wrong
+        // salt shows.
+        let policy = RetryPolicy { ack_timeout: 1_000, discovery_timeout: 5_000, max_attempts: 3 };
+        let (ack, discovery) = (cfg(100, 32_000, 1_000), cfg(500, 80_000, 5_000));
+        let mut timers = Timers::new(policy);
+        timers.set_adaptive(NODE, true);
+        assert_eq!(timers.ladder(), 32_000 * 3);
 
         let salt = NODE.0 ^ PEER.0.rotate_left(32);
-        let probe = Awaited::Probe { peer: PEER, ack_wait: 70 };
-        let mut peer = RtoEstimator::new(rto);
-        assert_eq!(timers.first_wait(T0, Awaited::Ack(PEER)), peer.jittered_rto(salt));
-        assert_eq!(timers.first_wait(T0, probe), peer.jittered_rto(salt ^ 0xB5), "one estimator");
+        let probe = Awaited::Probe(PEER);
+        let mut peer = RtoEstimator::new(ack);
+        let mut jittered = Vec::new();
+        let mut check = |got: u64, want: u64, rto: u64| {
+            assert_eq!(got, want);
+            jittered.push(want > rto);
+        };
+        check(timers.first_wait(T0, Awaited::Ack(PEER)), peer.jittered_rto(salt), 1_000);
+        check(timers.first_wait(T0, probe), peer.jittered_rto(salt ^ 0xB5), 1_000);
         peer.on_timeout();
-        assert_eq!(timers.retry_wait(Awaited::Ack(PEER), 1), peer.jittered_rto(salt));
+        check(timers.retry_wait(Awaited::Ack(PEER), 1), peer.jittered_rto(salt), 2_000);
         peer.on_timeout();
-        assert_eq!(timers.retry_wait(probe, 1), peer.jittered_rto(salt ^ 0xB5));
-        let mut discovery = RtoEstimator::new(RtoConfig::for_discovery(1000));
-        assert_eq!(timers.first_wait(T0, Awaited::Discovery), discovery.jittered_rto(NODE.0));
-        discovery.on_timeout();
-        assert_eq!(timers.retry_wait(Awaited::Discovery, 1), discovery.jittered_rto(NODE.0));
+        check(timers.retry_wait(probe, 1), peer.jittered_rto(salt ^ 0xB5), 4_000);
+        let mut disc = RtoEstimator::new(discovery);
+        check(timers.first_wait(T0, Awaited::Discovery), disc.jittered_rto(NODE.0), 5_000);
+        disc.on_timeout();
+        check(timers.retry_wait(Awaited::Discovery, 1), disc.jittered_rto(NODE.0), 10_000);
+        assert!(jittered.iter().filter(|&&j| j).count() >= 4, "jitter drawn: {jittered:?}");
 
         // Karn, on both paths: a retransmitted frame's ack and the ack
         // of a probe that was re-sent are not samples.
@@ -595,13 +593,28 @@ mod tests {
         timers.probe_acked(PEER, SimTime(40), false);
         assert_eq!(timers.estimate(PEER), None, "an ack that closed nothing");
         timers.first_wait(T0, probe);
-        timers.probe_acked(PEER, SimTime(40), true);
-        peer.sample(40);
+        timers.probe_acked(PEER, SimTime(400), true);
+        peer.sample(400);
         assert_eq!(timers.estimate(PEER), Some(peer.rto()));
+        assert_eq!(peer.rto(), 1_200, "400 + 4 · 200, inside the bounds");
+
+        // Both bounds hold: a near-instant answer floors at the timeout's
+        // tenth, and backoff tops out at its ceiling multiple.
+        let mut fast = Timers::new(policy);
+        fast.set_adaptive(NODE, true);
+        fast.first_wait(T0, probe);
+        fast.probe_acked(PEER, SimTime(1), true);
+        assert_eq!(fast.estimate(PEER), Some(100), "floor: 1 000 / 10");
+        for attempt in 1..12 {
+            fast.retry_wait(Awaited::Ack(PEER), attempt);
+            fast.retry_wait(Awaited::Discovery, attempt);
+        }
+        assert_eq!(fast.retry_wait(Awaited::Ack(PEER), 12), 32_000, "ceiling: 32 · 1 000");
+        assert_eq!(fast.retry_wait(Awaited::Discovery, 12), 80_000, "ceiling: 16 · 5 000");
 
         // Back on the ladder nothing of it is left.
-        timers.set_adaptive(NODE, None);
-        assert_eq!(timers.first_wait(T0, Awaited::Ack(PEER)), 100);
-        assert_eq!(timers.ladder(), 800);
+        timers.set_adaptive(NODE, false);
+        assert_eq!(timers.first_wait(T0, Awaited::Ack(PEER)), 1_000);
+        assert_eq!(timers.ladder(), 8_000);
     }
 }

@@ -25,7 +25,6 @@ use bristle_netsim::rng::Pcg64;
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
 use bristle_proto::failure::FailurePolicy;
-use bristle_proto::rto::RtoConfig;
 use bristle_proto::transport::{Degradation, FaultConfig};
 
 use crate::cli::{SweepArgs, DEFAULT_SEED};
@@ -152,10 +151,8 @@ pub fn run_degradation(cfg: &DegradationConfig) -> DegradationOutcome {
         ..FaultConfig::default()
     };
     let mut msys = MessagingBristleSystem::new(sys, faults, cfg.seed ^ 0xD06);
-    if cfg.adaptive {
-        msys.set_adaptive_rto(Some(RtoConfig::default()));
-    }
-    msys.set_ingress_cap(Some(INGRESS_CAP));
+    msys.set_adaptive_rto(cfg.adaptive);
+    msys.set_ingress_cap(INGRESS_CAP);
     msys.set_failure_policy(FailurePolicy { grace_misses: GRACE_MISSES });
     msys.seed_monitors();
     let mut rng = Pcg64::new(cfg.seed, 0xDE64);

@@ -59,7 +59,8 @@ pub(crate) fn wire_addr_of(sys: &BristleSystem, key: Key) -> Option<WireAddr> {
 /// Where mail for `key` goes: its current address, else the last one the
 /// driver saw it at, else the dead-letter address.
 pub(crate) fn addr_of(sys: &BristleSystem, nodes: &Nodes, key: Key) -> WireAddr {
-    wire_addr_of(sys, key).unwrap_or_else(|| nodes.last_addr(key).unwrap_or(DEAD_LETTER_ADDR))
+    let last = || nodes.last_addr(sys.interner().get(key)).unwrap_or(DEAD_LETTER_ADDR);
+    wire_addr_of(sys, key).unwrap_or_else(last)
 }
 
 /// An LDT's edges grouped by parent, parents in first-edge order: one

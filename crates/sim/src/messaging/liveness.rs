@@ -4,7 +4,6 @@
 
 use std::collections::BTreeMap;
 
-use bristle_core::arena::KeyInterner;
 use bristle_core::heal::DeathReport;
 use bristle_core::restart::RestartReport;
 use bristle_proto::failure::Liveness;
@@ -70,13 +69,14 @@ pub(super) struct NodeView {
     wake: SimTime,
 }
 
-/// The driver's view of every node it has met.
+/// The driver's view of every node it has met, indexed by the system's
+/// one [`KeyInterner`](bristle_core::arena::KeyInterner): a key the
+/// system never held has no view, and a frame to it is dropped on
+/// arrival.
 #[derive(Debug, Default)]
 pub(crate) struct Nodes {
-    /// A dense index per key; machines live in an arena under it.
-    ids: KeyInterner,
-    /// One view per index assigned (kept so by [`Self::intern`]), so
-    /// lookups past the interner are array reads.
+    /// One view per index up to the highest one met, so lookups are
+    /// array reads.
     views: Vec<NodeView>,
     /// Bumped whenever what the driver holds against a node, or whether
     /// it runs a machine for it, changes — and when a machine's
@@ -85,47 +85,27 @@ pub(crate) struct Nodes {
 }
 
 impl Nodes {
-    /// `key`'s index, if the driver has met it.
-    pub(super) fn idx(&self, key: Key) -> Option<NodeIdx> {
-        self.ids.get(key)
-    }
-
-    /// `key`'s index, assigned (with a default view) on first sight.
-    pub(super) fn intern(&mut self, key: Key) -> NodeIdx {
-        let idx = self.ids.intern(key);
-        if idx.index() == self.views.len() {
-            self.views.push(NodeView::default());
+    /// The view of the node at `idx`, a default one if never met.
+    fn view_mut(&mut self, idx: NodeIdx) -> &mut NodeView {
+        if idx.index() >= self.views.len() {
+            self.views.resize_with(idx.index() + 1, NodeView::default);
         }
-        idx
-    }
-
-    /// The key owning `idx`.
-    pub(super) fn key_of(&self, idx: NodeIdx) -> Key {
-        self.ids.key_of(idx)
+        &mut self.views[idx.index()]
     }
 
     /// The deliveries queued for the node at `idx`.
     pub(super) fn ingress_mut(&mut self, idx: NodeIdx) -> &mut usize {
-        &mut self.views[idx.index()].ingress
+        &mut self.view_mut(idx).ingress
     }
 
     /// The last wake queued for the node at `idx`.
     pub(super) fn wake_mut(&mut self, idx: NodeIdx) -> &mut SimTime {
-        &mut self.views[idx.index()].wake
-    }
-
-    /// Forgets every ingress depth.
-    pub(super) fn reset_ingress(&mut self) {
-        self.views.iter_mut().for_each(|view| view.ingress = 0);
+        &mut self.view_mut(idx).wake
     }
 
     /// What is held against the node at `idx` (nothing, if never met).
     pub(super) fn held_at(&self, idx: Option<NodeIdx>) -> Option<&Held> {
-        self.views[idx?.index()].held.as_deref()
-    }
-
-    fn fate(&self, key: Key) -> Option<&Fate> {
-        self.held_at(self.idx(key)).map(|held| &held.fate)
+        self.views.get(idx?.index())?.held.as_deref()
     }
 
     /// A count that never moves back; see the field.
@@ -138,17 +118,16 @@ impl Nodes {
         self.epoch += 1;
     }
 
-    /// Records (`Some`) or clears what is held against `key`.
-    fn hold(&mut self, key: Key, held: Option<Held>) {
-        let idx = self.intern(key);
-        self.views[idx.index()].held = held.map(Box::new);
+    /// Records (`Some`) or clears what is held against the node at `idx`.
+    fn hold(&mut self, idx: NodeIdx, held: Option<Held>) {
+        self.view_mut(idx).held = held.map(Box::new);
         self.epoch += 1;
     }
 
-    /// Lifts `key`'s burial; it stays departed unless a rejoin follows.
-    fn unbury(&mut self, key: Key) -> Option<WrongfulBurial> {
-        let idx = self.idx(key)?;
-        let held = self.views[idx.index()].held.as_mut()?;
+    /// Lifts the burial of the node at `idx`; it stays departed unless a
+    /// rejoin follows.
+    fn unbury(&mut self, idx: NodeIdx) -> Option<WrongfulBurial> {
+        let held = self.views.get_mut(idx.index())?.held.as_mut()?;
         self.epoch += 1;
         match std::mem::replace(&mut held.fate, Fate::Departed) {
             Fate::BuriedAlive(burial) => Some(burial),
@@ -159,30 +138,33 @@ impl Nodes {
         }
     }
 
-    /// Nodes awaiting a funeral reversal, ascending.
-    fn buried(&self) -> Vec<Key> {
-        let mut keys: Vec<Key> = (0..self.views.len() as u32)
-            .map(NodeIdx)
-            .filter(|&i| {
-                matches!(self.held_at(Some(i)), Some(Held { fate: Fate::BuriedAlive(_), .. }))
-            })
-            .map(|i| self.ids.key_of(i))
-            .collect();
-        keys.sort_unstable();
-        keys
+    /// Nodes awaiting a funeral reversal, by index.
+    fn buried(&self) -> impl Iterator<Item = NodeIdx> + '_ {
+        let buried = self.views.iter().enumerate().filter(|(_, view)| {
+            matches!(view.held.as_deref(), Some(Held { fate: Fate::BuriedAlive(_), .. }))
+        });
+        buried.map(|(i, _)| NodeIdx(i as u32))
     }
 
-    /// Last known wire address of a node that crashed, left or was
-    /// buried.
-    pub(crate) fn last_addr(&self, key: Key) -> Option<WireAddr> {
-        self.held_at(self.idx(key)).map(|held| held.last_addr)
+    /// Last known wire address of the node at `idx`, if it crashed, left
+    /// or was buried.
+    pub(crate) fn last_addr(&self, idx: Option<NodeIdx>) -> Option<WireAddr> {
+        self.held_at(idx).map(|held| held.last_addr)
     }
 }
 
 impl MessagingBristleSystem {
     /// Nodes currently awaiting a funeral reversal (sorted).
     pub fn wrongly_buried(&self) -> Vec<Key> {
-        self.nodes.buried()
+        let mut keys: Vec<Key> =
+            self.nodes.buried().map(|i| self.sys.interner().key_of(i)).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// What the driver holds against `key`'s fate, if anything.
+    fn fate(&self, key: Key) -> Option<&Fate> {
+        self.nodes.held_at(self.idx(key)).map(|held| &held.fate)
     }
 
     /// Crashes `key` without notice: its machine vanishes and mail to it
@@ -193,24 +175,26 @@ impl MessagingBristleSystem {
     /// address is kept so later sends (from nodes that still believe in
     /// it) stay routable; a node the system does not know is left alone.
     pub fn fail_silently(&mut self, key: Key) {
-        let Some(last_addr) = wire_addr_of(&self.sys, key) else { return };
-        self.nodes.hold(key, Some(Held { last_addr, fate: Fate::Crashed }));
+        let (Some(idx), Some(last_addr)) = (self.idx(key), wire_addr_of(&self.sys, key)) else {
+            return;
+        };
+        self.nodes.hold(idx, Some(Held { last_addr, fate: Fate::Crashed }));
         self.remove_machine(key);
     }
 
     /// Whether `key` crashed silently. Stays true through the funeral
     /// ([`Self::confirm_and_heal`]), until the node is restarted.
     pub fn is_failed(&self, key: Key) -> bool {
-        matches!(self.nodes.fate(key), Some(Fate::Crashed))
+        matches!(self.fate(key), Some(Fate::Crashed))
     }
 
     /// Graceful departure through the driver: the machine is retired and
     /// the system-level leave protocol runs.
     pub fn leave(&mut self, key: Key) -> Result<(), MessagingError> {
-        if let Some(last_addr) = wire_addr_of(&self.sys, key) {
+        if let (Some(idx), Some(last_addr)) = (self.idx(key), wire_addr_of(&self.sys, key)) {
             // A crashed node made to leave stays crashed.
             let fate = if self.is_failed(key) { Fate::Crashed } else { Fate::Departed };
-            self.nodes.hold(key, Some(Held { last_addr, fate }));
+            self.nodes.hold(idx, Some(Held { last_addr, fate }));
         }
         self.remove_machine(key);
         self.sys.leave_node(key).map_err(|_| MessagingError::UnknownNode(key))
@@ -237,9 +221,12 @@ impl MessagingBristleSystem {
     /// A restarted process: nothing of the old machine survives, and the
     /// driver stops treating the node as failed, departed or buried.
     fn revive_machine(&mut self, key: Key, incarnation: u64) {
-        self.nodes.hold(key, None);
+        let Some(idx) = self.idx(key) else { return };
+        self.nodes.hold(idx, None);
         self.remove_machine(key);
-        self.machine_started(key).restore_incarnation(incarnation);
+        if let Some(machine) = self.machine_started(key) {
+            machine.restore_incarnation(incarnation);
+        }
     }
 
     /// Restarts a crashed, buried node with a *blank* disk — the
@@ -313,7 +300,7 @@ impl MessagingBristleSystem {
         wanted.sort_unstable();
         wanted.dedup();
         for peers in wanted.chunk_by(|a, b| a.0 == b.0) {
-            let machine = self.machine_started(peers[0].0);
+            let Some(machine) = self.machine_started(peers[0].0) else { continue };
             if machine.monitored().iter().eq(peers.iter().map(|(_, p)| p)) {
                 continue;
             }
@@ -387,7 +374,7 @@ impl MessagingBristleSystem {
     fn rejoin_sweep(&mut self) {
         // (1) Obituary announcements, one per buried node, from the
         // lowest-keyed surviving believer (deterministic).
-        let buried = self.nodes.buried();
+        let buried = self.wrongly_buried();
         if buried.is_empty() {
             return;
         }
@@ -407,7 +394,7 @@ impl MessagingBristleSystem {
         // obituary without bumping.)
         for &f in &buried {
             let Some(&(sponsor, heard)) = sponsors.get(&f) else { continue };
-            let refuted = match (self.machine_of(f), self.nodes.fate(f)) {
+            let refuted = match (self.machine_of(f), self.fate(f)) {
                 (Some(m), Some(Fate::BuriedAlive(_))) => m.incarnation() > heard,
                 _ => false,
             };
@@ -429,12 +416,13 @@ impl MessagingBristleSystem {
         requests.sort_unstable();
         requests.dedup();
         for (peer, incarnation) in requests {
-            let Some(burial) = self.nodes.unbury(peer) else { continue };
+            let Some(idx) = self.idx(peer) else { continue };
+            let Some(burial) = self.nodes.unbury(idx) else { continue };
             let Ok(report) = self.sys.rejoin_node(peer, incarnation) else { continue };
             if !report.restored {
                 continue;
             }
-            self.nodes.hold(peer, None);
+            self.nodes.hold(idx, None);
             self.sys.meter.bump(MessageKind::WrongfulDeath, 1);
             self.obs.record(Hist::Rejoin, self.queue.now().since(burial.at));
         }
@@ -447,10 +435,10 @@ impl MessagingBristleSystem {
         let live = |k: &Key| {
             *k != buried
                 && self.sys.node_info(*k).is_ok()
-                && matches!(self.nodes.fate(*k), None | Some(Fate::Departed))
+                && matches!(self.fate(*k), None | Some(Fate::Departed))
                 && self.has_machine(*k)
         };
-        if let Some(Fate::BuriedAlive(burial)) = self.nodes.fate(buried) {
+        if let Some(Fate::BuriedAlive(burial)) = self.fate(buried) {
             if let Some(&a) = burial.announcers.iter().find(|k| live(k)) {
                 return Some(a);
             }
@@ -481,7 +469,7 @@ impl MessagingBristleSystem {
         let mut believers = Vec::new();
         let mut unconvinced = Vec::new();
         for (i, m) in self.machines.iter() {
-            let w = self.nodes.key_of(i);
+            let w = self.sys.interner().key_of(i);
             match m.liveness(key) {
                 Some(Liveness::Dead) => believers.push(w),
                 Some(_) => unconvinced.push(w),
@@ -499,9 +487,9 @@ impl MessagingBristleSystem {
         // The notifications above re-announce the same death; those
         // echoes are not news.
         self.completions.retain(|c| !matches!(c, Completion::PeerDead { peer } if *peer == key));
-        if let Some(last_addr) = buried_at {
+        if let (Some(idx), Some(last_addr)) = (self.idx(key), buried_at) {
             let burial = WrongfulBurial { at: self.queue.now(), announcers: believers };
-            self.nodes.hold(key, Some(Held { last_addr, fate: Fate::BuriedAlive(burial) }));
+            self.nodes.hold(idx, Some(Held { last_addr, fate: Fate::BuriedAlive(burial) }));
         }
         let report = self.sys.confirm_dead(key).map_err(|_| MessagingError::UnknownNode(key))?;
         // Detection runs from the earliest suspicion still standing in a
@@ -572,7 +560,8 @@ mod tests {
     }
 
     fn monitored_sets(msys: &MessagingBristleSystem) -> BTreeMap<Key, Vec<Key>> {
-        msys.machines.iter().map(|(i, m)| (msys.nodes.key_of(i), m.monitored().to_vec())).collect()
+        let key_of = |i| msys.sys.interner().key_of(i);
+        msys.machines.iter().map(|(i, m)| (key_of(i), m.monitored().to_vec())).collect()
     }
 
     /// Seeds — gated, as every caller does — and checks every machine
@@ -800,7 +789,7 @@ mod tests {
             msys.seed_monitors();
             let watchers = |msys: &MessagingBristleSystem, peer: Key| -> Vec<Key> {
                 let watching = msys.machines.iter().filter(|(_, m)| m.liveness(peer).is_some());
-                watching.map(|(i, _)| msys.nodes.key_of(i)).collect()
+                watching.map(|(i, _)| msys.sys.interner().key_of(i)).collect()
             };
             let victim = *msys
                 .sys
@@ -1001,7 +990,11 @@ mod tests {
             assert!(msys.crash_restart(v).expect("restarts").restored);
             let v_now = home(&msys, v);
             assert_eq!(view_of(&mut msys, v), (up, !buried, true, v_now), "seed {seed}: restarted");
-            assert_eq!(msys.nodes.last_addr(v), None, "seed {seed}: nothing held against it");
+            assert_eq!(
+                msys.nodes.last_addr(msys.idx(v)),
+                None,
+                "seed {seed}: nothing held against it"
+            );
 
             // run -> partition -> wrongful confirm_and_heal -> rejoin_sweep
             let w = mobiles[5];
@@ -1025,7 +1018,7 @@ mod tests {
             msys.heartbeat_round();
             let w_now = home(&msys, w);
             assert_eq!(view_of(&mut msys, w), (up, !buried, true, w_now), "seed {seed}: rejoined");
-            assert_eq!(msys.nodes.last_addr(w), None);
+            assert_eq!(msys.nodes.last_addr(msys.idx(w)), None);
             assert_eq!(msys.registry().histogram(Hist::Rejoin).count(), 1, "seed {seed}");
             msys.settle();
 
@@ -1058,7 +1051,7 @@ mod tests {
                 (up, !buried, true, r_now),
                 "seed {seed}: republished"
             );
-            assert_eq!(msys.nodes.last_addr(r), None);
+            assert_eq!(msys.nodes.last_addr(msys.idx(r)), None);
 
             // A node the driver never met has nothing held against it.
             let stranger = Key(0xDEAD_0000_0000_0001);

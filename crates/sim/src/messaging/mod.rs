@@ -64,7 +64,6 @@ use bristle_overlay::meter::MessageKind;
 use bristle_overlay::obs::{Counter, FlightRecorder, Gauge, Hist, Registry};
 use bristle_proto::failure::FailurePolicy;
 use bristle_proto::machine::{Completion, Event, Frame, Output, ProtoMachine, RetryPolicy};
-use bristle_proto::rto::RtoConfig;
 use bristle_proto::transport::{Delivery, FaultConfig, SimTransport, Transport};
 use bristle_proto::wire::{Envelope, WireAddr, WireMessage};
 
@@ -243,9 +242,9 @@ pub struct MessagingBristleSystem {
     /// The shared system state (routing tables, leases, meter, clock).
     pub sys: BristleSystem,
     transport: SimTransport,
-    /// The driver's view of every node: its dense index (machine
-    /// lookups go through it once and then index the flat arena below),
-    /// what is held against it, its ingress depth.
+    /// The driver's view of every node: what is held against it, its
+    /// ingress depth, its last queued wake. It and the machines below
+    /// are indexed by the system's interner.
     nodes: Nodes,
     machines: NodeArena<ProtoMachine>,
     queue: EventQueue<MsgEvent>,
@@ -261,9 +260,9 @@ pub struct MessagingBristleSystem {
     flight: FlightRecorder,
     /// Authentication configuration shared by every node's environment.
     auth: AuthConfig,
-    /// Adaptive-RTO configuration applied to every machine (`None` =
+    /// Whether every machine runs adaptive RTO estimation (`false` =
     /// fixed [`RetryPolicy`] timers, the default).
-    rto: Option<RtoConfig>,
+    adaptive_rto: bool,
     /// Bounded-ingress backpressure: max queued deliveries per
     /// destination node before lookup-class frames are shed (`None` =
     /// unbounded, the default).
@@ -306,21 +305,19 @@ impl MessagingBristleSystem {
             obs: Registry::default(),
             flight: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
             auth: AuthConfig::default(),
-            rto: None,
+            adaptive_rto: false,
             ingress_cap: None,
             degraded: BTreeSet::new(),
             seeded_at: None,
         }
     }
 
-    /// Switches every machine (existing and future) to adaptive
-    /// per-peer RTO estimation, or back to fixed timers with `None`.
-    /// Estimator state does not survive the switch.
-    pub fn set_adaptive_rto(&mut self, cfg: Option<RtoConfig>) {
-        self.rto = cfg;
-        for (_, machine) in self.machines.iter_mut() {
-            machine.set_adaptive_rto(cfg);
-        }
+    /// Starts every machine on adaptive per-peer RTO estimation
+    /// ([`ProtoMachine::set_adaptive_rto`]) instead of fixed timers.
+    /// Like every setter here it configures a fresh driver: a machine
+    /// already running keeps the timers it started with.
+    pub fn set_adaptive_rto(&mut self, on: bool) {
+        self.adaptive_rto = on;
     }
 
     /// Bounds every node's ingress queue at `cap` pending deliveries:
@@ -328,13 +325,10 @@ impl MessagingBristleSystem {
     /// shed deterministically and metered as [`MessageKind::LoadShed`];
     /// protocol-fact frames (updates, registrations, heartbeats, acks,
     /// verdicts) are always admitted, so overload degrades lookup
-    /// latency instead of corrupting protocol state. `None` (the
-    /// default) disables backpressure entirely.
-    pub fn set_ingress_cap(&mut self, cap: Option<usize>) {
-        self.ingress_cap = cap;
-        if cap.is_none() {
-            self.nodes.reset_ingress();
-        }
+    /// latency instead of corrupting protocol state. Without a cap (the
+    /// default) there is no backpressure.
+    pub fn set_ingress_cap(&mut self, cap: usize) {
+        self.ingress_cap = Some(cap);
     }
 
     /// Turns on frame authentication: honest machines seal every
@@ -360,37 +354,41 @@ impl MessagingBristleSystem {
         self.auth.domain
     }
 
-    /// Overrides the failure-detection policy used by every machine
-    /// (existing machines are rebuilt around it, monitored sets intact).
+    /// Overrides the failure-detection policy every machine starts
+    /// under (a machine already running keeps its own).
     pub fn set_failure_policy(&mut self, policy: FailurePolicy) {
         self.failure_policy = policy;
-        for (_, machine) in self.machines.iter_mut() {
-            machine.set_failure_policy(policy);
-        }
+    }
+
+    /// `key`'s index in the system's one interner, if the system ever
+    /// held it.
+    fn idx(&self, key: Key) -> Option<NodeIdx> {
+        self.sys.interner().get(key)
     }
 
     /// The machine for `key`, if one is running.
     fn machine_of(&self, key: Key) -> Option<&ProtoMachine> {
-        self.nodes.idx(key).and_then(|i| self.machines.get(i))
+        self.idx(key).and_then(|i| self.machines.get(i))
     }
 
     /// Starts a machine at `idx` under the session's policies, unless
     /// one is running.
     fn ensure_machine(&mut self, idx: NodeIdx) {
         if !self.machines.contains(idx) {
-            let mut m = ProtoMachine::new(self.nodes.key_of(idx), self.policy);
+            let mut m = ProtoMachine::new(self.sys.interner().key_of(idx), self.policy);
             m.set_failure_policy(self.failure_policy);
-            m.set_adaptive_rto(self.rto);
+            m.set_adaptive_rto(self.adaptive_rto);
             self.machines.insert(idx, m);
             self.nodes.touch();
         }
     }
 
-    /// The machine for `node`, started if need be.
-    fn machine_started(&mut self, node: Key) -> &mut ProtoMachine {
-        let idx = self.nodes.intern(node);
+    /// The machine for `node`, started if need be; none for a key the
+    /// system never held.
+    fn machine_started(&mut self, node: Key) -> Option<&mut ProtoMachine> {
+        let idx = self.idx(node)?;
         self.ensure_machine(idx);
-        self.machines.get_mut(idx).expect("just started")
+        self.machines.get_mut(idx)
     }
 
     /// One step of `node`'s machine, if one is running.
@@ -400,7 +398,7 @@ impl MessagingBristleSystem {
         node: Key,
         f: impl FnOnce(&mut ProtoMachine, SimTime, &mut SystemEnv<'_>) -> Output,
     ) {
-        if let Some(idx) = self.nodes.idx(node) {
+        if let Some(idx) = self.idx(node) {
             self.drive_at(idx, false, f);
         }
     }
@@ -463,7 +461,7 @@ impl MessagingBristleSystem {
 
     /// Retires `key`'s machine (its interned index survives).
     fn remove_machine(&mut self, key: Key) {
-        if let Some(i) = self.nodes.idx(key) {
+        if let Some(i) = self.idx(key) {
             if self.machines.remove(i).is_some() {
                 self.nodes.touch();
             }
@@ -472,7 +470,8 @@ impl MessagingBristleSystem {
 
     /// Keys of all running machines, sorted.
     fn machine_keys_sorted(&self) -> Vec<Key> {
-        let mut keys: Vec<Key> = self.machines.iter().map(|(i, _)| self.nodes.key_of(i)).collect();
+        let key_of = |i| self.sys.interner().key_of(i);
+        let mut keys: Vec<Key> = self.machines.iter().map(|(i, _)| key_of(i)).collect();
         keys.sort_unstable();
         keys
     }
@@ -519,7 +518,7 @@ impl MessagingBristleSystem {
             MsgEvent::Deliver(slot) => {
                 let frame = self.frames.take(slot);
                 let dst = frame.env.dst;
-                let idx = self.nodes.idx(dst);
+                let idx = self.idx(dst);
                 if let (Some(_), Some(i)) = (self.ingress_cap, idx) {
                     let queued = self.nodes.ingress_mut(i);
                     *queued = queued.saturating_sub(1);
@@ -527,9 +526,10 @@ impl MessagingBristleSystem {
                 // A crashed node hears nothing; a wrongly buried one is
                 // gone from the system's books but still listening where
                 // it last lived: its obituary must reach it.
-                if liveness::listening(self.nodes.held_at(idx), || self.sys.contains_node(dst)) {
+                let listening =
+                    liveness::listening(self.nodes.held_at(idx), || self.sys.contains_node(dst));
+                if let (true, Some(idx)) = (listening, idx) {
                     // A first frame starts the machine.
-                    let idx = idx.unwrap_or_else(|| self.nodes.intern(dst));
                     self.ensure_machine(idx);
                     self.drive_at(idx, false, |m, now, env| m.poll(now, Event::Arrive(frame), env));
                 }
@@ -565,7 +565,7 @@ impl MessagingBristleSystem {
     /// deliveries and, unless the node's last wake still covers it, a
     /// queued wake. A node that is not listening sends nothing.
     fn dispatch(&mut self, idx: NodeIdx, out: Output) {
-        let (now, from) = (self.queue.now(), self.nodes.key_of(idx));
+        let (now, from) = (self.queue.now(), self.sys.interner().key_of(idx));
         if !liveness::listening(self.nodes.held_at(Some(idx)), || self.sys.contains_node(from)) {
             return;
         }
@@ -595,8 +595,9 @@ impl MessagingBristleSystem {
     /// regardless — shedding a fact would corrupt protocol state to save
     /// queue space, the wrong trade.
     fn admit(&mut self, d: Delivery, to_addr: WireAddr, from_addr: WireAddr) {
-        if let Some(cap) = self.ingress_cap {
-            let idx = self.nodes.intern(d.env.dst);
+        // A key the system never held has no queue: its frame is dropped
+        // on arrival.
+        if let (Some(cap), Some(idx)) = (self.ingress_cap, self.idx(d.env.dst)) {
             let queued = self.nodes.ingress_mut(idx);
             let sheddable = matches!(
                 d.env.msg,
@@ -879,7 +880,7 @@ mod tests {
             for target in targets {
                 msys.drive(who, |m, now, env| m.start_register(now, env, target, 1));
             }
-            let idx = msys.nodes.idx(who).expect("interned");
+            let idx = msys.idx(who).expect("interned");
             let queued = |m: &MessagingBristleSystem| {
                 m.queue
                     .pending_events()
@@ -916,7 +917,7 @@ mod tests {
         use bristle_proto::wire::WireAddr;
         for seed in [8u64, 27] {
             let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::lossy(0.02), seed);
-            msys.set_ingress_cap(Some(1));
+            msys.set_ingress_cap(1);
             let mut peak = 0;
             let mut check = |m: &MessagingBristleSystem| {
                 let live = m.frames.live();

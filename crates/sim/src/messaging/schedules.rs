@@ -491,7 +491,12 @@ impl World {
             assert!(registered || !live, "{step}: {who}'s interest in {k} was dropped");
         }
         for (i, machine) in m.machines.iter() {
-            assert_eq!(machine.inflight(), 0, "{step}: {} has sessions open", m.nodes.key_of(i));
+            assert_eq!(
+                machine.inflight(),
+                0,
+                "{step}: {} has sessions open",
+                m.sys.interner().key_of(i)
+            );
         }
         assert_eq!((m.frames.live(), m.queue.len()), (0, 0), "{step}: frames or events left");
         assert!(m.transport.trace().rows().len() <= TRACE_CAPACITY, "{step}: trace rows");
