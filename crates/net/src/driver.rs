@@ -95,9 +95,11 @@ use bristle_proto::wire::{Frame, WireAddr};
 use crate::clock::WallClock;
 
 /// Largest datagram payload the driver accepts or emits. The largest
-/// honest frame, a sealed `Update` or `Publish`, is 114 bytes (the
-/// 32-byte header, then an 82-byte envelope); the cap keeps a hostile
-/// jumbo datagram from ever reaching the codec.
+/// honest frame, a sealed `Update`, is 122 bytes: the 32-byte header,
+/// then a 90-byte envelope (a 32-byte envelope header, the tag, the
+/// subject, address, sequence number and floor in 40, the sealed
+/// trailer in 17). The cap keeps a hostile jumbo datagram from ever
+/// reaching the codec.
 pub const MAX_FRAME: usize = 256;
 
 /// The five boundary counters the wall-clock benchmark reads, as
@@ -588,7 +590,7 @@ mod tests {
         let misdirected =
             Frame { to_addr, from_addr, env: envelope(B, WireMessage::HopAck { acked: 1 }) };
         attacker.send_to(&misdirected.encode(), ep).unwrap();
-        let hop = WireMessage::RouteHop { origin: B, route_id: 0, target: A };
+        let hop = WireMessage::RouteHop { origin: B, route_id: 0, target: A, floor: 0 };
         let from_addr = WireAddr { router: 4_000_000, ..from_addr };
         let unanswerable = Frame { to_addr, from_addr, env: envelope(A, hop) };
         attacker.send_to(&unanswerable.encode(), ep).unwrap();
@@ -611,17 +613,22 @@ mod tests {
     }
 
     /// The largest frame an honest machine sends, a sealed `Update`, is
-    /// 114 bytes, well inside the cap; no well-formed frame of any kind
-    /// passes 115.
+    /// 122 bytes, well inside the cap: its floor is the 8 bytes a sealed
+    /// `Publish` (114) does not carry, and the next largest, a sealed
+    /// `Register`, is 102.
     #[test]
     fn the_largest_honest_frame_fits_the_cap() {
         let addr = WireAddr { host: 2, router: 5, epoch: 9 };
-        let msg = WireMessage::Update { subject: A, addr, seq: 3 };
         let auth = Some(WireAuth { pubkey: 1, tag: 2 });
-        let env = Envelope { src: A, dst: B, msg_id: 4, trace_id: 5, msg, auth };
-        let bytes = Frame { to_addr: addr, from_addr: addr, env }.encode();
-        assert_eq!(bytes.len(), 114);
-        assert!(bytes.len() <= MAX_FRAME);
+        let size = |msg| {
+            let env = Envelope { src: A, dst: B, msg_id: 4, trace_id: 5, msg, auth };
+            Frame { to_addr: addr, from_addr: addr, env }.encode().len()
+        };
+        let update = size(WireMessage::Update { subject: A, addr, seq: 3, floor: 4 });
+        assert_eq!(update, 122);
+        assert_eq!(size(WireMessage::Publish { subject: A, addr, seq: 3 }), 114);
+        assert_eq!(size(WireMessage::Register { target: A, capacity: 1, floor: 4 }), 102);
+        assert!(update <= MAX_FRAME);
     }
 
     /// A hop sent to B at an address B leaves before it arrives reaches

@@ -2,8 +2,10 @@
 //! its addressee* is decided here, by the destination, whichever driver
 //! carried it. *Which kinds carry authority* is written once
 //! (`signer_of`), so the send path seals exactly the kinds the receive
-//! path verifies; *whether this copy is the first* is the dedup
-//! horizon, whose lifetime follows the retry ladder in force.
+//! path verifies, and so does *whose floor a frame may raise*; *whether
+//! this copy is the first* is the dedup window (`seen`), per source a
+//! floor and the sightings above it, none held past two lifetimes of the
+//! retry ladder in force.
 //! [`ProtoMachine::poll`](super::ProtoMachine::poll) asks
 //! [`Admission::admits`] before any state is touched; delivery arms ask
 //! [`Admission::first_sighting`] where an effect must happen once.
@@ -12,7 +14,7 @@
 use bristle_core::auth::AuthError;
 
 use super::*;
-use crate::seen::{self, SeenSet};
+use crate::seen::{self, Kind, SeenSet};
 
 /// The identity whose authority `msg` carries, if its kind is
 /// authenticated: location records speak for their *subject* (relays
@@ -56,13 +58,14 @@ fn check_frame(env: &dyn NodeEnv, envelope: &Envelope) -> Result<(), AuthError> 
 /// One node's admission state; see the module docs.
 #[derive(Debug, Default)]
 pub(super) struct Admission {
-    /// Receiver-side dedup: the `(src, msg_id)` pairs processed within
-    /// the last lifetime (at most two), the lifetime following the retry
-    /// ladder in force ([`Self::advance`]).
+    /// Receiver-side dedup: per source, the floor its acked frames
+    /// carried and the sightings not yet below it, none held past two
+    /// lifetimes of the retry ladder in force ([`Self::advance`]).
     seen: SeenSet,
-    /// Test oracle: when set, dedup asks this never-pruned set instead.
-    #[cfg(test)]
-    oracle: Option<std::collections::HashSet<(Key, u64)>>,
+    /// Test oracle: when set, dedup asks this never-pruned set instead
+    /// ([`ProtoMachine::use_dedup_oracle`]).
+    #[cfg(any(test, feature = "dedup-oracle"))]
+    pub(super) oracle: Option<std::collections::HashSet<(Key, u64)>>,
 }
 
 impl Admission {
@@ -88,7 +91,7 @@ impl Admission {
     }
 
     /// The receive-side gate of `node`, attached at `own`. Returns
-    /// `false` when the frame must be dropped before touching any state:
+    /// `None` when the frame must be dropped before touching any state:
     /// it was sent to an address other than `own` (the `(host, router,
     /// epoch)` equality `NodeEnv::addr_current` holds beliefs to), emitted
     /// as an [`ObsEventKind::StaleReject`]; its sender address names no
@@ -97,29 +100,38 @@ impl Admission {
     /// metered as [`MessageKind::ForgedFrame`] (plus
     /// [`MessageKind::AuthReject`] when dropped) and emitted to the
     /// flight recorder, from `node`, either way.
+    ///
+    /// A let-in frame comes with whether the floor it carries, if any,
+    /// may raise its source's: with verification off every floor is
+    /// believed, as every frame is; otherwise only one its own source
+    /// sealed and this node verified. An unsealed `RouteHop` or a relayed
+    /// `Update` is still deduplicated against the floor held.
     pub(super) fn admits(
         node: Key,
         own: WireAddr,
         now: SimTime,
         env: &mut dyn NodeEnv,
         frame: &Frame,
-    ) -> bool {
+    ) -> Option<bool> {
         let envelope = &frame.env;
         if frame.to_addr != own {
             let (from, tag, msg_id) = (envelope.src, envelope.msg.tag_name(), envelope.msg_id);
             let rejected = ObsEventKind::StaleReject { from, tag, msg_id };
             note(node, env, now, envelope.trace_id, rejected);
-            return false;
+            return None;
         }
         if !env.routable(frame.from_addr) {
             env.bump(MessageKind::MalformedFrame);
-            return false;
+            return None;
         }
         let policy = env.verify_policy();
         if policy == VerifyPolicy::Off {
-            return true;
+            return Some(true);
         }
-        let Err(reason) = check_frame(env, envelope) else { return true };
+        let Err(reason) = check_frame(env, envelope) else {
+            let sealed = signer_of(envelope.src, &envelope.msg) == Some(envelope.src);
+            return Some(sealed && env.auth_domain().is_some());
+        };
         env.bump(MessageKind::ForgedFrame);
         let dropped = policy == VerifyPolicy::Enforce;
         let kind = ObsEventKind::AuthReject {
@@ -132,23 +144,34 @@ impl Admission {
         if dropped {
             env.bump(MessageKind::AuthReject);
         }
-        !dropped
+        (!dropped).then_some(false)
     }
 
-    /// Records a sighting of `src`'s frame `msg_id`; `true` if it is the
-    /// first one inside the dedup horizon.
-    pub(super) fn first_sighting(&mut self, src: Key, msg_id: u64) -> bool {
-        #[cfg(test)]
+    /// Records a sighting of `src`'s frame `msg_id`, of `kind`; `true` if
+    /// it is the first: not sighted inside the dedup horizon and, for an
+    /// acked frame, not below the floor held for `src`.
+    pub(super) fn first_sighting(&mut self, src: Key, msg_id: u64, kind: Kind) -> bool {
+        #[cfg(any(test, feature = "dedup-oracle"))]
         if let Some(oracle) = self.oracle.as_mut() {
             return oracle.insert((src, msg_id));
         }
-        self.seen.insert(src, msg_id)
+        self.seen.insert(src, msg_id, kind)
     }
 
-    /// Whether `src`'s frame `msg_id` was sighted inside the dedup
-    /// horizon; records nothing.
+    /// Whether `src`'s frame `msg_id` is sighted inside the dedup
+    /// horizon; records nothing. Exact for a frame whose exchange is
+    /// still open, since no floor has passed it.
     pub(super) fn sighted(&self, src: Key, msg_id: u64) -> bool {
+        #[cfg(any(test, feature = "dedup-oracle"))]
+        if let Some(oracle) = self.oracle.as_ref() {
+            return oracle.contains(&(src, msg_id));
+        }
         self.seen.contains(src, msg_id)
+    }
+
+    /// The floor held for `src`, 0 if none.
+    pub(super) fn floor_of(&self, src: Key) -> u64 {
+        self.seen.floor_of(src)
     }
 
     /// Dedup entries held.
@@ -293,17 +316,18 @@ mod tests {
         assert_eq!(env.meter.count(MessageKind::ForgedFrame), 0, "honest traffic never rejected");
     }
 
-    /// One frame of every `seen`-guarded kind, from `src` under `msg_id`.
-    fn guarded_frame(rng: &mut Pcg64, src: Key, msg_id: u64) -> Envelope {
+    /// One frame of every `seen`-guarded kind, from `src` under `msg_id`;
+    /// an acked kind carries `floor`.
+    fn guarded_frame(rng: &mut Pcg64, src: Key, msg_id: u64, floor: u64) -> Envelope {
         let addr = WireAddr { host: 7, router: 3, epoch: 0 };
         let n = rng.range_inclusive(0, 99);
         let msg = match rng.range_inclusive(0, 8) {
-            0 => WireMessage::RouteHop { origin: src, route_id: n, target: A },
-            1 => WireMessage::RouteHop { origin: src, route_id: n, target: B },
+            0 => WireMessage::RouteHop { origin: src, route_id: n, target: A, floor },
+            1 => WireMessage::RouteHop { origin: src, route_id: n, target: B, floor },
             2 => WireMessage::Discovery { subject: M, asker: src, session: n, probe: None },
             3 => WireMessage::ProbeMiss { subject: M, asker: src, session: n },
-            4 => WireMessage::Register { target: A, capacity: 4 },
-            5 => WireMessage::Update { subject: src, addr, seq: n },
+            4 => WireMessage::Register { target: A, capacity: 4, floor },
+            5 => WireMessage::Update { subject: src, addr, seq: n, floor },
             6 => WireMessage::Publish { subject: src, addr, seq: n },
             7 => WireMessage::SuspectNotify { suspect: Key(99), incarnation: 0 },
             _ => WireMessage::Rejoin { incarnation: n },
@@ -311,12 +335,14 @@ mod tests {
         Envelope { src, dst: A, msg_id, trace_id: 0, msg, auth: None }
     }
 
-    /// The two-generation `seen` against the never-pruned set it
-    /// replaced, through the machine: first copies, retransmissions and
-    /// transport duplicates of every guarded kind, each frame's copies
-    /// drawn inside one retry ladder of its first, over dozens of
-    /// lifetimes. Same duplicate verdict — so the same `Output`, frame
-    /// for frame, and the same commits — at fixed and adaptive RTO.
+    /// The bounded `seen` against the never-pruned set it replaced,
+    /// through the machine: first copies, retransmissions and transport
+    /// duplicates of every guarded kind, each frame's copies drawn inside
+    /// one retry ladder of its first, over dozens of lifetimes. Each
+    /// acked frame carries its sender's floor, drawn from a sender model:
+    /// the lowest id not yet acked, an exchange acked some time after its
+    /// first copy landed. Same duplicate verdict — so the same `Output`,
+    /// frame for frame, and the same commits — at fixed and adaptive RTO.
     /// Then the contract past the horizon, stated: two lifetimes after
     /// the traffic stops nothing is held, and a replayed frame is new.
     #[test]
@@ -330,12 +356,20 @@ mod tests {
                 let mut rng = Pcg64::seed_from_u64(seed);
                 let mut arrivals: Vec<(u64, Envelope)> = Vec::new();
                 let mut next_id = [0u64; 3];
+                // Per source, its open exchanges: (id, when it is acked).
+                let mut open: [Vec<(u64, u64)>; 3] = Default::default();
                 let mut first = 0;
                 for _ in 0..FRAMES {
                     first += rng.range_inclusive(0, ladder / 4);
                     let s = rng.range_inclusive(0, 2) as usize;
-                    let frame = guarded_frame(&mut rng, [B, M, Key(77)][s], next_id[s]);
+                    let id = next_id[s];
                     next_id[s] += 1;
+                    open[s].retain(|&(_, acked)| acked > first);
+                    let floor = open[s].first().map_or(id, |&(low, _)| low);
+                    let frame = guarded_frame(&mut rng, [B, M, Key(77)][s], id, floor);
+                    if frame.msg.floor().is_some() {
+                        open[s].push((id, first + 1 + rng.range_inclusive(0, ladder)));
+                    }
                     for _ in 0..rng.range_inclusive(0, 3) {
                         arrivals.push((first + rng.range_inclusive(0, ladder), frame.clone()));
                     }
@@ -356,14 +390,16 @@ mod tests {
                 }
                 let lifetime = crate::seen::lifetime(bounded.timers.ladder());
                 assert_eq!(lifetime, 2 * ladder, "{ctx}");
-                oracle.admission.oracle = Some(Default::default());
+                oracle.use_dedup_oracle();
                 let copies = arrivals.len();
+                let mut peak = 0;
                 for (at, frame) in arrivals {
                     let got = bounded.poll(t(at), arrival(&env, frame.clone()), &mut env);
                     let want = oracle.poll(t(at), arrival(&oracle_env, frame), &mut oracle_env);
                     assert_eq!(got.outgoing, want.outgoing, "{ctx} t={at}");
                     assert_eq!(got.wake, want.wake, "{ctx} t={at}");
                     assert_eq!(got.completions, want.completions, "{ctx} t={at}");
+                    peak = peak.max(bounded.seen_held());
                 }
                 assert_eq!(env.events, oracle_env.events, "{ctx}");
                 assert_eq!(env.updates, oracle_env.updates, "{ctx}");
@@ -374,7 +410,7 @@ mod tests {
                     "{ctx}"
                 );
                 assert!(copies > FRAMES * 2, "{ctx}: duplicates were drawn");
-                assert!(bounded.seen_held() < FRAMES / 4, "{ctx}: held {}", bounded.seen_held());
+                assert!(peak < FRAMES / 4, "{ctx}: held {peak} at the peak");
 
                 // Anything the machine hears ages the set, guarded or not.
                 let silence = horizon + 2 * lifetime;
@@ -393,6 +429,43 @@ mod tests {
                 bounded.poll(t(silence + 1), arrival(&env, replayed), &mut env);
                 assert_eq!(bounded.seen_held(), 1, "{ctx}: and its duplicate is caught again");
             }
+        }
+    }
+
+    /// The contract on a hostile floor (`seen`'s module docs). A hop
+    /// forged from `B` under a high id, carrying floor `u64::MAX`:
+    /// with verification off it is believed, and `B`'s next honest hop is
+    /// acked but not forwarded, until two lifetimes have passed; under
+    /// enforcement an unsealed hop raises nothing, and the honest hop is
+    /// forwarded at once.
+    #[test]
+    fn a_forged_floor_silences_its_source_for_at_most_two_lifetimes() {
+        let lifetime = crate::seen::lifetime(100 << 3);
+        let hop = |msg_id, floor| {
+            let msg = WireMessage::RouteHop { origin: B, route_id: msg_id, target: M, floor };
+            Envelope { src: B, dst: A, msg_id, trace_id: 0, msg, auth: None }
+        };
+        let forwarded = |out: &Output| {
+            out.outgoing.iter().any(|o| matches!(o.env.msg, WireMessage::RouteHop { .. }))
+        };
+        for verify in [VerifyPolicy::Off, VerifyPolicy::Enforce] {
+            let mut env = world();
+            env.domain = Some(AuthDomain::new(8));
+            env.vpolicy = verify;
+            let mut a = ProtoMachine::new(A, policy());
+            let forged = a.poll(t(0), arrival(&env, hop(u64::MAX, u64::MAX)), &mut env);
+            assert!(forged
+                .outgoing
+                .iter()
+                .any(|o| o.env.msg == WireMessage::HopAck { acked: u64::MAX }));
+            let honest = a.poll(t(10), arrival(&env, hop(5, 5)), &mut env);
+            assert!(
+                matches!(honest.outgoing[0].env.msg, WireMessage::HopAck { acked: 5 }),
+                "{verify:?}: every copy is acked"
+            );
+            assert_eq!(forwarded(&honest), verify == VerifyPolicy::Enforce, "{verify:?}");
+            let later = a.poll(t(10 + 2 * lifetime), arrival(&env, hop(6, 6)), &mut env);
+            assert!(forwarded(&later), "{verify:?}: two lifetimes on, the floor is gone");
         }
     }
 }

@@ -87,7 +87,7 @@ impl ProtoMachine {
         let trace = self.fresh_trace();
         for &child in children {
             let to_addr = env.current_addr(child);
-            let msg = WireMessage::Update { subject, addr, seq };
+            let msg = WireMessage::Update { subject, addr, seq, floor: 0 }; // `frame` stamps it
             let frame = self.frame(env, child, to_addr, trace, msg, Some(MessageKind::Update));
             self.send_reliable(now, &mut out, frame, SessionKind::Update);
         }
@@ -106,7 +106,7 @@ impl ProtoMachine {
         let mut out = Output::none();
         let trace = self.fresh_trace();
         let to_addr = env.current_addr(target);
-        let msg = WireMessage::Register { target, capacity };
+        let msg = WireMessage::Register { target, capacity, floor: 0 }; // `frame` stamps it
         let frame = self.frame(env, target, to_addr, trace, msg, Some(MessageKind::Register));
         self.send_reliable(now, &mut out, frame, SessionKind::Register);
         self.observe_sends(now, env, &out);

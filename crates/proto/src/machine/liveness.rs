@@ -33,6 +33,14 @@ impl ProtoMachine {
         self.next_msg_id = self.next_msg_id.max(incarnation << LIFE_SHIFT);
     }
 
+    /// The id this machine numbers its next frame with: every frame it
+    /// has sent went under a lower one. A life that replaces another must
+    /// start at or above the other's, or a peer holding that life's floor
+    /// ([`ProtoMachine::floor_of`]) takes its acked frames for duplicates.
+    pub fn next_msg_id(&self) -> u64 {
+        self.next_msg_id
+    }
+
     /// The highest incarnation this node has observed `peer` at
     /// (`None` = unmonitored).
     pub fn peer_incarnation(&self, peer: Key) -> Option<u64> {
@@ -197,7 +205,7 @@ impl ProtoMachine {
                         WireMessage::Alive { node: self.key, incarnation: self.incarnation };
                     let refutation = Some(MessageKind::Refutation);
                     out.outgoing.push(self.frame(env, src, from, trace, alive, refutation));
-                } else if self.admission.first_sighting(src, msg_id)
+                } else if self.admission.first_sighting(src, msg_id, Kind::Posted)
                     && self.detector.mark_dead(suspect, incarnation)
                 {
                     out.completions.push(Completion::PeerDead { peer: suspect });
@@ -214,7 +222,7 @@ impl ProtoMachine {
             WireMessage::Rejoin { incarnation } => {
                 // The rejoiner is alive by definition of having sent this.
                 self.digest_alive(env, src, incarnation);
-                if self.admission.first_sighting(src, msg_id) {
+                if self.admission.first_sighting(src, msg_id, Kind::Posted) {
                     out.completions.push(Completion::RejoinRequested { peer: src, incarnation });
                 }
                 // Always ack, even duplicates: the previous ack may have

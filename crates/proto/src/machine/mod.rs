@@ -49,6 +49,7 @@ use bristle_overlay::obs::{ObsEvent, ObsEventKind};
 
 use crate::failure::{FailureDetector, FailurePolicy};
 use crate::rto::Timers;
+use crate::seen::Kind;
 pub use crate::wire::Frame;
 use crate::wire::{Envelope, WireAddr, WireMessage};
 
@@ -337,13 +338,13 @@ pub struct ProtoMachine {
 
 // A driver holds one machine per node (112 B on a 64-bit target). Every
 // table a machine holds empty at rest — its open exchanges, its dedup
-// generations, its monitored peers, the adaptive-RTO arm — sits behind a
+// records, its monitored peers, the adaptive-RTO arm — sits behind a
 // box, so a field added inline rather than boxed while unused fails the
 // build here. Test builds are exempt: their dedup oracle
 // (`Admission::oracle`) adds 48 B. A driver's arena slot is an
 // `Option<ProtoMachine>`, which `next_trace`'s niche holds at the
 // machine's own size.
-#[cfg(not(test))]
+#[cfg(not(any(test, feature = "dedup-oracle")))]
 const _: () = assert!(std::mem::size_of::<ProtoMachine>() <= 112);
 const _: () =
     assert!(std::mem::size_of::<Option<ProtoMachine>>() == std::mem::size_of::<ProtoMachine>());
@@ -373,11 +374,20 @@ impl ProtoMachine {
         self.timers.set_adaptive(self.key, on);
     }
 
-    /// How many `(src, msg_id)` entries this node's dedup window holds:
-    /// the frames it processed in the last one to two lifetimes. A
-    /// driver sums it over its machines into its `seen` gauge.
+    /// How many `(src, msg_id)` sightings this node's dedup window
+    /// holds: per source, those of the last one to two lifetimes that no
+    /// floor has passed. A driver sums it over its machines into its
+    /// `seen` gauge.
     pub fn seen_held(&self) -> usize {
         self.admission.held()
+    }
+
+    /// Judges duplicates by a never-pruned set from now on, the oracle
+    /// the bounded window is tested against.
+    #[cfg(any(test, feature = "dedup-oracle"))]
+    #[doc(hidden)]
+    pub fn use_dedup_oracle(&mut self) {
+        self.admission.oracle = Some(Default::default());
     }
 
     /// Whether this node has already processed `src`'s frame `msg_id`:
@@ -388,9 +398,17 @@ impl ProtoMachine {
     /// retransmits, and a frame it sends fresh has an id never sent
     /// before, so nobody has processed it. Exact for every retransmitted
     /// frame: each of its copies leaves within one retry ladder of the
-    /// first, and the window holds an entry for at least two.
+    /// first, the window holds a sighting for at least two, and no floor
+    /// has passed it, since its exchange is open.
     pub fn has_processed(&self, src: Key, msg_id: u64) -> bool {
         self.admission.sighted(src, msg_id)
+    }
+
+    /// The floor this node holds for `src` (0 if none): every exchange
+    /// `src` opened below it has closed, so an acked frame of `src`'s
+    /// under a lower id is a duplicate here ([`WireMessage::floor`]).
+    pub fn floor_of(&self, src: Key) -> u64 {
+        self.admission.floor_of(src)
     }
 
     /// The current (unjittered, un-backed-off base) RTO estimate for
@@ -449,11 +467,14 @@ impl ProtoMachine {
 
     /// Builds one frame from this node, at its own address, to `dst` at
     /// `to_addr` — the only place an [`Envelope`] is written. The
-    /// `msg_id` is allocated, the physical cost metered as `metered`
+    /// `msg_id` is allocated, the floor of an acked kind stamped
+    /// ([`Self::floor`]), the physical cost metered as `metered`
     /// (`None` for acks and the other unmetered control traffic) and the
     /// signer's trailer applied here, once, *before* a reliable exchange
     /// clones the frame into its session: a retransmission is the stored
-    /// frame, id and tag included, restamped with where it leaves from.
+    /// frame, id, floor and tag included, restamped with where it leaves
+    /// from. Its floor is then lower than a fresh frame's, which is still
+    /// sound: every exchange below it has closed.
     fn frame(
         &mut self,
         env: &mut dyn NodeEnv,
@@ -469,10 +490,20 @@ impl ProtoMachine {
             env.meter(kind, cost);
         }
         let msg_id = self.fresh_msg_id();
+        let msg = if msg.floor().is_some() { msg.with_floor(self.floor(msg_id)) } else { msg };
         let mut envelope =
             Envelope { src: self.key, dst, msg_id, trace_id: trace, msg, auth: None };
         Admission::seal(env, &mut envelope);
         Frame { to_addr, from_addr, env: envelope }
+    }
+
+    /// The floor a frame sent now under `msg_id` carries
+    /// ([`WireMessage::floor`]): the lowest id this node still awaits an
+    /// ack for, `msg_id` included. Ids only grow, so every exchange below
+    /// it has closed, and its receiver may forget them.
+    fn floor(&self, msg_id: u64) -> u64 {
+        let open = self.open.as_deref().into_iter().flat_map(|o| o.sessions.keys());
+        open.fold(msg_id, |low, &id| low.min(id))
     }
 
     /// Queues one fire-and-forget frame to `dst` at its current address.
@@ -493,13 +524,13 @@ impl ProtoMachine {
     pub fn poll(&mut self, now: SimTime, event: Event, env: &mut dyn NodeEnv) -> Output {
         self.admission.advance(now, self.timers.ladder());
         let out = match event {
-            Event::Arrive(frame)
-                if Admission::admits(self.key, self.own_addr(env), now, env, &frame) =>
-            {
-                self.on_deliver(now, env, frame)
+            Event::Arrive(frame) => {
+                match Admission::admits(self.key, self.own_addr(env), now, env, &frame) {
+                    Some(believed) => self.on_deliver(now, env, frame, believed),
+                    // Rejected frame: no answer, no dedup entry, no state.
+                    None => Output::none(),
+                }
             }
-            // Rejected frame: no answer, no dedup entry, no state.
-            Event::Arrive(_) => Output::none(),
             Event::Deliver(envelope) => {
                 let (to_addr, from_addr) = (self.own_addr(env), env.current_addr(envelope.src));
                 let frame = Frame { to_addr, from_addr, env: envelope };
@@ -511,18 +542,31 @@ impl ProtoMachine {
         out
     }
 
-    /// Handles an admitted frame, the liveness kinds in their own file.
-    /// An answer goes to the frame's sender at the address the frame came
-    /// from. Replies and forwards stay on the causal trace of the frame
-    /// that provoked them, so a route and the discovery retries, replica
-    /// failovers and refutations it triggers share one trace id.
-    fn on_deliver(&mut self, now: SimTime, env: &mut dyn NodeEnv, frame: Frame) -> Output {
+    /// Handles an admitted frame, the liveness kinds in their own file;
+    /// `believed` says whether its floor may raise its source's
+    /// ([`Admission::admits`]). An answer goes to the frame's sender at
+    /// the address the frame came from. Replies and forwards stay on the
+    /// causal trace of the frame that provoked them, so a route and the
+    /// discovery retries, replica failovers and refutations it triggers
+    /// share one trace id.
+    fn on_deliver(
+        &mut self,
+        now: SimTime,
+        env: &mut dyn NodeEnv,
+        frame: Frame,
+        believed: bool,
+    ) -> Output {
         let mut out = Output::none();
         let Frame { from_addr: from, env: envelope, .. } = frame;
         let (src, msg_id, trace) = (envelope.src, envelope.msg_id, envelope.trace_id);
+        // An acked kind is deduplicated against its source's floor too.
+        let kind = match envelope.msg.floor() {
+            Some(floor) => Kind::Exchange(believed.then_some(floor)),
+            None => Kind::Posted,
+        };
         match envelope.msg {
-            WireMessage::RouteHop { origin, route_id, target } => {
-                let dup = !self.admission.first_sighting(src, msg_id);
+            WireMessage::RouteHop { origin, route_id, target, .. } => {
+                let dup = !self.admission.first_sighting(src, msg_id, kind);
                 // Always (re-)ack, even duplicates: the original ack may
                 // have been lost. Acks are unmetered control traffic.
                 let ack = WireMessage::HopAck { acked: msg_id };
@@ -539,7 +583,7 @@ impl ProtoMachine {
                 self.on_ack(now, env, &envelope, acked, &mut out);
             }
             WireMessage::Discovery { subject, asker, session, probe } => {
-                if self.admission.first_sighting(src, msg_id) {
+                if self.admission.first_sighting(src, msg_id, kind) {
                     self.handle_discovery(env, subject, asker, session, probe, trace, &mut out);
                 }
             }
@@ -547,28 +591,28 @@ impl ProtoMachine {
                 self.on_discovery_reply(now, env, session, addr, &mut out);
             }
             WireMessage::ProbeMiss { subject, asker, session } => {
-                if self.admission.first_sighting(src, msg_id) {
+                if self.admission.first_sighting(src, msg_id, kind) {
                     let miss = WireMessage::DiscoveryReply { subject, session, addr: None };
                     self.post(env, &mut out, asker, trace, miss, Some(MessageKind::DiscoveryHop));
                 }
             }
             // An exchange's receiving half: apply once, ack every copy.
-            WireMessage::Register { target, capacity } => {
-                if self.admission.first_sighting(src, msg_id) {
+            WireMessage::Register { target, capacity, .. } => {
+                if self.admission.first_sighting(src, msg_id, kind) {
                     env.apply_register(target, src, capacity);
                 }
                 let ack = WireMessage::RegisterAck { acked: msg_id };
                 out.outgoing.push(self.frame(env, src, from, trace, ack, None));
             }
-            WireMessage::Update { subject, addr, seq } => {
-                if self.admission.first_sighting(src, msg_id) {
+            WireMessage::Update { subject, addr, seq, .. } => {
+                if self.admission.first_sighting(src, msg_id, kind) {
                     env.apply_update(self.key, subject, addr, seq);
                 }
                 let ack = WireMessage::UpdateAck { acked: msg_id };
                 out.outgoing.push(self.frame(env, src, from, trace, ack, None));
             }
             WireMessage::Publish { subject, addr, seq } => {
-                if self.admission.first_sighting(src, msg_id) {
+                if self.admission.first_sighting(src, msg_id, kind) {
                     env.apply_publish(self.key, subject, addr, seq);
                 }
             }
@@ -708,6 +752,28 @@ mod tests {
         };
         let env = Envelope { src: sent.env.dst, dst: A, msg_id: 0, trace_id: 0, msg, auth: None };
         Event::Arrive(Frame { to_addr: sent.from_addr, from_addr: sent.to_addr, env })
+    }
+
+    /// An acked kind carries the lowest id its sender still awaits an
+    /// ack for, its own included; a retransmission keeps the floor it
+    /// was first sent with.
+    #[test]
+    fn an_acked_frame_carries_its_senders_lowest_open_id() {
+        let mut env = world();
+        let mut m = ProtoMachine::new(A, policy());
+        let stamped = |f: &Frame| (f.env.msg_id, f.env.msg.floor());
+        let addr = env.current_addr(A);
+        let updates = m.start_update(t(0), &mut env, A, addr, 1, &[B, M]).outgoing;
+        assert_eq!(updates.iter().map(stamped).collect::<Vec<_>>(), [(0, Some(0)), (1, Some(0))]);
+        m.poll(t(10), ack_of(&updates[0]), &mut env);
+        let register = m.start_register(t(20), &mut env, M, 4).outgoing;
+        assert_eq!(stamped(&register[0]), (2, Some(1)), "the update to M is still open");
+        let resent = m.poll(t(100), Event::Wake, &mut env).outgoing;
+        assert_eq!(stamped(&resent[0]), (1, Some(0)), "resent as stored");
+        m.poll(t(110), ack_of(&updates[1]), &mut env);
+        m.poll(t(110), ack_of(&register[0]), &mut env);
+        let (_, hop) = m.start_route(t(120), &mut env, B);
+        assert_eq!(stamped(&hop.outgoing[0]), (4, Some(4)), "nothing open (3 is the route id)");
     }
 
     /// Each way an exchange closes — a hop acked, a register's ladder

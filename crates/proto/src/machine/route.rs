@@ -132,6 +132,7 @@ impl ProtoMachine {
             origin: parked.origin,
             route_id: parked.route_id,
             target: parked.target,
+            floor: 0, // `frame` stamps it
         };
         let kind = SessionKind::Hop(parked);
         let frame = self.frame(env, next, to_addr, parked.trace, msg, Some(kind.metered()));
@@ -355,7 +356,7 @@ mod tests {
             dst: B,
             msg_id: 7,
             trace_id: 0,
-            msg: WireMessage::RouteHop { origin: A, route_id: 3, target: B },
+            msg: WireMessage::RouteHop { origin: A, route_id: 3, target: B, floor: 0 },
             auth: None,
         };
         let out1 = m.poll(t(0), arrival(&env, hop.clone()), &mut env);

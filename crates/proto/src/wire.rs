@@ -81,6 +81,8 @@ pub enum WireMessage {
         route_id: u64,
         /// The key being routed toward.
         target: Key,
+        /// The sender's floor ([`WireMessage::floor`]).
+        floor: u64,
     },
     /// Acknowledges receipt of the `RouteHop` carried as `acked` msg id.
     HopAck {
@@ -125,6 +127,8 @@ pub enum WireMessage {
         target: Key,
         /// Registrant's capacity report (shapes the target's LDT).
         capacity: u32,
+        /// The sender's floor ([`WireMessage::floor`]).
+        floor: u64,
     },
     /// Acknowledges a `Register`.
     RegisterAck {
@@ -139,6 +143,8 @@ pub enum WireMessage {
         addr: WireAddr,
         /// Movement sequence number (receivers ignore stale sequences).
         seq: u64,
+        /// The sender's floor ([`WireMessage::floor`]).
+        floor: u64,
     },
     /// Acknowledges an `Update`.
     UpdateAck {
@@ -205,6 +211,11 @@ pub enum WireMessage {
     },
 }
 
+// An envelope carries its message inline, and the simulator parks every
+// frame in flight in a 128-B slot (`bristle-sim::messaging`). The largest
+// variants, `Discovery` and `Update` (with its floor), take 40 B.
+const _: () = assert!(std::mem::size_of::<WireMessage>() == 48);
+
 impl WireMessage {
     /// One-byte discriminant used by the codec and the transport trace.
     pub fn tag(&self) -> u8 {
@@ -251,15 +262,42 @@ impl WireMessage {
         }
     }
 
+    /// The sender's *floor*, on the three kinds a sender retransmits
+    /// (`RouteHop`, `Register`, `Update`): the lowest `msg_id` it still
+    /// had an exchange open for when it built the frame, this frame's
+    /// own id included. Every exchange of the sender below it has closed,
+    /// so its receiver may forget what lies below (`seen`'s module docs).
+    pub fn floor(&self) -> Option<u64> {
+        match *self {
+            WireMessage::RouteHop { floor, .. }
+            | WireMessage::Register { floor, .. }
+            | WireMessage::Update { floor, .. } => Some(floor),
+            _ => None,
+        }
+    }
+
+    /// The same message with its floor set to `to`, on the kinds that
+    /// carry one; any other message is returned unchanged.
+    pub fn with_floor(mut self, to: u64) -> WireMessage {
+        if let WireMessage::RouteHop { floor, .. }
+        | WireMessage::Register { floor, .. }
+        | WireMessage::Update { floor, .. } = &mut self
+        {
+            *floor = to;
+        }
+        self
+    }
+
     /// Writes the tagged message body — the bytes shared by the codec and
     /// the authentication digest.
     fn write_body(&self, w: &mut Writer) {
         w.u8(self.tag());
         match self {
-            WireMessage::RouteHop { origin, route_id, target } => {
+            WireMessage::RouteHop { origin, route_id, target, floor } => {
                 w.key(*origin);
                 w.u64(*route_id);
                 w.key(*target);
+                w.u64(*floor);
             }
             WireMessage::HopAck { acked }
             | WireMessage::RegisterAck { acked }
@@ -280,12 +318,18 @@ impl WireMessage {
                 w.key(*asker);
                 w.u64(*session);
             }
-            WireMessage::Register { target, capacity } => {
+            WireMessage::Register { target, capacity, floor } => {
                 w.key(*target);
                 w.u32(*capacity);
+                w.u64(*floor);
             }
-            WireMessage::Update { subject, addr, seq }
-            | WireMessage::Publish { subject, addr, seq } => {
+            WireMessage::Update { subject, addr, seq, floor } => {
+                w.key(*subject);
+                w.addr(*addr);
+                w.u64(*seq);
+                w.u64(*floor);
+            }
+            WireMessage::Publish { subject, addr, seq } => {
                 w.key(*subject);
                 w.addr(*addr);
                 w.u64(*seq);
@@ -500,7 +544,12 @@ impl Envelope {
         let trace_id = r.u64()?;
         let tag = r.u8()?;
         let msg = match tag {
-            0 => WireMessage::RouteHop { origin: r.key()?, route_id: r.u64()?, target: r.key()? },
+            0 => WireMessage::RouteHop {
+                origin: r.key()?,
+                route_id: r.u64()?,
+                target: r.key()?,
+                floor: r.u64()?,
+            },
             1 => WireMessage::HopAck { acked: r.u64()? },
             2 => WireMessage::Discovery {
                 subject: r.key()?,
@@ -514,9 +563,14 @@ impl Envelope {
                 addr: r.opt_addr()?,
             },
             4 => WireMessage::ProbeMiss { subject: r.key()?, asker: r.key()?, session: r.u64()? },
-            5 => WireMessage::Register { target: r.key()?, capacity: r.u32()? },
+            5 => WireMessage::Register { target: r.key()?, capacity: r.u32()?, floor: r.u64()? },
             6 => WireMessage::RegisterAck { acked: r.u64()? },
-            7 => WireMessage::Update { subject: r.key()?, addr: r.addr()?, seq: r.u64()? },
+            7 => WireMessage::Update {
+                subject: r.key()?,
+                addr: r.addr()?,
+                seq: r.u64()?,
+                floor: r.u64()?,
+            },
             8 => WireMessage::UpdateAck { acked: r.u64()? },
             9 => WireMessage::Publish { subject: r.key()?, addr: r.addr()?, seq: r.u64()? },
             13 => WireMessage::Heartbeat { seq: r.u64()?, incarnation: r.u64()? },
@@ -570,7 +624,7 @@ mod tests {
 
     fn every_message() -> Vec<WireMessage> {
         vec![
-            WireMessage::RouteHop { origin: Key(1), route_id: 7, target: Key(u64::MAX) },
+            WireMessage::RouteHop { origin: Key(1), route_id: 7, target: Key(u64::MAX), floor: 3 },
             WireMessage::HopAck { acked: 99 },
             WireMessage::Discovery { subject: Key(2), asker: Key(3), session: 4, probe: None },
             WireMessage::Discovery {
@@ -582,9 +636,9 @@ mod tests {
             WireMessage::DiscoveryReply { subject: Key(5), session: 6, addr: None },
             WireMessage::DiscoveryReply { subject: Key(5), session: 6, addr: Some(addr(1, 2, 3)) },
             WireMessage::ProbeMiss { subject: Key(8), asker: Key(9), session: 10 },
-            WireMessage::Register { target: Key(11), capacity: 12 },
+            WireMessage::Register { target: Key(11), capacity: 12, floor: u64::MAX },
             WireMessage::RegisterAck { acked: 13 },
-            WireMessage::Update { subject: Key(14), addr: addr(4, 5, 6), seq: 15 },
+            WireMessage::Update { subject: Key(14), addr: addr(4, 5, 6), seq: 15, floor: 1 << 32 },
             WireMessage::UpdateAck { acked: 16 },
             WireMessage::Publish { subject: Key(17), addr: addr(7, 8, 9), seq: 18 },
             WireMessage::Heartbeat { seq: 22, incarnation: 1 },
@@ -779,6 +833,34 @@ mod tests {
         // Same field bytes under a different tag must not collide either.
         let suspect = WireMessage::SuspectNotify { suspect: Key(25), incarnation: 4 };
         assert_ne!(msg.auth_digest(), suspect.auth_digest());
+    }
+
+    /// Each kind that carries a floor encodes it as its last 8 bytes, and
+    /// the signer's digest covers it: a relay cannot lower or raise a
+    /// sealed frame's floor without breaking its tag.
+    #[test]
+    fn the_floor_is_encoded_and_signed_on_every_kind_that_carries_it() {
+        let floored: Vec<WireMessage> =
+            every_message().into_iter().filter(|m| m.floor().is_some()).collect();
+        assert_eq!(floored.len(), 3, "RouteHop, Register, Update");
+        for msg in floored {
+            let moved = msg.clone().with_floor(msg.floor().unwrap_or(0) ^ 1);
+            assert_ne!(moved.auth_digest(), msg.auth_digest(), "{msg:?}");
+            let env = |msg| Envelope {
+                src: Key(1),
+                dst: Key(2),
+                msg_id: 3,
+                trace_id: 4,
+                msg,
+                auth: None,
+            };
+            let (a, b) = (env(msg.clone()).encode(), env(moved).encode());
+            let diff: Vec<usize> = (0..a.len()).filter(|&i| a[i] != b[i]).collect();
+            // Header 32, tag 1, body, then the floor and the auth option.
+            assert_eq!(diff, vec![a.len() - 9], "{msg:?}: only the floor's low byte moved");
+        }
+        let hop = WireMessage::HopAck { acked: 4 };
+        assert_eq!(hop.clone().with_floor(9), hop, "a kind with no floor is unchanged");
     }
 
     /// The trailer is self-delimiting: an authenticated frame decodes to

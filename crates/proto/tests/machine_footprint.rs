@@ -141,7 +141,11 @@ fn work(m: &mut ProtoMachine, env: &mut MockEnv) {
     }
     // An update taken in: applied once, its sighting held for dedup.
     let addr = WireAddr { host: 2, router: 5, epoch: 0 };
-    m.poll(t(9500), to_a(env, B, 7, WireMessage::Update { subject: B, addr, seq: 1 }), env);
+    m.poll(
+        t(9500),
+        to_a(env, B, 7, WireMessage::Update { subject: B, addr, seq: 1, floor: 7 }),
+        env,
+    );
     assert_eq!(m.seen_held(), 1);
     m.monitor(B);
     m.monitor(M);

@@ -295,7 +295,8 @@ pub fn run_attack(cfg: &AttackConfig) -> AttackOutcome {
             // enormous capacity so LDT scheduling seats them high.
             for i in 0..SYBILS {
                 let sybil = Key(0xEC11_0000_0000_0000 + i as u64);
-                let msg = WireMessage::Register { target: victim, capacity: 1_000_000 };
+                // Floor 0 silences none of the sybil's own frames.
+                let msg = WireMessage::Register { target: victim, capacity: 1_000_000, floor: 0 };
                 let mut env = Envelope {
                     src: sybil,
                     dst: victim,

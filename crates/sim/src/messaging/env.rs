@@ -297,7 +297,7 @@ mod tests {
                     dst: holder,
                     msg_id: u64::MAX - i as u64,
                     trace_id: 0,
-                    msg: WireMessage::Update { subject, addr, seq: u64::MAX },
+                    msg: WireMessage::Update { subject, addr, seq: u64::MAX, floor: 0 },
                     auth: None,
                 };
                 msys.inject_frame(to_addr.router_id(), to_addr, forged);

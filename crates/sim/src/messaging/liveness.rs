@@ -44,6 +44,9 @@ pub(super) enum Fate {
 pub(super) struct Held {
     last_addr: WireAddr,
     fate: Fate,
+    /// Its machine's next frame id when this was held: a later life must
+    /// not number its frames below it.
+    next_msg_id: u64,
 }
 
 /// Whether a node's machine hears and sends frames — the one question
@@ -178,7 +181,8 @@ impl MessagingBristleSystem {
         let (Some(idx), Some(last_addr)) = (self.idx(key), wire_addr_of(&self.sys, key)) else {
             return;
         };
-        self.nodes.hold(idx, Some(Held { last_addr, fate: Fate::Crashed }));
+        let next_msg_id = self.next_msg_id(key);
+        self.nodes.hold(idx, Some(Held { last_addr, fate: Fate::Crashed, next_msg_id }));
         self.remove_machine(key);
     }
 
@@ -194,7 +198,8 @@ impl MessagingBristleSystem {
         if let (Some(idx), Some(last_addr)) = (self.idx(key), wire_addr_of(&self.sys, key)) {
             // A crashed node made to leave stays crashed.
             let fate = if self.is_failed(key) { Fate::Crashed } else { Fate::Departed };
-            self.nodes.hold(idx, Some(Held { last_addr, fate }));
+            let next_msg_id = self.next_msg_id(key);
+            self.nodes.hold(idx, Some(Held { last_addr, fate, next_msg_id }));
         }
         self.remove_machine(key);
         self.sys.leave_node(key).map_err(|_| MessagingError::UnknownNode(key))
@@ -218,14 +223,30 @@ impl MessagingBristleSystem {
         Ok(report)
     }
 
+    /// The id `key`'s machine, or the last one held against it, numbers
+    /// its next frame with (0 for a node that never ran one).
+    fn next_msg_id(&self, key: Key) -> u64 {
+        let held = || self.nodes.held_at(self.idx(key)).map_or(0, |h| h.next_msg_id);
+        self.machine_of(key).map_or_else(held, ProtoMachine::next_msg_id)
+    }
+
     /// A restarted process: nothing of the old machine survives, and the
     /// driver stops treating the node as failed, departed or buried.
     fn revive_machine(&mut self, key: Key, incarnation: u64) {
         let Some(idx) = self.idx(key) else { return };
+        let earlier = self.next_msg_id(key);
         self.nodes.hold(idx, None);
         self.remove_machine(key);
         if let Some(machine) = self.machine_started(key) {
             machine.restore_incarnation(incarnation);
+            // Below the earlier life's ids, the new life's acked frames
+            // would be duplicates at every peer still holding that life's
+            // floor, for up to two dedup lifetimes.
+            debug_assert!(
+                machine.next_msg_id() >= earlier,
+                "{key}'s new life numbers from {} below its last life's {earlier}",
+                machine.next_msg_id()
+            );
         }
     }
 
@@ -489,7 +510,8 @@ impl MessagingBristleSystem {
         self.completions.retain(|c| !matches!(c, Completion::PeerDead { peer } if *peer == key));
         if let (Some(idx), Some(last_addr)) = (self.idx(key), buried_at) {
             let burial = WrongfulBurial { at: self.queue.now(), announcers: believers };
-            self.nodes.hold(idx, Some(Held { last_addr, fate: Fate::BuriedAlive(burial) }));
+            let (fate, next_msg_id) = (Fate::BuriedAlive(burial), self.next_msg_id(key));
+            self.nodes.hold(idx, Some(Held { last_addr, fate, next_msg_id }));
         }
         let report = self.sys.confirm_dead(key).map_err(|_| MessagingError::UnknownNode(key))?;
         // Detection runs from the earliest suspicion still standing in a
@@ -918,31 +940,46 @@ mod tests {
         }
     }
 
-    /// A neighbour's dedup set still holds the previous life's
-    /// `(src, msg_id)` pairs when a node restarts inside one dedup
-    /// lifetime. The new life's hops must not be mistaken for them:
-    /// acked as duplicates and never forwarded, the route would stall
-    /// with the sender holding its ack.
+    /// A neighbour's dedup window still holds the previous life's
+    /// sightings, and its floor, when a node restarts inside one dedup
+    /// lifetime. The new life's hops must not be mistaken for them: acked
+    /// as duplicates and never forwarded, the route would stall with the
+    /// sender holding its ack. A neighbour that heard the first life's
+    /// hops holds a floor above that life's first id, and a life numbered
+    /// below it would be silenced at that neighbour for two lifetimes,
+    /// whether the node restarts off its disk or republishes.
     #[test]
     fn restarted_node_routes_through_a_neighbour_that_saw_its_previous_life() {
         for seed in [8u64, 27] {
-            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
-            let mobiles: Vec<Key> = msys.sys.mobile_keys().to_vec();
-            let victim = mobiles[0];
-            let born = msys.micro_now();
-            // First life: every target's first hop leaves under a low id.
-            for &target in &mobiles[1..] {
-                msys.route(victim, target).expect("clean route");
+            for crash in [true, false] {
+                let ctx = format!("seed {seed}, crash_restart {crash}");
+                let mut msys =
+                    MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+                let mobiles: Vec<Key> = msys.sys.mobile_keys().to_vec();
+                let victim = mobiles[0];
+                let born = msys.micro_now();
+                // First life: every target's first hop leaves under a low id.
+                for &target in &mobiles[1..] {
+                    msys.route(victim, target).expect("clean route");
+                }
+                msys.settle();
+                let floors = msys.machines.iter().map(|(_, m)| m.floor_of(victim));
+                let high = floors.max().unwrap_or(0);
+                assert!(high > 0, "{ctx}: a neighbour holds the first life's floor");
+                msys.fail_silently(victim);
+                msys.confirm_and_heal(victim).expect("victim is known");
+                let report =
+                    if crash { msys.crash_restart(victim) } else { msys.republish_restart(victim) };
+                assert!(report.expect("victim restarts").restored, "{ctx}");
+                let next = msys.machine_of(victim).map(ProtoMachine::next_msg_id);
+                assert!(next > Some(high), "{ctx}: the new life numbers above {high}");
+                for &target in &mobiles[1..] {
+                    let done = msys.route(victim, target);
+                    assert!(done.is_ok(), "{ctx}: route to {target} after restart: {done:?}");
+                }
+                let within = msys.micro_now().since(born) < DEDUP_LIFETIME;
+                assert!(within, "{ctx}: all inside one dedup lifetime");
             }
-            msys.settle();
-            msys.fail_silently(victim);
-            msys.confirm_and_heal(victim).expect("victim is known");
-            assert!(msys.crash_restart(victim).expect("victim restarts").restored);
-            for &target in &mobiles[1..] {
-                let done = msys.route(victim, target);
-                assert!(done.is_ok(), "seed {seed}: route to {target} after restart: {done:?}");
-            }
-            assert!(msys.micro_now().since(born) < DEDUP_LIFETIME, "all inside one dedup lifetime");
         }
     }
 

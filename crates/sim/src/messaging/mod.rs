@@ -273,6 +273,10 @@ pub struct MessagingBristleSystem {
     /// What `seed_inputs` read when the monitor sets were last seeded
     /// (`None` before the first seeding).
     seeded_at: Option<u64>,
+    /// Every machine started judges duplicates by a never-pruned set
+    /// ([`ProtoMachine::use_dedup_oracle`]).
+    #[cfg(test)]
+    dedup_oracle: bool,
 }
 
 impl MessagingBristleSystem {
@@ -309,6 +313,8 @@ impl MessagingBristleSystem {
             ingress_cap: None,
             degraded: BTreeSet::new(),
             seeded_at: None,
+            #[cfg(test)]
+            dedup_oracle: false,
         }
     }
 
@@ -378,6 +384,10 @@ impl MessagingBristleSystem {
             let mut m = ProtoMachine::new(self.sys.interner().key_of(idx), self.policy);
             m.set_failure_policy(self.failure_policy);
             m.set_adaptive_rto(self.adaptive_rto);
+            #[cfg(test)]
+            if self.dedup_oracle {
+                m.use_dedup_oracle();
+            }
             self.machines.insert(idx, m);
             self.nodes.touch();
         }

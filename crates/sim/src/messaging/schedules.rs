@@ -29,6 +29,9 @@ const OPS: usize = 200;
 /// Crash-free schedules the differential generates, and ops in each.
 const DIFF_SEEDS: u64 = 32;
 const DIFF_OPS: usize = 150;
+/// Schedules the dedup differential generates, and ops in each.
+const DEDUP_SEEDS: u64 = 16;
+const DEDUP_OPS: usize = 150;
 
 /// One step of a schedule. Its numbers pick a key (see [`pick`]), a
 /// router or an amount when it runs.
@@ -239,11 +242,17 @@ impl Drop for World {
 
 impl World {
     fn new(seed: u64, lossy: bool) -> World {
+        let faults = if lossy { FaultConfig::lossy(0.02) } else { FaultConfig::perfect() };
+        World::over(seed, faults)
+    }
+
+    /// A world whose transport follows `faults`; lossy unless perfect.
+    fn over(seed: u64, faults: FaultConfig) -> World {
         static RUNS: AtomicU64 = AtomicU64::new(0);
         let run = RUNS.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir()
             .join(format!("bristle-schedules-{}-{seed}-{run}", std::process::id()));
-        let faults = if lossy { FaultConfig::lossy(0.02) } else { FaultConfig::perfect() };
+        let lossy = faults != FaultConfig::perfect();
         let msys = MessagingBristleSystem::new(build(seed), faults, seed);
         let (durable, verdicts, interests) = (BTreeSet::new(), BTreeSet::new(), BTreeMap::new());
         let (left, graves) = (Vec::new(), BTreeMap::new());
@@ -553,6 +562,52 @@ fn differential(seed: u64, ops: &[Op]) {
     }
 }
 
+/// Runs `ops` twice over a transport that loses 2 %, duplicates 5 % and
+/// reorders frames by up to three ticks of jitter: once with every
+/// machine's dedup window bounded by floors and lifetimes, once with a
+/// never-pruned set. After each op a burst of routes from two origins
+/// runs unsettled, so a node has several exchanges, with one neighbour
+/// too, open at once. A floor must change no verdict, so after every op
+/// both hold the same per-kind tallies, the same completions, the same
+/// send trace (every row `trace_bytes` digests) and the same flight
+/// recorder.
+fn dedup(seed: u64, ops: &[Op]) {
+    let rough = FaultConfig { duplicate_probability: 0.05, jitter: 3, ..FaultConfig::lossy(0.02) };
+    let mut worlds = [false, true].map(|oracle| {
+        let mut world = World::over(seed, rough.clone());
+        world.msys.dedup_oracle = oracle;
+        world
+    });
+    for (i, &op) in ops.iter().enumerate() {
+        let step = format!("seed {seed} op {i} {op:?}");
+        worlds.iter_mut().for_each(|w| w.apply(op, &step));
+        let m = &worlds[0].msys;
+        let live: Vec<Key> = m.sys.mobile.keys().filter(|&k| !m.is_failed(k)).collect();
+        let mut rng = Pcg64::seed_from_u64(seed << 16 | i as u64);
+        let mut burst = Vec::new();
+        for _ in 0..2 {
+            let src = *rng.choose(&live);
+            burst.extend((0..4).map(|_| (src, *rng.choose(&live))).filter(|(s, t)| s != t));
+        }
+        let routed = worlds.each_mut().map(|w| {
+            let routed = w.msys.route_burst(&burst);
+            w.msys.settle();
+            routed
+        });
+        assert_eq!(routed[0], routed[1], "{step}: the burst's routes");
+        let [bounded, oracle] = [&worlds[0].msys, &worlds[1].msys];
+        assert_eq!(bounded.sys.meter.tallies(), oracle.sys.meter.tallies(), "{step}: tallies");
+        assert_eq!(bounded.completions, oracle.completions, "{step}: completions");
+        let rows = |m: &MessagingBristleSystem| m.transport.trace().rows().clone();
+        assert!(rows(bounded) == rows(oracle), "{step}: send trace");
+        assert_eq!(bounded.flight.events(), oracle.flight.events(), "{step}: flight recorder");
+    }
+    let [bounded, oracle] = [&worlds[0].msys, &worlds[1].msys];
+    if bounded.transport.trace().evicted() == 0 {
+        assert_eq!(bounded.transport.trace_bytes(), oracle.transport.trace_bytes(), "seed {seed}");
+    }
+}
+
 /// The function path's route, its report held to its own meter.
 fn route(sys: &mut BristleSystem, src: Key, target: Key, step: &str) -> CoreResult<()> {
     let tally = |sys: &BristleSystem| {
@@ -638,6 +693,13 @@ fn the_corpus_replays_clean() {
 fn generated_schedules_keep_every_invariant() {
     for seed in 0..SEEDS {
         replay(invariants, seed, generate(seed, OPS, false));
+    }
+}
+
+#[test]
+fn floors_change_no_dedup_verdict_on_generated_schedules() {
+    for seed in 0..DEDUP_SEEDS {
+        replay(dedup, seed, generate(seed, DEDUP_OPS, false));
     }
 }
 

@@ -8,8 +8,13 @@
 # and counts nothing.
 #
 # Usage: scripts/nontest_lines.sh   (from anywhere in the repository)
+#        scripts/nontest_lines.sh --files   (each counted file and its
+#        count instead, one "path lines" a line; scripts/unwrap_sites.sh
+#        reads these)
 set -eu
 cd "$(dirname "$0")/.."
+files=0
+[ "${1-}" = --files ] && files=1
 
 # For one file: "count <lines>", then "test <module>" per declared test
 # module. Attributes, comments and blank lines between `#[cfg(test)]` and
@@ -60,9 +65,10 @@ for f in $(find crates/*/src -name '*.rs' | sort); do
         esac
     done
 done
-awk '
+awk -v files="$files" '
     FNR == NR { test[$1] = 1; next }
     $1 in test { next }
+    files { print; next }
     { split($1, p, "/"); n[p[2]] += $2; total += $2 }
-    END { for (c in n) printf "%-8s %6d\n", c, n[c] | "sort"; close("sort"); printf "%-8s %6d\n", "total", total }
+    END { if (files) exit; for (c in n) printf "%-8s %6d\n", c, n[c] | "sort"; close("sort"); printf "%-8s %6d\n", "total", total }
 ' "$tests" "$counts"
