@@ -289,19 +289,12 @@ fn net_register(d: &mut SocketDriver, w: &mut NetWorld, who: Key, target: Key) {
     let mut env = w.env();
     let out = d.machine_mut(who).expect("bound").start_register(now, &mut env, target, capacity);
     d.dispatch(who, out, &mut env).expect("register dispatch");
-    let settled = |c: &Completion| {
+    let settled = claim(d, w, 1, |c| {
         matches!(c,
             Completion::Registered { target: t } | Completion::RegisterFailed { target: t }
-                if *t == target)
-    };
-    d.run_until(&mut env, MAX_EVENTS, settled).expect("register settles");
-    assert!(
-        d.completions
-            .iter()
-            .any(|c| matches!(c, Completion::Registered { target: t } if *t == target)),
-        "registration must be acked"
-    );
-    d.completions.retain(|c| !settled(c));
+                if t == target)
+    });
+    assert!(settled.contains(&Completion::Registered { target }), "registration must be acked");
 }
 
 /// A route, with `moved.0` reattaching at `moved.1` once its first
@@ -320,19 +313,13 @@ fn net_route(
     if let Some((mover, to)) = moved {
         env.sys.relocate(mover, Some(to)).expect("mobile node moves");
     }
-    let mine = move |c: &Completion| match *c {
-        Completion::Delivered { origin, route_id: r } => origin == src && r == route_id,
-        Completion::RouteFailed { origin, route_id: r, .. } => origin == src && r == route_id,
+    let settled = claim(d, w, 1, |c| match c {
+        Completion::Delivered { origin, route_id: r }
+        | Completion::RouteFailed { origin, route_id: r, .. } => origin == src && r == route_id,
         _ => false,
-    };
-    d.run_until(&mut env, MAX_EVENTS, mine).expect("route settles");
-    assert!(
-        d.completions
-            .iter()
-            .any(|c| matches!(*c, Completion::Delivered { origin, route_id: r } if origin == src && r == route_id)),
-        "route {src} -> {target} must deliver"
-    );
-    d.completions.retain(|c| !mine(c));
+    });
+    let delivered = Completion::Delivered { origin: src, route_id };
+    assert!(settled.contains(&delivered), "route {src} -> {target} must deliver");
     w.obs.record(Hist::Route, d.now().since(started));
 }
 
@@ -352,24 +339,37 @@ fn net_disseminate(d: &mut SocketDriver, w: &mut NetWorld, key: Key) {
             .start_update(now, &mut env, key, addr, info.seq, &children);
         d.dispatch(parent, out, &mut env).expect("update dispatch");
     }
-    let mut settled = 0usize;
-    while settled < expected {
-        let mut env = w.env();
-        d.run_until(&mut env, MAX_EVENTS, |c| {
-            matches!(c, Completion::UpdateAcked { .. } | Completion::UpdateFailed { .. })
-        })
-        .expect("update edge settles");
-        d.completions.retain(|c| match c {
-            Completion::UpdateAcked { .. } | Completion::UpdateFailed { .. } => {
-                settled += 1;
-                false
-            }
-            _ => true,
-        });
-    }
+    claim(d, w, expected, |c| {
+        matches!(c, Completion::UpdateAcked { .. } | Completion::UpdateFailed { .. })
+    });
     if expected > 0 {
         w.obs.record(Hist::Dissemination, d.now().since(started));
     }
+}
+
+/// Runs the socket arm until `n` completions `mine` claims have
+/// surfaced, and takes every one it claims out of the buffer: the socket
+/// mirror of the sim driver's claim-once loop. Returns what it took.
+fn claim(
+    d: &mut SocketDriver,
+    w: &mut NetWorld,
+    n: usize,
+    mine: impl Fn(Completion) -> bool,
+) -> Vec<Completion> {
+    let mut taken = Vec::new();
+    while taken.len() < n {
+        d.run_until(&mut w.env(), MAX_EVENTS, |&c| mine(c)).expect("the operation settles");
+        let before = taken.len();
+        d.completions.retain(|&c| {
+            let hit = mine(c);
+            if hit {
+                taken.push(c);
+            }
+            !hit
+        });
+        assert!(taken.len() > before, "the network went quiet first");
+    }
+    taken
 }
 
 /// Drains in-flight datagrams and remaining timers, then forgets any

@@ -366,15 +366,17 @@ impl MessagingBristleSystem {
         }
         self.rejoin_sweep();
         let mut dead = Vec::new();
-        self.completions.retain(|c| match *c {
-            Completion::PeerDead { peer } => {
+        // Takes what the drains above left: done before any event.
+        self.run_until(|_, c| match c {
+            Some(Completion::PeerDead { peer }) => {
                 dead.push(peer);
-                false
+                true
             }
             // A rejoin request the sweep did not take (nobody was
             // buried) reverses nothing.
-            Completion::RejoinRequested { .. } => false,
-            _ => true,
+            Some(Completion::RejoinRequested { .. }) => true,
+            Some(_) => false,
+            None => true,
         });
         dead.sort_unstable();
         dead.dedup();
@@ -424,15 +426,15 @@ impl MessagingBristleSystem {
             }
             self.drive(f, |m, now, env| m.start_rejoin(now, env, sponsor));
         }
-        self.drain();
-        // (3) Reverse the funeral of every accepted rejoin.
+        // (3) Run the requests out and reverse the funeral of every
+        // accepted rejoin.
         let mut requests: Vec<(Key, u64)> = Vec::new();
-        self.completions.retain(|c| match *c {
-            Completion::RejoinRequested { peer, incarnation } => {
+        self.run_until(|_, c| match c {
+            Some(Completion::RejoinRequested { peer, incarnation }) => {
                 requests.push((peer, incarnation));
-                false
+                true
             }
-            _ => true,
+            _ => false,
         });
         requests.sort_unstable();
         requests.dedup();
@@ -499,15 +501,16 @@ impl MessagingBristleSystem {
         }
         believers.sort_unstable();
         unconvinced.sort_unstable();
-        if let Some(&herald) = believers.first() {
+        let herald = believers.first().copied();
+        if let Some(herald) = herald {
             for &peer in &unconvinced {
                 self.drive(herald, |m, now, env| m.notify_suspect(now, env, peer, key));
             }
-            self.drain();
         }
-        // The notifications above re-announce the same death; those
-        // echoes are not news.
-        self.completions.retain(|c| !matches!(c, Completion::PeerDead { peer } if *peer == key));
+        // Runs the notifications out, if any went (else no event), and
+        // takes every report of this death: the echoes are not news.
+        let echo = |c: Completion| matches!(c, Completion::PeerDead { peer } if peer == key);
+        self.run_until(|_, c| c.map_or(herald.is_none(), echo));
         if let (Some(idx), Some(last_addr)) = (self.idx(key), buried_at) {
             let burial = WrongfulBurial { at: self.queue.now(), announcers: believers };
             let (fate, next_msg_id) = (Fate::BuriedAlive(burial), self.next_msg_id(key));

@@ -21,11 +21,12 @@
 //! and the loop: one machine step (`drive_at`) lends a node's machine
 //! the system through a `SystemEnv` and dispatches what comes back —
 //! every operation start, delivery and wake goes through it — and one
-//! event loop (`run_until`) runs events until a caller's predicate is
-//! satisfied, the queue drains or the budget is spent. `env` is that
-//! window (its `emit` feeds the driver's registry and flight recorder),
-//! `ops` the operations a caller runs to completion (each keeps only its
-//! predicate and its own reading of a quiet or runaway stop), `liveness`
+//! event loop (`run_until`) offers the running operation each completion
+//! once, takes out the ones it claims and runs events until it is done,
+//! the queue drains or the budget is spent. `env` is that window (its
+//! `emit` feeds the driver's registry and flight recorder), `ops` the
+//! operations a caller runs to completion (each keeps only what it
+//! claims and its own reading of a quiet or runaway stop), `liveness`
 //! the driver's view of each node and the crash, burial, heartbeat-round
 //! and rejoin steps that change it.
 //!
@@ -438,15 +439,29 @@ impl MessagingBristleSystem {
         self.dispatch(idx, out);
     }
 
-    /// The one event loop: handles events until `done` reports the
-    /// awaited outcome (asked before every event, so an outcome already
-    /// buffered costs none), the queue drains, or the per-operation
-    /// budget is spent. Returns how it stopped.
+    /// The one event loop, and the only place completions leave the
+    /// buffer. Before every event it offers `claim` each completion not
+    /// yet offered, once and in order (those buffered on entry first),
+    /// as `Some(c)`, and takes out the ones it claims; then `None` asks
+    /// whether the operation is done. Stops then, when the queue drains
+    /// or when the per-operation budget is spent; returns how.
     #[inline]
-    fn run_until(&mut self, mut done: impl FnMut(&mut Self) -> bool) -> Ran {
+    fn run_until(&mut self, mut claim: impl FnMut(&Self, Option<Completion>) -> bool) -> Ran {
         let mut events = 0u64;
+        // Completions below `offered` were offered and not claimed.
+        let mut offered = 0usize;
         loop {
-            if done(self) {
+            let mut kept = offered;
+            for j in offered..self.completions.len() {
+                let c = self.completions[j];
+                if !claim(self, Some(c)) {
+                    self.completions[kept] = c;
+                    kept += 1;
+                }
+            }
+            self.completions.truncate(kept);
+            offered = kept;
+            if claim(self, None) {
                 return Ran::Done;
             }
             if events >= MAX_EVENTS_PER_OP {
@@ -459,9 +474,9 @@ impl MessagingBristleSystem {
         }
     }
 
-    /// Runs the network quiet (or the budget out).
+    /// Runs the network quiet (or the budget out), claiming nothing.
     fn drain(&mut self) {
-        self.run_until(|_| false);
+        self.run_until(|_, _| false);
     }
 
     /// Whether a machine is running for `key`.
@@ -820,8 +835,9 @@ mod tests {
                     out
                 });
                 let msg_id = msg_id.expect("a Register went out");
-                let processed = |d: &mut MessagingBristleSystem| {
-                    d.machine_of(target).is_some_and(|m| m.has_processed(who, msg_id))
+                let processed = |d: &MessagingBristleSystem, c: Option<Completion>| {
+                    c.is_none()
+                        && d.machine_of(target).is_some_and(|m| m.has_processed(who, msg_id))
                 };
                 assert!(matches!(msys.run_until(processed), Ran::Done), "{ctx}");
                 if leaves {
@@ -943,7 +959,7 @@ mod tests {
                 for w in msys.machine_keys_sorted() {
                     msys.drive(w, |m, now, env| m.start_heartbeats(now, env));
                 }
-                msys.run_until(|m| check(m));
+                msys.run_until(|m, c| c.is_none() && check(m));
                 for _ in 0..24 {
                     let (src, target) = (*rng.choose(&mobiles), *rng.choose(&mobiles));
                     if src != target {
@@ -968,7 +984,7 @@ mod tests {
                     };
                     msys.inject_frame(to.router_id(), to, forged);
                 }
-                msys.run_until(|m| check(m));
+                msys.run_until(|m, c| c.is_none() && check(m));
                 msys.settle();
                 assert_eq!((msys.frames.live(), queued_deliveries(&msys)), (0, 0), "seed {seed}");
             }
@@ -1097,6 +1113,31 @@ mod tests {
             msys.route(src, target).expect("delivered by the oracle");
             assert_eq!(oracle(&msys), 1, "seed {seed}");
             assert_eq!(discoveries(&msys), 1, "seed {seed}: one discovery, failed");
+        }
+    }
+
+    /// An operation takes out of the buffer only the completions it
+    /// claims: a death verdict a third party announces while a route
+    /// burst runs surfaces during the burst, is left buffered by it —
+    /// alone, every route's outcome claimed — and is what the next
+    /// heartbeat round returns.
+    #[test]
+    fn a_verdict_heard_during_a_route_burst_is_left_for_the_next_round() {
+        for seed in [8u64, 27] {
+            let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
+            let mut mobiles = msys.sys.mobile_keys().to_vec();
+            mobiles.sort_unstable();
+            let (herald, hearer, subject) = (msys.sys.stationary_keys()[0], mobiles[0], mobiles[1]);
+            msys.machine_started(herald);
+            msys.drive(herald, |m, now, env| m.notify_suspect(now, env, hearer, subject));
+            let pairs: Vec<(Key, Key)> = mobiles.windows(2).map(|p| (p[1], p[0])).collect();
+            assert!(msys.completions.is_empty(), "seed {seed}: the verdict is still in flight");
+            let routed = msys.route_burst(&pairs);
+            assert!(routed.iter().all(Result::is_ok), "seed {seed}: {routed:?}");
+            let verdict = Completion::PeerDead { peer: subject };
+            assert_eq!(msys.completions, vec![verdict], "seed {seed}: heard during the burst");
+            assert_eq!(msys.heartbeat_round(), vec![subject], "seed {seed}");
+            assert!(msys.completions.is_empty(), "seed {seed}: and the round took it");
         }
     }
 

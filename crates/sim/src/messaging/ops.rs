@@ -1,7 +1,7 @@
 //! The operations a caller runs to completion — each starts frames at
-//! one or more machines, then runs the event loop until the completions
-//! it awaits have been buffered — and the disruptions a caller scripts
-//! around them.
+//! one or more machines, then runs the event loop, claiming the
+//! completions it awaits as they surface, until it is done — and the
+//! disruptions a caller scripts around them.
 
 use bristle_core::naming::Mobility;
 use bristle_proto::transport::{Degradation, LinkFilter};
@@ -42,95 +42,56 @@ impl MessagingBristleSystem {
     ) -> Vec<Result<MessagingRouteReport, MessagingError>> {
         let mut results: Vec<Option<Result<MessagingRouteReport, MessagingError>>> =
             vec![None; pairs.len()];
-        let mut sessions: Vec<Option<(Key, u64, SimTime)>> = Vec::with_capacity(pairs.len());
+        // Every route starts now: launching one runs no event.
+        let started = self.queue.now();
+        // Each launched route's `(origin, route id)` and position.
+        let mut by_route: Vec<((Key, u64), usize)> = Vec::with_capacity(pairs.len());
         for (i, &(src, target)) in pairs.iter().enumerate() {
             if self.sys.node_info(src).is_err() || self.is_failed(src) {
                 results[i] = Some(Err(MessagingError::UnknownNode(src)));
-                sessions.push(None);
-                continue;
+            } else {
+                by_route.push(((src, self.start_route(src, target)), i));
             }
-            let now = self.queue.now();
-            let route_id = self.start_route(src, target);
-            sessions.push(Some((src, route_id, now)));
         }
-        // Each completion is matched against the sessions once, when it
-        // is new, instead of every open session rescanning the whole
-        // buffer on every event. A completion is consumed iff its
-        // session was open when the scan that meets it began (the first
-        // one decides the outcome).
-        let mut by_route: Vec<((Key, u64), usize)> = sessions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|(src, route_id, _)| ((src, route_id), i)))
-            .collect();
         by_route.sort_unstable();
         let mut remaining = by_route.len();
-        // Sessions the running scan closed.
+        // A completion is claimed iff its session was open when the batch
+        // that carries it began; the first one decides the outcome. These
+        // are the sessions the running batch closed.
         let mut closing: Vec<usize> = Vec::new();
-        // Everything buffered is new to this burst; later scans start
-        // where the previous one stopped.
-        let mut scanned = 0usize;
-        let ran = self.run_until(|d| {
-            let now = d.queue.now();
-            closing.clear();
-            let mut kept = scanned;
-            for j in scanned..d.completions.len() {
-                let c = d.completions[j];
-                let route = match c {
-                    Completion::Delivered { origin, route_id }
-                    | Completion::RouteFailed { origin, route_id, .. } => Some((origin, route_id)),
-                    _ => None,
-                };
-                let session = route
-                    .and_then(|route| by_route.binary_search_by_key(&route, |&(k, _)| k).ok())
-                    .map(|at| by_route[at].1)
-                    .filter(|&i| results[i].is_none() || closing.contains(&i));
-                let Some(i) = session else {
-                    d.completions[kept] = c;
-                    kept += 1;
-                    continue;
-                };
-                if results[i].is_some() {
-                    continue;
+        let ran = self.run_until(|d, offered| {
+            let Some(c) = offered else {
+                closing.clear();
+                return remaining == 0;
+            };
+            let (Completion::Delivered { origin, route_id }
+            | Completion::RouteFailed { origin, route_id, .. }) = c
+            else {
+                return false;
+            };
+            let Ok(at) = by_route.binary_search_by_key(&(origin, route_id), |&(k, _)| k) else {
+                return false;
+            };
+            let i = by_route[at].1;
+            if results[i].is_some() {
+                return closing.contains(&i);
+            }
+            results[i] = Some(match c {
+                Completion::RouteFailed { origin, route_id, at } => {
+                    Err(MessagingError::RouteFailed { origin, route_id, at })
                 }
-                let (_, route_id, started) = sessions[i].expect("only sessions are indexed");
-                results[i] = Some(match c {
-                    Completion::RouteFailed { origin, route_id, at } => {
-                        Err(MessagingError::RouteFailed { origin, route_id, at })
-                    }
-                    _ => {
-                        d.obs.record(Hist::Route, now.since(started));
-                        Ok(MessagingRouteReport { route_id, delivered_at: now })
-                    }
-                });
-                remaining -= 1;
-                closing.push(i);
-            }
-            d.completions.truncate(kept);
-            scanned = kept;
-            remaining == 0
-        });
-        if let Err(e) = ran.settled() {
-            for r in results.iter_mut().filter(|r| r.is_none()) {
-                *r = Some(Err(e.clone()));
-            }
-        }
-        results.into_iter().map(|r| r.unwrap_or(Err(MessagingError::Stalled))).collect()
-    }
-
-    /// Runs the event loop until `n` buffered completions that `mine`
-    /// claims have been taken out of the buffer.
-    fn await_completions(&mut self, n: usize, mut mine: impl FnMut(&Completion) -> bool) -> Ran {
-        let mut taken = 0usize;
-        let awaited = |d: &mut Self| {
-            d.completions.retain(|c| {
-                let hit = mine(c);
-                taken += usize::from(hit);
-                !hit
+                _ => Ok(MessagingRouteReport { route_id, delivered_at: d.queue.now() }),
             });
-            taken >= n
-        };
-        self.run_until(awaited)
+            remaining -= 1;
+            closing.push(i);
+            true
+        });
+        for report in results.iter().flatten().flatten() {
+            self.obs.record(Hist::Route, report.delivered_at.since(started));
+        }
+        // Only a run that stopped short leaves a route without an outcome.
+        let short = ran.settled().err().unwrap_or(MessagingError::Stalled);
+        results.into_iter().map(|r| r.unwrap_or_else(|| Err(short.clone()))).collect()
     }
 
     /// Disseminates `key`'s current address through its LDT by reliable
@@ -155,15 +116,20 @@ impl MessagingBristleSystem {
                 m.start_update(now, env, key, addr, info.seq, &children)
             });
         }
-        let mut acked = 0usize;
+        let (mut acked, mut settled) = (0usize, 0usize);
         if expected > 0 {
-            let ran = self.await_completions(expected, |c| match c {
-                Completion::UpdateAcked { .. } => {
+            let ran = self.run_until(|_, c| match c {
+                Some(Completion::UpdateAcked { .. }) => {
                     acked += 1;
+                    settled += 1;
                     true
                 }
-                Completion::UpdateFailed { .. } => true,
-                _ => false,
+                Some(Completion::UpdateFailed { .. }) => {
+                    settled += 1;
+                    true
+                }
+                Some(_) => false,
+                None => settled >= expected,
             });
             // A queue that drained with edges unsettled is not an error:
             // a parent died *during* the round, so its pending acks can
@@ -189,14 +155,19 @@ impl MessagingBristleSystem {
         }
         self.machine_started(who);
         self.drive(who, |m, now, env| m.start_register(now, env, target, info.capacity));
-        let mut acked = false;
-        let ran = self.await_completions(1, |c| match *c {
-            Completion::Registered { target: t } if t == target => {
+        let (mut acked, mut settled) = (false, false);
+        let ran = self.run_until(|_, c| match c {
+            Some(Completion::Registered { target: t }) if t == target => {
                 acked = true;
+                settled = true;
                 true
             }
-            Completion::RegisterFailed { target: t } => t == target,
-            _ => false,
+            Some(Completion::RegisterFailed { target: t }) if t == target => {
+                settled = true;
+                true
+            }
+            Some(_) => false,
+            None => settled,
         });
         ran.settled()?;
         acked.then_some(()).ok_or(MessagingError::Stalled)
@@ -275,10 +246,10 @@ impl MessagingBristleSystem {
     }
 
     /// Drains every pending event (stray acks, stale timers) so the next
-    /// operation starts from a quiet network.
+    /// operation starts from a quiet network, claiming every completion
+    /// on the way, so none is left buffered.
     pub fn settle(&mut self) {
-        self.drain();
-        self.completions.clear();
+        self.run_until(|_, c| c.is_some());
     }
 }
 

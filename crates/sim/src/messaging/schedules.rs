@@ -75,17 +75,21 @@ enum Op {
     /// is mobile, of the origin, to the stub router picked — its own,
     /// now and then.
     MoveMidFlight(u8, u8, u8),
+    /// Routes from one node to up to four others launched together
+    /// (`route_burst`), so the source has several exchanges open at once.
+    RouteBurst(u8, u8),
 }
 use Op::*;
 
 /// Shrunk schedules that once failed, replayed before anything is
 /// generated: `(seed, differential, ops)`. The first five failed with a
 /// known bug put back (DESIGN §6); the rest at the parent of the commit
-/// that fixed them, but three: the ninth fails if a restart whose rewire
+/// that fixed them, but four: the ninth fails if a restart whose rewire
 /// moved the node's rows brings back a registration no row or interest
 /// names (it once kept the row-derived ones its disk logged), the tenth
 /// if the registration pass drops explicit registrations, the eleventh
-/// (a late-binding seed) if upkeep's late branch registers nothing.
+/// (a late-binding seed) if upkeep's late branch registers nothing, the
+/// twelfth (a lossy seed) if a frame's floor is its own id.
 #[rustfmt::skip]
 const CORPUS: &[(u64, bool, &[Op])] = &[
     // A `DiscoveryReply` naming no router, taken at an open session.
@@ -111,6 +115,9 @@ const CORPUS: &[(u64, bool, &[Op])] = &[
     (0, false, &[Register(236, 16), Leave(182), Bury(93)]),
     // A late-binding upkeep whose repair sweep rebuilt rows.
     (3, false, &[Leave(130), Upkeep]),
+    // A hop retransmitted after a later one from its sender arrived.
+    (17, false, &[MoveMidFlight(73, 49, 124), Route(111, 75), Partition(217), Heartbeat,
+                  Fail(51), Heartbeat, Route(167, 21), Route(166, 225), RouteBurst(58, 0)]),
 ];
 
 /// The `Tick` amounts: a tick, then just past the lease TTL, the record
@@ -137,7 +144,7 @@ const MIN_MOBILE: usize = 3;
 
 fn generate(seed: u64, len: usize, crash_free: bool) -> Vec<Op> {
     let mut rng = Pcg64::seed_from_u64(seed ^ 0x5ced);
-    let kinds = if crash_free { 14 } else { 28 };
+    let kinds = if crash_free { 14 } else { 29 };
     (0..len)
         .map(|_| {
             let kind = rng.index(kinds);
@@ -161,7 +168,8 @@ fn generate(seed: u64, len: usize, crash_free: bool) -> Vec<Op> {
                 23 => Heal,
                 24 => Bury(b()),
                 25 | 26 => Forge(b(), b(), b()),
-                _ => MoveMidFlight(b(), b(), b()),
+                27 => MoveMidFlight(b(), b(), b()),
+                _ => RouteBurst(b(), b()),
             }
         })
         .collect()
@@ -277,6 +285,7 @@ impl World {
         match op {
             Move(i, _) | Disseminate(i) => (pick(&mobile, i), None),
             Route(a, b) | Forge(a, b, _) => (pick(&live, a), pick(&live, b)),
+            RouteBurst(a, _) => (pick(&live, a), None),
             MoveMidFlight(a, b, _) => (pick(&live, a), pick(&mobile, b)),
             Register(a, b) => (pick(&live, a), pick(&mobile, b)),
             Leave(i) | Fail(i) => (pick(&removable, i), None),
@@ -299,6 +308,18 @@ impl World {
                 m.schedule_move(SimTime(m.micro_now().0 + 1), k, Some(router(&m.sys, r)))
             }
             (Route(..), Some(src), Some(target)) => drop(m.route(src, target)),
+            (RouteBurst(_, b), Some(src), _) => {
+                let live: Vec<Key> = m.sys.mobile.keys().filter(|&k| !m.is_failed(k)).collect();
+                let targets = (0..4).filter_map(|j| pick(&live, b.wrapping_add(j)));
+                let pairs: Vec<(Key, Key)> =
+                    targets.filter(|&t| t != src).map(|t| (src, t)).collect();
+                // Each route ends, delivered or failed at some hop: none
+                // is swallowed by a frame wrongly taken for a duplicate.
+                for routed in m.route_burst(&pairs) {
+                    let ended = matches!(routed, Ok(_) | Err(MessagingError::RouteFailed { .. }));
+                    assert!(ended, "{step}: a route of the burst never ended: {routed:?}");
+                }
+            }
             (Register(..), Some(who), Some(target)) if who != target => {
                 let acked = m.register(who, target).is_ok();
                 *self.interests.entry((who, target)).or_default() |= acked;
