@@ -509,7 +509,7 @@ impl BristleSystem {
         }
         // One row serves every entry: the asker's distances to all routers.
         let row = self.dcache.row(self.attachments.router(node.host));
-        let mut best: Option<(u64, Key)> = None;
+        let mut best: Option<(u32, Key)> = None;
         for (&k, peer) in node.keys().iter().zip(node.addrs()) {
             // Stationary nodes are attached fixed, and a host embodies
             // one node for good, so a set bit means the row's host is

@@ -10,7 +10,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
-use crate::graph::{Graph, RouterId};
+use crate::graph::{Graph, RouterId, Weight};
 
 /// Distance value: `u64` to avoid overflow when summing `u32` weights.
 pub type Dist = u64;
@@ -23,18 +23,29 @@ pub const UNREACHABLE: Dist = Dist::MAX;
 /// Returns a vector indexed by router id; unreachable vertices hold
 /// [`UNREACHABLE`].
 pub fn single_source(graph: &Graph, src: RouterId) -> Vec<Dist> {
+    dijkstra(graph, src, UNREACHABLE, |d, w| d + Dist::from(w))
+}
+
+/// Dijkstra from `src` in distance type `D`: `inf` marks the unreachable
+/// and `add` extends a distance by one link.
+fn dijkstra<D: Copy + Ord + From<u32>>(
+    graph: &Graph,
+    src: RouterId,
+    inf: D,
+    add: impl Fn(D, Weight) -> D,
+) -> Vec<D> {
     let n = graph.vertex_count();
     assert!(src.index() < n, "source out of range");
-    let mut dist = vec![UNREACHABLE; n];
-    let mut heap: BinaryHeap<Reverse<(Dist, u32)>> = BinaryHeap::new();
-    dist[src.index()] = 0;
-    heap.push(Reverse((0, src.0)));
+    let mut dist = vec![inf; n];
+    let mut heap: BinaryHeap<Reverse<(D, u32)>> = BinaryHeap::new();
+    dist[src.index()] = D::from(0);
+    heap.push(Reverse((D::from(0), src.0)));
     while let Some(Reverse((d, v))) = heap.pop() {
         if d > dist[v as usize] {
             continue; // stale entry
         }
         for e in graph.neighbors(RouterId(v)) {
-            let nd = d + e.weight as Dist;
+            let nd = add(d, e.weight);
             if nd < dist[e.to.index()] {
                 dist[e.to.index()] = nd;
                 heap.push(Reverse((nd, e.to.0)));
@@ -85,8 +96,12 @@ pub fn shortest_path(graph: &Graph, src: RouterId, dst: RouterId) -> Option<(Dis
 /// A thread-safe memoizing shortest-path-distance oracle.
 ///
 /// Caches full single-source distance vectors keyed by source router, at
-/// most [`DistanceCache::capacity`] of them. Which of two tables holds
-/// them is fixed at construction by that bound alone:
+/// most [`DistanceCache::capacity`] of them. A row holds each distance in
+/// 4 bytes, `u32::MAX` for unreachable, which sorts last, so a caller
+/// comparing entries of one [`DistanceCache::row`] compares them as
+/// stored; [`DistanceCache::distance`] widens its answer to [`Dist`].
+/// Which of two tables holds the rows is fixed at construction by that
+/// bound alone:
 ///
 /// * `capacity >= vertex_count` — nothing can ever be evicted, so each
 ///   source has a cell of its own that is written once. A hit takes no
@@ -103,7 +118,7 @@ pub struct DistanceCache {
 
 enum Rows {
     /// `cells[s]` = distances from source `s`, once asked for.
-    Dense(Box<[OnceLock<Arc<[Dist]>>]>),
+    Dense(Box<[OnceLock<Arc<[u32]>>]>),
     /// Rows live in a bounded `Vec`; a hit is one read of `index`, never a
     /// scan. A miss takes the write lock and, at capacity, evicts round-robin.
     Bounded(RwLock<CacheSlots>),
@@ -112,13 +127,13 @@ enum Rows {
 struct CacheSlots {
     /// `index[s]` = slot holding distances from source `s`, or `u32::MAX`.
     index: Vec<u32>,
-    entries: Vec<(RouterId, Arc<[Dist]>)>,
+    entries: Vec<(RouterId, Arc<[u32]>)>,
     /// Round-robin eviction cursor.
     cursor: usize,
 }
 
 impl CacheSlots {
-    fn get(&self, src: RouterId) -> Option<&Arc<[Dist]>> {
+    fn get(&self, src: RouterId) -> Option<&Arc<[u32]>> {
         let slot = self.index[src.index()];
         (slot != u32::MAX).then(|| &self.entries[slot as usize].1)
     }
@@ -136,7 +151,13 @@ fn unpoisoned<G>(guard: Result<G, PoisonError<G>>) -> G {
 
 impl DistanceCache {
     /// Creates a cache over `graph` holding at most `capacity` source rows.
+    ///
+    /// Panics if `graph`'s link weights sum to `u32::MAX` or more: no
+    /// shortest path outweighs every link together, so below that each
+    /// distance fits a row's 4 bytes with the sentinel left free.
     pub fn new(graph: Arc<Graph>, capacity: usize) -> Self {
+        let total = graph.total_weight();
+        assert!(total < u64::from(u32::MAX), "link weights sum to {total}, past a 4-byte row");
         let n = graph.vertex_count();
         let capacity = capacity.max(1);
         let rows = if capacity >= n {
@@ -174,22 +195,28 @@ impl DistanceCache {
         self.len() == 0
     }
 
-    /// Returns the distance row for `src`, computing it on first use.
-    /// Callers that race for an uncomputed row get the same one.
-    pub fn row(&self, src: RouterId) -> Arc<[Dist]> {
+    /// Returns the distance row for `src`, computing it on first use:
+    /// `u32::MAX` where a router is unreachable. Callers that race for an
+    /// uncomputed row get the same one.
+    pub fn row(&self, src: RouterId) -> Arc<[u32]> {
         match &self.rows {
-            Rows::Dense(cells) => Arc::clone(
-                cells[src.index()].get_or_init(|| single_source(&self.graph, src).into()),
-            ),
+            Rows::Dense(cells) => Arc::clone(cells[src.index()].get_or_init(|| self.compute(src))),
             Rows::Bounded(slots) => self.bounded_row(slots, src),
         }
     }
 
-    fn bounded_row(&self, slots: &RwLock<CacheSlots>, src: RouterId) -> Arc<[Dist]> {
+    /// Dijkstra in a row's width. [`DistanceCache::new`] keeps every
+    /// shortest path below `u32::MAX`, so a sum that saturates is no
+    /// shortest path and never wins.
+    fn compute(&self, src: RouterId) -> Arc<[u32]> {
+        dijkstra(&self.graph, src, u32::MAX, u32::saturating_add).into()
+    }
+
+    fn bounded_row(&self, slots: &RwLock<CacheSlots>, src: RouterId) -> Arc<[u32]> {
         if let Some(row) = unpoisoned(slots.read()).get(src) {
             return Arc::clone(row);
         }
-        let row: Arc<[Dist]> = single_source(&self.graph, src).into();
+        let row = self.compute(src);
         let mut slots = unpoisoned(slots.write());
         // Another thread may have inserted while we computed.
         if let Some(row) = slots.get(src) {
@@ -210,7 +237,8 @@ impl DistanceCache {
         row
     }
 
-    /// Shortest-path distance between two routers.
+    /// Shortest-path distance between two routers, [`UNREACHABLE`] if
+    /// there is none.
     ///
     /// A hit reads the one value in place; callers that want many
     /// distances from one source take [`DistanceCache::row`] once.
@@ -222,7 +250,10 @@ impl DistanceCache {
             Rows::Dense(cells) => cells[a.index()].get().map(|row| row[b.index()]),
             Rows::Bounded(slots) => unpoisoned(slots.read()).get(a).map(|row| row[b.index()]),
         };
-        hit.unwrap_or_else(|| self.row(a)[b.index()])
+        match hit.unwrap_or_else(|| self.row(a)[b.index()]) {
+            u32::MAX => UNREACHABLE,
+            d => Dist::from(d),
+        }
     }
 }
 
@@ -272,6 +303,11 @@ mod tests {
             }
         }
         d
+    }
+
+    /// A row as `Dist`s, its sentinel read as [`UNREACHABLE`].
+    fn widened(row: &[u32]) -> Vec<Dist> {
+        row.iter().map(|&d| if d == u32::MAX { UNREACHABLE } else { Dist::from(d) }).collect()
     }
 
     fn random_connected(rng: &mut Pcg64, n: usize, extra: usize) -> Graph {
@@ -416,7 +452,7 @@ mod tests {
             for a in 0..n {
                 for b in 0..n {
                     let d = cache.distance(RouterId(a), RouterId(b));
-                    assert_eq!(d, cache.row(RouterId(a))[b as usize], "{a}->{b}");
+                    assert_eq!(d, Dist::from(cache.row(RouterId(a))[b as usize]), "{a}->{b}");
                     assert_eq!(d, truth[a as usize][b as usize], "{a}->{b}");
                 }
             }
@@ -451,8 +487,12 @@ mod tests {
                     assert_eq!(dense.distance(a, b), want, "trial {trial}: dense {a}->{b}");
                     assert_eq!(bounded.distance(a, b), want, "trial {trial}: bounded {a}->{b}");
                 }
-                assert_eq!(dense.row(a)[..], fw[a.index()][..], "trial {trial}: dense row {a}");
-                assert_eq!(bounded.row(a)[..], fw[a.index()][..], "trial {trial}: bounded row {a}");
+                assert_eq!(widened(&dense.row(a)), fw[a.index()], "trial {trial}: dense row {a}");
+                assert_eq!(
+                    widened(&bounded.row(a)),
+                    fw[a.index()],
+                    "trial {trial}: bounded row {a}"
+                );
                 // `len` counts computed rows: every one kept, or the last three.
                 assert_eq!(dense.len(), asked + 1, "trial {trial}");
                 assert_eq!(bounded.len(), (asked + 1).min(3), "trial {trial}");
@@ -463,6 +503,47 @@ mod tests {
             }
             assert_eq!((dense.len(), bounded.len()), (n, 3));
         }
+    }
+
+    /// A row holds 4 bytes a router in either table; a router cut off
+    /// reads `u32::MAX` there and [`UNREACHABLE`] through `distance`,
+    /// and a path one short of the sentinel is a distance like any other.
+    #[test]
+    fn a_row_is_four_bytes_a_router() {
+        let heavy = u32::MAX / 2;
+        // Routers 0–1–2 in a line weighing `u32::MAX - 1`; 3 and 4 cut off.
+        let mut g = Graph::with_vertices(5);
+        g.add_edge(RouterId(0), RouterId(1), heavy);
+        g.add_edge(RouterId(1), RouterId(2), heavy);
+        assert_eq!(g.total_weight(), u64::from(u32::MAX) - 1);
+        let g = Arc::new(g);
+        for capacity in [5, 2] {
+            let cache = DistanceCache::new(Arc::clone(&g), capacity);
+            for v in g.vertices() {
+                let row = cache.row(v);
+                assert_eq!(
+                    std::mem::size_of_val(&*row),
+                    4 * g.vertex_count(),
+                    "capacity {capacity}"
+                );
+            }
+            assert_eq!(cache.row(RouterId(0))[..], [0, heavy, 2 * heavy, u32::MAX, u32::MAX]);
+            assert_eq!(cache.distance(RouterId(0), RouterId(2)), Dist::from(u32::MAX - 1));
+            assert_eq!(cache.distance(RouterId(2), RouterId(0)), Dist::from(u32::MAX - 1));
+            assert_eq!(cache.distance(RouterId(1), RouterId(4)), UNREACHABLE);
+            assert_eq!(cache.distance(RouterId(4), RouterId(0)), UNREACHABLE);
+            assert_eq!(cache.distance(RouterId(4), RouterId(3)), UNREACHABLE);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past a 4-byte row")]
+    fn a_graph_whose_weights_reach_the_sentinel_is_refused() {
+        let mut g = Graph::with_vertices(3);
+        g.add_edge(RouterId(0), RouterId(1), u32::MAX / 2);
+        g.add_edge(RouterId(1), RouterId(2), u32::MAX / 2 + 1);
+        assert_eq!(g.total_weight(), u64::from(u32::MAX));
+        DistanceCache::new(Arc::new(g), 3);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::hash::Hasher;
 
 use bristle_netsim::attach::{AttachmentMap, HostId};
-use bristle_netsim::dijkstra::{Dist, DistanceCache};
+use bristle_netsim::dijkstra::DistanceCache;
 use bristle_netsim::graph::RouterId;
 use bristle_netsim::rng::Pcg64;
 
@@ -919,19 +919,20 @@ fn finger_slots(
 }
 
 /// Which of a finger slot's `count ≥ 1` candidates (clockwise order) the
-/// policy takes. `distance(i)` is the physical distance to candidate `i`;
-/// of equally near candidates the first wins.
+/// policy takes. `distance(i)` is the physical distance to candidate `i`
+/// as a distance row holds it (`u32::MAX` unreachable, so last); of
+/// equally near candidates the first wins.
 fn select(
     policy: NeighborSelection,
     count: usize,
     rng: &mut Pcg64,
-    mut distance: impl FnMut(usize) -> Dist,
+    mut distance: impl FnMut(usize) -> u32,
 ) -> usize {
     match policy {
         NeighborSelection::First => 0,
         NeighborSelection::Random => rng.index(count),
         NeighborSelection::Proximity => {
-            let (mut best, mut best_d) = (0, Dist::MAX);
+            let (mut best, mut best_d) = (0, u32::MAX);
             for i in 0..count {
                 let d = distance(i);
                 if d < best_d {

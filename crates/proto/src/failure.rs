@@ -35,7 +35,9 @@
 //! (sorted by construction, nothing collected or sorted per call), and
 //! a driver can compare it against the set it wants with one slice
 //! comparison. Both vectors sit in one box that exists only while
-//! somebody is monitored, so a detector watching nobody owns no heap.
+//! somebody is monitored, so a detector watching nobody owns no heap,
+//! and a driver that hands over the whole set at once
+//! ([`FailureDetector::set_monitored`]) gets vectors of exactly its size.
 
 use bristle_core::time::SimTime;
 use bristle_overlay::key::Key;
@@ -233,24 +235,29 @@ impl FailureDetector {
         self.peer_or_fresh(peer);
     }
 
-    /// Drops every monitored peer for which `keep` returns false; keeping
-    /// nobody frees the peer table.
-    pub fn retain_monitored(&mut self, mut keep: impl FnMut(Key) -> bool) {
-        let Some(table) = self.peers.as_deref_mut() else { return };
-        let mut kept = 0;
-        for i in 0..table.keys.len() {
-            if keep(table.keys[i]) {
-                table.keys[kept] = table.keys[i];
-                table.health[kept] = table.health[i];
-                kept += 1;
-            }
-        }
-        if kept == 0 {
+    /// Monitors exactly `peers` (ascending, distinct): a peer already
+    /// monitored keeps its state, a new one starts fresh and one left out
+    /// is forgotten, in one walk of both lists. The table is sized to
+    /// `peers` exactly, and an empty list frees it.
+    pub fn set_monitored(&mut self, peers: &[Key]) {
+        debug_assert!(peers.windows(2).all(|w| w[0] < w[1]), "peers ascending and distinct");
+        if peers.is_empty() {
             self.peers = None;
-        } else {
-            table.keys.truncate(kept);
-            table.health.truncate(kept);
+            return;
         }
+        let table = self.peers.get_or_insert_with(Default::default);
+        let mut held = 0;
+        let health = peers.iter().map(|&k| {
+            while table.keys.get(held).is_some_and(|&h| h < k) {
+                held += 1;
+            }
+            match table.keys.get(held) {
+                Some(&h) if h == k => table.health[held],
+                _ => PeerHealth::fresh(),
+            }
+        });
+        table.health = health.collect();
+        table.keys = peers.to_vec();
     }
 
     /// All monitored peers, ascending.
@@ -699,33 +706,80 @@ mod tests {
     }
 
     #[test]
-    fn monitored_is_sorted_and_retain_forgets() {
+    fn monitored_is_sorted_and_a_new_set_forgets() {
         let mut d = det();
         d.monitor(Key(9));
         d.monitor(Key(1));
         d.monitor(Key(4));
         assert_eq!(d.monitored(), [Key(1), Key(4), Key(9)]);
-        d.retain_monitored(|k| k != Key(9));
+        d.set_monitored(&[Key(1), Key(4)]);
         assert_eq!(d.monitored(), [Key(1), Key(4)]);
     }
 
-    /// The peer table exists only while somebody is monitored: keeping
+    /// The peer table exists only while somebody is monitored: monitoring
     /// nobody frees it, and a detector watching nobody answers as a
     /// fresh one does.
     #[test]
-    fn retaining_nobody_frees_the_peers() {
+    fn monitoring_nobody_frees_the_peers() {
         let mut d = det();
         assert!(d.peers.is_none(), "a fresh detector owns no table");
         d.monitor(P);
         assert!(d.mark_dead(Key(6), 0));
-        d.retain_monitored(|k| k == P);
+        d.set_monitored(&[P]);
         assert_eq!(d.monitored(), [P]);
-        d.retain_monitored(|_| false);
+        d.set_monitored(&[]);
         assert!(d.peers.is_none(), "nobody kept, nothing owned");
         assert!(d.monitored().is_empty());
         assert_eq!((d.liveness(P), d.degraded().count()), (None, 0));
-        d.retain_monitored(|_| true);
-        assert!(d.peers.is_none(), "retaining from nobody opens nothing");
+        d.set_monitored(&[]);
+        assert!(d.peers.is_none(), "monitoring nobody opens nothing");
+    }
+
+    /// `set_monitored` sizes the table to the list it is given and carries
+    /// every kept peer's whole state over: a suspect keeps its stamp,
+    /// score, earned grace and the probe it has in flight; a peer left
+    /// out is gone, one new starts fresh, and an empty list frees the box.
+    #[test]
+    fn a_seeded_peer_table_is_exact_and_keeps_state() {
+        let mut d = FailureDetector::new(FailurePolicy { grace_misses: 2 });
+        let (gone, kept, new) = (Key(2), P, Key(8));
+        for k in [Key(1), gone, kept, Key(7), Key(9)] {
+            d.monitor(k);
+        }
+        // One late ack earns a round of grace; two missed rounds make a
+        // suspect; a third probe is left in flight after one resend.
+        let seq = d.begin_probe(kept).unwrap();
+        assert!(matches!(d.on_timeout(kept, seq, SimTime(seq)), TimeoutVerdict::Resend { .. }));
+        assert!(d.ack(kept, seq, 0));
+        miss_round(&mut d);
+        assert_eq!(miss_round(&mut d), Some(LivenessTransition::Suspected));
+        let probe = d.begin_probe(kept).unwrap();
+        d.arm_probe(kept, SimTime(77));
+        assert_eq!(d.on_timeout(kept, probe, SimTime(50)), TimeoutVerdict::Resend { attempt: 1 });
+        assert!(d.mark_dead(gone, 3));
+        let before = *d.peer(kept).unwrap();
+        assert_eq!(before.grace_credit, 1);
+
+        d.set_monitored(&[Key(1), kept, new, Key(9)]);
+        let table = d.peers.as_deref().unwrap();
+        assert_eq!((table.keys.capacity(), table.health.capacity()), (4, 4), "exactly the list");
+        assert_eq!(d.monitored(), [Key(1), kept, new, Key(9)]);
+        assert_eq!(d.liveness(gone), None, "a peer left out is gone");
+        assert_eq!(d.incarnation_of(gone), None);
+        let after = *d.peer(kept).unwrap();
+        assert_eq!(d.liveness(kept), Some(Liveness::Suspect));
+        assert_eq!(d.suspected_at(kept), Some(SimTime(2)));
+        assert_eq!(
+            (after.missed, after.score, after.grace_credit, after.next_seq),
+            (before.missed, before.score, before.grace_credit, before.next_seq)
+        );
+        assert_eq!(d.in_flight().collect::<Vec<_>>(), [(kept, probe, SimTime(77))]);
+        assert_eq!(d.on_timeout(kept, probe, SimTime(77)), TimeoutVerdict::Resend { attempt: 2 });
+        assert_eq!(d.health(new), Some(FULL_HEALTH), "a new peer starts fresh");
+        assert_eq!(d.liveness(new), Some(Liveness::Fresh));
+
+        d.set_monitored(&[]);
+        assert!(d.peers.is_none(), "an empty list frees the box");
     }
 
     /// The peer table is ordered by construction: whatever order peers
@@ -745,7 +799,8 @@ mod tests {
             }
             assert!(d.monitored().windows(2).all(|w| w[0] < w[1]), "ascending, no duplicates");
         }
-        d.retain_monitored(|k| k.0 % 3 != 0);
+        let kept: Vec<Key> = d.monitored().iter().copied().filter(|k| k.0 % 3 != 0).collect();
+        d.set_monitored(&kept);
         assert!(d.monitored().windows(2).all(|w| w[0] < w[1]));
         assert!(d.monitored().iter().all(|k| k.0 % 3 != 0));
         let stamped = keys.iter().enumerate().filter(|(_, &k)| d.liveness(k).is_some());

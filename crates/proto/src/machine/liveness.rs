@@ -67,9 +67,12 @@ impl ProtoMachine {
         }
     }
 
-    /// Stops monitoring every peer for which `keep` returns false.
-    pub fn retain_monitored(&mut self, keep: impl FnMut(Key) -> bool) {
-        self.detector.retain_monitored(keep);
+    /// Monitors exactly `peers` (ascending, distinct, never this node),
+    /// keeping the state of those already monitored
+    /// ([`FailureDetector::set_monitored`]).
+    pub fn set_monitored(&mut self, peers: &[Key]) {
+        debug_assert!(peers.binary_search(&self.key).is_err(), "a node never monitors itself");
+        self.detector.set_monitored(peers);
     }
 
     /// This node's current belief about `peer` (`None` = unmonitored).

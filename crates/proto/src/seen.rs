@@ -39,7 +39,7 @@
 //!
 //! [`WireMessage::floor`]: crate::wire::WireMessage::floor
 
-use std::collections::hash_map::{DefaultHasher, Entry, RandomState};
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 use std::sync::OnceLock;
@@ -75,9 +75,8 @@ pub(crate) enum Kind {
 
 /// Per source, a floor and the sightings not yet below it; see the
 /// module docs. Everything sits in one box, allocated at the first
-/// sighting and dropped by the rotation that leaves no record, so a
-/// machine that has heard no guarded frame for two lifetimes owns no
-/// heap for it.
+/// sighting and dropped with the last record, so a machine that has
+/// heard no guarded frame for two lifetimes owns no heap for it.
 #[derive(Debug, Default)]
 pub(crate) struct SeenSet {
     records: Option<Box<Records>>,
@@ -85,19 +84,28 @@ pub(crate) struct SeenSet {
     opened: SimTime,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Records {
-    by_source: HashMap<Key, Record, Keyed>,
+    sources: Sources,
     /// The current generation's number. Every rotation drops whatever
     /// is older than the one it closes, so two numbers are ever live and
     /// wrapping is harmless.
     generation: u8,
 }
 
+/// The records, one a source: a lone source's inline, the common case on
+/// a machine one peer talks to, or a keyed table of two or more. A table
+/// left with one goes back inline; the box goes with the last record.
+#[derive(Debug)]
+enum Sources {
+    One(Key, Record),
+    Many(HashMap<Key, Record, Keyed>),
+}
+
 /// The standard keyed hasher, its keys drawn once per process: sources
 /// and ids come off the wire, so the keys stay secret, and a table keyed
 /// by it carries no state of its own (16 B a table less than
-/// `RandomState`, on every machine that holds a sighting).
+/// `RandomState`).
 #[derive(Debug, Clone, Copy, Default)]
 struct Keyed;
 
@@ -117,6 +125,11 @@ struct Record {
     /// nothing below it.
     floor: u64,
     sightings: Sightings,
+}
+
+impl Record {
+    /// A source heard from, nothing held yet.
+    const EMPTY: Record = Record { floor: 0, sightings: Sightings::None };
 }
 
 // A record is a slot of its machine's table, one a source heard from.
@@ -175,12 +188,12 @@ impl SeenSet {
         if age / 2 < lifetime {
             let closing = records.generation;
             records.generation = closing.wrapping_add(1);
-            records.by_source.retain(|_, r| {
+            let left = records.sources.retain(|r| {
                 r.retain(|_, tag| tag.generation == closing);
                 r.forget_a_floor_no_sighting_holds();
                 !matches!(r.sightings, Sightings::None)
             });
-            if !records.by_source.is_empty() {
+            if left {
                 return;
             }
         }
@@ -192,37 +205,98 @@ impl SeenSet {
     /// the floor held for `src`. An acked frame's believed floor then
     /// raises that floor, and the acked sightings below it go.
     pub(crate) fn insert(&mut self, src: Key, msg_id: u64, kind: Kind) -> bool {
-        let records = self.records.get_or_insert_with(Default::default);
+        let records = self.records.get_or_insert_with(|| {
+            Box::new(Records { sources: Sources::One(src, Record::EMPTY), generation: 0 })
+        });
         let tag = Tag { generation: records.generation, exchange: kind != Kind::Posted };
-        let mut record = match records.by_source.entry(src) {
-            Entry::Vacant(slot) => {
-                slot.insert_entry(Record { floor: 0, sightings: Sightings::None })
-            }
-            Entry::Occupied(record) => record,
-        };
-        let first = record.get_mut().sight(msg_id, tag, kind);
-        if matches!(record.get().sightings, Sightings::None) {
-            record.remove();
+        let record = records.sources.record(src);
+        let first = record.sight(msg_id, tag, kind);
+        if matches!(record.sightings, Sightings::None) && !records.sources.remove(src) {
+            self.records = None;
         }
         first
     }
 
     /// Whether frame `msg_id` from `src` is held in either generation.
     pub(crate) fn contains(&self, src: Key, msg_id: u64) -> bool {
-        let record = self.records.as_ref().and_then(|r| r.by_source.get(&src));
+        let record = self.records.as_ref().and_then(|r| r.sources.get(src));
         record.is_some_and(|r| r.holds(msg_id))
     }
 
     /// The floor held for `src`, 0 if none.
     pub(crate) fn floor_of(&self, src: Key) -> u64 {
-        let record = self.records.as_ref().and_then(|r| r.by_source.get(&src));
+        let record = self.records.as_ref().and_then(|r| r.sources.get(src));
         record.map_or(0, |r| r.floor)
     }
 
     /// Sightings held.
     pub(crate) fn len(&self) -> usize {
-        let records = self.records.as_ref().map(|r| r.by_source.values());
-        records.into_iter().flatten().map(Record::len).sum()
+        self.records.as_ref().map_or(0, |r| r.sources.len())
+    }
+}
+
+impl Sources {
+    fn get(&self, src: Key) -> Option<&Record> {
+        match self {
+            Sources::One(key, record) => (*key == src).then_some(record),
+            Sources::Many(by_source) => by_source.get(&src),
+        }
+    }
+
+    /// `src`'s record, [empty](Record::EMPTY) if it had none; a second
+    /// source moves the lone one into a table.
+    fn record(&mut self, src: Key) -> &mut Record {
+        if matches!(self, Sources::One(key, _) if *key != src) {
+            let lone = std::mem::replace(self, Sources::Many(HashMap::default()));
+            if let (Sources::One(key, record), Sources::Many(by_source)) = (lone, &mut *self) {
+                by_source.insert(key, record);
+            }
+        }
+        match self {
+            Sources::One(_, record) => record,
+            Sources::Many(by_source) => by_source.entry(src).or_insert(Record::EMPTY),
+        }
+    }
+
+    /// Drops `src`'s record, which is held; whether any is left.
+    fn remove(&mut self, src: Key) -> bool {
+        let Sources::Many(by_source) = self else { return false };
+        by_source.remove(&src);
+        self.inline_a_lone_record();
+        true
+    }
+
+    /// Keeps the records `keep` approves, each handed over to edit first;
+    /// whether any is left.
+    fn retain(&mut self, mut keep: impl FnMut(&mut Record) -> bool) -> bool {
+        let left = match self {
+            Sources::One(_, record) => keep(record),
+            Sources::Many(by_source) => {
+                by_source.retain(|_, record| keep(record));
+                !by_source.is_empty()
+            }
+        };
+        self.inline_a_lone_record();
+        left
+    }
+
+    /// A table left with one record puts it back inline.
+    fn inline_a_lone_record(&mut self) {
+        let lone = match self {
+            Sources::Many(by_source) if by_source.len() == 1 => by_source.drain().next(),
+            _ => None,
+        };
+        if let Some((key, record)) = lone {
+            *self = Sources::One(key, record);
+        }
+    }
+
+    /// Sightings held.
+    fn len(&self) -> usize {
+        match self {
+            Sources::One(_, record) => record.len(),
+            Sources::Many(by_source) => by_source.values().map(Record::len).sum(),
+        }
     }
 }
 

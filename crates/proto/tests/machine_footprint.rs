@@ -1,12 +1,13 @@
-//! What a machine at rest owns on the heap: nothing.
+//! What a machine at rest owns on the heap: nothing; and what one that
+//! has heard from a lone source owns: no table.
 //!
 //! A driver holds one machine per node for the whole run, most of them
 //! idle at any moment, so every table a machine fills while it works —
 //! its open exchanges, its dedup generations, its monitored peers —
-//! must hand its memory back once it empties. This binary holds one
-//! test because its counting allocator sees every allocation the
-//! process makes; it counts per thread, so what the test harness
-//! allocates beside the test is not charged to the machines.
+//! must hand its memory back once it empties. This binary's counting
+//! allocator sees every allocation the process makes; it counts per
+//! thread, so what the test harness and the other test allocate beside
+//! a test are not charged to its machines.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -149,7 +150,7 @@ fn work(m: &mut ProtoMachine, env: &mut MockEnv) {
     assert_eq!(m.seen_held(), 1);
     m.monitor(B);
     m.monitor(M);
-    m.retain_monitored(|_| false);
+    m.set_monitored(&[]);
     assert_eq!(m.inflight(), 0);
 }
 
@@ -187,4 +188,61 @@ fn a_machine_at_rest_owns_no_heap() {
     // Three timeouts ran each register's ladder out, three each
     // unanswered discovery's.
     assert_eq!(env.meter.count(MessageKind::Timeout), MACHINES * 6);
+}
+
+/// An `Update` about `src` from `src` to `A` under `msg_id`, its floor
+/// `floor`.
+fn update(env: &MockEnv, src: Key, msg_id: u64, floor: u64) -> Event {
+    let addr = env.addrs[&src];
+    to_a(env, src, msg_id, WireMessage::Update { subject: src, addr, seq: msg_id, floor })
+}
+
+/// Heap bytes held beyond `before` once the env has dropped what it
+/// logged, which is its own, not the machine's.
+fn machine_held_since(env: &mut MockEnv, before: isize) -> isize {
+    (env.events, env.resolutions, env.updates, env.registered, env.committed) = Default::default();
+    held_since(before)
+}
+
+/// A machine that has heard from one source keeps that source's record
+/// inline in its dedup box, with no table: most machines hear a guarded
+/// frame from one peer at a time. A second source grows a table; one
+/// source left, by a rotation or by a floor, puts the record back
+/// inline and frees the table.
+#[test]
+fn a_lone_dedup_source_holds_no_table() {
+    const LONE: isize = 64;
+    let mut env = world();
+    let before = LIVE.with(Cell::get);
+    let mut m = ProtoMachine::new(A, policy());
+    let t = SimTime;
+    // The dedup lifetime: twice the ladder, 100 << 3.
+    let lifetime = 2 * (100 << 3);
+
+    m.poll(t(0), update(&env, B, 7, 7), &mut env);
+    assert_eq!(m.seen_held(), 1);
+    let lone = machine_held_since(&mut env, before);
+    assert!(0 < lone && lone <= LONE, "one source: {lone} B of dedup heap");
+
+    m.poll(t(10), update(&env, M, 3, 3), &mut env);
+    assert_eq!(m.seen_held(), 2);
+    let table = machine_held_since(&mut env, before);
+    assert!(table > lone + LONE, "a second source grows a table: {table} B");
+
+    // One lifetime on `B` speaks again; one more, and the rotation drops
+    // `M`'s sighting, leaving `B`'s newest alone.
+    m.poll(t(lifetime), update(&env, B, 8, 8), &mut env);
+    assert_eq!(machine_held_since(&mut env, before), table, "two sources, one table");
+    m.poll(t(2 * lifetime), Event::Wake, &mut env);
+    assert_eq!((m.seen_held(), m.has_processed(B, 8)), (1, true));
+    assert_eq!(machine_held_since(&mut env, before), lone, "a rotation put it back inline");
+
+    // `M` again, then a floor above its every sighting: the record goes.
+    m.poll(t(2 * lifetime + 10), update(&env, M, 4, 4), &mut env);
+    assert_eq!(machine_held_since(&mut env, before), table);
+    m.poll(t(2 * lifetime + 20), update(&env, M, 5, u64::MAX), &mut env);
+    assert_eq!((m.seen_held(), m.has_processed(M, 4)), (1, false));
+    assert_eq!(machine_held_since(&mut env, before), lone, "a floor put it back inline");
+    drop(m);
+    assert_eq!(machine_held_since(&mut env, before), 0);
 }

@@ -282,7 +282,8 @@ impl MessagingBristleSystem {
     /// are gathered into one list sorted by `(watcher, peer)` and each
     /// watcher's run of it is compared with the set its machine already
     /// monitors — itself kept sorted. An unchanged watcher costs that
-    /// comparison; only a changed one is edited. And when nothing read
+    /// comparison; only a changed one is handed its whole run, in a table
+    /// sized to it ([`ProtoMachine::set_monitored`]). And when nothing read
     /// here has changed since the last seeding — the system's
     /// [`BristleSystem::membership_epoch`] and the driver's own count of
     /// fates, machines and monitored sets it changed elsewhere both
@@ -320,15 +321,15 @@ impl MessagingBristleSystem {
         }
         wanted.sort_unstable();
         wanted.dedup();
+        let mut changed = Vec::new();
         for peers in wanted.chunk_by(|a, b| a.0 == b.0) {
             let Some(machine) = self.machine_started(peers[0].0) else { continue };
             if machine.monitored().iter().eq(peers.iter().map(|(_, p)| p)) {
                 continue;
             }
-            machine.retain_monitored(|k| peers.binary_search_by_key(&k, |&(_, p)| p).is_ok());
-            for &(_, p) in peers {
-                machine.monitor(p);
-            }
+            changed.clear();
+            changed.extend(peers.iter().map(|&(_, p)| p));
+            machine.set_monitored(&changed);
         }
         // Read after the loop: starting a watcher's machine counts.
         self.seeded_at = Some(self.seed_inputs());
