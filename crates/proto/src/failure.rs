@@ -38,6 +38,15 @@
 //! somebody is monitored, so a detector watching nobody owns no heap,
 //! and a driver that hands over the whole set at once
 //! ([`FailureDetector::set_monitored`]) gets vectors of exactly its size.
+//!
+//! The detector is the one owner of a probe in flight: its sequence,
+//! attempt and deadline, and when its first send went out. Closing it,
+//! [`FailureDetector::ack`] hands back that send time with the attempt
+//! that was answered, so the caller samples the round trip under
+//! Karn's rule (RFC 6298 §3) like any other ack: only an answer to the
+//! first send is unambiguous. An ack that closes nothing forfeits the
+//! sample of a first send still awaited, so the ack that then closes it
+//! reports a re-sent attempt.
 
 use bristle_core::time::SimTime;
 use bristle_overlay::key::Key;
@@ -121,10 +130,16 @@ struct PeerHealth {
     next_seq: u64,
     /// The zero-based attempt of the probe in flight (never one to a
     /// dead peer), whose sequence is the last one handed out.
-    awaiting: Option<u32>,
+    awaiting: Option<u8>,
     /// When the ack window of the probe in flight closes; read only
     /// while `awaiting` is set.
     due: SimTime,
+    /// When the probe in flight first went out; read only while
+    /// `awaiting` is set.
+    sent: SimTime,
+    /// An ack that closed nothing arrived while the probe in flight was
+    /// awaited: its answer is no RTT sample.
+    forfeit: bool,
     /// Highest incarnation the peer has been observed at; suspicion and
     /// death are charged against this number.
     incarnation: u64,
@@ -149,6 +164,8 @@ impl PeerHealth {
             next_seq: 0,
             awaiting: None,
             due: SimTime::ZERO,
+            sent: SimTime::ZERO,
+            forfeit: false,
             incarnation: 0,
             score: FULL_HEALTH,
             grace_credit: 0,
@@ -162,7 +179,7 @@ impl PeerHealth {
 
     /// The attempt of probe `seq`, if it is the one in flight.
     fn in_flight(&self, seq: u64) -> Option<u32> {
-        self.awaiting.filter(|_| seq == self.next_seq - 1)
+        self.awaiting.filter(|_| seq == self.next_seq - 1).map(u32::from)
     }
 
     /// Fresh again: no miss, no suspicion, no probe awaited.
@@ -215,26 +232,6 @@ impl FailureDetector {
         table.keys.binary_search(&peer).ok().map(|i| &mut table.health[i])
     }
 
-    /// `peer`'s health, monitoring it from now if it was not.
-    fn peer_or_fresh(&mut self, peer: Key) -> &mut PeerHealth {
-        let table = self.peers.get_or_insert_with(Default::default);
-        let i = match table.keys.binary_search(&peer) {
-            Ok(i) => i,
-            Err(i) => {
-                table.keys.insert(i, peer);
-                table.health.insert(i, PeerHealth::fresh());
-                i
-            }
-        };
-        &mut table.health[i]
-    }
-
-    /// Starts monitoring `peer` (no-op if already monitored; existing
-    /// suspicion state is kept).
-    pub fn monitor(&mut self, peer: Key) {
-        self.peer_or_fresh(peer);
-    }
-
     /// Monitors exactly `peers` (ascending, distinct): a peer already
     /// monitored keeps its state, a new one starts fresh and one left out
     /// is forgotten, in one walk of both lists. The table is sized to
@@ -260,7 +257,9 @@ impl FailureDetector {
         table.keys = peers.to_vec();
     }
 
-    /// All monitored peers, ascending.
+    /// Every peer this detector holds state for, ascending: the last
+    /// list [`Self::set_monitored`] was given, plus any peer
+    /// [`Self::mark_dead`] has condemned on hearsay since.
     pub fn monitored(&self) -> &[Key] {
         self.peers.as_deref().map_or(&[], |table| &table.keys)
     }
@@ -335,11 +334,11 @@ impl FailureDetector {
         Some(overturned)
     }
 
-    /// Opens a probe round for `peer`: returns the sequence number to
-    /// send, or `None` when no probe should go out (unmonitored, dead,
-    /// or a probe is already in flight). The caller arms its deadline
-    /// ([`Self::arm_probe`]).
-    pub fn begin_probe(&mut self, peer: Key) -> Option<u64> {
+    /// Opens a probe round for `peer`, its first send going out at
+    /// `now`: returns the sequence number to send, or `None` when no
+    /// probe should go out (unmonitored, dead, or a probe is already in
+    /// flight). The caller arms its deadline ([`Self::arm_probe`]).
+    pub fn begin_probe(&mut self, peer: Key, now: SimTime) -> Option<u64> {
         let p = self.peer_mut(peer)?;
         if p.liveness == Liveness::Dead || p.awaiting.is_some() {
             return None;
@@ -347,6 +346,8 @@ impl FailureDetector {
         let seq = p.next_seq;
         p.next_seq += 1;
         p.awaiting = Some(0);
+        p.sent = now;
+        p.forfeit = false;
         Some(seq)
     }
 
@@ -368,15 +369,22 @@ impl FailureDetector {
     }
 
     /// Digests a HeartbeatAck carrying the responder's `incarnation`.
-    /// Returns whether it closed the in-flight probe (acks for stale
-    /// sequences change nothing; acks from a dead peer are ignored
-    /// unless the incarnation is fresh enough to resurrect it first —
-    /// see [`FailureDetector::observe_alive`]).
-    pub fn ack(&mut self, peer: Key, seq: u64, incarnation: u64) -> bool {
+    /// Returns the `(attempt, sent)` of the in-flight probe it closed:
+    /// the zero-based send Karn's rule charges the answer to, and when
+    /// the probe first went out. An ack that closes nothing returns
+    /// `None` (acks for stale sequences change nothing; acks from a
+    /// dead peer are ignored unless the incarnation is fresh enough to
+    /// resurrect it first — see [`FailureDetector::observe_alive`]) and
+    /// forfeits the probe in flight's sample: its answer is charged to
+    /// attempt 1 at least.
+    pub fn ack(&mut self, peer: Key, seq: u64, incarnation: u64) -> Option<(u32, SimTime)> {
         self.observe_alive(peer, incarnation);
         let grace_misses = self.policy.grace_misses;
-        let Some(p) = self.peer_mut(peer) else { return false };
-        let Some(attempt) = p.in_flight(seq) else { return false };
+        let p = self.peer_mut(peer)?;
+        let Some(attempt) = p.in_flight(seq) else {
+            p.forfeit = true;
+            return None;
+        };
         p.refresh();
         p.score = (p.score + 15).min(FULL_HEALTH);
         if attempt > 0 {
@@ -385,7 +393,7 @@ impl FailureDetector {
             // grace (bounded by policy).
             p.grace_credit = (p.grace_credit + 1).min(grace_misses);
         }
-        true
+        Some((attempt.max(u32::from(p.forfeit)), p.sent))
     }
 
     /// Digests the expiry, at `now`, of the ack window for probe `seq`
@@ -394,7 +402,7 @@ impl FailureDetector {
         let Some(p) = self.peer_mut(peer) else { return TimeoutVerdict::Ignore };
         let Some(attempt) = p.in_flight(seq) else { return TimeoutVerdict::Ignore };
         if attempt + 1 < PROBE_ATTEMPTS {
-            p.awaiting = Some(attempt + 1);
+            p.awaiting = p.awaiting.map(|a| a + 1);
             p.score = p.score.saturating_sub(10);
             return TimeoutVerdict::Resend { attempt: attempt + 1 };
         }
@@ -425,7 +433,13 @@ impl FailureDetector {
     /// observed is stale evidence and is ignored. Returns whether this
     /// is news.
     pub fn mark_dead(&mut self, peer: Key, incarnation: u64) -> bool {
-        let p = self.peer_or_fresh(peer);
+        let table = self.peers.get_or_insert_with(Default::default);
+        let i = table.keys.binary_search(&peer).unwrap_or_else(|i| {
+            table.keys.insert(i, peer);
+            table.health.insert(i, PeerHealth::fresh());
+            i
+        });
+        let p = &mut table.health[i];
         if incarnation < p.incarnation {
             return false;
         }
@@ -444,6 +458,7 @@ mod tests {
     use super::*;
 
     const P: Key = Key(5);
+    const T0: SimTime = SimTime::ZERO;
 
     fn det() -> FailureDetector {
         FailureDetector::new(FailurePolicy::default())
@@ -452,7 +467,7 @@ mod tests {
     /// Runs one fully-missed round: every retransmission times out.
     /// Every window of probe `seq` expires at tick `seq`.
     fn miss_round(d: &mut FailureDetector) -> Option<LivenessTransition> {
-        let seq = d.begin_probe(P).expect("probe opens");
+        let seq = d.begin_probe(P, T0).expect("probe opens");
         loop {
             match d.on_timeout(P, seq, SimTime(seq)) {
                 TimeoutVerdict::Resend { .. } => continue,
@@ -465,9 +480,9 @@ mod tests {
     #[test]
     fn acked_probe_stays_fresh() {
         let mut d = det();
-        d.monitor(P);
-        let seq = d.begin_probe(P).unwrap();
-        assert!(d.ack(P, seq, 0));
+        d.set_monitored(&[P]);
+        let seq = d.begin_probe(P, SimTime(7)).unwrap();
+        assert_eq!(d.ack(P, seq, 0), Some((0, SimTime(7))), "the first send, answered");
         assert_eq!(d.liveness(P), Some(Liveness::Fresh));
         assert_eq!(d.on_timeout(P, seq, SimTime(seq)), TimeoutVerdict::Ignore, "stale timer");
     }
@@ -475,37 +490,37 @@ mod tests {
     #[test]
     fn retransmits_before_counting_a_miss() {
         let mut d = det();
-        d.monitor(P);
-        let seq = d.begin_probe(P).unwrap();
+        d.set_monitored(&[P]);
+        let seq = d.begin_probe(P, T0).unwrap();
         assert_eq!(d.on_timeout(P, seq, SimTime(seq)), TimeoutVerdict::Resend { attempt: 1 });
         // A late ack of the retransmitted probe still counts.
-        assert!(d.ack(P, seq, 0));
+        assert_eq!(d.ack(P, seq, 0), Some((1, T0)));
         assert_eq!(d.liveness(P), Some(Liveness::Fresh));
     }
 
     #[test]
     fn consecutive_misses_suspect_then_condemn() {
         let mut d = det();
-        d.monitor(P);
+        d.set_monitored(&[P]);
         assert_eq!(miss_round(&mut d), None, "one miss is tolerated");
         assert_eq!(miss_round(&mut d), Some(LivenessTransition::Suspected));
         assert_eq!(d.liveness(P), Some(Liveness::Suspect));
         assert_eq!(miss_round(&mut d), Some(LivenessTransition::ConfirmedDead));
         assert_eq!(d.liveness(P), Some(Liveness::Dead));
-        assert_eq!(d.begin_probe(P), None, "dead peers are not probed");
-        assert!(!d.ack(P, 99, 0), "death is final within an incarnation");
+        assert_eq!(d.begin_probe(P, T0), None, "dead peers are not probed");
+        assert!(d.ack(P, 99, 0).is_none(), "death is final within an incarnation");
         assert_eq!(d.liveness(P), Some(Liveness::Dead));
     }
 
     #[test]
     fn ack_recovers_a_suspect() {
         let mut d = det();
-        d.monitor(P);
+        d.set_monitored(&[P]);
         miss_round(&mut d);
         miss_round(&mut d);
         assert_eq!(d.liveness(P), Some(Liveness::Suspect));
-        let seq = d.begin_probe(P).unwrap();
-        assert!(d.ack(P, seq, 0));
+        let seq = d.begin_probe(P, T0).unwrap();
+        assert!(d.ack(P, seq, 0).is_some());
         assert_eq!(d.liveness(P), Some(Liveness::Fresh));
         // The miss counter reset too: condemnation needs 3 fresh misses.
         assert_eq!(miss_round(&mut d), None);
@@ -515,14 +530,14 @@ mod tests {
     #[test]
     fn stale_sequence_ack_is_ignored() {
         let mut d = det();
-        d.monitor(P);
-        let s0 = d.begin_probe(P).unwrap();
+        d.set_monitored(&[P]);
+        let s0 = d.begin_probe(P, T0).unwrap();
         // Round misses; a later round opens with a fresh sequence.
         while !matches!(d.on_timeout(P, s0, SimTime(s0)), TimeoutVerdict::Missed { .. }) {}
-        let s1 = d.begin_probe(P).unwrap();
+        let s1 = d.begin_probe(P, T0).unwrap();
         assert_ne!(s0, s1);
-        assert!(!d.ack(P, s0, 0), "old sequence does not close the new probe");
-        assert!(d.ack(P, s1, 0));
+        assert!(d.ack(P, s0, 0).is_none(), "old sequence does not close the new probe");
+        assert!(d.ack(P, s1, 0).is_some());
     }
 
     /// `suspected_at` is this detector's own evidence: the round whose
@@ -534,20 +549,20 @@ mod tests {
     #[test]
     fn suspects_counts_only_this_detectors_own_misses() {
         let mut d = det();
-        d.monitor(P);
+        d.set_monitored(&[P]);
         miss_round(&mut d);
         assert_eq!(d.suspected_at(P), None, "one miss is tolerated");
         miss_round(&mut d);
         assert_eq!(d.suspected_at(P), Some(SimTime(1)), "probe 1's round raised it");
-        let seq = d.begin_probe(P).unwrap();
-        assert!(d.ack(P, seq, 0));
+        let seq = d.begin_probe(P, T0).unwrap();
+        assert!(d.ack(P, seq, 0).is_some());
         assert_eq!(d.suspected_at(P), None, "an ack heals the suspicion");
         assert!(d.mark_dead(P, 0));
         assert!(d.is_dead(P));
         assert_eq!(d.suspected_at(P), None, "hearsay is not a suspicion");
 
         let mut own = det();
-        own.monitor(P);
+        own.set_monitored(&[P]);
         miss_round(&mut own);
         miss_round(&mut own);
         assert_eq!(miss_round(&mut own), Some(LivenessTransition::ConfirmedDead));
@@ -561,7 +576,7 @@ mod tests {
         assert_eq!(own.suspected_at(P), None, "and a fresher incarnation clears that too");
 
         let mut standing = det();
-        standing.monitor(P);
+        standing.set_monitored(&[P]);
         miss_round(&mut standing);
         miss_round(&mut standing);
         assert!(standing.mark_dead(P, 0));
@@ -587,17 +602,17 @@ mod tests {
     #[test]
     fn only_one_probe_in_flight_per_peer() {
         let mut d = det();
-        d.monitor(P);
-        let seq = d.begin_probe(P).unwrap();
-        assert_eq!(d.begin_probe(P), None, "round already open");
-        assert!(d.ack(P, seq, 0));
-        assert!(d.begin_probe(P).is_some(), "next round opens after the ack");
+        d.set_monitored(&[P]);
+        let seq = d.begin_probe(P, T0).unwrap();
+        assert_eq!(d.begin_probe(P, T0), None, "round already open");
+        assert!(d.ack(P, seq, 0).is_some());
+        assert!(d.begin_probe(P, T0).is_some(), "next round opens after the ack");
     }
 
     #[test]
     fn fresher_incarnation_refutes_death() {
         let mut d = det();
-        d.monitor(P);
+        d.set_monitored(&[P]);
         miss_round(&mut d);
         miss_round(&mut d);
         miss_round(&mut d);
@@ -609,13 +624,13 @@ mod tests {
         assert_eq!(d.observe_alive(P, 1), Some(Liveness::Dead));
         assert_eq!(d.liveness(P), Some(Liveness::Fresh));
         assert_eq!(d.incarnation_of(P), Some(1));
-        assert!(d.begin_probe(P).is_some(), "resurrected peers are probed again");
+        assert!(d.begin_probe(P, T0).is_some(), "resurrected peers are probed again");
     }
 
     #[test]
     fn fresher_incarnation_drops_suspicion() {
         let mut d = det();
-        d.monitor(P);
+        d.set_monitored(&[P]);
         miss_round(&mut d);
         miss_round(&mut d);
         assert_eq!(d.liveness(P), Some(Liveness::Suspect));
@@ -628,23 +643,23 @@ mod tests {
     #[test]
     fn ack_with_fresh_incarnation_resurrects() {
         let mut d = det();
-        d.monitor(P);
+        d.set_monitored(&[P]);
         miss_round(&mut d);
         miss_round(&mut d);
         miss_round(&mut d);
         assert!(d.is_dead(P));
-        let seq = d.begin_probe(P);
+        let seq = d.begin_probe(P, T0);
         assert_eq!(seq, None, "dead peers are not probed");
         // A zombie's ack at incarnation 1 resurrects it, though no probe
         // is in flight to close.
-        assert!(!d.ack(P, 99, 1));
+        assert!(d.ack(P, 99, 1).is_none());
         assert_eq!(d.liveness(P), Some(Liveness::Fresh));
     }
 
     #[test]
     fn stale_death_verdict_is_ignored() {
         let mut d = det();
-        d.monitor(P);
+        d.set_monitored(&[P]);
         assert_eq!(d.observe_alive(P, 2), None, "fresh peer stays fresh");
         assert_eq!(d.incarnation_of(P), Some(2));
         assert!(!d.mark_dead(P, 1), "verdict against an older incarnation is stale");
@@ -656,14 +671,14 @@ mod tests {
     #[test]
     fn health_bleeds_on_misses_and_recovers_on_acks() {
         let mut d = det();
-        d.monitor(P);
+        d.set_monitored(&[P]);
         assert_eq!(d.health(P), Some(FULL_HEALTH));
         assert!(!d.is_degraded(P));
         // One resend then a late ack: the peer looks slow, not dead.
-        let seq = d.begin_probe(P).unwrap();
+        let seq = d.begin_probe(P, T0).unwrap();
         assert_eq!(d.on_timeout(P, seq, SimTime(seq)), TimeoutVerdict::Resend { attempt: 1 });
         assert_eq!(d.health(P), Some(FULL_HEALTH - 10));
-        assert!(d.ack(P, seq, 0));
+        assert!(d.ack(P, seq, 0).is_some());
         assert_eq!(d.health(P), Some(FULL_HEALTH), "ack restores the score (capped)");
         // A fully missed round bleeds resend + miss penalties.
         miss_round(&mut d);
@@ -679,11 +694,11 @@ mod tests {
         // `grace_misses`), so when it then goes quiet it survives
         // `dead_after + 2` rounds instead of `dead_after`.
         let mut slow = FailureDetector::new(policy);
-        slow.monitor(P);
+        slow.set_monitored(&[P]);
         for _ in 0..4 {
-            let seq = slow.begin_probe(P).unwrap();
+            let seq = slow.begin_probe(P, T0).unwrap();
             assert!(matches!(slow.on_timeout(P, seq, SimTime(seq)), TimeoutVerdict::Resend { .. }));
-            assert!(slow.ack(P, seq, 0));
+            assert!(slow.ack(P, seq, 0).is_some());
         }
         assert_eq!(miss_round(&mut slow), None);
         assert_eq!(miss_round(&mut slow), Some(LivenessTransition::Suspected));
@@ -695,10 +710,10 @@ mod tests {
         // A peer that acked promptly until it crashed earned no grace:
         // its condemnation schedule is exactly the no-grace one.
         let mut dead = FailureDetector::new(policy);
-        dead.monitor(P);
+        dead.set_monitored(&[P]);
         for _ in 0..4 {
-            let seq = dead.begin_probe(P).unwrap();
-            assert!(dead.ack(P, seq, 0), "prompt acks earn no grace");
+            let seq = dead.begin_probe(P, T0).unwrap();
+            assert!(dead.ack(P, seq, 0).is_some(), "prompt acks earn no grace");
         }
         assert_eq!(miss_round(&mut dead), None);
         assert_eq!(miss_round(&mut dead), Some(LivenessTransition::Suspected));
@@ -708,9 +723,9 @@ mod tests {
     #[test]
     fn monitored_is_sorted_and_a_new_set_forgets() {
         let mut d = det();
-        d.monitor(Key(9));
-        d.monitor(Key(1));
-        d.monitor(Key(4));
+        for k in [Key(9), Key(1), Key(4)] {
+            assert!(d.mark_dead(k, 0));
+        }
         assert_eq!(d.monitored(), [Key(1), Key(4), Key(9)]);
         d.set_monitored(&[Key(1), Key(4)]);
         assert_eq!(d.monitored(), [Key(1), Key(4)]);
@@ -723,7 +738,7 @@ mod tests {
     fn monitoring_nobody_frees_the_peers() {
         let mut d = det();
         assert!(d.peers.is_none(), "a fresh detector owns no table");
-        d.monitor(P);
+        d.set_monitored(&[P]);
         assert!(d.mark_dead(Key(6), 0));
         d.set_monitored(&[P]);
         assert_eq!(d.monitored(), [P]);
@@ -743,17 +758,15 @@ mod tests {
     fn a_seeded_peer_table_is_exact_and_keeps_state() {
         let mut d = FailureDetector::new(FailurePolicy { grace_misses: 2 });
         let (gone, kept, new) = (Key(2), P, Key(8));
-        for k in [Key(1), gone, kept, Key(7), Key(9)] {
-            d.monitor(k);
-        }
+        d.set_monitored(&[Key(1), gone, kept, Key(7), Key(9)]);
         // One late ack earns a round of grace; two missed rounds make a
         // suspect; a third probe is left in flight after one resend.
-        let seq = d.begin_probe(kept).unwrap();
+        let seq = d.begin_probe(kept, T0).unwrap();
         assert!(matches!(d.on_timeout(kept, seq, SimTime(seq)), TimeoutVerdict::Resend { .. }));
-        assert!(d.ack(kept, seq, 0));
+        assert!(d.ack(kept, seq, 0).is_some());
         miss_round(&mut d);
         assert_eq!(miss_round(&mut d), Some(LivenessTransition::Suspected));
-        let probe = d.begin_probe(kept).unwrap();
+        let probe = d.begin_probe(kept, T0).unwrap();
         d.arm_probe(kept, SimTime(77));
         assert_eq!(d.on_timeout(kept, probe, SimTime(50)), TimeoutVerdict::Resend { attempt: 1 });
         assert!(d.mark_dead(gone, 3));
@@ -791,9 +804,10 @@ mod tests {
         // Distinct (the mix is a bijection), in no order.
         let keys: Vec<Key> = (0..40u64).map(|i| Key(crate::mix::splitmix64(i))).collect();
         for (i, &k) in keys.iter().enumerate() {
-            d.monitor(k);
-            // Stamp each peer with its own incarnation.
-            d.observe_alive(k, i as u64 + 1);
+            // Hearsay brings each peer in; its own incarnation, fresher
+            // than the verdict's, stamps it and revokes the verdict.
+            d.mark_dead(k, 0);
+            assert_eq!(d.observe_alive(k, i as u64 + 1), Some(Liveness::Dead));
             if i % 5 == 4 {
                 d.mark_dead(Key(i as u64), 0);
             }

@@ -212,7 +212,7 @@ mod tests {
         env.domain = Some(AuthDomain::new(8));
         env.vpolicy = VerifyPolicy::Enforce;
         let mut a = ProtoMachine::new(A, policy());
-        a.monitor(M);
+        a.set_monitored(&[M]);
         // An adversary refutes on M's behalf: the pubkey certifies M but
         // the tag was minted without M's secret.
         let forged = Envelope {
@@ -225,13 +225,13 @@ mod tests {
         };
         let out = a.poll(t(0), arrival(&env, forged.clone()), &mut env);
         assert!(out.completions.is_empty() && out.outgoing.is_empty());
-        assert_eq!(a.peer_incarnation(M), Some(0), "forged evidence never digested");
+        assert_eq!(a.detector().incarnation_of(M), Some(0), "forged evidence never digested");
         assert_eq!(env.meter.count(MessageKind::ForgedFrame), 1);
         assert_eq!(env.meter.count(MessageKind::AuthReject), 1);
 
         env.vpolicy = VerifyPolicy::LogOnly;
         a.poll(t(1), arrival(&env, forged), &mut env);
-        assert_eq!(a.peer_incarnation(M), Some(7), "log-only meters but still digests");
+        assert_eq!(a.detector().incarnation_of(M), Some(7), "log-only meters but still digests");
         assert_eq!(env.meter.count(MessageKind::ForgedFrame), 2);
         assert_eq!(env.meter.count(MessageKind::AuthReject), 1, "nothing more dropped");
     }
@@ -242,7 +242,7 @@ mod tests {
         env.domain = Some(AuthDomain::new(8));
         env.vpolicy = VerifyPolicy::Enforce;
         let mut a = ProtoMachine::new(A, policy());
-        a.monitor(M);
+        a.set_monitored(&[M]);
         let bare = Envelope {
             src: B,
             dst: A,
@@ -253,7 +253,7 @@ mod tests {
         };
         let out = a.poll(t(0), arrival(&env, bare), &mut env);
         assert!(out.completions.is_empty());
-        assert_eq!(a.liveness(M), Some(Liveness::Fresh), "untagged verdict ignored");
+        assert_eq!(a.detector().liveness(M), Some(Liveness::Fresh), "untagged verdict ignored");
         assert_eq!(env.meter.count(MessageKind::ForgedFrame), 1);
         assert_eq!(env.meter.count(MessageKind::AuthReject), 1);
     }
@@ -296,13 +296,13 @@ mod tests {
         let mut a = ProtoMachine::new(A, policy());
         let mut b = ProtoMachine::new(B, policy());
         let mut herald = ProtoMachine::new(M, policy());
-        a.monitor(B);
-        b.monitor(A);
+        a.set_monitored(&[B]);
+        b.set_monitored(&[A]);
 
         let notice = herald.notify_suspect(t(0), &mut env, A, B).outgoing[0].env.clone();
         assert!(notice.auth.is_some(), "verdicts travel sealed");
         a.poll(t(0), arrival(&env, notice), &mut env);
-        assert_eq!(a.liveness(B), Some(Liveness::Dead));
+        assert_eq!(a.detector().liveness(B), Some(Liveness::Dead));
 
         let probe = b.start_heartbeats(t(10), &mut env).outgoing[0].env.clone();
         assert!(probe.auth.is_none(), "heartbeats are unauthenticated kinds");
@@ -312,7 +312,7 @@ mod tests {
         assert!(refutation.auth.is_some(), "the Alive refutation is sealed");
         a.poll(t(13), arrival(&env, refutation), &mut env);
         assert_eq!(env.meter.count(MessageKind::WrongfulDeath), 1);
-        assert_eq!(a.liveness(B), Some(Liveness::Fresh));
+        assert_eq!(a.detector().liveness(B), Some(Liveness::Fresh));
         assert_eq!(env.meter.count(MessageKind::ForgedFrame), 0, "honest traffic never rejected");
     }
 
@@ -386,7 +386,7 @@ mod tests {
                 let mut oracle = ProtoMachine::new(A, policy());
                 for m in [&mut bounded, &mut oracle] {
                     m.set_adaptive_rto(adaptive);
-                    m.monitor(Key(99));
+                    m.set_monitored(&[Key(99)]);
                 }
                 let lifetime = crate::seen::lifetime(bounded.timers.ladder());
                 assert_eq!(lifetime, 2 * ladder, "{ctx}");

@@ -127,7 +127,7 @@ impl ProtoMachine {
     ) {
         let (msg_id, peer) = (frame.env.msg_id, frame.env.dst);
         out.outgoing.push(frame.clone());
-        let due = now.plus(self.timers.first_wait(now, Awaited::Ack(peer)));
+        let due = now.plus(self.timers.first_wait(Awaited::Ack(peer)));
         let session = Session { out: frame, attempt: 0, peer, sent_at: now, due, kind };
         self.open.get_or_insert_with(Default::default).sessions.insert(msg_id, session);
         out.arm(due);

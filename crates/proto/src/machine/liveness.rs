@@ -41,30 +41,18 @@ impl ProtoMachine {
         self.next_msg_id
     }
 
-    /// The highest incarnation this node has observed `peer` at
-    /// (`None` = unmonitored).
-    pub fn peer_incarnation(&self, peer: Key) -> Option<u64> {
-        self.detector.incarnation_of(peer)
-    }
-
-    /// Every peer that is monitored, not dead, and currently bleeding
-    /// health — a gray-failure signal the driver uses for latency-aware
-    /// replica failover. Ascending.
-    pub fn degraded_peers(&self) -> impl Iterator<Item = Key> + '_ {
-        self.detector.degraded()
+    /// What this node believes about the peers it monitors: their
+    /// liveness, incarnations, health and suspicions. Read-only; the
+    /// monitored set, a spent suspicion and the policy change only
+    /// through this machine's own methods.
+    pub fn detector(&self) -> &FailureDetector {
+        &self.detector
     }
 
     /// Replaces the failure-detection thresholds (existing suspicion
     /// state, incarnations included, is kept).
     pub fn set_failure_policy(&mut self, policy: FailurePolicy) {
         self.detector.set_policy(policy);
-    }
-
-    /// Starts monitoring `peer`'s liveness via heartbeats.
-    pub fn monitor(&mut self, peer: Key) {
-        if peer != self.key {
-            self.detector.monitor(peer);
-        }
     }
 
     /// Monitors exactly `peers` (ascending, distinct, never this node),
@@ -75,26 +63,10 @@ impl ProtoMachine {
         self.detector.set_monitored(peers);
     }
 
-    /// This node's current belief about `peer` (`None` = unmonitored).
-    pub fn liveness(&self, peer: Key) -> Option<Liveness> {
-        self.detector.liveness(peer)
-    }
-
-    /// When this node's own probes raised its standing suspicion of
-    /// `peer`, the `now` of its `Suspect` event
-    /// ([`FailureDetector::suspected_at`]).
-    pub fn suspected_at(&self, peer: Key) -> Option<SimTime> {
-        self.detector.suspected_at(peer)
-    }
-
-    /// Takes [`Self::suspected_at`] ([`FailureDetector::spend_suspicion`]).
+    /// Takes the stamp of this node's own suspicion of `peer`, the
+    /// `now` of its `Suspect` event ([`FailureDetector::spend_suspicion`]).
     pub fn spend_suspicion(&mut self, peer: Key) -> Option<SimTime> {
         self.detector.spend_suspicion(peer)
-    }
-
-    /// Peers this node monitors, ascending.
-    pub fn monitored(&self) -> &[Key] {
-        self.detector.monitored()
     }
 
     /// Opens one heartbeat round: probes every monitored, not-yet-dead
@@ -105,10 +77,10 @@ impl ProtoMachine {
         let mut out = Output::none();
         for i in 0..self.detector.monitored().len() {
             let peer = self.detector.monitored()[i];
-            let Some(seq) = self.detector.begin_probe(peer) else { continue };
+            let Some(seq) = self.detector.begin_probe(peer, now) else { continue };
             let probe = WireMessage::Heartbeat { seq, incarnation: self.incarnation };
             self.post(env, &mut out, peer, 0, probe, Some(MessageKind::HeartbeatSent));
-            let due = now.plus(self.timers.first_wait(now, Awaited::Probe(peer)));
+            let due = now.plus(self.timers.first_wait(Awaited::Probe(peer)));
             self.detector.arm_probe(peer, due);
             out.arm(due);
         }
@@ -191,8 +163,9 @@ impl ProtoMachine {
             }
             WireMessage::HeartbeatAck { seq, incarnation } => {
                 self.digest_alive(env, src, incarnation);
-                let closed = self.detector.ack(src, seq, incarnation);
-                self.timers.probe_acked(src, now, closed);
+                if let Some((attempt, sent)) = self.detector.ack(src, seq, incarnation) {
+                    self.timers.sample(Awaited::Probe(src), attempt, now.since(sent));
+                }
             }
             WireMessage::SuspectNotify { suspect, incarnation } => {
                 if suspect == self.key {
@@ -296,7 +269,7 @@ mod tests {
         let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
         let mut prober = ProtoMachine::new(A, policy());
         let mut target = ProtoMachine::new(B, policy());
-        prober.monitor(B);
+        prober.set_monitored(&[B]);
         let out = prober.start_heartbeats(t(0), &mut env);
         assert_eq!(out.outgoing.len(), 1);
         assert_eq!(env.meter.count(MessageKind::HeartbeatSent), 1);
@@ -313,7 +286,7 @@ mod tests {
 
         let out = prober.poll(t(3), arrival(&env, r1.outgoing[0].env.clone()), &mut env);
         assert!(out.completions.is_empty());
-        assert_eq!(prober.liveness(B), Some(Liveness::Fresh));
+        assert_eq!(prober.detector().liveness(B), Some(Liveness::Fresh));
         // The wake armed for the acked probe finds nothing due.
         let out = prober.poll(t(policy().ack_timeout), Event::Wake, &mut env);
         assert!(out.outgoing.is_empty() && out.completions.is_empty());
@@ -340,7 +313,7 @@ mod tests {
         use crate::failure::{DEAD_AFTER, SUSPECT_AFTER};
         let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
         let mut prober = ProtoMachine::new(A, policy());
-        prober.monitor(B);
+        prober.set_monitored(&[B]);
 
         for round in 1..=DEAD_AFTER {
             let out = miss_round(&mut prober, round, &mut env);
@@ -351,10 +324,10 @@ mod tests {
             if round < DEAD_AFTER {
                 assert!(out.completions.is_empty(), "suspicion is no verdict");
                 let want = if round < SUSPECT_AFTER { Liveness::Fresh } else { Liveness::Suspect };
-                assert_eq!(prober.liveness(B), Some(want), "after round {round}");
+                assert_eq!(prober.detector().liveness(B), Some(want), "after round {round}");
             } else {
                 assert_eq!(out.completions, vec![Completion::PeerDead { peer: B }]);
-                assert_eq!(prober.liveness(B), Some(Liveness::Dead));
+                assert_eq!(prober.detector().liveness(B), Some(Liveness::Dead));
             }
         }
 
@@ -371,11 +344,11 @@ mod tests {
         use crate::failure::SUSPECT_AFTER;
         let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
         let mut prober = ProtoMachine::new(A, policy());
-        prober.monitor(B);
+        prober.set_monitored(&[B]);
         for round in 1..=SUSPECT_AFTER {
             miss_round(&mut prober, round, &mut env);
         }
-        let stamp = prober.suspected_at(B);
+        let stamp = prober.detector().suspected_at(B);
         assert!(stamp.is_some(), "suspected after {SUSPECT_AFTER} missed rounds");
         let seq = |out: &Output| match out.outgoing[0].env.msg {
             WireMessage::Heartbeat { seq, .. } => seq,
@@ -385,9 +358,9 @@ mod tests {
         assert_eq!(seq(&out), u64::from(SUSPECT_AFTER));
 
         prober.set_failure_policy(FailurePolicy { grace_misses: 2 });
-        assert_eq!(prober.liveness(B), Some(Liveness::Suspect));
-        assert_eq!(prober.suspected_at(B), stamp);
-        assert_eq!(prober.degraded_peers().collect::<Vec<_>>(), [B]);
+        assert_eq!(prober.detector().liveness(B), Some(Liveness::Suspect));
+        assert_eq!(prober.detector().suspected_at(B), stamp);
+        assert_eq!(prober.detector().degraded().collect::<Vec<_>>(), [B]);
         let resent = prober.poll(out.wake.expect("a probe in flight"), Event::Wake, &mut env);
         assert_eq!(seq(&resent), u64::from(SUSPECT_AFTER), "the same probe, resent");
     }
@@ -397,13 +370,13 @@ mod tests {
         let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
         let mut origin = ProtoMachine::new(A, policy());
         let mut receiver = ProtoMachine::new(B, policy());
-        receiver.monitor(M);
+        receiver.set_monitored(&[M]);
         let out = origin.notify_suspect(t(0), &mut env, B, M);
         assert_eq!(env.meter.total_messages(), 0, "verdict spreading is unmetered");
         let notice = out.outgoing[0].env.clone();
         let r1 = receiver.poll(t(0), arrival(&env, notice.clone()), &mut env);
         assert_eq!(r1.completions, vec![Completion::PeerDead { peer: M }]);
-        assert_eq!(receiver.liveness(M), Some(Liveness::Dead));
+        assert_eq!(receiver.detector().liveness(M), Some(Liveness::Dead));
         let r2 = receiver.poll(t(1), arrival(&env, notice), &mut env);
         assert!(r2.completions.is_empty(), "duplicate notice is news only once");
     }
@@ -419,14 +392,14 @@ mod tests {
         let mut a = ProtoMachine::new(A, policy());
         let mut b = ProtoMachine::new(B, policy());
         let mut herald = ProtoMachine::new(M, policy());
-        a.monitor(B);
-        b.monitor(A);
+        a.set_monitored(&[B]);
+        b.set_monitored(&[A]);
 
         // A third party convinces A that B is dead (wrongfully: B is
         // merely beyond a partition).
         let notice = herald.notify_suspect(t(0), &mut env, A, B).outgoing[0].env.clone();
         a.poll(t(0), arrival(&env, notice), &mut env);
-        assert_eq!(a.liveness(B), Some(Liveness::Dead));
+        assert_eq!(a.detector().liveness(B), Some(Liveness::Dead));
 
         // The cut heals; B's next probe reaches A, which answers with
         // B's obituary instead of an ack.
@@ -451,7 +424,7 @@ mod tests {
         // The refutation resurrects B at A.
         let out = a.poll(t(13), arrival(&env, refutation), &mut env);
         assert!(out.completions.is_empty());
-        assert_eq!(a.liveness(B), Some(Liveness::Fresh));
+        assert_eq!(a.detector().liveness(B), Some(Liveness::Fresh));
         assert_eq!(env.meter.count(MessageKind::WrongfulDeath), 1);
         assert_eq!(a.start_heartbeats(t(20), &mut env).outgoing.len(), 1, "B is probed again");
     }
@@ -487,7 +460,7 @@ mod tests {
         let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
         let mut a = ProtoMachine::new(A, policy());
         let mut herald = ProtoMachine::new(B, policy());
-        a.monitor(M);
+        a.set_monitored(&[M]);
         // M observed alive at incarnation 2, then condemned at 2.
         let alive = Envelope {
             src: B,
@@ -502,7 +475,7 @@ mod tests {
         // The herald never saw M, so its verdict is charged to
         // incarnation 0 — stale against A's knowledge.
         a.poll(t(1), arrival(&env, notice), &mut env);
-        assert_eq!(a.liveness(M), Some(Liveness::Fresh), "stale verdict is ignored");
+        assert_eq!(a.detector().liveness(M), Some(Liveness::Fresh), "stale verdict is ignored");
         // An Alive at the already-known incarnation changes nothing.
         let stale_alive = Envelope {
             src: B,
@@ -516,23 +489,54 @@ mod tests {
         assert!(out.completions.is_empty());
     }
 
+    /// `B`'s answer to probe `seq`.
+    fn heartbeat_ack(seq: u64) -> Envelope {
+        let msg = WireMessage::HeartbeatAck { seq, incarnation: 0 };
+        Envelope { src: B, dst: A, msg_id: seq, trace_id: 0, msg, auth: None }
+    }
+
+    /// `A` on adaptive timers, monitoring `B`.
+    fn adaptive_prober() -> ProtoMachine {
+        let mut prober = ProtoMachine::new(A, policy());
+        prober.set_adaptive_rto(true);
+        prober.set_monitored(&[B]);
+        prober
+    }
+
     #[test]
     fn heartbeat_acks_feed_the_rto_estimator() {
         let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
-        let mut prober = ProtoMachine::new(A, policy());
-        prober.set_adaptive_rto(true);
-        prober.monitor(B);
+        let mut prober = adaptive_prober();
         prober.start_heartbeats(t(0), &mut env);
-        let ack = Envelope {
-            src: B,
-            dst: A,
-            msg_id: 0,
-            trace_id: 0,
-            msg: WireMessage::HeartbeatAck { seq: 0, incarnation: 0 },
-            auth: None,
-        };
-        prober.poll(t(40), arrival(&env, ack), &mut env);
+        prober.poll(t(40), arrival(&env, heartbeat_ack(0)), &mut env);
         // rtt = 40: srtt8 = 320, rttvar4 = 80, rto = 40 + 80 = 120.
         assert_eq!(prober.rto_estimate(B), Some(120));
+    }
+
+    /// Karn's rule on the probe path: the answer to a re-sent probe is
+    /// ambiguous and no sample, and an ack that closes nothing forfeits
+    /// the sample of a first send still awaited — for that probe only.
+    #[test]
+    fn probe_acks_keep_karns_rule() {
+        let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+
+        let mut resent = adaptive_prober();
+        let wake = resent.start_heartbeats(t(0), &mut env).wake.expect("a probe in flight");
+        let out = resent.poll(wake, Event::Wake, &mut env);
+        assert!(matches!(out.outgoing[0].env.msg, WireMessage::Heartbeat { seq: 0, .. }));
+        resent.poll(wake.plus(40), arrival(&env, heartbeat_ack(0)), &mut env);
+        assert_eq!(resent.detector().in_flight().count(), 0, "the ack closed the probe");
+        assert_eq!(resent.rto_estimate(B), None, "a re-sent probe's answer");
+
+        let mut stray = adaptive_prober();
+        stray.start_heartbeats(t(0), &mut env);
+        stray.poll(t(10), arrival(&env, heartbeat_ack(7)), &mut env);
+        assert_eq!(stray.detector().in_flight().count(), 1, "an ack that closed nothing");
+        stray.poll(t(40), arrival(&env, heartbeat_ack(0)), &mut env);
+        assert_eq!(stray.detector().in_flight().count(), 0);
+        assert_eq!(stray.rto_estimate(B), None, "the forfeited first send's answer");
+        stray.start_heartbeats(t(1_000), &mut env);
+        stray.poll(t(1_040), arrival(&env, heartbeat_ack(1)), &mut env);
+        assert_eq!(stray.rto_estimate(B), Some(120), "the next probe's first send is sampled");
     }
 }

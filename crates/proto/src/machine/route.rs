@@ -178,7 +178,7 @@ impl ProtoMachine {
         let sid = self.next_session;
         self.next_session += 1;
         let trace = parked.trace;
-        let due = now.plus(self.timers.first_wait(now, Awaited::Discovery));
+        let due = now.plus(self.timers.first_wait(Awaited::Discovery));
         let session =
             DiscSession { subject, attempt: 0, pending: vec![parked], trace, started: now, due };
         open.discs.insert(sid, session);

@@ -32,7 +32,6 @@
 
 use std::collections::HashMap;
 
-use bristle_core::time::SimTime;
 use bristle_overlay::key::Key;
 
 /// Largest wait any backed-off timer may reach. Far above every sane
@@ -225,7 +224,7 @@ pub(crate) struct Timers {
     policy: RetryPolicy,
     /// `Some` switches every wait from the fixed ladder to estimation.
     /// Boxed, so a machine on fixed timers — the default — pays one
-    /// pointer for the arm, not its 192 B.
+    /// pointer for the arm, not its 144 B.
     adaptive: Option<Box<Adaptive>>,
 }
 
@@ -241,9 +240,6 @@ struct Adaptive {
     /// hops and have no single peer to attribute the latency to;
     /// seeded from the fixed discovery timeout.
     discovery: RtoEstimator,
-    /// Send time of the in-flight attempt-0 heartbeat probe per peer;
-    /// cleared on retransmit so late acks are never sampled (Karn).
-    probes: HashMap<Key, SimTime>,
 }
 
 impl Adaptive {
@@ -281,7 +277,6 @@ impl Timers {
                     discovery_timeout,
                     DISCOVERY_CEILING,
                 )),
-                probes: HashMap::new(),
             })
         });
     }
@@ -320,13 +315,10 @@ impl Timers {
         }
     }
 
-    /// The wait armed behind the first transmission for `what`, sent at
-    /// `now`: the fixed base, or the jittered estimate.
-    pub(crate) fn first_wait(&mut self, now: SimTime, what: Awaited) -> u64 {
+    /// The wait armed behind the first transmission for `what`: the
+    /// fixed base, or the jittered estimate.
+    pub(crate) fn first_wait(&mut self, what: Awaited) -> u64 {
         let Some(a) = self.adaptive.as_mut() else { return self.fixed(what) };
-        if let Awaited::Probe(peer) = what {
-            a.probes.insert(peer, now);
-        }
         let (est, salt) = a.estimator(what);
         est.jittered_rto(salt)
     }
@@ -337,34 +329,17 @@ impl Timers {
     /// the shift).
     pub(crate) fn retry_wait(&mut self, what: Awaited, attempt: u32) -> u64 {
         let Some(a) = self.adaptive.as_mut() else { return backoff(self.fixed(what), attempt) };
-        if let Awaited::Probe(peer) = what {
-            // Karn: the probe in flight is no longer attempt 0, so a
-            // late ack must not be sampled.
-            a.probes.remove(&peer);
-        }
         let (est, salt) = a.estimator(what);
         est.on_timeout();
         est.jittered_rto(salt)
     }
 
-    /// Feeds the round-trip of the exchange `what` awaited, answered on
-    /// its `attempt`-th retransmission (adaptive mode only; Karn's rule
-    /// drops samples from retransmitted frames).
+    /// Feeds the round-trip of the exchange, discovery or probe `what`
+    /// awaited, answered on its `attempt`-th retransmission (adaptive
+    /// mode only; Karn's rule drops samples from retransmitted frames).
     pub(crate) fn sample(&mut self, what: Awaited, attempt: u32, rtt: u64) {
         if let Some(a) = self.adaptive.as_mut() {
             a.estimator(what).0.karn_sample(attempt, rtt);
-        }
-    }
-
-    /// `peer` answered a heartbeat probe at `now`; `closed` says the
-    /// answer matched the probe in flight. Its round-trip is sampled
-    /// only while that probe is still the attempt-0 one.
-    pub(crate) fn probe_acked(&mut self, peer: Key, now: SimTime, closed: bool) {
-        let Some(a) = self.adaptive.as_mut() else { return };
-        if let Some(sent) = a.probes.remove(&peer) {
-            if closed {
-                a.estimator(Awaited::Ack(peer)).0.sample(now.since(sent));
-            }
         }
     }
 }
@@ -504,7 +479,6 @@ mod tests {
 
     const NODE: Key = Key(7);
     const PEER: Key = Key(0xABCD_0000_0000_0042);
-    const T0: SimTime = SimTime(0);
 
     fn policy() -> RetryPolicy {
         RetryPolicy { ack_timeout: 100, discovery_timeout: 1000, max_attempts: 3 }
@@ -517,9 +491,9 @@ mod tests {
         let mut timers = Timers::new(policy());
         let probe = Awaited::Probe(PEER);
         assert_eq!(timers.max_attempts(), 3);
-        assert_eq!(timers.first_wait(T0, Awaited::Ack(PEER)), 100);
-        assert_eq!(timers.first_wait(T0, probe), 100, "a probe waits like an ack");
-        assert_eq!(timers.first_wait(T0, Awaited::Discovery), 1000);
+        assert_eq!(timers.first_wait(Awaited::Ack(PEER)), 100);
+        assert_eq!(timers.first_wait(probe), 100, "a probe waits like an ack");
+        assert_eq!(timers.first_wait(Awaited::Discovery), 1000);
         for (attempt, shifted) in [(1, 2), (2, 4), (5, 32)] {
             assert_eq!(timers.retry_wait(Awaited::Ack(PEER), attempt), 100 * shifted);
             assert_eq!(timers.retry_wait(probe, attempt), 100 * shifted);
@@ -531,9 +505,9 @@ mod tests {
         }
         // Nothing is learned on fixed timers.
         timers.sample(Awaited::Ack(PEER), 0, 30);
-        timers.probe_acked(PEER, SimTime(40), true);
+        timers.sample(probe, 0, 40);
         assert_eq!(timers.estimate(PEER), None);
-        assert_eq!(timers.first_wait(T0, Awaited::Ack(PEER)), 100);
+        assert_eq!(timers.first_wait(Awaited::Ack(PEER)), 100);
         // The ladder bounds 100 + 200 + 400; a shift past the word
         // width has no bound to give.
         assert_eq!(timers.ladder(), 800);
@@ -572,28 +546,25 @@ mod tests {
             assert_eq!(got, want);
             jittered.push(want > rto);
         };
-        check(timers.first_wait(T0, Awaited::Ack(PEER)), peer.jittered_rto(salt), 1_000);
-        check(timers.first_wait(T0, probe), peer.jittered_rto(salt ^ 0xB5), 1_000);
+        check(timers.first_wait(Awaited::Ack(PEER)), peer.jittered_rto(salt), 1_000);
+        check(timers.first_wait(probe), peer.jittered_rto(salt ^ 0xB5), 1_000);
         peer.on_timeout();
         check(timers.retry_wait(Awaited::Ack(PEER), 1), peer.jittered_rto(salt), 2_000);
         peer.on_timeout();
         check(timers.retry_wait(probe, 1), peer.jittered_rto(salt ^ 0xB5), 4_000);
         let mut disc = RtoEstimator::new(discovery);
-        check(timers.first_wait(T0, Awaited::Discovery), disc.jittered_rto(NODE.0), 5_000);
+        check(timers.first_wait(Awaited::Discovery), disc.jittered_rto(NODE.0), 5_000);
         disc.on_timeout();
         check(timers.retry_wait(Awaited::Discovery, 1), disc.jittered_rto(NODE.0), 10_000);
         assert!(jittered.iter().filter(|&&j| j).count() >= 4, "jitter drawn: {jittered:?}");
 
-        // Karn, on both paths: a retransmitted frame's ack and the ack
-        // of a probe that was re-sent are not samples.
+        // Karn, on both paths into the peer's one estimator: the answer
+        // to a retransmitted frame or a re-sent probe is no sample, the
+        // answer to a first send is.
         timers.sample(Awaited::Ack(PEER), 1, 30);
-        timers.probe_acked(PEER, SimTime(40), true);
+        timers.sample(probe, 2, 40);
         assert_eq!(timers.estimate(PEER), None);
-        timers.first_wait(T0, probe);
-        timers.probe_acked(PEER, SimTime(40), false);
-        assert_eq!(timers.estimate(PEER), None, "an ack that closed nothing");
-        timers.first_wait(T0, probe);
-        timers.probe_acked(PEER, SimTime(400), true);
+        timers.sample(probe, 0, 400);
         peer.sample(400);
         assert_eq!(timers.estimate(PEER), Some(peer.rto()));
         assert_eq!(peer.rto(), 1_200, "400 + 4 · 200, inside the bounds");
@@ -602,8 +573,7 @@ mod tests {
         // tenth, and backoff tops out at its ceiling multiple.
         let mut fast = Timers::new(policy);
         fast.set_adaptive(NODE, true);
-        fast.first_wait(T0, probe);
-        fast.probe_acked(PEER, SimTime(1), true);
+        fast.sample(probe, 0, 1);
         assert_eq!(fast.estimate(PEER), Some(100), "floor: 1 000 / 10");
         for attempt in 1..12 {
             fast.retry_wait(Awaited::Ack(PEER), attempt);
@@ -614,7 +584,7 @@ mod tests {
 
         // Back on the ladder nothing of it is left.
         timers.set_adaptive(NODE, false);
-        assert_eq!(timers.first_wait(T0, Awaited::Ack(PEER)), 1_000);
+        assert_eq!(timers.first_wait(Awaited::Ack(PEER)), 1_000);
         assert_eq!(timers.ladder(), 8_000);
     }
 }

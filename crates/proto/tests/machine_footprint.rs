@@ -1,5 +1,6 @@
-//! What a machine at rest owns on the heap: nothing; and what one that
-//! has heard from a lone source owns: no table.
+//! What a machine at rest owns on the heap: nothing; what one that has
+//! heard from a lone source owns: no table; and what a probe nobody
+//! answered leaves behind once its peer is let go: nothing.
 //!
 //! A driver holds one machine per node for the whole run, most of them
 //! idle at any moment, so every table a machine fills while it works —
@@ -148,8 +149,7 @@ fn work(m: &mut ProtoMachine, env: &mut MockEnv) {
         env,
     );
     assert_eq!(m.seen_held(), 1);
-    m.monitor(B);
-    m.monitor(M);
+    m.set_monitored(&[B, M]);
     m.set_monitored(&[]);
     assert_eq!(m.inflight(), 0);
 }
@@ -245,4 +245,40 @@ fn a_lone_dedup_source_holds_no_table() {
     assert_eq!(machine_held_since(&mut env, before), lone, "a floor put it back inline");
     drop(m);
     assert_eq!(machine_held_since(&mut env, before), 0);
+}
+
+/// Heap bytes an adaptive machine of `A` holds once `act` is done with
+/// it, beyond what it held when it was started.
+fn adaptive_held_after(
+    env: &mut MockEnv,
+    act: impl FnOnce(&mut ProtoMachine, &mut MockEnv),
+) -> isize {
+    let mut m = ProtoMachine::new(A, policy());
+    m.set_adaptive_rto(true);
+    let before = LIVE.with(Cell::get);
+    act(&mut m, env);
+    machine_held_since(env, before)
+}
+
+/// A heartbeat probe lives in its peer's entry of the failure detector
+/// and nowhere else, on adaptive timers too. A machine that sent a
+/// probe nobody answered and then monitors nobody holds only what a
+/// machine whose one exchange with the same peer closed holds: the
+/// estimator its first wait drew from.
+#[test]
+fn an_unanswered_probe_leaves_nothing_once_its_peer_is_let_go() {
+    let mut env = world();
+    let probed = adaptive_held_after(&mut env, |m, env| {
+        m.set_monitored(&[B]);
+        let out = m.start_heartbeats(SimTime(0), env);
+        assert!(matches!(out.outgoing[0].env.msg, WireMessage::Heartbeat { seq: 0, .. }));
+        m.set_monitored(&[]);
+    });
+    let exchanged = adaptive_held_after(&mut env, |m, env| {
+        let (_, out) = m.start_route(SimTime(0), env, B);
+        m.poll(SimTime(10), ack_of(&out.outgoing[0]), env);
+        assert_eq!(m.inflight(), 0);
+    });
+    assert!(exchanged > 0, "B's estimator");
+    assert_eq!(probed, exchanged, "heap bytes beyond B's estimator");
 }

@@ -324,7 +324,7 @@ impl MessagingBristleSystem {
         let mut changed = Vec::new();
         for peers in wanted.chunk_by(|a, b| a.0 == b.0) {
             let Some(machine) = self.machine_started(peers[0].0) else { continue };
-            if machine.monitored().iter().eq(peers.iter().map(|(_, p)| p)) {
+            if machine.detector().monitored().iter().eq(peers.iter().map(|(_, p)| p)) {
                 continue;
             }
             changed.clear();
@@ -363,7 +363,7 @@ impl MessagingBristleSystem {
         // a funeral).
         self.degraded.clear();
         for (_, machine) in self.machines.iter() {
-            self.degraded.extend(machine.degraded_peers());
+            self.degraded.extend(machine.detector().degraded());
         }
         self.rejoin_sweep();
         let mut dead = Vec::new();
@@ -407,7 +407,7 @@ impl MessagingBristleSystem {
         let mut sponsors: BTreeMap<Key, (Key, u64)> = BTreeMap::new();
         for &f in &buried {
             let Some(announcer) = self.pick_announcer(f) else { continue };
-            let heard = self.machine_of(announcer).and_then(|m| m.peer_incarnation(f));
+            let heard = self.machine_of(announcer).and_then(|m| m.detector().incarnation_of(f));
             sponsors.insert(f, (announcer, heard.unwrap_or(0)));
             self.drive(announcer, |m, now, env| m.notify_suspect(now, env, f, f));
         }
@@ -494,7 +494,7 @@ impl MessagingBristleSystem {
         let mut unconvinced = Vec::new();
         for (i, m) in self.machines.iter() {
             let w = self.sys.interner().key_of(i);
-            match m.liveness(key) {
+            match m.detector().liveness(key) {
                 Some(Liveness::Dead) => believers.push(w),
                 Some(_) => unconvinced.push(w),
                 None => {}
@@ -587,7 +587,7 @@ mod tests {
 
     fn monitored_sets(msys: &MessagingBristleSystem) -> BTreeMap<Key, Vec<Key>> {
         let key_of = |i| msys.sys.interner().key_of(i);
-        msys.machines.iter().map(|(i, m)| (key_of(i), m.monitored().to_vec())).collect()
+        msys.machines.iter().map(|(i, m)| (key_of(i), m.detector().monitored().to_vec())).collect()
     }
 
     /// Seeds — gated, as every caller does — and checks every machine
@@ -814,7 +814,8 @@ mod tests {
             let mut msys = MessagingBristleSystem::new(build(seed), FaultConfig::perfect(), seed);
             msys.seed_monitors();
             let watchers = |msys: &MessagingBristleSystem, peer: Key| -> Vec<Key> {
-                let watching = msys.machines.iter().filter(|(_, m)| m.liveness(peer).is_some());
+                let watching =
+                    msys.machines.iter().filter(|(_, m)| m.detector().liveness(peer).is_some());
                 watching.map(|(i, _)| msys.sys.interner().key_of(i)).collect()
             };
             let victim = *msys
@@ -824,7 +825,8 @@ mod tests {
                 .max_by_key(|&&k| (watchers(&msys, k).len(), k))
                 .expect("mobile nodes exist");
             let suspecting = |msys: &MessagingBristleSystem| -> Vec<Key> {
-                let suspects = |&w: &Key| msys.machine_of(w).and_then(|m| m.suspected_at(victim));
+                let suspects =
+                    |&w: &Key| msys.machine_of(w).and_then(|m| m.detector().suspected_at(victim));
                 watchers(msys, victim).into_iter().filter(|w| suspects(w).is_some()).collect()
             };
 
@@ -848,7 +850,7 @@ mod tests {
             }
             assert!(suspecting(&msys).is_empty(), "seed {seed}: every suspicion healed");
             let live = |msys: &MessagingBristleSystem, w| {
-                msys.machine_of(w).and_then(|m| m.liveness(victim))
+                msys.machine_of(w).and_then(|m| m.detector().liveness(victim))
             };
             assert!(suspected.iter().all(|&w| live(&msys, w) == Some(Liveness::Fresh)));
 
@@ -868,7 +870,10 @@ mod tests {
             msys.inject_frame(to_addr.router_id(), to_addr, verdict);
             msys.settle_injected();
             assert_eq!(live(&msys, hearer), Some(Liveness::Dead), "seed {seed}: hearsay lands");
-            assert_eq!(msys.machine_of(hearer).expect("running").suspected_at(victim), None);
+            assert_eq!(
+                msys.machine_of(hearer).expect("running").detector().suspected_at(victim),
+                None
+            );
 
             // The others miss three rounds: suspect after two, dead after three.
             for _ in 0..3 {
@@ -904,7 +909,7 @@ mod tests {
             detect(&mut msys, victim, seed);
             msys.confirm_and_heal(victim).expect("victim is known");
             assert!(msys.crash_restart(victim).expect("victim restarts").restored);
-            let dead = |m: &ProtoMachine| m.liveness(victim) == Some(Liveness::Dead);
+            let dead = |m: &ProtoMachine| m.detector().liveness(victim) == Some(Liveness::Dead);
             assert!(msys.machines.iter().any(|(_, m)| dead(m)), "seed {seed}: held dead");
 
             msys.fail_silently(victim);
