@@ -73,11 +73,9 @@ message_kinds! {
     /// record's primary owner (counts failovers, not messages).
     ReplicaFailover,
     /// An `Alive` refutation broadcast by (or on behalf of) a node that
-    /// learned it was wrongfully declared dead.
+    /// learned it was wrongfully declared dead; each one also asks its
+    /// receiver to sponsor the node's rejoin.
     Refutation,
-    /// Rejoin-protocol traffic: a resurrected node asking a live sponsor
-    /// to reverse its funeral.
-    Rejoin,
     /// A death verdict reversed by a fresher incarnation (counts
     /// wrongful deaths, not messages; cost is always zero).
     WrongfulDeath,

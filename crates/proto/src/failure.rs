@@ -44,9 +44,9 @@
 //! [`FailureDetector::ack`] hands back that send time with the attempt
 //! that was answered, so the caller samples the round trip under
 //! Karn's rule (RFC 6298 §3) like any other ack: only an answer to the
-//! first send is unambiguous. An ack that closes nothing forfeits the
-//! sample of a first send still awaited, so the ack that then closes it
-//! reports a re-sent attempt.
+//! first send is unambiguous. A retransmission reuses its probe's
+//! sequence, so an ack for any other sequence answers no send of the
+//! probe in flight and cannot blur which attempt was answered.
 
 use bristle_core::time::SimTime;
 use bristle_overlay::key::Key;
@@ -137,9 +137,6 @@ struct PeerHealth {
     /// When the probe in flight first went out; read only while
     /// `awaiting` is set.
     sent: SimTime,
-    /// An ack that closed nothing arrived while the probe in flight was
-    /// awaited: its answer is no RTT sample.
-    forfeit: bool,
     /// Highest incarnation the peer has been observed at; suspicion and
     /// death are charged against this number.
     incarnation: u64,
@@ -165,7 +162,6 @@ impl PeerHealth {
             awaiting: None,
             due: SimTime::ZERO,
             sent: SimTime::ZERO,
-            forfeit: false,
             incarnation: 0,
             score: FULL_HEALTH,
             grace_credit: 0,
@@ -347,7 +343,6 @@ impl FailureDetector {
         p.next_seq += 1;
         p.awaiting = Some(0);
         p.sent = now;
-        p.forfeit = false;
         Some(seq)
     }
 
@@ -374,17 +369,12 @@ impl FailureDetector {
     /// the probe first went out. An ack that closes nothing returns
     /// `None` (acks for stale sequences change nothing; acks from a
     /// dead peer are ignored unless the incarnation is fresh enough to
-    /// resurrect it first — see [`FailureDetector::observe_alive`]) and
-    /// forfeits the probe in flight's sample: its answer is charged to
-    /// attempt 1 at least.
+    /// resurrect it first — see [`FailureDetector::observe_alive`]).
     pub fn ack(&mut self, peer: Key, seq: u64, incarnation: u64) -> Option<(u32, SimTime)> {
         self.observe_alive(peer, incarnation);
         let grace_misses = self.policy.grace_misses;
         let p = self.peer_mut(peer)?;
-        let Some(attempt) = p.in_flight(seq) else {
-            p.forfeit = true;
-            return None;
-        };
+        let attempt = p.in_flight(seq)?;
         p.refresh();
         p.score = (p.score + 15).min(FULL_HEALTH);
         if attempt > 0 {
@@ -393,7 +383,7 @@ impl FailureDetector {
             // grace (bounded by policy).
             p.grace_credit = (p.grace_credit + 1).min(grace_misses);
         }
-        Some((attempt.max(u32::from(p.forfeit)), p.sent))
+        Some((attempt, p.sent))
     }
 
     /// Digests the expiry, at `now`, of the ack window for probe `seq`

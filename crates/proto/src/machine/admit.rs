@@ -19,10 +19,10 @@ use crate::seen::{self, Kind, SeenSet};
 /// The identity whose authority `msg` carries, if its kind is
 /// authenticated: location records speak for their *subject* (relays
 /// re-seal on the subject's behalf, modelling a forwarded signature),
-/// `Alive` refutations for the refuted node, and registrations, their
-/// acks and death verdicts for their sender. `None` marks an
-/// unauthenticated kind (hops, acks, discovery, heartbeats) that never
-/// carries a trailer.
+/// `Alive` refutations (each one a rejoin request too) for the refuted
+/// node, and registrations, their acks and death verdicts for their
+/// sender. `None` marks an unauthenticated kind (hops, acks, discovery,
+/// heartbeats) that never carries a trailer.
 fn signer_of(src: Key, msg: &WireMessage) -> Option<Key> {
     match msg {
         WireMessage::Publish { subject, .. } | WireMessage::Update { subject, .. } => {
@@ -330,7 +330,7 @@ mod tests {
             5 => WireMessage::Update { subject: src, addr, seq: n, floor },
             6 => WireMessage::Publish { subject: src, addr, seq: n },
             7 => WireMessage::SuspectNotify { suspect: Key(99), incarnation: 0 },
-            _ => WireMessage::Rejoin { incarnation: n },
+            _ => WireMessage::Discovery { subject: B, asker: src, session: n, probe: Some(M) },
         };
         Envelope { src, dst: A, msg_id, trace_id: 0, msg, auth: None }
     }

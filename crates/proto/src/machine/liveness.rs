@@ -2,7 +2,8 @@
 //! rounds, the [`FailureDetector`]'s verdicts on the windows that
 //! elapse, refutation by incarnation — a node that learns of its own
 //! funeral bumps past the verdict, and fresher evidence overturns a
-//! standing one wherever it arrives — and rejoin.
+//! standing one wherever it arrives — and rejoin: a refutation asks its
+//! receiver to sponsor the reversal of the funeral.
 
 use super::*;
 use crate::failure::{Liveness, LivenessTransition, TimeoutVerdict, PROBE_ATTEMPTS};
@@ -108,16 +109,28 @@ impl ProtoMachine {
         out
     }
 
-    /// Asks `sponsor` to reverse this node's funeral — re-admit it to
-    /// the overlay at its current incarnation (metered as
-    /// [`MessageKind::Rejoin`]).
-    pub fn start_rejoin(&mut self, now: SimTime, env: &mut dyn NodeEnv, sponsor: Key) -> Output {
+    /// Refutes this node's funeral to `to`: the sealed `Alive` at its
+    /// current incarnation that the obituary arm answers with (metered as
+    /// [`MessageKind::Refutation`]), which asks its receiver to sponsor
+    /// the rejoin ([`Completion::RejoinRequested`]).
+    pub fn refute(&mut self, now: SimTime, env: &mut dyn NodeEnv, to: Key) -> Output {
         let mut out = Output::none();
         let trace = self.fresh_trace();
-        let msg = WireMessage::Rejoin { incarnation: self.incarnation };
-        self.post(env, &mut out, sponsor, trace, msg, Some(MessageKind::Rejoin));
+        let alive = WireMessage::Alive { node: self.key, incarnation: self.incarnation };
+        self.post(env, &mut out, to, trace, alive, Some(MessageKind::Refutation));
         self.observe_sends(now, env, &out);
         out
+    }
+
+    /// The incarnation an unsealed frame from `src` vouches for. Under
+    /// an enforcing policy that is none fresher than the one already
+    /// held: anyone can send such a frame under `src`'s key, and only a
+    /// sealed `Alive` may reverse a verdict.
+    fn vouched(&self, env: &dyn NodeEnv, src: Key, incarnation: u64) -> u64 {
+        if env.verify_policy() != VerifyPolicy::Enforce {
+            return incarnation;
+        }
+        incarnation.min(self.detector.incarnation_of(src).unwrap_or(0))
     }
 
     /// Digests third-party or first-hand evidence that `peer` is alive
@@ -142,6 +155,7 @@ impl ProtoMachine {
         match envelope.msg {
             WireMessage::Heartbeat { seq, incarnation } => {
                 // The probe itself is evidence of life at `incarnation`.
+                let incarnation = self.vouched(env, src, incarnation);
                 self.digest_alive(env, src, incarnation);
                 let reply = if self.detector.is_dead(src) {
                     // A peer we hold dead is probing us: a zombie on the
@@ -162,6 +176,7 @@ impl ProtoMachine {
                 out.outgoing.push(self.frame(env, src, from, trace, reply, None));
             }
             WireMessage::HeartbeatAck { seq, incarnation } => {
+                let incarnation = self.vouched(env, src, incarnation);
                 self.digest_alive(env, src, incarnation);
                 if let Some((attempt, sent)) = self.detector.ack(src, seq, incarnation) {
                     self.timers.sample(Awaited::Probe(src), attempt, now.since(sent));
@@ -192,26 +207,12 @@ impl ProtoMachine {
                     // A relayed assertion about ourselves: never regress.
                     self.incarnation = self.incarnation.max(incarnation);
                 } else {
+                    // A refutation is also the rejoin request: whoever
+                    // hears it may sponsor the reversal, monitor or not.
                     self.digest_alive(env, node, incarnation);
+                    out.completions.push(Completion::RejoinRequested { peer: node, incarnation });
                 }
             }
-            WireMessage::Rejoin { incarnation } => {
-                // The rejoiner is alive by definition of having sent this.
-                self.digest_alive(env, src, incarnation);
-                if self.admission.first_sighting(src, msg_id, Kind::Posted) {
-                    out.completions.push(Completion::RejoinRequested { peer: src, incarnation });
-                }
-                // Always ack, even duplicates: the previous ack may have
-                // been lost and the rejoiner keeps asking until it hears
-                // one. Acks are unmetered control traffic.
-                let ack = WireMessage::RejoinAck { incarnation };
-                out.outgoing.push(self.frame(env, src, from, trace, ack, None));
-            }
-            // The driver reverses a funeral on the sponsor's side
-            // (`RejoinRequested`); the rejoiner learns nothing from the
-            // ack. It stays on the wire because the seeded transport's
-            // draws, and so the committed partition report, count it.
-            WireMessage::RejoinAck { .. } => {}
             _ => unreachable!("on_deliver hands this file only its own kinds"),
         }
     }
@@ -421,38 +422,81 @@ mod tests {
         assert!(matches!(refutation.msg, WireMessage::Alive { node, incarnation: 1 } if node == B));
         assert_eq!(env.meter.count(MessageKind::Refutation), 1);
 
-        // The refutation resurrects B at A.
+        // The refutation resurrects B at A, and asks A to sponsor it.
         let out = a.poll(t(13), arrival(&env, refutation), &mut env);
-        assert!(out.completions.is_empty());
+        assert_eq!(out.completions, vec![Completion::RejoinRequested { peer: B, incarnation: 1 }]);
         assert_eq!(a.detector().liveness(B), Some(Liveness::Fresh));
         assert_eq!(env.meter.count(MessageKind::WrongfulDeath), 1);
         assert_eq!(a.start_heartbeats(t(20), &mut env).outgoing.len(), 1, "B is probed again");
     }
 
+    /// The refutation is the rejoin request: whoever hears a fresher
+    /// `Alive` is asked to sponsor the reversal, whether or not it
+    /// monitors the refuter. Under enforcement the frame travels sealed,
+    /// and a forged one is refused before it asks anything.
     #[test]
-    fn rejoin_round_trip_completes() {
+    fn an_alive_asks_its_receiver_to_sponsor_the_rejoin() {
         let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
+        env.domain = Some(AuthDomain::new(8));
+        env.vpolicy = VerifyPolicy::Enforce;
         let mut rejoiner = ProtoMachine::new(A, policy());
         let mut sponsor = ProtoMachine::new(B, policy());
         // A's funeral was charged to incarnation 0; learning of it bumps.
         let notice = sponsor.notify_suspect(t(0), &mut env, A, A).outgoing[0].env.clone();
         rejoiner.poll(t(0), arrival(&env, notice), &mut env);
         assert_eq!(rejoiner.incarnation(), 1);
+        assert_eq!(env.meter.count(MessageKind::Refutation), 1, "the obituary is answered");
 
-        let ask = rejoiner.start_rejoin(t(1), &mut env, B).outgoing[0].env.clone();
-        assert_eq!(env.meter.count(MessageKind::Rejoin), 1);
-        let out = sponsor.poll(t(1), arrival(&env, ask.clone()), &mut env);
-        assert_eq!(out.completions, vec![Completion::RejoinRequested { peer: A, incarnation: 1 }]);
-        let ack = out.outgoing[0].env.clone();
-        // A duplicated ask re-acks without re-announcing the request.
-        let dup = sponsor.poll(t(2), arrival(&env, ask), &mut env);
-        assert!(dup.completions.is_empty());
-        assert_eq!(dup.outgoing.len(), 1, "duplicate rejoin is re-acked");
+        let alive = rejoiner.refute(t(1), &mut env, B).outgoing[0].env.clone();
+        assert!(matches!(alive.msg, WireMessage::Alive { node, incarnation: 1 } if node == A));
+        assert!(alive.auth.is_some(), "the refutation travels sealed");
+        assert_eq!(env.meter.count(MessageKind::Refutation), 2);
+        assert!(sponsor.detector().incarnation_of(A).is_none(), "B does not monitor A");
+        let asked = vec![Completion::RejoinRequested { peer: A, incarnation: 1 }];
+        let out = sponsor.poll(t(2), arrival(&env, alive.clone()), &mut env);
+        assert_eq!(out.completions, asked);
+        assert!(out.outgoing.is_empty(), "nothing answers a refutation");
+        let again = sponsor.poll(t(3), arrival(&env, alive), &mut env);
+        assert_eq!(again.completions, asked, "every copy asks: the driver reverses once");
 
-        // The sponsor's side is the one that acts; the ack changes nothing.
-        let out = rejoiner.poll(t(3), arrival(&env, ack), &mut env);
-        assert!(out.completions.is_empty() && out.outgoing.is_empty());
-        assert_eq!(rejoiner.incarnation(), 1);
+        let msg = WireMessage::Alive { node: A, incarnation: 1000 };
+        let forged = Envelope { src: A, dst: B, msg_id: 99, trace_id: 0, msg, auth: None };
+        let out = sponsor.poll(t(4), arrival(&env, forged), &mut env);
+        assert!(out.completions.is_empty(), "an unsealed refutation asks nothing");
+        assert_eq!(env.meter.count(MessageKind::AuthReject), 1);
+    }
+
+    /// Under enforcement, a heartbeat or an ack is no evidence of a
+    /// fresher incarnation: anyone can send one under a condemned
+    /// peer's key, and only a sealed `Alive` may reverse its funeral.
+    /// Without enforcement the same frame still refutes.
+    #[test]
+    fn unsealed_frames_vouch_for_no_fresher_incarnation_under_enforcement() {
+        for vpolicy in [VerifyPolicy::Enforce, VerifyPolicy::LogOnly] {
+            let mut env =
+                MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5).with_node(M, 3, 9);
+            env.domain = Some(AuthDomain::new(8));
+            env.vpolicy = vpolicy;
+            let mut a = ProtoMachine::new(A, policy());
+            let mut herald = ProtoMachine::new(M, policy());
+            a.set_monitored(&[B]);
+            let notice = herald.notify_suspect(t(0), &mut env, A, B).outgoing[0].env.clone();
+            a.poll(t(0), arrival(&env, notice), &mut env);
+            assert_eq!(a.detector().liveness(B), Some(Liveness::Dead));
+
+            let forge =
+                |msg_id, msg| Envelope { src: B, dst: A, msg_id, trace_id: 0, msg, auth: None };
+            let probe = forge(7, WireMessage::Heartbeat { seq: 0, incarnation: 1000 });
+            let ack = forge(8, WireMessage::HeartbeatAck { seq: 0, incarnation: 1000 });
+            a.poll(t(1), arrival(&env, probe), &mut env);
+            a.poll(t(2), arrival(&env, ack), &mut env);
+            let refuted = vpolicy != VerifyPolicy::Enforce;
+            let (liveness, incarnation) =
+                if refuted { (Liveness::Fresh, 1000) } else { (Liveness::Dead, 0) };
+            assert_eq!(a.detector().liveness(B), Some(liveness), "{vpolicy:?}");
+            assert_eq!(a.detector().incarnation_of(B), Some(incarnation), "{vpolicy:?}");
+            assert_eq!(env.meter.count(MessageKind::WrongfulDeath), u64::from(refuted));
+        }
     }
 
     #[test]
@@ -485,8 +529,10 @@ mod tests {
             msg: WireMessage::Alive { node: M, incarnation: 2 },
             auth: None,
         };
-        let out = a.poll(t(2), arrival(&env, stale_alive), &mut env);
-        assert!(out.completions.is_empty());
+        a.poll(t(2), arrival(&env, stale_alive), &mut env);
+        assert_eq!(a.detector().liveness(M), Some(Liveness::Fresh));
+        assert_eq!(a.detector().incarnation_of(M), Some(2));
+        assert_eq!(env.meter.count(MessageKind::WrongfulDeath), 0);
     }
 
     /// `B`'s answer to probe `seq`.
@@ -514,8 +560,7 @@ mod tests {
     }
 
     /// Karn's rule on the probe path: the answer to a re-sent probe is
-    /// ambiguous and no sample, and an ack that closes nothing forfeits
-    /// the sample of a first send still awaited — for that probe only.
+    /// ambiguous and no sample; the answer to a first send is one.
     #[test]
     fn probe_acks_keep_karns_rule() {
         let mut env = MockEnv::default().with_node(A, 1, 1).with_node(B, 2, 5);
@@ -527,16 +572,8 @@ mod tests {
         resent.poll(wake.plus(40), arrival(&env, heartbeat_ack(0)), &mut env);
         assert_eq!(resent.detector().in_flight().count(), 0, "the ack closed the probe");
         assert_eq!(resent.rto_estimate(B), None, "a re-sent probe's answer");
-
-        let mut stray = adaptive_prober();
-        stray.start_heartbeats(t(0), &mut env);
-        stray.poll(t(10), arrival(&env, heartbeat_ack(7)), &mut env);
-        assert_eq!(stray.detector().in_flight().count(), 1, "an ack that closed nothing");
-        stray.poll(t(40), arrival(&env, heartbeat_ack(0)), &mut env);
-        assert_eq!(stray.detector().in_flight().count(), 0);
-        assert_eq!(stray.rto_estimate(B), None, "the forfeited first send's answer");
-        stray.start_heartbeats(t(1_000), &mut env);
-        stray.poll(t(1_040), arrival(&env, heartbeat_ack(1)), &mut env);
-        assert_eq!(stray.rto_estimate(B), Some(120), "the next probe's first send is sampled");
+        resent.start_heartbeats(t(1_000), &mut env);
+        resent.poll(t(1_040), arrival(&env, heartbeat_ack(1)), &mut env);
+        assert_eq!(resent.rto_estimate(B), Some(120), "the next probe's first send is sampled");
     }
 }

@@ -153,7 +153,8 @@ pub enum Completion {
         /// The confirmed-dead peer.
         peer: Key,
     },
-    /// A wrongfully-buried peer asked this node to reverse its funeral.
+    /// A wrongfully-buried peer's `Alive` refutation reached this node,
+    /// which may sponsor the reversal of its funeral.
     RejoinRequested {
         /// The peer asking to rejoin.
         peer: Key,
@@ -619,9 +620,7 @@ impl ProtoMachine {
             WireMessage::Heartbeat { .. }
             | WireMessage::HeartbeatAck { .. }
             | WireMessage::SuspectNotify { .. }
-            | WireMessage::Alive { .. }
-            | WireMessage::Rejoin { .. }
-            | WireMessage::RejoinAck { .. } => {
+            | WireMessage::Alive { .. } => {
                 self.on_liveness_frame(now, env, from, envelope, &mut out)
             }
         }

@@ -188,25 +188,13 @@ pub enum WireMessage {
     },
     /// SWIM-style refutation: `node` is alive at `incarnation`, which
     /// overrides any suspicion or death verdict charged to an older
-    /// incarnation. Sent by the node itself after bumping its incarnation,
+    /// incarnation, and asks its receiver to sponsor the reversal of a
+    /// funeral. Sent by the node itself after bumping its incarnation,
     /// or relayed on its behalf.
     Alive {
         /// The node whose liveness is asserted.
         node: Key,
         /// The (freshly bumped) incarnation it is alive at.
-        incarnation: u64,
-    },
-    /// A wrongfully-buried node asking a live sponsor to reverse its
-    /// funeral: re-admit it to the overlay, restore its registrations,
-    /// LDT memberships, and withdrawn location records.
-    Rejoin {
-        /// The incarnation the node rejoins at.
-        incarnation: u64,
-    },
-    /// Acknowledges a [`WireMessage::Rejoin`] after the sponsor has
-    /// reversed the funeral.
-    RejoinAck {
-        /// The incarnation the rejoin was honored at.
         incarnation: u64,
     },
 }
@@ -230,13 +218,12 @@ impl WireMessage {
             WireMessage::Update { .. } => 7,
             WireMessage::UpdateAck { .. } => 8,
             WireMessage::Publish { .. } => 9,
-            // 10–12 are retired (JoinProbe, Leave, Refresh).
+            // 10–12 are retired (JoinProbe, Leave, Refresh), and 17–18
+            // (Rejoin, RejoinAck).
             WireMessage::Heartbeat { .. } => 13,
             WireMessage::HeartbeatAck { .. } => 14,
             WireMessage::SuspectNotify { .. } => 15,
             WireMessage::Alive { .. } => 16,
-            WireMessage::Rejoin { .. } => 17,
-            WireMessage::RejoinAck { .. } => 18,
         }
     }
 
@@ -257,8 +244,6 @@ impl WireMessage {
             WireMessage::HeartbeatAck { .. } => "HeartbeatAck",
             WireMessage::SuspectNotify { .. } => "SuspectNotify",
             WireMessage::Alive { .. } => "Alive",
-            WireMessage::Rejoin { .. } => "Rejoin",
-            WireMessage::RejoinAck { .. } => "RejoinAck",
         }
     }
 
@@ -343,9 +328,6 @@ impl WireMessage {
             | WireMessage::Alive { node: suspect, incarnation } => {
                 w.key(*suspect);
                 w.u64(*incarnation);
-            }
-            WireMessage::Rejoin { incarnation } | WireMessage::RejoinAck { incarnation } => {
-                w.u64(*incarnation)
             }
         }
     }
@@ -577,8 +559,6 @@ impl Envelope {
             14 => WireMessage::HeartbeatAck { seq: r.u64()?, incarnation: r.u64()? },
             15 => WireMessage::SuspectNotify { suspect: r.key()?, incarnation: r.u64()? },
             16 => WireMessage::Alive { node: r.key()?, incarnation: r.u64()? },
-            17 => WireMessage::Rejoin { incarnation: r.u64()? },
-            18 => WireMessage::RejoinAck { incarnation: r.u64()? },
             t => return Err(WireError::BadTag(t)),
         };
         let auth = match r.u8()? {
@@ -645,13 +625,11 @@ mod tests {
             WireMessage::HeartbeatAck { seq: 23, incarnation: 2 },
             WireMessage::SuspectNotify { suspect: Key(24), incarnation: 3 },
             WireMessage::Alive { node: Key(25), incarnation: 4 },
-            WireMessage::Rejoin { incarnation: 5 },
-            WireMessage::RejoinAck { incarnation: 6 },
         ]
     }
 
     /// The tags retired with their variants; never reused.
-    const RETIRED: [u8; 3] = [10, 11, 12];
+    const RETIRED: [u8; 5] = [10, 11, 12, 17, 18];
 
     /// Every live tag in 0..=18 must appear in `every_message`, so the
     /// exhaustive tests below really are exhaustive.
@@ -789,7 +767,7 @@ mod tests {
             dst: Key(2),
             msg_id: 3,
             trace_id: 4,
-            msg: WireMessage::Rejoin { incarnation: 4 },
+            msg: WireMessage::Alive { node: Key(5), incarnation: 4 },
             auth: None,
         };
         for tag in RETIRED.into_iter().chain([200]) {

@@ -389,9 +389,10 @@ impl MessagingBristleSystem {
     /// funeral and reverse it. Each still-buried node is sent an
     /// obituary (`SuspectNotify` naming itself) by a live watcher that
     /// held the verdict; a node that receives one bumps its incarnation
-    /// and answers with an `Alive` refutation, after which the driver
-    /// has it ask the same watcher to sponsor a rejoin. An accepted
-    /// rejoin reverses the funeral (`BristleSystem::rejoin_node`).
+    /// and answers with an `Alive` refutation, which asks its receiver
+    /// to sponsor a rejoin, and the driver has it refute to the same
+    /// watcher once more. An accepted rejoin reverses the funeral
+    /// (`BristleSystem::rejoin_node`).
     /// Every message travels the faulty transport, so a node still cut
     /// off by a partition simply misses its obituary and is retried on
     /// the next round — rejoin happens only once connectivity is back.
@@ -413,9 +414,9 @@ impl MessagingBristleSystem {
         }
         self.drain();
         // (2) Nodes whose incarnation is past their obituary's have
-        // refuted the verdict: they ask their announcer to sponsor the
-        // rejoin. (A node a restart put past it already refutes a stale
-        // obituary without bumping.)
+        // refuted the verdict: they refute to their announcer again, in
+        // case the answer to the obituary was lost. (A node a restart
+        // put past it already refutes a stale obituary without bumping.)
         for &f in &buried {
             let Some(&(sponsor, heard)) = sponsors.get(&f) else { continue };
             let refuted = match (self.machine_of(f), self.fate(f)) {
@@ -425,9 +426,9 @@ impl MessagingBristleSystem {
             if !refuted {
                 continue;
             }
-            self.drive(f, |m, now, env| m.start_rejoin(now, env, sponsor));
+            self.drive(f, |m, now, env| m.refute(now, env, sponsor));
         }
-        // (3) Run the requests out and reverse the funeral of every
+        // (3) Run the refutations out and reverse the funeral of every
         // accepted rejoin.
         let mut requests: Vec<(Key, u64)> = Vec::new();
         self.run_until(|_, c| match c {
@@ -447,7 +448,6 @@ impl MessagingBristleSystem {
                 continue;
             }
             self.nodes.hold(idx, None);
-            self.sys.meter.bump(MessageKind::WrongfulDeath, 1);
             self.obs.record(Hist::Rejoin, self.queue.now().since(burial.at));
         }
     }

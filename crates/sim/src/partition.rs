@@ -84,8 +84,6 @@ pub struct PartitionOutcome {
     pub max_rejoin_latency: u64,
     /// `Alive` refutation broadcasts (meter count).
     pub refutations: u64,
-    /// Rejoin-protocol messages (meter count).
-    pub rejoin_messages: u64,
     /// Delivery over the same pairs before the cut and after recovery.
     pub delivery: BeforeAfter,
     /// Far-side-life record copies planted to create split-brain state.
@@ -208,12 +206,11 @@ pub fn run_partition(cfg: &PartitionConfig) -> PartitionOutcome {
     out.delivery.post = measure_pairs(&mut msys, &pairs);
 
     out.refutations = msys.sys.meter.count(MessageKind::Refutation);
-    out.rejoin_messages = msys.sys.meter.count(MessageKind::Rejoin);
     out.telemetry = Telemetry::of(&msys);
     out
 }
 
-/// The `partition` sweep: wrongful deaths, refutation/rejoin traffic,
+/// The `partition` sweep: wrongful deaths, refutation traffic,
 /// recovery latency and post-heal delivery as the partition duration and
 /// transport loss rate vary.
 pub fn sweep(args: &SweepArgs) -> SweepRun {
@@ -228,7 +225,6 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
             "wrongful",
             "rejoined",
             "refutes",
-            "rejoin msgs",
             "recov rds",
             "reconciled",
             "deliv pre→post",
@@ -263,7 +259,6 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
                     ("recovery_rounds_used", Json::U64(out.recovery_rounds_used as u64)),
                     ("max_rejoin_latency", Json::U64(out.max_rejoin_latency)),
                     ("refutations", Json::U64(out.refutations)),
-                    ("rejoin_messages", Json::U64(out.rejoin_messages)),
                     ("pre_rate", Json::F64(out.delivery.pre_rate())),
                     ("post_rate", Json::F64(out.delivery.post_rate())),
                     ("reconciled", Json::Bool(out.reconciled)),
@@ -276,7 +271,6 @@ pub fn sweep(args: &SweepArgs) -> SweepRun {
                 out.wrongful_deaths.to_string(),
                 out.rejoined.to_string(),
                 out.refutations.to_string(),
-                out.rejoin_messages.to_string(),
                 if out.wrongful_deaths == 0 {
                     "—".into()
                 } else {
@@ -307,7 +301,7 @@ mod tests {
         assert!(out.wrongful_deaths > 0, "far-side nodes must be wrongfully buried: {out:?}");
         assert_eq!(out.rejoined, out.wrongful_deaths, "every funeral reversed: {out:?}");
         assert!(out.refutations > 0, "refutations must be broadcast");
-        assert!(out.rejoin_messages > 0, "rejoins travel as messages");
+        assert!(out.refutations >= out.rejoined as u64, "every reversal was asked for");
         assert!(out.reconciled, "split-brain records reconcile to the incarnation maximum");
         assert!(out.delivery.recovered(0.01), "post-heal delivery within 1%: {out:?}");
     }
@@ -342,6 +336,5 @@ mod tests {
         assert_eq!(out.wrongful_deaths, 0);
         assert_eq!(out.rejoined, 0);
         assert_eq!(out.refutations, 0);
-        assert_eq!(out.rejoin_messages, 0);
     }
 }
