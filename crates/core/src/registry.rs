@@ -122,6 +122,35 @@ impl Registry {
         true
     }
 
+    /// Lays R(·) out from `edges` in an empty registry, as
+    /// [`Self::register_at`] once an edge in order would: a list holds its
+    /// edges in their order, the lists come in the order their targets
+    /// first appear, and the epoch moves by one an edge. The edges are
+    /// grouped by a counting pass, so each list is allocated once at its
+    /// final length. No `(holder, target)` pair may come twice.
+    pub(crate) fn register_all(&mut self, edges: &[(NodeIdx, Edge)]) {
+        debug_assert_eq!(self.total_registrations(), 0, "R(·) was not taken");
+        let slots = edges.iter().map(|(t, _)| t.index() + 1).max().unwrap_or(0);
+        let (mut slot, mut counts) = (vec![NO_LIST; slots], Vec::new());
+        for &(t, _) in edges {
+            if slot[t.index()] == NO_LIST {
+                slot[t.index()] = counts.len() as u32;
+                counts.push((t, 0));
+            }
+            counts[slot[t.index()] as usize].1 += 1;
+        }
+        let mut lists: Vec<Vec<Edge>> =
+            counts.iter().map(|&(_, n)| Vec::with_capacity(n)).collect();
+        for &(t, edge) in edges {
+            let list = &mut lists[slot[t.index()] as usize];
+            debug_assert!(list.iter().all(|e| e.holder != edge.holder), "a repeated edge");
+            list.push(edge);
+        }
+        let lists = counts.iter().zip(lists).map(|(&(t, _), list)| (t, list.into_boxed_slice()));
+        self.edges = Edges { slot, lists: lists.collect() };
+        self.epoch += edges.len() as u64;
+    }
+
     /// Releases the spare capacity a rebuild left in the slot map and order.
     pub(crate) fn shrink_to_fit(&mut self) {
         self.edges.slot.shrink_to_fit();

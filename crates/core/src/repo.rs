@@ -18,7 +18,7 @@
 
 use std::collections::BTreeSet;
 
-use bristle_overlay::addr::NetAddr;
+use bristle_overlay::addr::{NetAddr, RowAddr};
 use bristle_overlay::key::Key;
 use bristle_overlay::meter::MessageKind;
 use bristle_overlay::ring::Slot;
@@ -28,7 +28,7 @@ use crate::durable::{record_put, WalRecord};
 use crate::error::Result;
 use crate::location::LocationRecord;
 use crate::naming::Mobility;
-use crate::registry::{Edge, Registrant};
+use crate::registry::{Edge, Edges, Registrant};
 use crate::system::{BristleSystem, NodeInfo};
 
 impl BristleSystem {
@@ -124,20 +124,33 @@ impl BristleSystem {
     /// registers to that node with its capacity (§2.3.1 — "X can register
     /// itself to those mobile nodes only"), and then to its live explicit
     /// interests. Each R(·) lists its row holders in ring order; a
-    /// holder's index is resolved once, a target's once an edge. A store
-    /// logs no row-derived edge.
+    /// holder's index is resolved once, a target's once an edge, and only
+    /// rows with a learned entry are read: a row has one exactly when its
+    /// peer can move. The row-derived edges are gathered first, so each
+    /// list is allocated once (`Registry::register_all`). A store logs
+    /// no row-derived edge.
     pub fn sync_registrations(&mut self) {
         let old = self.registry.take();
-        let info = &self.info;
+        let (info, keys) = (&self.info, &mut self.registry.keys);
         let mobile = |t: &NodeIdx| info.get(*t).is_some_and(|i| i.mobility == Mobility::Mobile);
+        let mut edges = Vec::with_capacity(self.mobile.learned_entries().0);
         for holder in self.mobile.iter() {
-            let (h, capacity) = (self.registry.keys.intern(holder.key), holder.capacity);
-            for &subject in holder.keys() {
-                let Some(t) = self.interner().get(subject).filter(mobile) else { continue };
-                self.registry.register_at(Edge { holder: h, capacity }, t);
-                self.meter.bump(MessageKind::Register, 1);
+            let edge = Edge { holder: keys.intern(holder.key), capacity: holder.capacity };
+            let rows = holder.keys().iter().zip(holder.addrs());
+            for (&subject, _) in rows.filter(|(_, row)| row.entry().is_some()) {
+                let Some(t) = keys.get(subject).filter(mobile) else { continue };
+                edges.push((t, edge));
             }
         }
+        self.meter.bump(MessageKind::Register, edges.len() as u64);
+        self.registry.register_all(&edges);
+        self.settle_registrations(old);
+    }
+
+    /// The rest of a sync once the rows' edges are in: the explicit
+    /// interests, and a `Deregister` to each store whose edge the rebuild
+    /// dropped from `old`.
+    fn settle_registrations(&mut self, old: Edges) {
         let explicit: Vec<Key> = self.interests.iter().map(|&(holder, _)| holder).collect();
         self.reregister(&explicit);
         self.registry.shrink_to_fit();
@@ -370,6 +383,98 @@ mod tests {
 
     fn registered(sys: &BristleSystem, who: Key, target: Key) -> bool {
         sys.registry.registrants_of(target).any(|r| r.key == who)
+    }
+
+    /// What a sync leaves, for two runs to compare: R(·) as `iter` reads
+    /// it, and how far the registry epoch and the `Register` tally moved.
+    fn synced(
+        sys: &mut BristleSystem,
+        sync: impl FnOnce(&mut BristleSystem),
+    ) -> (Vec<(Key, Vec<Registrant>)>, u64, u64) {
+        let (epoch, registers) = (sys.registry.epoch(), sys.meter.count(MessageKind::Register));
+        sync(sys);
+        let lists = sys.registry.iter().map(|(t, regs)| (t, regs.collect())).collect();
+        (lists, sys.registry.epoch() - epoch, sys.meter.count(MessageKind::Register) - registers)
+    }
+
+    /// [`BristleSystem::sync_registrations`] one edge at a time: a
+    /// `register_at` and a metered `Register` for every row, in ring
+    /// order, that names a live mobile node.
+    fn sync_one_edge_at_a_time(sys: &mut BristleSystem) {
+        let old = sys.registry.take();
+        let info = &sys.info;
+        let mobile = |t: &NodeIdx| info.get(*t).is_some_and(|i| i.mobility == Mobility::Mobile);
+        for holder in sys.mobile.iter() {
+            let (h, capacity) = (sys.registry.keys.intern(holder.key), holder.capacity);
+            for &subject in holder.keys() {
+                let Some(t) = sys.registry.keys.get(subject).filter(mobile) else { continue };
+                sys.registry.register_at(Edge { holder: h, capacity }, t);
+                sys.meter.bump(MessageKind::Register, 1);
+            }
+        }
+        sys.settle_registrations(old);
+    }
+
+    /// [`BristleSystem::refresh_bindings`] over [`sync_one_edge_at_a_time`].
+    fn refresh_one_edge_at_a_time(sys: &mut BristleSystem) {
+        sync_one_edge_at_a_time(sys);
+        for key in sys.mobile_keys().to_vec() {
+            sys.publish_location(key).unwrap();
+            sys.advertise_update(key).unwrap();
+        }
+    }
+
+    /// The sync that gathers its edges and lays each list out once leaves
+    /// what registering one row's edge at a time leaves — list order and
+    /// contents, the epoch's move and the `Register` tally — on a fresh
+    /// build, and in `refresh_bindings` after a join, a leave, a move and
+    /// a rejoin, with an explicit interest standing.
+    #[test]
+    fn the_bulk_sync_lays_out_what_one_edge_at_a_time_does() {
+        for seed in [8, 27] {
+            let wired = || {
+                let builder = BristleBuilder::new(seed)
+                    .stationary_nodes(40)
+                    .mobile_nodes(24)
+                    .topology(TransitStubConfig::tiny());
+                let mut sys = builder.assemble();
+                sys.admit_all(40, 24).unwrap();
+                sys.rewire();
+                sys
+            };
+            let (mut bulk, mut reference) = (wired(), wired());
+            let fresh = synced(&mut bulk, BristleSystem::sync_registrations);
+            assert!(fresh.2 > 0, "seed {seed}: the build registered nothing");
+            assert_eq!(
+                fresh,
+                synced(&mut reference, sync_one_edge_at_a_time),
+                "seed {seed}: build"
+            );
+            for sys in [&mut bulk, &mut reference] {
+                sys.publish_all_locations().unwrap();
+                let (s, _, friend) = drift_at(sys, 0);
+                sys.register_interest(s, friend).unwrap();
+            }
+            for step in ["join", "leave", "move", "rejoin"] {
+                for sys in [&mut bulk, &mut reference] {
+                    match step {
+                        "join" => assert!(sys.join_node(Mobility::Mobile).is_ok()),
+                        "leave" => sys.leave_node(sys.mobile_keys()[4]).unwrap(),
+                        "move" => assert!(sys.move_node(sys.mobile_keys()[0], None).is_ok()),
+                        _ => {
+                            let key = sys.mobile_keys()[2];
+                            sys.confirm_dead(key).unwrap();
+                            assert!(sys.rejoin_node(key, 1).unwrap().restored);
+                        }
+                    }
+                }
+                assert_eq!(
+                    synced(&mut bulk, |sys| sys.refresh_bindings().unwrap()),
+                    synced(&mut reference, refresh_one_edge_at_a_time),
+                    "seed {seed}: refresh after the {step}"
+                );
+            }
+        }
     }
 
     /// The pass gives a listed holder exactly its rows' registrations,

@@ -99,8 +99,8 @@ pub struct BristleSystem {
     pub(crate) info: NodeArena<NodeInfo>,
     /// Indexed by [`HostId`]: whether a live stationary node has this
     /// host — the stationary ring's membership as one local read.
-    /// Written by [`Self::readmit`] and [`Self::forget`] only, the two
-    /// calls every change of that membership is paired with.
+    /// Written by `enroll` and [`Self::forget`] only, the two calls
+    /// every change of that membership is paired with.
     stationary_hosts: Vec<bool>,
     /// Bumped by the two calls that make or unmake an identity:
     /// `repo::set_identity` and [`Self::forget`].
@@ -200,6 +200,18 @@ impl BristleBuilder {
     /// registry from reverse routing pointers, and publishes every mobile
     /// node's initial location.
     pub fn build(self) -> Result<BristleSystem> {
+        let (n_stationary, n_mobile, workers) = (self.n_stationary, self.n_mobile, self.workers);
+        let mut sys = self.assemble();
+        sys.admit_all(n_stationary, n_mobile)?;
+        sys.rewire_with_workers(workers);
+        sys.sync_registrations();
+        sys.publish_all_locations()?;
+        Ok(sys)
+    }
+
+    /// The system before anyone is admitted: the topology, and both rings
+    /// sized for everyone [`Self::build`] admits.
+    pub(crate) fn assemble(self) -> BristleSystem {
         self.config.validate();
         assert!(self.n_stationary >= 1, "need at least one stationary node");
         let mut rng = Pcg64::seed_from_u64(self.seed);
@@ -217,7 +229,7 @@ impl BristleBuilder {
         };
         let ring = self.config.ring.clone();
 
-        let mut sys = BristleSystem {
+        BristleSystem {
             cfg: self.config,
             naming,
             clock: Clock::new(),
@@ -226,8 +238,8 @@ impl BristleBuilder {
             attachments: AttachmentMap::new(),
             dcache,
             stub_routers,
-            // Sized for everyone admitted below, so admission never lays
-            // a slab out again.
+            // Sized for everyone `build` admits, so admission never lays
+            // a slab out again and each ring fills in one pass.
             stationary: RingDht::with_capacity(ring.clone(), self.n_stationary),
             mobile: RingDht::with_capacity(ring, total),
             info: NodeArena::new(),
@@ -240,18 +252,7 @@ impl BristleBuilder {
             leases: LeaseTable::new(),
             corpses: HashMap::new(),
             stores: StoreHub::new(),
-        };
-
-        for _ in 0..self.n_stationary {
-            sys.admit(Mobility::Stationary)?;
         }
-        for _ in 0..self.n_mobile {
-            sys.admit(Mobility::Mobile)?;
-        }
-        sys.rewire_with_workers(self.workers);
-        sys.sync_registrations();
-        sys.publish_all_locations()?;
-        Ok(sys)
     }
 }
 
@@ -299,6 +300,31 @@ impl BristleSystem {
     /// Creates a node body (host + key + capacity) and inserts it into the
     /// appropriate layers *without* wiring routing tables.
     pub(crate) fn admit(&mut self, mobility: Mobility) -> Result<Key> {
+        let (key, info) = self.draw(mobility)?;
+        self.readmit(key, info)?;
+        Ok(key)
+    }
+
+    /// `stationary` then `mobile` newcomers, as that many [`Self::admit`]s
+    /// make them — the same draws, identities, ring slots and epochs —
+    /// with each ring laid out once ([`RingDht::insert_all`]).
+    pub(crate) fn admit_all(&mut self, stationary: usize, mobile: usize) -> Result<()> {
+        let mut bodies = Vec::with_capacity(stationary + mobile);
+        for i in 0..stationary + mobile {
+            let class = if i < stationary { Mobility::Stationary } else { Mobility::Mobile };
+            let (key, info) = self.draw(class)?;
+            self.set_identity(key, info);
+            self.enroll(key, info);
+            bodies.push((key, info.host, info.capacity));
+        }
+        self.mobile.insert_all(&bodies)?;
+        self.stationary.insert_all(&bodies[..stationary])?;
+        Ok(())
+    }
+
+    /// A newcomer's body, drawn from the system RNG in this order: its
+    /// key, its router (where its host is attached) and its capacity.
+    fn draw(&mut self, mobility: Mobility) -> Result<(Key, NodeInfo)> {
         let key = self.new_key(mobility)?;
         let router = *self.rng.choose(&self.stub_routers);
         let host = match mobility {
@@ -307,8 +333,7 @@ impl BristleSystem {
         };
         let (lo, hi) = self.cfg.capacity_range;
         let capacity = self.rng.range_inclusive(lo as u64, hi as u64) as u32;
-        self.readmit(key, NodeInfo { host, mobility, capacity, incarnation: 0, seq: 0 })?;
-        Ok(key)
+        Ok((key, NodeInfo { host, mobility, capacity, incarnation: 0, seq: 0 }))
     }
 
     /// Takes a buried body and its disk back out of the graveyard,
@@ -336,9 +361,18 @@ impl BristleSystem {
         debug_assert_eq!(self.attachments.is_fixed(info.host), fixed, "{key}'s host class");
         self.set_identity(key, info);
         self.mobile.insert(key, info.host, info.capacity)?;
+        if fixed {
+            self.stationary.insert(key, info.host, info.capacity)?;
+        }
+        self.enroll(key, info);
+        Ok(())
+    }
+
+    /// Lists a node its rings now hold under its class: its key, and a
+    /// stationary node's host bit.
+    fn enroll(&mut self, key: Key, info: NodeInfo) {
         match info.mobility {
             Mobility::Stationary => {
-                self.stationary.insert(key, info.host, info.capacity)?;
                 self.stationary_keys.push(key);
                 let host = info.host.index();
                 if self.stationary_hosts.len() <= host {
@@ -348,7 +382,6 @@ impl BristleSystem {
             }
             Mobility::Mobile => self.mobile_keys.push(key),
         }
-        Ok(())
     }
 
     /// Rebuilds every routing table in both layers (steady-state wiring).
@@ -1047,6 +1080,54 @@ mod tests {
             sys.rewire();
             sys.sync_registrations();
             check(&sys, "rewire + sync_registrations");
+        }
+    }
+
+    /// What admission writes, section by section: the interner in index
+    /// order, each node's info, both key lists and the host bits, both
+    /// rings whole (`Debug` prints every slab cell with its predecessor,
+    /// the index and the epoch), the membership epoch and the RNG.
+    fn admitted(sys: &BristleSystem) -> [(&'static str, String); 8] {
+        let interned: Vec<Key> =
+            (0..sys.interner().len() as u32).map(|i| sys.interner().key_of(NodeIdx(i))).collect();
+        let info: Vec<_> = interned.iter().map(|&k| sys.node_info(k).ok().copied()).collect();
+        [
+            ("interner", format!("{interned:?}")),
+            ("info", format!("{info:?}")),
+            ("key lists", format!("{:?} {:?}", sys.stationary_keys, sys.mobile_keys)),
+            ("host bits", format!("{:?}", sys.stationary_hosts)),
+            ("stationary ring", format!("{:?}", sys.stationary)),
+            ("mobile ring", format!("{:?}", sys.mobile)),
+            ("membership epoch", sys.membership_epoch().to_string()),
+            ("rng", format!("{:?}", sys.rng)),
+        ]
+    }
+
+    /// The builder's one-pass admission leaves what growing the system by
+    /// `admit`, one node at a time, leaves: on rings of 1 to 9 stationary
+    /// nodes, with and without mobile ones, and at the builder's sizes.
+    #[test]
+    fn bulk_admission_builds_the_rings_one_admit_at_a_time_does() {
+        let small = (1..=9).flat_map(|s| [(s, 0), (s, s / 2)]);
+        let sizes: Vec<(usize, usize)> = small.chain([(64, 0), (30, 12), (600, 400)]).collect();
+        for seed in [8, 27] {
+            for &(stationary, mobile) in &sizes {
+                let builder = BristleBuilder::new(seed)
+                    .stationary_nodes(stationary)
+                    .mobile_nodes(mobile)
+                    .topology(TransitStubConfig::tiny());
+                let mut bulk = builder.clone().assemble();
+                bulk.admit_all(stationary, mobile).unwrap();
+                let mut single = builder.assemble();
+                for i in 0..stationary + mobile {
+                    let class =
+                        if i < stationary { Mobility::Stationary } else { Mobility::Mobile };
+                    single.admit(class).unwrap();
+                }
+                for ((part, a), (_, b)) in admitted(&bulk).into_iter().zip(admitted(&single)) {
+                    assert!(a == b, "seed {seed}, {stationary} + {mobile}: {part} differs");
+                }
+            }
         }
     }
 

@@ -479,6 +479,50 @@ impl<V, A: RowAddr> RingDht<V, A> {
         Ok(())
     }
 
+    /// Adds `nodes` to an empty ring whose slab holds them all without
+    /// being laid out again ([`RingDht::with_capacity`]), leaving the
+    /// slab, index, predecessors and epoch that [`RingDht::insert`]ing
+    /// them one at a time, in order, leaves, in one pass: each node takes
+    /// the cell its own insert would, the first free one of its probe
+    /// chain once those before it are placed; the index is built once
+    /// from key order, and each predecessor read off its neighbour there.
+    /// A key listed twice adds no node at all.
+    ///
+    /// # Panics
+    /// Panics if the ring has a member, or its slab would have to be
+    /// laid out again to hold `nodes`.
+    pub fn insert_all(&mut self, nodes: &[(Key, HostId, u32)]) -> Result<(), RingError> {
+        let fits = (self.used + nodes.len()) * 8 <= self.slab.len() * 7;
+        assert!(self.is_empty() && fits, "insert_all fills an empty ring sized for the nodes");
+        let mut order: Vec<(u64, usize)> =
+            nodes.iter().enumerate().map(|(i, &(key, ..))| (key.0, i)).collect();
+        order.sort_unstable();
+        if let Some(w) = order.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(RingError::DuplicateKey(Key(w[0].0)));
+        }
+        let slots: Vec<Slot> = nodes
+            .iter()
+            .map(|&(key, host, capacity)| {
+                let at = vacancy(&self.slab, key.0);
+                if let Cell::Empty = self.slab[at] {
+                    self.used += 1;
+                }
+                let node = NodeState::new(key, host, capacity);
+                self.slab[at] = Cell::Live(Occupant { pred: key, span: Span::default(), node });
+                Slot(at as u32)
+            })
+            .collect();
+        // The node sorting first has the one sorting last before it.
+        let mut pred = order.last().map_or(0, |&(key, _)| key);
+        for &(key, i) in &order {
+            self.occupant_mut(slots[i]).pred = Key(pred);
+            pred = key;
+        }
+        self.index = order.iter().map(|&(key, i)| (key, slots[i])).collect();
+        self.epoch += nodes.len() as u64;
+        Ok(())
+    }
+
     /// Removes a node, returning its state (stores and all; its routing
     /// rows die). Its cell becomes a tombstone; every other node keeps its
     /// slot.
@@ -1257,6 +1301,34 @@ mod tests {
             let keys: Vec<Key> = dht.keys().collect();
             assert!(keys.windows(2).all(|w| w[0] < w[1]), "step {step}: keys() not ascending");
             assert_eq!(keys.len(), live.len());
+        }
+    }
+
+    /// `insert_all` leaves the ring `insert` in a loop leaves, on an
+    /// empty pre-sized ring with and without a tombstone; a key listed
+    /// twice adds nobody.
+    #[test]
+    fn insert_all_is_one_insert_at_a_time() {
+        let mut rng = Pcg64::seed_from_u64(63);
+        for n in [0u32, 1, 2, 7, 300] {
+            let nodes: Vec<(Key, HostId, u32)> =
+                (0..n).map(|i| (Key::random(&mut rng), HostId(i), 1 + i % 5)).collect();
+            let sized = || RingDht::<()>::with_capacity(RingConfig::tornado(), n as usize + 1);
+            let mut tombed = sized();
+            tombed.insert(Key(7), HostId(0), 1).unwrap();
+            tombed.remove(Key(7));
+            for start in [sized(), tombed] {
+                let (mut bulk, mut single) = (start.clone(), start);
+                bulk.insert_all(&nodes).unwrap();
+                for &(key, host, capacity) in &nodes {
+                    single.insert(key, host, capacity).unwrap();
+                }
+                assert_eq!(format!("{bulk:?}"), format!("{single:?}"), "{n} nodes");
+            }
+            let Some(&first) = nodes.first() else { continue };
+            let mut twice = sized();
+            assert_eq!(twice.insert_all(&[first, first]), Err(RingError::DuplicateKey(first.0)));
+            assert!(twice.is_empty() && twice.epoch() == 0, "{n} nodes: a repeat added a node");
         }
     }
 
